@@ -21,14 +21,12 @@ done
 
 cargo build --release
 cargo test -q -p sqlkit          # fast gate: the SQL substrate everything sits on
-cargo test -q --test analyze_gold_clean  # corpus gate: analyzer silent on all gold SQL
-cargo test -q --test trace_shape # trace-determinism gate: two identical runs (and any
-                                 # refine thread count) render identical logical traces,
-                                 # timestamps and volatile events excluded
-cargo test -q --test planner_differential # planner gate: cost-based physical plans and the
-                                 # pipelined executor return byte-identical rows to the
-                                 # legacy interpreter (corpus gold SQL, sampled specs,
-                                 # paged round trips, index-set invalidation)
+cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-
+                                 # differential suite (sparse HNSW/flat ≡ the dense oracle,
+                                 # ids and score bits)
+cargo test -q --test retrieval_golden # corpus gate: every retrieval result on the tiny
+                                 # profile hashes to the constant recorded before the
+                                 # sparse kernels landed
 
 # Store gate: the crash-recovery fault matrix (every-byte truncation +
 # corruption of the WAL, ~3.3k injection points), then pack a benchmark
@@ -64,12 +62,12 @@ cargo clippy -p osql-server --all-targets -- -D warnings
 # suffix invented); follower admission (bounded-staleness floors, 503 +
 # Retry-After, /healthz + /metrics exposition); the differential suite
 # pinning follower responses byte-identical to the primary whenever the
-# floor is met; and a CLI round-trip on a freshly packed world:
+# floor is met (repl_differential, in the workspace run below); and a CLI
+# round-trip on a freshly packed world:
 # ship → follow (exit 0, caught up) → promote → fsck-clean replicas.
 cargo test -q -p osql-repl
 cargo test -q -p osql-repl --test failover
 cargo test -q -p osql-server --test follower
-cargo test -q --test repl_differential
 repl_dir="$(mktemp -d)"
 trap 'rm -rf "$store_dir" "$repl_dir"' EXIT
 cargo run --release -q -p osql-cli -- pack "$repl_dir/primary" --profile tiny
@@ -84,7 +82,8 @@ done
 # (flight lookup, recent/slow listings, SLO report) answer over real
 # HTTP; the shared Retry-After rounding stays pinned; the flight
 # recorder's invariants hold under exhaustive model exploration; and the
-# windowed/SLO exposition stays byte-deterministic (trace_shape above).
+# windowed/SLO exposition stays byte-deterministic (trace_shape, in the
+# workspace run below).
 cargo test -q -p osql-server --test http_smoke -- \
     trace_ids_round_trip_and_debug_endpoints_answer \
     retry_after_rounding_is_shared_and_pinned
@@ -105,7 +104,20 @@ for crate in osql-chk osql-repl osql-runtime osql-server osql-store osql-trace s
         cargo test -q -p "$crate" --test model
 done
 
-cargo test -q
+# Every suite of every crate plus the root integration tests. The root
+# corpus gates run here and only here:
+#   analyze_gold_clean    analyzer silent on all gold SQL
+#   trace_shape           trace-determinism gate: two identical runs (and any
+#                         refine thread count) render identical logical traces,
+#                         timestamps and volatile events excluded; the
+#                         windowed/SLO exposition stays byte-deterministic
+#   planner_differential  cost-based physical plans and the pipelined executor
+#                         return byte-identical rows to the legacy interpreter
+#                         (corpus gold SQL, sampled specs, paged round trips,
+#                         index-set invalidation)
+#   repl_differential     follower responses byte-identical to the primary
+#                         whenever the floor is met
+cargo test -q --workspace
 cargo bench --no-run             # benches must always compile
 cargo clippy -p osql-store --all-targets -- -D warnings
 cargo clippy --workspace --all-targets -- -D warnings

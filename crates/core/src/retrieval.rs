@@ -25,7 +25,25 @@ pub struct ValueHit {
 pub struct ValueIndex {
     embedder: Embedder,
     index: Hnsw,
-    entries: Vec<(String, String, String)>,
+    /// Entry `i` is vector `i` of `index`.
+    entries: Vec<ValueEntry>,
+    /// Entries are contiguous per column, in build order.
+    columns: Vec<ColumnValues>,
+}
+
+struct ValueEntry {
+    /// Index into `columns`.
+    column: usize,
+    stored: String,
+    /// `normalize(stored)`, computed once.
+    normalized: String,
+}
+
+struct ColumnValues {
+    table: String,
+    column: String,
+    /// This column's slice of `entries`.
+    entries: std::ops::Range<usize>,
 }
 
 impl ValueIndex {
@@ -34,18 +52,26 @@ impl ValueIndex {
         let embedder = Embedder::new();
         let mut index = Hnsw::new(HnswConfig { seed: 0x71ED, ..HnswConfig::default() });
         let mut entries = Vec::new();
+        let mut columns = Vec::new();
         for table in &db.tables {
             for col in &table.cols {
                 if !col.kind.is_textual() {
                     continue;
                 }
+                let start = entries.len();
                 for stored in db.stored_values(&table.name, &col.name) {
                     index.add(embedder.embed(&stored));
-                    entries.push((table.name.clone(), col.name.clone(), stored));
+                    let normalized = normalize(&stored);
+                    entries.push(ValueEntry { column: columns.len(), stored, normalized });
                 }
+                columns.push(ColumnValues {
+                    table: table.name.clone(),
+                    column: col.name.clone(),
+                    entries: start..entries.len(),
+                });
             }
         }
-        ValueIndex { embedder, index, entries }
+        ValueIndex { embedder, index, entries, columns }
     }
 
     /// Number of indexed values.
@@ -58,29 +84,39 @@ impl ValueIndex {
         self.entries.is_empty()
     }
 
+    /// One column's entry range (names compare ASCII-case-insensitively;
+    /// empty for an unknown or non-textual column).
+    fn column_range(&self, table: &str, column: &str) -> std::ops::Range<usize> {
+        self.columns
+            .iter()
+            .find(|c| c.table.eq_ignore_ascii_case(table) && c.column.eq_ignore_ascii_case(column))
+            .map_or(0..0, |c| c.entries.clone())
+    }
+
     /// Multi-path retrieval for one entity mention: embedding search on
     /// the full phrase, split retrieval on its words, and a normalised
     /// scan. Results deduplicated, above-threshold, best first.
     pub fn retrieve(&self, entity: &str, top_k: usize, threshold: f32) -> Vec<ValueHit> {
         let mut hits: Vec<ValueHit> = Vec::new();
         let push = |idx: usize, score: f32, hits: &mut Vec<ValueHit>| {
-            let (t, c, v) = &self.entries[idx];
-            if !hits.iter().any(|h| h.table == *t && h.column == *c && h.stored == *v) {
+            let entry = &self.entries[idx];
+            let ColumnValues { table: t, column: c, .. } = &self.columns[entry.column];
+            if !hits.iter().any(|h| h.table == *t && h.column == *c && h.stored == entry.stored) {
                 hits.push(ValueHit {
                     table: t.clone(),
                     column: c.clone(),
-                    stored: v.clone(),
+                    stored: entry.stored.clone(),
                     score,
                 });
             }
         };
 
         // embedding path: whole phrase, then split retrieval on words
-        let mut queries: Vec<String> = vec![entity.to_owned()];
+        let mut queries: Vec<&str> = vec![entity];
         if entity.split_whitespace().count() > 1 {
-            queries.extend(entity.split_whitespace().map(str::to_owned));
+            queries.extend(entity.split_whitespace());
         }
-        for q in &queries {
+        for q in queries {
             for Neighbor { id, score } in self.index.search(&self.embedder.embed(q), top_k) {
                 if score >= threshold {
                     push(id, score, &mut hits);
@@ -92,14 +128,8 @@ impl ValueIndex {
         // 'OSL' ~ 'Oslo', 'C_tier_two' ~ 'tier two')
         let qn = normalize(entity);
         if qn.len() >= 3 {
-            for (idx, (_, _, stored)) in self.entries.iter().enumerate() {
-                let sn = normalize(stored);
-                if sn.is_empty() {
-                    continue;
-                }
-                let matched = sn == qn
-                    || (sn.len() >= 3 && (qn.starts_with(&sn) || sn.starts_with(&qn)));
-                if matched {
+            for (idx, entry) in self.entries.iter().enumerate() {
+                if normalized_match(&entry.normalized, &qn) {
                     push(idx, 1.0, &mut hits);
                 }
             }
@@ -114,34 +144,22 @@ impl ValueIndex {
 
     /// All stored values of one column.
     pub fn values_of(&self, table: &str, column: &str) -> Vec<&str> {
-        self.entries
-            .iter()
-            .filter(|(t, c, _)| {
-                t.eq_ignore_ascii_case(table) && c.eq_ignore_ascii_case(column)
-            })
-            .map(|(_, _, v)| v.as_str())
-            .collect()
+        self.entries[self.column_range(table, column)].iter().map(|e| e.stored.as_str()).collect()
     }
 
     /// Does a column hold this exact value?
     pub fn contains(&self, table: &str, column: &str, value: &str) -> bool {
-        self.values_of(table, column).contains(&value)
+        self.entries[self.column_range(table, column)].iter().any(|e| e.stored == value)
     }
 
     /// Exact (normalised/prefix) stored-value match within one column.
     pub fn exact_in_column(&self, table: &str, column: &str, literal: &str) -> Option<String> {
-        let values = self.values_of(table, column);
+        let values = &self.entries[self.column_range(table, column)];
         let ln = normalize(literal);
-        if let Some(v) = values.iter().find(|v| normalize(v) == ln) {
-            return Some((*v).to_owned());
-        }
-        values
-            .iter()
-            .find(|v| {
-                let vn = normalize(v);
-                vn.len() >= 3 && ln.len() >= 3 && (vn.starts_with(&ln) || ln.starts_with(&vn))
-            })
-            .map(|v| (*v).to_owned())
+        let found = values.iter().find(|e| e.normalized == ln).or_else(|| {
+            values.iter().find(|e| ln.len() >= 3 && normalized_match(&e.normalized, &ln))
+        });
+        found.map(|e| e.stored.clone())
     }
 
     /// Best stored value of a column for a wrong literal: exact normalised
@@ -156,16 +174,15 @@ impl ValueIndex {
         if let Some(v) = self.exact_in_column(table, column, literal) {
             return Some(v);
         }
-        let values = self.values_of(table, column);
         let q = self.embedder.embed(literal);
-        let mut best: Option<(f32, &str)> = None;
-        for v in values {
-            let s = Embedder::cosine(&q, &self.embedder.embed(v));
+        let mut best: Option<(f32, usize)> = None;
+        for idx in self.column_range(table, column) {
+            let s = self.index.similarity(idx, &q);
             if s >= threshold && best.map(|(bs, _)| s > bs).unwrap_or(true) {
-                best = Some((s, v));
+                best = Some((s, idx));
             }
         }
-        best.map(|(_, v)| v.to_owned())
+        best.map(|(_, idx)| self.entries[idx].stored.clone())
     }
 
     /// Which `(table, column)` pairs hold this exact value (for
@@ -173,8 +190,8 @@ impl ValueIndex {
     pub fn locate(&self, value: &str) -> Vec<(&str, &str)> {
         self.entries
             .iter()
-            .filter(|(_, _, v)| v == value)
-            .map(|(t, c, _)| (t.as_str(), c.as_str()))
+            .filter(|e| e.stored == value)
+            .map(|e| (self.columns[e.column].table.as_str(), self.columns[e.column].column.as_str()))
             .collect()
     }
 }
@@ -219,6 +236,14 @@ fn normalize(s: &str) -> String {
         .filter(|c| c.is_alphanumeric())
         .map(|c| c.to_ascii_lowercase())
         .collect()
+}
+
+/// Do a stored value and a query of at least three characters (both
+/// normalised) match: equal, or one a prefix of the other with the stored
+/// side at least three characters too? Never for an empty stored value.
+fn normalized_match(stored: &str, query: &str) -> bool {
+    stored == query
+        || (stored.len() >= 3 && (query.starts_with(stored) || stored.starts_with(query)))
 }
 
 /// Is a literal a plausible value mention (worth indexing / aligning)?

@@ -403,7 +403,9 @@ impl AssetCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(p.clone());
         }
-        // build under the lock: simpler, and a one-time cost per database
+        // build under the lock: simpler. Once per database in eager mode;
+        // in paged mode again on every page-in, because an eviction drops
+        // the pipeline with the store
         let bench = match &self.source {
             DbSource::Eager(b) => b.clone(),
             DbSource::Paged(cat) => {
@@ -445,9 +447,17 @@ impl AssetCache {
                 }
             }
         };
+        let build_started = std::time::Instant::now();
         let pre = Preprocessed::for_db(bench, db_id, self.fewshot.clone(), self.build_tokens)
             .ok_or(AssetMiss::UnknownDb)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
+        // volatile, like the paging events: eager and paged serving must
+        // render the same logical trace
+        active::event_volatile(
+            "asset_build",
+            &[("db", db_id)],
+            &[("us", build_started.elapsed().as_micros() as f64)],
+        );
         let p = Arc::new(Pipeline::new(Arc::new(pre), self.llm.clone(), self.config.clone()));
         pipelines.insert(db_id.to_owned(), p.clone());
         Ok(p)

@@ -835,13 +835,16 @@ fn record_analysis_metrics(
     }
 }
 
-/// Mirror the demand-paging catalog's counters into the registry (paged
-/// mode only): cumulative loads and evictions via `raise_to` (shared
-/// across workers, like the plan-cache mirrors) and the current resident
-/// byte level via `set` (it falls on eviction, so it is a gauge). The
+/// Mirror per-database asset builds (`asset_builds_total`: first touches,
+/// plus one per page-in in paged mode) and, in paged mode only, the
+/// demand-paging catalog's counters into the registry: cumulative loads
+/// and evictions via `raise_to` (shared across workers, like the
+/// plan-cache mirrors) and the current resident byte level via `set` (it
+/// falls on eviction, so it is a gauge). The
 /// process-global WAL/checkpoint latency cells mirror the same way, as
 /// Prometheus-style cumulative `_bucket` counters labeled by operation.
 fn sync_store_metrics(metrics: &MetricsRegistry, assets: &AssetCache) {
+    metrics.counter("asset_builds_total").raise_to(assets.misses());
     if let Some(cat) = assets.catalog() {
         metrics.counter("db_load_total").raise_to(cat.loads());
         metrics.counter("db_evict_total").raise_to(cat.evictions());

@@ -25,24 +25,34 @@ impl Embedder {
     }
 
     /// Embed a text into an L2-normalised [`DIM`]-dimensional vector.
+    ///
+    /// Features are hashed straight off the input (FNV-1a over the UTF-8
+    /// bytes of the lowercased characters); nothing but the result is
+    /// allocated.
     pub fn embed(&self, text: &str) -> Vec<f32> {
         let mut v = vec![0.0f32; DIM];
-        let normalized = normalize(text);
         // character trigrams with word-boundary padding
-        for word in normalized.split_whitespace() {
-            let padded: Vec<char> =
-                std::iter::once('\u{2}').chain(word.chars()).chain(std::iter::once('\u{3}')).collect();
-            for w in padded.windows(3) {
-                bump(&mut v, hash_chars(w, 0x9e37), 1.0);
+        for word in words(text) {
+            let (mut before, mut last) = (None, '\u{2}');
+            for c in lowercase(word).chain(std::iter::once('\u{3}')) {
+                if let Some(first) = before {
+                    let trigram = [first, last, c].into_iter().fold(FNV_OFFSET ^ 0x9e37, fnv_char);
+                    bump(&mut v, trigram, 1.0);
+                }
+                (before, last) = (Some(last), c);
             }
             // word unigram feature, weighted up so whole-word overlap
             // dominates trigram noise
-            bump(&mut v, hash_str(word, 0x85eb), 2.0);
+            bump(&mut v, fnv_word(FNV_OFFSET ^ 0x85eb, word), 2.0);
         }
-        // word bigrams capture short phrases
-        let words: Vec<&str> = normalized.split_whitespace().collect();
-        for pair in words.windows(2) {
-            bump(&mut v, hash_str(&format!("{} {}", pair[0], pair[1]), 0xc2b2), 1.5);
+        // word bigrams ("w1 w2") capture short phrases
+        let mut previous: Option<&str> = None;
+        for word in words(text) {
+            if let Some(first) = previous {
+                let bigram = fnv_word(fnv_char(fnv_word(FNV_OFFSET ^ 0xc2b2, first), ' '), word);
+                bump(&mut v, bigram, 1.5);
+            }
+            previous = Some(word);
         }
         l2_normalize(&mut v);
         v
@@ -76,32 +86,29 @@ fn bump(v: &mut [f32], h: u64, weight: f32) {
     v[idx] += sign * weight;
 }
 
-fn normalize(text: &str) -> String {
-    text.chars()
-        .map(|c| if c.is_alphanumeric() { c.to_ascii_lowercase() } else { ' ' })
-        .collect()
+/// The maximal alphanumeric runs of a text, in their original casing.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty())
 }
 
-/// FNV-1a over chars with a seed.
-fn hash_chars(chars: &[char], seed: u64) -> u64 {
-    let mut h = 0xcbf29ce484222325u64 ^ seed;
-    for c in chars {
-        let mut buf = [0u8; 4];
-        for b in c.encode_utf8(&mut buf).as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
-fn hash_str(s: &str, seed: u64) -> u64 {
-    let mut h = 0xcbf29ce484222325u64 ^ seed;
-    for b in s.as_bytes() {
+/// One FNV-1a step over a char's UTF-8 bytes.
+fn fnv_char(mut h: u64, c: char) -> u64 {
+    for b in c.encode_utf8(&mut [0u8; 4]).as_bytes() {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+fn lowercase(word: &str) -> impl Iterator<Item = char> + '_ {
+    word.chars().map(|c| c.to_ascii_lowercase())
+}
+
+/// FNV-1a over a word's lowercased chars.
+fn fnv_word(h: u64, word: &str) -> u64 {
+    lowercase(word).fold(h, fnv_char)
 }
 
 #[cfg(test)]
@@ -158,5 +165,63 @@ mod tests {
     fn deterministic() {
         let e = Embedder::new();
         assert_eq!(e.embed("reproducible"), e.embed("reproducible"));
+    }
+
+    /// Whole vectors, bit for bit, as recorded from the allocating
+    /// embedder (normalised `String`, `Vec<char>` per word, `format!` per
+    /// bigram) before it was replaced by streamed hashing: each entry is a
+    /// non-zero `(dimension, f32 bits)`; every other dimension is zero.
+    #[test]
+    fn streamed_hashing_reproduces_recorded_vectors() {
+        let pins: &[(&str, &[(usize, u32)])] = &[
+            ("Oslo",
+                &[
+                    (6, 0xbeb504f3), (164, 0xbeb504f3), (176, 0xbeb504f3), (241, 0x3f3504f3),
+                    (250, 0xbeb504f3),
+                ],
+            ),
+            ("John  O'Smith-JONES",
+                &[
+                    (1, 0xbeb04387), (8, 0xbe304387), (19, 0xbe8432a5), (23, 0xbe304387),
+                    (41, 0xbe304387), (42, 0xbe304387), (51, 0xbdb04387), (57, 0xbe304387),
+                    (65, 0xbe8432a5), (73, 0xbe304387), (119, 0x3eb04387), (131, 0xbe304387),
+                    (147, 0x3eb04387), (151, 0xbe304387), (177, 0xbe304387), (197, 0xbe304387),
+                    (217, 0x3eb04387), (220, 0xbe304387), (234, 0xbe304387), (240, 0xbe304387),
+                ],
+            ),
+            ("tier_two (C)",
+                &[
+                    (16, 0xbe4ee116), (18, 0xbe4ee116), (31, 0xbe4ee116), (41, 0xbe9b28d0),
+                    (44, 0xbe4ee116), (86, 0xbecee116), (106, 0xbe9b28d0), (122, 0xbe4ee116),
+                    (129, 0xbe4ee116), (137, 0xbe4ee116), (156, 0xbecee116), (247, 0x3ecee116),
+                    (254, 0xbe4ee116),
+                ],
+            ),
+            ("Ünïcödé straße 12",
+                &[
+                    (51, 0xbe36734a), (55, 0xbe36734a), (82, 0xbe36734a), (83, 0xbe36734a),
+                    (87, 0x3e36734a), (95, 0xbeb6734a), (98, 0xbe36734a), (137, 0x3e88d677),
+                    (147, 0x3e36734a), (160, 0x3e36734a), (172, 0x3e36734a), (179, 0xbe36734a),
+                    (181, 0xbeb6734a), (182, 0xbe36734a), (205, 0xbeb6734a), (235, 0xbe88d677),
+                    (237, 0x3e36734a), (245, 0xbe36734a), (247, 0xbe36734a), (253, 0x3e36734a),
+                ],
+            ),
+            ("a",
+                &[
+                    (93, 0x3f64f92e), (224, 0xbee4f92e),
+                ],
+            ),
+            (" -- ", &[]),
+        ];
+        for (text, nonzero) in pins {
+            let got: Vec<(usize, u32)> = Embedder::new()
+                .embed(text)
+                .iter()
+                .enumerate()
+                .filter(|(_, x)| **x != 0.0)
+                .map(|(i, x)| (i, x.to_bits()))
+                .collect();
+            assert_eq!(got, *nonzero, "{text:?}");
+        }
     }
 }

@@ -2,11 +2,12 @@
 //! against.
 
 use crate::index::{Neighbor, VectorIndex};
+use crate::sparse::{rank_key, unrank, SparseVectors};
 
 /// A flat (exact) cosine-similarity index.
 #[derive(Debug, Clone, Default)]
 pub struct FlatIndex {
-    vectors: Vec<Vec<f32>>,
+    vectors: SparseVectors,
 }
 
 impl FlatIndex {
@@ -18,22 +19,22 @@ impl FlatIndex {
 
 impl VectorIndex for FlatIndex {
     fn add(&mut self, vector: Vec<f32>) -> usize {
-        self.vectors.push(vector);
-        self.vectors.len() - 1
+        self.vectors.push(&vector)
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        let mut scored: Vec<Neighbor> = self
-            .vectors
-            .iter()
-            .enumerate()
-            .map(|(id, v)| Neighbor { id, score: crate::embed::dot(query, v) })
-            .collect();
-        scored.sort_by(|a, b| {
-            b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal).then(a.id.cmp(&b.id))
-        });
-        scored.truncate(k);
-        scored
+        let query = self.vectors.cover(query);
+        let mut keys: Vec<u64> =
+            (0..self.vectors.len()).map(|id| rank_key(self.vectors.dot(id, &query), id)).collect();
+        // only the best `k` need ordering (score descending, id ascending)
+        if k < keys.len() {
+            if k > 0 {
+                keys.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+            }
+            keys.truncate(k);
+        }
+        keys.sort_unstable_by(|a, b| b.cmp(a));
+        keys.into_iter().map(unrank).collect()
     }
 
     fn len(&self) -> usize {

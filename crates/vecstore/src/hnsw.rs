@@ -8,11 +8,10 @@
 //!
 //! [`FlatIndex`]: crate::flat::FlatIndex
 
-use crate::embed::dot;
 use crate::index::{Neighbor, VectorIndex};
+use crate::sparse::{key_score, rank_key, unrank, SparseVectors};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// HNSW construction/search parameters.
@@ -38,30 +37,29 @@ impl Default for HnswConfig {
 #[derive(Debug, Clone)]
 pub struct Hnsw {
     config: HnswConfig,
-    vectors: Vec<Vec<f32>>,
+    vectors: SparseVectors,
     /// `neighbors[node][level]` = adjacent node ids.
-    neighbors: Vec<Vec<Vec<usize>>>,
+    neighbors: Vec<Vec<Vec<u32>>>,
     entry: Option<usize>,
     max_level: usize,
     rng: StdRng,
     /// 1 / ln(m): the level-sampling scale from the paper.
     level_scale: f64,
+    /// Insert-time working memory, reused from one `add` to the next.
+    scratch: Scratch,
 }
 
-/// (similarity, id) ordered so the max-heap pops the *most similar* first.
-#[derive(PartialEq)]
-struct Candidate(f32, usize);
-
-impl Eq for Candidate {}
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.partial_cmp(&other.0).unwrap_or(Ordering::Equal).then(other.1.cmp(&self.1))
-    }
-}
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Working memory of one layer search (and of `prune`). Candidates are
+/// [`rank_key`]s, so both queues order by plain integer comparison.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    visited: Vec<bool>,
+    /// Max-heap: pops the most similar unexpanded candidate.
+    frontier: BinaryHeap<u64>,
+    /// The best `ef` seen so far, most similar first.
+    results: Vec<u64>,
+    /// All-zero between uses; `prune` scatters one stored vector into it.
+    dense: Vec<f32>,
 }
 
 impl Default for Hnsw {
@@ -76,17 +74,20 @@ impl Hnsw {
         let level_scale = 1.0 / (config.m.max(2) as f64).ln();
         Hnsw {
             config,
-            vectors: Vec::new(),
+            vectors: SparseVectors::default(),
             neighbors: Vec::new(),
             entry: None,
             max_level: 0,
             rng: StdRng::seed_from_u64(config.seed),
             level_scale,
+            scratch: Scratch::default(),
         }
     }
 
-    fn sim(&self, a: usize, q: &[f32]) -> f32 {
-        dot(&self.vectors[a], q)
+    /// Similarity of stored vector `id` to `query`: the score a search
+    /// reports for that hit. Panics if `id` is not a stored vector's.
+    pub fn similarity(&self, id: usize, query: &[f32]) -> f32 {
+        self.vectors.dot(id, &self.vectors.cover(query))
     }
 
     fn random_level(&mut self) -> usize {
@@ -98,13 +99,13 @@ impl Hnsw {
     /// neighbour until no improvement.
     fn greedy_step(&self, query: &[f32], start: usize, level: usize) -> usize {
         let mut cur = start;
-        let mut cur_sim = self.sim(cur, query);
+        let mut cur_sim = self.vectors.dot(cur, query);
         loop {
             let mut improved = false;
             for &n in &self.neighbors[cur][level] {
-                let s = self.sim(n, query);
+                let s = self.vectors.dot(n as usize, query);
                 if s > cur_sim {
-                    cur = n;
+                    cur = n as usize;
                     cur_sim = s;
                     improved = true;
                 }
@@ -115,65 +116,60 @@ impl Hnsw {
         }
     }
 
-    /// Best-first beam search on one layer; returns up to `ef` candidates,
-    /// most similar first.
-    fn search_layer(&self, query: &[f32], entry: usize, level: usize, ef: usize) -> Vec<Neighbor> {
-        let mut visited = vec![false; self.vectors.len()];
-        visited[entry] = true;
-        let entry_sim = self.sim(entry, query);
-        // frontier: max-heap by similarity; results: min-heap (via Reverse)
-        let mut frontier = BinaryHeap::new();
-        frontier.push(Candidate(entry_sim, entry));
-        let mut results: BinaryHeap<std::cmp::Reverse<Candidate>> = BinaryHeap::new();
-        results.push(std::cmp::Reverse(Candidate(entry_sim, entry)));
-        while let Some(Candidate(cand_sim, cand)) = frontier.pop() {
-            let worst = results.peek().map(|r| r.0 .0).unwrap_or(f32::NEG_INFINITY);
-            if results.len() >= ef && cand_sim < worst {
+    /// Best-first beam search on one layer; leaves up to `ef` candidates in
+    /// `s.results`, most similar first.
+    fn search_layer(&self, query: &[f32], entry: usize, level: usize, ef: usize, s: &mut Scratch) {
+        let ef = ef.max(1); // the entry is always a result
+        s.visited.clear();
+        s.visited.resize(self.vectors.len(), false);
+        s.frontier.clear();
+        s.results.clear();
+        s.visited[entry] = true;
+        let entry_key = rank_key(self.vectors.dot(entry, query), entry);
+        s.frontier.push(entry_key);
+        s.results.push(entry_key);
+        while let Some(cand) = s.frontier.pop() {
+            let worst = *s.results.last().expect("results hold at least the entry");
+            if s.results.len() >= ef && key_score(cand) < key_score(worst) {
                 break;
             }
-            for &n in &self.neighbors[cand][level] {
-                if visited[n] {
+            for &n in &self.neighbors[unrank(cand).id][level] {
+                let n = n as usize;
+                if std::mem::replace(&mut s.visited[n], true) {
                     continue;
                 }
-                visited[n] = true;
-                let s = self.sim(n, query);
-                let worst = results.peek().map(|r| r.0 .0).unwrap_or(f32::NEG_INFINITY);
-                if results.len() < ef || s > worst {
-                    frontier.push(Candidate(s, n));
-                    results.push(std::cmp::Reverse(Candidate(s, n)));
-                    if results.len() > ef {
-                        results.pop();
-                    }
+                let key = rank_key(self.vectors.dot(n, query), n);
+                let worst = *s.results.last().expect("results hold at least the entry");
+                if s.results.len() < ef || key_score(key) > key_score(worst) {
+                    s.frontier.push(key);
+                    let at = s.results.partition_point(|r| *r > key);
+                    s.results.insert(at, key);
+                    s.results.truncate(ef);
                 }
             }
         }
-        let mut out: Vec<Neighbor> = results
-            .into_iter()
-            .map(|r| Neighbor { id: r.0 .1, score: r.0 .0 })
-            .collect();
-        out.sort_by(|a, b| {
-            b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal).then(a.id.cmp(&b.id))
-        });
-        out
     }
 
-    /// Keep the `m` most similar of `candidates` relative to node `id`.
-    fn prune(&self, id: usize, candidates: &[usize], m: usize) -> Vec<usize> {
-        let mut scored: Vec<(f32, usize)> = candidates
-            .iter()
-            .map(|&c| (dot(&self.vectors[id], &self.vectors[c]), c))
-            .collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1)));
-        scored.truncate(m);
-        scored.into_iter().map(|(_, c)| c).collect()
+    /// Keep the `m` most similar of `candidates` relative to node `id`,
+    /// most similar first.
+    fn prune(&self, id: usize, candidates: &mut Vec<u32>, m: usize, s: &mut Scratch) {
+        self.vectors.scatter(id, &mut s.dense);
+        // `results` is free between layer searches: it doubles as the key buffer
+        s.results.clear();
+        s.results.extend(
+            candidates.iter().map(|&c| rank_key(self.vectors.dot(c as usize, &s.dense), c as usize)),
+        );
+        self.vectors.unscatter(id, &mut s.dense);
+        s.results.sort_unstable_by(|a, b| b.cmp(a));
+        candidates.clear();
+        candidates.extend(s.results.iter().take(m).map(|&k| unrank(k).id as u32));
     }
 }
 
 impl VectorIndex for Hnsw {
-    fn add(&mut self, vector: Vec<f32>) -> usize {
-        let id = self.vectors.len();
+    fn add(&mut self, mut vector: Vec<f32>) -> usize {
+        let id = self.vectors.push(&vector);
         let level = self.random_level();
-        self.vectors.push(vector);
         self.neighbors.push(vec![Vec::new(); level + 1]);
 
         let Some(entry) = self.entry else {
@@ -182,28 +178,37 @@ impl VectorIndex for Hnsw {
             return id;
         };
 
-        let query = self.vectors[id].clone();
+        // the new vector is its own dense query; `prune` needs a zeroed
+        // buffer as long
+        let dim = self.vectors.dim();
+        vector.resize(dim, 0.0);
+        let query = &vector[..];
+        let mut s = std::mem::take(&mut self.scratch);
+        s.dense.resize(dim, 0.0);
         let mut cur = entry;
         // descend through layers above the new node's level
         for l in ((level + 1)..=self.max_level).rev() {
-            cur = self.greedy_step(&query, cur, l);
+            cur = self.greedy_step(query, cur, l);
         }
         // connect on each shared layer
         for l in (0..=level.min(self.max_level)).rev() {
-            let found = self.search_layer(&query, cur, l, self.config.ef_construction);
-            cur = found.first().map(|n| n.id).unwrap_or(cur);
+            self.search_layer(query, cur, l, self.config.ef_construction, &mut s);
+            cur = s.results.first().map_or(cur, |&k| unrank(k).id);
             let m_max = if l == 0 { self.config.m * 2 } else { self.config.m };
-            let chosen: Vec<usize> =
-                found.iter().take(self.config.m).map(|n| n.id).collect();
-            self.neighbors[id][l] = chosen.clone();
-            for c in chosen {
-                self.neighbors[c][l].push(id);
+            let chosen: Vec<u32> =
+                s.results.iter().take(self.config.m).map(|&k| unrank(k).id as u32).collect();
+            for &c in &chosen {
+                let c = c as usize;
+                self.neighbors[c][l].push(id as u32);
                 if self.neighbors[c][l].len() > m_max {
-                    let cands = self.neighbors[c][l].clone();
-                    self.neighbors[c][l] = self.prune(c, &cands, m_max);
+                    let mut links = std::mem::take(&mut self.neighbors[c][l]);
+                    self.prune(c, &mut links, m_max, &mut s);
+                    self.neighbors[c][l] = links;
                 }
             }
+            self.neighbors[id][l] = chosen;
         }
+        self.scratch = s;
         if level > self.max_level {
             self.max_level = level;
             self.entry = Some(id);
@@ -215,14 +220,14 @@ impl VectorIndex for Hnsw {
         let Some(entry) = self.entry else {
             return Vec::new();
         };
+        let query = self.vectors.cover(query);
         let mut cur = entry;
         for l in (1..=self.max_level).rev() {
-            cur = self.greedy_step(query, cur, l);
+            cur = self.greedy_step(&query, cur, l);
         }
-        let ef = self.config.ef_search.max(k);
-        let mut out = self.search_layer(query, cur, 0, ef);
-        out.truncate(k);
-        out
+        let mut s = Scratch::default();
+        self.search_layer(&query, cur, 0, self.config.ef_search.max(k), &mut s);
+        s.results.iter().take(k).map(|&key| unrank(key)).collect()
     }
 
     fn len(&self) -> usize {

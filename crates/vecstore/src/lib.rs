@@ -6,24 +6,23 @@
 //! - [`embed::Embedder`] — character n-gram feature-hashing embeddings
 //!   (deterministic, typo/case robust);
 //! - [`hnsw::Hnsw`] — Hierarchical Navigable Small World ANN index;
-//! - [`ivf::IvfIndex`] — inverted-file ANN index (k-means cells);
 //! - [`flat::FlatIndex`] — exact baseline;
 //! - [`mask::mask_question`] — masked-question skeletons for few-shot
 //!   retrieval (MQs).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![warn(unreachable_pub, unused_qualifications)]
 
 pub mod embed;
 pub mod flat;
 pub mod hnsw;
 pub mod index;
-pub mod ivf;
 pub mod mask;
+mod sparse;
 
 pub use embed::{Embedder, DIM};
 pub use flat::FlatIndex;
 pub use hnsw::{Hnsw, HnswConfig};
-pub use ivf::{IvfConfig, IvfIndex};
 pub use index::{Neighbor, VectorIndex};
 pub use mask::mask_question;

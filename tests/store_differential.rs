@@ -160,13 +160,25 @@ fn under_budget_catalog_still_serves_every_question_and_evicts() {
     let single = *f.store_sizes.iter().max().unwrap();
     assert!(single < total, "fixture needs more than one database");
     let rt = f.paged_runtime(single);
+    let mut traced_builds = 0;
     for outcome in rt.run_batch(f.requests()) {
         let resp = outcome.expect("a one-db budget must still serve every question");
         assert!(resp.run.final_sql.to_uppercase().starts_with("SELECT"));
+        // the request that paid for a rebuild says so in its own trace
+        for ev in resp.run.trace.events_named("asset_build") {
+            assert!(ev.volatile, "rebuilds depend on cache state, not on the query");
+            assert_eq!(ev.label("db"), Some(resp.run.db_id.as_str()));
+            assert!(ev.timing("us").is_some());
+            traced_builds += 1;
+        }
     }
     let cat = rt.assets().catalog().unwrap();
     assert!(cat.evictions() > 0, "thrashing across dbs under a one-db budget must evict");
     assert!(cat.resident_bytes() <= single);
+    let builds = rt.assets().misses();
+    assert!(builds > f.benchmark.dbs.len() as u64, "every page-in rebuilds the assets");
+    assert_eq!(traced_builds, builds, "one asset_build event per rebuild");
+    assert_eq!(rt.metrics().counter("asset_builds_total").get(), builds);
     assert_eq!(
         rt.metrics().counter("db_load_total").get(),
         cat.loads(),
