@@ -20,7 +20,20 @@ for arg in "$@"; do
 done
 
 cargo build --release
-cargo test -q -p sqlkit          # fast gate: the SQL substrate everything sits on
+cargo test -q -p sqlkit          # fast gate: the SQL substrate everything sits on, incl.
+                                 # the naive in-crate reference (hand-written shapes +
+                                 # proptest) the one executor is checked against
+cargo test -q --test engine_golden # corpus gate: every entry point still answers what the
+                                 # deleted FROM/WHERE interpreter answered (rows, labels,
+                                 # error text, pipelined rows_scanned), recorded on
+                                 # c133160; and indexes on ≡ indexes dropped
+
+# One executor, structurally: the names of the deleted interpreter and of
+# the per-statement switch that chose it must not come back.
+if grep -rnE 'why_legacy|PlannedPath|build_from|join_sources|Rows::Borrowed' crates/sqlkit/src; then
+    echo "ci: a second execution path is back in crates/sqlkit/src" >&2
+    exit 1
+fi
 cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-
                                  # differential suite (sparse HNSW/flat ≡ the dense oracle,
                                  # ids and score bits)
@@ -111,14 +124,23 @@ done
 #                         refine thread count) render identical logical traces,
 #                         timestamps and volatile events excluded; the
 #                         windowed/SLO exposition stays byte-deterministic
-#   planner_differential  cost-based physical plans and the pipelined executor
-#                         return byte-identical rows to the legacy interpreter
-#                         (corpus gold SQL, sampled specs, paged round trips,
-#                         index-set invalidation)
+#   planner_differential  the plan cache returns what the engine golden recorded
+#                         (corpus gold SQL, sampled specs), paged ≡ in-memory
+#                         round trips, index-set invalidation
+#   prepared_differential raw ≡ prepared (rows and ExecStats) ≡ the engine golden;
+#                         refine-thread determinism
 #   repl_differential     follower responses byte-identical to the primary
 #                         whenever the floor is met
 cargo test -q --workspace
 cargo bench --no-run             # benches must always compile
+
+# The benchmark harness is a package outside the workspace that compiles
+# against sqlkit::{prepare, execute_select, plan_cache, PlanCacheStats} and
+# Prepared::execute: an API break there must fail here, not in a benchmark
+# run. (Its `benchmark_smoke` integration test drives the whole suite and
+# is left to the benchmark itself.)
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test -q --manifest-path perfbench/Cargo.toml --lib
 cargo clippy -p osql-store --all-targets -- -D warnings
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1,5 +1,9 @@
 //! SQL engine microbenchmarks: parsing, scans, hash joins, grouped
 //! aggregation — the substrate every pipeline stage executes against.
+//!
+//! `sqlkit` has one executor, so the groups differ only in what each call
+//! pays *before* it: `engine_exec/*` and `raw/*` bind and lower on every
+//! call, `cold/*` also parses, `warm/*` runs a cached plan.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::{build::build_db, domain::themes, RowScale};
@@ -42,6 +46,7 @@ const CASES: [(&str, &str); 5] = [
     ("subquery", "SELECT Name FROM Patient WHERE Age = (SELECT MAX(Age) FROM Patient)"),
 ];
 
+/// A pre-parsed statement through `query_stmt`: bind + lower + run per call.
 fn bench_exec(c: &mut Criterion) {
     let built = db();
     let cases = CASES;
@@ -55,10 +60,10 @@ fn bench_exec(c: &mut Criterion) {
     group.finish();
 }
 
-/// Prepared-vs-raw execution: `raw` parses + resolves names every call
-/// (the engine's `query(sql)` path), `cold` pays one prepare (parse +
-/// binding + constant folding) per call, and `warm` serves the plan from a
-/// [`PlanCache`] so each call is pure bound execution.
+/// Prepared-vs-raw execution: `raw` is the engine's `query(sql)` path —
+/// parse + bind + lower + run on every call, nothing cached; `cold` is the
+/// same work spelled `prepare` + `execute`; and `warm` serves the plan
+/// from a [`PlanCache`] so each call is pure execution.
 fn bench_prepared(c: &mut Criterion) {
     let built = db();
     let mut group = c.benchmark_group("engine_prepared");
@@ -117,7 +122,7 @@ fn bench_prepared(c: &mut Criterion) {
 /// Laboratory's FK index, and `full_scan_fallback` a shape with no
 /// usable index (the planner must not make unindexed scans slower).
 /// `derived.ix_join_speedup` in BENCH_engine.json compares `ix_join`
-/// against the materialising `engine_exec/hash_join` baseline.
+/// against `engine_exec/hash_join`, the same join with no sarg to seed it.
 fn bench_planner(c: &mut Criterion) {
     let built = db();
     let planner_cases = [

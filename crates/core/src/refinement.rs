@@ -91,11 +91,11 @@ pub fn vote_margin(candidates: &[RefinedCandidate], winner: usize) -> f64 {
 /// Goes through the process-wide [`sqlkit::plan_cache`]: the refine →
 /// execute → correct loop, the vote tie-break, and eval's repeated
 /// gold-SQL executions re-run the same statements constantly, so each one
-/// is parsed and bound once and then served from the cache. Cached plans
-/// carry a lowered physical form where the planner could prove
-/// equivalence, so hot statements run on the pipelined executor (index
-/// scans and index joins on declared indexes) and only fall back to the
-/// legacy interpreter when lowering declined or an index was unusable.
+/// is parsed, bound and lowered once and then served from the cache.
+/// Cached plans run on `sqlkit`'s one pipelined executor — index scans and
+/// index joins on declared indexes where the planner could cost them, the
+/// naive plan (scans, hash / nested-loop joins, every conjunct residual)
+/// for everything else.
 pub fn execute(db: &sqlkit::Database, sql: &str) -> (Result<ResultSet, SqlError>, u64, f64) {
     let t0 = Instant::now();
     match sqlkit::plan_cache().execute(db, sql) {

@@ -1,19 +1,24 @@
-//! Query execution: FROM materialisation, joins, filtering, grouping,
-//! aggregation, projection, set operations, ordering and limits.
+//! Expression evaluation and the shared tail of every SELECT: projection,
+//! grouping, aggregation, DISTINCT, ORDER BY, LIMIT, and compound
+//! combination.
 //!
-//! The executor is a straightforward materialising interpreter — BIRD-scale
-//! synthetic tables are thousands of rows, far below where vectorisation
-//! would pay off — but equi-joins are hash joins, and every operator
-//! charges a row-visit counter that the Refinement stage's vote rule uses
-//! as a deterministic execution-cost proxy.
+//! FROM and WHERE are not here. Every SELECT core — top level or
+//! sub-select, bound or raw — lowers to a [`PhysicalPlan`] and streams
+//! through `crate::pipelined`; [`exec_select_inner`] hands the surviving
+//! tuples to [`project_filtered`]. Every operator charges a row-visit
+//! counter that the Refinement stage's vote rule uses as a deterministic
+//! execution-cost proxy.
 
 use crate::ast::*;
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
 use crate::functions::{call_scalar, is_aggregate_name};
-use crate::value::{NormRef, NormValue, ResultSet, Row, Value};
+use crate::plan::PhysicalPlan;
+use crate::value::{NormValue, ResultSet, Row, Value};
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Execution statistics.
@@ -29,46 +34,15 @@ pub fn execute_select(db: &Database, stmt: &SelectStmt) -> SqlResult<ResultSet> 
     execute_select_with_stats(db, stmt).map(|(rs, _)| rs)
 }
 
-/// Execute a SELECT statement, also reporting execution statistics.
+/// Execute a SELECT statement, also reporting execution statistics: bind,
+/// lower and run, with nothing cached (see [`crate::prepare::PlanCache`]).
 pub fn execute_select_with_stats(
     db: &Database,
     stmt: &SelectStmt,
 ) -> SqlResult<(ResultSet, ExecStats)> {
-    execute_with_flags(db, stmt, false)
-}
-
-/// Execute a statement that went through the [`crate::prepare`] binding
-/// pass. Identical to [`execute_select_with_stats`] except that runtime
-/// alias substitution in GROUP BY / HAVING is skipped — the binder already
-/// performed it, and re-running it on a substituted tree could substitute
-/// more than a raw execution would.
-pub(crate) fn execute_prepared_with_stats(
-    db: &Database,
-    stmt: &SelectStmt,
-) -> SqlResult<(ResultSet, ExecStats)> {
-    execute_with_flags(db, stmt, true)
-}
-
-fn execute_with_flags(
-    db: &Database,
-    stmt: &SelectStmt,
-    bound: bool,
-) -> SqlResult<(ResultSet, ExecStats)> {
-    let mut ctx = Ctx {
-        db,
-        rows_scanned: 0,
-        depth: 0,
-        subquery_cache: HashMap::new(),
-        outer: Vec::new(),
-        used_outer: false,
-        bound,
-    };
-    let rs = exec_select(&mut ctx, stmt)?;
-    // Depth-0 results are never inserted into the subquery cache, so the
-    // Arc is uniquely held here; the fallback clone is unreachable belt
-    // and braces.
-    let rs = Arc::try_unwrap(rs).unwrap_or_else(|arc| (*arc).clone());
-    Ok((rs, ExecStats { rows_scanned: ctx.rows_scanned }))
+    let prepared = crate::prepare::prepare_stmt(db, stmt.clone());
+    let (result, stats, _) = prepared.run(db, prepared.fingerprint());
+    result.map(|rs| (rs, stats))
 }
 
 /// Evaluate an expression against a single table row (used by UPDATE and
@@ -84,16 +58,7 @@ pub fn eval_in_row(
         .iter()
         .map(|c| ColBinding { binding: table.name.clone(), column: c.name.clone() })
         .collect();
-    let mut ctx = Ctx {
-        db,
-        rows_scanned: 0,
-        depth: 0,
-        subquery_cache: HashMap::new(),
-        outer: Vec::new(),
-        used_outer: false,
-        bound: false,
-    };
-    eval_expr(&mut ctx, e, &layout, row)
+    eval_expr(&mut Ctx::new(db, false), e, &layout, row)
 }
 
 /// Evaluate an expression with no row context (literals only); used for
@@ -101,22 +66,17 @@ pub fn eval_in_row(
 pub fn eval_const(e: &Expr) -> SqlResult<Value> {
     // A dummy database works because const expressions reference no tables.
     let db = Database::new("const");
-    let mut ctx = Ctx {
-        db: &db,
-        rows_scanned: 0,
-        depth: 0,
-        subquery_cache: HashMap::new(),
-        outer: Vec::new(),
-        used_outer: false,
-        bound: false,
-    };
-    eval_expr(&mut ctx, e, &[], &[])
+    eval_expr(&mut Ctx::new(&db, false), e, &[], &[])
 }
 
 pub(crate) struct Ctx<'a> {
     pub(crate) db: &'a Database,
     pub(crate) rows_scanned: u64,
-    depth: usize,
+    /// Operators that went through a secondary index at least once.
+    pub(crate) ix_ops: u64,
+    /// SELECT nesting: 1 in a top-level statement (or a DML expression),
+    /// +1 per sub-select.
+    pub(crate) depth: usize,
     /// Memoised subquery results, keyed by AST node address. Only
     /// *uncorrelated* subqueries are cached: a nested SELECT that never
     /// reads the outer row evaluates to the same result every time, so
@@ -125,48 +85,45 @@ pub(crate) struct Ctx<'a> {
     /// are shared by `Arc` so a hit costs one refcount bump instead of a
     /// whole-`ResultSet` clone per outer row.
     subquery_cache: HashMap<usize, Arc<ResultSet>>,
+    /// Plans of the sub-select cores this execution met, lowered on first
+    /// use and keyed by node address like `subquery_cache`. Both need
+    /// expressions evaluated in place — a freed copy's address can come
+    /// back as a different node. A plan's own copies (residual steps, ON,
+    /// FROM-subqueries) live here as long as the entries pointing at them.
+    plans: HashMap<usize, Rc<PhysicalPlan>>,
+    /// Alias-substituted GROUP BY / HAVING copies of unbound cores that
+    /// hold sub-selects, kept so the addresses above stay theirs.
+    retired: Vec<Expr>,
     /// Enclosing row environments for correlated subqueries, innermost
     /// last: `(layout, row)` snapshots pushed at each subquery eval site.
     outer: Vec<(Vec<ColBinding>, Row)>,
     /// Set when the current (sub)query resolved a column through an outer
     /// environment — i.e. it is correlated and must not be memoised.
-    used_outer: bool,
+    pub(crate) used_outer: bool,
     /// The statement went through the prepare-time binding pass, which
     /// already substituted projection aliases into GROUP BY / HAVING.
     bound: bool,
+    /// EXPLAIN: the rendered plan of each top-level core, with actuals.
+    pub(crate) explain: Option<String>,
 }
 
 impl<'a> Ctx<'a> {
-    /// A fresh evaluation context for a prepared (bound) statement — the
-    /// pipelined executor drives residual predicates, semi-join probes,
-    /// and the shared projection tail through one of these.
-    pub(crate) fn for_bound(db: &'a Database) -> Self {
-        // depth starts at 1, as if inside the top-level `exec_select`: a
-        // WHERE subquery then runs at depth 2 and is cached when
-        // uncorrelated, exactly as it would be under the legacy
-        // interpreter.
+    /// A fresh evaluation context for a statement that did (`bound`) or
+    /// did not go through the binding pass.
+    pub(crate) fn new(db: &'a Database, bound: bool) -> Self {
         Ctx {
             db,
             rows_scanned: 0,
+            ix_ops: 0,
             depth: 1,
             subquery_cache: HashMap::new(),
+            plans: HashMap::new(),
+            retired: Vec::new(),
             outer: Vec::new(),
             used_outer: false,
-            bound: true,
+            bound,
+            explain: None,
         }
-    }
-
-    /// Was an outer (correlated) environment read since the flag was last
-    /// reset? See [`Ctx::set_used_outer`].
-    pub(crate) fn used_outer(&self) -> bool {
-        self.used_outer
-    }
-
-    /// Overwrite the correlation flag. The pipelined executor's semi-join
-    /// steps temporarily clear it, run one probe, read it to classify the
-    /// subquery as correlated or not, then OR the saved value back.
-    pub(crate) fn set_used_outer(&mut self, v: bool) {
-        self.used_outer = v;
     }
 }
 
@@ -185,53 +142,13 @@ impl ColBinding {
     }
 }
 
-/// Rows flowing between FROM, filter, and projection. Base-table scans
-/// borrow straight from [`Database`] storage and FROM-subqueries share the
-/// memoised `Arc<ResultSet>`; only operators that actually produce new
-/// rows (filters, joins) materialise owned vectors.
-pub(crate) enum Rows<'a> {
-    Owned(Vec<Row>),
-    Borrowed(&'a [Row]),
-    Shared(Arc<ResultSet>),
-}
-
-impl Rows<'_> {
-    fn as_slice(&self) -> &[Row] {
-        match self {
-            Rows::Owned(v) => v,
-            Rows::Borrowed(s) => s,
-            Rows::Shared(rs) => &rs.rows,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    fn into_owned(self) -> Vec<Row> {
-        match self {
-            Rows::Owned(v) => v,
-            Rows::Borrowed(s) => s.to_vec(),
-            Rows::Shared(rs) => match Arc::try_unwrap(rs) {
-                Ok(owned) => owned.rows,
-                Err(shared) => shared.rows.clone(),
-            },
-        }
-    }
-}
-
-struct Source<'a> {
-    layout: Vec<ColBinding>,
-    rows: Rows<'a>,
-}
-
-fn exec_select(ctx: &mut Ctx<'_>, stmt: &SelectStmt) -> SqlResult<Arc<ResultSet>> {
+/// Execute a nested SELECT, memoising it when it turns out not to read
+/// any enclosing row.
+pub(crate) fn exec_select(ctx: &mut Ctx<'_>, stmt: &SelectStmt) -> SqlResult<Arc<ResultSet>> {
     let key = stmt as *const SelectStmt as usize;
-    if ctx.depth > 0 {
-        // only uncorrelated executions ever get inserted, so a hit is safe
-        if let Some(cached) = ctx.subquery_cache.get(&key) {
-            return Ok(Arc::clone(cached));
-        }
+    // only uncorrelated executions ever get inserted, so a hit is safe
+    if let Some(cached) = ctx.subquery_cache.get(&key) {
+        return Ok(Arc::clone(cached));
     }
     ctx.depth += 1;
     if ctx.depth > MAX_SUBQUERY_DEPTH {
@@ -239,21 +156,28 @@ fn exec_select(ctx: &mut Ctx<'_>, stmt: &SelectStmt) -> SqlResult<Arc<ResultSet>
     }
     let outer_used_before = ctx.used_outer;
     ctx.used_outer = false;
-    let result = exec_select_inner(ctx, stmt).map(Arc::new);
+    let result = exec_select_inner(ctx, stmt, None).map(Arc::new);
     let correlated = ctx.used_outer;
     ctx.used_outer = outer_used_before || correlated;
     ctx.depth -= 1;
-    if ctx.depth > 0 && !correlated {
-        if let Ok(rs) = &result {
-            ctx.subquery_cache.insert(key, Arc::clone(rs));
-        }
+    if let (false, Ok(rs)) = (correlated, &result) {
+        ctx.subquery_cache.insert(key, Arc::clone(rs));
     }
     result
 }
 
-fn exec_select_inner(ctx: &mut Ctx, stmt: &SelectStmt) -> SqlResult<ResultSet> {
+/// Run a statement's cores and combine them. `held` carries one plan per
+/// core, in statement order, when the caller lowered them ahead of time
+/// (a [`crate::prepare::Prepared`] statement); sub-selects arrive without
+/// and lower on first use.
+pub(crate) fn exec_select_inner(
+    ctx: &mut Ctx,
+    stmt: &SelectStmt,
+    held: Option<&[PhysicalPlan]>,
+) -> SqlResult<ResultSet> {
+    let held = |i: usize| held.map(|plans| &plans[i]);
     if stmt.compounds.is_empty() {
-        let (mut rs, mut keys) = project_core(ctx, &stmt.core, &stmt.order_by)?;
+        let (mut rs, mut keys) = run_core(ctx, &stmt.core, &stmt.order_by, held(0))?;
         if !stmt.order_by.is_empty() {
             sort_with_keys(&mut rs.rows, &mut keys, &stmt.order_by);
         }
@@ -261,9 +185,9 @@ fn exec_select_inner(ctx: &mut Ctx, stmt: &SelectStmt) -> SqlResult<ResultSet> {
         return Ok(rs);
     }
     // Compound select: evaluate each core fully, then combine.
-    let (mut rs, _) = project_core(ctx, &stmt.core, &[])?;
-    for (op, core) in &stmt.compounds {
-        let (next, _) = project_core(ctx, core, &[])?;
+    let (mut rs, _) = run_core(ctx, &stmt.core, &[], held(0))?;
+    for (i, (op, core)) in stmt.compounds.iter().enumerate() {
+        let (next, _) = run_core(ctx, core, &[], held(i + 1))?;
         if next.columns.len() != rs.columns.len() {
             return Err(SqlError::Other(
                 "SELECTs to the left and right of a set operator do not have the same number of result columns".into(),
@@ -271,12 +195,18 @@ fn exec_select_inner(ctx: &mut Ctx, stmt: &SelectStmt) -> SqlResult<ResultSet> {
         }
         rs = combine(rs, next, *op);
     }
-    if !stmt.order_by.is_empty() {
-        let indices: Vec<(usize, bool)> = stmt
-            .order_by
-            .iter()
-            .map(|o| output_order_index(&rs.columns, &o.expr).map(|i| (i, o.desc)))
-            .collect::<SqlResult<_>>()?;
+    order_compound(&mut rs, &stmt.order_by)?;
+    apply_limit(ctx, &mut rs, stmt)?;
+    Ok(rs)
+}
+
+/// ORDER BY of a compound select: terms name output columns only.
+pub(crate) fn order_compound(rs: &mut ResultSet, order_by: &[OrderItem]) -> SqlResult<()> {
+    let indices: Vec<(usize, bool)> = order_by
+        .iter()
+        .map(|o| output_order_index(&rs.columns, &o.expr).map(|i| (i, o.desc)))
+        .collect::<SqlResult<_>>()?;
+    if !indices.is_empty() {
         rs.rows.sort_by(|a, b| {
             for (i, desc) in &indices {
                 let ord = a[*i].sql_cmp(&b[*i]);
@@ -288,8 +218,7 @@ fn exec_select_inner(ctx: &mut Ctx, stmt: &SelectStmt) -> SqlResult<ResultSet> {
             Ordering::Equal
         });
     }
-    apply_limit(ctx, &mut rs, stmt)?;
-    Ok(rs)
+    Ok(())
 }
 
 /// Resolve an ORDER BY term against output columns (for compound selects):
@@ -309,7 +238,7 @@ fn output_order_index(columns: &[String], e: &Expr) -> SqlResult<usize> {
     }
 }
 
-fn combine(left: ResultSet, right: ResultSet, op: CompoundOp) -> ResultSet {
+pub(crate) fn combine(left: ResultSet, right: ResultSet, op: CompoundOp) -> ResultSet {
     let ResultSet { columns, rows: left_rows } = left;
     let norm = |rows: &[Row]| -> Vec<Vec<NormValue>> {
         rows.iter().map(|r| r.iter().map(Value::normalized).collect()).collect()
@@ -332,7 +261,9 @@ fn combine(left: ResultSet, right: ResultSet, op: CompoundOp) -> ResultSet {
             }
             rows
         }
-        CompoundOp::Intersect => {
+        // INTERSECT keeps the distinct left rows found on the right,
+        // EXCEPT the distinct left rows not found there
+        CompoundOp::Intersect | CompoundOp::Except => {
             let rset: std::collections::HashSet<Vec<NormValue>> =
                 norm(&right.rows).into_iter().collect();
             let mut seen = std::collections::HashSet::new();
@@ -340,19 +271,7 @@ fn combine(left: ResultSet, right: ResultSet, op: CompoundOp) -> ResultSet {
                 .into_iter()
                 .filter(|r| {
                     let key: Vec<NormValue> = r.iter().map(Value::normalized).collect();
-                    rset.contains(&key) && seen.insert(key)
-                })
-                .collect()
-        }
-        CompoundOp::Except => {
-            let rset: std::collections::HashSet<Vec<NormValue>> =
-                norm(&right.rows).into_iter().collect();
-            let mut seen = std::collections::HashSet::new();
-            left_rows
-                .into_iter()
-                .filter(|r| {
-                    let key: Vec<NormValue> = r.iter().map(Value::normalized).collect();
-                    !rset.contains(&key) && seen.insert(key)
+                    rset.contains(&key) == (op == CompoundOp::Intersect) && seen.insert(key)
                 })
                 .collect()
         }
@@ -383,63 +302,38 @@ pub(crate) fn apply_limit(ctx: &mut Ctx, rs: &mut ResultSet, stmt: &SelectStmt) 
 
 // ---------------- core projection ----------------
 
-/// Execute one SELECT core, returning the projected result plus the ORDER BY
-/// key values (evaluated against the same row/group context).
-fn project_core(
+/// Execute one SELECT core: FROM and WHERE stream through the core's
+/// physical plan, the surviving tuples go through [`project_filtered`].
+/// Returns the projected result plus the ORDER BY key values (evaluated
+/// against the same row/group context).
+fn run_core(
     ctx: &mut Ctx,
     core: &SelectCore,
     order_by: &[OrderItem],
+    held: Option<&PhysicalPlan>,
 ) -> SqlResult<(ResultSet, Vec<Vec<Value>>)> {
-    let source = match &core.from {
-        Some(from) => build_from(ctx, from)?,
-        None => Source { layout: Vec::new(), rows: Rows::Owned(vec![Vec::new()]) },
-    };
-    let Source { layout, rows: source_rows } = source;
-
-    // WHERE: owned inputs move matching rows through; borrowed or shared
-    // inputs clone only the survivors.
-    let rows: Rows = if let Some(w) = &core.where_clause {
-        if contains_aggregate(w) {
-            return Err(SqlError::MisusedAggregate("aggregate in WHERE clause".into()));
+    let lowered;
+    let plan = match held {
+        Some(plan) => plan,
+        None => {
+            // sub-selects take the naive plan (see `crate::plan`)
+            let db = ctx.db;
+            let entry = ctx.plans.entry(core as *const SelectCore as usize);
+            lowered = Rc::clone(entry.or_insert_with(|| Rc::new(crate::plan::lower(db, core, false))));
+            &lowered
         }
-        let mut kept: Vec<Row> = Vec::with_capacity(source_rows.len().min(1024));
-        match source_rows {
-            Rows::Owned(owned) => {
-                for row in owned {
-                    ctx.rows_scanned += 1;
-                    if eval_expr(ctx, w, &layout, &row)?.truthiness() == Some(true) {
-                        kept.push(row);
-                    }
-                }
-            }
-            other => {
-                for row in other.as_slice() {
-                    ctx.rows_scanned += 1;
-                    if eval_expr(ctx, w, &layout, row)?.truthiness() == Some(true) {
-                        kept.push(row.clone());
-                    }
-                }
-            }
-        }
-        Rows::Owned(kept)
-    } else {
-        ctx.rows_scanned += source_rows.len() as u64;
-        source_rows
     };
-
-    project_filtered(ctx, core, &layout, rows, order_by)
+    let rows = crate::pipelined::run(ctx, plan)?;
+    project_filtered(ctx, core, &plan.layout, rows, order_by)
 }
 
-/// The back half of [`project_core`], from projection-item expansion
-/// onward: everything after FROM + WHERE have produced the filtered row
-/// stream. The pipelined executor joins and filters its own way, then
-/// funnels into this exact code so grouping, projection, DISTINCT, and
-/// ORDER BY keys stay byte-identical with the legacy interpreter.
+/// The tail of a core, from projection-item expansion onward: everything
+/// after FROM + WHERE have produced the filtered row stream.
 pub(crate) fn project_filtered(
     ctx: &mut Ctx,
     core: &SelectCore,
     layout: &[ColBinding],
-    rows: Rows<'_>,
+    rows: Vec<Row>,
     order_by: &[OrderItem],
 ) -> SqlResult<(ResultSet, Vec<Vec<Value>>)> {
     // expand projection items
@@ -447,7 +341,7 @@ pub(crate) fn project_filtered(
     let labels: Vec<String> = items.iter().map(|(_, l)| l.clone()).collect();
 
     // ORDER BY rewriting: alias / position references become item exprs
-    let order_exprs: Vec<OrderTarget> = order_by
+    let order_exprs: Vec<OrderTarget<'_>> = order_by
         .iter()
         .map(|o| resolve_order_target(&o.expr, &items))
         .collect();
@@ -461,11 +355,11 @@ pub(crate) fn project_filtered(
         });
 
     let (mut out_rows, mut key_rows) = if needs_group {
-        project_grouped(ctx, core, layout, rows.into_owned(), &items, &order_exprs)?
+        project_grouped(ctx, core, layout, rows, &items, &order_exprs)?
     } else {
         let mut out_rows = Vec::with_capacity(rows.len());
         let mut key_rows = Vec::with_capacity(rows.len());
-        for row in rows.as_slice() {
+        for row in &rows {
             let mut projected = Vec::with_capacity(items.len());
             for (e, _) in &items {
                 projected.push(eval_expr(ctx, e, layout, row)?);
@@ -494,14 +388,14 @@ pub(crate) fn project_filtered(
     Ok((ResultSet { columns: labels, rows: out_rows }, key_rows))
 }
 
-enum OrderTarget {
+enum OrderTarget<'a> {
     /// Evaluate this expression in the row/group context.
-    Expr(Expr),
+    Expr(&'a Expr),
     /// Use the n-th projected output value.
     Output(usize),
 }
 
-fn resolve_order_target(e: &Expr, items: &[(Expr, String)]) -> OrderTarget {
+fn resolve_order_target<'a>(e: &'a Expr, items: &[(Cow<'_, Expr>, String)]) -> OrderTarget<'a> {
     match e {
         Expr::Literal(Value::Int(k)) if *k >= 1 && (*k as usize) <= items.len() => {
             OrderTarget::Output(*k as usize - 1)
@@ -512,16 +406,16 @@ fn resolve_order_target(e: &Expr, items: &[(Expr, String)]) -> OrderTarget {
                 // aggregate aliases work too.
                 OrderTarget::Output(idx)
             } else {
-                OrderTarget::Expr(e.clone())
+                OrderTarget::Expr(e)
             }
         }
-        _ => OrderTarget::Expr(e.clone()),
+        _ => OrderTarget::Expr(e),
     }
 }
 
 fn eval_order_keys(
     ctx: &mut Ctx,
-    targets: &[OrderTarget],
+    targets: &[OrderTarget<'_>],
     layout: &[ColBinding],
     row: &[Value],
     projected: &[Value],
@@ -557,10 +451,17 @@ pub(crate) fn sort_with_keys(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>, or
     *keys = new_keys;
 }
 
-fn expand_items(
-    items: &[SelectItem],
+/// Expand a core's projection list against `layout` into `(expression,
+/// label)` pairs. Written expressions are borrowed, never cloned: the
+/// sub-select caches of [`Ctx`] key on node addresses, which must stay
+/// those of the statement for as long as it executes.
+pub(crate) fn expand_items<'a>(
+    items: &'a [SelectItem],
     layout: &[ColBinding],
-) -> SqlResult<Vec<(Expr, String)>> {
+) -> SqlResult<Vec<(Cow<'a, Expr>, String)>> {
+    let slot = |b: &ColBinding| {
+        (Cow::Owned(Expr::qcol(b.binding.clone(), b.column.clone())), b.column.clone())
+    };
     let mut out = Vec::with_capacity(items.len());
     for item in items {
         match item {
@@ -568,31 +469,18 @@ fn expand_items(
                 if layout.is_empty() {
                     return Err(SqlError::Other("SELECT * with no FROM clause".into()));
                 }
-                for b in layout {
-                    out.push((
-                        Expr::qcol(b.binding.clone(), b.column.clone()),
-                        b.column.clone(),
-                    ));
-                }
+                out.extend(layout.iter().map(slot));
             }
             SelectItem::TableWildcard(t) => {
-                let mut found = false;
-                for b in layout {
-                    if b.binding.eq_ignore_ascii_case(t) {
-                        out.push((
-                            Expr::qcol(b.binding.clone(), b.column.clone()),
-                            b.column.clone(),
-                        ));
-                        found = true;
-                    }
-                }
-                if !found {
+                let before = out.len();
+                out.extend(layout.iter().filter(|b| b.binding.eq_ignore_ascii_case(t)).map(slot));
+                if out.len() == before {
                     return Err(SqlError::NoSuchTable(t.clone()));
                 }
             }
             SelectItem::Expr { expr, alias } => {
                 let label = alias.clone().unwrap_or_else(|| default_label(expr));
-                out.push((expr.clone(), label));
+                out.push((Cow::Borrowed(expr), label));
             }
         }
     }
@@ -615,18 +503,18 @@ fn project_grouped(
     core: &SelectCore,
     layout: &[ColBinding],
     rows: Vec<Row>,
-    items: &[(Expr, String)],
-    order_exprs: &[OrderTarget],
+    items: &[(Cow<'_, Expr>, String)],
+    order_exprs: &[OrderTarget<'_>],
 ) -> SqlResult<(Vec<Row>, Vec<Vec<Value>>)> {
     // GROUP BY and HAVING may reference projection aliases; substitute
     // them. Prepared statements arrive pre-substituted by the binding
-    // pass, and substituting twice is not idempotent.
-    let (group_by, having): (Vec<Expr>, Option<Expr>) = if ctx.bound {
-        (core.group_by.clone(), core.having.clone())
+    // pass (substituting twice is not idempotent) and evaluate in place.
+    let (group_by, having): (Cow<'_, [Expr]>, Option<Cow<'_, Expr>>) = if ctx.bound {
+        (Cow::Borrowed(&core.group_by), core.having.as_ref().map(Cow::Borrowed))
     } else {
         (
             core.group_by.iter().map(|g| substitute_aliases(g, items)).collect(),
-            core.having.as_ref().map(|h| substitute_aliases(h, items)),
+            core.having.as_ref().map(|h| Cow::Owned(substitute_aliases(h, items))),
         )
     };
 
@@ -638,7 +526,7 @@ fn project_grouped(
         let mut order: Vec<Vec<NormValue>> = Vec::new();
         for row in rows {
             let mut key = Vec::with_capacity(group_by.len());
-            for g in &group_by {
+            for g in group_by.iter() {
                 if contains_aggregate(g) {
                     return Err(SqlError::MisusedAggregate("aggregate in GROUP BY".into()));
                 }
@@ -683,19 +571,27 @@ fn project_grouped(
         out_rows.push(projected);
         key_rows.push(keys);
     }
+    if !ctx.bound {
+        // A sub-select inside a substituted copy has been keyed by node
+        // address in `ctx`'s caches: the copy must outlive those entries.
+        let copies = group_by.into_owned().into_iter().chain(having.map(Cow::into_owned));
+        ctx.retired.extend(copies.filter(|e| {
+            e.any(&mut |n| matches!(n, Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. }))
+        }));
+    }
     Ok((out_rows, key_rows))
 }
 
 /// Replace unqualified column references that match a projection alias with
 /// the aliased expression (GROUP BY / HAVING alias support).
-pub(crate) fn substitute_aliases(e: &Expr, items: &[(Expr, String)]) -> Expr {
+pub(crate) fn substitute_aliases(e: &Expr, items: &[(impl Borrow<Expr>, String)]) -> Expr {
     let mut out = e.clone();
     out.walk_mut(&mut |node| {
         let Expr::Column { table: None, column, .. } = &*node else { return };
         let column = column.clone();
-        if let Some((expr, _)) = items
-            .iter()
-            .find(|(expr, label)| label.eq_ignore_ascii_case(&column) && expr != node)
+        let mut aliased = items.iter().map(|(expr, label)| (expr.borrow(), label));
+        if let Some((expr, _)) =
+            aliased.find(|(expr, label)| label.eq_ignore_ascii_case(&column) && *expr != &*node)
         {
             *node = expr.clone();
         }
@@ -873,98 +769,6 @@ fn eval_aggregate(
     }
 }
 
-// ---------------- FROM / joins ----------------
-
-fn build_from<'a>(ctx: &mut Ctx<'a>, from: &FromClause) -> SqlResult<Source<'a>> {
-    let mut acc = scan_table_ref(ctx, &from.base)?;
-    for join in &from.joins {
-        let right = scan_table_ref(ctx, &join.table)?;
-        acc = join_sources(ctx, acc, right, join)?;
-    }
-    Ok(acc)
-}
-
-fn scan_table_ref<'a>(ctx: &mut Ctx<'a>, tref: &TableRef) -> SqlResult<Source<'a>> {
-    match tref {
-        TableRef::Named { name, alias, .. } => {
-            // copy the `&'a Database` out so the borrow of table storage
-            // outlives this `&mut ctx` borrow
-            let db = ctx.db;
-            let info = db
-                .schema
-                .table(name)
-                .ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
-            let binding = alias.clone().unwrap_or_else(|| info.name.clone());
-            let layout = info
-                .columns
-                .iter()
-                .map(|c| ColBinding { binding: binding.clone(), column: c.name.clone() })
-                .collect();
-            let rows = db.rows(&info.name)?;
-            ctx.rows_scanned += rows.len() as u64;
-            Ok(Source { layout, rows: Rows::Borrowed(rows) })
-        }
-        TableRef::Subquery { query, alias } => {
-            let rs = exec_select(ctx, query)?;
-            let layout = rs
-                .columns
-                .iter()
-                .map(|c| ColBinding { binding: alias.clone(), column: c.clone() })
-                .collect();
-            let rows = match Arc::try_unwrap(rs) {
-                Ok(owned) => Rows::Owned(owned.rows),
-                Err(shared) => Rows::Shared(shared),
-            };
-            Ok(Source { layout, rows })
-        }
-    }
-}
-
-fn join_sources<'a>(
-    ctx: &mut Ctx<'a>,
-    left: Source<'a>,
-    right: Source<'a>,
-    join: &Join,
-) -> SqlResult<Source<'a>> {
-    let mut layout = left.layout.clone();
-    layout.extend(right.layout.iter().cloned());
-
-    // Try a hash join for `left.col = right.col` equi-joins.
-    if matches!(join.kind, JoinKind::Inner | JoinKind::Left) {
-        if let Some(on) = &join.on {
-            if let Some((li, ri)) = equi_join_indices(on, &left.layout, &right.layout) {
-                return hash_join(ctx, left, right, layout, li, ri, join.kind);
-            }
-        }
-    }
-
-    // Fallback: nested loop.
-    let mut rows = Vec::new();
-    for lrow in left.rows.as_slice() {
-        let mut matched = false;
-        for rrow in right.rows.as_slice() {
-            ctx.rows_scanned += 1;
-            let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
-            combined.extend(lrow.iter().cloned());
-            combined.extend(rrow.iter().cloned());
-            let keep = match &join.on {
-                Some(on) => eval_expr(ctx, on, &layout, &combined)?.truthiness() == Some(true),
-                None => true,
-            };
-            if keep {
-                matched = true;
-                rows.push(combined);
-            }
-        }
-        if join.kind == JoinKind::Left && !matched {
-            let mut combined = lrow.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, right.layout.len()));
-            rows.push(combined);
-        }
-    }
-    Ok(Source { layout, rows: Rows::Owned(rows) })
-}
-
 /// Detect `a.x = b.y` where `a.x` resolves purely in the left layout and
 /// `b.y` purely in the right (or swapped). Returns (left index, right index).
 pub(crate) fn equi_join_indices(
@@ -1002,57 +806,9 @@ pub(crate) fn equi_join_indices(
     }
 }
 
-fn hash_join<'a>(
-    ctx: &mut Ctx<'a>,
-    left: Source<'a>,
-    right: Source<'a>,
-    layout: Vec<ColBinding>,
-    li: usize,
-    ri: usize,
-    kind: JoinKind,
-) -> SqlResult<Source<'a>> {
-    let right_rows = right.rows.as_slice();
-    // Keyed by the borrowed normal form: build and probe never allocate,
-    // where a `NormValue` key would clone every text join key per probe
-    // row (the prepared-path regression on three_way_join_agg).
-    let mut index: HashMap<NormRef<'_>, Vec<usize>> = HashMap::with_capacity(right_rows.len());
-    for (i, row) in right_rows.iter().enumerate() {
-        let key = &row[ri];
-        if !key.is_null() {
-            index.entry(key.normalized_ref()).or_default().push(i);
-        }
-    }
-    let left_rows = left.rows.as_slice();
-    let mut rows = Vec::with_capacity(left_rows.len());
-    for lrow in left_rows {
-        ctx.rows_scanned += 1;
-        let key = &lrow[li];
-        let matches = if key.is_null() { None } else { index.get(&key.normalized_ref()) };
-        match matches {
-            Some(idxs) if !idxs.is_empty() => {
-                for &i in idxs {
-                    ctx.rows_scanned += 1;
-                    let mut combined = Vec::with_capacity(lrow.len() + right_rows[i].len());
-                    combined.extend(lrow.iter().cloned());
-                    combined.extend(right_rows[i].iter().cloned());
-                    rows.push(combined);
-                }
-            }
-            _ => {
-                if kind == JoinKind::Left {
-                    let mut combined = lrow.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, right.layout.len()));
-                    rows.push(combined);
-                }
-            }
-        }
-    }
-    Ok(Source { layout, rows: Rows::Owned(rows) })
-}
-
 // ---------------- expression evaluation ----------------
 
-fn resolve(layout: &[ColBinding], table: Option<&str>, column: &str) -> SqlResult<usize> {
+pub(crate) fn resolve(layout: &[ColBinding], table: Option<&str>, column: &str) -> SqlResult<usize> {
     match table {
         Some(t) => {
             let mut hits = layout.iter().enumerate().filter(|(_, b)| {

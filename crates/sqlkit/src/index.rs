@@ -7,14 +7,14 @@
 //! `f64`), an *equality run* located by binary search is exactly the set
 //! of rows the executor's `sql_eq` would accept — and because rid breaks
 //! ties, every run is already in ascending row order, which is what lets
-//! index lookups reproduce the legacy scan's emission order byte for
-//! byte.
+//! index lookups reproduce a full scan's emission order byte for byte.
 //!
 //! NULLs are skipped at build time (no comparison ever matches them) and
 //! a column containing a `NaN` refuses to build at all: `sql_cmp` maps
 //! `NaN` to `Equal` against every numeric, which is not a usable sort
-//! order. An unusable index makes the executor fall back to the legacy
-//! interpreter — never serve wrong rows.
+//! order. An unusable index makes the executor degrade the operator in
+//! place — an `IxScan` to a filtered scan, an `IxJoin` to a hash join on
+//! the same keys — never serve wrong rows.
 
 use crate::value::{Row, Value};
 use std::cmp::Ordering;

@@ -5,9 +5,12 @@
 //!
 //! - a tokenizer, recursive-descent [`parser`], and printable [`ast`] for a
 //!   SQLite-style dialect covering what BIRD/Spider gold SQL exercises;
-//! - an in-memory [`db::Database`] with typed tables and a
-//!   materialising [`exec`] executor (hash equi-joins, grouping,
-//!   aggregates, set operations, subqueries);
+//! - an in-memory [`db::Database`] with typed tables and one executor:
+//!   every SELECT core lowers to a physical [`plan`] (scans, index scans,
+//!   hash / index / nested-loop joins, ordered residual predicates) that
+//!   streams through a pipelined operator tree, then through the shared
+//!   [`exec`] tail (grouping, aggregates, ORDER BY, LIMIT, set
+//!   operations, subqueries);
 //! - SQLite-faithful [`value`] semantics: dynamic typing, three-valued
 //!   logic, NULL-first ordering, and the Python-style `1 == 1.0` result
 //!   normalisation that BIRD's scorer applies;
@@ -48,6 +51,8 @@ pub mod token;
 pub mod value;
 
 mod pipelined;
+#[cfg(test)]
+mod reference;
 
 pub use analyze::{analyze, analyze_sql, Analysis, UnresolvedColumn};
 pub use ast::{Expr, SelectStmt, Stmt};

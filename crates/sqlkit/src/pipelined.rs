@@ -1,6 +1,6 @@
-//! The pipelined executor: streams tuples depth-first through a
-//! [`PhysicalPlan`]'s stages instead of materialising every intermediate
-//! join result.
+//! The pipelined executor — the only way `sqlkit` runs FROM and WHERE.
+//! It streams tuples depth-first through a [`PhysicalPlan`]'s stages
+//! instead of materialising every intermediate join result.
 //!
 //! One reusable tuple buffer flows through the stage chain: the base
 //! stage pushes a row's values, each join stage appends its matches (or
@@ -10,36 +10,43 @@
 //! pipeline allocation-free per tuple except for the rows that actually
 //! survive.
 //!
-//! Emission order is byte-identical to the legacy interpreter: base rows
-//! are visited in rid order, hash matches in build (= rid) order, and
-//! index equality runs are rid-ascending by construction, so the final
-//! tuple stream is exactly the one `exec::project_core` would have
-//! produced. Projection, grouping, DISTINCT, ORDER BY, and LIMIT then
-//! run through the *shared* back half of the legacy executor
-//! ([`exec::project_filtered`]) — the pipelined path only replaces
-//! FROM + WHERE.
+//! Emission order is fixed by the statement, not by the plan: base rows
+//! are visited in rid order, hash matches in build (= rid) order, index
+//! equality runs are rid-ascending by construction, and a nested loop
+//! walks the stage's rows in rid order per tuple. An `IxScan` whose index
+//! turns out unusable degrades in place to a scan filtered by its sarg,
+//! an `IxJoin` to a hash join on the same keys — same tuples, same order.
 //!
-//! Residual conjuncts follow the legacy AND protocol exactly: a `false`
-//! stops evaluation and drops the tuple, a NULL marks the tuple dropped
-//! but keeps evaluating later conjuncts (so their runtime errors still
-//! surface), and whole-conjunct `IN (SELECT ...)` / `EXISTS` steps
-//! upgrade to cached semi-joins once a first probe proves the subquery
-//! uncorrelated.
+//! Stages that can fail per tuple ([`Stage::can_fail`]) end a *segment*:
+//! the tuples of the pipeline so far are collected before the next stage
+//! is opened, so ON errors, subquery errors, a later unknown table and
+//! WHERE errors surface in the order the FROM clause lists them. Plans
+//! without such stages are one segment and never materialise.
+//!
+//! Residual conjuncts follow the AND protocol of `exec::eval_expr`
+//! exactly: a `false` stops evaluation and drops the tuple, a NULL marks
+//! the tuple dropped but keeps evaluating later conjuncts (so their
+//! runtime errors still surface), and whole-conjunct `IN (SELECT ...)` /
+//! `EXISTS` steps upgrade to cached semi-joins once a first probe proves
+//! the subquery uncorrelated.
 
 use crate::ast::{Expr, JoinKind, SelectStmt};
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{self, ColBinding, Ctx, ExecStats, Rows};
+use crate::exec::{self, ColBinding, Ctx};
 use crate::index::ColumnIndex;
-use crate::plan::{Access, JoinOp, OpStats, PhysicalPlan, ResidualStep};
+use crate::plan::{Access, JoinOp, OpStats, PhysicalPlan, ResidualStep, Sarg, Stage};
 use crate::value::{NormRef, NormValue, ResultSet, Row, Value};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Runtime form of one stage: the borrowed table rows plus the access /
-/// join machinery resolved against the live database.
+/// Runtime form of one stage: its rows plus the access / join machinery
+/// resolved against the live database.
 struct StageRt<'d> {
     rows: &'d [Row],
+    /// The sarg of an `IxScan` whose index was unusable, now a filter.
+    degraded: Option<&'d Sarg>,
     op: OpRt<'d>,
 }
 
@@ -50,16 +57,16 @@ enum OpRt<'d> {
     Hash { left_key: usize, map: HashMap<NormRef<'d>, Vec<u32>> },
     /// Equi join probing the column's secondary index per tuple.
     Ix { left_key: usize, right_key: usize, ix: Arc<ColumnIndex> },
-    /// Nested-loop cross product over a pre-filtered rid list.
-    Cross { rids: Vec<u32> },
+    /// Nested loop over a pre-filtered rid list.
+    Nested { rids: Vec<u32>, on: Option<&'d Expr> },
 }
 
 /// Lazily-classified state of one `Semi` residual step.
 enum SemiState {
     /// No probe has run yet.
     Unknown,
-    /// The subquery reads the outer row: evaluate per tuple through the
-    /// legacy expression evaluator.
+    /// The subquery reads the outer row: evaluate per tuple through
+    /// `exec::eval_expr`.
     Correlated,
     /// Uncorrelated `IN (SELECT ...)`: one materialised result, probed
     /// via normalised hash set when every value hashes consistently
@@ -81,269 +88,299 @@ fn hash_safe(v: &Value) -> bool {
     }
 }
 
-
-/// Execute `plan` against `db`, returning `None` when an index the plan
-/// relies on is unusable at execution time (the caller falls back to the
-/// legacy interpreter). `stmt` is the bound statement the plan was
-/// lowered from — its projection/ORDER BY/LIMIT clauses drive the shared
-/// tail.
-pub(crate) fn execute(
-    db: &Database,
-    plan: &PhysicalPlan,
-    stmt: &SelectStmt,
-) -> SqlResult<Option<(ResultSet, ExecStats, Vec<OpStats>)>> {
-    let mut ctx = Ctx::for_bound(db);
-    let mut ops = plan.op_templates();
-
-    // ---- resolve stages against live data (may bail to legacy) ----
-    let mut stages: Vec<StageRt<'_>> = Vec::with_capacity(plan.stages.len());
-    for (k, st) in plan.stages.iter().enumerate() {
-        let rows = db.rows(&st.table)?;
-        let access_rids = match &st.access {
-            Access::FullScan => None,
-            Access::IxScan(sarg) => {
-                let Some(ix) = db.index(&st.table, &sarg.column) else {
-                    return Ok(None);
-                };
-                let Some(rids) = sarg.lookup(&ix) else {
-                    return Ok(None);
-                };
-                ops[k].seeks += 1;
-                Some(rids)
-            }
-        };
-        // planned-path cost accounting: an access charges the rows it
-        // reads (the whole table for a scan, the rid list for an index
-        // lookup); IxJoin stages charge per probe instead.
-        let op = match &st.join {
-            None => {
-                ctx.rows_scanned +=
-                    access_rids.as_ref().map(|r| r.len()).unwrap_or(rows.len()) as u64;
-                OpRt::Scan { rids: access_rids }
-            }
-            Some(JoinOp::Hash { left_key, right_key }) => {
-                ctx.rows_scanned +=
-                    access_rids.as_ref().map(|r| r.len()).unwrap_or(rows.len()) as u64;
-                let mut map: HashMap<NormRef<'_>, Vec<u32>> = HashMap::new();
-                let mut build = |rid: u32, row: &'_ Row| {
-                    if !st.filters.iter().all(|f| f.matches(&row[f.col])) {
-                        return;
-                    }
-                    let key = &rows[rid as usize][*right_key];
-                    if !key.is_null() {
-                        map.entry(key.normalized_ref()).or_default().push(rid);
-                    }
-                };
-                match &access_rids {
-                    Some(rids) => {
-                        for &rid in rids {
-                            build(rid, &rows[rid as usize]);
-                        }
-                    }
-                    None => {
-                        for (rid, row) in rows.iter().enumerate() {
-                            build(rid as u32, row);
-                        }
-                    }
-                }
-                OpRt::Hash { left_key: *left_key, map }
-            }
-            Some(JoinOp::IxJoin { left_key, right_key, column }) => {
-                let Some(ix) = db.index(&st.table, column) else {
-                    return Ok(None);
-                };
-                OpRt::Ix { left_key: *left_key, right_key: *right_key, ix }
-            }
-            Some(JoinOp::Cross) => {
-                ctx.rows_scanned +=
-                    access_rids.as_ref().map(|r| r.len()).unwrap_or(rows.len()) as u64;
-                let rids: Vec<u32> = match access_rids {
-                    Some(rids) => rids
-                        .into_iter()
-                        .filter(|&rid| {
-                            let row = &rows[rid as usize];
-                            st.filters.iter().all(|f| f.matches(&row[f.col]))
-                        })
-                        .collect(),
-                    None => (0..rows.len() as u32)
-                        .filter(|&rid| {
-                            let row = &rows[rid as usize];
-                            st.filters.iter().all(|f| f.matches(&row[f.col]))
-                        })
-                        .collect(),
-                };
-                OpRt::Cross { rids }
-            }
-        };
-        stages.push(StageRt { rows, op });
-    }
-
-    // ---- drive the pipeline ----
-    let mut mu = MutState {
-        ops: &mut ops,
-        semi: plan.residual.iter().map(|_| SemiState::Unknown).collect(),
-        out: Vec::new(),
-    };
-    let mut buf: Vec<Value> = Vec::with_capacity(plan.layout.len());
-    step(&mut ctx, plan, &stages, &mut mu, 0, &mut buf)?;
-    let out = mu.out;
-
-    // ---- shared legacy tail: projection / grouping / order / limit ----
-    let (mut rs, mut keys) =
-        exec::project_filtered(&mut ctx, &stmt.core, &plan.layout, Rows::Owned(out), &stmt.order_by)?;
-    if !stmt.order_by.is_empty() {
-        exec::sort_with_keys(&mut rs.rows, &mut keys, &stmt.order_by);
-    }
-    exec::apply_limit(&mut ctx, &mut rs, stmt)?;
-    Ok(Some((rs, ExecStats { rows_scanned: ctx.rows_scanned }, ops)))
-}
-
 /// Mutable execution state threaded through the recursive drive,
 /// separate from the immutable stage data so the borrows never fight.
-struct MutState<'o> {
-    ops: &'o mut Vec<OpStats>,
+struct MutState {
+    /// One counter pair per stage, then one for the residual filter.
+    ops: Vec<OpStats>,
     semi: Vec<SemiState>,
     out: Vec<Row>,
 }
 
-fn step(
+/// Run FROM + WHERE of the core `plan` was lowered from, returning the
+/// surviving tuples in emission order for the shared tail.
+pub(crate) fn run(ctx: &mut Ctx<'_>, plan: &PhysicalPlan) -> SqlResult<Vec<Row>> {
+    let db = ctx.db;
+    let results: Vec<OnceCell<Arc<ResultSet>>> =
+        plan.stages.iter().map(|_| OnceCell::new()).collect();
+    let mut stages: Vec<StageRt<'_>> = Vec::with_capacity(plan.stages.len());
+    let mut mu = MutState {
+        ops: vec![OpStats::default(); plan.stages.len() + 1],
+        semi: plan.residual.iter().map(|_| SemiState::Unknown).collect(),
+        out: Vec::new(),
+    };
+    // a core without FROM filters and projects one empty tuple
+    let mut input: Vec<Row> = vec![Vec::new()];
+    let mut start = 0;
+    for (k, st) in plan.stages.iter().enumerate() {
+        stages.push(open(ctx, db, st, &results[k], &mut mu.ops[k])?);
+        if st.can_fail() {
+            let mut seg = Segment { ctx, mu: &mut mu, plan, stages: &stages, end: k + 1, last: false };
+            input = seg.drive(start, &input)?;
+            start = k + 1;
+        }
+    }
+    if let Some(e) = &plan.fail {
+        return Err(e.clone());
+    }
+    let mut seg = Segment { ctx, mu: &mut mu, plan, stages: &stages, end: stages.len(), last: true };
+    let out = seg.drive(start, &input)?;
+    if let (1, Some(text)) = (ctx.depth, &mut ctx.explain) {
+        text.push_str(&plan.render(&mu.ops));
+    }
+    Ok(out)
+}
+
+fn passes(st: &Stage, degraded: Option<&Sarg>, row: &Row) -> bool {
+    degraded.into_iter().chain(&st.filters).all(|f| f.matches(&row[f.col]))
+}
+
+/// Resolve one stage against live data: read (or compute) its rows, look
+/// up its index, build its hash table.
+fn open<'d>(
     ctx: &mut Ctx<'_>,
-    plan: &PhysicalPlan,
-    stages: &[StageRt<'_>],
-    mu: &mut MutState<'_>,
-    k: usize,
-    buf: &mut Vec<Value>,
-) -> SqlResult<()> {
-    if k == stages.len() {
-        return finish(ctx, plan, mu, buf);
-    }
-    let st = &plan.stages[k];
-    let rt = &stages[k];
-    let base = buf.len();
-    match &rt.op {
-        OpRt::Scan { rids } => {
-            let emit = |ctx: &mut Ctx<'_>,
-                            mu: &mut MutState<'_>,
-                            buf: &mut Vec<Value>,
-                            row: &Row|
-             -> SqlResult<()> {
-                if !st.filters.iter().all(|f| f.matches(&row[f.col])) {
-                    return Ok(());
-                }
-                mu.ops[k].actual_rows += 1;
-                buf.extend(row.iter().cloned());
-                let r = step(ctx, plan, stages, mu, k + 1, buf);
-                buf.truncate(base);
-                r
-            };
-            match rids {
+    db: &'d Database,
+    st: &'d Stage,
+    result: &'d OnceCell<Arc<ResultSet>>,
+    op: &mut OpStats,
+) -> SqlResult<StageRt<'d>> {
+    let mut degraded = None;
+    let mut access_rids: Option<Vec<u32>> = None;
+    let rows: &[Row] = match &st.access {
+        Access::FullScan => db.rows(&st.table)?,
+        Access::IxScan(sarg) => {
+            match db.index(&st.table, &sarg.column).and_then(|ix| sarg.lookup(&ix)) {
                 Some(rids) => {
-                    for &rid in rids {
-                        emit(ctx, mu, buf, &rt.rows[rid as usize])?;
-                    }
+                    op.seeks += 1;
+                    ctx.ix_ops += 1;
+                    access_rids = Some(rids);
                 }
-                None => {
-                    for row in rt.rows {
-                        emit(ctx, mu, buf, row)?;
-                    }
-                }
+                None => degraded = Some(sarg),
             }
+            db.rows(&st.table)?
         }
-        OpRt::Hash { left_key, map } => {
-            ctx.rows_scanned += 1;
-            // clone the probe key out of the tuple buffer: the buffer is
-            // extended/truncated while candidate rows stream through, so
-            // the map lookup cannot keep a borrow into it
-            let probe = buf[*left_key].clone();
-            let matches = if probe.is_null() { None } else { map.get(&probe.normalized_ref()) };
-            match matches {
-                Some(rids) if !rids.is_empty() => {
-                    for &rid in rids {
-                        ctx.rows_scanned += 1;
-                        mu.ops[k].actual_rows += 1;
-                        buf.extend(rt.rows[rid as usize].iter().cloned());
-                        let r = step(ctx, plan, stages, mu, k + 1, buf);
-                        buf.truncate(base);
-                        r?;
-                    }
-                }
-                _ => {
-                    if st.kind == JoinKind::Left {
-                        mu.ops[k].actual_rows += 1;
-                        buf.extend(std::iter::repeat_n(Value::Null, st.width));
-                        let r = step(ctx, plan, stages, mu, k + 1, buf);
-                        buf.truncate(base);
-                        r?;
-                    }
-                }
-            }
+        Access::Subquery(query) => {
+            let rs = exec::exec_select(ctx, query)?;
+            &result.get_or_init(|| rs).rows
         }
-        OpRt::Ix { left_key, right_key, ix } => {
-            ctx.rows_scanned += 1;
-            mu.ops[k].seeks += 1;
-            let probe = buf[*left_key].clone();
-            let run = ix.eq_run(&probe);
-            ctx.rows_scanned += run.len() as u64;
-            let mut matched = false;
-            for (v, rid) in run {
-                // the hash join keys on the *normalised* value, which is
-                // finer than the index's sql_cmp equality runs (huge
-                // integers collapse through f64 in sql_cmp only) —
-                // filter candidates down to exact hash-join semantics
-                if v.normalized_ref() != probe.normalized_ref() {
-                    continue;
-                }
-                let row = &rt.rows[*rid as usize];
-                debug_assert_eq!(v, &row[*right_key]);
-                if !st.filters.iter().all(|f| f.matches(&row[f.col])) {
-                    continue;
-                }
-                ctx.rows_scanned += 1;
-                matched = true;
-                mu.ops[k].actual_rows += 1;
-                buf.extend(row.iter().cloned());
-                let r = step(ctx, plan, stages, mu, k + 1, buf);
-                buf.truncate(base);
-                r?;
+    };
+    // Cost accounting: an access charges the rows it reads — the whole
+    // table for a scan, the rid list for an index lookup, nothing for a
+    // subquery result (its own execution already paid). IxJoin stages
+    // charge per probe instead.
+    let read = match (&st.access, &access_rids) {
+        (Access::Subquery(_), _) => 0,
+        (_, Some(rids)) => rids.len(),
+        (_, None) => rows.len(),
+    } as u64;
+    // the candidate rids that pass the stage's filters, in rid order
+    let for_each_kept = |f: &mut dyn FnMut(u32)| {
+        let mut visit = |rid: u32| {
+            if passes(st, degraded, &rows[rid as usize]) {
+                f(rid);
             }
-            if !matched && st.kind == JoinKind::Left {
-                mu.ops[k].actual_rows += 1;
-                buf.extend(std::iter::repeat_n(Value::Null, st.width));
-                let r = step(ctx, plan, stages, mu, k + 1, buf);
-                buf.truncate(base);
-                r?;
-            }
+        };
+        match &access_rids {
+            Some(rids) => rids.iter().copied().for_each(&mut visit),
+            None => (0..rows.len() as u32).for_each(&mut visit),
         }
-        OpRt::Cross { rids } => {
-            if rids.is_empty() && st.kind == JoinKind::Left {
-                mu.ops[k].actual_rows += 1;
-                buf.extend(std::iter::repeat_n(Value::Null, st.width));
-                let r = step(ctx, plan, stages, mu, k + 1, buf);
-                buf.truncate(base);
-                r?;
-            } else {
-                for &rid in rids {
-                    ctx.rows_scanned += 1;
-                    mu.ops[k].actual_rows += 1;
-                    buf.extend(rt.rows[rid as usize].iter().cloned());
-                    let r = step(ctx, plan, stages, mu, k + 1, buf);
-                    buf.truncate(base);
-                    r?;
-                }
-            }
+    };
+    let ix_join = match &st.join {
+        Some(JoinOp::IxJoin { column, .. }) => db.index(&st.table, column),
+        _ => None,
+    };
+    let op = match (&st.join, ix_join) {
+        (None, _) => {
+            ctx.rows_scanned += read;
+            OpRt::Scan { rids: access_rids }
         }
+        (Some(JoinOp::IxJoin { left_key, right_key, .. }), Some(ix)) => {
+            OpRt::Ix { left_key: *left_key, right_key: *right_key, ix }
+        }
+        // a hash join — or, on the same keys, an IxJoin whose index is unusable
+        (Some(JoinOp::Hash { left_key, right_key }), _)
+        | (Some(JoinOp::IxJoin { left_key, right_key, .. }), None) => {
+            ctx.rows_scanned += read;
+            let mut map: HashMap<NormRef<'_>, Vec<u32>> = HashMap::new();
+            for_each_kept(&mut |rid| {
+                let key = &rows[rid as usize][*right_key];
+                if !key.is_null() {
+                    map.entry(key.normalized_ref()).or_default().push(rid);
+                }
+            });
+            OpRt::Hash { left_key: *left_key, map }
+        }
+        (Some(JoinOp::Nested { on }), _) => {
+            ctx.rows_scanned += read;
+            let mut rids = Vec::new();
+            for_each_kept(&mut |rid| rids.push(rid));
+            OpRt::Nested { rids, on: on.as_ref() }
+        }
+    };
+    Ok(StageRt { rows, degraded, op })
+}
+
+/// A run of stages driven as one pipeline.
+struct Segment<'s, 'c, 'd> {
+    ctx: &'s mut Ctx<'c>,
+    mu: &'s mut MutState,
+    plan: &'s PhysicalPlan,
+    stages: &'s [StageRt<'d>],
+    /// One past the last stage of the segment.
+    end: usize,
+    /// The plan's final segment: finished tuples face the residual chain.
+    /// Tuples of an earlier segment are collected as they are.
+    last: bool,
+}
+
+impl Segment<'_, '_, '_> {
+    /// Push every tuple of `input` through stages `start..end` and return
+    /// what comes out the far side.
+    fn drive(&mut self, start: usize, input: &[Row]) -> SqlResult<Vec<Row>> {
+        let mut buf: Vec<Value> = Vec::with_capacity(self.plan.layout.len());
+        for tuple in input {
+            buf.clear();
+            buf.extend(tuple.iter().cloned());
+            self.step(start, &mut buf)?;
+        }
+        Ok(std::mem::take(&mut self.mu.out))
     }
-    Ok(())
+
+    /// Count the tuple in `buf` as an output of stage `k`, run it through
+    /// the rest of the segment, and cut the buffer back to stage `k`'s
+    /// input.
+    fn descend(&mut self, k: usize, buf: &mut Vec<Value>) -> SqlResult<()> {
+        self.mu.ops[k].actual_rows += 1;
+        let r = self.step(k + 1, buf);
+        buf.truncate(self.plan.stages[k].col_offset);
+        r
+    }
+
+    fn emit(&mut self, k: usize, buf: &mut Vec<Value>, row: &Row) -> SqlResult<()> {
+        buf.extend(row.iter().cloned());
+        self.descend(k, buf)
+    }
+
+    /// The NULL pad of a LEFT JOIN tuple that matched nothing.
+    fn pad(&mut self, k: usize, buf: &mut Vec<Value>) -> SqlResult<()> {
+        let st = &self.plan.stages[k];
+        if st.kind != JoinKind::Left {
+            return Ok(());
+        }
+        buf.extend(std::iter::repeat_n(Value::Null, st.width));
+        self.descend(k, buf)
+    }
+
+    fn step(&mut self, k: usize, buf: &mut Vec<Value>) -> SqlResult<()> {
+        if k == self.end {
+            if self.last {
+                return finish(self.ctx, self.plan, self.mu, buf);
+            }
+            self.mu.out.push(buf.clone());
+            return Ok(());
+        }
+        let (plan, stages) = (self.plan, self.stages);
+        let (st, rt) = (&plan.stages[k], &stages[k]);
+        match &rt.op {
+            OpRt::Scan { rids: Some(rids) } => {
+                for &rid in rids {
+                    let row = &rt.rows[rid as usize];
+                    if passes(st, rt.degraded, row) {
+                        self.emit(k, buf, row)?;
+                    }
+                }
+            }
+            OpRt::Scan { rids: None } => {
+                for row in rt.rows {
+                    if passes(st, rt.degraded, row) {
+                        self.emit(k, buf, row)?;
+                    }
+                }
+            }
+            OpRt::Hash { left_key, map } => {
+                self.ctx.rows_scanned += 1;
+                // clone the probe key out of the tuple buffer: the buffer is
+                // extended/truncated while candidate rows stream through, so
+                // the map lookup cannot keep a borrow into it
+                let probe = buf[*left_key].clone();
+                let matches = if probe.is_null() { None } else { map.get(&probe.normalized_ref()) };
+                match matches {
+                    Some(rids) if !rids.is_empty() => {
+                        for &rid in rids {
+                            self.ctx.rows_scanned += 1;
+                            self.emit(k, buf, &rt.rows[rid as usize])?;
+                        }
+                    }
+                    _ => self.pad(k, buf)?,
+                }
+            }
+            OpRt::Ix { left_key, right_key, ix } => {
+                self.ctx.rows_scanned += 1;
+                if self.mu.ops[k].seeks == 0 {
+                    self.ctx.ix_ops += 1;
+                }
+                self.mu.ops[k].seeks += 1;
+                let probe = buf[*left_key].clone();
+                let run = ix.eq_run(&probe);
+                self.ctx.rows_scanned += run.len() as u64;
+                let mut matched = false;
+                for (v, rid) in run {
+                    // the hash join keys on the *normalised* value, which is
+                    // finer than the index's sql_cmp equality runs (huge
+                    // integers collapse through f64 in sql_cmp only) —
+                    // filter candidates down to exact hash-join semantics
+                    if v.normalized_ref() != probe.normalized_ref() {
+                        continue;
+                    }
+                    let row = &rt.rows[*rid as usize];
+                    debug_assert_eq!(v, &row[*right_key]);
+                    if !passes(st, None, row) {
+                        continue;
+                    }
+                    self.ctx.rows_scanned += 1;
+                    matched = true;
+                    self.emit(k, buf, row)?;
+                }
+                if !matched {
+                    self.pad(k, buf)?;
+                }
+            }
+            OpRt::Nested { rids, on } => {
+                let mut matched = false;
+                for &rid in rids {
+                    self.ctx.rows_scanned += 1;
+                    buf.extend(rt.rows[rid as usize].iter().cloned());
+                    // ON sees the tuple so far and nothing right of it
+                    let keep = match on {
+                        Some(on) => exec::eval_expr(self.ctx, on, &plan.layout[..buf.len()], buf)?
+                            .truthiness()
+                            == Some(true),
+                        None => true,
+                    };
+                    if keep {
+                        matched = true;
+                        self.descend(k, buf)?;
+                    } else {
+                        buf.truncate(st.col_offset);
+                    }
+                }
+                if !matched {
+                    self.pad(k, buf)?;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Run the residual chain on a finished tuple and keep it if it
-/// survives. Implements the legacy AND protocol: `false` stops and
-/// drops, NULL marks the tuple dropped but keeps evaluating (error
-/// fidelity), anything else continues.
+/// survives. Implements the AND protocol of `exec::eval_expr`: `false`
+/// stops and drops, NULL marks the tuple dropped but keeps evaluating
+/// (error fidelity), anything else continues.
 fn finish(
     ctx: &mut Ctx<'_>,
     plan: &PhysicalPlan,
-    mu: &mut MutState<'_>,
+    mu: &mut MutState,
     buf: &[Value],
 ) -> SqlResult<()> {
     ctx.rows_scanned += 1;
@@ -389,16 +426,12 @@ fn eval_semi(
         Expr::InSubquery { expr, query, negated } => {
             let v = exec::eval_expr(ctx, expr, layout, tuple)?;
             if v.is_null() {
-                // legacy skips the subquery entirely on a NULL operand,
+                // eval_expr skips the subquery entirely on a NULL operand,
                 // so the state stays unclassified
                 return Ok(Value::Null);
             }
             if matches!(state, SemiState::Unknown) {
-                let saved = ctx.used_outer();
-                ctx.set_used_outer(false);
-                let rs = exec::exec_subquery(ctx, query, layout, tuple)?;
-                let correlated = ctx.used_outer();
-                ctx.set_used_outer(saved || correlated);
+                let (rs, correlated) = probe(ctx, query, layout, tuple)?;
                 if rs.columns.len() != 1 {
                     return Err(SqlError::SubqueryShape(
                         "IN subquery must return a single column".into(),
@@ -407,7 +440,7 @@ fn eval_semi(
                 if correlated {
                     *state = SemiState::Correlated;
                     // this probe's result set is already in hand —
-                    // evaluate it directly, exactly as legacy would
+                    // evaluate it directly, exactly as eval_expr would
                     return Ok(in_scan(&v, &rs.rows, *negated));
                 }
                 let mut has_null = false;
@@ -448,11 +481,7 @@ fn eval_semi(
         }
         Expr::Exists { query, negated } => {
             if matches!(state, SemiState::Unknown) {
-                let saved = ctx.used_outer();
-                ctx.set_used_outer(false);
-                let rs = exec::exec_subquery(ctx, query, layout, tuple)?;
-                let correlated = ctx.used_outer();
-                ctx.set_used_outer(saved || correlated);
+                let (rs, correlated) = probe(ctx, query, layout, tuple)?;
                 if correlated {
                     *state = SemiState::Correlated;
                     return Ok(Value::Int(i64::from(rs.rows.is_empty() == *negated)));
@@ -469,7 +498,23 @@ fn eval_semi(
     }
 }
 
-/// The legacy interpreter's linear IN probe: first `sql_eq` hit wins,
+/// Execute a semi-join's subquery against `tuple` and report whether it
+/// read the outer row.
+fn probe(
+    ctx: &mut Ctx<'_>,
+    query: &SelectStmt,
+    layout: &[ColBinding],
+    tuple: &[Value],
+) -> SqlResult<(Arc<ResultSet>, bool)> {
+    let saved = ctx.used_outer;
+    ctx.used_outer = false;
+    let rs = exec::exec_subquery(ctx, query, layout, tuple)?;
+    let correlated = ctx.used_outer;
+    ctx.used_outer = saved || correlated;
+    Ok((rs, correlated))
+}
+
+/// `exec::eval_expr`'s linear IN probe: first `sql_eq` hit wins,
 /// NULL comparisons remembered for the three-valued miss.
 fn in_scan(v: &Value, rows: &[Row], negated: bool) -> Value {
     let mut saw_null = false;

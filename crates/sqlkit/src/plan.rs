@@ -1,35 +1,43 @@
-//! Cost-based physical planning: lowering a bound [`SelectStmt`] into an
-//! explicit [`PhysicalPlan`] executed by the pipelined executor
-//! (`crate::pipelined`).
+//! Physical planning: lowering a SELECT core into the [`PhysicalPlan`]
+//! that the pipelined executor (`crate::pipelined`) runs. [`lower`] is
+//! total — every core that parses has a plan, and there is no other way
+//! to execute FROM and WHERE.
 //!
 //! The lowering walks the FROM chain left to right, turning each table
-//! into a [`Stage`]. Sargable conjuncts of the WHERE clause (`col = lit`,
-//! `col < lit`, `BETWEEN`, `IN (lits)`, `IS NULL`) are extracted and
-//! pushed down to the stage that owns the column; everything else stays
-//! in the ordered residual chain, which the executor evaluates per output
-//! tuple with the legacy interpreter's exact three-valued-logic
-//! semantics. Access paths (`FullScan` vs `IxScan`) and join operators
-//! (`HashJoin` vs `IxJoin` vs nested-loop cross) are chosen by comparing
-//! cost estimates derived from table row counts and secondary-index
-//! selectivity ([`crate::index::ColumnIndex`]).
+//! reference into a [`Stage`]. What the plan may then do to it depends on
+//! what could be observed:
 //!
-//! Planning is conservative: any shape the pipelined executor cannot
-//! reproduce byte-for-byte — compound selects, FROM subqueries, non-equi
-//! join predicates, aggregates or unresolved columns in WHERE — makes
-//! [`lower`] return an `Err` with a human-readable reason, and the
-//! statement runs on the legacy interpreter instead. One *documented*
-//! divergence remains: a pushed-down sarg drops rows whose column is
-//! NULL (or fails the sarg) at scan time, so a *different* conjunct that
-//! would raise a runtime error on such a row under the legacy
-//! interpreter may not get the chance to. The planner-differential test
-//! suite pins the two executors against each other across the whole
-//! generated corpus to keep this theoretical gap from biting in
-//! practice.
+//! * An **optimised** plan extracts the sargable conjuncts of the WHERE
+//!   clause (`col = lit`, `col < lit`, `BETWEEN`, `IN (lits)`, `IS NULL`),
+//!   pushes each down to the stage that owns the column, and picks access
+//!   paths (`FullScan` vs `IxScan`) and join operators (`Hash` vs
+//!   `IxJoin`) by comparing cost estimates from table row counts and
+//!   secondary-index selectivity ([`crate::index::ColumnIndex`]).
+//! * A **naive** plan scans every table, joins by hash on a clean
+//!   two-column equality and by nested loop on anything else, and keeps
+//!   every WHERE conjunct, in order, in the residual chain. It evaluates
+//!   exactly what the statement says, in the order it says it, so it
+//!   raises the errors — and charges the `rows_scanned` — of a textbook
+//!   interpreter.
+//!
+//! A core gets the naive plan whenever pushdown could hide an error or was
+//! never measured: any WHERE conjunct with a column the binder could not
+//! resolve (filtering rows out first would suppress its `no such column`),
+//! a FROM-subquery or a join predicate that is not a two-column equality
+//! (both can fail per tuple), and every core lowered with `pushdown` off
+//! — compound arms and sub-selects. One *documented* divergence remains
+//! in optimised plans: a pushed-down sarg drops rows at scan time, so a
+//! *different*, fully resolved conjunct that would raise a runtime error
+//! on such a row never sees it.
+//!
+//! Errors a core raises before its first tuple — an unknown table, an
+//! aggregate in WHERE — are part of the plan ([`PhysicalPlan::fail`]) and
+//! surface from execution at the point an interpreter would have hit them.
 
-use crate::ast::{BinOp, Expr, FromClause, JoinKind, SelectStmt, TableRef};
+use crate::ast::{BinOp, Expr, JoinKind, SelectCore, SelectStmt, TableRef};
 use crate::db::Database;
-use crate::error::SqlResult;
-use crate::exec::{contains_aggregate, equi_join_indices, ColBinding};
+use crate::error::{SqlError, SqlResult};
+use crate::exec::{contains_aggregate, equi_join_indices, expand_items, ColBinding};
 use crate::index::ColumnIndex;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -73,9 +81,9 @@ pub(crate) struct Sarg {
 }
 
 impl Sarg {
-    /// Does `v` satisfy the predicate? Exactly equivalent to the legacy
-    /// interpreter's `truthiness() == Some(true)` on the original
-    /// conjunct (NULL and "false" both filter the row out).
+    /// Does `v` satisfy the predicate? Exactly equivalent to
+    /// `truthiness() == Some(true)` on the original conjunct (NULL and
+    /// "false" both filter the row out).
     pub(crate) fn matches(&self, v: &Value) -> bool {
         match &self.op {
             SargOp::Eq(k) => v.sql_eq(k) == Some(true),
@@ -180,13 +188,16 @@ fn fmt_key(v: &Value) -> String {
 
 // ---------------- plan structure ----------------
 
-/// How a stage's base table is read.
+/// How a stage's rows are read.
 #[derive(Debug, Clone)]
 pub(crate) enum Access {
-    /// Read every row.
+    /// Read every row of the table.
     FullScan,
     /// Read only the rows matching a sarg through the column's index.
     IxScan(Sarg),
+    /// Execute a FROM-subquery (memoised when uncorrelated) and read its
+    /// result.
+    Subquery(Box<SelectStmt>),
 }
 
 /// How a stage joins into the tuples accumulated so far.
@@ -209,14 +220,19 @@ pub(crate) enum JoinOp {
         /// Indexed column name.
         column: String,
     },
-    /// Nested-loop cross product (CROSS JOIN / comma join / ON-less).
-    Cross,
+    /// Nested loop: pair every accumulated tuple with every row of the
+    /// stage and keep the pairs `on` accepts — all of them for CROSS JOIN,
+    /// a comma join, or a JOIN without ON.
+    Nested {
+        /// The ON predicate, evaluated on the combined tuple.
+        on: Option<Expr>,
+    },
 }
 
 /// One FROM-chain stage of a physical plan.
 #[derive(Debug, Clone)]
 pub(crate) struct Stage {
-    /// Canonical schema table name.
+    /// Canonical schema table name (the alias, for a FROM-subquery).
     pub(crate) table: String,
     /// Binding name (alias or table name) in the layout.
     pub(crate) binding: String,
@@ -238,12 +254,21 @@ pub(crate) struct Stage {
     pub(crate) est_tuples: f64,
 }
 
+impl Stage {
+    /// Can running this stage fail on some tuple? Such a stage must see
+    /// every tuple an interpreter would have shown it, so its plan is
+    /// naive and the executor finishes the stage before starting the next.
+    pub(crate) fn can_fail(&self) -> bool {
+        matches!(self.access, Access::Subquery(_))
+            || matches!(self.join, Some(JoinOp::Nested { on: Some(_) }))
+    }
+}
+
 /// One step of the ordered residual predicate chain, evaluated per
-/// output tuple with legacy three-valued-logic semantics.
+/// output tuple with three-valued-logic AND semantics.
 #[derive(Debug, Clone)]
 pub(crate) enum ResidualStep {
-    /// An arbitrary conjunct evaluated through the legacy expression
-    /// evaluator.
+    /// An arbitrary conjunct evaluated through `exec::eval_expr`.
     Pred(Expr),
     /// A whole-conjunct `IN (SELECT ...)` or `[NOT] EXISTS (SELECT ...)`
     /// the executor can turn into a semi-join when the subquery turns
@@ -251,74 +276,53 @@ pub(crate) enum ResidualStep {
     Semi(Expr),
 }
 
-/// An executable physical plan for a single-core SELECT.
+/// The executable physical plan of one SELECT core.
 #[derive(Debug, Clone)]
 pub(crate) struct PhysicalPlan {
-    /// FROM-chain stages, in join order.
+    /// FROM-chain stages, in join order (none for a core without FROM,
+    /// which emits one empty tuple).
     pub(crate) stages: Vec<Stage>,
     /// Ordered residual WHERE conjuncts.
     pub(crate) residual: Vec<ResidualStep>,
-    /// The joined row layout (identical to the legacy executor's).
+    /// The joined row layout.
     pub(crate) layout: Vec<ColBinding>,
     /// Estimated tuples reaching the residual filter.
     pub(crate) est_out: f64,
+    /// The error this core raises once the stages above have been built —
+    /// an unknown table in FROM (the stages stop short of it) or an
+    /// aggregate in WHERE — instead of producing tuples.
+    pub(crate) fail: Option<SqlError>,
 }
 
-/// Per-operator execution metrics captured by the pipelined executor;
-/// one entry per stage plus one for the residual filter.
-#[derive(Debug, Clone, Default)]
-pub struct OpStats {
-    /// Operator description (access path, join keys, chosen index).
-    pub label: String,
-    /// The planner's row estimate for this operator's output.
-    pub est_rows: f64,
+/// Per-operator execution counters kept by the pipelined executor; one
+/// entry per stage plus one for the residual filter.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct OpStats {
     /// Rows/tuples the operator actually produced.
-    pub actual_rows: u64,
+    pub(crate) actual_rows: u64,
     /// Index probes performed (IxScan / IxJoin only).
-    pub seeks: u64,
+    pub(crate) seeks: u64,
 }
 
 impl PhysicalPlan {
-    /// Operator labels + estimates, in the order the executor reports
-    /// actuals: one per stage, then the residual filter.
-    pub(crate) fn op_templates(&self) -> Vec<OpStats> {
-        let mut ops: Vec<OpStats> = Vec::with_capacity(self.stages.len() + 1);
-        for st in &self.stages {
-            ops.push(OpStats {
-                label: st.describe(self),
-                est_rows: if st.join.is_some() { st.est_tuples } else { st.est_rows },
-                actual_rows: 0,
-                seeks: 0,
-            });
-        }
-        let n_semi = self
-            .residual
+    /// Render the plan as an indented operator pipeline — one line per
+    /// stage, then the residual filter — with the planner's estimates and
+    /// the `ops` counters of an execution side by side.
+    pub(crate) fn render(&self, ops: &[OpStats]) -> String {
+        let mut lines: Vec<(String, f64)> = self
+            .stages
             .iter()
-            .filter(|s| matches!(s, ResidualStep::Semi(_)))
-            .count();
-        let label = if self.residual.is_empty() {
+            .map(|st| (st.describe(self), if st.join.is_some() { st.est_tuples } else { st.est_rows }))
+            .collect();
+        let n_semi = self.residual.iter().filter(|s| matches!(s, ResidualStep::Semi(_))).count();
+        let residual = if self.residual.is_empty() {
             "Residual (none)".to_owned()
         } else if n_semi > 0 {
             format!("Residual ({} conjuncts, {} semi-join)", self.residual.len(), n_semi)
         } else {
             format!("Residual ({} conjuncts)", self.residual.len())
         };
-        ops.push(OpStats { label, est_rows: self.est_out, actual_rows: 0, seeks: 0 });
-        ops
-    }
-
-    /// Render the plan as an indented operator pipeline; when `ops` from
-    /// an execution are supplied, estimated and actual row counts are
-    /// shown side by side.
-    pub(crate) fn render(&self, ops: Option<&[OpStats]>) -> String {
-        let templates;
-        let ops = match ops {
-            Some(o) => o,
-            None => {
-                templates = self.op_templates();
-                &templates
-            }
-        };
+        lines.push((residual, self.est_out));
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -326,10 +330,9 @@ impl PhysicalPlan {
             self.stages.len(),
             self.residual.len()
         );
-        for (i, op) in ops.iter().enumerate() {
-            let _ = write!(out, "{:indent$}-> {}", "", op.label, indent = 2 + 2 * i);
-            let _ = write!(out, "  [est≈{:.0}", op.est_rows.round());
-            let _ = write!(out, ", actual={}", op.actual_rows);
+        for (i, ((label, est), op)) in lines.iter().zip(ops).enumerate() {
+            let _ = write!(out, "{:indent$}-> {label}", "", indent = 2 + 2 * i);
+            let _ = write!(out, "  [est≈{:.0}, actual={}", est.round(), op.actual_rows);
             if op.seeks > 0 {
                 let _ = write!(out, ", seeks={}", op.seeks);
             }
@@ -349,6 +352,7 @@ impl Stage {
         let access = match &self.access {
             Access::FullScan => format!("Scan {name}"),
             Access::IxScan(s) => format!("IxScan {name} ({})", s.describe()),
+            Access::Subquery(_) => format!("Subquery {name}"),
         };
         let filters = if self.filters.is_empty() {
             String::new()
@@ -384,7 +388,13 @@ impl Stage {
                 left(*left_key),
                 self.table
             ),
-            Some(JoinOp::Cross) => format!("{kind}CrossJoin {name} ({access}{filters})"),
+            Some(JoinOp::Nested { on: None }) => {
+                format!("{kind}CrossJoin {name} ({access}{filters})")
+            }
+            Some(JoinOp::Nested { on: Some(on) }) => format!(
+                "{kind}NestedLoop {name} ON {} ({access})",
+                crate::printer::print_expr(on)
+            ),
         }
     }
 }
@@ -435,23 +445,16 @@ fn extract_sarg(e: &Expr) -> Option<(usize, SargOp)> {
         Expr::Binary { left, op, right }
             if matches!(op, BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) =>
         {
-            if let (Some(col), Some(key)) = (bound_col(left), sarg_key(right)) {
-                let sop = if *op == BinOp::Eq {
-                    SargOp::Eq(key.clone())
-                } else {
-                    SargOp::Cmp { op: *op, key: key.clone() }
-                };
-                return Some((col, sop));
-            }
-            if let (Some(key), Some(col)) = (sarg_key(left), bound_col(right)) {
-                let sop = if *op == BinOp::Eq {
-                    SargOp::Eq(key.clone())
-                } else {
-                    SargOp::Cmp { op: mirror_cmp(*op), key: key.clone() }
-                };
-                return Some((col, sop));
-            }
-            None
+            let (col, key, op) = match (bound_col(left), sarg_key(right)) {
+                (Some(col), Some(key)) => (col, key, *op),
+                _ => (bound_col(right)?, sarg_key(left)?, mirror_cmp(*op)),
+            };
+            let sop = if op == BinOp::Eq {
+                SargOp::Eq(key.clone())
+            } else {
+                SargOp::Cmp { op, key: key.clone() }
+            };
+            Some((col, sop))
         }
         Expr::Between { expr, low, high, negated: false } => {
             let col = bound_col(expr)?;
@@ -475,250 +478,203 @@ fn extract_sarg(e: &Expr) -> Option<(usize, SargOp)> {
 /// Does the conjunct still contain an unresolved (raw) column reference?
 /// The binder leaves those raw so the runtime raises the exact
 /// `no such column` error — which pushdown could otherwise suppress by
-/// filtering every row out first, so such statements stay on the legacy
-/// interpreter.
+/// filtering every row out first.
 fn has_raw_column(e: &Expr) -> bool {
     e.any(&mut |n| matches!(n, Expr::Column { .. }))
 }
 
-/// Lower a bound single-core SELECT into a [`PhysicalPlan`], or explain
-/// why it must run on the legacy interpreter.
-pub(crate) fn lower(db: &Database, stmt: &SelectStmt) -> Result<PhysicalPlan, &'static str> {
-    if !stmt.compounds.is_empty() {
-        return Err("compound select");
-    }
-    let core = &stmt.core;
-    let from: &FromClause = core.from.as_ref().ok_or("no FROM clause")?;
-
-    // ---- stage skeletons + joined layout ----
-    struct Proto {
-        table: String,
-        binding: String,
-        col_offset: usize,
-        width: usize,
-        kind: JoinKind,
-        join: Option<JoinOp>,
-        n: usize,
-        sargs: Vec<Sarg>,
-    }
-    let mut layout: Vec<ColBinding> = Vec::new();
-    let mut protos: Vec<Proto> = Vec::new();
-
-    let push_table = |tref: &TableRef, layout: &mut Vec<ColBinding>| -> Result<Proto, &'static str> {
-        let TableRef::Named { name, alias, .. } = tref else {
-            return Err("subquery in FROM");
-        };
-        let info = db.schema.table(name).ok_or("unknown table")?;
-        let binding = alias.clone().unwrap_or_else(|| info.name.clone());
-        let col_offset = layout.len();
-        for c in &info.columns {
-            layout.push(ColBinding::new(binding.clone(), c.name.clone()));
+/// Append the stage reading `tref` and its columns to the plan. Returns
+/// the error an interpreter would raise on reaching this table reference
+/// — for a FROM-subquery, after pushing the stage that raises it.
+fn push_stage(db: &Database, tref: &TableRef, plan: &mut PhysicalPlan) -> SqlResult<()> {
+    let col_offset = plan.layout.len();
+    // `est_rows` holds the row count until the cost pass below scales it
+    let (table, binding, access, est_rows) = match tref {
+        TableRef::Named { name, alias, .. } => {
+            let info =
+                db.schema.table(name).ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
+            let binding = alias.clone().unwrap_or_else(|| info.name.clone());
+            for c in &info.columns {
+                plan.layout.push(ColBinding::new(binding.clone(), c.name.clone()));
+            }
+            let n = db.rows(&info.name)?.len();
+            (info.name.clone(), binding, Access::FullScan, n as f64)
         }
-        let n = db.rows(&info.name).map(|r| r.len()).map_err(|_| "missing table data")?;
-        Ok(Proto {
-            table: info.name.clone(),
-            binding,
-            col_offset,
-            width: info.columns.len(),
-            kind: JoinKind::Inner,
-            join: None,
-            n,
-            sargs: Vec::new(),
-        })
+        TableRef::Subquery { query, alias } => {
+            // The labels of the first core, as `exec::expand_items` will
+            // produce them. When they cannot be known the subquery cannot
+            // run either, and opening its stage raises that error.
+            let inner = lower(db, &query.core, false);
+            if let (None, Ok(items)) = (&inner.fail, expand_items(&query.core.items, &inner.layout)) {
+                for (_, label) in items {
+                    plan.layout.push(ColBinding::new(alias.clone(), label));
+                }
+            }
+            (alias.clone(), alias.clone(), Access::Subquery(query.clone()), 0.0)
+        }
+    };
+    let width = plan.layout.len() - col_offset;
+    plan.stages.push(Stage {
+        table,
+        binding,
+        col_offset,
+        width,
+        access,
+        join: None,
+        kind: JoinKind::Inner,
+        filters: Vec::new(),
+        est_rows,
+        est_tuples: 0.0,
+    });
+    if width == 0 && matches!(tref, TableRef::Subquery { .. }) {
+        return Err(SqlError::Other("FROM subquery has no columns".into()));
+    }
+    Ok(())
+}
+
+/// Lower one SELECT core (bound or raw) into its [`PhysicalPlan`].
+/// `pushdown` allows the optimised plan when the core qualifies for one.
+pub(crate) fn lower(db: &Database, core: &SelectCore, pushdown: bool) -> PhysicalPlan {
+    let mut plan = PhysicalPlan {
+        stages: Vec::new(),
+        residual: Vec::new(),
+        layout: Vec::new(),
+        est_out: 1.0,
+        fail: None,
     };
 
-    protos.push(push_table(&from.base, &mut layout)?);
-    for join in &from.joins {
-        let left_width = layout.len();
-        let mut proto = push_table(&join.table, &mut layout)?;
-        proto.kind = join.kind;
-        proto.join = Some(match &join.on {
-            None => JoinOp::Cross,
-            Some(on) => {
-                let (li, ri) = equi_join_indices(
-                    on,
-                    &layout[..left_width],
-                    &layout[left_width..],
-                )
-                .ok_or("non-equi join predicate")?;
-                // every equi join starts as a Hash op; the cost model
-                // below may upgrade it to IxJoin
-                JoinOp::Hash { left_key: li, right_key: ri }
+    // ---- stage skeletons + joined layout ----
+    if let Some(from) = &core.from {
+        let joins = from.joins.iter().map(|j| (&j.table, Some(j)));
+        for (tref, join) in std::iter::once((&from.base, None)).chain(joins) {
+            let left_width = plan.layout.len();
+            if let Err(e) = push_stage(db, tref, &mut plan) {
+                // nothing right of this table reference is ever reached
+                plan.fail = Some(e);
+                return plan;
             }
-        });
-        protos.push(proto);
+            let (Some(join), Some(stage)) = (join, plan.stages.last_mut()) else { continue };
+            stage.kind = join.kind;
+            let (left, right) = plan.layout.split_at(left_width);
+            // every equi join starts as a Hash op; the cost model below
+            // may upgrade it to IxJoin
+            stage.join = Some(match join.on.as_ref().map(|on| (on, equi_join_indices(on, left, right))) {
+                Some((_, Some((left_key, right_key)))) => JoinOp::Hash { left_key, right_key },
+                Some((on, None)) => JoinOp::Nested { on: Some(on.clone()) },
+                None => JoinOp::Nested { on: None },
+            });
+        }
     }
+    let mut naive = !pushdown || plan.stages.iter().any(Stage::can_fail);
 
     // ---- WHERE classification ----
-    let mut residual: Vec<ResidualStep> = Vec::new();
     if let Some(w) = &core.where_clause {
         if contains_aggregate(w) {
-            return Err("aggregate in WHERE");
+            plan.fail = Some(SqlError::MisusedAggregate("aggregate in WHERE clause".into()));
+            return plan;
         }
         let mut conjuncts = Vec::new();
         flatten_and(w, &mut conjuncts);
-        if conjuncts.iter().any(|c| has_raw_column(c)) {
-            return Err("unresolved column in WHERE");
-        }
+        naive |= conjuncts.iter().any(|c| has_raw_column(c));
         for c in conjuncts {
-            if let Some((global_col, op)) = extract_sarg(c) {
-                if let Some(k) = protos.iter().position(|p| {
-                    global_col >= p.col_offset && global_col < p.col_offset + p.width
-                }) {
-                    // A sarg on the right side of a LEFT JOIN cannot be
-                    // pushed below the join: it would turn filtered rows
-                    // into NULL pads instead of dropping the tuple.
-                    if protos[k].kind != JoinKind::Left || protos[k].join.is_none() {
-                        let local = global_col - protos[k].col_offset;
-                        let column = layout[global_col].column.clone();
-                        protos[k].sargs.push(Sarg { col: local, column, op });
-                        continue;
-                    }
+            if let (false, Some((global_col, op))) = (naive, extract_sarg(c)) {
+                let owner = plan
+                    .stages
+                    .iter_mut()
+                    .find(|s| global_col >= s.col_offset && global_col < s.col_offset + s.width);
+                // A sarg on the right side of a LEFT JOIN cannot be
+                // pushed below the join: it would turn filtered rows
+                // into NULL pads instead of dropping the tuple.
+                if let Some(stage) = owner.filter(|s| s.kind != JoinKind::Left || s.join.is_none()) {
+                    let col = global_col - stage.col_offset;
+                    let column = plan.layout[global_col].column.clone();
+                    stage.filters.push(Sarg { col, column, op });
+                    continue;
                 }
             }
-            match c {
-                Expr::InSubquery { .. } | Expr::Exists { .. } => {
-                    residual.push(ResidualStep::Semi(c.clone()));
-                }
-                other => residual.push(ResidualStep::Pred(other.clone())),
-            }
+            plan.residual.push(match c {
+                Expr::InSubquery { .. } | Expr::Exists { .. } => ResidualStep::Semi(c.clone()),
+                other => ResidualStep::Pred(other.clone()),
+            });
         }
     }
 
     // ---- cost-based access + join operator choice ----
-    let mut stages: Vec<Stage> = Vec::new();
     let mut est_tuples = 1.0_f64;
-    for (k, proto) in protos.into_iter().enumerate() {
-        let Proto { table, binding, col_offset, width, kind, join, n, sargs } = proto;
-        let nf = n as f64;
+    for stage in &mut plan.stages {
+        let nf = stage.est_rows;
         let log_n = (nf.max(2.0)).log2();
 
         // selectivity of every pushed sarg combined, and the best
         // index-driving candidate
         let mut sel_all = 1.0_f64;
         let mut best: Option<(usize, f64)> = None; // (sarg idx, est rows out)
-        for (i, s) in sargs.iter().enumerate() {
-            let ix = if s.indexable() { db.index(&table, &s.column) } else { None };
+        for (i, s) in stage.filters.iter().enumerate() {
+            let ix = if s.indexable() { db.index(&stage.table, &s.column) } else { None };
             let sel = s.selectivity(ix.as_deref());
             sel_all *= sel;
-            if ix.is_some() && s.indexable() {
+            if ix.is_some() {
                 let est = nf * sel;
                 if best.map(|(_, b)| est < b).unwrap_or(true) {
                     best = Some((i, est));
                 }
             }
         }
-        let est_rows = (nf * sel_all).max(0.0);
-
+        stage.est_rows = (nf * sel_all).max(0.0);
         // access path: index the best sarg when cheaper than a full scan
-        let pick_access = |sargs: &mut Vec<Sarg>| -> (Access, f64) {
-            if let Some((i, est)) = best {
-                if log_n + est < nf {
-                    let sarg = sargs.remove(i);
-                    return (Access::IxScan(sarg), log_n + est);
-                }
-            }
-            (Access::FullScan, nf)
-        };
+        let ix_access = best.filter(|(_, est)| log_n + est < nf);
 
-        let mut sargs = sargs;
-        let (access, join) = match join {
-            None => {
-                let (access, _) = pick_access(&mut sargs);
-                est_tuples = est_rows;
-                (access, None)
+        let left_outer = stage.kind == JoinKind::Left;
+        match &mut stage.join {
+            None => est_tuples = stage.est_rows,
+            Some(JoinOp::Nested { .. }) => {
+                est_tuples *= stage.est_rows.max(if left_outer { 1.0 } else { 0.0 });
             }
-            Some(JoinOp::Cross) => {
-                let (access, _) = pick_access(&mut sargs);
-                est_tuples *= est_rows.max(if kind == JoinKind::Left { 1.0 } else { 0.0 });
-                (access, Some(JoinOp::Cross))
-            }
-            Some(JoinOp::Hash { left_key, right_key })
-            | Some(JoinOp::IxJoin { left_key, right_key, .. }) => {
-                let column = layout[col_offset + right_key].column.clone();
-                let right_ix = db.index(&table, &column);
+            Some(JoinOp::Hash { left_key, right_key }) | Some(JoinOp::IxJoin { left_key, right_key, .. }) => {
+                let column = plan.layout[stage.col_offset + *right_key].column.clone();
+                let right_ix = if naive { None } else { db.index(&stage.table, &column) };
                 let fanout = right_ix
                     .as_deref()
                     .map(|ix| ix.len() as f64 / ix.distinct().max(1) as f64)
                     .unwrap_or(1.0);
-                let est_out = {
-                    let inner = est_tuples * fanout * sel_all;
-                    if kind == JoinKind::Left {
-                        inner.max(est_tuples)
-                    } else {
-                        inner
-                    }
-                };
-                let (hash_access_cost, _) = match best {
-                    Some((_, est)) if log_n + est < nf => (log_n + est, ()),
-                    _ => (nf, ()),
-                };
-                let hash_cost = hash_access_cost + est_rows + est_tuples + est_out;
+                let inner = est_tuples * fanout * sel_all;
+                let est_out = if left_outer { inner.max(est_tuples) } else { inner };
+                let hash_access_cost = ix_access.map(|(_, est)| log_n + est).unwrap_or(nf);
+                let hash_cost = hash_access_cost + stage.est_rows + est_tuples + est_out;
                 let ix_cost = est_tuples * (log_n + fanout) + est_out;
-                let use_ix = right_ix.is_some() && ix_cost < hash_cost;
-                let op = if use_ix {
+                est_tuples = est_out;
+                if right_ix.is_some() && ix_cost < hash_cost {
                     // the index probe IS the access path; remaining sargs
                     // filter candidates per probe
-                    JoinOp::IxJoin { left_key, right_key, column }
-                } else {
-                    JoinOp::Hash { left_key, right_key }
-                };
-                let access = if use_ix {
-                    Access::FullScan
-                } else {
-                    pick_access(&mut sargs).0
-                };
-                est_tuples = est_out;
-                (access, Some(op))
+                    let (left_key, right_key) = (*left_key, *right_key);
+                    stage.join = Some(JoinOp::IxJoin { left_key, right_key, column });
+                    stage.est_tuples = est_tuples;
+                    continue;
+                }
             }
-        };
-
-        stages.push(Stage {
-            table,
-            binding,
-            col_offset,
-            width,
-            access,
-            join,
-            kind: if k == 0 { JoinKind::Inner } else { kind },
-            filters: sargs,
-            est_rows,
-            est_tuples,
-        });
+        }
+        if let Some((i, _)) = ix_access {
+            stage.access = Access::IxScan(stage.filters.remove(i));
+        }
+        stage.est_tuples = est_tuples;
     }
-
-    Ok(PhysicalPlan { stages, residual, layout, est_out: est_tuples })
+    plan.est_out = est_tuples;
+    plan
 }
 
 // ---------------- EXPLAIN ----------------
 
-/// Render the physical plan chosen for `sql` against `db`, executing the
-/// statement once so estimated and actual per-operator row counts appear
-/// side by side. Statements the planner cannot lower report the reason
-/// they run on the legacy interpreter instead.
+/// Render the physical plan of every core of `sql` against `db`,
+/// executing the statement once so estimated and actual per-operator row
+/// counts appear side by side.
 pub fn explain(db: &Database, sql: &str) -> SqlResult<String> {
     let prepared = crate::prepare::prepare(db, sql)?;
-    let Some(plan) = prepared.physical() else {
-        return Ok(format!(
-            "legacy interpreter: {}\n",
-            prepared.why_legacy().unwrap_or("not a plannable statement")
-        ));
-    };
-    match crate::pipelined::execute(db, plan, prepared.statement())? {
-        None => Ok(
-            "legacy interpreter: a required index was unusable at execution time\n".to_owned()
-        ),
-        Some((rs, stats, ops)) => {
-            let mut out = plan.render(Some(&ops));
-            let _ = writeln!(
-                out,
-                "returned {} row(s), rows_scanned={}",
-                rs.rows.len(),
-                stats.rows_scanned
-            );
-            Ok(out)
-        }
-    }
+    let mut ctx = crate::exec::Ctx::new(db, true);
+    ctx.explain = Some(String::new());
+    let rs = crate::exec::exec_select_inner(&mut ctx, prepared.statement(), Some(prepared.plans()))?;
+    let mut out = ctx.explain.take().unwrap_or_default();
+    let _ = writeln!(out, "returned {} row(s), rows_scanned={}", rs.rows.len(), ctx.rows_scanned);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -752,17 +708,15 @@ mod tests {
         db
     }
 
-    fn lower_sql(db: &Database, sql: &str) -> Result<PhysicalPlan, &'static str> {
-        let stmt = parse_select(sql).unwrap();
-        let bound = crate::prepare::prepare_stmt(db, stmt);
-        lower(db, bound.statement())
+    fn lower_sql(db: &Database, sql: &str) -> PhysicalPlan {
+        crate::prepare::prepare(db, sql).unwrap().plans()[0].clone()
     }
 
     #[test]
     fn selective_eq_uses_index_scan() {
         let mut db = sample_db();
         db.ensure_default_indexes();
-        let plan = lower_sql(&db, "SELECT name FROM users WHERE id = 7").unwrap();
+        let plan = lower_sql(&db, "SELECT name FROM users WHERE id = 7");
         assert!(
             matches!(plan.stages[0].access, Access::IxScan(_)),
             "expected IxScan, got {:?}",
@@ -774,7 +728,7 @@ mod tests {
     fn unindexed_column_falls_back_to_scan() {
         let db = sample_db();
         // no explicit indexes: every access is a full scan
-        let plan = lower_sql(&db, "SELECT name FROM users WHERE age = 30").unwrap();
+        let plan = lower_sql(&db, "SELECT name FROM users WHERE age = 30");
         assert!(matches!(plan.stages[0].access, Access::FullScan));
     }
 
@@ -785,8 +739,7 @@ mod tests {
         let plan = lower_sql(
             &db,
             "SELECT o.amount FROM users u JOIN orders o ON u.id = o.user_id WHERE u.id = 3",
-        )
-        .unwrap();
+        );
         assert!(
             matches!(plan.stages[1].join, Some(JoinOp::IxJoin { .. })),
             "expected IxJoin, got {:?}",
@@ -803,8 +756,7 @@ mod tests {
         let plan = lower_sql(
             &db,
             "SELECT o.amount FROM users u JOIN orders o ON u.id = o.user_id",
-        )
-        .unwrap();
+        );
         assert!(
             matches!(plan.stages[1].join, Some(JoinOp::Hash { .. })),
             "expected HashJoin, got {:?}",
@@ -813,7 +765,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_legacy_rows() {
+    fn optimised_plans_match_the_reference() {
         let mut db = sample_db();
         db.ensure_default_indexes();
         let queries = [
@@ -832,16 +784,10 @@ mod tests {
         ];
         for sql in queries {
             let stmt = parse_select(sql).unwrap();
-            let legacy = crate::exec::execute_select(&db, &stmt).unwrap();
-            let bound = crate::prepare::prepare_stmt(&db, stmt);
-            let plan = bound
-                .physical()
-                .unwrap_or_else(|| panic!("{sql}: not planned: {:?}", bound.why_legacy()));
-            let (rs, _, _) = crate::pipelined::execute(&db, plan, bound.statement())
-                .unwrap()
-                .expect("index unusable");
-            assert_eq!(rs.columns, legacy.columns, "{sql}");
-            assert_eq!(rs.rows, legacy.rows, "{sql}");
+            let reference = crate::reference::execute(&db, &stmt).unwrap();
+            let rs = crate::exec::execute_select(&db, &stmt).unwrap();
+            assert_eq!(rs.columns, reference.columns, "{sql}");
+            assert_eq!(rs.rows, reference.rows, "{sql}");
         }
     }
 
@@ -870,9 +816,18 @@ mod tests {
     }
 
     #[test]
-    fn explain_reports_legacy_reason() {
+    fn explain_renders_every_core_and_never_a_fallback() {
         let db = sample_db();
-        let out = explain(&db, "SELECT 1 UNION SELECT 2").unwrap();
-        assert!(out.starts_with("legacy interpreter:"), "got:\n{out}");
+        let out = explain(&db, "SELECT 1 UNION SELECT id FROM users WHERE id < 2").unwrap();
+        assert_eq!(out.matches("physical plan:").count(), 2, "got:\n{out}");
+        assert!(out.contains("returned 2 row(s)"), "got:\n{out}");
+        let out = explain(
+            &db,
+            "SELECT s.n FROM (SELECT COUNT(*) AS n FROM orders) AS s JOIN users u ON u.id < s.n",
+        )
+        .unwrap();
+        assert!(out.contains("Subquery s"), "got:\n{out}");
+        assert!(out.contains("NestedLoop users AS u ON"), "got:\n{out}");
+        assert!(!out.contains("legacy"), "got:\n{out}");
     }
 }

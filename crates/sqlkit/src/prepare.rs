@@ -1,13 +1,14 @@
 //! Prepared statements: parse once, bind column references to row-layout
-//! slots, fold constant subtrees, and cache the resulting plans.
+//! slots, fold constant subtrees, lower every core to a physical plan, and
+//! cache the result.
 //!
 //! The refine → execute → correct loop and the vote tie-break execute the
 //! same SQL against the same database many times; [`prepare`] moves all
-//! name resolution out of the per-row path. The binding pass is strictly
-//! best-effort and semantics-preserving: any reference it cannot resolve
-//! statically is left as a raw [`Expr::Column`] so execution produces the
-//! exact same results, errors, and `rows_scanned` counts as the
-//! unprepared interpreter.
+//! name resolution and planning out of the per-row path. The binding pass
+//! is strictly best-effort and semantics-preserving: any reference it
+//! cannot resolve statically is left as a raw [`Expr::Column`] so
+//! execution raises the same error at the same point an unbound statement
+//! would.
 //!
 //! What the binder does per SELECT core, mirroring the executor:
 //!
@@ -15,21 +16,21 @@
 //! 2. freezes output labels (`AS` aliases are materialised, `*` and
 //!    `alias.*` are pre-expanded when the layout is known),
 //! 3. performs the GROUP BY / HAVING projection-alias substitution that
-//!    the executor would otherwise re-do on every execution,
+//!    the tail would otherwise re-do on every execution,
 //! 4. rewrites resolvable columns into [`Expr::BoundColumn`] (local slot)
 //!    or [`Expr::OuterColumn`] (correlated environment slot),
 //! 5. folds literal-only subtrees through [`eval_const`].
 //!
 //! Anything that would change observable behaviour is deliberately left
-//! alone: JOIN ON expressions (so the hash-join detection and row-visit
-//! accounting stay identical), ORDER BY terms that the executor treats as
-//! positions or output labels, and the separator argument of
-//! `group_concat` (evaluated without row context at run time).
+//! alone: JOIN ON expressions (the planner reads their column names to
+//! pick join keys), ORDER BY terms that the tail treats as positions or
+//! output labels, and the separator argument of `group_concat` (evaluated
+//! without row context at run time).
 
 use crate::ast::*;
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{self, eval_const, ExecStats};
+use crate::exec::{self, eval_const, ColBinding, ExecStats};
 use crate::functions::is_aggregate_name;
 use crate::plan::PhysicalPlan;
 use crate::schema::DbSchema;
@@ -89,13 +90,12 @@ pub fn plan_fingerprint(db: &Database) -> u64 {
 // ---------------- prepared statements ----------------
 
 /// A SELECT statement that went through the binding pass, carrying the
-/// physical plan the cost-based planner lowered it to (when it could).
+/// physical plan of each of its cores (one, plus one per compound arm).
 #[derive(Debug, Clone)]
 pub struct Prepared {
     stmt: SelectStmt,
     fingerprint: u64,
-    physical: Option<Arc<PhysicalPlan>>,
-    why_legacy: Option<&'static str>,
+    plans: Vec<PhysicalPlan>,
 }
 
 impl Prepared {
@@ -110,20 +110,9 @@ impl Prepared {
         self.fingerprint
     }
 
-    /// The lowered physical plan, when the statement was plannable.
-    pub(crate) fn physical(&self) -> Option<&PhysicalPlan> {
-        self.physical.as_deref()
-    }
-
-    /// Why the statement runs on the legacy interpreter (when it does).
-    pub(crate) fn why_legacy(&self) -> Option<&'static str> {
-        self.why_legacy
-    }
-
-    /// Does this statement have a physical plan (as opposed to running
-    /// on the legacy interpreter)?
-    pub fn is_planned(&self) -> bool {
-        self.physical.is_some()
+    /// The plans of the statement's cores, in statement order.
+    pub(crate) fn plans(&self) -> &[PhysicalPlan] {
+        &self.plans
     }
 
     /// Execute against `db`, which must have the schema the plan was
@@ -132,47 +121,24 @@ impl Prepared {
         self.execute_with_stats(db).map(|(rs, _)| rs)
     }
 
-    /// Execute against `db` on the legacy interpreter, also reporting
-    /// execution statistics. This path is pinned stat-for-stat against
-    /// raw execution by the prepared-differential suite; the plan cache
-    /// routes through the physical plan instead.
+    /// Execute against `db`, also reporting execution statistics.
     pub fn execute_with_stats(&self, db: &Database) -> SqlResult<(ResultSet, ExecStats)> {
-        if plan_fingerprint(db) != self.fingerprint {
-            return Err(SqlError::Other(
-                "prepared statement executed against a different schema".into(),
-            ));
-        }
-        exec::execute_prepared_with_stats(db, &self.stmt)
+        let (result, stats, _) = self.run(db, plan_fingerprint(db));
+        result.map(|rs| (rs, stats))
     }
 
-    /// Execute through the physical plan when one exists (falling back
-    /// to the legacy interpreter when it does not, or when an index the
-    /// plan needs is unusable at execution time). Returns the number of
-    /// index-driven operators that ran, for the planner counters.
-    fn execute_planned(&self, db: &Database) -> SqlResult<(ResultSet, ExecStats, PlannedPath)> {
-        if plan_fingerprint(db) != self.fingerprint {
-            return Err(SqlError::Other(
-                "prepared statement executed against a different schema".into(),
-            ));
-        }
-        if let Some(plan) = &self.physical {
-            if let Some((rs, stats, ops)) = crate::pipelined::execute(db, plan, &self.stmt)? {
-                let ix_ops = ops.iter().map(|o| u64::from(o.seeks > 0)).sum();
-                return Ok((rs, stats, PlannedPath::Physical { ix_ops }));
-            }
-        }
-        let (rs, stats) = exec::execute_prepared_with_stats(db, &self.stmt)?;
-        Ok((rs, stats, PlannedPath::Legacy))
+    /// Run the held plans against `db`, whose [`plan_fingerprint`] the
+    /// caller computed. The statistics and the number of index-driven
+    /// operators that ran are reported even when execution fails.
+    pub(crate) fn run(&self, db: &Database, fingerprint: u64) -> (SqlResult<ResultSet>, ExecStats, u64) {
+        let mut ctx = exec::Ctx::new(db, true);
+        let result = if fingerprint == self.fingerprint {
+            exec::exec_select_inner(&mut ctx, &self.stmt, Some(&self.plans))
+        } else {
+            Err(SqlError::Other("prepared statement executed against a different schema".into()))
+        };
+        (result, ExecStats { rows_scanned: ctx.rows_scanned }, ctx.ix_ops)
     }
-}
-
-/// Which executor actually ran a plan-cache execution.
-enum PlannedPath {
-    /// The pipelined executor ran the physical plan; `ix_ops` operators
-    /// were index-driven.
-    Physical { ix_ops: u64 },
-    /// The legacy interpreter ran (no plan, or an unusable index).
-    Legacy,
 }
 
 /// Parse and bind a SELECT statement against `db`'s schema.
@@ -182,50 +148,27 @@ pub fn prepare(db: &Database, sql: &str) -> SqlResult<Prepared> {
 }
 
 /// Bind an already-parsed SELECT statement against `db`'s schema, then
-/// lower it to a physical plan when the pipelined executor can reproduce
-/// it byte for byte.
+/// lower each core to its physical plan. Only a single-core statement is
+/// allowed predicate pushdown and index operators; compound arms, like
+/// sub-selects, take the naive plan.
 pub fn prepare_stmt(db: &Database, mut stmt: SelectStmt) -> Prepared {
     let binder = Binder { schema: &db.schema };
     binder.bind_statement(&mut stmt, &[]);
-    let (physical, why_legacy) = match crate::plan::lower(db, &stmt) {
-        Ok(plan) => (Some(Arc::new(plan)), None),
-        Err(reason) => (None, Some(reason)),
-    };
-    Prepared { stmt, fingerprint: plan_fingerprint(db), physical, why_legacy }
+    let pushdown = stmt.compounds.is_empty();
+    let plans = std::iter::once(&stmt.core)
+        .chain(stmt.compounds.iter().map(|(_, core)| core))
+        .map(|core| crate::plan::lower(db, core, pushdown))
+        .collect();
+    Prepared { stmt, fingerprint: plan_fingerprint(db), plans }
 }
 
 // ---------------- the binding pass ----------------
 
-/// One column of a statically resolved row layout, mirroring the
-/// executor's runtime `ColBinding`.
-#[derive(Debug, Clone)]
-struct BoundCol {
-    binding: String,
-    column: String,
-}
-
-/// Replicates `exec::resolve` statically: qualified references take the
-/// first `(binding, column)` match, unqualified references must match a
-/// unique column. `None` covers both "not found" and "ambiguous" — in
-/// either case the reference is left raw so the runtime resolver produces
-/// the identical error (or falls through to an outer environment).
-fn static_resolve(layout: &[BoundCol], table: Option<&str>, column: &str) -> Option<usize> {
-    match table {
-        Some(t) => layout.iter().position(|b| {
-            b.binding.eq_ignore_ascii_case(t) && b.column.eq_ignore_ascii_case(column)
-        }),
-        None => {
-            let mut hits = layout
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.column.eq_ignore_ascii_case(column));
-            let first = hits.next();
-            match (first, hits.next()) {
-                (Some((i, _)), None) => Some(i),
-                _ => None,
-            }
-        }
-    }
+/// `exec::resolve`, statically: `None` covers both "not found" and
+/// "ambiguous" — in either case the reference is left raw so the runtime
+/// resolver produces the error (or falls through to an outer environment).
+fn static_resolve(layout: &[ColBinding], table: Option<&str>, column: &str) -> Option<usize> {
+    exec::resolve(layout, table, column).ok()
 }
 
 /// Fold a fully-constant expression into a literal. Failures are left
@@ -240,12 +183,12 @@ fn try_fold(e: &mut Expr) {
 }
 
 struct Env<'a> {
-    layout: &'a [BoundCol],
-    chain: &'a [Vec<BoundCol>],
+    layout: &'a [ColBinding],
+    chain: &'a [Vec<ColBinding>],
 }
 
 struct CoreInfo {
-    layout: Option<Vec<BoundCol>>,
+    layout: Option<Vec<ColBinding>>,
     labels: Option<Vec<String>>,
 }
 
@@ -257,7 +200,7 @@ impl Binder<'_> {
     /// Bind a statement whose enclosing (correlated) environments have the
     /// layouts in `chain`, innermost last. Returns the statement's output
     /// labels when they are statically known.
-    fn bind_statement(&self, stmt: &mut SelectStmt, chain: &[Vec<BoundCol>]) -> Option<Vec<String>> {
+    fn bind_statement(&self, stmt: &mut SelectStmt, chain: &[Vec<ColBinding>]) -> Option<Vec<String>> {
         let compound = !stmt.compounds.is_empty();
         let first = self.bind_core(&mut stmt.core, chain);
         for (_, core) in &mut stmt.compounds {
@@ -276,7 +219,7 @@ impl Binder<'_> {
         }
         // LIMIT/OFFSET evaluate with an empty local layout; correlated
         // references still see the ambient chain.
-        let empty: Vec<BoundCol> = Vec::new();
+        let empty: Vec<ColBinding> = Vec::new();
         let env = Env { layout: &empty, chain };
         if let Some(l) = &mut stmt.limit {
             self.bind_and_fold(l, &env);
@@ -287,82 +230,33 @@ impl Binder<'_> {
         first.labels
     }
 
-    fn bind_core(&self, core: &mut SelectCore, chain: &[Vec<BoundCol>]) -> CoreInfo {
+    fn bind_core(&self, core: &mut SelectCore, chain: &[Vec<ColBinding>]) -> CoreInfo {
         let layout = match &mut core.from {
             Some(from) => self.layout_of_from(from, chain),
             None => Some(Vec::new()),
         };
         let Some(layout) = layout else {
-            // Some FROM reference is unresolvable: execution fails inside
-            // build_from before any of this core's expressions run, so
-            // leave them raw for identical errors.
+            // Some FROM reference is unresolvable: execution fails while
+            // opening the stages, before any of this core's expressions
+            // run, so leave them raw.
             return CoreInfo { layout: None, labels: None };
         };
-        // Freeze output labels before binding mutates the expressions the
-        // default label would be printed from.
-        for item in &mut core.items {
-            if let SelectItem::Expr { expr, alias } = item {
-                if alias.is_none() {
-                    *alias = Some(exec::default_label(expr));
+        // The raw (expr, label) pairs exactly as the tail's expand_items
+        // yields them: wildcards become one qualified reference per layout
+        // slot, and default labels are frozen before binding mutates the
+        // expressions they would be printed from.
+        let env = Env { layout: &layout, chain };
+        let snapshot: Vec<(Expr, String)> = match exec::expand_items(&core.items, &layout) {
+            Ok(items) => items.into_iter().map(|(e, label)| (e.into_owned(), label)).collect(),
+            Err(_) => {
+                // the same failure ends every execution right after the
+                // WHERE filter; only WHERE (and its subqueries) evaluates
+                if let Some(w) = &mut core.where_clause {
+                    self.bind_and_fold(w, &env);
                 }
+                return CoreInfo { layout: Some(layout), labels: None };
             }
-        }
-        let expandable = core.items.iter().all(|item| match item {
-            SelectItem::Wildcard => !layout.is_empty(),
-            SelectItem::TableWildcard(t) => {
-                layout.iter().any(|b| b.binding.eq_ignore_ascii_case(t))
-            }
-            SelectItem::Expr { .. } => true,
-        });
-        if !expandable {
-            // expand_items fails at run time right after the WHERE filter;
-            // only the WHERE clause (and its subqueries) ever evaluates.
-            let env = Env { layout: &layout, chain };
-            if let Some(w) = &mut core.where_clause {
-                self.bind_and_fold(w, &env);
-            }
-            return CoreInfo { layout: Some(layout), labels: None };
-        }
-        // Pre-expand wildcards exactly as exec::expand_items does: each
-        // layout slot becomes a qualified reference labelled by its column
-        // name, which the binding below resolves to its first-match index.
-        let mut items = Vec::with_capacity(core.items.len());
-        for item in core.items.drain(..) {
-            match item {
-                SelectItem::Wildcard => {
-                    for b in &layout {
-                        items.push(SelectItem::Expr {
-                            expr: Expr::qcol(b.binding.clone(), b.column.clone()),
-                            alias: Some(b.column.clone()),
-                        });
-                    }
-                }
-                SelectItem::TableWildcard(t) => {
-                    for b in &layout {
-                        if b.binding.eq_ignore_ascii_case(&t) {
-                            items.push(SelectItem::Expr {
-                                expr: Expr::qcol(b.binding.clone(), b.column.clone()),
-                                alias: Some(b.column.clone()),
-                            });
-                        }
-                    }
-                }
-                other => items.push(other),
-            }
-        }
-        core.items = items;
-        // Snapshot the raw (expr, label) pairs — exactly what the executor's
-        // expand_items would yield — for the alias substitution below.
-        let snapshot: Vec<(Expr, String)> = core
-            .items
-            .iter()
-            .map(|item| match item {
-                SelectItem::Expr { expr, alias } => {
-                    (expr.clone(), alias.clone().unwrap_or_default())
-                }
-                _ => unreachable!("wildcards were just expanded"),
-            })
-            .collect();
+        };
         let labels: Vec<String> = snapshot.iter().map(|(_, l)| l.clone()).collect();
         // GROUP BY / HAVING projection-alias substitution, normally redone
         // by project_grouped on every execution. The executor skips its
@@ -371,7 +265,10 @@ impl Binder<'_> {
         core.group_by =
             core.group_by.iter().map(|g| exec::substitute_aliases(g, &snapshot)).collect();
         core.having = core.having.as_ref().map(|h| exec::substitute_aliases(h, &snapshot));
-        let env = Env { layout: &layout, chain };
+        core.items = snapshot
+            .into_iter()
+            .map(|(expr, label)| SelectItem::Expr { expr, alias: Some(label) })
+            .collect();
         if let Some(w) = &mut core.where_clause {
             self.bind_and_fold(w, &env);
         }
@@ -394,7 +291,7 @@ impl Binder<'_> {
     /// nested in ON predicates (which see the join prefix as their
     /// innermost environment). The ON expressions themselves stay raw so
     /// equi-join detection and row-visit accounting are untouched.
-    fn layout_of_from(&self, from: &mut FromClause, chain: &[Vec<BoundCol>]) -> Option<Vec<BoundCol>> {
+    fn layout_of_from(&self, from: &mut FromClause, chain: &[Vec<ColBinding>]) -> Option<Vec<ColBinding>> {
         let mut layout = self.table_layout(&mut from.base, chain);
         for join in &mut from.joins {
             let right = self.table_layout(&mut join.table, chain);
@@ -427,7 +324,7 @@ impl Binder<'_> {
         layout
     }
 
-    fn table_layout(&self, tref: &mut TableRef, chain: &[Vec<BoundCol>]) -> Option<Vec<BoundCol>> {
+    fn table_layout(&self, tref: &mut TableRef, chain: &[Vec<ColBinding>]) -> Option<Vec<ColBinding>> {
         match tref {
             TableRef::Named { name, alias, .. } => {
                 let info = self.schema.table(name)?;
@@ -435,7 +332,7 @@ impl Binder<'_> {
                 Some(
                     info.columns
                         .iter()
-                        .map(|c| BoundCol { binding: binding.clone(), column: c.name.clone() })
+                        .map(|c| ColBinding { binding: binding.clone(), column: c.name.clone() })
                         .collect(),
                 )
             }
@@ -444,7 +341,7 @@ impl Binder<'_> {
                 Some(
                     labels
                         .into_iter()
-                        .map(|column| BoundCol { binding: alias.clone(), column })
+                        .map(|column| ColBinding { binding: alias.clone(), column })
                         .collect(),
                 )
             }
@@ -463,6 +360,14 @@ impl Binder<'_> {
                 self.bind_expr(e, env);
             }
         }
+    }
+
+    /// Bind a sub-select met inside an expression: the enclosing core's
+    /// layout becomes its innermost outer environment.
+    fn bind_nested(&self, query: &mut SelectStmt, env: &Env) {
+        let mut chain = env.chain.to_vec();
+        chain.push(env.layout.to_vec());
+        self.bind_statement(query, &chain);
     }
 
     fn bind_and_fold(&self, e: &mut Expr, env: &Env) {
@@ -554,25 +459,15 @@ impl Binder<'_> {
             Expr::Function { args, .. } => {
                 self.bind_composite(args.iter_mut().collect(), env)
             }
-            Expr::Subquery(q) => {
-                let mut chain2 = env.chain.to_vec();
-                chain2.push(env.layout.to_vec());
-                self.bind_statement(q, &chain2);
-                false
-            }
             Expr::InSubquery { expr, query, .. } => {
                 if self.bind_expr(expr, env) {
                     try_fold(expr);
                 }
-                let mut chain2 = env.chain.to_vec();
-                chain2.push(env.layout.to_vec());
-                self.bind_statement(query, &chain2);
+                self.bind_nested(query, env);
                 false
             }
-            Expr::Exists { query, .. } => {
-                let mut chain2 = env.chain.to_vec();
-                chain2.push(env.layout.to_vec());
-                self.bind_statement(query, &chain2);
+            Expr::Subquery(query) | Expr::Exists { query, .. } => {
+                self.bind_nested(query, env);
                 false
             }
         }
@@ -592,12 +487,12 @@ pub struct PlanCacheStats {
     pub prepare_us: u64,
     /// Cumulative time spent executing prepared plans, in microseconds.
     pub execute_us: u64,
-    /// Executions that ran a physical plan with at least one
-    /// index-driven operator (IxScan or IxJoin).
+    /// Index-driven operators (IxScan or IxJoin) that ran, summed over
+    /// executions, failed ones included.
     pub ix_scans: u64,
-    /// Executions that fell back to a full scan: either the legacy
-    /// interpreter (unplannable statement or unusable index) or a
-    /// physical plan with no index-driven operator.
+    /// Executions, failed ones included, in which no index-driven
+    /// operator ran: every access was a scan, every join a hash or a
+    /// nested loop.
     pub fallback_scans: u64,
     /// Cumulative `rows_scanned` across plan-cache executions.
     pub rows_scanned: u64,
@@ -616,6 +511,19 @@ struct CacheInner {
     map: HashMap<u64, Vec<Entry>>,
     len: usize,
     tick: u64,
+}
+
+impl CacheInner {
+    /// Advance the clock; if `(fingerprint, sql)` is cached, mark it used
+    /// now and return its plan.
+    fn touch(&mut self, key: u64, fingerprint: u64, sql: &str) -> Option<Arc<Prepared>> {
+        self.tick += 1;
+        let tick = self.tick;
+        let bucket = self.map.get_mut(&key)?;
+        let entry = bucket.iter_mut().find(|e| e.fingerprint == fingerprint && e.sql == sql)?;
+        entry.tick = tick;
+        Some(Arc::clone(&entry.plan))
+    }
 }
 
 /// An LRU cache of [`Prepared`] plans keyed by (schema fingerprint, SQL),
@@ -657,7 +565,7 @@ impl PlanCache {
     /// Fetch (or parse + bind and insert) the plan for `sql` against `db`.
     /// Parse errors are returned without being cached and count as misses.
     pub fn prepared(&self, db: &Database, sql: &str) -> SqlResult<Arc<Prepared>> {
-        let (plan, hit, prepare_us) = self.prepared_inner(db, sql);
+        let (plan, hit, prepare_us) = self.prepared_inner(db, plan_fingerprint(db), sql);
         // volatile: hit/miss depends on process-wide cache warmth, not on
         // the query being traced
         if osql_trace::active::is_active() {
@@ -676,25 +584,18 @@ impl PlanCache {
 
     /// The cache lookup itself, with no trace event: returns the plan (or
     /// error), whether it was a hit, and the prepare cost in µs on a miss.
-    fn prepared_inner(&self, db: &Database, sql: &str) -> (SqlResult<Arc<Prepared>>, bool, u64) {
-        let fingerprint = plan_fingerprint(db);
+    /// `fingerprint` is `db`'s [`plan_fingerprint`].
+    fn prepared_inner(
+        &self,
+        db: &Database,
+        fingerprint: u64,
+        sql: &str,
+    ) -> (SqlResult<Arc<Prepared>>, bool, u64) {
         let key = Self::key(fingerprint, sql);
-        {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(bucket) = inner.map.get_mut(&key) {
-                if let Some(entry) = bucket
-                    .iter_mut()
-                    .find(|e| e.fingerprint == fingerprint && e.sql == sql)
-                {
-                    entry.tick = tick;
-                    let plan = Arc::clone(&entry.plan);
-                    drop(inner);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (Ok(plan), true, 0);
-                }
-            }
+        let cached = self.inner.lock().touch(key, fingerprint, sql);
+        if let Some(plan) = cached {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (Ok(plan), true, 0);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
@@ -706,18 +607,12 @@ impl PlanCache {
             Err(e) => return (Err(e), false, prepare_us),
         };
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         // Another thread may have raced us to the same statement; reuse
         // its entry instead of growing the cache.
-        if let Some(entry) = inner
-            .map
-            .get_mut(&key)
-            .and_then(|b| b.iter_mut().find(|e| e.fingerprint == fingerprint && e.sql == sql))
-        {
-            entry.tick = tick;
-            return (Ok(Arc::clone(&entry.plan)), false, prepare_us);
+        if let Some(raced) = inner.touch(key, fingerprint, sql) {
+            return (Ok(raced), false, prepare_us);
         }
+        let tick = inner.tick;
         while inner.len >= self.capacity {
             evict_oldest(&mut inner);
         }
@@ -731,22 +626,19 @@ impl PlanCache {
     }
 
     /// Prepare (through the cache) and execute in one call, timing the
-    /// execute phase separately from the prepare phase. Execution is
-    /// *plan-aware*: statements with a physical plan run on the
-    /// pipelined executor, everything else on the legacy interpreter.
+    /// execute phase separately from the prepare phase.
     pub fn execute(&self, db: &Database, sql: &str) -> SqlResult<(ResultSet, ExecStats)> {
-        let (plan, hit, prepare_us) = self.prepared_inner(db, sql);
+        let fingerprint = plan_fingerprint(db);
+        let (plan, hit, prepare_us) = self.prepared_inner(db, fingerprint, sql);
         let plan = plan?;
         let t0 = Instant::now();
-        let result = plan.execute_planned(db).map(|(rs, stats, path)| {
-            match path {
-                PlannedPath::Physical { ix_ops } if ix_ops > 0 => {
-                    self.ix_scans.fetch_add(ix_ops, Ordering::Relaxed);
-                }
-                _ => {
-                    self.fallback_scans.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        let (result, stats, ix_ops) = plan.run(db, fingerprint);
+        if ix_ops > 0 {
+            self.ix_scans.fetch_add(ix_ops, Ordering::Relaxed);
+        } else {
+            self.fallback_scans.fetch_add(1, Ordering::Relaxed);
+        }
+        let result = result.map(|rs| {
             self.rows_scanned.fetch_add(stats.rows_scanned, Ordering::Relaxed);
             (rs, stats)
         });
@@ -760,25 +652,14 @@ impl PlanCache {
         // string. Measured by the `engine_trace` bench group.
         if osql_trace::active::is_active() {
             if let Ok((_, stats)) = &result {
+                let execute = ("execute_ms", execute_us as f64 / 1e3);
+                let rows = ("rows_scanned", stats.rows_scanned as f64);
                 if hit {
-                    osql_trace::active::event_volatile(
-                        "exec",
-                        &[],
-                        &[
-                            ("execute_ms", execute_us as f64 / 1e3),
-                            ("rows_scanned", stats.rows_scanned as f64),
-                        ],
-                    );
+                    osql_trace::active::event_volatile("exec", &[], &[execute, rows]);
                 } else {
-                    osql_trace::active::event_volatile(
-                        "exec",
-                        &[("plan", "miss")],
-                        &[
-                            ("execute_ms", execute_us as f64 / 1e3),
-                            ("prepare_ms", prepare_us as f64 / 1e3),
-                            ("rows_scanned", stats.rows_scanned as f64),
-                        ],
-                    );
+                    let prepare = ("prepare_ms", prepare_us as f64 / 1e3);
+                    let miss = [("plan", "miss")];
+                    osql_trace::active::event_volatile("exec", &miss, &[execute, prepare, rows]);
                 }
             }
         }
@@ -817,20 +698,12 @@ impl PlanCache {
 }
 
 fn evict_oldest(inner: &mut CacheInner) {
-    let mut victim: Option<(u64, u64)> = None; // (bucket key, tick)
-    for (key, bucket) in &inner.map {
-        for e in bucket {
-            if victim.map(|(_, t)| e.tick < t).unwrap_or(true) {
-                victim = Some((*key, e.tick));
-            }
-        }
-    }
-    if let Some((key, tick)) = victim {
+    // ticks are unique, so the minimum names exactly one entry
+    let victim = inner.map.iter().flat_map(|(key, b)| b.iter().map(move |e| (e.tick, *key))).min();
+    if let Some((tick, key)) = victim {
         if let Some(bucket) = inner.map.get_mut(&key) {
-            if let Some(pos) = bucket.iter().position(|e| e.tick == tick) {
-                bucket.remove(pos);
-                inner.len -= 1;
-            }
+            bucket.retain(|e| e.tick != tick);
+            inner.len -= 1;
             if bucket.is_empty() {
                 inner.map.remove(&key);
             }
@@ -866,21 +739,23 @@ mod tests {
         db
     }
 
-    /// Raw and prepared execution must agree on results, errors, and the
-    /// rows_scanned cost proxy.
+    /// The unbound reference and prepared execution must agree on results
+    /// and errors; raw and prepared execution also on the rows_scanned
+    /// cost proxy.
     fn assert_identical(db: &Database, sql: &str) {
-        let raw = parse_select(sql)
-            .and_then(|stmt| execute_select_with_stats(db, &stmt));
+        let stmt = parse_select(sql);
+        let raw = stmt.clone().and_then(|stmt| execute_select_with_stats(db, &stmt));
         let prepared = prepare(db, sql).and_then(|p| p.execute_with_stats(db));
-        match (raw, prepared) {
-            (Ok((rs_r, st_r)), Ok((rs_p, st_p))) => {
+        assert_eq!(raw, prepared, "raw and prepared differ for {sql:?}");
+        let reference = stmt.and_then(|stmt| crate::reference::execute(db, &stmt));
+        match (reference, prepared) {
+            (Ok(rs_r), Ok((rs_p, _))) => {
                 assert_eq!(rs_r, rs_p, "result mismatch for {sql:?}");
-                assert_eq!(st_r, st_p, "stats mismatch for {sql:?}");
             }
             (Err(er), Err(ep)) => {
                 assert_eq!(er.to_string(), ep.to_string(), "error mismatch for {sql:?}");
             }
-            (r, p) => panic!("outcome mismatch for {sql:?}: raw={r:?} prepared={p:?}"),
+            (r, p) => panic!("outcome mismatch for {sql:?}: reference={r:?} prepared={p:?}"),
         }
     }
 
@@ -1038,6 +913,26 @@ mod tests {
         assert!(cache.execute(&db, "SELEC nope").is_err());
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn failed_executions_are_counted_by_the_operators_that_ran() {
+        let mut db = clinic();
+        db.ensure_default_indexes();
+        let cache = PlanCache::new(8);
+        // fails in the projection, after a full scan
+        assert!(cache.execute(&db, "SELECT Nope FROM Patient WHERE City = 'Oslo'").is_err());
+        assert_eq!((cache.stats().ix_scans, cache.stats().fallback_scans), (0, 1));
+        // fails in the projection, after an index scan
+        assert!(cache.execute(&db, "SELECT Nope FROM Patient WHERE ID = 2").is_err());
+        assert_eq!((cache.stats().ix_scans, cache.stats().fallback_scans), (1, 1));
+        // fails before any operator opens
+        assert!(cache.execute(&db, "SELECT 1 FROM Ghost").is_err());
+        assert_eq!((cache.stats().ix_scans, cache.stats().fallback_scans), (1, 2));
+        cache.execute(&db, "SELECT Name FROM Patient WHERE ID = 2").unwrap();
+        assert_eq!((cache.stats().ix_scans, cache.stats().fallback_scans), (2, 2));
+        // only successful executions report a cost
+        assert_eq!(cache.stats().rows_scanned, 2);
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! Differential suite for the cost-based physical planner and pipelined
-//! executor.
+//! Planner suite: what the plan cache serves must not depend on how the
+//! plan was obtained or where the database lives.
 //!
-//! The plan cache routes hot statements through the physical plan
-//! (index scans, index joins, streaming residual filters); its contract
-//! is *byte-identical rows* to the legacy materialising interpreter for
-//! every statement the corpus can produce — execution statistics may
-//! legitimately differ between executors, result bytes may not. The
-//! suite also pins that demand-paged serving with persisted index
-//! sections is indistinguishable from in-memory serving, and that
-//! changing a database's index set invalidates its cached plans.
+//! Until the legacy FROM/WHERE interpreter was deleted this file compared
+//! it, statement by statement, with the cost-based plans the plan cache
+//! runs. That oracle is now frozen in `tests/golden/engine_corpus.tsv`
+//! (recorded on the last commit that had the interpreter; see
+//! `tests/engine_golden.rs`), and the first two tests replay their share
+//! of it through `PlanCache::execute`: byte-identical rows or error text,
+//! and an unchanged `rows_scanned` for every statement that was already
+//! pipelined. The suite also pins that demand-paged serving with
+//! persisted index sections is indistinguishable from in-memory serving,
+//! and that changing a database's index set invalidates its cached plans.
 
-use datagen::{build::build_db, domain::themes, generator::sample_spec, Difficulty, RowScale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sqlkit::{parse_select, plan_fingerprint, print_select, PlanCache};
+mod golden;
+
+use golden::{Corpus, Worlds};
+use sqlkit::{plan_fingerprint, PlanCache};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -24,71 +26,50 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Execute `sql` on the legacy interpreter and through the plan cache's
-/// planned path, asserting identical rows (or identical errors).
-/// Returns whether the statement lowered to a physical plan.
-fn assert_legacy_matches_planned(cache: &PlanCache, db: &sqlkit::Database, sql: &str) -> bool {
-    let legacy = parse_select(sql).map(|stmt| sqlkit::execute_select(db, &stmt));
-    let planned = cache.execute(db, sql);
-    match (legacy, planned) {
-        (Ok(Ok(rs_legacy)), Ok((rs_planned, _))) => {
-            assert_eq!(rs_legacy, rs_planned, "rows differ for {sql}");
+/// Run every statement through one plan cache, cold then warm, against
+/// the recorded legacy execution. Returns how many ran an index-driven
+/// operator.
+fn assert_planned_matches_legacy(worlds: &Worlds, statements: &[(String, String)]) -> usize {
+    let corpus = Corpus::load();
+    let cache = PlanCache::new(512);
+    let mut index_driven = 0;
+    for (db_key, sql) in statements {
+        let db = worlds.db(db_key);
+        let before = cache.stats().ix_scans;
+        for _ in 0..2 {
+            let (outcome, cost) = golden::split(cache.execute(db, sql));
+            corpus.assert_matches(db_key, sql, &outcome, cost);
         }
-        (Ok(Err(e_legacy)), Err(e_planned)) => {
-            assert_eq!(e_legacy.to_string(), e_planned.to_string(), "errors differ for {sql}");
-        }
-        (Err(e_legacy), Err(e_planned)) => {
-            assert_eq!(
-                e_legacy.to_string(),
-                e_planned.to_string(),
-                "parse errors differ for {sql}"
-            );
-        }
-        (legacy, planned) => {
-            panic!("outcome class differs for {sql}: legacy={legacy:?} planned={planned:?}")
-        }
+        index_driven += usize::from(cache.stats().ix_scans > before);
     }
-    cache.prepared(db, sql).map(|p| p.is_planned()).unwrap_or(false)
+    index_driven
 }
 
 /// Every gold SQL in the generated corpus (train and dev, every database,
-/// default indexes declared) returns byte-identical rows planned and
-/// legacy — and a healthy share of the corpus actually lowers.
+/// default indexes declared) returns through the plan cache what the
+/// legacy interpreter returned — and a healthy share of the corpus
+/// actually runs on an index.
 #[test]
 fn corpus_gold_sql_matches_legacy_execution() {
-    let bench = datagen::generate(&datagen::Profile::tiny());
-    let cache = PlanCache::new(512);
-    let (mut checked, mut planned) = (0usize, 0usize);
-    for ex in bench.train.iter().chain(bench.dev.iter()) {
-        let db = bench.db(&ex.db_id).expect("gold examples reference known dbs");
-        planned += usize::from(assert_legacy_matches_planned(&cache, &db.database, &ex.gold_sql));
-        checked += 1;
-    }
-    assert!(checked >= 50, "corpus covered: {checked}");
+    let worlds = Worlds::build();
+    let statements = worlds.gold_statements();
+    let index_driven = assert_planned_matches_legacy(&worlds, &statements);
+    assert!(statements.len() >= 50, "corpus covered: {}", statements.len());
     assert!(
-        planned * 4 >= checked,
-        "planner engagement collapsed: {planned} of {checked} statements lowered"
+        index_driven * 10 >= statements.len(),
+        "planner engagement collapsed: {index_driven} of {} statements used an index",
+        statements.len()
     );
 }
 
 /// Broader SQL surface: sampled query specs across themes and every
-/// difficulty tier, same differential.
+/// difficulty tier, same replay.
 #[test]
 fn sampled_specs_match_legacy_execution() {
-    let lib = themes();
-    let cache = PlanCache::new(512);
-    for (theme_idx, seed) in [(0usize, 11u64), (3, 22), (7, 33), (12, 44), (19, 55)] {
-        let db = build_db(&lib[theme_idx % lib.len()], "diff", "diff", RowScale::tiny(), 0.5, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for difficulty in Difficulty::all() {
-            for _ in 0..6 {
-                if let Some(spec) = sample_spec(&db, difficulty, &mut rng) {
-                    let sql = print_select(&spec.to_sql(&db.database.schema));
-                    assert_legacy_matches_planned(&cache, &db.database, &sql);
-                }
-            }
-        }
-    }
+    let worlds = Worlds::build();
+    let statements = worlds.sampled_statements();
+    assert!(statements.len() >= 80, "specs sampled: {}", statements.len());
+    assert_planned_matches_legacy(&worlds, &statements);
 }
 
 /// A database round-tripped through a store file (index sections

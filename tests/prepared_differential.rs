@@ -1,37 +1,38 @@
-//! Differential tests for the prepared-execution fast path.
+//! Tests for the prepared-execution fast path.
 //!
-//! The contract of `prepare` + the plan cache is *zero observable
-//! difference*: for every statement the corpus can produce, the bound,
-//! constant-folded plan must return byte-identical rows **and** identical
-//! execution statistics (rows_scanned feeds the vote tie-break and R-VES,
-//! so a drifting counter would silently change answers). Likewise,
-//! refining candidates on N threads must leave every deterministic report
-//! field of a pipeline run unchanged.
+//! The contract of `prepare` is *zero observable difference*: for every
+//! statement the corpus can produce, the bound, constant-folded plan must
+//! return the rows and error text the unbound legacy interpreter returned
+//! — frozen in `tests/golden/engine_corpus.tsv` when that interpreter was
+//! deleted (see `tests/engine_golden.rs`) — and raw execution, which now
+//! binds and lowers on every call, must agree with a held `Prepared` on
+//! the execution statistics too (rows_scanned feeds the vote tie-break
+//! and R-VES, so a drifting counter would silently change answers).
+//! Likewise, refining candidates on N threads must leave every
+//! deterministic report field of a pipeline run unchanged.
 
-use datagen::{build::build_db, domain::themes, generator::sample_spec, Difficulty, RowScale};
+mod golden;
+
+use golden::{Corpus, Worlds};
 use opensearch_sql::{Pipeline, PipelineConfig, Preprocessed};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sqlkit::{execute_select_with_stats, parse_select, print_select};
+use sqlkit::{execute_select_with_stats, parse_select};
 use std::sync::Arc;
 
-/// Execute `sql` raw (parse + name-resolving executor) and prepared
-/// (parse + bind + fold once), asserting identical outcomes.
-fn assert_raw_matches_prepared(db: &sqlkit::Database, sql: &str) {
-    let raw = parse_select(sql).map(|stmt| execute_select_with_stats(db, &stmt));
-    let prepared = sqlkit::prepare(db, sql).map(|plan| plan.execute_with_stats(db));
-    match (raw, prepared) {
-        (Ok(Ok((rs_raw, st_raw))), Ok(Ok((rs_pre, st_pre)))) => {
-            assert_eq!(rs_raw, rs_pre, "rows differ for {sql}");
-            assert_eq!(st_raw, st_pre, "exec stats differ for {sql}");
+/// Execute every statement raw (parse, then bind + lower + run per call)
+/// and prepared once and run twice, asserting all three agree with each
+/// other, stats included, and with the recorded legacy execution.
+fn assert_raw_matches_prepared(worlds: &Worlds, statements: &[(String, String)]) {
+    let corpus = Corpus::load();
+    for (db_key, sql) in statements {
+        let db = worlds.db(db_key);
+        let raw = parse_select(sql).and_then(|stmt| execute_select_with_stats(db, &stmt));
+        let prepared = sqlkit::prepare(db, sql);
+        for _ in 0..2 {
+            let again = prepared.clone().and_then(|plan| plan.execute_with_stats(db));
+            assert_eq!(raw, again, "{db_key}: raw and prepared execution differ for {sql}");
         }
-        (Ok(Err(e_raw)), Ok(Err(e_pre))) => {
-            assert_eq!(e_raw.to_string(), e_pre.to_string(), "errors differ for {sql}");
-        }
-        (Err(e_raw), Err(e_pre)) => {
-            assert_eq!(e_raw.to_string(), e_pre.to_string(), "parse errors differ for {sql}");
-        }
-        (raw, prepared) => panic!("outcome class differs for {sql}: raw={raw:?} prepared={prepared:?}"),
+        let (outcome, cost) = golden::split(raw);
+        corpus.assert_matches(db_key, sql, &outcome, cost);
     }
 }
 
@@ -39,33 +40,20 @@ fn assert_raw_matches_prepared(db: &sqlkit::Database, sql: &str) {
 /// runs identically raw and prepared.
 #[test]
 fn corpus_gold_sql_matches_raw_execution() {
-    let bench = datagen::generate(&datagen::Profile::tiny());
-    let mut checked = 0usize;
-    for ex in bench.train.iter().chain(bench.dev.iter()) {
-        let db = bench.db(&ex.db_id).expect("gold examples reference known dbs");
-        assert_raw_matches_prepared(&db.database, &ex.gold_sql);
-        checked += 1;
-    }
-    assert!(checked >= 50, "corpus covered: {checked}");
+    let worlds = Worlds::build();
+    let statements = worlds.gold_statements();
+    assert!(statements.len() >= 50, "corpus covered: {}", statements.len());
+    assert_raw_matches_prepared(&worlds, &statements);
 }
 
 /// Broader SQL surface: sampled query specs across themes and every
 /// difficulty tier, same differential.
 #[test]
 fn sampled_specs_match_raw_execution() {
-    let lib = themes();
-    for (theme_idx, seed) in [(0usize, 11u64), (3, 22), (7, 33), (12, 44), (19, 55)] {
-        let db = build_db(&lib[theme_idx % lib.len()], "diff", "diff", RowScale::tiny(), 0.5, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for difficulty in Difficulty::all() {
-            for _ in 0..6 {
-                if let Some(spec) = sample_spec(&db, difficulty, &mut rng) {
-                    let sql = print_select(&spec.to_sql(&db.database.schema));
-                    assert_raw_matches_prepared(&db.database, &sql);
-                }
-            }
-        }
-    }
+    let worlds = Worlds::build();
+    let statements = worlds.sampled_statements();
+    assert!(statements.len() >= 80, "specs sampled: {}", statements.len());
+    assert_raw_matches_prepared(&worlds, &statements);
 }
 
 /// A pipeline refining on one thread and one refining on several must
