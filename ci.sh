@@ -22,7 +22,8 @@ done
 cargo build --release
 cargo test -q -p sqlkit          # fast gate: the SQL substrate everything sits on, incl.
                                  # the naive in-crate reference (hand-written shapes +
-                                 # proptest) the one executor is checked against
+                                 # proptest) the one executor and the planned
+                                 # UPDATE/DELETE are checked against
 cargo test -q --test engine_golden # corpus gate: every entry point still answers what the
                                  # deleted FROM/WHERE interpreter answered (rows, labels,
                                  # error text, pipelined rows_scanned), recorded on
@@ -32,6 +33,17 @@ cargo test -q --test engine_golden # corpus gate: every entry point still answer
 # the per-statement switch that chose it must not come back.
 if grep -rnE 'why_legacy|PlannedPath|build_from|join_sources|Rows::Borrowed' crates/sqlkit/src; then
     echo "ci: a second execution path is back in crates/sqlkit/src" >&2
+    exit 1
+fi
+# DML is find → evaluate → apply, structurally: UPDATE/DELETE take no copy
+# of the database (`self.clone()` in db.rs was the two per-statement
+# snapshots, and nothing else) and have no row matcher of their own
+# (`eval_in_row` survives only in the test-only oracle, reference.rs, which
+# the `cargo test -q -p sqlkit` gate above runs the differential proptest
+# against).
+if grep -n 'self\.clone()' crates/sqlkit/src/db.rs \
+    || grep -rn 'eval_in_row' crates/sqlkit/src --exclude=reference.rs; then
+    echo "ci: UPDATE/DELETE are copying the database or matching rows on their own again" >&2
     exit 1
 fi
 cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-

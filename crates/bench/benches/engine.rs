@@ -225,8 +225,11 @@ fn bench_trace(c: &mut Criterion) {
 /// (`cold_load`), re-serving it from a warm demand-paged catalog
 /// (`warm_catalog_hit` — an `Arc` clone behind a mutex), and the
 /// in-memory alternative of replaying the SQL dump (`script_replay`),
-/// plus WAL transaction throughput over in-memory media (`wal/commit` —
-/// one INSERT-sized record + a commit record per iteration).
+/// plus one write transaction over in-memory media (`wal/commit` — a keyed
+/// UPDATE executed against the live database, its statement record, and a
+/// commit record per iteration). Until UPDATE stopped copying the database
+/// per statement, that copy was most of this number (106 µs, against
+/// ~3 µs of log work); the statement's own cost is `engine_dml/*` below.
 fn bench_store(c: &mut Criterion) {
     let built = db();
     let dir = std::env::temp_dir().join(format!("osql-bench-store-{}", std::process::id()));
@@ -253,9 +256,9 @@ fn bench_store(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(catalog.get("bench").unwrap()))
     });
 
-    // WAL throughput over in-memory media (FaultFile with no plan), so
-    // the numbers measure the log format, not this machine's disk. The
-    // log is reset every 4096 transactions to bound buffer growth.
+    // In-memory media (FaultFile with no plan), so the number is parse +
+    // execute + encode + append, not this machine's disk. The log is
+    // reset every 4096 transactions to bound buffer growth.
     let wal_base = dir.join("wal.store");
     osql_store::write_database(&wal_base, &built.database, &[], 0).unwrap();
     let (mut store, _) =
@@ -277,6 +280,97 @@ fn bench_store(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One DML statement against a table of `n` rows, with and without a
+/// declared index on the key, so that what a statement costs as the table
+/// grows is visible as a slope: `insert` appends (and maintains the
+/// resident index), `update_by_key` and `delete_by_key` find one row by
+/// `id = k` (`delete_by_key` re-inserts it to hold the size, and a DELETE
+/// drops the table's indexes, so its indexed form pays a rebuild),
+/// `update_unkeyed` rewrites the ~1 % of rows with `grp = g`. Statements
+/// are parsed ahead of the loop.
+fn bench_dml(c: &mut Criterion) {
+    use sqlkit::{parse_statement, Database, Stmt, Value};
+    const RING: usize = 256;
+    let mut group = c.benchmark_group("engine_dml");
+    for n in [1_000i64, 10_000] {
+        for indexed in [false, true] {
+            let table = || {
+                let mut db = Database::new("dml");
+                db.execute_script(
+                    "CREATE TABLE ev (id INTEGER PRIMARY KEY, grp INTEGER, v INTEGER, note TEXT)",
+                )
+                .unwrap();
+                for i in 0..n {
+                    let row = vec![Value::Int(i), Value::Int(i % 100), Value::Int(0), Value::text("n")];
+                    db.insert_row("ev", row).unwrap();
+                }
+                if indexed {
+                    db.ensure_default_indexes();
+                    assert!(db.index("ev", "id").is_some());
+                }
+                db
+            };
+            let ring = |sql: &dyn Fn(i64) -> String| -> Vec<Stmt> {
+                (0..RING as i64).map(|i| parse_statement(&sql(i * n / RING as i64)).unwrap()).collect()
+            };
+            let tag = format!("{n}/{}", if indexed { "indexed" } else { "unindexed" });
+
+            let mut db = table();
+            let trim = parse_statement(&format!("DELETE FROM ev WHERE id >= {n}")).unwrap();
+            let mut i = 0i64;
+            group.bench_function(format!("dml/insert/{tag}"), |b| {
+                b.iter(|| {
+                    i += 1;
+                    if i % 1024 == 0 {
+                        let Stmt::Delete(d) = &trim else { unreachable!() };
+                        db.execute_delete(d).unwrap();
+                    }
+                    let row = vec![Value::Int(n + i), Value::Int(i % 100), Value::Int(0), Value::text("n")];
+                    db.insert_row("ev", row).unwrap()
+                })
+            });
+
+            let mut db = table();
+            let stmts = ring(&|k| format!("UPDATE ev SET v = v + 1 WHERE id = {k}"));
+            let mut i = 0usize;
+            group.bench_function(format!("dml/update_by_key/{tag}"), |b| {
+                b.iter(|| {
+                    i += 1;
+                    let Stmt::Update(u) = &stmts[i % RING] else { unreachable!() };
+                    std::hint::black_box(db.execute_update(u).unwrap())
+                })
+            });
+
+            let mut db = table();
+            let stmts = ring(&|k| format!("DELETE FROM ev WHERE id = {k}"));
+            let mut i = 0usize;
+            group.bench_function(format!("dml/delete_by_key/{tag}"), |b| {
+                b.iter(|| {
+                    i += 1;
+                    let k = (i % RING) as i64 * n / RING as i64;
+                    let Stmt::Delete(d) = &stmts[i % RING] else { unreachable!() };
+                    let removed = db.execute_delete(d).unwrap();
+                    let row = vec![Value::Int(k), Value::Int(k % 100), Value::Int(0), Value::text("n")];
+                    db.insert_row("ev", row).unwrap();
+                    std::hint::black_box(removed)
+                })
+            });
+
+            let mut db = table();
+            let stmts = ring(&|k| format!("UPDATE ev SET v = v + 1 WHERE grp = {}", k % 100));
+            let mut i = 0usize;
+            group.bench_function(format!("dml/update_unkeyed/{tag}"), |b| {
+                b.iter(|| {
+                    i += 1;
+                    let Stmt::Update(u) = &stmts[i % RING] else { unreachable!() };
+                    std::hint::black_box(db.execute_update(u).unwrap())
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_parse,
@@ -285,6 +379,7 @@ criterion_group!(
     bench_planner,
     bench_analyze,
     bench_trace,
-    bench_store
+    bench_store,
+    bench_dml
 );
 criterion_main!(benches);

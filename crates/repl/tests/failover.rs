@@ -126,6 +126,64 @@ fn promoted_follower_matches_the_primary_only_run_exactly() {
 }
 
 #[test]
+fn follower_of_an_indexed_primary_applies_updates_and_deletes_exactly() {
+    let dir = tmpdir("indexed-dml");
+    let media = MemShipDir::new();
+    let path = dir.join("primary.store");
+    let mut db = base_db();
+    db.create_index("acct", "id").unwrap();
+    db.create_index("acct", "name").unwrap();
+    let mut primary = Store::create(&path, db, vec![]).unwrap();
+    for i in 1..=8u64 {
+        let id = 100 + i * 10;
+        primary.execute(&format!("INSERT INTO acct VALUES ({id}, 'tx{i}', {i}.5)")).unwrap();
+        // rewrite both indexed columns, read the pre-statement state, delete by key
+        primary.execute(&format!("UPDATE acct SET name = 'moved{i}' WHERE id = {id}")).unwrap();
+        if i % 2 == 0 {
+            primary.execute(&format!("UPDATE acct SET id = id + 1 WHERE id = {}", id - 10)).unwrap();
+            primary
+                .execute("UPDATE acct SET balance = (SELECT MAX(balance) FROM acct) WHERE id = 1")
+                .unwrap();
+        }
+        if i % 3 == 0 {
+            primary.execute(&format!("DELETE FROM acct WHERE id = {}", id - 19)).unwrap();
+        }
+        // fails after its first row: not applied, not logged, not shipped
+        assert!(primary.execute("DELETE FROM acct WHERE id = 1 OR ghost = 1").is_err());
+        assert_eq!(primary.commit().unwrap(), i);
+        if i % 3 == 0 {
+            ship_store(&path, &media).unwrap();
+        }
+    }
+    ship_store(&path, &media).unwrap();
+
+    let fpath = dir.join("follower.store");
+    assert!(seed_if_missing(&fpath, &media).unwrap());
+    let (mut f, _) = Follower::open(&fpath).unwrap();
+    assert_eq!(f.poll(&media).unwrap().applied_seq, 8);
+    let (promoted, _) = f.promote().unwrap();
+    assert_eq!(promoted.database().dump_script(), primary.database().dump_script());
+    // the follower's indexes — carried by the seed, kept through every
+    // apply — answer as the primary's and as a scan does
+    let mut scanned = promoted.database().clone();
+    for def in scanned.index_defs().to_vec() {
+        scanned.install_unusable_index(def).unwrap();
+    }
+    for sql in [
+        "SELECT * FROM acct WHERE id = 131",
+        "SELECT * FROM acct WHERE id = 141",
+        "SELECT * FROM acct WHERE name = 'moved5'",
+        "SELECT id FROM acct WHERE id BETWEEN 100 AND 200",
+        "SELECT id FROM acct WHERE name > 'moved3'",
+    ] {
+        let want = scanned.query(sql).unwrap().rows;
+        assert_eq!(promoted.database().query(sql).unwrap().rows, want, "{sql}");
+        assert_eq!(primary.database().query(sql).unwrap().rows, want, "{sql}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn unshipped_primary_suffix_never_appears_on_a_follower() {
     let dir = tmpdir("suffix");
     let media = MemShipDir::new();

@@ -1,11 +1,12 @@
 //! In-memory database: tables, rows, loading, and the public query entry
 //! points.
 
-use crate::ast::{DeleteStmt, Stmt, TypeName, UpdateStmt};
+use crate::ast::{DeleteStmt, Expr, FromClause, SelectCore, Stmt, TableRef, TypeName, UpdateStmt};
 use crate::error::{SqlError, SqlResult};
-use crate::exec::execute_select;
+use crate::exec::{eval_expr, execute_select, Ctx};
 use crate::index::{ColumnIndex, IndexDef};
 use crate::parser::parse_script;
+use crate::plan::PhysicalPlan;
 use crate::schema::{ColumnInfo, DbSchema, ForeignKey, TableInfo};
 use crate::value::{ResultSet, Row, Value};
 use std::collections::HashMap;
@@ -38,8 +39,11 @@ pub struct Database {
     /// Built indexes keyed by lower-cased `(table, column)`. `None` marks
     /// an index that refused to build (NaN in the column) so lookups do
     /// not retry the build on every statement. The cache is kept exact by
-    /// every mutation path: inserts maintain resident entries
-    /// incrementally, UPDATE/DELETE drop the table's entries.
+    /// every mutation path: an INSERT maintains the table's resident
+    /// entries incrementally; an UPDATE moves no rid, so it drops only the
+    /// entries on the columns it assigned; a DELETE shifts rids and drops
+    /// every entry of the table. A statement that fails drops nothing,
+    /// because it changed nothing.
     index_cache: IndexCache,
 }
 
@@ -165,18 +169,19 @@ impl Database {
         Ok(())
     }
 
-    /// Keep resident indexes of `table` exact after appending a row, or
-    /// drop ones the new value poisons (NaN). `values` pairs each indexed
-    /// column's lower-cased name with the appended value.
+    /// Keep resident indexes of the table with lower-cased name
+    /// `table_key` exact after appending a row, or drop ones the new value
+    /// poisons (NaN). `values` pairs each indexed column's lower-cased
+    /// name with the appended value.
     fn maintain_indexes_on_insert(
         &mut self,
-        table: &str,
+        table_key: &str,
         rid: u32,
         values: Vec<(String, Value)>,
     ) {
         let cache = self.index_cache.get_mut();
         for (column_key, value) in values {
-            let key = (table.to_lowercase(), column_key);
+            let key = (table_key.to_owned(), column_key);
             if let Some(slot) = cache.get_mut(&key) {
                 let ok = match slot {
                     Some(arc) => Arc::make_mut(arc).insert_appended(&value, rid),
@@ -190,9 +195,9 @@ impl Database {
         }
     }
 
-    /// Drop resident indexes of `table` (rows changed in place); they
-    /// rebuild lazily on the next lookup.
-    fn drop_resident_indexes(&mut self, table: &str) {
+    /// Drop resident indexes of `table` (its rids moved); they rebuild
+    /// lazily on the next lookup.
+    pub(crate) fn drop_resident_indexes(&mut self, table: &str) {
         let key = table.to_lowercase();
         self.index_cache
             .get_mut()
@@ -219,8 +224,7 @@ impl Database {
         let info = self
             .schema
             .table(table)
-            .ok_or_else(|| SqlError::NoSuchTable(table.to_owned()))?
-            .clone();
+            .ok_or_else(|| SqlError::NoSuchTable(table.to_owned()))?;
         if row.len() != info.columns.len() {
             return Err(SqlError::Other(format!(
                 "table {} has {} columns but {} values were supplied",
@@ -243,14 +247,15 @@ impl Database {
                     .map(|c| (d.column.to_lowercase(), coerced[c].clone()))
             })
             .collect();
+        let table_key = info.name.to_lowercase();
         let bucket = self
             .data
-            .get_mut(&info.name.to_lowercase())
+            .get_mut(&table_key)
             .expect("data bucket exists for every schema table");
         bucket.rows.push(coerced);
         let rid = (bucket.rows.len() - 1) as u32;
         if !indexed.is_empty() {
-            self.maintain_indexes_on_insert(&info.name, rid, indexed);
+            self.maintain_indexes_on_insert(&table_key, rid, indexed);
         }
         Ok(())
     }
@@ -271,6 +276,12 @@ impl Database {
             .ok_or_else(|| SqlError::NoSuchTable(table.to_owned()))
     }
 
+    /// The rows of a table, to rewrite in place (the test-only reference).
+    #[cfg(test)]
+    pub(crate) fn rows_mut(&mut self, table: &str) -> &mut Vec<Row> {
+        &mut self.data.get_mut(&table.to_lowercase()).expect("a schema table").rows
+    }
+
     /// Total row count across all tables.
     pub fn total_rows(&self) -> usize {
         self.data.values().map(|t| t.rows.len()).sum()
@@ -287,91 +298,132 @@ impl Database {
         execute_select(self, stmt)
     }
 
-    /// Execute one UPDATE, returning the number of rows changed.
+    /// Bind the expressions of an UPDATE or DELETE over `table` and lower
+    /// its row search — the one-table core `FROM table WHERE where_clause`
+    /// — so that the planner picks the sargs and the declared index a
+    /// SELECT would. Returns the plan and the bound SET expressions.
+    fn dml_plan(
+        &self,
+        table: &TableInfo,
+        where_clause: Option<&Expr>,
+        set: &[(String, Expr)],
+    ) -> (PhysicalPlan, Vec<Expr>) {
+        let mut core = SelectCore {
+            distinct: false,
+            items: Vec::new(),
+            from: Some(FromClause {
+                base: TableRef::Named {
+                    name: table.name.clone(),
+                    alias: None,
+                    span: Default::default(),
+                },
+                joins: Vec::new(),
+            }),
+            where_clause: where_clause.cloned(),
+            group_by: Vec::new(),
+            having: None,
+        };
+        let mut set: Vec<Expr> = set.iter().map(|(_, e)| e.clone()).collect();
+        crate::prepare::bind_dml(self, &mut core, &mut set);
+        (crate::plan::lower_dml(self, &core), set)
+    }
+
+    /// Find → evaluate, the read-only half of an UPDATE or DELETE over
+    /// `table`: the rids `where_clause` selects, ascending, and the value
+    /// of every `set` expression on each of them, row-major. Everything
+    /// is read from `&self`, which no part of the statement has touched
+    /// yet — that is what makes expressions see the pre-statement state.
+    fn dml_targets(
+        &self,
+        table: &TableInfo,
+        where_clause: Option<&Expr>,
+        set: &[(String, Expr)],
+    ) -> SqlResult<(Vec<u32>, Vec<Value>)> {
+        let (plan, set) = self.dml_plan(table, where_clause, set);
+        // one context for the whole statement: its sub-select caches key
+        // on the addresses of `plan`'s and `set`'s nodes, which outlive it
+        let mut ctx = Ctx::new(self, true);
+        let rids = crate::pipelined::base_rids(&mut ctx, &plan)?;
+        let rows = self.rows(&table.name)?;
+        let mut values = Vec::with_capacity(rids.len() * set.len());
+        for &rid in &rids {
+            for e in &set {
+                values.push(eval_expr(&mut ctx, e, &plan.layout, &rows[rid as usize])?);
+            }
+        }
+        Ok((rids, values))
+    }
+
+    /// Execute one UPDATE, returning the number of rows changed. Every
+    /// expression reads the state before the statement, and a statement
+    /// that fails changes nothing: rows are written only after the search
+    /// and every SET expression have succeeded.
     pub fn execute_update(&mut self, u: &UpdateStmt) -> SqlResult<usize> {
         let info = self
             .schema
             .table(&u.table)
-            .ok_or_else(|| SqlError::NoSuchTable(u.table.clone()))?
-            .clone();
+            .ok_or_else(|| SqlError::NoSuchTable(u.table.clone()))?;
         // resolve assignment targets up front
-        let targets: Vec<(usize, &crate::ast::Expr, TypeName)> = u
+        let targets: Vec<(usize, TypeName)> = u
             .assignments
             .iter()
-            .map(|(c, e)| {
+            .map(|(c, _)| {
                 info.column_index(c)
-                    .map(|i| (i, e, info.columns[i].ty))
+                    .map(|i| (i, info.columns[i].ty))
                     .ok_or_else(|| SqlError::NoSuchColumn(format!("{}.{}", info.name, c)))
             })
             .collect::<SqlResult<_>>()?;
-        let snapshot = self.clone(); // expression context (reads see pre-update state)
-        let rows = self
+        let (rids, values) = self.dml_targets(info, u.where_clause.as_ref(), &u.assignments)?;
+        if rids.is_empty() {
+            return Ok(0);
+        }
+        let table_key = info.name.to_lowercase();
+        let rows = &mut self
             .data
-            .get_mut(&info.name.to_lowercase())
-            .expect("data bucket exists for every schema table");
-        let mut changed = 0usize;
-        for row in rows.rows.iter_mut() {
-            let hit = match &u.where_clause {
-                Some(w) => crate::exec::eval_in_row(&snapshot, &info, row, w)?
-                    .truthiness()
-                    == Some(true),
-                None => true,
-            };
-            if !hit {
-                continue;
+            .get_mut(&table_key)
+            .expect("data bucket exists for every schema table")
+            .rows;
+        let mut values = values.into_iter();
+        for &rid in &rids {
+            for (&(col, ty), v) in targets.iter().zip(values.by_ref()) {
+                rows[rid as usize][col] = apply_affinity(v, ty);
             }
-            let new_vals: Vec<Value> = targets
-                .iter()
-                .map(|(_, e, _)| crate::exec::eval_in_row(&snapshot, &info, row, e))
-                .collect::<SqlResult<_>>()?;
-            for ((idx, _, ty), v) in targets.iter().zip(new_vals) {
-                row[*idx] = apply_affinity(v, *ty);
-            }
-            changed += 1;
         }
-        if changed > 0 {
-            self.drop_resident_indexes(&info.name);
-        }
-        Ok(changed)
+        // no rid moved: only an index on an assigned column is stale
+        self.index_cache.get_mut().retain(|(t, c), _| {
+            *t != table_key
+                || !targets.iter().any(|&(col, _)| info.columns[col].name.to_lowercase() == *c)
+        });
+        Ok(rids.len())
     }
 
-    /// Execute one DELETE, returning the number of rows removed.
+    /// Execute one DELETE, returning the number of rows removed. A
+    /// statement that fails removes nothing.
     pub fn execute_delete(&mut self, d: &DeleteStmt) -> SqlResult<usize> {
         let info = self
             .schema
             .table(&d.table)
-            .ok_or_else(|| SqlError::NoSuchTable(d.table.clone()))?
-            .clone();
-        let snapshot = self.clone();
-        let rows = self
+            .ok_or_else(|| SqlError::NoSuchTable(d.table.clone()))?;
+        let (rids, _) = self.dml_targets(info, d.where_clause.as_ref(), &[])?;
+        if rids.is_empty() {
+            return Ok(0);
+        }
+        let table_key = info.name.to_lowercase();
+        let rows = &mut self
             .data
-            .get_mut(&info.name.to_lowercase())
-            .expect("data bucket exists for every schema table");
-        let before = rows.rows.len();
-        let mut err = None;
-        rows.rows.retain(|row| {
-            if err.is_some() {
-                return true;
-            }
-            match &d.where_clause {
-                Some(w) => match crate::exec::eval_in_row(&snapshot, &info, row, w) {
-                    Ok(v) => v.truthiness() != Some(true),
-                    Err(e) => {
-                        err = Some(e);
-                        true
-                    }
-                },
-                None => false,
-            }
+            .get_mut(&table_key)
+            .expect("data bucket exists for every schema table")
+            .rows;
+        // one pass that keeps the survivors in order (`dump_script` order)
+        let mut doomed = rids.iter().peekable();
+        let mut rid = 0u32;
+        rows.retain(|_| {
+            let hit = doomed.next_if_eq(&&rid).is_some();
+            rid += 1;
+            !hit
         });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        let removed = before - rows.rows.len();
-        if removed > 0 {
-            self.drop_resident_indexes(&info.name);
-        }
-        Ok(removed)
+        self.drop_resident_indexes(&table_key);
+        Ok(rids.len())
     }
 
     /// Serialise the whole database as a SQL script (CREATE TABLE + batch
@@ -423,7 +475,7 @@ impl Database {
                     rows: chunk
                         .iter()
                         .map(|r| {
-                            r.iter().map(|v| crate::ast::Expr::Literal(v.clone())).collect()
+                            r.iter().map(|v| Expr::Literal(v.clone())).collect()
                         })
                         .collect(),
                 };
@@ -470,12 +522,14 @@ impl Database {
                     }
                 }
                 Stmt::Insert(ins) => {
-                    let info = self
+                    let table = self
                         .schema
-                        .table(&ins.table)
-                        .ok_or_else(|| SqlError::NoSuchTable(ins.table.clone()))?
-                        .clone();
+                        .tables
+                        .iter()
+                        .position(|t| t.name.eq_ignore_ascii_case(&ins.table))
+                        .ok_or_else(|| SqlError::NoSuchTable(ins.table.clone()))?;
                     for row_exprs in ins.rows {
+                        let info = &self.schema.tables[table];
                         let mut row = vec![Value::Null; info.columns.len()];
                         match &ins.columns {
                             Some(cols) => {
@@ -674,6 +728,125 @@ mod tests {
         ));
         // failed DELETE must not remove anything
         assert_eq!(db.rows("person").unwrap().len(), 3);
+    }
+
+    /// `person` with a declared index on `id` and resident ones on `name`
+    /// and `age`.
+    fn indexed_db() -> Database {
+        let mut db = db();
+        for col in ["id", "name", "age"] {
+            db.create_index("person", col).unwrap();
+        }
+        assert!(db.index("person", "name").is_some() && db.index("person", "age").is_some());
+        db
+    }
+
+    fn resident(db: &Database, column: &str) -> bool {
+        db.index_cache.read().contains_key(&("person".to_owned(), column.to_owned()))
+    }
+
+    /// The answers of `db` to point and range reads through its indexes
+    /// equal those of a copy whose resident indexes were all dropped.
+    fn assert_indexes_answer_like_scans(db: &Database) {
+        let mut rebuilt = db.clone();
+        rebuilt.drop_resident_indexes("person");
+        for sql in [
+            "SELECT * FROM person WHERE name = 'Ann'",
+            "SELECT * FROM person WHERE name = 'x'",
+            "SELECT * FROM person WHERE name > 'B'",
+            "SELECT * FROM person WHERE age = 41",
+            "SELECT * FROM person WHERE age BETWEEN 30 AND 99",
+            "SELECT * FROM person WHERE id IN (1, 3)",
+        ] {
+            assert_eq!(db.query(sql).unwrap().rows, rebuilt.query(sql).unwrap().rows, "{sql}");
+        }
+    }
+
+    #[test]
+    fn failed_update_changes_nothing_and_keeps_indexes_exact() {
+        let mut db = indexed_db();
+        let before = db.dump_script();
+        // OR short-circuits on row 1 and fails on row 2
+        let err = db.execute_script("UPDATE person SET name = 'x' WHERE id = 1 OR ghost = 1");
+        assert_eq!(err, Err(SqlError::NoSuchColumn("ghost".into())));
+        assert_eq!(db.dump_script(), before, "a failed UPDATE must not rewrite any row");
+        assert!(resident(&db, "name"), "nothing changed, so nothing is stale");
+        assert_indexes_answer_like_scans(&db);
+        // a SET expression that fails on a later row
+        let err = db.execute_script(
+            "UPDATE person SET age = (SELECT 1, 2 FROM person WHERE person.age IS NULL) + age",
+        );
+        assert!(matches!(err, Err(SqlError::SubqueryShape(_))), "{err:?}");
+        assert_eq!(db.dump_script(), before);
+        assert_indexes_answer_like_scans(&db);
+    }
+
+    #[test]
+    fn failed_delete_removes_nothing() {
+        let mut db = indexed_db();
+        let before = db.dump_script();
+        let err = db.execute_script("DELETE FROM person WHERE id = 1 OR ghost = 1");
+        assert_eq!(err, Err(SqlError::NoSuchColumn("ghost".into())));
+        assert_eq!(db.dump_script(), before, "a failed DELETE must not remove any row");
+        assert!(resident(&db, "name") && resident(&db, "age"));
+        assert_indexes_answer_like_scans(&db);
+    }
+
+    #[test]
+    fn update_drops_only_the_indexes_it_assigned() {
+        let mut db = indexed_db();
+        db.execute_script("UPDATE person SET name = 'x' WHERE id = 2").unwrap();
+        assert!(!resident(&db, "name"), "the assigned column's index is stale");
+        assert!(resident(&db, "age"), "no rid moved: other indexes stay resident");
+        assert_indexes_answer_like_scans(&db);
+        // an UPDATE that matches nothing invalidates nothing
+        assert!(db.index("person", "name").is_some());
+        db.execute_script("UPDATE person SET name = 'y', age = 1 WHERE id = 99").unwrap();
+        assert!(resident(&db, "name") && resident(&db, "age"));
+        // mixed DML: inserts maintain, deletes drop the table's indexes
+        db.execute_script(
+            "INSERT INTO person VALUES (4, 'Dee', 41);
+             UPDATE person SET age = age + 1 WHERE name = 'Dee';
+             INSERT INTO person VALUES (5, 'Eve', 42);",
+        )
+        .unwrap();
+        assert!(resident(&db, "name") && !resident(&db, "age"));
+        assert_indexes_answer_like_scans(&db);
+        db.execute_script("DELETE FROM person WHERE id = 1").unwrap();
+        assert!(!resident(&db, "name") && !resident(&db, "id"));
+        assert_indexes_answer_like_scans(&db);
+    }
+
+    /// UPDATE and DELETE find their rows through the planner: the search
+    /// of a keyed statement is an index scan when the key has a declared
+    /// index and a sarg-filtered scan when it has none.
+    #[test]
+    fn dml_row_search_is_planned() {
+        let explain = |db: &Database, sql: &str| {
+            let Stmt::Update(u) = crate::parser::parse_statement(sql).unwrap() else { panic!() };
+            let info = db.schema.table(&u.table).unwrap();
+            let (plan, _) = db.dml_plan(info, u.where_clause.as_ref(), &u.assignments);
+            plan.render(&[Default::default(); 2])
+        };
+        let mut db = Database::new("big");
+        db.execute_script("CREATE TABLE person (id INTEGER PRIMARY KEY, age INTEGER)").unwrap();
+        for i in 0..100 {
+            db.insert_row("person", vec![Value::Int(i), Value::Int(i % 7)]).unwrap();
+        }
+        let sql = "UPDATE person SET age = age + 1 WHERE id = 40 AND age + 0 > 1";
+        let scan = explain(&db, sql);
+        assert!(scan.contains("-> Scan person | filter: id = 40"), "got:\n{scan}");
+        assert!(scan.contains("Residual (1 conjuncts)"), "got:\n{scan}");
+        db.ensure_default_indexes();
+        let ix = explain(&db, sql);
+        assert!(ix.contains("-> IxScan person (id = 40)"), "got:\n{ix}");
+        // a column the binder cannot resolve turns pushdown off, as in a SELECT
+        let naive = explain(&db, "UPDATE person SET age = 1 WHERE id = 40 AND ghost = 1");
+        assert!(naive.contains("-> Scan person  ["), "got:\n{naive}");
+        assert!(naive.contains("Residual (2 conjuncts)"), "got:\n{naive}");
+        assert_eq!(db.execute_script(sql), Ok(()));
+        let rs = db.query("SELECT age FROM person WHERE id = 40").unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(40 % 7 + 1)]]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,28 +45,16 @@ pub fn execute_select_with_stats(
     result.map(|rs| (rs, stats))
 }
 
-/// Evaluate an expression against a single table row (used by UPDATE and
-/// DELETE): the layout is the table's own columns, subqueries are allowed.
-pub fn eval_in_row(
-    db: &Database,
-    table: &crate::schema::TableInfo,
-    row: &[Value],
-    e: &Expr,
-) -> SqlResult<Value> {
-    let layout: Vec<ColBinding> = table
-        .columns
-        .iter()
-        .map(|c| ColBinding { binding: table.name.clone(), column: c.name.clone() })
-        .collect();
-    eval_expr(&mut Ctx::new(db, false), e, &layout, row)
-}
-
 /// Evaluate an expression with no row context (literals only); used for
 /// INSERT values and LIMIT/OFFSET.
 pub fn eval_const(e: &Expr) -> SqlResult<Value> {
-    // A dummy database works because const expressions reference no tables.
-    let db = Database::new("const");
-    eval_expr(&mut Ctx::new(&db, false), e, &[], &[])
+    if let Expr::Literal(v) = e {
+        return Ok(v.clone());
+    }
+    // const expressions reference no tables: any database will do
+    static NO_TABLES: OnceLock<Database> = OnceLock::new();
+    let db = NO_TABLES.get_or_init(|| Database::new("const"));
+    eval_expr(&mut Ctx::new(db, false), e, &[], &[])
 }
 
 pub(crate) struct Ctx<'a> {

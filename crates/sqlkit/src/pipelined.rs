@@ -131,6 +131,44 @@ pub(crate) fn run(ctx: &mut Ctx<'_>, plan: &PhysicalPlan) -> SqlResult<Vec<Row>>
     Ok(out)
 }
 
+/// Run the plan of an UPDATE's or DELETE's row search (`plan::lower_dml`:
+/// one named table, no joins) and return the rids of the rows that
+/// survive, ascending. The same access path, sarg filters and residual
+/// chain as [`run`], applied to the stored rows where they lie — no tuple
+/// is built and no row is copied.
+pub(crate) fn base_rids(ctx: &mut Ctx<'_>, plan: &PhysicalPlan) -> SqlResult<Vec<u32>> {
+    if let Some(e) = &plan.fail {
+        return Err(e.clone());
+    }
+    let [st] = plan.stages.as_slice() else {
+        unreachable!("a DML target is exactly one table");
+    };
+    let db = ctx.db;
+    let result = OnceCell::new();
+    let mut mu = MutState {
+        ops: vec![OpStats::default(); 2],
+        semi: plan.residual.iter().map(|_| SemiState::Unknown).collect(),
+        out: Vec::new(),
+    };
+    let rt = open(ctx, db, st, &result, &mut mu.ops[0])?;
+    let OpRt::Scan { rids: access } = &rt.op else {
+        unreachable!("a base stage opens as a scan");
+    };
+    let mut kept = Vec::new();
+    let mut visit = |rid: u32| -> SqlResult<()> {
+        let row = &rt.rows[rid as usize];
+        if passes(st, rt.degraded, row) && survives(ctx, plan, &mut mu, row)? {
+            kept.push(rid);
+        }
+        Ok(())
+    };
+    match access {
+        Some(rids) => rids.iter().copied().try_for_each(&mut visit)?,
+        None => (0..rt.rows.len() as u32).try_for_each(&mut visit)?,
+    }
+    Ok(kept)
+}
+
 fn passes(st: &Stage, degraded: Option<&Sarg>, row: &Row) -> bool {
     degraded.into_iter().chain(&st.filters).all(|f| f.matches(&row[f.col]))
 }
@@ -373,16 +411,29 @@ impl Segment<'_, '_, '_> {
     }
 }
 
-/// Run the residual chain on a finished tuple and keep it if it
-/// survives. Implements the AND protocol of `exec::eval_expr`: `false`
-/// stops and drops, NULL marks the tuple dropped but keeps evaluating
-/// (error fidelity), anything else continues.
+/// Keep a finished tuple if it survives the residual chain.
 fn finish(
     ctx: &mut Ctx<'_>,
     plan: &PhysicalPlan,
     mu: &mut MutState,
     buf: &[Value],
 ) -> SqlResult<()> {
+    if survives(ctx, plan, mu, buf)? {
+        mu.out.push(buf.to_vec());
+    }
+    Ok(())
+}
+
+/// Run the residual chain on a finished tuple. Implements the AND
+/// protocol of `exec::eval_expr`: `false` stops and drops, NULL marks
+/// the tuple dropped but keeps evaluating (error fidelity), anything else
+/// continues.
+fn survives(
+    ctx: &mut Ctx<'_>,
+    plan: &PhysicalPlan,
+    mu: &mut MutState,
+    buf: &[Value],
+) -> SqlResult<bool> {
     ctx.rows_scanned += 1;
     let mut dropped = false;
     let mut semi_idx = 0;
@@ -397,16 +448,15 @@ fn finish(
         };
         match v.truthiness() {
             Some(true) => {}
-            Some(false) => return Ok(()),
+            Some(false) => return Ok(false),
             None => dropped = true,
         }
     }
     if !dropped {
         let residual_op = mu.ops.len() - 1;
         mu.ops[residual_op].actual_rows += 1;
-        mu.out.push(buf.to_vec());
     }
-    Ok(())
+    Ok(!dropped)
 }
 
 /// Evaluate a `Semi` residual step, classifying the subquery as

@@ -535,6 +535,20 @@ fn push_stage(db: &Database, tref: &TableRef, plan: &mut PhysicalPlan) -> SqlRes
 /// Lower one SELECT core (bound or raw) into its [`PhysicalPlan`].
 /// `pushdown` allows the optimised plan when the core qualifies for one.
 pub(crate) fn lower(db: &Database, core: &SelectCore, pushdown: bool) -> PhysicalPlan {
+    lower_core(db, core, pushdown, true)
+}
+
+/// Lower the row search of an UPDATE or DELETE — the one-table core
+/// `FROM t WHERE w`, bound — into the plan `pipelined::base_rids` runs.
+/// It is `lower` with pushdown on, except that DML has no aggregate
+/// context to misuse at plan time: an aggregate in its WHERE fails on the
+/// first row that reaches it, so such a WHERE takes the naive plan
+/// instead of [`PhysicalPlan::fail`].
+pub(crate) fn lower_dml(db: &Database, core: &SelectCore) -> PhysicalPlan {
+    lower_core(db, core, true, false)
+}
+
+fn lower_core(db: &Database, core: &SelectCore, pushdown: bool, select: bool) -> PhysicalPlan {
     let mut plan = PhysicalPlan {
         stages: Vec::new(),
         residual: Vec::new(),
@@ -569,13 +583,14 @@ pub(crate) fn lower(db: &Database, core: &SelectCore, pushdown: bool) -> Physica
 
     // ---- WHERE classification ----
     if let Some(w) = &core.where_clause {
-        if contains_aggregate(w) {
+        let aggregate = contains_aggregate(w);
+        if aggregate && select {
             plan.fail = Some(SqlError::MisusedAggregate("aggregate in WHERE clause".into()));
             return plan;
         }
         let mut conjuncts = Vec::new();
         flatten_and(w, &mut conjuncts);
-        naive |= conjuncts.iter().any(|c| has_raw_column(c));
+        naive |= aggregate || conjuncts.iter().any(|c| has_raw_column(c));
         for c in conjuncts {
             if let (false, Some((global_col, op))) = (naive, extract_sarg(c)) {
                 let owner = plan

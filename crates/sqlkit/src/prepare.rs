@@ -162,6 +162,21 @@ pub fn prepare_stmt(db: &Database, mut stmt: SelectStmt) -> Prepared {
     Prepared { stmt, fingerprint: plan_fingerprint(db), plans }
 }
 
+/// Bind the row search of an UPDATE or DELETE — `core`, the one-table
+/// core `FROM t WHERE w` — and the statement's SET expressions the way
+/// [`prepare_stmt`] binds a SELECT's WHERE: against the table's own
+/// columns, with no enclosing environment.
+pub(crate) fn bind_dml(db: &Database, core: &mut SelectCore, set: &mut [Expr]) {
+    let binder = Binder { schema: &db.schema };
+    let Some(layout) = core.from.as_mut().and_then(|from| binder.layout_of_from(from, &[])) else {
+        return;
+    };
+    let env = Env { layout: &layout, chain: &[] };
+    for e in core.where_clause.iter_mut().chain(set) {
+        binder.bind_and_fold(e, &env);
+    }
+}
+
 // ---------------- the binding pass ----------------
 
 /// `exec::resolve`, statically: `None` covers both "not found" and

@@ -95,6 +95,13 @@ impl<M: WalMedia> Store<M> {
     /// Execute a mutating script: applied in memory immediately and
     /// appended to the WAL as one statement record of the open
     /// transaction. Not durable until [`Store::commit`].
+    ///
+    /// Atomicity is per statement, not per script. A statement that fails
+    /// changes nothing in memory and the script is not logged, so after a
+    /// failed single-statement `sql` the live database still equals what a
+    /// reopen (or a follower) would rebuild. A multi-statement script that
+    /// fails midway keeps its earlier statements in memory, unlogged: pass
+    /// one statement per call when a failure must leave no trace.
     pub fn execute(&mut self, sql: &str) -> Result<(), StoreError> {
         // validate against the live database first so the log only ever
         // holds statements that executed successfully
@@ -298,6 +305,40 @@ mod tests {
         let end_before = store.wal_end();
         assert!(store.execute("INSERT INTO ghost VALUES (1)").is_err());
         assert_eq!(store.wal_end(), end_before, "failed statement must not be logged");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_statement_leaves_memory_equal_to_a_reopen() {
+        let dir = tmpdir("failed-stmt");
+        let path = dir.join("ledger.store");
+        let mut db = seed_db();
+        db.create_index("acct", "name").unwrap();
+        let mut store = Store::create(&path, db, vec![]).unwrap();
+        store.execute("INSERT INTO acct VALUES (3, 'cal', 1.0)").unwrap();
+        store.commit().unwrap();
+        assert!(store.database().index("acct", "name").is_some());
+        // both short-circuit on row 1 and fail on row 2
+        for sql in [
+            "UPDATE acct SET name = 'x', balance = 0.0 WHERE id = 1 OR ghost = 1",
+            "DELETE FROM acct WHERE id = 1 OR ghost = 1",
+        ] {
+            let end_before = store.wal_end();
+            assert!(store.execute(sql).is_err(), "{sql}");
+            assert_eq!(store.wal_end(), end_before, "failed statement must not be logged");
+            let (reopened, _) = Store::open(&path).unwrap();
+            assert_eq!(
+                store.database().dump_script(),
+                reopened.database().dump_script(),
+                "{sql}: the primary's memory holds a change no reopen will ever see"
+            );
+            let by_name = "SELECT id FROM acct WHERE name = 'ann'";
+            assert_eq!(
+                store.database().query(by_name).unwrap().rows,
+                reopened.database().query(by_name).unwrap().rows,
+                "{sql}: a resident index serves a row the statement rewrote"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -64,21 +64,17 @@ pub struct FsMedia {
 }
 
 impl FsMedia {
-    /// Open (or create) the WAL file at `path`.
+    /// Open (or create) the WAL file at `path`, in append mode: every
+    /// write lands at the current end of the file, wherever a read left
+    /// the cursor and whatever a truncate made the end.
     pub fn open(path: &std::path::Path) -> std::io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
+        let file = std::fs::OpenOptions::new().read(true).append(true).create(true).open(path)?;
         Ok(FsMedia { file })
     }
 }
 
 impl WalMedia for FsMedia {
     fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.file.seek(SeekFrom::End(0))?;
         self.file.write_all(bytes)
     }
 
@@ -850,5 +846,26 @@ mod tests {
         let a = audit(&buf);
         assert_eq!(a.commits, 0);
         assert!(a.finding.unwrap().contains("offset 8"));
+    }
+
+    #[test]
+    fn fs_media_appends_at_the_end_after_reads_and_truncates() {
+        let path = std::env::temp_dir().join(format!("osql-wal-append-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut media = FsMedia::open(&path).unwrap();
+        media.append(b"abcdef").unwrap();
+        // a read leaves the cursor somewhere; a truncate moves the end
+        assert_eq!(media.read_all().unwrap(), b"abcdef");
+        media.append(b"gh").unwrap();
+        media.truncate(3).unwrap();
+        media.append(b"XY").unwrap();
+        assert_eq!(media.len().unwrap(), 5);
+        assert_eq!(media.read_all().unwrap(), b"abcXY");
+        // a second handle on an existing log keeps appending
+        drop(media);
+        let mut media = FsMedia::open(&path).unwrap();
+        media.append(b"Z").unwrap();
+        assert_eq!(media.read_all().unwrap(), b"abcXYZ");
+        std::fs::remove_file(&path).unwrap();
     }
 }
