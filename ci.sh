@@ -46,6 +46,29 @@ if grep -n 'self\.clone()' crates/sqlkit/src/db.rs \
     echo "ci: UPDATE/DELETE are copying the database or matching rows on their own again" >&2
     exit 1
 fi
+# One telemetry core, structurally: one JSON string escaper (osql-trace's
+# writer — the `\u{:04x}` arm is what a full escaper cannot do without),
+# one place that writes a histogram's `_bucket` lines and spells `+Inf`
+# (the Prometheus writer in osql_runtime::metrics), one window ring (the
+# per-instrument rings and their private width knob must not come back),
+# and no second load harness beside perfbench/.
+escapers="$(grep -rlF 'u{:04x}' crates)"
+if [ "$escapers" != "crates/trace/src/json.rs" ]; then
+    echo "ci: JSON string escaping outside crates/trace/src/json.rs:" $escapers >&2
+    exit 1
+fi
+if grep -rnE '_bucket\{|"_bucket"|\+Inf' crates --include='*.rs' \
+    | grep -v -e '^crates/runtime/src/metrics.rs:' -e '^crates/[a-z]*/tests/'; then
+    echo "ci: Prometheus histogram lines are being written outside crates/runtime/src/metrics.rs" >&2
+    exit 1
+fi
+if grep -rnwE 'WindowedCounter|WindowedHistogram|SloTracker|window_ticks|serve_load|TrafficProfile' crates; then
+    echo "ci: a deleted telemetry type, knob or harness is back under crates/" >&2
+    exit 1
+fi
+cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight, trace and
+                                 # server JSON renderings equal the files recorded on
+                                 # 84ce847, before the four consolidations
 cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-
                                  # differential suite (sparse HNSW/flat ≡ the dense oracle,
                                  # ids and score bits)
@@ -103,16 +126,6 @@ for f in "$repl_dir/replica"/*.store; do
     cargo run --release -q -p osql-cli -- fsck "$f"
 done
 
-# Observability gate: trace-ID round-trip and the four /debug endpoints
-# (flight lookup, recent/slow listings, SLO report) answer over real
-# HTTP; the shared Retry-After rounding stays pinned; the flight
-# recorder's invariants hold under exhaustive model exploration; and the
-# windowed/SLO exposition stays byte-deterministic (trace_shape, in the
-# workspace run below).
-cargo test -q -p osql-server --test http_smoke -- \
-    trace_ids_round_trip_and_debug_endpoints_answer \
-    retry_after_rounding_is_shared_and_pinned
-
 # Concurrency gates (osql-chk). Three layers:
 #   1. workspace-lint: no raw std::sync primitives in checked crates, no
 #      lock().unwrap() outside the sanctioned helper, no wall-clock reads
@@ -151,7 +164,9 @@ cargo bench --no-run             # benches must always compile
 # Prepared::execute: an API break there must fail here, not in a benchmark
 # run. (Its `benchmark_smoke` integration test drives the whole suite and
 # is left to the benchmark itself.)
-cargo build --release --manifest-path perfbench/Cargo.toml
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path perfbench/Cargo.toml >/dev/null # its lock still describes the graph
+cargo build --release --locked --manifest-path perfbench/Cargo.toml
 cargo test -q --manifest-path perfbench/Cargo.toml --lib
 cargo clippy -p osql-store --all-targets -- -D warnings
 cargo clippy --workspace --all-targets -- -D warnings

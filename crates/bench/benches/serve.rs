@@ -75,13 +75,11 @@ fn bench_http_round_trip(c: &mut Criterion) {
     let addr = server.local_addr();
 
     let ex = &world.benchmark.dev[0];
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let body = format!(
-        "{{\"db_id\":\"{}\",\"question\":\"{}\",\"evidence\":\"{}\"}}",
-        escape(&ex.db_id),
-        escape(&ex.question),
-        escape(&ex.evidence)
-    );
+    let mut body = osql_server::json::ObjectWriter::new();
+    body.str_field("db_id", &ex.db_id)
+        .str_field("question", &ex.question)
+        .str_field("evidence", &ex.evidence);
+    let body = body.finish();
 
     let mut conn = Conn::open(addr);
     // prime the result cache so the query bench measures serving overhead

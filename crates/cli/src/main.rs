@@ -324,7 +324,7 @@ fn main() {
                     None => break,
                 }
             }
-            print!("{}", rt.metrics().render());
+            print!("{}", rt.refreshed_metrics().render());
         }
         _ => {
             eprintln!("building {} world (scale {}) ...", opts.profile, opts.scale);

@@ -268,7 +268,7 @@ pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> 
         let _ = handle.join();
     }
     let drained = server.shutdown();
-    let mut out = rt.metrics().render();
+    let mut out = rt.refreshed_metrics().render();
     if !drained {
         out.push_str("warning: connections still open at drain deadline\n");
     }
@@ -320,7 +320,7 @@ pub fn run_batch(opts: &ServeOptions) -> String {
     if errors > 0 {
         let _ = writeln!(out, "errors: {errors}");
     }
-    out.push_str(&rt.metrics().render());
+    out.push_str(&rt.refreshed_metrics().render());
     out
 }
 
@@ -437,24 +437,25 @@ pub fn stage_table(metrics: &osql_runtime::MetricsRegistry) -> String {
             .find(|(k, _)| k == "stage")
             .map(|(_, v)| v.as_str())
             .unwrap_or("?");
+        let h = h.snapshot();
         let _ = writeln!(
             out,
             "{:<12} {:>7} {:>10} {:>10} {:>7.1}%",
             stage,
             h.count(),
-            fmt_ms(h.approx_quantile(0.5)),
-            fmt_ms(h.approx_quantile(0.95)),
+            fmt_ms(h.quantile(0.5)),
+            fmt_ms(h.quantile(0.95)),
             100.0 * h.sum() / total,
         );
     }
-    let pipeline = metrics.latency("pipeline_ms");
+    let pipeline = metrics.latency("pipeline_ms").snapshot();
     if pipeline.count() > 0 {
         let _ = writeln!(
             out,
             "\npipeline     {:>7} {:>10} {:>10}",
             pipeline.count(),
-            fmt_ms(pipeline.approx_quantile(0.5)),
-            fmt_ms(pipeline.approx_quantile(0.95)),
+            fmt_ms(pipeline.quantile(0.5)),
+            fmt_ms(pipeline.quantile(0.95)),
         );
     }
     out
@@ -625,8 +626,8 @@ pub fn handle_serve_line(
     }
     match line {
         "\\quit" | "\\q" => return None,
-        "\\metrics" => return Some(rt.metrics().render()),
-        "\\prom" => return Some(rt.metrics().render_prometheus()),
+        "\\metrics" => return Some(rt.refreshed_metrics().render()),
+        "\\prom" => return Some(rt.refreshed_metrics().render_prometheus()),
         "\\profile" => return Some(stage_table(rt.metrics())),
         "\\trace" => {
             return Some(match rt.traces().last() {
@@ -737,8 +738,10 @@ mod tests {
         // final metrics snapshot comes back
         let mut input = std::io::Cursor::new(Vec::<u8>::new());
         let report = run_http_serve(&http_opts, &mut input);
-        // no traffic flowed, so the snapshot is the empty-registry one
-        assert!(report.contains("no metrics recorded"), "{report}");
+        // no traffic flowed: the snapshot holds the mirrors every read
+        // refreshes and not one request-path series
+        assert!(report.contains("asset_builds_total 0"), "{report}");
+        assert!(!report.contains("requests_total"), "{report}");
         assert!(!report.contains("warning"), "{report}");
     }
 
@@ -762,7 +765,7 @@ mod tests {
         assert!(status.contains("budget: unlimited"), "{status}");
         assert!(status.contains(&ex.db_id), "{status}");
         assert!(status.contains("loads: 1"), "{status}");
-        let snapshot = rt.metrics().render();
+        let snapshot = rt.refreshed_metrics().render();
         assert!(snapshot.contains("db_load_total"), "{snapshot}");
         assert!(snapshot.contains("store_bytes_resident"), "{snapshot}");
         std::fs::remove_dir_all(&dir).unwrap();

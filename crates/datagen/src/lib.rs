@@ -28,7 +28,6 @@ pub mod generator;
 pub mod nlq;
 pub mod spec;
 pub mod store;
-pub mod traffic;
 pub mod values;
 
 pub use bench::{generate, Benchmark, Example, Profile, Split};
@@ -37,4 +36,3 @@ pub use store::{export_db_store, export_store, import_store, open_store_catalog,
 pub use build::{BuiltDb, ColMeta, RowScale, TableMeta};
 pub use spec::{AggFunc, CmpOp, Difficulty, FilterSpec, OrderSpec, QuerySpec, SelectSpec};
 pub use values::{ColKind, Quirk};
-pub use traffic::{synthesize, TrafficProfile, TrafficRequest};

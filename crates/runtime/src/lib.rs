@@ -16,7 +16,10 @@
 //!   llmsim's seeded [`llmsim::FlakyLlm`] fault injector.
 //! - **[`metrics`]** — atomic counters and fixed-bucket latency
 //!   histograms, optionally labeled (`stage_latency_ms{stage="…"}`),
-//!   with a text snapshot renderer and a Prometheus-style exposition.
+//!   the one bucket math ([`HistogramSnapshot`]) and the one Prometheus
+//!   text writer, with a text snapshot renderer beside it.
+//! - **[`window`]** — one ring of per-tick slots over a logical clock;
+//!   the windowed exposition and the SLO burn-rate report are views of it.
 //!
 //! Each served query also records an [`osql_trace`] span tree; workers
 //! publish finished traces to a bounded drop-oldest
@@ -50,7 +53,7 @@
 //!     .wait()
 //!     .unwrap();
 //! assert!(resp.run.final_sql.to_uppercase().starts_with("SELECT"));
-//! println!("{}", rt.metrics().render());
+//! println!("{}", rt.refreshed_metrics().render());
 //! ```
 
 #![deny(missing_docs)]
@@ -67,14 +70,11 @@ pub use cache::{
     config_fingerprint, normalize_question, open_paged_catalog, AssetCache, AssetMiss, LruCache,
     ResultCache, ResultKey,
 };
-pub use metrics::{Counter, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use middleware::{CallError, ResilientLlm, RetryPolicy};
 pub use queue::{BoundedQueue, PushError};
 pub use runtime::{
     retry_after_secs, CancelReason, QueryRequest, QueryResponse, QueueStats, Runtime,
     RuntimeConfig, ServeError, SubmitError, Throughput, Ticket,
 };
-pub use window::{
-    LogicalClock, SloConfig, SloReport, SloTracker, SloWindow, WindowedCounter, WindowedHistogram,
-    WindowedMetrics,
-};
+pub use window::{LogicalClock, SloConfig, SloReport, SloWindow, WindowView, WindowedMetrics};

@@ -3,16 +3,20 @@
 //! instrument per distinct label set) — with a human-readable text
 //! snapshot and a Prometheus-style text exposition.
 //!
-//! Everything is lock-free on the hot path (one atomic add per counter
-//! increment, two per histogram observation); the registry itself takes a
-//! lock only to create or look up instruments by name + labels. Callers
-//! on hot paths should hold the returned `Arc` instead of re-resolving.
-//! Histogram sums are kept in integer milli-units (the observed value
-//! × 1000, rounded) so concurrent recording stays exact and snapshots are
-//! reproducible.
+//! The shape is **instruments → snapshot → one writer**. Instruments are
+//! lock-free on the hot path (one atomic add per counter increment, three
+//! per histogram observation); the registry takes a lock only to create
+//! or look up instruments by name + labels, so hot paths should hold the
+//! returned `Arc`. Every reading of a histogram goes through the
+//! plain-data [`HistogramSnapshot`], which owns the bucket math once (a
+//! slot of the [`crate::window`] ring *is* one), and every Prometheus
+//! line of the workspace — this registry, the windowed block, the SLO
+//! gauges, the server's replication series — is written by
+//! [`write_type`], [`write_sample`] and [`write_histogram`], so label
+//! escaping, the `_bucket`/`_sum`/`_count` triplet and `+Inf` exist once.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 use osql_chk::atomic::{AtomicU64, Ordering};
 use osql_chk::Mutex;
 use std::sync::Arc;
@@ -52,22 +56,6 @@ impl Counter {
     }
 }
 
-/// A histogram over fixed upper-bound buckets (plus a +Inf overflow
-/// bucket). Values are arbitrary `f64`s — latencies in milliseconds for
-/// most instruments, vote fractions for `vote_margin`.
-#[derive(Debug)]
-pub struct Histogram {
-    /// Inclusive upper bounds, ascending.
-    bounds: Vec<f64>,
-    /// One count per bound, plus the overflow bucket at the end.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum in integer milli-units (value × 1000, rounded) so concurrent
-    /// adds are exact and order-insensitive. Sub-milli-unit precision
-    /// (below 0.001 of whatever the value's unit is) is rounded away.
-    sum_milli: AtomicU64,
-}
-
 /// Default latency bucket bounds in milliseconds.
 pub const LATENCY_BOUNDS_MS: [f64; 12] =
     [1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 10_000.0];
@@ -75,50 +63,89 @@ pub const LATENCY_BOUNDS_MS: [f64; 12] =
 /// Bucket bounds for fractional metrics such as vote margins.
 pub const FRACTION_BOUNDS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
 
-impl Histogram {
-    /// A histogram over the given ascending upper bounds.
+/// Index of the bucket `value` lands in: the first bound at or above it,
+/// else the overflow bucket (`bounds.len()`).
+fn bucket_of(bounds: &[f64], value: f64) -> usize {
+    bounds.iter().position(|b| value <= *b).unwrap_or(bounds.len())
+}
+
+/// `value` in integer milli-units (× 1000, rounded, clamped at zero), so
+/// sums are exact and order-insensitive. Precision below 0.001 of
+/// whatever the value's unit is rounds away.
+fn to_milli(value: f64) -> u64 {
+    (value.max(0.0) * 1000.0).round() as u64
+}
+
+/// A plain-data histogram over fixed upper-bound buckets (plus an
+/// overflow bucket): what an atomic [`Histogram`] snapshots to and what a
+/// window slot holds per tick. **The** bucket math of the workspace —
+/// quantile walk, cumulative fold, compliance count, merge.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HistogramSnapshot {
+    /// Inclusive upper bounds, ascending.
+    bounds: Arc<[f64]>,
+    /// Non-cumulative count per bound, overflow bucket last.
+    buckets: Vec<u64>,
+    count: u64,
+    sum_milli: u64,
+}
+
+impl HistogramSnapshot {
+    /// An empty histogram over the given strictly ascending upper bounds.
     pub fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly ascending"
         );
-        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets,
-            count: AtomicU64::new(0),
-            sum_milli: AtomicU64::new(0),
+        HistogramSnapshot {
+            bounds: bounds.into(),
+            buckets: vec![0; bounds.len() + 1],
+            count: 0,
+            sum_milli: 0,
         }
     }
 
     /// Record one observation.
-    pub fn record(&self, value: f64) {
-        let idx = self.bounds.iter().position(|b| value <= *b).unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let milli = (value.max(0.0) * 1000.0).round() as u64;
-        self.sum_milli.fetch_add(milli, Ordering::Relaxed);
+    pub fn record(&mut self, value: f64) {
+        self.buckets[bucket_of(&self.bounds, value)] += 1;
+        self.count += 1;
+        self.sum_milli += to_milli(value);
+    }
+
+    /// Add every observation of `other` (same bounds) to this histogram.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        debug_assert_eq!(self.bounds, other.bounds, "merging histograms over different bounds");
+        for (acc, n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *acc += n;
+        }
+        self.count += other.count;
+        self.sum_milli += other.sum_milli;
+    }
+
+    /// Forget every observation, keeping the bounds (and the allocation).
+    pub fn clear(&mut self) {
+        self.buckets.fill(0);
+        self.count = 0;
+        self.sum_milli = 0;
     }
 
     /// Observations recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
-    /// Sum of observed values (in the value's own unit; internally kept
-    /// in milli-units, so quantised to 0.001).
+    /// Sum of observed values (in the value's own unit, quantised to 0.001).
     pub fn sum(&self) -> f64 {
-        self.sum_milli.load(Ordering::Relaxed) as f64 / 1000.0
+        self.sum_milli as f64 / 1000.0
     }
 
     /// Mean observed value (0 when empty).
     pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
+        if self.count == 0 {
             0.0
         } else {
-            self.sum() / n as f64
+            self.sum() / self.count as f64
         }
     }
 
@@ -127,62 +154,185 @@ impl Histogram {
     /// answer is **`f64::INFINITY`** — a saturated histogram reports an
     /// unbounded quantile rather than masquerading as the last finite
     /// bound.
-    pub fn approx_quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
             return 0.0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        self.cumulative().find(|(_, seen)| *seen >= rank).map_or(f64::INFINITY, |(bound, _)| bound)
     }
 
-    /// Per-bucket (upper bound, count) pairs; the overflow bucket reports
-    /// `f64::INFINITY`. Counts are non-cumulative.
-    pub fn snapshot_buckets(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, bucket)| {
-                (
-                    self.bounds.get(i).copied().unwrap_or(f64::INFINITY),
-                    bucket.load(Ordering::Relaxed),
-                )
-            })
-            .collect()
+    /// `(upper bound, cumulative count)` per bucket, the overflow bucket
+    /// (`f64::INFINITY`) last — the Prometheus shape.
+    pub fn cumulative(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        let bounds = self.bounds.iter().copied().chain([f64::INFINITY]);
+        bounds.zip(&self.buckets).scan(0u64, |seen, (bound, n)| {
+            *seen += n;
+            Some((bound, *seen))
+        })
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Observations at or under `bound`, matched to the nearest
+    /// configured bucket bound at or above it (latency-SLO compliance).
+    pub fn under(&self, bound: f64) -> u64 {
+        self.buckets.iter().take(bucket_of(&self.bounds, bound) + 1).sum()
+    }
+
+    /// The registry's one-line text form: totals, two quantiles, then
+    /// every non-empty bucket.
+    fn render_text_into(&self, out: &mut String) {
         let _ = write!(
             out,
             "count={} sum={:.1} mean={:.2} p50<={:.1} p95<={:.1} |",
-            self.count(),
+            self.count,
             self.sum(),
             self.mean(),
-            self.approx_quantile(0.5),
-            self.approx_quantile(0.95),
+            self.quantile(0.5),
+            self.quantile(0.95),
         );
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            let n = bucket.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            match self.bounds.get(i) {
-                Some(b) => {
-                    let _ = write!(out, " le{b}:{n}");
-                }
-                None => {
-                    let _ = write!(out, " inf:{n}");
-                }
-            }
+        for (i, n) in self.buckets.iter().enumerate().filter(|(_, n)| **n > 0) {
+            let _ = match self.bounds.get(i) {
+                Some(b) => write!(out, " le{b}:{n}"),
+                None => write!(out, " inf:{n}"),
+            };
         }
     }
+}
+
+/// A concurrently recordable histogram: the atomic form of a
+/// [`HistogramSnapshot`]. Values are arbitrary `f64`s — latencies in
+/// milliseconds for most instruments, vote fractions for `vote_margin`.
+#[derive(Debug)]
+pub struct Histogram {
+    bounds: Arc<[f64]>,
+    /// One count per bound, plus the overflow bucket at the end.
+    buckets: Vec<AtomicU64>,
+    count: AtomicU64,
+    sum_milli: AtomicU64,
+}
+
+impl Histogram {
+    /// A histogram over the given ascending upper bounds.
+    pub fn new(bounds: &[f64]) -> Self {
+        let HistogramSnapshot { bounds, buckets, .. } = HistogramSnapshot::new(bounds);
+        Histogram {
+            bounds,
+            buckets: buckets.into_iter().map(AtomicU64::new).collect(),
+            count: AtomicU64::new(0),
+            sum_milli: AtomicU64::new(0),
+        }
+    }
+
+    /// Record one observation.
+    pub fn record(&self, value: f64) {
+        self.buckets[bucket_of(&self.bounds, value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum_milli.fetch_add(to_milli(value), Ordering::Relaxed);
+    }
+
+    /// Copy the current values out; quantiles, the mean and both
+    /// renderings are read off the copy.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            bounds: self.bounds.clone(),
+            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            count: self.count(),
+            sum_milli: self.sum_milli.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Observations recorded.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of observed values (see [`HistogramSnapshot::sum`]).
+    pub fn sum(&self) -> f64 {
+        self.sum_milli.load(Ordering::Relaxed) as f64 / 1000.0
+    }
+
+}
+
+// ---- the Prometheus text writer ------------------------------------------
+
+/// A float as the exposition spells it: `decimals` places (or the
+/// shortest round-trip form with `None`), and `+Inf` for the overflow
+/// bound or an unbounded quantile.
+#[derive(Debug, Clone, Copy)]
+pub struct PromF64(pub f64, pub Option<usize>);
+
+impl Display for PromF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            PromF64(v, _) if v == f64::INFINITY => f.write_str("+Inf"),
+            PromF64(v, Some(decimals)) => write!(f, "{v:.decimals$}"),
+            PromF64(v, None) => write!(f, "{v}"),
+        }
+    }
+}
+
+/// Append `name + suffix{k="v",…}` (or just the name for no labels), with
+/// an `le` label after the caller's when `le` is given. Label values are
+/// escaped per the text format: `\`, `"` and newline.
+fn push_series(out: &mut String, name: &str, suffix: &str, labels: &[(&str, &str)], le: Option<f64>) {
+    out.push_str(name);
+    out.push_str(suffix);
+    if labels.is_empty() && le.is_none() {
+        return;
+    }
+    out.push('{');
+    for (i, (k, v)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    if let Some(bound) = le {
+        let comma = if labels.is_empty() { "" } else { "," };
+        let _ = write!(out, "{comma}le=\"{}\"", PromF64(bound, None));
+    }
+    out.push('}');
+}
+
+/// Write a `# TYPE name kind` comment line.
+pub fn write_type(out: &mut String, name: &str, kind: &str) {
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Write one `name{labels} value` sample line — **the** sample writer.
+pub fn write_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: impl Display) {
+    push_series(out, name, "", labels, None);
+    let _ = writeln!(out, " {value}");
+}
+
+/// Write one histogram series as the standard triplet: a cumulative
+/// `_bucket` line per bound (`+Inf` last), `_sum` (spelled with
+/// `sum_decimals`, see [`PromF64`]) and `_count`.
+pub fn write_histogram(
+    out: &mut String,
+    name: &str,
+    labels: &[(&str, &str)],
+    snapshot: &HistogramSnapshot,
+    sum_decimals: Option<usize>,
+) {
+    for (bound, seen) in snapshot.cumulative() {
+        push_series(out, name, "_bucket", labels, Some(bound));
+        let _ = writeln!(out, " {seen}");
+    }
+    push_series(out, name, "_sum", labels, None);
+    let _ = writeln!(out, " {}", PromF64(snapshot.sum(), sum_decimals));
+    push_series(out, name, "_count", labels, None);
+    let _ = writeln!(out, " {}", snapshot.count());
 }
 
 /// A label set, normalised (sorted by key) so `[("a","1"),("b","2")]` and
@@ -196,35 +346,8 @@ fn normalize(labels: &[(&str, &str)]) -> Labels {
     out
 }
 
-/// Render `name{k="v",k2="v2"}` (or just `name` for the empty label set),
-/// with `extra` appended after the caller's labels (used for `le`).
-fn series_name(name: &str, labels: &Labels, extra: Option<(&str, &str)>) -> String {
-    if labels.is_empty() && extra.is_none() {
-        return name.to_owned();
-    }
-    let mut out = String::with_capacity(name.len() + 16);
-    out.push_str(name);
-    out.push('{');
-    let mut first = true;
-    for (k, v) in labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).chain(extra) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\""));
-    }
-    out.push('}');
-    out
-}
-
-/// Format a bucket bound the way Prometheus expects (`+Inf` for the
-/// overflow bucket).
-fn le_value(bound: f64) -> String {
-    if bound.is_infinite() {
-        "+Inf".to_owned()
-    } else {
-        format!("{bound}")
-    }
+fn borrowed(labels: &Labels) -> Vec<(&str, &str)> {
+    labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect()
 }
 
 /// Named instruments, created on first use and shared by reference.
@@ -314,7 +437,8 @@ impl MetricsRegistry {
         if !counters.is_empty() {
             out.push_str("counters:\n");
             for ((name, labels), c) in counters.iter() {
-                let _ = writeln!(out, "  {} {}", series_name(name, labels, None), c.get());
+                out.push_str("  ");
+                write_sample(&mut out, name, &borrowed(labels), c.get());
             }
         }
         drop(counters);
@@ -322,8 +446,10 @@ impl MetricsRegistry {
         if !histograms.is_empty() {
             out.push_str("histograms:\n");
             for ((name, labels), h) in histograms.iter() {
-                let _ = write!(out, "  {} ", series_name(name, labels, None));
-                h.render_into(&mut out);
+                out.push_str("  ");
+                push_series(&mut out, name, "", &borrowed(labels), None);
+                out.push(' ');
+                h.snapshot().render_text_into(&mut out);
                 out.push('\n');
             }
         }
@@ -334,46 +460,28 @@ impl MetricsRegistry {
     }
 
     /// Render a Prometheus-style text exposition: one `# TYPE` comment per
-    /// metric name, `name{labels} value` per counter series, and the
-    /// standard `_bucket`/`_sum`/`_count` triplet (with cumulative bucket
-    /// counts and a `+Inf` bucket) per histogram series.
+    /// metric name, then one sample per counter series and one
+    /// [`write_histogram`] triplet per histogram series.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         let counters = self.counters.lock();
         let mut last_name = None::<&str>;
         for ((name, labels), c) in counters.iter() {
             if last_name != Some(name.as_str()) {
-                let _ = writeln!(out, "# TYPE {name} counter");
+                write_type(&mut out, name, "counter");
                 last_name = Some(name.as_str());
             }
-            let _ = writeln!(out, "{} {}", series_name(name, labels, None), c.get());
+            write_sample(&mut out, name, &borrowed(labels), c.get());
         }
         drop(counters);
         let histograms = self.histograms.lock();
         let mut last_name = None::<&str>;
         for ((name, labels), h) in histograms.iter() {
             if last_name != Some(name.as_str()) {
-                let _ = writeln!(out, "# TYPE {name} histogram");
+                write_type(&mut out, name, "histogram");
                 last_name = Some(name.as_str());
             }
-            let mut cumulative = 0u64;
-            for (bound, n) in h.snapshot_buckets() {
-                cumulative += n;
-                let _ = writeln!(
-                    out,
-                    "{} {}",
-                    series_name(&format!("{name}_bucket"), labels, Some(("le", &le_value(bound)))),
-                    cumulative
-                );
-            }
-            let _ =
-                writeln!(out, "{} {}", series_name(&format!("{name}_sum"), labels, None), h.sum());
-            let _ = writeln!(
-                out,
-                "{} {}",
-                series_name(&format!("{name}_count"), labels, None),
-                h.count()
-            );
+            write_histogram(&mut out, name, &borrowed(labels), &h.snapshot(), None);
         }
         out
     }
@@ -411,11 +519,11 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert!((h.sum() - 556.4).abs() < 0.01, "{}", h.sum());
-        assert!((h.mean() - 111.28).abs() < 0.01, "{}", h.mean());
+        assert!((h.snapshot().mean() - 111.28).abs() < 0.01, "{}", h.snapshot().mean());
         // two in le1, one each in le10/le100/overflow
-        assert_eq!(h.approx_quantile(0.2), 1.0);
-        assert_eq!(h.approx_quantile(0.5), 10.0);
-        assert_eq!(h.approx_quantile(0.8), 100.0);
+        assert_eq!(h.snapshot().quantile(0.2), 1.0);
+        assert_eq!(h.snapshot().quantile(0.5), 10.0);
+        assert_eq!(h.snapshot().quantile(0.8), 100.0);
     }
 
     #[test]
@@ -425,14 +533,41 @@ mod tests {
             h.record(v);
         }
         // the p100 falls in the overflow bucket: +Inf, not the last bound
-        assert!(h.approx_quantile(1.0).is_infinite());
+        assert!(h.snapshot().quantile(1.0).is_infinite());
         // a fully saturated histogram cannot report a finite p95
         let sat = Histogram::new(&[1.0]);
         for _ in 0..10 {
             sat.record(99.0);
         }
-        assert!(sat.approx_quantile(0.5).is_infinite());
-        assert!(sat.approx_quantile(0.95).is_infinite());
+        assert!(sat.snapshot().quantile(0.5).is_infinite());
+        assert!(sat.snapshot().quantile(0.95).is_infinite());
+    }
+
+    #[test]
+    fn snapshot_owns_the_bucket_math() {
+        let mut h = HistogramSnapshot::new(&[10.0, 100.0, 1000.0]);
+        for v in [1.0, 5.0, 50.0, 500.0] {
+            h.record(v);
+        }
+        assert_eq!(h.under(100.0), 3);
+        assert_eq!(h.under(99.0), 3, "matched to the next bound up");
+        assert_eq!(h.under(5000.0), 4, "past the last bound: everything");
+        let cum: Vec<_> = h.cumulative().collect();
+        assert_eq!(cum, vec![(10.0, 2), (100.0, 3), (1000.0, 4), (f64::INFINITY, 4)]);
+        // merge adds observation for observation; clear keeps the bounds
+        let mut other = HistogramSnapshot::new(&[10.0, 100.0, 1000.0]);
+        other.record(2000.0);
+        other.merge(&h);
+        assert_eq!(other.count(), 5);
+        assert_eq!(other.quantile(1.0), f64::INFINITY);
+        other.clear();
+        assert_eq!(other, HistogramSnapshot::new(&[10.0, 100.0, 1000.0]));
+        // the atomic instrument snapshots to the same thing
+        let atomic = Histogram::new(&[10.0, 100.0, 1000.0]);
+        for v in [1.0, 5.0, 50.0, 500.0] {
+            atomic.record(v);
+        }
+        assert_eq!(atomic.snapshot(), h);
     }
 
     #[test]
@@ -453,8 +588,8 @@ mod tests {
     fn empty_histogram_is_zeroed() {
         let h = Histogram::new(&FRACTION_BOUNDS);
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.approx_quantile(0.5), 0.0);
+        assert_eq!(h.snapshot().mean(), 0.0);
+        assert_eq!(h.snapshot().quantile(0.5), 0.0);
     }
 
     #[test]
@@ -549,9 +684,14 @@ mod tests {
         assert!(text.contains("lat_ms_count{stage=\"vote\"} 3"), "{text}");
         // one TYPE line per name, not per series
         assert_eq!(text.matches("# TYPE requests_total").count(), 1);
-        // label values are escaped
+        // label values are escaped — newline included, or one hostile
+        // value would split a sample across two lines
         let esc = MetricsRegistry::new();
         esc.counter_with("c", &[("k", "a\"b")]).inc();
-        assert!(esc.render_prometheus().contains("c{k=\"a\\\"b\"} 1"));
+        esc.counter_with("c", &[("k", "x\ny\\")]).add(2);
+        let text = esc.render_prometheus();
+        assert!(text.contains("c{k=\"a\\\"b\"} 1"), "{text}");
+        assert!(text.contains("c{k=\"x\\ny\\\\\"} 2"), "{text}");
+        assert_eq!(text.lines().count(), 3, "a TYPE line and one line per series: {text}");
     }
 }

@@ -235,13 +235,12 @@ pub struct RuntimeConfig {
     /// Flight-recorder sizing and slow-query thresholds (capacity 0
     /// disables the recorder).
     pub flight: FlightConfig,
-    /// Windowed-metrics ring width in logical ticks.
-    pub window_ticks: usize,
     /// Milliseconds per logical tick for the background ticker thread;
     /// `0` spawns no ticker — tests advance [`Runtime::clock`] manually
     /// for deterministic windows.
     pub tick_interval_ms: u64,
-    /// Service-level objectives evaluated over the windowed stream.
+    /// Service-level objectives evaluated over the windowed stream; the
+    /// longer of its two windows is also the window ring's width.
     pub slo: SloConfig,
 }
 
@@ -253,7 +252,6 @@ impl Default for RuntimeConfig {
             result_cache_capacity: 256,
             trace_capacity: 64,
             flight: FlightConfig::default(),
-            window_ticks: 144,
             tick_interval_ms: 1000,
             slo: SloConfig::default(),
         }
@@ -377,11 +375,7 @@ impl Runtime {
         let traces = Arc::new(TraceCollector::new(config.trace_capacity));
         let flight = Arc::new(FlightRecorder::new(config.flight.clone()));
         let clock = Arc::new(LogicalClock::new());
-        let windowed = Arc::new(WindowedMetrics::new(
-            clock.clone(),
-            config.window_ticks.max(1),
-            config.slo.clone(),
-        ));
+        let windowed = Arc::new(WindowedMetrics::new(clock.clone(), config.slo.clone()));
         let ids = RequestIdGen::new(RUNTIME_SEQ.fetch_add(1, Ordering::Relaxed));
         let fingerprint = config_fingerprint(assets.config());
         let worker_count = config.workers.max(1);
@@ -507,9 +501,62 @@ impl Runtime {
             .collect()
     }
 
-    /// The metrics registry the workers record into.
+    /// The metrics registry the workers record into — the handle for
+    /// *recording* (the server takes it per request). Series mirrored from
+    /// other layers are as fresh as the last [`Runtime::refreshed_metrics`].
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
+    }
+
+    /// The registry with its mirrors brought up to date — the handle for
+    /// *reading*: `/metrics`, the CLI snapshots and anything else that
+    /// renders or inspects a mirrored series goes through here, so what a
+    /// reader sees never depends on whether a worker ran a cold pipeline
+    /// lately (a follower applying WAL in the background runs none).
+    /// Cumulative sources shared across workers mirror with `raise_to`,
+    /// current levels with `set`: asset builds, the demand-paging catalog
+    /// (paged mode), the process-global store latency cells as cumulative
+    /// `store_op_*{op}` counters, result-cache evictions, and the
+    /// process-wide sqlkit plan-cache counters.
+    pub fn refreshed_metrics(&self) -> &MetricsRegistry {
+        let metrics = &*self.metrics;
+        metrics.counter("asset_builds_total").raise_to(self.assets.misses());
+        if let Some(cat) = self.assets.catalog() {
+            metrics.counter("db_load_total").raise_to(cat.loads());
+            metrics.counter("db_evict_total").raise_to(cat.evictions());
+            metrics.counter("store_bytes_resident").set(cat.resident_bytes());
+        }
+        let stats = osql_store::store_stats();
+        for (op, cell) in [
+            ("wal_append", &stats.wal_append),
+            ("wal_sync", &stats.wal_sync),
+            ("wal_commit", &stats.wal_commit),
+            ("checkpoint", &stats.checkpoint),
+        ] {
+            if cell.count() == 0 {
+                continue; // keep read-only snapshots free of zero series
+            }
+            let snap = cell.snapshot();
+            metrics.counter_with("store_op_total", &[("op", op)]).raise_to(snap.count);
+            metrics.counter_with("store_op_us_total", &[("op", op)]).raise_to(snap.total_us);
+            for (bound, count) in &snap.buckets {
+                metrics
+                    .counter_with("store_op_us_bucket", &[("le", &bound.to_string()), ("op", op)])
+                    .raise_to(*count);
+            }
+        }
+        metrics.counter("store_checkpoints_active").set(stats.checkpoints_active());
+        metrics.counter("store_checkpoint_last_bytes").set(stats.checkpoint_last_bytes());
+        metrics.counter("result_cache_evictions_total").raise_to(self.results.evictions());
+        let plans = sqlkit::plan_cache().stats();
+        metrics.counter("plan_cache_hits").raise_to(plans.hits);
+        metrics.counter("plan_cache_misses").raise_to(plans.misses);
+        metrics.counter("plan_prepare_us").raise_to(plans.prepare_us);
+        metrics.counter("plan_execute_us").raise_to(plans.execute_us);
+        metrics.counter("plan_ix_scan_total").raise_to(plans.ix_scans);
+        metrics.counter("plan_fallback_scan_total").raise_to(plans.fallback_scans);
+        metrics.counter("plan_rows_scanned_total").raise_to(plans.rows_scanned);
+        metrics
     }
 
     /// The ring of recently finished query traces.
@@ -536,7 +583,7 @@ impl Runtime {
 
     /// Evaluate the configured SLOs at the current tick.
     pub fn slo_report(&self) -> SloReport {
-        self.windowed.slo.evaluate(self.clock().now())
+        self.windowed.slo_report()
     }
 
     /// The level-1 (per-database asset) cache.
@@ -760,7 +807,6 @@ fn worker_loop(
                 continue;
             }
         };
-        sync_store_metrics(metrics, assets);
         let started = Instant::now();
         let mut run = pipeline.answer(&job.req.db_id, &job.req.question, &job.req.evidence);
         let trace = Arc::new(active::pop().unwrap_or_else(QueryTrace::empty));
@@ -783,8 +829,6 @@ fn worker_loop(
         }
         record_analysis_metrics(metrics, &pipeline, &run);
         results.insert(key, run.clone());
-        metrics.counter("result_cache_evictions_total").raise_to(results.evictions());
-        sync_plan_cache_metrics(metrics);
         // Flight record + slow-query capture. The tail-sampling decision
         // itself belongs to the recorder; the worker attaches the heavy
         // payloads (span tree, EXPLAIN) whenever the record *could* be
@@ -833,59 +877,6 @@ fn record_analysis_metrics(
             metrics.counter_with("analyze_diags_total", &[("code", &d.code)]).inc();
         }
     }
-}
-
-/// Mirror per-database asset builds (`asset_builds_total`: first touches,
-/// plus one per page-in in paged mode) and, in paged mode only, the
-/// demand-paging catalog's counters into the registry: cumulative loads
-/// and evictions via `raise_to` (shared across workers, like the
-/// plan-cache mirrors) and the current resident byte level via `set` (it
-/// falls on eviction, so it is a gauge). The
-/// process-global WAL/checkpoint latency cells mirror the same way, as
-/// Prometheus-style cumulative `_bucket` counters labeled by operation.
-fn sync_store_metrics(metrics: &MetricsRegistry, assets: &AssetCache) {
-    metrics.counter("asset_builds_total").raise_to(assets.misses());
-    if let Some(cat) = assets.catalog() {
-        metrics.counter("db_load_total").raise_to(cat.loads());
-        metrics.counter("db_evict_total").raise_to(cat.evictions());
-        metrics.counter("store_bytes_resident").set(cat.resident_bytes());
-    }
-    let stats = osql_store::store_stats();
-    for (op, cell) in [
-        ("wal_append", &stats.wal_append),
-        ("wal_sync", &stats.wal_sync),
-        ("wal_commit", &stats.wal_commit),
-        ("checkpoint", &stats.checkpoint),
-    ] {
-        if cell.count() == 0 {
-            continue; // keep read-only snapshots free of zero series
-        }
-        let snap = cell.snapshot();
-        metrics.counter_with("store_op_total", &[("op", op)]).raise_to(snap.count);
-        metrics.counter_with("store_op_us_total", &[("op", op)]).raise_to(snap.total_us);
-        for (bound, count) in &snap.buckets {
-            metrics
-                .counter_with("store_op_us_bucket", &[("le", &bound.to_string()), ("op", op)])
-                .raise_to(*count);
-        }
-    }
-    metrics.counter("store_checkpoints_active").set(stats.checkpoints_active());
-    metrics.counter("store_checkpoint_last_bytes").set(stats.checkpoint_last_bytes());
-}
-
-/// Mirror the process-wide sqlkit plan-cache counters into the registry so
-/// the metrics snapshot shows prepare/execute split timings and hit rates.
-/// The source counters are cumulative and shared across workers, so
-/// `raise_to` keeps the mirrors exact without double counting.
-fn sync_plan_cache_metrics(metrics: &MetricsRegistry) {
-    let stats = sqlkit::plan_cache().stats();
-    metrics.counter("plan_cache_hits").raise_to(stats.hits);
-    metrics.counter("plan_cache_misses").raise_to(stats.misses);
-    metrics.counter("plan_prepare_us").raise_to(stats.prepare_us);
-    metrics.counter("plan_execute_us").raise_to(stats.execute_us);
-    metrics.counter("plan_ix_scan_total").raise_to(stats.ix_scans);
-    metrics.counter("plan_fallback_scan_total").raise_to(stats.fallback_scans);
-    metrics.counter("plan_rows_scanned_total").raise_to(stats.rows_scanned);
 }
 
 /// Cheap helper: track throughput over a batch.
@@ -981,9 +972,9 @@ mod tests {
         assert!(resp.run.final_sql.to_uppercase().starts_with("SELECT"));
         assert_eq!(rt.metrics().counter("requests_total").get(), 1);
         assert_eq!(rt.metrics().counter("result_cache_misses").get(), 1);
-        let snapshot = rt.metrics().render();
+        let snapshot = rt.refreshed_metrics().render();
         assert!(snapshot.contains("pipeline_ms"), "{snapshot}");
-        // The plan-cache mirror is synced after every served request. The
+        // The plan-cache mirror is brought up to date on every read. The
         // source counters are process-global (shared with parallel tests),
         // so assert presence rather than exact values.
         for name in [
@@ -1000,6 +991,25 @@ mod tests {
         let hits = rt.metrics().counter("plan_cache_hits").get();
         let misses = rt.metrics().counter("plan_cache_misses").get();
         assert!(hits + misses > 0, "serving a request touches the plan cache");
+    }
+
+    /// A follower applying WAL in the background serves no cold request,
+    /// so nothing a worker does may be what brings the mirrors up to date.
+    #[test]
+    fn mirrors_refresh_on_read_without_a_request() {
+        let (_bench, assets) = world();
+        let rt = Runtime::start(assets, RuntimeConfig::with_workers(1));
+        let path = std::env::temp_dir().join(format!("osql-mirror-{}.store", std::process::id()));
+        let mut store = osql_store::Store::create(&path, sqlkit::Database::new("scratch"), Vec::new()).unwrap();
+        store.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        store.commit().unwrap();
+        let commits = rt.refreshed_metrics().counter_with("store_op_total", &[("op", "wal_commit")]);
+        assert!(commits.get() >= 1, "a read after a commit sees it, with no request served");
+        assert!(rt.refreshed_metrics().render_prometheus().contains("store_op_total{op=\"wal_commit\"}"));
+        assert_eq!(rt.metrics().counter("requests_total").get(), 0);
+        drop(store);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(osql_store::wal_path(&path));
     }
 
     #[test]

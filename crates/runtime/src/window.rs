@@ -1,20 +1,26 @@
-//! Sliding-window instruments over **logical ticks**, plus the SLO
-//! evaluator built on them.
+//! Sliding-window telemetry over **logical ticks**: one ring, two views.
 //!
 //! Cumulative counters answer "how many since boot"; operations needs
 //! "how many in the last minute" and "was the p99 over target in the
-//! last hour". These instruments keep a ring of fixed interval buckets
-//! indexed by a logical tick — an integer advanced by the runtime's
-//! ticker thread in production and *manually* in tests — so a windowed
-//! rendering is a pure function of `(recorded values, tick)` and is
+//! last hour". A runtime keeps **one ring** of per-tick slots — a slot is
+//! that tick's error and cache-hit counts plus a latency
+//! [`HistogramSnapshot`] — indexed by a logical tick: an integer advanced
+//! by the runtime's ticker thread in production and *manually* in tests.
+//! Recording a request is one lock acquisition and one slot claim. What
+//! is read back is a [`WindowView`], the merge of the slots in the
+//! `width` ticks ending at `now`, and both reports are views: the
+//! **windowed exposition** (`osql_window_*`) over the ring's full width,
+//! the **SLO report** over [`SloConfig::short_window`] and
+//! [`SloConfig::long_window`] (the ring is as wide as the longer one).
+//! A rendering is a pure function of `(recorded values, tick)`, so it is
 //! byte-identical across runs, worker counts, and refine thread counts.
 //!
 //! **No wall clock in this file** — `workspace-lint` enforces it (the
 //! `wall-clock` policy covers this path). Time only enters as the tick
 //! argument; callers who want real time advance the clock themselves.
-//! Aggregations are order-insensitive (integer sums and bucket counts,
-//! the same milli-unit trick as [`crate::metrics::Histogram`]), which is
-//! what makes the determinism guarantee hold under concurrency.
+//! Aggregations are order-insensitive (integer bucket counts and
+//! milli-unit sums, see [`crate::metrics`]), which is what makes the
+//! determinism guarantee hold under concurrency.
 //!
 //! The SLO evaluator implements the standard multi-window burn-rate
 //! model: for an objective with error budget `1 - target`, the burn
@@ -24,9 +30,12 @@
 //! the alert threshold, so one spike (short only) or a long-faded
 //! incident (long only) does not page.
 
+use crate::metrics::{
+    write_histogram, write_sample, write_type, HistogramSnapshot, PromF64, LATENCY_BOUNDS_MS,
+};
 use osql_chk::atomic::{AtomicU64, Ordering};
 use osql_chk::Mutex;
-use std::fmt::Write as _;
+use osql_trace::json::ObjectWriter;
 use std::sync::Arc;
 
 /// The logical clock windowed instruments are sliced by: a plain atomic
@@ -52,227 +61,84 @@ impl LogicalClock {
     }
 }
 
-/// One ring slot: the tick it belongs to plus that tick's accumulators.
+/// Tag of a slot no tick has claimed yet.
+const VACANT: u64 = u64::MAX;
+
+/// What the ring holds for a run of consecutive ticks, merged (a slot
+/// holds this for one tick). Every request records a latency, so the
+/// histogram's count *is* the request count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowView {
+    /// Error outcomes.
+    pub errors: u64,
+    /// Result-cache hits.
+    pub cache_hits: u64,
+    /// Modelled pipeline latency per request, in milliseconds.
+    pub latency: HistogramSnapshot,
+}
+
+impl WindowView {
+    fn empty() -> Self {
+        WindowView { errors: 0, cache_hits: 0, latency: HistogramSnapshot::new(&LATENCY_BOUNDS_MS) }
+    }
+
+    /// Requests observed.
+    pub fn requests(&self) -> u64 {
+        self.latency.count()
+    }
+}
+
+/// One ring slot: the tick it belongs to and what was observed in it.
 #[derive(Debug, Clone)]
 struct Slot {
     tick: u64,
-    count: u64,
-    /// Sum in integer milli-units (value × 1000, rounded) so concurrent
-    /// recording within a tick is order-insensitive and exact.
-    sum_milli: u64,
-    /// Non-cumulative counts per bound, overflow bucket last. Empty for
-    /// counter-only rings.
-    buckets: Vec<u64>,
+    seen: WindowView,
 }
 
-impl Slot {
-    fn fresh(tick: u64, n_buckets: usize) -> Self {
-        Slot { tick, count: 0, sum_milli: 0, buckets: vec![0; n_buckets] }
-    }
-}
-
-/// The shared ring core: `window` slots indexed `tick % window`, each
-/// tagged with the tick it currently holds and lazily reset when a new
-/// tick claims it. Samples for ticks older than the slot's current tag
-/// (a writer that raced far behind the clock) are dropped — the window
-/// has already moved past them.
+/// The ring: `slots[tick % len]`, each tagged with the tick it currently
+/// holds and lazily reset when a newer tick claims it.
 #[derive(Debug)]
 struct Ring {
-    window: usize,
-    n_buckets: usize,
-    slots: Mutex<Vec<Slot>>,
+    slots: Vec<Slot>,
 }
 
 impl Ring {
-    fn new(window: usize, n_buckets: usize) -> Self {
-        let window = window.max(1);
-        Ring {
-            window,
-            n_buckets,
-            slots: Mutex::new((0..window).map(|_| Slot::fresh(u64::MAX, n_buckets)).collect()),
-        }
+    fn new(width: usize) -> Self {
+        Ring { slots: vec![Slot { tick: VACANT, seen: WindowView::empty() }; width.max(1)] }
     }
 
-    fn record(&self, tick: u64, value_milli: u64, bucket_idx: Option<usize>) {
-        let mut slots = self.slots.lock();
-        let idx = (tick % self.window as u64) as usize;
-        let slot = &mut slots[idx];
+    /// The slot for `tick`, reset first if it still holds an older tick.
+    /// `None` when the slot already belongs to a newer tick: the writer
+    /// raced far behind the clock and the window has moved past its
+    /// sample, which is dropped rather than filed under the wrong tick.
+    fn claim(&mut self, tick: u64) -> Option<&mut WindowView> {
+        let idx = (tick % self.slots.len() as u64) as usize;
+        let slot = &mut self.slots[idx];
         if slot.tick != tick {
-            if slot.tick != u64::MAX && slot.tick > tick {
-                return; // the window already moved past this tick
+            if slot.tick != VACANT && slot.tick > tick {
+                return None;
             }
-            *slot = Slot::fresh(tick, self.n_buckets);
+            slot.tick = tick;
+            slot.seen.errors = 0;
+            slot.seen.cache_hits = 0;
+            slot.seen.latency.clear();
         }
-        slot.count += 1;
-        slot.sum_milli += value_milli;
-        if let Some(b) = bucket_idx {
-            slot.buckets[b] += 1;
-        }
+        Some(&mut slot.seen)
     }
 
-    /// Aggregate the `width` ticks ending at `now` (inclusive):
-    /// `(count, sum_milli, per-bucket counts)`.
-    fn aggregate(&self, now: u64, width: u64) -> (u64, u64, Vec<u64>) {
-        let width = width.clamp(1, self.window as u64);
+    /// Merge the slots of the `width` ticks ending at `now` (inclusive).
+    fn view(&self, now: u64, width: u64) -> WindowView {
+        let width = width.clamp(1, self.slots.len() as u64);
         let oldest = now.saturating_sub(width - 1);
-        let slots = self.slots.lock();
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        let mut buckets = vec![0u64; self.n_buckets];
-        for slot in slots.iter() {
-            if slot.tick != u64::MAX && slot.tick >= oldest && slot.tick <= now {
-                count += slot.count;
-                sum += slot.sum_milli;
-                for (acc, b) in buckets.iter_mut().zip(&slot.buckets) {
-                    *acc += b;
-                }
+        let mut view = WindowView::empty();
+        for slot in &self.slots {
+            if slot.tick != VACANT && slot.tick >= oldest && slot.tick <= now {
+                view.errors += slot.seen.errors;
+                view.cache_hits += slot.seen.cache_hits;
+                view.latency.merge(&slot.seen.latency);
             }
         }
-        (count, sum, buckets)
-    }
-}
-
-/// A sliding-window event counter: `add` tags each increment with the
-/// current tick; `total`/`rate_per_tick` aggregate the last W ticks.
-#[derive(Debug)]
-pub struct WindowedCounter {
-    ring: Ring,
-}
-
-impl WindowedCounter {
-    /// A counter windowed over `window` ticks.
-    pub fn new(window: usize) -> Self {
-        WindowedCounter { ring: Ring::new(window, 0) }
-    }
-
-    /// Count one event at `tick`.
-    pub fn inc(&self, tick: u64) {
-        self.add(tick, 1);
-    }
-
-    /// Count `n` events at `tick`.
-    pub fn add(&self, tick: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let mut slots = self.ring.slots.lock();
-        let idx = (tick % self.ring.window as u64) as usize;
-        let slot = &mut slots[idx];
-        if slot.tick != tick {
-            if slot.tick != u64::MAX && slot.tick > tick {
-                return;
-            }
-            *slot = Slot::fresh(tick, 0);
-        }
-        slot.count += n;
-    }
-
-    /// Events in the window's full width ending at `now`.
-    pub fn total(&self, now: u64) -> u64 {
-        self.total_over(now, self.ring.window as u64)
-    }
-
-    /// Events in the `width` ticks ending at `now`.
-    pub fn total_over(&self, now: u64, width: u64) -> u64 {
-        self.ring.aggregate(now, width).0
-    }
-
-    /// Mean events per tick over the full window ending at `now`.
-    pub fn rate_per_tick(&self, now: u64) -> f64 {
-        let width = (self.ring.window as u64).min(now + 1);
-        self.total(now) as f64 / width as f64
-    }
-
-    /// The configured window width in ticks.
-    pub fn window(&self) -> usize {
-        self.ring.window
-    }
-}
-
-/// A sliding-window histogram: fixed upper-bound buckets (plus overflow)
-/// per tick slot, aggregated over the last W ticks for windowed counts,
-/// sums, and approximate percentiles.
-#[derive(Debug)]
-pub struct WindowedHistogram {
-    bounds: Vec<f64>,
-    ring: Ring,
-}
-
-impl WindowedHistogram {
-    /// A histogram with the given ascending bounds, windowed over
-    /// `window` ticks.
-    pub fn new(bounds: &[f64], window: usize) -> Self {
-        assert!(!bounds.is_empty(), "windowed histogram needs at least one bucket");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "windowed histogram bounds must be strictly ascending"
-        );
-        WindowedHistogram { bounds: bounds.to_vec(), ring: Ring::new(window, bounds.len() + 1) }
-    }
-
-    /// Record one observation at `tick`.
-    pub fn record(&self, tick: u64, value: f64) {
-        let idx = self.bounds.iter().position(|b| value <= *b).unwrap_or(self.bounds.len());
-        let milli = (value.max(0.0) * 1000.0).round() as u64;
-        self.ring.record(tick, milli, Some(idx));
-    }
-
-    /// Observations in the `width` ticks ending at `now`.
-    pub fn count_over(&self, now: u64, width: u64) -> u64 {
-        self.ring.aggregate(now, width).0
-    }
-
-    /// Sum of observations (value units) over the full window at `now`.
-    pub fn sum(&self, now: u64) -> f64 {
-        self.ring.aggregate(now, self.ring.window as u64).1 as f64 / 1000.0
-    }
-
-    /// Observations at or under `bound_ms` in the `width` ticks ending
-    /// at `now` (for latency-SLO compliance; `bound_ms` is matched to
-    /// the nearest configured bucket bound at or above it).
-    pub fn under_over(&self, now: u64, width: u64, bound: f64) -> u64 {
-        let cutoff = self.bounds.iter().position(|b| *b >= bound).unwrap_or(self.bounds.len());
-        let (_, _, buckets) = self.ring.aggregate(now, width);
-        buckets.iter().take(cutoff + 1).sum()
-    }
-
-    /// Upper bound of the bucket containing the q-quantile over the full
-    /// window ending at `now`; 0 when empty, `f64::INFINITY` when the
-    /// quantile falls in the overflow bucket.
-    pub fn quantile(&self, now: u64, q: f64) -> f64 {
-        let (total, _, buckets) = self.ring.aggregate(now, self.ring.window as u64);
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
-    }
-
-    /// `(upper bound, cumulative count)` pairs over the full window at
-    /// `now`, overflow bucket (`f64::INFINITY`) last — Prometheus shape.
-    pub fn cumulative_buckets(&self, now: u64) -> Vec<(f64, u64)> {
-        let (_, _, buckets) = self.ring.aggregate(now, self.ring.window as u64);
-        let mut cum = 0u64;
-        buckets
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                cum += b;
-                (self.bounds.get(i).copied().unwrap_or(f64::INFINITY), cum)
-            })
-            .collect()
-    }
-
-    /// The configured window width in ticks.
-    pub fn window(&self) -> usize {
-        self.ring.window
+        view
     }
 }
 
@@ -296,6 +162,13 @@ pub struct SloConfig {
     pub alert_burn_rate: f64,
 }
 
+impl SloConfig {
+    /// Ticks the ring must retain to evaluate both windows: the longer.
+    fn retention(&self) -> u64 {
+        self.long_window.max(self.short_window).max(1)
+    }
+}
+
 impl Default for SloConfig {
     fn default() -> Self {
         SloConfig {
@@ -307,16 +180,6 @@ impl Default for SloConfig {
             alert_burn_rate: 2.0,
         }
     }
-}
-
-/// Windowed SLO state: per-tick request/error counts and a latency
-/// histogram, evaluated on demand into an [`SloReport`].
-#[derive(Debug)]
-pub struct SloTracker {
-    config: SloConfig,
-    requests: WindowedCounter,
-    errors: WindowedCounter,
-    latency: WindowedHistogram,
 }
 
 /// One objective's evaluation over a single window.
@@ -357,125 +220,131 @@ pub struct SloReport {
 impl SloReport {
     /// Render as a JSON object (for `/debug/slo`).
     pub fn to_json(&self) -> String {
-        let win = |w: &SloWindow| {
-            format!(
-                "{{\"requests\":{},\"bad_fraction\":{:.6},\"burn_rate\":{:.4}}}",
-                w.requests, w.bad_fraction, w.burn_rate
-            )
+        let window = |w: &SloWindow| {
+            let mut obj = ObjectWriter::new();
+            obj.u64_field("requests", w.requests)
+                .f64_field_with("bad_fraction", w.bad_fraction, Some(6))
+                .f64_field_with("burn_rate", w.burn_rate, Some(4));
+            obj.finish()
         };
-        format!(
-            "{{\"tick\":{},\"availability_target\":{:.4},\"latency_target_ms\":{:.1},\
-             \"latency_fraction\":{:.4},\"short_window_ticks\":{},\"long_window_ticks\":{},\
-             \"alert_burn_rate\":{:.2},\
-             \"availability\":{{\"short\":{},\"long\":{},\"breach\":{}}},\
-             \"latency\":{{\"short\":{},\"long\":{},\"breach\":{}}}}}",
-            self.tick,
-            self.config.availability_target,
-            self.config.latency_target_ms,
-            self.config.latency_fraction,
-            self.config.short_window,
-            self.config.long_window,
-            self.config.alert_burn_rate,
-            win(&self.availability_short),
-            win(&self.availability_long),
-            self.availability_breach,
-            win(&self.latency_short),
-            win(&self.latency_long),
-            self.latency_breach,
-        )
+        let objective = |short: &SloWindow, long: &SloWindow, breach: bool| {
+            let mut obj = ObjectWriter::new();
+            obj.raw_field("short", &window(short))
+                .raw_field("long", &window(long))
+                .bool_field("breach", breach);
+            obj.finish()
+        };
+        let mut obj = ObjectWriter::new();
+        obj.u64_field("tick", self.tick)
+            .f64_field_with("availability_target", self.config.availability_target, Some(4))
+            .f64_field_with("latency_target_ms", self.config.latency_target_ms, Some(1))
+            .f64_field_with("latency_fraction", self.config.latency_fraction, Some(4))
+            .u64_field("short_window_ticks", self.config.short_window)
+            .u64_field("long_window_ticks", self.config.long_window)
+            .f64_field_with("alert_burn_rate", self.config.alert_burn_rate, Some(2))
+            .raw_field(
+                "availability",
+                &objective(&self.availability_short, &self.availability_long, self.availability_breach),
+            )
+            .raw_field(
+                "latency",
+                &objective(&self.latency_short, &self.latency_long, self.latency_breach),
+            );
+        obj.finish()
     }
 
     /// Render as Prometheus gauge lines.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        out.push_str("# TYPE osql_slo_burn_rate gauge\n");
+        write_type(&mut out, "osql_slo_burn_rate", "gauge");
         for (objective, window, w) in [
             ("availability", "short", &self.availability_short),
             ("availability", "long", &self.availability_long),
             ("latency", "short", &self.latency_short),
             ("latency", "long", &self.latency_long),
         ] {
-            let _ = writeln!(
-                out,
-                "osql_slo_burn_rate{{objective=\"{objective}\",window=\"{window}\"}} {:.4}",
-                w.burn_rate
-            );
+            let labels = [("objective", objective), ("window", window)];
+            write_sample(&mut out, "osql_slo_burn_rate", &labels, PromF64(w.burn_rate, Some(4)));
         }
-        out.push_str("# TYPE osql_slo_breach gauge\n");
-        let _ = writeln!(
-            out,
-            "osql_slo_breach{{objective=\"availability\"}} {}",
-            u8::from(self.availability_breach)
-        );
-        let _ = writeln!(
-            out,
-            "osql_slo_breach{{objective=\"latency\"}} {}",
-            u8::from(self.latency_breach)
-        );
+        write_type(&mut out, "osql_slo_breach", "gauge");
+        for (objective, breach) in
+            [("availability", self.availability_breach), ("latency", self.latency_breach)]
+        {
+            write_sample(&mut out, "osql_slo_breach", &[("objective", objective)], u8::from(breach));
+        }
         out
     }
 }
 
-impl SloTracker {
-    /// A tracker ringed to the config's long window.
-    pub fn new(config: SloConfig) -> Self {
-        let window = config.long_window.max(config.short_window).max(1) as usize;
-        SloTracker {
-            requests: WindowedCounter::new(window),
-            errors: WindowedCounter::new(window),
-            latency: WindowedHistogram::new(&crate::metrics::LATENCY_BOUNDS_MS, window),
-            config,
+/// The windowed telemetry one runtime owns: the ring, the clock it is
+/// sliced by, and the SLO configuration its width comes from. Series
+/// names are fixed (`osql_window_*`, `osql_slo_*`) so renderings are
+/// byte-comparable.
+#[derive(Debug)]
+pub struct WindowedMetrics {
+    clock: Arc<LogicalClock>,
+    slo: SloConfig,
+    ring: Mutex<Ring>,
+}
+
+impl WindowedMetrics {
+    /// A ring over `clock`, as wide as the longer SLO window.
+    pub fn new(clock: Arc<LogicalClock>, slo: SloConfig) -> Self {
+        let ring = Mutex::new(Ring::new(slo.retention() as usize));
+        WindowedMetrics { clock, slo, ring }
+    }
+
+    /// The clock the ring is sliced by.
+    pub fn clock(&self) -> &Arc<LogicalClock> {
+        &self.clock
+    }
+
+    /// Record one completed request at the current tick. `latency_ms`
+    /// must be deterministic (modelled cost, not wall clock) for the
+    /// byte-identical rendering guarantee; `ok` is false for errors.
+    pub fn observe(&self, latency_ms: f64, ok: bool, from_cache: bool) {
+        self.observe_at(self.clock.now(), latency_ms, ok, from_cache);
+    }
+
+    /// [`Self::observe`] at a tick read earlier: one lock acquisition; a
+    /// tick the ring has already moved past is dropped.
+    pub fn observe_at(&self, tick: u64, latency_ms: f64, ok: bool, from_cache: bool) {
+        let mut ring = self.ring.lock();
+        if let Some(seen) = ring.claim(tick) {
+            seen.errors += u64::from(!ok);
+            seen.cache_hits += u64::from(from_cache);
+            seen.latency.record(latency_ms);
         }
     }
 
-    /// Record one served request at `tick`. `latency_ms` should be a
-    /// *deterministic* latency (the pipeline's modelled cost) when
-    /// renders must be reproducible; `ok` is false for error outcomes.
-    pub fn observe(&self, tick: u64, latency_ms: f64, ok: bool) {
-        self.requests.inc(tick);
-        if !ok {
-            self.errors.inc(tick);
-        }
-        self.latency.record(tick, latency_ms);
+    /// What was observed in the `width` (clamped to the ring) ticks up to `now`.
+    pub fn view(&self, now: u64, width: u64) -> WindowView {
+        self.ring.lock().view(now, width)
     }
 
-    /// The tracker's configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.config
-    }
-
-    fn window_eval(&self, now: u64, width: u64) -> (SloWindow, SloWindow) {
-        let requests = self.requests.total_over(now, width);
-        let errors = self.errors.total_over(now, width);
-        let lat_total = self.latency.count_over(now, width);
-        let lat_ok = self.latency.under_over(now, width, self.config.latency_target_ms);
-        let avail_bad = if requests == 0 { 0.0 } else { errors as f64 / requests as f64 };
-        // the latency objective's budget is the tolerated slow fraction:
-        // bad = share of requests over target beyond (1 - latency_fraction)
-        let lat_bad = if lat_total == 0 {
-            0.0
-        } else {
-            (lat_total - lat_ok) as f64 / lat_total as f64
+    /// Evaluate both SLO objectives over both windows at the current tick.
+    pub fn slo_report(&self) -> SloReport {
+        let now = self.clock.now();
+        let eval = |width: u64| {
+            let view = self.view(now, width);
+            let requests = view.requests();
+            let fraction =
+                |bad: u64| if requests == 0 { 0.0 } else { bad as f64 / requests as f64 };
+            let avail_bad = fraction(view.errors);
+            let lat_bad = fraction(requests - view.latency.under(self.slo.latency_target_ms));
+            // each objective's budget is its tolerated bad fraction
+            let avail_budget = (1.0 - self.slo.availability_target).max(1e-9);
+            let lat_budget = (1.0 - self.slo.latency_fraction).max(1e-9);
+            (
+                SloWindow { requests, bad_fraction: avail_bad, burn_rate: avail_bad / avail_budget },
+                SloWindow { requests, bad_fraction: lat_bad, burn_rate: lat_bad / lat_budget },
+            )
         };
-        let avail_budget = (1.0 - self.config.availability_target).max(1e-9);
-        let lat_budget = (1.0 - self.config.latency_fraction).max(1e-9);
-        (
-            SloWindow {
-                requests,
-                bad_fraction: avail_bad,
-                burn_rate: avail_bad / avail_budget,
-            },
-            SloWindow { requests: lat_total, bad_fraction: lat_bad, burn_rate: lat_bad / lat_budget },
-        )
-    }
-
-    /// Evaluate both objectives over both windows at `now`.
-    pub fn evaluate(&self, now: u64) -> SloReport {
-        let (avail_s, lat_s) = self.window_eval(now, self.config.short_window);
-        let (avail_l, lat_l) = self.window_eval(now, self.config.long_window);
-        let alert = self.config.alert_burn_rate;
+        let (avail_s, lat_s) = eval(self.slo.short_window);
+        let (avail_l, lat_l) = eval(self.slo.long_window);
+        let alert = self.slo.alert_burn_rate;
         SloReport {
-            config: self.config.clone(),
+            config: self.slo.clone(),
             tick: now,
             availability_breach: avail_s.burn_rate >= alert && avail_l.burn_rate >= alert,
             latency_breach: lat_s.burn_rate >= alert && lat_l.burn_rate >= alert,
@@ -485,114 +354,38 @@ impl SloTracker {
             latency_long: lat_l,
         }
     }
-}
 
-/// The windowed instruments one runtime owns, rendered as a block of
-/// Prometheus text appended to the cumulative exposition. Names are
-/// fixed (`osql_window_*`) so renderings are byte-comparable.
-#[derive(Debug)]
-pub struct WindowedMetrics {
-    clock: Arc<LogicalClock>,
-    /// Requests per tick.
-    pub requests: WindowedCounter,
-    /// Error outcomes per tick.
-    pub errors: WindowedCounter,
-    /// Result-cache hits per tick.
-    pub cache_hits: WindowedCounter,
-    /// Modelled pipeline latency per request (deterministic).
-    pub latency: WindowedHistogram,
-    /// The SLO evaluator fed from the same stream.
-    pub slo: SloTracker,
-}
-
-impl WindowedMetrics {
-    /// Build the standard windowed instrument set over `clock`.
-    pub fn new(clock: Arc<LogicalClock>, window: usize, slo: SloConfig) -> Self {
-        WindowedMetrics {
-            clock,
-            requests: WindowedCounter::new(window),
-            errors: WindowedCounter::new(window),
-            cache_hits: WindowedCounter::new(window),
-            latency: WindowedHistogram::new(&crate::metrics::LATENCY_BOUNDS_MS, window),
-            slo: SloTracker::new(slo),
-        }
-    }
-
-    /// The clock the instruments are sliced by.
-    pub fn clock(&self) -> &Arc<LogicalClock> {
-        &self.clock
-    }
-
-    /// Record one completed request at the current tick. `latency_ms`
-    /// must be deterministic (modelled cost, not wall clock) for the
-    /// byte-identical rendering guarantee to hold.
-    pub fn observe(&self, latency_ms: f64, ok: bool, from_cache: bool) {
-        let tick = self.clock.now();
-        self.requests.inc(tick);
-        if !ok {
-            self.errors.inc(tick);
-        }
-        if from_cache {
-            self.cache_hits.inc(tick);
-        }
-        self.latency.record(tick, latency_ms);
-        self.slo.observe(tick, latency_ms, ok);
-    }
-
-    /// Render every windowed instrument (and the SLO report) as
-    /// Prometheus text at the clock's current tick. Deterministic given
-    /// the same recorded `(tick, value)` stream.
+    /// Render the full-width view (and the SLO report) as Prometheus text
+    /// at the current tick; deterministic given the recorded stream.
     pub fn render_prometheus(&self) -> String {
         let now = self.clock.now();
+        let width = self.slo.retention();
+        let view = self.view(now, width);
+        let window = width.to_string();
+        let labels = [("window", window.as_str())];
+        let ticks = width.min(now + 1) as f64;
         let mut out = String::new();
-        out.push_str("# TYPE osql_window_requests_total gauge\n");
-        for (name, c) in [
-            ("osql_window_requests_total", &self.requests),
-            ("osql_window_errors_total", &self.errors),
-            ("osql_window_cache_hits_total", &self.cache_hits),
+        write_type(&mut out, "osql_window_requests_total", "gauge");
+        for (name, rate_name, total) in [
+            ("osql_window_requests_total", "osql_window_requests_total_rate", view.requests()),
+            ("osql_window_errors_total", "osql_window_errors_total_rate", view.errors),
+            ("osql_window_cache_hits_total", "osql_window_cache_hits_total_rate", view.cache_hits),
         ] {
-            let _ = writeln!(
-                out,
-                "{name}{{window=\"{}\"}} {}",
-                c.window(),
-                c.total(now)
-            );
-            let _ = writeln!(
-                out,
-                "{name}_rate{{window=\"{}\"}} {:.4}",
-                c.window(),
-                c.rate_per_tick(now)
-            );
+            write_sample(&mut out, name, &labels, total);
+            write_sample(&mut out, rate_name, &labels, PromF64(total as f64 / ticks, Some(4)));
         }
-        out.push_str("# TYPE osql_window_latency_ms histogram\n");
-        let window = self.latency.window();
-        for (bound, cum) in self.latency.cumulative_buckets(now) {
-            let le = if bound.is_finite() { format!("{bound}") } else { "+Inf".to_owned() };
-            let _ = writeln!(
-                out,
-                "osql_window_latency_ms_bucket{{window=\"{window}\",le=\"{le}\"}} {cum}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "osql_window_latency_ms_sum{{window=\"{window}\"}} {:.3}",
-            self.latency.sum(now)
-        );
-        let _ = writeln!(
-            out,
-            "osql_window_latency_ms_count{{window=\"{window}\"}} {}",
-            self.latency.count_over(now, window as u64)
-        );
-        out.push_str("# TYPE osql_window_latency_ms_quantile gauge\n");
+        write_type(&mut out, "osql_window_latency_ms", "histogram");
+        write_histogram(&mut out, "osql_window_latency_ms", &labels, &view.latency, Some(3));
+        write_type(&mut out, "osql_window_latency_ms_quantile", "gauge");
         for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-            let v = self.latency.quantile(now, q);
-            let v = if v.is_finite() { format!("{v:.3}") } else { "+Inf".to_owned() };
-            let _ = writeln!(
-                out,
-                "osql_window_latency_ms_quantile{{window=\"{window}\",quantile=\"{tag}\"}} {v}"
+            write_sample(
+                &mut out,
+                "osql_window_latency_ms_quantile",
+                &[labels[0], ("quantile", tag)],
+                PromF64(view.latency.quantile(q), Some(3)),
             );
         }
-        out.push_str(&self.slo.evaluate(now).render_prometheus());
+        out.push_str(&self.slo_report().render_prometheus());
         out
     }
 }
@@ -600,6 +393,19 @@ impl WindowedMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ring(short_window: u64, long_window: u64) -> (Arc<LogicalClock>, WindowedMetrics) {
+        let clock = Arc::new(LogicalClock::new());
+        let slo = SloConfig {
+            availability_target: 0.9,
+            latency_target_ms: 100.0,
+            latency_fraction: 0.5,
+            short_window,
+            long_window,
+            alert_burn_rate: 2.0,
+        };
+        (clock.clone(), WindowedMetrics::new(clock, slo))
+    }
 
     #[test]
     fn clock_advances() {
@@ -610,85 +416,70 @@ mod tests {
     }
 
     #[test]
-    fn windowed_counter_slides() {
-        let c = WindowedCounter::new(3);
-        c.add(0, 5);
-        c.inc(1);
-        c.inc(2);
-        assert_eq!(c.total(2), 7);
+    fn ring_slides() {
+        let (_, w) = ring(1, 3);
+        for _ in 0..5 {
+            w.observe_at(0, 1.0, false, true);
+        }
+        w.observe_at(1, 1.0, true, false);
+        w.observe_at(2, 1.0, true, false);
+        assert_eq!(w.view(2, 3).requests(), 7);
+        assert_eq!((w.view(2, 3).errors, w.view(2, 3).cache_hits), (5, 5));
         // tick 3 evicts tick 0's slot from the 3-wide window
-        c.inc(3);
-        assert_eq!(c.total(3), 3);
-        assert_eq!(c.total_over(3, 1), 1);
-        assert!((c.rate_per_tick(3) - 1.0).abs() < 1e-9);
+        w.observe_at(3, 2000.0, true, false);
+        assert_eq!(w.view(3, 3).requests(), 3);
+        assert_eq!(w.view(3, 3).errors, 0);
+        assert_eq!(w.view(3, 1).requests(), 1);
+        assert_eq!(w.view(3, 99).requests(), 3, "width is clamped to the ring");
+        assert_eq!(w.view(3, 1).latency.quantile(0.5), 2500.0);
     }
 
     #[test]
     fn stale_slot_is_reset_on_reuse() {
-        let c = WindowedCounter::new(2);
-        c.add(0, 10);
-        // tick 2 maps onto tick 0's slot and must not inherit its count
-        c.add(2, 1);
-        assert_eq!(c.total(2), 1);
-        // a write for an evicted tick is dropped, not misfiled
-        c.add(0, 99);
-        assert_eq!(c.total(2), 1);
-    }
-
-    #[test]
-    fn windowed_histogram_quantiles_and_buckets() {
-        let h = WindowedHistogram::new(&[10.0, 100.0, 1000.0], 4);
-        for v in [1.0, 5.0, 50.0, 500.0] {
-            h.record(0, v);
+        let (_, w) = ring(1, 2);
+        for _ in 0..10 {
+            w.observe_at(0, 1.0, false, true);
         }
-        assert_eq!(h.count_over(0, 4), 4);
-        assert!((h.sum(0) - 556.0).abs() < 1e-6);
-        assert_eq!(h.quantile(0, 0.5), 10.0);
-        assert_eq!(h.quantile(0, 0.99), 1000.0);
-        assert_eq!(h.under_over(0, 4, 100.0), 3);
-        let cum = h.cumulative_buckets(0);
-        assert_eq!(cum, vec![(10.0, 2), (100.0, 3), (1000.0, 4), (f64::INFINITY, 4)]);
-        // sliding: record at tick 4 evicts tick 0 (window 4 ⇒ ticks 1..=4)
-        h.record(4, 2000.0);
-        assert_eq!(h.count_over(4, 4), 1);
-        assert_eq!(h.quantile(4, 0.5), f64::INFINITY);
+        // tick 2 maps onto tick 0's slot and must not inherit its counts
+        w.observe_at(2, 1.0, true, false);
+        let view = w.view(2, 2);
+        assert_eq!((view.requests(), view.errors, view.cache_hits), (1, 0, 0));
+        // a write for an evicted tick is dropped, not misfiled
+        w.observe_at(0, 1.0, false, true);
+        assert_eq!(w.view(2, 2), view);
     }
 
     #[test]
     fn slo_burn_rates_and_breach() {
-        let cfg = SloConfig {
-            availability_target: 0.9,
-            latency_target_ms: 100.0,
-            latency_fraction: 0.5,
-            short_window: 2,
-            long_window: 4,
-            alert_burn_rate: 2.0,
-        };
-        let t = SloTracker::new(cfg);
+        let (clock, w) = ring(2, 4);
         // 4 requests at tick 0: 2 errors (bad 0.5, budget 0.1 ⇒ burn 5),
         // all slow (bad 1.0, budget 0.5 ⇒ burn 2)
         for i in 0..4 {
-            t.observe(0, 500.0, i >= 2);
+            w.observe(500.0, i >= 2, false);
         }
-        let r = t.evaluate(0);
+        let r = w.slo_report();
         assert!((r.availability_short.burn_rate - 5.0).abs() < 1e-6);
         assert!(r.availability_breach);
         assert!((r.latency_short.burn_rate - 2.0).abs() < 1e-6);
         assert!(r.latency_breach);
-        // empty windows burn nothing
-        let r2 = t.evaluate(10);
-        assert_eq!(r2.availability_short.burn_rate, 0.0);
-        assert!(!r2.availability_breach);
         let json = r.to_json();
         assert!(json.contains("\"availability\""));
         assert!(json.contains("\"burn_rate\":5.0000"));
+        // empty windows burn nothing
+        for _ in 0..10 {
+            clock.advance();
+        }
+        let r2 = w.slo_report();
+        assert_eq!(r2.availability_short.burn_rate, 0.0);
+        assert!(!r2.availability_breach);
     }
 
     #[test]
     fn windowed_render_is_deterministic_across_recording_order() {
         let render = |values: &[(u64, f64, bool, bool)]| {
             let clock = Arc::new(LogicalClock::new());
-            let w = WindowedMetrics::new(clock.clone(), 8, SloConfig::default());
+            let slo = SloConfig { short_window: 2, long_window: 8, ..SloConfig::default() };
+            let w = WindowedMetrics::new(clock.clone(), slo);
             for &(tick, ms, ok, cache) in values {
                 while clock.now() < tick {
                     clock.advance();

@@ -10,7 +10,10 @@
 use osql_chk::model::{self, Config, Outcome};
 use osql_chk::thread;
 use osql_runtime::runtime::model_support::detached_ticket;
-use osql_runtime::{BoundedQueue, CancelReason, LruCache, PushError, ServeError};
+use osql_runtime::{
+    BoundedQueue, CancelReason, LogicalClock, LruCache, PushError, ServeError, SloConfig,
+    WindowedMetrics,
+};
 use std::sync::Arc;
 
 fn cfg() -> Config {
@@ -201,5 +204,46 @@ fn lru_get_refreshes_recency_under_races() {
         cache.insert(3, 30);
         assert_eq!(cache.get(&1), Some(10), "just-touched entry must survive");
         assert!(cache.get(&2).is_none(), "stale entry is the victim");
+    }));
+}
+
+/// The window ring: two observers racing a clock that advances three
+/// ticks over a 2-slot ring. An observer reads the tick, then takes the
+/// ring's lock — the clock (and the other observer) can move in between.
+/// Every observation is either counted under the tick it read or gone
+/// because a later tick claimed that slot (before it: dropped; after it:
+/// evicted) — never filed under another tick, never counted twice.
+#[test]
+fn window_ring_never_misfiles_an_observation() {
+    assert_pass("window_ring_never_misfiles_an_observation", model::explore(cfg(), || {
+        let clock = Arc::new(LogicalClock::new());
+        let slo = SloConfig { short_window: 1, long_window: 2, ..SloConfig::default() };
+        let w = Arc::new(WindowedMetrics::new(clock.clone(), slo));
+        let observers: Vec<_> = (0..2)
+            .map(|i| {
+                let w = w.clone();
+                thread::spawn(move || {
+                    let tick = w.clock().now();
+                    w.observe_at(tick, 1.0, i == 0, i == 1);
+                    tick
+                })
+            })
+            .collect();
+        let ticker = thread::spawn(move || {
+            for _ in 0..3 {
+                clock.advance();
+            }
+        });
+        let ticks: Vec<u64> = observers.into_iter().map(|o| o.join().unwrap()).collect();
+        ticker.join().unwrap();
+        for &t in &ticks {
+            let same_tick = ticks.iter().filter(|&&x| x == t).count() as u64;
+            let slot_reclaimed = ticks.iter().any(|&x| x > t && x % 2 == t % 2);
+            let at_t = w.view(t, 1);
+            assert_eq!(at_t.requests(), if slot_reclaimed { 0 } else { same_tick }, "ticks {ticks:?}");
+            assert!(at_t.errors <= 1 && at_t.cache_hits <= 1, "ticks {ticks:?}");
+        }
+        let full = w.view(w.clock().now(), 2);
+        assert!(full.requests() <= 2 && full.errors <= 1 && full.cache_hits <= 1, "{full:?}");
     }));
 }

@@ -100,7 +100,7 @@ impl Drop for LeaderToken {
             self.coalescer.unregister(&self.key);
             self.slot.publish(Arc::new(Rendered {
                 status: 500,
-                body: Arc::new(br#"{"error":"request leader failed"}"#.to_vec()),
+                body: Arc::new(crate::json::error_body("request leader failed").into_bytes()),
                 retry_after_secs: None,
             trace_id: None,
             }));
@@ -173,11 +173,15 @@ mod tests {
                 w
             })
             .collect();
-        let published = token.complete(|group| Rendered {
-            status: 200,
-            body: Arc::new(format!("{{\"group\":{group}}}").into_bytes()),
-            retry_after_secs: None,
-            trace_id: None,
+        let published = token.complete(|group| {
+            let mut obj = crate::json::ObjectWriter::new();
+            obj.u64_field("group", group as u64);
+            Rendered {
+                status: 200,
+                body: Arc::new(obj.finish().into_bytes()),
+                retry_after_secs: None,
+                trace_id: None,
+            }
         });
         assert_eq!(&**published.body, b"{\"group\":4}");
         for w in waiters {

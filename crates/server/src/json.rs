@@ -1,118 +1,11 @@
-//! Minimal JSON writing and reading for the serving layer.
+//! JSON for the serving layer: the workspace's one writer
+//! ([`osql_trace::json`], re-exported here) and the request reader.
 //!
-//! The server keeps its dependency set to workspace crates only, so the
-//! little JSON it speaks — flat response objects and flat request objects
-//! whose values are strings — is hand-rolled here. The writer escapes per
-//! RFC 8259; the reader accepts exactly the request shape the API
-//! documents (one object, string or null values) and rejects everything
-//! else with a message suitable for a 400 body.
+//! The reader accepts exactly the request shape the API documents (one
+//! object, string or null values) and rejects everything else with a
+//! message suitable for a 400 body.
 
-use std::fmt::Write as _;
-
-/// Append `s` to `out` as a JSON string literal (quotes included).
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Incremental writer for one flat JSON object.
-pub struct ObjectWriter {
-    buf: String,
-    first: bool,
-}
-
-impl ObjectWriter {
-    /// Start an object (`{` written).
-    pub fn new() -> Self {
-        ObjectWriter { buf: String::from("{"), first: true }
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        write_escaped(&mut self.buf, key);
-        self.buf.push(':');
-    }
-
-    /// Add a string field.
-    pub fn str_field(&mut self, key: &str, value: &str) -> &mut Self {
-        self.key(key);
-        write_escaped(&mut self.buf, value);
-        self
-    }
-
-    /// Add an unsigned integer field.
-    pub fn u64_field(&mut self, key: &str, value: u64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    /// Add a float field (2 decimal places; non-finite becomes null).
-    pub fn f64_field(&mut self, key: &str, value: f64) -> &mut Self {
-        self.key(key);
-        if value.is_finite() {
-            let _ = write!(self.buf, "{value:.2}");
-        } else {
-            self.buf.push_str("null");
-        }
-        self
-    }
-
-    /// Add a boolean field.
-    pub fn bool_field(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Add a field whose value is already-rendered JSON.
-    pub fn raw_field(&mut self, key: &str, json: &str) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(json);
-        self
-    }
-
-    /// Close the object and return its text.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-impl Default for ObjectWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Render a JSON array of string literals.
-pub fn string_array(items: impl IntoIterator<Item = impl AsRef<str>>) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(&mut out, item.as_ref());
-    }
-    out.push(']');
-    out
-}
+pub use osql_trace::json::{array, string_array, write_escaped, ObjectWriter};
 
 /// Render the standard `{"error": ...}` body.
 pub fn error_body(message: &str) -> String {
@@ -264,20 +157,6 @@ pub fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn writer_escapes_and_nests() {
-        let mut obj = ObjectWriter::new();
-        obj.str_field("q", "say \"hi\"\n")
-            .u64_field("n", 3)
-            .bool_field("ok", true)
-            .f64_field("ms", 1.5)
-            .raw_field("ids", &string_array(["a", "b"]));
-        assert_eq!(
-            obj.finish(),
-            r#"{"q":"say \"hi\"\n","n":3,"ok":true,"ms":1.50,"ids":["a","b"]}"#
-        );
-    }
 
     #[test]
     fn reader_round_trips_strings() {

@@ -19,6 +19,7 @@ use crate::http::{self, HttpError, Limits, Request};
 use crate::json::{self, ObjectWriter};
 use crate::quota::{Admit, QuotaConfig, QuotaRegistry};
 use osql_repl::ReplState;
+use osql_runtime::metrics::write_sample;
 use osql_runtime::{
     normalize_question, retry_after_secs, CancelReason, QueryRequest, ResultKey, Runtime,
     ServeError, SubmitError,
@@ -232,7 +233,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 shared
                     .rt
                     .metrics()
-                    .counter_with("http_requests_total", &[("method", &req.method)])
+                    .counter_with("http_requests_total", &[("method", method_label(&req.method))])
                     .inc();
                 let keep_alive = req.keep_alive && !shared.stop.load(Ordering::SeqCst);
                 let out = route(shared, &req);
@@ -266,6 +267,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
+/// The `method` label of `http_requests_total`. The parser accepts any
+/// all-uppercase token as a method and the counter is bumped before
+/// routing, so the token itself must never become a label value: each
+/// distinct one would be a permanent series a remote caller can mint.
+fn method_label(method: &str) -> &str {
+    match method {
+        "GET" | "POST" | "PUT" | "DELETE" | "HEAD" | "OPTIONS" | "PATCH" => method,
+        _ => "OTHER",
+    }
+}
+
 /// A routed response: shared rendered payload plus per-connection extras.
 struct Routed {
     rendered: Arc<Rendered>,
@@ -296,10 +308,10 @@ fn route(shared: &Shared, req: &Request) -> Routed {
     match (req.method.as_str(), req.path()) {
         ("GET", "/healthz") => healthz(shared),
         ("GET", "/metrics") => {
-            let mut text = shared.rt.metrics().render_prometheus();
+            let mut text = shared.rt.refreshed_metrics().render_prometheus();
             text.push_str(&shared.rt.windowed().render_prometheus());
             if let Some(state) = &shared.config.repl {
-                text.push_str(&repl_exposition(state));
+                repl_exposition(&mut text, state);
             }
             Routed {
                 rendered: Arc::new(Rendered {
@@ -337,24 +349,17 @@ fn healthz(shared: &Shared) -> Routed {
         .u64_field("inflight_coalesced_keys", shared.coalescer.inflight_len() as u64)
         .u64_field("flight_recorder_depth", flight.depth() as u64)
         .u64_field("flight_recorder_capacity", flight.capacity() as u64)
-        .u64_field("flight_inflight", flight.inflight_len() as u64);
-    match flight.last_slow_age_secs() {
-        Some(age) => obj.u64_field("last_slow_age_secs", age),
-        None => obj.raw_field("last_slow_age_secs", "null"),
-    };
+        .u64_field("flight_inflight", flight.inflight_len() as u64)
+        .opt_u64_field("last_slow_age_secs", flight.last_slow_age_secs());
     match &shared.config.repl {
         Some(state) => {
             obj.str_field("role", "follower")
                 .u64_field("repl_max_lag", state.max_lag())
                 .u64_field("repl_stale_rejections", state.stale_rejections());
-            let mut dbs = String::from("[");
-            for (i, (db, status)) in state.snapshot().iter().enumerate() {
-                if i > 0 {
-                    dbs.push(',');
-                }
+            let dbs = state.snapshot().into_iter().map(|(db, status)| {
                 let mut entry = ObjectWriter::new();
                 entry
-                    .str_field("db_id", db)
+                    .str_field("db_id", &db)
                     .u64_field("applied_seq", status.applied_seq)
                     .u64_field("target_seq", status.target_seq)
                     .u64_field("lag", status.lag())
@@ -363,9 +368,9 @@ fn healthz(shared: &Shared) -> Routed {
                     Some(err) => entry.str_field("last_error", err),
                     None => entry.raw_field("last_error", "null"),
                 };
-                dbs.push_str(&entry.finish());
-            }
-            dbs.push(']');
+                entry.finish()
+            });
+            let dbs = json::array(dbs);
             obj.raw_field("replication", &dbs);
         }
         None => {
@@ -381,10 +386,11 @@ fn debug_records(shared: &Shared, req: &Request, slow_only: bool) -> Routed {
     let n = req.query_param("n").and_then(|v| v.parse().ok()).unwrap_or(32usize);
     let flight = shared.rt.flight();
     let records = if slow_only { flight.slow(n) } else { flight.recent(n) };
-    let items: Vec<String> = records.iter().map(|r| r.to_json(false)).collect();
     let mut obj = ObjectWriter::new();
-    obj.u64_field("count", items.len() as u64)
-        .raw_field(if slow_only { "slow" } else { "requests" }, &format!("[{}]", items.join(",")));
+    obj.u64_field("count", records.len() as u64).raw_field(
+        if slow_only { "slow" } else { "requests" },
+        &json::array(records.iter().map(|r| r.to_json(false))),
+    );
     Routed::json(200, obj.finish())
 }
 
@@ -404,23 +410,20 @@ fn debug_trace(shared: &Shared, id: &str) -> Routed {
 /// appended to the runtime registry's `/metrics` output: per-database
 /// applied/target sequences and lag plus the fetch/apply/rejection
 /// totals, so a dashboard sees staleness the same way admission does.
-fn repl_exposition(state: &ReplState) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+fn repl_exposition(out: &mut String, state: &ReplState) {
     for (db, status) in state.snapshot() {
-        let _ = writeln!(out, "repl_applied_seq{{db=\"{db}\"}} {}", status.applied_seq);
-        let _ = writeln!(out, "repl_target_seq{{db=\"{db}\"}} {}", status.target_seq);
-        let _ = writeln!(out, "repl_lag{{db=\"{db}\"}} {}", status.lag());
-        let _ = writeln!(out, "repl_polls_total{{db=\"{db}\"}} {}", status.polls);
-        let _ = writeln!(
-            out,
-            "repl_segments_fetched_total{{db=\"{db}\"}} {}",
-            status.segments_fetched
-        );
-        let _ = writeln!(out, "repl_txns_applied_total{{db=\"{db}\"}} {}", status.txns_applied);
+        for (name, value) in [
+            ("repl_applied_seq", status.applied_seq),
+            ("repl_target_seq", status.target_seq),
+            ("repl_lag", status.lag()),
+            ("repl_polls_total", status.polls),
+            ("repl_segments_fetched_total", status.segments_fetched),
+            ("repl_txns_applied_total", status.txns_applied),
+        ] {
+            write_sample(out, name, &[("db", &db)], value);
+        }
     }
-    let _ = writeln!(out, "repl_stale_rejections_total {}", state.stale_rejections());
-    out
+    write_sample(out, "repl_stale_rejections_total", &[], state.stale_rejections());
 }
 
 fn catalog(shared: &Shared) -> Routed {
@@ -428,24 +431,14 @@ fn catalog(shared: &Shared) -> Routed {
     let mut obj = ObjectWriter::new();
     match assets.catalog() {
         Some(cat) => {
-            obj.str_field("mode", "paged");
-            if cat.budget() == u64::MAX {
-                obj.raw_field("budget_bytes", "null");
-            } else {
-                obj.u64_field("budget_bytes", cat.budget());
-            }
-            obj.u64_field("resident_bytes", cat.resident_bytes());
-            let resident = cat.resident();
-            let mut entries = String::from("[");
-            for (i, (id, bytes)) in resident.iter().enumerate() {
-                if i > 0 {
-                    entries.push(',');
-                }
+            obj.str_field("mode", "paged")
+                .opt_u64_field("budget_bytes", Some(cat.budget()).filter(|b| *b != u64::MAX))
+                .u64_field("resident_bytes", cat.resident_bytes());
+            let entries = json::array(cat.resident().iter().map(|(id, bytes)| {
                 let mut entry = ObjectWriter::new();
                 entry.str_field("db_id", id).u64_field("bytes", *bytes);
-                entries.push_str(&entry.finish());
-            }
-            entries.push(']');
+                entry.finish()
+            }));
             obj.raw_field("resident", &entries);
             match cat.available() {
                 Ok(ids) => {
@@ -667,7 +660,7 @@ fn query(shared: &Shared, req: &Request) -> Routed {
                     ));
                     token.complete(|_| Rendered {
                         status: 503,
-                        body: Arc::new(br#"{"error":"server is shutting down"}"#.to_vec()),
+                        body: Arc::new(json::error_body("server is shutting down").into_bytes()),
                         retry_after_secs: None,
                         trace_id: Some(trace_id.clone()),
                     })

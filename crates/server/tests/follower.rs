@@ -108,6 +108,20 @@ fn healthz_and_metrics_expose_replication_state() {
     assert!(metrics.body.contains("repl_lag{db=\"db_a\"} 6"), "{}", metrics.body);
     assert!(metrics.body.contains("repl_stale_rejections_total 0"), "{}", metrics.body);
 
+    // a follower directory may be named anything: the label is escaped,
+    // every sample stays on one line, and "everything before the last
+    // space is the series" keeps holding for readers
+    state.note_poll("we\"ird\\db\nx y", &report(1, 2));
+    let metrics = one_shot(addr, "GET", "/metrics", &[], "");
+    let hostile: Vec<&str> = metrics.body.lines().filter(|l| l.contains("ird")).collect();
+    assert_eq!(hostile.len(), 6, "six per-db series: {}", metrics.body);
+    assert_eq!(hostile[0], "repl_applied_seq{db=\"we\\\"ird\\\\db\\nx y\"} 1");
+    for line in hostile {
+        let (series, value) = line.rsplit_once(' ').unwrap();
+        assert!(series.ends_with("{db=\"we\\\"ird\\\\db\\nx y\"}"), "{line}");
+        assert!(value.parse::<u64>().is_ok(), "{line}");
+    }
+
     assert!(server.shutdown());
 }
 

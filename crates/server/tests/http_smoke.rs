@@ -187,6 +187,29 @@ fn trace_ids_round_trip_and_debug_endpoints_answer() {
     assert!(server.shutdown());
 }
 
+/// The parser accepts any all-uppercase token as a method and the request
+/// counter is bumped before routing: the token must not become a label,
+/// or every distinct one is a permanent series a remote caller minted.
+#[test]
+fn bogus_methods_cannot_mint_metric_series() {
+    let bench = tiny_world();
+    let rt = common::plain_runtime(&bench, 1);
+    let server = Server::start(rt.clone(), "127.0.0.1:0", server_config()).unwrap();
+    let mut conn = Conn::open(server.local_addr());
+    for i in 0..500u32 {
+        let method: String =
+            (0..4).map(|d| char::from(b'A' + ((i / 26u32.pow(d)) % 26) as u8)).collect();
+        let path = if i % 2 == 0 { "/healthz" } else { "/v1/query" };
+        let resp = conn.request(&method, path, &[], "");
+        assert_eq!(resp.status, 404, "{method} {path}: {}", resp.body);
+    }
+    assert_eq!(conn.request("POST", "/healthz", &[], "").status, 405);
+    let series = rt.metrics().counter_series("http_requests_total");
+    assert!(series.len() <= 8, "{} method series", series.len());
+    assert_eq!(rt.metrics().counter_with("http_requests_total", &[("method", "OTHER")]).get(), 500);
+    assert!(server.shutdown());
+}
+
 /// Pin the shared `Retry-After` rounding: admission-control sheds
 /// (`QueueStats::estimated_drain_secs`) and quota rejections
 /// (`QuotaRegistry::admit`) both route through

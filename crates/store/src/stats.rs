@@ -2,9 +2,12 @@
 //!
 //! The store crate sits below the runtime (no dependency on the metrics
 //! registry), so — like `sqlkit`'s plan cache — it accumulates its own
-//! cumulative counters here and the runtime mirrors them into `/metrics`
-//! with `raise_to`/`set`. Everything is a monotone counter or a level
-//! gauge, so mirroring from multiple workers never double-counts.
+//! cumulative counters here, and the runtime mirrors them into its
+//! registry with `raise_to`/`set` whenever the registry is *read*
+//! (`Runtime::refreshed_metrics`: a `/metrics` scrape, a CLI snapshot),
+//! not when a request happens to run. Everything is a monotone counter
+//! or a level gauge, so a mirror taken at any moment, by any reader, is
+//! exact and never double-counts.
 //!
 //! What is measured:
 //!
@@ -18,8 +21,8 @@
 use osql_chk::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Cumulative histogram bucket bounds, in microseconds. The last bound
-/// is an implicit `+Inf` catch-all when exceeded.
+/// Cumulative histogram bucket bounds, in microseconds. Operations
+/// beyond the last bound are counted in no bucket, only in the total.
 pub const STORE_US_BOUNDS: [u64; 10] =
     [50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000];
 

@@ -2,6 +2,7 @@
 //! timings, a timestamp-free *logical* rendering (what the determinism
 //! gate compares), and a JSONL dump (one object per span/event).
 
+use crate::json::ObjectWriter;
 use crate::model::{Event, QueryTrace, Span, SpanId};
 use std::fmt::Write as _;
 
@@ -68,41 +69,57 @@ impl QueryTrace {
     }
 
     /// Serialize to JSON Lines: every span then every event, one object
-    /// per line, in logical order. Hand-rolled (this crate is
-    /// dependency-free); keys are stable and sorted by kind.
+    /// per line, in logical order; keys are stable and sorted by kind.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for span in &self.spans {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"span\",\"id\":{},\"parent\":{},\"name\":{},\"seq\":{},\
-                 \"end_seq\":{},\"start_ns\":{},\"end_ns\":{}",
-                span.id,
-                span.parent.map_or("null".to_owned(), |p| p.to_string()),
-                json_str(span.name),
-                span.seq,
-                span.end_seq,
-                span.start_ns,
-                span.end_ns,
-            );
-            json_labels(&mut out, &span.labels, &span.timings);
-            out.push_str("}\n");
+            let mut obj = ObjectWriter::new();
+            obj.str_field("kind", "span")
+                .u64_field("id", span.id as u64)
+                .opt_u64_field("parent", span.parent.map(|p| p as u64))
+                .str_field("name", span.name)
+                .u64_field("seq", span.seq)
+                .u64_field("end_seq", span.end_seq)
+                .u64_field("start_ns", span.start_ns)
+                .u64_field("end_ns", span.end_ns);
+            labels_and_timings(&mut obj, &span.labels, &span.timings);
+            out.push_str(&obj.finish());
+            out.push('\n');
         }
         for event in &self.events {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"event\",\"span\":{},\"name\":{},\"seq\":{},\"at_ns\":{},\
-                 \"volatile\":{}",
-                event.span.map_or("null".to_owned(), |s| s.to_string()),
-                json_str(event.name),
-                event.seq,
-                event.at_ns,
-                event.volatile,
-            );
-            json_labels(&mut out, &event.labels, &event.timings);
-            out.push_str("}\n");
+            let mut obj = ObjectWriter::new();
+            obj.str_field("kind", "event")
+                .opt_u64_field("span", event.span.map(|s| s as u64))
+                .str_field("name", event.name)
+                .u64_field("seq", event.seq)
+                .u64_field("at_ns", event.at_ns)
+                .bool_field("volatile", event.volatile);
+            labels_and_timings(&mut obj, &event.labels, &event.timings);
+            out.push_str(&obj.finish());
+            out.push('\n');
         }
         out
+    }
+}
+
+fn labels_and_timings(
+    obj: &mut ObjectWriter,
+    labels: &[(&'static str, String)],
+    timings: &[(&'static str, f64)],
+) {
+    if !labels.is_empty() {
+        let mut inner = ObjectWriter::new();
+        for (k, v) in labels {
+            inner.str_field(k, v);
+        }
+        obj.raw_field("labels", &inner.finish());
+    }
+    if !timings.is_empty() {
+        let mut inner = ObjectWriter::new();
+        for (k, v) in timings {
+            inner.f64_field_with(k, *v, None);
+        }
+        obj.raw_field("timings", &inner.finish());
     }
 }
 
@@ -130,60 +147,6 @@ fn render_labels(out: &mut String, labels: &[(&'static str, String)]) {
         let _ = write!(out, "{k}={v}");
     }
     out.push(']');
-}
-
-fn json_labels(out: &mut String, labels: &[(&'static str, String)], timings: &[(&'static str, f64)]) {
-    if !labels.is_empty() {
-        out.push_str(",\"labels\":{");
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_str(k), json_str(v));
-        }
-        out.push('}');
-    }
-    if !timings.is_empty() {
-        out.push_str(",\"timings\":{");
-        for (i, (k, v)) in timings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_str(k), json_num(*v));
-        }
-        out.push('}');
-    }
-}
-
-/// Escape a string for JSON.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render an f64 as a JSON number (finite values only reach here in
-/// practice; non-finite degrade to null).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]

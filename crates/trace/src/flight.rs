@@ -29,6 +29,7 @@
 //! (the slow-query log); sink errors are swallowed — observability never
 //! fails a request.
 
+use crate::json::ObjectWriter;
 use crate::model::QueryTrace;
 use osql_chk::atomic::{AtomicU64, Ordering};
 use osql_chk::Mutex;
@@ -175,102 +176,46 @@ impl RequestRecord {
     /// One JSON object describing this record (no trailing newline).
     /// Used by the `/debug` endpoints, the CLI, and the slow-log sink.
     pub fn to_json(&self, include_payloads: bool) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        push_str_field(&mut out, "id", &self.id, true);
-        push_str_field(&mut out, "db_id", &self.db_id, false);
-        push_str_field(&mut out, "question_hash", &format!("{:016x}", self.question_hash), false);
-        push_str_field(&mut out, "outcome", self.outcome.label(), false);
+        let mut obj = ObjectWriter::new();
+        obj.str_field("id", &self.id)
+            .str_field("db_id", &self.db_id)
+            .str_field("question_hash", &format!("{:016x}", self.question_hash))
+            .str_field("outcome", self.outcome.label());
         if let Some(err) = &self.error {
-            push_str_field(&mut out, "error", err, false);
+            obj.str_field("error", err);
         }
-        push_raw_field(&mut out, "queue_wait_ms", &format_ms(self.queue_wait_ms), false);
-        push_raw_field(&mut out, "total_ms", &format_ms(self.total_ms), false);
-        out.push_str(",\"stage_ms\":{");
-        for (i, (stage, ms)) in self.stage_ms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(stage);
-            out.push_str("\":");
-            out.push_str(&format_ms(*ms));
+        let mut stages = ObjectWriter::new();
+        for (stage, ms) in &self.stage_ms {
+            stages.f64_field(stage, *ms);
         }
-        out.push('}');
-        push_raw_field(&mut out, "rows_scanned", &self.rows_scanned.to_string(), false);
-        push_raw_field(&mut out, "from_cache", if self.from_cache { "true" } else { "false" }, false);
+        obj.f64_field("queue_wait_ms", self.queue_wait_ms)
+            .f64_field("total_ms", self.total_ms)
+            .raw_field("stage_ms", &stages.finish())
+            .u64_field("rows_scanned", self.rows_scanned)
+            .bool_field("from_cache", self.from_cache);
         if let Some(leader) = &self.coalesced_into {
-            push_str_field(&mut out, "coalesced_into", leader, false);
+            obj.str_field("coalesced_into", leader);
         }
-        push_raw_field(&mut out, "slow", if self.slow { "true" } else { "false" }, false);
-        push_raw_field(&mut out, "seq", &self.seq.to_string(), false);
+        obj.bool_field("slow", self.slow).u64_field("seq", self.seq);
         if include_payloads {
             if let Some(trace) = &self.trace {
-                push_str_field(&mut out, "trace", &trace.render_tree(), false);
+                obj.str_field("trace", &trace.render_tree());
             }
             if let Some(explain) = &self.explain {
-                push_str_field(&mut out, "explain", explain, false);
+                obj.str_field("explain", explain);
             }
         } else {
-            push_raw_field(
-                &mut out,
-                "sampled",
-                if self.trace.is_some() || self.explain.is_some() { "true" } else { "false" },
-                false,
-            );
+            obj.bool_field("sampled", self.trace.is_some() || self.explain.is_some());
         }
-        out.push('}');
-        out
+        obj.finish()
     }
-}
-
-fn format_ms(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn push_raw_field(out: &mut String, key: &str, raw: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(raw);
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Flight-recorder sizing and slow-query thresholds.
 #[derive(Debug, Clone)]
 pub struct FlightConfig {
     /// Total records retained across all shards. `0` disables the
-    /// recorder entirely (every call becomes a no-op) — the knob the
-    /// bench harness uses to measure recorder overhead.
+    /// recorder entirely (every call becomes a no-op).
     pub capacity: usize,
     /// Ring shards (requests hash to a shard by ID).
     pub shards: usize,

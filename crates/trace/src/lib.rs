@@ -25,6 +25,9 @@
 //!   on observability.
 //! - **Exporters.** A timed text tree ([`QueryTrace::render_tree`]), the
 //!   logical view, and JSONL ([`QueryTrace::to_jsonl`]).
+//! - **The JSON writer.** [`json`] is the one JSON string escaper and
+//!   object/array writer of the workspace; the exporters here and every
+//!   crate above build their JSON with it.
 //!
 //! ```
 //! use osql_trace::active;
@@ -45,6 +48,7 @@ pub mod active;
 pub mod collect;
 pub mod export;
 pub mod flight;
+pub mod json;
 pub mod model;
 
 pub use collect::TraceCollector;
