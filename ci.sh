@@ -69,6 +69,29 @@ fi
 cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight, trace and
                                  # server JSON renderings equal the files recorded on
                                  # 84ce847, before the four consolidations
+# One refinement path, structurally: the beam is the unit, so alignment and
+# execution each have exactly one call site outside tests in refinement.rs
+# (the miss path of the beam's memo — `refine_candidate` is the beam of
+# one through it, not a second loop), and the slot/thread code lives there,
+# not in the pipeline.
+refinement_code="$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/refinement.rs \
+    | grep -v '^[[:space:]]*//')"
+for call in 'plan_cache().execute' 'align_candidate('; do
+    sites="$(printf '%s\n' "$refinement_code" | grep -cF "$call" || true)"
+    if [ "$sites" != 1 ]; then
+        echo "ci: $call has $sites non-test call sites in crates/core/src/refinement.rs, want 1" >&2
+        exit 1
+    fi
+done
+if grep -n 'thread::scope' crates/core/src/pipeline.rs; then
+    echo "ci: crates/core/src/pipeline.rs is spawning refinement threads again" >&2
+    exit 1
+fi
+cargo test -q --test beam_differential # corpus gate: every field of every candidate, the
+                                 # ledger's tokens and calls and the logical trace of 136
+                                 # questions (tiny + a bird-mini-dev sample, 21 candidates)
+                                 # equal what a48904b produced refining one candidate at a
+                                 # time, at refine_threads 1 and 4
 cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-
                                  # differential suite (sparse HNSW/flat ≡ the dense oracle,
                                  # ids and score bits)
@@ -154,6 +177,8 @@ done
 #                         round trips, index-set invalidation
 #   prepared_differential raw ≡ prepared (rows and ExecStats) ≡ the engine golden;
 #                         refine-thread determinism
+#   beam_differential     (also by name above) shared first attempts ≡ the parent's
+#                         candidate-by-candidate refinement, field for field
 #   repl_differential     follower responses byte-identical to the primary
 #                         whenever the floor is met
 cargo test -q --workspace

@@ -9,6 +9,7 @@ use opensearch_sql::refinement::{execute, vote, RefinedCandidate};
 use opensearch_sql::retrieval::ValueIndex;
 use opensearch_sql::{align_candidate, CostLedger, PipelineConfig};
 use osql_bench::World;
+use std::sync::Arc;
 
 fn bench_pipeline(c: &mut Criterion) {
     let world = World::build(&Profile::tiny());
@@ -94,7 +95,7 @@ fn bench_vote(c: &mut Criterion) {
             RefinedCandidate {
                 raw_sql: sql.clone(),
                 sql,
-                result,
+                result: result.map(Arc::new),
                 exec_cost: cost,
                 exec_ms: ms,
                 correction_rounds: 0,

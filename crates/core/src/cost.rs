@@ -102,9 +102,21 @@ impl CostLedger {
 
     /// Merge another ledger into this one.
     pub fn merge(&mut self, other: &CostLedger) {
+        self.add(other, true);
+    }
+
+    /// Merge another ledger's `calls` and `tokens` but none of its time:
+    /// what a candidate that reused shared work records for it.
+    pub fn merge_counts(&mut self, other: &CostLedger) {
+        self.add(other, false);
+    }
+
+    fn add(&mut self, other: &CostLedger, timed: bool) {
         for (m, c) in &other.entries {
             let e = self.entries.entry(*m).or_default();
-            e.time_ms += c.time_ms;
+            if timed {
+                e.time_ms += c.time_ms;
+            }
             e.tokens += c.tokens;
             e.calls += c.calls;
         }
@@ -155,6 +167,18 @@ mod tests {
         let total = a.pipeline_total();
         assert_eq!(total.tokens, 100);
         assert!((total.time_ms - 12.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merge_counts_leaves_time_out() {
+        let mut work = CostLedger::new();
+        work.charge(Module::Analyze, 0.3, 0);
+        work.charge(Module::Correction, 40.0, 120);
+        let mut l = CostLedger::new();
+        l.charge(Module::Analyze, 0.1, 0);
+        l.merge_counts(&work);
+        assert_eq!(l.get(Module::Analyze), ModuleCost { time_ms: 0.1, tokens: 0, calls: 2 });
+        assert_eq!(l.get(Module::Correction), ModuleCost { time_ms: 0.0, tokens: 120, calls: 1 });
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::cost::{CostLedger, Module};
 use crate::extraction::run_extraction;
 use crate::generation::run_generation;
 use crate::preprocess::Preprocessed;
-use crate::refinement::{execute, refine_candidate, vote, RefinedCandidate};
+use crate::refinement::{execute, refine_beam, vote_with_margin, RefinedCandidate};
 use llmsim::LanguageModel;
 use osql_trace::{active, QueryTrace};
 use std::sync::Arc;
@@ -38,6 +38,13 @@ pub struct PipelineRun {
     pub candidates: Vec<RefinedCandidate>,
     /// Index of the vote winner within `candidates`.
     pub winner: usize,
+    /// Fraction of the beam agreeing with the winner
+    /// ([`crate::vote_margin`]); `1.0` when there was no vote.
+    pub vote_margin: f64,
+    /// Of the beam's first attempts (one per candidate), those that
+    /// executed nothing because an earlier candidate had already run the
+    /// same statement.
+    pub first_attempts_shared: usize,
     /// Per-module cost of this run.
     pub ledger: CostLedger,
     /// Structured trace of this run. Complete when the caller let
@@ -121,70 +128,30 @@ impl Pipeline {
         active::end(stage);
         let sql_g = generation.candidates.first().cloned().unwrap_or_default();
 
-        // Refinement (alignments + correction per candidate). Candidates
-        // are independent, so they can refine on worker threads; each one
-        // charges a private ledger and records a private sub-trace, and
-        // both are merged in candidate index order, making every report
-        // field — and the logical trace — identical whether the work ran
-        // on 1 thread or N.
+        // Refinement (alignments + correction), over the beam as a whole:
+        // each distinct first attempt is made once and shared.
         let stage = active::start("stage:refinement");
         let refinement_start = Instant::now();
-        let n = generation.candidates.len();
-        let threads = self.config.refine_threads.max(1).min(n.max(1));
-        let refine_one = |i: usize, ledger: &mut CostLedger| -> (RefinedCandidate, QueryTrace) {
-            active::push();
-            let c = refine_candidate(
-                &self.pre,
-                self.llm.as_ref(),
-                &self.config,
-                db_id,
-                question,
-                evidence,
-                &extraction,
-                &generation.candidates[i],
-                generation.raw_texts.get(i).map(String::as_str),
-                i,
-                ledger,
-            );
-            (c, active::pop().expect("refine_one pushed a trace"))
-        };
-        let mut slots: Vec<Option<(RefinedCandidate, CostLedger, QueryTrace)>> =
-            (0..n).map(|_| None).collect();
-        if threads <= 1 || n < 2 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let mut local = CostLedger::new();
-                let (c, t) = refine_one(i, &mut local);
-                *slot = Some((c, local, t));
-            }
-        } else {
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (t, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-                    let refine_one = &refine_one;
-                    scope.spawn(move || {
-                        for (off, slot) in chunk_slots.iter_mut().enumerate() {
-                            let mut local = CostLedger::new();
-                            let (c, tr) = refine_one(t * chunk + off, &mut local);
-                            *slot = Some((c, local, tr));
-                        }
-                    });
-                }
-            });
-        }
-        let mut candidates = Vec::with_capacity(n);
-        for slot in slots {
-            let (c, local, sub) = slot.expect("every candidate slot is filled");
-            candidates.push(c);
-            ledger.merge(&local);
-            active::absorb(sub);
-        }
+        let beam = refine_beam(
+            &self.pre,
+            self.llm.as_ref(),
+            &self.config,
+            db_id,
+            question,
+            evidence,
+            &extraction,
+            &generation.candidates,
+            &generation.raw_texts,
+            &mut ledger,
+        );
+        let candidates = beam.candidates;
         let sql_r = candidates.first().map(|c| c.sql.clone()).unwrap_or_default();
 
         // Self-consistency & vote
-        let winner = if self.config.self_consistency && candidates.len() > 1 {
-            vote(&candidates, &mut ledger)
+        let (winner, vote_margin) = if self.config.self_consistency && candidates.len() > 1 {
+            vote_with_margin(&candidates, &mut ledger)
         } else {
-            0
+            (0, 1.0)
         };
         ledger.charge(Module::Refinement, refinement_start.elapsed().as_secs_f64() * 1e3, 0);
         active::label(stage, "winner", &winner.to_string());
@@ -210,6 +177,8 @@ impl Pipeline {
             final_sql,
             candidates,
             winner,
+            vote_margin,
+            first_attempts_shared: beam.first_attempts_shared,
             ledger,
             trace,
         }
@@ -290,23 +259,21 @@ mod tests {
     #[test]
     fn parallel_refinement_matches_sequential() {
         let seq = pipeline(PipelineConfig::fast());
-        let par = pipeline(PipelineConfig::fast().with_refine_threads(4));
-        for ex in seq.pre.benchmark.dev.clone().iter().take(4) {
-            let a = seq.answer(&ex.db_id, &ex.question, &ex.evidence);
-            let b = par.answer(&ex.db_id, &ex.question, &ex.evidence);
-            assert_eq!(a.sql_g, b.sql_g);
-            assert_eq!(a.sql_r, b.sql_r);
-            assert_eq!(a.final_sql, b.final_sql);
-            assert_eq!(a.winner, b.winner);
-            assert_eq!(a.candidates.len(), b.candidates.len());
-            for (ca, cb) in a.candidates.iter().zip(&b.candidates) {
-                assert_eq!(ca.sql, cb.sql);
-                assert_eq!(ca.exec_cost, cb.exec_cost);
-                assert_eq!(ca.correction_rounds, cb.correction_rounds);
-                assert_eq!(ca.result.is_ok(), cb.result.is_ok());
-            }
-            for m in crate::cost::Module::all() {
-                assert_eq!(a.ledger.get(m).tokens, b.ledger.get(m).tokens, "{m:?}");
+        let dev: Vec<datagen::Example> = seq.pre.benchmark.dev.iter().take(4).cloned().collect();
+        for threads in [2, 4, 8] {
+            let par = pipeline(PipelineConfig::fast().with_refine_threads(threads));
+            for ex in &dev {
+                let a = seq.answer(&ex.db_id, &ex.question, &ex.evidence);
+                let b = par.answer(&ex.db_id, &ex.question, &ex.evidence);
+                assert_eq!(a.sql_g, b.sql_g);
+                assert_eq!(a.sql_r, b.sql_r);
+                assert_eq!(a.final_sql, b.final_sql);
+                assert_eq!(a.winner, b.winner);
+                assert_eq!(a.vote_margin, b.vote_margin);
+                assert_eq!(a.first_attempts_shared, b.first_attempts_shared);
+                crate::refinement::assert_same_candidates(&a.candidates, &b.candidates);
+                crate::refinement::assert_same_counts(&a.ledger, &b.ledger);
+                assert_eq!(a.trace.render_logical(), b.trace.render_logical(), "{threads} threads");
             }
         }
     }

@@ -1,6 +1,14 @@
 //! The Refinement stage (paper §3.6, Figure 2): execution-guided
 //! correction followed by self-consistency & vote.
 //!
+//! The unit of refinement is the *beam* — all candidates of one question —
+//! not the candidate. Self-consistency samples 21 candidates because most
+//! of them agree, so within one question most first attempts (SQL-Like
+//! fallback → alignment → analyze gate → execution) are the same work on
+//! the same text. [`refine_beam`] does each distinct piece once and hands
+//! the outcome to every candidate that asks for it; nothing it shares
+//! outlives the call.
+//!
 //! The vote implements the paper's Eq. 3 exactly: among candidates whose
 //! execution succeeded with a non-empty answer, pick the most frequent
 //! answer; within that answer class, pick the SQL with the lowest
@@ -10,13 +18,15 @@ use crate::alignment::align_candidate;
 use crate::config::PipelineConfig;
 use crate::cost::{CostLedger, Module};
 use crate::extraction::{evidence_line, values_block, ExtractionOutput};
-use crate::preprocess::Preprocessed;
+use crate::preprocess::{DbAssets, Preprocessed};
 use crate::retrieval::ValueHit;
 use llmsim::proto;
 use llmsim::{ChatRequest, LanguageModel};
-use osql_trace::active;
+use osql_trace::{active, QueryTrace};
 use sqlkit::{parse_select, ResultSet, SqlError};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A candidate after refinement.
@@ -26,11 +36,14 @@ pub struct RefinedCandidate {
     pub raw_sql: String,
     /// SQL after alignments and correction rounds.
     pub sql: String,
-    /// Execution result of `sql`.
-    pub result: Result<ResultSet, SqlError>,
+    /// Execution result of `sql`. Candidates of one beam that ended on the
+    /// same statement hold the same allocation — which is also how the
+    /// vote knows, without looking at a row, that they agree.
+    pub result: Result<Arc<ResultSet>, SqlError>,
     /// Deterministic execution-cost proxy (rows visited).
     pub exec_cost: u64,
-    /// Measured execution time in milliseconds.
+    /// Measured execution time in milliseconds (of the one execution the
+    /// beam ran for this statement).
     pub exec_ms: f64,
     /// Number of correction rounds spent.
     pub correction_rounds: usize,
@@ -57,45 +70,85 @@ impl RefinedCandidate {
     }
 }
 
-/// Fraction of the beam agreeing with the winner — the *margin* of the
-/// vote. When the winner executed to a non-empty answer, agreement means
-/// the same normalised answer (the vote's own grouping, Eq. 3); when the
-/// vote fell back to an invalid winner, agreement degrades to SQL-string
-/// equality. This is the single formula behind both the trace's `vote`
-/// event and the runtime's `vote_margin` histogram.
-pub fn vote_margin(candidates: &[RefinedCandidate], winner: usize) -> f64 {
+/// A question's beam after refinement.
+#[derive(Debug, Clone)]
+pub struct RefinedBeam {
+    /// The refined candidates, in generation order.
+    pub candidates: Vec<RefinedCandidate>,
+    /// Of the first attempts (one per candidate), those that executed
+    /// nothing, because an earlier candidate of the beam had aligned to
+    /// the same statement and already run it.
+    pub first_attempts_shared: usize,
+}
+
+/// The valid candidates grouped by answer — the classes Eq. 3 votes over —
+/// as candidate indices in ascending order. Candidates holding the same
+/// result allocation are in one class by construction, so each *distinct*
+/// result is normalised once, however many candidates share it.
+fn answer_classes(candidates: &[RefinedCandidate]) -> Vec<Vec<usize>> {
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    let mut class_of_result: Vec<(*const ResultSet, usize)> = Vec::new();
+    let mut class_of_answer: HashMap<Vec<Vec<sqlkit::NormValue>>, usize> = HashMap::new();
+    for (i, c) in candidates.iter().enumerate() {
+        let Ok(rs) = &c.result else { continue };
+        if rs.is_effectively_empty() {
+            continue;
+        }
+        let ptr = Arc::as_ptr(rs);
+        let class = match class_of_result.iter().find(|(p, _)| *p == ptr) {
+            Some((_, class)) => *class,
+            None => {
+                let class = *class_of_answer.entry(rs.normalized_rows()).or_insert_with(|| {
+                    classes.push(Vec::new());
+                    classes.len() - 1
+                });
+                class_of_result.push((ptr, class));
+                class
+            }
+        };
+        classes[class].push(i);
+    }
+    classes
+}
+
+/// The one margin formula, over classes already computed.
+fn margin_over(classes: &[Vec<usize>], candidates: &[RefinedCandidate], winner: usize) -> f64 {
     if candidates.len() < 2 {
         return 1.0;
     }
     let Some(w) = candidates.get(winner) else {
         return 0.0;
     };
-    let agreeing = match &w.result {
-        Ok(wrs) if w.is_valid() => {
-            let target = wrs.normalized_rows();
-            candidates
-                .iter()
-                .filter(|c| {
-                    c.is_valid()
-                        && matches!(&c.result, Ok(rs) if rs.normalized_rows() == target)
-                })
-                .count()
-        }
-        _ => candidates.iter().filter(|c| c.sql == w.sql).count(),
+    // a candidate is in a class exactly when it is valid
+    let agreeing = match classes.iter().find(|class| class.contains(&winner)) {
+        Some(class) => class.len(),
+        None => candidates.iter().filter(|c| c.sql == w.sql).count(),
     };
     agreeing as f64 / candidates.len() as f64
 }
 
+/// Fraction of the beam agreeing with the winner — the *margin* of the
+/// vote. When the winner executed to a non-empty answer, agreement means
+/// the same normalised answer (the vote's own grouping, Eq. 3); when the
+/// vote fell back to an invalid winner, agreement degrades to SQL-string
+/// equality. This is the single formula behind the trace's `vote` event,
+/// [`crate::PipelineRun::vote_margin`] and, through it, the runtime's
+/// `vote_margin` histogram.
+pub fn vote_margin(candidates: &[RefinedCandidate], winner: usize) -> f64 {
+    margin_over(&answer_classes(candidates), candidates, winner)
+}
+
 /// Execute a SQL string against a database, returning result + costs.
 ///
-/// Goes through the process-wide [`sqlkit::plan_cache`]: the refine →
-/// execute → correct loop, the vote tie-break, and eval's repeated
-/// gold-SQL executions re-run the same statements constantly, so each one
-/// is parsed, bound and lowered once and then served from the cache.
-/// Cached plans run on `sqlkit`'s one pipelined executor — index scans and
-/// index joins on declared indexes where the planner could cost them, the
-/// naive plan (scans, hash / nested-loop joins, every conjunct residual)
-/// for everything else.
+/// Goes through the process-wide [`sqlkit::plan_cache`]: correction
+/// rounds, `Pipeline::query` and eval's repeated gold-SQL executions re-run
+/// statements across questions, so each one is parsed, bound and lowered
+/// once and then served from the cache. (Within one question the beam
+/// never runs a statement twice — see [`refine_beam`].) Cached plans run on
+/// `sqlkit`'s one pipelined executor — index scans and index joins on
+/// declared indexes where the planner could cost them, the naive plan
+/// (scans, hash / nested-loop joins, every conjunct residual) for
+/// everything else.
 pub fn execute(db: &sqlkit::Database, sql: &str) -> (Result<ResultSet, SqlError>, u64, f64) {
     let t0 = Instant::now();
     match sqlkit::plan_cache().execute(db, sql) {
@@ -104,9 +157,52 @@ pub fn execute(db: &sqlkit::Database, sql: &str) -> (Result<ResultSet, SqlError>
     }
 }
 
-/// What one gated execution attempt produced.
+/// The outcome of one shared piece of work, with what it recorded while it
+/// ran — trace events and ledger charges — so that every candidate using
+/// the outcome records the work too.
+struct Shared<T> {
+    outcome: T,
+    trace: QueryTrace,
+    ledger: CostLedger,
+}
+
+impl<T> Shared<T> {
+    /// Run `work` under a private trace and ledger; keep what it recorded.
+    fn capture(work: impl FnOnce(&mut CostLedger) -> T) -> Self {
+        active::push();
+        let mut ledger = CostLedger::new();
+        let outcome = work(&mut ledger);
+        let trace = active::pop().expect("capture pushed a trace");
+        Shared { outcome, trace, ledger }
+    }
+
+    /// Record the work onto the active trace and `ledger`. The candidate
+    /// it was done for records it as measured; one reusing the outcome
+    /// records the same logical events and the same `calls`/`tokens` with
+    /// zero time — so counts and the logical trace cannot tell the two
+    /// apart, and wall-clock totals report work done.
+    fn record(&self, ledger: &mut CostLedger, measured: bool) {
+        active::replay(&self.trace, measured);
+        if measured {
+            ledger.merge(&self.ledger);
+        } else {
+            ledger.merge_counts(&self.ledger);
+        }
+    }
+}
+
+/// What aligning one text produced.
+struct AlignOutcome {
+    /// The aligned SQL.
+    sql: String,
+    /// Why alignment was skipped (the parse finding), for the correction
+    /// prompt; quote-sanitised.
+    note: Option<String>,
+}
+
+/// What one gated execution of an aligned statement produced.
 struct GateOutcome {
-    result: Result<ResultSet, SqlError>,
+    result: Result<Arc<ResultSet>, SqlError>,
     cost: u64,
     ms: f64,
     /// Rendered analyzer findings (quote-sanitised for prompt embedding).
@@ -115,48 +211,460 @@ struct GateOutcome {
     skipped: bool,
 }
 
-/// Run the statement through the static analyzer, then execute — unless
-/// the analyzer *proved* the exact error the execution must fail with, in
-/// which case the prediction substitutes for the execution byte-for-byte.
-fn analyze_and_execute(
-    db: &sqlkit::Database,
-    sql: &str,
-    config: &PipelineConfig,
-    ledger: &mut CostLedger,
-) -> GateOutcome {
-    if !config.analyze_gate {
-        let (result, cost, ms) = execute(db, sql);
-        return GateOutcome { result, cost, ms, note: None, skipped: false };
-    }
-    let t0 = Instant::now();
-    let analysis = sqlkit::analyze_sql(&db.schema, sql);
-    let analyze_ms = t0.elapsed().as_secs_f64() * 1e3;
-    ledger.charge(Module::Analyze, analyze_ms, 0);
-    let diags = analysis.diagnostics.len();
-    // Single quotes are scrubbed so the note cannot inject new string
-    // literals into the correction prompt (the simulated model mines the
-    // prompt for quoted values; the SQL itself is already there verbatim).
-    let note = (diags > 0).then(|| analysis.rendered(sql).replace('\'', "`"));
-    let verdict = if analysis.certain_error.is_some() {
-        "reject"
-    } else if diags > 0 {
-        "flagged"
-    } else {
-        "clean"
-    };
-    active::event_timed(
-        "analyze_gate",
-        &[("verdict", verdict), ("diags", &diags.to_string())],
-        &[("analyze_ms", analyze_ms)],
-    );
-    if let Some(err) = analysis.certain_error {
-        return GateOutcome { result: Err(err), cost: 0, ms: 0.0, note, skipped: true };
-    }
-    let (result, cost, ms) = execute(db, sql);
-    GateOutcome { result, cost, ms, note, skipped: false }
+/// Shared outcomes by input text, each with the index of the candidate it
+/// was computed for.
+struct Memo<T> {
+    by_text: HashMap<String, (usize, Arc<Shared<T>>)>,
 }
 
-/// Refine one candidate: align → execute → correct (bounded rounds).
+impl<T> Default for Memo<T> {
+    fn default() -> Self {
+        Memo { by_text: HashMap::new() }
+    }
+}
+
+impl<T: Send> Memo<T> {
+    /// `compute` each distinct text of a beam once, in first-appearance
+    /// order, for the candidate (numbered from `first_idx`) it first
+    /// appeared at.
+    fn first_attempts<'t>(
+        texts: impl Iterator<Item = &'t str>,
+        first_idx: usize,
+        threads: usize,
+        compute: impl Fn(&str) -> Shared<T> + Sync,
+    ) -> Self {
+        let mut seen = HashSet::new();
+        let distinct: Vec<(usize, &str)> =
+            texts.enumerate().filter(|(_, text)| seen.insert(*text)).collect();
+        let outcomes = in_slots(distinct.len(), threads, |k| compute(distinct[k].1));
+        let by_text = distinct
+            .into_iter()
+            .zip(outcomes)
+            .map(|((i, text), out)| (text.to_owned(), (first_idx + i, Arc::new(out))))
+            .collect();
+        Memo { by_text }
+    }
+
+    fn get(&self, text: &str) -> Option<(usize, Arc<Shared<T>>)> {
+        self.by_text.get(text).map(|(by, out)| (*by, Arc::clone(out)))
+    }
+
+    /// The outcome for `text`, and whose it is when it is being *reused*:
+    /// looked up among the beam's first attempts, then among what this
+    /// candidate (`idx`) computed itself, else computed now and kept in
+    /// `self`. A first attempt that finds its own entry in `beam` is not a
+    /// reuse — that entry was computed for it.
+    fn resolve(
+        &mut self,
+        beam: &Memo<T>,
+        text: &str,
+        idx: usize,
+        first_attempt: bool,
+        compute: impl FnOnce() -> Shared<T>,
+    ) -> (Arc<Shared<T>>, Option<usize>) {
+        if let Some((by, out)) = beam.get(text).or_else(|| self.get(text)) {
+            let own = first_attempt && by == idx;
+            return (out, (!own).then_some(by));
+        }
+        let out = Arc::new(compute());
+        self.by_text.insert(text.to_owned(), (idx, Arc::clone(&out)));
+        (out, None)
+    }
+}
+
+/// The two things attempts share, each keyed on what it depends on:
+/// alignment on the *effective* text (after the SQL-Like fallback, which
+/// reads the candidate's own CoT — so two candidates with the same broken
+/// SQL but different `SQL-like:` lines have different keys), the gate and
+/// the execution on the *aligned* text (several texts align to one
+/// statement). Schema, value index, `expected_select` and the
+/// configuration are constant across a beam.
+#[derive(Default)]
+struct Attempts {
+    aligns: Memo<AlignOutcome>,
+    gates: Memo<GateOutcome>,
+}
+
+/// One align → gate → execute attempt, as a candidate sees it.
+struct Attempt {
+    sql: String,
+    align_note: Option<String>,
+    gate: Arc<Shared<GateOutcome>>,
+}
+
+/// A candidate's input after the SQL-Like fallback.
+struct Effective<'a> {
+    raw_sql: &'a str,
+    sql: Cow<'a, str>,
+    /// The fallback ran: whether it recovered a statement, and its time.
+    fallback: Option<(bool, f64)>,
+}
+
+/// `f(0), …, f(n - 1)` on up to `threads` scoped threads (contiguous
+/// chunks, one per thread), results in index order.
+fn in_slots<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = threads.max(1).min(n.max(1));
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let chunk = n.div_ceil(threads);
+    std::thread::scope(|scope| {
+        for (t, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
+            let f = &f;
+            scope.spawn(move || {
+                for (off, slot) in chunk_slots.iter_mut().enumerate() {
+                    *slot = Some(f(t * chunk + off));
+                }
+            });
+        }
+    });
+    slots.into_iter().map(|slot| slot.expect("every slot is filled")).collect()
+}
+
+/// Everything that is constant across one question's beam.
+struct Beam<'a> {
+    pre: &'a Preprocessed,
+    llm: &'a dyn LanguageModel,
+    config: &'a PipelineConfig,
+    db_id: &'a str,
+    question: &'a str,
+    evidence: &'a str,
+    extraction: &'a ExtractionOutput,
+    db: &'a datagen::BuiltDb,
+    assets: &'a DbAssets,
+}
+
+impl<'a> Beam<'a> {
+    fn new(
+        pre: &'a Preprocessed,
+        llm: &'a dyn LanguageModel,
+        config: &'a PipelineConfig,
+        db_id: &'a str,
+        question: &'a str,
+        evidence: &'a str,
+        extraction: &'a ExtractionOutput,
+    ) -> Self {
+        let db = pre.db(db_id).expect("refinement runs on known databases");
+        let assets = pre.assets(db_id).expect("assets exist for known databases");
+        Beam { pre, llm, config, db_id, question, evidence, extraction, db, assets }
+    }
+
+    /// SQL-Like fallback: when the final SQL is malformed but the CoT's
+    /// intermediate representation parses, reconstruct the SQL from the
+    /// logic (§3.5) — repairs syntax-class hallucinations without an LLM
+    /// round trip. Whether `raw_sql` parses is looked up per distinct
+    /// text; the recovery itself reads the candidate's own `raw_text`.
+    fn effective<'c>(
+        &self,
+        raw_sql: &'c str,
+        raw_text: Option<&str>,
+        unparseable: &mut HashMap<&'c str, bool>,
+    ) -> Effective<'c> {
+        let untouched = Effective { raw_sql, sql: Cow::Borrowed(raw_sql), fallback: None };
+        if !self.config.alignments
+            || !*unparseable.entry(raw_sql).or_insert_with(|| parse_select(raw_sql).is_err())
+        {
+            return untouched;
+        }
+        let Some(line) = raw_text.and_then(|t| proto::parse_field(t, "SQL-like")) else {
+            return untouched;
+        };
+        let t0 = Instant::now();
+        let recovered = crate::sqllike::recover_sql(line, &self.db.database.schema);
+        let fallback = Some((recovered.is_ok(), t0.elapsed().as_secs_f64() * 1e3));
+        Effective { raw_sql, sql: recovered.map_or(Cow::Borrowed(raw_sql), Cow::Owned), fallback }
+    }
+
+    /// Align one text. Alignment is skipped on unparseable SQL; *why* (the
+    /// parse diagnostic) is surfaced into the correction prompt rather
+    /// than dropped — Correction still owns the repair.
+    fn align(&self, text: &str) -> Shared<AlignOutcome> {
+        Shared::capture(|ledger| {
+            let aligned = align_candidate(
+                text,
+                &self.db.database.schema,
+                &self.assets.values,
+                self.extraction.expected_select,
+                ledger,
+            );
+            let note = aligned
+                .parse_diagnostic
+                .as_ref()
+                .map(|d| format!("alignment skipped: {}", d.headline()).replace('\'', "`"));
+            AlignOutcome { sql: aligned.sql, note }
+        })
+    }
+
+    /// Run the statement through the static analyzer, then execute —
+    /// unless the analyzer *proved* the exact error the execution must
+    /// fail with, in which case the prediction substitutes for the
+    /// execution byte-for-byte.
+    fn gate(&self, sql: &str) -> Shared<GateOutcome> {
+        let db = &self.db.database;
+        Shared::capture(|ledger| {
+            let run = |note| {
+                let (result, cost, ms) = execute(db, sql);
+                GateOutcome { result: result.map(Arc::new), cost, ms, note, skipped: false }
+            };
+            if !self.config.analyze_gate {
+                return run(None);
+            }
+            let t0 = Instant::now();
+            let analysis = sqlkit::analyze_sql(&db.schema, sql);
+            let analyze_ms = t0.elapsed().as_secs_f64() * 1e3;
+            ledger.charge(Module::Analyze, analyze_ms, 0);
+            let diags = analysis.diagnostics.len();
+            // Single quotes are scrubbed so the note cannot inject new
+            // string literals into the correction prompt (the simulated
+            // model mines the prompt for quoted values; the SQL itself is
+            // already there verbatim).
+            let note = (diags > 0).then(|| analysis.rendered(sql).replace('\'', "`"));
+            let verdict = if analysis.certain_error.is_some() {
+                "reject"
+            } else if diags > 0 {
+                "flagged"
+            } else {
+                "clean"
+            };
+            active::event_timed(
+                "analyze_gate",
+                &[("verdict", verdict), ("diags", &diags.to_string())],
+                &[("analyze_ms", analyze_ms)],
+            );
+            match analysis.certain_error {
+                Some(err) => GateOutcome { result: Err(err), cost: 0, ms: 0.0, note, skipped: true },
+                None => run(note),
+            }
+        })
+    }
+
+    /// One attempt on `text` for candidate `idx`: each half is taken from
+    /// the beam's first attempts or from what this candidate already
+    /// computed (`own`) when the text is known, computed now otherwise;
+    /// either way its records land on the candidate's trace and ledger.
+    fn attempt(
+        &self,
+        text: &str,
+        idx: usize,
+        beam: &Attempts,
+        own: &mut Attempts,
+        first_attempt: bool,
+        ledger: &mut CostLedger,
+    ) -> Attempt {
+        let (sql, align_note, align_from) = if self.config.alignments {
+            let (align, from) =
+                own.aligns.resolve(&beam.aligns, text, idx, first_attempt, || self.align(text));
+            align.record(ledger, from.is_none());
+            (align.outcome.sql.clone(), align.outcome.note.clone(), from)
+        } else {
+            (text.to_owned(), None, None)
+        };
+        let (gate, gate_from) =
+            own.gates.resolve(&beam.gates, &sql, idx, first_attempt, || self.gate(&sql));
+        gate.record(ledger, gate_from.is_none());
+        if align_from.is_some() || gate_from.is_some() {
+            // volatile: who did the work is bookkeeping, not an outcome
+            let who = |from: Option<usize>| from.map_or_else(|| "-".to_owned(), |c| c.to_string());
+            active::event_volatile(
+                "attempt_shared",
+                &[("align", &who(align_from)), ("exec", &who(gate_from))],
+                &[],
+            );
+        }
+        Attempt { sql, align_note, gate }
+    }
+
+    /// Refine the beam's candidates, numbered from `first_idx`.
+    fn refine(
+        &self,
+        candidates: &[(&str, Option<&str>)],
+        first_idx: usize,
+        threads: usize,
+        ledger: &mut CostLedger,
+    ) -> RefinedBeam {
+        let n = candidates.len();
+        let mut unparseable = HashMap::new();
+        let inputs: Vec<Effective> = candidates
+            .iter()
+            .map(|(raw_sql, raw_text)| self.effective(raw_sql, *raw_text, &mut unparseable))
+            .collect();
+
+        // First attempts, each distinct piece once: alignment per effective
+        // text, then gate + execution per aligned text. Two passes rather
+        // than one so that two texts aligning to one statement on different
+        // threads still execute it once — what is shared never depends on
+        // scheduling.
+        let aligns = if self.config.alignments {
+            let effective = inputs.iter().map(|e| e.sql.as_ref());
+            Memo::first_attempts(effective, first_idx, threads, |text| self.align(text))
+        } else {
+            Memo::default()
+        };
+        let aligned = inputs.iter().map(|e| match aligns.by_text.get(e.sql.as_ref()) {
+            Some((_, align)) => align.outcome.sql.as_str(),
+            None => e.sql.as_ref(),
+        });
+        let gates = Memo::first_attempts(aligned, first_idx, threads, |sql| self.gate(sql));
+        let first_attempts_shared = n - gates.by_text.len();
+        let beam = Attempts { aligns, gates };
+
+        // Per candidate: take the first attempt, then run its own
+        // correction loop against the now-immutable first attempts plus a
+        // private memo. Each charges a private ledger and records a
+        // private sub-trace, merged in index order — so every field, the
+        // ledger's counts and the logical trace are the same on 1 thread
+        // or N.
+        let refined = in_slots(n, threads, |i| {
+            active::push();
+            let mut local = CostLedger::new();
+            let c = self.refine_one(&inputs[i], first_idx + i, &beam, &mut local);
+            (c, local, active::pop().expect("refine pushed a trace"))
+        });
+        let mut out = Vec::with_capacity(n);
+        for (c, local, sub) in refined {
+            out.push(c);
+            ledger.merge(&local);
+            active::absorb(sub);
+        }
+        RefinedBeam { candidates: out, first_attempts_shared }
+    }
+
+    /// One candidate: first attempt → correct (bounded rounds). Correction
+    /// stays per candidate — its `seed_tag` depends on the index, so two
+    /// candidates with equal SQL legitimately diverge there.
+    fn refine_one(
+        &self,
+        input: &Effective,
+        idx: usize,
+        beam: &Attempts,
+        ledger: &mut CostLedger,
+    ) -> RefinedCandidate {
+        let span = active::start("candidate");
+        active::label(span, "idx", &idx.to_string());
+        if let Some((recovered, ms)) = input.fallback {
+            active::event(
+                "sqllike_fallback",
+                &[("recovered", if recovered { "true" } else { "false" })],
+            );
+            ledger.charge(Module::StyleAlign, ms, 0);
+        }
+
+        let mut own = Attempts::default();
+        let mut attempt = self.attempt(&input.sql, idx, beam, &mut own, true, ledger);
+        let mut skips = attempt.gate.outcome.skipped as usize;
+        let mut rounds = 0usize;
+
+        if self.config.refinement && self.config.correction {
+            while rounds < self.config.max_correction_rounds {
+                let (error_text, kind) = match &attempt.gate.outcome.result {
+                    Err(e) => (e.to_string(), e.kind()),
+                    Ok(rs) if rs.is_effectively_empty() => {
+                        ("Result: None".to_owned(), sqlkit::SqlErrorKind::Other)
+                    }
+                    Ok(_) => break,
+                };
+                rounds += 1;
+                let round_span = active::start("correction_round");
+                active::label(round_span, "attempt", &rounds.to_string());
+                active::label(round_span, "error_kind", &format!("{kind:?}"));
+                let full_note = match (&attempt.align_note, &attempt.gate.outcome.note) {
+                    (Some(a), Some(n)) => Some(format!("{a}\n{n}")),
+                    (Some(a), None) => Some(a.clone()),
+                    (None, n) => n.clone(),
+                };
+                let prompt = build_correction_prompt(
+                    self.pre,
+                    self.config,
+                    self.db_id,
+                    self.question,
+                    self.evidence,
+                    self.extraction,
+                    &attempt.sql,
+                    &error_text,
+                    kind,
+                    full_note.as_deref(),
+                );
+                let resp = self.llm.complete(&ChatRequest {
+                    prompt,
+                    temperature: self.config.temperature,
+                    n: 1,
+                    seed_tag: 0xC0DE + (idx as u64) * 31 + rounds as u64,
+                });
+                ledger.charge(
+                    Module::Correction,
+                    resp.latency_ms,
+                    (resp.prompt_tokens + resp.completion_tokens) as u64,
+                );
+                let Some(fixed) =
+                    resp.texts.first().and_then(|t| proto::parse_sql_from_response(t))
+                else {
+                    active::label(round_span, "correction", "none");
+                    active::end(round_span);
+                    break;
+                };
+                active::label(round_span, "correction", "applied");
+                attempt = self.attempt(fixed, idx, beam, &mut own, false, ledger);
+                skips += attempt.gate.outcome.skipped as usize;
+                active::end(round_span);
+            }
+        }
+
+        let refined = RefinedCandidate {
+            raw_sql: input.raw_sql.to_owned(),
+            sql: attempt.sql,
+            result: attempt.gate.outcome.result.clone(),
+            exec_cost: attempt.gate.outcome.cost,
+            exec_ms: attempt.gate.outcome.ms,
+            correction_rounds: rounds,
+            analyze_skips: skips,
+        };
+        active::label(span, "sql", &refined.sql);
+        if refined.sql != refined.raw_sql {
+            active::label(span, "raw", &refined.raw_sql);
+        }
+        active::label(span, "outcome", &refined.outcome_label());
+        active::label(span, "cost", &refined.exec_cost.to_string());
+        active::label(span, "rounds", &refined.correction_rounds.to_string());
+        active::end(span);
+        refined
+    }
+}
+
+/// Refine a question's whole beam: align → execute → correct (bounded
+/// rounds) for every candidate, with each distinct first attempt made
+/// once (see the module docs). Candidates charge `ledger` and record
+/// `candidate` spans on the active trace in generation order; work is
+/// spread over `config.refine_threads`, which nothing returned or recorded
+/// depends on.
+#[allow(clippy::too_many_arguments)]
+pub fn refine_beam(
+    pre: &Preprocessed,
+    llm: &dyn LanguageModel,
+    config: &PipelineConfig,
+    db_id: &str,
+    question: &str,
+    evidence: &str,
+    extraction: &ExtractionOutput,
+    raw_sqls: &[String],
+    raw_texts: &[String],
+    ledger: &mut CostLedger,
+) -> RefinedBeam {
+    let candidates: Vec<(&str, Option<&str>)> = raw_sqls
+        .iter()
+        .enumerate()
+        .map(|(i, sql)| (sql.as_str(), raw_texts.get(i).map(String::as_str)))
+        .collect();
+    Beam::new(pre, llm, config, db_id, question, evidence, extraction).refine(
+        &candidates,
+        0,
+        config.refine_threads,
+        ledger,
+    )
+}
+
+/// Refine one candidate on its own: the beam of one, through the same
+/// internals — so nothing is shared and everything is measured.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_candidate(
     pre: &Preprocessed,
@@ -171,157 +679,11 @@ pub fn refine_candidate(
     candidate_idx: usize,
     ledger: &mut CostLedger,
 ) -> RefinedCandidate {
-    let db = pre.db(db_id).expect("refinement runs on known databases");
-    let assets = pre.assets(db_id).expect("assets exist for known databases");
-    let span = active::start("candidate");
-    active::label(span, "idx", &candidate_idx.to_string());
-
-    // SQL-Like fallback: when the final SQL is malformed but the CoT's
-    // intermediate representation parses, reconstruct the SQL from the
-    // logic (§3.5) — repairs syntax-class hallucinations without an LLM
-    // round trip.
-    let mut effective_sql = raw_sql.to_owned();
-    if config.alignments && parse_select(raw_sql).is_err() {
-        if let Some(line) =
-            raw_text.and_then(|t| llmsim::proto::parse_field(t, "SQL-like"))
-        {
-            let t0 = std::time::Instant::now();
-            let recovered = crate::sqllike::recover_sql(line, &db.database.schema);
-            active::event(
-                "sqllike_fallback",
-                &[("recovered", if recovered.is_ok() { "true" } else { "false" })],
-            );
-            if let Ok(sql) = recovered {
-                effective_sql = sql;
-            }
-            ledger.charge(Module::StyleAlign, t0.elapsed().as_secs_f64() * 1e3, 0);
-        }
-    }
-
-    // Alignment is skipped on unparseable SQL; surface *why* (the parse
-    // diagnostic) into the correction prompt rather than dropping it —
-    // Correction still owns the repair.
-    let mut align_note: Option<String> = None;
-    let mut sql = if config.alignments {
-        let aligned = align_candidate(
-            &effective_sql,
-            &db.database.schema,
-            &assets.values,
-            extraction.expected_select,
-            ledger,
-        );
-        align_note = aligned
-            .parse_diagnostic
-            .as_ref()
-            .map(|d| format!("alignment skipped: {}", d.headline()).replace('\'', "`"));
-        aligned.sql
-    } else {
-        effective_sql
-    };
-
-    let gate = analyze_and_execute(&db.database, &sql, config, ledger);
-    let (mut result, mut cost, mut ms) = (gate.result, gate.cost, gate.ms);
-    let mut note = gate.note;
-    let mut skips = gate.skipped as usize;
-    let mut rounds = 0usize;
-
-    if config.refinement && config.correction {
-        while rounds < config.max_correction_rounds {
-            let needs_fix = match &result {
-                Err(_) => true,
-                Ok(rs) => rs.is_effectively_empty(),
-            };
-            if !needs_fix {
-                break;
-            }
-            rounds += 1;
-            let error_text = match &result {
-                Err(e) => e.to_string(),
-                Ok(_) => "Result: None".to_owned(),
-            };
-            let kind = match &result {
-                Err(e) => e.kind(),
-                Ok(_) => sqlkit::SqlErrorKind::Other,
-            };
-            let round_span = active::start("correction_round");
-            active::label(round_span, "attempt", &rounds.to_string());
-            active::label(round_span, "error_kind", &format!("{kind:?}"));
-            let full_note = match (&align_note, &note) {
-                (Some(a), Some(n)) => Some(format!("{a}\n{n}")),
-                (Some(a), None) => Some(a.clone()),
-                (None, n) => n.clone(),
-            };
-            let prompt = build_correction_prompt(
-                pre, config, db_id, question, evidence, extraction, &sql, &error_text, kind,
-                full_note.as_deref(),
-            );
-            let resp = llm.complete(&ChatRequest {
-                prompt,
-                temperature: config.temperature,
-                n: 1,
-                seed_tag: 0xC0DE + (candidate_idx as u64) * 31 + rounds as u64,
-            });
-            ledger.charge(
-                Module::Correction,
-                resp.latency_ms,
-                (resp.prompt_tokens + resp.completion_tokens) as u64,
-            );
-            let Some(fixed) = resp
-                .texts
-                .first()
-                .and_then(|t| proto::parse_sql_from_response(t))
-                .map(str::to_owned)
-            else {
-                active::label(round_span, "correction", "none");
-                active::end(round_span);
-                break;
-            };
-            active::label(round_span, "correction", "applied");
-            sql = if config.alignments {
-                let aligned = align_candidate(
-                    &fixed,
-                    &db.database.schema,
-                    &assets.values,
-                    extraction.expected_select,
-                    ledger,
-                );
-                align_note = aligned
-                    .parse_diagnostic
-                    .as_ref()
-                    .map(|d| format!("alignment skipped: {}", d.headline()).replace('\'', "`"));
-                aligned.sql
-            } else {
-                align_note = None;
-                fixed
-            };
-            let gate = analyze_and_execute(&db.database, &sql, config, ledger);
-            result = gate.result;
-            cost = gate.cost;
-            ms = gate.ms;
-            note = gate.note;
-            skips += gate.skipped as usize;
-            active::end(round_span);
-        }
-    }
-
-    let refined = RefinedCandidate {
-        raw_sql: raw_sql.to_owned(),
-        sql,
-        result,
-        exec_cost: cost,
-        exec_ms: ms,
-        correction_rounds: rounds,
-        analyze_skips: skips,
-    };
-    active::label(span, "sql", &refined.sql);
-    if refined.sql != refined.raw_sql {
-        active::label(span, "raw", &refined.raw_sql);
-    }
-    active::label(span, "outcome", &refined.outcome_label());
-    active::label(span, "cost", &refined.exec_cost.to_string());
-    active::label(span, "rounds", &refined.correction_rounds.to_string());
-    active::end(span);
-    refined
+    Beam::new(pre, llm, config, db_id, question, evidence, extraction)
+        .refine(&[(raw_sql, raw_text)], candidate_idx, 1, ledger)
+        .candidates
+        .pop()
+        .expect("a beam of one refines to one candidate")
 }
 
 /// Build a correction prompt (Listing 3 shape): error few-shot for the
@@ -409,17 +771,19 @@ fn build_correction_prompt(
 /// Self-consistency & vote (paper Eq. 3). Returns the index of the chosen
 /// candidate.
 pub fn vote(candidates: &[RefinedCandidate], ledger: &mut CostLedger) -> usize {
+    vote_with_margin(candidates, ledger).0
+}
+
+/// [`vote`], also returning the winner's [`vote_margin`] — computed from
+/// the classes the vote already built, not by a second pass over the rows.
+pub(crate) fn vote_with_margin(
+    candidates: &[RefinedCandidate],
+    ledger: &mut CostLedger,
+) -> (usize, f64) {
     let t0 = Instant::now();
-    let mut groups: HashMap<Vec<Vec<sqlkit::NormValue>>, Vec<usize>> = HashMap::new();
-    for (i, c) in candidates.iter().enumerate() {
-        if c.is_valid() {
-            if let Ok(rs) = &c.result {
-                groups.entry(rs.normalized_rows()).or_default().push(i);
-            }
-        }
-    }
-    let winner = groups
-        .values()
+    let classes = answer_classes(candidates);
+    let winner = classes
+        .iter()
         .max_by_key(|idxs| {
             // most frequent answer; deterministic tie-break on earliest index
             (idxs.len(), std::cmp::Reverse(idxs[0]))
@@ -442,16 +806,45 @@ pub fn vote(candidates: &[RefinedCandidate], ledger: &mut CostLedger) -> usize {
             }
         }
     };
+    let margin = margin_over(&classes, candidates, chosen);
     active::event(
         "vote",
         &[
             ("candidates", &candidates.len().to_string()),
             ("winner", &chosen.to_string()),
             ("path", path),
-            ("margin", &format!("{:.4}", vote_margin(candidates, chosen))),
+            ("margin", &format!("{margin:.4}")),
         ],
     );
-    chosen
+    (chosen, margin)
+}
+
+/// Two refinements of one beam agree in every deterministic field of every
+/// candidate, result rows included (`exec_ms` is wall-clock).
+#[cfg(test)]
+pub(crate) fn assert_same_candidates(a: &[RefinedCandidate], b: &[RefinedCandidate]) {
+    assert_eq!(a.len(), b.len());
+    for (i, (ca, cb)) in a.iter().zip(b).enumerate() {
+        assert_eq!(ca.raw_sql, cb.raw_sql, "candidate {i}");
+        assert_eq!(ca.sql, cb.sql, "candidate {i}");
+        assert_eq!(ca.exec_cost, cb.exec_cost, "candidate {i}");
+        assert_eq!(ca.correction_rounds, cb.correction_rounds, "candidate {i}");
+        assert_eq!(ca.analyze_skips, cb.analyze_skips, "candidate {i}");
+        match (&ca.result, &cb.result) {
+            (Ok(ra), Ok(rb)) => assert_eq!(ra, rb, "candidate {i} rows"),
+            (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string(), "candidate {i}"),
+            _ => panic!("candidate {i}: result class differs"),
+        }
+    }
+}
+
+/// Two ledgers agree in everything but time.
+#[cfg(test)]
+pub(crate) fn assert_same_counts(a: &CostLedger, b: &CostLedger) {
+    for m in Module::all() {
+        assert_eq!(a.get(m).calls, b.get(m).calls, "{m:?} calls");
+        assert_eq!(a.get(m).tokens, b.get(m).tokens, "{m:?} tokens");
+    }
 }
 
 #[cfg(test)]
@@ -463,7 +856,7 @@ mod tests {
         RefinedCandidate {
             raw_sql: sql.to_owned(),
             sql: sql.to_owned(),
-            result: Ok(ResultSet { columns: vec!["x".into()], rows }),
+            result: Ok(Arc::new(ResultSet { columns: vec!["x".into()], rows })),
             exec_cost: cost,
             exec_ms: 0.1,
             correction_rounds: 0,
@@ -530,5 +923,354 @@ mod tests {
         ];
         let w = vote(&cands, &mut ledger);
         assert_eq!(w, 1, "1 == 1.0 group wins, cheaper member selected");
+    }
+
+    /// Candidates holding one result allocation are one class without a
+    /// row being read; a separate allocation with an equal answer joins
+    /// them; and the margin the vote returns is the exported formula's.
+    #[test]
+    fn shared_results_vote_as_one_class() {
+        let mut shared = cand("a", vec![vec![Value::Int(1)]], 10);
+        let mut cands = vec![shared.clone(), cand("b", vec![vec![Value::Int(2)]], 1)];
+        shared.sql = "a2".into();
+        shared.exec_cost = 4;
+        cands.push(shared); // same Arc as cands[0]
+        cands.push(cand("c", vec![vec![Value::Real(1.0)]], 7)); // equal answer, own Arc
+        cands.push(bad("e"));
+        assert_eq!(answer_classes(&cands), vec![vec![0, 2, 3], vec![1]]);
+        let mut ledger = CostLedger::new();
+        let (winner, margin) = vote_with_margin(&cands, &mut ledger);
+        assert_eq!(winner, 2, "cheapest member of the 3-vote class");
+        assert_eq!(margin, vote_margin(&cands, winner));
+        assert_eq!(margin, 3.0 / 5.0);
+        // fallback winners agree by SQL text
+        let errs = vec![bad("e1"), bad("e2"), bad("e1")];
+        let (winner, margin) = vote_with_margin(&errs, &mut ledger);
+        assert_eq!((winner, margin), (0, 2.0 / 3.0));
+        assert_eq!(margin, vote_margin(&errs, winner));
+    }
+}
+
+/// The un-shared path is the oracle for the shared one: refining a beam
+/// candidate by candidate (a beam of one each — nothing to share, which is
+/// also what `perfbench`'s layer pass does) must equal one [`refine_beam`]
+/// over the same list in every field, ledger count and logical record.
+#[cfg(test)]
+mod beam_tests {
+    use super::*;
+    use datagen::{generate, Profile};
+    use llmsim::{ChatResponse, ModelProfile, Oracle, SimLlm};
+
+    const DB: &str = "healthcare";
+
+    struct Fx {
+        pre: Preprocessed,
+        sim: SimLlm,
+    }
+
+    fn fx() -> Fx {
+        let bench = Arc::new(generate(&Profile::tiny()));
+        let sim = SimLlm::new(Arc::new(Oracle::new(bench.clone())), ModelProfile::gpt_4o(), 5);
+        let pre = Preprocessed::run(bench, &sim);
+        Fx { pre, sim }
+    }
+
+    /// A model whose only skill is correction by lookup: a broken SQL
+    /// containing `needle` is answered with `fixed`; anything else gets a
+    /// reply with no SQL in it.
+    struct Scripted(Vec<(&'static str, &'static str)>);
+
+    impl LanguageModel for Scripted {
+        fn complete(&self, req: &ChatRequest) -> ChatResponse {
+            // the last such line: correction few-shots carry their own
+            let broken = req
+                .prompt
+                .lines()
+                .rev()
+                .find_map(|l| l.strip_prefix(proto::ERROR_SQL_PREFIX))
+                .unwrap_or_default();
+            let text = match self.0.iter().find(|(needle, _)| broken.contains(needle)) {
+                Some((_, fixed)) => format!("{} {fixed}", proto::SQL_PREFIX),
+                None => "I cannot fix this.".to_owned(),
+            };
+            ChatResponse {
+                prompt_tokens: llmsim::count_tokens(&req.prompt),
+                completion_tokens: llmsim::count_tokens(&text),
+                latency_ms: 1.0,
+                texts: vec![text],
+            }
+        }
+
+        fn name(&self) -> &str {
+            "scripted"
+        }
+    }
+
+    /// What refining a list of `(raw_sql, raw_text)` produced.
+    struct Refined {
+        candidates: Vec<RefinedCandidate>,
+        shared: usize,
+        ledger: CostLedger,
+        trace: QueryTrace,
+    }
+
+    impl Refined {
+        fn events(&self, name: &str) -> usize {
+            self.trace.events_named(name).count()
+        }
+    }
+
+    struct Case<'a> {
+        fx: &'a Fx,
+        llm: &'a dyn LanguageModel,
+        config: PipelineConfig,
+        extraction: ExtractionOutput,
+        raw: Vec<(String, String)>,
+    }
+
+    impl<'a> Case<'a> {
+        fn new(fx: &'a Fx, llm: &'a dyn LanguageModel, raw_sqls: &[&str]) -> Self {
+            Case {
+                fx,
+                llm,
+                config: PipelineConfig::fast(),
+                extraction: ExtractionOutput::default(),
+                raw: raw_sqls.iter().map(|s| (s.to_string(), format!("#SQL: {s}"))).collect(),
+            }
+        }
+
+        fn traced<T>(work: impl FnOnce(&mut CostLedger) -> T) -> (T, CostLedger, QueryTrace) {
+            active::push();
+            let stage = active::start("stage:refinement");
+            let mut ledger = CostLedger::new();
+            let out = work(&mut ledger);
+            active::end(stage);
+            (out, ledger, active::pop().unwrap())
+        }
+
+        fn one_by_one(&self) -> Refined {
+            let (candidates, ledger, trace) = Self::traced(|ledger| {
+                self.raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (sql, text))| {
+                        refine_candidate(
+                            &self.fx.pre, self.llm, &self.config, DB, "q", "", &self.extraction,
+                            sql, Some(text), i, ledger,
+                        )
+                    })
+                    .collect()
+            });
+            Refined { candidates, shared: 0, ledger, trace }
+        }
+
+        fn as_beam(&self, threads: usize) -> Refined {
+            let config = self.config.clone().with_refine_threads(threads);
+            let (sqls, texts): (Vec<String>, Vec<String>) = self.raw.iter().cloned().unzip();
+            let (beam, ledger, trace) = Self::traced(|ledger| {
+                refine_beam(
+                    &self.fx.pre, self.llm, &config, DB, "q", "", &self.extraction, &sqls,
+                    &texts, ledger,
+                )
+            });
+            Refined {
+                candidates: beam.candidates,
+                shared: beam.first_attempts_shared,
+                ledger,
+                trace,
+            }
+        }
+
+        /// The beam, checked against the candidate-by-candidate oracle at
+        /// 1, 2, 4 and 8 threads; returns (oracle, beam at one thread).
+        fn check(&self) -> (Refined, Refined) {
+            let oracle = self.one_by_one();
+            let mut beams: Vec<Refined> = [1, 2, 4, 8].map(|t| self.as_beam(t)).into();
+            for beam in &beams {
+                assert_same(&oracle, beam);
+                assert_eq!(beam.shared, beams[0].shared, "sharing is independent of threads");
+                for name in ["exec", "attempt_shared"] {
+                    assert_eq!(beam.events(name), beams[0].events(name), "{name} events");
+                }
+            }
+            (oracle, beams.swap_remove(0))
+        }
+    }
+
+    fn assert_same(a: &Refined, b: &Refined) {
+        assert_same_candidates(&a.candidates, &b.candidates);
+        assert_same_counts(&a.ledger, &b.ledger);
+        assert_eq!(a.trace.render_logical(), b.trace.render_logical());
+    }
+
+    fn same_allocation(a: &RefinedCandidate, b: &RefinedCandidate) -> bool {
+        matches!((&a.result, &b.result), (Ok(ra), Ok(rb)) if Arc::ptr_eq(ra, rb))
+    }
+
+    /// The real thing: beams the simulated model generated for the dev
+    /// questions, duplicates and corrections included.
+    #[test]
+    fn generated_beams_refine_the_same_shared_or_one_by_one() {
+        let fx = fx();
+        let config = PipelineConfig { n_candidates: 7, ..PipelineConfig::full() };
+        let (mut shared, mut total) = (0, 0);
+        for ex in fx.pre.benchmark.dev.iter().filter(|ex| ex.db_id == DB) {
+            let mut ledger = CostLedger::new();
+            let extraction = crate::extraction::run_extraction(
+                &fx.pre, &fx.sim, &config, DB, &ex.question, &ex.evidence, &mut ledger,
+            );
+            let generation = crate::generation::run_generation(
+                &fx.pre, &fx.sim, &config, DB, &ex.question, &ex.evidence, &extraction,
+                &mut ledger,
+            );
+            let case = Case {
+                fx: &fx,
+                llm: &fx.sim,
+                config: config.clone(),
+                extraction,
+                raw: generation.candidates.into_iter().zip(generation.raw_texts).collect(),
+            };
+            let (_, beam) = case.check();
+            shared += beam.shared;
+            total += beam.candidates.len();
+        }
+        assert!(total >= 7 * 4, "beams refined: {total} candidates");
+        assert!(shared * 2 > total, "most first attempts are duplicates: {shared}/{total}");
+    }
+
+    /// The `raw_text` trap: the same unparseable SQL with different
+    /// `SQL-like:` lines is two different inputs — and with the same line,
+    /// one.
+    #[test]
+    fn same_broken_sql_with_different_sql_like_lines_is_not_shared() {
+        let fx = fx();
+        let schema = &fx.pre.db(DB).unwrap().database.schema;
+        let mut lines: Vec<(String, String)> = Vec::new(); // (SQL-like line, recovered SQL)
+        for ex in fx.pre.benchmark.dev.iter().filter(|ex| ex.db_id == DB) {
+            let line = llmsim::render_sql_like(&ex.spec);
+            if let Ok(sql) = crate::sqllike::recover_sql(&line, schema) {
+                if lines.iter().all(|(_, seen)| *seen != sql) {
+                    lines.push((line, sql));
+                }
+            }
+        }
+        assert!(lines.len() >= 2, "two recoverable SQL-like lines");
+        let broken = "SELECT Name FORM Patient";
+        let mut case = Case::new(&fx, &fx.sim, &[]);
+        case.config.correction = false;
+        case.raw = [0, 1, 0]
+            .iter()
+            .map(|k| (broken.to_owned(), format!("#SQL-like: {}\n#SQL: {broken}", lines[*k].0)))
+            .collect();
+        let (_, beam) = case.check();
+        let [a, b, a2] = &beam.candidates[..] else { panic!("three candidates") };
+        assert_ne!(a.sql, b.sql, "different logic, different statements");
+        assert_ne!(a.sql, broken, "the fallback recovered a statement");
+        assert_eq!(a.sql, a2.sql);
+        assert!(same_allocation(a, a2) || a.result.is_err(), "same line, one execution");
+        assert!(!same_allocation(a, b));
+        assert_eq!(beam.events("sqllike_fallback"), 3, "the fallback itself is per candidate");
+        assert_eq!(beam.events("attempt_shared"), 1);
+        assert_eq!(beam.shared, 1);
+    }
+
+    /// Several raw texts that align to one statement are aligned each,
+    /// executed once.
+    #[test]
+    fn texts_aligning_to_one_statement_execute_once() {
+        let fx = fx();
+        let mut case = Case::new(
+            &fx,
+            &fx.sim,
+            &[
+                "SELECT Name, PatientID FROM Patient",
+                "SELECT Name FROM Patient",
+                "SELECT Name, Age FROM Patient",
+            ],
+        );
+        case.extraction.expected_select = Some(1); // SELECT alignment trims to one item
+        let (oracle, beam) = case.check();
+        assert!(beam.candidates.iter().all(|c| c.sql == "SELECT Name FROM Patient"));
+        assert!(beam.candidates.iter().all(|c| same_allocation(c, &beam.candidates[0])));
+        assert_eq!((oracle.events("exec"), beam.events("exec")), (3, 1));
+        assert_eq!(beam.shared, 2);
+        // each text was aligned for its own candidate; only the execution is another's
+        let shared: Vec<_> = beam.trace.events_named("attempt_shared").collect();
+        assert_eq!(shared.len(), 2);
+        for e in shared {
+            assert!(e.volatile);
+            assert_eq!((e.label("align"), e.label("exec")), (Some("-"), Some("0")));
+        }
+        // a sharer's records read zero time; the candidate the work was done for, measured
+        let gates: Vec<f64> = beam
+            .trace
+            .events_named("analyze_gate")
+            .map(|e| e.timing("analyze_ms").unwrap())
+            .collect();
+        assert_eq!(gates.len(), 3);
+        assert!(gates[0] > 0.0 && gates[1] == 0.0 && gates[2] == 0.0, "{gates:?}");
+        assert_eq!(beam.ledger.get(Module::Analyze).calls, 3);
+    }
+
+    /// A correction whose output is a text the beam has already attempted
+    /// reuses that attempt — another candidate's, or the candidate's own.
+    #[test]
+    fn a_correction_landing_on_a_known_text_reuses_its_outcome() {
+        let fx = fx();
+        let good = "SELECT Name FROM Patient WHERE Age > 30";
+        let llm = Scripted(vec![("Patients", good), ("Nopes", "SELECT Name FROM Nopes")]);
+        let case = Case::new(
+            &fx,
+            &llm,
+            &[good, "SELECT Name FROM Patients WHERE Age > 30", "SELECT Name FROM Nopes"],
+        );
+        let (oracle, beam) = case.check();
+        let [first, corrected, stuck] = &beam.candidates[..] else { panic!("three candidates") };
+        assert!(first.is_valid(), "{}", first.outcome_label());
+        assert_eq!((corrected.sql.as_str(), corrected.correction_rounds), (good, 1));
+        assert!(same_allocation(first, corrected), "the corrected text ran once, for candidate 0");
+        assert_eq!((oracle.events("exec"), beam.events("exec")), (2, 1));
+        let reuse = beam.trace.events_named("attempt_shared").next().expect("a reuse");
+        assert_eq!((reuse.label("align"), reuse.label("exec")), (Some("0"), Some("0")));
+        // the model repeating a candidate's own failed SQL: every round is
+        // charged and counted, the analysis behind it is done once
+        let rounds = case.config.max_correction_rounds;
+        assert_eq!(stuck.correction_rounds, rounds);
+        assert_eq!(stuck.analyze_skips, 1 + rounds);
+        assert!(stuck.result.is_err());
+        let measured = beam
+            .trace
+            .events_named("analyze_gate")
+            .filter(|e| e.timing("analyze_ms").unwrap() > 0.0)
+            .count();
+        assert_eq!(measured, 3, "one analysis per distinct statement");
+        assert_eq!(beam.shared, 0, "all three first attempts were distinct");
+    }
+
+    /// A beam with no survivor, a beam of one, and no beam at all.
+    #[test]
+    fn degenerate_beams() {
+        let fx = fx();
+        let llm = Scripted(vec![]);
+        let case = Case::new(
+            &fx,
+            &llm,
+            &["SELECT x FROM Nope", "SELECT y FROM Nope", "SELECT x FROM Nope"],
+        );
+        let (_, beam) = case.check();
+        assert!(beam.candidates.iter().all(|c| c.result.is_err() && c.correction_rounds == 1));
+        assert_eq!(beam.shared, 1);
+        let mut ledger = CostLedger::new();
+        let (winner, margin) = vote_with_margin(&beam.candidates, &mut ledger);
+        assert_eq!((winner, margin), (0, 2.0 / 3.0), "fallback-first, agreement by SQL text");
+
+        let one = Case::new(&fx, &fx.sim, &["SELECT Name FROM Patient"]);
+        let (_, beam) = one.check();
+        assert_eq!((beam.candidates.len(), beam.shared), (1, 0));
+        assert_eq!(beam.events("attempt_shared"), 0);
+
+        let none = Case::new(&fx, &fx.sim, &[]);
+        let (_, beam) = none.check();
+        assert!(beam.candidates.is_empty());
     }
 }

@@ -672,6 +672,8 @@ impl opensearch_sql::Answerer for Runtime {
                 final_sql: String::new(),
                 candidates: Vec::new(),
                 winner: 0,
+                vote_margin: 1.0,
+                first_attempts_shared: 0,
                 ledger: Default::default(),
                 trace: Arc::new(QueryTrace::empty()),
             },
@@ -694,7 +696,8 @@ static STAGES: [(Module, &str); 4] = [
 ];
 
 /// Rows the SQL executor scanned while serving this trace: the sum over
-/// the volatile `exec` events sqlkit emits (one per executed statement).
+/// the volatile `exec` events sqlkit emits (one per executed statement —
+/// a candidate handed another's result executed nothing and adds nothing).
 fn rows_scanned_in(trace: &QueryTrace) -> u64 {
     trace
         .events_named("exec")
@@ -823,10 +826,13 @@ fn worker_loop(
             }
         }
         if run.candidates.len() > 1 {
-            metrics
-                .histogram("vote_margin", &FRACTION_BOUNDS)
-                .record(opensearch_sql::vote_margin(&run.candidates, run.winner));
+            metrics.histogram("vote_margin", &FRACTION_BOUNDS).record(run.vote_margin);
         }
+        // how much of the beam's first-attempt work (one attempt per
+        // candidate) was done once and shared: shared / total is the
+        // duplicate share of the beam
+        metrics.counter("refine_first_attempts_total").add(run.candidates.len() as u64);
+        metrics.counter("refine_first_attempts_shared_total").add(run.first_attempts_shared as u64);
         record_analysis_metrics(metrics, &pipeline, &run);
         results.insert(key, run.clone());
         // Flight record + slow-query capture. The tail-sampling decision

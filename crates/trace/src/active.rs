@@ -104,6 +104,12 @@ pub fn absorb(child: QueryTrace) {
     with_top(|t| t.absorb(child));
 }
 
+/// Re-record a finished trace's events on the active trace, as measured
+/// or logical-only with zero timings (see [`Trace::replay`]).
+pub fn replay(src: &QueryTrace, measured: bool) {
+    with_top(|t| t.replay(src, measured));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -267,14 +267,31 @@ impl Trace {
         timings: &[(&'static str, f64)],
         volatile: bool,
     ) {
+        self.record_event(
+            name,
+            labels.iter().map(|(k, v)| (*k, (*v).to_owned())),
+            timings.iter().copied(),
+            volatile,
+        );
+    }
+
+    /// The one place an event enters the trace: under the currently open
+    /// span, at the next sequence number, now.
+    fn record_event(
+        &mut self,
+        name: &'static str,
+        labels: impl Iterator<Item = (&'static str, String)>,
+        timings: impl Iterator<Item = (&'static str, f64)>,
+        volatile: bool,
+    ) {
         if self.at_capacity() {
             return;
         }
         self.seq += 1;
         let l0 = self.label_arena.len() as u32;
-        self.label_arena.extend(labels.iter().map(|(k, v)| (*k, (*v).to_owned())));
+        self.label_arena.extend(labels);
         let t0 = self.timing_arena.len() as u32;
-        self.timing_arena.extend_from_slice(timings);
+        self.timing_arena.extend(timings);
         self.events.push(EventRec {
             span: self.stack.last().copied(),
             name,
@@ -284,6 +301,28 @@ impl Trace {
             timings: (t0, self.timing_arena.len() as u32),
             volatile,
         });
+    }
+
+    /// Re-record the events of a finished trace under the currently open
+    /// span, as if they fired now (fresh sequence numbers and timestamps;
+    /// spans of `src` are not replayed — it is meant for the span-less
+    /// record of one shared unit of work).
+    ///
+    /// `measured` replays every event as recorded. Otherwise only what
+    /// the logical view shows is replayed: volatile events are left out
+    /// and every timing reads zero — how a consumer of shared work
+    /// records the work it did not do, so the logical trace cannot tell
+    /// who computed and who reused.
+    pub fn replay(&mut self, src: &QueryTrace, measured: bool) {
+        debug_assert!(src.spans.is_empty(), "replay re-records events only");
+        for event in src.events.iter().filter(|e| measured || !e.volatile) {
+            self.record_event(
+                event.name,
+                event.labels.iter().cloned(),
+                event.timings.iter().map(|(k, v)| (*k, if measured { *v } else { 0.0 })),
+                event.volatile,
+            );
+        }
     }
 
     /// Merge a finished sub-trace under the currently open span.
@@ -523,6 +562,40 @@ mod tests {
         for c in q.spans_named("candidate") {
             assert_eq!(c.parent, Some(refinement));
         }
+    }
+
+    #[test]
+    fn replay_re_records_events_under_the_open_span() {
+        let mut work = Trace::new();
+        work.event_timed("align_hop", &[("hop", "agent")], &[("ms", 0.4)]);
+        work.event_volatile("exec", &[], &[("rows_scanned", 12.0)]);
+        let work = work.finish();
+
+        let mut t = Trace::new();
+        let did = t.start("candidate");
+        t.replay(&work, true);
+        t.end(did);
+        let reused = t.start("candidate");
+        t.replay(&work, false);
+        t.end(reused);
+        let q = t.finish();
+
+        let of = |span| q.events_in(span).collect::<Vec<_>>();
+        assert_eq!(of(did).len(), 2, "measured replay keeps volatile events");
+        assert_eq!(of(did)[0].timing("ms"), Some(0.4));
+        assert!(of(did)[1].volatile);
+        assert_eq!(of(reused).len(), 1, "logical replay drops volatile events");
+        assert_eq!(of(reused)[0].label("hop"), Some("agent"));
+        assert_eq!(of(reused)[0].timing("ms"), Some(0.0), "and zeroes timings");
+        // sequence numbers stay contiguous: nothing was copied, everything re-recorded
+        let mut seqs: Vec<u64> = q
+            .spans
+            .iter()
+            .flat_map(|s| [s.seq, s.end_seq])
+            .chain(q.events.iter().map(|e| e.seq))
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (1..=seqs.len() as u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -362,11 +362,12 @@ mod live {
     }
 
     /// The `/metrics` lines whose values a sequential script determines:
-    /// request/response/cache counters, the windowed block, the SLO
-    /// gauges and the replication series.
+    /// request/response/cache counters, the beam's first-attempt counters,
+    /// the windowed block, the SLO gauges and the replication series.
     fn deterministic_metrics(text: &str) -> String {
-        const NAMES: [&str; 9] = [
+        const NAMES: [&str; 10] = [
             "requests_total",
+            "refine_first_attempts_",
             "result_cache_hits",
             "result_cache_misses",
             "unknown_db",
