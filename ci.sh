@@ -93,11 +93,26 @@ cargo test -q --test beam_differential # corpus gate: every field of every candi
                                  # equal what a48904b produced refining one candidate at a
                                  # time, at refine_threads 1 and 4
 cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-
-                                 # differential suite (sparse HNSW/flat ≡ the dense oracle,
-                                 # ids and score bits)
+                                 # differential suite (sparse HNSW/flat ≡ the dense oracle;
+                                 # the serving index ≡ flat below its threshold, ≡ the
+                                 # same-seed graph ≡ the dense oracle from the crossing
+                                 # insert on — ids and score bits)
+# One index choice, structurally: which backend serves a corpus is decided
+# in vecstore (serving.rs, one constant), so core constructs neither.
+if grep -rnE 'Hnsw::new|FlatIndex::new' crates/core/src; then
+    echo "ci: crates/core/src is choosing a vector-index backend itself again" >&2
+    exit 1
+fi
 cargo test -q --test retrieval_golden # corpus gate: every retrieval result on the tiny
-                                 # profile hashes to the constant recorded before the
-                                 # sparse kernels landed
+                                 # profile, hashed per section. columns.retrieve, the
+                                 # per-column paths and fewshot.top_k still hash to what
+                                 # the all-HNSW c6d94f0 returned; values.retrieve was
+                                 # re-recorded when value corpora went to exact search,
+                                 # every moved list shown equal to brute-force top-k by
+                                 # the file's `census` (run by hand, --ignored)
+cargo test -q -p opensearch-sql served_corpora_land # placement gate: every value and
+                                 # column index of tiny and bird-mini-dev is an exact scan,
+                                 # the 1,500-entry few-shot library the graph
 
 # Store gate: the crash-recovery fault matrix (every-byte truncation +
 # corruption of the WAL, ~3.3k injection points), then pack a benchmark

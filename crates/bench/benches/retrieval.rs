@@ -1,13 +1,15 @@
-//! Retrieval microbenchmarks: HNSW vs exact flat search, at the sizes the
-//! server actually builds — one database's value corpus (~500 strings,
+//! Retrieval microbenchmarks: exact flat search vs HNSW vs the serving
+//! index that chooses between them, on the two kinds of corpus the server
+//! builds — a database's value corpus (~500 strings of ~13 non-zeros,
 //! rebuilt on every page-in) and the few-shot library (1,500 masked
-//! questions) — plus a size sweep that locates where HNSW overtakes flat.
-//! The §4.6 claim (HNSW takes retrieval off the critical path) is
+//! questions of ~63) — each swept over sizes, so the table
+//! `vecstore::serving::GRAPH_FROM_NNZ` is read from has both densities on
+//! it. The §4.6 claim (HNSW takes retrieval off the critical path) is
 //! re-measured in EXPERIMENTS.md from these numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{build::build_db, domain::themes, generate, Profile, RowScale};
-use vecstore::{mask_question, Embedder, FlatIndex, Hnsw, VectorIndex};
+use vecstore::{mask_question, Embedder, FlatIndex, Hnsw, ServingIndex, VectorIndex};
 
 /// The first `n` indexed (textual) stored values of BIRD-scale databases.
 fn value_corpus(n: usize) -> Vec<String> {
@@ -46,26 +48,55 @@ fn build<I: VectorIndex>(mut index: I, embedded: &[Vec<f32>]) -> I {
     index
 }
 
-fn bench_pair(c: &mut Criterion, corpus: &str, embedded: &[Vec<f32>], queries: &[Vec<f32>]) {
-    let n = embedded.len();
+fn searches<I: VectorIndex>(index: &I, queries: &[Vec<f32>]) -> usize {
+    queries.iter().map(|q| index.search(q, 5).len()).sum()
+}
+
+/// One index on one corpus: build, five searches, and a page-in — build
+/// plus fifteen searches, what a `paged_mix` visit pays before the
+/// database is evicted again.
+fn bench_arm<I: VectorIndex>(
+    c: &mut Criterion,
+    corpus: &str,
+    arm: &str,
+    new: impl Fn() -> I,
+    embedded: &[Vec<f32>],
+    queries: &[Vec<f32>],
+) {
+    let id = || BenchmarkId::new(arm, embedded.len());
     let mut group = c.benchmark_group(format!("{corpus}_build"));
-    group.bench_function(BenchmarkId::new("flat", n), |b| {
-        b.iter(|| build(FlatIndex::new(), embedded).len())
-    });
-    group.bench_function(BenchmarkId::new("hnsw", n), |b| {
-        b.iter(|| build(Hnsw::default(), embedded).len())
-    });
+    group.bench_function(id(), |b| b.iter(|| build(new(), embedded).len()));
     group.finish();
 
-    let (flat, hnsw) = (build(FlatIndex::new(), embedded), build(Hnsw::default(), embedded));
+    let built = build(new(), embedded);
     let mut group = c.benchmark_group(format!("{corpus}_search"));
-    group.bench_with_input(BenchmarkId::new("flat", n), queries, |b, qs| {
-        b.iter(|| qs.iter().map(|q| flat.search(q, 5).len()).sum::<usize>())
-    });
-    group.bench_with_input(BenchmarkId::new("hnsw", n), queries, |b, qs| {
-        b.iter(|| qs.iter().map(|q| hnsw.search(q, 5).len()).sum::<usize>())
+    group.bench_with_input(id(), queries, |b, qs| b.iter(|| searches(&built, qs)));
+    group.finish();
+
+    let mut group = c.benchmark_group(format!("{corpus}_page_in"));
+    group.bench_with_input(id(), queries, |b, qs| {
+        b.iter(|| {
+            let index = build(new(), embedded);
+            (0..3).map(|_| searches(&index, qs)).sum::<usize>()
+        })
     });
     group.finish();
+}
+
+/// One corpus, three indexes; the serving one is seeded like
+/// `Hnsw::default`, so above its threshold it is the `hnsw` arm's graph.
+fn bench_pair(c: &mut Criterion, corpus: &str, embedded: &[Vec<f32>], queries: &[Vec<f32>]) {
+    let serving = || ServingIndex::new(vecstore::HnswConfig::default().seed);
+    let (n, built) = (embedded.len(), build(serving(), embedded));
+    println!(
+        "{corpus}/{n}: {n} vectors, {} stored non-zeros ({:.1} a vector), serving index {}",
+        built.nnz(),
+        built.nnz() as f64 / n as f64,
+        if built.is_exact() { "exact" } else { "graph" },
+    );
+    bench_arm(c, corpus, "flat", FlatIndex::new, embedded, queries);
+    bench_arm(c, corpus, "hnsw", Hnsw::default, embedded, queries);
+    bench_arm(c, corpus, "serving", serving, embedded, queries);
 }
 
 /// Five queries per measured iteration, as value retrieval issues for a
@@ -83,12 +114,16 @@ fn bench_retrieval(c: &mut Criterion) {
         ]
         .map(mask_question),
     );
-    // one database's value corpus, then the size sweep for the crossover
+    // one database's value corpus first, then the sweeps the crossover is
+    // read from: sparse vectors, then dense ones
     let values = embed_all(&value_corpus(8_000));
     for n in [500, 125, 250, 1_000, 2_000, 4_000, 8_000] {
         bench_pair(c, "values", &values[..n], &value_queries);
     }
-    bench_pair(c, "masked_questions", &embed_all(&masked_questions()), &question_queries);
+    let questions = embed_all(&masked_questions());
+    for n in [250, 500, 1_000, questions.len()] {
+        bench_pair(c, "masked_questions", &questions[..n], &question_queries);
+    }
 }
 
 fn bench_embedder(c: &mut Criterion) {

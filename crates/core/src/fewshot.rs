@@ -10,7 +10,7 @@ use crate::config::FewshotMode;
 use llmsim::proto;
 use llmsim::{ChatRequest, LanguageModel};
 use sqlkit::SqlErrorKind;
-use vecstore::{mask_question, Embedder, Hnsw, HnswConfig, VectorIndex};
+use vecstore::{mask_question, Embedder, ServingIndex, VectorIndex};
 
 /// One library entry.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct FewshotEntry {
 /// The dynamic few-shot library.
 pub struct FewshotLibrary {
     embedder: Embedder,
-    index: Hnsw,
+    index: ServingIndex,
     entries: Vec<FewshotEntry>,
 }
 
@@ -38,7 +38,7 @@ impl FewshotLibrary {
     /// augmentation. Returns the library plus total LLM tokens spent.
     pub fn build(llm: &dyn LanguageModel, train: &[datagen::Example]) -> (Self, u64) {
         let embedder = Embedder::new();
-        let mut index = Hnsw::new(HnswConfig { seed: 0xF5, ..HnswConfig::default() });
+        let mut index = ServingIndex::new(0xF5);
         let mut entries = Vec::with_capacity(train.len());
         let mut tokens = 0u64;
         for ex in train {
@@ -78,6 +78,11 @@ impl FewshotLibrary {
     /// Is the library empty?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The vector index over the masked questions: its regime and size.
+    pub fn index(&self) -> &ServingIndex {
+        &self.index
     }
 
     /// The `k` entries most similar to a question under MQs.

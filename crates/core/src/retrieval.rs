@@ -6,7 +6,7 @@
 //! scan path that catches abbreviation/coding quirks embeddings miss.
 
 use sqlkit::Value;
-use vecstore::{Embedder, Hnsw, HnswConfig, Neighbor, VectorIndex};
+use vecstore::{Embedder, Neighbor, ServingIndex, VectorIndex};
 
 /// One indexed stored value.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +24,7 @@ pub struct ValueHit {
 /// The per-database value index.
 pub struct ValueIndex {
     embedder: Embedder,
-    index: Hnsw,
+    index: ServingIndex,
     /// Entry `i` is vector `i` of `index`.
     entries: Vec<ValueEntry>,
     /// Entries are contiguous per column, in build order.
@@ -50,7 +50,7 @@ impl ValueIndex {
     /// Index every distinct string value of every textual column.
     pub fn build(db: &datagen::BuiltDb) -> Self {
         let embedder = Embedder::new();
-        let mut index = Hnsw::new(HnswConfig { seed: 0x71ED, ..HnswConfig::default() });
+        let mut index = ServingIndex::new(0x71ED);
         let mut entries = Vec::new();
         let mut columns = Vec::new();
         for table in &db.tables {
@@ -82,6 +82,11 @@ impl ValueIndex {
     /// Is the index empty?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The vector index over the stored values: its regime and size.
+    pub fn index(&self) -> &ServingIndex {
+        &self.index
     }
 
     /// One column's entry range (names compare ASCII-case-insensitively;
@@ -200,7 +205,7 @@ impl ValueIndex {
 /// filtering).
 pub struct ColumnIndex {
     embedder: Embedder,
-    index: Hnsw,
+    index: ServingIndex,
     entries: Vec<(String, String)>,
 }
 
@@ -208,7 +213,7 @@ impl ColumnIndex {
     /// Index `table column description` descriptors.
     pub fn build(db: &datagen::BuiltDb) -> Self {
         let embedder = Embedder::new();
-        let mut index = Hnsw::new(HnswConfig { seed: 0xC01, ..HnswConfig::default() });
+        let mut index = ServingIndex::new(0xC01);
         let mut entries = Vec::new();
         for t in &db.database.schema.tables {
             for c in &t.columns {
@@ -218,6 +223,11 @@ impl ColumnIndex {
             }
         }
         ColumnIndex { embedder, index, entries }
+    }
+
+    /// The vector index over the column descriptors: its regime and size.
+    pub fn index(&self) -> &ServingIndex {
+        &self.index
     }
 
     /// Columns similar to an entity phrase, above threshold.

@@ -452,11 +452,19 @@ impl AssetCache {
             .ok_or(AssetMiss::UnknownDb)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         // volatile, like the paging events: eager and paged serving must
-        // render the same logical trace
+        // render the same logical trace. Says what was built, not only how
+        // long it took: the value corpus, and the index that serves it
+        let values = &pre.assets(db_id).expect("for_db indexed this database").values;
+        let index = values.index();
         active::event_volatile(
             "asset_build",
-            &[("db", db_id)],
-            &[("us", build_started.elapsed().as_micros() as f64)],
+            &[("db", db_id), ("index", if index.is_exact() { "exact" } else { "graph" })],
+            &[
+                ("us", build_started.elapsed().as_micros() as f64),
+                ("values", values.len() as f64),
+                ("nnz", index.nnz() as f64),
+                ("index_bytes", index.heap_bytes() as f64),
+            ],
         );
         let p = Arc::new(Pipeline::new(Arc::new(pre), self.llm.clone(), self.config.clone()));
         pipelines.insert(db_id.to_owned(), p.clone());
@@ -653,10 +661,22 @@ mod tests {
         let assets = AssetCache::new(bench.clone(), llm, PipelineConfig::fast());
         assert!(assets.is_empty(), "nothing preprocessed before first request");
         let db = bench.dbs[0].id.clone();
+        active::push();
         let p1 = assets.pipeline(&db).unwrap();
         let p2 = assets.pipeline(&db).unwrap();
+        let trace = active::pop().unwrap();
         assert!(Arc::ptr_eq(&p1, &p2), "second lookup reuses the cached pipeline");
         assert_eq!((assets.hits(), assets.misses()), (1, 1));
+        // the one build says what it built
+        let built: Vec<_> = trace.events_named("asset_build").collect();
+        assert_eq!(built.len(), 1);
+        let values = opensearch_sql::ValueIndex::build(&bench.dbs[0]);
+        assert!(built[0].volatile);
+        assert_eq!((built[0].label("db"), built[0].label("index")), (Some(db.as_str()), Some("exact")));
+        assert_eq!(built[0].timing("values"), Some(values.len() as f64));
+        assert_eq!(built[0].timing("nnz"), Some(values.index().nnz() as f64));
+        assert_eq!(built[0].timing("index_bytes"), Some(values.index().heap_bytes() as f64));
+        assert!(built[0].timing("us").is_some());
         assert_eq!(assets.len(), 1, "only the touched db is preprocessed");
         assert!(matches!(assets.pipeline("ghost"), Err(AssetMiss::UnknownDb)));
     }

@@ -1,5 +1,6 @@
-//! Exact brute-force vector index: the recall baseline HNSW is benchmarked
-//! against.
+//! Exact brute-force vector index: what small corpora are served from
+//! (see [`serving`](crate::serving)) and the recall baseline HNSW is
+//! benchmarked against.
 
 use crate::index::{Neighbor, VectorIndex};
 use crate::sparse::{rank_key, unrank, SparseVectors};
@@ -14,6 +15,24 @@ impl FlatIndex {
     /// New empty index.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Similarity of stored vector `id` to `query`: the score a search
+    /// reports for that hit. Panics if `id` is not a stored vector's.
+    pub fn similarity(&self, id: usize, query: &[f32]) -> f32 {
+        self.vectors.dot(id, &self.vectors.cover(query))
+    }
+
+    pub(crate) fn nnz(&self) -> usize {
+        self.vectors.nnz()
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.vectors.heap_bytes()
+    }
+
+    pub(crate) fn into_vectors(self) -> SparseVectors {
+        self.vectors
     }
 }
 

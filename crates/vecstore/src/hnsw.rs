@@ -90,6 +90,90 @@ impl Hnsw {
         self.vectors.dot(id, &self.vectors.cover(query))
     }
 
+    /// The graph over vectors already stored: each joins in insertion
+    /// order, exactly as if it had been [`add`](VectorIndex::add)ed to an
+    /// empty index — one level drawn per vector from the one seeded RNG,
+    /// and vector `i` linked among vectors `< i` only.
+    pub(crate) fn over(config: HnswConfig, vectors: SparseVectors) -> Self {
+        let mut index = Hnsw { vectors, ..Hnsw::new(config) };
+        for id in 0..index.vectors.len() {
+            let mut dense = vec![0.0; index.vectors.dim()];
+            index.vectors.scatter(id, &mut dense);
+            index.link(id, dense);
+        }
+        index
+    }
+
+    pub(crate) fn nnz(&self) -> usize {
+        self.vectors.nnz()
+    }
+
+    /// Heap bytes held: the arena, the adjacency lists and the insert
+    /// scratch (capacities, not lengths).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let node = |levels: &Vec<Vec<u32>>| {
+            levels.capacity() * size_of::<Vec<u32>>()
+                + levels.iter().map(|l| l.capacity() * size_of::<u32>()).sum::<usize>()
+        };
+        let s = &self.scratch;
+        self.vectors.heap_bytes()
+            + self.neighbors.capacity() * size_of::<Vec<Vec<u32>>>()
+            + self.neighbors.iter().map(node).sum::<usize>()
+            + s.visited.capacity()
+            + (s.frontier.capacity() + s.results.capacity()) * size_of::<u64>()
+            + s.dense.capacity() * size_of::<f32>()
+    }
+
+    /// Join stored vector `id`, given in dense form, to the graph: the
+    /// insert proper. `id` must be the next unlinked vector of the arena.
+    fn link(&mut self, id: usize, mut vector: Vec<f32>) {
+        debug_assert_eq!(id, self.neighbors.len());
+        let level = self.random_level();
+        self.neighbors.push(vec![Vec::new(); level + 1]);
+
+        let Some(entry) = self.entry else {
+            self.entry = Some(id);
+            self.max_level = level;
+            return;
+        };
+
+        // the new vector is its own dense query; `prune` needs a zeroed
+        // buffer as long
+        let dim = self.vectors.dim();
+        vector.resize(dim, 0.0);
+        let query = &vector[..];
+        let mut s = std::mem::take(&mut self.scratch);
+        s.dense.resize(dim, 0.0);
+        let mut cur = entry;
+        // descend through layers above the new node's level
+        for l in ((level + 1)..=self.max_level).rev() {
+            cur = self.greedy_step(query, cur, l);
+        }
+        // connect on each shared layer
+        for l in (0..=level.min(self.max_level)).rev() {
+            self.search_layer(query, cur, l, self.config.ef_construction, &mut s);
+            cur = s.results.first().map_or(cur, |&k| unrank(k).id);
+            let m_max = if l == 0 { self.config.m * 2 } else { self.config.m };
+            let chosen: Vec<u32> =
+                s.results.iter().take(self.config.m).map(|&k| unrank(k).id as u32).collect();
+            for &c in &chosen {
+                let c = c as usize;
+                self.neighbors[c][l].push(id as u32);
+                if self.neighbors[c][l].len() > m_max {
+                    let mut links = std::mem::take(&mut self.neighbors[c][l]);
+                    self.prune(c, &mut links, m_max, &mut s);
+                    self.neighbors[c][l] = links;
+                }
+            }
+            self.neighbors[id][l] = chosen;
+        }
+        self.scratch = s;
+        if level > self.max_level {
+            self.max_level = level;
+            self.entry = Some(id);
+        }
+    }
+
     fn random_level(&mut self) -> usize {
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         ((-u.ln()) * self.level_scale).floor() as usize
@@ -167,52 +251,9 @@ impl Hnsw {
 }
 
 impl VectorIndex for Hnsw {
-    fn add(&mut self, mut vector: Vec<f32>) -> usize {
+    fn add(&mut self, vector: Vec<f32>) -> usize {
         let id = self.vectors.push(&vector);
-        let level = self.random_level();
-        self.neighbors.push(vec![Vec::new(); level + 1]);
-
-        let Some(entry) = self.entry else {
-            self.entry = Some(id);
-            self.max_level = level;
-            return id;
-        };
-
-        // the new vector is its own dense query; `prune` needs a zeroed
-        // buffer as long
-        let dim = self.vectors.dim();
-        vector.resize(dim, 0.0);
-        let query = &vector[..];
-        let mut s = std::mem::take(&mut self.scratch);
-        s.dense.resize(dim, 0.0);
-        let mut cur = entry;
-        // descend through layers above the new node's level
-        for l in ((level + 1)..=self.max_level).rev() {
-            cur = self.greedy_step(query, cur, l);
-        }
-        // connect on each shared layer
-        for l in (0..=level.min(self.max_level)).rev() {
-            self.search_layer(query, cur, l, self.config.ef_construction, &mut s);
-            cur = s.results.first().map_or(cur, |&k| unrank(k).id);
-            let m_max = if l == 0 { self.config.m * 2 } else { self.config.m };
-            let chosen: Vec<u32> =
-                s.results.iter().take(self.config.m).map(|&k| unrank(k).id as u32).collect();
-            for &c in &chosen {
-                let c = c as usize;
-                self.neighbors[c][l].push(id as u32);
-                if self.neighbors[c][l].len() > m_max {
-                    let mut links = std::mem::take(&mut self.neighbors[c][l]);
-                    self.prune(c, &mut links, m_max, &mut s);
-                    self.neighbors[c][l] = links;
-                }
-            }
-            self.neighbors[id][l] = chosen;
-        }
-        self.scratch = s;
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = Some(id);
-        }
+        self.link(id, vector);
         id
     }
 

@@ -6,7 +6,9 @@
 //! - [`embed::Embedder`] — character n-gram feature-hashing embeddings
 //!   (deterministic, typo/case robust);
 //! - [`hnsw::Hnsw`] — Hierarchical Navigable Small World ANN index;
-//! - [`flat::FlatIndex`] — exact baseline;
+//! - [`flat::FlatIndex`] — exact scan;
+//! - [`serving::ServingIndex`] — the one retrieval is served from: the
+//!   exact scan while the corpus is small, the graph once it is not;
 //! - [`mask::mask_question`] — masked-question skeletons for few-shot
 //!   retrieval (MQs).
 
@@ -19,6 +21,7 @@ pub mod flat;
 pub mod hnsw;
 pub mod index;
 pub mod mask;
+pub mod serving;
 mod sparse;
 
 pub use embed::{Embedder, DIM};
@@ -26,3 +29,4 @@ pub use flat::FlatIndex;
 pub use hnsw::{Hnsw, HnswConfig};
 pub use index::{Neighbor, VectorIndex};
 pub use mask::mask_question;
+pub use serving::ServingIndex;

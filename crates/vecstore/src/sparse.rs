@@ -33,6 +33,16 @@ impl SparseVectors {
         self.dim
     }
 
+    /// Stored non-zeros over all vectors: what one exact scan walks.
+    pub(crate) fn nnz(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Heap bytes the arena holds (capacity, not length).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.ends.capacity() * size_of::<u32>() + self.entries.capacity() * size_of::<(u32, f32)>()
+    }
+
     /// Store a dense vector, returning its id (insertion order).
     pub(crate) fn push(&mut self, dense: &[f32]) -> usize {
         debug_assert_finite(dense);

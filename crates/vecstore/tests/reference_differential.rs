@@ -7,12 +7,18 @@
 //! (`Vec<Vec<f32>>` storage, `embed::dot`, `BinaryHeap<Candidate>`,
 //! per-insert clones): the oracle is the simplest code, production the
 //! only fast code. It is compiled for tests only.
+//!
+//! [`ServingIndex`] is held to the same standard in both of its regimes
+//! (second half of this file): below [`GRAPH_FROM_NNZ`] stored non-zeros
+//! it must be the [`FlatIndex`], from the insert that reaches it on the
+//! [`Hnsw`] of the same configuration — and so the dense reference.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vecstore::embed::dot;
-use vecstore::{Embedder, FlatIndex, Hnsw, HnswConfig, Neighbor, VectorIndex};
+use vecstore::serving::GRAPH_FROM_NNZ;
+use vecstore::{Embedder, FlatIndex, Hnsw, HnswConfig, Neighbor, ServingIndex, VectorIndex};
 
 mod reference {
     use rand::rngs::StdRng;
@@ -387,5 +393,212 @@ proptest! {
             got.to_bits() == want.to_bits() || got == want || (got.is_nan() && want.is_nan()),
             "sparse {got:e} vs dense {want:e}"
         );
+    }
+}
+
+// ---- the serving index: both regimes and the crossing ------------------
+
+fn same_score(got: f32, want: f32) -> bool {
+    got.to_bits() == want.to_bits() || got == want
+}
+
+/// What the arena stores of these vectors.
+fn non_zeros(vectors: &[Vec<f32>]) -> usize {
+    vectors.iter().flatten().filter(|x| **x != 0.0).count()
+}
+
+/// Feed `vectors` one by one to a [`ServingIndex`] and to its oracles — a
+/// [`FlatIndex`], an [`Hnsw`] of the same configuration and the dense
+/// reference — asserting after *every* add that its regime is the one the
+/// non-zeros stored so far dictate, and after the adds `check_after`
+/// selects (and the last) that every search and similarity is the regime's
+/// oracle's: ids and score bits. Returns how many result lists were
+/// compared in the exact regime and in the graph regime.
+fn serving_differential(
+    seed: u64,
+    vectors: &[Vec<f32>],
+    queries: &[Vec<f32>],
+    check_after: impl Fn(usize) -> bool,
+) -> (usize, usize) {
+    let config = HnswConfig { seed, ..HnswConfig::default() };
+    let mut serving = ServingIndex::new(seed);
+    let mut flat = FlatIndex::new();
+    let mut graph = Hnsw::new(config);
+    let mut dense = reference::Hnsw::new(config);
+    // the graph oracles are only consulted by a corpus that crosses
+    let crosses = non_zeros(vectors) >= GRAPH_FROM_NNZ;
+    let (mut nnz, mut exact_lists, mut graph_lists) = (0, 0, 0);
+    for (i, v) in vectors.iter().enumerate() {
+        assert_eq!(serving.add(v.clone()), i);
+        flat.add(v.clone());
+        if crosses {
+            graph.add(v.clone());
+            dense.add(v.clone());
+        }
+        nnz += non_zeros(std::slice::from_ref(v));
+        assert_eq!((serving.len(), serving.nnz()), (i + 1, nnz));
+        assert_eq!(serving.is_exact(), nnz < GRAPH_FROM_NNZ, "regime at n={} nnz={nnz}", i + 1);
+        if !(check_after(i) || i + 1 == vectors.len()) {
+            continue;
+        }
+        for (qi, q) in queries.iter().enumerate() {
+            for k in [0, 1, 5, 10, 100, i + 2] {
+                let context = format!("serving n={} nnz={nnz} query={qi} k={k}", i + 1);
+                let got = serving.search(q, k);
+                if serving.is_exact() {
+                    assert_same(&got, &flat.search(q, k), &context);
+                    exact_lists += 1;
+                } else {
+                    assert_same(&got, &graph.search(q, k), &context);
+                    assert_same(&got, &dense.search(q, k), &format!("{context} (dense)"));
+                    graph_lists += 1;
+                }
+            }
+            for id in [0, i / 2, i] {
+                let got = serving.similarity(id, q);
+                let want = if serving.is_exact() { flat.similarity(id, q) } else { graph.similarity(id, q) };
+                assert!(same_score(got, want) && same_score(got, dot(&vectors[id], q)), "similarity({id})");
+            }
+        }
+    }
+    (exact_lists, graph_lists)
+}
+
+/// Sentences of six corpus phrases: ~50 non-zeros a vector, the density of
+/// a masked question, so a few hundred of them reach the threshold.
+fn sentences(n: usize, seed: u64) -> Vec<String> {
+    corpus(n * 6, seed).chunks(6).map(|words| words.join(" ")).collect()
+}
+
+#[test]
+fn serving_index_is_the_flat_index_at_every_size_below_the_threshold() {
+    // value-corpus vectors (~10 non-zeros): 1,500 of them stay well below;
+    // checked after every add up to 500, after every 50th beyond
+    for n in [1, 2, 33, 500, 1500] {
+        let texts = corpus(n, n as u64);
+        let queries = corpus_queries(&texts);
+        let (exact, graph) = serving_differential(
+            0x71ED,
+            &embed_all(&texts),
+            &queries[..queries.len().min(8)],
+            |i| n <= 500 || i % 50 == 0,
+        );
+        let checked_adds = if n <= 500 { n } else { n / 50 };
+        assert!(graph == 0 && exact >= 42 * checked_adds, "n={n}: {exact} exact, {graph} graph lists");
+    }
+}
+
+#[test]
+fn serving_index_is_the_graph_from_the_crossing_insert_on() {
+    let texts = sentences(1_000, 41);
+    let vectors = embed_all(&texts);
+    let crossing =
+        (0..vectors.len()).find(|&i| non_zeros(&vectors[..=i]) >= GRAPH_FROM_NNZ).expect("corpus crosses");
+    assert!(crossing > 300 && crossing + 250 < vectors.len(), "crossing insert {crossing}");
+    // searches interleaved with adds straddling the crossing: every add
+    // from 20 before it to 20 past it, then every 100th, then the last
+    let (exact, graph) = serving_differential(0xF5, &vectors, &corpus_queries(&texts)[..6], |i| {
+        i + 20 >= crossing && (i <= crossing + 20 || i % 100 == 0)
+    });
+    assert!(exact >= 20 * 36 && graph > 21 * 36, "{exact} exact, {graph} graph lists");
+}
+
+#[test]
+fn dense_random_vectors_cross_the_threshold_and_match_the_reference() {
+    // 256 non-zeros a vector: the 128th insert is the crossing
+    let mut rng = StdRng::seed_from_u64(17);
+    let unit = |rng: &mut StdRng| -> Vec<f32> {
+        let mut v: Vec<f32> = (0..256).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        vecstore::embed::l2_normalize(&mut v);
+        v
+    };
+    let vectors: Vec<Vec<f32>> = (0..GRAPH_FROM_NNZ / 256 + 200).map(|_| unit(&mut rng)).collect();
+    let queries: Vec<Vec<f32>> = (0..6).map(|_| unit(&mut rng)).collect();
+    let (exact, graph) = serving_differential(9, &vectors, &queries, |i| i % 3 == 0 || i.abs_diff(127) < 3);
+    assert!(exact > 1_000 && graph > 1_000, "{exact} exact, {graph} graph lists");
+}
+
+#[test]
+fn serving_index_degenerate_cases() {
+    let mut idx = ServingIndex::new(1);
+    assert!(idx.is_exact() && idx.is_empty() && idx.nnz() == 0);
+    assert!(idx.search(&[1.0, 0.0], 3).is_empty());
+    assert!(idx.search(&[], 0).is_empty());
+    assert_eq!(idx.add(vec![0.0, 0.6, 0.0, 0.8]), 0);
+    assert!(idx.search(&[0.0, 1.0], 0).is_empty(), "k = 0");
+    // k > len, and a query shorter than the stored dimension
+    let hits = idx.search(&[0.0, 1.0], 10);
+    assert_eq!(hits, vec![Neighbor { id: 0, score: 0.6 }]);
+    assert_eq!(idx.similarity(0, &[0.0, 1.0]), 0.6);
+    assert_eq!(idx.similarity(0, &[]), 0.0);
+    assert_eq!((idx.len(), idx.nnz()), (1, 2));
+    assert!(idx.heap_bytes() >= 2 * 8 + 4);
+
+    // the same cases once the graph serves (the short query included)
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut graph = Hnsw::new(HnswConfig { seed: 1, ..HnswConfig::default() });
+    graph.add(vec![0.0, 0.6, 0.0, 0.8]);
+    let exact_bytes = idx.heap_bytes();
+    while idx.is_exact() {
+        let v: Vec<f32> = (0..512).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        graph.add(v.clone());
+        idx.add(v);
+    }
+    assert_eq!(idx.len(), 1 + GRAPH_FROM_NNZ.div_ceil(512));
+    assert!(idx.heap_bytes() > exact_bytes, "the graph holds its arena and its links");
+    for (q, k) in [(&[0.0f32, 1.0][..], 0), (&[0.0, 1.0], 1), (&[0.0, 1.0], 1_000), (&[], 3)] {
+        assert_same(&idx.search(q, k), &graph.search(q, k), &format!("graph regime {q:?} k={k}"));
+    }
+    assert_eq!(idx.similarity(0, &[0.0, 1.0]), 0.6);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any corpus size and density around the constant: the serving index
+    /// is the flat index if the corpus stays below it and the same-seed
+    /// graph if not, whenever it is searched on the way.
+    #[test]
+    fn serving_index_follows_the_stored_non_zeros(
+        seed in 0u64..1_000,
+        fill in 48usize..256,
+        // total non-zeros aimed at, in 1/16ths of the constant: 8/16 to 24/16
+        sixteenths in 8usize..25,
+        search_every in 7usize..40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = (GRAPH_FROM_NNZ * sixteenths / 16).div_ceil(fill);
+        let vector = |rng: &mut StdRng| -> Vec<f32> {
+            // `fill` non-zeros at the front of 256 dimensions, then rotated
+            let mut v: Vec<f32> =
+                (0..256).map(|d| if d < fill { rng.gen_range(-1.0f32..1.0) } else { 0.0 }).collect();
+            v.rotate_right(rng.gen_range(0..256usize));
+            vecstore::embed::l2_normalize(&mut v);
+            v
+        };
+        let queries: Vec<Vec<f32>> = (0..3).map(|_| vector(&mut rng)).collect();
+        let config = HnswConfig { seed, ..HnswConfig::default() };
+        let (mut serving, mut flat, mut graph) =
+            (ServingIndex::new(seed), FlatIndex::new(), Hnsw::new(config));
+        let mut nnz = 0;
+        for i in 0..n {
+            let v = vector(&mut rng);
+            nnz += non_zeros(std::slice::from_ref(&v));
+            flat.add(v.clone());
+            graph.add(v.clone());
+            serving.add(v);
+            prop_assert_eq!(serving.is_exact(), nnz < GRAPH_FROM_NNZ);
+            if i % search_every != 0 && i + 1 != n {
+                continue;
+            }
+            for q in &queries {
+                for k in [1, 5, n + 1] {
+                    let want = if nnz < GRAPH_FROM_NNZ { flat.search(q, k) } else { graph.search(q, k) };
+                    assert_same(&serving.search(q, k), &want, &format!("n={} nnz={nnz} k={k}", i + 1));
+                }
+                let want = if nnz < GRAPH_FROM_NNZ { flat.similarity(i, q) } else { graph.similarity(i, q) };
+                prop_assert!(same_score(serving.similarity(i, q), want));
+            }
+        }
     }
 }

@@ -1,19 +1,36 @@
-//! Retrieval golden: one FNV-1a hash over everything the retrieval layer
+//! Retrieval golden: FNV-1a hashes over everything the retrieval layer
 //! returns for a fixed query list on `Profile::tiny()` — ids (as the
-//! strings they resolve to) and score bits. The constant was recorded on
-//! the commit *before* the sparse kernels, the streamed embedder and the
-//! precomputed `ValueIndex` tables landed; those changes are bit-identical
-//! by construction, and this is the cross-crate proof. A kernel change that
-//! moves one score by one ulp, or reorders one tie, changes the hash.
+//! strings they resolve to) and score bits — one hash per section and one
+//! over all of them in call order. A kernel change that moves one score by
+//! one ulp, or reorders one tie, changes a hash, and the section says
+//! which path moved.
+//!
+//! All five constants were recorded on c6d94f0, where every index was an
+//! HNSW graph (the combined one is the constant first recorded on 8cb5766,
+//! before the sparse kernels, and never moved until then). Serving value
+//! and column corpora by exact scan (`vecstore::ServingIndex`) re-recorded
+//! `values.retrieve` and with it the combined hash, and nothing else: the
+//! graph walk over ~29 column descriptors and over tiny's 40 few-shot
+//! entries was already exhaustive. `census` below is the proof that every
+//! moved list moved *to the true top-k*.
 
-use datagen::{generate, Profile};
+use datagen::{generate, Benchmark, BuiltDb, Profile};
 use llmsim::{ModelProfile, Oracle, SimLlm};
 use opensearch_sql::{ColumnIndex, FewshotLibrary, ValueIndex};
 use std::sync::Arc;
+use vecstore::{Embedder, Hnsw, HnswConfig, Neighbor, VectorIndex};
 
-/// Recorded at parent commit 8cb5766 (dense `Vec<Vec<f32>>` HNSW,
-/// allocating embedder, scanning `ValueIndex`).
-const GOLDEN: u64 = 0xab96_eeaf_3d5a_67a6;
+/// Everything below, in call order (`0xab96_eeaf_3d5a_67a6` on c6d94f0).
+const GOLDEN: u64 = 0x4534_3034_4004_dd57;
+/// `ValueIndex::retrieve(q, 10, 0.0)` (`0x97b2_0006_4e2d_1a63` on c6d94f0:
+/// 4 of the 98 lists moved, 5 values gained for 5 dropped).
+const GOLDEN_VALUES_RETRIEVE: u64 = 0x980d_ca0c_a6ab_4d00;
+/// `ColumnIndex::retrieve(q, 10, 0.0)`.
+const GOLDEN_COLUMNS_RETRIEVE: u64 = 0x9644_aa4e_b518_e9fc;
+/// `values_of` / `exact_in_column` / `best_in_column` / `locate`.
+const GOLDEN_PER_COLUMN: u64 = 0xecac_918d_ce7b_d183;
+/// `FewshotLibrary::top_k(q, 10)`.
+const GOLDEN_FEWSHOT_TOP_K: u64 = 0xca6d_56e4_8936_1291;
 
 /// Phrases no generated database is built from: the embedding path has to
 /// rank on partial n-gram overlap, where ties and near-ties live.
@@ -32,61 +49,96 @@ const FIXED_QUERIES: &[&str] = &[
     "1990-01-01",
 ];
 
+/// The fixed phrases, then every dev question and filter display string.
+fn queries(bench: &Benchmark) -> Vec<String> {
+    let mut queries: Vec<String> = FIXED_QUERIES.iter().map(|q| (*q).to_owned()).collect();
+    for ex in &bench.dev {
+        queries.push(ex.question.clone());
+        queries.extend(ex.spec.filters.iter().map(|f| f.display.clone()));
+    }
+    queries
+}
+
+#[derive(Clone, Copy)]
 struct Fnv(u64);
 
 impl Fnv {
+    const EMPTY: Fnv = Fnv(0xcbf29ce484222325);
+
     fn bytes(&mut self, bytes: &[u8]) {
         for b in bytes {
             self.0 ^= u64::from(*b);
             self.0 = self.0.wrapping_mul(0x100000001b3);
         }
     }
+}
+
+#[derive(Clone, Copy)]
+enum Section {
+    ValuesRetrieve,
+    ColumnsRetrieve,
+    PerColumn,
+    FewshotTopK,
+}
+
+/// The combined hash and the four section hashes: everything hashed goes
+/// into `all` and into its section.
+struct Golden {
+    all: Fnv,
+    sections: [Fnv; 4],
+}
+
+impl Golden {
+    fn bytes(&mut self, section: Section, bytes: &[u8]) {
+        self.all.bytes(bytes);
+        self.sections[section as usize].bytes(bytes);
+    }
+
+    fn count(&mut self, section: Section, n: usize) {
+        self.bytes(section, &(n as u64).to_le_bytes());
+    }
 
     /// A length-terminated string, so `("ab", "c")` and `("a", "bc")` differ.
-    fn text(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-        self.bytes(&(s.len() as u64).to_le_bytes());
+    fn text(&mut self, section: Section, s: &str) {
+        self.bytes(section, s.as_bytes());
+        self.count(section, s.len());
     }
 
     /// Score bits, with `-0.0` folded onto `+0.0` (they compare equal and a
     /// zero-skipping dot may produce either).
-    fn score(&mut self, s: f32) {
+    fn score(&mut self, section: Section, s: f32) {
         let s = if s == 0.0 { 0.0f32 } else { s };
-        self.bytes(&s.to_bits().to_le_bytes());
+        self.bytes(section, &s.to_bits().to_le_bytes());
     }
 }
 
 #[test]
 fn retrieval_results_match_the_recorded_golden() {
+    use Section::*;
     let bench = Arc::new(generate(&Profile::tiny()));
     let oracle = Arc::new(Oracle::new(bench.clone()));
     let llm = SimLlm::new(oracle, ModelProfile::gpt_4o(), 2);
     let (fewshot, _) = FewshotLibrary::build(&llm, &bench.train);
+    let queries = queries(&bench);
 
-    let mut queries: Vec<String> = FIXED_QUERIES.iter().map(|q| (*q).to_owned()).collect();
-    for ex in &bench.dev {
-        queries.push(ex.question.clone());
-        queries.extend(ex.spec.filters.iter().map(|f| f.display.clone()));
-    }
-
-    let mut h = Fnv(0xcbf29ce484222325);
+    let mut h = Golden { all: Fnv::EMPTY, sections: [Fnv::EMPTY; 4] };
     let mut compared = 0usize;
     for db in &bench.dbs {
         let values = ValueIndex::build(db);
         let columns = ColumnIndex::build(db);
-        h.text(&db.id);
-        h.bytes(&(values.len() as u64).to_le_bytes());
+        h.text(ValuesRetrieve, &db.id);
+        h.count(ValuesRetrieve, values.len());
         for q in &queries {
             for hit in values.retrieve(q, 10, 0.0) {
-                h.text(&hit.table);
-                h.text(&hit.column);
-                h.text(&hit.stored);
-                h.score(hit.score);
+                h.text(ValuesRetrieve, &hit.table);
+                h.text(ValuesRetrieve, &hit.column);
+                h.text(ValuesRetrieve, &hit.stored);
+                h.score(ValuesRetrieve, hit.score);
                 compared += 1;
             }
             for (t, c) in columns.retrieve(q, 10, 0.0) {
-                h.text(&t);
-                h.text(&c);
+                h.text(ColumnsRetrieve, &t);
+                h.text(ColumnsRetrieve, &c);
                 compared += 1;
             }
         }
@@ -94,9 +146,9 @@ fn retrieval_results_match_the_recorded_golden() {
         for table in &db.tables {
             for col in &table.cols {
                 let stored = values.values_of(&table.name, &col.name);
-                h.bytes(&(stored.len() as u64).to_le_bytes());
+                h.count(PerColumn, stored.len());
                 for v in &stored {
-                    h.text(v);
+                    h.text(PerColumn, v);
                     assert!(values.contains(&table.name, &col.name, v));
                 }
                 for q in queries.iter().take(40) {
@@ -104,17 +156,17 @@ fn retrieval_results_match_the_recorded_golden() {
                         values.exact_in_column(&table.name, &col.name, q),
                         values.best_in_column(&table.name, &col.name, q, 0.3),
                     ] {
-                        h.text(found.as_deref().unwrap_or("\u{0}none"));
+                        h.text(PerColumn, found.as_deref().unwrap_or("\u{0}none"));
                         compared += 1;
                     }
                 }
                 if let Some(v) = stored.first() {
                     let mangled = v.to_lowercase().replace(' ', "_");
                     let fixed = values.best_in_column(&table.name, &col.name, &mangled, 0.3);
-                    h.text(fixed.as_deref().unwrap_or("\u{0}none"));
+                    h.text(PerColumn, fixed.as_deref().unwrap_or("\u{0}none"));
                     for (t, c) in values.locate(v) {
-                        h.text(t);
-                        h.text(c);
+                        h.text(PerColumn, t);
+                        h.text(PerColumn, c);
                     }
                 }
             }
@@ -122,14 +174,189 @@ fn retrieval_results_match_the_recorded_golden() {
     }
     for q in &queries {
         for e in fewshot.top_k(q, 10) {
-            h.text(&e.question);
+            h.text(FewshotTopK, &e.question);
             compared += 1;
         }
     }
     assert!(compared > 5_000, "the golden must cover real work, got {compared} results");
-    assert_eq!(
-        h.0, GOLDEN,
-        "retrieval output moved: {compared} results hashed to {:#018x}, golden is {GOLDEN:#018x}",
-        h.0
-    );
+    let got = [h.sections[0].0, h.sections[1].0, h.sections[2].0, h.sections[3].0, h.all.0];
+    let want = [
+        GOLDEN_VALUES_RETRIEVE,
+        GOLDEN_COLUMNS_RETRIEVE,
+        GOLDEN_PER_COLUMN,
+        GOLDEN_FEWSHOT_TOP_K,
+        GOLDEN,
+    ];
+    let names = ["values.retrieve", "columns.retrieve", "per-column", "fewshot.top_k", "combined"];
+    let moved: Vec<String> = (0..5)
+        .filter(|&i| got[i] != want[i])
+        .map(|i| format!("{} hashed to {:#018x}, golden is {:#018x}", names[i], got[i], want[i]))
+        .collect();
+    assert!(moved.is_empty(), "retrieval output moved ({compared} results):\n  {}", moved.join("\n  "));
+}
+
+// ---- census: which `values.retrieve` lines moved, and where to --------
+
+/// One `values.retrieve` result line: table, column, stored value, score
+/// bits (`-0.0` folded onto `+0.0`).
+type Line = (String, String, String, u32);
+
+fn line(table: &str, column: &str, stored: &str, score: f32) -> Line {
+    (table.to_owned(), column.to_owned(), stored.to_owned(), (score + 0.0).to_bits())
+}
+
+/// One database's value corpus, in `ValueIndex::build` order, with
+/// `ValueIndex::retrieve`'s merge (whole phrase, then its words, then the
+/// normalised scan; deduplicated, stably sorted, truncated) written over
+/// *any* top-k search — so the same merge can run over the graph the
+/// parent served from and over a brute-force dense scan. The census checks
+/// every served list against one or the other, which is also what keeps
+/// this copy of the merge honest.
+struct Corpus {
+    embedder: Embedder,
+    /// `(table, column, stored, normalize(stored))`.
+    entries: Vec<(String, String, String, String)>,
+    dense: Vec<Vec<f32>>,
+    /// The index every `ValueIndex` was until c6d94f0.
+    graph: Hnsw,
+}
+
+fn normalize(s: &str) -> String {
+    s.chars().filter(|c| c.is_alphanumeric()).map(|c| c.to_ascii_lowercase()).collect()
+}
+
+impl Corpus {
+    fn of(db: &BuiltDb) -> Self {
+        let embedder = Embedder::new();
+        let mut graph = Hnsw::new(HnswConfig { seed: 0x71ED, ..HnswConfig::default() });
+        let (mut entries, mut dense) = (Vec::new(), Vec::new());
+        for table in &db.tables {
+            for col in table.cols.iter().filter(|c| c.kind.is_textual()) {
+                for stored in db.stored_values(&table.name, &col.name) {
+                    let v = embedder.embed(&stored);
+                    graph.add(v.clone());
+                    dense.push(v);
+                    let normalized = normalize(&stored);
+                    entries.push((table.name.clone(), col.name.clone(), stored, normalized));
+                }
+            }
+        }
+        Corpus { embedder, entries, dense, graph }
+    }
+
+    /// Exact top-k by definition: every dense dot, fully sorted (score
+    /// descending, id ascending).
+    fn brute_force(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+        let mut all: Vec<Neighbor> = self
+            .dense
+            .iter()
+            .enumerate()
+            .map(|(id, v)| Neighbor { id, score: vecstore::embed::dot(query, v) })
+            .collect();
+        all.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.id.cmp(&b.id)));
+        all.truncate(k);
+        all
+    }
+
+    fn retrieve_with(
+        &self,
+        search: impl Fn(&[f32], usize) -> Vec<Neighbor>,
+        entity: &str,
+        top_k: usize,
+        threshold: f32,
+    ) -> Vec<Line> {
+        let mut hits: Vec<(usize, f32)> = Vec::new();
+        let push = |id: usize, score: f32, hits: &mut Vec<(usize, f32)>| {
+            let (t, c, s, _) = &self.entries[id];
+            let same = |e: &(String, String, String, String)| e.0 == *t && e.1 == *c && e.2 == *s;
+            if !hits.iter().any(|(seen, _)| same(&self.entries[*seen])) {
+                hits.push((id, score));
+            }
+        };
+        let mut phrases = vec![entity];
+        if entity.split_whitespace().count() > 1 {
+            phrases.extend(entity.split_whitespace());
+        }
+        for phrase in phrases {
+            for n in search(&self.embedder.embed(phrase), top_k) {
+                if n.score >= threshold {
+                    push(n.id, n.score, &mut hits);
+                }
+            }
+        }
+        let qn = normalize(entity);
+        if qn.len() >= 3 {
+            for (id, (_, _, _, stored)) in self.entries.iter().enumerate() {
+                let prefix = stored.len() >= 3 && (qn.starts_with(stored) || stored.starts_with(&qn));
+                if *stored == qn || prefix {
+                    push(id, 1.0, &mut hits);
+                }
+            }
+        }
+        hits.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        hits.truncate(top_k.max(1) * 2);
+        hits.into_iter()
+            .map(|(id, score)| {
+                let (t, c, s, _) = &self.entries[id];
+                line(t, c, s, score)
+            })
+            .collect()
+    }
+}
+
+/// `cargo test --release --test retrieval_golden -- --ignored census
+/// --nocapture`: for both profiles and the three `(k, threshold)` settings
+/// in use (the golden's probe, extraction's, correction's), how many
+/// `values.retrieve` lists and lines differ from what the parent's graph
+/// returned — and the assertion that makes the re-recorded constants
+/// safe: a served list is either the graph's list or the brute-force
+/// list, so a line can only have moved to the true top-k. (On c6d94f0
+/// itself every count is 0: the merge above reproduces that commit's
+/// `retrieve` exactly.) The table is in EXPERIMENTS.md §4.6.
+#[test]
+#[ignore = "census: minutes in debug builds; run by hand in --release"]
+fn census() {
+    println!("profile | (k, threshold) | lists | lists moved | lines | lines moved | gained | dropped");
+    for profile in [Profile::tiny(), Profile::bird_mini_dev()] {
+        let bench = generate(&profile);
+        let queries = queries(&bench);
+        let dbs: Vec<(ValueIndex, Corpus)> =
+            bench.dbs.iter().map(|db| (ValueIndex::build(db), Corpus::of(db))).collect();
+        for (k, threshold) in [(10, 0.0f32), (5, 0.65), (3, 0.4)] {
+            let (mut lists, mut lists_moved, mut lines, mut lines_moved) = (0, 0, 0, 0);
+            let (mut gained, mut dropped) = (0, 0);
+            for (values, corpus) in &dbs {
+                for q in &queries {
+                    let served: Vec<Line> = values
+                        .retrieve(q, k, threshold)
+                        .iter()
+                        .map(|h| line(&h.table, &h.column, &h.stored, h.score))
+                        .collect();
+                    let parent = corpus.retrieve_with(|v, k| corpus.graph.search(v, k), q, k, threshold);
+                    lists += 1;
+                    lines += served.len();
+                    if served == parent {
+                        continue;
+                    }
+                    let exact = corpus.retrieve_with(|v, k| corpus.brute_force(v, k), q, k, threshold);
+                    assert_eq!(
+                        served, exact,
+                        "{} / {q:?} at ({k}, {threshold}) is neither the graph's list nor the true top-k",
+                        bench.name
+                    );
+                    lists_moved += 1;
+                    lines_moved += (0..served.len().max(parent.len()))
+                        .filter(|&i| served.get(i) != parent.get(i))
+                        .count();
+                    let same_value = |a: &Line, b: &Line| (&a.0, &a.1, &a.2) == (&b.0, &b.1, &b.2);
+                    gained += served.iter().filter(|s| !parent.iter().any(|p| same_value(s, p))).count();
+                    dropped += parent.iter().filter(|p| !served.iter().any(|s| same_value(s, p))).count();
+                }
+            }
+            println!(
+                "{} | ({k}, {threshold}) | {lists} | {lists_moved} | {lines} | {lines_moved} | {gained} | {dropped}",
+                bench.name
+            );
+        }
+    }
 }

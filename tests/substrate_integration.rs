@@ -85,6 +85,70 @@ fn retrieval_finds_stored_forms_from_question_wording() {
     }
 }
 
+/// Recall of the HNSW graph where `vecstore::ServingIndex` actually serves
+/// from it: a hashed-embedding value corpus of 8,000 strings (~103 k
+/// stored non-zeros, three times `GRAPH_FROM_NNZ`; the corpus of
+/// `benches/retrieval.rs`), at the pipeline's own two settings. What is
+/// counted is what a caller loses: hits of the exact top-k that clear the
+/// threshold and that the graph's top-k has no equal of (compared by score,
+/// so a tie resolved differently is not a miss). Measured figures are in
+/// EXPERIMENTS.md §4.6; the floors sit a few points under them.
+#[test]
+fn graph_recall_on_a_value_corpus_above_the_serving_threshold() {
+    use datagen::{build::build_db, domain::themes, RowScale};
+    use vecstore::{Embedder, FlatIndex, Hnsw, HnswConfig, VectorIndex};
+
+    let theme_lib = themes();
+    let mut values: Vec<String> = Vec::new();
+    for i in 0.. {
+        let theme = &theme_lib[i % theme_lib.len()];
+        let db = build_db(theme, &format!("db{i}"), "bench", RowScale::bird(), 0.55, i as u64);
+        for t in &db.tables {
+            for c in t.cols.iter().filter(|c| c.kind.is_textual()) {
+                values.extend(db.stored_values(&t.name, &c.name));
+            }
+        }
+        if values.len() >= 8_000 {
+            break;
+        }
+    }
+    values.truncate(8_000);
+
+    let embedder = Embedder::new();
+    let mut graph = Hnsw::new(HnswConfig { seed: 0x71ED, ..HnswConfig::default() });
+    let mut exact = FlatIndex::new();
+    for v in &values {
+        graph.add(embedder.embed(v));
+        exact.add(embedder.embed(v));
+    }
+    // mentions as extraction and correction produce them: a stored form,
+    // its re-cased and re-spaced wording, and its first word
+    let mut queries: Vec<String> = Vec::new();
+    for v in values.iter().step_by(16) {
+        queries.push(v.clone());
+        queries.push(v.to_lowercase().replace('_', " "));
+        queries.extend(v.split_whitespace().next().map(str::to_owned));
+    }
+    for (k, threshold, floor) in [(5, 0.65f32, 0.93), (3, 0.4, 0.93)] {
+        let (mut wanted, mut missed) = (0usize, 0usize);
+        for q in &queries {
+            let q = embedder.embed(q);
+            let mut got: Vec<u32> = graph.search(&q, k).iter().map(|n| n.score.to_bits()).collect();
+            for hit in exact.search(&q, k).iter().filter(|n| n.score >= threshold) {
+                wanted += 1;
+                match got.iter().position(|bits| *bits == hit.score.to_bits()) {
+                    Some(at) => drop(got.swap_remove(at)),
+                    None => missed += 1,
+                }
+            }
+        }
+        let recall = 1.0 - missed as f64 / wanted as f64;
+        println!("graph recall at ({k}, {threshold}): {recall:.4} ({missed} of {wanted} above-threshold hits missed)");
+        assert!(wanted > 2_000, "the probe must ask for real work, got {wanted} hits");
+        assert!(recall >= floor, "graph recall at ({k}, {threshold}) fell to {recall:.4}, floor {floor}");
+    }
+}
+
 #[test]
 fn oracle_resolves_every_benchmark_question() {
     let b = benchmark();
