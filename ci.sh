@@ -23,7 +23,11 @@ cargo build --release
 cargo test -q -p sqlkit          # fast gate: the SQL substrate everything sits on, incl.
                                  # the naive in-crate reference (hand-written shapes +
                                  # proptest) the one executor and the planned
-                                 # UPDATE/DELETE are checked against
+                                 # UPDATE/DELETE are checked against; the tokenizer
+                                 # property (arbitrary text and every non-ASCII
+                                 # punctuation mark a model emits lex in bounded time, on
+                                 # a deadline thread so a hang is a failure) and the
+                                 # analyze-and-render-never-panics property
 cargo test -q --test engine_golden # corpus gate: every entry point still answers what the
                                  # deleted FROM/WHERE interpreter answered (rows, labels,
                                  # error text, pipelined rows_scanned), recorded on
@@ -87,11 +91,24 @@ if grep -n 'thread::scope' crates/core/src/pipeline.rs; then
     echo "ci: crates/core/src/pipeline.rs is spawning refinement threads again" >&2
     exit 1
 fi
+# The analyzer diagnoses, the executor decides, structurally: the analyzer
+# holds no prediction of an execution error, refinement has no switch
+# between predicting and executing, and the lint rules are functions, not a
+# registry — the names of all three must not come back.
+if grep -rnE 'certain_error|certain_rejection|Stop::Hazard|without_analyze_gate|pub analyze_gate|LintRule' crates; then
+    echo "ci: the analyzer's certainty replay, its knob or the lint registry is back under crates/" >&2
+    exit 1
+fi
 cargo test -q --test beam_differential # corpus gate: every field of every candidate, the
                                  # ledger's tokens and calls and the logical trace of 136
                                  # questions (tiny + a bird-mini-dev sample, 21 candidates)
                                  # equal what a48904b produced refining one candidate at a
-                                 # time, at refine_threads 1 and 4
+                                 # time, at refine_threads 1 and 4. One line (`tiny 6`) was
+                                 # re-recorded when the certainty replay was deleted: one
+                                 # unparseable correction is now handed to the executor
+                                 # (same syntax error) instead of being skipped, so one
+                                 # candidate's analyze_skips reads 0 for 1 and the logical
+                                 # trace says `flagged` for `reject`; nothing else moved
 cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-
                                  # differential suite (sparse HNSW/flat ≡ the dense oracle;
                                  # the serving index ≡ flat below its threshold, ≡ the
@@ -183,6 +200,10 @@ done
 # Every suite of every crate plus the root integration tests. The root
 # corpus gates run here and only here:
 #   analyze_gold_clean    analyzer silent on all gold SQL
+#   analyze_differential  the execution error of every broken-statement class, as
+#                         literal text recorded on 657367b (where the analyzer's
+#                         since-deleted replay predicted the same bytes); a stuck
+#                         candidate's statement is executed once per distinct text
 #   trace_shape           trace-determinism gate: two identical runs (and any
 #                         refine thread count) render identical logical traces,
 #                         timestamps and volatile events excluded; the
@@ -193,7 +214,8 @@ done
 #   prepared_differential raw ≡ prepared (rows and ExecStats) ≡ the engine golden;
 #                         refine-thread determinism
 #   beam_differential     (also by name above) shared first attempts ≡ the parent's
-#                         candidate-by-candidate refinement, field for field
+#                         candidate-by-candidate refinement, field for field (one
+#                         line re-recorded on purpose; see the gate above)
 #   repl_differential     follower responses byte-identical to the primary
 #                         whenever the floor is met
 cargo test -q --workspace

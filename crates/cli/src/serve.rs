@@ -93,8 +93,8 @@ pub(crate) fn profile_for(name: &str, scale: f64) -> Profile {
 
 /// Lint one SQL string against a world database: run the static analyzer
 /// and render its findings with rustc-style caret frames. Returns the
-/// report and whether any error-severity finding (or a proven execution
-/// failure) was found.
+/// report and whether any error-severity finding (a parse error is one)
+/// was found.
 pub fn lint_sql(opts: &ServeOptions, db_id: &str, sql: &str) -> (String, bool) {
     let benchmark = datagen::generate(&profile_for(&opts.profile, opts.scale));
     let Some(db) = benchmark.dbs.iter().find(|d| d.id == db_id) else {
@@ -102,18 +102,13 @@ pub fn lint_sql(opts: &ServeOptions, db_id: &str, sql: &str) -> (String, bool) {
         return (format!("unknown database: {db_id} (available: {})", known.join(", ")), true);
     };
     let analysis = sqlkit::analyze_sql(&db.database.schema, sql);
-    let mut out = if analysis.diagnostics.is_empty() {
+    let out = if analysis.diagnostics.is_empty() {
         format!("{sql}
   clean: no findings")
     } else {
         analysis.rendered(sql)
     };
-    if let Some(err) = &analysis.certain_error {
-        let _ = write!(out, "
-
-execution is certain to fail: {err}");
-    }
-    (out, analysis.has_errors() || analysis.rejects())
+    (out, analysis.has_errors())
 }
 
 /// Explain one SQL string against a world database: render the physical
@@ -728,6 +723,37 @@ mod tests {
             .unwrap()
             .contains("unknown database"));
         assert!(handle_serve_line(&benchmark, &rt, "\\explain").unwrap().contains("usage"));
+    }
+
+    /// `lint` fails exactly on error-severity findings — a parse error is
+    /// one — and passes clean SQL and warnings-only SQL.
+    #[test]
+    fn lint_fails_on_errors_and_parse_errors_only() {
+        let opts = opts();
+        let benchmark = datagen::generate(&profile_for(&opts.profile, opts.scale));
+        for ex in &benchmark.dev {
+            let (report, failed) = lint_sql(&opts, &ex.db_id, &ex.gold_sql);
+            assert!(!failed && report.ends_with("clean: no findings"), "{report}");
+        }
+        let db = &benchmark.dbs[0];
+        let (first, second) = (&db.database.schema.tables[0], &db.database.schema.tables[1]);
+        let col = &first.columns[0].name;
+        let lint = |sql: &str| lint_sql(&opts, &db.id, sql);
+
+        let (report, failed) = lint(&format!("SELECT {col}zz FROM {}", first.name));
+        assert!(failed && report.starts_with("error[E0102]"), "{report}");
+        // parse errors, the second on a multi-byte character, the third in the lexer
+        let (report, failed) = lint("SELECT FROM WHERE");
+        assert!(failed && report.starts_with("error[E0001]"), "{report}");
+        let (report, failed) = lint(&format!("SELECT {col} FROM {} ORDER BY 9\u{e9}", first.name));
+        assert!(failed && report.starts_with("error[E0001]") && report.ends_with('^'), "{report}");
+        let (report, failed) = lint("SELECT 1 \u{2019}");
+        assert!(failed && report.contains("unexpected character '\u{2019}'"), "{report}");
+        // an unused join is worth a warning, not a failure
+        let (report, failed) =
+            lint(&format!("SELECT T1.{col} FROM {} AS T1, {} AS T2", first.name, second.name));
+        assert!(!failed && report.starts_with("warning[W0303]"), "{report}");
+        assert!(lint_sql(&opts, "ghost", "SELECT 1").1, "unknown database");
     }
 
     #[test]

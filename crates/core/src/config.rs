@@ -76,15 +76,6 @@ pub struct PipelineConfig {
     /// sequential path.
     #[serde(default = "default_refine_threads")]
     pub refine_threads: usize,
-    /// Gate candidate execution on the static analyzer: when analysis
-    /// proves the exact error a candidate must fail with, skip the
-    /// execution and feed the richer diagnostic to correction instead.
-    #[serde(default = "default_true")]
-    pub analyze_gate: bool,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 fn default_refine_threads() -> usize {
@@ -113,7 +104,6 @@ impl Default for PipelineConfig {
             retrieval_top_k: 5,
             max_correction_rounds: 2,
             refine_threads: default_refine_threads(),
-            analyze_gate: default_true(),
         }
     }
 }
@@ -127,12 +117,6 @@ impl PipelineConfig {
     /// A light configuration for unit tests (few candidates).
     pub fn fast() -> Self {
         PipelineConfig { n_candidates: 3, ..Self::default() }
-    }
-
-    /// Disable the pre-execution static-analysis gate (ablation).
-    pub fn without_analyze_gate(mut self) -> Self {
-        self.analyze_gate = false;
-        self
     }
 
     /// Drop the whole Extraction stage (Table 4 row 2).

@@ -18,7 +18,7 @@ pub enum Module {
     Refinement,
     /// Execution-guided correction.
     Correction,
-    /// Pre-execution static analysis (the refinement gate).
+    /// Static analysis of each statement refinement is about to execute.
     Analyze,
     /// Self-consistency & vote.
     Vote,

@@ -4,7 +4,7 @@
 //! The unit of refinement is the *beam* — all candidates of one question —
 //! not the candidate. Self-consistency samples 21 candidates because most
 //! of them agree, so within one question most first attempts (SQL-Like
-//! fallback → alignment → analyze gate → execution) are the same work on
+//! fallback → alignment → analysis → execution) are the same work on
 //! the same text. [`refine_beam`] does each distinct piece once and hands
 //! the outcome to every candidate that asks for it; nothing it shares
 //! outlives the call.
@@ -47,8 +47,9 @@ pub struct RefinedCandidate {
     pub exec_ms: f64,
     /// Number of correction rounds spent.
     pub correction_rounds: usize,
-    /// Executions skipped because the static analyzer proved the exact
-    /// error in advance (the pre-execution gate).
+    /// Always 0: no execution is skipped on the analyzer's word. Kept
+    /// because the frozen benchmark harness reads the field; it goes with
+    /// `core.analyze_skips_per_q` (ROADMAP item 5).
     pub analyze_skips: usize,
 }
 
@@ -200,15 +201,28 @@ struct AlignOutcome {
     note: Option<String>,
 }
 
-/// What one gated execution of an aligned statement produced.
+/// What analysing and then executing one aligned statement produced.
 struct GateOutcome {
     result: Result<Arc<ResultSet>, SqlError>,
     cost: u64,
     ms: f64,
     /// Rendered analyzer findings (quote-sanitised for prompt embedding).
     note: Option<String>,
-    /// Execution was skipped: the analyzer proved the error.
-    skipped: bool,
+}
+
+impl GateOutcome {
+    /// What a correction round is told went wrong — the execution's error,
+    /// or that it returned nothing — and the error kind its few-shot is
+    /// picked by. `None` when the statement answered.
+    fn failure(&self) -> Option<(String, sqlkit::SqlErrorKind)> {
+        match &self.result {
+            Err(e) => Some((e.to_string(), e.kind())),
+            Ok(rs) if rs.is_effectively_empty() => {
+                Some(("Result: None".to_owned(), sqlkit::SqlErrorKind::Other))
+            }
+            Ok(_) => None,
+        }
+    }
 }
 
 /// Shared outcomes by input text, each with the index of the candidate it
@@ -275,8 +289,8 @@ impl<T: Send> Memo<T> {
 /// The two things attempts share, each keyed on what it depends on:
 /// alignment on the *effective* text (after the SQL-Like fallback, which
 /// reads the candidate's own CoT — so two candidates with the same broken
-/// SQL but different `SQL-like:` lines have different keys), the gate and
-/// the execution on the *aligned* text (several texts align to one
+/// SQL but different `SQL-like:` lines have different keys), the analysis
+/// and the execution on the *aligned* text (several texts align to one
 /// statement). Schema, value index, `expected_select` and the
 /// configuration are constant across a beam.
 #[derive(Default)]
@@ -285,7 +299,7 @@ struct Attempts {
     gates: Memo<GateOutcome>,
 }
 
-/// One align → gate → execute attempt, as a candidate sees it.
+/// One align → analyse → execute attempt, as a candidate sees it.
 struct Attempt {
     sql: String,
     align_note: Option<String>,
@@ -396,20 +410,13 @@ impl<'a> Beam<'a> {
         })
     }
 
-    /// Run the statement through the static analyzer, then execute —
-    /// unless the analyzer *proved* the exact error the execution must
-    /// fail with, in which case the prediction substitutes for the
-    /// execution byte-for-byte.
+    /// Analyse the statement, then execute it. The analyzer diagnoses —
+    /// its findings become the note the correction prompt carries — and
+    /// the execution decides: the result, or the error a correction round
+    /// is dispatched on, is always the engine's own.
     fn gate(&self, sql: &str) -> Shared<GateOutcome> {
         let db = &self.db.database;
         Shared::capture(|ledger| {
-            let run = |note| {
-                let (result, cost, ms) = execute(db, sql);
-                GateOutcome { result: result.map(Arc::new), cost, ms, note, skipped: false }
-            };
-            if !self.config.analyze_gate {
-                return run(None);
-            }
             let t0 = Instant::now();
             let analysis = sqlkit::analyze_sql(&db.schema, sql);
             let analyze_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -420,22 +427,14 @@ impl<'a> Beam<'a> {
             // model mines the prompt for quoted values; the SQL itself is
             // already there verbatim).
             let note = (diags > 0).then(|| analysis.rendered(sql).replace('\'', "`"));
-            let verdict = if analysis.certain_error.is_some() {
-                "reject"
-            } else if diags > 0 {
-                "flagged"
-            } else {
-                "clean"
-            };
+            let verdict = if diags > 0 { "flagged" } else { "clean" };
             active::event_timed(
                 "analyze_gate",
                 &[("verdict", verdict), ("diags", &diags.to_string())],
                 &[("analyze_ms", analyze_ms)],
             );
-            match analysis.certain_error {
-                Some(err) => GateOutcome { result: Err(err), cost: 0, ms: 0.0, note, skipped: true },
-                None => run(note),
-            }
+            let (result, cost, ms) = execute(db, sql);
+            GateOutcome { result: result.map(Arc::new), cost, ms, note }
         })
     }
 
@@ -491,7 +490,7 @@ impl<'a> Beam<'a> {
             .collect();
 
         // First attempts, each distinct piece once: alignment per effective
-        // text, then gate + execution per aligned text. Two passes rather
+        // text, then analysis + execution per aligned text. Two passes rather
         // than one so that two texts aligning to one statement on different
         // threads still execute it once — what is shared never depends on
         // scheduling.
@@ -552,18 +551,11 @@ impl<'a> Beam<'a> {
 
         let mut own = Attempts::default();
         let mut attempt = self.attempt(&input.sql, idx, beam, &mut own, true, ledger);
-        let mut skips = attempt.gate.outcome.skipped as usize;
         let mut rounds = 0usize;
 
         if self.config.refinement && self.config.correction {
             while rounds < self.config.max_correction_rounds {
-                let (error_text, kind) = match &attempt.gate.outcome.result {
-                    Err(e) => (e.to_string(), e.kind()),
-                    Ok(rs) if rs.is_effectively_empty() => {
-                        ("Result: None".to_owned(), sqlkit::SqlErrorKind::Other)
-                    }
-                    Ok(_) => break,
-                };
+                let Some((error_text, kind)) = attempt.gate.outcome.failure() else { break };
                 rounds += 1;
                 let round_span = active::start("correction_round");
                 active::label(round_span, "attempt", &rounds.to_string());
@@ -605,7 +597,6 @@ impl<'a> Beam<'a> {
                 };
                 active::label(round_span, "correction", "applied");
                 attempt = self.attempt(fixed, idx, beam, &mut own, false, ledger);
-                skips += attempt.gate.outcome.skipped as usize;
                 active::end(round_span);
             }
         }
@@ -617,7 +608,7 @@ impl<'a> Beam<'a> {
             exec_cost: attempt.gate.outcome.cost,
             exec_ms: attempt.gate.outcome.ms,
             correction_rounds: rounds,
-            analyze_skips: skips,
+            analyze_skips: 0,
         };
         active::label(span, "sql", &refined.sql);
         if refined.sql != refined.raw_sql {
@@ -829,7 +820,6 @@ pub(crate) fn assert_same_candidates(a: &[RefinedCandidate], b: &[RefinedCandida
         assert_eq!(ca.sql, cb.sql, "candidate {i}");
         assert_eq!(ca.exec_cost, cb.exec_cost, "candidate {i}");
         assert_eq!(ca.correction_rounds, cb.correction_rounds, "candidate {i}");
-        assert_eq!(ca.analyze_skips, cb.analyze_skips, "candidate {i}");
         match (&ca.result, &cb.result) {
             (Ok(ra), Ok(rb)) => assert_eq!(ra, rb, "candidate {i} rows"),
             (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string(), "candidate {i}"),
@@ -1233,11 +1223,11 @@ mod beam_tests {
         let reuse = beam.trace.events_named("attempt_shared").next().expect("a reuse");
         assert_eq!((reuse.label("align"), reuse.label("exec")), (Some("0"), Some("0")));
         // the model repeating a candidate's own failed SQL: every round is
-        // charged and counted, the analysis behind it is done once
+        // charged and counted, the analysis and the failing execution
+        // behind it are done once
         let rounds = case.config.max_correction_rounds;
         assert_eq!(stuck.correction_rounds, rounds);
-        assert_eq!(stuck.analyze_skips, 1 + rounds);
-        assert!(stuck.result.is_err());
+        assert_eq!(stuck.outcome_label(), "error: no such table: Nopes");
         let measured = beam
             .trace
             .events_named("analyze_gate")
@@ -1245,6 +1235,65 @@ mod beam_tests {
             .count();
         assert_eq!(measured, 3, "one analysis per distinct statement");
         assert_eq!(beam.shared, 0, "all three first attempts were distinct");
+    }
+
+    /// The analyzer's note is written for a model that reads it. The
+    /// simulated one resolves the question and the error line and nothing
+    /// else, so a correction prompt draws the same completion with the
+    /// note as without: what the analyzer says can cost tokens, it cannot
+    /// move an answer.
+    #[test]
+    fn the_analyzer_note_does_not_steer_the_simulated_correction() {
+        let fx = fx();
+        let config = PipelineConfig::full();
+        let mut compared = 0;
+        for ex in &fx.pre.benchmark.dev {
+            let db = &fx.pre.db(&ex.db_id).unwrap().database;
+            let mut ledger = CostLedger::new();
+            let extraction = crate::extraction::run_extraction(
+                &fx.pre, &fx.sim, &config, &ex.db_id, &ex.question, &ex.evidence, &mut ledger,
+            );
+            let generation = crate::generation::run_generation(
+                &fx.pre, &fx.sim, &config, &ex.db_id, &ex.question, &ex.evidence, &extraction,
+                &mut ledger,
+            );
+            // what the model wrote, plus one statement per way of being wrong
+            let table = &db.schema.tables[0];
+            let mut statements = generation.candidates;
+            statements.extend([
+                format!("SELECT * FROM {}zz", table.name),
+                format!("SELECT {}zz FROM {}", table.columns[0].name, table.name),
+                format!("SELECT COUNT(*) FROM {} WHERE COUNT(*) > 1", table.name),
+                format!("SELECT COUNT(*) FROM {} LIMIT 'many'", table.name),
+            ]);
+            let beam = Beam::new(
+                &fx.pre, &fx.sim, &config, &ex.db_id, &ex.question, &ex.evidence, &extraction,
+            );
+            let mut seen = HashSet::new();
+            for (idx, sql) in statements.iter().enumerate().filter(|(_, sql)| seen.insert(*sql)) {
+                let gate = beam.gate(sql).outcome;
+                let (Some(note), Some((error_text, kind))) = (&gate.note, gate.failure()) else {
+                    continue;
+                };
+                let ask = |note: Option<&str>| {
+                    let prompt = build_correction_prompt(
+                        &fx.pre, &config, &ex.db_id, &ex.question, &ex.evidence, &extraction,
+                        sql, &error_text, kind, note,
+                    );
+                    fx.sim.complete(&ChatRequest {
+                        prompt,
+                        temperature: config.temperature,
+                        n: 1,
+                        seed_tag: 0xC0DE + (idx as u64) * 31 + 1,
+                    })
+                };
+                let (with, without) = (ask(Some(note)), ask(None));
+                assert!(with.prompt_tokens > without.prompt_tokens, "the note is in the prompt");
+                assert_eq!(with.texts, without.texts, "{sql}\n{note}");
+                compared += 1;
+            }
+        }
+        assert!(compared >= 4 * fx.pre.benchmark.dev.len(), "flagged failures: {compared}");
     }
 
     /// A beam with no survivor, a beam of one, and no beam at all.

@@ -864,19 +864,14 @@ fn worker_loop(
     }
 }
 
-/// Analyzer activity for one run: executions the pre-execution gate
-/// skipped (`analyze_rejects_total`), plus the static-analysis findings on
-/// the chosen SQL — one `analyze_diags_total{code="E…"}` series per
-/// diagnostic code.
+/// Analyzer activity for one run: the static-analysis findings on the
+/// chosen SQL — one `analyze_diags_total{code="E…"}` series per diagnostic
+/// code.
 fn record_analysis_metrics(
     metrics: &MetricsRegistry,
     pipeline: &opensearch_sql::Pipeline,
     run: &opensearch_sql::PipelineRun,
 ) {
-    let skips: u64 = run.candidates.iter().map(|c| c.analyze_skips as u64).sum();
-    if skips > 0 {
-        metrics.counter("analyze_rejects_total").add(skips);
-    }
     if let Some(db) = pipeline.preprocessed().db(&run.db_id) {
         let analysis = sqlkit::analyze_sql(&db.database.schema, &run.final_sql);
         for d in &analysis.diagnostics {

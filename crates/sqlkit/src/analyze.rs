@@ -12,22 +12,17 @@
 //! 2. **Type/shape checks** (`E02xx`): aggregate misuse, incompatible
 //!    comparison operands, ORDER BY ordinals, set-operator arity, unknown
 //!    functions and arities.
-//! 3. **Lints** (`W03xx`) via a pluggable [`LintRule`] registry.
+//! 3. **Lints** (`W03xx`): star in a scalar subquery, always-false literal
+//!    predicate, unused FROM table.
 //!
-//! Separately, [`Analysis::certain_error`] holds the *proven* execution
-//! error: an abstract replay of the executor's unconditional prefix (FROM
-//! scans, the WHERE aggregate check, projection expansion, set-operator
-//! arity, LIMIT coercion, ...) that claims an error only when every
-//! execution of the statement must fail with exactly that [`SqlError`] —
-//! byte-for-byte, so a pre-execution gate can substitute the prediction for
-//! a real execution without observable drift. Any data-dependent evaluation
-//! that *might* fail (a per-row predicate over rows we cannot see) poisons
-//! all later claims instead of guessing.
-
+//! The analyzer *diagnoses*; it never predicts what execution will do. An
+//! error-severity finding can be data-dependent (a bad column in a per-row
+//! predicate over an empty table never raises), so whether a statement
+//! fails, and with which [`crate::error::SqlError`], is decided by running
+//! it.
 
 use crate::ast::{
-    BinOp, Expr, FromClause, JoinKind, OrderItem, SelectCore, SelectItem, SelectStmt,
-    TableRef, TypeName,
+    BinOp, Expr, OrderItem, SelectCore, SelectItem, SelectStmt, TableRef, TypeName,
 };
 use crate::diag::{Diagnostic, Severity, Span};
 use crate::error::SqlError;
@@ -44,11 +39,6 @@ use crate::value::Value;
 pub struct Analysis {
     /// Everything the analyzer found, in discovery order.
     pub diagnostics: Vec<Diagnostic>,
-    /// The error execution is *proven* to fail with, if any. `Some` means
-    /// every execution of this statement errors with exactly this value;
-    /// `None` means execution may well succeed (even when error-severity
-    /// diagnostics are present — those can be data-dependent).
-    pub certain_error: Option<SqlError>,
     /// Machine-readable resolution failures, for column remapping.
     pub unresolved: Vec<UnresolvedColumn>,
 }
@@ -62,12 +52,6 @@ impl Analysis {
     /// Is the statement fully clean (no errors, no warnings)?
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
-    }
-
-    /// Would a pre-execution gate reject this statement? True exactly when
-    /// the replay proved an unavoidable execution error.
-    pub fn rejects(&self) -> bool {
-        self.certain_error.is_some()
     }
 
     /// Render every diagnostic against the analyzed SQL.
@@ -90,85 +74,38 @@ pub struct UnresolvedColumn {
     pub suggestions: Vec<(Option<String>, String)>,
 }
 
-/// Analyze a parsed statement with the default lint set.
+/// Analyze a parsed statement.
 pub fn analyze(schema: &DbSchema, stmt: &SelectStmt) -> Analysis {
-    analyze_with_lints(schema, stmt, &default_lints())
-}
-
-/// Analyze a parsed statement with an explicit lint registry.
-pub fn analyze_with_lints(
-    schema: &DbSchema,
-    stmt: &SelectStmt,
-    lints: &[Box<dyn LintRule>],
-) -> Analysis {
     let mut ck = Checker { schema, diags: Vec::new(), unresolved: Vec::new(), unused: Vec::new() };
     let mut chain: Vec<Scope> = Vec::new();
     ck.check_stmt(stmt, &mut chain);
-    let summary = ResolutionSummary { unused_bindings: std::mem::take(&mut ck.unused) };
-    let mut diagnostics = std::mem::take(&mut ck.diags);
-    let cx = LintContext { schema, stmt, resolution: &summary };
-    for rule in lints {
-        diagnostics.extend(rule.check(&cx));
-    }
-    Analysis {
-        diagnostics,
-        certain_error: certain_rejection(schema, stmt),
-        unresolved: ck.unresolved,
-    }
+    let mut diagnostics = ck.diags;
+    lint_star_in_scalar_subquery(stmt, &mut diagnostics);
+    lint_always_false_predicate(stmt, &mut diagnostics);
+    lint_unused_from_table(&ck.unused, &mut diagnostics);
+    Analysis { diagnostics, unresolved: ck.unresolved }
 }
 
 /// Parse and analyze a SQL string. A parse failure becomes an `E0001`
-/// diagnostic and (since execution must fail the same way) a certain error.
+/// diagnostic pointing at the offending character.
 pub fn analyze_sql(schema: &DbSchema, sql: &str) -> Analysis {
     match crate::parser::parse_select(sql) {
         Ok(stmt) => analyze(schema, &stmt),
         Err(e) => {
             let span = match &e {
-                SqlError::Syntax { pos, .. } => Span::new(*pos, (*pos + 1).min(sql.len().max(1))),
+                // through the end of the character at `pos`, which may be
+                // multi-byte (`max`: one past the end of an empty statement)
+                SqlError::Syntax { pos, .. } => {
+                    Span::new(*pos, sql.ceil_char_boundary(*pos + 1).max(1))
+                }
                 _ => Span::empty(),
             };
             Analysis {
                 diagnostics: vec![Diagnostic::error("E0001", span, e.to_string())],
-                certain_error: Some(e),
                 unresolved: Vec::new(),
             }
         }
     }
-}
-
-// ---------------- lint registry ----------------
-
-/// Resolution facts shared with lint rules.
-#[derive(Debug, Default)]
-pub struct ResolutionSummary {
-    /// FROM bindings never referenced by any expression, `*`, or qualifier.
-    pub unused_bindings: Vec<(String, Span)>,
-}
-
-/// Everything a lint rule may inspect.
-pub struct LintContext<'a> {
-    /// The schema the statement was resolved against.
-    pub schema: &'a DbSchema,
-    /// The analyzed statement.
-    pub stmt: &'a SelectStmt,
-    /// Resolution facts from the name-resolution pass.
-    pub resolution: &'a ResolutionSummary,
-}
-
-/// A pluggable lint rule producing `W03xx` warnings.
-pub trait LintRule: Send + Sync {
-    /// Stable diagnostic code, e.g. `"W0303"`.
-    fn code(&self) -> &'static str;
-    /// Short human-readable rule name.
-    fn name(&self) -> &'static str;
-    /// Inspect the statement and return warnings.
-    fn check(&self, cx: &LintContext<'_>) -> Vec<Diagnostic>;
-}
-
-///// The built-in lint set: `W0301` star-in-scalar-subquery, `W0302`
-/// always-false literal predicate, `W0303` unused FROM table.
-pub fn default_lints() -> Vec<Box<dyn LintRule>> {
-    vec![Box::new(StarInScalarSubquery), Box::new(AlwaysFalsePredicate), Box::new(UnusedFromTable)]
 }
 
 // ---------------- scopes & resolution ----------------
@@ -690,8 +627,14 @@ impl<'a> Checker<'a> {
                             }
                             self.diags.push(d);
                         }
-                        Some((lo, hi, want)) => {
+                        Some((lo, hi)) => {
                             if args.len() < lo || args.len() > hi {
+                                // every bounded arity is one count or two adjacent ones
+                                let want = if lo == hi {
+                                    lo.to_string()
+                                } else {
+                                    format!("{lo} or {hi}")
+                                };
                                 self.diags.push(Diagnostic::error(
                                     "E0207",
                                     *span,
@@ -1039,20 +982,19 @@ impl<'a> Checker<'a> {
     }
 }
 
-/// Scalar functions the engine knows: `(min_args, max_args, want_text)`,
-/// mirroring `functions::call_scalar` exactly (including the `want` string
-/// its arity errors print).
-fn scalar_arity(name: &str) -> Option<(usize, usize, &'static str)> {
+/// Scalar functions the engine knows, as `(min_args, max_args)` — the
+/// arities `functions::call_scalar` accepts.
+fn scalar_arity(name: &str) -> Option<(usize, usize)> {
     Some(match name {
         "abs" | "length" | "upper" | "lower" | "trim" | "ltrim" | "rtrim" | "typeof" | "date" => {
-            (1, 1, "1")
+            (1, 1)
         }
-        "round" => (1, 2, "1 or 2"),
-        "substr" | "substring" => (2, 3, "2 or 3"),
-        "instr" | "ifnull" | "nullif" | "strftime" => (2, 2, "2"),
-        "replace" | "iif" => (3, 3, "3"),
-        "coalesce" => (0, usize::MAX, ""),
-        "min" | "max" => (2, usize::MAX, ""), // 0..=1 args routes to the aggregate
+        "round" => (1, 2),
+        "substr" | "substring" => (2, 3),
+        "instr" | "ifnull" | "nullif" | "strftime" => (2, 2),
+        "replace" | "iif" => (3, 3),
+        "coalesce" => (0, usize::MAX),
+        "min" | "max" => (2, usize::MAX), // 0..=1 args routes to the aggregate
         _ => return None,
     })
 }
@@ -1063,793 +1005,6 @@ const KNOWN_FUNCTIONS: &[&str] = &[
     "lower", "ltrim", "max", "min", "nullif", "replace", "round", "rtrim", "strftime", "substr",
     "substring", "sum", "total", "trim", "typeof", "upper",
 ];
-
-// ---------------- certainty replay ----------------
-//
-// An abstract interpretation of `exec`'s evaluation order. `Stop::Certain`
-// carries an error every execution must hit, byte-for-byte; `Stop::Hazard`
-// means a data-dependent evaluation might fail first, so nothing later can
-// be claimed. The replay walks the executor's *unconditional prefix* only:
-// FROM scans (including eager FROM-subqueries), the WHERE aggregate check,
-// projection expansion, the single-group aggregate path, set-operator
-// arity, compound ORDER BY targets, and LIMIT/OFFSET coercion.
-
-enum Stop {
-    Certain(SqlError),
-    Hazard,
-}
-
-/// One column slot of a frozen FROM layout.
-#[derive(Clone)]
-struct FlatCol {
-    binding: String,
-    column: String,
-}
-
-type Layout = Vec<FlatCol>;
-
-/// The error execution is proven to fail with, if any.
-fn certain_rejection(schema: &DbSchema, stmt: &SelectStmt) -> Option<SqlError> {
-    let mut replay = Replay { schema, depth: 0 };
-    match replay.stmt(stmt, &[]) {
-        Err(Stop::Certain(e)) => Some(e),
-        _ => None,
-    }
-}
-
-struct Replay<'a> {
-    schema: &'a DbSchema,
-    depth: usize,
-}
-
-impl<'a> Replay<'a> {
-    /// Replay a statement; `chain` holds the enclosing row environments
-    /// (outermost first), mirroring `Ctx::outer`. Returns output labels.
-    fn stmt(&mut self, stmt: &SelectStmt, chain: &[Layout]) -> Result<Vec<String>, Stop> {
-        self.depth += 1;
-        if self.depth > 32 {
-            self.depth -= 1;
-            return Err(Stop::Hazard); // close to the engine's nesting cap: claim nothing
-        }
-        let result = self.stmt_inner(stmt, chain);
-        self.depth -= 1;
-        result
-    }
-
-    fn stmt_inner(&mut self, stmt: &SelectStmt, chain: &[Layout]) -> Result<Vec<String>, Stop> {
-        let simple = stmt.compounds.is_empty();
-        let order: &[OrderItem] = if simple { &stmt.order_by } else { &[] };
-        let labels = self.core(&stmt.core, chain, order)?;
-        if !simple {
-            for (_, core) in &stmt.compounds {
-                let next = self.core(core, chain, &[])?;
-                if next.len() != labels.len() {
-                    return Err(Stop::Certain(SqlError::Other(
-                        "SELECTs to the left and right of a set operator do not have the same number of result columns".into(),
-                    )));
-                }
-            }
-            for o in &stmt.order_by {
-                // mirror of exec::output_order_index
-                match &o.expr {
-                    Expr::Literal(Value::Int(k))
-                        if *k >= 1 && (*k as usize) <= labels.len() => {}
-                    Expr::Column { table: None, column, .. } => {
-                        if !labels.iter().any(|c| c.eq_ignore_ascii_case(column)) {
-                            return Err(Stop::Certain(SqlError::NoSuchColumn(column.clone())));
-                        }
-                    }
-                    _ => {
-                        return Err(Stop::Certain(SqlError::Other(
-                            "ORDER BY term of a compound SELECT must be a column label or position".into(),
-                        )))
-                    }
-                }
-            }
-        }
-        // apply_limit: OFFSET is coerced before LIMIT.
-        if let Some(e) = &stmt.offset {
-            self.limit_expr(e, chain)?;
-        }
-        if let Some(e) = &stmt.limit {
-            self.limit_expr(e, chain)?;
-        }
-        Ok(labels)
-    }
-
-    /// Replay LIMIT/OFFSET coercion: evaluated against an *empty* layout
-    /// (plus enclosing environments), then `as_i64`.
-    fn limit_expr(&mut self, e: &Expr, chain: &[Layout]) -> Result<(), Stop> {
-        let mut has_column = false;
-        let mut has_subquery = false;
-        e.walk(&mut |n| match n {
-            Expr::Column { .. } | Expr::BoundColumn { .. } | Expr::OuterColumn { .. } => {
-                has_column = true
-            }
-            Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } => {
-                has_subquery = true
-            }
-            _ => {}
-        });
-        if has_subquery {
-            return Err(Stop::Hazard);
-        }
-        if has_column {
-            if let Expr::Column { table, column, .. } = e {
-                // a bare column: resolution against the empty layout is
-                // fully static
-                return match resolve_chain(&[], chain, table.as_deref(), column) {
-                    Ok(()) => Err(Stop::Hazard), // outer value unknown
-                    Err(err) => Err(Stop::Certain(err)),
-                };
-            }
-            return Err(Stop::Hazard);
-        }
-        // Constant expression: the engine's own const evaluator is exact.
-        match eval_const(e) {
-            Err(err) => Err(Stop::Certain(err)),
-            Ok(v) => match v.as_i64() {
-                Some(_) => Ok(()),
-                None => Err(Stop::Certain(SqlError::Type(
-                    "LIMIT/OFFSET must be an integer".into(),
-                ))),
-            },
-        }
-    }
-
-    /// Replay one SELECT core; returns its output labels.
-    fn core(
-        &mut self,
-        core: &SelectCore,
-        chain: &[Layout],
-        order_by: &[OrderItem],
-    ) -> Result<Vec<String>, Stop> {
-        let (layout, single_row) = match &core.from {
-            Some(from) => (self.replay_from(from, chain)?, false),
-            None => (Layout::new(), true),
-        };
-
-        if let Some(w) = &core.where_clause {
-            // checked before any row is visited, so unconditional
-            if contains_aggregate(w) {
-                return Err(Stop::Certain(SqlError::MisusedAggregate(
-                    "aggregate in WHERE clause".into(),
-                )));
-            }
-            if single_row {
-                self.cexpr(w, &layout, chain)?;
-            } else if !self.expr_safe(w, &layout, chain) {
-                return Err(Stop::Hazard);
-            }
-        }
-
-        let items = replay_expand(&core.items, &layout)?;
-        let labels: Vec<String> = items.iter().map(|(_, l)| l.clone()).collect();
-
-        // mirror of exec::resolve_order_target
-        enum RTarget {
-            Output,
-            Expr(Expr),
-        }
-        let targets: Vec<RTarget> = order_by
-            .iter()
-            .map(|o| match &o.expr {
-                Expr::Literal(Value::Int(k)) if *k >= 1 && (*k as usize) <= items.len() => {
-                    RTarget::Output
-                }
-                Expr::Column { table: None, column, .. }
-                    if items.iter().any(|(_, l)| l.eq_ignore_ascii_case(column)) =>
-                {
-                    RTarget::Output
-                }
-                other => RTarget::Expr(other.clone()),
-            })
-            .collect();
-
-        let needs_group = !core.group_by.is_empty()
-            || core.having.is_some()
-            || items.iter().any(|(e, _)| contains_aggregate(e))
-            || targets.iter().any(|t| match t {
-                RTarget::Expr(e) => contains_aggregate(e),
-                RTarget::Output => false,
-            });
-
-        let order_exprs: Vec<&Expr> = targets
-            .iter()
-            .filter_map(|t| match t {
-                RTarget::Expr(e) => Some(e),
-                RTarget::Output => None,
-            })
-            .collect();
-
-        if !needs_group {
-            if single_row {
-                for (e, _) in &items {
-                    self.cexpr(e, &layout, chain)?;
-                }
-                for e in &order_exprs {
-                    self.cexpr(e, &layout, chain)?;
-                }
-            } else {
-                for (e, _) in &items {
-                    if !self.expr_safe(e, &layout, chain) {
-                        return Err(Stop::Hazard);
-                    }
-                }
-                for e in &order_exprs {
-                    if !self.expr_safe(e, &layout, chain) {
-                        return Err(Stop::Hazard);
-                    }
-                }
-            }
-            return Ok(labels);
-        }
-
-        // Grouped path, with the executor's alias substitution applied.
-        let group_by: Vec<Expr> =
-            core.group_by.iter().map(|g| substitute_aliases(g, &items)).collect();
-        let having = core.having.as_ref().map(|h| substitute_aliases(h, &items));
-
-        if !group_by.is_empty() {
-            if single_row {
-                // exactly one synthetic row: the per-row key loop runs once
-                for g in &group_by {
-                    if contains_aggregate(g) {
-                        return Err(Stop::Certain(SqlError::MisusedAggregate(
-                            "aggregate in GROUP BY".into(),
-                        )));
-                    }
-                    self.cexpr(g, &layout, chain)?;
-                }
-            } else {
-                for g in &group_by {
-                    if contains_aggregate(g) || !self.expr_safe(g, &layout, chain) {
-                        return Err(Stop::Hazard);
-                    }
-                }
-                // group membership is data-dependent from here on
-                if let Some(h) = &having {
-                    if !self.agg_safe(h, &layout, chain) {
-                        return Err(Stop::Hazard);
-                    }
-                }
-                for (e, _) in &items {
-                    if !self.agg_safe(e, &layout, chain) {
-                        return Err(Stop::Hazard);
-                    }
-                }
-                for e in &order_exprs {
-                    if !self.agg_safe(e, &layout, chain) {
-                        return Err(Stop::Hazard);
-                    }
-                }
-                return Ok(labels);
-            }
-        }
-
-        // From here: exactly one group is guaranteed — either GROUP BY is
-        // empty (plain aggregates always emit one group) or the single-row
-        // source produced one key. The group may still be EMPTY of rows
-        // unless `single_row`, so leaves stay conditional.
-        if let Some(h) = &having {
-            self.cexpr_agg(h, &layout, chain, single_row)?;
-            // projection only runs when HAVING passes: conditional
-            for (e, _) in &items {
-                if !self.agg_safe(e, &layout, chain) {
-                    return Err(Stop::Hazard);
-                }
-            }
-            for e in &order_exprs {
-                if !self.agg_safe(e, &layout, chain) {
-                    return Err(Stop::Hazard);
-                }
-            }
-            return Ok(labels);
-        }
-        for (e, _) in &items {
-            self.cexpr_agg(e, &layout, chain, single_row)?;
-        }
-        for e in &order_exprs {
-            self.cexpr_agg(e, &layout, chain, single_row)?;
-        }
-        Ok(labels)
-    }
-
-    /// Replay FROM: scan each reference (certain `NoSuchTable` for unknown
-    /// names, recursive replay for subqueries), then each join's matching
-    /// strategy.
-    fn replay_from(&mut self, from: &FromClause, chain: &[Layout]) -> Result<Layout, Stop> {
-        let mut flat = self.scan_ref(&from.base, chain)?;
-        for join in &from.joins {
-            let right = self.scan_ref(&join.table, chain)?;
-            let mut combined = flat.clone();
-            combined.extend(right.iter().cloned());
-            let hashable = matches!(join.kind, JoinKind::Inner | JoinKind::Left)
-                && join.on.as_ref().is_some_and(|on| equi_mirror(on, &flat, &right));
-            if !hashable {
-                if let Some(on) = &join.on {
-                    // nested-loop join: the ON predicate runs per row pair
-                    if !self.expr_safe(on, &combined, chain) {
-                        return Err(Stop::Hazard);
-                    }
-                }
-            }
-            flat = combined;
-        }
-        Ok(flat)
-    }
-
-    fn scan_ref(&mut self, tref: &TableRef, chain: &[Layout]) -> Result<Layout, Stop> {
-        match tref {
-            TableRef::Named { name, alias, .. } => match self.schema.table(name) {
-                Some(info) => {
-                    let binding = alias.clone().unwrap_or_else(|| info.name.clone());
-                    Ok(info
-                        .columns
-                        .iter()
-                        .map(|c| FlatCol { binding: binding.clone(), column: c.name.clone() })
-                        .collect())
-                }
-                None => Err(Stop::Certain(SqlError::NoSuchTable(name.clone()))),
-            },
-            TableRef::Subquery { query, alias } => {
-                let labels = self.stmt(query, chain)?;
-                Ok(labels
-                    .into_iter()
-                    .map(|c| FlatCol { binding: alias.clone(), column: c })
-                    .collect())
-            }
-        }
-    }
-}
-
-/// Mirror of `exec::resolve`, returning the exact error it would produce.
-fn resolve_flat(layout: &[FlatCol], table: Option<&str>, column: &str) -> Result<(), SqlError> {
-    match table {
-        Some(t) => {
-            let found = layout.iter().any(|b| {
-                b.binding.eq_ignore_ascii_case(t) && b.column.eq_ignore_ascii_case(column)
-            });
-            if found {
-                Ok(())
-            } else {
-                Err(SqlError::NoSuchColumn(format!("{t}.{column}")))
-            }
-        }
-        None => {
-            let mut hits = layout.iter().filter(|b| b.column.eq_ignore_ascii_case(column));
-            match (hits.next(), hits.next()) {
-                (Some(_), None) => Ok(()),
-                (Some(_), Some(_)) => Err(SqlError::AmbiguousColumn(column.to_owned())),
-                (None, _) => Err(SqlError::NoSuchColumn(column.to_owned())),
-            }
-        }
-    }
-}
-
-/// Mirror of the executor's full resolution walk: the current layout, then
-/// each enclosing environment innermost-first; the *innermost* error
-/// surfaces when everything fails.
-fn resolve_chain(
-    layout: &[FlatCol],
-    chain: &[Layout],
-    table: Option<&str>,
-    column: &str,
-) -> Result<(), SqlError> {
-    match resolve_flat(layout, table, column) {
-        Ok(()) => Ok(()),
-        Err(inner) => {
-            for scope in chain.iter().rev() {
-                if resolve_flat(scope, table, column).is_ok() {
-                    return Ok(());
-                }
-            }
-            Err(inner)
-        }
-    }
-}
-
-/// Mirror of `exec::equi_join_indices`: would the hash-join fast path
-/// (which never evaluates the ON predicate per row) engage?
-fn equi_mirror(on: &Expr, left: &[FlatCol], right: &[FlatCol]) -> bool {
-    let Expr::Binary { left: a, op: BinOp::Eq, right: b } = on else {
-        return false;
-    };
-    let (Expr::Column { table: ta, column: ca, .. }, Expr::Column { table: tb, column: cb, .. }) =
-        (a.as_ref(), b.as_ref())
-    else {
-        return false;
-    };
-    let find = |layout: &[FlatCol], t: &Option<String>, c: &str| -> Option<usize> {
-        let mut hits = layout.iter().enumerate().filter(|(_, bnd)| {
-            bnd.column.eq_ignore_ascii_case(c)
-                && t.as_deref().map(|q| bnd.binding.eq_ignore_ascii_case(q)).unwrap_or(true)
-        });
-        let first = hits.next()?;
-        if hits.next().is_some() {
-            return None;
-        }
-        Some(first.0)
-    };
-    matches!(
-        (find(left, ta, ca), find(right, tb, cb)),
-        (Some(_), Some(_))
-    ) || matches!((find(left, tb, cb), find(right, ta, ca)), (Some(_), Some(_)))
-}
-
-/// Mirror of `exec::expand_items`, with its two unconditional errors.
-fn replay_expand(items: &[SelectItem], layout: &[FlatCol]) -> Result<Vec<(Expr, String)>, Stop> {
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            SelectItem::Wildcard => {
-                if layout.is_empty() {
-                    return Err(Stop::Certain(SqlError::Other(
-                        "SELECT * with no FROM clause".into(),
-                    )));
-                }
-                for b in layout {
-                    out.push((Expr::qcol(b.binding.clone(), b.column.clone()), b.column.clone()));
-                }
-            }
-            SelectItem::TableWildcard(t) => {
-                let mut found = false;
-                for b in layout {
-                    if b.binding.eq_ignore_ascii_case(t) {
-                        out.push((
-                            Expr::qcol(b.binding.clone(), b.column.clone()),
-                            b.column.clone(),
-                        ));
-                        found = true;
-                    }
-                }
-                if !found {
-                    return Err(Stop::Certain(SqlError::NoSuchTable(t.clone())));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let label = alias.clone().unwrap_or_else(|| default_label(expr));
-                out.push((expr.clone(), label));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Outcome of a `call_scalar` invocation whose argument *values* are
-/// unknown but whose argument expressions are themselves error-free.
-enum CallOutcome {
-    Safe,
-    Certain(SqlError),
-    Hazard,
-}
-
-/// Mirror of `functions::call_scalar`'s error surface for statically-known
-/// name and arity (values unknown).
-fn scalar_call_outcome(name: &str, args: &[Expr]) -> CallOutcome {
-    match scalar_arity(name) {
-        None => CallOutcome::Certain(SqlError::BadFunction(format!("no such function: {name}"))),
-        Some((lo, hi, want)) => {
-            if args.len() < lo || args.len() > hi {
-                // the arity helpers hard-code the canonical name
-                let shown = if name == "substring" { "substr" } else { name };
-                return CallOutcome::Certain(SqlError::BadFunction(format!(
-                    "{shown}() expects {want} argument(s), got {}",
-                    args.len()
-                )));
-            }
-            if name == "strftime" && !strftime_format_safe(&args[0]) {
-                return CallOutcome::Hazard;
-            }
-            CallOutcome::Safe
-        }
-    }
-}
-
-fn scalar_call_safe(name: &str, args: &[Expr]) -> bool {
-    matches!(scalar_call_outcome(name, args), CallOutcome::Safe)
-}
-
-/// Is this strftime format argument provably error-free? Only a literal
-/// using the engine's supported directives qualifies; a NULL format
-/// short-circuits to NULL before the scan.
-fn strftime_format_safe(fmt: &Expr) -> bool {
-    let Expr::Literal(v) = fmt else { return false };
-    let Some(f) = v.as_text() else { return true };
-    let mut chars = f.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            continue;
-        }
-        match chars.next() {
-            Some('Y' | 'm' | 'd' | 'H' | 'M' | 'S' | 'j' | 'w' | '%') => {}
-            _ => return false, // unsupported directive or trailing %
-        }
-    }
-    true
-}
-
-/// Can the aggregate's value phase itself fail? (`SUM` can overflow;
-/// `group_concat` coerces a possibly non-constant separator.)
-fn aggregate_values_safe(name: &str, args: &[Expr], single_row: bool) -> bool {
-    match name {
-        // one checked_add from zero cannot overflow
-        "sum" => single_row,
-        "group_concat" => matches!(args.get(1), None | Some(Expr::Literal(_))),
-        _ => true,
-    }
-}
-
-impl<'a> Replay<'a> {
-    /// Certain-context row evaluation: the expression is evaluated exactly
-    /// once against a known layout. `Ok` = provably error-free here;
-    /// `Stop::Certain` = the evaluation must fail with that error.
-    fn cexpr(&mut self, e: &Expr, layout: &[FlatCol], chain: &[Layout]) -> Result<(), Stop> {
-        match e {
-            Expr::Literal(_) => Ok(()),
-            Expr::Column { table, column, .. } => {
-                resolve_chain(layout, chain, table.as_deref(), column)
-                    .map_err(Stop::Certain)
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.cexpr(expr, layout, chain)
-            }
-            Expr::Binary { left, op, right } => {
-                self.cexpr(left, layout, chain)?;
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    // the right side may be short-circuited away
-                    if self.expr_safe(right, layout, chain) {
-                        Ok(())
-                    } else {
-                        Err(Stop::Hazard)
-                    }
-                } else {
-                    self.cexpr(right, layout, chain)
-                }
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.cexpr(expr, layout, chain)?;
-                self.cexpr(pattern, layout, chain)
-            }
-            Expr::Between { expr, low, high, .. } => {
-                self.cexpr(expr, layout, chain)?;
-                self.cexpr(low, layout, chain)?;
-                self.cexpr(high, layout, chain)
-            }
-            Expr::InList { expr, list, .. } => {
-                self.cexpr(expr, layout, chain)?;
-                // items are skipped when the probe is NULL, or once one hits
-                if list.iter().all(|i| self.expr_safe(i, layout, chain)) {
-                    Ok(())
-                } else {
-                    Err(Stop::Hazard)
-                }
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    self.cexpr(o, layout, chain)?;
-                }
-                if let Some((w0, _)) = branches.first() {
-                    self.cexpr(w0, layout, chain)?;
-                }
-                let rest_safe = branches
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(i, (w, t))| {
-                        let w = if i == 0 { None } else { Some(w) };
-                        w.into_iter().chain(std::iter::once(t))
-                    })
-                    .chain(else_expr.as_deref())
-                    .all(|x| self.expr_safe(x, layout, chain));
-                if rest_safe {
-                    Ok(())
-                } else {
-                    Err(Stop::Hazard)
-                }
-            }
-            Expr::Function { name, args, .. } => {
-                if is_aggregate_name(name, args.len()) {
-                    return Err(Stop::Certain(SqlError::MisusedAggregate(format!(
-                        "aggregate {name}() used outside of an aggregate context"
-                    ))));
-                }
-                for a in args {
-                    self.cexpr(a, layout, chain)?;
-                }
-                match scalar_call_outcome(name, args) {
-                    CallOutcome::Safe => Ok(()),
-                    CallOutcome::Certain(err) => Err(Stop::Certain(err)),
-                    CallOutcome::Hazard => Err(Stop::Hazard),
-                }
-            }
-            Expr::Wildcard => {
-                Err(Stop::Certain(SqlError::Syntax { pos: 0, msg: "misplaced *".into() }))
-            }
-            Expr::Subquery(_)
-            | Expr::InSubquery { .. }
-            | Expr::Exists { .. }
-            | Expr::BoundColumn { .. }
-            | Expr::OuterColumn { .. } => Err(Stop::Hazard),
-        }
-    }
-
-    /// Certain-context aggregate evaluation, mirroring `eval_agg_expr` over
-    /// a group that is guaranteed to exist. `leaf_certain` is true when the
-    /// group provably holds exactly one row (FROM-less source), making
-    /// first-row leaf evaluation unconditional too.
-    fn cexpr_agg(
-        &mut self,
-        e: &Expr,
-        layout: &[FlatCol],
-        chain: &[Layout],
-        leaf_certain: bool,
-    ) -> Result<(), Stop> {
-        match e {
-            Expr::Function { name, args, .. } if is_aggregate_name(name, args.len()) => {
-                if name == "count"
-                    && (args.is_empty() || matches!(args.first(), Some(Expr::Wildcard)))
-                {
-                    return Ok(());
-                }
-                let Some(arg) = args.first() else {
-                    return Err(Stop::Certain(SqlError::BadFunction(format!(
-                        "{name}() needs an argument"
-                    ))));
-                };
-                if contains_aggregate(arg) {
-                    return Err(Stop::Certain(SqlError::MisusedAggregate(format!(
-                        "nested aggregate in {name}()"
-                    ))));
-                }
-                if leaf_certain {
-                    self.cexpr(arg, layout, chain)?;
-                } else if !self.expr_safe(arg, layout, chain) {
-                    return Err(Stop::Hazard);
-                }
-                if aggregate_values_safe(name, args, leaf_certain) {
-                    Ok(())
-                } else {
-                    Err(Stop::Hazard)
-                }
-            }
-            Expr::Binary { left, right, .. } => {
-                // aggregate context evaluates both sides, no short-circuit
-                self.cexpr_agg(left, layout, chain, leaf_certain)?;
-                self.cexpr_agg(right, layout, chain, leaf_certain)
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.cexpr_agg(expr, layout, chain, leaf_certain)
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    self.cexpr_agg(o, layout, chain, leaf_certain)?;
-                }
-                if let Some((w0, _)) = branches.first() {
-                    self.cexpr_agg(w0, layout, chain, leaf_certain)?;
-                }
-                let rest_safe = branches
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(i, (w, t))| {
-                        let w = if i == 0 { None } else { Some(w) };
-                        w.into_iter().chain(std::iter::once(t))
-                    })
-                    .chain(else_expr.as_deref())
-                    .all(|x| self.agg_safe(x, layout, chain));
-                if rest_safe {
-                    Ok(())
-                } else {
-                    Err(Stop::Hazard)
-                }
-            }
-            Expr::Function { name, args, .. } => {
-                for a in args {
-                    self.cexpr_agg(a, layout, chain, leaf_certain)?;
-                }
-                match scalar_call_outcome(name, args) {
-                    CallOutcome::Safe => Ok(()),
-                    CallOutcome::Certain(err) => Err(Stop::Certain(err)),
-                    CallOutcome::Hazard => Err(Stop::Hazard),
-                }
-            }
-            // leaves evaluate against the group's first row — which exists
-            // only when the source provably has rows
-            other => {
-                if leaf_certain {
-                    self.cexpr(other, layout, chain)
-                } else if self.expr_safe(other, layout, chain) {
-                    Ok(())
-                } else {
-                    Err(Stop::Hazard)
-                }
-            }
-        }
-    }
-
-    /// Is this expression provably error-free under `eval_expr` for *any*
-    /// row of the given layout (plus enclosing environments)?
-    fn expr_safe(&mut self, e: &Expr, layout: &[FlatCol], chain: &[Layout]) -> bool {
-        match e {
-            Expr::Literal(_) => true,
-            Expr::Column { table, column, .. } => {
-                resolve_chain(layout, chain, table.as_deref(), column).is_ok()
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.expr_safe(expr, layout, chain)
-            }
-            Expr::Binary { left, right, .. } => {
-                // arithmetic and comparisons are total (div-by-zero → NULL)
-                self.expr_safe(left, layout, chain) && self.expr_safe(right, layout, chain)
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.expr_safe(expr, layout, chain) && self.expr_safe(pattern, layout, chain)
-            }
-            Expr::Between { expr, low, high, .. } => {
-                self.expr_safe(expr, layout, chain)
-                    && self.expr_safe(low, layout, chain)
-                    && self.expr_safe(high, layout, chain)
-            }
-            Expr::InList { expr, list, .. } => {
-                self.expr_safe(expr, layout, chain)
-                    && list.iter().all(|i| self.expr_safe(i, layout, chain))
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                operand.as_deref().is_none_or(|o| self.expr_safe(o, layout, chain))
-                    && branches.iter().all(|(w, t)| {
-                        self.expr_safe(w, layout, chain) && self.expr_safe(t, layout, chain)
-                    })
-                    && else_expr.as_deref().is_none_or(|x| self.expr_safe(x, layout, chain))
-            }
-            Expr::Function { name, args, .. } => {
-                !is_aggregate_name(name, args.len())
-                    && scalar_call_safe(name, args)
-                    && args.iter().all(|a| self.expr_safe(a, layout, chain))
-            }
-            Expr::Wildcard
-            | Expr::Subquery(_)
-            | Expr::InSubquery { .. }
-            | Expr::Exists { .. }
-            | Expr::BoundColumn { .. }
-            | Expr::OuterColumn { .. } => false,
-        }
-    }
-
-    /// Is this expression provably error-free under `eval_agg_expr` for any
-    /// group (possibly empty) of the given layout?
-    fn agg_safe(&mut self, e: &Expr, layout: &[FlatCol], chain: &[Layout]) -> bool {
-        match e {
-            Expr::Function { name, args, .. } if is_aggregate_name(name, args.len()) => {
-                if name == "count"
-                    && (args.is_empty() || matches!(args.first(), Some(Expr::Wildcard)))
-                {
-                    return true;
-                }
-                let Some(arg) = args.first() else { return false };
-                !contains_aggregate(arg)
-                    && self.expr_safe(arg, layout, chain)
-                    && aggregate_values_safe(name, args, false)
-            }
-            Expr::Binary { left, right, .. } => {
-                self.agg_safe(left, layout, chain) && self.agg_safe(right, layout, chain)
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.agg_safe(expr, layout, chain)
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                operand.as_deref().is_none_or(|o| self.agg_safe(o, layout, chain))
-                    && branches.iter().all(|(w, t)| {
-                        self.agg_safe(w, layout, chain) && self.agg_safe(t, layout, chain)
-                    })
-                    && else_expr.as_deref().is_none_or(|x| self.agg_safe(x, layout, chain))
-            }
-            Expr::Function { name, args, .. } => {
-                scalar_call_safe(name, args)
-                    && args.iter().all(|a| self.agg_safe(a, layout, chain))
-            }
-            other => self.expr_safe(other, layout, chain),
-        }
-    }
-}
 
 // ---------------- lint rules ----------------
 
@@ -1952,89 +1107,65 @@ fn and_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 /// `W0301`: `SELECT *` inside a scalar or `IN` subquery. The executor
 /// requires such subqueries to yield exactly one column, so a star
 /// projection only works by accident of the schema.
-struct StarInScalarSubquery;
-
-impl LintRule for StarInScalarSubquery {
-    fn code(&self) -> &'static str {
-        "W0301"
-    }
-    fn name(&self) -> &'static str {
-        "star-in-scalar-subquery"
-    }
-    fn check(&self, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for_each_expr_deep(cx.stmt, &mut |e| {
-            let q = match e {
-                Expr::Subquery(q) | Expr::InSubquery { query: q, .. } => q,
-                _ => return,
-            };
-            let starred = q.core.items.iter().any(|i| {
-                matches!(i, SelectItem::Wildcard | SelectItem::TableWildcard(_))
-            });
-            if starred {
-                out.push(Diagnostic::warning(
-                    self.code(),
-                    Span::empty(),
-                    "SELECT * inside a scalar/IN subquery; it must return exactly one column",
-                ).with_help("project the one column the outer query compares against"));
-            }
+fn lint_star_in_scalar_subquery(stmt: &SelectStmt, out: &mut Vec<Diagnostic>) {
+    for_each_expr_deep(stmt, &mut |e| {
+        let q = match e {
+            Expr::Subquery(q) | Expr::InSubquery { query: q, .. } => q,
+            _ => return,
+        };
+        let starred = q.core.items.iter().any(|i| {
+            matches!(i, SelectItem::Wildcard | SelectItem::TableWildcard(_))
         });
-        out
-    }
+        if starred {
+            out.push(Diagnostic::warning(
+                "W0301",
+                Span::empty(),
+                "SELECT * inside a scalar/IN subquery; it must return exactly one column",
+            ).with_help("project the one column the outer query compares against"));
+        }
+    });
 }
 
 /// `W0302`: a WHERE/HAVING/ON conjunct built only from literals that
 /// constant-folds to false — the predicate can never match, which in a
 /// generated candidate usually means a mistranscribed filter value.
-struct AlwaysFalsePredicate;
-
-impl LintRule for AlwaysFalsePredicate {
-    fn code(&self) -> &'static str {
-        "W0302"
-    }
-    fn name(&self) -> &'static str {
-        "always-false-predicate"
-    }
-    fn check(&self, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        let mut check_pred = |pred: &Expr, what: &str| {
-            let mut conjuncts = Vec::new();
-            and_conjuncts(pred, &mut conjuncts);
-            for c in conjuncts {
-                if !is_const_foldable(c) {
-                    continue;
-                }
-                if let Ok(v) = eval_const(c) {
-                    if v.truthiness() == Some(false) {
-                        out.push(Diagnostic::warning(
-                            self.code(),
-                            Span::empty(),
-                            format!(
-                                "{what} conjunct `{}` is always false; the {what} never matches",
-                                print_expr(c)
-                            ),
-                        ).with_help("a literal-only predicate that folds to false usually means a wrong constant"));
-                    }
+fn lint_always_false_predicate(stmt: &SelectStmt, out: &mut Vec<Diagnostic>) {
+    let mut check_pred = |pred: &Expr, what: &str| {
+        let mut conjuncts = Vec::new();
+        and_conjuncts(pred, &mut conjuncts);
+        for c in conjuncts {
+            if !is_const_foldable(c) {
+                continue;
+            }
+            if let Ok(v) = eval_const(c) {
+                if v.truthiness() == Some(false) {
+                    out.push(Diagnostic::warning(
+                        "W0302",
+                        Span::empty(),
+                        format!(
+                            "{what} conjunct `{}` is always false; the {what} never matches",
+                            print_expr(c)
+                        ),
+                    ).with_help("a literal-only predicate that folds to false usually means a wrong constant"));
                 }
             }
-        };
-        for_each_core(cx.stmt, &mut |core| {
-            if let Some(w) = &core.where_clause {
-                check_pred(w, "WHERE");
-            }
-            if let Some(h) = &core.having {
-                check_pred(h, "HAVING");
-            }
-            if let Some(from) = &core.from {
-                for j in &from.joins {
-                    if let Some(on) = &j.on {
-                        check_pred(on, "ON");
-                    }
+        }
+    };
+    for_each_core(stmt, &mut |core| {
+        if let Some(w) = &core.where_clause {
+            check_pred(w, "WHERE");
+        }
+        if let Some(h) = &core.having {
+            check_pred(h, "HAVING");
+        }
+        if let Some(from) = &core.from {
+            for j in &from.joins {
+                if let Some(on) = &j.on {
+                    check_pred(on, "ON");
                 }
             }
-        });
-        out
-    }
+        }
+    });
 }
 
 /// Is this expression a pure literal computation — no columns, bindings,
@@ -2055,29 +1186,19 @@ fn is_const_foldable(e: &Expr) -> bool {
 }
 
 /// `W0303`: a FROM table none of whose columns are referenced anywhere —
-/// usually a leftover join that only multiplies rows.
-struct UnusedFromTable;
-
-impl LintRule for UnusedFromTable {
-    fn code(&self) -> &'static str {
-        "W0303"
-    }
-    fn name(&self) -> &'static str {
-        "unused-from-table"
-    }
-    fn check(&self, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-        cx.resolution
-            .unused_bindings
-            .iter()
-            .map(|(name, span)| {
-                Diagnostic::warning(
-                    self.code(),
-                    *span,
-                    format!("table {} appears in FROM but none of its columns are used", tick(name)),
-                )
-                .with_help("drop the table from FROM, or reference one of its columns")
-            })
-            .collect()
+/// usually a leftover join that only multiplies rows. `unused` is what the
+/// name-resolution pass found: FROM bindings never referenced by any
+/// expression, `*`, or qualifier.
+fn lint_unused_from_table(unused: &[(String, Span)], out: &mut Vec<Diagnostic>) {
+    for (name, span) in unused {
+        out.push(
+            Diagnostic::warning(
+                "W0303",
+                *span,
+                format!("table {} appears in FROM but none of its columns are used", tick(name)),
+            )
+            .with_help("drop the table from FROM, or reference one of its columns"),
+        );
     }
 }
 
@@ -2103,27 +1224,11 @@ mod tests {
         a.diagnostics.iter().map(|d| d.code.as_str()).collect()
     }
 
-    /// The gate's soundness contract: whenever the analyzer claims a
-    /// certain error, executing the same SQL must produce exactly it; and
-    /// when it claims none for an erroring statement, that is only ever
-    /// conservatism (never a wrong prediction).
-    fn assert_parity(db: &Database, sql: &str) {
-        let a = analyze_sql(&db.schema, sql);
-        let actual = db.query(sql).err();
-        if let Some(predicted) = &a.certain_error {
-            assert_eq!(
-                Some(predicted), actual.as_ref(),
-                "analyzer predicted {predicted:?} for {sql:?}, execution gave {actual:?}"
-            );
-        }
-    }
-
     #[test]
     fn clean_query_has_no_findings() {
         let db = db();
         let a = analyze_sql(&db.schema, "SELECT Name, age FROM Patient WHERE age > 40");
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
-        assert!(a.certain_error.is_none());
         assert!(a.is_clean());
     }
 
@@ -2135,8 +1240,6 @@ mod tests {
         let d = &a.diagnostics[0];
         assert_eq!(d.message, "no such table: Pateint");
         assert!(d.help.as_deref().unwrap_or("").contains("`Patient`"), "{:?}", d.help);
-        assert_eq!(a.certain_error, Some(SqlError::NoSuchTable("Pateint".into())));
-        assert_parity(&db, "SELECT id FROM Pateint");
     }
 
     #[test]
@@ -2161,7 +1264,6 @@ mod tests {
         // the span points at the identifier in the source
         let sp = a.unresolved[0].span;
         assert_eq!(&sql[sp.start..sp.end], "Nam");
-        assert_parity(&db, sql);
     }
 
     #[test]
@@ -2171,21 +1273,13 @@ mod tests {
         let a = analyze_sql(&db.schema, sql);
         assert_eq!(codes(&a), ["E0102"]);
         assert_eq!(a.diagnostics[0].message, "no such column: T1.Nam");
-        // projection expressions run per row: with an empty Patient the
-        // statement would succeed, so this is diagnosed but never gated
-        assert!(a.certain_error.is_none());
-        assert_parity(&db, sql);
     }
 
     #[test]
     fn ambiguous_column_is_e0103() {
         let db = db();
-        let sql = "SELECT id FROM Patient, Visit";
-        let a = analyze_sql(&db.schema, sql);
+        let a = analyze_sql(&db.schema, "SELECT id FROM Patient, Visit");
         assert_eq!(codes(&a), ["E0103"]);
-        // per-row evaluation again: diagnosed, not gated
-        assert!(a.certain_error.is_none());
-        assert_parity(&db, sql);
     }
 
     #[test]
@@ -2197,22 +1291,17 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_in_where_is_e0201_and_certain() {
+    fn aggregate_in_where_is_e0201() {
         let db = db();
-        let sql = "SELECT id FROM Patient WHERE COUNT(*) > 1";
-        let a = analyze_sql(&db.schema, sql);
+        let a = analyze_sql(&db.schema, "SELECT id FROM Patient WHERE COUNT(*) > 1");
         assert!(codes(&a).contains(&"E0201"), "{:?}", codes(&a));
-        assert_parity(&db, sql);
-        assert!(a.rejects());
     }
 
     #[test]
-    fn nested_aggregate_is_e0202_and_certain() {
+    fn nested_aggregate_is_e0202() {
         let db = db();
-        let sql = "SELECT SUM(COUNT(id)) FROM Patient";
-        let a = analyze_sql(&db.schema, sql);
+        let a = analyze_sql(&db.schema, "SELECT SUM(COUNT(id)) FROM Patient");
         assert!(codes(&a).contains(&"E0202"), "{:?}", codes(&a));
-        assert_parity(&db, sql);
     }
 
     #[test]
@@ -2221,138 +1310,88 @@ mod tests {
         let a = analyze_sql(&db.schema, "SELECT id FROM Patient WHERE age = '41'");
         assert_eq!(codes(&a), ["E0203"]);
         assert!(a.diagnostics[0].help.as_deref().unwrap().contains("removing the quotes"));
-        // executable (never matches), so nothing certain
-        assert!(a.certain_error.is_none());
         let b = analyze_sql(&db.schema, "SELECT id FROM Patient WHERE Name = 7");
         assert_eq!(codes(&b), ["E0203"]);
     }
 
     #[test]
-    fn bare_column_outside_group_by_is_e0204_but_not_gating() {
+    fn bare_column_outside_group_by_is_e0204_though_it_executes() {
         let db = db();
         let sql = "SELECT Name, COUNT(*) FROM Patient GROUP BY age";
         let a = analyze_sql(&db.schema, sql);
         assert!(codes(&a).contains(&"E0204"), "{:?}", codes(&a));
-        assert!(a.certain_error.is_none());
         assert!(db.query(sql).is_ok());
     }
 
     #[test]
     fn order_by_ordinal_out_of_range_is_e0205() {
         let db = db();
-        // simple select: executor sorts by a constant, no error → not gating
+        // simple select: the executor sorts by a constant, no error
         let a = analyze_sql(&db.schema, "SELECT id FROM Patient ORDER BY 3");
         assert!(codes(&a).contains(&"E0205"), "{:?}", codes(&a));
-        assert!(a.certain_error.is_none());
-        // compound select: the executor rejects it → certain
+        // compound select: the executor rejects it
         let sql = "SELECT id FROM Patient UNION SELECT id FROM Visit ORDER BY 3";
         let b = analyze_sql(&db.schema, sql);
         assert!(codes(&b).contains(&"E0205"), "{:?}", codes(&b));
-        assert_parity(&db, sql);
-        assert!(b.rejects());
     }
 
     #[test]
-    fn set_op_arity_mismatch_is_e0206_and_certain() {
+    fn set_op_arity_mismatch_is_e0206() {
         let db = db();
-        let sql = "SELECT id, age FROM Patient UNION SELECT id FROM Visit";
-        let a = analyze_sql(&db.schema, sql);
+        let a = analyze_sql(&db.schema, "SELECT id, age FROM Patient UNION SELECT id FROM Visit");
         assert!(codes(&a).contains(&"E0206"), "{:?}", codes(&a));
-        assert_parity(&db, sql);
-        assert!(a.rejects());
     }
 
     #[test]
-    fn unknown_function_is_e0207_with_suggestion_and_certain() {
+    fn unknown_function_is_e0207_with_suggestion() {
         let db = db();
-        // diagnosed wherever it appears...
-        let a = analyze_sql(&db.schema, "SELECT lenght(Name) FROM Patient");
-        assert_eq!(codes(&a), ["E0207"]);
-        assert!(a.diagnostics[0].help.as_deref().unwrap().contains("`length`"));
-        assert!(a.certain_error.is_none(), "per-row call over a maybe-empty table");
-        // ...and *gated* where evaluation is unconditional (no FROM)
-        let sql = "SELECT lenght('abc')";
-        let b = analyze_sql(&db.schema, sql);
-        assert_parity(&db, sql);
-        assert!(b.rejects());
-    }
-
-    #[test]
-    fn wrong_arity_is_e0207_and_certain() {
-        let db = db();
-        let a = analyze_sql(&db.schema, "SELECT round(age, 1, 2) FROM Patient");
-        assert_eq!(codes(&a), ["E0207"]);
-        let sql = "SELECT round(1.5, 1, 2)";
-        let b = analyze_sql(&db.schema, sql);
-        assert_parity(&db, sql);
-        assert!(b.rejects());
-    }
-
-    #[test]
-    fn parse_error_is_e0001_and_certain() {
-        let db = db();
-        let sql = "SELECT FROM WHERE";
-        let a = analyze_sql(&db.schema, sql);
-        assert_eq!(codes(&a), ["E0001"]);
-        assert!(a.certain_error.is_some());
-        assert_eq!(a.certain_error, db.query(sql).err());
-    }
-
-    #[test]
-    fn certainty_is_conservative_about_data_dependence() {
-        let db = db();
-        // strftime with a bad literal format only errors when the date
-        // parses — data-dependent, so the analyzer must not gate it...
-        let a = analyze_sql(&db.schema, "SELECT strftime('%Q', Name) FROM Patient");
-        assert!(a.certain_error.is_none());
-        // ...and a per-row comparison never gates even when a lint fires.
-        let b = analyze_sql(&db.schema, "SELECT id FROM Patient WHERE age = '41'");
-        assert!(b.certain_error.is_none());
-    }
-
-    #[test]
-    fn limit_coercion_failure_is_certain() {
-        let db = db();
-        let sql = "SELECT id FROM Patient LIMIT 2.5";
-        let a = analyze_sql(&db.schema, sql);
-        assert_eq!(a.certain_error, Some(SqlError::Type("LIMIT/OFFSET must be an integer".into())));
-        assert_parity(&db, sql);
-        // but a numeric text literal coerces fine
-        let b = analyze_sql(&db.schema, "SELECT id FROM Patient LIMIT '1'");
-        assert!(b.certain_error.is_none());
-        assert!(db.query("SELECT id FROM Patient LIMIT '1'").is_ok());
-    }
-
-    #[test]
-    fn parity_battery_over_mixed_statements() {
-        let db = db();
-        for sql in [
-            "SELECT * FROM Patient",
-            "SELECT P.Name, V.score FROM Patient P JOIN Visit V ON P.id = V.patient_id",
-            "SELECT COUNT(*) FROM Visit WHERE score > 8",
-            "SELECT age, COUNT(*) FROM Patient GROUP BY age HAVING COUNT(*) > 0",
-            "SELECT Name FROM Patient ORDER BY age DESC LIMIT 1",
-            "SELECT id FROM Pateint",
-            "SELECT Nam FROM Patient",
-            "SELECT id FROM Patient, Visit",
-            "SELECT id FROM Patient WHERE SUM(age) > 1",
-            "SELECT MIN(MAX(age)) FROM Patient",
-            "SELECT id, age FROM Patient UNION SELECT id FROM Visit",
-            "SELECT id FROM Patient UNION SELECT id FROM Visit ORDER BY 9",
-            "SELECT nosuchfn(id) FROM Patient",
-            "SELECT substr(Name) FROM Patient",
-            "SELECT id FROM Patient LIMIT 1.5",
-            "SELECT abs() FROM Patient",
-            "SELECT group_concat() FROM Patient",
-            "SELECT id FROM Patient WHERE Visit.score > 1",
-            "SELECT 1 UNION SELECT 2 ORDER BY bogus",
-        ] {
-            assert_parity(&db, sql);
+        // diagnosed wherever it appears, FROM or no FROM
+        for sql in ["SELECT lenght(Name) FROM Patient", "SELECT lenght('abc')"] {
+            let a = analyze_sql(&db.schema, sql);
+            assert_eq!(codes(&a), ["E0207"], "{sql}");
+            assert!(a.diagnostics[0].help.as_deref().unwrap().contains("`length`"), "{sql}");
         }
     }
 
     #[test]
-    fn gold_shaped_statements_are_never_gated() {
+    fn wrong_arity_is_e0207_worded_as_the_engine_words_it() {
+        let db = db();
+        for (sql, message) in [
+            ("SELECT round(age, 1, 2) FROM Patient", "round() expects 1 or 2 argument(s), got 3"),
+            ("SELECT substr(Name) FROM Patient", "substr() expects 2 or 3 argument(s), got 1"),
+            ("SELECT abs(age, 1) FROM Patient", "abs() expects 1 argument(s), got 2"),
+            ("SELECT replace(Name, 'a') FROM Patient", "replace() expects 3 argument(s), got 2"),
+        ] {
+            let a = analyze_sql(&db.schema, sql);
+            assert_eq!(codes(&a), ["E0207"], "{sql}");
+            assert_eq!(a.diagnostics[0].message, message);
+            // the engine's own arity error carries the same sentence
+            assert_eq!(db.query(sql).unwrap_err(), SqlError::BadFunction(message.into()));
+        }
+    }
+
+    #[test]
+    fn non_integer_limit_is_e0210() {
+        let db = db();
+        let a = analyze_sql(&db.schema, "SELECT id FROM Patient LIMIT 2.5");
+        assert_eq!(codes(&a), ["E0210"]);
+        // a numeric text literal coerces fine
+        let b = analyze_sql(&db.schema, "SELECT id FROM Patient LIMIT '1'");
+        assert!(b.is_clean(), "{:?}", b.diagnostics);
+        assert!(db.query("SELECT id FROM Patient LIMIT '1'").is_ok());
+    }
+
+    #[test]
+    fn parse_error_is_e0001_with_the_parser_message() {
+        let db = db();
+        let sql = "SELECT FROM WHERE";
+        let a = analyze_sql(&db.schema, sql);
+        assert_eq!(codes(&a), ["E0001"]);
+        assert_eq!(a.diagnostics[0].message, db.query(sql).unwrap_err().to_string());
+    }
+
+    #[test]
+    fn gold_shaped_statements_analyze_clean() {
         let db = db();
         for sql in [
             "SELECT Name FROM Patient WHERE age BETWEEN 30 AND 50",
@@ -2375,7 +1414,6 @@ mod tests {
             "SELECT Name FROM Patient WHERE id IN (SELECT * FROM Visit)",
         );
         assert!(codes(&a).contains(&"W0301"), "{:?}", codes(&a));
-        assert!(a.certain_error.is_none());
     }
 
     #[test]
@@ -2408,6 +1446,23 @@ mod tests {
     }
 
     #[test]
+    fn lints_come_after_the_checks_in_code_order() {
+        let db = db();
+        let a = analyze_sql(
+            &db.schema,
+            "SELECT T1.Nam FROM Patient AS T1 JOIN Visit AS T2 ON 1 = 2 \
+             WHERE T1.id IN (SELECT * FROM Visit)",
+        );
+        assert_eq!(codes(&a), ["E0102", "W0301", "W0302"]);
+        let b = analyze_sql(
+            &db.schema,
+            "SELECT T1.Name FROM Patient AS T1 JOIN Visit AS T2 ON 1 = 2 \
+             WHERE T1.id IN (SELECT * FROM Visit)",
+        );
+        assert_eq!(codes(&b), ["W0301", "W0302", "W0303"]);
+    }
+
+    #[test]
     fn rendered_diagnostics_point_at_source() {
         let db = db();
         let sql = "SELECT Nam FROM Patient";
@@ -2415,5 +1470,61 @@ mod tests {
         let r = a.rendered(sql);
         assert!(r.contains("error[E0102]"), "{r}");
         assert!(r.contains("^^^"), "{r}");
+    }
+
+    /// A syntax error landing on a multi-byte character: the `E0001` span
+    /// covers the whole character and the caret frame renders.
+    #[test]
+    fn syntax_error_on_a_multibyte_char_renders() {
+        let db = db();
+        for (sql, frame) in [
+            ("é", "  | é\n  | ^"),
+            (
+                "SELECT Name FROM Patient ORDER BY 9é",
+                "  | SELECT Name FROM Patient ORDER BY 9é\n  |                                    ^",
+            ),
+            (
+                "SELECT Name FROM Patient WHERE age > 1 é",
+                "  | SELECT Name FROM Patient WHERE age > 1 é\n  |                                        ^",
+            ),
+        ] {
+            let a = analyze_sql(&db.schema, sql);
+            assert_eq!(codes(&a), ["E0001"], "{sql}");
+            let sp = a.diagnostics[0].span;
+            assert_eq!(&sql[sp.start..sp.end], "é", "{sql}");
+            let r = a.rendered(sql);
+            assert!(r.ends_with(frame), "{sql}:\n{r}");
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Statement fragments, and letters of two, three and four bytes:
+        /// those lex as identifiers, so they are what a syntax error's span
+        /// can land on. (Non-ASCII punctuation never gets that far — it is
+        /// a `Lex` error with no span; `token`'s own property covers it.)
+        const PIECES: &[&str] = &[
+            "SELECT ", "Name", "Nam", " FROM ", "Patient", "Visit", " WHERE ", "age", " > ", "1",
+            " ORDER BY ", " LIMIT ", "9", "(", ")", ",", "*", "'", "\"", "`", "[", "]", "\n", " ",
+            "é", "ß", "\u{5d0}", "\u{4e2d}", "\u{1d49c}",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            /// Whatever the text, analysing and rendering it returns.
+            #[test]
+            fn analyze_and_render_never_panic(
+                picks in prop::collection::vec(0usize..PIECES.len(), 0..12),
+            ) {
+                let db = db();
+                let sql: String = picks.iter().map(|&k| PIECES[k]).collect();
+                let a = analyze_sql(&db.schema, &sql);
+                let r = a.rendered(&sql);
+                prop_assert_eq!(r.is_empty(), a.is_clean(), "{:?}", sql);
+            }
+        }
     }
 }

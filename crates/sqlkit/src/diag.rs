@@ -150,11 +150,15 @@ impl Diagnostic {
     pub fn render(&self, sql: &str) -> String {
         let mut out = self.headline();
         if self.span.is_real() && self.span.end <= sql.len() {
-            let (line, line_start) = line_of(sql, self.span.start);
-            let col = sql[line_start..self.span.start].chars().count();
+            // spans count bytes, the frame counts characters: widen both
+            // ends to the characters they fall inside
+            let start = sql.floor_char_boundary(self.span.start);
+            let end = sql.ceil_char_boundary(self.span.end);
+            let (line, line_start) = line_of(sql, start);
+            let col = sql[line_start..start].chars().count();
             // carets cover the span but never run past the line
             let line_len = line.chars().count();
-            let width = sql[self.span.start..self.span.end].chars().count();
+            let width = sql[start..end].chars().count();
             let width = width.clamp(1, line_len.saturating_sub(col).max(1));
             out.push_str("\n  |\n  | ");
             out.push_str(line);
@@ -229,6 +233,24 @@ mod tests {
         assert!(r.contains("| FROM Ghost"), "{r}");
         assert!(r.contains("|      ^^^^^"), "{r}");
         assert!(!r.contains("SELECT x\n  | FROM"), "only the offending line: {r}");
+    }
+
+    /// A span that starts or ends inside a multi-byte character widens to
+    /// the whole character instead of slicing through it.
+    #[test]
+    fn render_clamps_spans_to_char_boundaries() {
+        let sql = "SELECT né FROM t"; // é is bytes 8..10
+        for (start, end) in [(8, 9), (9, 10), (7, 9), (9, 11)] {
+            let r = Diagnostic::error("E0001", Span::new(start, end), "x").render(sql);
+            assert!(r.contains("| SELECT né FROM t\n"), "{start}..{end}: {r}");
+            let carets = r.lines().last().unwrap();
+            let want = match (start, end) {
+                (7, 9) => "  |        ^^",
+                (9, 11) => "  |         ^^",
+                _ => "  |         ^",
+            };
+            assert_eq!(carets, want, "{start}..{end}");
+        }
     }
 
     #[test]

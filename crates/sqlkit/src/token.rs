@@ -77,8 +77,9 @@ pub fn tokenize(sql: &str) -> SqlResult<Vec<Token>> {
     let bytes = sql.as_bytes();
     let mut out = Vec::with_capacity(sql.len() / 4 + 4);
     let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // `i` is always on a character boundary: every arm below consumes
+    // whole characters, and at least one.
+    while let Some(c) = sql[i..].chars().next() {
         match c {
             c if c.is_ascii_whitespace() => i += 1,
             '-' if bytes.get(i + 1) == Some(&b'-') => {
@@ -145,19 +146,12 @@ pub fn tokenize(sql: &str) -> SqlResult<Vec<Token>> {
                 i = next;
             }
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let ch = sql[i..].chars().next().unwrap();
-                    if ch.is_alphanumeric() || ch == '_' {
-                        i += ch.len_utf8();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Token {
-                    kind: TokenKind::Ident(sql[start..i].to_owned(), false),
-                    pos: start,
-                });
+                let rest = &sql[i..];
+                let len = rest
+                    .find(|ch: char| !(ch.is_alphanumeric() || ch == '_'))
+                    .unwrap_or(rest.len());
+                out.push(Token { kind: TokenKind::Ident(rest[..len].to_owned(), false), pos: i });
+                i += len;
             }
             _ => {
                 let (p, len) = read_punct(bytes, i)
@@ -341,5 +335,99 @@ mod tests {
     fn unicode_identifiers() {
         let k = kinds("héllo");
         assert_eq!(k[0], TokenKind::Ident("héllo".into(), false));
+        // a letter whose UTF-8 lead byte (0xD7) is not a Latin-1 letter
+        assert_eq!(kinds("\u{5d0}b")[0], TokenKind::Ident("\u{5d0}b".into(), false));
+    }
+
+    /// `tokenize(sql)` on its own thread. The failure this guards against
+    /// is a loop that never returns and allocates as it spins, so a missed
+    /// deadline takes the test process down instead of leaving that
+    /// thread running behind a failed assertion.
+    fn tokenize_within_deadline(sql: &str) -> SqlResult<Vec<Token>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let owned = sql.to_owned();
+        std::thread::spawn(move || tx.send(tokenize(&owned)));
+        match rx.recv_timeout(std::time::Duration::from_secs(1)) {
+            Ok(result) => result,
+            Err(_) => {
+                // straight to stderr: the harness's capture dies with the process
+                use std::io::Write as _;
+                let _ = writeln!(std::io::stderr(), "tokenize({sql:?}) did not return within 1 s");
+                std::process::abort();
+            }
+        }
+    }
+
+    /// Termination, and the shape of whatever comes back: at most one
+    /// token per byte plus `Eof`, at increasing character boundaries — or
+    /// a `Lex` error at one.
+    fn assert_bounded(sql: &str) -> SqlResult<Vec<Token>> {
+        let result = tokenize_within_deadline(sql);
+        match &result {
+            Ok(tokens) => {
+                assert!(tokens.len() <= sql.len() + 1, "{sql:?}: {} tokens", tokens.len());
+                assert_eq!(tokens.last().map(|t| &t.kind), Some(&TokenKind::Eof), "{sql:?}");
+                for pair in tokens.windows(2) {
+                    assert!(pair[0].pos < pair[1].pos, "{sql:?}: {pair:?}");
+                }
+                assert!(tokens.iter().all(|t| sql.is_char_boundary(t.pos)), "{sql:?}");
+            }
+            Err(SqlError::Lex { pos, .. }) => {
+                assert!(*pos < sql.len() && sql.is_char_boundary(*pos), "{sql:?}: pos {pos}");
+            }
+            Err(other) => panic!("{sql:?}: tokenize returned {other:?}"),
+        }
+        result
+    }
+
+    /// What a real model leaves in its SQL — smart quotes, dashes, an
+    /// ellipsis, a no-break space, CJK punctuation, emoji, `×`/`÷` — is
+    /// none of it alphanumeric: each is a `Lex` error naming the character
+    /// at its byte offset, bare or mid-statement.
+    #[test]
+    fn non_ascii_punctuation_is_a_lex_error_naming_the_char() {
+        let artefacts = [
+            '\u{2018}', '\u{2019}', '\u{201c}', '\u{201d}', '\u{2013}', '\u{2014}', '\u{2026}',
+            '\u{a0}', '\u{3001}', '\u{3002}', '\u{ff0c}', '\u{1f600}', '\u{d7}', '\u{f7}',
+        ];
+        for c in artefacts {
+            for sql in [
+                c.to_string(),
+                format!("SELECT 1 {c}"),
+                format!("SELECT Name{c} FROM Patient WHERE age > 1"),
+                format!("SELECT é{c}"),
+            ] {
+                match assert_bounded(&sql) {
+                    Err(SqlError::Lex { pos, msg }) => {
+                        assert_eq!(Some(pos), sql.find(c), "{sql:?}");
+                        assert_eq!(msg, format!("unexpected character {c:?}"), "{sql:?}");
+                    }
+                    other => panic!("{sql:?}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(600))]
+
+            /// Arbitrary text: half printable ASCII (the SQL alphabet),
+            /// half any scalar value up to the supplementary planes.
+            #[test]
+            fn arbitrary_text_tokenizes_in_bounded_time_and_space(
+                points in prop::collection::vec(0u32..0x4_0000, 0..24),
+            ) {
+                let sql: String = points
+                    .iter()
+                    .map(|&p| if p % 2 == 0 { 0x20 + (p / 2) % 0x5f } else { p / 2 })
+                    .map(|cp| char::from_u32(cp).unwrap_or('\u{fffd}'))
+                    .collect();
+                let _ = assert_bounded(&sql);
+            }
+        }
     }
 }

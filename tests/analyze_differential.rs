@@ -1,70 +1,103 @@
-//! Differential tests for the static-analysis gate.
+//! What executing a broken statement says — and that refinement asks the
+//! executor, once.
 //!
-//! Two contracts are checked here:
+//! Refinement corrects on the *execution's* word: the error text goes into
+//! the correction prompt verbatim and its kind picks the few-shot. Up to
+//! 657367b the analyzer carried a second implementation of these errors
+//! (the "certainty replay") so that a prediction could stand in for an
+//! execution, and this file held the two against each other, byte for
+//! byte. The replay is gone; what it was proven equal to stays pinned:
 //!
-//! 1. **Soundness of certain rejects.** Whenever `analyze_sql` claims a
-//!    statement is *certain* to fail (`Analysis::certain_error`), actually
-//!    executing it must produce that exact error, byte for byte. The
-//!    refinement gate substitutes the predicted error for the execution
-//!    result, so any divergence would leak into correction prompts and
-//!    vote outcomes.
+//! 1. **The error of each broken-statement class**, as literal text read
+//!    off 657367b's executor — with the diagnostic code the analyzer files
+//!    the same statement under, since that is what the correction prompt's
+//!    note leads with.
+//! 2. **One execution per distinct text.** A candidate whose corrections
+//!    keep returning the same broken statement is analysed and executed
+//!    once, charged for every round, and ends on the executor's error.
 //!
-//! 2. **Zero observable drift.** Running the pipeline with the gate on
-//!    and off must produce identical answers, candidate for candidate:
-//!    the gate may only skip executions whose outcome it already knows.
+//! (That the analyzer's note cannot move an answer — the old gate-on ≡
+//! gate-off comparison — is `refinement::beam_tests::
+//! the_analyzer_note_does_not_steer_the_simulated_correction`.)
 
 use datagen::{generate, Profile};
-use llmsim::{ModelProfile, Oracle, SimLlm};
-use opensearch_sql::{Pipeline, PipelineConfig, Preprocessed};
+use llmsim::{proto, ChatRequest, ChatResponse, LanguageModel, ModelProfile, Oracle, SimLlm};
+use opensearch_sql::{PipelineConfig, Preprocessed};
 use std::sync::Arc;
 
-/// If the analyzer promises a certain failure, execution must fail with
-/// exactly that error. Returns whether a certain reject was exercised.
-fn assert_certain_matches_execution(db: &sqlkit::Database, sql: &str) -> bool {
-    let analysis = sqlkit::analyze_sql(&db.schema, sql);
-    let Some(predicted) = analysis.certain_error else {
-        return false;
-    };
+/// Execution fails with exactly `error`, and the analyzer's first finding
+/// on the statement is `code`.
+fn assert_fails_with(db: &sqlkit::Database, sql: &str, code: &str, error: &str) {
     match db.query(sql) {
-        Ok(_) => panic!("analyzer promised failure but {sql:?} succeeded: {predicted}"),
-        Err(actual) => assert_eq!(
-            predicted.to_string(),
-            actual.to_string(),
-            "predicted and actual errors differ for {sql:?}"
-        ),
+        Ok(_) => panic!("{sql:?} executed; expected {error:?}"),
+        Err(actual) => assert_eq!(actual.to_string(), error, "{sql:?}"),
     }
-    true
+    let analysis = sqlkit::analyze_sql(&db.schema, sql);
+    assert_eq!(analysis.diagnostics.first().map(|d| d.code.as_str()), Some(code), "{sql:?}");
 }
 
-/// Certain rejects predict execution errors byte-identically, across
-/// hand-built templates per schema table and mangled gold SQL.
+/// Hand-built templates per schema table, FROM-less bad calls, and every
+/// gold SQL with its first scanned table mangled.
 #[test]
-fn certain_rejects_match_execution_errors() {
+fn broken_statement_classes_fail_with_the_recorded_errors() {
     let bench = generate(&Profile::tiny());
-    let mut certains = 0usize;
+    let mut pinned = 0usize;
 
     for built in bench.dbs.iter() {
         let db = &built.database;
-        for table in db.schema.tables.iter().map(|t| t.name.clone()) {
-            for sql in [
-                format!("SELECT * FROM {table}zz"),
-                format!("SELECT COUNT(*) FROM {table} WHERE COUNT(*) > 1"),
-                format!("SELECT COUNT(*) FROM {table} UNION SELECT 1, 2"),
-                format!("SELECT COUNT(*) FROM {table} UNION SELECT 1 ORDER BY 5"),
-                format!("SELECT COUNT(*) FROM {table} LIMIT 'many'"),
+        for table in db.schema.tables.iter().map(|t| &t.name) {
+            for (sql, code, error) in [
+                (
+                    format!("SELECT * FROM {table}zz"),
+                    "E0101",
+                    format!("no such table: {table}zz"),
+                ),
+                (
+                    format!("SELECT COUNT(*) FROM {table} WHERE COUNT(*) > 1"),
+                    "E0201",
+                    "misuse of aggregate: aggregate in WHERE clause".to_owned(),
+                ),
+                (
+                    format!("SELECT COUNT(*) FROM {table} UNION SELECT 1, 2"),
+                    "E0206",
+                    "SELECTs to the left and right of a set operator do not have the same \
+                     number of result columns"
+                        .to_owned(),
+                ),
+                (
+                    format!("SELECT COUNT(*) FROM {table} UNION SELECT 1 ORDER BY 5"),
+                    "E0205",
+                    "ORDER BY term of a compound SELECT must be a column label or position"
+                        .to_owned(),
+                ),
+                (
+                    format!("SELECT COUNT(*) FROM {table} LIMIT 'many'"),
+                    "E0210",
+                    "type error: LIMIT/OFFSET must be an integer".to_owned(),
+                ),
             ] {
-                certains += assert_certain_matches_execution(db, &sql) as usize;
+                assert_fails_with(db, &sql, code, &error);
+                pinned += 1;
             }
         }
-        // FROM-less scalar evaluation is unconditional, so bad calls are
-        // certain even without any table in scope.
-        for sql in ["SELECT lenght('abc')", "SELECT substr('abc')", "SELECT *"] {
-            certains += assert_certain_matches_execution(db, sql) as usize;
+        // FROM-less scalar evaluation is unconditional, so bad calls fail
+        // without any table in scope.
+        for (sql, code, error) in [
+            ("SELECT lenght('abc')", "E0207", "function error: no such function: lenght"),
+            (
+                "SELECT substr('abc')",
+                "E0207",
+                "function error: substr() expects 2 or 3 argument(s), got 1",
+            ),
+            ("SELECT *", "E0209", "SELECT * with no FROM clause"),
+        ] {
+            assert_fails_with(db, sql, code, error);
+            pinned += 1;
         }
     }
 
-    // Gold SQL with the first scanned table mangled must be a certain
-    // `no such table` — the scan happens before any row is produced.
+    // Gold SQL with the first scanned table mangled is `no such table` —
+    // the scan happens before any row is produced.
     for ex in bench.train.iter().chain(bench.dev.iter()) {
         let db = bench.db(&ex.db_id).expect("known db");
         let Some(pos) = ex.gold_sql.find("FROM ") else { continue };
@@ -74,29 +107,48 @@ fn certain_rejects_match_execution_errors() {
         if table.is_empty() {
             continue;
         }
-        let mangled = format!(
-            "{}FROM {}zz{}",
-            &ex.gold_sql[..pos],
-            table,
-            &rest[table.len()..]
-        );
-        assert!(
-            assert_certain_matches_execution(&db.database, &mangled),
-            "mangled scan must be a certain reject: {mangled}"
-        );
-        certains += 1;
+        let mangled = format!("{}FROM {}zz{}", &ex.gold_sql[..pos], table, &rest[table.len()..]);
+        assert_fails_with(&db.database, &mangled, "E0101", &format!("no such table: {table}zz"));
+        pinned += 1;
     }
 
-    assert!(certains >= 60, "certain rejects exercised: {certains}");
+    assert!(pinned >= 60, "broken statements pinned: {pinned}");
 }
 
-struct Fixture {
-    benchmark: Arc<datagen::Benchmark>,
-    pre: Arc<Preprocessed>,
-    llm: Arc<SimLlm>,
+/// A model that answers every correction with the statement it was asked
+/// to fix.
+struct Parrot;
+
+impl LanguageModel for Parrot {
+    fn complete(&self, req: &ChatRequest) -> ChatResponse {
+        // the last such line: correction few-shots carry their own
+        let broken = req
+            .prompt
+            .lines()
+            .rev()
+            .find_map(|l| l.strip_prefix(proto::ERROR_SQL_PREFIX))
+            .unwrap_or_default();
+        let text = format!("{}{broken}", proto::SQL_PREFIX);
+        ChatResponse {
+            prompt_tokens: llmsim::count_tokens(&req.prompt),
+            completion_tokens: llmsim::count_tokens(&text),
+            latency_ms: 1.0,
+            texts: vec![text],
+        }
+    }
+
+    fn name(&self) -> &str {
+        "parrot"
+    }
 }
 
-fn fixture(seed: u64) -> Fixture {
+/// A stuck candidate: every correction round returns the same broken
+/// statement. Each round is spent and charged; the statement itself is
+/// executed once — nothing else in this binary touches the process-wide
+/// plan cache, so its lookup count is this test's — and the candidate ends
+/// on the error that execution returned.
+#[test]
+fn a_stuck_candidate_executes_its_statement_once_and_keeps_the_executors_error() {
     let mut profile = Profile::tiny();
     profile.train = 60;
     profile.dev = 30;
@@ -104,83 +156,42 @@ fn fixture(seed: u64) -> Fixture {
     profile.n_domains = 3;
     let benchmark = Arc::new(generate(&profile));
     let oracle = Arc::new(Oracle::new(benchmark.clone()));
-    let llm = Arc::new(SimLlm::new(oracle, ModelProfile::gpt_4o(), seed));
-    let pre = Arc::new(Preprocessed::run(benchmark.clone(), llm.as_ref()));
-    Fixture { benchmark, pre, llm }
-}
-
-/// Gating a certain-broken candidate skips its execution without changing
-/// any deterministic field of the refined result.
-#[test]
-fn gate_skips_execution_without_changing_outcome() {
-    let f = fixture(31);
-    let ex = &f.benchmark.dev[0];
+    let sim = SimLlm::new(oracle, ModelProfile::gpt_4o(), 31);
+    let pre = Preprocessed::run(benchmark.clone(), &sim);
+    let ex = &benchmark.dev[0];
     let broken = "SELECT name FROM table_that_does_not_exist";
-
-    let refine = |config: &PipelineConfig| {
-        let mut ledger = opensearch_sql::CostLedger::new();
-        opensearch_sql::refinement::refine_candidate(
-            &f.pre,
-            f.llm.as_ref() as &dyn llmsim::LanguageModel,
-            config,
-            &ex.db_id,
-            &ex.question,
-            &ex.evidence,
-            &opensearch_sql::ExtractionOutput::default(),
-            broken,
-            None,
-            0,
-            &mut ledger,
-        )
-    };
     let mut config = PipelineConfig::fast();
-    config.alignments = false; // keep the broken scan reaching the gate
-    let gated = refine(&config);
-    let ungated = refine(&config.clone().without_analyze_gate());
+    config.alignments = false; // the statement reaches execution as written
 
-    assert!(gated.analyze_skips >= 1, "certain-broken candidate must be gated");
-    assert_eq!(ungated.analyze_skips, 0, "gate off records no skips");
-    assert_eq!(gated.sql, ungated.sql);
-    assert_eq!(gated.exec_cost, ungated.exec_cost);
-    assert_eq!(gated.correction_rounds, ungated.correction_rounds);
-    match (&gated.result, &ungated.result) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b),
-        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-        _ => panic!("result class differs between gated and ungated refinement"),
-    }
-}
-
-/// Whole-pipeline differential: gate on vs gate off over the dev split is
-/// byte-identical in every deterministic report field — the analyzer only
-/// removes executions, never changes answers or votes.
-#[test]
-fn pipeline_identical_with_and_without_gate() {
-    let f = fixture(37);
-    let on = Pipeline::new(f.pre.clone(), f.llm.clone(), PipelineConfig::fast());
-    let off = Pipeline::new(
-        f.pre.clone(),
-        f.llm.clone(),
-        PipelineConfig::fast().without_analyze_gate(),
+    let lookups = || {
+        let stats = sqlkit::plan_cache().stats();
+        stats.hits + stats.misses
+    };
+    let before = lookups();
+    let mut ledger = opensearch_sql::CostLedger::new();
+    let refined = opensearch_sql::refinement::refine_candidate(
+        &pre,
+        &Parrot,
+        &config,
+        &ex.db_id,
+        &ex.question,
+        &ex.evidence,
+        &opensearch_sql::ExtractionOutput::default(),
+        broken,
+        None,
+        0,
+        &mut ledger,
     );
-    for ex in &f.benchmark.dev {
-        let a = on.answer(&ex.db_id, &ex.question, &ex.evidence);
-        let b = off.answer(&ex.db_id, &ex.question, &ex.evidence);
-        assert_eq!(a.sql_g, b.sql_g, "{}", ex.question);
-        assert_eq!(a.sql_r, b.sql_r, "{}", ex.question);
-        assert_eq!(a.final_sql, b.final_sql, "{}", ex.question);
-        assert_eq!(a.winner, b.winner, "{}", ex.question);
-        assert_eq!(a.candidates.len(), b.candidates.len());
-        for (ca, cb) in a.candidates.iter().zip(&b.candidates) {
-            assert_eq!(ca.raw_sql, cb.raw_sql);
-            assert_eq!(ca.sql, cb.sql);
-            assert_eq!(ca.exec_cost, cb.exec_cost);
-            assert_eq!(ca.correction_rounds, cb.correction_rounds);
-            assert_eq!(cb.analyze_skips, 0, "gate off must record no skips");
-            match (&ca.result, &cb.result) {
-                (Ok(ra), Ok(rb)) => assert_eq!(ra, rb, "{}", ex.question),
-                (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string()),
-                _ => panic!("result class differs for {}", ex.question),
-            }
-        }
-    }
+
+    assert_eq!(lookups() - before, 1, "one execution for the one distinct text");
+    assert_eq!(refined.sql, broken);
+    assert_eq!(refined.correction_rounds, config.max_correction_rounds);
+    assert_eq!(refined.exec_cost, 0, "an erroring execution costs the vote nothing");
+    assert_eq!(
+        refined.result.as_ref().map(|_| ()).map_err(ToString::to_string),
+        Err("no such table: table_that_does_not_exist".to_owned())
+    );
+    let rounds = config.max_correction_rounds as u64;
+    assert_eq!(ledger.get(opensearch_sql::Module::Correction).calls, rounds);
+    assert_eq!(ledger.get(opensearch_sql::Module::Analyze).calls, 1 + rounds);
 }

@@ -20,8 +20,21 @@
 //! and a seeded 120-question sample of `Profile::bird_mini_dev()` (the
 //! benchmark's world and model seed), both under `PipelineConfig::full()`.
 //!
-//! The file was written by `record_goldens` on the parent and is never
+//! The file was written by `record_goldens` on the parent and is not
 //! edited; a change that moves a line here changed an answer or a record.
+//! One line has been re-recorded since, on purpose: `tiny 6`, when the
+//! analyzer's certainty replay was deleted and refinement went back to
+//! executing every statement (657367b's child). Candidate 17 of that
+//! question had one correction that came back unparseable; the analyzer's
+//! parse error used to stand in for the executor's. The statement is now
+//! handed to the executor, which returns the same syntax error, so that
+//! candidate's `analyze_skips` reads 0 where it read 1 and its
+//! `analyze_gate` event says `flagged` where it said `reject` (the
+//! logical-trace hash). Nothing else on the line moved —
+//! final SQL, winner, every candidate's SQL, cost, rounds, outcome and
+//! rows, and the ledger — and no other line did. `analyze_skips` stays in
+//! the digest as a column of zeros so the other 135 lines stay the bytes
+//! a48904b wrote.
 
 mod golden;
 

@@ -86,8 +86,8 @@ fn dropping_every_index_changes_no_answer() {
 
 /// Every statement the pipeline executes for the tiny dev (and test)
 /// questions: the correction loop is deterministic per (candidate,
-/// round), so sweeping the round limit with the analyzer gate off
-/// surfaces each intermediate statement as some run's final one. Four
+/// round), so sweeping the round limit surfaces each intermediate
+/// statement as some run's final one. Four
 /// model profiles and alignments on/off widen the set of broken
 /// statements.
 fn candidate_statements(worlds: &Worlds) -> Vec<(String, String)> {
@@ -105,7 +105,7 @@ fn candidate_statements(worlds: &Worlds) -> Vec<(String, String)> {
         let max_rounds = PipelineConfig::full().max_correction_rounds;
         let mut configs = Vec::new();
         for rounds in 0..=max_rounds {
-            let mut c = PipelineConfig::full().without_analyze_gate();
+            let mut c = PipelineConfig::full();
             c.max_correction_rounds = rounds;
             configs.push(c.clone().without_alignments());
             configs.push(c);
