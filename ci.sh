@@ -78,8 +78,10 @@ cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight,
 # (the miss path of the beam's memo — `refine_candidate` is the beam of
 # one through it, not a second loop), and the slot/thread code lives there,
 # not in the pipeline.
-refinement_code="$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/refinement.rs \
-    | grep -v '^[[:space:]]*//')"
+non_test_code() { # a source file up to its test module, comment lines dropped
+    awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1" | grep -v '^[[:space:]]*//'
+}
+refinement_code="$(non_test_code crates/core/src/refinement.rs)"
 for call in 'plan_cache().execute' 'align_candidate('; do
     sites="$(printf '%s\n' "$refinement_code" | grep -cF "$call" || true)"
     if [ "$sites" != 1 ]; then
@@ -170,6 +172,23 @@ cargo clippy -p osql-server --all-targets -- -D warnings
 # ship → follow (exit 0, caught up) → promote → fsck-clean replicas.
 cargo test -q -p osql-repl
 cargo test -q -p osql-repl --test failover
+# One durability point per shipped segment, structurally: the apply loop
+# closes transactions with `commit_deferred` and ends a segment with the one
+# `sync_commits` — no per-transaction `.commit()` in follow.rs outside its
+# tests — and in the WAL the primary's commit and the follower's run reach
+# the disk through one `self.media.sync()` site (`Wal::commit` is the run of
+# one through it, not a second commit path).
+if non_test_code crates/repl/src/follow.rs | grep -nF '.commit()'; then
+    echo "ci: crates/repl/src/follow.rs syncs per transaction again" >&2
+    exit 1
+fi
+for site in 'crates/repl/src/follow.rs .sync_commits()' 'crates/store/src/wal.rs self.media.sync()'; do
+    sites="$(non_test_code "${site%% *}" | grep -cF "${site#* }" || true)"
+    if [ "$sites" != 1 ]; then
+        echo "ci: ${site#* } has $sites non-test call sites in ${site%% *}, want 1" >&2
+        exit 1
+    fi
+done
 cargo test -q -p osql-server --test follower
 repl_dir="$(mktemp -d)"
 trap 'rm -rf "$store_dir" "$repl_dir"' EXIT

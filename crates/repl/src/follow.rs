@@ -4,13 +4,32 @@
 //!
 //! The follower owns an ordinary [`Store`]: every shipped transaction is
 //! re-executed statement by statement and committed through the
-//! follower's *own* WAL. Because [`Store::commit`] hands out sequence
-//! numbers one at a time, the follower reproduces exactly the primary's
-//! commit sequence — `applied_seq` is simply the follower store's
-//! `commit_seq`, it advances monotonically one commit per shipped
-//! transaction, and a crash in the middle of applying recovers through
-//! the store's ordinary open path (the uncommitted tail is truncated,
-//! the half-applied transaction vanishes, the next poll re-fetches it).
+//! follower's *own* WAL. Because the store hands out sequence numbers
+//! one at a time, the follower reproduces exactly the primary's commit
+//! sequence.
+//!
+//! Its durability point is the shipped segment, not the transaction.
+//! Everything past the follower's watermark is already durable on the
+//! primary and re-fetchable from the shipping directory, so a segment's
+//! transactions are committed as one run ([`Store::commit_deferred`])
+//! with a single trailing sync ([`Store::sync_commits`]) where the
+//! segment — or the manifest's `last_commit_seq` inside it — ends.
+//! `applied_seq` is the store's *synced* sequence: it moves only at
+//! those syncs, so what is reported, published to
+//! [`ReplState`](crate::ReplState) and served in `X-Osql-Applied-Seq`
+//! is never an unsynced prefix. A crash inside a segment recovers
+//! through the store's ordinary open path: the CRC-framed committed
+//! prefix of the run that reached the disk is kept (always a commit
+//! boundary), the tail is truncated, the next poll re-fetches the rest.
+//!
+//! A failure *inside* a segment (a statement, an append, the sync)
+//! leaves the live database ahead of anything a reopen would rebuild, so
+//! from then on [`Follower::poll`] and [`Follower::promote`] refuse with
+//! [`ReplError::NeedsReopen`]: polling on would re-execute statements
+//! over memory that already ran them. Reopening is the only way back.
+//! The CLI's `follow_round` is immune only because it opens a fresh
+//! follower every round; anything that keeps a `Follower` across rounds
+//! (the benchmark does) relies on the refusal.
 //!
 //! Two hard rules keep replicas honest:
 //!
@@ -60,6 +79,9 @@ pub struct PromotionReport {
 #[derive(Debug)]
 pub struct Follower<M: WalMedia = FsMedia> {
     store: Store<M>,
+    /// Set before a segment's first statement runs, cleared by the
+    /// segment's sync: still set on entry means a round died in between.
+    in_doubt: bool,
 }
 
 /// Seed a missing follower store from the shipping directory's bootstrap
@@ -94,7 +116,7 @@ impl Follower<FsMedia> {
     /// [`seed_if_missing`] when bootstrapping a brand-new replica).
     pub fn open(path: &Path) -> Result<(Self, OpenReport), ReplError> {
         let (store, report) = Store::open(path)?;
-        Ok((Follower { store }, report))
+        Ok((Follower { store, in_doubt: false }, report))
     }
 }
 
@@ -103,18 +125,29 @@ impl<M: WalMedia> Follower<M> {
     /// pass a [`osql_store::FaultFile`] here).
     pub fn open_with(path: &Path, media: M) -> Result<(Self, OpenReport), ReplError> {
         let (store, report) = Store::open_with(path, media)?;
-        Ok((Follower { store }, report))
+        Ok((Follower { store, in_doubt: false }, report))
     }
 
     /// The follower's applied sequence: the last shipped commit durably
-    /// replayed onto the local store. Monotonic.
+    /// replayed onto the local store — the store's synced watermark,
+    /// which moves once per applied segment. Monotonic.
     pub fn applied_seq(&self) -> u64 {
-        self.store.commit_seq()
+        self.store.synced_seq()
     }
 
     /// The underlying read-only store (serving reads, inspecting rows).
+    /// After a round failed with the follower left in doubt, its live
+    /// database may be ahead of `applied_seq`.
     pub fn store(&self) -> &Store<M> {
         &self.store
+    }
+
+    /// Refuse to go on over memory a failed round left ahead of the log.
+    fn usable(&self) -> Result<(), ReplError> {
+        if self.in_doubt {
+            return Err(ReplError::NeedsReopen { applied_seq: self.applied_seq() });
+        }
+        Ok(())
     }
 
     /// Consume the follower, returning the store without promoting it
@@ -125,8 +158,12 @@ impl<M: WalMedia> Follower<M> {
 
     /// One apply round: read the manifest, fetch advertised segments
     /// past `applied_seq`, and replay their transactions in sequence
-    /// order. Stops cleanly at the manifest's `last_commit_seq`.
+    /// order, one sync per segment. Stops cleanly at the manifest's
+    /// `last_commit_seq`. An error before a segment's first statement
+    /// leaves the follower as it was; an error after it leaves the
+    /// follower refusing further rounds (see the module docs).
     pub fn poll(&mut self, media: &impl ShipMedia) -> Result<ApplyReport, ReplError> {
+        self.usable()?;
         let mut report =
             ApplyReport { applied_seq: self.applied_seq(), ..ApplyReport::default() };
         let Some(manifest) = read_manifest(media)? else {
@@ -176,22 +213,26 @@ impl<M: WalMedia> Follower<M> {
                 return Err(ReplError::Corrupt(format!("{name}: {finding}")));
             }
             for txn in &scan.txns {
-                if txn.seq <= self.applied_seq() {
+                // `commit_seq` counts the run so far, `applied_seq` only
+                // what is synced
+                let have = self.store.commit_seq();
+                if txn.seq <= have {
                     continue; // overlap with what we already hold
                 }
                 if txn.seq > manifest.last_commit_seq {
                     break; // never run ahead of the advertisement
                 }
-                if txn.seq != self.applied_seq() + 1 {
-                    return Err(ReplError::Gap {
-                        have: self.applied_seq(),
-                        need: self.applied_seq() + 1,
-                    });
+                if txn.seq != have + 1 {
+                    return Err(ReplError::Gap { have, need: have + 1 });
                 }
+                // from the first statement to the segment's sync the live
+                // database runs ahead of the synced log, and every early
+                // return in between leaves the flag up
+                self.in_doubt = true;
                 for stmt in &txn.stmts {
                     self.store.execute(stmt)?;
                 }
-                let committed = self.store.commit()?;
+                let committed = self.store.commit_deferred()?;
                 if committed != txn.seq {
                     return Err(ReplError::Diverged(format!(
                         "shipped txn {} landed as local commit {committed}",
@@ -201,6 +242,10 @@ impl<M: WalMedia> Follower<M> {
                 report.applied_txns += 1;
                 report.stmts_applied += txn.stmts.len() as u64;
             }
+            // the segment's one durability point; only now does
+            // `applied_seq` move
+            self.store.sync_commits()?;
+            self.in_doubt = false;
         }
         report.applied_seq = self.applied_seq();
         if report.applied_seq < report.target_seq {
@@ -218,6 +263,7 @@ impl<M: WalMedia> Follower<M> {
     /// ready for writes. Refuses if a partial transaction is pending —
     /// promotion must never commit half of a shipped transaction.
     pub fn promote(mut self) -> Result<(Store<M>, PromotionReport), ReplError> {
+        self.usable()?;
         if self.store.pending_stmts() > 0 {
             return Err(ReplError::Diverged(
                 "partial transaction pending; reopen the store before promoting".to_owned(),

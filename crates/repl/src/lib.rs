@@ -14,12 +14,13 @@
 //! - **Follower** ([`follow`]): [`Follower`](follow::Follower) tails
 //!   the manifest, fetches segments, and applies each shipped
 //!   transaction onto its own store (statements re-executed, then
-//!   committed through the follower's own WAL), so the follower's
-//!   `applied_seq` advances monotonically one commit at a time and a
-//!   crash mid-apply recovers by the store's ordinary
-//!   truncate-uncommitted-tail path. [`promote`](follow::Follower::promote)
-//!   checkpoints the applied prefix into the base file and hands back a
-//!   writable [`Store`](osql_store::Store).
+//!   committed through the follower's own WAL, one sync per segment),
+//!   so the follower's `applied_seq` — its synced watermark — advances
+//!   monotonically one segment at a time and a crash mid-apply recovers
+//!   by the store's ordinary truncate-uncommitted-tail path.
+//!   [`promote`](follow::Follower::promote) checkpoints the applied
+//!   prefix into the base file and hands back a writable
+//!   [`Store`](osql_store::Store).
 //! - **Serving state** ([`state`]): [`ReplState`](state::ReplState) is
 //!   the chk-shimmed bridge between the apply loop and the HTTP layer —
 //!   per-database applied/target sequences for bounded-staleness reads,
@@ -71,6 +72,14 @@ pub enum ReplError {
     /// The follower's local state contradicts the shipped stream —
     /// applying would fork history, so the apply loop refuses.
     Diverged(String),
+    /// An earlier apply round failed inside a segment, so the follower's
+    /// live database may be ahead of its log; it refuses to apply or
+    /// promote until the store is reopened (which rebuilds it from the
+    /// log's committed prefix).
+    NeedsReopen {
+        /// The synced watermark the follower still vouches for.
+        applied_seq: u64,
+    },
     /// The storage layer failed underneath replication.
     Store(StoreError),
 }
@@ -85,6 +94,11 @@ impl std::fmt::Display for ReplError {
                 "replication gap: have seq {have}, need seq {need} (no longer shippable)"
             ),
             ReplError::Diverged(msg) => write!(f, "follower diverged: {msg}"),
+            ReplError::NeedsReopen { applied_seq } => write!(
+                f,
+                "an earlier apply round failed mid-segment; reopen the follower \
+                 (durable through seq {applied_seq})"
+            ),
             ReplError::Store(e) => write!(f, "store: {e}"),
         }
     }

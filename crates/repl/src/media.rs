@@ -57,7 +57,14 @@ impl FsShipDir {
     }
 
     /// Write `bytes` under `name` via temp-file + fsync + rename, so a
-    /// concurrent reader (or a crash) never observes a partial publish.
+    /// concurrent reader (or a crash) never observes a partial publish,
+    /// then fsync the directory. A failure of that last sync is an
+    /// error, not a warning: until it succeeds the rename may not
+    /// survive a crash, and "segment before manifest" — on which a
+    /// follower trusts that whatever is advertised can be fetched again
+    /// — holds across a crash only if each publish is durable before
+    /// the next starts. Publishing a name again is idempotent, so the
+    /// shipper just retries the round.
     fn publish(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         use std::io::Write as _;
         let tmp = self.dir.join(format!("{name}.tmp"));
@@ -67,11 +74,7 @@ impl FsShipDir {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, self.dir.join(name))?;
-        // best-effort directory fsync so the rename itself is durable
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        std::fs::File::open(&self.dir)?.sync_all()
     }
 }
 

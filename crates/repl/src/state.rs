@@ -3,12 +3,14 @@
 //! metrics).
 //!
 //! [`ReplState`] is deliberately small and chk-shimmed: the apply loop
-//! publishes per-database applied/target sequences after every poll, the
-//! serving side reads them to answer bounded-staleness requests, and a
-//! shutdown flag lets the loop stop *between* transactions — the loop
-//! checks it at round boundaries, and the store's per-transaction commit
-//! makes mid-transaction interruption impossible to observe anyway (the
-//! model suite pins both properties under the deterministic scheduler).
+//! publishes per-database applied/target sequences after every poll —
+//! the applied one being the follower's *synced* watermark, never a
+//! commit its log could still lose — the serving side reads them to
+//! answer bounded-staleness requests, and a shutdown flag lets the loop
+//! stop *between* transactions — the loop checks it at round boundaries,
+//! and the store's per-transaction commit records make mid-transaction
+//! interruption impossible to observe anyway (the model suite pins all
+//! three properties under the deterministic scheduler).
 
 use crate::follow::ApplyReport;
 use osql_chk::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -19,7 +21,7 @@ use std::collections::HashMap;
 /// loop.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DbReplStatus {
-    /// Last shipped commit applied locally (monotonic).
+    /// Last shipped commit applied and synced locally (monotonic).
     pub applied_seq: u64,
     /// The manifest's advertised last commit at the last poll.
     pub target_seq: u64,

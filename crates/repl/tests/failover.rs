@@ -17,13 +17,16 @@
 //!   some commit-boundary prefix, never half a transaction.
 
 use osql_repl::{
-    seed_if_missing, ship_store, Follower, MemShipDir, ReplError, ShipMedia,
+    read_manifest, seed_if_missing, ship_store, Follower, Manifest, MemShipDir, ReplError,
+    ShipMedia,
 };
 use osql_store::fault::{FaultFile, FaultPlan};
-use osql_store::{write_database, Store};
+use osql_store::{write_database, Store, WalMedia};
 use sqlkit::value::Row;
 use sqlkit::Database;
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("osql-failover-{tag}-{}", std::process::id()));
@@ -89,6 +92,77 @@ fn run_primary(path: &Path, media: &impl ShipMedia, n: u64, ship_every: u64) -> 
         }
     }
     store
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    Append,
+    Sync,
+}
+
+/// What a test keeps after handing a [`Wired`] log to a follower: a
+/// trip-wire that fails one chosen append or sync once, and a count of
+/// the syncs that went through.
+#[derive(Debug, Default)]
+struct Wire {
+    trip: Cell<Option<(Op, u64)>>,
+    syncs: Cell<u64>,
+}
+
+impl Wire {
+    /// Fail the `nth` (0-based, counted from now) `op`, once.
+    fn arm(&self, op: Op, nth: u64) {
+        self.trip.set(Some((op, nth)));
+    }
+
+    fn trips(&self, op: Op) -> std::io::Result<()> {
+        match self.trip.get() {
+            Some((armed, 0)) if armed == op => {
+                self.trip.set(None);
+                Err(std::io::Error::other(format!("injected {op:?} failure")))
+            }
+            Some((armed, n)) if armed == op => {
+                self.trip.set(Some((armed, n - 1)));
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// A [`FaultFile`] behind a [`Wire`].
+#[derive(Debug, Default, Clone)]
+struct Wired {
+    inner: FaultFile,
+    wire: Rc<Wire>,
+}
+
+impl WalMedia for Wired {
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.wire.trips(Op::Append)?;
+        self.inner.append(bytes)
+    }
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.wire.trips(Op::Sync)?;
+        self.wire.syncs.set(self.wire.syncs.get() + 1);
+        self.inner.sync()
+    }
+    fn len(&mut self) -> std::io::Result<u64> {
+        self.inner.len()
+    }
+    fn read_all(&mut self) -> std::io::Result<Vec<u8>> {
+        self.inner.read_all()
+    }
+    fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+        self.inner.truncate(len)
+    }
+}
+
+/// A follower over a fresh wired log, and the wire.
+fn wired_follower(fpath: &Path) -> (Follower<Wired>, Rc<Wire>) {
+    let media = Wired::default();
+    let wire = media.wire.clone();
+    (Follower::open_with(fpath, media).unwrap().0, wire)
 }
 
 #[test]
@@ -355,6 +429,182 @@ fn follower_crash_mid_apply_at_every_byte_preserves_txn_atomicity() {
         fault_points += 1;
     }
     eprintln!("mid-apply crash fault points exercised: {fault_points}");
+
+    // The window batching opens: the crash lands *inside* a segment's
+    // run, its trailing sync never reached, and the page cache has
+    // written back some prefix of the run's bytes — every prefix, here.
+    // What was synced before (the earlier segments) must survive, the
+    // replica must sit on a commit boundary, and its watermark must be
+    // exactly what it holds.
+    let mut fault_points = 0u64;
+    for seg in 0..2u64 {
+        let (mut f, wire) = wired_follower(&fpath);
+        wire.arm(Op::Sync, seg);
+        let err = f.poll(&media).unwrap_err();
+        assert!(matches!(err, ReplError::Store(_)), "segment {seg}: {err}");
+        assert_eq!(f.applied_seq(), 3 * seg, "segment {seg}: an unsynced run is not applied");
+        let mid_run = f.into_store().into_media().inner;
+        let synced = mid_run.durable_len() as u64;
+        let unsynced = mid_run.raw_len() as u64 - synced;
+        assert!(unsynced > 0, "segment {seg}: its run was appended");
+        for keep in 0..=unsynced {
+            let mut crashed = mid_run.clone();
+            crashed.set_plan(FaultPlan { keep_unsynced: Some(keep), ..FaultPlan::default() });
+            crashed.crash();
+            let (mut f, _) =
+                Follower::open_with(&fpath, crashed).expect("follower recovery must succeed");
+            let k = f.applied_seq();
+            assert!(
+                (3 * seg..=3 * seg + 3).contains(&k),
+                "segment {seg}, {keep} unsynced bytes kept: recovered at {k}"
+            );
+            assert_eq!(k == 3 * seg + 3, keep == unsynced, "segment {seg}, keep {keep}");
+            assert_eq!(
+                rows_of(f.store().database()),
+                states[k as usize],
+                "segment {seg}, keep {keep}: recovered state must sit exactly on commit \
+                 boundary {k}"
+            );
+            let report = f.poll(&media).unwrap();
+            assert_eq!(report.applied_seq, n, "segment {seg}, keep {keep}");
+            assert_eq!(report.applied_txns, n - k, "segment {seg}, keep {keep}");
+            assert_eq!(rows_of(f.store().database()), states[n as usize]);
+            fault_points += 1;
+        }
+    }
+    eprintln!("mid-segment crash fault points exercised: {fault_points}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A follower whose apply round failed is ahead of its own log in
+/// memory: it must refuse to poll on or to promote, and a reopen (which
+/// rebuilds memory from the log) must converge. Every append and every
+/// sync of a two-segment apply is failed once in turn. The statements
+/// are the ones a blind retry corrupts: a relative UPDATE and an INSERT
+/// into a table without a key.
+#[test]
+fn a_follower_reused_after_a_failed_round_refuses_until_reopened() {
+    let dir = tmpdir("reuse-after-failure");
+    let media = MemShipDir::new();
+    let path = dir.join("primary.store");
+    let mut db = Database::new("ledger");
+    db.execute_script("CREATE TABLE t (id INTEGER, v INTEGER); INSERT INTO t VALUES (0, 0);")
+        .unwrap();
+    let mut primary = Store::create(&path, db, vec![]).unwrap();
+    let n = 4;
+    for i in 1..=n {
+        primary.execute("UPDATE t SET v = v + 1").unwrap();
+        primary.execute(&format!("INSERT INTO t VALUES ({i}, 0)")).unwrap();
+        assert_eq!(primary.commit().unwrap(), i);
+        if i % 2 == 0 {
+            ship_store(&path, &media).unwrap();
+        }
+    }
+    let want = primary.database().dump_script();
+    let fpath = dir.join("follower.store");
+    seed_if_missing(&fpath, &media).unwrap();
+
+    let mut fault_points = 0u64;
+    for op in [Op::Append, Op::Sync] {
+        for nth in 0.. {
+            let (mut f, wire) = wired_follower(&fpath);
+            wire.arm(op, nth);
+            let Err(err) = f.poll(&media) else {
+                break; // the apply has no `nth` such operation
+            };
+            assert!(matches!(err, ReplError::Store(_)), "{op:?} {nth}: {err}");
+            let watermark = f.applied_seq();
+            assert_eq!(watermark % 2, 0, "{op:?} {nth}: watermark {watermark} is mid-segment");
+            // the fault has cleared, and the follower still refuses
+            for _ in 0..2 {
+                let err = f.poll(&media).unwrap_err();
+                assert!(
+                    matches!(err, ReplError::NeedsReopen { applied_seq } if applied_seq == watermark),
+                    "{op:?} {nth}: a reused follower must refuse, got {err}"
+                );
+            }
+            let err = f.promote().unwrap_err();
+            assert!(matches!(err, ReplError::NeedsReopen { .. }), "{op:?} {nth}: {err}");
+
+            // the same failure again, then the reopen the refusal asks for
+            let (mut f, wire) = wired_follower(&fpath);
+            wire.arm(op, nth);
+            f.poll(&media).unwrap_err();
+            let survivor = f.into_store().into_media().inner;
+            let (mut f, _) = Follower::open_with(&fpath, survivor).unwrap();
+            assert!(f.applied_seq() >= watermark, "{op:?} {nth}: reopen lost a synced segment");
+            assert_eq!(f.poll(&media).unwrap().applied_seq, n, "{op:?} {nth}");
+            assert_eq!(f.store().database().dump_script(), want, "{op:?} {nth}");
+            let (promoted, _) = f.promote().unwrap();
+            let (reopened, _) = Store::open_with(&fpath, promoted.into_media()).unwrap();
+            assert_eq!(reopened.database().dump_script(), want, "{op:?} {nth}: log diverged");
+            // promote folded the log into the shared base file: re-seed
+            std::fs::remove_file(&fpath).unwrap();
+            seed_if_missing(&fpath, &media).unwrap();
+            fault_points += 1;
+        }
+    }
+    assert!(fault_points >= 12 + 2, "every append and sync of the apply: {fault_points}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The follower's durability point is the segment: one sync per applied
+/// segment however many transactions it carries, one at the manifest's
+/// cut when that falls inside a segment — and a primary still pays one
+/// per commit.
+#[test]
+fn a_poll_syncs_once_per_segment_and_a_primary_once_per_commit() {
+    let dir = tmpdir("sync-count");
+    let media = MemShipDir::new();
+    let n = 6;
+    run_primary(&dir.join("primary.store"), &media, n, 3); // two segments of three
+    let full = read_manifest(&media).unwrap().unwrap();
+    assert_eq!(full.segments.len(), 2);
+    let advertise = |last_commit_seq: u64, segments: usize| {
+        let m = Manifest { last_commit_seq, segments: full.segments[..segments].to_vec() };
+        media.publish_manifest(&m.encode()).unwrap();
+    };
+    let fpath = dir.join("follower.store");
+    seed_if_missing(&fpath, &media).unwrap();
+
+    // s segments: s syncs
+    let (mut f, wire) = wired_follower(&fpath);
+    let opened = wire.syncs.get();
+    let report = f.poll(&media).unwrap();
+    assert_eq!((report.applied_txns, report.segments_read), (6, 2));
+    assert_eq!(wire.syncs.get() - opened, 2);
+    assert_eq!(f.poll(&media).unwrap().applied_txns, 0);
+    assert_eq!(wire.syncs.get() - opened, 2, "an idle poll syncs nothing");
+
+    // a manifest that stops inside the first segment: one sync, at the cut
+    let (mut f, wire) = wired_follower(&fpath);
+    let opened = wire.syncs.get();
+    advertise(2, 1);
+    let report = f.poll(&media).unwrap();
+    assert_eq!((report.applied_seq, report.applied_txns), (2, 2));
+    assert_eq!(wire.syncs.get() - opened, 1);
+    // the rest of that segment (k = 1), then the whole next one (k = 3)
+    advertise(3, 1);
+    assert_eq!(f.poll(&media).unwrap().applied_txns, 1);
+    assert_eq!(wire.syncs.get() - opened, 2);
+    advertise(6, 2);
+    let report = f.poll(&media).unwrap();
+    assert_eq!((report.applied_seq, report.applied_txns), (6, 3));
+    assert_eq!(wire.syncs.get() - opened, 3);
+    let log = f.into_store().into_media().inner;
+    assert_eq!(log.syncs(), wire.syncs.get(), "the wire counts what the FaultFile saw");
+    assert_eq!(log.durable_len(), log.raw_len());
+
+    // the run of one is the old contract: k commits, k syncs
+    let (mut primary, _) = Store::open_with(&fpath, FaultFile::new()).unwrap();
+    let opened = primary.media_mut().syncs();
+    for i in 1..=n {
+        for stmt in txn_stmts(i) {
+            primary.execute(&stmt).unwrap();
+        }
+        assert_eq!(primary.commit().unwrap(), i);
+        assert_eq!(primary.media_mut().syncs() - opened, i);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -13,10 +13,13 @@
 //! manifest), the local WAL's commit sequencing, and the shared
 //! [`ReplState`] the serving side reads. The apply loop here is the
 //! same protocol as `Follower::poll` — manifest first, advertised
-//! segments only, strict next-sequence — applied onto a bare
-//! `Wal<MemWal>` instead of a full store so each schedule stays cheap.
+//! segments only, strict next-sequence, a segment committed as one run
+//! with one trailing sync, only the synced watermark published — applied
+//! onto a bare `Wal<MemWal>` instead of a full store so each schedule
+//! stays cheap.
 #![cfg(osql_model)]
 
+use osql_chk::atomic::{AtomicU64, Ordering};
 use osql_chk::model::{self, Config, Outcome};
 use osql_chk::thread;
 use osql_repl::{read_manifest, ship_wal, MemShipDir, ReplState, ShipMedia};
@@ -39,10 +42,13 @@ fn assert_pass(invariant: &str, outcome: Outcome) {
     }
 }
 
-/// Fault-free in-memory WAL media for the follower's local log.
+/// Fault-free in-memory WAL media for the follower's local log. With a
+/// `durable` cell it tells other threads, after each sync, the last
+/// commit that sync covered — what a crash right now would keep.
 #[derive(Default)]
 struct MemWal {
     buf: Vec<u8>,
+    durable: Option<Arc<AtomicU64>>,
 }
 
 impl WalMedia for MemWal {
@@ -51,6 +57,9 @@ impl WalMedia for MemWal {
         Ok(())
     }
     fn sync(&mut self) -> std::io::Result<()> {
+        if let Some(durable) = &self.durable {
+            durable.store(audit(&self.buf).last_commit_seq, Ordering::SeqCst);
+        }
         Ok(())
     }
     fn len(&mut self) -> std::io::Result<u64> {
@@ -78,8 +87,10 @@ fn wal_image(n: u64) -> Vec<u8> {
 
 /// One follower poll round — the same protocol as `Follower::poll`
 /// (manifest first, advertised segments only, strict next-sequence,
-/// never past the manifest), applying onto a local `Wal`. Checks the
-/// shutdown flag between transactions, never inside one.
+/// never past the manifest, one sync per segment, the synced watermark
+/// reported), applying onto a local `Wal`. Checks the shutdown flag
+/// between transactions, never inside one, and syncs what the segment
+/// has committed so far before reporting it.
 fn poll_once(media: &impl ShipMedia, wal: &mut Wal<MemWal>, state: &ReplState) {
     let manifest = match read_manifest(media) {
         Ok(Some(m)) => m,
@@ -103,7 +114,7 @@ fn poll_once(media: &impl ShipMedia, wal: &mut Wal<MemWal>, state: &ReplState) {
         for txn in &scan.txns {
             if state.shutdown_requested() {
                 // stop at a transaction boundary only
-                report.applied_seq = wal.seq();
+                report.applied_seq = wal.sync_run().unwrap();
                 state.note_poll("db", &report);
                 return;
             }
@@ -117,12 +128,13 @@ fn poll_once(media: &impl ShipMedia, wal: &mut Wal<MemWal>, state: &ReplState) {
             for stmt in &txn.stmts {
                 wal.append_stmt(stmt).unwrap();
             }
-            let committed = wal.commit().unwrap();
+            let committed = wal.commit_deferred().unwrap();
             assert_eq!(committed, txn.seq, "local commit reproduces the shipped seq");
             report.applied_txns += 1;
         }
+        wal.sync_run().unwrap();
     }
-    report.applied_seq = wal.seq();
+    report.applied_seq = wal.synced_seq();
     state.note_poll("db", &report);
 }
 
@@ -243,6 +255,57 @@ fn applied_seq_reads_are_monotonic_under_racing_polls() {
             applier.join().unwrap();
             assert_eq!(state.applied_seq("db"), Some(3));
             assert_eq!(state.status("db").unwrap().txns_applied, 3);
+        }),
+    );
+}
+
+/// The serving side never sees a watermark the follower has not synced:
+/// a reader races an apply loop working through two shipped segments,
+/// and asks it to shut down between its reads so the loop may stop — and
+/// report — in the middle of a segment's run. Whatever `applied_seq` the
+/// reader observes, the follower's log had already been synced through
+/// that commit (the media's `durable` cell is written by the sync itself
+/// and read *after* the watermark), so a crash at that instant could not
+/// take back anything a client was told.
+#[test]
+fn readers_never_observe_a_watermark_above_the_last_sync() {
+    assert_pass(
+        "readers_never_observe_a_watermark_above_the_last_sync",
+        model::explore(cfg(), || {
+            let media = MemShipDir::new();
+            ship_wal(&media, &wal_image(2), 0).unwrap();
+            ship_wal(&media, &wal_image(4), 0).unwrap();
+            let state = Arc::new(ReplState::new(1));
+            let durable = Arc::new(AtomicU64::new(0));
+            let reader = {
+                let (state, durable) = (state.clone(), durable.clone());
+                thread::spawn(move || {
+                    let mut last = 0;
+                    for round in 0..2 {
+                        let seen = state.applied_seq("db").unwrap_or(0);
+                        let synced = durable.load(Ordering::SeqCst);
+                        assert!(seen <= synced, "served watermark {seen}, log synced to {synced}");
+                        assert!(seen >= last, "watermark regressed");
+                        last = seen;
+                        if round == 0 {
+                            state.request_shutdown();
+                        }
+                    }
+                })
+            };
+            let log = MemWal { buf: Vec::new(), durable: Some(durable.clone()) };
+            let mut wal = Wal::create(log).unwrap();
+            poll_once(&media, &mut wal, &state);
+            reader.join().unwrap();
+            let applied = state.applied_seq("db").unwrap();
+            assert_eq!(applied, wal.synced_seq(), "the report is the synced watermark");
+            assert_eq!(applied, durable.load(Ordering::SeqCst));
+            assert!(applied <= 4);
+            // with the stop gone, the next round finishes the stream
+            let state = ReplState::new(1);
+            poll_once(&media, &mut wal, &state);
+            assert_eq!(state.applied_seq("db"), Some(4));
+            assert_eq!(durable.load(Ordering::SeqCst), 4);
         }),
     );
 }

@@ -1,7 +1,8 @@
 //! Fault-injection media for crash-recovery testing.
 //!
 //! [`FaultFile`] is an in-memory [`WalMedia`] that models the failure
-//! modes a real disk exposes: unsynced bytes lost on crash, torn writes
+//! modes a real disk exposes: unsynced bytes lost on crash (all of them,
+//! or all but a prefix the page cache happened to write back), torn writes
 //! that persist only a prefix of the last append, corrupted bytes, and
 //! short reads. The recovery test matrix drives it across every byte
 //! offset of a scripted workload to prove the committed-prefix
@@ -12,6 +13,11 @@ use crate::wal::WalMedia;
 /// Which faults a [`FaultFile`] injects.
 #[derive(Debug, Default, Clone)]
 pub struct FaultPlan {
+    /// On [`FaultFile::crash`], keep this many of the bytes appended
+    /// since the last sync (all of them if fewer) instead of dropping
+    /// them — the page cache wrote back a prefix of an unsynced run
+    /// before the machine died. `None` drops every unsynced byte.
+    pub keep_unsynced: Option<u64>,
     /// On [`FaultFile::crash`], keep at most this many bytes even if
     /// more were synced — a torn write / partial fsync at an arbitrary
     /// byte boundary.
@@ -25,7 +31,8 @@ pub struct FaultPlan {
 
 /// In-memory WAL media with injectable faults and explicit crash
 /// semantics: bytes appended but not yet synced are lost on
-/// [`FaultFile::crash`], exactly like a page cache.
+/// [`FaultFile::crash`] (or, with [`FaultPlan::keep_unsynced`], all but
+/// a prefix of them), exactly like a page cache.
 #[derive(Debug, Default, Clone)]
 pub struct FaultFile {
     data: Vec<u8>,
@@ -45,10 +52,11 @@ impl FaultFile {
         self.plan = plan;
     }
 
-    /// Simulate a crash: unsynced bytes vanish, then the torn-tail cap
-    /// (if any) is applied.
+    /// Simulate a crash: unsynced bytes vanish (past the prefix the
+    /// plan keeps, if any), then the torn-tail cap (if any) is applied.
     pub fn crash(&mut self) {
-        self.data.truncate(self.durable);
+        let kept = self.plan.keep_unsynced.unwrap_or(0) as usize;
+        self.data.truncate(self.durable.saturating_add(kept));
         if let Some(cap) = self.plan.torn_tail {
             self.data.truncate(cap as usize);
         }
@@ -120,6 +128,23 @@ mod tests {
         f.crash();
         assert_eq!(f.read_all().unwrap(), b"durable");
         assert_eq!(f.syncs(), 1);
+    }
+
+    #[test]
+    fn crash_can_keep_a_prefix_of_the_unsynced_bytes() {
+        let mut f = FaultFile::new();
+        f.append(b"durable").unwrap();
+        f.sync().unwrap();
+        f.append(b" volatile").unwrap();
+        f.set_plan(FaultPlan { keep_unsynced: Some(4), ..FaultPlan::default() });
+        f.crash();
+        assert_eq!(f.read_all().unwrap(), b"durable vol");
+        assert_eq!(f.durable_len(), 11, "what survives a crash is on the disk");
+        // asking for more than was appended keeps what there is
+        f.append(b"!").unwrap();
+        f.set_plan(FaultPlan { keep_unsynced: Some(99), ..FaultPlan::default() });
+        f.crash();
+        assert_eq!(f.read_all().unwrap(), b"durable vol!");
     }
 
     #[test]

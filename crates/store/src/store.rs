@@ -3,7 +3,9 @@
 //! `Store` owns an in-memory [`Database`] whose durable form is the
 //! pair `(base file, WAL)`. Mutating statements go through
 //! [`Store::execute`], which applies them in memory and appends them to
-//! the log; [`Store::commit`] makes the open transaction durable;
+//! the log; [`Store::commit`] makes the open transaction durable
+//! ([`Store::commit_deferred`] … [`Store::sync_commits`] does the same
+//! for a run of transactions with one sync, for a follower);
 //! [`Store::checkpoint`] folds the log into a fresh base snapshot and
 //! truncates it. Reopening replays committed transactions on top of the
 //! base file, so a crash at any point recovers exactly the last
@@ -117,6 +119,23 @@ impl<M: WalMedia> Store<M> {
         Ok(self.wal.commit()?)
     }
 
+    /// Close the open transaction *without* making it durable, and
+    /// return its sequence number: one of a run of commits that the
+    /// next [`Store::sync_commits`] (or [`Store::commit`]) makes durable
+    /// together with a single sync. Only for a writer whose transactions
+    /// are already durable elsewhere — a follower re-applying a shipped
+    /// segment; a primary acknowledging writes calls [`Store::commit`].
+    pub fn commit_deferred(&mut self) -> Result<u64, StoreError> {
+        Ok(self.wal.commit_deferred()?)
+    }
+
+    /// End a run of deferred commits with its one sync; returns the
+    /// sequence number now durable. After an error the live database
+    /// may be ahead of what a reopen rebuilds: reopen the store.
+    pub fn sync_commits(&mut self) -> Result<u64, StoreError> {
+        Ok(self.wal.sync_run()?)
+    }
+
     /// Write an fsync-point marker into the log.
     pub fn fsync_mark(&mut self) -> Result<(), StoreError> {
         Ok(self.wal.fsync_mark()?)
@@ -127,9 +146,15 @@ impl<M: WalMedia> Store<M> {
         self.wal.pending_stmts()
     }
 
-    /// Last committed sequence number.
+    /// Sequence number of the last commit the live database reflects.
     pub fn commit_seq(&self) -> u64 {
         self.wal.seq()
+    }
+
+    /// Sequence number of the last commit known durable: equal to
+    /// [`Store::commit_seq`] except inside a run of deferred commits.
+    pub fn synced_seq(&self) -> u64 {
+        self.wal.synced_seq()
     }
 
     /// Current WAL end offset in bytes.

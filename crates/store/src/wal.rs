@@ -14,7 +14,12 @@
 //! them only when their `Commit` arrives, stopping at the first
 //! truncated or corrupt record — so recovery yields exactly the state
 //! of the last fully committed transaction, no matter where the log was
-//! cut. Commits whose sequence number the base snapshot already records
+//! cut. That holds whether each commit record was synced on its own
+//! ([`Wal::commit`], what a primary does) or a run of them shares one
+//! trailing sync ([`Wal::commit_deferred`] … [`Wal::sync_run`], what a
+//! follower does per shipped segment): an unsynced run can lose any
+//! suffix in a crash, and every cut of it replays to a commit boundary.
+//! Commits whose sequence number the base snapshot already records
 //! (its TOC `base_seq`) are skipped, so a crash between a checkpoint's
 //! base publish and its WAL truncation never double-applies them. On
 //! open the uncommitted tail is truncated away so a later commit can
@@ -415,12 +420,20 @@ fn timed<T>(
     result
 }
 
+/// Make `media` an empty log: nothing but the durable header.
+fn write_header(media: &mut impl WalMedia) -> std::io::Result<()> {
+    media.truncate(0)?;
+    media.append(&WAL_MAGIC)?;
+    media.sync()
+}
+
 /// An open write-ahead log positioned for appends.
 #[derive(Debug)]
 pub struct Wal<M: WalMedia> {
     media: M,
     end: u64,
     seq: u64,
+    synced_seq: u64,
     pending_stmts: u64,
 }
 
@@ -439,17 +452,24 @@ impl<M: WalMedia> Wal<M> {
         let report = replay_into(db, &buf, base_seq)?;
         if report.committed_offset < WAL_HEADER {
             // no usable header: start the log fresh
-            media.truncate(0)?;
-            media.append(&WAL_MAGIC)?;
-            media.sync()?;
-        } else if report.committed_offset < buf.len() as u64 {
-            media.truncate(report.committed_offset)?;
+            write_header(&mut media)?;
+        } else {
+            if report.committed_offset < buf.len() as u64 {
+                media.truncate(report.committed_offset)?;
+            }
+            if report.committed_offset > WAL_HEADER {
+                // a writer that died inside an unsynced run leaves commit
+                // records only the page cache holds; they were just
+                // replayed, so make them durable before `synced_seq`
+                // says they are
+                media.sync()?;
+            }
         }
         let end = report.committed_offset.max(WAL_HEADER);
         // new commits must continue past both the log's and the base's
         // sequence numbers, whichever is further along
         let seq = report.last_commit_seq.max(base_seq);
-        let wal = Wal { media, end, seq, pending_stmts: 0 };
+        let wal = Wal { media, end, seq, synced_seq: seq, pending_stmts: 0 };
         Ok((wal, report))
     }
 
@@ -458,26 +478,17 @@ impl<M: WalMedia> Wal<M> {
     /// state, so a stale WAL left at the same path by some earlier store
     /// must be truncated, never replayed.
     pub fn create(mut media: M) -> std::io::Result<Self> {
-        media.truncate(0)?;
-        media.append(&WAL_MAGIC)?;
-        media.sync()?;
-        Ok(Wal { media, end: WAL_HEADER, seq: 0, pending_stmts: 0 })
+        write_header(&mut media)?;
+        Ok(Wal { media, end: WAL_HEADER, seq: 0, synced_seq: 0, pending_stmts: 0 })
     }
 
-    /// Append `rec` and (when `sync`) make it durable. On any failure
-    /// the media is rolled back to the pre-append end (best effort), so
-    /// a retry never leaves a duplicate or partially written record
-    /// behind and `end()` keeps matching the media length.
-    fn append_record(&mut self, rec: &[u8], sync: bool) -> std::io::Result<()> {
+    /// Append `rec`, not yet durable. On failure the media is rolled
+    /// back to the pre-append end (best effort), so a retry never
+    /// leaves a partially written record behind and `end()` keeps
+    /// matching the media length.
+    fn append_record(&mut self, rec: &[u8]) -> std::io::Result<()> {
         let stats = crate::stats::store_stats();
-        let result = timed(&stats.wal_append, || self.media.append(rec)).and_then(|()| {
-            if sync {
-                timed(&stats.wal_sync, || self.media.sync())
-            } else {
-                Ok(())
-            }
-        });
-        if let Err(e) = result {
+        if let Err(e) = timed(&stats.wal_append, || self.media.append(rec)) {
             let _ = self.media.truncate(self.end);
             return Err(e);
         }
@@ -485,33 +496,88 @@ impl<M: WalMedia> Wal<M> {
         Ok(())
     }
 
+    /// The log's one durability point: sync every record appended so
+    /// far and raise the synced watermark to the last commit among
+    /// them. [`Wal::commit`] reaches it after one commit record,
+    /// [`Wal::sync_run`] after a run of them.
+    fn sync_appended(&mut self) -> std::io::Result<()> {
+        timed(&crate::stats::store_stats().wal_sync, || self.media.sync())?;
+        self.synced_seq = self.seq;
+        Ok(())
+    }
+
+    /// Take back (best effort) the record appended at `start` whose
+    /// sync failed, so a retry never leaves a duplicate behind.
+    fn take_back(&mut self, start: u64) {
+        let _ = self.media.truncate(start);
+        self.end = start;
+    }
+
     /// Append one statement record (not durable until [`Wal::commit`]).
     pub fn append_stmt(&mut self, sql: &str) -> std::io::Result<()> {
         let rec = encode_record(REC_STMT, sql.as_bytes());
-        self.append_record(&rec, false)?;
+        self.append_record(&rec)?;
         self.pending_stmts += 1;
         Ok(())
     }
 
-    /// Commit the open transaction: write the commit record, fsync, and
-    /// return the new commit sequence number. The in-memory sequence
-    /// advances only after both the append and the sync succeed, so a
-    /// failed commit can be retried without skipping a sequence number.
-    pub fn commit(&mut self) -> std::io::Result<u64> {
-        let started = std::time::Instant::now();
+    /// Close the open transaction with a commit record that is *not
+    /// yet durable*, and return the sequence number it carries. A run
+    /// of these shares the one sync of the [`Wal::sync_run`] (or
+    /// [`Wal::commit`]) that ends it; until then [`Wal::synced_seq`]
+    /// stays behind [`Wal::seq`], and a crash may lose any suffix of
+    /// the run — never the inside of a transaction, because replay
+    /// stops at the last intact commit record.
+    ///
+    /// For a writer whose transactions are durable somewhere else (a
+    /// follower re-applying a shipped segment). A failed append leaves
+    /// the log and the sequence as they were.
+    pub fn commit_deferred(&mut self) -> std::io::Result<u64> {
         let seq = self.seq + 1;
         let rec = encode_record(REC_COMMIT, &seq.to_le_bytes());
-        self.append_record(&rec, true)?;
+        self.append_record(&rec)?;
         self.seq = seq;
         self.pending_stmts = 0;
-        crate::stats::store_stats().wal_commit.record_us(started.elapsed().as_micros() as u64);
         Ok(seq)
+    }
+
+    /// End a run of deferred commits: one sync makes every record
+    /// appended so far durable. Returns the synced watermark. After a
+    /// failure nothing the run appended may be relied on (a failed
+    /// fsync can drop the pages it was asked to write); reopen the log
+    /// to find the prefix that survived.
+    pub fn sync_run(&mut self) -> std::io::Result<u64> {
+        self.sync_appended()?;
+        Ok(self.synced_seq)
+    }
+
+    /// Commit the open transaction: write the commit record, fsync, and
+    /// return the new commit sequence number — the run of one. The
+    /// in-memory sequence advances only when both the append and the
+    /// sync succeed, so a failed commit can be retried without skipping
+    /// a sequence number or leaving a second commit record behind.
+    pub fn commit(&mut self) -> std::io::Result<u64> {
+        let started = std::time::Instant::now();
+        let (start, seq, pending_stmts) = (self.end, self.seq, self.pending_stmts);
+        self.commit_deferred()?;
+        if let Err(e) = self.sync_appended() {
+            // the run of one is taken back whole: its record, its
+            // sequence number, and the transaction is open again
+            self.take_back(start);
+            self.seq = seq;
+            self.pending_stmts = pending_stmts;
+            return Err(e);
+        }
+        crate::stats::store_stats().wal_commit.record_us(started.elapsed().as_micros() as u64);
+        Ok(self.seq)
     }
 
     /// Write an fsync-point marker and sync.
     pub fn fsync_mark(&mut self) -> std::io::Result<()> {
+        let start = self.end;
         let rec = encode_record(REC_FSYNC, &self.seq.to_le_bytes());
-        self.append_record(&rec, true)
+        self.append_record(&rec)?;
+        self.sync_appended().inspect_err(|_| self.take_back(start))
     }
 
     /// Statements appended since the last commit.
@@ -519,9 +585,16 @@ impl<M: WalMedia> Wal<M> {
         self.pending_stmts
     }
 
-    /// Last committed sequence number.
+    /// Sequence number of the last commit record appended (what the
+    /// in-memory database reflects).
     pub fn seq(&self) -> u64 {
         self.seq
+    }
+
+    /// Sequence number of the last commit known durable: equal to
+    /// [`Wal::seq`] except inside a run of deferred commits.
+    pub fn synced_seq(&self) -> u64 {
+        self.synced_seq
     }
 
     /// Current end offset of the log.
@@ -542,10 +615,9 @@ impl<M: WalMedia> Wal<M> {
     /// Reset the log to an empty (header-only) state — used after a
     /// checkpoint has folded the log into the base file.
     pub fn reset(&mut self) -> std::io::Result<()> {
-        self.media.truncate(0)?;
-        self.media.append(&WAL_MAGIC)?;
-        self.media.sync()?;
+        write_header(&mut self.media)?;
         self.end = WAL_HEADER;
+        self.synced_seq = self.seq;
         self.pending_stmts = 0;
         Ok(())
     }
@@ -775,6 +847,52 @@ mod tests {
         assert_eq!(report.committed, 1);
         assert_eq!(report.last_commit_seq, 1);
         assert_eq!(fresh.rows("t").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_deferred_run_writes_the_bytes_per_commit_syncs_would() {
+        let mut db = base_db();
+        let (mut each, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
+        let (mut run, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
+        for i in 1..=3u64 {
+            let sql = format!("INSERT INTO t VALUES ({i}, 'x')");
+            each.append_stmt(&sql).unwrap();
+            assert_eq!(each.commit().unwrap(), i);
+            assert_eq!(each.synced_seq(), i, "a commit is the run of one");
+            run.append_stmt(&sql).unwrap();
+            assert_eq!(run.commit_deferred().unwrap(), i);
+            assert_eq!((run.seq(), run.synced_seq(), run.pending_stmts()), (i, 0, 0));
+        }
+        assert_eq!(run.sync_run().unwrap(), 3);
+        assert_eq!(run.synced_seq(), 3);
+        assert_eq!(run.media.buf, each.media.buf, "the log does not record how it was synced");
+    }
+
+    #[test]
+    fn failed_syncs_around_a_deferred_run_never_raise_the_watermark() {
+        let mut db = base_db();
+        let (mut wal, _) = Wal::open(FlakyMedia::default(), &mut db, 0).unwrap();
+        for i in 1..=2 {
+            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')")).unwrap();
+            wal.commit_deferred().unwrap();
+        }
+        wal.media_mut().fail_sync = true;
+        assert!(wal.sync_run().is_err());
+        assert_eq!((wal.seq(), wal.synced_seq()), (2, 0), "the run is still only appended");
+        // a commit that ends the run and fails takes back itself alone
+        wal.append_stmt("INSERT INTO t VALUES (3, 'x')").unwrap();
+        let end = wal.end();
+        wal.media_mut().fail_sync = true;
+        assert!(wal.commit().is_err());
+        assert_eq!((wal.seq(), wal.synced_seq(), wal.pending_stmts()), (2, 0, 1));
+        assert_eq!(wal.end(), end, "its commit record is gone, the run's records are not");
+        // and its retry is the sync the whole run was waiting for
+        assert_eq!(wal.commit().unwrap(), 3);
+        assert_eq!(wal.synced_seq(), 3);
+        let mut fresh = base_db();
+        let (reopened, report) = Wal::open(wal.media.inner.clone(), &mut fresh, 0).unwrap();
+        assert_eq!((report.committed, report.last_commit_seq), (3, 3));
+        assert_eq!(reopened.synced_seq(), 3, "what open replays it has made durable");
     }
 
     #[test]

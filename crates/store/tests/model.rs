@@ -96,6 +96,51 @@ fn wal_commit_seqs_gap_free_under_concurrent_committers() {
     }));
 }
 
+/// The batched run keeps both properties: one thread commits a run of
+/// two deferred commits with a trailing sync (a follower applying a
+/// segment), releasing the lock between them, while another commits the
+/// ordinary way. Sequences stay gap-free whichever way they interleave,
+/// the synced watermark never passes the sequence, and a per-commit
+/// sync covers whatever part of the run sits before it in the log.
+#[test]
+fn wal_deferred_run_and_commit_share_one_sequence_and_one_watermark() {
+    assert_pass("wal_deferred_run_and_commit_share_one_sequence_and_one_watermark", model::explore(cfg(), || {
+        let wal = Arc::new(osql_chk::Mutex::new(Wal::create(MemWal::default()).unwrap()));
+        let other = {
+            let wal = wal.clone();
+            thread::spawn(move || {
+                let mut w = wal.lock();
+                w.append_stmt("INSERT INTO t VALUES (3)").unwrap();
+                let seq = w.commit().unwrap();
+                assert_eq!(w.synced_seq(), seq, "a commit's sync covers the run before it");
+                seq
+            })
+        };
+        let mut mine = Vec::new();
+        for i in 1..=2 {
+            let mut w = wal.lock();
+            w.append_stmt(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+            mine.push(w.commit_deferred().unwrap());
+            assert!(w.synced_seq() < w.seq(), "a deferred commit is not yet synced");
+        }
+        {
+            let mut w = wal.lock();
+            assert_eq!(w.sync_run().unwrap(), w.seq(), "the run's sync covers every commit so far");
+        }
+        let theirs = other.join().unwrap();
+        let mut seqs = [mine[0], mine[1], theirs];
+        seqs.sort_unstable();
+        assert_eq!(seqs, [1, 2, 3], "gap-free and duplicate-free");
+
+        let mut w = wal.lock();
+        assert!(w.synced_seq() <= w.seq());
+        let buf = w.media_mut().read_all().unwrap();
+        let report = audit(&buf);
+        assert_eq!((report.commits, report.last_commit_seq), (3, 3));
+        assert_eq!((report.finding, report.tail_bytes), (None, 0));
+    }));
+}
+
 /// The catalog's "never evict the entry just loaded" rule under racing
 /// loaders: two threads each demand-page a database whose size alone
 /// busts the budget. Both gets must succeed, exactly one victim is

@@ -157,6 +157,77 @@ fn recovered_store_accepts_new_commits_without_resurrecting_the_tail() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The batched run a follower writes per shipped segment: commit records
+/// appended with [`Store::commit_deferred`] and no sync yet. A crash
+/// there can keep any prefix of the unsynced bytes (the page cache wrote
+/// some back) — for every such prefix the reopened store sits exactly on
+/// a commit boundary at or past the synced watermark, vouches only for
+/// what it has since made durable, and takes the next sequence number.
+#[test]
+fn unsynced_run_cut_at_every_byte_recovers_a_commit_boundary() {
+    let dir = tmpdir("unsynced-run");
+    let path = dir.join("ledger.store");
+    write_database(&path, &base_db(), &[], 0).unwrap();
+    let (mut store, _) = Store::open_with(&path, FaultFile::new()).unwrap();
+    let mut snapshots = vec![(0u64, rows_of(store.database()))];
+    let mut txn = |store: &mut Store<FaultFile>, i: u32, synced: bool| {
+        store.execute(&format!("INSERT INTO acct VALUES ({}, 'tx{i}', {i}.5)", 10 + i)).unwrap();
+        if i.is_multiple_of(2) {
+            store.execute(&format!("UPDATE acct SET balance = {i} WHERE id = 1")).unwrap();
+        }
+        let seq = if synced { store.commit() } else { store.commit_deferred() };
+        assert_eq!(seq.unwrap(), u64::from(i));
+        snapshots.push((store.wal_end(), rows_of(store.database())));
+    };
+    for i in 1..=2 {
+        txn(&mut store, i, true);
+    }
+    let syncs = store.media_mut().syncs();
+    for i in 3..=6 {
+        txn(&mut store, i, false);
+    }
+    assert_eq!(store.media_mut().syncs(), syncs, "a run appends, it does not sync");
+    assert_eq!((store.commit_seq(), store.synced_seq()), (6, 2));
+    let media = store.into_media();
+    let durable = media.durable_len() as u64;
+    assert_eq!(durable, snapshots[2].0, "the watermark is the last per-commit sync");
+
+    let unsynced = media.raw_len() as u64 - durable;
+    for keep in 0..=unsynced {
+        let mut crashed = media.clone();
+        crashed.set_plan(FaultPlan { keep_unsynced: Some(keep), ..FaultPlan::default() });
+        crashed.crash();
+        let (mut store, _) = Store::open_with(&path, crashed).expect("recovery must succeed");
+        let k = store.commit_seq();
+        assert!((2..=6).contains(&k), "keep {keep}: recovered at {k}, synced watermark was 2");
+        assert_eq!(
+            &rows_of(store.database()),
+            expected_at(&snapshots, durable + keep),
+            "keep {keep}: state is not the commit boundary the surviving bytes end on"
+        );
+        assert_eq!(store.synced_seq(), k, "keep {keep}");
+        store.execute("INSERT INTO acct VALUES (999, 'post-crash', 1.0)").unwrap();
+        assert_eq!(store.commit().unwrap(), k + 1, "keep {keep}");
+    }
+    eprintln!("unsynced-run fault points exercised: {}", unsynced + 1);
+
+    // a killed process (no machine crash) leaves the whole run in the
+    // page cache: open replays it, and syncs it before vouching for it
+    let (mut store, _) = Store::open_with(&path, media).unwrap();
+    assert_eq!((store.commit_seq(), store.synced_seq()), (6, 6));
+    assert_eq!(store.media_mut().durable_len(), store.media_mut().raw_len());
+    // the sync that ends a run is one sync, however long the run
+    let syncs = store.media_mut().syncs();
+    for i in 7..=9 {
+        store.execute(&format!("INSERT INTO acct VALUES ({}, 'tx{i}', 0.5)", 10 + i)).unwrap();
+        store.commit_deferred().unwrap();
+    }
+    assert_eq!(store.sync_commits().unwrap(), 9);
+    assert_eq!(store.media_mut().syncs(), syncs + 1);
+    assert_eq!((store.commit_seq(), store.synced_seq()), (9, 9));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Checkpoint crash window: `checkpoint()` publishes the folded base
 /// (atomic rename) and only then truncates the WAL. Crash between the
 /// two and the full log sits next to a base that already contains its
