@@ -111,6 +111,19 @@ cargo test -q --test beam_differential # corpus gate: every field of every candi
                                  # (same syntax error) instead of being skipped, so one
                                  # candidate's analyze_skips reads 0 for 1 and the logical
                                  # trace says `flagged` for `reject`; nothing else moved
+# A question's misreading is drawn once, structurally: the simulated model
+# has exactly one call site of the draw outside tests (behind the
+# per-question memo for a registered question, direct for an ad hoc one), and
+# what an instance keeps never shows in a completion — a long-lived `SimLlm`
+# answers every request shape of every tiny dev question (and an ad hoc one),
+# across seeds and profiles over one shared oracle, exactly as an instance
+# built for that single call does: texts, token counts and latency bits.
+sites="$(non_test_code crates/llmsim/src/sim.rs | grep -cF 'semantic_misread(' || true)"
+if [ "$sites" != 1 ]; then
+    echo "ci: semantic_misread( has $sites non-test call sites in crates/llmsim/src/sim.rs, want 1" >&2
+    exit 1
+fi
+cargo test -q -p llmsim --test memo_equivalence
 cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-
                                  # differential suite (sparse HNSW/flat ≡ the dense oracle;
                                  # the serving index ≡ flat below its threshold, ≡ the

@@ -15,6 +15,9 @@ use std::sync::Arc;
 /// One registered question.
 #[derive(Debug, Clone)]
 pub struct OracleEntry {
+    /// Dense registry id, `0..Oracle::len()` in registration order: the
+    /// index of anything a model keeps per registered question.
+    pub id: usize,
     /// Database the question targets.
     pub db_id: String,
     /// The structured intent.
@@ -40,7 +43,10 @@ impl Oracle {
             .chain(&benchmark.dev)
             .chain(&benchmark.test)
         {
+            // a duplicate text keeps its first registration, and its id
+            let id = entries.len();
             entries.entry(ex.question.clone()).or_insert_with(|| OracleEntry {
+                id,
                 db_id: ex.db_id.clone(),
                 spec: ex.spec.clone(),
                 difficulty: ex.difficulty,
@@ -185,6 +191,31 @@ mod tests {
             assert!(b.db(&entry.db_id).is_some());
         }
         assert!(!o.is_empty());
+    }
+
+    #[test]
+    fn ids_are_dense_and_duplicate_texts_share_the_first() {
+        let mut b = generate(&Profile::tiny());
+        let distinct = Oracle::new(Arc::new(b.clone())).len();
+        // a later split repeats an earlier question with another intent
+        let (first, other) = (b.train[0].clone(), b.dev[0].clone());
+        assert_ne!(first.spec, other.spec);
+        b.test.push(datagen::Example { question: first.question.clone(), ..other });
+        let o = Oracle::new(Arc::new(b));
+        assert_eq!(o.len(), distinct, "a repeated text registers nothing");
+
+        let b = o.benchmark();
+        let mut seen = vec![false; o.len()];
+        for ex in b.train.iter().chain(&b.dev).chain(&b.test) {
+            let id = o.lookup(&ex.question).unwrap().id;
+            assert!(id < o.len(), "id {id} outside 0..{}", o.len());
+            seen[id] = true;
+        }
+        assert!(seen.iter().all(|s| *s), "ids leave a hole in 0..len()");
+
+        let entry = o.lookup(&first.question).unwrap();
+        assert_eq!(entry.id, 0);
+        assert_eq!((&entry.db_id, &entry.spec), (&first.db_id, &first.spec));
     }
 
     #[test]

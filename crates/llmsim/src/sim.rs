@@ -17,7 +17,8 @@ use datagen::{BuiltDb, Difficulty, QuerySpec, SelectSpec};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// Cumulative usage counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,10 +31,22 @@ pub struct Usage {
     pub completion_tokens: u64,
 }
 
+/// What a prompt's question resolved to.
+struct Resolved<'a> {
+    /// The question text, as the prompt carries it.
+    question: &'a str,
+    db: &'a BuiltDb,
+    /// The registry's spec by reference; the fallback parser's is owned.
+    spec: Cow<'a, QuerySpec>,
+    difficulty: Difficulty,
+    /// The registry id; `None` for an ad hoc question.
+    id: Option<usize>,
+}
+
 /// A question's (potential) sticky misreading.
-struct Misread {
+struct Misread<'a> {
     /// The wrong-but-executable interpretation, when one exists.
-    target: Option<QuerySpec>,
+    target: Option<Cow<'a, QuerySpec>>,
     /// Whether the model is committed to it for this question.
     sticky: bool,
     /// The misread probability that produced the sticky draw.
@@ -51,12 +64,32 @@ pub struct SimLlm {
     profile: ModelProfile,
     seed: u64,
     usage: Mutex<Usage>,
+    /// The tempting wrong reading of each registered question, by
+    /// [`OracleEntry::id`](crate::OracleEntry::id), drawn the first time
+    /// this instance is asked the question. It is a function of
+    /// `(seed, question)` and of nothing in a prompt (see
+    /// [`SimLlm::misread_for`]), so it is a memo, not a cache: one slot per
+    /// registry entry, allocated here, never evicted, never invalidated.
+    /// Boxed so that a slot is two words until its question is asked.
+    misreads: Box<[OnceLock<Option<Box<QuerySpec>>>]>,
+    /// How many times the draw ran.
+    #[cfg(test)]
+    draws: std::sync::atomic::AtomicUsize,
 }
 
 impl SimLlm {
     /// Create a simulator over an oracle with a model profile.
     pub fn new(oracle: Arc<Oracle>, profile: ModelProfile, seed: u64) -> Self {
-        SimLlm { oracle, profile, seed, usage: Mutex::new(Usage::default()) }
+        let misreads = (0..oracle.len()).map(|_| OnceLock::new()).collect();
+        SimLlm {
+            oracle,
+            profile,
+            seed,
+            usage: Mutex::new(Usage::default()),
+            misreads,
+            #[cfg(test)]
+            draws: Default::default(),
+        }
     }
 
     /// The model profile in use.
@@ -85,45 +118,71 @@ impl SimLlm {
         StdRng::seed_from_u64(h)
     }
 
-    /// Resolve the question to (db, spec, difficulty); falls back to the
-    /// keyword parser for unregistered questions.
-    fn resolve(&self, prompt: &str) -> Option<(&BuiltDb, QuerySpec, Difficulty)> {
+    /// Resolve the prompt's question to its database and intent; falls back
+    /// to the keyword parser for unregistered questions.
+    fn resolve<'a>(&'a self, prompt: &'a str) -> Option<Resolved<'a>> {
         let question = proto::parse_question(prompt)?;
         if let Some(entry) = self.oracle.lookup(question) {
-            let db = self.oracle.db(&entry.db_id)?;
-            return Some((db, entry.spec.clone(), entry.difficulty));
+            return Some(Resolved {
+                question,
+                db: self.oracle.db(&entry.db_id)?,
+                spec: Cow::Borrowed(&entry.spec),
+                difficulty: entry.difficulty,
+                id: Some(entry.id),
+            });
         }
         // fallback: the prompt names its target database
-        let db_id = proto::parse_db(prompt)?;
-        let db = self.oracle.db(db_id)?;
-        let spec = self.oracle.fallback_spec(question, db);
-        Some((db, spec, Difficulty::Simple))
+        let db = self.oracle.db(proto::parse_db(prompt)?)?;
+        Some(Resolved {
+            question,
+            db,
+            spec: Cow::Owned(self.oracle.fallback_spec(question, db)),
+            difficulty: Difficulty::Simple,
+            id: None,
+        })
     }
 
     /// Compute the question's sticky misread (if any): the draw depends on
     /// the question and prompt quality but *not* on the seed tag, so the
     /// same misunderstanding persists across generation beams and
     /// correction rounds.
-    fn misread_for(
-        &self,
-        question: &str,
-        db: &datagen::BuiltDb,
-        spec: &QuerySpec,
-        difficulty: Difficulty,
-        quality: &PromptQuality,
-    ) -> Misread {
+    ///
+    /// Its two parts are computed as often as their inputs change. The
+    /// *target* — which wrong reading tempts the model — is drawn from
+    /// `(seed, question)` alone and costs a dozen mutated specs and two or
+    /// three executed statements, so a registered question draws it the
+    /// first time this instance sees it and keeps it in `misreads` (a
+    /// worker arriving mid-draw waits for that value; being pure, it is
+    /// the one it would have computed). How *committed* the model is to
+    /// it (`q`, `sticky`, `spill_base`) depends on the prompt and is a few
+    /// float operations per call. An ad hoc question has no slot and draws
+    /// every time. So the saving is for a question this instance has been
+    /// asked before; on first sight a question pays one draw, not one per
+    /// call.
+    fn misread_for<'a>(&'a self, r: &Resolved<'_>, quality: &PromptQuality) -> Misread<'a> {
         let q = crate::corrupt::semantic_q(
             &self.profile,
-            difficulty,
+            r.difficulty,
             quality,
-            spec.columns_used().len(),
-            db.complexity,
+            r.spec.columns_used().len(),
+            r.db.complexity,
         );
-        let mut rng = self.rng_for(question, 0x5E11A, 0);
+        let mut rng = self.rng_for(r.question, 0x5E11A, 0);
         let u: f64 = rng.gen();
         // the tempting wrong reading always exists; whether the model is
         // *committed* to it is the sticky draw
-        let target = crate::corrupt::semantic_misread(db, spec, &mut rng);
+        let mut draw = || {
+            #[cfg(test)]
+            self.draws.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            crate::corrupt::semantic_misread(r.db, &r.spec, &mut rng)
+        };
+        let target = match r.id {
+            Some(id) => self.misreads[id]
+                .get_or_init(|| draw().map(Box::new))
+                .as_deref()
+                .map(Cow::Borrowed),
+            None => draw().map(Cow::Owned),
+        };
         let fs_cot = quality.fewshots > 0 && quality.fewshot_cot;
         let spill_base = match (quality.format, fs_cot) {
             (crate::proto::OutputFormat::StructuredCot, true) => 0.0,
@@ -162,12 +221,12 @@ impl SimLlm {
     }
 
     fn generation(&self, req: &ChatRequest) -> Vec<String> {
-        let Some((db, spec, difficulty)) = self.resolve(&req.prompt) else {
+        let Some(r) = self.resolve(&req.prompt) else {
             return vec!["#SQL: SELECT NULL".to_owned(); req.n.max(1)];
         };
-        let question = proto::parse_question(&req.prompt).unwrap_or_default().to_owned();
+        let (db, spec, difficulty) = (r.db, &*r.spec, r.difficulty);
         let quality = PromptQuality::from_prompt(&req.prompt);
-        let misread = self.misread_for(&question, db, &spec, difficulty, &quality);
+        let misread = self.misread_for(&r, &quality);
         let suppression = Suppression::new();
         (0..req.n.max(1))
             .map(|i| {
@@ -180,11 +239,11 @@ impl SimLlm {
                     sample_idx: i,
                     suppression: &suppression,
                 };
-                let mut rng = self.rng_for(&question, req.seed_tag, i as u64);
+                let mut rng = self.rng_for(r.question, req.seed_tag, i as u64);
                 let adopt = rng.gen_bool(self.misread_sample_prob(&misread, i));
-                let base = match &misread.target {
+                let base: &QuerySpec = match &misread.target {
                     Some(m) if adopt => m,
-                    _ => &spec,
+                    _ => spec,
                 };
                 let cand = sample_candidate(&ctx, base, &mut rng);
                 render_response(&cand, db, quality.format)
@@ -193,11 +252,10 @@ impl SimLlm {
     }
 
     fn extraction(&self, req: &ChatRequest) -> Vec<String> {
-        let Some((db, spec, difficulty)) = self.resolve(&req.prompt) else {
+        let Some(Resolved { question, db, spec, difficulty, .. }) = self.resolve(&req.prompt) else {
             return vec!["#entities:\n#columns:".to_owned()];
         };
-        let question = proto::parse_question(&req.prompt).unwrap_or_default().to_owned();
-        let mut rng = self.rng_for(&question, req.seed_tag ^ 0xE77, 0);
+        let mut rng = self.rng_for(question, req.seed_tag ^ 0xE77, 0);
 
         // per-column recall of the extraction agent
         let miss = (self.profile.rate(ErrorClass::WrongColumn) * 4.5
@@ -276,7 +334,7 @@ impl SimLlm {
     }
 
     fn select_align(&self, req: &ChatRequest) -> Vec<String> {
-        let Some((db, spec, _)) = self.resolve(&req.prompt) else {
+        let Some(Resolved { spec, .. }) = self.resolve(&req.prompt) else {
             return vec!["#select_count: 1\n#select_units: answer".to_owned()];
         };
         let units: Vec<String> = spec
@@ -291,7 +349,6 @@ impl SimLlm {
                 ),
             })
             .collect();
-        let _ = db;
         vec![format!(
             "#select_count: {}\n#select_units: {}",
             units.len(),
@@ -300,10 +357,10 @@ impl SimLlm {
     }
 
     fn correction(&self, req: &ChatRequest) -> Vec<String> {
-        let Some((db, spec, difficulty)) = self.resolve(&req.prompt) else {
+        let Some(r) = self.resolve(&req.prompt) else {
             return vec!["#SQL: SELECT NULL".to_owned()];
         };
-        let question = proto::parse_question(&req.prompt).unwrap_or_default().to_owned();
+        let (db, spec, difficulty) = (r.db, &*r.spec, r.difficulty);
         let quality = PromptQuality::from_prompt(&req.prompt);
         let error_info = proto::parse_error_info(&req.prompt).unwrap_or_default();
         let has_fewshot = quality.fewshots > 0;
@@ -325,7 +382,7 @@ impl SimLlm {
         }
         // a misread survives correction: execution feedback cannot reveal a
         // semantically wrong but executable interpretation
-        let misread = self.misread_for(&question, db, &spec, difficulty, &quality);
+        let misread = self.misread_for(&r, &quality);
         (0..req.n.max(1))
             .map(|i| {
                 let ctx = SampleCtx {
@@ -337,11 +394,11 @@ impl SimLlm {
                     sample_idx: i,
                     suppression: &suppression,
                 };
-                let mut rng = self.rng_for(&question, req.seed_tag ^ 0xC0FE, i as u64);
+                let mut rng = self.rng_for(r.question, req.seed_tag ^ 0xC0FE, i as u64);
                 let adopt = rng.gen_bool(self.misread_sample_prob(&misread, i));
-                let base = match &misread.target {
+                let base: &QuerySpec = match &misread.target {
                     Some(m) if adopt => m,
-                    _ => &spec,
+                    _ => spec,
                 };
                 let cand = sample_candidate(&ctx, base, &mut rng);
                 format!("#SQL: {}", cand.sql)
@@ -350,11 +407,11 @@ impl SimLlm {
     }
 
     fn cot_augment(&self, req: &ChatRequest) -> Vec<String> {
-        let Some((db, spec, _)) = self.resolve(&req.prompt) else {
+        let Some(Resolved { db, spec, .. }) = self.resolve(&req.prompt) else {
             return vec![String::new()];
         };
         let sql = sqlkit::print_select(&spec.to_sql(&db.database.schema));
-        let cand = Candidate { sql, spec, applied: Vec::new() };
+        let cand = Candidate { sql, spec: spec.into_owned(), applied: Vec::new() };
         vec![render_cot_fields(&cand, db)]
     }
 }
@@ -752,6 +809,68 @@ mod tests {
         let sql = proto::parse_sql_from_response(&resp.texts[0]).unwrap();
         let rs = db.database.query(sql).unwrap();
         assert_eq!(rs.rows.len(), 1);
+    }
+
+    /// Everything a response carries, comparable.
+    fn fields(r: &ChatResponse) -> (&[String], usize, usize, u64) {
+        (&r.texts, r.prompt_tokens, r.completion_tokens, r.latency_ms.to_bits())
+    }
+
+    fn draws(sim: &SimLlm) -> usize {
+        sim.draws.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn racing_threads_draw_a_cold_question_once() {
+        let (sim, bench) = sim();
+        let req = ChatRequest {
+            prompt: gen_prompt(&bench, &bench.dev[0]),
+            temperature: 0.7,
+            n: 21,
+            seed_tag: 3,
+        };
+        let gate = std::sync::Barrier::new(8);
+        let responses: Vec<ChatResponse> = std::thread::scope(|s| {
+            let asking: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        sim.complete(&req)
+                    })
+                })
+                .collect();
+            asking.into_iter().map(|h| h.join().expect("asking thread panicked")).collect()
+        });
+        assert_eq!(draws(&sim), 1, "eight threads, one question, one draw");
+        let alone = self::sim().0.complete(&req);
+        for r in &responses {
+            assert_eq!(fields(r), fields(&alone));
+        }
+    }
+
+    #[test]
+    fn misreads_are_bounded_by_the_registry() {
+        let (sim, bench) = sim();
+        let registered = sim.oracle().len();
+        assert_eq!(sim.misreads.len(), registered);
+        for _pass in 0..2 {
+            for ex in bench.train.iter().chain(&bench.dev).chain(&bench.test) {
+                sim.complete(&ChatRequest::once(gen_prompt(&bench, ex)));
+            }
+        }
+        assert_eq!(sim.misreads.len(), registered);
+        assert!(sim.misreads.iter().all(|slot| slot.get().is_some()));
+        assert_eq!(draws(&sim), registered, "one draw per registered question, asked twice");
+
+        // an ad hoc question has no slot: it draws on every call, as it always did
+        let db = &bench.dbs[0];
+        let ad_hoc = ChatRequest::once(format!(
+            "#task: generation\n#db: {}\n/* Answer the following: How many {} are there? */\n",
+            db.id, db.tables[0].noun
+        ));
+        let (a, b) = (sim.complete(&ad_hoc), sim.complete(&ad_hoc));
+        assert_eq!(fields(&a), fields(&b));
+        assert_eq!(draws(&sim), registered + 2);
     }
 
     #[test]
