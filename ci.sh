@@ -75,9 +75,12 @@ cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight,
                                  # 84ce847, before the four consolidations
 # One refinement path, structurally: the beam is the unit, so alignment and
 # execution each have exactly one call site outside tests in refinement.rs
-# (the miss path of the beam's memo — `refine_candidate` is the beam of
-# one through it, not a second loop), and the slot/thread code lives there,
-# not in the pipeline.
+# (the miss path of the beam's one table — `refine_candidate` is the beam
+# of one through it, not a second loop), and one thread answers one
+# question: no thread fan-out inside core (eval.rs spreads whole questions
+# over scorer threads, which is the caller's parallelism, not the
+# pipeline's), no thread-count knob beyond the one vestigial builder the
+# frozen benchmark harness calls, and no second, fallible way to call a model.
 non_test_code() { # a source file up to its test module, comment lines dropped
     awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1" | grep -v '^[[:space:]]*//'
 }
@@ -89,8 +92,13 @@ for call in 'plan_cache().execute' 'align_candidate('; do
         exit 1
     fi
 done
-if grep -n 'thread::scope' crates/core/src/pipeline.rs; then
-    echo "ci: crates/core/src/pipeline.rs is spawning refinement threads again" >&2
+if grep -rnE 'thread::scope|in_slots' crates/core/src --exclude=eval.rs \
+    || grep -rn 'refine_threads' crates/core/src | grep -v '^crates/core/src/config.rs:.*with_refine_threads'; then
+    echo "ci: crates/core/src is fanning a question out over threads again" >&2
+    exit 1
+fi
+if grep -rnE 'ResilientLlm|FlakyLlm|FallibleLanguageModel' crates; then
+    echo "ci: the unwired fallible-model stack is back under crates/" >&2
     exit 1
 fi
 # The analyzer diagnoses, the executor decides, structurally: the analyzer
@@ -105,7 +113,7 @@ cargo test -q --test beam_differential # corpus gate: every field of every candi
                                  # ledger's tokens and calls and the logical trace of 136
                                  # questions (tiny + a bird-mini-dev sample, 21 candidates)
                                  # equal what a48904b produced refining one candidate at a
-                                 # time, at refine_threads 1 and 4. One line (`tiny 6`) was
+                                 # time. One line (`tiny 6`) was
                                  # re-recorded when the certainty replay was deleted: one
                                  # unparseable correction is now handed to the executor
                                  # (same syntax error) instead of being skipped, so one
@@ -236,22 +244,21 @@ done
 #                         literal text recorded on 657367b (where the analyzer's
 #                         since-deleted replay predicted the same bytes); a stuck
 #                         candidate's statement is executed once per distinct text
-#   trace_shape           trace-determinism gate: two identical runs (and any
-#                         refine thread count) render identical logical traces,
-#                         timestamps and volatile events excluded; the
-#                         windowed/SLO exposition stays byte-deterministic
+#   trace_shape           trace-determinism gate: two identical runs render
+#                         identical logical traces, timestamps and volatile
+#                         events excluded; the windowed/SLO exposition stays
+#                         byte-deterministic at any worker count
 #   planner_differential  the plan cache returns what the engine golden recorded
 #                         (corpus gold SQL, sampled specs), paged ≡ in-memory
 #                         round trips, index-set invalidation
-#   prepared_differential raw ≡ prepared (rows and ExecStats) ≡ the engine golden;
-#                         refine-thread determinism
+#   prepared_differential raw ≡ prepared (rows and ExecStats) ≡ the engine golden
 #   beam_differential     (also by name above) shared first attempts ≡ the parent's
 #                         candidate-by-candidate refinement, field for field (one
 #                         line re-recorded on purpose; see the gate above)
 #   repl_differential     follower responses byte-identical to the primary
 #                         whenever the floor is met
 cargo test -q --workspace
-cargo bench --no-run             # benches must always compile
+cargo bench --no-run -p osql-bench # benches must always compile
 
 # The benchmark harness is a package outside the workspace that compiles
 # against sqlkit::{prepare, execute_select, plan_cache, PlanCacheStats} and

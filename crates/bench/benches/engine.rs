@@ -1,9 +1,12 @@
-//! SQL engine microbenchmarks: parsing, scans, hash joins, grouped
-//! aggregation — the substrate every pipeline stage executes against.
+//! SQL engine microbenchmarks: scans, hash joins, grouped aggregation —
+//! the substrate every pipeline stage executes against. What a
+//! `BENCHMARK.json` layer metric already measures (parse, prepare,
+//! plan-cache hit, analysis, store load and commit) is `perfbench`'s, not
+//! a group here.
 //!
 //! `sqlkit` has one executor, so the groups differ only in what each call
-//! pays *before* it: `engine_exec/*` and `raw/*` bind and lower on every
-//! call, `cold/*` also parses, `warm/*` runs a cached plan.
+//! pays *before* it: `engine_exec/*` and `selective/raw` bind and lower on
+//! every call, the rest run a cached plan.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::{build::build_db, domain::themes, RowScale};
@@ -11,17 +14,6 @@ use sqlkit::parse_select;
 
 fn db() -> datagen::BuiltDb {
     build_db(&themes()[0], "bench", "healthcare", RowScale::bird(), 0.55, 42)
-}
-
-fn bench_parse(c: &mut Criterion) {
-    let sql = "SELECT COUNT(DISTINCT T1.PatientID) FROM Patient AS T1 \
-               INNER JOIN Laboratory AS T2 ON T1.PatientID = T2.PatientID \
-               WHERE T2.IGA > 80 AND T2.IGA < 500 AND \
-               STRFTIME('%Y', T1.`First Date`) >= '1990' \
-               ORDER BY T1.Age DESC LIMIT 5";
-    c.bench_function("parse_select", |b| {
-        b.iter(|| std::hint::black_box(parse_select(sql).unwrap()))
-    });
 }
 
 const CASES: [(&str, &str); 5] = [
@@ -60,35 +52,13 @@ fn bench_exec(c: &mut Criterion) {
     group.finish();
 }
 
-/// Prepared-vs-raw execution: `raw` is the engine's `query(sql)` path —
-/// parse + bind + lower + run on every call, nothing cached; `cold` is the
-/// same work spelled `prepare` + `execute`; and `warm` serves the plan
-/// from a [`PlanCache`] so each call is pure execution.
-fn bench_prepared(c: &mut Criterion) {
-    let built = db();
-    let mut group = c.benchmark_group("engine_prepared");
-    group.sample_size(100);
-    for (name, sql) in CASES {
-        group.bench_function(format!("raw/{name}"), |b| {
-            b.iter(|| std::hint::black_box(built.database.query(sql).unwrap()))
-        });
-        group.bench_function(format!("cold/{name}"), |b| {
-            b.iter(|| {
-                let plan = sqlkit::prepare(&built.database, sql).unwrap();
-                std::hint::black_box(plan.execute(&built.database).unwrap())
-            })
-        });
-        let cache = sqlkit::PlanCache::new(64);
-        group.bench_function(format!("warm/{name}"), |b| {
-            b.iter(|| std::hint::black_box(cache.execute(&built.database, sql).unwrap()))
-        });
-    }
-    group.finish();
-
-    // Plan-acquisition cost in isolation, and a plan-dominated query shape.
-    // The refine → execute → correct loop, the vote tie-break, and eval's
-    // gold executions all repeat the same statement, so on selective
-    // queries the parse + bind cost matters as much as execution.
+/// A plan-dominated query shape. The refine → execute → correct loop, the
+/// vote tie-break, and eval's gold executions all repeat the same
+/// statement, so on selective queries the parse + bind cost matters as
+/// much as execution: `raw` is the engine's `query(sql)` path — parse +
+/// bind + lower + run on every call — and `warm` serves the plan from a
+/// [`sqlkit::PlanCache`] so each call is pure execution.
+fn bench_plan(c: &mut Criterion) {
     let complex = "SELECT COUNT(DISTINCT T1.PatientID) FROM Patient AS T1 \
                    INNER JOIN Laboratory AS T2 ON T1.PatientID = T2.PatientID \
                    WHERE T2.IGA > 80 AND T2.IGA < 500 AND \
@@ -97,14 +67,6 @@ fn bench_prepared(c: &mut Criterion) {
     let small = build_db(&themes()[0], "bench_small", "healthcare", RowScale::tiny(), 0.55, 42);
     let mut group = c.benchmark_group("engine_plan");
     group.sample_size(500);
-    group.bench_function("prepare", |b| {
-        b.iter(|| std::hint::black_box(sqlkit::prepare(&built.database, complex).unwrap()))
-    });
-    let cache = sqlkit::PlanCache::new(64);
-    cache.execute(&built.database, complex).unwrap();
-    group.bench_function("cache_hit", |b| {
-        b.iter(|| std::hint::black_box(cache.prepared(&built.database, complex).unwrap()))
-    });
     group.bench_function("selective/raw", |b| {
         b.iter(|| std::hint::black_box(small.database.query(complex).unwrap()))
     });
@@ -121,8 +83,8 @@ fn bench_prepared(c: &mut Criterion) {
 /// on the Patient PK, `ix_join` an IxScan driving an IxJoin probe into
 /// Laboratory's FK index, and `full_scan_fallback` a shape with no
 /// usable index (the planner must not make unindexed scans slower).
-/// `derived.ix_join_speedup` in BENCH_engine.json compares `ix_join`
-/// against `engine_exec/hash_join`, the same join with no sarg to seed it.
+/// Compare `ix_join` against `engine_exec/hash_join`, the same join with
+/// no sarg to seed it (4.07 µs against 111 µs when the planner landed).
 fn bench_planner(c: &mut Criterion) {
     let built = db();
     let planner_cases = [
@@ -150,29 +112,12 @@ fn bench_planner(c: &mut Criterion) {
     group.finish();
 }
 
-/// Static analysis cost: what refinement pays per distinct statement on
-/// top of executing it. `clean/*` analyzes the executable benchmark
-/// statements and `parse_only` isolates the parse share of `analyze_sql`.
-fn bench_analyze(c: &mut Criterion) {
-    let built = db();
-    let mut group = c.benchmark_group("engine_analyze");
-    for (name, sql) in CASES {
-        group.bench_function(format!("clean/{name}"), |b| {
-            b.iter(|| std::hint::black_box(sqlkit::analyze_sql(&built.database.schema, sql)))
-        });
-    }
-    group.bench_function("parse_only", |b| {
-        b.iter(|| std::hint::black_box(parse_select(CASES[2].1).unwrap()))
-    });
-    group.finish();
-}
-
 /// Instrumentation overhead on the hottest path: warm plan-cache
 /// execution with no active trace (`off/*` — the engine's volatile
 /// events short-circuit on one thread-local read) versus with a trace
 /// recording every execute (`on/*`). The acceptance bar is < 5%
-/// overhead on `off` vs `on` for the warm prepared path; results are
-/// recorded in BENCH_engine.json.
+/// overhead on `off` vs `on` for the warm prepared path
+/// (`examples/trace_overhead.rs` interleaves the two and takes medians).
 fn bench_trace(c: &mut Criterion) {
     let built = db();
     let mut group = c.benchmark_group("engine_trace");
@@ -202,28 +147,13 @@ fn bench_trace(c: &mut Criterion) {
     group.finish();
 }
 
-/// Durable-store paths: loading a database cold off its page file
-/// (`cold_load`), re-serving it from a warm demand-paged catalog
-/// (`warm_catalog_hit` — an `Arc` clone behind a mutex), and the
-/// in-memory alternative of replaying the SQL dump (`script_replay`),
-/// plus one write transaction over in-memory media (`wal/commit` — a keyed
-/// UPDATE executed against the live database, its statement record, and a
-/// commit record per iteration). Until UPDATE stopped copying the database
-/// per statement, that copy was most of this number (106 µs, against
-/// ~3 µs of log work); the statement's own cost is `engine_dml/*` below.
+/// Bringing one bird-scale database into memory by replaying its SQL dump —
+/// the in-memory alternative to the page-file load `perfbench` measures as
+/// `store.cold_load_ms`.
 fn bench_store(c: &mut Criterion) {
-    let built = db();
-    let dir = std::env::temp_dir().join(format!("osql-bench-store-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bench.store");
-    datagen::export_db_store(&built, &path).unwrap();
-    let script = built.database.dump_script();
-
+    let script = db().database.dump_script();
     let mut group = c.benchmark_group("engine_store");
     group.sample_size(60);
-    group.bench_function("cold_load", |b| {
-        b.iter(|| std::hint::black_box(datagen::import_store(&path).unwrap()))
-    });
     group.bench_function("script_replay", |b| {
         b.iter(|| {
             let mut fresh = sqlkit::Database::new("bench");
@@ -231,34 +161,7 @@ fn bench_store(c: &mut Criterion) {
             std::hint::black_box(fresh.total_rows())
         })
     });
-    let catalog = datagen::open_store_catalog(&dir, u64::MAX, "bench-world").unwrap();
-    catalog.get("bench").unwrap();
-    group.bench_function("warm_catalog_hit", |b| {
-        b.iter(|| std::hint::black_box(catalog.get("bench").unwrap()))
-    });
-
-    // In-memory media (FaultFile with no plan), so the number is parse +
-    // execute + encode + append, not this machine's disk. The log is
-    // reset every 4096 transactions to bound buffer growth.
-    let wal_base = dir.join("wal.store");
-    osql_store::write_database(&wal_base, &built.database, &[], 0).unwrap();
-    let (mut store, _) =
-        osql_store::Store::open_with(&wal_base, osql_store::FaultFile::new()).unwrap();
-    let mut txn: u64 = 0;
-    group.bench_function("wal/commit", |b| {
-        b.iter(|| {
-            txn += 1;
-            if txn.is_multiple_of(4096) {
-                store.checkpoint().unwrap();
-            }
-            store
-                .execute(&format!("UPDATE Patient SET Age = {} WHERE PatientID = 1", txn % 90))
-                .unwrap();
-            std::hint::black_box(store.commit().unwrap())
-        })
-    });
     group.finish();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One DML statement against a table of `n` rows, with and without a
@@ -354,11 +257,9 @@ fn bench_dml(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_parse,
     bench_exec,
-    bench_prepared,
+    bench_plan,
     bench_planner,
-    bench_analyze,
     bench_trace,
     bench_store,
     bench_dml

@@ -1,10 +1,7 @@
-//! Serving-throughput benchmarks: the same batch of dev questions
-//! answered sequentially through a bare `Pipeline` versus through the
-//! `osql-runtime` worker pool at 1/2/4/8 workers.
-//!
-//! The worker pool runs cold result caches per iteration (requests are
-//! distinct questions, so nothing is memoised away); a separate benchmark
-//! measures the warm-cache path.
+//! Worker scaling against a latency-bound model: one batch of dev
+//! questions through the `osql-runtime` worker pool at 1/2/4/8 workers,
+//! cold result cache per iteration. (CPU-bound serving throughput and the
+//! warm-cache path are `perfbench` workloads.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::Profile;
@@ -49,48 +46,6 @@ fn batch(world: &World, n: usize) -> Vec<QueryRequest> {
         .collect()
 }
 
-fn bench_throughput(c: &mut Criterion) {
-    let world = World::build(&Profile::tiny());
-    let requests = batch(&world, 12);
-    let config = PipelineConfig::fast();
-
-    let mut group = c.benchmark_group("serving_throughput");
-    group.sample_size(10);
-
-    let pipeline = world.pipeline(config.clone(), ModelProfile::gpt_4o());
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            for req in &requests {
-                std::hint::black_box(pipeline.answer(&req.db_id, &req.question, &req.evidence));
-            }
-        })
-    });
-
-    for workers in [1usize, 2, 4, 8] {
-        let assets = Arc::new(AssetCache::warmed_by(
-            &world.preprocessed,
-            world.model(ModelProfile::gpt_4o()),
-            config.clone(),
-        ));
-        group.bench_with_input(
-            BenchmarkId::new("runtime", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    // fresh runtime per iteration: cold result cache, so
-                    // the pool does real pipeline work every time
-                    let rt = Runtime::start(
-                        assets.clone(),
-                        RuntimeConfig { workers, queue_capacity: 16, result_cache_capacity: 64, trace_capacity: 64, ..RuntimeConfig::default() },
-                    );
-                    std::hint::black_box(rt.run_batch(requests.clone()));
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_latency_bound(c: &mut Criterion) {
     let world = World::build(&Profile::tiny());
     let requests = batch(&world, 12);
@@ -121,22 +76,5 @@ fn bench_latency_bound(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_warm_cache(c: &mut Criterion) {
-    let world = World::build(&Profile::tiny());
-    let requests = batch(&world, 12);
-    let assets = Arc::new(AssetCache::warmed_by(
-        &world.preprocessed,
-        world.model(ModelProfile::gpt_4o()),
-        PipelineConfig::fast(),
-    ));
-    let rt = Runtime::start(assets, RuntimeConfig::with_workers(4));
-    // prime the result cache once; every benchmarked batch is then served
-    // from memory
-    rt.run_batch(requests.clone());
-    c.bench_function("serving_warm_cache", |b| {
-        b.iter(|| std::hint::black_box(rt.run_batch(requests.clone())))
-    });
-}
-
-criterion_group!(benches, bench_throughput, bench_latency_bound, bench_warm_cache);
+criterion_group!(benches, bench_latency_bound);
 criterion_main!(benches);

@@ -70,16 +70,6 @@ pub struct PipelineConfig {
     pub retrieval_top_k: usize,
     /// Maximum correction rounds per candidate.
     pub max_correction_rounds: usize,
-    /// Worker threads for candidate refinement (1 = sequential). Purely a
-    /// throughput knob: results are ordered by candidate index and ledgers
-    /// merged deterministically, so every report field is identical to the
-    /// sequential path.
-    #[serde(default = "default_refine_threads")]
-    pub refine_threads: usize,
-}
-
-fn default_refine_threads() -> usize {
-    1
 }
 
 impl Default for PipelineConfig {
@@ -103,7 +93,6 @@ impl Default for PipelineConfig {
             retrieval_threshold: 0.65,
             retrieval_top_k: 5,
             max_correction_rounds: 2,
-            refine_threads: default_refine_threads(),
         }
     }
 }
@@ -192,9 +181,11 @@ impl PipelineConfig {
         self
     }
 
-    /// Refine candidates on `n` worker threads (answers are unchanged).
-    pub fn with_refine_threads(mut self, n: usize) -> Self {
-        self.refine_threads = n.max(1);
+    /// Accepted and ignored: one thread refines one question, and the
+    /// runtime's worker pool is where questions overlap. Kept because the
+    /// frozen benchmark harness calls it; it goes with
+    /// `RefinedCandidate::analyze_skips` (ROADMAP item 1).
+    pub fn with_refine_threads(self, _n: usize) -> Self {
         self
     }
 }
@@ -229,11 +220,10 @@ mod tests {
         assert_eq!(c.gen_fewshot, FewshotMode::QueryCotSql);
     }
 
+    /// The result cache's `config_fingerprint` hashes this rendering.
     #[test]
-    fn refine_threads_defaults_to_sequential() {
-        assert_eq!(PipelineConfig::full().refine_threads, 1);
-        assert_eq!(default_refine_threads(), 1, "missing field deserializes to sequential");
-        assert_eq!(PipelineConfig::full().with_refine_threads(0).refine_threads, 1, "clamped");
-        assert_eq!(PipelineConfig::full().with_refine_threads(8).refine_threads, 8);
+    fn with_refine_threads_is_ignored() {
+        let plain = format!("{:?}", PipelineConfig::full());
+        assert_eq!(format!("{:?}", PipelineConfig::full().with_refine_threads(8)), plain);
     }
 }

@@ -257,28 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_refinement_matches_sequential() {
-        let seq = pipeline(PipelineConfig::fast());
-        let dev: Vec<datagen::Example> = seq.pre.benchmark.dev.iter().take(4).cloned().collect();
-        for threads in [2, 4, 8] {
-            let par = pipeline(PipelineConfig::fast().with_refine_threads(threads));
-            for ex in &dev {
-                let a = seq.answer(&ex.db_id, &ex.question, &ex.evidence);
-                let b = par.answer(&ex.db_id, &ex.question, &ex.evidence);
-                assert_eq!(a.sql_g, b.sql_g);
-                assert_eq!(a.sql_r, b.sql_r);
-                assert_eq!(a.final_sql, b.final_sql);
-                assert_eq!(a.winner, b.winner);
-                assert_eq!(a.vote_margin, b.vote_margin);
-                assert_eq!(a.first_attempts_shared, b.first_attempts_shared);
-                crate::refinement::assert_same_candidates(&a.candidates, &b.candidates);
-                crate::refinement::assert_same_counts(&a.ledger, &b.ledger);
-                assert_eq!(a.trace.render_logical(), b.trace.render_logical(), "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn ad_hoc_question_via_fallback() {
         let p = pipeline(PipelineConfig::fast());
         let db = p.pre.benchmark.dbs[0].clone();

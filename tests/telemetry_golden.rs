@@ -8,6 +8,8 @@
 //! Every JSON line is also parsed with `serde_json`, so a golden can
 //! never bless malformed output.
 
+mod recording;
+
 use osql_runtime::metrics::FRACTION_BOUNDS;
 use osql_runtime::{LogicalClock, MetricsRegistry, SloConfig, WindowedMetrics};
 use osql_trace::{Event, QueryTrace, RequestOutcome, RequestRecord, Span};
@@ -496,14 +498,14 @@ fn live_server_bodies_match_the_recorded_bytes() {
     check(&live::goldens());
 }
 
-/// Re-records every golden from whatever telemetry code is checked out.
-/// It was run once, on 84ce847, before the consolidation touched any
-/// writer. Running it today blesses the current writers as their own
-/// oracle, which is only right after a deliberate, reviewed format change.
+/// Records every golden from whatever telemetry code is checked out, under
+/// `target/golden/telemetry/`. It was run once, on 84ce847, before the
+/// consolidation touched any writer. Promoting today's recording blesses
+/// the current writers as their own oracle, which is only right after a
+/// deliberate, reviewed format change.
 #[test]
-#[ignore = "rewrites tests/golden/telemetry/"]
+#[ignore = "records target/golden/telemetry/"]
 fn record_goldens() {
-    std::fs::create_dir_all(golden_path("")).expect("create tests/golden/telemetry");
     let mut all = registry_goldens();
     all.extend(window_goldens());
     all.extend(flight_goldens());
@@ -512,6 +514,6 @@ fn record_goldens() {
         if name.ends_with(".jsonl") {
             assert_json_lines(name, &bytes);
         }
-        std::fs::write(golden_path(name), bytes).expect("write golden");
+        recording::write(&format!("telemetry/{name}"), &bytes);
     }
 }

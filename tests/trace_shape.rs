@@ -1,6 +1,6 @@
 //! The structured trace is part of the pipeline's contract: one query
 //! produces one span tree with the four stages in order, candidate
-//! sub-traces merged deterministically, correction rounds that agree with
+//! spans in candidate order, correction rounds that agree with
 //! the cost ledger, and a vote event whose margin is the very number the
 //! runtime's `vote_margin` histogram records. Logical sequence numbers
 //! (not timestamps) pin all of it, so these tests cannot flake on timing.
@@ -182,25 +182,22 @@ fn concurrent_workers_produce_disjoint_complete_traces() {
     }
 }
 
-/// Two identical runs — and a 1-thread vs 4-thread refinement — render
-/// identical *logical* traces: structure and deterministic labels only,
-/// timestamps excluded. This is the property the ci.sh determinism gate
-/// checks end to end.
+/// Two identical runs render identical *logical* traces: structure and
+/// deterministic labels only, timestamps excluded. This is the property
+/// the ci.sh determinism gate checks end to end.
 #[test]
-fn logical_trace_is_deterministic_across_runs_and_thread_counts() {
-    let logical = |threads: usize| -> Vec<String> {
-        let p = pipeline(PipelineConfig::fast().with_refine_threads(threads));
+fn logical_trace_is_deterministic_across_runs() {
+    let logical = || -> Vec<String> {
+        let p = pipeline(PipelineConfig::fast());
         let dev: Vec<datagen::Example> =
             p.preprocessed().benchmark.dev.iter().take(4).cloned().collect();
         dev.iter()
             .map(|ex| p.answer(&ex.db_id, &ex.question, &ex.evidence).trace.render_logical())
             .collect()
     };
-    let a = logical(1);
-    let b = logical(1);
+    let a = logical();
+    let b = logical();
     assert_eq!(a, b, "identical runs, identical logical traces");
-    let c = logical(4);
-    assert_eq!(a, c, "refine thread count is invisible in the logical trace");
     // sanity: the logical view is non-trivial and names the stages
     assert!(a[0].contains("stage:refinement"), "{}", a[0]);
     assert!(a[0].contains("candidate"), "{}", a[0]);
@@ -209,18 +206,14 @@ fn logical_trace_is_deterministic_across_runs_and_thread_counts() {
 /// The windowed/SLO Prometheus exposition is fed modelled stage time
 /// and sliced by a logical clock (no ticker when `tick_interval_ms` is
 /// 0), so — like the logical trace above — its bytes cannot depend on
-/// worker or refine-thread counts.
+/// the worker count.
 #[test]
 fn windowed_metrics_render_identically_across_worker_and_thread_counts() {
-    let render = |workers: usize, threads: usize| -> String {
+    let render = |workers: usize| -> String {
         let bench = Arc::new(generate(&Profile::tiny()));
         let oracle = Arc::new(Oracle::new(bench.clone()));
         let llm = Arc::new(SimLlm::new(oracle, ModelProfile::gpt_4o(), 5));
-        let assets = Arc::new(AssetCache::new(
-            bench.clone(),
-            llm,
-            PipelineConfig::fast().with_refine_threads(threads),
-        ));
+        let assets = Arc::new(AssetCache::new(bench.clone(), llm, PipelineConfig::fast()));
         let rt = Runtime::start(
             assets,
             RuntimeConfig { workers, tick_interval_ms: 0, ..RuntimeConfig::default() },
@@ -240,11 +233,11 @@ fn windowed_metrics_render_identically_across_worker_and_thread_counts() {
         }
         rt.windowed().render_prometheus()
     };
-    let a = render(1, 1);
-    let b = render(1, 1);
+    let a = render(1);
+    let b = render(1);
     assert_eq!(a, b, "identical runs render identical windowed bytes");
-    let c = render(4, 4);
-    assert_eq!(a, c, "worker and refine-thread counts are invisible in the windowed view");
+    let c = render(4);
+    assert_eq!(a, c, "the worker count is invisible in the windowed view");
     assert!(a.contains("osql_window_latency_ms"), "{a}");
     assert!(a.contains("osql_slo_burn_rate"), "{a}");
 }
