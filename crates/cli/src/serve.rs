@@ -182,10 +182,11 @@ pub fn start_runtime(opts: &ServeOptions) -> (Arc<datagen::Benchmark>, Runtime) 
 ///
 /// With `opts.follow` set, a background apply loop tails the shipping
 /// root (one `<db_id>/` subdirectory per database), applies shipped
-/// segments into the `--store` directory, invalidates the asset cache
-/// for databases that advanced, and publishes positions into the
-/// [`osql_repl::ReplState`] the server's bounded-staleness admission
-/// reads.
+/// segments into the `--store` directory, and publishes positions into
+/// the [`osql_repl::ReplState`] the server's bounded-staleness admission
+/// reads — each one only after [`Runtime::invalidate`] dropped what the
+/// runtime remembered of that database (assets and cached answers), so
+/// a read admitted under the new position never sees the old data.
 pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> String {
     if opts.follow.is_some() && opts.store.is_none() {
         return "--follow requires --store (the directory the follower applies into)\n".into();
@@ -194,9 +195,12 @@ pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> 
         // catch up before the runtime opens the catalog so freshly
         // bootstrapped stores are already listed
         let state = osql_repl::ReplState::new(1);
-        if let Err(e) =
-            crate::repl_cmd::follow_round(std::path::Path::new(root), std::path::Path::new(store), &state)
-        {
+        if let Err(e) = crate::repl_cmd::follow_round(
+            std::path::Path::new(root),
+            std::path::Path::new(store),
+            &state,
+            &|_| {},
+        ) {
             return format!("cannot follow {root}: {e}\n");
         }
     }
@@ -212,31 +216,13 @@ pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> 
             (opts.poll_ms.max(1)).div_ceil(1000).max(1),
         ));
         config.repl = Some(state.clone());
-        let loop_state = state.clone();
-        let ship_root = std::path::PathBuf::from(root);
-        let store_dir = std::path::PathBuf::from(opts.store.as_deref().unwrap_or_default());
-        let assets = rt.assets().clone();
-        let poll = std::time::Duration::from_millis(opts.poll_ms.max(1));
-        let handle = std::thread::Builder::new()
-            .name("osql-repl-follow".into())
-            .spawn(move || {
-                while !loop_state.shutdown_requested() {
-                    match crate::repl_cmd::follow_round(&ship_root, &store_dir, &loop_state) {
-                        Ok(rounds) => {
-                            for (db, outcome) in rounds {
-                                if matches!(&outcome, Ok(r) if r.applied_txns > 0) {
-                                    // drop the cached pipeline + paged store so
-                                    // the next read sees the applied state
-                                    assets.invalidate(&db);
-                                }
-                            }
-                        }
-                        Err(e) => eprintln!("follower round failed: {e}"),
-                    }
-                    std::thread::sleep(poll);
-                }
-            })
-            .expect("spawn follower loop");
+        let handle = spawn_follower(
+            rt.clone(),
+            root.into(),
+            opts.store.as_deref().unwrap_or_default().into(),
+            state.clone(),
+            std::time::Duration::from_millis(opts.poll_ms.max(1)),
+        );
         follower = Some((state, handle));
     }
     let addr = opts.http.as_deref().unwrap_or("127.0.0.1:0");
@@ -268,6 +254,33 @@ pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> 
         out.push_str("warning: connections still open at drain deadline\n");
     }
     out
+}
+
+/// The follower's background apply loop: a [`crate::repl_cmd::follow_round`]
+/// every `poll` until `state` asks for shutdown, each database it
+/// advanced invalidated in `rt` before `state` publishes the new
+/// position.
+fn spawn_follower(
+    rt: Arc<Runtime>,
+    ship_root: std::path::PathBuf,
+    store_dir: std::path::PathBuf,
+    state: Arc<osql_repl::ReplState>,
+    poll: std::time::Duration,
+) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name("osql-repl-follow".into())
+        .spawn(move || {
+            let invalidate = |db: &str| rt.invalidate(db);
+            while !state.shutdown_requested() {
+                if let Err(e) =
+                    crate::repl_cmd::follow_round(&ship_root, &store_dir, &state, &invalidate)
+                {
+                    eprintln!("follower round failed: {e}");
+                }
+                std::thread::sleep(poll);
+            }
+        })
+        .expect("spawn follower loop")
 }
 
 /// Run batch mode and render its report.
@@ -306,8 +319,8 @@ pub fn run_batch(opts: &ServeOptions) -> String {
         out,
         "cache: {} result hit(s), {} miss(es); {} of {} served from cache; \
          {} database(s) preprocessed lazily",
-        rt.results().hits(),
-        rt.results().misses(),
+        rt.metrics().counter("result_cache_hits").get(),
+        rt.metrics().counter("result_cache_misses").get(),
         cache_served,
         served,
         rt.assets().len(),
@@ -769,6 +782,55 @@ mod tests {
         assert!(report.contains("asset_builds_total 0"), "{report}");
         assert!(!report.contains("requests_total"), "{report}");
         assert!(!report.contains("warning"), "{report}");
+    }
+
+    /// A follower must not answer from the result cache with a run
+    /// computed on data its apply loop has since advanced past.
+    #[test]
+    fn follower_apply_drops_cached_answers_of_the_advanced_db() {
+        let root = std::env::temp_dir().join(format!("osql-serve-follow-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (primary, ship, replica) = (root.join("primary"), root.join("ship"), root.join("replica"));
+        crate::store_cmd::run_pack(&opts(), &primary).unwrap();
+        crate::repl_cmd::run_ship(&primary, &ship).unwrap();
+        crate::repl_cmd::run_follow(&ship, &replica).unwrap();
+        let store_opts =
+            ServeOptions { store: Some(replica.to_string_lossy().into_owned()), ..opts() };
+        let (benchmark, rt) = start_runtime(&store_opts);
+        let rt = Arc::new(rt);
+        let ex = &benchmark.dev[0];
+        let ask = || {
+            rt.submit(QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence))
+                .unwrap()
+                .wait()
+                .unwrap()
+                .from_cache
+        };
+        assert!(!ask());
+        assert!(ask(), "repeats are cached");
+
+        let (mut store, _) =
+            osql_store::Store::open(&primary.join(format!("{}.store", ex.db_id))).unwrap();
+        store.execute("CREATE TABLE follow_probe (id INTEGER PRIMARY KEY)").unwrap();
+        store.execute("INSERT INTO follow_probe VALUES (1)").unwrap();
+        let seq = store.commit().unwrap();
+        drop(store);
+        crate::repl_cmd::run_ship(&primary, &ship).unwrap();
+        let state = Arc::new(osql_repl::ReplState::new(1));
+        let follower = spawn_follower(
+            rt.clone(),
+            ship.clone(),
+            replica.clone(),
+            state.clone(),
+            std::time::Duration::from_millis(5),
+        );
+        while state.applied_seq(&ex.db_id) != Some(seq) {
+            std::thread::yield_now();
+        }
+        state.request_shutdown();
+        follower.join().unwrap();
+        assert!(!ask(), "the applied database's answer was recomputed, not served stale");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

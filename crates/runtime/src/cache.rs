@@ -7,8 +7,10 @@
 //! and shared across all entries. **Level 2** ([`LruCache`]) memoises
 //! finished [`PipelineRun`]s keyed by
 //! `(db_id, normalized question+evidence, config fingerprint)`, so a
-//! repeated question is served without touching the pipeline at all.
-//! Both levels keep hit/miss counts.
+//! repeated question is served without touching the pipeline at all —
+//! not even the queue: the runtime probes it on the submitting thread.
+//! Level 1 keeps hit/miss counts; level-2 hits and misses are counted
+//! once, by the runtime, in its metrics registry.
 
 use llmsim::LanguageModel;
 use opensearch_sql::{FewshotLibrary, Pipeline, PipelineConfig, PipelineRun, Preprocessed};
@@ -93,9 +95,20 @@ struct LruInner<K, V> {
     head: usize,
     tail: usize,
     map: HashMap<K, usize>,
+    /// Sweeps so far ([`LruCache::invalidate_where`]); an insert quoting
+    /// an older epoch computed its value before a sweep and is refused.
+    epoch: u64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> LruInner<K, V> {
+    /// Unlink and free the live node at `idx`.
+    fn remove(&mut self, idx: usize) {
+        self.detach(idx);
+        let node = self.nodes[idx].take().expect("live node");
+        self.map.remove(&node.key);
+        self.free.push(idx);
+    }
+
     fn detach(&mut self, idx: usize) {
         let (prev, next) = {
             let n = self.nodes[idx].as_ref().expect("live node");
@@ -129,12 +142,15 @@ impl<K: Hash + Eq + Clone, V: Clone> LruInner<K, V> {
 }
 
 /// A fixed-capacity least-recently-used cache (slab-backed doubly linked
-/// list + hash index) with hit/miss accounting. All operations are O(1).
+/// list + hash index) with eviction accounting. Lookups and inserts are
+/// O(1); a sweep ([`LruCache::invalidate_where`]) is O(len).
+///
+/// Hits and misses are not counted here: a caller that looks one key up
+/// in two places (the runtime probes on the submitting thread, then
+/// again on a worker) would count one request's miss twice.
 pub struct LruCache<K, V> {
     inner: Mutex<LruInner<K, V>>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -149,28 +165,32 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
                 head: NIL,
                 tail: NIL,
                 map: HashMap::with_capacity(capacity),
+                epoch: 0,
             }),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
     /// Look up a key, marking it most recently used on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
+        self.lookup(key).ok()
+    }
+
+    /// Look up a key, marking it most recently used on a hit; on a miss,
+    /// the epoch it was observed at — quote it to
+    /// [`LruCache::insert_since`] so a value computed from state an
+    /// [`LruCache::invalidate_where`] has since declared stale is never
+    /// cached. One lock acquisition for both.
+    pub fn lookup(&self, key: &K) -> Result<V, u64> {
         let mut inner = self.inner.lock();
         match inner.map.get(key).copied() {
             Some(idx) => {
                 inner.detach(idx);
                 inner.attach_front(idx);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(inner.nodes[idx].as_ref().expect("live node").value.clone())
+                Ok(inner.nodes[idx].as_ref().expect("live node").value.clone())
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            None => Err(inner.epoch),
         }
     }
 
@@ -178,6 +198,37 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     /// when at capacity.
     pub fn insert(&self, key: K, value: V) {
         let mut inner = self.inner.lock();
+        self.insert_locked(&mut inner, key, value);
+    }
+
+    /// [`LruCache::insert`], unless an [`LruCache::invalidate_where`] ran
+    /// since `epoch` (from [`LruCache::lookup`]) was read: then the value
+    /// may describe what that sweep invalidated, and nothing is stored.
+    /// Returns whether the value was stored.
+    pub fn insert_since(&self, epoch: u64, key: K, value: V) -> bool {
+        let mut inner = self.inner.lock();
+        if inner.epoch != epoch {
+            return false;
+        }
+        self.insert_locked(&mut inner, key, value);
+        true
+    }
+
+    /// Drop every entry whose key matches and advance the epoch, under
+    /// one lock: an insert racing this call either lands before the sweep
+    /// (and is swept) or quotes the old epoch (and is refused). Dropped
+    /// entries are not evictions.
+    pub fn invalidate_where(&self, stale: impl Fn(&K) -> bool) {
+        let mut inner = self.inner.lock();
+        inner.epoch += 1;
+        for idx in 0..inner.nodes.len() {
+            if inner.nodes[idx].as_ref().is_some_and(|n| stale(&n.key)) {
+                inner.remove(idx);
+            }
+        }
+    }
+
+    fn insert_locked(&self, inner: &mut LruInner<K, V>, key: K, value: V) {
         if let Some(idx) = inner.map.get(&key).copied() {
             inner.nodes[idx].as_mut().expect("live node").value = value;
             inner.detach(idx);
@@ -186,10 +237,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         }
         if inner.map.len() >= self.capacity {
             let tail = inner.tail;
-            inner.detach(tail);
-            let node = inner.nodes[tail].take().expect("live node");
-            inner.map.remove(&node.key);
-            inner.free.push(tail);
+            inner.remove(tail);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         let node = Node { key: key.clone(), value, prev: NIL, next: NIL };
@@ -217,18 +265,8 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         self.len() == 0
     }
 
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// Entries pushed out by capacity pressure (refreshes of an existing
-    /// key are not evictions).
+    /// key and sweeps are not evictions).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -593,8 +631,30 @@ mod tests {
         assert_eq!(cache.get(&1), Some("one".into()));
         assert_eq!(cache.get(&3), Some("three".into()));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.misses(), 1);
+        // hit / miss counts live in the runtime's registry, one per
+        // request: `runtime::tests::cache_counters_add_up_to_requests`
+    }
+
+    #[test]
+    fn lru_sweep_refuses_inserts_computed_before_it() {
+        let cache: LruCache<(u32, u32), u32> = LruCache::new(4);
+        cache.insert((1, 1), 11);
+        cache.insert((2, 1), 21);
+        let before = cache.lookup(&(1, 2)).unwrap_err();
+        cache.invalidate_where(|k| k.0 == 1);
+        assert_eq!(cache.get(&(1, 1)), None, "swept");
+        assert_eq!(cache.get(&(2, 1)), Some(21), "another db's entry survives");
+        assert!(!cache.insert_since(before, (1, 2), 12), "computed before the sweep");
+        assert_eq!(cache.get(&(1, 2)), None);
+        let after = cache.lookup(&(1, 2)).unwrap_err();
+        assert!(cache.insert_since(after, (1, 2), 12));
+        assert_eq!(cache.get(&(1, 2)), Some(12));
+        assert_eq!((cache.len(), cache.evictions()), (2, 0), "a sweep is not an eviction");
+        // swept slots are reused: the slab stays within capacity
+        for k in 0..8 {
+            cache.insert((3, k), k);
+        }
+        assert!(cache.inner.lock().nodes.len() <= 4);
     }
 
     #[test]

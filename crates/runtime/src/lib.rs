@@ -7,7 +7,8 @@
 //!   backpressure (or a typed `QueueFull` via `try_push`).
 //! - **[`runtime`]** — a worker pool draining the queue into
 //!   [`opensearch_sql::PipelineRun`]s; worker count scales throughput
-//!   without changing a single answer.
+//!   without changing a single answer. A result-cache hit is answered on
+//!   the submitting thread and never enters the queue.
 //! - **[`cache`]** — two levels: per-database preprocessed assets built
 //!   lazily on first touch, and an LRU over finished runs keyed by
 //!   `(db, normalized question, config fingerprint)`.

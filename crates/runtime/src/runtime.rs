@@ -2,12 +2,20 @@
 //! into pipeline runs, fronted by the two-level cache and instrumented
 //! through the metrics registry.
 //!
+//! A result-cache hit never reaches the pool: `submit` / `try_submit`
+//! probe the cache on the calling thread and hand back a [`Ticket`] that
+//! is already answered — no queue slot, no worker, no wake-up. A miss is
+//! queued, and the worker looks again on dequeue, so a duplicate queued
+//! behind its twin still hits.
+//!
 //! Worker count is a pure throughput knob: requests don't interact (the
 //! pipeline is deterministic per question and the caches only memoise),
 //! so the answer to every request — and any EX score computed over the
 //! answers — is identical at 1 worker and at 8.
 
-use crate::cache::{config_fingerprint, AssetCache, AssetMiss, ResultCache, ResultKey};
+use crate::cache::{
+    config_fingerprint, normalize_question, AssetCache, AssetMiss, ResultCache, ResultKey,
+};
 use crate::metrics::{MetricsRegistry, FRACTION_BOUNDS};
 use crate::queue::{BoundedQueue, PushError};
 use crate::window::{LogicalClock, SloConfig, SloReport, WindowedMetrics};
@@ -77,7 +85,9 @@ pub struct QueryResponse {
     pub run: Arc<PipelineRun>,
     /// Whether the result cache answered without running the pipeline.
     pub from_cache: bool,
-    /// Wall-clock milliseconds the request sat in the queue.
+    /// Wall-clock milliseconds the request sat in the queue: 0 for a
+    /// result-cache hit answered on the submitting thread, which never
+    /// queued.
     pub queue_wait_ms: f64,
     /// The trace ID this request ran under — the key into
     /// [`Runtime::flight`] and `/debug/trace/<id>`.
@@ -167,9 +177,16 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// A pending answer; redeem with [`Ticket::wait`].
-pub struct Ticket {
-    rx: oneshot::Receiver<Result<QueryResponse, ServeError>>,
-    queue: Arc<BoundedQueue<Job>>,
+pub struct Ticket(Reply);
+
+enum Reply {
+    /// A result-cache hit, answered on the submitting thread.
+    Ready(QueryResponse),
+    /// Queued: a worker replies through the channel.
+    Queued {
+        rx: oneshot::Receiver<Result<QueryResponse, ServeError>>,
+        queue: Arc<BoundedQueue<Job>>,
+    },
 }
 
 impl std::fmt::Debug for Ticket {
@@ -179,15 +196,27 @@ impl std::fmt::Debug for Ticket {
 }
 
 impl Ticket {
-    /// Block until the answer arrives.
+    fn queued(
+        rx: oneshot::Receiver<Result<QueryResponse, ServeError>>,
+        queue: Arc<BoundedQueue<Job>>,
+    ) -> Ticket {
+        Ticket(Reply::Queued { rx, queue })
+    }
+
+    /// Block until the answer arrives; a result-cache hit's ticket is
+    /// answered already.
     ///
     /// A dead reply channel is reported as [`ServeError::Canceled`] with
     /// a reason: [`CancelReason::Shutdown`] when the runtime's queue has
     /// been closed (orderly drain), [`CancelReason::WorkerLost`] when it
     /// hasn't — the sender can only have vanished to a worker panic.
     pub fn wait(self) -> Result<QueryResponse, ServeError> {
-        self.rx.recv().unwrap_or_else(|_| {
-            let reason = if self.queue.is_closed() {
+        let (rx, queue) = match self.0 {
+            Reply::Ready(resp) => return Ok(resp),
+            Reply::Queued { rx, queue } => (rx, queue),
+        };
+        rx.recv().unwrap_or_else(|_| {
+            let reason = if queue.is_closed() {
                 CancelReason::Shutdown
             } else {
                 CancelReason::WorkerLost
@@ -215,8 +244,71 @@ pub mod model_support {
     ) {
         let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(1));
         let (tx, rx) = oneshot::channel();
-        let ticket = Ticket { rx, queue: queue.clone() };
+        let ticket = Ticket::queued(rx, queue.clone());
         (tx, ticket, move || queue.close())
+    }
+
+    /// A runtime's request path without its pool or pipelines: `try_submit`
+    /// is the runtime's own (the cache probe on the calling thread, then
+    /// the queue), and [`Front::serve`] drains the queue as a worker does —
+    /// the second-chance lookup, then `answer` for a miss, cached under the
+    /// epoch that lookup read.
+    pub struct Front(Arc<Shared>);
+
+    impl Front {
+        /// Queue and result cache of the given capacities; flight recorder
+        /// off (fewer locks for the explorer to interleave).
+        pub fn new(queue_capacity: usize, result_cache_capacity: usize) -> Front {
+            let config = RuntimeConfig {
+                queue_capacity,
+                result_cache_capacity,
+                flight: FlightConfig { capacity: 0, ..FlightConfig::default() },
+                ..RuntimeConfig::default()
+            };
+            Front(Arc::new(Shared::new(&config, 0, 0)))
+        }
+
+        /// The key `try_submit` probes for this question.
+        pub fn key(&self, db_id: &str, question: &str) -> ResultKey {
+            ResultKey::new(db_id, question, "", self.0.fingerprint)
+        }
+
+        /// The result cache.
+        pub fn results(&self) -> &ResultCache {
+            &self.0.results
+        }
+
+        /// The registry requests are counted in.
+        pub fn metrics(&self) -> &MetricsRegistry {
+            &self.0.metrics
+        }
+
+        /// [`Runtime::try_submit`].
+        pub fn try_submit(&self, req: QueryRequest) -> Result<Ticket, SubmitError> {
+            self.0.admit(req, BoundedQueue::try_push)
+        }
+
+        /// A worker loop until [`Front::close`].
+        pub fn serve(&self, answer: impl Fn(&QueryRequest) -> Arc<PipelineRun>) {
+            while let Some(job) = self.0.queue.pop() {
+                if let Some(Miss { job, queue_wait_ms, epoch }) = self.0.dequeued(job) {
+                    let run = answer(&job.req);
+                    self.0.results.insert_since(epoch, job.key, run.clone());
+                    let trace_id = job.req.trace_id;
+                    job.reply.send(Ok(QueryResponse { run, from_cache: false, queue_wait_ms, trace_id }));
+                }
+            }
+        }
+
+        /// Close the queue.
+        pub fn close(&self) {
+            self.0.queue.close();
+        }
+    }
+
+    /// A run that answers `question` with no SQL.
+    pub fn canned_run(db_id: &str, question: &str) -> Arc<PipelineRun> {
+        Arc::new(empty_run(db_id, question))
     }
 }
 
@@ -268,8 +360,119 @@ impl RuntimeConfig {
 
 struct Job {
     req: QueryRequest,
+    /// The result-cache key the submitter probed, reused by the worker.
+    key: ResultKey,
     enqueued: Instant,
     reply: oneshot::Sender<Result<QueryResponse, ServeError>>,
+}
+
+/// A dequeued request the result cache could not answer.
+struct Miss {
+    job: Job,
+    queue_wait_ms: f64,
+    /// The cache epoch the worker's lookup missed at: its run is cached
+    /// only if no [`Runtime::invalidate`] swept the cache since.
+    epoch: u64,
+}
+
+/// What the submitting threads and the workers share: the queue, the
+/// result cache, and the instruments every request writes.
+struct Shared {
+    queue: Arc<BoundedQueue<Job>>,
+    results: Arc<ResultCache>,
+    metrics: Arc<MetricsRegistry>,
+    flight: Arc<FlightRecorder>,
+    windowed: Arc<WindowedMetrics>,
+    ids: RequestIdGen,
+    fingerprint: u64,
+}
+
+impl Shared {
+    fn new(config: &RuntimeConfig, id_seed: u64, fingerprint: u64) -> Shared {
+        let clock = Arc::new(LogicalClock::new());
+        Shared {
+            queue: Arc::new(BoundedQueue::new(config.queue_capacity)),
+            results: Arc::new(ResultCache::new(config.result_cache_capacity)),
+            metrics: Arc::new(MetricsRegistry::new()),
+            flight: Arc::new(FlightRecorder::new(config.flight.clone())),
+            windowed: Arc::new(WindowedMetrics::new(clock, config.slo.clone())),
+            ids: RequestIdGen::new(id_seed),
+            fingerprint,
+        }
+    }
+
+    /// Answer `req` from the result cache on this thread, or hand it to
+    /// `push` for a worker. A closed queue refuses everything, hits
+    /// included, so shutdown reads the same whatever the cache holds.
+    fn admit(
+        &self,
+        mut req: QueryRequest,
+        push: impl FnOnce(&BoundedQueue<Job>, Job) -> Result<(), PushError<Job>>,
+    ) -> Result<Ticket, SubmitError> {
+        if self.queue.is_closed() {
+            return Err(SubmitError::ShuttingDown);
+        }
+        if req.trace_id.is_empty() {
+            req.trace_id = self.ids.next();
+        }
+        let key = ResultKey::new(&req.db_id, &req.question, &req.evidence, self.fingerprint);
+        if let Some(run) = self.results.get(&key) {
+            return Ok(Ticket(Reply::Ready(self.served_hit(req, run, 0.0))));
+        }
+        self.flight.begin(&req.trace_id);
+        let (tx, rx) = oneshot::channel();
+        match push(&self.queue, Job { req, key, enqueued: Instant::now(), reply: tx }) {
+            Ok(()) => Ok(Ticket::queued(rx, self.queue.clone())),
+            Err(refused) => {
+                let full = matches!(refused, PushError::Full(_));
+                self.flight.abandon(&refused.into_inner().req.trace_id);
+                if full {
+                    self.metrics.counter("queue_shed_total").inc();
+                    Err(SubmitError::QueueFull)
+                } else {
+                    Err(SubmitError::ShuttingDown)
+                }
+            }
+        }
+    }
+
+    /// Count, record and answer one result-cache hit. The one place a hit
+    /// is served from: the submitting thread before the queue
+    /// (`queue_wait_ms` 0), or a worker on dequeue.
+    fn served_hit(&self, req: QueryRequest, run: Arc<PipelineRun>, queue_wait_ms: f64) -> QueryResponse {
+        self.metrics.counter("requests_total").inc();
+        self.metrics.latency("queue_wait_ms").record(queue_wait_ms);
+        self.metrics.counter("result_cache_hits").inc();
+        let mut record = RequestRecord::new(&req.trace_id, &req.db_id);
+        record.question_hash = fnv1a(normalize_question(&req.question).as_bytes());
+        record.queue_wait_ms = queue_wait_ms;
+        record.from_cache = true;
+        record.total_ms = queue_wait_ms;
+        self.flight.finish(record);
+        self.windowed.observe(0.0, true, true);
+        QueryResponse { run, from_cache: true, queue_wait_ms, trace_id: req.trace_id }
+    }
+
+    /// A worker's first step with a dequeued job: the result cache's
+    /// second chance (a duplicate queued behind its twin finds the twin's
+    /// run), served through [`Shared::served_hit`]; otherwise the miss is
+    /// counted and handed back.
+    fn dequeued(&self, job: Job) -> Option<Miss> {
+        let queue_wait_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
+        match self.results.lookup(&job.key) {
+            Ok(run) => {
+                let resp = self.served_hit(job.req, run, queue_wait_ms);
+                job.reply.send(Ok(resp));
+                None
+            }
+            Err(epoch) => {
+                self.metrics.counter("requests_total").inc();
+                self.metrics.latency("queue_wait_ms").record(queue_wait_ms);
+                self.metrics.counter("result_cache_misses").inc();
+                Some(Miss { job, queue_wait_ms, epoch })
+            }
+        }
+    }
 }
 
 /// A point-in-time view of the request queue for admission control.
@@ -351,52 +554,35 @@ static RUNTIME_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The concurrent query-serving runtime.
 pub struct Runtime {
-    queue: Arc<BoundedQueue<Job>>,
+    shared: Arc<Shared>,
     assets: Arc<AssetCache>,
-    results: Arc<ResultCache>,
-    metrics: Arc<MetricsRegistry>,
     traces: Arc<TraceCollector>,
-    flight: Arc<FlightRecorder>,
-    windowed: Arc<WindowedMetrics>,
-    ids: RequestIdGen,
     workers: Vec<std::thread::JoinHandle<()>>,
     ticker: Option<std::thread::JoinHandle<()>>,
     ticker_stop: Arc<AtomicBool>,
-    fingerprint: u64,
     drain: DrainWindow,
 }
 
 impl Runtime {
     /// Start the worker pool over an asset cache.
     pub fn start(assets: Arc<AssetCache>, config: RuntimeConfig) -> Runtime {
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let results = Arc::new(ResultCache::new(config.result_cache_capacity));
-        let metrics = Arc::new(MetricsRegistry::new());
+        let shared = Arc::new(Shared::new(
+            &config,
+            RUNTIME_SEQ.fetch_add(1, Ordering::Relaxed),
+            config_fingerprint(assets.config()),
+        ));
         let traces = Arc::new(TraceCollector::new(config.trace_capacity));
-        let flight = Arc::new(FlightRecorder::new(config.flight.clone()));
-        let clock = Arc::new(LogicalClock::new());
-        let windowed = Arc::new(WindowedMetrics::new(clock.clone(), config.slo.clone()));
-        let ids = RequestIdGen::new(RUNTIME_SEQ.fetch_add(1, Ordering::Relaxed));
-        let fingerprint = config_fingerprint(assets.config());
         let worker_count = config.workers.max(1);
         let mut workers = Vec::with_capacity(worker_count);
         for _ in 0..worker_count {
-            let queue = queue.clone();
+            let shared = shared.clone();
             let assets = assets.clone();
-            let results = results.clone();
-            let metrics = metrics.clone();
             let traces = traces.clone();
-            let flight = flight.clone();
-            let windowed = windowed.clone();
-            workers.push(std::thread::spawn(move || {
-                worker_loop(
-                    &queue, &assets, &results, &metrics, &traces, &flight, &windowed, fingerprint,
-                );
-            }));
+            workers.push(std::thread::spawn(move || worker_loop(&shared, &assets, &traces)));
         }
         let ticker_stop = Arc::new(AtomicBool::new(false));
         let ticker = (config.tick_interval_ms > 0).then(|| {
-            let clock = clock.clone();
+            let clock = shared.windowed.clock().clone();
             let stop = ticker_stop.clone();
             let interval = std::time::Duration::from_millis(config.tick_interval_ms);
             std::thread::Builder::new()
@@ -417,74 +603,30 @@ impl Runtime {
                 })
                 .expect("spawn ticker thread")
         });
-        Runtime {
-            queue,
-            assets,
-            results,
-            metrics,
-            traces,
-            flight,
-            windowed,
-            ids,
-            workers,
-            ticker,
-            ticker_stop,
-            fingerprint,
-            drain: DrainWindow::new(),
-        }
-    }
-
-    /// Ensure `req` carries a trace ID (minting one when empty) and
-    /// register it with the flight recorder. Returns the ID.
-    fn admit_trace_id(&self, req: &mut QueryRequest) -> String {
-        if req.trace_id.is_empty() {
-            req.trace_id = self.ids.next();
-        }
-        self.flight.begin(&req.trace_id);
-        req.trace_id.clone()
+        Runtime { shared, assets, traces, workers, ticker, ticker_stop, drain: DrainWindow::new() }
     }
 
     /// Mint the next request ID without submitting anything — the server
     /// uses this so shed/quota-rejected requests still get an ID to
     /// return (and to record) even though they never enter the queue.
     pub fn next_trace_id(&self) -> String {
-        self.ids.next()
+        self.shared.ids.next()
     }
 
     /// Submit a request, blocking while the queue is full (backpressure).
+    /// A result-cache hit is answered on this thread and never waits for
+    /// a queue slot.
     pub fn submit(&self, req: QueryRequest) -> Result<Ticket, SubmitError> {
-        let mut req = req;
-        let id = self.admit_trace_id(&mut req);
-        let (tx, rx) = oneshot::channel();
-        match self.queue.push(Job { req, enqueued: Instant::now(), reply: tx }) {
-            Ok(()) => Ok(Ticket { rx, queue: self.queue.clone() }),
-            Err(PushError::Closed(_)) | Err(PushError::Full(_)) => {
-                self.flight.abandon(&id);
-                Err(SubmitError::ShuttingDown)
-            }
-        }
+        self.shared.admit(req, BoundedQueue::push)
     }
 
     /// Submit without blocking; [`SubmitError::QueueFull`] when at
     /// capacity. Every refusal for fullness is counted in the
     /// `queue_shed_total` metric, so the exposition and any admission
-    /// controller report the same shed count.
+    /// controller report the same shed count. A result-cache hit is
+    /// answered on this thread, so a full queue never sheds one.
     pub fn try_submit(&self, req: QueryRequest) -> Result<Ticket, SubmitError> {
-        let mut req = req;
-        let id = self.admit_trace_id(&mut req);
-        let (tx, rx) = oneshot::channel();
-        match self.queue.try_push(Job { req, enqueued: Instant::now(), reply: tx }) {
-            Ok(()) => Ok(Ticket { rx, queue: self.queue.clone() }),
-            Err(PushError::Full(_)) => {
-                self.flight.abandon(&id);
-                self.metrics.counter("queue_shed_total").inc();
-                Err(SubmitError::QueueFull)
-            }
-            Err(PushError::Closed(_)) => {
-                self.flight.abandon(&id);
-                Err(SubmitError::ShuttingDown)
-            }
-        }
+        self.shared.admit(req, BoundedQueue::try_push)
     }
 
     /// Serve a whole batch: submit everything (with backpressure) and
@@ -505,7 +647,7 @@ impl Runtime {
     /// *recording* (the server takes it per request). Series mirrored from
     /// other layers are as fresh as the last [`Runtime::refreshed_metrics`].
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// The registry with its mirrors brought up to date — the handle for
@@ -519,7 +661,7 @@ impl Runtime {
     /// `store_op_*{op}` counters, result-cache evictions, and the
     /// process-wide sqlkit plan-cache counters.
     pub fn refreshed_metrics(&self) -> &MetricsRegistry {
-        let metrics = &*self.metrics;
+        let metrics = &*self.shared.metrics;
         metrics.counter("asset_builds_total").raise_to(self.assets.misses());
         if let Some(cat) = self.assets.catalog() {
             metrics.counter("db_load_total").raise_to(cat.loads());
@@ -547,7 +689,7 @@ impl Runtime {
         }
         metrics.counter("store_checkpoints_active").set(stats.checkpoints_active());
         metrics.counter("store_checkpoint_last_bytes").set(stats.checkpoint_last_bytes());
-        metrics.counter("result_cache_evictions_total").raise_to(self.results.evictions());
+        metrics.counter("result_cache_evictions_total").raise_to(self.shared.results.evictions());
         let plans = sqlkit::plan_cache().stats();
         metrics.counter("plan_cache_hits").raise_to(plans.hits);
         metrics.counter("plan_cache_misses").raise_to(plans.misses);
@@ -566,24 +708,24 @@ impl Runtime {
 
     /// The flight recorder of completed request records.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
-        &self.flight
+        &self.shared.flight
     }
 
     /// The windowed instruments (and their SLO evaluator).
     pub fn windowed(&self) -> &Arc<WindowedMetrics> {
-        &self.windowed
+        &self.shared.windowed
     }
 
     /// The logical clock windowed metrics are sliced by. Advance it
     /// manually in tests (`tick_interval_ms: 0`) for deterministic
     /// windows.
     pub fn clock(&self) -> &Arc<LogicalClock> {
-        self.windowed.clock()
+        self.shared.windowed.clock()
     }
 
     /// Evaluate the configured SLOs at the current tick.
     pub fn slo_report(&self) -> SloReport {
-        self.windowed.slo_report()
+        self.shared.windowed.slo_report()
     }
 
     /// The level-1 (per-database asset) cache.
@@ -593,17 +735,31 @@ impl Runtime {
 
     /// The level-2 (LRU result) cache.
     pub fn results(&self) -> &Arc<ResultCache> {
-        &self.results
+        &self.shared.results
+    }
+
+    /// Forget what this runtime knows about one database's data: drop
+    /// its assets (the next miss rebuilds them from disk) and sweep its
+    /// result-cache entries. The sweep advances the cache epoch, so a
+    /// worker that acquired the old pipeline before this call cannot
+    /// cache its run after it. The follower's apply loop calls this for
+    /// every database a shipped segment advanced, before it publishes the
+    /// new applied position.
+    pub fn invalidate(&self, db_id: &str) {
+        // assets first: a worker whose lookup reads the epoch after the
+        // sweep must find the old pipeline already gone
+        self.assets.invalidate(db_id);
+        self.shared.results.invalidate_where(|key| key.db_id == db_id);
     }
 
     /// The configuration fingerprint results are cached under.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.shared.fingerprint
     }
 
     /// Requests currently waiting in the queue.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.shared.queue.len()
     }
 
     /// A cheap point-in-time queue snapshot: depth, capacity, and the
@@ -612,13 +768,14 @@ impl Runtime {
     /// gauge, so the Prometheus exposition and an admission controller's
     /// `Retry-After` math read the same numbers.
     pub fn queue_stats(&self) -> QueueStats {
-        let depth = self.queue.len();
-        let drained_total = self.queue.popped_total();
+        let queue = &self.shared.queue;
+        let depth = queue.len();
+        let drained_total = queue.popped_total();
         let drain_rate_per_sec = self.drain.observe(Instant::now(), drained_total);
-        self.metrics.counter("queue_depth").set(depth as u64);
+        self.shared.metrics.counter("queue_depth").set(depth as u64);
         QueueStats {
             depth,
-            capacity: self.queue.capacity(),
+            capacity: queue.capacity(),
             drained_total,
             drain_rate_per_sec,
         }
@@ -627,7 +784,7 @@ impl Runtime {
     /// Stop accepting work, drain the queue, and join the workers. Safe
     /// to call more than once; `Drop` calls it too.
     pub fn shutdown(&mut self) {
-        self.queue.close();
+        self.shared.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -636,7 +793,7 @@ impl Runtime {
             let _ = t.join();
         }
         // queued jobs that were dropped unanswered become Canceled records
-        self.flight.cancel_inflight();
+        self.shared.flight.cancel_inflight();
     }
 
     /// Evaluate examples by routing every question through this runtime's
@@ -664,20 +821,25 @@ impl opensearch_sql::Answerer for Runtime {
             // unknown db / shutdown: an empty run, which scores as wrong
             // (the sequential scorer skips unknown dbs before answering,
             // so this arm is unreachable from `Runtime::evaluate`)
-            _ => PipelineRun {
-                question: question.to_owned(),
-                db_id: db_id.to_owned(),
-                sql_g: String::new(),
-                sql_r: String::new(),
-                final_sql: String::new(),
-                candidates: Vec::new(),
-                winner: 0,
-                vote_margin: 1.0,
-                first_attempts_shared: 0,
-                ledger: Default::default(),
-                trace: Arc::new(QueryTrace::empty()),
-            },
+            _ => empty_run(db_id, question),
         }
+    }
+}
+
+/// A run that answers `question` with no SQL.
+fn empty_run(db_id: &str, question: &str) -> PipelineRun {
+    PipelineRun {
+        question: question.to_owned(),
+        db_id: db_id.to_owned(),
+        sql_g: String::new(),
+        sql_r: String::new(),
+        final_sql: String::new(),
+        candidates: Vec::new(),
+        winner: 0,
+        vote_margin: 1.0,
+        first_attempts_shared: 0,
+        ledger: Default::default(),
+        trace: Arc::new(QueryTrace::empty()),
     }
 }
 
@@ -720,7 +882,7 @@ static MODELLED_MODULES: [Module; 4] =
 /// model latency derived from token counts. This — not the wall clock,
 /// and not the wall-clock stage totals — feeds the windowed instruments
 /// and the SLO evaluator, so their renderings are byte-identical across
-/// runs, worker counts, and refine-thread counts.
+/// runs and worker counts.
 fn modelled_ms(run: &PipelineRun) -> f64 {
     MODELLED_MODULES.iter().map(|module| run.ledger.get(*module).time_ms).sum()
 }
@@ -738,42 +900,18 @@ fn store_us_total() -> u64 {
         + stats.checkpoint.total_us()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    queue: &BoundedQueue<Job>,
-    assets: &AssetCache,
-    results: &ResultCache,
-    metrics: &MetricsRegistry,
-    traces: &TraceCollector,
-    flight: &FlightRecorder,
-    windowed: &WindowedMetrics,
-    fingerprint: u64,
-) {
-    while let Some(job) = queue.pop() {
-        let queue_wait_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
-        metrics.counter("requests_total").inc();
-        metrics.latency("queue_wait_ms").record(queue_wait_ms);
-        let trace_id = job.req.trace_id.clone();
-        let mut record = RequestRecord::new(&trace_id, &job.req.db_id);
-        record.question_hash = fnv1a(crate::cache::normalize_question(&job.req.question).as_bytes());
-        record.queue_wait_ms = queue_wait_ms;
-        let key =
-            ResultKey::new(&job.req.db_id, &job.req.question, &job.req.evidence, fingerprint);
-        if let Some(run) = results.get(&key) {
-            metrics.counter("result_cache_hits").inc();
-            record.from_cache = true;
-            record.total_ms = queue_wait_ms;
-            flight.finish(record);
-            windowed.observe(0.0, true, true);
-            job.reply.send(Ok(QueryResponse {
-                run,
-                from_cache: true,
-                queue_wait_ms,
-                trace_id,
-            }));
+fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
+    let (metrics, flight, windowed) = (&*shared.metrics, &*shared.flight, &*shared.windowed);
+    while let Some(job) = shared.queue.pop() {
+        let Some(Miss { job: Job { req, key, reply, .. }, queue_wait_ms, epoch }) =
+            shared.dequeued(job)
+        else {
             continue;
-        }
-        metrics.counter("result_cache_misses").inc();
+        };
+        let trace_id = req.trace_id.clone();
+        let mut record = RequestRecord::new(&trace_id, &req.db_id);
+        record.question_hash = fnv1a(normalize_question(&req.question).as_bytes());
+        record.queue_wait_ms = queue_wait_ms;
         // The worker owns this request's trace: installed before asset
         // lookup so the queue-wait event (volatile: it depends on load,
         // not on the query), any demand-paging events (`db_load`,
@@ -785,20 +923,20 @@ fn worker_loop(
         active::push();
         active::event_volatile("queue_wait", &[], &[("ms", queue_wait_ms)]);
         let store_us_before = store_us_total();
-        let pipeline = match assets.pipeline(&job.req.db_id) {
+        let pipeline = match assets.pipeline(&req.db_id) {
             Ok(p) => p,
             Err(miss) => {
                 let _ = active::pop();
                 let err = match miss {
                     AssetMiss::UnknownDb => {
                         metrics.counter("unknown_db").inc();
-                        ServeError::UnknownDb(job.req.db_id)
+                        ServeError::UnknownDb(req.db_id)
                     }
                     AssetMiss::LoadFailed(reason) => {
                         // storage trouble, not a bad request: its own
                         // counter so corruption never hides in unknown_db
                         metrics.counter("db_load_errors_total").inc();
-                        ServeError::DbLoadFailed { db_id: job.req.db_id, reason }
+                        ServeError::DbLoadFailed { db_id: req.db_id, reason }
                     }
                 };
                 record.outcome = RequestOutcome::Error;
@@ -806,12 +944,12 @@ fn worker_loop(
                 record.total_ms = queue_wait_ms;
                 flight.finish(record);
                 windowed.observe(0.0, false, false);
-                job.reply.send(Err(err));
+                reply.send(Err(err));
                 continue;
             }
         };
         let started = Instant::now();
-        let mut run = pipeline.answer(&job.req.db_id, &job.req.question, &job.req.evidence);
+        let mut run = pipeline.answer(&req.db_id, &req.question, &req.evidence);
         let trace = Arc::new(active::pop().unwrap_or_else(QueryTrace::empty));
         run.trace = trace.clone();
         let run = Arc::new(run);
@@ -834,7 +972,7 @@ fn worker_loop(
         metrics.counter("refine_first_attempts_total").add(run.candidates.len() as u64);
         metrics.counter("refine_first_attempts_shared_total").add(run.first_attempts_shared as u64);
         record_analysis_metrics(metrics, &pipeline, &run);
-        results.insert(key, run.clone());
+        shared.results.insert_since(epoch, key, run.clone());
         // Flight record + slow-query capture. The tail-sampling decision
         // itself belongs to the recorder; the worker attaches the heavy
         // payloads (span tree, EXPLAIN) whenever the record *could* be
@@ -860,7 +998,7 @@ fn worker_loop(
         }
         flight.finish(record);
         windowed.observe(modelled_ms(&run), true, false);
-        job.reply.send(Ok(QueryResponse { run, from_cache: false, queue_wait_ms, trace_id }));
+        reply.send(Ok(QueryResponse { run, from_cache: false, queue_wait_ms, trace_id }));
     }
 }
 
@@ -920,22 +1058,34 @@ mod tests {
         inner: Arc<dyn LanguageModel>,
         open: Mutex<bool>,
         cv: Condvar,
+        /// Calls that found the gate closed, ever.
+        parked: AtomicU64,
     }
 
     impl GateLlm {
         fn new(inner: Arc<dyn LanguageModel>) -> Self {
-            GateLlm { inner, open: Mutex::new(true), cv: Condvar::new() }
+            GateLlm { inner, open: Mutex::new(true), cv: Condvar::new(), parked: AtomicU64::new(0) }
         }
 
         fn set_open(&self, open: bool) {
             *self.open.lock() = open;
             self.cv.notify_all();
         }
+
+        /// Spin until `n` calls have found the gate closed.
+        fn await_parked(&self, n: u64) {
+            while self.parked.load(Ordering::SeqCst) < n {
+                std::thread::yield_now();
+            }
+        }
     }
 
     impl LanguageModel for GateLlm {
         fn complete(&self, req: &ChatRequest) -> ChatResponse {
             let mut open = self.open.lock();
+            if !*open {
+                self.parked.fetch_add(1, Ordering::SeqCst);
+            }
             while !*open {
                 open = self.cv.wait(open);
             }
@@ -946,6 +1096,16 @@ mod tests {
         fn name(&self) -> &str {
             self.inner.name()
         }
+    }
+
+    /// A world whose model sits behind a gate, open while the few-shot
+    /// library is built (that calls the model).
+    fn gated_world() -> (Arc<datagen::Benchmark>, Arc<GateLlm>, Arc<AssetCache>) {
+        let bench = Arc::new(generate(&Profile::tiny()));
+        let inner = Arc::new(SimLlm::new(Arc::new(Oracle::new(bench.clone())), ModelProfile::gpt_4o(), 5));
+        let gate = Arc::new(GateLlm::new(inner));
+        let assets = Arc::new(AssetCache::new(bench.clone(), gate.clone(), PipelineConfig::fast()));
+        (bench, gate, assets)
     }
 
     fn world() -> (Arc<datagen::Benchmark>, Arc<AssetCache>) {
@@ -1073,11 +1233,7 @@ mod tests {
 
     #[test]
     fn queue_full_is_shed_and_counted() {
-        let bench = Arc::new(generate(&Profile::tiny()));
-        let inner = Arc::new(SimLlm::new(Arc::new(Oracle::new(bench.clone())), ModelProfile::gpt_4o(), 5));
-        let gate = Arc::new(GateLlm::new(inner));
-        // gate open during construction (the few-shot build calls the LLM)
-        let assets = Arc::new(AssetCache::new(bench.clone(), gate.clone(), PipelineConfig::fast()));
+        let (bench, gate, assets) = gated_world();
         gate.set_open(false);
         let rt = Runtime::start(
             assets,
@@ -1108,6 +1264,105 @@ mod tests {
         assert_eq!(stats.depth, 0);
     }
 
+    /// A hit is answered on the submitting thread: with every worker
+    /// parked and the queue full, a cached question is still served —
+    /// neither shed by `try_submit` nor blocked in `submit` — and after
+    /// shutdown it is refused like any other request.
+    #[test]
+    fn cached_answers_skip_a_full_queue() {
+        let (bench, gate, assets) = gated_world();
+        let mut rt = Runtime::start(
+            assets,
+            RuntimeConfig { workers: 1, queue_capacity: 1, ..RuntimeConfig::default() },
+        );
+        let req = |ex: &datagen::Example| QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence);
+        let cached = req(&bench.dev[0]);
+        let cold = rt.submit(cached.clone()).unwrap().wait().unwrap();
+        gate.set_open(false);
+        let parked = rt.submit(req(&bench.dev[1])).unwrap();
+        gate.await_parked(1);
+        let queued = rt.submit(req(&bench.dev[2])).unwrap();
+        assert_eq!(rt.try_submit(req(&bench.dev[3])).unwrap_err(), SubmitError::QueueFull);
+
+        for ticket in [rt.try_submit(cached.clone()), rt.submit(cached.clone())] {
+            let warm = ticket.expect("a hit needs no queue slot").wait().unwrap();
+            assert!(warm.from_cache);
+            assert_eq!(warm.queue_wait_ms, 0.0, "it never queued");
+            assert!(Arc::ptr_eq(&cold.run, &warm.run));
+        }
+        assert_eq!(rt.metrics().counter("queue_shed_total").get(), 1, "only the cold one shed");
+        assert_eq!(rt.metrics().counter("result_cache_hits").get(), 2);
+        assert_eq!(rt.queued(), 1);
+
+        gate.set_open(true);
+        parked.wait().unwrap();
+        queued.wait().unwrap();
+        rt.shutdown();
+        assert_eq!(rt.try_submit(cached.clone()).unwrap_err(), SubmitError::ShuttingDown);
+        assert_eq!(rt.submit(cached).unwrap_err(), SubmitError::ShuttingDown);
+        assert_eq!(rt.metrics().counter("result_cache_hits").get(), 2);
+    }
+
+    /// Two lookups a cold request (submitting thread, then worker) still
+    /// count each request once: as a hit or as a miss.
+    #[test]
+    fn cache_counters_add_up_to_requests() {
+        let (bench, assets) = world();
+        let rt = Runtime::start(assets, RuntimeConfig::with_workers(1));
+        let req = |ex: &datagen::Example| QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence);
+        rt.submit(req(&bench.dev[0])).unwrap().wait().unwrap();
+        // warm, cold, a duplicate behind its cold twin (a hit on the
+        // submitting thread if the one worker finished the twin first, on
+        // the worker otherwise), unknown db
+        let batch = vec![
+            req(&bench.dev[0]),
+            req(&bench.dev[1]),
+            req(&bench.dev[1]),
+            QueryRequest::new("ghost", "q", ""),
+        ];
+        let out = rt.run_batch(batch);
+        assert!(out[0].as_ref().unwrap().from_cache);
+        assert!(!out[1].as_ref().unwrap().from_cache);
+        assert!(out[2].as_ref().unwrap().from_cache);
+        assert_eq!(out[3].as_ref().unwrap_err(), &ServeError::UnknownDb("ghost".into()));
+        let count = |name| rt.metrics().counter(name).get();
+        assert_eq!(count("requests_total"), 5);
+        assert_eq!((count("result_cache_hits"), count("result_cache_misses")), (2, 3));
+        assert_eq!(rt.metrics().latency("queue_wait_ms").count(), 5, "one wait per request");
+    }
+
+    /// `invalidate` sweeps a database's cached answers, and a run whose
+    /// worker acquired the old pipeline before the sweep is not cached
+    /// after it (the follower's apply loop relies on both).
+    #[test]
+    fn invalidate_drops_cached_answers_and_refuses_runs_computed_before_it() {
+        let (bench, gate, assets) = gated_world();
+        let rt = Runtime::start(assets, RuntimeConfig::with_workers(1));
+        let first = &bench.dev[0];
+        let second = bench
+            .dev
+            .iter()
+            .find(|ex| ex.db_id == first.db_id && ex.question != first.question)
+            .expect("two questions on one database");
+        let other = bench.dev.iter().find(|ex| ex.db_id != first.db_id).expect("two databases");
+        let req = |ex: &datagen::Example| QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence);
+        let ask = |ex| rt.submit(req(ex)).unwrap().wait().unwrap().from_cache;
+        assert!(!ask(first) && !ask(other));
+        assert!(ask(first) && ask(other));
+
+        gate.set_open(false);
+        let in_flight = rt.submit(req(second)).unwrap();
+        gate.await_parked(1); // the worker holds the old pipeline
+        rt.invalidate(&first.db_id);
+        gate.set_open(true);
+        assert!(!in_flight.wait().unwrap().from_cache);
+
+        assert!(!ask(second), "a run computed before the sweep was not cached");
+        assert!(!ask(first), "swept");
+        assert!(ask(other), "another database's answers survive");
+        assert!(ask(first) && ask(second), "cached again after the sweep");
+    }
+
     #[test]
     fn cancel_reason_distinguishes_shutdown_from_worker_loss() {
         // Construct the two reply-channel deaths directly: the sender
@@ -1116,7 +1371,7 @@ mod tests {
         let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(1));
         let (tx, rx) = oneshot::channel();
         drop(tx);
-        let t = Ticket { rx, queue: queue.clone() };
+        let t = Ticket::queued(rx, queue.clone());
         assert_eq!(
             t.wait().unwrap_err(),
             ServeError::Canceled { reason: CancelReason::WorkerLost }
@@ -1124,7 +1379,7 @@ mod tests {
         let (tx, rx) = oneshot::channel();
         drop(tx);
         queue.close();
-        let t = Ticket { rx, queue };
+        let t = Ticket::queued(rx, queue);
         assert_eq!(
             t.wait().unwrap_err(),
             ServeError::Canceled { reason: CancelReason::Shutdown }

@@ -13,7 +13,7 @@
 //! the **SLO report** over [`SloConfig::short_window`] and
 //! [`SloConfig::long_window`] (the ring is as wide as the longer one).
 //! A rendering is a pure function of `(recorded values, tick)`, so it is
-//! byte-identical across runs, worker counts, and refine thread counts.
+//! byte-identical across runs and worker counts.
 //!
 //! **No wall clock in this file** — `workspace-lint` enforces it (the
 //! `wall-clock` policy covers this path). Time only enters as the tick

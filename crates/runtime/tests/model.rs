@@ -9,10 +9,10 @@
 
 use osql_chk::model::{self, Config, Outcome};
 use osql_chk::thread;
-use osql_runtime::runtime::model_support::detached_ticket;
+use osql_runtime::runtime::model_support::{canned_run, detached_ticket, Front};
 use osql_runtime::{
-    BoundedQueue, CancelReason, LogicalClock, LruCache, PushError, ServeError, SloConfig,
-    WindowedMetrics,
+    BoundedQueue, CancelReason, LogicalClock, LruCache, PushError, QueryRequest, ServeError,
+    SloConfig, WindowedMetrics,
 };
 use std::sync::Arc;
 
@@ -93,6 +93,46 @@ fn ticket_delivery_survives_concurrent_shutdown() {
         worker.join().unwrap();
         shutdown.join().unwrap();
     }));
+}
+
+/// A hit served on the submitting thread races a worker whose insert
+/// evicts that very entry (result cache of capacity 1). Whichever wins,
+/// the caller gets a complete answer to its own question — the cached run
+/// itself, or a queued miss the worker answers — never a hang and never a
+/// missing reply; and each request is counted once, as a hit or a miss.
+#[test]
+fn caller_thread_hit_racing_an_evicting_insert_is_always_answered() {
+    // chk:allow(raw-sync): tallies outcomes across explored schedules, outside any one execution
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    // both outcomes must be reachable, or the race was never explored
+    static OUTCOMES: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+    assert_pass("caller_thread_hit_racing_an_evicting_insert_is_always_answered", model::explore(cfg(), || {
+        let front = Arc::new(Front::new(2, 1));
+        let cached = canned_run("db", "a");
+        front.results().insert(front.key("db", "a"), cached.clone());
+        let evicting = front.try_submit(QueryRequest::new("db", "b", "")).unwrap();
+        let worker = {
+            let front = front.clone();
+            thread::spawn(move || front.serve(|req| canned_run(&req.db_id, &req.question)))
+        };
+        let resp = front.try_submit(QueryRequest::new("db", "a", "")).unwrap().wait().unwrap();
+        assert_eq!(resp.run.question, "a");
+        if resp.from_cache {
+            assert!(Arc::ptr_eq(&resp.run, &cached), "a hit is the cached run itself");
+        }
+        let b = evicting.wait().unwrap();
+        assert!(!b.from_cache && b.run.question == "b");
+        front.close();
+        worker.join().unwrap();
+        let counters = front.metrics();
+        let (hits, misses) = (counters.counter("result_cache_hits").get(), counters.counter("result_cache_misses").get());
+        assert_eq!((hits + misses, counters.counter("requests_total").get()), (2, 2));
+        assert_eq!(hits, u64::from(resp.from_cache));
+        OUTCOMES[usize::from(resp.from_cache)].fetch_add(1, Relaxed);
+    }));
+    let [missed, hit] = &OUTCOMES;
+    assert!(missed.load(Relaxed) > 0, "the eviction never won");
+    assert!(hit.load(Relaxed) > 0, "the hit never won");
 }
 
 /// No lost wakeup: a consumer blocked on an empty queue is always woken

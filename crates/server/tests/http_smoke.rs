@@ -187,6 +187,33 @@ fn trace_ids_round_trip_and_debug_endpoints_answer() {
     assert!(server.shutdown());
 }
 
+/// A repeated question is answered from the result cache on the
+/// connection thread, before the queue: its flight record says so, with
+/// no queue wait at all.
+#[test]
+fn a_cached_answer_never_queues() {
+    let bench = tiny_world();
+    let rt = common::plain_runtime(&bench, 2);
+    let server = Server::start(rt.clone(), "127.0.0.1:0", server_config()).unwrap();
+    let addr = server.local_addr();
+    let ex = &bench.dev[0];
+    let body = query_body(&ex.db_id, &ex.question, &ex.evidence);
+    for id in ["smoke.cold", "smoke.warm"] {
+        let resp = one_shot(addr, "POST", "/v1/query", &[("x-osql-trace-id", id)], &body);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    let newest = one_shot(addr, "GET", "/debug/requests?n=1", &[], "");
+    assert_eq!(newest.status, 200, "{}", newest.body);
+    for field in ["\"id\":\"smoke.warm\"", "\"from_cache\":true", "\"queue_wait_ms\":0.00,"] {
+        assert!(newest.body.contains(field), "{field} missing: {}", newest.body);
+    }
+    let warm = rt.flight().lookup("smoke.warm").expect("recorded");
+    assert!(warm.from_cache);
+    assert_eq!(warm.queue_wait_ms, 0.0, "never queued");
+    assert!(rt.flight().lookup("smoke.cold").is_some_and(|cold| !cold.from_cache));
+    assert!(server.shutdown());
+}
+
 /// The parser accepts any all-uppercase token as a method and the request
 /// counter is bumped before routing: the token must not become a label,
 /// or every distinct one is a permanent series a remote caller minted.

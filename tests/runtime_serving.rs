@@ -108,5 +108,5 @@ fn result_cache_serves_the_same_sql_as_the_cold_run() {
         assert!(from_cache, "request {i} ({:?}) missed the warm cache", ex.question);
         assert_eq!(cold_sql, warm_sql, "request {i} ({:?}) changed under caching", ex.question);
     }
-    assert_eq!(rt.results().hits(), 10);
+    assert_eq!(rt.metrics().counter("result_cache_hits").get(), 10);
 }
