@@ -224,6 +224,12 @@ for site in 'crates/repl/src/follow.rs .sync_commits()' 'crates/store/src/wal.rs
     fi
 done
 cargo test -q -p osql-server --test follower
+# Freshness comes from the key (ResultKey::seq, the asset entry's seq), not from an ordering protocol.
+if grep -rnE 'insert_since|invalidate_where|epoch|fn invalidate' crates/runtime/src \
+    || awk '/pub fn follow_round\(/,/\{$/' crates/cli/src/repl_cmd.rs | grep -nE 'Fn(Mut|Once)?\('; then
+    echo "ci: the result cache's sweep/epoch or the follower's apply callback is back" >&2
+    exit 1
+fi
 repl_dir="$(mktemp -d)"
 trap 'rm -rf "$store_dir" "$repl_dir"' EXIT
 cargo run --release -q -p osql-cli -- pack "$repl_dir/primary" --profile tiny

@@ -87,15 +87,11 @@ pub type RoundOutcomes = Vec<(String, Result<ApplyReport, ReplError>)>;
 /// seed missing stores from the published base, open each follower
 /// store, and apply the shipped stream up to its manifest. Outcomes are
 /// recorded into `state` (the serving side's staleness source) and
-/// returned per database. `advanced` is called with each database the
-/// round applied transactions to, *before* `state` publishes its new
-/// position — the serving side drops what it cached of the old data
-/// there, so no read admitted under the new position can see it.
+/// returned per database.
 pub fn follow_round(
     ship_root: &Path,
     store_dir: &Path,
     state: &ReplState,
-    advanced: &dyn Fn(&str),
 ) -> Result<RoundOutcomes, String> {
     let dirs = ship_dirs(ship_root)?;
     std::fs::create_dir_all(store_dir)
@@ -116,12 +112,7 @@ pub fn follow_round(
             follower.poll(&media)
         });
         match &outcome {
-            Ok(report) => {
-                if report.applied_txns > 0 {
-                    advanced(&db);
-                }
-                state.note_poll(&db, report);
-            }
+            Ok(report) => state.note_poll(&db, report),
             Err(e) => state.note_error(&db, &e.to_string()),
         }
         out.push((db, outcome));
@@ -133,7 +124,7 @@ pub fn follow_round(
 /// Returns the report and whether any database failed to apply.
 pub fn run_follow(ship_root: &Path, store_dir: &Path) -> Result<(String, bool), String> {
     let state = ReplState::new(1);
-    let rounds = follow_round(ship_root, store_dir, &state, &|_| {})?;
+    let rounds = follow_round(ship_root, store_dir, &state)?;
     if rounds.is_empty() {
         return Err(format!("no shipping subdirectories in {}", ship_root.display()));
     }
@@ -272,7 +263,7 @@ mod tests {
         run_ship(&primary, &ship).unwrap();
 
         let state = ReplState::new(1);
-        let rounds = follow_round(&ship, &replica, &state, &|_| {}).unwrap();
+        let rounds = follow_round(&ship, &replica, &state).unwrap();
         assert!(!rounds.is_empty());
         for (db, outcome) in &rounds {
             let report = outcome.as_ref().unwrap();
@@ -288,7 +279,7 @@ mod tests {
         bytes[12] ^= 0xFF;
         std::fs::write(&manifest, &bytes).unwrap();
         let before = state.applied_seq(&db).unwrap();
-        let rounds = follow_round(&ship, &replica, &state, &|_| {}).unwrap();
+        let rounds = follow_round(&ship, &replica, &state).unwrap();
         let (_, outcome) = rounds.iter().find(|(d, _)| *d == db).unwrap();
         assert!(outcome.is_err(), "corrupt manifest must fail the round");
         assert_eq!(state.applied_seq(&db), Some(before), "position survives");

@@ -184,9 +184,8 @@ pub fn start_runtime(opts: &ServeOptions) -> (Arc<datagen::Benchmark>, Runtime) 
 /// root (one `<db_id>/` subdirectory per database), applies shipped
 /// segments into the `--store` directory, and publishes positions into
 /// the [`osql_repl::ReplState`] the server's bounded-staleness admission
-/// reads — each one only after [`Runtime::invalidate`] dropped what the
-/// runtime remembered of that database (assets and cached answers), so
-/// a read admitted under the new position never sees the old data.
+/// reads. A read admitted under a new position is keyed by it, so it
+/// never shares an answer or a pipeline built on older data.
 pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> String {
     if opts.follow.is_some() && opts.store.is_none() {
         return "--follow requires --store (the directory the follower applies into)\n".into();
@@ -199,7 +198,6 @@ pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> 
             std::path::Path::new(root),
             std::path::Path::new(store),
             &state,
-            &|_| {},
         ) {
             return format!("cannot follow {root}: {e}\n");
         }
@@ -217,7 +215,6 @@ pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> 
         ));
         config.repl = Some(state.clone());
         let handle = spawn_follower(
-            rt.clone(),
             root.into(),
             opts.store.as_deref().unwrap_or_default().into(),
             state.clone(),
@@ -257,11 +254,8 @@ pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> 
 }
 
 /// The follower's background apply loop: a [`crate::repl_cmd::follow_round`]
-/// every `poll` until `state` asks for shutdown, each database it
-/// advanced invalidated in `rt` before `state` publishes the new
-/// position.
+/// every `poll` until `state` asks for shutdown.
 fn spawn_follower(
-    rt: Arc<Runtime>,
     ship_root: std::path::PathBuf,
     store_dir: std::path::PathBuf,
     state: Arc<osql_repl::ReplState>,
@@ -270,11 +264,8 @@ fn spawn_follower(
     std::thread::Builder::new()
         .name("osql-repl-follow".into())
         .spawn(move || {
-            let invalidate = |db: &str| rt.invalidate(db);
             while !state.shutdown_requested() {
-                if let Err(e) =
-                    crate::repl_cmd::follow_round(&ship_root, &store_dir, &state, &invalidate)
-                {
+                if let Err(e) = crate::repl_cmd::follow_round(&ship_root, &store_dir, &state) {
                     eprintln!("follower round failed: {e}");
                 }
                 std::thread::sleep(poll);
@@ -799,8 +790,10 @@ mod tests {
         let (benchmark, rt) = start_runtime(&store_opts);
         let rt = Arc::new(rt);
         let ex = &benchmark.dev[0];
+        let state = Arc::new(osql_repl::ReplState::new(1));
         let ask = || {
-            rt.submit(QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence))
+            let seq = state.applied_seq(&ex.db_id).unwrap_or(0);
+            rt.submit(QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence).with_seq(seq))
                 .unwrap()
                 .wait()
                 .unwrap()
@@ -816,9 +809,7 @@ mod tests {
         let seq = store.commit().unwrap();
         drop(store);
         crate::repl_cmd::run_ship(&primary, &ship).unwrap();
-        let state = Arc::new(osql_repl::ReplState::new(1));
         let follower = spawn_follower(
-            rt.clone(),
             ship.clone(),
             replica.clone(),
             state.clone(),

@@ -3,12 +3,15 @@
 //! **Level 1** ([`AssetCache`]) holds per-database preprocessed assets:
 //! on the first request touching a database it runs the per-db half of
 //! preprocessing ([`Preprocessed::for_db`]) and caches an assembled
-//! [`Pipeline`]; the expensive self-taught few-shot library is built once
-//! and shared across all entries. **Level 2** ([`LruCache`]) memoises
+//! [`Pipeline`], recording the data version (applied seq) it was built
+//! for; the expensive self-taught few-shot library is built once and
+//! shared across all entries. **Level 2** ([`LruCache`]) memoises
 //! finished [`PipelineRun`]s keyed by
-//! `(db_id, normalized question+evidence, config fingerprint)`, so a
+//! `(db_id, normalized question+evidence, config fingerprint, seq)`, so a
 //! repeated question is served without touching the pipeline at all —
 //! not even the queue: the runtime probes it on the submitting thread.
+//! An answer computed on older data sits under an older seq, where no
+//! newer request looks; it ages out of the LRU like any cold entry.
 //! Level 1 keeps hit/miss counts; level-2 hits and misses are counted
 //! once, by the runtime, in its metrics registry.
 
@@ -64,17 +67,22 @@ pub struct ResultKey {
     pub question: String,
     /// Fingerprint of the pipeline configuration.
     pub fingerprint: u64,
+    /// The database's applied position when the request was admitted:
+    /// the data version the answer was computed on. 0 on a primary or a
+    /// static world.
+    pub seq: u64,
 }
 
 impl ResultKey {
-    /// Build the key for one request under one configuration fingerprint.
+    /// Build the key for one request under one configuration fingerprint,
+    /// at seq 0.
     pub fn new(db_id: &str, question: &str, evidence: &str, fingerprint: u64) -> Self {
         let question = if evidence.trim().is_empty() {
             normalize_question(question)
         } else {
             format!("{}\u{1f}{}", normalize_question(question), normalize_question(evidence))
         };
-        ResultKey { db_id: db_id.to_owned(), question, fingerprint }
+        ResultKey { db_id: db_id.to_owned(), question, fingerprint, seq: 0 }
     }
 }
 
@@ -95,9 +103,6 @@ struct LruInner<K, V> {
     head: usize,
     tail: usize,
     map: HashMap<K, usize>,
-    /// Sweeps so far ([`LruCache::invalidate_where`]); an insert quoting
-    /// an older epoch computed its value before a sweep and is refused.
-    epoch: u64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> LruInner<K, V> {
@@ -143,7 +148,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruInner<K, V> {
 
 /// A fixed-capacity least-recently-used cache (slab-backed doubly linked
 /// list + hash index) with eviction accounting. Lookups and inserts are
-/// O(1); a sweep ([`LruCache::invalidate_where`]) is O(len).
+/// O(1).
 ///
 /// Hits and misses are not counted here: a caller that looks one key up
 /// in two places (the runtime probes on the submitting thread, then
@@ -165,7 +170,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
                 head: NIL,
                 tail: NIL,
                 map: HashMap::with_capacity(capacity),
-                epoch: 0,
             }),
             capacity,
             evictions: AtomicU64::new(0),
@@ -174,61 +178,17 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
 
     /// Look up a key, marking it most recently used on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.lookup(key).ok()
-    }
-
-    /// Look up a key, marking it most recently used on a hit; on a miss,
-    /// the epoch it was observed at — quote it to
-    /// [`LruCache::insert_since`] so a value computed from state an
-    /// [`LruCache::invalidate_where`] has since declared stale is never
-    /// cached. One lock acquisition for both.
-    pub fn lookup(&self, key: &K) -> Result<V, u64> {
         let mut inner = self.inner.lock();
-        match inner.map.get(key).copied() {
-            Some(idx) => {
-                inner.detach(idx);
-                inner.attach_front(idx);
-                Ok(inner.nodes[idx].as_ref().expect("live node").value.clone())
-            }
-            None => Err(inner.epoch),
-        }
+        let idx = inner.map.get(key).copied()?;
+        inner.detach(idx);
+        inner.attach_front(idx);
+        Some(inner.nodes[idx].as_ref().expect("live node").value.clone())
     }
 
     /// Insert (or refresh) a key, evicting the least recently used entry
     /// when at capacity.
     pub fn insert(&self, key: K, value: V) {
         let mut inner = self.inner.lock();
-        self.insert_locked(&mut inner, key, value);
-    }
-
-    /// [`LruCache::insert`], unless an [`LruCache::invalidate_where`] ran
-    /// since `epoch` (from [`LruCache::lookup`]) was read: then the value
-    /// may describe what that sweep invalidated, and nothing is stored.
-    /// Returns whether the value was stored.
-    pub fn insert_since(&self, epoch: u64, key: K, value: V) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.epoch != epoch {
-            return false;
-        }
-        self.insert_locked(&mut inner, key, value);
-        true
-    }
-
-    /// Drop every entry whose key matches and advance the epoch, under
-    /// one lock: an insert racing this call either lands before the sweep
-    /// (and is swept) or quotes the old epoch (and is refused). Dropped
-    /// entries are not evictions.
-    pub fn invalidate_where(&self, stale: impl Fn(&K) -> bool) {
-        let mut inner = self.inner.lock();
-        inner.epoch += 1;
-        for idx in 0..inner.nodes.len() {
-            if inner.nodes[idx].as_ref().is_some_and(|n| stale(&n.key)) {
-                inner.remove(idx);
-            }
-        }
-    }
-
-    fn insert_locked(&self, inner: &mut LruInner<K, V>, key: K, value: V) {
         if let Some(idx) = inner.map.get(&key).copied() {
             inner.nodes[idx].as_mut().expect("live node").value = value;
             inner.detach(idx);
@@ -266,7 +226,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Entries pushed out by capacity pressure (refreshes of an existing
-    /// key and sweeps are not evictions).
+    /// key are not evictions).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -309,14 +269,17 @@ pub enum AssetMiss {
 /// touches it. In eager mode entries are cached forever — the set of
 /// databases is fixed per benchmark. In paged mode ([`AssetCache::paged`])
 /// the backing [`Catalog`] bounds resident store bytes, and its evictions
-/// invalidate the corresponding pipelines here.
+/// invalidate the corresponding pipelines here. Either way an entry is
+/// rebuilt when a request asks for a newer data version than it was
+/// built for ([`AssetCache::pipeline_at`]).
 pub struct AssetCache {
     source: DbSource,
     llm: Arc<dyn LanguageModel>,
     fewshot: Arc<FewshotLibrary>,
     build_tokens: u64,
     config: PipelineConfig,
-    pipelines: Mutex<HashMap<String, Arc<Pipeline>>>,
+    /// Per database: the seq the pipeline was built for, and the pipeline.
+    pipelines: Mutex<HashMap<String, (u64, Arc<Pipeline>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     load_errors: AtomicU64,
@@ -417,7 +380,20 @@ impl AssetCache {
         self.build_tokens
     }
 
-    /// The pipeline for one database, preprocessing it on first touch.
+    /// The pipeline for one database at seq 0: [`AssetCache::pipeline_at`]
+    /// for a world whose data never moves.
+    pub fn pipeline(&self, db_id: &str) -> Result<Arc<Pipeline>, AssetMiss> {
+        self.pipeline_at(db_id, 0)
+    }
+
+    /// The pipeline for one database built on data at least as new as
+    /// applied position `seq`, preprocessing it on first touch.
+    ///
+    /// An entry built for an older seq is rebuilt: in paged mode the
+    /// catalog's resident store is dropped and reloaded from disk, which
+    /// holds `seq` already (a follower publishes a position only once it
+    /// is synced). An entry is never downgraded — a request at an older
+    /// seq is served the newer one.
     ///
     /// In paged mode a miss demand-loads the database's store file, and
     /// any catalog evictions that causes also drop the victims' cached
@@ -429,15 +405,22 @@ impl AssetCache {
     /// traced as a volatile `db_load_error` event and counted in
     /// [`AssetCache::load_errors`], never folded into the unknown-db
     /// path, so disk corruption stays visible.
-    pub fn pipeline(&self, db_id: &str) -> Result<Arc<Pipeline>, AssetMiss> {
+    pub fn pipeline_at(&self, db_id: &str, seq: u64) -> Result<Arc<Pipeline>, AssetMiss> {
         let mut pipelines = self.pipelines.lock();
-        if let Some(p) = pipelines.get(db_id) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(p.clone());
+        if let Some((built_at, p)) = pipelines.get(db_id) {
+            if *built_at >= seq {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(p.clone());
+            }
+            // built on older data: the build below reloads the store
+            if let DbSource::Paged(cat) = &self.source {
+                cat.invalidate(db_id);
+            }
         }
-        // build under the lock: simpler. Once per database in eager mode;
-        // in paged mode again on every page-in, because an eviction drops
-        // the pipeline with the store
+        // build under the lock: simpler, and no request can find the
+        // store reloaded but the pipeline not yet rebuilt. Once per
+        // database and seq in eager mode; in paged mode again on every
+        // page-in, because an eviction drops the pipeline with the store
         let bench = match &self.source {
             DbSource::Eager(b) => b.clone(),
             DbSource::Paged(cat) => {
@@ -499,24 +482,8 @@ impl AssetCache {
             ],
         );
         let p = Arc::new(Pipeline::new(Arc::new(pre), self.llm.clone(), self.config.clone()));
-        pipelines.insert(db_id.to_owned(), p.clone());
+        pipelines.insert(db_id.to_owned(), (seq, p.clone()));
         Ok(p)
-    }
-
-    /// Drop one database's cached assets so the next request reloads
-    /// them from disk: the pipeline entry here, and — in paged mode —
-    /// the resident store in the backing catalog. The follower apply
-    /// loop calls this after replaying shipped commits onto a store
-    /// file, so reads on a replica see the new rows instead of a
-    /// pipeline built over the pre-apply snapshot. Returns whether
-    /// anything was resident.
-    pub fn invalidate(&self, db_id: &str) -> bool {
-        let dropped_pipeline = self.pipelines.lock().remove(db_id).is_some();
-        let dropped_store = match &self.source {
-            DbSource::Eager(_) => false,
-            DbSource::Paged(cat) => cat.invalidate(db_id),
-        };
-        dropped_pipeline || dropped_store
     }
 
     /// Databases preprocessed so far.
@@ -633,28 +600,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // hit / miss counts live in the runtime's registry, one per
         // request: `runtime::tests::cache_counters_add_up_to_requests`
-    }
-
-    #[test]
-    fn lru_sweep_refuses_inserts_computed_before_it() {
-        let cache: LruCache<(u32, u32), u32> = LruCache::new(4);
-        cache.insert((1, 1), 11);
-        cache.insert((2, 1), 21);
-        let before = cache.lookup(&(1, 2)).unwrap_err();
-        cache.invalidate_where(|k| k.0 == 1);
-        assert_eq!(cache.get(&(1, 1)), None, "swept");
-        assert_eq!(cache.get(&(2, 1)), Some(21), "another db's entry survives");
-        assert!(!cache.insert_since(before, (1, 2), 12), "computed before the sweep");
-        assert_eq!(cache.get(&(1, 2)), None);
-        let after = cache.lookup(&(1, 2)).unwrap_err();
-        assert!(cache.insert_since(after, (1, 2), 12));
-        assert_eq!(cache.get(&(1, 2)), Some(12));
-        assert_eq!((cache.len(), cache.evictions()), (2, 0), "a sweep is not an eviction");
-        // swept slots are reused: the slab stays within capacity
-        for k in 0..8 {
-            cache.insert((3, k), k);
-        }
-        assert!(cache.inner.lock().nodes.len() <= 4);
     }
 
     #[test]
@@ -798,7 +743,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_forces_a_reload_from_disk() {
+    fn pipeline_at_a_newer_seq_reloads_from_disk_and_never_downgrades() {
         let bench = Arc::new(generate(&Profile::tiny()));
         let llm = Arc::new(SimLlm::new(
             Arc::new(Oracle::new(bench.clone())),
@@ -806,26 +751,40 @@ mod tests {
             5,
         ));
         let dir = std::env::temp_dir()
-            .join(format!("osql-invalidate-cache-{}", std::process::id()));
+            .join(format!("osql-pipeline-at-cache-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         datagen::export_store(&bench, &dir).unwrap();
         let catalog = Arc::new(open_paged_catalog(&dir, u64::MAX, &bench.name).unwrap());
         let paged =
             AssetCache::paged(catalog.clone(), llm.clone(), PipelineConfig::fast(), &bench.train);
         let db = bench.dbs[0].id.clone();
-        let before = paged.pipeline(&db).unwrap();
-        assert!(catalog.is_resident(&db));
-        assert!(paged.invalidate(&db), "a resident db reports the drop");
-        assert!(!catalog.is_resident(&db), "the store left the catalog too");
-        let after = paged.pipeline(&db).unwrap();
-        assert!(!Arc::ptr_eq(&before, &after), "the pipeline was rebuilt from disk");
-        assert_eq!(catalog.loads(), 2);
-        assert!(!paged.invalidate("ghost"), "nothing resident, nothing dropped");
-        // eager mode: only the pipeline entry exists to drop
+        let has_probe = |p: &Pipeline| {
+            p.preprocessed().db(&db).unwrap().database.schema.table("seq_probe").is_some()
+        };
+        let at0 = paged.pipeline_at(&db, 0).unwrap();
+        assert_eq!(catalog.loads(), 1);
+        // the data moves on disk, as a follower's apply does
+        let (mut store, _) = osql_store::Store::open(&catalog.store_path(&db)).unwrap();
+        store.execute("CREATE TABLE seq_probe (id INTEGER PRIMARY KEY)").unwrap();
+        store.commit().unwrap();
+        drop(store);
+        assert!(Arc::ptr_eq(&paged.pipeline_at(&db, 0).unwrap(), &at0), "seq 0 still hits");
+        let at1 = paged.pipeline_at(&db, 1).unwrap();
+        assert!(!Arc::ptr_eq(&at0, &at1), "seq 1 rebuilds");
+        assert_eq!(catalog.loads(), 2, "from disk");
+        assert!(!has_probe(&at0) && has_probe(&at1));
+        for older in [0, 1] {
+            assert!(Arc::ptr_eq(&paged.pipeline_at(&db, older).unwrap(), &at1), "never downgraded");
+        }
+        assert!(Arc::ptr_eq(&paged.pipeline(&db).unwrap(), &at1));
+        assert_eq!((catalog.loads(), paged.hits(), paged.misses()), (2, 4, 2));
+        // eager mode rebuilds the same way, from the resident benchmark
         let eager = AssetCache::new(bench.clone(), llm, PipelineConfig::fast());
-        eager.pipeline(&db).unwrap();
-        assert!(eager.invalidate(&db));
-        assert!(!eager.invalidate(&db));
+        let at0 = eager.pipeline(&db).unwrap();
+        let at1 = eager.pipeline_at(&db, 1).unwrap();
+        assert!(!Arc::ptr_eq(&at0, &at1));
+        assert!(Arc::ptr_eq(&eager.pipeline_at(&db, 0).unwrap(), &at1));
+        assert_eq!((eager.len(), eager.hits(), eager.misses()), (1, 1, 2));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -53,6 +53,9 @@ pub struct QueryRequest {
     /// it (via [`QueryRequest::with_trace_id`]) to propagate an ID the
     /// caller already handed out, e.g. from an `X-Osql-Trace-Id` header.
     pub trace_id: String,
+    /// The database's applied position at admission (see
+    /// [`ResultKey::seq`]); 0 on a primary or a static world.
+    pub seq: u64,
 }
 
 impl QueryRequest {
@@ -67,12 +70,20 @@ impl QueryRequest {
             question: question.into(),
             evidence: evidence.into(),
             trace_id: String::new(),
+            seq: 0,
         }
     }
 
     /// Carry a caller-chosen trace ID through the queue and pipeline.
     pub fn with_trace_id(mut self, trace_id: impl Into<String>) -> Self {
         self.trace_id = trace_id.into();
+        self
+    }
+
+    /// Answer on data at least as new as applied position `seq`, cached
+    /// under that position.
+    pub fn with_seq(mut self, seq: u64) -> Self {
+        self.seq = seq;
         self
     }
 }
@@ -252,7 +263,7 @@ pub mod model_support {
     /// is the runtime's own (the cache probe on the calling thread, then
     /// the queue), and [`Front::serve`] drains the queue as a worker does —
     /// the second-chance lookup, then `answer` for a miss, cached under the
-    /// epoch that lookup read.
+    /// key the submitter probed.
     pub struct Front(Arc<Shared>);
 
     impl Front {
@@ -291,9 +302,9 @@ pub mod model_support {
         /// A worker loop until [`Front::close`].
         pub fn serve(&self, answer: impl Fn(&QueryRequest) -> Arc<PipelineRun>) {
             while let Some(job) = self.0.queue.pop() {
-                if let Some(Miss { job, queue_wait_ms, epoch }) = self.0.dequeued(job) {
+                if let Some(Miss { job, queue_wait_ms }) = self.0.dequeued(job) {
                     let run = answer(&job.req);
-                    self.0.results.insert_since(epoch, job.key, run.clone());
+                    self.0.results.insert(job.key, run.clone());
                     let trace_id = job.req.trace_id;
                     job.reply.send(Ok(QueryResponse { run, from_cache: false, queue_wait_ms, trace_id }));
                 }
@@ -370,9 +381,6 @@ struct Job {
 struct Miss {
     job: Job,
     queue_wait_ms: f64,
-    /// The cache epoch the worker's lookup missed at: its run is cached
-    /// only if no [`Runtime::invalidate`] swept the cache since.
-    epoch: u64,
 }
 
 /// What the submitting threads and the workers share: the queue, the
@@ -415,7 +423,10 @@ impl Shared {
         if req.trace_id.is_empty() {
             req.trace_id = self.ids.next();
         }
-        let key = ResultKey::new(&req.db_id, &req.question, &req.evidence, self.fingerprint);
+        let key = ResultKey {
+            seq: req.seq,
+            ..ResultKey::new(&req.db_id, &req.question, &req.evidence, self.fingerprint)
+        };
         if let Some(run) = self.results.get(&key) {
             return Ok(Ticket(Reply::Ready(self.served_hit(req, run, 0.0))));
         }
@@ -459,17 +470,17 @@ impl Shared {
     /// counted and handed back.
     fn dequeued(&self, job: Job) -> Option<Miss> {
         let queue_wait_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
-        match self.results.lookup(&job.key) {
-            Ok(run) => {
+        match self.results.get(&job.key) {
+            Some(run) => {
                 let resp = self.served_hit(job.req, run, queue_wait_ms);
                 job.reply.send(Ok(resp));
                 None
             }
-            Err(epoch) => {
+            None => {
                 self.metrics.counter("requests_total").inc();
                 self.metrics.latency("queue_wait_ms").record(queue_wait_ms);
                 self.metrics.counter("result_cache_misses").inc();
-                Some(Miss { job, queue_wait_ms, epoch })
+                Some(Miss { job, queue_wait_ms })
             }
         }
     }
@@ -738,20 +749,6 @@ impl Runtime {
         &self.shared.results
     }
 
-    /// Forget what this runtime knows about one database's data: drop
-    /// its assets (the next miss rebuilds them from disk) and sweep its
-    /// result-cache entries. The sweep advances the cache epoch, so a
-    /// worker that acquired the old pipeline before this call cannot
-    /// cache its run after it. The follower's apply loop calls this for
-    /// every database a shipped segment advanced, before it publishes the
-    /// new applied position.
-    pub fn invalidate(&self, db_id: &str) {
-        // assets first: a worker whose lookup reads the epoch after the
-        // sweep must find the old pipeline already gone
-        self.assets.invalidate(db_id);
-        self.shared.results.invalidate_where(|key| key.db_id == db_id);
-    }
-
     /// The configuration fingerprint results are cached under.
     pub fn fingerprint(&self) -> u64 {
         self.shared.fingerprint
@@ -903,8 +900,7 @@ fn store_us_total() -> u64 {
 fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
     let (metrics, flight, windowed) = (&*shared.metrics, &*shared.flight, &*shared.windowed);
     while let Some(job) = shared.queue.pop() {
-        let Some(Miss { job: Job { req, key, reply, .. }, queue_wait_ms, epoch }) =
-            shared.dequeued(job)
+        let Some(Miss { job: Job { req, key, reply, .. }, queue_wait_ms }) = shared.dequeued(job)
         else {
             continue;
         };
@@ -923,7 +919,7 @@ fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
         active::push();
         active::event_volatile("queue_wait", &[], &[("ms", queue_wait_ms)]);
         let store_us_before = store_us_total();
-        let pipeline = match assets.pipeline(&req.db_id) {
+        let pipeline = match assets.pipeline_at(&req.db_id, req.seq) {
             Ok(p) => p,
             Err(miss) => {
                 let _ = active::pop();
@@ -972,7 +968,7 @@ fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
         metrics.counter("refine_first_attempts_total").add(run.candidates.len() as u64);
         metrics.counter("refine_first_attempts_shared_total").add(run.first_attempts_shared as u64);
         record_analysis_metrics(metrics, &pipeline, &run);
-        shared.results.insert_since(epoch, key, run.clone());
+        shared.results.insert(key, run.clone());
         // Flight record + slow-query capture. The tail-sampling decision
         // itself belongs to the recorder; the worker attaches the heavy
         // payloads (span tree, EXPLAIN) whenever the record *could* be
@@ -1331,36 +1327,41 @@ mod tests {
         assert_eq!(rt.metrics().latency("queue_wait_ms").count(), 5, "one wait per request");
     }
 
-    /// `invalidate` sweeps a database's cached answers, and a run whose
-    /// worker acquired the old pipeline before the sweep is not cached
-    /// after it (the follower's apply loop relies on both).
+    /// An answer is keyed by the seq it was admitted at. A run parked at
+    /// *p* on database A while A moves to *p* + 1 is cached under *p* and
+    /// never served at *p* + 1, where a fresh pipeline answers; database
+    /// B's run, in flight across A's move, is cached and then hit.
     #[test]
-    fn invalidate_drops_cached_answers_and_refuses_runs_computed_before_it() {
+    fn answers_are_cached_under_the_seq_they_were_admitted_at() {
         let (bench, gate, assets) = gated_world();
-        let rt = Runtime::start(assets, RuntimeConfig::with_workers(1));
-        let first = &bench.dev[0];
-        let second = bench
-            .dev
-            .iter()
-            .find(|ex| ex.db_id == first.db_id && ex.question != first.question)
-            .expect("two questions on one database");
-        let other = bench.dev.iter().find(|ex| ex.db_id != first.db_id).expect("two databases");
-        let req = |ex: &datagen::Example| QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence);
-        let ask = |ex| rt.submit(req(ex)).unwrap().wait().unwrap().from_cache;
-        assert!(!ask(first) && !ask(other));
-        assert!(ask(first) && ask(other));
-
+        let rt = Runtime::start(assets.clone(), RuntimeConfig::with_workers(3));
+        let a = &bench.dev[0];
+        let b = bench.dev.iter().find(|ex| ex.db_id != a.db_id).expect("two databases");
+        let at = |ex: &datagen::Example, seq| {
+            QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence).with_seq(seq)
+        };
+        let p = 5;
         gate.set_open(false);
-        let in_flight = rt.submit(req(second)).unwrap();
-        gate.await_parked(1); // the worker holds the old pipeline
-        rt.invalidate(&first.db_id);
-        gate.set_open(true);
-        assert!(!in_flight.wait().unwrap().from_cache);
+        let on_a = rt.submit(at(a, p)).unwrap();
+        gate.await_parked(1); // holds A's pipeline built at p
+        let on_b = rt.submit(at(b, 0)).unwrap();
+        gate.await_parked(2);
+        let builds = assets.misses();
+        let fresh = rt.submit(at(a, p + 1)).unwrap();
+        gate.await_parked(3);
+        let rebuilt = assets.misses() - builds;
+        gate.set_open(true); // before any assert: a failure must not strand the workers
+        assert_eq!(rebuilt, 1, "a request at p + 1 rebuilds A's pipeline");
+        let (on_a, on_b, fresh) = (on_a.wait().unwrap(), on_b.wait().unwrap(), fresh.wait().unwrap());
+        assert!(!on_a.from_cache && !on_b.from_cache && !fresh.from_cache);
+        assert!(!Arc::ptr_eq(&on_a.run, &fresh.run));
 
-        assert!(!ask(second), "a run computed before the sweep was not cached");
-        assert!(!ask(first), "swept");
-        assert!(ask(other), "another database's answers survive");
-        assert!(ask(first) && ask(second), "cached again after the sweep");
+        let ask = |req| rt.submit(req).unwrap().wait().unwrap();
+        for (req, cold) in [(at(a, p), &on_a), (at(a, p + 1), &fresh), (at(b, 0), &on_b)] {
+            let warm = ask(req);
+            assert!(warm.from_cache && Arc::ptr_eq(&warm.run, &cold.run), "{}", cold.trace_id);
+        }
+        assert_eq!(assets.misses(), builds + 1);
     }
 
     #[test]

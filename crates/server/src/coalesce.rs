@@ -1,15 +1,15 @@
 //! In-flight request coalescing (single-flight).
 //!
 //! Concurrent identical requests — same [`ResultKey`], i.e. same
-//! database, normalized question + evidence, and pipeline-config
-//! fingerprint — collapse onto one pipeline execution. The first arrival
-//! becomes the *leader* and runs the request; later arrivals become
-//! *waiters* parked on the leader's slot. When the leader finishes it
-//! renders the response **once** (the render closure sees the final group
-//! size) and every member receives the same `Arc` of bytes — responses
-//! are byte-identical by construction, and waiters never re-read the
-//! result cache, so a leader whose entry is evicted mid-flight cannot
-//! strand them.
+//! database, normalized question + evidence, pipeline-config
+//! fingerprint and applied seq — collapse onto one pipeline execution.
+//! The first arrival becomes the *leader* and runs the request; later
+//! arrivals become *waiters* parked on the leader's slot. When the leader
+//! finishes it renders the response **once** (the render closure sees the
+//! final group size) and every member receives the same `Arc` of bytes —
+//! responses are byte-identical by construction, and waiters never
+//! re-read the result cache, so a leader whose entry is evicted
+//! mid-flight cannot strand them.
 //!
 //! The leader unregisters the key *before* publishing, so a request
 //! arriving after completion starts a fresh flight (and typically hits

@@ -570,10 +570,10 @@ fn query(shared: &Shared, req: &Request) -> Routed {
     }
 
     // Follower mode: resolve the replica's applied position once, before
-    // the coalescer — the bound checked here stays valid for the whole
-    // request because `applied_seq` is monotonic (the model suite pins
-    // this), so an admitted read can never observe data older than the
-    // requested floor.
+    // the coalescer. It is the data version the answer is keyed by — in
+    // the coalescer, the result cache and the asset cache alike — so an
+    // admitted read never shares an answer computed on data older than
+    // the position it was admitted at.
     let applied_seq = shared.config.repl.as_ref().and_then(|s| s.applied_seq(db_id));
     let mut extra_headers = id_header;
     if let Some(applied) = applied_seq {
@@ -614,7 +614,9 @@ fn query(shared: &Shared, req: &Request) -> Routed {
         }
     }
 
-    let key = ResultKey::new(db_id, question, evidence, shared.rt.fingerprint());
+    let seq = applied_seq.unwrap_or(0);
+    let key =
+        ResultKey { seq, ..ResultKey::new(db_id, question, evidence, shared.rt.fingerprint()) };
     let rendered = match shared.coalescer.join(key) {
         Joined::Waiter(waiter) => {
             shared.rt.metrics().counter("coalesced_requests_total").inc();
@@ -636,8 +638,9 @@ fn query(shared: &Shared, req: &Request) -> Routed {
         }
         Joined::Leader(token) => {
             let started = Instant::now();
-            let request =
-                QueryRequest::new(db_id, question, evidence).with_trace_id(trace_id.clone());
+            let request = QueryRequest::new(db_id, question, evidence)
+                .with_trace_id(trace_id.clone())
+                .with_seq(seq);
             match shared.rt.try_submit(request) {
                 Err(SubmitError::QueueFull) => {
                     trace_event(shared, "http_shed", &[("db_id", db_id)]);

@@ -78,6 +78,58 @@ fn bounded_staleness_floor_gates_admission() {
     assert!(server.shutdown());
 }
 
+/// A read admitted at a newer applied position never joins a leader
+/// admitted at an older one: the position is part of the coalescer key,
+/// so the second read runs on its own and answers under its own trace.
+#[test]
+fn a_read_at_a_newer_position_never_joins_an_older_leader() {
+    let bench = tiny_world();
+    let (gate, rt) = common::gated_runtime(&bench, 2, 8, 16);
+    let state = Arc::new(ReplState::new(1));
+    let ex = &bench.dev[0];
+    state.note_poll(&ex.db_id, &report(5, 5));
+    let server = Server::start(rt.clone(), "127.0.0.1:0", follower_config(state.clone())).unwrap();
+    let addr = server.local_addr();
+    let body = query_body(&ex.db_id, &ex.question, &ex.evidence);
+    let ask = |min_seq: &'static str, trace_id: &'static str| {
+        let body = body.clone();
+        std::thread::spawn(move || {
+            one_shot(
+                addr,
+                "POST",
+                "/v1/query",
+                &[("x-osql-min-seq", min_seq), ("x-osql-trace-id", trace_id)],
+                &body,
+            )
+        })
+    };
+    let count = |name: &str| rt.metrics().counter(name).get();
+
+    gate.set_open(false);
+    let leader = ask("5", "leader-at-5");
+    while count("requests_total") < 1 {
+        std::thread::yield_now();
+    }
+    state.note_poll(&ex.db_id, &report(6, 6));
+    let reader = ask("6", "reader-at-6");
+    // admitted: running beside the leader, or parked behind it
+    while count("requests_total") < 2 && count("coalesced_requests_total") < 1 {
+        std::thread::yield_now();
+    }
+    gate.set_open(true);
+    let (leader, reader) = (leader.join().unwrap(), reader.join().unwrap());
+
+    assert_eq!(leader.status, 200, "{}", leader.body);
+    assert_eq!(leader.header("x-osql-applied-seq"), Some("5"));
+    assert!(leader.body.contains("\"trace_id\":\"leader-at-5\""), "{}", leader.body);
+    assert_eq!(reader.status, 200, "{}", reader.body);
+    assert_eq!(reader.header("x-osql-applied-seq"), Some("6"));
+    assert!(reader.body.contains("\"trace_id\":\"reader-at-6\""), "{}", reader.body);
+    assert!(reader.body.contains("\"coalesced_group\":1"), "{}", reader.body);
+    assert_eq!(count("coalesced_requests_total"), 0);
+    assert!(server.shutdown());
+}
+
 #[test]
 fn healthz_and_metrics_expose_replication_state() {
     let bench = tiny_world();

@@ -10,6 +10,7 @@
 
 use osql_chk::model::{self, Config, Outcome};
 use osql_chk::thread;
+use osql_repl::{ApplyReport, ReplState};
 use osql_runtime::ResultKey;
 use osql_server::{Admit, Coalescer, Joined, QuotaConfig, QuotaRegistry, Rendered};
 use std::sync::Arc;
@@ -167,6 +168,60 @@ fn coalesce_completed_flight_never_serves_stale_results() {
         assert!(got == 200 || got == 201, "unexpected status {got}");
         assert_eq!(co.inflight_len(), 0);
     }));
+}
+
+/// Two readers each resolve the applied position and join the coalescer
+/// under a key carrying it, as the server does, while the apply loop
+/// moves the position from 5 to 6. A waiter only ever receives bytes
+/// from a leader that read the same position it did.
+#[test]
+fn coalesce_never_joins_across_applied_positions() {
+    // chk:allow(raw-sync): tallies outcomes across explored schedules, outside any one execution
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    // readers at two positions, and a join, must both be reachable
+    static ACROSS: AtomicU64 = AtomicU64::new(0);
+    static JOINED: AtomicU64 = AtomicU64::new(0);
+    let at = |applied| ApplyReport {
+        target_seq: applied,
+        applied_seq: applied,
+        applied_txns: 1,
+        stmts_applied: 1,
+        segments_read: 1,
+        finding: None,
+    };
+    assert_pass("coalesce_never_joins_across_applied_positions", model::explore(cfg(), || {
+        let state = Arc::new(ReplState::new(1));
+        state.note_poll("db", &at(5));
+        let co = Arc::new(Coalescer::new());
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (state, co) = (state.clone(), co.clone());
+                thread::spawn(move || {
+                    let seq = state.applied_seq("db").unwrap_or(0);
+                    let body = seq.to_string();
+                    match co.join(ResultKey { seq, ..key("q") }) {
+                        Joined::Leader(t) => (seq, false, t.complete(|_| rendered(200, &body))),
+                        Joined::Waiter(w) => (seq, true, w.wait()),
+                    }
+                })
+            })
+            .collect();
+        state.note_poll("db", &at(6));
+        let got: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+        for (seq, _, r) in &got {
+            let body = std::str::from_utf8(&r.body).unwrap();
+            assert_eq!(body, seq.to_string(), "a reader at {seq} got a leader's bytes from {body}");
+        }
+        assert_eq!(co.inflight_len(), 0);
+        if got[0].0 != got[1].0 {
+            ACROSS.fetch_add(1, Relaxed);
+        }
+        if got.iter().any(|(_, waited, _)| *waited) {
+            JOINED.fetch_add(1, Relaxed);
+        }
+    }));
+    assert!(ACROSS.load(Relaxed) > 0, "the apply never landed between the two reads");
+    assert!(JOINED.load(Relaxed) > 0, "the readers never coalesced");
 }
 
 /// Token-bucket quota under concurrent admits: with exactly one token
