@@ -173,6 +173,27 @@ cargo test -q -p opensearch-sql served_corpora_land # placement gate: every valu
 # on clean stores and non-zero on a corrupted one.
 cargo test -q -p osql-store
 cargo test -q -p osql-store --test recovery
+# One checksum, structurally: the CRC-32 polynomial and `fn crc32` each have
+# exactly one non-test site under crates/, the table kernel in
+# crates/store/src/codec.rs, so every page, section, WAL record, shipped
+# segment and manifest is checked by one function and no second checksum
+# grows in osql-repl. The kernel ≡ the bitwise loop it replaced (kept as the
+# test-only reference) at every length 0..=72, every start offset 0..8 and
+# 2,000 seeded slices, with the corpus digest recorded on 035e019; every
+# checksummed format keeps the bytes it had there.
+for needle in '0x_?EDB8_?8320' 'fn crc32'; do
+    sites="$(find crates -name '*.rs' | sort | while read -r f; do
+        n="$(non_test_code "$f" | grep -ciE "$needle" || true)"
+        [ "$n" = 0 ] || echo "$f:$n"
+    done)"
+    if [ "$sites" != "crates/store/src/codec.rs:1" ]; then
+        echo "ci: '$needle' must have one non-test site, in crates/store/src/codec.rs; found:" $sites >&2
+        exit 1
+    fi
+done
+cargo test -q -p osql-store --lib -- crc32_equals_the_bitwise_reference_at_every_length_and_offset \
+    crc32_digest_over_the_corpus_is_frozen
+cargo test -q --test store_roundtrip every_checksummed_format_keeps_its_recorded_bytes
 store_dir="$(mktemp -d)"
 trap 'rm -rf "$store_dir"' EXIT
 cargo run --release -q -p osql-cli -- pack "$store_dir" --profile tiny

@@ -279,6 +279,15 @@ fn section_bytes(file: &[u8], s: &Section) -> Result<Vec<u8>, StoreError> {
             s.name, s.first_page, end, pages
         )));
     }
+    // the page range is inside the file, so this bounds the allocation
+    // below by the file's size, whatever the TOC claims
+    let capacity = u64::from(s.page_count) * PAGE_PAYLOAD as u64;
+    if s.byte_len > capacity {
+        return Err(StoreError::corrupt(format!(
+            "section '{}' records {} bytes, its {} pages hold at most {capacity}",
+            s.name, s.byte_len, s.page_count
+        )));
+    }
     let mut bytes = Vec::with_capacity(s.byte_len as usize);
     for idx in s.first_page as usize..end {
         let page = &file[idx * PAGE_SIZE..(idx + 1) * PAGE_SIZE];
@@ -601,6 +610,71 @@ mod tests {
         let page_findings =
             report.findings.iter().filter(|f| f.starts_with("page ")).count();
         assert_eq!(page_findings, pages);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Write a store file from raw section payloads with the crate's own
+    /// page packer and `crc32`, so every page and section checksum
+    /// verifies; `edit` then rewrites the TOC before it is packed.
+    fn craft_store(
+        path: &Path,
+        sections: &[(SectionKind, &str, Vec<u8>)],
+        edit: impl FnOnce(&mut Toc),
+    ) {
+        let mut toc = Toc { db_name: "crafted".into(), base_seq: 0, sections: Vec::new() };
+        let mut data_pages = Vec::new();
+        for (kind, name, bytes) in sections {
+            let pages = paginate(bytes);
+            toc.sections.push(Section {
+                kind: *kind,
+                name: (*name).to_owned(),
+                first_page: 1 + data_pages.len() as u32,
+                page_count: pages.len() as u32,
+                byte_len: bytes.len() as u64,
+                crc: crc32(bytes),
+                row_count: 0,
+            });
+            data_pages.extend(pages);
+        }
+        edit(&mut toc);
+        let mut file = pack_page(PAGE_TOC, &encode_toc(&toc));
+        data_pages.iter().for_each(|page| file.extend_from_slice(page));
+        fs::write(path, file).unwrap();
+    }
+
+    #[test]
+    fn section_length_beyond_its_pages_is_corrupt_not_an_allocation() {
+        let dir = tmpdir("byte-len");
+        let path = dir.join("crafted.store");
+        let schema = codec::encode_schema(&sqlkit::schema::DbSchema::new("crafted"));
+        let sections = [(SectionKind::Schema, "schema", schema)];
+        for byte_len in [u64::MAX, 1 << 40, PAGE_PAYLOAD as u64 + 1] {
+            craft_store(&path, &sections, |toc| toc.sections[0].byte_len = byte_len);
+            assert!(
+                matches!(read_database(&path), Err(StoreError::Corrupt(_))),
+                "byte_len {byte_len}"
+            );
+            let report = fsck_file(&path).unwrap();
+            let findings = report.findings;
+            assert!(findings.iter().any(|f| f.contains("'schema'")), "{findings:?}");
+        }
+        craft_store(&path, &sections, |_| {});
+        assert!(read_database(&path).is_ok(), "the uncrafted file loads");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn schema_column_count_is_corrupt_not_an_allocation() {
+        let dir = tmpdir("n-cols");
+        let path = dir.join("crafted.store");
+        // one table claiming u32::MAX columns, then nothing
+        let mut enc = Enc::new();
+        enc.put_str("crafted");
+        enc.put_u32(1);
+        enc.put_str("t");
+        enc.put_u32(u32::MAX);
+        craft_store(&path, &[(SectionKind::Schema, "schema", enc.into_bytes())], |_| {});
+        assert!(matches!(read_database(&path), Err(StoreError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 
