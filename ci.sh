@@ -145,6 +145,20 @@ if [ "$sites" != 1 ]; then
     exit 1
 fi
 cargo test -q -p llmsim --test memo_equivalence
+# A chain's witness join is probed once, structurally: the generator has
+# exactly two non-test `.query(` sites, the join-key probe behind the
+# per-database `Witnesses` memo and the gold admission, so a per-draw probe
+# cannot come back and the admission check cannot be dropped. The memo is
+# pinned by the frozen digest: every example of tiny, bird_mini_dev,
+# bird ×0.1, spider ×0.1 and bird_mini_dev at ten times the rows hashes to
+# what ebc168b generated, one probe per draw.
+cargo test -q -p datagen
+sites="$(non_test_code crates/datagen/src/generator.rs | grep -cF '.query(' || true)"
+if [ "$sites" != 2 ]; then
+    echo "ci: .query( has $sites non-test sites in crates/datagen/src/generator.rs, want 2" >&2
+    exit 1
+fi
+cargo test -q --test datagen_golden -- --include-ignored
 cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-
                                  # differential suite (sparse HNSW/flat ≡ the dense oracle;
                                  # the serving index ≡ flat below its threshold, ≡ the

@@ -289,11 +289,13 @@ mod tests {
     fn sim_rendered_sql_like_round_trips() {
         // the simulated model's SQL-Like lines must be recoverable
         let b = db();
+        let mut witnesses = datagen::generator::Witnesses::new();
         let mut rng = rand::SeedableRng::seed_from_u64(5);
         let mut checked = 0;
         for difficulty in datagen::Difficulty::all() {
             for _ in 0..10 {
-                let Some(spec) = datagen::generator::sample_spec(&b, difficulty, &mut rng)
+                let Some((spec, _)) =
+                    datagen::generator::sample_spec(&b, &mut witnesses, difficulty, &mut rng)
                 else {
                     continue;
                 };

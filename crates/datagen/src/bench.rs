@@ -2,12 +2,11 @@
 
 use crate::build::{build_db, BuiltDb, RowScale};
 use crate::domain::{domain_name, themes};
-use crate::generator::sample_spec;
+use crate::generator::{sample_spec, Witnesses};
 use crate::nlq::render;
 use crate::spec::{Difficulty, QuerySpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlkit::print_select;
 
 /// One benchmark example.
 #[derive(Debug, Clone)]
@@ -218,18 +217,20 @@ pub fn generate(profile: &Profile) -> Benchmark {
         dbs.push(db);
     }
 
+    // each database's witness joins are probed once, across all splits
+    let mut witnesses: Vec<Witnesses> = dbs.iter().map(|_| Witnesses::new()).collect();
     let mut next_id = 0u32;
     let mut make_split = |n: usize, mix: &[f64; 3], rng: &mut StdRng| -> Vec<Example> {
         let mut out = Vec::with_capacity(n);
         let mut attempts = 0usize;
         while out.len() < n && attempts < n * 30 + 100 {
             attempts += 1;
-            let db = &dbs[rng.gen_range(0..dbs.len())];
+            let i = rng.gen_range(0..dbs.len());
+            let db = &dbs[i];
             let difficulty = pick_difficulty(mix, rng);
-            let Some(spec) = sample_spec(db, difficulty, rng) else {
+            let Some((spec, sql)) = sample_spec(db, &mut witnesses[i], difficulty, rng) else {
                 continue;
             };
-            let sql = print_select(&spec.to_sql(&db.database.schema));
             let rendered = render(&spec, db);
             out.push(Example {
                 id: next_id,

@@ -344,6 +344,26 @@ mod tests {
         assert_eq!(qa.rows, qb.rows);
     }
 
+    /// The witness read in `generator` relies on this: row *i* of every
+    /// table carries the primary key *i* + 1.
+    #[test]
+    fn every_row_sits_at_its_primary_key() {
+        let dbs_only =
+            crate::Profile { train: 0, dev: 0, test: 0, ..crate::Profile::bird_mini_dev() };
+        let bench = crate::generate(&dbs_only);
+        assert_eq!(bench.dbs.len(), 12);
+        for b in &bench.dbs {
+            for t in &b.tables {
+                let pk = t.cols.iter().position(|c| c.kind == ColKind::Id).unwrap();
+                let rows = b.database.rows(&t.name).unwrap();
+                assert!(!rows.is_empty(), "{}.{} is empty", b.id, t.name);
+                for (i, row) in rows.iter().enumerate() {
+                    assert_eq!(row[pk], Value::Int(i as i64 + 1), "{}.{} row {i}", b.id, t.name);
+                }
+            }
+        }
+    }
+
     #[test]
     fn descriptions_are_present() {
         let b = sample();

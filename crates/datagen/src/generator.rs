@@ -3,9 +3,11 @@
 //! The sampler guarantees every generated example is *answerable*: filter
 //! literals come from a **witness row** of the fully-joined table chain, so
 //! the gold SQL provably returns a non-empty result, and every gold SQL is
-//! executed once before being admitted to the benchmark.
+//! executed once before being admitted to the benchmark. Each chain's join
+//! is probed once per database and kept as the primary keys of its rows
+//! ([`Witnesses`]); a witness reads its values from the base tables.
 
-use crate::build::BuiltDb;
+use crate::build::{BuiltDb, TableMeta};
 use crate::spec::{
     AggFunc, CmpOp, Difficulty, FilterSpec, OrderSpec, QuerySpec, SelectSpec,
 };
@@ -14,12 +16,46 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use sqlkit::{print_select, Value};
+use std::collections::HashMap;
 
-/// Sample one answerable spec of the requested difficulty, or `None` when
-/// the draw led to an unanswerable query (callers retry).
-pub fn sample_spec(db: &BuiltDb, difficulty: Difficulty, rng: &mut StdRng) -> Option<QuerySpec> {
+/// The most tables a spec joins: `sample_chain` never asks for more.
+const MAX_CHAIN: usize = 3;
+
+/// One row of a chain's join: the primary key of each chain table's row,
+/// in chain order (unused slots are 0).
+type JoinKeys = [u32; MAX_CHAIN];
+
+/// The witness joins of **one** database: for every table chain sampled
+/// so far, the primary keys of its FK join's rows in the order the engine
+/// returned them, or `None` when the probe failed.
+///
+/// A join row is fully identified by its tables' primary keys, so the memo
+/// holds ≤ 3 integers per row, not the row's values. Build one per
+/// database: chains are keyed by table names alone, and databases built
+/// from different themes may share an id.
+#[derive(Debug, Default)]
+pub struct Witnesses {
+    chains: HashMap<Vec<String>, Option<Vec<JoinKeys>>>,
+}
+
+impl Witnesses {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Witnesses::default()
+    }
+}
+
+/// Sample one answerable spec of the requested difficulty with its gold
+/// SQL, or `None` when the draw led to an unanswerable query (callers
+/// retry). `witnesses` must belong to `db`.
+pub fn sample_spec(
+    db: &BuiltDb,
+    witnesses: &mut Witnesses,
+    difficulty: Difficulty,
+    rng: &mut StdRng,
+) -> Option<(QuerySpec, String)> {
     let tables = sample_chain(db, difficulty, rng)?;
-    let witness = sample_witness(db, &tables, rng)?;
+    let witness = sample_witness(db, witnesses, &tables, rng)?;
 
     let mut spec = QuerySpec {
         tables,
@@ -38,7 +74,7 @@ pub fn sample_spec(db: &BuiltDb, difficulty: Difficulty, rng: &mut StdRng) -> Op
     // admit only executable, non-empty gold SQL
     let sql = print_select(&spec.to_sql(&db.database.schema));
     match db.database.query(&sql) {
-        Ok(rs) if !rs.is_effectively_empty() => Some(spec),
+        Ok(rs) if !rs.is_effectively_empty() => Some((spec, sql)),
         _ => None,
     }
 }
@@ -64,7 +100,7 @@ fn sample_chain(db: &BuiltDb, difficulty: Difficulty, rng: &mut StdRng) -> Optio
         }
         Difficulty::Challenging => {
             if rng.gen_bool(0.5) {
-                3
+                MAX_CHAIN
             } else {
                 2
             }
@@ -96,24 +132,24 @@ fn sample_chain(db: &BuiltDb, difficulty: Difficulty, rng: &mut StdRng) -> Optio
     Some(chain)
 }
 
-fn sample_witness(db: &BuiltDb, tables: &[String], rng: &mut StdRng) -> Option<Witness> {
-    // SELECT every column of the chain through the FK join
-    let all_cols: Vec<(String, String)> = tables
+/// The position of a table's primary-key column.
+fn pk_index(meta: &TableMeta) -> Option<usize> {
+    meta.cols.iter().position(|c| c.kind == ColKind::Id)
+}
+
+/// Every row of the chain's FK join, as primary keys.
+fn probe_join_keys(db: &BuiltDb, tables: &[String]) -> Option<Vec<JoinKeys>> {
+    let select = tables
         .iter()
-        .flat_map(|t| {
-            db.table_meta(t)
-                .map(|m| {
-                    m.cols.iter().map(|c| (t.clone(), c.name.clone())).collect::<Vec<_>>()
-                })
-                .unwrap_or_default()
+        .map(|t| {
+            let meta = db.table_meta(t)?;
+            let pk = &meta.cols[pk_index(meta)?].name;
+            Some(SelectSpec::Column { table: t.clone(), column: pk.clone() })
         })
-        .collect();
+        .collect::<Option<Vec<_>>>()?;
     let probe = QuerySpec {
         tables: tables.to_vec(),
-        select: all_cols
-            .iter()
-            .map(|(t, c)| SelectSpec::Column { table: t.clone(), column: c.clone() })
-            .collect(),
+        select,
         filters: Vec::new(),
         group_by: None,
         order: None,
@@ -123,8 +159,52 @@ fn sample_witness(db: &BuiltDb, tables: &[String], rng: &mut StdRng) -> Option<W
     };
     let sql = print_select(&probe.to_sql(&db.database.schema));
     let rs = db.database.query(&sql).ok()?;
-    let row = rs.rows.choose(rng)?;
-    Some(all_cols.into_iter().zip(row.iter().cloned()).collect())
+    Some(
+        rs.rows
+            .iter()
+            .map(|row| {
+                let mut keys = [0; MAX_CHAIN];
+                for (slot, v) in keys.iter_mut().zip(row) {
+                    let Value::Int(pk) = *v else {
+                        panic!("a primary key read back as {v:?}");
+                    };
+                    *slot = u32::try_from(pk).expect("a primary key is a row position");
+                }
+                keys
+            })
+            .collect(),
+    )
+}
+
+fn sample_witness(
+    db: &BuiltDb,
+    witnesses: &mut Witnesses,
+    tables: &[String],
+    rng: &mut StdRng,
+) -> Option<Witness> {
+    let joined = witnesses
+        .chains
+        .entry(tables.to_vec())
+        .or_insert_with(|| probe_join_keys(db, tables))
+        .as_deref()?;
+    // one uniform draw over the join's rows, in the order the engine returned them
+    let keys = joined.choose(rng)?;
+    let mut witness = Witness::new();
+    for (t, &pk) in tables.iter().zip(keys) {
+        let meta = db.table_meta(t)?;
+        let pk_col = pk_index(meta)?;
+        let row = db
+            .database
+            .rows(t)
+            .ok()
+            .and_then(|rows| rows.get((pk as usize).checked_sub(1)?))
+            .filter(|row| row[pk_col] == Value::Int(i64::from(pk)))
+            .expect("build_db gives the row at position i the primary key i + 1");
+        witness.extend(
+            meta.cols.iter().zip(row).map(|(c, v)| ((t.clone(), c.name.clone()), v.clone())),
+        );
+    }
+    Some(witness)
 }
 
 fn filter_candidates(db: &BuiltDb, tables: &[String]) -> Vec<(String, String, ColKind)> {
@@ -171,7 +251,7 @@ fn sample_filters(
         let filter = match kind {
             ColKind::Date => sample_date_filter(table, column, &value, rng),
             k if k.filterable_range() => {
-                sample_range_filter(db, table, column, k, &value, difficulty, rng)
+                sample_range_filter(table, column, k, &value, difficulty, rng)
             }
             _ => sample_eq_filter(db, &table, &column, &value),
         };
@@ -209,7 +289,6 @@ fn sample_eq_filter(db: &BuiltDb, table: &str, column: &str, value: &Value) -> O
 }
 
 fn sample_range_filter(
-    db: &BuiltDb,
     table: String,
     column: String,
     kind: ColKind,
@@ -255,8 +334,6 @@ fn sample_range_filter(
     };
     let abstract_phrase = if rng.gen_bool(abstract_p) {
         let col = column.to_lowercase();
-        let noun = db.table_meta(&table).map(|t| t.noun.to_owned()).unwrap_or_default();
-        let _ = noun;
         Some(match op {
             CmpOp::Gt | CmpOp::Ge => format!("the {col} is considered high"),
             CmpOp::Lt | CmpOp::Le => format!("the {col} is considered low"),
@@ -472,6 +549,7 @@ mod tests {
     use crate::build::{build_db, RowScale};
     use crate::domain::themes;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn db() -> BuiltDb {
         build_db(&themes()[0], "h", "healthcare", RowScale::tiny(), 0.6, 5)
@@ -480,13 +558,14 @@ mod tests {
     #[test]
     fn sampled_specs_execute_nonempty() {
         let b = db();
+        let mut witnesses = Witnesses::new();
         let mut rng = StdRng::seed_from_u64(1);
         let mut produced = 0;
         for d in Difficulty::all() {
             for _ in 0..30 {
-                if let Some(spec) = sample_spec(&b, d, &mut rng) {
+                if let Some((spec, sql)) = sample_spec(&b, &mut witnesses, d, &mut rng) {
                     produced += 1;
-                    let sql = print_select(&spec.to_sql(&b.database.schema));
+                    assert_eq!(sql, print_select(&spec.to_sql(&b.database.schema)));
                     let rs = b.database.query(&sql).unwrap();
                     assert!(!rs.is_effectively_empty(), "{sql}");
                     assert_eq!(spec.difficulty, d);
@@ -499,17 +578,19 @@ mod tests {
     #[test]
     fn difficulty_scales_structure() {
         let b = db();
+        let mut witnesses = Witnesses::new();
         let mut rng = StdRng::seed_from_u64(2);
         let mut simple_tables = 0usize;
         let mut challenging_tables = 0usize;
         let mut n_simple = 0usize;
         let mut n_chal = 0usize;
         for _ in 0..40 {
-            if let Some(s) = sample_spec(&b, Difficulty::Simple, &mut rng) {
+            if let Some((s, _)) = sample_spec(&b, &mut witnesses, Difficulty::Simple, &mut rng) {
                 simple_tables += s.tables.len();
                 n_simple += 1;
             }
-            if let Some(s) = sample_spec(&b, Difficulty::Challenging, &mut rng) {
+            if let Some((s, _)) = sample_spec(&b, &mut witnesses, Difficulty::Challenging, &mut rng)
+            {
                 challenging_tables += s.tables.len();
                 n_chal += 1;
             }
@@ -523,9 +604,11 @@ mod tests {
     #[test]
     fn witness_guarantees_filters_match() {
         let b = db();
+        let mut witnesses = Witnesses::new();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..20 {
-            if let Some(spec) = sample_spec(&b, Difficulty::Moderate, &mut rng) {
+            if let Some((spec, _)) = sample_spec(&b, &mut witnesses, Difficulty::Moderate, &mut rng)
+            {
                 // drop projections, count matching rows — must be >= 1
                 let mut probe = spec.clone();
                 probe.select = vec![SelectSpec::Agg {
@@ -546,8 +629,33 @@ mod tests {
     #[test]
     fn deterministic_sampling() {
         let b = db();
-        let a = sample_spec(&b, Difficulty::Moderate, &mut StdRng::seed_from_u64(11));
-        let c = sample_spec(&b, Difficulty::Moderate, &mut StdRng::seed_from_u64(11));
+        let draw = || {
+            let mut witnesses = Witnesses::new();
+            sample_spec(&b, &mut witnesses, Difficulty::Moderate, &mut StdRng::seed_from_u64(11))
+        };
+        let a = draw();
+        let c = draw();
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn a_warm_memo_draws_what_a_cold_one_does() {
+        let b = db();
+        let mut warm = Witnesses::new();
+        let mut asked: HashSet<Vec<String>> = HashSet::new();
+        let mut draws = 0;
+        for seed in 0..40 {
+            for d in Difficulty::all() {
+                let mut cold = Witnesses::new();
+                let from_cold = sample_spec(&b, &mut cold, d, &mut StdRng::seed_from_u64(seed));
+                let from_warm = sample_spec(&b, &mut warm, d, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(from_warm, from_cold, "seed {seed}, {d:?}");
+                assert_eq!(cold.chains.len(), 1, "one draw probes one chain");
+                asked.insert(sample_chain(&b, d, &mut StdRng::seed_from_u64(seed)).unwrap());
+                draws += 1;
+            }
+        }
+        assert_eq!(warm.chains.len(), asked.len(), "one entry per distinct chain asked for");
+        assert!(warm.chains.len() < draws, "{} chains over {draws} draws", warm.chains.len());
     }
 }

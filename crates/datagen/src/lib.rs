@@ -11,7 +11,8 @@
 //! - [`build`] — schema + data materialisation with BIRD-style dirty-value
 //!   quirks and display↔stored dictionaries;
 //! - [`generator`] — witness-row spec sampling (every gold SQL is
-//!   executable and non-empty by construction);
+//!   executable and non-empty by construction); each table chain's join is
+//!   probed once per database and kept as its rows' primary keys;
 //! - [`nlq`] — question + evidence rendering;
 //! - [`mod@bench`] — profiles ([`bench::Profile::bird`],
 //!   [`bench::Profile::spider`], [`bench::Profile::bird_mini_dev`]) and

@@ -6,10 +6,10 @@
 //! on any of them. A single false positive here would pollute correction
 //! prompts with noise.
 
-use datagen::{build::build_db, domain::themes, generator::sample_spec, Difficulty, RowScale};
+use datagen::generator::{sample_spec, Witnesses};
+use datagen::{build::build_db, domain::themes, Difficulty, RowScale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqlkit::print_select;
 
 /// Every gold SQL in the generated benchmark (train and dev, every
 /// database) analyzes clean: no errors, no warnings.
@@ -38,11 +38,11 @@ fn sampled_specs_analyze_clean() {
     let lib = themes();
     for (theme_idx, seed) in [(1usize, 17u64), (5, 29), (9, 41), (14, 53), (18, 67)] {
         let db = build_db(&lib[theme_idx % lib.len()], "lint", "lint", RowScale::tiny(), 0.5, seed);
+        let mut witnesses = Witnesses::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for difficulty in Difficulty::all() {
             for _ in 0..6 {
-                if let Some(spec) = sample_spec(&db, difficulty, &mut rng) {
-                    let sql = print_select(&spec.to_sql(&db.database.schema));
+                if let Some((_, sql)) = sample_spec(&db, &mut witnesses, difficulty, &mut rng) {
                     let analysis = sqlkit::analyze_sql(&db.database.schema, &sql);
                     assert!(
                         analysis.diagnostics.is_empty(),

@@ -3,7 +3,8 @@
 //! benchmark generator's own query specs (which exercise exactly the SQL
 //! surface the pipeline produces).
 
-use datagen::{build::build_db, domain::themes, generator::sample_spec, Difficulty, RowScale};
+use datagen::generator::{sample_spec, Witnesses};
+use datagen::{build::build_db, domain::themes, Difficulty, RowScale};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,10 +30,10 @@ proptest! {
     #[test]
     fn spec_sql_roundtrips_and_executes(theme in 0usize..24, seed in 0u64..500) {
         let db = built_db(theme, seed / 7 + 1);
+        let mut witnesses = Witnesses::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for difficulty in Difficulty::all() {
-            if let Some(spec) = sample_spec(&db, difficulty, &mut rng) {
-                let sql = print_select(&spec.to_sql(&db.database.schema));
+            if let Some((_, sql)) = sample_spec(&db, &mut witnesses, difficulty, &mut rng) {
                 let ast = parse_select(&sql).expect("generated SQL parses");
                 prop_assert_eq!(&print_select(&ast), &sql, "printer is a fixpoint");
                 let reparsed = parse_select(&print_select(&ast)).unwrap();
@@ -217,10 +218,10 @@ proptest! {
         use opensearch_sql::{align_candidate, CostLedger, ValueIndex};
         let db = built_db(theme, seed + 9);
         let values = ValueIndex::build(&db);
+        let mut witnesses = Witnesses::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for difficulty in Difficulty::all() {
-            if let Some(spec) = sample_spec(&db, difficulty, &mut rng) {
-                let gold = print_select(&spec.to_sql(&db.database.schema));
+            if let Some((_, gold)) = sample_spec(&db, &mut witnesses, difficulty, &mut rng) {
                 let mut ledger = CostLedger::new();
                 let once =
                     align_candidate(&gold, &db.database.schema, &values, None, &mut ledger);
@@ -288,9 +289,10 @@ proptest! {
     #[test]
     fn sql_like_lowering_matches_gold(theme in 0usize..37, seed in 0u64..150) {
         let db = built_db(theme, seed + 17);
+        let mut witnesses = Witnesses::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for difficulty in Difficulty::all() {
-            if let Some(spec) = sample_spec(&db, difficulty, &mut rng) {
+            if let Some((spec, gold_sql)) = sample_spec(&db, &mut witnesses, difficulty, &mut rng) {
                 // DISTINCT is outside SQL-Like's vocabulary, and a joined
                 // table no column references is unrecoverable from the
                 // logic alone (COUNT(*) row multiplication) — both are
@@ -311,10 +313,7 @@ proptest! {
                     continue;
                 };
                 let recovered = db.database.query(&sql).unwrap();
-                let gold = db
-                    .database
-                    .query(&print_select(&spec.to_sql(&db.database.schema)))
-                    .unwrap();
+                let gold = db.database.query(&gold_sql).unwrap();
                 prop_assert!(
                     recovered.same_answer(&gold),
                     "SQL-Like must preserve the answer:\n  like: {line}\n  sql: {sql}"

@@ -18,7 +18,8 @@
 
 #![allow(dead_code)] // each test crate uses its own subset
 
-use datagen::{build::build_db, domain::themes, generator::sample_spec, Difficulty, RowScale};
+use datagen::generator::{sample_spec, Witnesses};
+use datagen::{build::build_db, domain::themes, Difficulty, RowScale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqlkit::{Database, ExecStats, ResultSet, SqlError, Value};
@@ -278,11 +279,11 @@ impl Worlds {
     pub fn sampled_statements(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for (&(_, seed), (key, db)) in SPEC_DRAWS.iter().zip(&self.specs) {
+            let mut witnesses = Witnesses::new();
             let mut rng = StdRng::seed_from_u64(seed);
             for difficulty in Difficulty::all() {
                 for _ in 0..6 {
-                    if let Some(spec) = sample_spec(db, difficulty, &mut rng) {
-                        let sql = sqlkit::print_select(&spec.to_sql(&db.database.schema));
+                    if let Some((_, sql)) = sample_spec(db, &mut witnesses, difficulty, &mut rng) {
                         out.push((key.clone(), sql));
                     }
                 }
