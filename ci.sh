@@ -122,6 +122,33 @@ if grep -rnE 'certain_error|certain_rejection|Stop::Hazard|without_analyze_gate|
     echo "ci: the analyzer's certainty replay, its knob or the lint registry is back under crates/" >&2
     exit 1
 fi
+# One scope resolver, structurally: the analyzer, the binder and the
+# executor build layouts, expand `*` and look columns up through
+# crates/sqlkit/src/scope.rs, so the analyzer's own bindings and resolver,
+# the binder's static copy and the executor's private lookup must not come
+# back; one module (functions.rs, beside `call_scalar`) knows which
+# functions exist and their arities; and the runtime counts the analyzer's
+# findings from the beam's gate instead of analysing the answer again.
+if grep -rnE 'struct Binding\b|enum Res\b|fn resolve_in\b|fn static_resolve\b|fn resolve\(' crates/sqlkit/src; then
+    echo "ci: a second column resolver is back in crates/sqlkit/src" >&2
+    exit 1
+fi
+for needle in 'fn scalar_arity\b' '(const|static) KNOWN_FUNCTIONS\b'; do
+    sites="$(for f in crates/sqlkit/src/*.rs; do
+        n="$(non_test_code "$f" | grep -cE "$needle" || true)"
+        [ "$n" = 0 ] || echo "$f:$n"
+    done)"
+    if [ "$sites" != "crates/sqlkit/src/functions.rs:1" ]; then
+        echo "ci: '$needle' must have one non-test site, in crates/sqlkit/src/functions.rs; found:" $sites >&2
+        exit 1
+    fi
+done
+for f in crates/runtime/src/*.rs; do
+    if non_test_code "$f" | grep -nF 'analyze_sql('; then
+        echo "ci: $f analyses an answer the beam's gate already analysed" >&2
+        exit 1
+    fi
+done
 cargo test -q --test beam_differential # corpus gate: every field of every candidate, the
                                  # ledger's tokens and calls and the logical trace of 136
                                  # questions (tiny + a bird-mini-dev sample, 21 candidates)
@@ -298,6 +325,10 @@ done
 #                         literal text recorded on 657367b (where the analyzer's
 #                         since-deleted replay predicted the same bytes); a stuck
 #                         candidate's statement is executed once per distinct text
+#   resolution_differential  analysis, binding and execution of the corpus, every
+#                         beam text and the analyzer's cases ≡ the digest recorded
+#                         on 327ffdc; every name error execution raises is an
+#                         E0102 / E0103 with the same sentence
 #   trace_shape           trace-determinism gate: two identical runs render
 #                         identical logical traces, timestamps and volatile
 #                         events excluded; the windowed/SLO exposition stays

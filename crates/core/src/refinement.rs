@@ -48,6 +48,9 @@ pub struct RefinedCandidate {
     pub exec_ms: f64,
     /// Number of correction rounds spent.
     pub correction_rounds: usize,
+    /// The codes of the analyzer's findings on `sql`, in discovery order —
+    /// what the gate that executed it filed.
+    pub diag_codes: Vec<String>,
     /// Always 0: no execution is skipped on the analyzer's word. Kept
     /// because the frozen benchmark harness reads the field; it goes with
     /// `core.analyze_skips_per_q` (ROADMAP item 5).
@@ -209,6 +212,8 @@ struct GateOutcome {
     ms: f64,
     /// Rendered analyzer findings (quote-sanitised for prompt embedding).
     note: Option<String>,
+    /// Their codes, in discovery order.
+    codes: Vec<String>,
 }
 
 impl GateOutcome {
@@ -385,8 +390,9 @@ impl<'a> Beam<'a> {
                 &[("verdict", verdict), ("diags", &diags.to_string())],
                 &[("analyze_ms", analyze_ms)],
             );
+            let codes = analysis.diagnostics.into_iter().map(|d| d.code).collect();
             let (result, cost, ms) = execute(db, sql);
-            GateOutcome { result: result.map(Arc::new), cost, ms, note }
+            GateOutcome { result: result.map(Arc::new), cost, ms, note, codes }
         })
     }
 
@@ -545,6 +551,7 @@ impl<'a> Beam<'a> {
             exec_cost: attempt.gate.outcome.cost,
             exec_ms: attempt.gate.outcome.ms,
             correction_rounds: rounds,
+            diag_codes: attempt.gate.outcome.codes.clone(),
             analyze_skips: 0,
         };
         active::label(span, "sql", &refined.sql);
@@ -785,6 +792,7 @@ mod tests {
             exec_cost: cost,
             exec_ms: 0.1,
             correction_rounds: 0,
+            diag_codes: Vec::new(),
             analyze_skips: 0,
         }
     }
@@ -797,6 +805,7 @@ mod tests {
             exec_cost: 0,
             exec_ms: 0.1,
             correction_rounds: 1,
+            diag_codes: Vec::new(),
             analyze_skips: 0,
         }
     }

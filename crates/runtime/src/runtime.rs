@@ -967,7 +967,7 @@ fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
         // duplicate share of the beam
         metrics.counter("refine_first_attempts_total").add(run.candidates.len() as u64);
         metrics.counter("refine_first_attempts_shared_total").add(run.first_attempts_shared as u64);
-        record_analysis_metrics(metrics, &pipeline, &run);
+        record_analysis_metrics(metrics, &run);
         shared.results.insert(key, run.clone());
         // Flight record + slow-query capture. The tail-sampling decision
         // itself belongs to the recorder; the worker attaches the heavy
@@ -998,19 +998,15 @@ fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
     }
 }
 
-/// Analyzer activity for one run: the static-analysis findings on the
-/// chosen SQL — one `analyze_diags_total{code="E…"}` series per diagnostic
-/// code.
-fn record_analysis_metrics(
-    metrics: &MetricsRegistry,
-    pipeline: &opensearch_sql::Pipeline,
-    run: &opensearch_sql::PipelineRun,
-) {
-    if let Some(db) = pipeline.preprocessed().db(&run.db_id) {
-        let analysis = sqlkit::analyze_sql(&db.database.schema, &run.final_sql);
-        for d in &analysis.diagnostics {
-            metrics.counter_with("analyze_diags_total", &[("code", &d.code)]).inc();
-        }
+/// Analyzer activity for one run: the findings on the chosen SQL, as the
+/// gate that executed it filed them — one `analyze_diags_total{code="E…"}`
+/// series per diagnostic code. An empty beam answers the empty statement,
+/// which no gate saw and which does not parse (`E0001`).
+fn record_analysis_metrics(metrics: &MetricsRegistry, run: &PipelineRun) {
+    let count = |code: &str| metrics.counter_with("analyze_diags_total", &[("code", code)]).inc();
+    match run.candidates.get(run.winner) {
+        Some(winner) => winner.diag_codes.iter().for_each(|code| count(code)),
+        None => count("E0001"),
     }
 }
 
@@ -1044,7 +1040,7 @@ impl Throughput {
 mod tests {
     use super::*;
     use datagen::{generate, Profile};
-    use llmsim::{ChatRequest, ChatResponse, LanguageModel, ModelProfile, Oracle, SimLlm};
+    use llmsim::{proto, ChatRequest, ChatResponse, LanguageModel, ModelProfile, Oracle, SimLlm};
     use opensearch_sql::PipelineConfig;
     use osql_chk::Condvar;
 
@@ -1431,5 +1427,70 @@ mod tests {
                 Some(b) => assert_eq!(b, &answers, "{workers} workers changed answers"),
             }
         }
+    }
+
+    /// Answers every generation request with `texts` instead of the
+    /// model's own.
+    struct Generates {
+        model: SimLlm,
+        texts: Vec<String>,
+    }
+
+    impl LanguageModel for Generates {
+        fn complete(&self, req: &ChatRequest) -> ChatResponse {
+            let mut resp = self.model.complete(req);
+            let task = format!("{} {}", proto::TASK_PREFIX, proto::TASK_GENERATION);
+            if req.prompt.lines().next() == Some(task.as_str()) {
+                resp.texts = self.texts.clone();
+            }
+            resp
+        }
+
+        fn name(&self) -> &str {
+            self.model.name()
+        }
+    }
+
+    /// Serve the tiny world's dev questions through a model whose beams are
+    /// `texts`; returns the analyzer counters, per code, and what analysing
+    /// every served answer again finds.
+    fn diag_counts_serving(texts: &[&str]) -> [std::collections::BTreeMap<String, u64>; 2] {
+        let bench = Arc::new(generate(&Profile::tiny()));
+        let model = SimLlm::new(Arc::new(Oracle::new(bench.clone())), ModelProfile::gpt_4o(), 5);
+        let texts = texts.iter().map(|t| format!("{}{t}", proto::SQL_PREFIX)).collect();
+        let llm = Arc::new(Generates { model, texts });
+        let assets = Arc::new(AssetCache::new(bench.clone(), llm, PipelineConfig::fast()));
+        let rt = Runtime::start(assets, RuntimeConfig::with_workers(1));
+        let mut found = std::collections::BTreeMap::<String, u64>::new();
+        for ex in bench.dev.iter().take(6) {
+            let resp = rt.submit(QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence));
+            let run = resp.unwrap().wait().unwrap().run;
+            let schema = &bench.db(&ex.db_id).unwrap().database.schema;
+            for d in sqlkit::analyze_sql(schema, &run.final_sql).diagnostics {
+                *found.entry(d.code).or_default() += 1;
+            }
+        }
+        let series = rt.metrics().counter_series("analyze_diags_total");
+        let counted = series.into_iter().map(|(code, c)| (code[0].1.clone(), c.get())).collect();
+        [counted, found]
+    }
+
+    /// The analyzer counters read the winner's gate, and count what
+    /// analysing each served answer again finds.
+    #[test]
+    fn analyzer_counters_are_the_served_answers_findings() {
+        let unused_tables = "SELECT 1 FROM (SELECT 1) AS a, (SELECT 2) AS b";
+        let [counted, found] = diag_counts_serving(&[unused_tables]);
+        assert_eq!(found, [("W0303".to_owned(), 12)].into());
+        assert_eq!(counted, found);
+    }
+
+    /// An empty beam answers the empty statement, counted as the parse
+    /// error analysing it finds.
+    #[test]
+    fn an_empty_beam_counts_its_empty_answer() {
+        let [counted, found] = diag_counts_serving(&[]);
+        assert_eq!(found, [("E0001".to_owned(), 6)].into());
+        assert_eq!(counted, found);
     }
 }

@@ -3,9 +3,10 @@
 //! [`analyze`] runs three passes over a parsed statement and returns an
 //! [`Analysis`]:
 //!
-//! 1. **Name resolution** over the frozen FROM layout (the same scope rules
-//!    as [`crate::exec`]): `E0101` unknown table, `E0102` unknown column,
-//!    `E0103` ambiguous column, each with did-you-mean help drawn from the
+//! 1. **Name resolution** over the FROM layout, asking `crate::scope` —
+//!    the module the binder and the executor ask: `E0101` unknown table,
+//!    `E0102` unknown column, `E0103` ambiguous column (each worded as the
+//!    executor words its error), with did-you-mean help drawn from the
 //!    schema. Every failed resolution is also surfaced as a machine-readable
 //!    [`UnresolvedColumn`] so callers (the alignment agents) can remap
 //!    columns without re-walking the AST.
@@ -26,11 +27,13 @@ use crate::ast::{
 };
 use crate::diag::{Diagnostic, Severity, Span};
 use crate::error::SqlError;
-use crate::exec::{contains_aggregate, default_label, eval_const, substitute_aliases};
-use crate::functions::is_aggregate_name;
+use crate::exec::{contains_aggregate, eval_const, substitute_aliases};
+use crate::functions::{is_aggregate_name, scalar_arity, KNOWN_FUNCTIONS};
 use crate::printer::print_expr;
-use crate::schema::DbSchema;
+use crate::schema::{DbSchema, TableInfo};
+use crate::scope::{self, ColBinding, Miss};
 use crate::value::Value;
+use std::ops::Range;
 
 // ---------------- public API ----------------
 
@@ -108,71 +111,51 @@ pub fn analyze_sql(schema: &DbSchema, sql: &str) -> Analysis {
     }
 }
 
-// ---------------- scopes & resolution ----------------
+// ---------------- scopes ----------------
 
-#[derive(Debug, Clone)]
-struct Binding {
-    /// Name this binding is addressed by (alias, or the table name).
+/// One core's FROM as the checker sees it: the layout every reader
+/// resolves against, and what the diagnostics need per table reference.
+#[derive(Default)]
+struct Scope<'a> {
+    layout: Vec<ColBinding>,
+    tables: Vec<FromTable<'a>>,
+}
+
+struct FromTable<'a> {
+    /// The name it is addressed by (alias, or the table name).
     name: String,
-    /// Schema table backing it (None for FROM-subqueries).
-    table: Option<String>,
-    /// Column names, in layout order. Empty when `known` is false.
-    columns: Vec<String>,
+    /// The schema table behind it (None for FROM-subqueries).
+    info: Option<&'a TableInfo>,
+    /// Its slots in the layout.
+    slots: Range<usize>,
     span: Span,
-    /// False when the table failed to resolve (suppresses cascades).
+    /// False when the table failed to resolve: it could hold any column,
+    /// so it poisons references instead of cascading.
     known: bool,
     used: bool,
 }
 
-type Scope = Vec<Binding>;
+impl Scope<'_> {
+    /// The index of the table `slot` belongs to.
+    fn owner(&self, slot: usize) -> Option<usize> {
+        self.tables.iter().position(|t| t.slots.contains(&slot))
+    }
 
-/// Outcome of resolving one column ref against a single scope, mirroring
-/// `exec::resolve` but keeping the failure modes apart.
-enum Res {
-    Hit { bind: usize },
-    /// The qualifier names a poisoned (unknown-table) binding: swallow.
-    Poisoned { bind: usize },
-    NotFound,
-    Ambiguous(Vec<usize>),
-}
-
-fn resolve_in(scope: &Scope, table: Option<&str>, column: &str) -> Res {
-    match table {
-        Some(t) => {
-            for (i, b) in scope.iter().enumerate() {
-                if !b.name.eq_ignore_ascii_case(t) {
-                    continue;
-                }
-                if !b.known {
-                    return Res::Poisoned { bind: i };
-                }
-                if b.columns.iter().any(|c| c.eq_ignore_ascii_case(column)) {
-                    return Res::Hit { bind: i };
-                }
-            }
-            Res::NotFound
-        }
-        None => {
-            let hits: Vec<usize> = scope
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.columns.iter().any(|c| c.eq_ignore_ascii_case(column)))
-                .map(|(i, _)| i)
-                .collect();
-            match hits.len() {
-                0 => {
-                    if scope.iter().any(|b| !b.known) {
-                        // an unknown table could have held it; stay quiet
-                        Res::Poisoned { bind: 0 }
-                    } else {
-                        Res::NotFound
-                    }
-                }
-                1 => Res::Hit { bind: hits[0] },
-                _ => Res::Ambiguous(hits),
+    /// Could an unknown table of this scope have held `table.column`?
+    fn poisons(&self, table: Option<&str>, column: &str) -> bool {
+        match table {
+            Some(t) => self.tables.iter().any(|b| !b.known && b.name.eq_ignore_ascii_case(t)),
+            None => {
+                self.tables.iter().any(|b| !b.known)
+                    && !self.layout.iter().any(|s| s.column.eq_ignore_ascii_case(column))
             }
         }
     }
+}
+
+/// The layouts of `chain`, innermost first, as `scope::lookup` reads them.
+fn layouts<'c>(chain: &'c [Scope]) -> impl Iterator<Item = &'c [ColBinding]> {
+    chain.iter().rev().map(|s| s.layout.as_slice())
 }
 
 /// Case-insensitive Levenshtein distance, for did-you-mean ranking.
@@ -207,9 +190,9 @@ struct Checker<'a> {
 
 impl<'a> Checker<'a> {
     /// Check one statement; returns the output labels of the first core
-    /// when statically known (None if a wildcard over a poisoned binding
+    /// when statically known (None if a wildcard over an unknown table
     /// makes the width unknowable).
-    fn check_stmt(&mut self, stmt: &SelectStmt, chain: &mut Vec<Scope>) -> Option<Vec<String>> {
+    fn check_stmt(&mut self, stmt: &SelectStmt, chain: &mut Vec<Scope<'a>>) -> Option<Vec<String>> {
         let simple = stmt.compounds.is_empty();
         let order: &[OrderItem] = if simple { &stmt.order_by } else { &[] };
         let labels = self.check_core(&stmt.core, chain, order);
@@ -281,7 +264,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_limit_expr(&mut self, e: &Expr, chain: &mut Vec<Scope>) {
+    fn check_limit_expr(&mut self, e: &Expr, chain: &mut Vec<Scope<'a>>) {
         if contains_aggregate(e) {
             let span = first_aggregate_span(e);
             self.diags.push(Diagnostic::error(
@@ -300,7 +283,7 @@ impl<'a> Checker<'a> {
             }
         }
         // LIMIT evaluates against an empty layout: only enclosing rows.
-        chain.push(Scope::new());
+        chain.push(Scope::default());
         self.check_expr(e, chain, None);
         chain.pop();
     }
@@ -341,21 +324,14 @@ impl<'a> Checker<'a> {
     fn check_core(
         &mut self,
         core: &SelectCore,
-        chain: &mut Vec<Scope>,
+        chain: &mut Vec<Scope<'a>>,
         order_by: &[OrderItem],
     ) -> Option<Vec<String>> {
-        chain.push(Scope::new());
+        chain.push(Scope::default());
         if let Some(from) = &core.from {
-            // FROM-subqueries see only the *enclosing* row environments,
-            // never their sibling tables, so pop the scope-in-progress
-            // while building each binding.
-            let refs: Vec<&TableRef> =
-                std::iter::once(&from.base).chain(from.joins.iter().map(|j| &j.table)).collect();
-            for (i, tref) in refs.into_iter().enumerate() {
-                let cur = chain.pop().expect("scope pushed above");
-                let bind = self.make_binding(tref, chain);
-                chain.push(cur);
-                chain.last_mut().expect("scope pushed above").push(bind);
+            let refs = std::iter::once(&from.base).chain(from.joins.iter().map(|j| &j.table));
+            for (i, tref) in refs.enumerate() {
+                self.push_from(tref, chain);
                 // the ON predicate sees the partial layout built so far,
                 // exactly as the executor evaluates it
                 if i > 0 {
@@ -388,7 +364,8 @@ impl<'a> Checker<'a> {
         }
 
         // Expand the projection for labels and the alias map.
-        let (items, labels) = self.expand_for_check(core, chain);
+        let scope = chain.last_mut().expect("scope pushed above");
+        let (items, labels) = self.expand_for_check(core, scope);
 
         // GROUP BY / HAVING with projection aliases substituted, as the
         // executor evaluates them.
@@ -452,125 +429,90 @@ impl<'a> Checker<'a> {
         }
 
         let scope = chain.pop().expect("scope pushed above");
-        for b in &scope {
-            if b.known && !b.used {
-                self.unused.push((b.name.clone(), b.span));
+        for t in scope.tables {
+            if t.known && !t.used {
+                self.unused.push((t.name, t.span));
             }
         }
         labels
     }
 
-    /// Build a binding for one FROM table reference, diagnosing unknown
-    /// tables (`E0101`) with did-you-mean help.
-    fn make_binding(&mut self, tref: &TableRef, chain: &mut Vec<Scope>) -> Binding {
-        match tref {
-            TableRef::Named { name, alias, span } => match self.schema.table(name) {
-                Some(info) => Binding {
-                    name: alias.clone().unwrap_or_else(|| info.name.clone()),
-                    table: Some(info.name.clone()),
-                    columns: info.columns.iter().map(|c| c.name.clone()).collect(),
-                    span: *span,
-                    known: true,
-                    used: false,
-                },
-                None => {
-                    let mut d = Diagnostic::error(
-                        "E0101",
-                        *span,
-                        format!("no such table: {name}"),
-                    );
-                    let mut cands: Vec<&str> =
-                        self.schema.tables.iter().map(|t| t.name.as_str()).collect();
-                    cands.sort_by_key(|t| name_distance(t, name));
-                    if let Some(best) = cands.first() {
-                        if name_distance(best, name) <= 3 {
-                            d = d.with_help(format!("did you mean {}?", tick(best)));
-                        }
+    /// Append one FROM table reference to the innermost scope, diagnosing
+    /// an unknown table (`E0101`) with did-you-mean help.
+    fn push_from(&mut self, tref: &TableRef, chain: &mut Vec<Scope<'a>>) {
+        // A FROM-subquery sees only the *enclosing* rows, never its sibling
+        // tables, so the scope in progress is set aside while it is checked.
+        let mut scope = chain.pop().expect("scope pushed in check_core");
+        let start = scope.layout.len();
+        let (name, info, span, known) = match tref {
+            TableRef::Named { name, alias, span } => {
+                match scope::push_table(&mut scope.layout, self.schema, name, alias.as_deref()) {
+                    Some((info, binding)) => (binding, Some(info), *span, true),
+                    None => {
+                        self.unknown_table(name, *span);
+                        (alias.clone().unwrap_or_else(|| name.clone()), None, *span, false)
                     }
-                    self.diags.push(d);
-                    Binding {
-                        name: alias.clone().unwrap_or_else(|| name.clone()),
-                        table: None,
-                        columns: Vec::new(),
-                        span: *span,
-                        known: false,
-                        used: true, // poisoned bindings never lint as unused
-                    }
-                }
-            },
-            TableRef::Subquery { query, alias } => {
-                let labels = self.check_stmt(query, chain);
-                Binding {
-                    name: alias.clone(),
-                    table: None,
-                    columns: labels.unwrap_or_default(),
-                    span: Span::empty(),
-                    known: true,
-                    used: false,
                 }
             }
-        }
+            TableRef::Subquery { query, alias } => {
+                let labels = self.check_stmt(query, chain).unwrap_or_default();
+                scope::push_labels(&mut scope.layout, alias, labels);
+                (alias.clone(), None, Span::empty(), true)
+            }
+        };
+        let slots = start..scope.layout.len();
+        // poisoned tables never lint as unused
+        scope.tables.push(FromTable { name, info, slots, span, known, used: !known });
+        chain.push(scope);
     }
 
-    /// Expand projection items against the current scope for label/alias
-    /// bookkeeping; also checks `*` / `t.*` shape errors.
+    fn unknown_table(&mut self, name: &str, span: Span) {
+        let mut d = Diagnostic::error("E0101", span, format!("no such table: {name}"));
+        let mut cands: Vec<&str> = self.schema.tables.iter().map(|t| t.name.as_str()).collect();
+        cands.sort_by_key(|t| name_distance(t, name));
+        if let Some(best) = cands.first() {
+            if name_distance(best, name) <= 3 {
+                d = d.with_help(format!("did you mean {}?", tick(best)));
+            }
+        }
+        self.diags.push(d);
+    }
+
+    /// Expand the projection as the executor does, for labels and the
+    /// alias map. `*` and `t.*` use the tables they read; one that reads
+    /// no table is diagnosed with the executor's error (`E0209`, `E0101`),
+    /// and one over a table of unknowable width leaves the labels unknown.
     fn expand_for_check(
         &mut self,
         core: &SelectCore,
-        chain: &mut [Scope],
+        scope: &mut Scope,
     ) -> (Vec<(Expr, String)>, Option<Vec<String>>) {
         let mut items: Vec<(Expr, String)> = Vec::new();
         let mut width_known = true;
-        let scope_len = chain.last().map_or(0, Vec::len);
         for item in &core.items {
-            match item {
-                SelectItem::Wildcard => {
-                    if scope_len == 0 {
-                        self.diags.push(Diagnostic::error(
-                            "E0209",
-                            Span::empty(),
-                            "SELECT * with no FROM clause",
-                        ));
-                        width_known = false;
-                        continue;
-                    }
-                    let scope = chain.last_mut().expect("non-empty checked above");
-                    for b in scope.iter_mut() {
-                        b.used = true;
-                        if !b.known {
-                            width_known = false;
-                        }
-                        for c in b.columns.clone() {
-                            items.push((Expr::qcol(b.name.clone(), c.clone()), c));
-                        }
-                    }
+            let reads = |t: &FromTable| match item {
+                SelectItem::Wildcard => true,
+                SelectItem::TableWildcard(name) => t.name.eq_ignore_ascii_case(name),
+                SelectItem::Expr { .. } => false,
+            };
+            let mut read = false;
+            for t in scope.tables.iter_mut().filter(|t| reads(t)) {
+                (read, t.used) = (true, true);
+                width_known &= t.known;
+            }
+            match scope::expand_items(std::slice::from_ref(item), &scope.layout) {
+                Ok(expanded) => {
+                    items.extend(expanded.into_iter().map(|(e, l)| (e.into_owned(), l)))
                 }
-                SelectItem::TableWildcard(t) => {
-                    let scope = chain.last_mut().expect("scope pushed in check_core");
-                    match scope.iter_mut().find(|b| b.name.eq_ignore_ascii_case(t)) {
-                        Some(b) => {
-                            b.used = true;
-                            if !b.known {
-                                width_known = false;
-                            }
-                            for c in b.columns.clone() {
-                                items.push((Expr::qcol(b.name.clone(), c.clone()), c));
-                            }
-                        }
-                        None => {
-                            self.diags.push(Diagnostic::error(
-                                "E0101",
-                                Span::empty(),
-                                format!("no such table: {t}"),
-                            ));
-                            width_known = false;
-                        }
-                    }
+                Err(e) if !read => {
+                    let code = match e {
+                        SqlError::NoSuchTable(_) => "E0101",
+                        _ => "E0209",
+                    };
+                    self.diags.push(Diagnostic::error(code, Span::empty(), e.to_string()));
+                    width_known = false;
                 }
-                SelectItem::Expr { expr, alias } => {
-                    let label = alias.clone().unwrap_or_else(|| default_label(expr));
-                    items.push((expr.clone(), label));
-                }
+                Err(_) => {}
             }
         }
         let labels = width_known.then(|| items.iter().map(|(_, l)| l.clone()).collect());
@@ -581,7 +523,7 @@ impl<'a> Checker<'a> {
 impl<'a> Checker<'a> {
     /// Recursive expression check. `in_agg` carries the name of the
     /// enclosing aggregate call, for nested-aggregate diagnostics.
-    fn check_expr(&mut self, e: &Expr, chain: &mut Vec<Scope>, in_agg: Option<&str>) {
+    fn check_expr(&mut self, e: &Expr, chain: &mut Vec<Scope<'a>>, in_agg: Option<&str>) {
         match e {
             Expr::Column { table, column, span } => {
                 self.resolve_use(chain, table.as_deref(), column, *span);
@@ -700,91 +642,63 @@ impl<'a> Checker<'a> {
             }
             Expr::Wildcard => {
                 // `COUNT(*)` counts rows of the whole join, so every
-                // binding in the current scope is in use.
-                if let Some(scope) = chain.last_mut() {
-                    for b in scope.iter_mut() {
-                        b.used = true;
-                    }
+                // table in the current scope is in use.
+                for t in chain.last_mut().into_iter().flat_map(|s| &mut s.tables) {
+                    t.used = true;
                 }
             }
             Expr::Literal(_) | Expr::BoundColumn { .. } | Expr::OuterColumn { .. } => {}
         }
     }
 
-    /// Resolve one column reference with the executor's scope rules: the
-    /// innermost scope first, then each enclosing environment. Diagnoses
-    /// only when every scope fails, using the innermost failure mode.
-    fn resolve_use(
-        &mut self,
-        chain: &mut [Scope],
-        table: Option<&str>,
-        column: &str,
-        span: Span,
-    ) {
-        let mut innermost: Option<Res> = None;
-        for depth in (0..chain.len()).rev() {
-            let res = resolve_in(&chain[depth], table, column);
-            match res {
-                Res::Hit { bind } | Res::Poisoned { bind } => {
-                    if let Some(b) = chain[depth].get_mut(bind) {
-                        b.used = true;
-                    }
-                    return;
+    /// Resolve one column reference as the executor does. A miss is
+    /// diagnosed unless an unknown table could have held the column.
+    fn resolve_use(&mut self, chain: &mut [Scope], table: Option<&str>, column: &str, span: Span) {
+        let miss = match scope::lookup(layouts(chain), table, column) {
+            Ok((up, slot)) => {
+                let scope = &mut chain[chain.len() - 1 - up];
+                if let Some(t) = scope.owner(slot) {
+                    scope.tables[t].used = true;
                 }
-                other => {
-                    if innermost.is_none() {
-                        innermost = Some(other);
-                    }
-                }
+                return;
             }
-        }
+            Err(miss) => miss,
+        };
         // A failed resolution leaves us unsure which table was meant, so
-        // conservatively mark every visible binding used — an E01xx finding
+        // conservatively mark every visible table used — an E01xx finding
         // must not cascade into W0303 noise.
-        for scope in chain.iter_mut() {
-            for b in scope.iter_mut() {
-                b.used = true;
-            }
+        for t in chain.iter_mut().flat_map(|s| &mut s.tables) {
+            t.used = true;
         }
-        match innermost {
-            Some(Res::Ambiguous(hits)) => {
+        if chain.iter().any(|s| s.poisons(table, column)) {
+            return;
+        }
+        let message = miss.error(table, column).to_string();
+        let (diagnostic, suggestions) = match miss {
+            Miss::Ambiguous => {
                 let scope = chain.last().expect("ambiguity implies a scope");
-                let suggestions: Vec<(Option<String>, String)> = hits
+                let holds = |t: &&FromTable| {
+                    let slots = &scope.layout[t.slots.clone()];
+                    slots.iter().any(|s| s.column.eq_ignore_ascii_case(column))
+                };
+                let suggestions: Vec<(Option<String>, String)> = scope
+                    .tables
                     .iter()
-                    .filter_map(|&i| scope.get(i))
-                    .map(|b| (Some(b.name.clone()), column.to_owned()))
+                    .filter(holds)
+                    .map(|t| (Some(t.name.clone()), column.to_owned()))
                     .collect();
                 let help = suggestions
                     .iter()
                     .map(|(t, c)| tick(&format!("{}.{c}", t.as_deref().unwrap_or(""))))
                     .collect::<Vec<_>>()
                     .join(" or ");
-                self.diags.push(
-                    Diagnostic::error(
-                        "E0103",
-                        span,
-                        format!("ambiguous column name: {column}"),
-                    )
-                    .with_help(format!("qualify it: {help}")),
-                );
-                self.unresolved.push(UnresolvedColumn {
-                    table: table.map(str::to_owned),
-                    column: column.to_owned(),
-                    span,
-                    suggestions,
-                });
+                let d = Diagnostic::error("E0103", span, message)
+                    .with_help(format!("qualify it: {help}"));
+                (d, suggestions)
             }
-            Some(Res::NotFound) | None => {
-                let shown = match table {
-                    Some(t) => format!("{t}.{column}"),
-                    None => column.to_owned(),
-                };
+            Miss::Missing => {
                 let suggestions = self.column_suggestions(chain, table, column);
-                let mut d = Diagnostic::error(
-                    "E0102",
-                    span,
-                    format!("no such column: {shown}"),
-                );
+                let mut d = Diagnostic::error("E0102", span, message);
                 if let Some((t, c)) = suggestions.first() {
                     let full = match t {
                         Some(t) => format!("{t}.{c}"),
@@ -798,16 +712,16 @@ impl<'a> Checker<'a> {
                         tick(&owner)
                     ));
                 }
-                self.diags.push(d);
-                self.unresolved.push(UnresolvedColumn {
-                    table: table.map(str::to_owned),
-                    column: column.to_owned(),
-                    span,
-                    suggestions,
-                });
+                (d, suggestions)
             }
-            Some(Res::Hit { .. }) | Some(Res::Poisoned { .. }) => unreachable!("returned above"),
-        }
+        };
+        self.diags.push(diagnostic);
+        self.unresolved.push(UnresolvedColumn {
+            table: table.map(str::to_owned),
+            column: column.to_owned(),
+            span,
+            suggestions,
+        });
     }
 
     /// Ranked repair candidates for a failed resolution: exact-name columns
@@ -820,20 +734,19 @@ impl<'a> Checker<'a> {
     ) -> Vec<(Option<String>, String)> {
         let mut scored: Vec<(usize, Option<String>, String)> = Vec::new();
         for scope in chain.iter().rev() {
-            for b in scope {
-                for c in &b.columns {
-                    let d = name_distance(c, column);
-                    if d > 2 {
-                        continue;
-                    }
-                    // prefer same-qualifier fixes when one was written
-                    let qualifier_penalty = match table {
-                        Some(t) if b.name.eq_ignore_ascii_case(t) => 0,
-                        Some(_) => 1,
-                        None => 0,
-                    };
-                    scored.push((d * 2 + qualifier_penalty, Some(b.name.clone()), c.clone()));
+            for slot in &scope.layout {
+                let d = name_distance(&slot.column, column);
+                if d > 2 {
+                    continue;
                 }
+                // prefer same-qualifier fixes when one was written
+                let qualifier_penalty = match table {
+                    Some(t) if slot.binding.eq_ignore_ascii_case(t) => 0,
+                    Some(_) => 1,
+                    None => 0,
+                };
+                let repair = Some(slot.binding.clone());
+                scored.push((d * 2 + qualifier_penalty, repair, slot.column.clone()));
             }
             if !scored.is_empty() {
                 break; // innermost scope with candidates wins
@@ -858,15 +771,10 @@ impl<'a> Checker<'a> {
     fn check_comparison(&mut self, left: &Expr, right: &Expr, chain: &[Scope]) {
         let col = |e: &Expr| -> Option<(TypeName, Span)> {
             let Expr::Column { table, column, span } = e else { return None };
-            for scope in chain.iter().rev() {
-                if let Res::Hit { bind } = resolve_in(scope, table.as_deref(), column) {
-                    let b = &scope[bind];
-                    let tname = b.table.as_deref()?;
-                    let info = self.schema.table(tname)?;
-                    return info.column(column).map(|c| (c.ty, *span));
-                }
-            }
-            None
+            let (up, slot) = scope::lookup(layouts(chain), table.as_deref(), column).ok()?;
+            let scope = &chain[chain.len() - 1 - up];
+            let owner = &scope.tables[scope.owner(slot)?];
+            owner.info?.column(column).map(|c| (c.ty, *span))
         };
         fn lit(e: &Expr) -> Option<&Value> {
             match e {
@@ -981,30 +889,6 @@ impl<'a> Checker<'a> {
         }
     }
 }
-
-/// Scalar functions the engine knows, as `(min_args, max_args)` — the
-/// arities `functions::call_scalar` accepts.
-fn scalar_arity(name: &str) -> Option<(usize, usize)> {
-    Some(match name {
-        "abs" | "length" | "upper" | "lower" | "trim" | "ltrim" | "rtrim" | "typeof" | "date" => {
-            (1, 1)
-        }
-        "round" => (1, 2),
-        "substr" | "substring" => (2, 3),
-        "instr" | "ifnull" | "nullif" | "strftime" => (2, 2),
-        "replace" | "iif" => (3, 3),
-        "coalesce" => (0, usize::MAX),
-        "min" | "max" => (2, usize::MAX), // 0..=1 args routes to the aggregate
-        _ => return None,
-    })
-}
-
-/// Every function name the engine accepts, for did-you-mean ranking.
-const KNOWN_FUNCTIONS: &[&str] = &[
-    "abs", "avg", "coalesce", "count", "date", "group_concat", "ifnull", "iif", "instr", "length",
-    "lower", "ltrim", "max", "min", "nullif", "replace", "round", "rtrim", "strftime", "substr",
-    "substring", "sum", "total", "trim", "typeof", "upper",
-];
 
 // ---------------- lint rules ----------------
 
@@ -1187,7 +1071,7 @@ fn is_const_foldable(e: &Expr) -> bool {
 
 /// `W0303`: a FROM table none of whose columns are referenced anywhere —
 /// usually a leftover join that only multiplies rows. `unused` is what the
-/// name-resolution pass found: FROM bindings never referenced by any
+/// name-resolution pass found: FROM tables never referenced by any
 /// expression, `*`, or qualifier.
 fn lint_unused_from_table(unused: &[(String, Span)], out: &mut Vec<Diagnostic>) {
     for (name, span) in unused {
@@ -1248,6 +1132,9 @@ mod tests {
         let a = analyze_sql(&db.schema, "SELECT Ghost.x, y FROM Ghost");
         // one E0101; no cascading E0102 for Ghost.x or the unqualified y
         assert_eq!(codes(&a), ["E0101"]);
+        // nor a W0303 for a table the poisoned y may have meant
+        let b = analyze_sql(&db.schema, "SELECT y FROM Patient, Visit, Ghost");
+        assert_eq!(codes(&b), ["E0101"]);
     }
 
     #[test]
@@ -1280,6 +1167,23 @@ mod tests {
         let db = db();
         let a = analyze_sql(&db.schema, "SELECT id FROM Patient, Visit");
         assert_eq!(codes(&a), ["E0103"]);
+    }
+
+    /// Two output labels of one FROM-subquery are two slots: an unqualified
+    /// reference to them is ambiguous, as execution says; a qualified one
+    /// reads the first.
+    #[test]
+    fn duplicate_subquery_labels_are_ambiguous_as_execution_says() {
+        let db = db();
+        let sql = "SELECT x FROM (SELECT id AS x, age AS x FROM Patient) AS s WHERE x > 0";
+        let a = analyze_sql(&db.schema, sql);
+        assert_eq!(codes(&a), ["E0103", "E0103"], "{:?}", a.diagnostics);
+        assert_eq!(a.diagnostics[0].message, db.query(sql).unwrap_err().to_string());
+        assert_eq!(a.diagnostics[0].help.as_deref(), Some("qualify it: `s.x`"));
+        let qualified =
+            "SELECT s.x FROM (SELECT id AS x, age AS x FROM Patient) AS s WHERE s.x > 0";
+        assert!(analyze_sql(&db.schema, qualified).is_clean());
+        assert!(db.query(qualified).is_ok());
     }
 
     #[test]
@@ -1443,6 +1347,9 @@ mod tests {
         // COUNT(*) counts every table as used
         let c = analyze_sql(&db.schema, "SELECT COUNT(*) FROM Visit");
         assert!(!codes(&c).contains(&"W0303"), "{:?}", codes(&c));
+        // `T.*` reads every table addressed as T, as execution expands it
+        let d = analyze_sql(&db.schema, "SELECT T.* FROM Patient AS T, Visit AS T");
+        assert!(d.is_clean(), "{:?}", codes(&d));
     }
 
     #[test]

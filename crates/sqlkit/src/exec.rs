@@ -14,6 +14,7 @@ use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
 use crate::functions::{call_scalar, is_aggregate_name};
 use crate::plan::PhysicalPlan;
+use crate::scope::{self, ColBinding};
 use crate::value::{NormValue, ResultSet, Row, Value};
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
@@ -116,19 +117,6 @@ impl<'a> Ctx<'a> {
 }
 
 const MAX_SUBQUERY_DEPTH: usize = 16;
-
-/// One column binding of a row source.
-#[derive(Debug, Clone)]
-pub(crate) struct ColBinding {
-    pub(crate) binding: String,
-    pub(crate) column: String,
-}
-
-impl ColBinding {
-    pub(crate) fn new(binding: impl Into<String>, column: impl Into<String>) -> Self {
-        ColBinding { binding: binding.into(), column: column.into() }
-    }
-}
 
 /// Execute a nested SELECT, memoising it when it turns out not to read
 /// any enclosing row.
@@ -325,7 +313,7 @@ pub(crate) fn project_filtered(
     order_by: &[OrderItem],
 ) -> SqlResult<(ResultSet, Vec<Vec<Value>>)> {
     // expand projection items
-    let items = expand_items(&core.items, layout)?;
+    let items = scope::expand_items(&core.items, layout)?;
     let labels: Vec<String> = items.iter().map(|(_, l)| l.clone()).collect();
 
     // ORDER BY rewriting: alias / position references become item exprs
@@ -437,51 +425,6 @@ pub(crate) fn sort_with_keys(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>, or
     }
     *rows = new_rows;
     *keys = new_keys;
-}
-
-/// Expand a core's projection list against `layout` into `(expression,
-/// label)` pairs. Written expressions are borrowed, never cloned: the
-/// sub-select caches of [`Ctx`] key on node addresses, which must stay
-/// those of the statement for as long as it executes.
-pub(crate) fn expand_items<'a>(
-    items: &'a [SelectItem],
-    layout: &[ColBinding],
-) -> SqlResult<Vec<(Cow<'a, Expr>, String)>> {
-    let slot = |b: &ColBinding| {
-        (Cow::Owned(Expr::qcol(b.binding.clone(), b.column.clone())), b.column.clone())
-    };
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            SelectItem::Wildcard => {
-                if layout.is_empty() {
-                    return Err(SqlError::Other("SELECT * with no FROM clause".into()));
-                }
-                out.extend(layout.iter().map(slot));
-            }
-            SelectItem::TableWildcard(t) => {
-                let before = out.len();
-                out.extend(layout.iter().filter(|b| b.binding.eq_ignore_ascii_case(t)).map(slot));
-                if out.len() == before {
-                    return Err(SqlError::NoSuchTable(t.clone()));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let label = alias.clone().unwrap_or_else(|| default_label(expr));
-                out.push((Cow::Borrowed(expr), label));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// SQLite labels an un-aliased bare column by its column name, anything
-/// else by its source text.
-pub(crate) fn default_label(e: &Expr) -> String {
-    match e {
-        Expr::Column { column, .. } => column.clone(),
-        other => crate::printer::print_expr(other),
-    }
 }
 
 // ---------------- grouping ----------------
@@ -796,51 +739,19 @@ pub(crate) fn equi_join_indices(
 
 // ---------------- expression evaluation ----------------
 
-pub(crate) fn resolve(layout: &[ColBinding], table: Option<&str>, column: &str) -> SqlResult<usize> {
-    match table {
-        Some(t) => {
-            let mut hits = layout.iter().enumerate().filter(|(_, b)| {
-                b.binding.eq_ignore_ascii_case(t) && b.column.eq_ignore_ascii_case(column)
-            });
-            match hits.next() {
-                Some((i, _)) => Ok(i),
-                None => Err(SqlError::NoSuchColumn(format!("{t}.{column}"))),
-            }
-        }
-        None => {
-            let mut hits = layout
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.column.eq_ignore_ascii_case(column));
-            let first = hits.next();
-            match (first, hits.next()) {
-                (Some((i, _)), None) => Ok(i),
-                (Some(_), Some(_)) => Err(SqlError::AmbiguousColumn(column.to_owned())),
-                (None, _) => Err(SqlError::NoSuchColumn(column.to_owned())),
-            }
-        }
-    }
-}
-
 pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[Value]) -> SqlResult<Value> {
     match e {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Column { table, column, .. } => {
-            match resolve(layout, table.as_deref(), column) {
-                Ok(idx) => Ok(row[idx].clone()),
-                Err(e) => {
-                    // correlated reference: walk enclosing environments,
-                    // innermost first
-                    for i in (0..ctx.outer.len()).rev() {
-                        if let Ok(idx) =
-                            resolve(&ctx.outer[i].0, table.as_deref(), column)
-                        {
-                            ctx.used_outer = true;
-                            return Ok(ctx.outer[i].1[idx].clone());
-                        }
-                    }
-                    Err(e)
+            // a correlated reference resolves in an enclosing row
+            let outer = ctx.outer.iter().rev().map(|(layout, _)| layout.as_slice());
+            match scope::lookup(std::iter::once(layout).chain(outer), table.as_deref(), column) {
+                Ok((0, slot)) => Ok(row[slot].clone()),
+                Ok((up, slot)) => {
+                    ctx.used_outer = true;
+                    Ok(ctx.outer[ctx.outer.len() - up].1[slot].clone())
                 }
+                Err(miss) => Err(miss.error(table.as_deref(), column)),
             }
         }
         Expr::BoundColumn { index } => row

@@ -45,7 +45,7 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
         "trim" => map_text(name, args, |s| s.trim().to_owned()),
         "ltrim" => map_text(name, args, |s| s.trim_start().to_owned()),
         "rtrim" => map_text(name, args, |s| s.trim_end().to_owned()),
-        "substr" | "substring" => substr(args),
+        "substr" | "substring" => substr(name, args),
         "instr" => {
             let [a, b] = two(name, args)?;
             match (a.as_text(), b.as_text()) {
@@ -138,6 +138,30 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
     }
 }
 
+/// Scalar functions the engine knows, as `(min_args, max_args)` — the
+/// arities [`call_scalar`] accepts.
+pub(crate) fn scalar_arity(name: &str) -> Option<(usize, usize)> {
+    Some(match name {
+        "abs" | "length" | "upper" | "lower" | "trim" | "ltrim" | "rtrim" | "typeof" | "date" => {
+            (1, 1)
+        }
+        "round" => (1, 2),
+        "substr" | "substring" => (2, 3),
+        "instr" | "ifnull" | "nullif" | "strftime" => (2, 2),
+        "replace" | "iif" => (3, 3),
+        "coalesce" => (0, usize::MAX),
+        "min" | "max" => (2, usize::MAX), // 0..=1 args routes to the aggregate
+        _ => return None,
+    })
+}
+
+/// Every function name the engine accepts, scalar and aggregate.
+pub(crate) const KNOWN_FUNCTIONS: &[&str] = &[
+    "abs", "avg", "coalesce", "count", "date", "group_concat", "ifnull", "iif", "instr", "length",
+    "lower", "ltrim", "max", "min", "nullif", "replace", "round", "rtrim", "strftime", "substr",
+    "substring", "sum", "total", "trim", "typeof", "upper",
+];
+
 /// Is this name an aggregate function (single-argument MIN/MAX included)?
 pub fn is_aggregate_name(name: &str, arg_count: usize) -> bool {
     matches!(name, "count" | "sum" | "avg" | "total" | "group_concat")
@@ -172,9 +196,9 @@ fn map_text(name: &str, args: &[Value], f: impl Fn(&str) -> String) -> SqlResult
     })
 }
 
-fn substr(args: &[Value]) -> SqlResult<Value> {
+fn substr(name: &str, args: &[Value]) -> SqlResult<Value> {
     if args.len() < 2 || args.len() > 3 {
-        return Err(arity("substr", "2 or 3", args.len()));
+        return Err(arity(name, "2 or 3", args.len()));
     }
     let s = match args[0].as_text() {
         Some(s) => s,
@@ -357,6 +381,36 @@ mod tests {
     #[test]
     fn unknown_function_errors() {
         assert!(matches!(call_scalar("frobnicate", &[]), Err(SqlError::BadFunction(_))));
+    }
+
+    /// The arity table is the engine's: over every listed name and 0..=4
+    /// NULL arguments, `call_scalar` raises the analyzer's E0207 sentence
+    /// exactly where the table puts the count out of range, and `no such
+    /// function` exactly for names the list lacks. Aggregate calls —
+    /// one-argument `min` / `max` included — never reach `call_scalar`.
+    #[test]
+    fn arity_table_matches_call_scalar() {
+        let unlisted = ["lenght", "concat", "now", "sqrt", "frobnicate"];
+        for name in KNOWN_FUNCTIONS.iter().chain(&unlisted) {
+            let listed = KNOWN_FUNCTIONS.contains(name);
+            for n in (0..=4).filter(|&n| !is_aggregate_name(name, n)) {
+                let out = call_scalar(name, &vec![Value::Null; n]);
+                let Some((lo, hi)) = scalar_arity(name) else {
+                    assert!(!listed, "{name} is listed without an arity");
+                    let want = format!("no such function: {name}");
+                    assert_eq!(out, Err(SqlError::BadFunction(want)));
+                    continue;
+                };
+                assert!(listed, "{name} has an arity but is not listed");
+                if (lo..=hi).contains(&n) {
+                    assert!(out.is_ok(), "{name} with {n} argument(s): {out:?}");
+                } else {
+                    let want = if lo == hi { lo.to_string() } else { format!("{lo} or {hi}") };
+                    let sentence = format!("{name}() expects {want} argument(s), got {n}");
+                    assert_eq!(out, Err(SqlError::BadFunction(sentence)));
+                }
+            }
+        }
     }
 
     #[test]

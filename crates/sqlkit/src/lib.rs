@@ -51,6 +51,7 @@ pub mod token;
 pub mod value;
 
 mod pipelined;
+mod scope;
 #[cfg(test)]
 mod reference;
 

@@ -11,10 +11,31 @@ use crate::error::{SqlError, SqlResult};
 use crate::token::{tokenize, Punct, Token, TokenKind};
 use crate::value::Value;
 
+/// How many levels deep one statement's tree may go. Every level of
+/// nesting the parser descends into — a parenthesis, a sub-select, a CASE
+/// or a function's arguments, a NOT, a sign — is one level, and a chain of
+/// binary operators is as deep as its deepest operand plus one level per
+/// operator it folds (a left-associative chain puts its first operand
+/// under all of them). Every walk after the parser (analysis, binding,
+/// planning, evaluation, printing, dropping) recurses as deep as the
+/// deepest path. Siblings do not add up: forty conjuncts of a WHERE, forty
+/// arms of a CASE or forty columns of a SELECT each sit one level below
+/// their parent. Past the budget the statement is a syntax error.
+///
+/// Chosen from the deepest statements a 2 MiB thread running parse →
+/// analyze → prepare → execute → print completes with the budget lifted:
+/// an unoptimised build completed 78 nested parentheses, 54 sub-selects,
+/// 70 `CASE`s and 612 `AND` terms, an optimised one 403, 261, 365 and
+/// 2,836. The budget admits 61, 31, 30 and 62 of them — at most four
+/// fifths of what the unoptimised build completes. No gold statement of
+/// the generated benchmarks goes deeper than 6 levels, and no statement
+/// of the engine corpus or of the benchmark's beams deeper than 9.
+pub(crate) const DEPTH_BUDGET: usize = 64;
+
 /// Parse a single statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> SqlResult<Stmt> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0, reached: 0 };
     let stmt = p.statement()?;
     p.eat_punct(Punct::Semi);
     p.expect_eof()?;
@@ -32,7 +53,7 @@ pub fn parse_select(sql: &str) -> SqlResult<SelectStmt> {
 /// Parse a script of `;`-separated statements.
 pub fn parse_script(sql: &str) -> SqlResult<Vec<Stmt>> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0, reached: 0 };
     let mut out = Vec::new();
     loop {
         while p.eat_punct(Punct::Semi) {}
@@ -47,9 +68,53 @@ pub fn parse_script(sql: &str) -> SqlResult<Vec<Stmt>> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How many levels below the statement's root the construct being
+    /// parsed sits.
+    depth: usize,
+    /// The deepest level the construct being parsed has reached since it
+    /// began: a nested construct and each operand right of an operator
+    /// start over at their own `depth` ([`Parser::mark`]).
+    reached: usize,
 }
 
 impl Parser {
+    /// The tree reaches `depth` levels down: past [`DEPTH_BUDGET`] that is
+    /// a syntax error.
+    fn reach(&mut self, depth: usize) -> SqlResult<()> {
+        if depth > DEPTH_BUDGET {
+            return self.err(format!("statement nests deeper than {DEPTH_BUDGET} levels"));
+        }
+        self.reached = self.reached.max(depth);
+        Ok(())
+    }
+
+    /// Parse one nested construct, a level below the current one.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> SqlResult<T>) -> SqlResult<T> {
+        self.depth += 1;
+        let mark = self.mark();
+        let out = self.reach(self.depth).and_then(|()| parse(self));
+        self.depth -= 1;
+        self.reached = self.reached.max(mark);
+        out
+    }
+
+    /// Start over at the current depth, for a nested construct or an
+    /// operator's right operand; returns how deep the construct around it
+    /// had reached — for an operand, the chain left of the operator, which
+    /// [`Parser::fold`] takes. (A call before and one after the operand,
+    /// not a wrapper around its parse, so the recursion gains no stack
+    /// frame per precedence level.)
+    fn mark(&mut self) -> usize {
+        std::mem::replace(&mut self.reached, self.depth)
+    }
+
+    /// Fold one more operator into the chain being parsed: it now stands
+    /// one level above the deeper of the chain left of it (`mark`) and the
+    /// operands parsed since.
+    fn fold(&mut self, mark: usize) -> SqlResult<()> {
+        self.reach(self.reached.max(mark) + 1)
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -197,6 +262,10 @@ impl Parser {
     // ---------------- SELECT ----------------
 
     fn select_stmt(&mut self) -> SqlResult<SelectStmt> {
+        self.nested(Self::select_body)
+    }
+
+    fn select_body(&mut self) -> SqlResult<SelectStmt> {
         let core = self.select_core()?;
         let mut compounds = Vec::new();
         loop {
@@ -372,13 +441,15 @@ impl Parser {
     // ---------------- expressions ----------------
 
     fn expr(&mut self) -> SqlResult<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> SqlResult<Expr> {
         let mut left = self.and_expr()?;
         while self.eat_kw("OR") {
+            let mark = self.mark();
             let right = self.and_expr()?;
+            self.fold(mark)?;
             left = Expr::binary(left, BinOp::Or, right);
         }
         Ok(left)
@@ -387,7 +458,9 @@ impl Parser {
     fn and_expr(&mut self) -> SqlResult<Expr> {
         let mut left = self.not_expr()?;
         while self.eat_kw("AND") {
+            let mark = self.mark();
             let right = self.not_expr()?;
+            self.fold(mark)?;
             left = Expr::binary(left, BinOp::And, right);
         }
         Ok(left)
@@ -396,7 +469,7 @@ impl Parser {
     fn not_expr(&mut self) -> SqlResult<Expr> {
         if self.at_kw("NOT") && !self.next_is_kw("EXISTS") {
             self.bump();
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
         }
         self.predicate()
@@ -421,13 +494,19 @@ impl Parser {
             } else {
                 false
             };
+            // the operands right of the operator start over; every arm
+            // that does not break folds the operator over them
+            let mark = self.mark();
             if self.eat_kw("LIKE") {
                 let pattern = self.comparison()?;
                 left = Expr::Like { expr: Box::new(left), pattern: Box::new(pattern), negated };
             } else if self.eat_kw("BETWEEN") {
                 let low = self.comparison()?;
                 self.expect_kw("AND")?;
+                // `high` is `low`'s sibling: it starts over too
+                let low_reached = self.mark();
                 let high = self.comparison()?;
+                self.reached = self.reached.max(low_reached);
                 left = Expr::Between {
                     expr: Box::new(left),
                     low: Box::new(low),
@@ -469,8 +548,11 @@ impl Parser {
                 let right = self.comparison()?;
                 left = Expr::binary(left, op, right);
             } else {
+                // no operator: nothing was parsed since the mark
+                self.reached = mark;
                 break;
             }
+            self.fold(mark)?;
         }
         Ok(left)
     }
@@ -489,7 +571,9 @@ impl Parser {
             } else {
                 break;
             };
+            let mark = self.mark();
             let right = self.additive()?;
+            self.fold(mark)?;
             left = Expr::binary(left, op, right);
         }
         Ok(left)
@@ -505,7 +589,9 @@ impl Parser {
             } else {
                 break;
             };
+            let mark = self.mark();
             let right = self.multiplicative()?;
+            self.fold(mark)?;
             left = Expr::binary(left, op, right);
         }
         Ok(left)
@@ -523,7 +609,9 @@ impl Parser {
             } else {
                 break;
             };
+            let mark = self.mark();
             let right = self.concat()?;
+            self.fold(mark)?;
             left = Expr::binary(left, op, right);
         }
         Ok(left)
@@ -532,7 +620,9 @@ impl Parser {
     fn concat(&mut self) -> SqlResult<Expr> {
         let mut left = self.unary()?;
         while self.eat_punct(Punct::Concat) {
+            let mark = self.mark();
             let right = self.unary()?;
+            self.fold(mark)?;
             left = Expr::binary(left, BinOp::Concat, right);
         }
         Ok(left)
@@ -540,11 +630,11 @@ impl Parser {
 
     fn unary(&mut self) -> SqlResult<Expr> {
         if self.eat_punct(Punct::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
         }
         if self.eat_punct(Punct::Plus) {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         self.primary()
     }
@@ -582,7 +672,7 @@ impl Parser {
                         return Ok(Expr::Literal(Value::Null));
                     }
                     if name.eq_ignore_ascii_case("CASE") {
-                        return self.case_expr();
+                        return self.nested(Self::case_expr);
                     }
                     if name.eq_ignore_ascii_case("CAST") {
                         return self.cast_expr();
@@ -978,6 +1068,81 @@ mod tests {
             TableRef::Named { alias, .. } => assert_eq!(alias.as_deref(), Some("x")),
             _ => panic!(),
         }
+    }
+
+    /// A statement of one shape, `k` levels deep.
+    type Shape = fn(usize) -> String;
+
+    /// The shapes that overflowed a 2 MiB worker before the budget:
+    /// parentheses, sub-selects, `CASE`s and `AND` terms.
+    const DEEP_SHAPES: [(&str, Shape); 4] = [
+        ("parentheses", |k| {
+            format!("SELECT id FROM t WHERE {}id = 1{}", "(".repeat(k), ")".repeat(k))
+        }),
+        ("sub-selects", |k| format!("SELECT {}1{}", "(SELECT ".repeat(k), ")".repeat(k))),
+        ("CASEs", |k| {
+            format!("SELECT {}1{} FROM t", "CASE WHEN id > 0 THEN ".repeat(k), " END".repeat(k))
+        }),
+        ("AND terms", |k| format!("SELECT id FROM t WHERE {}id > 0", "id > 0 AND ".repeat(k - 1))),
+    ];
+
+    /// At the budget, every walk of each deep shape — parse, analyze,
+    /// prepare, execute, print — completes on a 2 MiB thread; one level
+    /// more is a syntax error, which the analyzer files as E0001.
+    #[test]
+    fn depth_budget_bounds_every_walk_on_a_2_mib_thread() {
+        for (shape, sql) in DEEP_SHAPES {
+            let fits = (1..).take_while(|&k| parse_select(&sql(k)).is_ok()).last().unwrap_or(0);
+            assert!(fits > DEPTH_BUDGET / 3, "{shape}: only {fits} levels fit");
+            let over = sql(fits + 1);
+            match parse_select(&over) {
+                Err(SqlError::Syntax { msg, .. }) => assert!(msg.contains("deeper than"), "{msg}"),
+                other => panic!("{shape} at {} levels: {other:?}", fits + 1),
+            }
+            let deepest = sql(fits);
+            let walks = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
+                let mut db = crate::db::Database::new("deep");
+                let script = "CREATE TABLE t (id INTEGER PRIMARY KEY); INSERT INTO t VALUES (1);";
+                db.execute_script(script).unwrap();
+                let stmt = parse_select(&deepest).unwrap();
+                crate::analyze::analyze(&db.schema, &stmt);
+                let _ = crate::prepare::prepare(&db, &deepest).map(|p| p.execute(&db));
+                crate::printer::print_select(&stmt);
+                let analysis = crate::analyze::analyze_sql(&db.schema, &over);
+                analysis.diagnostics.into_iter().map(|d| d.code).collect::<Vec<_>>()
+            });
+            assert_eq!(walks.unwrap().join().expect(shape), ["E0001"], "{shape}");
+        }
+    }
+
+    /// The budget bounds the deepest path, not the operators a statement
+    /// holds: siblings do not add up, statements of a script do not add
+    /// up, and an operand sits under every operator its chain folds after
+    /// it.
+    #[test]
+    fn depth_budget_counts_the_deepest_path() {
+        fn joined(n: usize, sep: &str, item: impl Fn(usize) -> String) -> String {
+            (0..n).map(item).collect::<Vec<_>>().join(sep)
+        }
+        let conjuncts =
+            format!("SELECT id FROM t WHERE {}", joined(40, " AND ", |i| format!("id = {i}")));
+        let arms = format!(
+            "SELECT CASE {} END FROM t",
+            joined(40, " ", |i| format!("WHEN id = '{i}' THEN {i}"))
+        );
+        let columns = format!("SELECT {} FROM t", joined(65, ", ", |_| "id + 1".into()));
+        let assignments = format!("UPDATE t SET {}", joined(65, ", ", |_| "id = id + 1".into()));
+        for sql in [&conjuncts, &arms, &columns, &assignments] {
+            assert!(parse_statement(sql).is_ok(), "{sql}");
+        }
+        assert_eq!(parse_script(&[conjuncts.as_str(); 8].join(";")).map(|s| s.len()), Ok(8));
+        // one chain of 65 terms folds 64 operators on one path
+        assert!(parse_select(&format!("SELECT 1 WHERE {}", vec!["1"; 65].join(" AND "))).is_err());
+        // an operand 41 levels high, under 1 + `ands` more levels
+        let deep = format!("{}1 = 1{}", "(".repeat(40), ")".repeat(40));
+        let under = |ands: usize| format!("SELECT 1 WHERE 1 AND {deep}{}", " AND 1".repeat(ands));
+        assert!(parse_select(&under(20)).is_ok());
+        assert!(parse_select(&under(21)).is_err());
     }
 
     #[test]

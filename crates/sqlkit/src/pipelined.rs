@@ -33,9 +33,10 @@
 use crate::ast::{Expr, JoinKind, SelectStmt};
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{self, ColBinding, Ctx};
+use crate::exec::{self, Ctx};
 use crate::index::ColumnIndex;
 use crate::plan::{Access, JoinOp, OpStats, PhysicalPlan, ResidualStep, Sarg, Stage};
+use crate::scope::ColBinding;
 use crate::value::{NormRef, NormValue, ResultSet, Row, Value};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};

@@ -37,8 +37,9 @@
 use crate::ast::{BinOp, Expr, JoinKind, SelectCore, SelectStmt, TableRef};
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{contains_aggregate, equi_join_indices, expand_items, ColBinding};
+use crate::exec::{contains_aggregate, equi_join_indices};
 use crate::index::ColumnIndex;
+use crate::scope::{self, ColBinding};
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt::Write as _;
@@ -491,24 +492,21 @@ fn push_stage(db: &Database, tref: &TableRef, plan: &mut PhysicalPlan) -> SqlRes
     // `est_rows` holds the row count until the cost pass below scales it
     let (table, binding, access, est_rows) = match tref {
         TableRef::Named { name, alias, .. } => {
-            let info =
-                db.schema.table(name).ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
-            let binding = alias.clone().unwrap_or_else(|| info.name.clone());
-            for c in &info.columns {
-                plan.layout.push(ColBinding::new(binding.clone(), c.name.clone()));
-            }
+            let (info, binding) =
+                scope::push_table(&mut plan.layout, &db.schema, name, alias.as_deref())
+                    .ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
             let n = db.rows(&info.name)?.len();
             (info.name.clone(), binding, Access::FullScan, n as f64)
         }
         TableRef::Subquery { query, alias } => {
-            // The labels of the first core, as `exec::expand_items` will
-            // produce them. When they cannot be known the subquery cannot
-            // run either, and opening its stage raises that error.
+            // The labels of the first core, as its projection will expand.
+            // When they cannot be known the subquery cannot run either, and
+            // opening its stage raises that error.
             let inner = lower(db, &query.core, false);
-            if let (None, Ok(items)) = (&inner.fail, expand_items(&query.core.items, &inner.layout)) {
-                for (_, label) in items {
-                    plan.layout.push(ColBinding::new(alias.clone(), label));
-                }
+            let items = scope::expand_items(&query.core.items, &inner.layout);
+            if let (None, Ok(items)) = (&inner.fail, items) {
+                let labels = items.into_iter().map(|(_, label)| label);
+                scope::push_labels(&mut plan.layout, alias, labels);
             }
             (alias.clone(), alias.clone(), Access::Subquery(query.clone()), 0.0)
         }

@@ -30,10 +30,11 @@
 use crate::ast::*;
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{self, eval_const, ColBinding, ExecStats};
+use crate::exec::{self, eval_const, ExecStats};
 use crate::functions::is_aggregate_name;
 use crate::plan::PhysicalPlan;
 use crate::schema::DbSchema;
+use crate::scope::{self, ColBinding};
 use crate::value::{ResultSet, Value};
 use std::collections::HashMap;
 use osql_chk::atomic::{AtomicU64, Ordering};
@@ -179,13 +180,6 @@ pub(crate) fn bind_dml(db: &Database, core: &mut SelectCore, set: &mut [Expr]) {
 
 // ---------------- the binding pass ----------------
 
-/// `exec::resolve`, statically: `None` covers both "not found" and
-/// "ambiguous" — in either case the reference is left raw so the runtime
-/// resolver produces the error (or falls through to an outer environment).
-fn static_resolve(layout: &[ColBinding], table: Option<&str>, column: &str) -> Option<usize> {
-    exec::resolve(layout, table, column).ok()
-}
-
 /// Fold a fully-constant expression into a literal. Failures are left
 /// unfolded so the runtime raises the identical error at the same point.
 fn try_fold(e: &mut Expr) {
@@ -256,12 +250,12 @@ impl Binder<'_> {
             // run, so leave them raw.
             return CoreInfo { layout: None, labels: None };
         };
-        // The raw (expr, label) pairs exactly as the tail's expand_items
-        // yields them: wildcards become one qualified reference per layout
-        // slot, and default labels are frozen before binding mutates the
-        // expressions they would be printed from.
+        // The raw (expr, label) pairs exactly as the tail expands them:
+        // wildcards become one qualified reference per layout slot, and
+        // default labels are frozen before binding mutates the expressions
+        // they would be printed from.
         let env = Env { layout: &layout, chain };
-        let snapshot: Vec<(Expr, String)> = match exec::expand_items(&core.items, &layout) {
+        let snapshot: Vec<(Expr, String)> = match scope::expand_items(&core.items, &layout) {
             Ok(items) => items.into_iter().map(|(e, label)| (e.into_owned(), label)).collect(),
             Err(_) => {
                 // the same failure ends every execution right after the
@@ -307,59 +301,49 @@ impl Binder<'_> {
     /// innermost environment). The ON expressions themselves stay raw so
     /// equi-join detection and row-visit accounting are untouched.
     fn layout_of_from(&self, from: &mut FromClause, chain: &[Vec<ColBinding>]) -> Option<Vec<ColBinding>> {
-        let mut layout = self.table_layout(&mut from.base, chain);
+        let mut layout = Vec::new();
+        let mut known = self.push_table(&mut from.base, chain, &mut layout);
         for join in &mut from.joins {
-            let right = self.table_layout(&mut join.table, chain);
-            layout = match (layout, right) {
-                (Some(mut l), Some(r)) => {
-                    l.extend(r);
-                    Some(l)
-                }
-                _ => None,
-            };
-            if let Some(on) = &mut join.on {
-                // The nested-loop path evaluates ON against everything
-                // scanned so far; an unknown prefix already failed before
-                // this ON could run.
-                if let Some(prefix) = &layout {
-                    let mut chain2 = chain.to_vec();
-                    chain2.push(prefix.clone());
-                    on.walk_mut(&mut |node| match node {
-                        Expr::Subquery(q) => {
-                            self.bind_statement(q, &chain2);
-                        }
-                        Expr::InSubquery { query, .. } | Expr::Exists { query, .. } => {
-                            self.bind_statement(query, &chain2);
-                        }
-                        _ => {}
-                    });
-                }
+            known &= self.push_table(&mut join.table, chain, &mut layout);
+            // The nested-loop path evaluates ON against everything scanned
+            // so far; an unknown prefix already failed before this ON could
+            // run.
+            if let (true, Some(on)) = (known, &mut join.on) {
+                let mut chain = chain.to_vec();
+                chain.push(layout.clone());
+                on.walk_mut(&mut |node| match node {
+                    Expr::Subquery(q) => {
+                        self.bind_statement(q, &chain);
+                    }
+                    Expr::InSubquery { query, .. } | Expr::Exists { query, .. } => {
+                        self.bind_statement(query, &chain);
+                    }
+                    _ => {}
+                });
             }
         }
-        layout
+        known.then_some(layout)
     }
 
-    fn table_layout(&self, tref: &mut TableRef, chain: &[Vec<ColBinding>]) -> Option<Vec<ColBinding>> {
+    /// Append the slots of one FROM table reference, binding a
+    /// FROM-subquery on the way; false when its layout is unknowable.
+    fn push_table(
+        &self,
+        tref: &mut TableRef,
+        chain: &[Vec<ColBinding>],
+        layout: &mut Vec<ColBinding>,
+    ) -> bool {
         match tref {
             TableRef::Named { name, alias, .. } => {
-                let info = self.schema.table(name)?;
-                let binding = alias.clone().unwrap_or_else(|| info.name.clone());
-                Some(
-                    info.columns
-                        .iter()
-                        .map(|c| ColBinding { binding: binding.clone(), column: c.name.clone() })
-                        .collect(),
-                )
+                scope::push_table(layout, self.schema, name, alias.as_deref()).is_some()
             }
-            TableRef::Subquery { query, alias } => {
-                let labels = self.bind_statement(query, chain)?;
-                Some(
-                    labels
-                        .into_iter()
-                        .map(|column| ColBinding { binding: alias.clone(), column })
-                        .collect(),
-                )
-            }
+            TableRef::Subquery { query, alias } => match self.bind_statement(query, chain) {
+                Some(labels) => {
+                    scope::push_labels(layout, alias, labels);
+                    true
+                }
+                None => false,
+            },
         }
     }
 
@@ -413,18 +397,13 @@ impl Binder<'_> {
         match e {
             Expr::Literal(_) => true,
             Expr::Column { table, column, .. } => {
-                if let Some(index) = static_resolve(env.layout, table.as_deref(), column) {
-                    *e = Expr::BoundColumn { index };
-                } else {
-                    // Replicate the runtime fallback: walk enclosing
-                    // environments innermost-first, first hit wins;
-                    // unresolvable everywhere stays raw for the error.
-                    for (up, layout) in env.chain.iter().rev().enumerate() {
-                        if let Some(index) = static_resolve(layout, table.as_deref(), column) {
-                            *e = Expr::OuterColumn { up, index };
-                            break;
-                        }
-                    }
+                // unresolvable everywhere stays raw for the runtime error
+                let outer = env.chain.iter().rev().map(Vec::as_slice);
+                let layouts = std::iter::once(env.layout).chain(outer);
+                match scope::lookup(layouts, table.as_deref(), column) {
+                    Ok((0, index)) => *e = Expr::BoundColumn { index },
+                    Ok((up, index)) => *e = Expr::OuterColumn { up: up - 1, index },
+                    Err(_) => {}
                 }
                 false
             }

@@ -29,9 +29,10 @@ use crate::db::{apply_affinity, Database};
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{
     apply_limit, combine, contains_aggregate, equi_join_indices, eval_expr, order_compound,
-    project_filtered, sort_with_keys, ColBinding, Ctx,
+    project_filtered, sort_with_keys, Ctx,
 };
 use crate::schema::TableInfo;
+use crate::scope::ColBinding;
 use crate::value::{ResultSet, Row, Value};
 
 /// Execute `stmt` exactly as written.

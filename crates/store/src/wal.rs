@@ -677,6 +677,34 @@ mod tests {
         assert_eq!(fresh.rows("t").unwrap().len(), 2);
     }
 
+    /// The parser bounds how deep a statement's tree goes, not how many
+    /// operators it holds: statements with many operators side by side
+    /// replay.
+    #[test]
+    fn replay_applies_statements_with_many_operators_side_by_side() {
+        let mut db = base_db();
+        let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
+        for i in 1..=50 {
+            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'v{i}')")).unwrap();
+        }
+        // 40 `=` and 39 `OR`
+        let ors = (1..=40).map(|i| format!("id = {i}")).collect::<Vec<_>>().join(" OR ");
+        wal.append_stmt(&format!("DELETE FROM t WHERE {ors}")).unwrap();
+        // 50 arms of two `=` and an `AND` each
+        let arms = (1..=50)
+            .map(|i| format!("WHEN id = {i} AND v = 'v{i}' THEN 'w{i}'"))
+            .collect::<Vec<_>>()
+            .join(" ");
+        wal.append_stmt(&format!("UPDATE t SET v = CASE {arms} END")).unwrap();
+        wal.commit().unwrap();
+
+        let mut fresh = base_db();
+        let (_, report) = Wal::open(wal.media.clone(), &mut fresh, 0).unwrap();
+        assert_eq!(report.stmts_applied, 52);
+        let renamed = fresh.query("SELECT COUNT(*), MIN(id) FROM t WHERE v LIKE 'w%'").unwrap();
+        assert_eq!(renamed.rows[0], vec![sqlkit::Value::Int(10), sqlkit::Value::Int(41)]);
+    }
+
     #[test]
     fn uncommitted_tail_is_dropped_and_truncated() {
         let mut db = base_db();
