@@ -74,9 +74,10 @@ cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight,
                                  # server JSON renderings equal the files recorded on
                                  # 84ce847, before the four consolidations
 # One refinement path, structurally: the beam is the unit, so alignment and
-# execution each have exactly one call site outside tests in refinement.rs
-# (the miss path of the beam's one table — `refine_candidate` is the beam
-# of one through it, not a second loop), and one thread answers one
+# the beam's execution each have exactly one call site outside tests in
+# refinement.rs (the miss path of the beam's one table — `refine_candidate`
+# is the beam of one through it, not a second loop; `refinement::execute`,
+# eval's entry, is `plan_cache().execute`), and one thread answers one
 # question: no thread fan-out inside core (eval.rs spreads whole questions
 # over scorer threads, which is the caller's parallelism, not the
 # pipeline's), no thread-count knob beyond the one vestigial builder the
@@ -85,13 +86,32 @@ non_test_code() { # a source file up to its test module, comment lines dropped
     awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1" | grep -v '^[[:space:]]*//'
 }
 refinement_code="$(non_test_code crates/core/src/refinement.rs)"
-for call in 'plan_cache().execute' 'align_candidate('; do
+for call in 'plan_cache().execute_with(' 'align_candidate('; do
     sites="$(printf '%s\n' "$refinement_code" | grep -cF "$call" || true)"
     if [ "$sites" != 1 ]; then
         echo "ci: $call has $sites non-test call sites in crates/core/src/refinement.rs, want 1" >&2
         exit 1
     fi
 done
+# One front end per beam, structurally: outside tests, refinement.rs and
+# alignment.rs parse a text at one site and analyse it at one site, both in
+# the beam's entry (`Beam::front`; a parse failure is the E0001 analysis
+# through `Analysis::parse_error`), never through `analyze_sql`, which would
+# parse it again. Alignment, the gate, the plan cache's miss path and the
+# correction prompt read that entry, so the per-text parse probe and
+# alignment's own parse finding must not come back.
+front_code="$(non_test_code crates/core/src/refinement.rs; non_test_code crates/core/src/alignment.rs)"
+for want in 'parse_select(:1' 'sqlkit::analyze(:1' 'analyze_sql(:0'; do
+    sites="$(printf '%s\n' "$front_code" | grep -cF "${want%:*}" || true)"
+    if [ "$sites" != "${want##*:}" ]; then
+        echo "ci: ${want%:*} has $sites non-test sites in crates/core/src/{refinement,alignment}.rs, want ${want##*:}" >&2
+        exit 1
+    fi
+done
+if printf '%s\n' "$front_code" | grep -nwE 'unparseable|parse_diagnostic'; then
+    echo "ci: the beam's parse probe or alignment's parse finding is back" >&2
+    exit 1
+fi
 if grep -rnE 'thread::scope|in_slots' crates/core/src --exclude=eval.rs \
     || grep -rn 'refine_threads' crates/core/src | grep -v '^crates/core/src/config.rs:.*with_refine_threads'; then
     echo "ci: crates/core/src is fanning a question out over threads again" >&2
@@ -346,11 +366,14 @@ cargo test -q --workspace
 cargo bench --no-run -p osql-bench # benches must always compile
 
 # The benchmark harness is a package outside the workspace that compiles
-# against sqlkit::{prepare, execute_select, plan_cache, PlanCacheStats} and
-# Prepared::execute: an API break there must fail here, not in a benchmark
-# run. (Its `benchmark_smoke` integration test drives the whole suite and
-# is not gated: one of its `cold_full` checks is timing-dependent, failing
-# 1–2 runs in 10 on both sides of PR 25 — ROADMAP item 1(a).)
+# against sqlkit::{prepare, execute_select, parse_select, analyze_sql,
+# plan_cache, PlanCacheStats}, Prepared::execute, PlanCache::prepared,
+# opensearch_sql::refinement::{refine_candidate, vote},
+# RefinedCandidate::analyze_skips, PipelineConfig::with_refine_threads and
+# osql_trace::active::absorb: an API break there must fail here, not in a
+# benchmark run. (Its `benchmark_smoke` integration test drives the whole
+# suite and is not gated: one of its `cold_full` checks is timing-dependent
+# and fails 1–2 runs in 10 — ROADMAP item 1(a).)
 cargo metadata --locked --offline --format-version 1 \
     --manifest-path perfbench/Cargo.toml >/dev/null # its lock still describes the graph
 cargo build --release --locked --manifest-path perfbench/Cargo.toml

@@ -1,5 +1,6 @@
-//! The alignment passes in isolation. (A whole question through the
-//! pipeline, and the vote, are `perfbench` layer metrics.)
+//! The alignment passes in isolation, on a statement the front end has
+//! already parsed and analysed. (A whole question through the pipeline,
+//! and the vote, are `perfbench` layer metrics.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::Profile;
@@ -18,12 +19,16 @@ fn bench_alignment(c: &mut Criterion) {
         t = table,
         c = col
     );
+    let schema = &db.database.schema;
+    let stmt = sqlkit::parse_select(&sql).expect("the bench SQL parses");
+    let unresolved = sqlkit::analyze(schema, &stmt).unresolved;
     c.bench_function("alignment_pass", |b| {
         b.iter(|| {
             let mut ledger = CostLedger::new();
             std::hint::black_box(align_candidate(
-                &sql,
-                &db.database.schema,
+                &stmt,
+                &unresolved,
+                schema,
                 &values,
                 Some(1),
                 &mut ledger,

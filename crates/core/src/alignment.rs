@@ -18,48 +18,28 @@
 use crate::cost::{CostLedger, Module};
 use crate::retrieval::{is_alignable_literal, ValueIndex};
 use sqlkit::ast::{BinOp, Expr, OrderItem, SelectItem, SelectStmt, TableRef};
-use sqlkit::{parse_select, print_select, DbSchema, Value};
+use sqlkit::{print_select, DbSchema, UnresolvedColumn, Value};
 use std::time::Instant;
 
-/// Outcome of aligning one candidate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Aligned {
-    /// The aligned SQL (identical to the input when nothing fired).
-    pub sql: String,
-    /// Whether any aligner changed the statement.
-    pub changed: bool,
-    /// When the input did not parse: the analyzer's `E0001` finding, so the
-    /// caller can say *why* alignment was skipped. The SQL itself still
-    /// passes through untouched — Correction owns syntax repair.
-    pub parse_diagnostic: Option<sqlkit::Diagnostic>,
-}
-
-/// Run all aligners over a candidate SQL. Unparseable SQL is returned
-/// untouched (the Correction step owns syntax errors), but no longer
-/// silently: the returned [`Aligned::parse_diagnostic`] carries the parse
-/// finding.
+/// Run all aligners over a parsed candidate, whose analysis against
+/// `schema` left `unresolved`. Returns the aligned SQL, or `None` when no
+/// aligner fired and the candidate's own text stands. (Unparseable SQL
+/// never gets here: Correction owns syntax errors.)
 pub fn align_candidate(
-    sql: &str,
+    stmt: &SelectStmt,
+    unresolved: &[UnresolvedColumn],
     schema: &DbSchema,
     values: &ValueIndex,
     expected_select: Option<usize>,
     ledger: &mut CostLedger,
-) -> Aligned {
+) -> Option<String> {
     let stage_start = Instant::now();
-    let Ok(mut stmt) = parse_select(sql) else {
-        let diag = sqlkit::analyze_sql(schema, sql).diagnostics.into_iter().next();
-        ledger.charge(Module::Alignments, stage_start.elapsed().as_secs_f64() * 1e3, 0);
-        osql_trace::active::event(
-            "align_skipped",
-            &[("code", diag.as_ref().map(|d| d.code.as_str()).unwrap_or("unknown"))],
-        );
-        return Aligned { sql: sql.to_owned(), changed: false, parse_diagnostic: diag };
-    };
+    let mut stmt = stmt.clone();
     let mut changed = false;
     let flag = |b: bool| if b { "true" } else { "false" };
 
     let t0 = Instant::now();
-    let hop = agent_align(&mut stmt, schema, values);
+    let hop = agent_align(&mut stmt, unresolved, schema, values);
     let agent_ms = t0.elapsed().as_secs_f64() * 1e3;
     ledger.charge(Module::AgentAlign, agent_ms, 0);
     osql_trace::active::event_timed(
@@ -92,8 +72,7 @@ pub fn align_candidate(
     changed |= hop;
 
     ledger.charge(Module::Alignments, stage_start.elapsed().as_secs_f64() * 1e3, 0);
-    let out = if changed { print_select(&stmt) } else { sql.to_owned() };
-    Aligned { sql: out, changed, parse_diagnostic: None }
+    changed.then(|| print_select(&stmt))
 }
 
 /// `binding → table name` pairs of the statement's top-level FROM clause.
@@ -122,7 +101,12 @@ fn table_of<'a>(aliases: &'a [(String, String)], qualifier: &str) -> Option<&'a 
 
 // ---------------- Agent Alignment ----------------
 
-fn agent_align(stmt: &mut SelectStmt, schema: &DbSchema, values: &ValueIndex) -> bool {
+fn agent_align(
+    stmt: &mut SelectStmt,
+    unresolved: &[UnresolvedColumn],
+    schema: &DbSchema,
+    values: &ValueIndex,
+) -> bool {
     let aliases = alias_map(stmt);
     let mut changed = false;
 
@@ -131,7 +115,6 @@ fn agent_align(stmt: &mut SelectStmt, schema: &DbSchema, values: &ValueIndex) ->
     //    repair candidates computed under the executor's own scope rules
     //    (so subquery scopes are honoured). The local distance scan stays
     //    as a fallback for references the analyzer has no candidate for.
-    let unresolved = sqlkit::analyze(schema, stmt).unresolved;
     let analyzer_fix = |table: &Option<String>, column: &str| -> Option<String> {
         unresolved
             .iter()
@@ -418,20 +401,31 @@ mod tests {
             Fx { db, values }
         }
 
-        fn align(&self, sql: &str) -> Aligned {
-            let mut ledger = CostLedger::new();
-            align_candidate(sql, &self.db.database.schema, &self.values, None, &mut ledger)
+        /// Align `sql` the way the beam does: parse, analyse, align.
+        fn align_with(
+            &self,
+            sql: &str,
+            expected_select: Option<usize>,
+            ledger: &mut CostLedger,
+        ) -> Option<String> {
+            let schema = &self.db.database.schema;
+            let stmt = sqlkit::parse_select(sql).unwrap();
+            let unresolved = sqlkit::analyze(schema, &stmt).unresolved;
+            align_candidate(&stmt, &unresolved, schema, &self.values, expected_select, ledger)
+        }
+
+        fn align(&self, sql: &str) -> Option<String> {
+            self.align_with(sql, None, &mut CostLedger::new())
         }
     }
 
     #[test]
     fn repairs_mangled_column_names() {
         let fx = Fx::new();
-        let a = fx.align("SELECT First_Date FROM Patient");
-        assert!(a.changed);
-        assert!(a.sql.contains("`First Date`"), "{}", a.sql);
+        let a = fx.align("SELECT First_Date FROM Patient").expect("changed");
+        assert!(a.contains("`First Date`"), "{a}");
         // result actually executes now
-        fx.db.database.query(&a.sql).unwrap();
+        fx.db.database.query(&a).unwrap();
     }
 
     #[test]
@@ -444,9 +438,8 @@ mod tests {
             return; // quirk made it lowercase already
         }
         let sql = format!("SELECT Name FROM Patient WHERE City = '{wrong}'");
-        let a = fx.align(&sql);
-        assert!(a.changed, "{}", a.sql);
-        assert!(a.sql.contains(&format!("'{stored}'")), "{}", a.sql);
+        let a = fx.align(&sql).expect("changed");
+        assert!(a.contains(&format!("'{stored}'")), "{a}");
     }
 
     #[test]
@@ -479,72 +472,53 @@ mod tests {
             "SELECT T1.Name FROM Patient AS T1 INNER JOIN Laboratory AS T2 ON T1.PatientID = T2.PatientID \
              INNER JOIN Treatment AS T3 ON T1.PatientID = T3.PatientID WHERE T2.Status = '{v}'"
         );
-        let a = fx.align(&sql);
-        assert!(a.changed);
-        assert!(a.sql.contains(&format!("T3.Status = '{v}'")), "{}", a.sql);
+        let a = fx.align(&sql).expect("changed");
+        assert!(a.contains(&format!("T3.Status = '{v}'")), "{a}");
     }
 
     #[test]
     fn function_alignment_unwraps_order_by_aggregate() {
         let fx = Fx::new();
         let a = fx.align("SELECT Name FROM Patient ORDER BY MAX(Age) DESC LIMIT 1");
-        assert!(a.changed);
-        assert!(a.sql.contains("ORDER BY Age DESC"), "{}", a.sql);
+        let a = a.expect("changed");
+        assert!(a.contains("ORDER BY Age DESC"), "{a}");
         // grouped queries keep their aggregate order keys
         let b = fx.align(
             "SELECT City, COUNT(*) FROM Patient GROUP BY City ORDER BY COUNT(PatientID) DESC",
         );
-        assert!(!b.changed);
+        assert_eq!(b, None);
     }
 
     #[test]
     fn style_alignment_rewrites_extremum_subquery() {
         let fx = Fx::new();
-        let a = fx.align(
-            "SELECT Name FROM Patient WHERE Age = (SELECT MAX(Age) FROM Patient)",
-        );
-        assert!(a.changed);
-        assert!(a.sql.contains("ORDER BY Age DESC LIMIT 1"), "{}", a.sql);
-        assert!(!a.sql.contains("MAX"), "{}", a.sql);
+        let a = fx
+            .align("SELECT Name FROM Patient WHERE Age = (SELECT MAX(Age) FROM Patient)")
+            .expect("changed");
+        assert!(a.contains("ORDER BY Age DESC LIMIT 1"), "{a}");
+        assert!(!a.contains("MAX"), "{a}");
         // other WHERE conjuncts survive
         let b = fx.align(
             "SELECT Name FROM Patient WHERE City = 'X' AND Age = (SELECT MIN(Age) FROM Patient)",
         );
-        assert!(b.sql.contains("WHERE"), "{}", b.sql);
-        assert!(b.sql.contains("ORDER BY Age LIMIT 1"), "{}", b.sql);
+        let b = b.expect("changed");
+        assert!(b.contains("WHERE"), "{b}");
+        assert!(b.contains("ORDER BY Age LIMIT 1"), "{b}");
     }
 
     #[test]
     fn trims_extra_select_items() {
         let fx = Fx::new();
         let mut ledger = CostLedger::new();
-        let a = align_candidate(
-            "SELECT Name, PatientID FROM Patient",
-            &fx.db.database.schema,
-            &fx.values,
-            Some(1),
-            &mut ledger,
-        );
-        assert!(a.changed);
-        assert_eq!(a.sql, "SELECT Name FROM Patient");
+        let a = fx.align_with("SELECT Name, PatientID FROM Patient", Some(1), &mut ledger);
+        assert_eq!(a.as_deref(), Some("SELECT Name FROM Patient"));
         assert!(ledger.get(Module::StyleAlign).calls > 0);
-    }
-
-    #[test]
-    fn unparseable_sql_passes_through() {
-        let fx = Fx::new();
-        let a = fx.align("SELECT x FORM y");
-        assert!(!a.changed);
-        assert_eq!(a.sql, "SELECT x FORM y");
     }
 
     #[test]
     fn clean_sql_untouched() {
         let fx = Fx::new();
-        let sql = "SELECT Name FROM Patient WHERE Age > 30";
-        let a = fx.align(sql);
-        assert!(!a.changed);
-        assert_eq!(a.sql, sql);
+        assert_eq!(fx.align("SELECT Name FROM Patient WHERE Age > 30"), None);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod refinement;
 pub mod retrieval;
 pub mod sqllike;
 
-pub use alignment::{align_candidate, Aligned};
+pub use alignment::align_candidate;
 pub use config::{CotMode, FewshotMode, PipelineConfig};
 pub use cost::{CostLedger, Module, ModuleCost};
 pub use eval::{evaluate, evaluate_with, ves_reward, Answerer, EvalReport};

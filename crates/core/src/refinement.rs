@@ -7,7 +7,9 @@
 //! fallback → alignment → analysis → execution) are the same work on
 //! the same text. [`refine_beam`] does each distinct piece once and hands
 //! the outcome to every candidate that asks for it; nothing it shares
-//! outlives the call.
+//! outlives the call. The front end is one such piece: each distinct text
+//! the beam meets is parsed once and analysed once, and every step reads
+//! that entry instead of the text.
 //!
 //! The vote implements the paper's Eq. 3 exactly: among candidates whose
 //! execution succeeded with a non-empty answer, pick the most frequent
@@ -23,8 +25,9 @@ use crate::retrieval::ValueHit;
 use llmsim::proto;
 use llmsim::{ChatRequest, LanguageModel};
 use osql_trace::{active, QueryTrace};
-use sqlkit::{parse_select, ResultSet, SqlError};
+use sqlkit::{parse_select, plan_cache, Analysis, ResultSet, SelectStmt, SqlError};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -145,15 +148,15 @@ pub fn vote_margin(candidates: &[RefinedCandidate], winner: usize) -> f64 {
 
 /// Execute a SQL string against a database, returning result + costs.
 ///
-/// Goes through the process-wide [`sqlkit::plan_cache`]: correction
-/// rounds, `Pipeline::query` and eval's repeated gold-SQL executions re-run
-/// statements across questions, so each one is parsed, bound and lowered
-/// once and then served from the cache. (Within one question the beam
-/// never runs a statement twice — see [`refine_beam`].) Cached plans run on
-/// `sqlkit`'s one pipelined executor — index scans and index joins on
-/// declared indexes where the planner could cost them, the naive plan
-/// (scans, hash / nested-loop joins, every conjunct residual) for
-/// everything else.
+/// Goes through the process-wide [`sqlkit::plan_cache`], which eval's
+/// repeated gold-SQL executions hit. The beam executes through the same
+/// cache, handing it the statement its front end already parsed; within
+/// one question it never runs a text twice and the vote runs nothing (see
+/// [`refine_beam`]), so a beam's lookups hit only on a text an earlier
+/// question ran. Plans run on `sqlkit`'s one pipelined executor — index
+/// scans and index joins on declared indexes where the planner could cost
+/// them, the naive plan (scans, hash / nested-loop joins, every conjunct
+/// residual) for everything else.
 pub fn execute(db: &sqlkit::Database, sql: &str) -> (Result<ResultSet, SqlError>, u64, f64) {
     let t0 = Instant::now();
     match sqlkit::plan_cache().execute(db, sql) {
@@ -194,6 +197,16 @@ impl<T> Shared<T> {
             ledger.merge_counts(&self.ledger);
         }
     }
+}
+
+/// What the front end made of one text: its statement, or why it did not
+/// parse, and its analysis against the beam's schema (a parse failure is
+/// the `E0001` analysis).
+struct Front {
+    stmt: Result<SelectStmt, SqlError>,
+    analysis: Analysis,
+    /// What the parse and the analysis took, in ms.
+    ms: f64,
 }
 
 /// What aligning one text produced.
@@ -293,9 +306,10 @@ struct Effective<'a> {
     fallback: Option<(bool, f64)>,
 }
 
-/// Everything that is constant across one question's beam.
+/// Everything that is constant across one question's beam, and the front
+/// end's entry for each distinct text the beam has met — raw, recovered by
+/// the SQL-Like fallback, aligned or corrected.
 struct Beam<'a> {
-    pre: &'a Preprocessed,
     llm: &'a dyn LanguageModel,
     config: &'a PipelineConfig,
     db_id: &'a str,
@@ -304,6 +318,7 @@ struct Beam<'a> {
     extraction: &'a ExtractionOutput,
     db: &'a datagen::BuiltDb,
     assets: &'a DbAssets,
+    fronts: RefCell<HashMap<String, Rc<Front>>>,
 }
 
 impl<'a> Beam<'a> {
@@ -318,24 +333,34 @@ impl<'a> Beam<'a> {
     ) -> Self {
         let db = pre.db(db_id).expect("refinement runs on known databases");
         let assets = pre.assets(db_id).expect("assets exist for known databases");
-        Beam { pre, llm, config, db_id, question, evidence, extraction, db, assets }
+        let fronts = RefCell::default();
+        Beam { llm, config, db_id, question, evidence, extraction, db, assets, fronts }
+    }
+
+    /// The front end's entry for `text`: looked up, else made now — the
+    /// beam's one parse of the text and its one analysis.
+    fn front(&self, text: &str) -> Rc<Front> {
+        let mut fronts = self.fronts.borrow_mut();
+        if let Some(front) = fronts.get(text) {
+            return Rc::clone(front);
+        }
+        let t0 = Instant::now();
+        let stmt = parse_select(text);
+        let analysis = match &stmt {
+            Ok(stmt) => sqlkit::analyze(&self.db.database.schema, stmt),
+            Err(e) => Analysis::parse_error(text, e),
+        };
+        let front = Front { stmt, analysis, ms: t0.elapsed().as_secs_f64() * 1e3 };
+        Rc::clone(fronts.entry(text.to_owned()).or_insert(Rc::new(front)))
     }
 
     /// SQL-Like fallback: when the final SQL is malformed but the CoT's
     /// intermediate representation parses, reconstruct the SQL from the
     /// logic (§3.5) — repairs syntax-class hallucinations without an LLM
-    /// round trip. Whether `raw_sql` parses is looked up per distinct
-    /// text; the recovery itself reads the candidate's own `raw_text`.
-    fn effective<'c>(
-        &self,
-        raw_sql: &'c str,
-        raw_text: Option<&str>,
-        unparseable: &mut HashMap<&'c str, bool>,
-    ) -> Effective<'c> {
+    /// round trip. The recovery reads the candidate's own `raw_text`.
+    fn effective<'c>(&self, raw_sql: &'c str, raw_text: Option<&str>) -> Effective<'c> {
         let untouched = Effective { raw_sql, sql: Cow::Borrowed(raw_sql), fallback: None };
-        if !self.config.alignments
-            || !*unparseable.entry(raw_sql).or_insert_with(|| parse_select(raw_sql).is_err())
-        {
+        if !self.config.alignments || self.front(raw_sql).stmt.is_ok() {
             return untouched;
         }
         let Some(line) = raw_text.and_then(|t| proto::parse_field(t, "SQL-like")) else {
@@ -351,33 +376,38 @@ impl<'a> Beam<'a> {
     /// parse diagnostic) is surfaced into the correction prompt rather
     /// than dropped — Correction still owns the repair.
     fn align(&self, text: &str) -> Shared<AlignOutcome> {
+        let front = self.front(text);
         Shared::capture(|ledger| {
+            let Ok(stmt) = &front.stmt else {
+                let diag = &front.analysis.diagnostics[0];
+                ledger.charge(Module::Alignments, 0.0, 0);
+                active::event("align_skipped", &[("code", &diag.code)]);
+                let note = format!("alignment skipped: {}", diag.headline()).replace('\'', "`");
+                return AlignOutcome { sql: text.to_owned(), note: Some(note) };
+            };
             let aligned = align_candidate(
-                text,
+                stmt,
+                &front.analysis.unresolved,
                 &self.db.database.schema,
                 &self.assets.values,
                 self.extraction.expected_select,
                 ledger,
             );
-            let note = aligned
-                .parse_diagnostic
-                .as_ref()
-                .map(|d| format!("alignment skipped: {}", d.headline()).replace('\'', "`"));
-            AlignOutcome { sql: aligned.sql, note }
+            AlignOutcome { sql: aligned.unwrap_or_else(|| text.to_owned()), note: None }
         })
     }
 
-    /// Analyse the statement, then execute it. The analyzer diagnoses —
-    /// its findings become the note the correction prompt carries — and
-    /// the execution decides: the result, or the error a correction round
-    /// is dispatched on, is always the engine's own.
+    /// Report the statement's analysis, then execute it. The analyzer
+    /// diagnoses — its findings become the note the correction prompt
+    /// carries — and the execution decides: the result, or the error a
+    /// correction round is dispatched on, is always the engine's own (an
+    /// unparseable text's is its parse error, with no plan-cache lookup).
+    /// The analysis is charged here, whenever the front end made it.
     fn gate(&self, sql: &str) -> Shared<GateOutcome> {
-        let db = &self.db.database;
+        let front = self.front(sql);
         Shared::capture(|ledger| {
-            let t0 = Instant::now();
-            let analysis = sqlkit::analyze_sql(&db.schema, sql);
-            let analyze_ms = t0.elapsed().as_secs_f64() * 1e3;
-            ledger.charge(Module::Analyze, analyze_ms, 0);
+            let analysis = &front.analysis;
+            ledger.charge(Module::Analyze, front.ms, 0);
             let diags = analysis.diagnostics.len();
             // Single quotes are scrubbed so the note cannot inject new
             // string literals into the correction prompt (the simulated
@@ -388,11 +418,19 @@ impl<'a> Beam<'a> {
             active::event_timed(
                 "analyze_gate",
                 &[("verdict", verdict), ("diags", &diags.to_string())],
-                &[("analyze_ms", analyze_ms)],
+                &[("analyze_ms", front.ms)],
             );
-            let codes = analysis.diagnostics.into_iter().map(|d| d.code).collect();
-            let (result, cost, ms) = execute(db, sql);
-            GateOutcome { result: result.map(Arc::new), cost, ms, note, codes }
+            let codes = analysis.diagnostics.iter().map(|d| d.code.clone()).collect();
+            let t0 = Instant::now();
+            let run = match &front.stmt {
+                Ok(stmt) => plan_cache().execute_with(&self.db.database, sql, || Ok(stmt.clone())),
+                Err(e) => Err(e.clone()),
+            };
+            let (result, cost) = match run {
+                Ok((rs, stats)) => (Ok(Arc::new(rs)), stats.rows_scanned),
+                Err(e) => (Err(e), 0),
+            };
+            GateOutcome { result, cost, ms: t0.elapsed().as_secs_f64() * 1e3, note, codes }
         })
     }
 
@@ -437,10 +475,9 @@ impl<'a> Beam<'a> {
         first_idx: usize,
         ledger: &mut CostLedger,
     ) -> RefinedBeam {
-        let mut unparseable = HashMap::new();
         let inputs: Vec<Effective> = candidates
             .iter()
-            .map(|(raw_sql, raw_text)| self.effective(raw_sql, *raw_text, &mut unparseable))
+            .map(|(raw_sql, raw_text)| self.effective(raw_sql, *raw_text))
             .collect();
 
         // First attempts, each distinct piece once and for the candidate it
@@ -503,23 +540,9 @@ impl<'a> Beam<'a> {
                 let round_span = active::start("correction_round");
                 active::label(round_span, "attempt", &rounds.to_string());
                 active::label(round_span, "error_kind", &format!("{kind:?}"));
-                let full_note = match (&attempt.align_note, &attempt.gate.outcome.note) {
-                    (Some(a), Some(n)) => Some(format!("{a}\n{n}")),
-                    (Some(a), None) => Some(a.clone()),
-                    (None, n) => n.clone(),
-                };
-                let prompt = build_correction_prompt(
-                    self.pre,
-                    self.config,
-                    self.db_id,
-                    self.question,
-                    self.evidence,
-                    self.extraction,
-                    &attempt.sql,
-                    &error_text,
-                    kind,
-                    full_note.as_deref(),
-                );
+                let notes = [&attempt.align_note, &attempt.gate.outcome.note];
+                let note = notes.into_iter().flatten().cloned().collect::<Vec<_>>().join("\n");
+                let prompt = self.correction_prompt(&attempt.sql, &error_text, kind, &note);
                 let resp = self.llm.complete(&ChatRequest {
                     prompt,
                     temperature: self.config.temperature,
@@ -564,6 +587,75 @@ impl<'a> Beam<'a> {
         active::end(span);
         refined
     }
+
+    /// Build a correction prompt (Listing 3 shape): error few-shot for the
+    /// error type, schema, per-column candidate values, the broken SQL, the
+    /// error description and what alignment and the analyzer noted (none
+    /// when `note` is empty).
+    fn correction_prompt(
+        &self,
+        broken_sql: &str,
+        error_text: &str,
+        kind: sqlkit::SqlErrorKind,
+        note: &str,
+    ) -> String {
+        let schema_text = self.db.database.schema.describe(self.extraction.subset.as_ref());
+
+        // value context: retrieval hits plus stored values near each text
+        // literal of the broken SQL
+        let mut hits: Vec<ValueHit> = self.extraction.value_hits.clone();
+        if let Ok(stmt) = &self.front(broken_sql).stmt {
+            // the statement walk is the mutable one, so it walks a copy
+            stmt.clone().walk_exprs_mut(&mut |e| {
+                let sqlkit::Expr::Literal(sqlkit::Value::Text(t)) = e else { return };
+                if !t.chars().any(|c| c.is_alphabetic()) {
+                    return;
+                }
+                for hit in self.assets.values.retrieve(t, 3, 0.4) {
+                    if !hits.iter().any(|h| {
+                        h.table == hit.table && h.column == hit.column && h.stored == hit.stored
+                    }) {
+                        hits.push(hit);
+                    }
+                }
+            });
+        }
+
+        let fewshot = if self.config.refine_fewshot {
+            format!("{}\n{}", proto::FEWSHOT_HEADER, crate::fewshot::correction_shot(kind))
+        } else {
+            String::new()
+        };
+
+        // The analyzer note rides along as comment lines: spans and
+        // did-you-mean hints for the model, invisible to the prompt's
+        // field parsers (every line starts with `-- `).
+        let note_block = if note.is_empty() {
+            String::new()
+        } else {
+            let body = note.lines().map(|l| format!("-- {l}")).collect::<Vec<_>>().join("\n");
+            format!("-- Static analysis of the SQL above:\n{body}\n")
+        };
+
+        format!(
+            "{} {}\n{} {}\n{}\n{}\n{}{}\n{} {}\n{} {}\n{}{}\n/* Answer the following: {} */\n",
+            proto::TASK_PREFIX,
+            proto::TASK_CORRECTION,
+            proto::DB_PREFIX,
+            self.db_id,
+            proto::SCHEMA_HEADER,
+            schema_text,
+            values_block(&hits),
+            fewshot,
+            proto::ERROR_SQL_PREFIX,
+            broken_sql,
+            proto::ERROR_INFO_PREFIX,
+            error_text,
+            note_block,
+            evidence_line(self.evidence),
+            self.question
+        )
+    }
 }
 
 /// Refine a question's whole beam: align → execute → correct (bounded
@@ -589,11 +681,8 @@ pub fn refine_beam(
         .enumerate()
         .map(|(i, sql)| (sql.as_str(), raw_texts.get(i).map(String::as_str)))
         .collect();
-    Beam::new(pre, llm, config, db_id, question, evidence, extraction).refine(
-        &candidates,
-        0,
-        ledger,
-    )
+    let beam = Beam::new(pre, llm, config, db_id, question, evidence, extraction);
+    beam.refine(&candidates, 0, ledger)
 }
 
 /// Refine one candidate on its own: the beam of one, through the same
@@ -617,88 +706,6 @@ pub fn refine_candidate(
         .candidates
         .pop()
         .expect("a beam of one refines to one candidate")
-}
-
-/// Build a correction prompt (Listing 3 shape): error few-shot for the
-/// error type, schema, per-column candidate values, the broken SQL and the
-/// error description.
-#[allow(clippy::too_many_arguments)]
-fn build_correction_prompt(
-    pre: &Preprocessed,
-    config: &PipelineConfig,
-    db_id: &str,
-    question: &str,
-    evidence: &str,
-    extraction: &ExtractionOutput,
-    broken_sql: &str,
-    error_text: &str,
-    kind: sqlkit::SqlErrorKind,
-    analysis_note: Option<&str>,
-) -> String {
-    let db = pre.db(db_id).expect("known db");
-    let assets = pre.assets(db_id).expect("known db");
-    let schema_text = db.database.schema.describe(extraction.subset.as_ref());
-
-    // value context: retrieval hits plus stored values near each text
-    // literal of the broken SQL
-    let mut hits: Vec<ValueHit> = extraction.value_hits.clone();
-    if let Ok(stmt) = parse_select(broken_sql) {
-        let mut literals: Vec<String> = Vec::new();
-        let mut stmt = stmt;
-        stmt.walk_exprs_mut(&mut |e| {
-            if let sqlkit::Expr::Literal(sqlkit::Value::Text(t)) = e {
-                if t.chars().any(|c| c.is_alphabetic()) {
-                    literals.push(t.clone());
-                }
-            }
-        });
-        for lit in literals {
-            for hit in assets.values.retrieve(&lit, 3, 0.4) {
-                if !hits
-                    .iter()
-                    .any(|h| h.table == hit.table && h.column == hit.column && h.stored == hit.stored)
-                {
-                    hits.push(hit);
-                }
-            }
-        }
-    }
-
-    let fewshot = if config.refine_fewshot {
-        format!("{}\n{}", proto::FEWSHOT_HEADER, crate::fewshot::correction_shot(kind))
-    } else {
-        String::new()
-    };
-
-    // The analyzer note rides along as comment lines: spans and
-    // did-you-mean hints for the model, invisible to the prompt's
-    // field parsers (every line starts with `-- `).
-    let note_block = match analysis_note {
-        Some(n) if !n.is_empty() => {
-            let body = n.lines().map(|l| format!("-- {l}")).collect::<Vec<_>>().join("\n");
-            format!("-- Static analysis of the SQL above:\n{body}\n")
-        }
-        _ => String::new(),
-    };
-
-    format!(
-        "{} {}\n{} {}\n{}\n{}\n{}{}\n{} {}\n{} {}\n{}{}\n/* Answer the following: {} */\n",
-        proto::TASK_PREFIX,
-        proto::TASK_CORRECTION,
-        proto::DB_PREFIX,
-        db_id,
-        proto::SCHEMA_HEADER,
-        schema_text,
-        values_block(&hits),
-        fewshot,
-        proto::ERROR_SQL_PREFIX,
-        broken_sql,
-        proto::ERROR_INFO_PREFIX,
-        error_text,
-        note_block,
-        evidence_line(evidence),
-        question
-    )
 }
 
 /// Self-consistency & vote (paper Eq. 3). Returns the index of the chosen
@@ -1241,25 +1248,56 @@ mod beam_tests {
                 let (Some(note), Some((error_text, kind))) = (&gate.note, gate.failure()) else {
                     continue;
                 };
-                let ask = |note: Option<&str>| {
-                    let prompt = build_correction_prompt(
-                        &fx.pre, &config, &ex.db_id, &ex.question, &ex.evidence, &extraction,
-                        sql, &error_text, kind, note,
-                    );
+                let ask = |note: &str| {
                     fx.sim.complete(&ChatRequest {
-                        prompt,
+                        prompt: beam.correction_prompt(sql, &error_text, kind, note),
                         temperature: config.temperature,
                         n: 1,
                         seed_tag: 0xC0DE + (idx as u64) * 31 + 1,
                     })
                 };
-                let (with, without) = (ask(Some(note)), ask(None));
+                let (with, without) = (ask(note), ask(""));
                 assert!(with.prompt_tokens > without.prompt_tokens, "the note is in the prompt");
                 assert_eq!(with.texts, without.texts, "{sql}\n{note}");
                 compared += 1;
             }
         }
         assert!(compared >= 4 * fx.pre.benchmark.dev.len(), "flagged failures: {compared}");
+    }
+
+    /// The front end keeps one entry per distinct text the beam meets —
+    /// raw (duplicated), rewritten by alignment, an unparseable correction,
+    /// and a correction landing on a text already known — and the beam
+    /// still refines exactly as the candidates do one by one.
+    #[test]
+    fn the_front_end_has_one_entry_per_distinct_text() {
+        let fx = fx();
+        let good = "SELECT Name FROM Patient WHERE Age > 30";
+        let wide = "SELECT Name, PatientID FROM Patient WHERE Age > 30";
+        let missing = "SELECT Name FROM Patients WHERE Age > 30";
+        let broken = "SELECT Name FORM Patient";
+        let llm = Scripted(vec![("Patients", broken), ("FORM", good)]);
+        let mut case = Case::new(&fx, &llm, &[good, wide, good, missing]);
+        case.extraction.expected_select = Some(1); // SELECT alignment trims `wide` to `good`
+        let (oracle, refined) = case.check();
+        assert!(refined.candidates.iter().all(|c| c.sql == good && c.is_valid()));
+        assert_eq!(refined.candidates[3].correction_rounds, 2, "broken, then good");
+        assert_eq!((oracle.events("align_skipped"), refined.events("align_skipped")), (1, 1));
+
+        let beam = Beam::new(&fx.pre, &llm, &case.config, DB, "q", "", &case.extraction);
+        let inputs: Vec<(&str, Option<&str>)> =
+            case.raw.iter().map(|(sql, text)| (sql.as_str(), Some(text.as_str()))).collect();
+        beam.refine(&inputs, 0, &mut CostLedger::new());
+        let fronts = beam.fronts.borrow();
+        let mut texts: Vec<&str> = fronts.keys().map(String::as_str).collect();
+        texts.sort_unstable();
+        let mut want = vec![good, wide, missing, broken];
+        want.sort_unstable();
+        assert_eq!(texts, want);
+        let front = &fronts[broken];
+        assert!(front.stmt.is_err());
+        assert_eq!(front.analysis.diagnostics[0].code, "E0001");
+        assert!(fronts[wide].stmt.is_ok() && fronts[wide].analysis.is_clean());
     }
 
     /// A beam with no survivor, a beam of one, and no beam at all.

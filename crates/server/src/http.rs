@@ -3,10 +3,13 @@
 //! Supports exactly what the serving layer needs: request-line + header
 //! parsing with hard size caps, `Content-Length` bodies, and keep-alive
 //! semantics (1.1 persistent by default, `Connection: close` honored,
-//! 1.0 close-by-default). Anything outside that subset — chunked
-//! transfer, upgrades, multi-line headers — is rejected with a typed
-//! error the connection loop turns into a 4xx and a clean close, so a
-//! hostile or confused client can never wedge an acceptor shard.
+//! 1.0 close-by-default). Anything outside that subset — any
+//! `Transfer-Encoding` (chunked included), a `Content-Length` that is not
+//! plain decimal digits or that a second `Content-Length` contradicts,
+//! upgrades, multi-line headers — is rejected with a typed error the
+//! connection loop turns into a 4xx and a clean close, so a hostile or
+//! confused client can never wedge an acceptor shard or smuggle a second
+//! request inside a body.
 
 use std::io::{self, BufRead, Write};
 
@@ -175,12 +178,24 @@ pub fn read_request(
         _ => http11,
     };
 
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("bad content-length: {v:?}")))?,
-        None => 0,
-    };
+    // Only a Content-Length body is read, so a transfer coding would leave
+    // its body on the stream to be read as the next request.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::BadRequest("transfer-encoding is not supported".into()));
+    }
+    let mut lengths = headers.iter().filter(|(k, _)| k == "content-length").map(|(_, v)| {
+        // digits only: `usize::from_str` would also take a leading `+`
+        v.parse::<usize>()
+            .ok()
+            .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or_else(|| HttpError::BadRequest(format!("bad content-length: {v:?}")))
+    });
+    let content_length = lengths.next().transpose()?.unwrap_or(0);
+    for other in lengths {
+        if other? != content_length {
+            return Err(HttpError::BadRequest("conflicting content-length headers".into()));
+        }
+    }
     if content_length > limits.max_body_bytes {
         return Err(HttpError::BodyTooLarge);
     }
@@ -290,6 +305,32 @@ mod tests {
             Err(HttpError::BadRequest(_))
         ));
         assert!(parse("").unwrap().is_none());
+    }
+
+    #[test]
+    fn a_transfer_encoding_is_rejected_not_read_as_an_empty_body() {
+        let chunked = "POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                       2\r\n{}\r\n0\r\n\r\n";
+        assert!(matches!(parse(chunked), Err(HttpError::BadRequest(_))));
+    }
+
+    #[test]
+    fn a_content_length_is_decimal_digits_only() {
+        for v in ["+5", "-0", " 5x", ""] {
+            let req = format!("POST / HTTP/1.1\r\nContent-Length: {v}\r\n\r\nabcde");
+            assert!(matches!(parse(&req), Err(HttpError::BadRequest(_))), "{v:?}");
+        }
+        let req = parse("POST / HTTP/1.1\r\nContent-Length: 05\r\n\r\nabcde").unwrap().unwrap();
+        assert_eq!(req.body, b"abcde");
+    }
+
+    #[test]
+    fn content_length_headers_that_disagree_are_rejected() {
+        let req = "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nabcde";
+        assert!(matches!(parse(req), Err(HttpError::BadRequest(_))));
+        // repeating the same length is not a contradiction
+        let req = "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nabcde";
+        assert_eq!(parse(req).unwrap().unwrap().body, b"abcde");
     }
 
     #[test]

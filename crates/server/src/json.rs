@@ -54,6 +54,31 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The four hex digits of a `\u` escape — exactly four, ASCII only.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| "bad \\u escape".to_string())?;
+        self.pos += 4;
+        Ok(digits.iter().fold(0, |acc, d| acc * 16 + (*d as char).to_digit(16).unwrap_or(0)))
+    }
+
+    /// After a high surrogate: the low surrogate escaped next, consumed;
+    /// `None`, with nothing consumed, when anything else follows.
+    fn low_surrogate(&mut self) -> Option<u32> {
+        let start = self.pos;
+        if self.bytes[start..].starts_with(b"\\u") {
+            self.pos += 2;
+            if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4() {
+                return Some(low);
+            }
+        }
+        self.pos = start;
+        None
+    }
+
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -79,14 +104,17 @@ impl<'a> Reader<'a> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                            let unit = self.hex4()?;
+                            // a UTF-16 surrogate pair is one char; a lone
+                            // surrogate is U+FFFD
+                            let c = match unit {
+                                0xD800..=0xDBFF => self.low_surrogate().and_then(|low| {
+                                    let high = (unit - 0xD800) << 10;
+                                    char::from_u32(0x10000 + high + (low - 0xDC00))
+                                }),
+                                _ => char::from_u32(unit),
+                            };
+                            out.push(c.unwrap_or('\u{fffd}'));
                         }
                         other => return Err(format!("bad escape '\\{}'", other as char)),
                     }
@@ -174,6 +202,41 @@ mod tests {
         assert!(parse_string_object(b"{\"a\":\"b\"} extra").is_err());
         assert!(parse_string_object(b"{\"a\":\"b\"").is_err());
         assert!(parse_string_object(b"{}").unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_escaped_surrogate_pair_reads_as_the_raw_utf8() {
+        // what Python's `json.dumps` sends for a non-BMP character
+        let escaped = parse_string_object(br#"{"q":"sales \ud83d\ude00 up"}"#).unwrap();
+        let raw = parse_string_object("{\"q\":\"sales 😀 up\"}".as_bytes()).unwrap();
+        assert_eq!(escaped, raw);
+        let upper = parse_string_object(br#"{"q":"sales \uD83D\uDE00 up"}"#).unwrap();
+        assert_eq!(upper, raw);
+    }
+
+    #[test]
+    fn a_lone_surrogate_reads_as_the_replacement_character() {
+        for (body, want) in [
+            (r#"{"q":"a\ud83db"}"#, "a\u{fffd}b"),
+            (r#"{"q":"a\ude00b"}"#, "a\u{fffd}b"),
+            (r#"{"q":"a\ud83d"}"#, "a\u{fffd}"),
+            (r#"{"q":"\ud83d\u0041"}"#, "\u{fffd}A"),
+            (r#"{"q":"\ud83d\ud83d\ude00"}"#, "\u{fffd}😀"),
+        ] {
+            let fields = parse_string_object(body.as_bytes()).unwrap();
+            assert_eq!(field(&fields, "q"), Some(want), "{body}");
+        }
+    }
+
+    #[test]
+    fn a_unicode_escape_is_exactly_four_hex_digits() {
+        let short = r#"{"q":"\u04"}"#;
+        for body in [r#"{"q":"\u+041"}"#, r#"{"q":"\u-041"}"#, short, r#"{"q":"\u00é9"}"#] {
+            assert!(parse_string_object(body.as_bytes()).is_err(), "{body}");
+        }
+        assert!(parse_string_object(br#"{"q":"\ud83d\u+041"}"#).is_err());
+        let fields = parse_string_object(br#"{"q":"\u00e9\u00C9"}"#).unwrap();
+        assert_eq!(field(&fields, "q"), Some("éÉ"));
     }
 
     #[test]

@@ -103,6 +103,32 @@ fn malformed_and_oversized_input_is_rejected_without_killing_the_server() {
     assert!(server.shutdown());
 }
 
+/// A chunked body is not read, so it must not be answered as an empty body
+/// with its chunk lines left on the keep-alive connection as the next
+/// request: one 400, then the server closes.
+#[test]
+fn a_chunked_post_gets_one_response_and_then_the_connection_closes() {
+    let bench = tiny_world();
+    let rt = common::plain_runtime(&bench, 2);
+    let server = Server::start(rt, "127.0.0.1:0", server_config()).unwrap();
+    let ex = &bench.dev[0];
+    let body = query_body(&ex.db_id, &ex.question, &ex.evidence);
+
+    let mut conn = Conn::open(server.local_addr());
+    let chunked = format!(
+        "POST /v1/query HTTP/1.1\r\nhost: test\r\ntransfer-encoding: chunked\r\n\r\n\
+         {:x}\r\n{body}\r\n0\r\n\r\n",
+        body.len()
+    );
+    conn.send_raw(chunked.as_bytes());
+    let resp = conn.read_response();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("transfer-encoding"), "{}", resp.body);
+    assert_eq!(resp.header("connection"), Some("close"));
+    assert_eq!(conn.read_to_end(), "", "nothing after the one response");
+    assert!(server.shutdown());
+}
+
 #[test]
 fn keep_alive_connections_are_reused() {
     let bench = tiny_world();

@@ -61,6 +61,23 @@ impl Analysis {
     pub fn rendered(&self, sql: &str) -> String {
         crate::diag::render_all(&self.diagnostics, sql)
     }
+
+    /// The analysis of a text that did not parse: one `E0001` pointing at
+    /// the offending character.
+    pub fn parse_error(sql: &str, e: &SqlError) -> Analysis {
+        let span = match e {
+            // through the end of the character at `pos`, which may be
+            // multi-byte (`max`: one past the end of an empty statement)
+            SqlError::Syntax { pos, .. } => {
+                Span::new(*pos, sql.ceil_char_boundary(*pos + 1).max(1))
+            }
+            _ => Span::empty(),
+        };
+        Analysis {
+            diagnostics: vec![Diagnostic::error("E0001", span, e.to_string())],
+            unresolved: Vec::new(),
+        }
+    }
 }
 
 /// One column reference the resolver could not bind, with repair candidates.
@@ -89,25 +106,12 @@ pub fn analyze(schema: &DbSchema, stmt: &SelectStmt) -> Analysis {
     Analysis { diagnostics, unresolved: ck.unresolved }
 }
 
-/// Parse and analyze a SQL string. A parse failure becomes an `E0001`
-/// diagnostic pointing at the offending character.
+/// Parse and analyze a SQL string. A parse failure becomes
+/// [`Analysis::parse_error`].
 pub fn analyze_sql(schema: &DbSchema, sql: &str) -> Analysis {
     match crate::parser::parse_select(sql) {
         Ok(stmt) => analyze(schema, &stmt),
-        Err(e) => {
-            let span = match &e {
-                // through the end of the character at `pos`, which may be
-                // multi-byte (`max`: one past the end of an empty statement)
-                SqlError::Syntax { pos, .. } => {
-                    Span::new(*pos, sql.ceil_char_boundary(*pos + 1).max(1))
-                }
-                _ => Span::empty(),
-            };
-            Analysis {
-                diagnostics: vec![Diagnostic::error("E0001", span, e.to_string())],
-                unresolved: Vec::new(),
-            }
-        }
+        Err(e) => Analysis::parse_error(sql, &e),
     }
 }
 

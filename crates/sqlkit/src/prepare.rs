@@ -2,9 +2,9 @@
 //! slots, fold constant subtrees, lower every core to a physical plan, and
 //! cache the result.
 //!
-//! The refine → execute → correct loop and the vote tie-break execute the
-//! same SQL against the same database many times; [`prepare`] moves all
-//! name resolution and planning out of the per-row path. The binding pass
+//! [`prepare`] moves all name resolution and planning out of the per-row
+//! path, so a statement run once pays for them once and a cached one not
+//! again ([`PlanCache`]). The binding pass
 //! is strictly best-effort and semantics-preserving: any reference it
 //! cannot resolve statically is left as a raw [`Expr::Column`] so
 //! execution raises the same error at the same point an unbound statement
@@ -32,6 +32,7 @@ use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{self, eval_const, ExecStats};
 use crate::functions::is_aggregate_name;
+use crate::parser::parse_select;
 use crate::plan::PhysicalPlan;
 use crate::schema::DbSchema;
 use crate::scope::{self, ColBinding};
@@ -144,7 +145,7 @@ impl Prepared {
 
 /// Parse and bind a SELECT statement against `db`'s schema.
 pub fn prepare(db: &Database, sql: &str) -> SqlResult<Prepared> {
-    let stmt = crate::parser::parse_select(sql)?;
+    let stmt = parse_select(sql)?;
     Ok(prepare_stmt(db, stmt))
 }
 
@@ -520,10 +521,13 @@ impl CacheInner {
     }
 }
 
-/// An LRU cache of [`Prepared`] plans keyed by (schema fingerprint, SQL),
-/// shared across threads. The refinement loop, the vote tie-break, and
-/// eval's repeated gold-SQL executions all funnel through one cache so a
-/// statement is parsed and bound once per (db, sql) pair.
+/// An LRU cache of [`Prepared`] plans keyed by (plan fingerprint, SQL),
+/// shared across threads. A hit skips parsing and binding; a miss binds
+/// the caller's parsed statement ([`PlanCache::execute_with`]) or parses
+/// `sql`. Hits are rare in serving: refinement runs each distinct text of
+/// a question once and the vote runs nothing, so only a text repeated
+/// across questions hits (0.16 % of lookups on `cold_full`). Eval's
+/// repeated gold-SQL executions are what the cache is for.
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<CacheInner>,
@@ -559,7 +563,8 @@ impl PlanCache {
     /// Fetch (or parse + bind and insert) the plan for `sql` against `db`.
     /// Parse errors are returned without being cached and count as misses.
     pub fn prepared(&self, db: &Database, sql: &str) -> SqlResult<Arc<Prepared>> {
-        let (plan, hit, prepare_us) = self.prepared_inner(db, plan_fingerprint(db), sql);
+        let fingerprint = plan_fingerprint(db);
+        let (plan, hit, prepare_us) = self.lookup(db, fingerprint, sql, || parse_select(sql));
         // volatile: hit/miss depends on process-wide cache warmth, not on
         // the query being traced
         if osql_trace::active::is_active() {
@@ -576,14 +581,16 @@ impl PlanCache {
         plan
     }
 
-    /// The cache lookup itself, with no trace event: returns the plan (or
-    /// error), whether it was a hit, and the prepare cost in µs on a miss.
-    /// `fingerprint` is `db`'s [`plan_fingerprint`].
-    fn prepared_inner(
+    /// The one cache lookup, with no trace event: returns the plan (or
+    /// error), whether it was a hit, and the prepare cost in µs on a miss,
+    /// where `parse` supplies `sql`'s statement. `fingerprint` is `db`'s
+    /// [`plan_fingerprint`].
+    fn lookup(
         &self,
         db: &Database,
         fingerprint: u64,
         sql: &str,
+        parse: impl FnOnce() -> SqlResult<SelectStmt>,
     ) -> (SqlResult<Arc<Prepared>>, bool, u64) {
         let key = Self::key(fingerprint, sql);
         let cached = self.inner.lock().touch(key, fingerprint, sql);
@@ -593,7 +600,7 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let prepared = prepare(db, sql);
+        let prepared = parse().map(|stmt| prepare_stmt(db, stmt));
         let prepare_us = t0.elapsed().as_micros() as u64;
         self.prepare_us.fetch_add(prepare_us, Ordering::Relaxed);
         let plan = match prepared {
@@ -622,8 +629,20 @@ impl PlanCache {
     /// Prepare (through the cache) and execute in one call, timing the
     /// execute phase separately from the prepare phase.
     pub fn execute(&self, db: &Database, sql: &str) -> SqlResult<(ResultSet, ExecStats)> {
+        self.execute_with(db, sql, || parse_select(sql))
+    }
+
+    /// [`PlanCache::execute`], where a miss takes `sql`'s statement from
+    /// `parse`: a caller that already holds it parsed hands in a copy
+    /// instead of having `sql` parsed again.
+    pub fn execute_with(
+        &self,
+        db: &Database,
+        sql: &str,
+        parse: impl FnOnce() -> SqlResult<SelectStmt>,
+    ) -> SqlResult<(ResultSet, ExecStats)> {
         let fingerprint = plan_fingerprint(db);
-        let (plan, hit, prepare_us) = self.prepared_inner(db, fingerprint, sql);
+        let (plan, hit, prepare_us) = self.lookup(db, fingerprint, sql, parse);
         let plan = plan?;
         let t0 = Instant::now();
         let (result, stats, ix_ops) = plan.run(db, fingerprint);

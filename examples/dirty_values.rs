@@ -26,6 +26,15 @@ fn main() {
     );
     let values = ValueIndex::build(&db);
     println!("indexed {} stored string values\n", values.len());
+    let schema = &db.database.schema;
+    let mut ledger = CostLedger::new();
+    // what the pipeline's refinement does to a candidate: parse, analyse,
+    // align (`None`: no aligner fired)
+    let mut align = |sql: &str| {
+        let stmt = sqlkit::parse_select(sql).expect("the example SQL parses");
+        let unresolved = sqlkit::analyze(schema, &stmt).unresolved;
+        align_candidate(&stmt, &unresolved, schema, &values, None, &mut ledger)
+    };
 
     // 1. value retrieval: question wording → stored forms
     for (table, col) in [("Patient", "City"), ("Treatment", "Status")] {
@@ -47,22 +56,20 @@ fn main() {
     let broken = format!(
         "SELECT First_Date FROM Patient WHERE City = '{display_city}'"
     );
-    let mut ledger = CostLedger::new();
-    let fixed = align_candidate(&broken, &db.database.schema, &values, None, &mut ledger);
+    let fixed = align(&broken).expect("alignment repairs it");
     println!("raw SQL:     {broken}");
-    println!("aligned SQL: {}", fixed.sql);
-    assert!(fixed.changed);
-    db.database.query(&fixed.sql).expect("aligned SQL executes");
+    println!("aligned SQL: {fixed}");
+    db.database.query(&fixed).expect("aligned SQL executes");
 
     // 3. Function + Style Alignment (Listing 6, second and third examples)
     let broken = "SELECT Name FROM Patient ORDER BY MAX(Age)";
-    let fixed = align_candidate(broken, &db.database.schema, &values, None, &mut ledger);
+    let fixed = align(broken).unwrap_or_else(|| broken.to_owned());
     println!("\nraw SQL:     {broken}");
-    println!("aligned SQL: {}", fixed.sql);
+    println!("aligned SQL: {fixed}");
 
     let broken = "SELECT Name FROM Patient WHERE Age = (SELECT MAX(Age) FROM Patient)";
-    let fixed = align_candidate(broken, &db.database.schema, &values, None, &mut ledger);
+    let fixed = align(broken).unwrap_or_else(|| broken.to_owned());
     println!("\nraw SQL:     {broken}");
-    println!("aligned SQL: {}", fixed.sql);
-    db.database.query(&fixed.sql).expect("aligned SQL executes");
+    println!("aligned SQL: {fixed}");
+    db.database.query(&fixed).expect("aligned SQL executes");
 }

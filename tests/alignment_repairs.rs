@@ -58,10 +58,15 @@ impl Lab {
         out
     }
 
+    /// Align `sql` the way the beam does: unparseable SQL stands as
+    /// written, anything else is analysed and then aligned.
     fn align(&self, db_id: &str, sql: &str) -> String {
-        let db = self.bench.db(db_id).unwrap();
+        let schema = &self.bench.db(db_id).unwrap().database.schema;
+        let Ok(stmt) = sqlkit::parse_select(sql) else { return sql.to_owned() };
+        let unresolved = sqlkit::analyze(schema, &stmt).unresolved;
         let mut ledger = CostLedger::new();
-        align_candidate(sql, &db.database.schema, &self.indexes[db_id], None, &mut ledger).sql
+        align_candidate(&stmt, &unresolved, schema, &self.indexes[db_id], None, &mut ledger)
+            .unwrap_or_else(|| sql.to_owned())
     }
 }
 
