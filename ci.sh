@@ -169,6 +169,27 @@ for f in crates/runtime/src/*.rs; do
         exit 1
     fi
 done
+# The executor never sees a name, and the reference shares nothing with it
+# (the ROADMAP item of that title), structurally: the binder resolves every
+# column to a slot or to an `Expr::Unresolved` that raises its error, so
+# outside tests exec.rs and pipelined.rs look no name up, keep no unbound
+# mode (`bound:`) or alias-substituted copies (`retired`), pick no join key
+# by name (the planner reads slots), and an execution context takes the
+# database alone. The test-only reference (reference.rs) resolves names per
+# row with its own evaluator and imports nothing from the executor, the
+# binder or the planner, so the differential gates compare two
+# implementations.
+for f in crates/sqlkit/src/exec.rs crates/sqlkit/src/pipelined.rs; do
+    if non_test_code "$f" | grep -nE 'scope::lookup\(|retired|bound:|equi_join_indices|Ctx::new\([^)]*,'; then
+        echo "ci: $f resolves names at run time again" >&2
+        exit 1
+    fi
+done
+if grep -nE 'use crate::(\{[^}]*\b)?(exec|prepare|plan|pipelined)\b|crate::(exec|prepare|plan|pipelined)::' \
+    crates/sqlkit/src/reference.rs; then
+    echo "ci: crates/sqlkit/src/reference.rs shares code with the engine it checks" >&2
+    exit 1
+fi
 cargo test -q --test beam_differential # corpus gate: every field of every candidate, the
                                  # ledger's tokens and calls and the logical trace of 136
                                  # questions (tiny + a bird-mini-dev sample, 21 candidates)
@@ -345,10 +366,13 @@ done
 #                         literal text recorded on 657367b (where the analyzer's
 #                         since-deleted replay predicted the same bytes); a stuck
 #                         candidate's statement is executed once per distinct text
-#   resolution_differential  analysis, binding and execution of the corpus, every
-#                         beam text and the analyzer's cases ≡ the digest recorded
-#                         on 327ffdc; every name error execution raises is an
-#                         E0102 / E0103 with the same sentence
+#   resolution_differential  analysis and execution of the corpus, every beam text
+#                         and the analyzer's cases ≡ the digest recorded on
+#                         a1271d1; their bound statements ≡ a second digest,
+#                         re-recorded when the binder took JOIN ON, unresolvable
+#                         names and separators (only such statements moved);
+#                         every name error execution raises is an E0102 / E0103
+#                         with the same sentence
 #   trace_shape           trace-determinism gate: two identical runs render
 #                         identical logical traces, timestamps and volatile
 #                         events excluded; the windowed/SLO exposition stays
@@ -373,7 +397,8 @@ cargo bench --no-run -p osql-bench # benches must always compile
 # osql_trace::active::absorb: an API break there must fail here, not in a
 # benchmark run. (Its `benchmark_smoke` integration test drives the whole
 # suite and is not gated: one of its `cold_full` checks is timing-dependent
-# and fails 1–2 runs in 10 — ROADMAP item 1(a).)
+# and fails 1–2 runs in 10 — ROADMAP "`[benchmark]` v2: the harness reads
+# the system's own instruments".)
 cargo metadata --locked --offline --format-version 1 \
     --manifest-path perfbench/Cargo.toml >/dev/null # its lock still describes the graph
 cargo build --release --locked --manifest-path perfbench/Cargo.toml

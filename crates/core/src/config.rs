@@ -184,7 +184,8 @@ impl PipelineConfig {
     /// Accepted and ignored: one thread refines one question, and the
     /// runtime's worker pool is where questions overlap. Kept because the
     /// frozen benchmark harness calls it; it goes with
-    /// `RefinedCandidate::analyze_skips` (ROADMAP item 1).
+    /// `RefinedCandidate::analyze_skips` (ROADMAP "`[benchmark]` v2: the
+    /// harness reads the system's own instruments").
     pub fn with_refine_threads(self, _n: usize) -> Self {
         self
     }

@@ -56,7 +56,8 @@ pub struct RefinedCandidate {
     pub diag_codes: Vec<String>,
     /// Always 0: no execution is skipped on the analyzer's word. Kept
     /// because the frozen benchmark harness reads the field; it goes with
-    /// `core.analyze_skips_per_q` (ROADMAP item 5).
+    /// `core.analyze_skips_per_q` (ROADMAP "`[benchmark]` v2: the harness
+    /// reads the system's own instruments").
     pub analyze_skips: usize,
 }
 

@@ -27,7 +27,8 @@ use crate::ast::{
 };
 use crate::diag::{Diagnostic, Severity, Span};
 use crate::error::SqlError;
-use crate::exec::{contains_aggregate, eval_const, substitute_aliases};
+use crate::exec::{contains_aggregate, eval_const};
+use crate::prepare::substitute_aliases;
 use crate::functions::{is_aggregate_name, scalar_arity, KNOWN_FUNCTIONS};
 use crate::printer::print_expr;
 use crate::schema::{DbSchema, TableInfo};
@@ -553,8 +554,13 @@ impl<'a> Checker<'a> {
                             format!("{name}() needs an argument"),
                         ));
                     }
-                    for a in args {
-                        self.check_expr(a, chain, Some(name));
+                    // trailing arguments (`group_concat`'s separator) are
+                    // evaluated with no row: they resolve in the empty scope
+                    for (i, a) in args.iter().enumerate() {
+                        match i {
+                            0 => self.check_expr(a, chain, Some(name)),
+                            _ => self.check_expr(a, &mut Vec::new(), Some(name)),
+                        }
                     }
                 } else {
                     match scalar_arity(name) {
@@ -651,7 +657,10 @@ impl<'a> Checker<'a> {
                     t.used = true;
                 }
             }
-            Expr::Literal(_) | Expr::BoundColumn { .. } | Expr::OuterColumn { .. } => {}
+            Expr::Literal(_)
+            | Expr::BoundColumn { .. }
+            | Expr::OuterColumn { .. }
+            | Expr::Unresolved(_) => {}
         }
     }
 
@@ -1188,6 +1197,19 @@ mod tests {
             "SELECT s.x FROM (SELECT id AS x, age AS x FROM Patient) AS s WHERE s.x > 0";
         assert!(analyze_sql(&db.schema, qualified).is_clean());
         assert!(db.query(qualified).is_ok());
+    }
+
+    /// An aggregate's trailing arguments — `group_concat`'s separator — are
+    /// evaluated with no row, so a column there names nothing, as
+    /// execution says.
+    #[test]
+    fn aggregate_separator_resolves_in_the_empty_scope() {
+        let db = db();
+        let sql = "SELECT group_concat(Name, id) FROM Patient";
+        let a = analyze_sql(&db.schema, sql);
+        assert_eq!(codes(&a), ["E0102"], "{:?}", a.diagnostics);
+        assert_eq!(a.diagnostics[0].message, db.query(sql).unwrap_err().to_string());
+        assert!(analyze_sql(&db.schema, "SELECT group_concat(Name, '; ') FROM Patient").is_clean());
     }
 
     #[test]

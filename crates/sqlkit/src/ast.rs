@@ -7,6 +7,7 @@
 //! [`SelectStmt::walk_exprs_mut`] family gives pre-order mutable traversal.
 
 use crate::diag::Span;
+use crate::error::SqlError;
 use crate::value::Value;
 
 /// A parsed SQL statement.
@@ -312,6 +313,10 @@ pub enum Expr {
         /// Slot index in that environment's row layout.
         index: usize,
     },
+    /// A column reference that resolves nowhere, carrying the error
+    /// evaluating it raises (`no such column`, `ambiguous column name`).
+    /// Produced only by the binding pass.
+    Unresolved(SqlError),
 }
 
 impl Expr {
@@ -390,6 +395,7 @@ impl Expr {
             | Expr::Column { .. }
             | Expr::BoundColumn { .. }
             | Expr::OuterColumn { .. }
+            | Expr::Unresolved(_)
             | Expr::Wildcard
             | Expr::Subquery(_)
             | Expr::Exists { .. } => {}
@@ -445,6 +451,7 @@ impl Expr {
             | Expr::Column { .. }
             | Expr::BoundColumn { .. }
             | Expr::OuterColumn { .. }
+            | Expr::Unresolved(_)
             | Expr::Wildcard
             | Expr::Subquery(_)
             | Expr::Exists { .. } => {}

@@ -342,13 +342,13 @@ impl Database {
         let (plan, set) = self.dml_plan(table, where_clause, set);
         // one context for the whole statement: its sub-select caches key
         // on the addresses of `plan`'s and `set`'s nodes, which outlive it
-        let mut ctx = Ctx::new(self, true);
+        let mut ctx = Ctx::new(self);
         let rids = crate::pipelined::base_rids(&mut ctx, &plan)?;
         let rows = self.rows(&table.name)?;
         let mut values = Vec::with_capacity(rids.len() * set.len());
         for &rid in &rids {
             for e in &set {
-                values.push(eval_expr(&mut ctx, e, &plan.layout, &rows[rid as usize])?);
+                values.push(eval_expr(&mut ctx, e, &rows[rid as usize])?);
             }
         }
         Ok((rids, values))

@@ -3,20 +3,28 @@
 //! combination.
 //!
 //! FROM and WHERE are not here. Every SELECT core — top level or
-//! sub-select, bound or raw — lowers to a [`PhysicalPlan`] and streams
-//! through `crate::pipelined`; [`exec_select_inner`] hands the surviving
-//! tuples to [`project_filtered`]. Every operator charges a row-visit
-//! counter that the Refinement stage's vote rule uses as a deterministic
+//! sub-select — lowers to a [`PhysicalPlan`] and streams through
+//! `crate::pipelined`; [`exec_select_inner`] hands the surviving tuples to
+//! [`project_filtered`]. Every operator charges a row-visit counter that
+//! the Refinement stage's vote rule uses as a deterministic
 //! execution-cost proxy.
+//!
+//! The executor never sees a name. Everything it evaluates went through
+//! the binding pass (`crate::prepare`): a column is a slot of the row or of
+//! an enclosing row, or an [`Expr::Unresolved`] that raises its error. The
+//! only names left are ORDER BY terms that name an output label, which the
+//! tail reads as positions.
 
 use crate::ast::*;
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::functions::{call_scalar, is_aggregate_name};
+use crate::functions::{
+    apply_binary, apply_unary, call_scalar, cast_value, is_aggregate_name, like_match,
+};
 use crate::plan::PhysicalPlan;
 use crate::scope::{self, ColBinding};
 use crate::value::{NormValue, ResultSet, Row, Value};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -46,16 +54,19 @@ pub fn execute_select_with_stats(
     result.map(|rs| (rs, stats))
 }
 
-/// Evaluate an expression with no row context (literals only); used for
-/// INSERT values and LIMIT/OFFSET.
+/// Evaluate an expression with no row and no tables: an INSERT's values,
+/// `group_concat`'s separator, and the binder's constant folding. The
+/// expression is bound in that empty scope first, so a column in it
+/// raises `no such column` and a sub-select over a table `no such table`.
 pub fn eval_const(e: &Expr) -> SqlResult<Value> {
     if let Expr::Literal(v) = e {
         return Ok(v.clone());
     }
-    // const expressions reference no tables: any database will do
     static NO_TABLES: OnceLock<Database> = OnceLock::new();
     let db = NO_TABLES.get_or_init(|| Database::new("const"));
-    eval_expr(&mut Ctx::new(db, false), e, &[], &[])
+    let mut e = e.clone();
+    crate::prepare::bind_const(&db.schema, &mut e);
+    eval_expr(&mut Ctx::new(db), &e, &[])
 }
 
 pub(crate) struct Ctx<'a> {
@@ -80,26 +91,19 @@ pub(crate) struct Ctx<'a> {
     /// back as a different node. A plan's own copies (residual steps, ON,
     /// FROM-subqueries) live here as long as the entries pointing at them.
     plans: HashMap<usize, Rc<PhysicalPlan>>,
-    /// Alias-substituted GROUP BY / HAVING copies of unbound cores that
-    /// hold sub-selects, kept so the addresses above stay theirs.
-    retired: Vec<Expr>,
-    /// Enclosing row environments for correlated subqueries, innermost
-    /// last: `(layout, row)` snapshots pushed at each subquery eval site.
-    outer: Vec<(Vec<ColBinding>, Row)>,
+    /// Enclosing rows for correlated subqueries, innermost last: the row
+    /// each sub-select is evaluated on, pushed at its eval site.
+    outer: Vec<Row>,
     /// Set when the current (sub)query resolved a column through an outer
     /// environment — i.e. it is correlated and must not be memoised.
     pub(crate) used_outer: bool,
-    /// The statement went through the prepare-time binding pass, which
-    /// already substituted projection aliases into GROUP BY / HAVING.
-    bound: bool,
     /// EXPLAIN: the rendered plan of each top-level core, with actuals.
     pub(crate) explain: Option<String>,
 }
 
 impl<'a> Ctx<'a> {
-    /// A fresh evaluation context for a statement that did (`bound`) or
-    /// did not go through the binding pass.
-    pub(crate) fn new(db: &'a Database, bound: bool) -> Self {
+    /// A fresh evaluation context for one bound statement.
+    pub(crate) fn new(db: &'a Database) -> Self {
         Ctx {
             db,
             rows_scanned: 0,
@@ -107,10 +111,8 @@ impl<'a> Ctx<'a> {
             depth: 1,
             subquery_cache: HashMap::new(),
             plans: HashMap::new(),
-            retired: Vec::new(),
             outer: Vec::new(),
             used_outer: false,
-            bound,
             explain: None,
         }
     }
@@ -257,7 +259,7 @@ pub(crate) fn combine(left: ResultSet, right: ResultSet, op: CompoundOp) -> Resu
 
 pub(crate) fn apply_limit(ctx: &mut Ctx, rs: &mut ResultSet, stmt: &SelectStmt) -> SqlResult<()> {
     let eval_n = |ctx: &mut Ctx, e: &Expr| -> SqlResult<i64> {
-        let v = eval_expr(ctx, e, &[], &[])?;
+        let v = eval_expr(ctx, e, &[])?;
         v.as_i64().ok_or_else(|| SqlError::Type("LIMIT/OFFSET must be an integer".into()))
     };
     let offset = match &stmt.offset {
@@ -331,16 +333,16 @@ pub(crate) fn project_filtered(
         });
 
     let (mut out_rows, mut key_rows) = if needs_group {
-        project_grouped(ctx, core, layout, rows, &items, &order_exprs)?
+        project_grouped(ctx, core, rows, &items, &order_exprs)?
     } else {
         let mut out_rows = Vec::with_capacity(rows.len());
         let mut key_rows = Vec::with_capacity(rows.len());
         for row in &rows {
             let mut projected = Vec::with_capacity(items.len());
             for (e, _) in &items {
-                projected.push(eval_expr(ctx, e, layout, row)?);
+                projected.push(eval_expr(ctx, e, row)?);
             }
-            let keys = eval_order_keys(ctx, &order_exprs, layout, row, &projected)?;
+            let keys = eval_order_keys(ctx, &order_exprs, row, &projected)?;
             out_rows.push(projected);
             key_rows.push(keys);
         }
@@ -392,7 +394,6 @@ fn resolve_order_target<'a>(e: &'a Expr, items: &[(Cow<'_, Expr>, String)]) -> O
 fn eval_order_keys(
     ctx: &mut Ctx,
     targets: &[OrderTarget<'_>],
-    layout: &[ColBinding],
     row: &[Value],
     projected: &[Value],
 ) -> SqlResult<Vec<Value>> {
@@ -400,7 +401,7 @@ fn eval_order_keys(
         .iter()
         .map(|t| match t {
             OrderTarget::Output(i) => Ok(projected[*i].clone()),
-            OrderTarget::Expr(e) => eval_expr(ctx, e, layout, row),
+            OrderTarget::Expr(e) => eval_expr(ctx, e, row),
         })
         .collect()
 }
@@ -429,25 +430,16 @@ pub(crate) fn sort_with_keys(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>, or
 
 // ---------------- grouping ----------------
 
+/// Grouping and aggregation. GROUP BY and HAVING arrive with projection
+/// aliases already substituted by the binding pass.
 fn project_grouped(
     ctx: &mut Ctx,
     core: &SelectCore,
-    layout: &[ColBinding],
     rows: Vec<Row>,
     items: &[(Cow<'_, Expr>, String)],
     order_exprs: &[OrderTarget<'_>],
 ) -> SqlResult<(Vec<Row>, Vec<Vec<Value>>)> {
-    // GROUP BY and HAVING may reference projection aliases; substitute
-    // them. Prepared statements arrive pre-substituted by the binding
-    // pass (substituting twice is not idempotent) and evaluate in place.
-    let (group_by, having): (Cow<'_, [Expr]>, Option<Cow<'_, Expr>>) = if ctx.bound {
-        (Cow::Borrowed(&core.group_by), core.having.as_ref().map(Cow::Borrowed))
-    } else {
-        (
-            core.group_by.iter().map(|g| substitute_aliases(g, items)).collect(),
-            core.having.as_ref().map(|h| Cow::Owned(substitute_aliases(h, items))),
-        )
-    };
+    let (group_by, having) = (&core.group_by, &core.having);
 
     // Partition rows into groups.
     let groups: Vec<Vec<Row>> = if group_by.is_empty() {
@@ -461,7 +453,7 @@ fn project_grouped(
                 if contains_aggregate(g) {
                     return Err(SqlError::MisusedAggregate("aggregate in GROUP BY".into()));
                 }
-                key.push(eval_expr(ctx, g, layout, &row)?.normalized());
+                key.push(eval_expr(ctx, g, &row)?.normalized());
             }
             match map.entry(key) {
                 std::collections::hash_map::Entry::Vacant(e) => {
@@ -484,50 +476,25 @@ fn project_grouped(
             continue;
         }
         if let Some(h) = &having {
-            if eval_agg_expr(ctx, h, layout, group)?.truthiness() != Some(true) {
+            if eval_agg_expr(ctx, h, group)?.truthiness() != Some(true) {
                 continue;
             }
         }
         let mut projected = Vec::with_capacity(items.len());
         for (e, _) in items {
-            projected.push(eval_agg_expr(ctx, e, layout, group)?);
+            projected.push(eval_agg_expr(ctx, e, group)?);
         }
         let keys = order_exprs
             .iter()
             .map(|t| match t {
                 OrderTarget::Output(i) => Ok(projected[*i].clone()),
-                OrderTarget::Expr(e) => eval_agg_expr(ctx, e, layout, group),
+                OrderTarget::Expr(e) => eval_agg_expr(ctx, e, group),
             })
             .collect::<SqlResult<Vec<Value>>>()?;
         out_rows.push(projected);
         key_rows.push(keys);
     }
-    if !ctx.bound {
-        // A sub-select inside a substituted copy has been keyed by node
-        // address in `ctx`'s caches: the copy must outlive those entries.
-        let copies = group_by.into_owned().into_iter().chain(having.map(Cow::into_owned));
-        ctx.retired.extend(copies.filter(|e| {
-            e.any(&mut |n| matches!(n, Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. }))
-        }));
-    }
     Ok((out_rows, key_rows))
-}
-
-/// Replace unqualified column references that match a projection alias with
-/// the aliased expression (GROUP BY / HAVING alias support).
-pub(crate) fn substitute_aliases(e: &Expr, items: &[(impl Borrow<Expr>, String)]) -> Expr {
-    let mut out = e.clone();
-    out.walk_mut(&mut |node| {
-        let Expr::Column { table: None, column, .. } = &*node else { return };
-        let column = column.clone();
-        let mut aliased = items.iter().map(|(expr, label)| (expr.borrow(), label));
-        if let Some((expr, _)) =
-            aliased.find(|(expr, label)| label.eq_ignore_ascii_case(&column) && *expr != &*node)
-        {
-            *node = expr.clone();
-        }
-    });
-    out
 }
 
 /// Does the expression contain an aggregate call (not descending into
@@ -540,67 +507,62 @@ pub(crate) fn contains_aggregate(e: &Expr) -> bool {
 
 /// Evaluate an expression in aggregate context: aggregate calls compute
 /// over the group, everything else is taken from the group's first row.
-fn eval_agg_expr(
-    ctx: &mut Ctx,
-    e: &Expr,
-    layout: &[ColBinding],
-    group: &[Row],
-) -> SqlResult<Value> {
+fn eval_agg_expr(ctx: &mut Ctx, e: &Expr, group: &[Row]) -> SqlResult<Value> {
     match e {
         Expr::Function { name, args, distinct, .. }
             if is_aggregate_name(name, args.len()) =>
         {
-            eval_aggregate(ctx, name, args, *distinct, layout, group)
+            eval_aggregate(ctx, name, args, *distinct, group)
         }
         Expr::Binary { left, op, right } => {
             // Short-circuit logic is not needed for correctness here;
             // evaluate both sides in aggregate context.
-            let l = eval_agg_expr(ctx, left, layout, group)?;
-            let r = eval_agg_expr(ctx, right, layout, group)?;
+            let l = eval_agg_expr(ctx, left, group)?;
+            let r = eval_agg_expr(ctx, right, group)?;
             apply_binary(*op, l, r)
         }
         Expr::Unary { op, expr } => {
-            let v = eval_agg_expr(ctx, expr, layout, group)?;
+            let v = eval_agg_expr(ctx, expr, group)?;
             apply_unary(*op, v)
         }
         Expr::Case { operand, branches, else_expr } => {
             let op_val = match operand {
-                Some(o) => Some(eval_agg_expr(ctx, o, layout, group)?),
+                Some(o) => Some(eval_agg_expr(ctx, o, group)?),
                 None => None,
             };
             for (w, t) in branches {
-                let cond = eval_agg_expr(ctx, w, layout, group)?;
+                let cond = eval_agg_expr(ctx, w, group)?;
                 let hit = match &op_val {
                     Some(v) => v.sql_eq(&cond) == Some(true),
                     None => cond.truthiness() == Some(true),
                 };
                 if hit {
-                    return eval_agg_expr(ctx, t, layout, group);
+                    return eval_agg_expr(ctx, t, group);
                 }
             }
             match else_expr {
-                Some(e) => eval_agg_expr(ctx, e, layout, group),
+                Some(e) => eval_agg_expr(ctx, e, group),
                 None => Ok(Value::Null),
             }
         }
         Expr::Function { name, args, .. } => {
             let vals: Vec<Value> = args
                 .iter()
-                .map(|a| eval_agg_expr(ctx, a, layout, group))
+                .map(|a| eval_agg_expr(ctx, a, group))
                 .collect::<SqlResult<_>>()?;
             call_scalar(name, &vals)
         }
         Expr::Cast { expr, ty } => {
-            let v = eval_agg_expr(ctx, expr, layout, group)?;
+            let v = eval_agg_expr(ctx, expr, group)?;
             Ok(cast_value(v, *ty))
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval_agg_expr(ctx, expr, layout, group)?;
+            let v = eval_agg_expr(ctx, expr, group)?;
             Ok(Value::Int((v.is_null() != *negated) as i64))
         }
         // everything else: evaluate against the first row of the group
         other => match group.first() {
-            Some(row) => eval_expr(ctx, other, layout, row),
+            Some(row) => eval_expr(ctx, other, row),
             None => Ok(Value::Null),
         },
     }
@@ -611,7 +573,6 @@ fn eval_aggregate(
     name: &str,
     args: &[Expr],
     distinct: bool,
-    layout: &[ColBinding],
     group: &[Row],
 ) -> SqlResult<Value> {
     // COUNT(*)
@@ -626,7 +587,7 @@ fn eval_aggregate(
     }
     let mut values: Vec<Value> = Vec::with_capacity(group.len());
     for row in group {
-        let v = eval_expr(ctx, arg, layout, row)?;
+        let v = eval_expr(ctx, arg, row)?;
         if !v.is_null() {
             values.push(v);
         }
@@ -700,60 +661,15 @@ fn eval_aggregate(
     }
 }
 
-/// Detect `a.x = b.y` where `a.x` resolves purely in the left layout and
-/// `b.y` purely in the right (or swapped). Returns (left index, right index).
-pub(crate) fn equi_join_indices(
-    on: &Expr,
-    left: &[ColBinding],
-    right: &[ColBinding],
-) -> Option<(usize, usize)> {
-    let Expr::Binary { left: a, op: BinOp::Eq, right: b } = on else {
-        return None;
-    };
-    let (Expr::Column { table: ta, column: ca, .. }, Expr::Column { table: tb, column: cb, .. }) =
-        (a.as_ref(), b.as_ref())
-    else {
-        return None;
-    };
-    let find = |layout: &[ColBinding], t: &Option<String>, c: &str| -> Option<usize> {
-        let mut hits = layout.iter().enumerate().filter(|(_, bnd)| {
-            bnd.column.eq_ignore_ascii_case(c)
-                && t.as_deref()
-                    .map(|q| bnd.binding.eq_ignore_ascii_case(q))
-                    .unwrap_or(true)
-        });
-        let first = hits.next()?;
-        if hits.next().is_some() {
-            return None; // ambiguous, let the nested loop resolver error out
-        }
-        Some(first.0)
-    };
-    match (find(left, ta, ca), find(right, tb, cb)) {
-        (Some(li), Some(ri)) => Some((li, ri)),
-        _ => match (find(left, tb, cb), find(right, ta, ca)) {
-            (Some(li), Some(ri)) => Some((li, ri)),
-            _ => None,
-        },
-    }
-}
-
 // ---------------- expression evaluation ----------------
 
-pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[Value]) -> SqlResult<Value> {
+/// Evaluate a bound expression on `row`, the tuple its core's plan lays
+/// out (empty where there is none: LIMIT, OFFSET, constants).
+pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Value> {
     match e {
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { table, column, .. } => {
-            // a correlated reference resolves in an enclosing row
-            let outer = ctx.outer.iter().rev().map(|(layout, _)| layout.as_slice());
-            match scope::lookup(std::iter::once(layout).chain(outer), table.as_deref(), column) {
-                Ok((0, slot)) => Ok(row[slot].clone()),
-                Ok((up, slot)) => {
-                    ctx.used_outer = true;
-                    Ok(ctx.outer[ctx.outer.len() - up].1[slot].clone())
-                }
-                Err(miss) => Err(miss.error(table.as_deref(), column)),
-            }
-        }
+        Expr::Column { .. } => Err(SqlError::Other("unbound column reference".into())),
+        Expr::Unresolved(error) => Err(error.clone()),
         Expr::BoundColumn { index } => row
             .get(*index)
             .cloned()
@@ -769,25 +685,25 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
                 .ok_or_else(|| {
                     SqlError::Other("bound outer column outside its prepared environment".into())
                 })?;
-            let v = level.1.get(*index).cloned().ok_or_else(|| {
+            let v = level.get(*index).cloned().ok_or_else(|| {
                 SqlError::Other("bound outer column outside its prepared layout".into())
             })?;
             ctx.used_outer = true;
             Ok(v)
         }
         Expr::Unary { op, expr } => {
-            let v = eval_expr(ctx, expr, layout, row)?;
+            let v = eval_expr(ctx, expr, row)?;
             apply_unary(*op, v)
         }
         Expr::Binary { left, op, right } => {
             // short-circuit AND/OR per three-valued logic
             match op {
                 BinOp::And => {
-                    let l = eval_expr(ctx, left, layout, row)?;
+                    let l = eval_expr(ctx, left, row)?;
                     if l.truthiness() == Some(false) {
                         return Ok(Value::Int(0));
                     }
-                    let r = eval_expr(ctx, right, layout, row)?;
+                    let r = eval_expr(ctx, right, row)?;
                     return Ok(match (l.truthiness(), r.truthiness()) {
                         (_, Some(false)) => Value::Int(0),
                         (Some(true), Some(true)) => Value::Int(1),
@@ -795,11 +711,11 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
                     });
                 }
                 BinOp::Or => {
-                    let l = eval_expr(ctx, left, layout, row)?;
+                    let l = eval_expr(ctx, left, row)?;
                     if l.truthiness() == Some(true) {
                         return Ok(Value::Int(1));
                     }
-                    let r = eval_expr(ctx, right, layout, row)?;
+                    let r = eval_expr(ctx, right, row)?;
                     return Ok(match (l.truthiness(), r.truthiness()) {
                         (_, Some(true)) => Value::Int(1),
                         (Some(false), Some(false)) => Value::Int(0),
@@ -808,13 +724,13 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
                 }
                 _ => {}
             }
-            let l = eval_expr(ctx, left, layout, row)?;
-            let r = eval_expr(ctx, right, layout, row)?;
+            let l = eval_expr(ctx, left, row)?;
+            let r = eval_expr(ctx, right, row)?;
             apply_binary(*op, l, r)
         }
         Expr::Like { expr, pattern, negated } => {
-            let v = eval_expr(ctx, expr, layout, row)?;
-            let p = eval_expr(ctx, pattern, layout, row)?;
+            let v = eval_expr(ctx, expr, row)?;
+            let p = eval_expr(ctx, pattern, row)?;
             match (v.as_text(), p.as_text()) {
                 (Some(text), Some(pat)) => {
                     let hit = like_match(&pat, &text);
@@ -824,9 +740,9 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
             }
         }
         Expr::Between { expr, low, high, negated } => {
-            let v = eval_expr(ctx, expr, layout, row)?;
-            let lo = eval_expr(ctx, low, layout, row)?;
-            let hi = eval_expr(ctx, high, layout, row)?;
+            let v = eval_expr(ctx, expr, row)?;
+            let lo = eval_expr(ctx, low, row)?;
+            let hi = eval_expr(ctx, high, row)?;
             if v.is_null() || lo.is_null() || hi.is_null() {
                 return Ok(Value::Null);
             }
@@ -834,13 +750,13 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
             Ok(Value::Int((inside != *negated) as i64))
         }
         Expr::InList { expr, list, negated } => {
-            let v = eval_expr(ctx, expr, layout, row)?;
+            let v = eval_expr(ctx, expr, row)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let iv = eval_expr(ctx, item, layout, row)?;
+                let iv = eval_expr(ctx, item, row)?;
                 match v.sql_eq(&iv) {
                     Some(true) => return Ok(Value::Int((!*negated) as i64)),
                     Some(false) => {}
@@ -854,11 +770,11 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
             }
         }
         Expr::InSubquery { expr, query, negated } => {
-            let v = eval_expr(ctx, expr, layout, row)?;
+            let v = eval_expr(ctx, expr, row)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let rs = exec_subquery(ctx, query, layout, row)?;
+            let rs = exec_subquery(ctx, query, row)?;
             if rs.columns.len() != 1 {
                 return Err(SqlError::SubqueryShape(
                     "IN subquery must return a single column".into(),
@@ -879,26 +795,26 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
             }
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval_expr(ctx, expr, layout, row)?;
+            let v = eval_expr(ctx, expr, row)?;
             Ok(Value::Int((v.is_null() != *negated) as i64))
         }
         Expr::Case { operand, branches, else_expr } => {
             let op_val = match operand {
-                Some(o) => Some(eval_expr(ctx, o, layout, row)?),
+                Some(o) => Some(eval_expr(ctx, o, row)?),
                 None => None,
             };
             for (w, t) in branches {
-                let cond = eval_expr(ctx, w, layout, row)?;
+                let cond = eval_expr(ctx, w, row)?;
                 let hit = match &op_val {
                     Some(v) => v.sql_eq(&cond) == Some(true),
                     None => cond.truthiness() == Some(true),
                 };
                 if hit {
-                    return eval_expr(ctx, t, layout, row);
+                    return eval_expr(ctx, t, row);
                 }
             }
             match else_expr {
-                Some(e) => eval_expr(ctx, e, layout, row),
+                Some(e) => eval_expr(ctx, e, row),
                 None => Ok(Value::Null),
             }
         }
@@ -910,17 +826,17 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
             }
             let vals: Vec<Value> = args
                 .iter()
-                .map(|a| eval_expr(ctx, a, layout, row))
+                .map(|a| eval_expr(ctx, a, row))
                 .collect::<SqlResult<_>>()?;
             call_scalar(name, &vals)
         }
         Expr::Wildcard => Err(SqlError::Syntax { pos: 0, msg: "misplaced *".into() }),
         Expr::Cast { expr, ty } => {
-            let v = eval_expr(ctx, expr, layout, row)?;
+            let v = eval_expr(ctx, expr, row)?;
             Ok(cast_value(v, *ty))
         }
         Expr::Subquery(q) => {
-            let rs = exec_subquery(ctx, q, layout, row)?;
+            let rs = exec_subquery(ctx, q, row)?;
             if rs.columns.len() != 1 {
                 return Err(SqlError::SubqueryShape(
                     "scalar subquery must return a single column".into(),
@@ -929,7 +845,7 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
             Ok(rs.rows.first().map(|r| r[0].clone()).unwrap_or(Value::Null))
         }
         Expr::Exists { query, negated } => {
-            let rs = exec_subquery(ctx, query, layout, row)?;
+            let rs = exec_subquery(ctx, query, row)?;
             Ok(Value::Int((rs.rows.is_empty() == *negated) as i64))
         }
     }
@@ -940,171 +856,12 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, layout: &[ColBinding], row: &[V
 pub(crate) fn exec_subquery(
     ctx: &mut Ctx<'_>,
     query: &SelectStmt,
-    layout: &[ColBinding],
     row: &[Value],
 ) -> SqlResult<Arc<ResultSet>> {
-    ctx.outer.push((layout.to_vec(), row.to_vec()));
+    ctx.outer.push(row.to_vec());
     let result = exec_select(ctx, query);
     ctx.outer.pop();
     result
-}
-
-fn apply_unary(op: UnaryOp, v: Value) -> SqlResult<Value> {
-    match op {
-        UnaryOp::Neg => Ok(match v {
-            Value::Null => Value::Null,
-            Value::Int(i) => Value::Int(i.wrapping_neg()),
-            other => match other.as_f64_lossy() {
-                Some(f) => Value::Real(-f),
-                None => Value::Null,
-            },
-        }),
-        UnaryOp::Not => Ok(match v.truthiness() {
-            None => Value::Null,
-            Some(b) => Value::Int((!b) as i64),
-        }),
-    }
-}
-
-fn apply_binary(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
-    match op {
-        BinOp::And => Ok(match (l.truthiness(), r.truthiness()) {
-            (Some(false), _) | (_, Some(false)) => Value::Int(0),
-            (Some(true), Some(true)) => Value::Int(1),
-            _ => Value::Null,
-        }),
-        BinOp::Or => Ok(match (l.truthiness(), r.truthiness()) {
-            (Some(true), _) | (_, Some(true)) => Value::Int(1),
-            (Some(false), Some(false)) => Value::Int(0),
-            _ => Value::Null,
-        }),
-        BinOp::Eq | BinOp::Ne => Ok(match l.sql_eq(&r) {
-            None => Value::Null,
-            Some(eq) => Value::Int(((op == BinOp::Eq) == eq) as i64),
-        }),
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            let ord = l.sql_cmp(&r);
-            let hit = match op {
-                BinOp::Lt => ord == Ordering::Less,
-                BinOp::Le => ord != Ordering::Greater,
-                BinOp::Gt => ord == Ordering::Greater,
-                BinOp::Ge => ord != Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Int(hit as i64))
-        }
-        BinOp::Concat => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::text(format!("{l}{r}")))
-        }
-        BinOp::Add | BinOp::Sub | BinOp::Mul => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
-                let res = match op {
-                    BinOp::Add => a.checked_add(*b),
-                    BinOp::Sub => a.checked_sub(*b),
-                    BinOp::Mul => a.checked_mul(*b),
-                    _ => unreachable!(),
-                };
-                if let Some(v) = res {
-                    return Ok(Value::Int(v));
-                }
-            }
-            let (a, b) = (l.as_f64_lossy().unwrap_or(0.0), r.as_f64_lossy().unwrap_or(0.0));
-            Ok(Value::Real(match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                _ => unreachable!(),
-            }))
-        }
-        BinOp::Div => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
-                return Ok(if *b == 0 { Value::Null } else { Value::Int(a / b) });
-            }
-            let (a, b) = (l.as_f64_lossy().unwrap_or(0.0), r.as_f64_lossy().unwrap_or(0.0));
-            Ok(if b == 0.0 { Value::Null } else { Value::Real(a / b) })
-        }
-        BinOp::Mod => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            match (l.as_i64(), r.as_i64()) {
-                (Some(a), Some(b)) => {
-                    Ok(if b == 0 { Value::Null } else { Value::Int(a % b) })
-                }
-                _ => Ok(Value::Null),
-            }
-        }
-    }
-}
-
-fn cast_value(v: Value, ty: TypeName) -> Value {
-    match ty {
-        TypeName::Integer => match &v {
-            Value::Null => Value::Null,
-            Value::Int(i) => Value::Int(*i),
-            Value::Real(r) => Value::Int(*r as i64),
-            Value::Text(t) => {
-                Value::Int(crate::value::parse_numeric_prefix(t).unwrap_or(0.0) as i64)
-            }
-        },
-        TypeName::Real => match &v {
-            Value::Null => Value::Null,
-            other => Value::Real(other.as_f64_lossy().unwrap_or(0.0)),
-        },
-        TypeName::Text => match &v {
-            Value::Null => Value::Null,
-            other => Value::text(other.to_string()),
-        },
-        TypeName::Blob => v,
-    }
-}
-
-/// SQL LIKE with `%` and `_`, ASCII case-insensitive as SQLite defaults to.
-///
-/// Greedy two-pointer matcher: on a mismatch after a `%`, the pattern
-/// rewinds to just past the most recent `%` and the text advances one
-/// character. Each backtrack strictly advances the text restart point, so
-/// the worst case is O(|pattern| × |text|) — unlike the naive recursive
-/// formulation, which is exponential on patterns like `'a%a%a%…'`.
-pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    // pattern/text resume points for the last `%` seen
-    let mut star: Option<usize> = None;
-    let mut star_ti = 0usize;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || (p[pi] != '%' && p[pi].eq_ignore_ascii_case(&t[ti]))) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some(pi + 1);
-            star_ti = ti;
-            pi += 1;
-        } else if let Some(resume) = star {
-            pi = resume;
-            star_ti += 1;
-            ti = star_ti;
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
 }
 
 #[cfg(test)]
@@ -1130,6 +887,45 @@ mod tests {
 
     fn q(db: &Database, sql: &str) -> ResultSet {
         db.query(sql).unwrap_or_else(|e| panic!("query {sql:?} failed: {e}"))
+    }
+
+    /// What is evaluated with no row keeps its outcome: an INSERT's values
+    /// (`eval_const`: no columns, no tables) and LIMIT / OFFSET (no columns,
+    /// the statement's tables).
+    #[test]
+    fn row_free_expressions_keep_their_outcomes() {
+        let insert = |value: &str| {
+            let mut db = Database::new("consts");
+            db.execute_script("CREATE TABLE t (x INTEGER)").unwrap();
+            db.execute_script(&format!("INSERT INTO t VALUES ({value})"))
+                .map(|()| db.rows("t").unwrap()[0][0].clone())
+                .map_err(|e| e.to_string())
+        };
+        for (value, want) in [
+            ("(SELECT y FROM (SELECT 5 AS y) AS s)", Ok(Value::Int(5))),
+            ("1 + 2 * 3", Ok(Value::Int(7))),
+            ("zz", Err("no such column: zz")),
+            ("t.zz", Err("no such column: t.zz")),
+            ("(SELECT x FROM t)", Err("no such table: t")),
+            ("(SELECT y FROM (SELECT 5 AS y) AS s WHERE zz = 1)", Err("no such column: zz")),
+        ] {
+            assert_eq!(insert(value), want.map_err(str::to_owned), "{value}");
+        }
+        let db = clinic();
+        for (tail, want) in [
+            ("LIMIT 2 - 1", Ok(1)),
+            ("LIMIT (SELECT COUNT(*) FROM Laboratory) - 3", Ok(2)),
+            ("LIMIT 2 OFFSET (SELECT MAX(ID) FROM Patient) - 3", Ok(2)),
+            ("LIMIT -1 OFFSET 3", Ok(1)),
+            ("LIMIT 'x'", Err("type error: LIMIT/OFFSET must be an integer")),
+            ("LIMIT 1.5", Err("type error: LIMIT/OFFSET must be an integer")),
+            ("LIMIT 1 OFFSET 'x'", Err("type error: LIMIT/OFFSET must be an integer")),
+            ("LIMIT zz", Err("no such column: zz")),
+            ("LIMIT Patient.ID", Err("no such column: Patient.ID")),
+        ] {
+            let got = db.query(&format!("SELECT ID FROM Patient {tail}"));
+            assert_eq!(got.map(|rs| rs.rows.len()).map_err(|e| e.to_string()), want.map_err(str::to_owned), "{tail}");
+        }
     }
 
     #[test]
@@ -1327,35 +1123,6 @@ mod tests {
         assert_eq!(rs.rows, vec![vec![Value::text("Ann")]]);
         let rs = q(&db, "SELECT Name FROM Patient WHERE ID BETWEEN 2 AND 3 ORDER BY ID");
         assert_eq!(rs.rows.len(), 2);
-    }
-
-    #[test]
-    fn like_patterns() {
-        assert!(like_match("%ll%", "hello"));
-        assert!(like_match("h_llo", "hello"));
-        assert!(like_match("HELLO", "hello"));
-        assert!(!like_match("h_llo", "heello"));
-        assert!(like_match("%", ""));
-        assert!(!like_match("_", ""));
-        assert!(like_match("%_llo", "hello"));
-        assert!(like_match("a%b%c", "axxbyybzzc"));
-        assert!(!like_match("a%b%c", "axxbyyb"));
-    }
-
-    #[test]
-    fn like_pathological_pattern_is_fast() {
-        // 'a%a%a%…a' against 'aaaa…b' is exponential for a naive recursive
-        // matcher; the two-pointer matcher finishes instantly.
-        let pattern = "a%".repeat(30) + "a";
-        let text = "a".repeat(120) + "b";
-        let started = std::time::Instant::now();
-        assert!(!like_match(&pattern, &text));
-        assert!(like_match(&pattern, &"a".repeat(120)));
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(2),
-            "pathological LIKE took {:?}",
-            started.elapsed()
-        );
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //!
 //! The set covers everything BIRD gold SQL leans on: string functions,
 //! numeric functions, `strftime` over ISO-8601 text dates, `IIF`,
-//! `COALESCE`, and multi-argument scalar `MIN`/`MAX`.
+//! `COALESCE`, and multi-argument scalar `MIN`/`MAX` — and the per-value
+//! kernels of the operators (unary, binary, CAST, LIKE) every evaluator
+//! applies.
 
+use crate::ast::{BinOp, TypeName, UnaryOp};
 use crate::error::{SqlError, SqlResult};
 use crate::value::Value;
+use std::cmp::Ordering;
 
 /// Evaluate a scalar function over already-evaluated arguments.
 pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
@@ -107,9 +111,9 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
             let mut best = args[0].clone();
             for v in &args[1..] {
                 let take = if name == "min" {
-                    v.sql_cmp(&best) == std::cmp::Ordering::Less
+                    v.sql_cmp(&best) == Ordering::Less
                 } else {
-                    v.sql_cmp(&best) == std::cmp::Ordering::Greater
+                    v.sql_cmp(&best) == Ordering::Greater
                 };
                 if take {
                     best = v.clone();
@@ -311,6 +315,166 @@ fn day_of_week(y: i32, m: u32, d: u32) -> u32 {
     w.rem_euclid(7) as u32
 }
 
+// ---------------- operator kernels ----------------
+
+pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> SqlResult<Value> {
+    match op {
+        UnaryOp::Neg => Ok(match v {
+            Value::Null => Value::Null,
+            Value::Int(i) => Value::Int(i.wrapping_neg()),
+            other => match other.as_f64_lossy() {
+                Some(f) => Value::Real(-f),
+                None => Value::Null,
+            },
+        }),
+        UnaryOp::Not => Ok(match v.truthiness() {
+            None => Value::Null,
+            Some(b) => Value::Int((!b) as i64),
+        }),
+    }
+}
+
+pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
+    match op {
+        BinOp::And => Ok(match (l.truthiness(), r.truthiness()) {
+            (Some(false), _) | (_, Some(false)) => Value::Int(0),
+            (Some(true), Some(true)) => Value::Int(1),
+            _ => Value::Null,
+        }),
+        BinOp::Or => Ok(match (l.truthiness(), r.truthiness()) {
+            (Some(true), _) | (_, Some(true)) => Value::Int(1),
+            (Some(false), Some(false)) => Value::Int(0),
+            _ => Value::Null,
+        }),
+        BinOp::Eq | BinOp::Ne => Ok(match l.sql_eq(&r) {
+            None => Value::Null,
+            Some(eq) => Value::Int(((op == BinOp::Eq) == eq) as i64),
+        }),
+        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+            if l.is_null() || r.is_null() {
+                return Ok(Value::Null);
+            }
+            let ord = l.sql_cmp(&r);
+            let hit = match op {
+                BinOp::Lt => ord == Ordering::Less,
+                BinOp::Le => ord != Ordering::Greater,
+                BinOp::Gt => ord == Ordering::Greater,
+                BinOp::Ge => ord != Ordering::Less,
+                _ => unreachable!(),
+            };
+            Ok(Value::Int(hit as i64))
+        }
+        BinOp::Concat => {
+            if l.is_null() || r.is_null() {
+                return Ok(Value::Null);
+            }
+            Ok(Value::text(format!("{l}{r}")))
+        }
+        BinOp::Add | BinOp::Sub | BinOp::Mul => {
+            if l.is_null() || r.is_null() {
+                return Ok(Value::Null);
+            }
+            if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+                let res = match op {
+                    BinOp::Add => a.checked_add(*b),
+                    BinOp::Sub => a.checked_sub(*b),
+                    BinOp::Mul => a.checked_mul(*b),
+                    _ => unreachable!(),
+                };
+                if let Some(v) = res {
+                    return Ok(Value::Int(v));
+                }
+            }
+            let (a, b) = (l.as_f64_lossy().unwrap_or(0.0), r.as_f64_lossy().unwrap_or(0.0));
+            Ok(Value::Real(match op {
+                BinOp::Add => a + b,
+                BinOp::Sub => a - b,
+                BinOp::Mul => a * b,
+                _ => unreachable!(),
+            }))
+        }
+        BinOp::Div => {
+            if l.is_null() || r.is_null() {
+                return Ok(Value::Null);
+            }
+            if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+                return Ok(if *b == 0 { Value::Null } else { Value::Int(a / b) });
+            }
+            let (a, b) = (l.as_f64_lossy().unwrap_or(0.0), r.as_f64_lossy().unwrap_or(0.0));
+            Ok(if b == 0.0 { Value::Null } else { Value::Real(a / b) })
+        }
+        BinOp::Mod => {
+            if l.is_null() || r.is_null() {
+                return Ok(Value::Null);
+            }
+            match (l.as_i64(), r.as_i64()) {
+                (Some(a), Some(b)) => {
+                    Ok(if b == 0 { Value::Null } else { Value::Int(a % b) })
+                }
+                _ => Ok(Value::Null),
+            }
+        }
+    }
+}
+
+pub(crate) fn cast_value(v: Value, ty: TypeName) -> Value {
+    match ty {
+        TypeName::Integer => match &v {
+            Value::Null => Value::Null,
+            Value::Int(i) => Value::Int(*i),
+            Value::Real(r) => Value::Int(*r as i64),
+            Value::Text(t) => {
+                Value::Int(crate::value::parse_numeric_prefix(t).unwrap_or(0.0) as i64)
+            }
+        },
+        TypeName::Real => match &v {
+            Value::Null => Value::Null,
+            other => Value::Real(other.as_f64_lossy().unwrap_or(0.0)),
+        },
+        TypeName::Text => match &v {
+            Value::Null => Value::Null,
+            other => Value::text(other.to_string()),
+        },
+        TypeName::Blob => v,
+    }
+}
+
+/// SQL LIKE with `%` and `_`, ASCII case-insensitive as SQLite defaults to.
+///
+/// Greedy two-pointer matcher: on a mismatch after a `%`, the pattern
+/// rewinds to just past the most recent `%` and the text advances one
+/// character. Each backtrack strictly advances the text restart point, so
+/// the worst case is O(|pattern| × |text|) — unlike the naive recursive
+/// formulation, which is exponential on patterns like `'a%a%a%…'`.
+pub fn like_match(pattern: &str, text: &str) -> bool {
+    let p: Vec<char> = pattern.chars().collect();
+    let t: Vec<char> = text.chars().collect();
+    let (mut pi, mut ti) = (0usize, 0usize);
+    // pattern/text resume points for the last `%` seen
+    let mut star: Option<usize> = None;
+    let mut star_ti = 0usize;
+    while ti < t.len() {
+        if pi < p.len() && (p[pi] == '_' || (p[pi] != '%' && p[pi].eq_ignore_ascii_case(&t[ti]))) {
+            pi += 1;
+            ti += 1;
+        } else if pi < p.len() && p[pi] == '%' {
+            star = Some(pi + 1);
+            star_ti = ti;
+            pi += 1;
+        } else if let Some(resume) = star {
+            pi = resume;
+            star_ti += 1;
+            ti = star_ti;
+        } else {
+            return false;
+        }
+    }
+    while pi < p.len() && p[pi] == '%' {
+        pi += 1;
+    }
+    pi == p.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,5 +583,34 @@ mod tests {
         assert!(is_aggregate_name("min", 1));
         assert!(!is_aggregate_name("min", 2));
         assert!(!is_aggregate_name("upper", 1));
+    }
+
+    #[test]
+    fn like_patterns() {
+        assert!(like_match("%ll%", "hello"));
+        assert!(like_match("h_llo", "hello"));
+        assert!(like_match("HELLO", "hello"));
+        assert!(!like_match("h_llo", "heello"));
+        assert!(like_match("%", ""));
+        assert!(!like_match("_", ""));
+        assert!(like_match("%_llo", "hello"));
+        assert!(like_match("a%b%c", "axxbyybzzc"));
+        assert!(!like_match("a%b%c", "axxbyyb"));
+    }
+
+    #[test]
+    fn like_pathological_pattern_is_fast() {
+        // 'a%a%a%…a' against 'aaaa…b' is exponential for a naive recursive
+        // matcher; the two-pointer matcher finishes instantly.
+        let pattern = "a%".repeat(30) + "a";
+        let text = "a".repeat(120) + "b";
+        let started = std::time::Instant::now();
+        assert!(!like_match(&pattern, &text));
+        assert!(like_match(&pattern, &"a".repeat(120)));
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "pathological LIKE took {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -36,7 +36,6 @@ use crate::error::{SqlError, SqlResult};
 use crate::exec::{self, Ctx};
 use crate::index::ColumnIndex;
 use crate::plan::{Access, JoinOp, OpStats, PhysicalPlan, ResidualStep, Sarg, Stage};
-use crate::scope::ColBinding;
 use crate::value::{NormRef, NormValue, ResultSet, Row, Value};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
@@ -391,7 +390,7 @@ impl Segment<'_, '_, '_> {
                     buf.extend(rt.rows[rid as usize].iter().cloned());
                     // ON sees the tuple so far and nothing right of it
                     let keep = match on {
-                        Some(on) => exec::eval_expr(self.ctx, on, &plan.layout[..buf.len()], buf)?
+                        Some(on) => exec::eval_expr(self.ctx, on, buf)?
                             .truthiness()
                             == Some(true),
                         None => true,
@@ -440,11 +439,11 @@ fn survives(
     let mut semi_idx = 0;
     for stepdef in &plan.residual {
         let v = match stepdef {
-            ResidualStep::Pred(e) => exec::eval_expr(ctx, e, &plan.layout, buf)?,
+            ResidualStep::Pred(e) => exec::eval_expr(ctx, e, buf)?,
             ResidualStep::Semi(e) => {
                 let i = semi_idx;
                 semi_idx += 1;
-                eval_semi(ctx, &mut mu.semi[i], e, &plan.layout, buf)?
+                eval_semi(ctx, &mut mu.semi[i], e, buf)?
             }
         };
         match v.truthiness() {
@@ -467,22 +466,21 @@ fn eval_semi(
     ctx: &mut Ctx<'_>,
     state: &mut SemiState,
     conjunct: &Expr,
-    layout: &[ColBinding],
     tuple: &[Value],
 ) -> SqlResult<Value> {
     if matches!(state, SemiState::Correlated) {
-        return exec::eval_expr(ctx, conjunct, layout, tuple);
+        return exec::eval_expr(ctx, conjunct, tuple);
     }
     match conjunct {
         Expr::InSubquery { expr, query, negated } => {
-            let v = exec::eval_expr(ctx, expr, layout, tuple)?;
+            let v = exec::eval_expr(ctx, expr, tuple)?;
             if v.is_null() {
                 // eval_expr skips the subquery entirely on a NULL operand,
                 // so the state stays unclassified
                 return Ok(Value::Null);
             }
             if matches!(state, SemiState::Unknown) {
-                let (rs, correlated) = probe(ctx, query, layout, tuple)?;
+                let (rs, correlated) = probe(ctx, query, tuple)?;
                 if rs.columns.len() != 1 {
                     return Err(SqlError::SubqueryShape(
                         "IN subquery must return a single column".into(),
@@ -532,7 +530,7 @@ fn eval_semi(
         }
         Expr::Exists { query, negated } => {
             if matches!(state, SemiState::Unknown) {
-                let (rs, correlated) = probe(ctx, query, layout, tuple)?;
+                let (rs, correlated) = probe(ctx, query, tuple)?;
                 if correlated {
                     *state = SemiState::Correlated;
                     return Ok(Value::Int(i64::from(rs.rows.is_empty() == *negated)));
@@ -545,21 +543,16 @@ fn eval_semi(
             Ok(Value::Int(i64::from(*non_empty != *negated)))
         }
         // lowering only builds Semi steps from the two shapes above
-        other => exec::eval_expr(ctx, other, layout, tuple),
+        other => exec::eval_expr(ctx, other, tuple),
     }
 }
 
 /// Execute a semi-join's subquery against `tuple` and report whether it
 /// read the outer row.
-fn probe(
-    ctx: &mut Ctx<'_>,
-    query: &SelectStmt,
-    layout: &[ColBinding],
-    tuple: &[Value],
-) -> SqlResult<(Arc<ResultSet>, bool)> {
+fn probe(ctx: &mut Ctx<'_>, query: &SelectStmt, tuple: &[Value]) -> SqlResult<(Arc<ResultSet>, bool)> {
     let saved = ctx.used_outer;
     ctx.used_outer = false;
-    let rs = exec::exec_subquery(ctx, query, layout, tuple)?;
+    let rs = exec::exec_subquery(ctx, query, tuple)?;
     let correlated = ctx.used_outer;
     ctx.used_outer = saved || correlated;
     Ok((rs, correlated))

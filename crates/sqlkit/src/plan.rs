@@ -20,15 +20,21 @@
 //!   raises the errors — and charges the `rows_scanned` — of a textbook
 //!   interpreter.
 //!
+//! Lowering reads no names: the binder (`crate::prepare`) has turned every
+//! column into a slot. A join is an equi join when its ON is one equality
+//! between a slot left of the stage (`< col_offset`) and a slot of the
+//! stage itself, in either order; its keys are those slots.
+//!
 //! A core gets the naive plan whenever pushdown could hide an error or was
 //! never measured: any WHERE conjunct with a column the binder could not
 //! resolve (filtering rows out first would suppress its `no such column`),
 //! a FROM-subquery or a join predicate that is not a two-column equality
 //! (both can fail per tuple), and every core lowered with `pushdown` off
-//! — compound arms and sub-selects. One *documented* divergence remains
-//! in optimised plans: a pushed-down sarg drops rows at scan time, so a
-//! *different*, fully resolved conjunct that would raise a runtime error
-//! on such a row never sees it.
+//! — compound arms and sub-selects. Optimised plans keep one divergence
+//! from that interpreter, by contract: a pushed-down sarg drops rows at
+//! scan time, so a *different*, fully resolved conjunct that would raise
+//! a runtime error on such a row never sees it. SQLite promises no order
+//! of evaluation among a WHERE's conjuncts either.
 //!
 //! Errors a core raises before its first tuple — an unknown table, an
 //! aggregate in WHERE — are part of the plan ([`PhysicalPlan::fail`]) and
@@ -37,7 +43,7 @@
 use crate::ast::{BinOp, Expr, JoinKind, SelectCore, SelectStmt, TableRef};
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{contains_aggregate, equi_join_indices};
+use crate::exec::contains_aggregate;
 use crate::index::ColumnIndex;
 use crate::scope::{self, ColBinding};
 use crate::value::Value;
@@ -392,10 +398,16 @@ impl Stage {
             Some(JoinOp::Nested { on: None }) => {
                 format!("{kind}CrossJoin {name} ({access}{filters})")
             }
-            Some(JoinOp::Nested { on: Some(on) }) => format!(
-                "{kind}NestedLoop {name} ON {} ({access})",
-                crate::printer::print_expr(on)
-            ),
+            Some(JoinOp::Nested { on: Some(on) }) => {
+                let mut on = on.clone();
+                on.walk_mut(&mut |e| {
+                    if let Expr::BoundColumn { index } = *e {
+                        let slot = &plan.layout[index];
+                        *e = Expr::qcol(&*slot.binding, &*slot.column);
+                    }
+                });
+                format!("{kind}NestedLoop {name} ON {} ({access})", crate::printer::print_expr(&on))
+            }
         }
     }
 }
@@ -476,12 +488,24 @@ fn extract_sarg(e: &Expr) -> Option<(usize, SargOp)> {
     }
 }
 
-/// Does the conjunct still contain an unresolved (raw) column reference?
-/// The binder leaves those raw so the runtime raises the exact
-/// `no such column` error — which pushdown could otherwise suppress by
+/// Does the conjunct hold a column the binder could not resolve? Its
+/// error is raised when evaluated — which pushdown could suppress by
 /// filtering every row out first.
-fn has_raw_column(e: &Expr) -> bool {
-    e.any(&mut |n| matches!(n, Expr::Column { .. }))
+fn has_unresolved(e: &Expr) -> bool {
+    e.any(&mut |n| matches!(n, Expr::Unresolved(_)))
+}
+
+/// The keys of an ON that is one equality between a slot left of
+/// `col_offset` and a slot of the stage starting there: (left slot,
+/// offset in the stage).
+fn equi_keys(on: &Expr, col_offset: usize) -> Option<(usize, usize)> {
+    let Expr::Binary { left, op: BinOp::Eq, right } = on else { return None };
+    let (a, b) = (bound_col(left)?, bound_col(right)?);
+    match (a < col_offset, b < col_offset) {
+        (true, false) => Some((a, b - col_offset)),
+        (false, true) => Some((b, a - col_offset)),
+        _ => None,
+    }
 }
 
 /// Append the stage reading `tref` and its columns to the plan. Returns
@@ -559,7 +583,6 @@ fn lower_core(db: &Database, core: &SelectCore, pushdown: bool, select: bool) ->
     if let Some(from) = &core.from {
         let joins = from.joins.iter().map(|j| (&j.table, Some(j)));
         for (tref, join) in std::iter::once((&from.base, None)).chain(joins) {
-            let left_width = plan.layout.len();
             if let Err(e) = push_stage(db, tref, &mut plan) {
                 // nothing right of this table reference is ever reached
                 plan.fail = Some(e);
@@ -567,10 +590,10 @@ fn lower_core(db: &Database, core: &SelectCore, pushdown: bool, select: bool) ->
             }
             let (Some(join), Some(stage)) = (join, plan.stages.last_mut()) else { continue };
             stage.kind = join.kind;
-            let (left, right) = plan.layout.split_at(left_width);
             // every equi join starts as a Hash op; the cost model below
             // may upgrade it to IxJoin
-            stage.join = Some(match join.on.as_ref().map(|on| (on, equi_join_indices(on, left, right))) {
+            let keys = join.on.as_ref().map(|on| (on, equi_keys(on, stage.col_offset)));
+            stage.join = Some(match keys {
                 Some((_, Some((left_key, right_key)))) => JoinOp::Hash { left_key, right_key },
                 Some((on, None)) => JoinOp::Nested { on: Some(on.clone()) },
                 None => JoinOp::Nested { on: None },
@@ -588,7 +611,7 @@ fn lower_core(db: &Database, core: &SelectCore, pushdown: bool, select: bool) ->
         }
         let mut conjuncts = Vec::new();
         flatten_and(w, &mut conjuncts);
-        naive |= aggregate || conjuncts.iter().any(|c| has_raw_column(c));
+        naive |= aggregate || conjuncts.iter().any(|c| has_unresolved(c));
         for c in conjuncts {
             if let (false, Some((global_col, op))) = (naive, extract_sarg(c)) {
                 let owner = plan
@@ -682,7 +705,7 @@ fn lower_core(db: &Database, core: &SelectCore, pushdown: bool, select: bool) ->
 /// counts appear side by side.
 pub fn explain(db: &Database, sql: &str) -> SqlResult<String> {
     let prepared = crate::prepare::prepare(db, sql)?;
-    let mut ctx = crate::exec::Ctx::new(db, true);
+    let mut ctx = crate::exec::Ctx::new(db);
     ctx.explain = Some(String::new());
     let rs = crate::exec::exec_select_inner(&mut ctx, prepared.statement(), Some(prepared.plans()))?;
     let mut out = ctx.explain.take().unwrap_or_default();
@@ -775,6 +798,46 @@ mod tests {
             "expected HashJoin, got {:?}",
             plan.stages[1].describe(&plan)
         );
+    }
+
+    /// A join key is looked up like any other name, over the whole join
+    /// prefix: an unqualified name of both sides is ambiguous whether or
+    /// not the ON is a bare equality, as the analyzer says.
+    #[test]
+    fn join_keys_resolve_by_the_scope_rule() {
+        let mut db = Database::new("keys");
+        db.execute_script(
+            "CREATE TABLE a (id INTEGER PRIMARY KEY, x INTEGER);
+             CREATE TABLE b (id INTEGER PRIMARY KEY, a_id INTEGER);
+             INSERT INTO a VALUES (1, 10), (2, 20);
+             INSERT INTO b VALUES (1, 1), (2, 1), (3, 2);",
+        )
+        .unwrap();
+        for sql in [
+            "SELECT COUNT(*) FROM a JOIN b ON id = a_id",
+            "SELECT COUNT(*) FROM a JOIN b ON id = a_id AND 1 = 1",
+        ] {
+            let message = "ambiguous column name: id";
+            assert_eq!(db.query(sql).map_err(|e| e.to_string()), Err(message.to_owned()), "{sql}");
+            let analysis = crate::analyze_sql(&db.schema, sql);
+            assert!(
+                analysis.diagnostics.iter().any(|d| d.code == "E0103" && d.message == message),
+                "{sql}: {:?}",
+                analysis.diagnostics
+            );
+        }
+        for sql in [
+            "SELECT COUNT(*) FROM a JOIN b ON a.id = b.a_id",
+            "SELECT COUNT(*) FROM a JOIN b ON b.a_id = a.id",
+        ] {
+            let plan = lower_sql(&db, sql);
+            assert!(
+                matches!(plan.stages[1].join, Some(JoinOp::Hash { left_key: 0, right_key: 1 })),
+                "{sql}: {}",
+                plan.stages[1].describe(&plan)
+            );
+            assert_eq!(db.query(sql).unwrap().rows, vec![vec![Value::Int(3)]], "{sql}");
+        }
     }
 
     #[test]

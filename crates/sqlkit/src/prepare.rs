@@ -4,28 +4,30 @@
 //!
 //! [`prepare`] moves all name resolution and planning out of the per-row
 //! path, so a statement run once pays for them once and a cached one not
-//! again ([`PlanCache`]). The binding pass
-//! is strictly best-effort and semantics-preserving: any reference it
-//! cannot resolve statically is left as a raw [`Expr::Column`] so
-//! execution raises the same error at the same point an unbound statement
-//! would.
+//! again ([`PlanCache`]). The executor never sees a name: the binding pass
+//! resolves every column reference it can reach, and one it cannot
+//! resolve becomes an [`Expr::Unresolved`] that raises the lookup's error
+//! when — and only if — execution reaches it, at the point a by-name
+//! interpreter would have raised it.
 //!
-//! What the binder does per SELECT core, mirroring the executor:
+//! What the binder does per SELECT core:
 //!
-//! 1. resolves the FROM layout (recursing into FROM subqueries),
+//! 1. resolves the FROM layout (recursing into FROM subqueries) and binds
+//!    each JOIN ON against the join prefix it is evaluated on,
 //! 2. freezes output labels (`AS` aliases are materialised, `*` and
-//!    `alias.*` are pre-expanded when the layout is known),
-//! 3. performs the GROUP BY / HAVING projection-alias substitution that
-//!    the tail would otherwise re-do on every execution,
-//! 4. rewrites resolvable columns into [`Expr::BoundColumn`] (local slot)
-//!    or [`Expr::OuterColumn`] (correlated environment slot),
+//!    `alias.*` are pre-expanded),
+//! 3. performs the GROUP BY / HAVING projection-alias substitution,
+//! 4. rewrites every column into [`Expr::BoundColumn`] (local slot),
+//!    [`Expr::OuterColumn`] (correlated environment slot) or
+//!    [`Expr::Unresolved`],
 //! 5. folds literal-only subtrees through [`eval_const`].
 //!
-//! Anything that would change observable behaviour is deliberately left
-//! alone: JOIN ON expressions (the planner reads their column names to
-//! pick join keys), ORDER BY terms that the tail treats as positions or
-//! output labels, and the separator argument of `group_concat` (evaluated
-//! without row context at run time).
+//! An aggregate's trailing arguments (`group_concat`'s separator) bind in
+//! the empty scope [`eval_const`] evaluates them in. A core whose FROM
+//! names an unknown table is left as written: execution fails opening
+//! that table, before any of the core's expressions run. ORDER BY terms
+//! that name a position or an output label stay as written too — they are
+//! output references, not names.
 
 use crate::ast::*;
 use crate::db::Database;
@@ -133,7 +135,7 @@ impl Prepared {
     /// caller computed. The statistics and the number of index-driven
     /// operators that ran are reported even when execution fails.
     pub(crate) fn run(&self, db: &Database, fingerprint: u64) -> (SqlResult<ResultSet>, ExecStats, u64) {
-        let mut ctx = exec::Ctx::new(db, true);
+        let mut ctx = exec::Ctx::new(db);
         let result = if fingerprint == self.fingerprint {
             exec::exec_select_inner(&mut ctx, &self.stmt, Some(&self.plans))
         } else {
@@ -179,7 +181,27 @@ pub(crate) fn bind_dml(db: &Database, core: &mut SelectCore, set: &mut [Expr]) {
     }
 }
 
+/// Bind an expression evaluated with no row: in the empty scope, its
+/// sub-selects against `schema`.
+pub(crate) fn bind_const(schema: &DbSchema, e: &mut Expr) {
+    Binder { schema }.bind_expr(e, &Env { layout: &[], chain: &[] });
+}
+
 // ---------------- the binding pass ----------------
+
+/// Replace unqualified column references that match a projection alias with
+/// the aliased expression (GROUP BY / HAVING alias support).
+pub(crate) fn substitute_aliases(e: &Expr, items: &[(Expr, String)]) -> Expr {
+    let mut out = e.clone();
+    out.walk_mut(&mut |node| {
+        let Expr::Column { table: None, column, .. } = &*node else { return };
+        let aliased = items.iter().find(|(expr, label)| label.eq_ignore_ascii_case(column) && *expr != *node);
+        if let Some((expr, _)) = aliased {
+            *node = expr.clone();
+        }
+    });
+    out
+}
 
 /// Fold a fully-constant expression into a literal. Failures are left
 /// unfolded so the runtime raises the identical error at the same point.
@@ -220,8 +242,9 @@ impl Binder<'_> {
             // Single-core ORDER BY terms evaluate against the core's own
             // layout; compound ORDER BY is resolved purely against output
             // columns and must stay raw.
-            if let (Some(layout), Some(labels)) = (&first.layout, &first.labels) {
+            if let Some(layout) = &first.layout {
                 let env = Env { layout, chain };
+                let labels = first.labels.as_deref().unwrap_or_default();
                 for item in &mut stmt.order_by {
                     self.bind_order_expr(&mut item.expr, labels, &env);
                 }
@@ -254,73 +277,46 @@ impl Binder<'_> {
         // The raw (expr, label) pairs exactly as the tail expands them:
         // wildcards become one qualified reference per layout slot, and
         // default labels are frozen before binding mutates the expressions
-        // they would be printed from.
+        // they would be printed from. When the expansion fails, so does
+        // every execution, right after WHERE: what else binds never runs.
+        let snapshot = scope::expand_items(&core.items, &layout).map(|items| {
+            items.into_iter().map(|(e, label)| (e.into_owned(), label)).collect::<Vec<_>>()
+        });
+        let labels = snapshot.ok().map(|snapshot| {
+            // GROUP BY / HAVING read projection aliases: substitute them
+            // once, here, before binding
+            core.group_by = core.group_by.iter().map(|g| substitute_aliases(g, &snapshot)).collect();
+            core.having = core.having.as_ref().map(|h| substitute_aliases(h, &snapshot));
+            let labels = snapshot.iter().map(|(_, l)| l.clone()).collect();
+            core.items = snapshot
+                .into_iter()
+                .map(|(expr, label)| SelectItem::Expr { expr, alias: Some(label) })
+                .collect();
+            labels
+        });
         let env = Env { layout: &layout, chain };
-        let snapshot: Vec<(Expr, String)> = match scope::expand_items(&core.items, &layout) {
-            Ok(items) => items.into_iter().map(|(e, label)| (e.into_owned(), label)).collect(),
-            Err(_) => {
-                // the same failure ends every execution right after the
-                // WHERE filter; only WHERE (and its subqueries) evaluates
-                if let Some(w) = &mut core.where_clause {
-                    self.bind_and_fold(w, &env);
-                }
-                return CoreInfo { layout: Some(layout), labels: None };
-            }
-        };
-        let labels: Vec<String> = snapshot.iter().map(|(_, l)| l.clone()).collect();
-        // GROUP BY / HAVING projection-alias substitution, normally redone
-        // by project_grouped on every execution. The executor skips its
-        // runtime pass for prepared statements (substituting twice is not
-        // idempotent), so this must run for every core in the tree.
-        core.group_by =
-            core.group_by.iter().map(|g| exec::substitute_aliases(g, &snapshot)).collect();
-        core.having = core.having.as_ref().map(|h| exec::substitute_aliases(h, &snapshot));
-        core.items = snapshot
-            .into_iter()
-            .map(|(expr, label)| SelectItem::Expr { expr, alias: Some(label) })
-            .collect();
-        if let Some(w) = &mut core.where_clause {
-            self.bind_and_fold(w, &env);
+        let items = core.items.iter_mut().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            _ => None,
+        });
+        for e in core.where_clause.iter_mut().chain(items).chain(&mut core.group_by).chain(&mut core.having) {
+            self.bind_and_fold(e, &env);
         }
-        for item in &mut core.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                self.bind_and_fold(expr, &env);
-            }
-        }
-        for g in &mut core.group_by {
-            self.bind_and_fold(g, &env);
-        }
-        if let Some(h) = &mut core.having {
-            self.bind_and_fold(h, &env);
-        }
-        CoreInfo { layout: Some(layout), labels: Some(labels) }
+        CoreInfo { layout: Some(layout), labels }
     }
 
     /// Resolve the FROM clause's combined layout, binding FROM subqueries
-    /// (which inherit the ambient chain unchanged) and the subqueries
-    /// nested in ON predicates (which see the join prefix as their
-    /// innermost environment). The ON expressions themselves stay raw so
-    /// equi-join detection and row-visit accounting are untouched.
+    /// (which inherit the ambient chain unchanged) and each ON predicate
+    /// against the join prefix it is evaluated on: every table up to and
+    /// including the one it joins. An unknown prefix already failed before
+    /// the ON could run, so that ON stays as written.
     fn layout_of_from(&self, from: &mut FromClause, chain: &[Vec<ColBinding>]) -> Option<Vec<ColBinding>> {
         let mut layout = Vec::new();
         let mut known = self.push_table(&mut from.base, chain, &mut layout);
         for join in &mut from.joins {
             known &= self.push_table(&mut join.table, chain, &mut layout);
-            // The nested-loop path evaluates ON against everything scanned
-            // so far; an unknown prefix already failed before this ON could
-            // run.
             if let (true, Some(on)) = (known, &mut join.on) {
-                let mut chain = chain.to_vec();
-                chain.push(layout.clone());
-                on.walk_mut(&mut |node| match node {
-                    Expr::Subquery(q) => {
-                        self.bind_statement(q, &chain);
-                    }
-                    Expr::InSubquery { query, .. } | Expr::Exists { query, .. } => {
-                        self.bind_statement(query, &chain);
-                    }
-                    _ => {}
-                });
+                self.bind_and_fold(on, &Env { layout: &layout, chain });
             }
         }
         known.then_some(layout)
@@ -398,17 +394,19 @@ impl Binder<'_> {
         match e {
             Expr::Literal(_) => true,
             Expr::Column { table, column, .. } => {
-                // unresolvable everywhere stays raw for the runtime error
                 let outer = env.chain.iter().rev().map(Vec::as_slice);
                 let layouts = std::iter::once(env.layout).chain(outer);
-                match scope::lookup(layouts, table.as_deref(), column) {
-                    Ok((0, index)) => *e = Expr::BoundColumn { index },
-                    Ok((up, index)) => *e = Expr::OuterColumn { up: up - 1, index },
-                    Err(_) => {}
-                }
+                *e = match scope::lookup(layouts, table.as_deref(), column) {
+                    Ok((0, index)) => Expr::BoundColumn { index },
+                    Ok((up, index)) => Expr::OuterColumn { up: up - 1, index },
+                    Err(miss) => Expr::Unresolved(miss.error(table.as_deref(), column)),
+                };
                 false
             }
-            Expr::BoundColumn { .. } | Expr::OuterColumn { .. } | Expr::Wildcard => false,
+            Expr::BoundColumn { .. }
+            | Expr::OuterColumn { .. }
+            | Expr::Unresolved(_)
+            | Expr::Wildcard => false,
             Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
                 self.bind_composite(vec![expr.as_mut()], env)
             }
@@ -443,11 +441,10 @@ impl Binder<'_> {
             Expr::Function { name, args, .. } if is_aggregate_name(name, args.len()) => {
                 // The first argument evaluates per row in the group;
                 // trailing arguments (group_concat's separator) evaluate
-                // via eval_const with no row context and must stay raw.
-                if let Some(a0) = args.first_mut() {
-                    if self.bind_expr(a0, env) {
-                        try_fold(a0);
-                    }
+                // through eval_const, with no row and no tables.
+                let empty = Env { layout: &[], chain: &[] };
+                for (i, a) in args.iter_mut().enumerate() {
+                    self.bind_and_fold(a, if i == 0 { env } else { &empty });
                 }
                 false
             }

@@ -5,6 +5,7 @@
 //! is covered by property tests in `tests/` at the workspace root.
 
 use crate::ast::*;
+use crate::error::SqlError;
 use crate::value::Value;
 use std::fmt::Write;
 
@@ -311,12 +312,19 @@ fn write_expr(out: &mut String, e: &Expr, parent_prec: u8) {
         }
         // Bound references only appear in prepared plans, which are never
         // printed back to user-facing SQL; render a debug-ish form anyway
-        // so diagnostics stay readable.
+        // so diagnostics stay readable (an unresolved one by the name it
+        // failed on).
         Expr::BoundColumn { index } => {
             let _ = write!(out, "@{index}");
         }
         Expr::OuterColumn { up, index } => {
             let _ = write!(out, "@outer{up}.{index}");
+        }
+        Expr::Unresolved(SqlError::NoSuchColumn(name) | SqlError::AmbiguousColumn(name)) => {
+            out.push_str(name)
+        }
+        Expr::Unresolved(other) => {
+            let _ = write!(out, "@{other}");
         }
     }
 }

@@ -1,147 +1,625 @@
-//! A deliberately naive reference for FROM and WHERE, and for UPDATE and
+//! A deliberately naive second implementation of SELECT, UPDATE and
 //! DELETE — test code only.
 //!
 //! An interpreter shrunk to the simplest thing that can be right: owned
-//! rows, nested loops only, the whole WHERE evaluated per joined tuple,
-//! no sargs, no indexes, no memoisation of FROM-subqueries, no binding
-//! pass (names resolve per row). It
-//! shares `eval_expr` and the projection tail with production — a bug
-//! there is invisible here — but none of the planner, the binder or the
-//! executor. Sub-selects met *inside* an expression go back through
-//! `eval_expr` and therefore through production; each of those is a
-//! statement this suite also checks at top level.
+//! rows, nested loops only, the whole WHERE evaluated per joined tuple, no
+//! plan, no binding pass, no memoisation. Names resolve per row through
+//! `scope::lookup` over a stack of `(layout, row)` environments — the
+//! design production binds away before it plans. It has its own
+//! expression evaluator, its own tail (projection, grouping, aggregates,
+//! DISTINCT, ORDER BY, compound, LIMIT) and runs its own sub-selects, and
+//! it imports nothing from the executor, the binder or the planner. What
+//! it shares with production is per-value semantics: the scope rules,
+//! `Value`'s comparisons, and the scalar and operator kernels of
+//! `functions`.
 //!
-//! The one thing it copies from production is the join-key comparison: a
-//! two-column equality `ON a.x = b.y` matches on the normalised form the
-//! hash join keys on (`1 = 1.0`, NULL matches nothing), whatever the join
-//! kind.
+//! The one thing it copies from production is the join-key comparison: an
+//! ON that is one equality between a column of the tables to its left and
+//! a column of the table it joins matches on the normalised form the hash
+//! join keys on (`1 = 1.0`, NULL matches nothing), whatever the join kind.
 //!
 //! UPDATE and DELETE ([`execute_update`], [`execute_delete`]) are the
-//! statements' previous implementation, moved here verbatim: copy the
-//! whole database so expressions read the pre-statement state, walk every
-//! row of the target table, evaluate the WHERE and the SET expressions by
-//! name with a fresh context per row, write as you go. It is slow, and a
-//! statement that fails midway leaves its earlier rows rewritten — which
-//! is why it is the oracle and not the engine.
+//! statements' first implementation: copy the whole database so
+//! expressions read the pre-statement state, walk every row of the target
+//! table, evaluate the WHERE and the SET expressions by name, write as you
+//! go. It is slow, and a statement that fails midway leaves its earlier
+//! rows rewritten — which is why it is the oracle and not the engine.
 
 use crate::ast::*;
 use crate::db::{apply_affinity, Database};
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{
-    apply_limit, combine, contains_aggregate, equi_join_indices, eval_expr, order_compound,
-    project_filtered, sort_with_keys, Ctx,
+use crate::functions::{
+    apply_binary, apply_unary, call_scalar, cast_value, is_aggregate_name, like_match,
 };
 use crate::schema::TableInfo;
-use crate::scope::ColBinding;
-use crate::value::{ResultSet, Row, Value};
+use crate::scope::{self, ColBinding};
+use crate::value::{NormValue, ResultSet, Row, Value};
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
 /// Execute `stmt` exactly as written.
 pub(crate) fn execute(db: &Database, stmt: &SelectStmt) -> SqlResult<ResultSet> {
-    select(&mut Ctx::new(db, false), stmt)
+    Eval::new(db).select(stmt)
 }
 
-fn select(ctx: &mut Ctx, stmt: &SelectStmt) -> SqlResult<ResultSet> {
-    let mut rs = if stmt.compounds.is_empty() {
-        let (mut rs, mut keys) = core(ctx, &stmt.core, &stmt.order_by)?;
-        if !stmt.order_by.is_empty() {
-            sort_with_keys(&mut rs.rows, &mut keys, &stmt.order_by);
-        }
-        rs
-    } else {
-        let (mut rs, _) = core(ctx, &stmt.core, &[])?;
-        for (op, arm) in &stmt.compounds {
-            let (next, _) = core(ctx, arm, &[])?;
-            if next.columns.len() != rs.columns.len() {
-                return Err(SqlError::Other(
-                    "SELECTs to the left and right of a set operator do not have the same number of result columns".into(),
-                ));
-            }
-            rs = combine(rs, next, *op);
-        }
-        order_compound(&mut rs, &stmt.order_by)?;
-        rs
-    };
-    apply_limit(ctx, &mut rs, stmt)?;
-    Ok(rs)
+/// One execution: the database, and the rows of the statements a
+/// sub-select is nested in, innermost last.
+struct Eval<'a> {
+    db: &'a Database,
+    outer: Vec<(Vec<ColBinding>, Row)>,
+    /// SELECT nesting: 1 at top level, +1 per sub-select.
+    depth: usize,
 }
 
-fn core(
-    ctx: &mut Ctx,
-    core: &SelectCore,
-    order_by: &[OrderItem],
-) -> SqlResult<(ResultSet, Vec<Vec<Value>>)> {
-    let (layout, mut rows) = match &core.from {
-        Some(from) => from_clause(ctx, from)?,
-        None => (Vec::new(), vec![Vec::new()]),
-    };
-    if let Some(w) = &core.where_clause {
-        if contains_aggregate(w) {
-            return Err(SqlError::MisusedAggregate("aggregate in WHERE clause".into()));
-        }
-        let mut kept = Vec::new();
-        for row in rows {
-            if eval_expr(ctx, w, &layout, &row)?.truthiness() == Some(true) {
-                kept.push(row);
-            }
-        }
-        rows = kept;
+/// A projection list expanded against its layout: `(expression, label)`.
+type Items<'e> = [(Cow<'e, Expr>, String)];
+
+/// An ORDER BY term of a single-core statement.
+enum Key<'e> {
+    /// The n-th output column (a position, or an output label).
+    Output(usize),
+    /// An expression over the row (or the group).
+    Expr(&'e Expr),
+}
+
+fn has_aggregate(e: &Expr) -> bool {
+    e.any(&mut |n| matches!(n, Expr::Function { name, args, .. } if is_aggregate_name(name, args.len())))
+}
+
+/// Keep the first row of each set of equal ones, with its ORDER BY values.
+fn distinct_rows(rows: Vec<Row>, keys: Vec<Vec<Value>>) -> (Vec<Row>, Vec<Vec<Value>>) {
+    let mut seen = HashSet::new();
+    rows.into_iter().zip(keys).filter(|(r, _)| seen.insert(normalized(r))).unzip()
+}
+
+fn normalized(row: &[Value]) -> Vec<NormValue> {
+    row.iter().map(Value::normalized).collect()
+}
+
+impl<'a> Eval<'a> {
+    fn new(db: &'a Database) -> Self {
+        Eval { db, outer: Vec::new(), depth: 1 }
     }
-    project_filtered(ctx, core, &layout, rows, order_by)
-}
 
-fn from_clause(ctx: &mut Ctx, from: &FromClause) -> SqlResult<(Vec<ColBinding>, Vec<Row>)> {
-    let (mut layout, mut rows) = table(ctx, &from.base)?;
-    for join in &from.joins {
-        let (right_layout, right_rows) = table(ctx, &join.table)?;
-        let keys = join.on.as_ref().and_then(|on| equi_join_indices(on, &layout, &right_layout));
-        layout.extend(right_layout.iter().cloned());
-        let mut joined = Vec::new();
-        for l in &rows {
-            let mut matched = false;
-            for r in &right_rows {
-                let mut tuple = l.clone();
-                tuple.extend(r.iter().cloned());
-                let keep = match (keys, &join.on) {
-                    (Some((li, ri)), _) => {
-                        !l[li].is_null()
-                            && !r[ri].is_null()
-                            && l[li].normalized_ref() == r[ri].normalized_ref()
+    /// A SELECT met inside another: a sub-select or a FROM-subquery.
+    fn nested(&mut self, stmt: &SelectStmt) -> SqlResult<ResultSet> {
+        self.depth += 1;
+        if self.depth > 16 {
+            return Err(SqlError::Other("subquery nesting too deep".into()));
+        }
+        let rs = self.select(stmt);
+        self.depth -= 1;
+        rs
+    }
+
+    /// A sub-select of an expression, run with the row it is evaluated on
+    /// as its innermost enclosing environment.
+    fn subquery(&mut self, stmt: &SelectStmt, layout: &[ColBinding], row: &[Value]) -> SqlResult<ResultSet> {
+        self.outer.push((layout.to_vec(), row.to_vec()));
+        let rs = self.nested(stmt);
+        self.outer.pop();
+        rs
+    }
+
+    fn select(&mut self, stmt: &SelectStmt) -> SqlResult<ResultSet> {
+        // the rows, with the values each ORDER BY term sorts it by
+        let (columns, rows, keys) = if stmt.compounds.is_empty() {
+            let (rs, keys) = self.core(&stmt.core, &stmt.order_by)?;
+            (rs.columns, rs.rows, keys)
+        } else {
+            let (mut rs, _) = self.core(&stmt.core, &[])?;
+            for (op, arm) in &stmt.compounds {
+                let (next, _) = self.core(arm, &[])?;
+                if next.columns.len() != rs.columns.len() {
+                    return Err(SqlError::Other(
+                        "SELECTs to the left and right of a set operator do not have the same number of result columns".into(),
+                    ));
+                }
+                rs = compound(rs, next, *op);
+            }
+            // a compound's ORDER BY names output columns only
+            let at = stmt
+                .order_by
+                .iter()
+                .map(|o| match &o.expr {
+                    Expr::Literal(Value::Int(k)) if *k >= 1 && (*k as usize) <= rs.columns.len() => {
+                        Ok(*k as usize - 1)
                     }
-                    (None, Some(on)) => eval_expr(ctx, on, &layout, &tuple)?.truthiness() == Some(true),
-                    (None, None) => true,
-                };
-                if keep {
-                    matched = true;
-                    joined.push(tuple);
+                    Expr::Column { table: None, column, .. } => rs
+                        .columns
+                        .iter()
+                        .position(|c| c.eq_ignore_ascii_case(column))
+                        .ok_or_else(|| SqlError::NoSuchColumn(column.clone())),
+                    _ => Err(SqlError::Other(
+                        "ORDER BY term of a compound SELECT must be a column label or position".into(),
+                    )),
+                })
+                .collect::<SqlResult<Vec<usize>>>()?;
+            let keys = rs.rows.iter().map(|r| at.iter().map(|&i| r[i].clone()).collect()).collect();
+            (rs.columns, rs.rows, keys)
+        };
+        let mut sorted: Vec<(Row, Vec<Value>)> = rows.into_iter().zip(keys).collect();
+        sorted.sort_by(|(_, a), (_, b)| {
+            let terms = a.iter().zip(b).zip(&stmt.order_by);
+            let mut ord = terms.map(|((x, y), o)| if o.desc { y.sql_cmp(x) } else { x.sql_cmp(y) });
+            ord.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mut rs = ResultSet { columns, rows: sorted.into_iter().map(|(r, _)| r).collect() };
+        let mut count = |e: &Option<Expr>| -> SqlResult<Option<i64>> {
+            let Some(e) = e else { return Ok(None) };
+            let v = self.expr(e, &[], &[])?;
+            v.as_i64().map(Some).ok_or_else(|| SqlError::Type("LIMIT/OFFSET must be an integer".into()))
+        };
+        if let Some(offset) = count(&stmt.offset)? {
+            rs.rows.drain(..(offset.max(0) as usize).min(rs.rows.len()));
+        }
+        if let Some(limit) = count(&stmt.limit)? {
+            if limit >= 0 {
+                rs.rows.truncate(limit as usize);
+            }
+        }
+        Ok(rs)
+    }
+
+    /// One core: FROM, WHERE, then the projection tail. Returns the rows
+    /// and, per row, the values of the ORDER BY terms.
+    fn core(&mut self, core: &SelectCore, order_by: &[OrderItem]) -> SqlResult<(ResultSet, Vec<Vec<Value>>)> {
+        let (layout, mut rows) = match &core.from {
+            Some(from) => self.joined(from)?,
+            None => (Vec::new(), vec![Vec::new()]),
+        };
+        if let Some(w) = &core.where_clause {
+            if has_aggregate(w) {
+                return Err(SqlError::MisusedAggregate("aggregate in WHERE clause".into()));
+            }
+            let mut kept = Vec::new();
+            for row in rows {
+                if self.expr(w, &layout, &row)?.truthiness() == Some(true) {
+                    kept.push(row);
                 }
             }
-            if !matched && join.kind == JoinKind::Left {
-                let mut tuple = l.clone();
-                tuple.extend(std::iter::repeat_n(Value::Null, right_layout.len()));
-                joined.push(tuple);
+            rows = kept;
+        }
+        let items = scope::expand_items(&core.items, &layout)?;
+        let labels: Vec<String> = items.iter().map(|(_, l)| l.clone()).collect();
+        let keys: Vec<Key> = order_by
+            .iter()
+            .map(|o| match &o.expr {
+                Expr::Literal(Value::Int(k)) if *k >= 1 && (*k as usize) <= labels.len() => {
+                    Key::Output(*k as usize - 1)
+                }
+                Expr::Column { table: None, column, .. } => {
+                    match labels.iter().position(|l| l.eq_ignore_ascii_case(column)) {
+                        Some(i) => Key::Output(i),
+                        None => Key::Expr(&o.expr),
+                    }
+                }
+                e => Key::Expr(e),
+            })
+            .collect();
+        let grouped = !core.group_by.is_empty()
+            || core.having.is_some()
+            || items.iter().any(|(e, _)| has_aggregate(e))
+            || keys.iter().any(|k| matches!(k, Key::Expr(e) if has_aggregate(e)));
+        let (out, key_rows) = if grouped {
+            self.grouped(core, &layout, rows, &items, &keys)?
+        } else {
+            let (mut out, mut key_rows) = (Vec::new(), Vec::new());
+            for row in &rows {
+                let projected =
+                    items.iter().map(|(e, _)| self.expr(e, &layout, row)).collect::<SqlResult<Row>>()?;
+                let k = keys
+                    .iter()
+                    .map(|k| match k {
+                        Key::Output(i) => Ok(projected[*i].clone()),
+                        Key::Expr(e) => self.expr(e, &layout, row),
+                    })
+                    .collect::<SqlResult<Vec<Value>>>()?;
+                out.push(projected);
+                key_rows.push(k);
+            }
+            (out, key_rows)
+        };
+        let (out, key_rows) = if core.distinct { distinct_rows(out, key_rows) } else { (out, key_rows) };
+        Ok((ResultSet { columns: labels, rows: out }, key_rows))
+    }
+
+    /// The grouped tail: GROUP BY and HAVING read projection aliases, every
+    /// group yields one row (one group, possibly empty, without GROUP BY).
+    fn grouped(
+        &mut self,
+        core: &SelectCore,
+        layout: &[ColBinding],
+        rows: Vec<Row>,
+        items: &Items,
+        keys: &[Key],
+    ) -> SqlResult<(Vec<Row>, Vec<Vec<Value>>)> {
+        let group_by: Vec<Expr> = core.group_by.iter().map(|g| aliases(g, items)).collect();
+        let having = core.having.as_ref().map(|h| aliases(h, items));
+        let groups: Vec<Vec<Row>> = if group_by.is_empty() {
+            vec![rows]
+        } else {
+            let mut order: Vec<Vec<NormValue>> = Vec::new();
+            let mut groups: HashMap<Vec<NormValue>, Vec<Row>> = HashMap::new();
+            for row in rows {
+                let mut key = Vec::new();
+                for g in &group_by {
+                    if has_aggregate(g) {
+                        return Err(SqlError::MisusedAggregate("aggregate in GROUP BY".into()));
+                    }
+                    key.push(self.expr(g, layout, &row)?.normalized());
+                }
+                if !groups.contains_key(&key) {
+                    order.push(key.clone());
+                }
+                groups.entry(key).or_default().push(row);
+            }
+            order.into_iter().map(|k| groups.remove(&k).unwrap()).collect()
+        };
+        let (mut out, mut key_rows) = (Vec::new(), Vec::new());
+        for group in &groups {
+            if let Some(h) = &having {
+                if self.in_group(h, layout, group)?.truthiness() != Some(true) {
+                    continue;
+                }
+            }
+            let projected =
+                items.iter().map(|(e, _)| self.in_group(e, layout, group)).collect::<SqlResult<Row>>()?;
+            let k = keys
+                .iter()
+                .map(|k| match k {
+                    Key::Output(i) => Ok(projected[*i].clone()),
+                    Key::Expr(e) => self.in_group(e, layout, group),
+                })
+                .collect::<SqlResult<Vec<Value>>>()?;
+            out.push(projected);
+            key_rows.push(k);
+        }
+        Ok((out, key_rows))
+    }
+
+    fn joined(&mut self, from: &FromClause) -> SqlResult<(Vec<ColBinding>, Vec<Row>)> {
+        let (mut layout, mut rows) = self.table(&from.base)?;
+        for join in &from.joins {
+            let (right_layout, right_rows) = self.table(&join.table)?;
+            let left_width = layout.len();
+            layout.extend(right_layout);
+            let keys = join.on.as_ref().and_then(|on| join_keys(on, &layout, left_width));
+            let mut joined = Vec::new();
+            for l in &rows {
+                let mut matched = false;
+                for r in &right_rows {
+                    let tuple: Row = l.iter().chain(r).cloned().collect();
+                    let keep = match (keys, &join.on) {
+                        (Some((a, b)), _) => {
+                            !tuple[a].is_null() && tuple[a].normalized() == tuple[b].normalized()
+                        }
+                        (None, Some(on)) => self.expr(on, &layout, &tuple)?.truthiness() == Some(true),
+                        (None, None) => true,
+                    };
+                    if keep {
+                        matched = true;
+                        joined.push(tuple);
+                    }
+                }
+                if !matched && join.kind == JoinKind::Left {
+                    let pad = std::iter::repeat_n(Value::Null, layout.len() - left_width);
+                    joined.push(l.iter().cloned().chain(pad).collect());
+                }
+            }
+            rows = joined;
+        }
+        Ok((layout, rows))
+    }
+
+    fn table(&mut self, tref: &TableRef) -> SqlResult<(Vec<ColBinding>, Vec<Row>)> {
+        let mut layout = Vec::new();
+        match tref {
+            TableRef::Named { name, alias, .. } => {
+                let (info, _) = scope::push_table(&mut layout, &self.db.schema, name, alias.as_deref())
+                    .ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
+                Ok((layout, self.db.rows(&info.name)?.to_vec()))
+            }
+            TableRef::Subquery { query, alias } => {
+                let rs = self.nested(query)?;
+                scope::push_labels(&mut layout, alias, rs.columns);
+                Ok((layout, rs.rows))
             }
         }
-        rows = joined;
     }
-    Ok((layout, rows))
+
+    /// Evaluate `e` on `row`, laid out as `layout`.
+    fn expr(&mut self, e: &Expr, layout: &[ColBinding], row: &[Value]) -> SqlResult<Value> {
+        let mut eval = |e: &Expr| self.expr(e, layout, row);
+        Ok(match e {
+            Expr::Literal(v) => v.clone(),
+            Expr::Column { table, column, .. } => {
+                let outer = self.outer.iter().rev().map(|(l, _)| l.as_slice());
+                match scope::lookup(std::iter::once(layout).chain(outer), table.as_deref(), column) {
+                    Ok((0, slot)) => row[slot].clone(),
+                    Ok((up, slot)) => self.outer[self.outer.len() - up].1[slot].clone(),
+                    Err(miss) => return Err(miss.error(table.as_deref(), column)),
+                }
+            }
+            Expr::Unary { op, expr } => apply_unary(*op, eval(expr)?)?,
+            Expr::Binary { left, op: BinOp::And, right } => match eval(left)?.truthiness() {
+                Some(false) => Value::Int(0),
+                l => match (l, eval(right)?.truthiness()) {
+                    (_, Some(false)) => Value::Int(0),
+                    (Some(true), Some(true)) => Value::Int(1),
+                    _ => Value::Null,
+                },
+            },
+            Expr::Binary { left, op: BinOp::Or, right } => match eval(left)?.truthiness() {
+                Some(true) => Value::Int(1),
+                l => match (l, eval(right)?.truthiness()) {
+                    (_, Some(true)) => Value::Int(1),
+                    (Some(false), Some(false)) => Value::Int(0),
+                    _ => Value::Null,
+                },
+            },
+            Expr::Binary { left, op, right } => {
+                let l = eval(left)?;
+                apply_binary(*op, l, eval(right)?)?
+            }
+            Expr::Like { expr, pattern, negated } => {
+                let (v, p) = (eval(expr)?, eval(pattern)?);
+                match (v.as_text(), p.as_text()) {
+                    (Some(text), Some(pattern)) => Value::Int((like_match(&pattern, &text) != *negated) as i64),
+                    _ => Value::Null,
+                }
+            }
+            Expr::Between { expr, low, high, negated } => {
+                let (v, lo, hi) = (eval(expr)?, eval(low)?, eval(high)?);
+                if v.is_null() || lo.is_null() || hi.is_null() {
+                    Value::Null
+                } else {
+                    let inside = v.sql_cmp(&lo).is_ge() && v.sql_cmp(&hi).is_le();
+                    Value::Int((inside != *negated) as i64)
+                }
+            }
+            Expr::InList { expr, list, negated } => {
+                let v = eval(expr)?;
+                if v.is_null() {
+                    return Ok(Value::Null);
+                }
+                let mut saw_null = false;
+                for item in list {
+                    match v.sql_eq(&eval(item)?) {
+                        Some(true) => return Ok(Value::Int(!*negated as i64)),
+                        Some(false) => {}
+                        None => saw_null = true,
+                    }
+                }
+                if saw_null { Value::Null } else { Value::Int(*negated as i64) }
+            }
+            Expr::InSubquery { expr, query, negated } => {
+                let v = eval(expr)?;
+                if v.is_null() {
+                    return Ok(Value::Null);
+                }
+                let rs = self.subquery(query, layout, row)?;
+                if rs.columns.len() != 1 {
+                    return Err(SqlError::SubqueryShape("IN subquery must return a single column".into()));
+                }
+                let hits: Vec<Option<bool>> = rs.rows.iter().map(|r| v.sql_eq(&r[0])).collect();
+                if hits.contains(&Some(true)) {
+                    Value::Int(!*negated as i64)
+                } else if hits.contains(&None) {
+                    Value::Null
+                } else {
+                    Value::Int(*negated as i64)
+                }
+            }
+            Expr::IsNull { expr, negated } => Value::Int((eval(expr)?.is_null() != *negated) as i64),
+            Expr::Case { operand, branches, else_expr } => {
+                let operand = operand.as_ref().map(|o| eval(o)).transpose()?;
+                for (when, then) in branches {
+                    let cond = eval(when)?;
+                    let hit = match &operand {
+                        Some(v) => v.sql_eq(&cond) == Some(true),
+                        None => cond.truthiness() == Some(true),
+                    };
+                    if hit {
+                        return eval(then);
+                    }
+                }
+                match else_expr {
+                    Some(e) => eval(e)?,
+                    None => Value::Null,
+                }
+            }
+            Expr::Function { name, args, .. } => {
+                if is_aggregate_name(name, args.len()) {
+                    return Err(SqlError::MisusedAggregate(format!(
+                        "aggregate {name}() used outside of an aggregate context"
+                    )));
+                }
+                let args = args.iter().map(eval).collect::<SqlResult<Vec<Value>>>()?;
+                call_scalar(name, &args)?
+            }
+            Expr::Wildcard => return Err(SqlError::Syntax { pos: 0, msg: "misplaced *".into() }),
+            Expr::Cast { expr, ty } => cast_value(eval(expr)?, *ty),
+            Expr::Subquery(query) => {
+                let rs = self.subquery(query, layout, row)?;
+                if rs.columns.len() != 1 {
+                    return Err(SqlError::SubqueryShape("scalar subquery must return a single column".into()));
+                }
+                rs.rows.first().map(|r| r[0].clone()).unwrap_or(Value::Null)
+            }
+            Expr::Exists { query, negated } => {
+                let rs = self.subquery(query, layout, row)?;
+                Value::Int((rs.rows.is_empty() == *negated) as i64)
+            }
+            Expr::BoundColumn { .. } | Expr::OuterColumn { .. } | Expr::Unresolved(_) => {
+                return Err(SqlError::Other("the reference runs unbound statements only".into()))
+            }
+        })
+    }
+
+    /// Evaluate `e` over a group: aggregate calls over its rows, anything
+    /// else around them as over rows, and the rest on the group's first
+    /// row (NULL for an empty group).
+    fn in_group(&mut self, e: &Expr, layout: &[ColBinding], group: &[Row]) -> SqlResult<Value> {
+        let mut eval = |e: &Expr| self.in_group(e, layout, group);
+        Ok(match e {
+            Expr::Function { name, args, distinct, .. } if is_aggregate_name(name, args.len()) => {
+                return self.aggregate(name, args, *distinct, layout, group)
+            }
+            Expr::Binary { left, op, right } => {
+                let l = eval(left)?;
+                apply_binary(*op, l, eval(right)?)?
+            }
+            Expr::Unary { op, expr } => apply_unary(*op, eval(expr)?)?,
+            Expr::Case { operand, branches, else_expr } => {
+                let operand = operand.as_ref().map(|o| eval(o)).transpose()?;
+                for (when, then) in branches {
+                    let cond = eval(when)?;
+                    let hit = match &operand {
+                        Some(v) => v.sql_eq(&cond) == Some(true),
+                        None => cond.truthiness() == Some(true),
+                    };
+                    if hit {
+                        return eval(then);
+                    }
+                }
+                match else_expr {
+                    Some(e) => eval(e)?,
+                    None => Value::Null,
+                }
+            }
+            Expr::Function { name, args, .. } => {
+                let args = args.iter().map(eval).collect::<SqlResult<Vec<Value>>>()?;
+                call_scalar(name, &args)?
+            }
+            Expr::Cast { expr, ty } => cast_value(eval(expr)?, *ty),
+            Expr::IsNull { expr, negated } => Value::Int((eval(expr)?.is_null() != *negated) as i64),
+            other => match group.first() {
+                Some(row) => self.expr(other, layout, row)?,
+                None => Value::Null,
+            },
+        })
+    }
+
+    fn aggregate(
+        &mut self,
+        name: &str,
+        args: &[Expr],
+        distinct: bool,
+        layout: &[ColBinding],
+        group: &[Row],
+    ) -> SqlResult<Value> {
+        if name == "count" && matches!(args.first(), None | Some(Expr::Wildcard)) {
+            return Ok(Value::Int(group.len() as i64));
+        }
+        let arg = args.first().ok_or_else(|| SqlError::BadFunction(format!("{name}() needs an argument")))?;
+        if has_aggregate(arg) {
+            return Err(SqlError::MisusedAggregate(format!("nested aggregate in {name}()")));
+        }
+        let mut values = Vec::new();
+        for row in group {
+            let v = self.expr(arg, layout, row)?;
+            if !v.is_null() {
+                values.push(v);
+            }
+        }
+        if distinct {
+            let mut seen = HashSet::new();
+            values.retain(|v| seen.insert(v.normalized()));
+        }
+        let reals = || values.iter().filter_map(Value::as_f64_lossy);
+        Ok(match name {
+            "count" => Value::Int(values.len() as i64),
+            "sum" | "total" | "avg" if values.is_empty() => {
+                if name == "total" { Value::Real(0.0) } else { Value::Null }
+            }
+            "sum" if values.iter().all(|v| matches!(v, Value::Int(_))) => {
+                let mut sum = 0i64;
+                for v in &values {
+                    sum = sum
+                        .checked_add(v.as_i64().unwrap())
+                        .ok_or_else(|| SqlError::Other("integer overflow in SUM".into()))?;
+                }
+                Value::Int(sum)
+            }
+            "sum" | "total" => Value::Real(reals().sum()),
+            "avg" => Value::Real(reals().sum::<f64>() / values.len() as f64),
+            "min" | "max" => {
+                let want = if name == "min" { std::cmp::Ordering::Less } else { std::cmp::Ordering::Greater };
+                let mut best: Option<Value> = None;
+                for v in values {
+                    if best.as_ref().is_none_or(|b| v.sql_cmp(b) == want) {
+                        best = Some(v);
+                    }
+                }
+                best.unwrap_or(Value::Null)
+            }
+            "group_concat" if values.is_empty() => Value::Null,
+            "group_concat" => {
+                // the separator is evaluated with no row and no tables
+                let sep = match args.get(1) {
+                    Some(e) => Eval::new(&Database::new("const")).expr(e, &[], &[])?.as_text(),
+                    None => None,
+                };
+                let parts: Vec<String> = values.iter().map(Value::to_string).collect();
+                Value::text(parts.join(&sep.unwrap_or_else(|| ",".into())))
+            }
+            other => return Err(SqlError::BadFunction(format!("unknown aggregate {other}"))),
+        })
+    }
 }
 
-fn table(ctx: &mut Ctx, tref: &TableRef) -> SqlResult<(Vec<ColBinding>, Vec<Row>)> {
-    match tref {
-        TableRef::Named { name, alias, .. } => {
-            let db = ctx.db;
-            let info =
-                db.schema.table(name).ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
-            let binding = alias.as_deref().unwrap_or(&info.name);
-            let layout = info.columns.iter().map(|c| ColBinding::new(binding, &*c.name)).collect();
-            Ok((layout, db.rows(&info.name)?.to_vec()))
-        }
-        TableRef::Subquery { query, alias } => {
-            let rs = select(ctx, query)?;
-            let layout = rs.columns.iter().map(|c| ColBinding::new(&**alias, &**c)).collect();
-            Ok((layout, rs.rows))
-        }
+/// The slots of an ON that is one equality between a column left of
+/// `left_width` and a column right of it, in either order.
+fn join_keys(on: &Expr, layout: &[ColBinding], left_width: usize) -> Option<(usize, usize)> {
+    let Expr::Binary { left, op: BinOp::Eq, right } = on else { return None };
+    let slot = |e: &Expr| match e {
+        Expr::Column { table, column, .. } => scope::lookup([layout], table.as_deref(), column).ok(),
+        _ => None,
+    };
+    let (Some((0, a)), Some((0, b))) = (slot(left), slot(right)) else { return None };
+    match (a < left_width, b < left_width) {
+        (true, false) => Some((a, b)),
+        (false, true) => Some((b, a)),
+        _ => None,
     }
+}
+
+/// Replace each unqualified column named like a projection label by the
+/// labelled expression, unless that is the column itself: GROUP BY and
+/// HAVING may read an output alias.
+fn aliases(e: &Expr, items: &Items) -> Expr {
+    let mut out = e.clone();
+    out.walk_mut(&mut |node| {
+        let Expr::Column { table: None, column, .. } = &*node else { return };
+        let hit = items.iter().find(|(expr, label)| label.eq_ignore_ascii_case(column) && **expr != *node);
+        if let Some((expr, _)) = hit {
+            *node = expr.clone().into_owned();
+        }
+    });
+    out
+}
+
+fn compound(left: ResultSet, right: ResultSet, op: CompoundOp) -> ResultSet {
+    let ResultSet { columns, rows } = left;
+    let rows = match op {
+        CompoundOp::UnionAll => rows.into_iter().chain(right.rows).collect(),
+        CompoundOp::Union => {
+            let mut seen = HashSet::new();
+            rows.into_iter().chain(right.rows).filter(|r| seen.insert(normalized(r))).collect()
+        }
+        CompoundOp::Intersect | CompoundOp::Except => {
+            let right: HashSet<Vec<NormValue>> = right.rows.iter().map(|r| normalized(r)).collect();
+            let mut seen = HashSet::new();
+            rows.into_iter()
+                .filter(|r| {
+                    let key = normalized(r);
+                    right.contains(&key) == (op == CompoundOp::Intersect) && seen.insert(key)
+                })
+                .collect()
+        }
+    };
+    ResultSet { columns, rows }
 }
 
 // ---------------- UPDATE / DELETE, as they were ----------------
@@ -149,12 +627,9 @@ fn table(ctx: &mut Ctx, tref: &TableRef) -> SqlResult<(Vec<ColBinding>, Vec<Row>
 /// Evaluate an expression against a single table row: the layout is the
 /// table's own columns, subqueries are allowed.
 fn eval_in_row(db: &Database, table: &TableInfo, row: &[Value], e: &Expr) -> SqlResult<Value> {
-    let layout: Vec<ColBinding> = table
-        .columns
-        .iter()
-        .map(|c| ColBinding { binding: table.name.clone(), column: c.name.clone() })
-        .collect();
-    eval_expr(&mut Ctx::new(db, false), e, &layout, row)
+    let mut layout = Vec::new();
+    scope::push_table(&mut layout, &db.schema, &table.name, None);
+    Eval::new(db).expr(e, &layout, row)
 }
 
 /// Execute one UPDATE, returning the number of rows changed.
@@ -240,7 +715,7 @@ pub(crate) fn execute_delete(db: &mut Database, d: &DeleteStmt) -> SqlResult<usi
 mod tests {
     use super::*;
     use crate::parser::parse_select;
-    use crate::prepare::{prepare, PlanCache};
+    use crate::PlanCache;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -254,8 +729,8 @@ mod tests {
         let want = outcome(execute(db, &stmt));
         let cache = PlanCache::new(4);
         let got = [
-            ("raw", crate::exec::execute_select(db, &stmt)),
-            ("prepared", prepare(db, sql).and_then(|p| p.execute(db))),
+            ("raw", crate::execute_select(db, &stmt)),
+            ("prepared", crate::prepare(db, sql).and_then(|p| p.execute(db))),
             ("cache cold", cache.execute(db, sql).map(|(rs, _)| rs)),
             ("cache warm", cache.execute(db, sql).map(|(rs, _)| rs)),
         ];
@@ -468,10 +943,13 @@ mod tests {
         }
     }
 
-    /// The planner's one documented divergence, pinned so that moving it
-    /// is a decision: with every conjunct resolved, a pushed-down sarg can
+    /// The planner's contract (DESIGN.md § Physical planning & pipelined
+    /// execution): a WHERE's conjuncts have no evaluation order, in SQLite
+    /// neither, so with every conjunct resolved a pushed-down sarg may
     /// empty the stream before a conjunct that would have failed sees a
-    /// row. Any unresolved column in the WHERE turns pushdown off.
+    /// row. Pinned where this reference, which evaluates every conjunct,
+    /// fails instead. An unresolved column always fails: it turns pushdown
+    /// off.
     #[test]
     fn pushdown_can_hide_an_error_in_another_conjunct() {
         let db = fixture();
@@ -586,8 +1064,8 @@ mod tests {
 
         /// A one-column sub-select that cannot fail, correlated with `t0`
         /// of the enclosing statement about a third of the time. (One that
-        /// can fail next to a sargable conjunct is the planner's documented
-        /// divergence — see `pushdown_can_hide_an_error_in_another_conjunct`.)
+        /// can fail next to a sargable conjunct falls under the planner's
+        /// contract — see `pushdown_can_hide_an_error_in_another_conjunct`.)
         fn subselect(&mut self, depth: u32) -> String {
             let table = self.pick(&["t0", "t1", "t2"]);
             let col = match table {
@@ -873,8 +1351,10 @@ mod dml_tests {
             let (mut db, mut oracle) = (people(), people());
             (run(&mut db, false, sql), run(&mut oracle, true, sql), contents(&db) == contents(&people()))
         };
-        // the planner's: a pushed-down sarg empties the stream before a
-        // fully resolved conjunct that would have failed sees a row
+        // the planner's contract, that conjuncts have no evaluation order
+        // (see `pushdown_can_hide_an_error_in_another_conjunct`): a pushed
+        // sarg empties the stream before a fully resolved conjunct that
+        // would have failed sees a row
         let (got, want, untouched) =
             run_both("DELETE FROM p WHERE age IN (SELECT x FROM ghost) AND id = 99");
         assert_eq!(want.unwrap_err(), "no such table: ghost");

@@ -1,14 +1,16 @@
 //! Scope rules: how the names of a SELECT core become row slots.
 //!
-//! Every name question the engine asks is answered here, for all three of
-//! its readers, so they cannot disagree:
+//! Every name question the engine asks is answered here, for each of its
+//! readers, so they cannot disagree:
 //!
 //! - the analyzer (`analyze::Checker`) turns a failed lookup into E0102 /
 //!   E0103 with did-you-mean help;
 //! - the binder (`prepare::Binder`) turns a slot into a `BoundColumn` /
-//!   `OuterColumn` and leaves every other reference raw;
-//! - the executor (`exec::eval_expr`) reads the slot, or raises the
-//!   [`SqlError`] a failed lookup names.
+//!   `OuterColumn`, and a failed lookup into an `Unresolved` carrying the
+//!   [`SqlError`] it names, which the executor raises if it gets there —
+//!   the executor itself reads slots and never asks;
+//! - the test-only reference interpreter (`reference`) asks per row, over
+//!   a stack of `(layout, row)` environments.
 //!
 //! The rules are three jobs. A core's *layout* is one slot per column of
 //! each FROM table reference, left to right: a schema table's columns
