@@ -32,6 +32,15 @@ cargo test -q --test engine_golden # corpus gate: every entry point still answer
                                  # deleted FROM/WHERE interpreter answered (rows, labels,
                                  # error text, pipelined rows_scanned), recorded on
                                  # c133160; and indexes on ≡ indexes dropped
+cargo test -q --test explain_digest # corpus gate: EXPLAIN of the engine corpus and the
+                                 # 2,000 bird_mini_dev gold statements — plan text,
+                                 # estimates, per-operator actuals and seeks, rows_scanned
+                                 # — hashes to what 5665179 printed
+cargo test -q --test exec_allocations -- --nocapture # allocation gate: a gold statement
+                                 # runs in at most 120 allocations on average (615 when
+                                 # the executor cloned every tuple), per-thread counted;
+                                 # prints the census by statement shape (ROADMAP "The
+                                 # engine at BIRD's scale", the gold admission)
 
 # One executor, structurally: the names of the deleted interpreter and of
 # the per-statement switch that chose it must not come back.

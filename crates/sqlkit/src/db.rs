@@ -20,9 +20,23 @@ pub struct TableData {
     pub rows: Vec<Row>,
 }
 
-/// Built indexes keyed by lower-cased `(table, column)`; `None` marks an
-/// index that refused to build.
-type IndexCache = RwLock<HashMap<(String, String), Option<Arc<ColumnIndex>>>>;
+/// Built indexes keyed by lower-cased table, then lower-cased column;
+/// `None` marks an index that refused to build.
+type IndexCache = RwLock<HashMap<String, HashMap<String, Option<Arc<ColumnIndex>>>>>;
+
+/// `f` applied to `name` lower-cased: on the stack when `name` is short
+/// ASCII, through `to_lowercase` otherwise.
+pub(crate) fn with_lowercase<R>(name: &str, f: impl FnOnce(&str) -> R) -> R {
+    let mut buf = [0u8; 64];
+    match buf.get_mut(..name.len()) {
+        Some(lower) if name.is_ascii() => {
+            lower.copy_from_slice(name.as_bytes());
+            lower.make_ascii_lowercase();
+            f(std::str::from_utf8(lower).expect("ASCII is UTF-8"))
+        }
+        _ => f(&name.to_lowercase()),
+    }
+}
 
 /// An in-memory database: schema plus data.
 #[derive(Default)]
@@ -36,7 +50,7 @@ pub struct Database {
     /// live in [`Database::index_cache`] and are loaded or rebuilt on
     /// demand.
     indexes: Vec<IndexDef>,
-    /// Built indexes keyed by lower-cased `(table, column)`. `None` marks
+    /// Built indexes keyed by lower-cased table and column. `None` marks
     /// an index that refused to build (NaN in the column) so lookups do
     /// not retry the build on every statement. The cache is kept exact by
     /// every mutation path: an INSERT maintains the table's resident
@@ -133,9 +147,13 @@ impl Database {
     /// caches.
     pub fn index(&self, table: &str, column: &str) -> Option<Arc<ColumnIndex>> {
         let def = self.indexes.iter().find(|d| d.matches(table, column))?;
-        let key = (def.table.to_lowercase(), def.column.to_lowercase());
-        if let Some(cached) = self.index_cache.read().get(&key) {
-            return cached.clone();
+        let cached = with_lowercase(&def.table, |t| {
+            with_lowercase(&def.column, |c| {
+                self.index_cache.read().get(t).and_then(|columns| columns.get(c)).cloned()
+            })
+        });
+        if let Some(cached) = cached {
+            return cached;
         }
         let built = self
             .schema
@@ -146,7 +164,7 @@ impl Database {
                 ColumnIndex::build(rows, col)
             })
             .map(Arc::new);
-        self.index_cache.write().insert(key, built.clone());
+        self.cache_index(&def.table, &def.column, built.clone());
         built
     }
 
@@ -155,8 +173,7 @@ impl Database {
     /// not match the schema is rejected.
     pub fn install_index(&mut self, def: IndexDef, index: ColumnIndex) -> SqlResult<()> {
         self.create_index(&def.table, &def.column)?;
-        let key = (def.table.to_lowercase(), def.column.to_lowercase());
-        self.index_cache.write().insert(key, Some(Arc::new(index)));
+        self.cache_index(&def.table, &def.column, Some(Arc::new(index)));
         Ok(())
     }
 
@@ -164,9 +181,13 @@ impl Database {
     /// load path for an index persisted as unbuildable).
     pub fn install_unusable_index(&mut self, def: IndexDef) -> SqlResult<()> {
         self.create_index(&def.table, &def.column)?;
-        let key = (def.table.to_lowercase(), def.column.to_lowercase());
-        self.index_cache.write().insert(key, None);
+        self.cache_index(&def.table, &def.column, None);
         Ok(())
+    }
+
+    fn cache_index(&self, table: &str, column: &str, built: Option<Arc<ColumnIndex>>) {
+        let mut cache = self.index_cache.write();
+        cache.entry(table.to_lowercase()).or_default().insert(column.to_lowercase(), built);
     }
 
     /// Keep resident indexes of the table with lower-cased name
@@ -179,10 +200,11 @@ impl Database {
         rid: u32,
         values: Vec<(String, Value)>,
     ) {
-        let cache = self.index_cache.get_mut();
+        let Some(cache) = self.index_cache.get_mut().get_mut(table_key) else {
+            return;
+        };
         for (column_key, value) in values {
-            let key = (table_key.to_owned(), column_key);
-            if let Some(slot) = cache.get_mut(&key) {
+            if let Some(slot) = cache.get_mut(&column_key) {
                 let ok = match slot {
                     Some(arc) => Arc::make_mut(arc).insert_appended(&value, rid),
                     // known-unusable stays unusable until rebuilt
@@ -198,10 +220,7 @@ impl Database {
     /// Drop resident indexes of `table` (its rids moved); they rebuild
     /// lazily on the next lookup.
     pub(crate) fn drop_resident_indexes(&mut self, table: &str) {
-        let key = table.to_lowercase();
-        self.index_cache
-            .get_mut()
-            .retain(|(t, _), _| *t != key);
+        self.index_cache.get_mut().remove(&table.to_lowercase());
     }
 
     /// Create a table programmatically.
@@ -270,8 +289,7 @@ impl Database {
 
     /// Rows of a table.
     pub fn rows(&self, table: &str) -> SqlResult<&[Row]> {
-        self.data
-            .get(&table.to_lowercase())
+        with_lowercase(table, |key| self.data.get(key))
             .map(|t| t.rows.as_slice())
             .ok_or_else(|| SqlError::NoSuchTable(table.to_owned()))
     }
@@ -289,8 +307,8 @@ impl Database {
 
     /// Run a SELECT and materialise the result.
     pub fn query(&self, sql: &str) -> SqlResult<ResultSet> {
-        let stmt = crate::parser::parse_select(sql)?;
-        execute_select(self, &stmt)
+        let prepared = crate::prepare::prepare_stmt(self, crate::parser::parse_select(sql)?);
+        prepared.run(self, prepared.fingerprint()).0
     }
 
     /// Run a pre-parsed SELECT.
@@ -348,7 +366,7 @@ impl Database {
         let mut values = Vec::with_capacity(rids.len() * set.len());
         for &rid in &rids {
             for e in &set {
-                values.push(eval_expr(&mut ctx, e, &rows[rid as usize])?);
+                values.push(eval_expr(&mut ctx, e, rows[rid as usize].as_slice())?);
             }
         }
         Ok((rids, values))
@@ -390,10 +408,11 @@ impl Database {
             }
         }
         // no rid moved: only an index on an assigned column is stale
-        self.index_cache.get_mut().retain(|(t, c), _| {
-            *t != table_key
-                || !targets.iter().any(|&(col, _)| info.columns[col].name.to_lowercase() == *c)
-        });
+        if let Some(cache) = self.index_cache.get_mut().get_mut(&table_key) {
+            cache.retain(|c, _| {
+                !targets.iter().any(|&(col, _)| info.columns[col].name.to_lowercase() == *c)
+            });
+        }
         Ok(rids.len())
     }
 
@@ -742,7 +761,7 @@ mod tests {
     }
 
     fn resident(db: &Database, column: &str) -> bool {
-        db.index_cache.read().contains_key(&("person".to_owned(), column.to_owned()))
+        db.index_cache.read().get("person").is_some_and(|columns| columns.contains_key(column))
     }
 
     /// The answers of `db` to point and range reads through its indexes

@@ -19,14 +19,16 @@ use crate::ast::*;
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
 use crate::functions::{
-    apply_binary, apply_unary, call_scalar, cast_value, is_aggregate_name, like_match,
+    apply_binary, apply_unary, call_scalar, cast_value, is_aggregate_name, like_match, scalar,
 };
+use crate::pipelined::Tuples;
 use crate::plan::PhysicalPlan;
 use crate::scope::{self, ColBinding};
-use crate::value::{NormValue, ResultSet, Row, Value};
+use crate::value::{NormKey, ResultSet, Row, Value};
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
@@ -37,6 +39,38 @@ pub struct ExecStats {
     /// proxy for execution cost.
     pub rows_scanned: u64,
 }
+
+/// A tuple the evaluator reads slots of: a stored row, or the pipelined
+/// executor's tuple of references into stored rows.
+pub(crate) trait Tuple {
+    /// The value in slot `index`, if the tuple is that wide.
+    fn slot(&self, index: usize) -> Option<&Value>;
+    /// An owned copy, for a correlated sub-select's environment.
+    fn to_row(&self) -> Row;
+}
+
+impl Tuple for [Value] {
+    fn slot(&self, index: usize) -> Option<&Value> {
+        self.get(index)
+    }
+
+    fn to_row(&self) -> Row {
+        self.to_vec()
+    }
+}
+
+impl Tuple for [&Value] {
+    fn slot(&self, index: usize) -> Option<&Value> {
+        self.get(index).copied()
+    }
+
+    fn to_row(&self) -> Row {
+        self.iter().map(|v| (*v).clone()).collect()
+    }
+}
+
+/// The tuple of an expression evaluated with no row.
+const NO_ROW: &[Value] = &[];
 
 /// Execute a SELECT statement.
 pub fn execute_select(db: &Database, stmt: &SelectStmt) -> SqlResult<ResultSet> {
@@ -66,7 +100,7 @@ pub fn eval_const(e: &Expr) -> SqlResult<Value> {
     let db = NO_TABLES.get_or_init(|| Database::new("const"));
     let mut e = e.clone();
     crate::prepare::bind_const(&db.schema, &mut e);
-    eval_expr(&mut Ctx::new(db), &e, &[])
+    eval_expr(&mut Ctx::new(db), &e, NO_ROW)
 }
 
 pub(crate) struct Ctx<'a> {
@@ -217,49 +251,42 @@ fn output_order_index(columns: &[String], e: &Expr) -> SqlResult<usize> {
 }
 
 pub(crate) fn combine(left: ResultSet, right: ResultSet, op: CompoundOp) -> ResultSet {
-    let ResultSet { columns, rows: left_rows } = left;
-    let norm = |rows: &[Row]| -> Vec<Vec<NormValue>> {
-        rows.iter().map(|r| r.iter().map(Value::normalized).collect()).collect()
-    };
-    let rows = match op {
-        CompoundOp::UnionAll => {
-            let mut rows = left_rows;
-            rows.reserve(right.rows.len());
-            rows.extend(right.rows);
-            rows
-        }
+    let ResultSet { columns, rows: mut left_rows } = left;
+    match op {
+        CompoundOp::UnionAll => left_rows.extend(right.rows),
         CompoundOp::Union => {
-            let mut seen: std::collections::HashSet<Vec<NormValue>> =
-                std::collections::HashSet::new();
-            let mut rows = Vec::new();
-            for r in left_rows.into_iter().chain(right.rows) {
-                if seen.insert(r.iter().map(Value::normalized).collect()) {
-                    rows.push(r);
-                }
-            }
-            rows
+            left_rows.extend(right.rows);
+            let mut seen = HashSet::with_capacity(left_rows.len());
+            let keep: Vec<bool> = left_rows.iter().map(|r| seen.insert(NormKey(r))).collect();
+            retain_marked(&mut left_rows, &keep);
         }
         // INTERSECT keeps the distinct left rows found on the right,
         // EXCEPT the distinct left rows not found there
         CompoundOp::Intersect | CompoundOp::Except => {
-            let rset: std::collections::HashSet<Vec<NormValue>> =
-                norm(&right.rows).into_iter().collect();
-            let mut seen = std::collections::HashSet::new();
-            left_rows
-                .into_iter()
-                .filter(|r| {
-                    let key: Vec<NormValue> = r.iter().map(Value::normalized).collect();
-                    rset.contains(&key) == (op == CompoundOp::Intersect) && seen.insert(key)
+            let rset: HashSet<NormKey<'_, Value>> = right.rows.iter().map(|r| NormKey(r)).collect();
+            let mut seen = HashSet::new();
+            let keep: Vec<bool> = left_rows
+                .iter()
+                .map(|r| {
+                    rset.contains(&NormKey(r)) == (op == CompoundOp::Intersect)
+                        && seen.insert(NormKey(r))
                 })
-                .collect()
+                .collect();
+            retain_marked(&mut left_rows, &keep);
         }
-    };
-    ResultSet { columns, rows }
+    }
+    ResultSet { columns, rows: left_rows }
+}
+
+/// Keep the items whose mark is set, in order.
+fn retain_marked<T>(items: &mut Vec<T>, keep: &[bool]) {
+    let mut keep = keep.iter();
+    items.retain(|_| keep.next() == Some(&true));
 }
 
 pub(crate) fn apply_limit(ctx: &mut Ctx, rs: &mut ResultSet, stmt: &SelectStmt) -> SqlResult<()> {
     let eval_n = |ctx: &mut Ctx, e: &Expr| -> SqlResult<i64> {
-        let v = eval_expr(ctx, e, &[])?;
+        let v = eval_expr(ctx, e, NO_ROW)?;
         v.as_i64().ok_or_else(|| SqlError::Type("LIMIT/OFFSET must be an integer".into()))
     };
     let offset = match &stmt.offset {
@@ -301,22 +328,24 @@ fn run_core(
             &lowered
         }
     };
-    let rows = crate::pipelined::run(ctx, plan)?;
-    project_filtered(ctx, core, &plan.layout, rows, order_by)
+    // a FROM-subquery stage's result, held here for the tuples to borrow
+    let held: Vec<OnceCell<Arc<ResultSet>>> = plan.stages.iter().map(|_| OnceCell::new()).collect();
+    let tuples = crate::pipelined::run(ctx, plan, &held)?;
+    project_filtered(ctx, core, &plan.layout, &tuples, order_by)
 }
 
 /// The tail of a core, from projection-item expansion onward: everything
-/// after FROM + WHERE have produced the filtered row stream.
-pub(crate) fn project_filtered(
+/// after FROM + WHERE have produced the filtered tuples. It reads them
+/// where they lie and copies a value only into an output row or a sort key.
+fn project_filtered(
     ctx: &mut Ctx,
     core: &SelectCore,
     layout: &[ColBinding],
-    rows: Vec<Row>,
+    tuples: &Tuples<'_>,
     order_by: &[OrderItem],
 ) -> SqlResult<(ResultSet, Vec<Vec<Value>>)> {
     // expand projection items
-    let items = scope::expand_items(&core.items, layout)?;
-    let labels: Vec<String> = items.iter().map(|(_, l)| l.clone()).collect();
+    let mut items = scope::expand_items(&core.items, layout)?;
 
     // ORDER BY rewriting: alias / position references become item exprs
     let order_exprs: Vec<OrderTarget<'_>> = order_by
@@ -333,11 +362,11 @@ pub(crate) fn project_filtered(
         });
 
     let (mut out_rows, mut key_rows) = if needs_group {
-        project_grouped(ctx, core, rows, &items, &order_exprs)?
+        project_grouped(ctx, core, tuples, &items, &order_exprs)?
     } else {
-        let mut out_rows = Vec::with_capacity(rows.len());
-        let mut key_rows = Vec::with_capacity(rows.len());
-        for row in &rows {
+        let mut out_rows = Vec::with_capacity(tuples.len());
+        let mut key_rows = Vec::with_capacity(tuples.len());
+        for row in tuples.iter() {
             let mut projected = Vec::with_capacity(items.len());
             for (e, _) in &items {
                 projected.push(eval_expr(ctx, e, row)?);
@@ -350,19 +379,13 @@ pub(crate) fn project_filtered(
     };
 
     if core.distinct {
-        let mut seen: std::collections::HashSet<Vec<NormValue>> = std::collections::HashSet::new();
-        let mut kept_rows = Vec::with_capacity(out_rows.len());
-        let mut kept_keys = Vec::with_capacity(key_rows.len());
-        for (row, keys) in out_rows.into_iter().zip(key_rows) {
-            if seen.insert(row.iter().map(Value::normalized).collect()) {
-                kept_rows.push(row);
-                kept_keys.push(keys);
-            }
-        }
-        out_rows = kept_rows;
-        key_rows = kept_keys;
+        let mut seen = HashSet::with_capacity(out_rows.len());
+        let keep: Vec<bool> = out_rows.iter().map(|r| seen.insert(NormKey(r))).collect();
+        retain_marked(&mut out_rows, &keep);
+        retain_marked(&mut key_rows, &keep);
     }
 
+    let labels = items.iter_mut().map(|(_, l)| std::mem::take(l)).collect();
     Ok((ResultSet { columns: labels, rows: out_rows }, key_rows))
 }
 
@@ -391,10 +414,10 @@ fn resolve_order_target<'a>(e: &'a Expr, items: &[(Cow<'_, Expr>, String)]) -> O
     }
 }
 
-fn eval_order_keys(
+fn eval_order_keys<T: Tuple + ?Sized>(
     ctx: &mut Ctx,
     targets: &[OrderTarget<'_>],
-    row: &[Value],
+    row: &T,
     projected: &[Value],
 ) -> SqlResult<Vec<Value>> {
     targets
@@ -435,40 +458,59 @@ pub(crate) fn sort_with_keys(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>, or
 fn project_grouped(
     ctx: &mut Ctx,
     core: &SelectCore,
-    rows: Vec<Row>,
+    tuples: &Tuples<'_>,
     items: &[(Cow<'_, Expr>, String)],
     order_exprs: &[OrderTarget<'_>],
 ) -> SqlResult<(Vec<Row>, Vec<Vec<Value>>)> {
     let (group_by, having) = (&core.group_by, &core.having);
 
-    // Partition rows into groups.
-    let groups: Vec<Vec<Row>> = if group_by.is_empty() {
-        vec![rows]
-    } else {
-        let mut map: HashMap<Vec<NormValue>, Vec<Row>> = HashMap::new();
-        let mut order: Vec<Vec<NormValue>> = Vec::new();
-        for row in rows {
-            let mut key = Vec::with_capacity(group_by.len());
+    // Partition the tuples into groups, laid out group after group in one
+    // list: `bounds[g]..bounds[g + 1]` are group g's tuples, in emission
+    // order, and groups come in the order their first tuple arrived.
+    let mut grouped: Vec<&[&Value]> = tuples.iter().collect();
+    let mut bounds = vec![0, grouped.len()];
+    if !group_by.is_empty() {
+        // every key first (so errors surface in tuple order), borrowed
+        // where it is a stored value or a literal
+        let mut keys: Vec<Cow<'_, Value>> = Vec::with_capacity(grouped.len() * group_by.len());
+        for row in &grouped {
             for g in group_by.iter() {
                 if contains_aggregate(g) {
                     return Err(SqlError::MisusedAggregate("aggregate in GROUP BY".into()));
                 }
-                key.push(eval_expr(ctx, g, &row)?.normalized());
-            }
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(vec![row]);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(row),
+                keys.push(operand(ctx, g, *row)?);
             }
         }
-        order.into_iter().map(|k| map.remove(&k).unwrap()).collect()
-    };
+        let mut ids: HashMap<NormKey<'_, Cow<'_, Value>>, usize> = HashMap::new();
+        let group_of: Vec<usize> = keys
+            .chunks_exact(group_by.len())
+            .map(|key| {
+                let next = ids.len();
+                *ids.entry(NormKey(key)).or_insert(next)
+            })
+            .collect();
+        // a counting sort by group, stable within each group
+        bounds = vec![0; ids.len() + 1];
+        for &g in &group_of {
+            bounds[g + 1] += 1;
+        }
+        for g in 0..ids.len() {
+            bounds[g + 1] += bounds[g];
+        }
+        let mut fill = bounds.clone();
+        let mut sorted = grouped.clone();
+        for (&tuple, &g) in grouped.iter().zip(&group_of) {
+            sorted[fill[g]] = tuple;
+            fill[g] += 1;
+        }
+        grouped = sorted;
+    }
 
-    let mut out_rows = Vec::with_capacity(groups.len());
-    let mut key_rows = Vec::with_capacity(groups.len());
-    for group in &groups {
+    let groups = bounds.len() - 1;
+    let mut out_rows = Vec::with_capacity(groups);
+    let mut key_rows = Vec::with_capacity(groups);
+    for g in 0..groups {
+        let group = &grouped[bounds[g]..bounds[g + 1]];
         // With GROUP BY, empty groups never exist; without it, a single
         // (possibly empty) group still yields one output row, as SQLite does
         // for plain aggregates over an empty table.
@@ -507,7 +549,7 @@ pub(crate) fn contains_aggregate(e: &Expr) -> bool {
 
 /// Evaluate an expression in aggregate context: aggregate calls compute
 /// over the group, everything else is taken from the group's first row.
-fn eval_agg_expr(ctx: &mut Ctx, e: &Expr, group: &[Row]) -> SqlResult<Value> {
+fn eval_agg_expr(ctx: &mut Ctx, e: &Expr, group: &[&[&Value]]) -> SqlResult<Value> {
     match e {
         Expr::Function { name, args, distinct, .. }
             if is_aggregate_name(name, args.len()) =>
@@ -519,11 +561,11 @@ fn eval_agg_expr(ctx: &mut Ctx, e: &Expr, group: &[Row]) -> SqlResult<Value> {
             // evaluate both sides in aggregate context.
             let l = eval_agg_expr(ctx, left, group)?;
             let r = eval_agg_expr(ctx, right, group)?;
-            apply_binary(*op, l, r)
+            apply_binary(*op, &l, &r)
         }
         Expr::Unary { op, expr } => {
             let v = eval_agg_expr(ctx, expr, group)?;
-            apply_unary(*op, v)
+            apply_unary(*op, &v)
         }
         Expr::Case { operand, branches, else_expr } => {
             let op_val = match operand {
@@ -554,7 +596,7 @@ fn eval_agg_expr(ctx: &mut Ctx, e: &Expr, group: &[Row]) -> SqlResult<Value> {
         }
         Expr::Cast { expr, ty } => {
             let v = eval_agg_expr(ctx, expr, group)?;
-            Ok(cast_value(v, *ty))
+            Ok(cast_value(&v, *ty))
         }
         Expr::IsNull { expr, negated } => {
             let v = eval_agg_expr(ctx, expr, group)?;
@@ -562,7 +604,7 @@ fn eval_agg_expr(ctx: &mut Ctx, e: &Expr, group: &[Row]) -> SqlResult<Value> {
         }
         // everything else: evaluate against the first row of the group
         other => match group.first() {
-            Some(row) => eval_expr(ctx, other, row),
+            Some(row) => eval_expr(ctx, other, *row),
             None => Ok(Value::Null),
         },
     }
@@ -573,7 +615,7 @@ fn eval_aggregate(
     name: &str,
     args: &[Expr],
     distinct: bool,
-    group: &[Row],
+    group: &[&[&Value]],
 ) -> SqlResult<Value> {
     // COUNT(*)
     if name == "count" && (args.is_empty() || matches!(args.first(), Some(Expr::Wildcard))) {
@@ -585,16 +627,18 @@ fn eval_aggregate(
     if contains_aggregate(arg) {
         return Err(SqlError::MisusedAggregate(format!("nested aggregate in {name}()")));
     }
-    let mut values: Vec<Value> = Vec::with_capacity(group.len());
+    // the group's non-NULL values, borrowed where they are stored
+    let mut values: Vec<Cow<'_, Value>> = Vec::with_capacity(group.len());
     for row in group {
-        let v = eval_expr(ctx, arg, row)?;
+        let v = operand(ctx, arg, *row)?;
         if !v.is_null() {
             values.push(v);
         }
     }
     if distinct {
-        let mut seen: std::collections::HashSet<NormValue> = std::collections::HashSet::new();
-        values.retain(|v| seen.insert(v.normalized()));
+        let mut seen = HashSet::with_capacity(values.len());
+        let keep: Vec<bool> = values.iter().map(|v| seen.insert(v.normalized_ref())).collect();
+        retain_marked(&mut values, &keep);
     }
     match name {
         "count" => Ok(Value::Int(values.len() as i64)),
@@ -602,13 +646,13 @@ fn eval_aggregate(
             if values.is_empty() {
                 return Ok(if name == "total" { Value::Real(0.0) } else { Value::Null });
             }
-            let all_int = values.iter().all(|v| matches!(v, Value::Int(_)));
+            let all_int = values.iter().all(|v| matches!(**v, Value::Int(_)));
             if all_int && name == "sum" {
                 let mut acc: i64 = 0;
                 for v in &values {
-                    if let Value::Int(i) = v {
+                    if let Value::Int(i) = **v {
                         acc = acc
-                            .checked_add(*i)
+                            .checked_add(i)
                             .ok_or_else(|| SqlError::Other("integer overflow in SUM".into()))?;
                     }
                 }
@@ -625,25 +669,14 @@ fn eval_aggregate(
             Ok(Value::Real(sum / values.len() as f64))
         }
         "min" | "max" => {
-            let mut best: Option<Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let take = if name == "min" {
-                            v.sql_cmp(&b) == Ordering::Less
-                        } else {
-                            v.sql_cmp(&b) == Ordering::Greater
-                        };
-                        if take {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
+            let want = if name == "min" { Ordering::Less } else { Ordering::Greater };
+            let mut best: Option<&Value> = None;
+            for v in &values {
+                if best.is_none_or(|b| v.sql_cmp(b) == want) {
+                    best = Some(v);
+                }
             }
-            Ok(best.unwrap_or(Value::Null))
+            Ok(best.cloned().unwrap_or(Value::Null))
         }
         "group_concat" => {
             if values.is_empty() {
@@ -665,15 +698,11 @@ fn eval_aggregate(
 
 /// Evaluate a bound expression on `row`, the tuple its core's plan lays
 /// out (empty where there is none: LIMIT, OFFSET, constants).
-pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Value> {
+pub(crate) fn eval_expr<T: Tuple + ?Sized>(ctx: &mut Ctx, e: &Expr, row: &T) -> SqlResult<Value> {
     match e {
-        Expr::Literal(v) => Ok(v.clone()),
+        Expr::Literal(_) | Expr::BoundColumn { .. } => operand(ctx, e, row).map(Cow::into_owned),
         Expr::Column { .. } => Err(SqlError::Other("unbound column reference".into())),
         Expr::Unresolved(error) => Err(error.clone()),
-        Expr::BoundColumn { index } => row
-            .get(*index)
-            .cloned()
-            .ok_or_else(|| SqlError::Other("bound column outside its prepared layout".into())),
         Expr::OuterColumn { up, index } => {
             // the binder only emits these where the runtime environment
             // chain matches the static one, so the guards are defensive
@@ -692,31 +721,31 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Val
             Ok(v)
         }
         Expr::Unary { op, expr } => {
-            let v = eval_expr(ctx, expr, row)?;
-            apply_unary(*op, v)
+            let v = operand(ctx, expr, row)?;
+            apply_unary(*op, &v)
         }
         Expr::Binary { left, op, right } => {
             // short-circuit AND/OR per three-valued logic
             match op {
                 BinOp::And => {
-                    let l = eval_expr(ctx, left, row)?;
-                    if l.truthiness() == Some(false) {
+                    let l = operand(ctx, left, row)?.truthiness();
+                    if l == Some(false) {
                         return Ok(Value::Int(0));
                     }
-                    let r = eval_expr(ctx, right, row)?;
-                    return Ok(match (l.truthiness(), r.truthiness()) {
+                    let r = operand(ctx, right, row)?.truthiness();
+                    return Ok(match (l, r) {
                         (_, Some(false)) => Value::Int(0),
                         (Some(true), Some(true)) => Value::Int(1),
                         _ => Value::Null,
                     });
                 }
                 BinOp::Or => {
-                    let l = eval_expr(ctx, left, row)?;
-                    if l.truthiness() == Some(true) {
+                    let l = operand(ctx, left, row)?.truthiness();
+                    if l == Some(true) {
                         return Ok(Value::Int(1));
                     }
-                    let r = eval_expr(ctx, right, row)?;
-                    return Ok(match (l.truthiness(), r.truthiness()) {
+                    let r = operand(ctx, right, row)?.truthiness();
+                    return Ok(match (l, r) {
                         (_, Some(true)) => Value::Int(1),
                         (Some(false), Some(false)) => Value::Int(0),
                         _ => Value::Null,
@@ -724,14 +753,14 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Val
                 }
                 _ => {}
             }
-            let l = eval_expr(ctx, left, row)?;
-            let r = eval_expr(ctx, right, row)?;
-            apply_binary(*op, l, r)
+            let l = operand(ctx, left, row)?;
+            let r = operand(ctx, right, row)?;
+            apply_binary(*op, &l, &r)
         }
         Expr::Like { expr, pattern, negated } => {
-            let v = eval_expr(ctx, expr, row)?;
-            let p = eval_expr(ctx, pattern, row)?;
-            match (v.as_text(), p.as_text()) {
+            let v = operand(ctx, expr, row)?;
+            let p = operand(ctx, pattern, row)?;
+            match (v.as_str(), p.as_str()) {
                 (Some(text), Some(pat)) => {
                     let hit = like_match(&pat, &text);
                     Ok(Value::Int((hit != *negated) as i64))
@@ -740,9 +769,9 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Val
             }
         }
         Expr::Between { expr, low, high, negated } => {
-            let v = eval_expr(ctx, expr, row)?;
-            let lo = eval_expr(ctx, low, row)?;
-            let hi = eval_expr(ctx, high, row)?;
+            let v = operand(ctx, expr, row)?;
+            let lo = operand(ctx, low, row)?;
+            let hi = operand(ctx, high, row)?;
             if v.is_null() || lo.is_null() || hi.is_null() {
                 return Ok(Value::Null);
             }
@@ -750,13 +779,13 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Val
             Ok(Value::Int((inside != *negated) as i64))
         }
         Expr::InList { expr, list, negated } => {
-            let v = eval_expr(ctx, expr, row)?;
+            let v = operand(ctx, expr, row)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let iv = eval_expr(ctx, item, row)?;
+                let iv = operand(ctx, item, row)?;
                 match v.sql_eq(&iv) {
                     Some(true) => return Ok(Value::Int((!*negated) as i64)),
                     Some(false) => {}
@@ -770,7 +799,7 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Val
             }
         }
         Expr::InSubquery { expr, query, negated } => {
-            let v = eval_expr(ctx, expr, row)?;
+            let v = operand(ctx, expr, row)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
@@ -795,17 +824,17 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Val
             }
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval_expr(ctx, expr, row)?;
+            let v = operand(ctx, expr, row)?;
             Ok(Value::Int((v.is_null() != *negated) as i64))
         }
-        Expr::Case { operand, branches, else_expr } => {
-            let op_val = match operand {
-                Some(o) => Some(eval_expr(ctx, o, row)?),
+        Expr::Case { operand: subject, branches, else_expr } => {
+            let subject = match subject {
+                Some(o) => Some(operand(ctx, o, row)?),
                 None => None,
             };
             for (w, t) in branches {
-                let cond = eval_expr(ctx, w, row)?;
-                let hit = match &op_val {
+                let cond = operand(ctx, w, row)?;
+                let hit = match &subject {
                     Some(v) => v.sql_eq(&cond) == Some(true),
                     None => cond.truthiness() == Some(true),
                 };
@@ -824,16 +853,23 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Val
                     "aggregate {name}() used outside of an aggregate context"
                 )));
             }
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_expr(ctx, a, row))
-                .collect::<SqlResult<_>>()?;
-            call_scalar(name, &vals)
+            // up to four arguments on the stack, borrowed where they can be
+            const INLINE: usize = 4;
+            if args.len() <= INLINE {
+                let mut vals: [Cow<'_, Value>; INLINE] =
+                    [const { Cow::Borrowed(&Value::Null) }; INLINE];
+                for (slot, a) in vals.iter_mut().zip(args) {
+                    *slot = operand(ctx, a, row)?;
+                }
+                return scalar(name, &vals[..args.len()]);
+            }
+            let vals = args.iter().map(|a| operand(ctx, a, row)).collect::<SqlResult<Vec<_>>>()?;
+            scalar(name, &vals)
         }
         Expr::Wildcard => Err(SqlError::Syntax { pos: 0, msg: "misplaced *".into() }),
         Expr::Cast { expr, ty } => {
-            let v = eval_expr(ctx, expr, row)?;
-            Ok(cast_value(v, *ty))
+            let v = operand(ctx, expr, row)?;
+            Ok(cast_value(&v, *ty))
         }
         Expr::Subquery(q) => {
             let rs = exec_subquery(ctx, q, row)?;
@@ -851,14 +887,36 @@ pub(crate) fn eval_expr(ctx: &mut Ctx, e: &Expr, row: &[Value]) -> SqlResult<Val
     }
 }
 
+/// Evaluate an operand: a literal or a slot of `row` is read where it
+/// lies, anything else is computed through [`eval_expr`].
+pub(crate) fn operand<'r, T: Tuple + ?Sized>(
+    ctx: &mut Ctx,
+    e: &'r Expr,
+    row: &'r T,
+) -> SqlResult<Cow<'r, Value>> {
+    match e {
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        Expr::BoundColumn { index } => row
+            .slot(*index)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| SqlError::Other("bound column outside its prepared layout".into())),
+        _ => eval_expr(ctx, e, row).map(Cow::Owned),
+    }
+}
+
 /// Execute a nested SELECT with the current row pushed as an enclosing
-/// environment, enabling correlated references.
-pub(crate) fn exec_subquery(
+/// environment, enabling correlated references. A sub-select that already
+/// ran and read no enclosing row answers from the cache without a copy
+/// of the row.
+pub(crate) fn exec_subquery<T: Tuple + ?Sized>(
     ctx: &mut Ctx<'_>,
     query: &SelectStmt,
-    row: &[Value],
+    row: &T,
 ) -> SqlResult<Arc<ResultSet>> {
-    ctx.outer.push(row.to_vec());
+    if let Some(cached) = ctx.subquery_cache.get(&(query as *const SelectStmt as usize)) {
+        return Ok(Arc::clone(cached));
+    }
+    ctx.outer.push(row.to_row());
     let result = exec_select(ctx, query);
     ctx.outer.pop();
     result

@@ -9,10 +9,18 @@
 use crate::ast::{BinOp, TypeName, UnaryOp};
 use crate::error::{SqlError, SqlResult};
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
+use std::fmt::Write as _;
 
 /// Evaluate a scalar function over already-evaluated arguments.
 pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
+    scalar(name, args)
+}
+
+/// [`call_scalar`] over arguments owned or borrowed.
+pub(crate) fn scalar<V: Borrow<Value>>(name: &str, args: &[V]) -> SqlResult<Value> {
+    let arg = |i: usize| args[i].borrow();
     match name {
         "abs" => {
             let [v] = one(name, args)?;
@@ -29,11 +37,11 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
             if args.is_empty() || args.len() > 2 {
                 return Err(arity(name, "1 or 2", args.len()));
             }
-            if args[0].is_null() {
+            if arg(0).is_null() {
                 return Ok(Value::Null);
             }
-            let x = args[0].as_f64_lossy().unwrap_or(0.0);
-            let digits = args.get(1).and_then(Value::as_i64).unwrap_or(0).clamp(-15, 15);
+            let x = arg(0).as_f64_lossy().unwrap_or(0.0);
+            let digits = args.get(1).and_then(|v| v.borrow().as_i64()).unwrap_or(0).clamp(-15, 15);
             let factor = 10f64.powi(digits as i32);
             Ok(Value::Real((x * factor).round() / factor))
         }
@@ -41,7 +49,7 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
             let [v] = one(name, args)?;
             Ok(match v {
                 Value::Null => Value::Null,
-                other => Value::Int(other.to_string().chars().count() as i64),
+                other => Value::Int(other.as_str().map_or(0, |s| s.chars().count()) as i64),
             })
         }
         "upper" => map_text(name, args, |s| s.to_uppercase()),
@@ -52,9 +60,9 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
         "substr" | "substring" => substr(name, args),
         "instr" => {
             let [a, b] = two(name, args)?;
-            match (a.as_text(), b.as_text()) {
+            match (a.as_str(), b.as_str()) {
                 (Some(hay), Some(needle)) => {
-                    let idx = hay.find(&needle).map(|i| hay[..i].chars().count() as i64 + 1);
+                    let idx = hay.find(&*needle).map(|i| hay[..i].chars().count() as i64 + 1);
                     Ok(Value::Int(idx.unwrap_or(0)))
                 }
                 _ => Ok(Value::Null),
@@ -64,9 +72,9 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
             if args.len() != 3 {
                 return Err(arity(name, "3", args.len()));
             }
-            match (args[0].as_text(), args[1].as_text(), args[2].as_text()) {
+            match (arg(0).as_str(), arg(1).as_str(), arg(2).as_str()) {
                 (Some(s), Some(from), Some(to)) if !from.is_empty() => {
-                    Ok(Value::text(s.replace(&from, &to)))
+                    Ok(Value::text(s.replace(&*from, &to)))
                 }
                 (Some(s), Some(_), Some(_)) => Ok(Value::text(s)),
                 _ => Ok(Value::Null),
@@ -74,28 +82,28 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
         }
         "coalesce" => {
             for v in args {
-                if !v.is_null() {
-                    return Ok(v.clone());
+                if !v.borrow().is_null() {
+                    return Ok(v.borrow().clone());
                 }
             }
             Ok(Value::Null)
         }
         "ifnull" => {
             let [a, b] = two(name, args)?;
-            Ok(if a.is_null() { b } else { a })
+            Ok(if a.is_null() { b.clone() } else { a.clone() })
         }
         "nullif" => {
             let [a, b] = two(name, args)?;
-            match a.sql_eq(&b) {
+            match a.sql_eq(b) {
                 Some(true) => Ok(Value::Null),
-                _ => Ok(a),
+                _ => Ok(a.clone()),
             }
         }
         "iif" => {
             if args.len() != 3 {
                 return Err(arity(name, "3", args.len()));
             }
-            Ok(if args[0].truthiness() == Some(true) { args[1].clone() } else { args[2].clone() })
+            Ok(if arg(0).truthiness() == Some(true) { arg(1).clone() } else { arg(2).clone() })
         }
         // scalar (multi-argument) MIN/MAX; the aggregate forms are handled
         // by the executor before reaching here
@@ -105,21 +113,22 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
                     "{name}() with one argument is an aggregate"
                 )));
             }
-            if args.iter().any(Value::is_null) {
+            if args.iter().any(|v| v.borrow().is_null()) {
                 return Ok(Value::Null);
             }
-            let mut best = args[0].clone();
+            let mut best = arg(0);
             for v in &args[1..] {
+                let v = v.borrow();
                 let take = if name == "min" {
-                    v.sql_cmp(&best) == Ordering::Less
+                    v.sql_cmp(best) == Ordering::Less
                 } else {
-                    v.sql_cmp(&best) == Ordering::Greater
+                    v.sql_cmp(best) == Ordering::Greater
                 };
                 if take {
-                    best = v.clone();
+                    best = v;
                 }
             }
-            Ok(best)
+            Ok(best.clone())
         }
         "typeof" => {
             let [v] = one(name, args)?;
@@ -133,7 +142,7 @@ pub fn call_scalar(name: &str, args: &[Value]) -> SqlResult<Value> {
         "strftime" => strftime(args),
         "date" => {
             let [v] = one(name, args)?;
-            match v.as_text().and_then(|s| parse_date(&s)) {
+            match v.as_str().and_then(|s| parse_date(&s)) {
                 Some((y, m, d, ..)) => Ok(Value::text(format!("{y:04}-{m:02}-{d:02}"))),
                 None => Ok(Value::Null),
             }
@@ -172,19 +181,17 @@ pub fn is_aggregate_name(name: &str, arg_count: usize) -> bool {
         || (matches!(name, "min" | "max") && arg_count <= 1)
 }
 
-fn one<'a>(name: &str, args: &'a [Value]) -> SqlResult<[&'a Value; 1]> {
-    if args.len() == 1 {
-        Ok([&args[0]])
-    } else {
-        Err(arity(name, "1", args.len()))
+fn one<'a, V: Borrow<Value>>(name: &str, args: &'a [V]) -> SqlResult<[&'a Value; 1]> {
+    match args {
+        [a] => Ok([a.borrow()]),
+        _ => Err(arity(name, "1", args.len())),
     }
 }
 
-fn two(name: &str, args: &[Value]) -> SqlResult<[Value; 2]> {
-    if args.len() == 2 {
-        Ok([args[0].clone(), args[1].clone()])
-    } else {
-        Err(arity(name, "2", args.len()))
+fn two<'a, V: Borrow<Value>>(name: &str, args: &'a [V]) -> SqlResult<[&'a Value; 2]> {
+    match args {
+        [a, b] => Ok([a.borrow(), b.borrow()]),
+        _ => Err(arity(name, "2", args.len())),
     }
 }
 
@@ -192,25 +199,28 @@ fn arity(name: &str, want: &str, got: usize) -> SqlError {
     SqlError::BadFunction(format!("{name}() expects {want} argument(s), got {got}"))
 }
 
-fn map_text(name: &str, args: &[Value], f: impl Fn(&str) -> String) -> SqlResult<Value> {
+fn map_text<V: Borrow<Value>>(
+    name: &str,
+    args: &[V],
+    f: impl Fn(&str) -> String,
+) -> SqlResult<Value> {
     let [v] = one(name, args)?;
-    Ok(match v.as_text() {
+    Ok(match v.as_str() {
         Some(s) => Value::text(f(&s)),
         None => Value::Null,
     })
 }
 
-fn substr(name: &str, args: &[Value]) -> SqlResult<Value> {
+fn substr<V: Borrow<Value>>(name: &str, args: &[V]) -> SqlResult<Value> {
     if args.len() < 2 || args.len() > 3 {
         return Err(arity(name, "2 or 3", args.len()));
     }
-    let s = match args[0].as_text() {
+    let s = match args[0].borrow().as_str() {
         Some(s) => s,
         None => return Ok(Value::Null),
     };
-    let chars: Vec<char> = s.chars().collect();
-    let n = chars.len() as i64;
-    let mut start = args[1].as_i64().unwrap_or(1);
+    let n = s.chars().count() as i64;
+    let mut start = args[1].borrow().as_i64().unwrap_or(1);
     // SQLite: 1-based, negative counts from the end
     if start < 0 {
         start = (n + start).max(0) + 1;
@@ -218,12 +228,12 @@ fn substr(name: &str, args: &[Value]) -> SqlResult<Value> {
         start = 1;
     }
     let len = match args.get(2) {
-        Some(v) => v.as_i64().unwrap_or(0).max(0),
+        Some(v) => v.borrow().as_i64().unwrap_or(0).max(0),
         None => n,
     };
-    let begin = ((start - 1).max(0) as usize).min(chars.len());
-    let end = (begin + len as usize).min(chars.len());
-    Ok(Value::text(chars[begin..end].iter().collect::<String>()))
+    let begin = ((start - 1).max(0) as usize).min(n as usize);
+    let end = (begin + len as usize).min(n as usize);
+    Ok(Value::text(s.chars().skip(begin).take(end - begin).collect::<String>()))
 }
 
 /// Parse `YYYY-MM-DD[ HH:MM:SS]` text dates.
@@ -250,43 +260,45 @@ pub fn parse_date(s: &str) -> Option<(i32, u32, u32, u32, u32, u32)> {
     Some((y, m, d, hh, mm, ss))
 }
 
-fn strftime(args: &[Value]) -> SqlResult<Value> {
-    if args.len() != 2 {
-        return Err(arity("strftime", "2", args.len()));
-    }
-    let fmt = match args[0].as_text() {
+fn strftime<V: Borrow<Value>>(args: &[V]) -> SqlResult<Value> {
+    let [fmt, date] = match args {
+        [fmt, date] => [fmt.borrow(), date.borrow()],
+        _ => return Err(arity("strftime", "2", args.len())),
+    };
+    let fmt = match fmt.as_str() {
         Some(f) => f,
         None => return Ok(Value::Null),
     };
-    let date = match args[1].as_text().and_then(|s| parse_date(&s)) {
+    let date = match date.as_str().and_then(|s| parse_date(&s)) {
         Some(d) => d,
         None => return Ok(Value::Null),
     };
     let (y, m, d, hh, mm, ss) = date;
     let mut out = String::with_capacity(fmt.len());
     let mut chars = fmt.chars().peekable();
+    // writing into a `String` cannot fail
     while let Some(c) = chars.next() {
         if c != '%' {
             out.push(c);
             continue;
         }
-        match chars.next() {
-            Some('Y') => out.push_str(&format!("{y:04}")),
-            Some('m') => out.push_str(&format!("{m:02}")),
-            Some('d') => out.push_str(&format!("{d:02}")),
-            Some('H') => out.push_str(&format!("{hh:02}")),
-            Some('M') => out.push_str(&format!("{mm:02}")),
-            Some('S') => out.push_str(&format!("{ss:02}")),
-            Some('j') => out.push_str(&format!("{:03}", day_of_year(y, m, d))),
-            Some('w') => out.push_str(&day_of_week(y, m, d).to_string()),
-            Some('%') => out.push('%'),
+        let _ = match chars.next() {
+            Some('Y') => write!(out, "{y:04}"),
+            Some('m') => write!(out, "{m:02}"),
+            Some('d') => write!(out, "{d:02}"),
+            Some('H') => write!(out, "{hh:02}"),
+            Some('M') => write!(out, "{mm:02}"),
+            Some('S') => write!(out, "{ss:02}"),
+            Some('j') => write!(out, "{:03}", day_of_year(y, m, d)),
+            Some('w') => write!(out, "{}", day_of_week(y, m, d)),
+            Some('%') => write!(out, "%"),
             Some(other) => {
                 return Err(SqlError::BadFunction(format!(
                     "strftime: unsupported directive %{other}"
                 )))
             }
             None => return Err(SqlError::BadFunction("strftime: trailing %".into())),
-        }
+        };
     }
     Ok(Value::text(out))
 }
@@ -317,7 +329,7 @@ fn day_of_week(y: i32, m: u32, d: u32) -> u32 {
 
 // ---------------- operator kernels ----------------
 
-pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> SqlResult<Value> {
+pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> SqlResult<Value> {
     match op {
         UnaryOp::Neg => Ok(match v {
             Value::Null => Value::Null,
@@ -334,7 +346,7 @@ pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> SqlResult<Value> {
     }
 }
 
-pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
+pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
     match op {
         BinOp::And => Ok(match (l.truthiness(), r.truthiness()) {
             (Some(false), _) | (_, Some(false)) => Value::Int(0),
@@ -346,7 +358,7 @@ pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
             (Some(false), Some(false)) => Value::Int(0),
             _ => Value::Null,
         }),
-        BinOp::Eq | BinOp::Ne => Ok(match l.sql_eq(&r) {
+        BinOp::Eq | BinOp::Ne => Ok(match l.sql_eq(r) {
             None => Value::Null,
             Some(eq) => Value::Int(((op == BinOp::Eq) == eq) as i64),
         }),
@@ -354,7 +366,7 @@ pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
-            let ord = l.sql_cmp(&r);
+            let ord = l.sql_cmp(r);
             let hit = match op {
                 BinOp::Lt => ord == Ordering::Less,
                 BinOp::Le => ord != Ordering::Greater,
@@ -374,7 +386,7 @@ pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
-            if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+            if let (Value::Int(a), Value::Int(b)) = (l, r) {
                 let res = match op {
                     BinOp::Add => a.checked_add(*b),
                     BinOp::Sub => a.checked_sub(*b),
@@ -397,7 +409,7 @@ pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
-            if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+            if let (Value::Int(a), Value::Int(b)) = (l, r) {
                 return Ok(if *b == 0 { Value::Null } else { Value::Int(a / b) });
             }
             let (a, b) = (l.as_f64_lossy().unwrap_or(0.0), r.as_f64_lossy().unwrap_or(0.0));
@@ -417,9 +429,9 @@ pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
     }
 }
 
-pub(crate) fn cast_value(v: Value, ty: TypeName) -> Value {
+pub(crate) fn cast_value(v: &Value, ty: TypeName) -> Value {
     match ty {
-        TypeName::Integer => match &v {
+        TypeName::Integer => match v {
             Value::Null => Value::Null,
             Value::Int(i) => Value::Int(*i),
             Value::Real(r) => Value::Int(*r as i64),
@@ -427,15 +439,15 @@ pub(crate) fn cast_value(v: Value, ty: TypeName) -> Value {
                 Value::Int(crate::value::parse_numeric_prefix(t).unwrap_or(0.0) as i64)
             }
         },
-        TypeName::Real => match &v {
+        TypeName::Real => match v {
             Value::Null => Value::Null,
             other => Value::Real(other.as_f64_lossy().unwrap_or(0.0)),
         },
-        TypeName::Text => match &v {
+        TypeName::Text => match v {
             Value::Null => Value::Null,
             other => Value::text(other.to_string()),
         },
-        TypeName::Blob => v,
+        TypeName::Blob => v.clone(),
     }
 }
 
@@ -447,32 +459,34 @@ pub(crate) fn cast_value(v: Value, ty: TypeName) -> Value {
 /// the worst case is O(|pattern| × |text|) — unlike the naive recursive
 /// formulation, which is exponential on patterns like `'a%a%a%…'`.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
+    // byte offsets of the next character of each side, and the
     // pattern/text resume points for the last `%` seen
+    let at = |s: &str, i: usize| s[i..].chars().next();
+    let (mut pi, mut ti) = (0usize, 0usize);
     let mut star: Option<usize> = None;
     let mut star_ti = 0usize;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || (p[pi] != '%' && p[pi].eq_ignore_ascii_case(&t[ti]))) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some(pi + 1);
-            star_ti = ti;
-            pi += 1;
-        } else if let Some(resume) = star {
-            pi = resume;
-            star_ti += 1;
-            ti = star_ti;
-        } else {
-            return false;
+    while let Some(t) = at(text, ti) {
+        match at(pattern, pi) {
+            Some(p) if p == '_' || (p != '%' && p.eq_ignore_ascii_case(&t)) => {
+                pi += p.len_utf8();
+                ti += t.len_utf8();
+            }
+            Some('%') => {
+                pi += 1;
+                star = Some(pi);
+                star_ti = ti;
+            }
+            _ => match star {
+                Some(resume) => {
+                    pi = resume;
+                    star_ti += at(text, star_ti).map_or(1, char::len_utf8);
+                    ti = star_ti;
+                }
+                None => return false,
+            },
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].bytes().all(|b| b == b'%')
 }
 
 #[cfg(test)]
@@ -596,6 +610,64 @@ mod tests {
         assert!(like_match("%_llo", "hello"));
         assert!(like_match("a%b%c", "axxbyybzzc"));
         assert!(!like_match("a%b%c", "axxbyyb"));
+    }
+
+    /// The matcher `like_match` replaced, over collected characters: the
+    /// oracle the walking matcher must agree with.
+    fn like_match_chars(pattern: &str, text: &str) -> bool {
+        let p: Vec<char> = pattern.chars().collect();
+        let t: Vec<char> = text.chars().collect();
+        let (mut pi, mut ti) = (0usize, 0usize);
+        let mut star: Option<usize> = None;
+        let mut star_ti = 0usize;
+        while ti < t.len() {
+            if pi < p.len()
+                && (p[pi] == '_' || (p[pi] != '%' && p[pi].eq_ignore_ascii_case(&t[ti])))
+            {
+                pi += 1;
+                ti += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star = Some(pi + 1);
+                star_ti = ti;
+                pi += 1;
+            } else if let Some(resume) = star {
+                pi = resume;
+                star_ti += 1;
+                ti = star_ti;
+            } else {
+                return false;
+            }
+        }
+        while pi < p.len() && p[pi] == '%' {
+            pi += 1;
+        }
+        pi == p.len()
+    }
+
+    /// Patterns and texts over `%`, `_`, ASCII letters of both cases and
+    /// characters of two, three and four UTF-8 bytes.
+    const LIKE_ALPHABET: [char; 10] = ['%', '_', 'a', 'A', 'b', 'é', 'É', 'ß', '中', '🦀'];
+
+    fn like_string(picks: &[u32]) -> String {
+        picks.iter().map(|&i| LIKE_ALPHABET[i as usize % LIKE_ALPHABET.len()]).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn like_match_agrees_with_the_collected_character_matcher(
+            pattern in proptest::collection::vec(0u32..10, 0..9),
+            text in proptest::collection::vec(0u32..10, 0..12),
+        ) {
+            let (pattern, text) = (like_string(&pattern), like_string(&text));
+            // `%` and `_` in the text are ordinary characters
+            let want = like_match_chars(&pattern, &text);
+            assert_eq!(like_match(&pattern, &text), want, "{pattern:?} LIKE {text:?}");
+            let text = text.replace('%', "a").replace('_', "é");
+            let want = like_match_chars(&pattern, &text);
+            assert_eq!(like_match(&pattern, &text), want, "{pattern:?} LIKE {text:?}");
+        }
     }
 
     #[test]

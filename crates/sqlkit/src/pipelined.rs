@@ -3,12 +3,22 @@
 //! instead of materialising every intermediate join result.
 //!
 //! One reusable tuple buffer flows through the stage chain: the base
-//! stage pushes a row's values, each join stage appends its matches (or
-//! a NULL pad for an unmatched LEFT JOIN) and recurses, and the residual
-//! filter at the end decides whether the finished tuple is cloned into
-//! the output. Truncating the buffer on the way back up makes the whole
-//! pipeline allocation-free per tuple except for the rows that actually
-//! survive.
+//! stage pushes references to a row's values, each join stage appends
+//! references to its matches (or to a static NULL, the pad of an
+//! unmatched LEFT JOIN) and recurses, and the residual filter at the end
+//! decides whether the finished tuple joins the output. Truncating the
+//! buffer on the way back up keeps the pipeline free of allocations per
+//! tuple, and no value is copied at all.
+//!
+//! The borrowing contract: a tuple is a slice of `&Value` into the rows
+//! its stages read — a table's stored rows, the result of a FROM-subquery
+//! (held by the caller, one cell per stage, for as long as the core
+//! runs) or the static NULL. Finished tuples go end to end into one
+//! arena of references, [`Tuples`], which the caller's tail (projection,
+//! grouping, aggregates, DISTINCT, ORDER BY keys) reads where it lies
+//! and drops with the core; the tail copies a value only into an output
+//! row or a sort key. A correlated sub-select evaluated on a tuple gets
+//! an owned copy of it as its enclosing row.
 //!
 //! Emission order is fixed by the statement, not by the plan: base rows
 //! are visited in rid order, hash matches in build (= rid) order, index
@@ -33,7 +43,7 @@
 use crate::ast::{Expr, JoinKind, SelectStmt};
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{self, Ctx};
+use crate::exec::{self, Ctx, Tuple};
 use crate::index::ColumnIndex;
 use crate::plan::{Access, JoinOp, OpStats, PhysicalPlan, ResidualStep, Sarg, Stage};
 use crate::value::{NormRef, NormValue, ResultSet, Row, Value};
@@ -41,24 +51,62 @@ use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Runtime form of one stage: its rows plus the access / join machinery
-/// resolved against the live database.
-struct StageRt<'d> {
-    rows: &'d [Row],
-    /// The sarg of an `IxScan` whose index was unusable, now a filter.
-    degraded: Option<&'d Sarg>,
-    op: OpRt<'d>,
+/// The value every slot of a LEFT JOIN's NULL pad points at.
+static NULL: Value = Value::Null;
+
+/// End of a hash bucket's rid chain.
+const NO_RID: u32 = u32::MAX;
+
+/// Tuples of one width, end to end in one buffer of references: tuple `i`
+/// is `vals[i * width..][..width]`. The count carries the zero-width
+/// tuples of a core without FROM.
+pub(crate) struct Tuples<'t> {
+    width: usize,
+    vals: Vec<&'t Value>,
+    count: usize,
 }
 
-enum OpRt<'d> {
+impl<'t> Tuples<'t> {
+    fn new(width: usize) -> Self {
+        Tuples { width, vals: Vec::new(), count: 0 }
+    }
+
+    fn push(&mut self, tuple: &[&'t Value]) {
+        debug_assert_eq!(tuple.len(), self.width);
+        self.vals.extend_from_slice(tuple);
+        self.count += 1;
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    /// The tuples in emission order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[&'t Value]> + '_ {
+        (0..self.count).map(|i| &self.vals[i * self.width..][..self.width])
+    }
+}
+
+/// Runtime form of one stage: its rows plus the access / join machinery
+/// resolved against the live database.
+struct StageRt<'t> {
+    rows: &'t [Row],
+    /// The sarg of an `IxScan` whose index was unusable, now a filter.
+    degraded: Option<&'t Sarg>,
+    op: OpRt<'t>,
+}
+
+enum OpRt<'t> {
     /// Base stage: iterate all rows or an index-provided rid list.
     Scan { rids: Option<Vec<u32>> },
-    /// Equi join: hash table over the stage's filtered rows.
-    Hash { left_key: usize, map: HashMap<NormRef<'d>, Vec<u32>> },
+    /// Equi join: a hash table over the stage's filtered rows. A key maps
+    /// to the first and last rid of its bucket, and `next[rid]` links a
+    /// bucket's rids in rid order.
+    Hash { left_key: usize, buckets: HashMap<NormRef<'t>, (u32, u32)>, next: Vec<u32> },
     /// Equi join probing the column's secondary index per tuple.
     Ix { left_key: usize, right_key: usize, ix: Arc<ColumnIndex> },
     /// Nested loop over a pre-filtered rid list.
-    Nested { rids: Vec<u32>, on: Option<&'d Expr> },
+    Nested { rids: Vec<u32>, on: Option<&'t Expr> },
 }
 
 /// Lazily-classified state of one `Semi` residual step.
@@ -94,28 +142,33 @@ struct MutState {
     /// One counter pair per stage, then one for the residual filter.
     ops: Vec<OpStats>,
     semi: Vec<SemiState>,
-    out: Vec<Row>,
 }
 
 /// Run FROM + WHERE of the core `plan` was lowered from, returning the
-/// surviving tuples in emission order for the shared tail.
-pub(crate) fn run(ctx: &mut Ctx<'_>, plan: &PhysicalPlan) -> SqlResult<Vec<Row>> {
-    let db = ctx.db;
-    let results: Vec<OnceCell<Arc<ResultSet>>> =
-        plan.stages.iter().map(|_| OnceCell::new()).collect();
-    let mut stages: Vec<StageRt<'_>> = Vec::with_capacity(plan.stages.len());
+/// surviving tuples in emission order for the shared tail. The tuples
+/// borrow their values from the database's rows, from the results of the
+/// plan's FROM-subqueries — `held` has one cell per stage, where the run
+/// keeps the result of a subquery stage — and from a static NULL for a
+/// LEFT JOIN's pad; so they live as long as the three.
+pub(crate) fn run<'a: 't, 't>(
+    ctx: &mut Ctx<'a>,
+    plan: &'t PhysicalPlan,
+    held: &'t [OnceCell<Arc<ResultSet>>],
+) -> SqlResult<Tuples<'t>> {
+    let db: &'t Database = ctx.db;
+    let mut stages: Vec<StageRt<'t>> = Vec::with_capacity(plan.stages.len());
     let mut mu = MutState {
         ops: vec![OpStats::default(); plan.stages.len() + 1],
         semi: plan.residual.iter().map(|_| SemiState::Unknown).collect(),
-        out: Vec::new(),
     };
     // a core without FROM filters and projects one empty tuple
-    let mut input: Vec<Row> = vec![Vec::new()];
+    let mut input = Tuples::new(0);
+    input.push(&[]);
     let mut start = 0;
     for (k, st) in plan.stages.iter().enumerate() {
-        stages.push(open(ctx, db, st, &results[k], &mut mu.ops[k])?);
+        stages.push(open(ctx, db, st, &held[k], &mut mu.ops[k])?);
         if st.can_fail() {
-            let mut seg = Segment { ctx, mu: &mut mu, plan, stages: &stages, end: k + 1, last: false };
+            let seg = Segment::new(ctx, &mut mu, plan, &stages, k + 1, false);
             input = seg.drive(start, &input)?;
             start = k + 1;
         }
@@ -123,7 +176,7 @@ pub(crate) fn run(ctx: &mut Ctx<'_>, plan: &PhysicalPlan) -> SqlResult<Vec<Row>>
     if let Some(e) = &plan.fail {
         return Err(e.clone());
     }
-    let mut seg = Segment { ctx, mu: &mut mu, plan, stages: &stages, end: stages.len(), last: true };
+    let seg = Segment::new(ctx, &mut mu, plan, &stages, stages.len(), true);
     let out = seg.drive(start, &input)?;
     if let (1, Some(text)) = (ctx.depth, &mut ctx.explain) {
         text.push_str(&plan.render(&mu.ops));
@@ -148,7 +201,6 @@ pub(crate) fn base_rids(ctx: &mut Ctx<'_>, plan: &PhysicalPlan) -> SqlResult<Vec
     let mut mu = MutState {
         ops: vec![OpStats::default(); 2],
         semi: plan.residual.iter().map(|_| SemiState::Unknown).collect(),
-        out: Vec::new(),
     };
     let rt = open(ctx, db, st, &result, &mut mu.ops[0])?;
     let OpRt::Scan { rids: access } = &rt.op else {
@@ -157,7 +209,7 @@ pub(crate) fn base_rids(ctx: &mut Ctx<'_>, plan: &PhysicalPlan) -> SqlResult<Vec
     let mut kept = Vec::new();
     let mut visit = |rid: u32| -> SqlResult<()> {
         let row = &rt.rows[rid as usize];
-        if passes(st, rt.degraded, row) && survives(ctx, plan, &mut mu, row)? {
+        if passes(st, rt.degraded, row) && survives(ctx, plan, &mut mu, row.as_slice())? {
             kept.push(rid);
         }
         Ok(())
@@ -175,13 +227,13 @@ fn passes(st: &Stage, degraded: Option<&Sarg>, row: &Row) -> bool {
 
 /// Resolve one stage against live data: read (or compute) its rows, look
 /// up its index, build its hash table.
-fn open<'d>(
+fn open<'t>(
     ctx: &mut Ctx<'_>,
-    db: &'d Database,
-    st: &'d Stage,
-    result: &'d OnceCell<Arc<ResultSet>>,
+    db: &'t Database,
+    st: &'t Stage,
+    result: &'t OnceCell<Arc<ResultSet>>,
     op: &mut OpStats,
-) -> SqlResult<StageRt<'d>> {
+) -> SqlResult<StageRt<'t>> {
     let mut degraded = None;
     let mut access_rids: Option<Vec<u32>> = None;
     let rows: &[Row] = match &st.access {
@@ -239,14 +291,19 @@ fn open<'d>(
         (Some(JoinOp::Hash { left_key, right_key }), _)
         | (Some(JoinOp::IxJoin { left_key, right_key, .. }), None) => {
             ctx.rows_scanned += read;
-            let mut map: HashMap<NormRef<'_>, Vec<u32>> = HashMap::new();
+            let mut buckets: HashMap<NormRef<'_>, (u32, u32)> = HashMap::new();
+            let mut next = vec![NO_RID; rows.len()];
             for_each_kept(&mut |rid| {
                 let key = &rows[rid as usize][*right_key];
                 if !key.is_null() {
-                    map.entry(key.normalized_ref()).or_default().push(rid);
+                    let ends = buckets.entry(key.normalized_ref()).or_insert((rid, rid));
+                    if ends.1 != rid {
+                        next[ends.1 as usize] = rid;
+                        ends.1 = rid;
+                    }
                 }
             });
-            OpRt::Hash { left_key: *left_key, map }
+            OpRt::Hash { left_key: *left_key, buckets, next }
         }
         (Some(JoinOp::Nested { on }), _) => {
             ctx.rows_scanned += read;
@@ -258,63 +315,78 @@ fn open<'d>(
     Ok(StageRt { rows, degraded, op })
 }
 
-/// A run of stages driven as one pipeline.
-struct Segment<'s, 'c, 'd> {
+/// A run of stages driven as one pipeline. The tuple under construction
+/// is a buffer of references: a stage appends a row's slots (or the pad's)
+/// and cuts them off again on the way back up, so moving a tuple through
+/// the pipeline copies pointers, never values.
+struct Segment<'s, 'c, 't> {
     ctx: &'s mut Ctx<'c>,
     mu: &'s mut MutState,
-    plan: &'s PhysicalPlan,
-    stages: &'s [StageRt<'d>],
+    plan: &'t PhysicalPlan,
+    stages: &'s [StageRt<'t>],
     /// One past the last stage of the segment.
     end: usize,
     /// The plan's final segment: finished tuples face the residual chain.
     /// Tuples of an earlier segment are collected as they are.
     last: bool,
+    out: Tuples<'t>,
 }
 
-impl Segment<'_, '_, '_> {
+impl<'s, 'c, 't> Segment<'s, 'c, 't> {
+    fn new(
+        ctx: &'s mut Ctx<'c>,
+        mu: &'s mut MutState,
+        plan: &'t PhysicalPlan,
+        stages: &'s [StageRt<'t>],
+        end: usize,
+        last: bool,
+    ) -> Self {
+        let width = plan.stages[..end].last().map_or(0, |st| st.col_offset + st.width);
+        Segment { ctx, mu, plan, stages, end, last, out: Tuples::new(width) }
+    }
+
     /// Push every tuple of `input` through stages `start..end` and return
     /// what comes out the far side.
-    fn drive(&mut self, start: usize, input: &[Row]) -> SqlResult<Vec<Row>> {
-        let mut buf: Vec<Value> = Vec::with_capacity(self.plan.layout.len());
-        for tuple in input {
+    fn drive(mut self, start: usize, input: &Tuples<'t>) -> SqlResult<Tuples<'t>> {
+        let mut buf: Vec<&'t Value> = Vec::with_capacity(self.out.width);
+        for tuple in input.iter() {
             buf.clear();
-            buf.extend(tuple.iter().cloned());
+            buf.extend_from_slice(tuple);
             self.step(start, &mut buf)?;
         }
-        Ok(std::mem::take(&mut self.mu.out))
+        Ok(self.out)
     }
 
     /// Count the tuple in `buf` as an output of stage `k`, run it through
     /// the rest of the segment, and cut the buffer back to stage `k`'s
     /// input.
-    fn descend(&mut self, k: usize, buf: &mut Vec<Value>) -> SqlResult<()> {
+    fn descend(&mut self, k: usize, buf: &mut Vec<&'t Value>) -> SqlResult<()> {
         self.mu.ops[k].actual_rows += 1;
         let r = self.step(k + 1, buf);
         buf.truncate(self.plan.stages[k].col_offset);
         r
     }
 
-    fn emit(&mut self, k: usize, buf: &mut Vec<Value>, row: &Row) -> SqlResult<()> {
-        buf.extend(row.iter().cloned());
+    fn emit(&mut self, k: usize, buf: &mut Vec<&'t Value>, row: &'t Row) -> SqlResult<()> {
+        buf.extend(row);
         self.descend(k, buf)
     }
 
     /// The NULL pad of a LEFT JOIN tuple that matched nothing.
-    fn pad(&mut self, k: usize, buf: &mut Vec<Value>) -> SqlResult<()> {
+    fn pad(&mut self, k: usize, buf: &mut Vec<&'t Value>) -> SqlResult<()> {
         let st = &self.plan.stages[k];
         if st.kind != JoinKind::Left {
             return Ok(());
         }
-        buf.extend(std::iter::repeat_n(Value::Null, st.width));
+        buf.extend(std::iter::repeat_n(&NULL, st.width));
         self.descend(k, buf)
     }
 
-    fn step(&mut self, k: usize, buf: &mut Vec<Value>) -> SqlResult<()> {
+    fn step(&mut self, k: usize, buf: &mut Vec<&'t Value>) -> SqlResult<()> {
         if k == self.end {
-            if self.last {
-                return finish(self.ctx, self.plan, self.mu, buf);
+            if !self.last || survives(self.ctx, self.plan, self.mu, buf.as_slice())? {
+                self.out.push(buf);
             }
-            self.mu.out.push(buf.clone());
             return Ok(());
         }
         let (plan, stages) = (self.plan, self.stages);
@@ -335,21 +407,21 @@ impl Segment<'_, '_, '_> {
                     }
                 }
             }
-            OpRt::Hash { left_key, map } => {
+            OpRt::Hash { left_key, buckets, next } => {
                 self.ctx.rows_scanned += 1;
-                // clone the probe key out of the tuple buffer: the buffer is
-                // extended/truncated while candidate rows stream through, so
-                // the map lookup cannot keep a borrow into it
-                let probe = buf[*left_key].clone();
-                let matches = if probe.is_null() { None } else { map.get(&probe.normalized_ref()) };
-                match matches {
-                    Some(rids) if !rids.is_empty() => {
-                        for &rid in rids {
+                let probe = buf[*left_key];
+                let bucket =
+                    if probe.is_null() { None } else { buckets.get(&probe.normalized_ref()) };
+                match bucket {
+                    Some(&(first, _)) => {
+                        let mut rid = first;
+                        while rid != NO_RID {
                             self.ctx.rows_scanned += 1;
                             self.emit(k, buf, &rt.rows[rid as usize])?;
+                            rid = next[rid as usize];
                         }
                     }
-                    _ => self.pad(k, buf)?,
+                    None => self.pad(k, buf)?,
                 }
             }
             OpRt::Ix { left_key, right_key, ix } => {
@@ -358,8 +430,8 @@ impl Segment<'_, '_, '_> {
                     self.ctx.ix_ops += 1;
                 }
                 self.mu.ops[k].seeks += 1;
-                let probe = buf[*left_key].clone();
-                let run = ix.eq_run(&probe);
+                let probe = buf[*left_key];
+                let run = ix.eq_run(probe);
                 self.ctx.rows_scanned += run.len() as u64;
                 let mut matched = false;
                 for (v, rid) in run {
@@ -387,10 +459,10 @@ impl Segment<'_, '_, '_> {
                 let mut matched = false;
                 for &rid in rids {
                     self.ctx.rows_scanned += 1;
-                    buf.extend(rt.rows[rid as usize].iter().cloned());
+                    buf.extend(&rt.rows[rid as usize]);
                     // ON sees the tuple so far and nothing right of it
                     let keep = match on {
-                        Some(on) => exec::eval_expr(self.ctx, on, buf)?
+                        Some(on) => exec::eval_expr(self.ctx, on, buf.as_slice())?
                             .truthiness()
                             == Some(true),
                         None => true,
@@ -411,39 +483,26 @@ impl Segment<'_, '_, '_> {
     }
 }
 
-/// Keep a finished tuple if it survives the residual chain.
-fn finish(
-    ctx: &mut Ctx<'_>,
-    plan: &PhysicalPlan,
-    mu: &mut MutState,
-    buf: &[Value],
-) -> SqlResult<()> {
-    if survives(ctx, plan, mu, buf)? {
-        mu.out.push(buf.to_vec());
-    }
-    Ok(())
-}
-
 /// Run the residual chain on a finished tuple. Implements the AND
 /// protocol of `exec::eval_expr`: `false` stops and drops, NULL marks
 /// the tuple dropped but keeps evaluating (error fidelity), anything else
 /// continues.
-fn survives(
+fn survives<T: Tuple + ?Sized>(
     ctx: &mut Ctx<'_>,
     plan: &PhysicalPlan,
     mu: &mut MutState,
-    buf: &[Value],
+    tuple: &T,
 ) -> SqlResult<bool> {
     ctx.rows_scanned += 1;
     let mut dropped = false;
     let mut semi_idx = 0;
     for stepdef in &plan.residual {
         let v = match stepdef {
-            ResidualStep::Pred(e) => exec::eval_expr(ctx, e, buf)?,
+            ResidualStep::Pred(e) => exec::eval_expr(ctx, e, tuple)?,
             ResidualStep::Semi(e) => {
                 let i = semi_idx;
                 semi_idx += 1;
-                eval_semi(ctx, &mut mu.semi[i], e, buf)?
+                eval_semi(ctx, &mut mu.semi[i], e, tuple)?
             }
         };
         match v.truthiness() {
@@ -462,18 +521,18 @@ fn survives(
 /// Evaluate a `Semi` residual step, classifying the subquery as
 /// correlated or not on its first executed probe and caching the
 /// uncorrelated result thereafter.
-fn eval_semi(
+fn eval_semi<T: Tuple + ?Sized>(
     ctx: &mut Ctx<'_>,
     state: &mut SemiState,
     conjunct: &Expr,
-    tuple: &[Value],
+    tuple: &T,
 ) -> SqlResult<Value> {
     if matches!(state, SemiState::Correlated) {
         return exec::eval_expr(ctx, conjunct, tuple);
     }
     match conjunct {
         Expr::InSubquery { expr, query, negated } => {
-            let v = exec::eval_expr(ctx, expr, tuple)?;
+            let v = exec::operand(ctx, expr, tuple)?;
             if v.is_null() {
                 // eval_expr skips the subquery entirely on a NULL operand,
                 // so the state stays unclassified
@@ -549,7 +608,11 @@ fn eval_semi(
 
 /// Execute a semi-join's subquery against `tuple` and report whether it
 /// read the outer row.
-fn probe(ctx: &mut Ctx<'_>, query: &SelectStmt, tuple: &[Value]) -> SqlResult<(Arc<ResultSet>, bool)> {
+fn probe<T: Tuple + ?Sized>(
+    ctx: &mut Ctx<'_>,
+    query: &SelectStmt,
+    tuple: &T,
+) -> SqlResult<(Arc<ResultSet>, bool)> {
     let saved = ctx.used_outer;
     ctx.used_outer = false;
     let rs = exec::exec_subquery(ctx, query, tuple)?;

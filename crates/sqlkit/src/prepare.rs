@@ -30,7 +30,7 @@
 //! output references, not names.
 
 use crate::ast::*;
-use crate::db::Database;
+use crate::db::{with_lowercase, Database};
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{self, eval_const, ExecStats};
 use crate::functions::is_aggregate_name;
@@ -85,8 +85,8 @@ pub fn plan_fingerprint(db: &Database) -> u64 {
     let mut h = schema_fingerprint(&db.schema);
     for def in db.index_defs() {
         h = fnv1a(h, &[0xfd]);
-        h = fnv1a(h, def.table.to_lowercase().as_bytes());
-        h = fnv1a(h, def.column.to_lowercase().as_bytes());
+        h = with_lowercase(&def.table, |t| fnv1a(h, t.as_bytes()));
+        h = with_lowercase(&def.column, |c| fnv1a(h, c.as_bytes()));
     }
     h
 }

@@ -341,7 +341,7 @@ impl<'a> Eval<'a> {
                     Err(miss) => return Err(miss.error(table.as_deref(), column)),
                 }
             }
-            Expr::Unary { op, expr } => apply_unary(*op, eval(expr)?)?,
+            Expr::Unary { op, expr } => apply_unary(*op, &eval(expr)?)?,
             Expr::Binary { left, op: BinOp::And, right } => match eval(left)?.truthiness() {
                 Some(false) => Value::Int(0),
                 l => match (l, eval(right)?.truthiness()) {
@@ -360,7 +360,7 @@ impl<'a> Eval<'a> {
             },
             Expr::Binary { left, op, right } => {
                 let l = eval(left)?;
-                apply_binary(*op, l, eval(right)?)?
+                apply_binary(*op, &l, &eval(right)?)?
             }
             Expr::Like { expr, pattern, negated } => {
                 let (v, p) = (eval(expr)?, eval(pattern)?);
@@ -439,7 +439,7 @@ impl<'a> Eval<'a> {
                 call_scalar(name, &args)?
             }
             Expr::Wildcard => return Err(SqlError::Syntax { pos: 0, msg: "misplaced *".into() }),
-            Expr::Cast { expr, ty } => cast_value(eval(expr)?, *ty),
+            Expr::Cast { expr, ty } => cast_value(&eval(expr)?, *ty),
             Expr::Subquery(query) => {
                 let rs = self.subquery(query, layout, row)?;
                 if rs.columns.len() != 1 {
@@ -468,9 +468,9 @@ impl<'a> Eval<'a> {
             }
             Expr::Binary { left, op, right } => {
                 let l = eval(left)?;
-                apply_binary(*op, l, eval(right)?)?
+                apply_binary(*op, &l, &eval(right)?)?
             }
-            Expr::Unary { op, expr } => apply_unary(*op, eval(expr)?)?,
+            Expr::Unary { op, expr } => apply_unary(*op, &eval(expr)?)?,
             Expr::Case { operand, branches, else_expr } => {
                 let operand = operand.as_ref().map(|o| eval(o)).transpose()?;
                 for (when, then) in branches {
@@ -492,7 +492,7 @@ impl<'a> Eval<'a> {
                 let args = args.iter().map(eval).collect::<SqlResult<Vec<Value>>>()?;
                 call_scalar(name, &args)?
             }
-            Expr::Cast { expr, ty } => cast_value(eval(expr)?, *ty),
+            Expr::Cast { expr, ty } => cast_value(&eval(expr)?, *ty),
             Expr::IsNull { expr, negated } => Value::Int((eval(expr)?.is_null() != *negated) as i64),
             other => match group.first() {
                 Some(row) => self.expr(other, layout, row)?,
@@ -835,6 +835,78 @@ mod tests {
              OR id IN (SELECT (SELECT MIN(k) FROM c) FROM b)",
             "SELECT (SELECT MAX(y) FROM b WHERE b.a_id = a.id) FROM a UNION ALL \
              SELECT (SELECT MIN(z) FROM c WHERE c.k = a.id) FROM a",
+        ] {
+            check(&db, sql);
+        }
+    }
+
+    /// Where the pipelined executor's tuples borrow from: no row at all (a
+    /// core without FROM), the static NULL of a LEFT JOIN pad, a
+    /// FROM-subquery's result, the tuple a correlated sub-select copies,
+    /// a segment boundary; and the tail keying DISTINCT, GROUP BY and the
+    /// compounds on borrowed values of every storage class.
+    #[test]
+    fn borrowed_tuples_match_the_reference() {
+        let db = fixture();
+        for sql in [
+            // zero-width tuples
+            "SELECT 1 WHERE 0",
+            "SELECT COUNT(*)",
+            "SELECT COUNT(*) WHERE 0",
+            "SELECT COUNT(*), SUM(1), MIN('x') WHERE 1",
+            "SELECT 1, 'x' WHERE 1 = 1 ORDER BY 1",
+            // a LEFT JOIN pad read by a residual and by a GROUP BY key, for
+            // each join operator (index, hash, nested loop)
+            "SELECT a.id FROM a LEFT JOIN b ON b.a_id = a.id WHERE b.s IS NULL",
+            "SELECT a.id FROM a LEFT JOIN c ON c.k = a.id WHERE c.z IS NULL AND a.id > 1",
+            "SELECT a.id, b.id FROM a LEFT JOIN b ON b.a_id = a.id AND b.y > 1 WHERE b.y IS NULL",
+            "SELECT b.s, COUNT(*), COUNT(b.id) FROM a LEFT JOIN b ON b.a_id = a.id GROUP BY b.s",
+            "SELECT c.z, COUNT(*) FROM a LEFT JOIN c ON c.k = a.id GROUP BY c.z ORDER BY 2, 1",
+            "SELECT b.y, MAX(a.id) FROM a LEFT JOIN b ON a.id < b.a_id GROUP BY b.y",
+            // a FROM-subquery stage joined to a table, on either side
+            "SELECT a.id, q.n FROM (SELECT a_id, COUNT(*) AS n FROM b GROUP BY a_id) AS q \
+             JOIN a ON a.id = q.a_id",
+            "SELECT a.s, q.m FROM a LEFT JOIN (SELECT a_id, MAX(y) AS m FROM b GROUP BY a_id) AS q \
+             ON q.a_id = a.id WHERE q.m IS NULL OR q.m > 1",
+            "SELECT q.s, COUNT(*) FROM (SELECT s FROM b) AS q JOIN c ON c.k = 1 GROUP BY q.s",
+            // correlated sub-selects in a residual and in the projection
+            "SELECT id FROM a WHERE x > (SELECT COUNT(*) FROM b WHERE b.a_id = a.id)",
+            "SELECT a.id, (SELECT MAX(y) FROM b WHERE b.a_id = a.id) FROM a JOIN c ON c.k = a.id",
+            "SELECT a.id, c.z FROM a JOIN c ON c.k = a.id \
+             WHERE EXISTS (SELECT 1 FROM b WHERE b.a_id = c.k AND b.id > a.id)",
+            "SELECT s, (SELECT COUNT(*) FROM b WHERE b.s = a.s) FROM a GROUP BY s",
+            // a nested ON that can fail ends a segment
+            "SELECT a.id, b.id, c.z FROM a JOIN b ON a.id < b.id JOIN c ON c.k = a.id",
+            "SELECT a.id, b.id FROM a JOIN b ON a.id <= b.a_id + \
+             (SELECT COUNT(*) FROM c WHERE c.k = b.id) ORDER BY 1, 2",
+            "SELECT a.id, b.id FROM a LEFT JOIN b ON a.id < b.id AND nosuchfn(b.id) = 1",
+            "SELECT a.id, b.id FROM a LEFT JOIN b ON a.id > b.a_id JOIN c ON c.k = b.a_id",
+            // DISTINCT and GROUP BY over TEXT, INTEGER and REAL; 1 = 1.0
+            "SELECT DISTINCT s FROM b",
+            "SELECT DISTINCT y FROM b",
+            "SELECT DISTINCT a_id, s FROM b ORDER BY 1",
+            "SELECT DISTINCT CASE WHEN id % 2 = 0 THEN 1 ELSE 1.0 END FROM b",
+            "SELECT CASE WHEN id % 2 = 0 THEN 1 ELSE 1.0 END AS k, COUNT(*) FROM b GROUP BY k",
+            "SELECT y, COUNT(*), SUM(id), AVG(id) FROM b GROUP BY y",
+            "SELECT s, y, COUNT(*) FROM b GROUP BY s, y ORDER BY 3 DESC, 1",
+            "SELECT s, MIN(y), MAX(y), AVG(y), TOTAL(y), SUM(y), GROUP_CONCAT(id, '|') FROM b \
+             GROUP BY s",
+            "SELECT COUNT(DISTINCT y), SUM(DISTINCT a_id), COUNT(DISTINCT s), MIN(s), MAX(s) \
+             FROM b",
+            "SELECT k, COUNT(DISTINCT z) FROM c GROUP BY k HAVING COUNT(*) > 1",
+            // aggregates over mixed storage classes, overflow, signed zero
+            "SELECT SUM(v), TOTAL(v), MIN(v), MAX(v) FROM (SELECT 2 AS v UNION ALL SELECT 1.5 \
+             UNION ALL SELECT 'x' UNION ALL SELECT NULL) AS q",
+            "SELECT SUM(v) FROM (SELECT 9223372036854775807 AS v UNION ALL SELECT 1) AS q",
+            "SELECT SUM(v) FROM (SELECT 9223372036854775807 AS v UNION ALL SELECT 1 \
+             UNION ALL SELECT 0.5) AS q",
+            "SELECT SUM(v), AVG(v), TOTAL(v) FROM (SELECT -0.0 AS v UNION ALL SELECT -0.0) AS q",
+            // compounds deduplicate on normalised values
+            "SELECT 1 UNION SELECT 1.0",
+            "SELECT 1.0 UNION SELECT 1 UNION SELECT 'x' UNION SELECT NULL UNION SELECT NULL",
+            "SELECT y FROM b INTERSECT SELECT k FROM c",
+            "SELECT y FROM b EXCEPT SELECT k FROM c",
+            "SELECT s, y FROM b UNION SELECT s, id FROM b ORDER BY 1, 2",
         ] {
             check(&db, sql);
         }

@@ -7,8 +7,10 @@
 //! grouping keys and execution-accuracy checks.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A single SQL value.
 ///
@@ -84,9 +86,16 @@ impl Value {
 
     /// Text view (numbers rendered the way SQLite prints them).
     pub fn as_text(&self) -> Option<String> {
+        self.as_str().map(Cow::into_owned)
+    }
+
+    /// Borrowed [`Value::as_text`]: text is read in place, only a number
+    /// is rendered into a new string.
+    pub(crate) fn as_str(&self) -> Option<Cow<'_, str>> {
         match self {
             Value::Null => None,
-            other => Some(other.to_string()),
+            Value::Text(t) => Some(Cow::Borrowed(t)),
+            other => Some(Cow::Owned(other.to_string())),
         }
     }
 
@@ -174,6 +183,33 @@ pub(crate) enum NormRef<'a> {
     Real(u64),
     Text(&'a str),
 }
+
+/// A row of values hashed and compared by their normal form, borrowed:
+/// two keys are equal iff their rows of [`NormValue`]s are, so a
+/// `HashSet<NormKey>` deduplicates or groups rows as one of
+/// `Vec<NormValue>` does, without copying a value.
+pub(crate) struct NormKey<'a, V>(pub(crate) &'a [V]);
+
+impl<V: Borrow<Value>> Hash for NormKey<'_, V> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in self.0 {
+            v.borrow().normalized_ref().hash(state);
+        }
+    }
+}
+
+impl<V: Borrow<Value>> PartialEq for NormKey<'_, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && self
+                .0
+                .iter()
+                .zip(other.0)
+                .all(|(a, b)| a.borrow().normalized_ref() == b.borrow().normalized_ref())
+    }
+}
+
+impl<V: Borrow<Value>> Eq for NormKey<'_, V> {}
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -1,0 +1,173 @@
+//! Allocation census of the SQL engine on the gold admission path.
+//!
+//! A counting global allocator, counted per thread, attributes every heap
+//! allocation to the phase that made it: parsing a gold statement, binding
+//! and lowering it (`prepare_stmt`), and running it (`execute_with_stats`).
+//! Over the 2,000 train + dev gold statements of `bird_mini_dev` the test
+//! prints the mean a statement per phase and per statement shape, the
+//! statements that allocate most to run, and what `datagen::generate`
+//! allocates in total, then gates the run phase's mean.
+//!
+//! Run it with `cargo test -q --test exec_allocations -- --nocapture` to
+//! see the table.
+
+use datagen::{generate, Profile};
+use sqlkit::ast::{SelectCore, SelectItem, SelectStmt};
+use sqlkit::Expr;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Mean allocations a gold statement may make to run. On 5665179, whose
+/// executor cloned every tuple it passed on, this census read 615.
+const RUN_BUDGET: f64 = 120.0;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread being torn down has no counter left
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while `f` runs, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// The census's statement shapes, in the order a statement is assigned
+/// to the first that fits.
+const SHAPES: [&str; 5] = ["GROUP BY", "aggregate", "ORDER BY", "joins", "single table"];
+
+fn has_aggregate(core: &SelectCore) -> bool {
+    let mut found = false;
+    for item in &core.items {
+        if let SelectItem::Expr { expr, .. } = item {
+            expr.walk(&mut |node| {
+                if let Expr::Function { name, args, .. } = node {
+                    found |= sqlkit::functions::is_aggregate_name(name, args.len());
+                }
+            });
+        }
+    }
+    found
+}
+
+fn shape(stmt: &SelectStmt) -> usize {
+    let core = &stmt.core;
+    if !core.group_by.is_empty() {
+        0
+    } else if has_aggregate(core) {
+        1
+    } else if !stmt.order_by.is_empty() {
+        2
+    } else if core.from.as_ref().is_some_and(|f| !f.joins.is_empty()) {
+        3
+    } else {
+        4
+    }
+}
+
+#[derive(Default, Clone, Copy)]
+struct Tally {
+    statements: u64,
+    parse: u64,
+    prepare: u64,
+    run: u64,
+}
+
+impl Tally {
+    fn add(&mut self, parse: u64, prepare: u64, run: u64) {
+        self.statements += 1;
+        self.parse += parse;
+        self.prepare += prepare;
+        self.run += run;
+    }
+
+    fn mean(&self, total: u64) -> f64 {
+        total as f64 / self.statements.max(1) as f64
+    }
+
+    fn row(&self, name: &str) -> String {
+        format!(
+            "{name:<14} {:>6} {:>9.1} {:>9.1} {:>9.1}",
+            self.statements,
+            self.mean(self.parse),
+            self.mean(self.prepare),
+            self.mean(self.run)
+        )
+    }
+}
+
+#[test]
+fn gold_statements_allocate_within_the_run_budget() {
+    let profile = Profile::bird_mini_dev();
+    let (generate_allocations, bench) = counted(|| generate(&profile));
+    let mut all = Tally::default();
+    let mut shapes = [Tally::default(); SHAPES.len()];
+    let mut heaviest: Vec<(u64, String)> = Vec::new();
+    for ex in bench.train.iter().chain(&bench.dev) {
+        let db = &bench
+            .db(&ex.db_id)
+            .expect("gold names a generated database")
+            .database;
+        let (parse, stmt) = counted(|| sqlkit::parse_select(&ex.gold_sql));
+        let stmt = stmt.expect("gold SQL parses");
+        let kind = shape(&stmt);
+        let (prepare, prepared) = counted(|| sqlkit::prepare_stmt(db, stmt));
+        let (run, result) = counted(|| prepared.execute_with_stats(db));
+        assert!(result.is_ok(), "gold SQL runs: {}", ex.gold_sql);
+        drop(result);
+        all.add(parse, prepare, run);
+        shapes[kind].add(parse, prepare, run);
+        heaviest.push((run, ex.gold_sql.clone()));
+    }
+    heaviest.sort_by_key(|h| std::cmp::Reverse(h.0));
+    println!("allocations a gold statement, bird_mini_dev train + dev");
+    println!(
+        "{:<14} {:>6} {:>9} {:>9} {:>9}",
+        "shape", "stmts", "parse", "prepare", "run"
+    );
+    for (name, tally) in SHAPES.iter().zip(&shapes) {
+        println!("{}", tally.row(name));
+    }
+    println!("{}", all.row("all"));
+    println!("datagen::generate(bird_mini_dev): {generate_allocations} allocations");
+    println!("most allocations to run:");
+    for (n, sql) in heaviest.iter().take(8) {
+        println!("{n:>8}  {sql}");
+    }
+    assert_eq!(
+        all.statements, 2000,
+        "the census covers every train and dev gold statement"
+    );
+    let run = all.mean(all.run);
+    assert!(
+        run <= RUN_BUDGET,
+        "a gold statement allocates {run:.1} times to run, budget {RUN_BUDGET}"
+    );
+}
