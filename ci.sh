@@ -102,6 +102,12 @@ for call in 'plan_cache().execute_with(' 'align_candidate('; do
         exit 1
     fi
 done
+cargo test -q --test dml_index_upkeep # write-path gate: a seeded 120 x 32 INSERT/UPDATE/
+                                 # DELETE mix through Store on a CREATE TABLE … INTEGER
+                                 # PRIMARY KEY table: after every statement the key index
+                                 # is resident and equals a rebuild, every keyed UPDATE /
+                                 # DELETE plans an IxScan, and a reopen (WAL replay) and a
+                                 # follower dump byte-identically to the primary
 # One front end per beam, structurally: outside tests, refinement.rs and
 # alignment.rs parse a text at one site and analyse it at one site, both in
 # the beam's entry (`Beam::front`; a parse failure is the E0001 analysis

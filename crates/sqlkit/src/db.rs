@@ -4,7 +4,7 @@
 use crate::ast::{DeleteStmt, Expr, FromClause, SelectCore, Stmt, TableRef, TypeName, UpdateStmt};
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{eval_expr, execute_select, Ctx};
-use crate::index::{ColumnIndex, IndexDef};
+use crate::index::{remove_sorted, ColumnIndex, IndexDef};
 use crate::parser::parse_script;
 use crate::plan::PhysicalPlan;
 use crate::schema::{ColumnInfo, DbSchema, ForeignKey, TableInfo};
@@ -55,9 +55,11 @@ pub struct Database {
     /// not retry the build on every statement. The cache is kept exact by
     /// every mutation path: an INSERT maintains the table's resident
     /// entries incrementally; an UPDATE moves no rid, so it drops only the
-    /// entries on the columns it assigned; a DELETE shifts rids and drops
-    /// every entry of the table. A statement that fails drops nothing,
-    /// because it changed nothing.
+    /// entries on the columns it assigned; a DELETE removes the doomed
+    /// rids' entries from every resident index of the table and renumbers
+    /// the rest down, and turns an unusable entry back into a bare
+    /// declaration, since the NaN that made it so may be gone. A statement
+    /// that fails touches nothing, because it changed nothing.
     index_cache: IndexCache,
 }
 
@@ -190,40 +192,17 @@ impl Database {
         cache.entry(table.to_lowercase()).or_default().insert(column.to_lowercase(), built);
     }
 
-    /// Keep resident indexes of the table with lower-cased name
-    /// `table_key` exact after appending a row, or drop ones the new value
-    /// poisons (NaN). `values` pairs each indexed column's lower-cased
-    /// name with the appended value.
-    fn maintain_indexes_on_insert(
-        &mut self,
-        table_key: &str,
-        rid: u32,
-        values: Vec<(String, Value)>,
-    ) {
-        let Some(cache) = self.index_cache.get_mut().get_mut(table_key) else {
-            return;
-        };
-        for (column_key, value) in values {
-            if let Some(slot) = cache.get_mut(&column_key) {
-                let ok = match slot {
-                    Some(arc) => Arc::make_mut(arc).insert_appended(&value, rid),
-                    // known-unusable stays unusable until rebuilt
-                    None => continue,
-                };
-                if !ok {
-                    *slot = None;
-                }
-            }
-        }
-    }
-
-    /// Drop resident indexes of `table` (its rids moved); they rebuild
-    /// lazily on the next lookup.
+    /// Drop resident indexes of `table`; they rebuild lazily on the next
+    /// lookup (the test-only reference's DML, and tests comparing against
+    /// a rebuild).
+    #[cfg(test)]
     pub(crate) fn drop_resident_indexes(&mut self, table: &str) {
         self.index_cache.get_mut().remove(&table.to_lowercase());
     }
 
-    /// Create a table programmatically.
+    /// Create a table programmatically. It declares no index: a primary
+    /// key is indexed only by a CREATE TABLE statement
+    /// ([`Database::execute_script`]) or by an explicit declaration.
     pub fn create_table(&mut self, info: TableInfo) -> SqlResult<()> {
         if self.schema.table(&info.name).is_some() {
             return Err(SqlError::Other(format!("table {} already exists", info.name)));
@@ -257,25 +236,33 @@ impl Database {
             .zip(&info.columns)
             .map(|(v, c)| apply_affinity(v, c.ty))
             .collect();
-        let indexed: Vec<(String, Value)> = self
-            .indexes
-            .iter()
-            .filter(|d| d.table.eq_ignore_ascii_case(&info.name))
-            .filter_map(|d| {
-                info.column_index(&d.column)
-                    .map(|c| (d.column.to_lowercase(), coerced[c].clone()))
-            })
-            .collect();
-        let table_key = info.name.to_lowercase();
-        let bucket = self
-            .data
-            .get_mut(&table_key)
-            .expect("data bucket exists for every schema table");
-        bucket.rows.push(coerced);
-        let rid = (bucket.rows.len() - 1) as u32;
-        if !indexed.is_empty() {
-            self.maintain_indexes_on_insert(&table_key, rid, indexed);
-        }
+        with_lowercase(&info.name, |table_key| {
+            let rows = &mut self
+                .data
+                .get_mut(table_key)
+                .expect("data bucket exists for every schema table")
+                .rows;
+            let rid = rows.len() as u32;
+            // keep the table's resident indexes exact, or mark the ones the
+            // new value poisons (NaN) unusable
+            if let Some(cache) = self.index_cache.get_mut().get_mut(table_key) {
+                for (column, slot) in cache.iter_mut() {
+                    // the key is the Unicode lower-casing, so match it that way
+                    let col = info
+                        .columns
+                        .iter()
+                        .position(|c| with_lowercase(&c.name, |k| k == column));
+                    // known-unusable stays unusable until rebuilt
+                    let (Some(ix), Some(col)) = (slot.as_mut(), col) else {
+                        continue;
+                    };
+                    if !Arc::make_mut(ix).insert_appended(&coerced[col], rid) {
+                        *slot = None;
+                    }
+                }
+            }
+            rows.push(coerced);
+        });
         Ok(())
     }
 
@@ -410,7 +397,9 @@ impl Database {
         // no rid moved: only an index on an assigned column is stale
         if let Some(cache) = self.index_cache.get_mut().get_mut(&table_key) {
             cache.retain(|c, _| {
-                !targets.iter().any(|&(col, _)| info.columns[col].name.to_lowercase() == *c)
+                !targets
+                    .iter()
+                    .any(|&(col, _)| with_lowercase(&info.columns[col].name, |k| k == c))
             });
         }
         Ok(rids.len())
@@ -433,15 +422,20 @@ impl Database {
             .get_mut(&table_key)
             .expect("data bucket exists for every schema table")
             .rows;
-        // one pass that keeps the survivors in order (`dump_script` order)
-        let mut doomed = rids.iter().peekable();
-        let mut rid = 0u32;
-        rows.retain(|_| {
-            let hit = doomed.next_if_eq(&&rid).is_some();
-            rid += 1;
-            !hit
-        });
-        self.drop_resident_indexes(&table_key);
+        // the survivors keep their order (`dump_script` order) and close
+        // the gaps
+        remove_sorted(rows, &rids);
+        if let Some(cache) = self.index_cache.get_mut().get_mut(&table_key) {
+            cache.retain(|_, slot| match slot {
+                Some(ix) => {
+                    Arc::make_mut(ix).remove_rows(&rids);
+                    true
+                }
+                // the NaN that made it unusable may be gone: back to a
+                // declaration, rebuilt on the next lookup
+                None => false,
+            });
+        }
         Ok(rids.len())
     }
 
@@ -509,7 +503,9 @@ impl Database {
     }
 
     /// Execute a script of CREATE TABLE / INSERT statements (SELECTs in the
-    /// script are executed and their results discarded).
+    /// script are executed and their results discarded). A CREATE TABLE
+    /// declares an index on each PRIMARY KEY column, as SQLite's autoindex
+    /// does.
     pub fn execute_script(&mut self, sql: &str) -> SqlResult<()> {
         for stmt in parse_script(sql)? {
             match stmt {
@@ -530,7 +526,18 @@ impl Database {
                             })
                             .collect(),
                     };
+                    // SQLite indexes every primary key (the rowid or an
+                    // autoindex); `create_table` alone declares none
+                    let keys: Vec<String> = info
+                        .columns
+                        .iter()
+                        .filter(|col| col.primary_key)
+                        .map(|col| col.name.clone())
+                        .collect();
                     self.create_table(info)?;
+                    for key in &keys {
+                        self.create_index(&c.name, key)?;
+                    }
                     for fk in c.foreign_keys {
                         self.add_foreign_key(ForeignKey {
                             table: c.name.clone(),
@@ -767,16 +774,26 @@ mod tests {
     /// The answers of `db` to point and range reads through its indexes
     /// equal those of a copy whose resident indexes were all dropped.
     fn assert_indexes_answer_like_scans(db: &Database) {
+        assert_answers_like_scans(
+            db,
+            "person",
+            &[
+                "SELECT * FROM person WHERE name = 'Ann'",
+                "SELECT * FROM person WHERE name = 'x'",
+                "SELECT * FROM person WHERE name > 'B'",
+                "SELECT * FROM person WHERE age = 41",
+                "SELECT * FROM person WHERE age BETWEEN 30 AND 99",
+                "SELECT * FROM person WHERE id IN (1, 3)",
+            ],
+        );
+    }
+
+    /// `db` answers each of `queries` as a copy does whose resident
+    /// indexes of `table` were all dropped.
+    fn assert_answers_like_scans(db: &Database, table: &str, queries: &[&str]) {
         let mut rebuilt = db.clone();
-        rebuilt.drop_resident_indexes("person");
-        for sql in [
-            "SELECT * FROM person WHERE name = 'Ann'",
-            "SELECT * FROM person WHERE name = 'x'",
-            "SELECT * FROM person WHERE name > 'B'",
-            "SELECT * FROM person WHERE age = 41",
-            "SELECT * FROM person WHERE age BETWEEN 30 AND 99",
-            "SELECT * FROM person WHERE id IN (1, 3)",
-        ] {
+        rebuilt.drop_resident_indexes(table);
+        for sql in queries {
             assert_eq!(db.query(sql).unwrap().rows, rebuilt.query(sql).unwrap().rows, "{sql}");
         }
     }
@@ -822,7 +839,7 @@ mod tests {
         assert!(db.index("person", "name").is_some());
         db.execute_script("UPDATE person SET name = 'y', age = 1 WHERE id = 99").unwrap();
         assert!(resident(&db, "name") && resident(&db, "age"));
-        // mixed DML: inserts maintain, deletes drop the table's indexes
+        // mixed DML: inserts maintain, deletes renumber the table's indexes
         db.execute_script(
             "INSERT INTO person VALUES (4, 'Dee', 41);
              UPDATE person SET age = age + 1 WHERE name = 'Dee';
@@ -832,8 +849,47 @@ mod tests {
         assert!(resident(&db, "name") && !resident(&db, "age"));
         assert_indexes_answer_like_scans(&db);
         db.execute_script("DELETE FROM person WHERE id = 1").unwrap();
-        assert!(!resident(&db, "name") && !resident(&db, "id"));
+        assert!(resident(&db, "name") && resident(&db, "id"), "a DELETE keeps them resident");
         assert_indexes_answer_like_scans(&db);
+    }
+
+    #[test]
+    fn deleting_the_only_nan_makes_the_index_buildable() {
+        let mut db = indexed_db();
+        let nan = vec![Value::Int(4), Value::text("Nan"), Value::Real(f64::NAN)];
+        db.insert_row("person", nan).unwrap();
+        assert!(db.index("person", "age").is_none(), "a NaN makes the column unbuildable");
+        assert!(resident(&db, "age"), "the refusal is cached");
+        db.execute_script("DELETE FROM person WHERE id = 4").unwrap();
+        let rebuilt = ColumnIndex::build(db.rows("person").unwrap(), 2).expect("no NaN left");
+        let ix = db.index("person", "age").expect("buildable again");
+        assert_eq!(ix.entries(), rebuilt.entries());
+        assert_eq!((ix.distinct(), ix.table_rows()), (rebuilt.distinct(), rebuilt.table_rows()));
+    }
+
+    /// The cache keys a non-ASCII column by its Unicode lower-casing, and
+    /// the DML upkeep finds the column under that key: an INSERT extends
+    /// the key's index and an UPDATE of the key drops it.
+    #[test]
+    fn dml_upkeep_finds_non_ascii_columns() {
+        let mut db = Database::new("floors");
+        db.execute_script(
+            "CREATE TABLE Plan (\"Étage\" INTEGER PRIMARY KEY, nom TEXT);
+             INSERT INTO Plan VALUES (1, 'rez'), (2, 'premier');",
+        )
+        .unwrap();
+        let queries = [
+            "SELECT * FROM Plan WHERE \"Étage\" = 3",
+            "SELECT * FROM Plan WHERE \"Étage\" = 7",
+            "SELECT * FROM Plan WHERE \"Étage\" > 1",
+        ];
+        assert!(db.index("Plan", "Étage").is_some(), "the key is indexed");
+        db.execute_script("INSERT INTO Plan VALUES (3, 'deuxième')").unwrap();
+        let ix = db.index("Plan", "Étage").expect("still resident");
+        assert_eq!(ix.table_rows(), 3, "the INSERT reached the index");
+        assert_answers_like_scans(&db, "Plan", &queries);
+        db.execute_script("UPDATE Plan SET \"Étage\" = 7 WHERE nom = 'rez'").unwrap();
+        assert_answers_like_scans(&db, "Plan", &queries);
     }
 
     /// UPDATE and DELETE find their rows through the planner: the search
@@ -847,8 +903,16 @@ mod tests {
             let (plan, _) = db.dml_plan(info, u.where_clause.as_ref(), &u.assignments);
             plan.render(&[Default::default(); 2])
         };
+        // built with `create_table`, so the key has no index until declared
         let mut db = Database::new("big");
-        db.execute_script("CREATE TABLE person (id INTEGER PRIMARY KEY, age INTEGER)").unwrap();
+        let column = |name: &str, primary_key| ColumnInfo {
+            name: name.into(),
+            ty: TypeName::Integer,
+            description: String::new(),
+            primary_key,
+        };
+        let columns = vec![column("id", true), column("age", false)];
+        db.create_table(TableInfo { name: "person".into(), columns }).unwrap();
         for i in 0..100 {
             db.insert_row("person", vec![Value::Int(i), Value::Int(i % 7)]).unwrap();
         }

@@ -212,20 +212,92 @@ impl ColumnIndex {
             return false;
         }
         // The new rid is the largest, so the insertion point is the end of
-        // the value's equality run; distinct grows iff the run was empty.
+        // the value's equality run; distinct grows iff the run was empty,
+        // i.e. the entry before that point is in another class.
         let pos = self.entries.partition_point(|e| e.0.sql_cmp(value) != Ordering::Greater);
-        let new_class = self.eq_run(value).is_empty();
+        let new_class = pos == 0 || self.entries[pos - 1].0.sql_cmp(value) != Ordering::Equal;
         self.entries.insert(pos, (value.clone(), rid));
         if new_class {
             self.distinct += 1;
         }
         true
     }
+
+    /// Incremental maintenance: the rows with ids `doomed` (ascending,
+    /// distinct) were removed and every later row moved down to close the
+    /// gaps. Each surviving rid drops by the number of doomed rids below
+    /// it, a monotone map, so the runs stay sorted; an equality class is
+    /// gone when no survivor stands next to its removed entries.
+    pub(crate) fn remove_rows(&mut self, doomed: &[u32]) {
+        let Some(&first) = doomed.first() else { return };
+        self.table_rows -= doomed.len();
+        let mut gone: Vec<u32> = Vec::with_capacity(doomed.len());
+        for (pos, entry) in self.entries.iter_mut().enumerate() {
+            if entry.1 < first {
+                continue;
+            }
+            let below = doomed.partition_point(|&d| d < entry.1);
+            if doomed.get(below) == Some(&entry.1) {
+                gone.push(pos as u32);
+            } else {
+                entry.1 -= below as u32;
+            }
+        }
+        let same =
+            |a: usize, b: usize| self.entries[a].0.sql_cmp(&self.entries[b].0) == Ordering::Equal;
+        // each maximal run of adjacent removed entries loses its classes,
+        // less the first if a survivor on its left shares it and the last
+        // if one on its right does
+        let lost: usize = gone
+            .chunk_by(|a, b| a + 1 == *b)
+            .map(|run| {
+                let (start, end) = (run[0] as usize, run[run.len() - 1] as usize + 1);
+                let classes = 1 + (start + 1..end).filter(|&p| !same(p - 1, p)).count();
+                let left = start > 0 && same(start - 1, start);
+                let right = end < self.entries.len() && same(end - 1, end);
+                classes
+                    - if classes == 1 {
+                        usize::from(left || right)
+                    } else {
+                        usize::from(left) + usize::from(right)
+                    }
+            })
+            .sum();
+        self.distinct -= lost;
+        remove_sorted(&mut self.entries, &gone);
+    }
+}
+
+/// Remove the elements at `positions` (ascending, distinct) from `v`,
+/// keeping the rest in order; the elements before the first position do
+/// not move. Each run of survivors moves down past the removed elements
+/// gathered in front of it, in O(run) moves: by one rotation while they
+/// are no more than the run, else by swapping the run into their front (the
+/// removed elements' order does not matter), so a removal costs O(len)
+/// however many positions it names.
+pub(crate) fn remove_sorted<T>(v: &mut Vec<T>, positions: &[u32]) {
+    let Some(&first) = positions.first() else { return };
+    let mut write = first as usize;
+    for (i, &p) in positions.iter().enumerate() {
+        let end = positions.get(i + 1).map_or(v.len(), |&next| next as usize);
+        // v[write..=p] holds the i + 1 removed so far, v[p + 1..end] the
+        // survivors up to the next one
+        let window = &mut v[write..end];
+        if 2 * (i + 1) <= window.len() {
+            window.rotate_left(i + 1);
+        } else {
+            let (removed, run) = window.split_at_mut(i + 1);
+            removed[..run.len()].swap_with_slice(run);
+        }
+        write += end - p as usize - 1;
+    }
+    v.truncate(write);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rows(vals: &[Value]) -> Vec<Row> {
         vals.iter().map(|v| vec![v.clone()]).collect()
@@ -309,5 +381,47 @@ mod tests {
         assert!(ColumnIndex::from_entries(vec![(Value::Null, 0)], 1).is_none());
         let ok = ColumnIndex::from_entries(vec![(Value::Int(1), 1), (Value::Int(2), 0)], 3);
         assert_eq!(ok.unwrap().distinct(), 2);
+    }
+
+    /// One of the values a random column draws: NULL, `1` and `1.0` (one
+    /// class), text (including text `'1'`, its own class) and repeats.
+    fn drawn(k: u32) -> Value {
+        match k {
+            0 => Value::Null,
+            1 | 2 => Value::Int(1),
+            3 => Value::Real(1.0),
+            4 => Value::text("1"),
+            5 => Value::text("b"),
+            6 => Value::Real(-2.5),
+            n => Value::Int(i64::from(n) % 4),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Removing any ascending rid set leaves the index a build over
+        /// the surviving rows would produce: entries, distinct and
+        /// table_rows. Each draw `k` is a row holding `drawn(k % 10)`; it
+        /// dies when `k` is below the first draw, so a case removes none,
+        /// a few, most or all of its rows at once.
+        #[test]
+        fn removal_equals_a_rebuild_of_the_survivors(
+            draws in prop::collection::vec(0u32..40, 0..40)
+        ) {
+            let cut = draws.first().copied().unwrap_or(0);
+            let row = |&k: &u32| vec![drawn(k % 10)];
+            let data: Vec<Row> = draws.iter().map(row).collect();
+            let survivors: Vec<Row> = draws.iter().filter(|&&k| k >= cut).map(row).collect();
+            let doomed: Vec<u32> = (0..draws.len() as u32)
+                .filter(|&rid| draws[rid as usize] < cut)
+                .collect();
+            let mut ix = ColumnIndex::build(&data, 0).unwrap();
+            ix.remove_rows(&doomed);
+            let rebuilt = ColumnIndex::build(&survivors, 0).unwrap();
+            prop_assert_eq!(ix.entries(), rebuilt.entries());
+            prop_assert_eq!(ix.distinct(), rebuilt.distinct());
+            prop_assert_eq!(ix.table_rows(), rebuilt.table_rows());
+        }
     }
 }

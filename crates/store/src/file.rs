@@ -529,7 +529,8 @@ pub fn fsck_file(path: &Path) -> Result<FsckReport, StoreError> {
 mod tests {
     use super::*;
 
-    fn sample_db() -> Database {
+    /// `shop` through CREATE TABLE statements, which index both keys.
+    fn ddl_db() -> Database {
         let mut db = Database::new("shop");
         db.execute_script(
             "CREATE TABLE item (id INTEGER PRIMARY KEY, label TEXT, price REAL);\
@@ -539,6 +540,23 @@ mod tests {
              INSERT INTO sale VALUES (10, 1, 4), (11, 2, 1), (12, 1, 9);",
         )
         .unwrap();
+        db
+    }
+
+    /// `shop`'s schema and rows through `create_table`, which declares no
+    /// index: its file holds no index section, so every page is
+    /// authoritative.
+    fn sample_db() -> Database {
+        let ddl = ddl_db();
+        let mut db = Database::new("shop");
+        for table in &ddl.schema.tables {
+            db.create_table(table.clone()).unwrap();
+            db.insert_rows(&table.name, ddl.rows(&table.name).unwrap().to_vec()).unwrap();
+        }
+        for fk in &ddl.schema.foreign_keys {
+            db.add_foreign_key(fk.clone());
+        }
+        assert!(db.index_defs().is_empty());
         db
     }
 
@@ -590,6 +608,47 @@ mod tests {
         fs::write(&path, &clean[..clean.len() - 1]).unwrap();
         assert!(read_database(&path).is_err());
         assert!(!fsck_file(&path).unwrap().is_clean());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Index sections are caches: a damaged one is a finding for fsck,
+    /// and the read path drops that index and loads everything else.
+    #[test]
+    fn a_damaged_index_section_is_flagged_and_dropped() {
+        let dir = tmpdir("ddl-index");
+        let path = dir.join("shop.store");
+        let db = ddl_db();
+        write_database(&path, &db, &[], 0).unwrap();
+        let clean = fs::read(&path).unwrap();
+        assert!(fsck_file(&path).unwrap().is_clean());
+        let indexes: Vec<Section> = read_toc(&path)
+            .unwrap()
+            .sections
+            .into_iter()
+            .filter(|s| s.kind == SectionKind::Index)
+            .collect();
+        let names: Vec<&str> = indexes.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["item.id", "sale.id"], "CREATE TABLE indexed both keys");
+        for section in &indexes {
+            let page = section.first_page as usize;
+            let mut bad = clean.clone();
+            bad[page * PAGE_SIZE + 20] ^= 0x40;
+            fs::write(&path, &bad).unwrap();
+            let report = fsck_file(&path).unwrap();
+            assert!(
+                report.findings.iter().any(|f| f.contains(&format!("page {page}"))),
+                "{}: {:?}",
+                section.name,
+                report.findings
+            );
+            let loaded = read_database(&path).expect("a damaged index does not fail the load");
+            let (table, column) = section.name.split_once('.').unwrap();
+            assert!(!loaded.database.has_index(table, column), "{} is dropped", section.name);
+            assert_eq!(loaded.database.index_defs().len(), 1, "the other index loads");
+            for t in ["item", "sale"] {
+                assert_eq!(loaded.database.rows(t).unwrap(), db.rows(t).unwrap());
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
