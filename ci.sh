@@ -303,6 +303,24 @@ if cargo run --release -q -p osql-cli -- fsck "$first_store" >/dev/null 2>&1; th
     echo "ci: fsck failed to flag an injected corruption" >&2
     exit 1
 fi
+# The serve line loop through the real binary: one tiny-world request and
+# \quit answer with SQL and end with the registry's Prometheus exposition;
+# a removed mode exits 2 instead of falling into the interactive REPL.
+serve_out="$(printf 'healthcare|How many patients are there?\n\\quit\n' \
+    | timeout 120 cargo run --release -q -p osql-cli -- serve --workers 1 2>/dev/null)"
+if ! grep -q 'SQL: SELECT' <<<"$serve_out" \
+    || ! grep -qx '# TYPE requests_total counter' <<<"$serve_out" \
+    || ! tail -n1 <<<"$serve_out" | grep -qE '^[a-z_]+(\{.*\})? [0-9]'; then
+    echo "ci: serve did not answer and end with the exposition:" >&2
+    printf '%s\n' "$serve_out" >&2
+    exit 1
+fi
+status=0
+timeout 60 cargo run --release -q -p osql-cli -- profile </dev/null >/dev/null 2>&1 || status=$?
+if [ "$status" != 2 ]; then
+    echo "ci: the removed 'profile' mode exited $status, want 2 (usage)" >&2
+    exit 1
+fi
 
 # Server gate: the HTTP serving layer must build, pass its conformance
 # smoke tests (malformed input, header/body limits, keep-alive, quota

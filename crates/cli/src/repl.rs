@@ -1,6 +1,6 @@
 //! REPL state and command handling (separated from `main` for testing).
 
-use datagen::Profile;
+use crate::serve::profile_for;
 use llmsim::{ModelProfile, Oracle, SimLlm};
 use opensearch_sql::{Pipeline, PipelineConfig, Preprocessed};
 use std::fmt::Write as _;
@@ -27,13 +27,7 @@ pub struct Repl {
 impl Repl {
     /// Build a world for the named profile and assemble the pipeline.
     pub fn build(profile_name: &str, scale: f64) -> Repl {
-        let profile = match profile_name {
-            "bird" => Profile::bird().scaled(scale),
-            "spider" => Profile::spider().scaled(scale),
-            "mini" => Profile::bird_mini_dev().scaled(scale),
-            _ => Profile::tiny(),
-        };
-        let benchmark = Arc::new(datagen::generate(&profile));
+        let benchmark = Arc::new(datagen::generate(&profile_for(profile_name, scale)));
         let llm = Arc::new(SimLlm::new(
             Arc::new(Oracle::new(benchmark.clone())),
             ModelProfile::gpt_4o(),

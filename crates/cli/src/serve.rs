@@ -1,7 +1,9 @@
 //! Runtime-backed CLI modes: `batch` (serve a whole dev split through the
-//! worker pool and report throughput + metrics) and `serve` (answer
-//! piped/typed requests until EOF). Logic lives here, separated from
-//! `main`, so it is unit-testable without a terminal.
+//! worker pool and report throughput + metrics), `serve` (answer
+//! piped/typed requests until EOF) and `serve --http` (the HTTP API, also
+//! the one surface a live process is inspected through), plus the
+//! offline `lint` and `explain`. Logic lives here, separated from `main`,
+//! so it is unit-testable without a terminal.
 
 use datagen::Profile;
 use llmsim::{ModelProfile, Oracle, SimLlm};
@@ -12,7 +14,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Options shared by the runtime-backed modes.
-#[derive(Clone)]
+#[derive(Debug)]
 pub struct ServeOptions {
     /// World profile name (tiny/mini/bird/spider).
     pub profile: String,
@@ -27,12 +29,6 @@ pub struct ServeOptions {
     /// How many times to serve the batch (> 1 exercises the result
     /// cache).
     pub rounds: usize,
-    /// LRU result-cache capacity (profile mode shrinks this to 1 so
-    /// repeated rounds genuinely re-run the pipeline).
-    pub result_cache: usize,
-    /// Emit machine-readable output where a mode supports it (`trace
-    /// --json` prints the JSONL trace dump).
-    pub json: bool,
     /// Serve database contents out of this directory of `.store` files
     /// (demand-paged) instead of holding the whole benchmark resident.
     pub store: Option<String>,
@@ -43,8 +39,9 @@ pub struct ServeOptions {
     pub http: Option<String>,
     /// Acceptor shard threads for the HTTP server.
     pub shards: usize,
-    /// Slow-query threshold in milliseconds for the flight recorder
-    /// (`flight` and `slow` modes, `\flight` in the serve REPL).
+    /// Slow-query threshold in milliseconds for the flight recorder. A
+    /// slow request keeps its span tree and `EXPLAIN` for
+    /// `/debug/trace/<id>`; 0 keeps them for every request.
     pub slow_ms: f64,
     /// Append every slow request as one JSON object per line to this
     /// file (`--slow-log <path>`); `None` keeps the slow log in-memory
@@ -68,8 +65,6 @@ impl Default for ServeOptions {
             queue: 64,
             limit: 0,
             rounds: 1,
-            result_cache: 1024,
-            json: false,
             store: None,
             budget: 0,
             http: None,
@@ -91,24 +86,37 @@ pub(crate) fn profile_for(name: &str, scale: f64) -> Profile {
     }
 }
 
+/// Generate the world `opts` names and run `f` on database `db_id`;
+/// an unknown id fails with the list of known ones.
+fn on_world_db(
+    opts: &ServeOptions,
+    db_id: &str,
+    f: impl FnOnce(&datagen::BuiltDb) -> (String, bool),
+) -> (String, bool) {
+    let benchmark = datagen::generate(&profile_for(&opts.profile, opts.scale));
+    match benchmark.dbs.iter().find(|d| d.id == db_id) {
+        Some(db) => f(db),
+        None => {
+            let known: Vec<&str> = benchmark.dbs.iter().map(|d| d.id.as_str()).collect();
+            (format!("unknown database: {db_id} (available: {})", known.join(", ")), true)
+        }
+    }
+}
+
 /// Lint one SQL string against a world database: run the static analyzer
 /// and render its findings with rustc-style caret frames. Returns the
 /// report and whether any error-severity finding (a parse error is one)
 /// was found.
 pub fn lint_sql(opts: &ServeOptions, db_id: &str, sql: &str) -> (String, bool) {
-    let benchmark = datagen::generate(&profile_for(&opts.profile, opts.scale));
-    let Some(db) = benchmark.dbs.iter().find(|d| d.id == db_id) else {
-        let known: Vec<&str> = benchmark.dbs.iter().map(|d| d.id.as_str()).collect();
-        return (format!("unknown database: {db_id} (available: {})", known.join(", ")), true);
-    };
-    let analysis = sqlkit::analyze_sql(&db.database.schema, sql);
-    let out = if analysis.diagnostics.is_empty() {
-        format!("{sql}
-  clean: no findings")
-    } else {
-        analysis.rendered(sql)
-    };
-    (out, analysis.has_errors())
+    on_world_db(opts, db_id, |db| {
+        let analysis = sqlkit::analyze_sql(&db.database.schema, sql);
+        let out = if analysis.diagnostics.is_empty() {
+            format!("{sql}\n  clean: no findings")
+        } else {
+            analysis.rendered(sql)
+        };
+        (out, analysis.has_errors())
+    })
 }
 
 /// Explain one SQL string against a world database: render the physical
@@ -116,15 +124,10 @@ pub fn lint_sql(opts: &ServeOptions, db_id: &str, sql: &str) -> (String, bool) {
 /// executing the statement once so actual per-operator row counts appear
 /// alongside the estimates. Returns the report and whether it failed.
 pub fn explain_sql(opts: &ServeOptions, db_id: &str, sql: &str) -> (String, bool) {
-    let benchmark = datagen::generate(&profile_for(&opts.profile, opts.scale));
-    let Some(db) = benchmark.dbs.iter().find(|d| d.id == db_id) else {
-        let known: Vec<&str> = benchmark.dbs.iter().map(|d| d.id.as_str()).collect();
-        return (format!("unknown database: {db_id} (available: {})", known.join(", ")), true);
-    };
-    match sqlkit::explain(&db.database, sql) {
+    on_world_db(opts, db_id, |db| match sqlkit::explain(&db.database, sql) {
         Ok(report) => (report.trim_end().to_owned(), false),
         Err(e) => (format!("error: {e}"), true),
-    }
+    })
 }
 
 /// Build the world and start a runtime over it.
@@ -164,7 +167,7 @@ pub fn start_runtime(opts: &ServeOptions) -> (Arc<datagen::Benchmark>, Runtime) 
     let config = RuntimeConfig {
         workers: opts.workers,
         queue_capacity: opts.queue,
-        result_cache_capacity: opts.result_cache,
+        result_cache_capacity: 1024,
         trace_capacity: 64,
         flight: FlightConfig {
             slow_ms: opts.slow_ms,
@@ -246,7 +249,7 @@ pub fn run_http_serve(opts: &ServeOptions, input: &mut dyn std::io::BufRead) -> 
         let _ = handle.join();
     }
     let drained = server.shutdown();
-    let mut out = rt.refreshed_metrics().render();
+    let mut out = rt.refreshed_metrics().render_prometheus();
     if !drained {
         out.push_str("warning: connections still open at drain deadline\n");
     }
@@ -319,343 +322,25 @@ pub fn run_batch(opts: &ServeOptions) -> String {
     if errors > 0 {
         let _ = writeln!(out, "errors: {errors}");
     }
-    out.push_str(&rt.refreshed_metrics().render());
+    out.push_str(&rt.refreshed_metrics().render_prometheus());
     out
 }
 
-/// Serve one question and render its structured trace: the SQL, the span
-/// tree, and a per-stage time breakdown. With `opts.json`, emit the
-/// JSONL trace dump instead.
-pub fn run_trace(opts: &ServeOptions, db_id: &str, question: &str) -> String {
-    let (_benchmark, rt) = start_runtime(opts);
-    let ticket = match rt.submit(QueryRequest::new(db_id, question, "")) {
-        Ok(t) => t,
-        Err(e) => return format!("error: {e}"),
-    };
-    match ticket.wait() {
-        Ok(resp) => {
-            let trace = &resp.run.trace;
-            if opts.json {
-                return trace.to_jsonl();
-            }
-            let mut out = format!("SQL: {}\n\n{}", resp.run.final_sql, trace.render_tree());
-            out.push_str(&stage_breakdown(trace));
-            out
-        }
-        Err(ServeError::UnknownDb(id)) => format!("error: unknown database {id}"),
-        Err(e) => format!("error: {e}"),
-    }
-}
-
-/// Per-stage share of one trace's wall time, from its stage spans.
-fn stage_breakdown(trace: &osql_trace::QueryTrace) -> String {
-    let Some(root) = trace.span_named("pipeline") else {
-        return String::new();
-    };
-    let wall = root.duration_ms().max(1e-9);
-    let mut out = String::from("\nstage breakdown:\n");
-    for span in trace.spans.iter().filter(|s| s.name.starts_with("stage:")) {
-        let ms = span.duration_ms();
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>9.3} ms  {:>5.1}%",
-            span.name.trim_start_matches("stage:"),
-            ms,
-            100.0 * ms / wall
-        );
-    }
-    out
-}
-
-/// Serve a ≥50-query batch with the result cache disabled (capacity 1) so
-/// every request runs the full pipeline, then render a per-stage latency
-/// table from the labeled `stage_latency_ms` histograms.
-pub fn run_profile(opts: &ServeOptions) -> String {
-    let opts = ServeOptions { result_cache: 1, ..opts.clone() };
-    let (benchmark, rt) = start_runtime(&opts);
-    let limit = if opts.limit == 0 { benchmark.dev.len() } else { opts.limit.min(benchmark.dev.len()) };
-    let limit = limit.max(1);
-    let rounds = opts.rounds.max(50usize.div_ceil(limit));
-    let requests: Vec<QueryRequest> = benchmark
-        .dev
-        .iter()
-        .take(limit)
-        .map(|ex| QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence))
-        .collect();
-    let clock = Throughput::start();
-    for _ in 0..rounds {
-        for outcome in rt.run_batch(requests.clone()) {
-            if outcome.is_ok() {
-                clock.served();
-            }
-        }
-    }
-    let (served, secs, rps) = clock.snapshot();
-    let mut out = format!(
-        "profile: {served} pipeline run(s) ({limit} question(s) × {rounds} round(s)) \
-         over {} worker(s) in {secs:.2}s — {rps:.1} q/s\n\n",
-        opts.workers
-    );
-    out.push_str(&stage_table(rt.metrics()));
-    out
-}
-
-/// Format possibly-infinite milliseconds (a saturated histogram reports
-/// an unbounded p95 rather than its last finite bound).
-fn fmt_ms(v: f64) -> String {
-    if v.is_infinite() {
-        "inf".to_owned()
-    } else {
-        format!("{v:.1}")
-    }
-}
-
-/// The per-stage latency table: count, p50, p95, and share of the summed
-/// stage wall time, from the labeled `stage_latency_ms` histograms.
-/// Alignment time is nested inside refinement, so the total excludes it
-/// (the three top-level stages sum to 100%); its row shows the nested
-/// share.
-pub fn stage_table(metrics: &osql_runtime::MetricsRegistry) -> String {
-    let series = metrics.histogram_series("stage_latency_ms");
-    if series.is_empty() {
-        return "no stage latencies recorded yet\n".to_owned();
-    }
-    let total: f64 = series
-        .iter()
-        .filter(|(labels, _)| !labels.iter().any(|(_, v)| v == "alignments"))
-        .map(|(_, h)| h.sum())
-        .sum();
-    let total = total.max(1e-9);
-    let mut out = format!(
-        "{:<12} {:>7} {:>10} {:>10} {:>8}\n",
-        "stage", "count", "p50(ms)", "p95(ms)", "% wall"
-    );
-    for (labels, h) in &series {
-        let stage = labels
-            .iter()
-            .find(|(k, _)| k == "stage")
-            .map(|(_, v)| v.as_str())
-            .unwrap_or("?");
-        let h = h.snapshot();
-        let _ = writeln!(
-            out,
-            "{:<12} {:>7} {:>10} {:>10} {:>7.1}%",
-            stage,
-            h.count(),
-            fmt_ms(h.quantile(0.5)),
-            fmt_ms(h.quantile(0.95)),
-            100.0 * h.sum() / total,
-        );
-    }
-    let pipeline = metrics.latency("pipeline_ms").snapshot();
-    if pipeline.count() > 0 {
-        let _ = writeln!(
-            out,
-            "\npipeline     {:>7} {:>10} {:>10}",
-            pipeline.count(),
-            fmt_ms(pipeline.quantile(0.5)),
-            fmt_ms(pipeline.quantile(0.95)),
-        );
-    }
-    out
-}
-
-/// Render the flight recorder as a table, newest record first. With
-/// `payloads`, append each slow record's retained `EXPLAIN` so the
-/// est-vs-actual row counts are visible without a second lookup.
-pub fn flight_report(rt: &Runtime, slow_only: bool, payloads: bool) -> String {
-    let flight = rt.flight();
-    let records = if slow_only { flight.slow(32) } else { flight.recent(32) };
-    if records.is_empty() {
-        return if slow_only {
-            "no slow queries recorded".to_owned()
-        } else {
-            "flight recorder is empty".to_owned()
-        };
-    }
-    let (slow_ms, slow_rows) = flight.thresholds();
-    let mut out = format!(
-        "{} record(s) shown ({} finished, {} dropped, capacity {}; \
-         slow = >{:.0} ms or >{} rows):\n",
-        records.len(),
-        flight.finished(),
-        flight.dropped(),
-        flight.capacity(),
-        slow_ms,
-        slow_rows,
-    );
-    let _ = writeln!(
-        out,
-        "{:<20} {:<8} {:<16} {:>10} {:>10} {:>6} {:>5}",
-        "trace_id", "outcome", "db", "queue(ms)", "total(ms)", "cache", "slow"
-    );
-    for rec in &records {
-        let _ = writeln!(
-            out,
-            "{:<20} {:<8} {:<16} {:>10.2} {:>10.2} {:>6} {:>5}",
-            rec.id,
-            rec.outcome.label(),
-            rec.db_id,
-            rec.queue_wait_ms,
-            rec.total_ms,
-            if rec.from_cache { "hit" } else { "-" },
-            if rec.slow { "SLOW" } else { "-" },
-        );
-    }
-    if payloads {
-        for rec in records.iter().filter(|r| r.slow) {
-            if let Some(explain) = &rec.explain {
-                let _ = write!(out, "\n{} EXPLAIN:\n{}", rec.id, explain.trim_end());
-                out.push('\n');
-            }
-        }
-    }
-    out
-}
-
-/// Render the SLO evaluation for the `\slo` REPL command.
-fn slo_text(rt: &Runtime) -> String {
-    let report = rt.slo_report();
-    let win = |w: &osql_runtime::SloWindow| {
-        format!("{} req, bad {:.4}, burn {:.2}", w.requests, w.bad_fraction, w.burn_rate)
-    };
-    format!(
-        "tick {}: availability target {:.3} — short [{}], long [{}], breach: {}\n\
-         latency target {:.0} ms @ p{:.0} — short [{}], long [{}], breach: {}",
-        report.tick,
-        report.config.availability_target,
-        win(&report.availability_short),
-        win(&report.availability_long),
-        report.availability_breach,
-        report.config.latency_target_ms,
-        report.config.latency_fraction * 100.0,
-        win(&report.latency_short),
-        win(&report.latency_long),
-        report.latency_breach,
-    )
-}
-
-/// `flight`/`slow` CLI modes: serve the dev split through the runtime,
-/// then dump the flight recorder (all recent records, or only the slow
-/// ones with their retained `EXPLAIN` payloads).
-pub fn run_flight(opts: &ServeOptions, slow_only: bool) -> String {
-    let (benchmark, rt) = start_runtime(opts);
-    let limit = if opts.limit == 0 {
-        benchmark.dev.len()
-    } else {
-        opts.limit.min(benchmark.dev.len())
-    };
-    let requests: Vec<QueryRequest> = benchmark
-        .dev
-        .iter()
-        .take(limit)
-        .map(|ex| QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence))
-        .collect();
-    for _ in rt.run_batch(requests) {}
-    flight_report(&rt, slow_only, slow_only)
-}
-
-/// Render the demand-paging state for the `\catalog` REPL command:
-/// resident databases MRU-first with their byte costs, evicted-but-known
-/// databases, and the load/evict totals against the budget.
-fn catalog_status(rt: &Runtime) -> String {
-    let Some(cat) = rt.assets().catalog() else {
-        return "eager mode: the whole benchmark is resident (start with --store to page)".into();
-    };
-    let resident = cat.resident();
-    let mut out = String::new();
-    let budget = cat.budget();
-    if budget == u64::MAX {
-        let _ = writeln!(out, "budget: unlimited; resident: {} bytes", cat.resident_bytes());
-    } else {
-        let _ = writeln!(out, "budget: {budget} bytes; resident: {} bytes", cat.resident_bytes());
-    }
-    let _ = writeln!(out, "resident ({}), most recently used first:", resident.len());
-    for (id, bytes) in &resident {
-        let _ = writeln!(out, "  {id:<24} {bytes:>12} B");
-    }
-    match cat.available() {
-        Ok(ids) => {
-            let evicted: Vec<&String> =
-                ids.iter().filter(|id| !resident.iter().any(|(r, _)| r == *id)).collect();
-            let _ = writeln!(out, "on disk only ({}):", evicted.len());
-            for id in evicted {
-                let _ = writeln!(out, "  {id}");
-            }
-        }
-        Err(e) => {
-            let _ = writeln!(out, "cannot scan store dir: {e}");
-        }
-    }
-    let _ = write!(out, "loads: {}, evictions: {}", cat.loads(), cat.evictions());
-    out
-}
-
-/// Handle one `serve`-mode input line. Requests are
-/// `db_id|question[|evidence]`; `\metrics` dumps a snapshot, `\prom` the
-/// Prometheus-style exposition, `\trace` the last query's span tree,
-/// `\profile` the per-stage latency table, `\flight` the flight
-/// recorder, `\slow` the slow-query log (with retained `EXPLAIN`s),
-/// `\slo` the windowed SLO evaluation, `\dbs` lists databases,
-/// `\catalog` the demand-paging state, `\explain db_id SELECT ...` the
-/// physical plan for one statement. Returns `None` on `\quit`.
-pub fn handle_serve_line(
-    benchmark: &datagen::Benchmark,
-    rt: &Runtime,
-    line: &str,
-) -> Option<String> {
+/// Handle one `serve`-mode input line: a `db_id|question[|evidence]`
+/// request, answered with its SQL. Returns `None` on `\quit` / `\q`.
+/// A live process is inspected over HTTP (`serve --http`), not here.
+pub fn handle_serve_line(rt: &Runtime, line: &str) -> Option<String> {
     let line = line.trim();
     if line.is_empty() {
         return Some(String::new());
     }
-    if let Some(rest) = line.strip_prefix("\\explain") {
-        let mut parts = rest.trim().splitn(2, char::is_whitespace);
-        return Some(match (parts.next().filter(|s| !s.is_empty()), parts.next()) {
-            (Some(db_id), Some(sql)) => {
-                match benchmark.dbs.iter().find(|d| d.id == db_id) {
-                    Some(db) => match sqlkit::explain(&db.database, sql.trim()) {
-                        Ok(report) => report.trim_end().to_owned(),
-                        Err(e) => format!("error: {e}"),
-                    },
-                    None => format!("error: unknown database {db_id}"),
-                }
-            }
-            _ => "usage: \\explain db_id SELECT ...".into(),
-        });
-    }
-    match line {
-        "\\quit" | "\\q" => return None,
-        "\\metrics" => return Some(rt.refreshed_metrics().render()),
-        "\\prom" => return Some(rt.refreshed_metrics().render_prometheus()),
-        "\\profile" => return Some(stage_table(rt.metrics())),
-        "\\trace" => {
-            return Some(match rt.traces().last() {
-                Some(trace) => format!("{}{}", trace.render_tree(), stage_breakdown(&trace)),
-                None => "no traces recorded yet".to_owned(),
-            })
-        }
-        "\\dbs" => {
-            return Some(
-                benchmark.dbs.iter().map(|db| db.id.as_str()).collect::<Vec<_>>().join("\n"),
-            )
-        }
-        "\\catalog" => return Some(catalog_status(rt)),
-        "\\flight" => return Some(flight_report(rt, false, false)),
-        "\\slow" => return Some(flight_report(rt, true, true)),
-        "\\slo" => return Some(slo_text(rt)),
-        _ => {}
+    if matches!(line, "\\quit" | "\\q") {
+        return None;
     }
     let mut parts = line.splitn(3, '|');
     let (db_id, question) = match (parts.next(), parts.next()) {
         (Some(db), Some(q)) if !q.trim().is_empty() => (db.trim(), q.trim()),
-        _ => {
-            return Some(
-                "usage: db_id|question[|evidence]  \
-                 (\\metrics, \\prom, \\trace, \\profile, \\flight, \\slow, \\slo, \
-                 \\dbs, \\catalog, \\explain, \\quit)"
-                    .into(),
-            )
-        }
+        _ => return Some("usage: db_id|question[|evidence]  (\\quit to stop)".into()),
     };
     let evidence = parts.next().unwrap_or("").trim();
     let ticket = match rt.submit(QueryRequest::new(db_id, question, evidence)) {
@@ -701,32 +386,35 @@ mod tests {
         let (benchmark, rt) = start_runtime(&opts());
         let ex = &benchmark.dev[0];
         let line = format!("{}|{}|{}", ex.db_id, ex.question, ex.evidence);
-        let out = handle_serve_line(&benchmark, &rt, &line).unwrap();
+        let out = handle_serve_line(&rt, &line).unwrap();
         assert!(out.starts_with("SQL: SELECT"), "{out}");
-        let again = handle_serve_line(&benchmark, &rt, &line).unwrap();
+        let again = handle_serve_line(&rt, &line).unwrap();
         assert!(again.contains("[cached]"), "{again}");
-        assert!(handle_serve_line(&benchmark, &rt, "ghost|q").unwrap().contains("unknown"));
-        assert!(handle_serve_line(&benchmark, &rt, "garbage").unwrap().contains("usage"));
-        assert!(handle_serve_line(&benchmark, &rt, "\\metrics").unwrap().contains("counters"));
-        assert!(handle_serve_line(&benchmark, &rt, "\\catalog").unwrap().contains("eager mode"));
-        assert!(handle_serve_line(&benchmark, &rt, "\\quit").is_none());
+        assert!(handle_serve_line(&rt, "ghost|q").unwrap().contains("unknown"));
+        assert!(handle_serve_line(&rt, "garbage").unwrap().contains("usage"));
+        // a backslash word other than \quit is not a request: it gets
+        // the usage line and reaches no worker
+        let requests = rt.metrics().counter("requests_total").get();
+        assert!(handle_serve_line(&rt, "\\metrics").unwrap().starts_with("usage"));
+        assert_eq!(rt.metrics().counter("requests_total").get(), requests);
+        assert!(handle_serve_line(&rt, "\\quit").is_none());
+        assert!(handle_serve_line(&rt, "\\q").is_none());
     }
 
     #[test]
-    fn explain_via_serve_line_renders_a_plan() {
-        let (benchmark, rt) = start_runtime(&opts());
+    fn explain_renders_a_plan_with_actuals() {
+        let opts = opts();
+        let benchmark = datagen::generate(&profile_for(&opts.profile, opts.scale));
         let db = &benchmark.dbs[0];
         let table = &db.database.schema.tables[0];
         let pk = table.columns.iter().find(|c| c.primary_key).expect("themes declare PKs");
-        let line =
-            format!("\\explain {} SELECT * FROM {} WHERE {} = 1", db.id, table.name, pk.name);
-        let out = handle_serve_line(&benchmark, &rt, &line).unwrap();
+        let sql = format!("SELECT * FROM {} WHERE {} = 1", table.name, pk.name);
+        let (out, failed) = explain_sql(&opts, &db.id, &sql);
+        assert!(!failed, "{out}");
         assert!(out.contains("IxScan"), "{out}");
         assert!(out.contains("actual="), "{out}");
-        assert!(handle_serve_line(&benchmark, &rt, "\\explain ghost SELECT 1")
-            .unwrap()
-            .contains("unknown database"));
-        assert!(handle_serve_line(&benchmark, &rt, "\\explain").unwrap().contains("usage"));
+        let (out, failed) = explain_sql(&opts, "ghost", "SELECT 1");
+        assert!(failed && out.starts_with("unknown database: ghost"), "{out}");
     }
 
     /// `lint` fails exactly on error-severity findings — a parse error is
@@ -838,14 +526,13 @@ mod tests {
         let (benchmark, rt) = start_runtime(&store_opts);
         let ex = &benchmark.dev[0];
         let line = format!("{}|{}|{}", ex.db_id, ex.question, ex.evidence);
-        let out = handle_serve_line(&benchmark, &rt, &line).unwrap();
+        let out = handle_serve_line(&rt, &line).unwrap();
         assert!(out.starts_with("SQL: SELECT"), "{out}");
-        let status = handle_serve_line(&benchmark, &rt, "\\catalog").unwrap();
-        assert!(status.contains("budget: unlimited"), "{status}");
-        assert!(status.contains(&ex.db_id), "{status}");
-        assert!(status.contains("loads: 1"), "{status}");
-        let snapshot = rt.refreshed_metrics().render();
-        assert!(snapshot.contains("db_load_total"), "{snapshot}");
+        // the catalog's resident set, budget and load count are read over
+        // HTTP (`/v1/catalog`), pinned by tests/telemetry_golden.rs's
+        // "catalog paged" bytes; here the registry mirrors them
+        let snapshot = rt.refreshed_metrics().render_prometheus();
+        assert!(snapshot.contains("db_load_total 1"), "{snapshot}");
         assert!(snapshot.contains("store_bytes_resident"), "{snapshot}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -49,7 +49,7 @@
 //!     .wait()
 //!     .unwrap();
 //! assert!(resp.run.final_sql.to_uppercase().starts_with("SELECT"));
-//! println!("{}", rt.refreshed_metrics().render());
+//! println!("{}", rt.refreshed_metrics().render_prometheus());
 //! ```
 
 #![deny(missing_docs)]

@@ -1,7 +1,7 @@
 //! A small metrics registry: named atomic counters and fixed-bucket
 //! histograms — optionally **labeled** (`name{key="value"}` series, one
-//! instrument per distinct label set) — with a human-readable text
-//! snapshot and a Prometheus-style text exposition.
+//! instrument per distinct label set) — read through one
+//! Prometheus-style text exposition.
 //!
 //! The shape is **instruments → snapshot → one writer**. Instruments are
 //! lock-free on the hot path (one atomic add per counter increment, three
@@ -140,15 +140,6 @@ impl HistogramSnapshot {
         self.sum_milli as f64 / 1000.0
     }
 
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum() / self.count as f64
-        }
-    }
-
     /// Upper bound of the bucket containing the q-quantile (q in 0..=1);
     /// 0 when empty. When the quantile falls in the overflow bucket the
     /// answer is **`f64::INFINITY`** — a saturated histogram reports an
@@ -176,26 +167,6 @@ impl HistogramSnapshot {
     /// configured bucket bound at or above it (latency-SLO compliance).
     pub fn under(&self, bound: f64) -> u64 {
         self.buckets.iter().take(bucket_of(&self.bounds, bound) + 1).sum()
-    }
-
-    /// The registry's one-line text form: totals, two quantiles, then
-    /// every non-empty bucket.
-    fn render_text_into(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "count={} sum={:.1} mean={:.2} p50<={:.1} p95<={:.1} |",
-            self.count,
-            self.sum(),
-            self.mean(),
-            self.quantile(0.5),
-            self.quantile(0.95),
-        );
-        for (i, n) in self.buckets.iter().enumerate().filter(|(_, n)| **n > 0) {
-            let _ = match self.bounds.get(i) {
-                Some(b) => write!(out, " le{b}:{n}"),
-                None => write!(out, " inf:{n}"),
-            };
-        }
     }
 }
 
@@ -230,8 +201,8 @@ impl Histogram {
         self.sum_milli.fetch_add(to_milli(value), Ordering::Relaxed);
     }
 
-    /// Copy the current values out; quantiles, the mean and both
-    /// renderings are read off the copy.
+    /// Copy the current values out; quantiles and the exposition are
+    /// read off the copy.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.bounds.clone(),
@@ -409,16 +380,6 @@ impl MetricsRegistry {
         self.histogram_with(name, labels, &LATENCY_BOUNDS_MS)
     }
 
-    /// Every histogram series registered under `name`, as
-    /// `(labels, instrument)` pairs in label order.
-    pub fn histogram_series(&self, name: &str) -> Vec<(Labels, Arc<Histogram>)> {
-        let map = self.histograms.lock();
-        map.iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|((_, labels), h)| (labels.clone(), h.clone()))
-            .collect()
-    }
-
     /// Every counter series registered under `name`, as
     /// `(labels, instrument)` pairs in label order.
     pub fn counter_series(&self, name: &str) -> Vec<(Labels, Arc<Counter>)> {
@@ -427,36 +388,6 @@ impl MetricsRegistry {
             .filter(|((n, _), _)| n == name)
             .map(|((_, labels), c)| (labels.clone(), c.clone()))
             .collect()
-    }
-
-    /// Render a text snapshot of every instrument, sorted by name (and
-    /// within a name, by label set).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let counters = self.counters.lock();
-        if !counters.is_empty() {
-            out.push_str("counters:\n");
-            for ((name, labels), c) in counters.iter() {
-                out.push_str("  ");
-                write_sample(&mut out, name, &borrowed(labels), c.get());
-            }
-        }
-        drop(counters);
-        let histograms = self.histograms.lock();
-        if !histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for ((name, labels), h) in histograms.iter() {
-                out.push_str("  ");
-                push_series(&mut out, name, "", &borrowed(labels), None);
-                out.push(' ');
-                h.snapshot().render_text_into(&mut out);
-                out.push('\n');
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(no metrics recorded)\n");
-        }
-        out
     }
 
     /// Render a Prometheus-style text exposition: one `# TYPE` comment per
@@ -519,7 +450,6 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert!((h.sum() - 556.4).abs() < 0.01, "{}", h.sum());
-        assert!((h.snapshot().mean() - 111.28).abs() < 0.01, "{}", h.snapshot().mean());
         // two in le1, one each in le10/le100/overflow
         assert_eq!(h.snapshot().quantile(0.2), 1.0);
         assert_eq!(h.snapshot().quantile(0.5), 10.0);
@@ -588,7 +518,7 @@ mod tests {
     fn empty_histogram_is_zeroed() {
         let h = Histogram::new(&FRACTION_BOUNDS);
         assert_eq!(h.count(), 0);
-        assert_eq!(h.snapshot().mean(), 0.0);
+        assert_eq!(h.sum(), 0.0);
         assert_eq!(h.snapshot().quantile(0.5), 0.0);
     }
 
@@ -619,13 +549,14 @@ mod tests {
         reg.counter("b_counter").add(2);
         reg.counter("a_counter").inc();
         reg.latency("wait").record(3.0);
-        let text = reg.render();
+        let text = reg.render_prometheus();
         let a = text.find("a_counter").unwrap();
         let b = text.find("b_counter").unwrap();
         assert!(a < b, "sorted by name: {text}");
-        assert!(text.contains("wait count=1"), "{text}");
-        assert!(text.contains("le5:1"), "{text}");
-        assert_eq!(MetricsRegistry::new().render(), "(no metrics recorded)\n");
+        assert!(text.contains("wait_count 1"), "{text}");
+        assert!(text.contains("wait_bucket{le=\"5\"} 1"), "{text}");
+        assert!(text.contains("wait_bucket{le=\"2\"} 0"), "{text}");
+        assert_eq!(MetricsRegistry::new().render_prometheus(), "");
     }
 
     #[test]
@@ -641,7 +572,7 @@ mod tests {
         assert_eq!(reg.counter_with("multi", &[("a", "1"), ("b", "2")]).get(), 2);
         // the unlabeled series with the same name is yet another series
         assert_eq!(reg.counter("stage_total").get(), 0);
-        let text = reg.render();
+        let text = reg.render_prometheus();
         assert!(text.contains("stage_total{stage=\"extraction\"} 1"), "{text}");
         assert!(text.contains("stage_total{stage=\"refinement\"} 2"), "{text}");
         let series = reg.counter_series("stage_total");
@@ -654,13 +585,12 @@ mod tests {
         reg.latency_with("stage_latency_ms", &[("stage", "extraction")]).record(3.0);
         reg.latency_with("stage_latency_ms", &[("stage", "refinement")]).record(30.0);
         reg.latency_with("stage_latency_ms", &[("stage", "refinement")]).record(40.0);
-        let series = reg.histogram_series("stage_latency_ms");
-        assert_eq!(series.len(), 2);
         let refinement = reg.latency_with("stage_latency_ms", &[("stage", "refinement")]);
         assert_eq!(refinement.count(), 2);
         assert_eq!(refinement.sum(), 70.0);
-        let text = reg.render();
-        assert!(text.contains("stage_latency_ms{stage=\"extraction\"} count=1"), "{text}");
+        let text = reg.render_prometheus();
+        assert_eq!(text.matches("stage_latency_ms_count{").count(), 2, "two series: {text}");
+        assert!(text.contains("stage_latency_ms_count{stage=\"extraction\"} 1"), "{text}");
     }
 
     #[test]

@@ -1125,7 +1125,7 @@ mod tests {
         assert!(resp.run.final_sql.to_uppercase().starts_with("SELECT"));
         assert_eq!(rt.metrics().counter("requests_total").get(), 1);
         assert_eq!(rt.metrics().counter("result_cache_misses").get(), 1);
-        let snapshot = rt.refreshed_metrics().render();
+        let snapshot = rt.refreshed_metrics().render_prometheus();
         assert!(snapshot.contains("pipeline_ms"), "{snapshot}");
         // The plan-cache mirror is brought up to date on every read. The
         // source counters are process-global (shared with parallel tests),

@@ -51,11 +51,6 @@ impl TraceCollector {
         self.ring.lock().iter().cloned().collect()
     }
 
-    /// The most recently published trace still retained.
-    pub fn last(&self) -> Option<Arc<QueryTrace>> {
-        self.ring.lock().back().cloned()
-    }
-
     /// Traces currently retained.
     pub fn len(&self) -> usize {
         self.ring.lock().len()
@@ -110,7 +105,6 @@ mod tests {
             .map(|t| t.spans[0].label("tag").unwrap().to_owned())
             .collect();
         assert_eq!(tags, ["b", "c"], "oldest evicted first");
-        assert_eq!(c.last().unwrap().spans[0].label("tag"), Some("c"));
     }
 
     #[test]
