@@ -347,12 +347,16 @@ cargo test -q -p osql-repl --test failover
 # `sync_commits` — no per-transaction `.commit()` in follow.rs outside its
 # tests — and in the WAL the primary's commit and the follower's run reach
 # the disk through one `self.media.sync()` site (`Wal::commit` is the run of
-# one through it, not a second commit path).
+# one through it, not a second commit path). A transaction reaches the log
+# in one write: one `self.media.append(` site (`append_record`, which the
+# commit's buffered statements and commit record go through together), so a
+# per-statement append cannot come back beside it.
 if non_test_code crates/repl/src/follow.rs | grep -nF '.commit()'; then
     echo "ci: crates/repl/src/follow.rs syncs per transaction again" >&2
     exit 1
 fi
-for site in 'crates/repl/src/follow.rs .sync_commits()' 'crates/store/src/wal.rs self.media.sync()'; do
+for site in 'crates/repl/src/follow.rs .sync_commits()' \
+    'crates/store/src/wal.rs self.media.sync()' 'crates/store/src/wal.rs self.media.append('; do
     sites="$(non_test_code "${site%% *}" | grep -cF "${site#* }" || true)"
     if [ "$sites" != 1 ]; then
         echo "ci: ${site#* } has $sites non-test call sites in ${site%% *}, want 1" >&2

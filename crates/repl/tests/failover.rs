@@ -478,10 +478,10 @@ fn follower_crash_mid_apply_at_every_byte_preserves_txn_atomicity() {
 
 /// A follower whose apply round failed is ahead of its own log in
 /// memory: it must refuse to poll on or to promote, and a reopen (which
-/// rebuilds memory from the log) must converge. Every append and every
-/// sync of a two-segment apply is failed once in turn. The statements
-/// are the ones a blind retry corrupts: a relative UPDATE and an INSERT
-/// into a table without a key.
+/// rebuilds memory from the log) must converge. Every append (one per
+/// transaction) and every sync (one per segment) of a six-segment apply
+/// is failed once in turn. The statements are the ones a blind retry
+/// corrupts: a relative UPDATE and an INSERT into a table without a key.
 #[test]
 fn a_follower_reused_after_a_failed_round_refuses_until_reopened() {
     let dir = tmpdir("reuse-after-failure");
@@ -491,7 +491,7 @@ fn a_follower_reused_after_a_failed_round_refuses_until_reopened() {
     db.execute_script("CREATE TABLE t (id INTEGER, v INTEGER); INSERT INTO t VALUES (0, 0);")
         .unwrap();
     let mut primary = Store::create(&path, db, vec![]).unwrap();
-    let n = 4;
+    let n = 12;
     for i in 1..=n {
         primary.execute("UPDATE t SET v = v + 1").unwrap();
         primary.execute(&format!("INSERT INTO t VALUES ({i}, 0)")).unwrap();

@@ -136,12 +136,11 @@ impl Parser {
         Span::new(start, (t.pos + len).max(start))
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let k = self.tokens[self.pos].kind.clone();
+    /// Step past the current token (never past the trailing `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        k
     }
 
     fn at_eof(&self) -> bool {

@@ -89,7 +89,7 @@ pub struct StoreStats {
     pub wal_append: LatencyCell,
     /// WAL fsync latency.
     pub wal_sync: LatencyCell,
-    /// WAL commit latency (commit record append + fsync).
+    /// WAL commit latency (the transaction's one append + fsync).
     pub wal_commit: LatencyCell,
     /// Checkpoint latency, end to end.
     pub checkpoint: LatencyCell,

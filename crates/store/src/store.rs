@@ -2,8 +2,9 @@
 //!
 //! `Store` owns an in-memory [`Database`] whose durable form is the
 //! pair `(base file, WAL)`. Mutating statements go through
-//! [`Store::execute`], which applies them in memory and appends them to
-//! the log; [`Store::commit`] makes the open transaction durable
+//! [`Store::execute`], which applies them in memory and buffers them for
+//! the log; [`Store::commit`] writes the open transaction to the log in
+//! one append and makes it durable
 //! ([`Store::commit_deferred`] … [`Store::sync_commits`] does the same
 //! for a run of transactions with one sync, for a follower);
 //! [`Store::checkpoint`] folds the log into a fresh base snapshot and
@@ -95,8 +96,9 @@ impl<M: WalMedia> Store<M> {
     }
 
     /// Execute a mutating script: applied in memory immediately and
-    /// appended to the WAL as one statement record of the open
-    /// transaction. Not durable until [`Store::commit`].
+    /// buffered as one statement record of the open transaction. The
+    /// record reaches the WAL with the transaction's commit record, and
+    /// is durable once [`Store::commit`] returns.
     ///
     /// Atomicity is per statement, not per script. A statement that fails
     /// changes nothing in memory and the script is not logged, so after a
@@ -329,7 +331,9 @@ mod tests {
         let mut store = Store::create(&path, seed_db(), vec![]).unwrap();
         let end_before = store.wal_end();
         assert!(store.execute("INSERT INTO ghost VALUES (1)").is_err());
-        assert_eq!(store.wal_end(), end_before, "failed statement must not be logged");
+        assert_eq!(store.pending_stmts(), 0, "failed statement must not be buffered");
+        store.commit().unwrap();
+        assert_eq!(store.wal_end() - end_before, 17, "the log holds its commit record alone");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -350,6 +354,7 @@ mod tests {
         ] {
             let end_before = store.wal_end();
             assert!(store.execute(sql).is_err(), "{sql}");
+            assert_eq!(store.pending_stmts(), 0, "{sql}: failed statement must not be buffered");
             assert_eq!(store.wal_end(), end_before, "failed statement must not be logged");
             let (reopened, _) = Store::open(&path).unwrap();
             assert_eq!(

@@ -10,7 +10,11 @@
 //! where the CRC covers kind, length, and payload. Record kinds are
 //! `Stmt` (a SQL statement to re-execute), `Commit` (transaction
 //! boundary carrying a sequence number), and `FsyncMark` (a durability
-//! point noted by the writer). Replay buffers statements and applies
+//! point noted by the writer). The writer buffers an open transaction's
+//! statement records in memory and appends them together with its
+//! commit record, so a transaction reaches the log in one write; a torn
+//! write leaves statements without a commit, which replay discards.
+//! Replay buffers statements and applies
 //! them only when their `Commit` arrives, stopping at the first
 //! truncated or corrupt record — so recovery yields exactly the state
 //! of the last fully committed transaction, no matter where the log was
@@ -108,12 +112,18 @@ impl WalMedia for FsMedia {
 /// logs byte-by-byte).
 pub fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(9 + payload.len());
-    rec.push(kind);
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(payload);
-    let crc = crc32(&rec);
-    rec.extend_from_slice(&crc.to_le_bytes());
+    encode_into(&mut rec, kind, payload);
     rec
+}
+
+/// Append one framed record to `out`: the log's one framing site.
+fn encode_into(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    let start = out.len();
+    out.push(kind);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// One decoded record and the offset just past it.
@@ -435,6 +445,9 @@ pub struct Wal<M: WalMedia> {
     seq: u64,
     synced_seq: u64,
     pending_stmts: u64,
+    /// The open transaction's statement records, framed as they will
+    /// sit in the log; they reach the media with its commit record.
+    txn: Vec<u8>,
 }
 
 impl<M: WalMedia> Wal<M> {
@@ -469,7 +482,7 @@ impl<M: WalMedia> Wal<M> {
         // new commits must continue past both the log's and the base's
         // sequence numbers, whichever is further along
         let seq = report.last_commit_seq.max(base_seq);
-        let wal = Wal { media, end, seq, synced_seq: seq, pending_stmts: 0 };
+        let wal = Wal { media, end, seq, synced_seq: seq, pending_stmts: 0, txn: Vec::new() };
         Ok((wal, report))
     }
 
@@ -479,7 +492,7 @@ impl<M: WalMedia> Wal<M> {
     /// must be truncated, never replayed.
     pub fn create(mut media: M) -> std::io::Result<Self> {
         write_header(&mut media)?;
-        Ok(Wal { media, end: WAL_HEADER, seq: 0, synced_seq: 0, pending_stmts: 0 })
+        Ok(Wal { media, end: WAL_HEADER, seq: 0, synced_seq: 0, pending_stmts: 0, txn: Vec::new() })
     }
 
     /// Append `rec`, not yet durable. On failure the media is rolled
@@ -506,24 +519,51 @@ impl<M: WalMedia> Wal<M> {
         Ok(())
     }
 
-    /// Take back (best effort) the record appended at `start` whose
+    /// Take back (best effort) the records appended at `start` whose
     /// sync failed, so a retry never leaves a duplicate behind.
     fn take_back(&mut self, start: u64) {
         let _ = self.media.truncate(start);
         self.end = start;
     }
 
-    /// Append one statement record (not durable until [`Wal::commit`]).
+    /// Add one statement record to the open transaction. It is buffered,
+    /// not written: it reaches the log with the transaction's commit
+    /// record, in the one append of [`Wal::commit_deferred`] or
+    /// [`Wal::commit`], so this never touches the media and cannot fail
+    /// on it.
     pub fn append_stmt(&mut self, sql: &str) -> std::io::Result<()> {
-        let rec = encode_record(REC_STMT, sql.as_bytes());
-        self.append_record(&rec)?;
+        encode_into(&mut self.txn, REC_STMT, sql.as_bytes());
         self.pending_stmts += 1;
         Ok(())
     }
 
-    /// Close the open transaction with a commit record that is *not
-    /// yet durable*, and return the sequence number it carries. A run
-    /// of these shares the one sync of the [`Wal::sync_run`] (or
+    /// Append the buffered statements and a commit record for the next
+    /// sequence number in one write, and advance the sequence. The
+    /// statements stay buffered: on failure the transaction is still
+    /// open as it was, and the caller that succeeded clears it.
+    fn append_txn(&mut self) -> std::io::Result<u64> {
+        let seq = self.seq + 1;
+        let stmts = self.txn.len();
+        encode_into(&mut self.txn, REC_COMMIT, &seq.to_le_bytes());
+        let txn = std::mem::take(&mut self.txn);
+        let appended = self.append_record(&txn);
+        self.txn = txn;
+        self.txn.truncate(stmts);
+        appended?;
+        self.seq = seq;
+        Ok(seq)
+    }
+
+    /// The transaction is in the log: nothing is left open.
+    fn close_txn(&mut self) {
+        self.txn.clear();
+        self.pending_stmts = 0;
+    }
+
+    /// Close the open transaction: its buffered statements and a commit
+    /// record reach the log in one append that is *not yet durable*, and
+    /// the call returns the sequence number the record carries. A run of
+    /// these shares the one sync of the [`Wal::sync_run`] (or
     /// [`Wal::commit`]) that ends it; until then [`Wal::synced_seq`]
     /// stays behind [`Wal::seq`], and a crash may lose any suffix of
     /// the run — never the inside of a transaction, because replay
@@ -531,13 +571,11 @@ impl<M: WalMedia> Wal<M> {
     ///
     /// For a writer whose transactions are durable somewhere else (a
     /// follower re-applying a shipped segment). A failed append leaves
-    /// the log and the sequence as they were.
+    /// the log and the sequence as they were, and the transaction open
+    /// with its statements still buffered.
     pub fn commit_deferred(&mut self) -> std::io::Result<u64> {
-        let seq = self.seq + 1;
-        let rec = encode_record(REC_COMMIT, &seq.to_le_bytes());
-        self.append_record(&rec)?;
-        self.seq = seq;
-        self.pending_stmts = 0;
+        let seq = self.append_txn()?;
+        self.close_txn();
         Ok(seq)
     }
 
@@ -558,21 +596,22 @@ impl<M: WalMedia> Wal<M> {
     /// a sequence number or leaving a second commit record behind.
     pub fn commit(&mut self) -> std::io::Result<u64> {
         let started = std::time::Instant::now();
-        let (start, seq, pending_stmts) = (self.end, self.seq, self.pending_stmts);
-        self.commit_deferred()?;
+        let (start, seq) = (self.end, self.seq);
+        self.append_txn()?;
         if let Err(e) = self.sync_appended() {
-            // the run of one is taken back whole: its record, its
-            // sequence number, and the transaction is open again
+            // the run of one is taken back whole: its records and its
+            // sequence number; the transaction is still open, buffered
             self.take_back(start);
             self.seq = seq;
-            self.pending_stmts = pending_stmts;
             return Err(e);
         }
+        self.close_txn();
         crate::stats::store_stats().wal_commit.record_us(started.elapsed().as_micros() as u64);
         Ok(self.seq)
     }
 
-    /// Write an fsync-point marker and sync.
+    /// Write an fsync-point marker and sync. An open transaction's
+    /// statements stay buffered; the mark goes in before them.
     pub fn fsync_mark(&mut self) -> std::io::Result<()> {
         let start = self.end;
         let rec = encode_record(REC_FSYNC, &self.seq.to_le_bytes());
@@ -580,7 +619,8 @@ impl<M: WalMedia> Wal<M> {
         self.sync_appended().inspect_err(|_| self.take_back(start))
     }
 
-    /// Statements appended since the last commit.
+    /// Statements of the open transaction, buffered since the last
+    /// commit.
     pub fn pending_stmts(&self) -> u64 {
         self.pending_stmts
     }
@@ -597,7 +637,9 @@ impl<M: WalMedia> Wal<M> {
         self.synced_seq
     }
 
-    /// Current end offset of the log.
+    /// Current end offset of the log on its media: the open
+    /// transaction's buffered statements are not counted until its
+    /// commit writes them.
     pub fn end(&self) -> u64 {
         self.end
     }
@@ -618,7 +660,7 @@ impl<M: WalMedia> Wal<M> {
         write_header(&mut self.media)?;
         self.end = WAL_HEADER;
         self.synced_seq = self.seq;
-        self.pending_stmts = 0;
+        self.close_txn();
         Ok(())
     }
 }
@@ -627,18 +669,23 @@ impl<M: WalMedia> Wal<M> {
 mod tests {
     use super::*;
 
-    /// In-memory media for unit tests (fault-free).
+    /// In-memory media for unit tests (fault-free), counting the
+    /// appends and syncs it is asked for.
     #[derive(Debug, Default, Clone)]
     pub struct MemMedia {
         pub buf: Vec<u8>,
+        appends: u64,
+        syncs: u64,
     }
 
     impl WalMedia for MemMedia {
         fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.appends += 1;
             self.buf.extend_from_slice(bytes);
             Ok(())
         }
         fn sync(&mut self) -> std::io::Result<()> {
+            self.syncs += 1;
             Ok(())
         }
         fn len(&mut self) -> std::io::Result<u64> {
@@ -711,8 +758,10 @@ mod tests {
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
         wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
         wal.commit().unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (2, 'orphan')").unwrap();
-        // crash before commit
+        // a commit whose write tore after its statement: the statement
+        // is on the media, its commit record is not
+        let orphan = encode_record(REC_STMT, b"INSERT INTO t VALUES (2, 'orphan')");
+        wal.media.append(&orphan).unwrap();
         let media = wal.media.clone();
         let mut fresh = base_db();
         let (wal2, report) = Wal::open(media, &mut fresh, 0).unwrap();
@@ -843,10 +892,10 @@ mod tests {
     fn create_discards_stale_bytes_without_replaying() {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
-        wal.append_stmt("INSERT INTO nonexistent_table VALUES (1)").unwrap();
-        // forge a commit over a statement that no longer applies
-        let rec = encode_record(REC_COMMIT, &1u64.to_le_bytes());
-        wal.media.append(&rec).unwrap();
+        // forge a committed statement that no longer applies
+        let stmt = encode_record(REC_STMT, b"INSERT INTO nonexistent_table VALUES (1)");
+        wal.media.append(&stmt).unwrap();
+        wal.media.append(&encode_record(REC_COMMIT, &1u64.to_le_bytes())).unwrap();
         let stale = wal.into_media();
         let fresh = Wal::create(stale).unwrap();
         assert_eq!(fresh.end(), WAL_HEADER);
@@ -894,6 +943,38 @@ mod tests {
         assert_eq!(run.sync_run().unwrap(), 3);
         assert_eq!(run.synced_seq(), 3);
         assert_eq!(run.media.buf, each.media.buf, "the log does not record how it was synced");
+    }
+
+    #[test]
+    fn a_transaction_is_one_append() {
+        let mut db = base_db();
+        let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
+        let counts = |wal: &mut Wal<MemMedia>| {
+            let m = wal.media_mut();
+            let counts = (m.appends, m.syncs);
+            (m.appends, m.syncs) = (0, 0);
+            counts
+        };
+        counts(&mut wal);
+        // statements alone write nothing
+        for i in 1..=5 {
+            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')")).unwrap();
+        }
+        assert_eq!((counts(&mut wal), wal.end()), ((0, 0), WAL_HEADER));
+        // N statements and their commit: one append, one sync
+        assert_eq!(wal.commit().unwrap(), 1);
+        assert_eq!(counts(&mut wal), (1, 1));
+        // k deferred commits and the sync that ends the run: k appends, one sync
+        for i in 6..=8 {
+            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')")).unwrap();
+            wal.append_stmt(&format!("UPDATE t SET v = 'y' WHERE id = {i}")).unwrap();
+            wal.commit_deferred().unwrap();
+        }
+        assert_eq!(wal.sync_run().unwrap(), 4);
+        assert_eq!(counts(&mut wal), (3, 1));
+        let mut fresh = base_db();
+        let (_, report) = Wal::open(wal.media.clone(), &mut fresh, 0).unwrap();
+        assert_eq!((report.committed, report.stmts_applied, report.tail_bytes), (4, 11, 0));
     }
 
     #[test]
@@ -960,7 +1041,9 @@ mod tests {
         wal.fsync_mark().unwrap();
         wal.append_stmt("INSERT INTO t VALUES (3, 'c')").unwrap();
         wal.commit().unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (4, 'orphan')").unwrap();
+        // a torn commit write: the statement reached the media, its
+        // commit record did not
+        wal.media.append(&encode_record(REC_STMT, b"INSERT INTO t VALUES (4, 'orphan')")).unwrap();
         let scan = scan_records(&wal.media.buf, WAL_HEADER as usize);
         assert_eq!(scan.txns.len(), 2);
         assert_eq!(scan.txns[0].seq, 1);
