@@ -32,6 +32,12 @@ cargo test -q --test engine_golden # corpus gate: every entry point still answer
                                  # deleted FROM/WHERE interpreter answered (rows, labels,
                                  # error text, pipelined rows_scanned), recorded on
                                  # c133160; and indexes on ≡ indexes dropped
+cargo test -q --test parse_digest # corpus gate: `{:?}` of parse_script — trees with their
+                                 # spans, or error position and text — for the engine
+                                 # corpus, the 2,000 bird_mini_dev gold statements, a
+                                 # seeded write mix, every pair of binary operators,
+                                 # chains around the depth budget and lexical edge cases,
+                                 # hashed to what 0867837's ten-function descent printed
 cargo test -q --test explain_digest # corpus gate: EXPLAIN of the engine corpus and the
                                  # 2,000 bird_mini_dev gold statements — plan text,
                                  # estimates, per-operator actuals and seeks, rows_scanned
@@ -40,7 +46,13 @@ cargo test -q --test exec_allocations -- --nocapture # allocation gate: a gold s
                                  # runs in at most 120 allocations on average (615 when
                                  # the executor cloned every tuple), per-thread counted;
                                  # prints the census by statement shape (ROADMAP "The
-                                 # engine at BIRD's scale", the gold admission)
+                                 # engine at BIRD's scale", the gold admission). And the
+                                 # write census: an INSERT, an UPDATE by key and a DELETE
+                                 # by key through Database::execute_script on a 1,000-row
+                                 # keyed table make at most 10, 35 and 28 allocations from
+                                 # text to applied row (18, 58 and 47 on 0867837, whose
+                                 # tokens owned their text and whose DML cloned its
+                                 # statement), printed split into parse and apply
 
 # One executor, structurally: the names of the deleted interpreter and of
 # the per-statement switch that chose it must not come back.
@@ -94,6 +106,14 @@ cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight,
 non_test_code() { # a source file up to its test module, comment lines dropped
     awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1" | grep -v '^[[:space:]]*//'
 }
+# One expression parser, structurally: tokens borrow the SQL and the parser
+# reads them in place (no `peek().clone()`), and an expression is one
+# precedence-climbing loop over a binding-power table, so the per-level
+# descent (`or_expr` … `multiplicative`) must not come back beside it.
+if non_test_code crates/sqlkit/src/parser.rs | grep -nE 'peek\(\)\.clone\(\)|fn (or_expr|and_expr|multiplicative)\b'; then
+    echo "ci: crates/sqlkit/src/parser.rs clones tokens or descends one function per precedence level again" >&2
+    exit 1
+fi
 refinement_code="$(non_test_code crates/core/src/refinement.rs)"
 for call in 'plan_cache().execute_with(' 'align_candidate('; do
     sites="$(printf '%s\n' "$refinement_code" | grep -cF "$call" || true)"

@@ -168,10 +168,11 @@ fn bench_store(c: &mut Criterion) {
 /// declared index on the key, so that what a statement costs as the table
 /// grows is visible as a slope: `insert` appends (and maintains the
 /// resident index), `update_by_key` and `delete_by_key` find one row by
-/// `id = k` (`delete_by_key` re-inserts it to hold the size, and a DELETE
-/// drops the table's indexes, so its indexed form pays a rebuild),
-/// `update_unkeyed` rewrites the ~1 % of rows with `grp = g`. Statements
-/// are parsed ahead of the loop.
+/// `id = k` (`delete_by_key` re-inserts it to hold the size; a DELETE keeps
+/// the table's resident indexes exact), `update_unkeyed` rewrites the ~1 %
+/// of rows with `grp = g`. Statements are parsed ahead of the loop; an
+/// UPDATE or DELETE takes its statement, so each iteration hands it a
+/// clone, as a script's own statement would be.
 fn bench_dml(c: &mut Criterion) {
     use sqlkit::{parse_statement, Database, Stmt, Value};
     const RING: usize = 256;
@@ -207,7 +208,7 @@ fn bench_dml(c: &mut Criterion) {
                     i += 1;
                     if i % 1024 == 0 {
                         let Stmt::Delete(d) = &trim else { unreachable!() };
-                        db.execute_delete(d).unwrap();
+                        db.execute_delete(d.clone()).unwrap();
                     }
                     let row = vec![Value::Int(n + i), Value::Int(i % 100), Value::Int(0), Value::text("n")];
                     db.insert_row("ev", row).unwrap()
@@ -221,7 +222,7 @@ fn bench_dml(c: &mut Criterion) {
                 b.iter(|| {
                     i += 1;
                     let Stmt::Update(u) = &stmts[i % RING] else { unreachable!() };
-                    std::hint::black_box(db.execute_update(u).unwrap())
+                    std::hint::black_box(db.execute_update(u.clone()).unwrap())
                 })
             });
 
@@ -233,7 +234,7 @@ fn bench_dml(c: &mut Criterion) {
                     i += 1;
                     let k = (i % RING) as i64 * n / RING as i64;
                     let Stmt::Delete(d) = &stmts[i % RING] else { unreachable!() };
-                    let removed = db.execute_delete(d).unwrap();
+                    let removed = db.execute_delete(d.clone()).unwrap();
                     let row = vec![Value::Int(k), Value::Int(k % 100), Value::Int(0), Value::text("n")];
                     db.insert_row("ev", row).unwrap();
                     std::hint::black_box(removed)
@@ -247,7 +248,7 @@ fn bench_dml(c: &mut Criterion) {
                 b.iter(|| {
                     i += 1;
                     let Stmt::Update(u) = &stmts[i % RING] else { unreachable!() };
-                    std::hint::black_box(db.execute_update(u).unwrap())
+                    std::hint::black_box(db.execute_update(u.clone()).unwrap())
                 })
             });
         }

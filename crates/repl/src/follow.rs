@@ -346,8 +346,8 @@ mod tests {
         // overwrite the shipped segment with a longer one (publish in
         // progress: commit 2 exists in the segment, not in the manifest)
         let longer = crate::encode_segment(&[
-            osql_store::ScannedTxn { seq: 1, stmts: vec!["INSERT INTO t VALUES (1, 'a')".into()] },
-            osql_store::ScannedTxn { seq: 2, stmts: vec!["INSERT INTO t VALUES (2, 'b')".into()] },
+            osql_store::ScannedTxn { seq: 1, stmts: vec!["INSERT INTO t VALUES (1, 'a')"], records: None },
+            osql_store::ScannedTxn { seq: 2, stmts: vec!["INSERT INTO t VALUES (2, 'b')"], records: None },
         ]);
         media.publish_segment(&crate::segment_name(1), &longer).unwrap();
 

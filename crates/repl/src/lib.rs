@@ -45,7 +45,7 @@ pub mod state;
 pub use follow::{seed_if_missing, ApplyReport, Follower, PromotionReport};
 pub use manifest::{Manifest, SegmentMeta, MANIFEST_NAME};
 pub use media::{FsShipDir, MemShipDir, ShipMedia};
-pub use segment::{decode_segment, encode_segment, parse_segment_name, segment_name};
+pub use segment::{decode_segment, encode_segment, parse_segment_name, segment_from_log, segment_name};
 pub use ship::{read_manifest, ship_store, ship_wal, ShipReport, BASE_NAME};
 pub use state::{DbReplStatus, ReplState};
 

@@ -7,6 +7,11 @@
 //! they carry (`seg-<start_seq as 016x>.seg`), so a directory listing
 //! sorts into stream order lexicographically.
 //!
+//! The shipper builds a segment from the primary's log by copying each
+//! transaction's records as they lie there ([`segment_from_log`]); the
+//! bytes are those [`encode_segment`] writes for the same transactions,
+//! fsync marks left out.
+//!
 //! Decoding reuses [`osql_store::scan_records`]: only statements covered
 //! by an intact commit record come back, and scanning stops at the first
 //! torn or corrupt record — a segment whose tail was cut mid-write
@@ -44,10 +49,31 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 pub fn encode_segment(txns: &[ScannedTxn]) -> Vec<u8> {
     let mut out = SEG_MAGIC.to_vec();
     for txn in txns {
-        for stmt in &txn.stmts {
-            out.extend_from_slice(&encode_record(REC_STMT, stmt.as_bytes()));
+        encode_txn(&mut out, txn);
+    }
+    out
+}
+
+fn encode_txn(out: &mut Vec<u8>, txn: &ScannedTxn) {
+    for stmt in &txn.stmts {
+        out.extend_from_slice(&encode_record(REC_STMT, stmt.as_bytes()));
+    }
+    out.extend_from_slice(&encode_record(REC_COMMIT, &txn.seq.to_le_bytes()));
+}
+
+/// The segment [`encode_segment`] writes for `txns`, which a scan of `log`
+/// found: each transaction's statement and commit records are copied from
+/// where they lie in `log` ([`ScannedTxn::records`]), and only one whose
+/// records an fsync mark splits is encoded again.
+pub fn segment_from_log(log: &[u8], txns: &[ScannedTxn]) -> Vec<u8> {
+    let copied: usize = txns.iter().filter_map(|t| t.records.as_ref()).map(|r| r.len()).sum();
+    let mut out = Vec::with_capacity(SEG_HEADER + copied);
+    out.extend_from_slice(&SEG_MAGIC);
+    for txn in txns {
+        match &txn.records {
+            Some(records) => out.extend_from_slice(&log[records.clone()]),
+            None => encode_txn(&mut out, txn),
         }
-        out.extend_from_slice(&encode_record(REC_COMMIT, &txn.seq.to_le_bytes()));
     }
     out
 }
@@ -57,7 +83,7 @@ pub fn encode_segment(txns: &[ScannedTxn]) -> Vec<u8> {
 /// *past* the magic comes back as a [`TxnScan::finding`] with the intact
 /// prefix, because a torn tail is a normal mid-publish observation the
 /// follower retries, not a reason to refuse the transactions before it.
-pub fn decode_segment(buf: &[u8]) -> Result<TxnScan, ReplError> {
+pub fn decode_segment(buf: &[u8]) -> Result<TxnScan<'_>, ReplError> {
     if buf.len() < SEG_HEADER {
         return Err(ReplError::Corrupt(format!(
             "segment is {} bytes, shorter than its header",
@@ -74,8 +100,13 @@ pub fn decode_segment(buf: &[u8]) -> Result<TxnScan, ReplError> {
 mod tests {
     use super::*;
 
-    fn txn(seq: u64, stmts: &[&str]) -> ScannedTxn {
-        ScannedTxn { seq, stmts: stmts.iter().map(|s| (*s).to_owned()).collect() }
+    fn txn<'a>(seq: u64, stmts: &[&'a str]) -> ScannedTxn<'a> {
+        ScannedTxn { seq, stmts: stmts.to_vec(), records: None }
+    }
+
+    /// What a scan says of each transaction but where it lay.
+    fn contents<'a>(txns: &[ScannedTxn<'a>]) -> Vec<(u64, Vec<&'a str>)> {
+        txns.iter().map(|t| (t.seq, t.stmts.clone())).collect()
     }
 
     #[test]
@@ -101,7 +132,7 @@ mod tests {
         ];
         let buf = encode_segment(&txns);
         let scan = decode_segment(&buf).unwrap();
-        assert_eq!(scan.txns, txns);
+        assert_eq!(contents(&scan.txns), contents(&txns));
         assert!(scan.finding.is_none());
         assert_eq!(scan.tail_bytes, 0);
     }
@@ -113,13 +144,73 @@ mod tests {
         for cut in SEG_HEADER..full.len() {
             let scan = decode_segment(&full[..cut]).unwrap();
             assert!(scan.txns.len() <= 2, "cut at {cut}");
-            for (i, t) in scan.txns.iter().enumerate() {
-                assert_eq!(*t, txns[i], "cut at {cut} must only shorten, never alter");
-            }
+            assert_eq!(
+                contents(&scan.txns),
+                contents(&txns[..scan.txns.len()]),
+                "cut at {cut} must only shorten, never alter"
+            );
             if cut < full.len() {
                 assert!(scan.txns.len() < 2, "cut inside txn 2 cannot yield txn 2");
             }
         }
+    }
+
+    /// A log image: the WAL header, then each entry's records — a
+    /// transaction `(seq, stmts)`, or an fsync mark (`seq` 0, no
+    /// statements) — and, for `split`, a mark among the statements of the
+    /// transaction of that sequence.
+    fn log(entries: &[(u64, &[&str])], split: Option<u64>) -> Vec<u8> {
+        use osql_store::wal::{REC_FSYNC, WAL_MAGIC};
+        let mark = encode_record(REC_FSYNC, &7u64.to_le_bytes());
+        let mut out = WAL_MAGIC.to_vec();
+        for &(seq, stmts) in entries {
+            if seq == 0 {
+                out.extend(&mark);
+                continue;
+            }
+            for (i, stmt) in stmts.iter().enumerate() {
+                if i == 1 && split == Some(seq) {
+                    out.extend(&mark);
+                }
+                out.extend(encode_record(REC_STMT, stmt.as_bytes()));
+            }
+            out.extend(encode_record(REC_COMMIT, &seq.to_le_bytes()));
+        }
+        out
+    }
+
+    #[test]
+    fn a_segment_copied_from_the_log_equals_the_encoded_one() {
+        use osql_store::wal::WAL_HEADER;
+        let txns: [(u64, &[&str]); 7] = [
+            (0, &[]),
+            (1, &["INSERT INTO t VALUES (1, 'it''s')", "UPDATE t SET v = 'é' WHERE id = 1"]),
+            (2, &[]),
+            (0, &[]),
+            (0, &[]),
+            (3, &["DELETE FROM t WHERE id = 1", "INSERT INTO t VALUES (2, 'b')", "SELECT 1"]),
+            (4, &["INSERT INTO t VALUES (3, 'c')"]),
+        ];
+        let with_marks = log(&txns, None);
+        let without: Vec<_> = txns.iter().copied().filter(|t| t.0 != 0).collect();
+        for (buf, split) in [
+            (log(&without, None), None),
+            (with_marks.clone(), None),
+            (log(&txns, Some(3)), Some(3)),
+        ] {
+            let scan = scan_records(&buf, WAL_HEADER as usize);
+            assert_eq!(scan.txns.len(), 4);
+            for txn in &scan.txns {
+                assert_eq!(txn.records.is_none(), Some(txn.seq) == split, "txn {}", txn.seq);
+            }
+            let copied = segment_from_log(&buf, &scan.txns);
+            assert_eq!(copied, encode_segment(&scan.txns), "split {split:?}");
+            // and from any shipped suffix of the log
+            assert_eq!(segment_from_log(&buf, &scan.txns[2..]), encode_segment(&scan.txns[2..]));
+        }
+        // the marks are all that the log holds beyond the segment's records
+        let plain = segment_from_log(&with_marks, &scan_records(&with_marks, WAL_HEADER as usize).txns);
+        assert_eq!(plain[SEG_HEADER..], log(&without, None)[WAL_HEADER as usize..]);
     }
 
     #[test]

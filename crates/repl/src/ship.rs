@@ -7,7 +7,8 @@
 //!    yet, the bootstrap base covers everything up to `base_seq`);
 //! 2. structurally scan the primary's WAL for committed transactions
 //!    *past* the shipped watermark — statements are never re-executed on
-//!    the primary, only re-framed;
+//!    the primary, and their records are copied into the segment as they
+//!    lie in the log, fsync marks left out;
 //! 3. publish them as one segment named by their first sequence, then
 //!    publish the manifest advertising the new `last_commit_seq`.
 //!
@@ -71,7 +72,16 @@ pub fn ship_wal(
     wal_buf: &[u8],
     base_seq: u64,
 ) -> Result<ShipReport, ReplError> {
-    let manifest = read_manifest(media)?;
+    ship_log(media, read_manifest(media)?, wal_buf, base_seq)
+}
+
+/// [`ship_wal`] against the manifest `manifest`, already read.
+fn ship_log(
+    media: &impl ShipMedia,
+    manifest: Option<Manifest>,
+    wal_buf: &[u8],
+    base_seq: u64,
+) -> Result<ShipReport, ReplError> {
     let shipped = manifest.as_ref().map_or(base_seq, |m| m.last_commit_seq);
     if shipped < base_seq {
         // the primary checkpointed commits that were never published;
@@ -81,14 +91,15 @@ pub fn ship_wal(
 
     let mut report =
         ShipReport { last_commit_seq: shipped, ..ShipReport::default() };
-    let fresh: Vec<_> = if wal_buf.is_empty() {
+    let fresh = if wal_buf.is_empty() {
         Vec::new()
     } else {
         if wal_buf.len() < WAL_HEADER as usize || wal_buf[..WAL_HEADER as usize] != WAL_MAGIC {
             return Err(ReplError::Corrupt("primary WAL has a bad header".to_owned()));
         }
-        let scan = scan_records(wal_buf, WAL_HEADER as usize);
-        scan.txns.into_iter().filter(|t| t.seq > shipped).collect()
+        let mut txns = scan_records(wal_buf, WAL_HEADER as usize).txns;
+        txns.retain(|t| t.seq > shipped);
+        txns
     };
     let Some(first) = fresh.first() else {
         if manifest.is_none() {
@@ -107,7 +118,7 @@ pub fn ship_wal(
     }
 
     let name = crate::segment_name(first.seq);
-    let bytes = crate::encode_segment(&fresh);
+    let bytes = crate::segment_from_log(wal_buf, &fresh);
     let meta = SegmentMeta {
         start_seq: first.seq,
         end_seq: fresh.last().expect("non-empty").seq,
@@ -135,18 +146,18 @@ pub fn ship_wal(
 /// first round (no manifest yet), then ship the sidecar WAL.
 pub fn ship_store(store_path: &Path, media: &impl ShipMedia) -> Result<ShipReport, ReplError> {
     let toc = read_toc(store_path)?;
-    let mut published_base = false;
-    if media.read_manifest()?.is_none() {
+    let manifest = read_manifest(media)?;
+    let published_base = manifest.is_none();
+    if published_base {
         let base = std::fs::read(store_path)?;
         media.publish_blob(BASE_NAME, &base)?;
-        published_base = true;
     }
     let wal_buf = match std::fs::read(wal_path(store_path)) {
         Ok(buf) => buf,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e.into()),
     };
-    let mut report = ship_wal(media, &wal_buf, toc.base_seq)?;
+    let mut report = ship_log(media, manifest, &wal_buf, toc.base_seq)?;
     report.published_base = published_base;
     Ok(report)
 }
@@ -187,7 +198,7 @@ mod tests {
         assert_eq!(crc32(&seg), m.segments[0].crc);
         let scan = crate::decode_segment(&seg).unwrap();
         assert_eq!(scan.txns.len(), 2);
-        assert_eq!(scan.txns[1].stmts, vec!["B".to_owned(), "C".to_owned()]);
+        assert_eq!(scan.txns[1].stmts, ["B", "C"]);
     }
 
     #[test]
@@ -222,7 +233,8 @@ mod tests {
         // simulate the crashed half-round: segment 2 published, manifest not
         let orphan = crate::encode_segment(&[osql_store::ScannedTxn {
             seq: 2,
-            stmts: vec!["B".to_owned()],
+            stmts: vec!["B"],
+            records: None,
         }]);
         media.publish_segment(&crate::segment_name(2), &orphan).unwrap();
         // manifest still advertises 1 — the orphan is invisible

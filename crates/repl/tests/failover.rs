@@ -664,9 +664,11 @@ fn orphan_segment_from_a_crashed_publish_is_invisible_until_advertised() {
         primary.execute(&stmt).unwrap();
     }
     primary.commit().unwrap();
+    let stmts = txn_stmts(3);
     let orphan = osql_repl::encode_segment(&[osql_store::ScannedTxn {
         seq: 3,
-        stmts: txn_stmts(3),
+        stmts: stmts.iter().map(String::as_str).collect(),
+        records: None,
     }]);
     media.publish_segment(&osql_repl::segment_name(3), &orphan).unwrap();
 

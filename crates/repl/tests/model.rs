@@ -126,7 +126,7 @@ fn poll_once(media: &impl ShipMedia, wal: &mut Wal<MemWal>, state: &ReplState) {
             }
             assert_eq!(txn.seq, wal.seq() + 1, "strict next-sequence, no holes");
             for stmt in &txn.stmts {
-                wal.append_stmt(stmt).unwrap();
+                wal.append_stmt(stmt);
             }
             let committed = wal.commit_deferred().unwrap();
             assert_eq!(committed, txn.seq, "local commit reproduces the shipped seq");

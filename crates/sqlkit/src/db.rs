@@ -1,7 +1,7 @@
 //! In-memory database: tables, rows, loading, and the public query entry
 //! points.
 
-use crate::ast::{DeleteStmt, Expr, FromClause, SelectCore, Stmt, TableRef, TypeName, UpdateStmt};
+use crate::ast::{DeleteStmt, Expr, Stmt, TypeName, UpdateStmt};
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{eval_expr, execute_select, Ctx};
 use crate::index::{remove_sorted, ColumnIndex, IndexDef};
@@ -303,34 +303,18 @@ impl Database {
         execute_select(self, stmt)
     }
 
-    /// Bind the expressions of an UPDATE or DELETE over `table` and lower
-    /// its row search — the one-table core `FROM table WHERE where_clause`
-    /// — so that the planner picks the sargs and the declared index a
-    /// SELECT would. Returns the plan and the bound SET expressions.
+    /// Bind the expressions of an UPDATE or DELETE over `table` in place
+    /// and lower its row search — `FROM table WHERE where_clause` — so that
+    /// the planner picks the sargs and the declared index a SELECT would.
     fn dml_plan(
         &self,
         table: &TableInfo,
-        where_clause: Option<&Expr>,
-        set: &[(String, Expr)],
-    ) -> (PhysicalPlan, Vec<Expr>) {
-        let mut core = SelectCore {
-            distinct: false,
-            items: Vec::new(),
-            from: Some(FromClause {
-                base: TableRef::Named {
-                    name: table.name.clone(),
-                    alias: None,
-                    span: Default::default(),
-                },
-                joins: Vec::new(),
-            }),
-            where_clause: where_clause.cloned(),
-            group_by: Vec::new(),
-            having: None,
-        };
-        let mut set: Vec<Expr> = set.iter().map(|(_, e)| e.clone()).collect();
-        crate::prepare::bind_dml(self, &mut core, &mut set);
-        (crate::plan::lower_dml(self, &core), set)
+        where_clause: &mut Option<Expr>,
+        set: &mut [(String, Expr)],
+    ) -> PhysicalPlan {
+        let exprs = where_clause.iter_mut().chain(set.iter_mut().map(|(_, e)| e));
+        let layout = crate::prepare::bind_dml(self, table, exprs);
+        crate::plan::lower_dml(self, table, layout, where_clause.as_ref())
     }
 
     /// Find → evaluate, the read-only half of an UPDATE or DELETE over
@@ -341,10 +325,10 @@ impl Database {
     fn dml_targets(
         &self,
         table: &TableInfo,
-        where_clause: Option<&Expr>,
-        set: &[(String, Expr)],
+        where_clause: &mut Option<Expr>,
+        set: &mut [(String, Expr)],
     ) -> SqlResult<(Vec<u32>, Vec<Value>)> {
-        let (plan, set) = self.dml_plan(table, where_clause, set);
+        let plan = self.dml_plan(table, where_clause, set);
         // one context for the whole statement: its sub-select caches key
         // on the addresses of `plan`'s and `set`'s nodes, which outlive it
         let mut ctx = Ctx::new(self);
@@ -352,7 +336,7 @@ impl Database {
         let rows = self.rows(&table.name)?;
         let mut values = Vec::with_capacity(rids.len() * set.len());
         for &rid in &rids {
-            for e in &set {
+            for (_, e) in set.iter() {
                 values.push(eval_expr(&mut ctx, e, rows[rid as usize].as_slice())?);
             }
         }
@@ -362,8 +346,9 @@ impl Database {
     /// Execute one UPDATE, returning the number of rows changed. Every
     /// expression reads the state before the statement, and a statement
     /// that fails changes nothing: rows are written only after the search
-    /// and every SET expression have succeeded.
-    pub fn execute_update(&mut self, u: &UpdateStmt) -> SqlResult<usize> {
+    /// and every SET expression have succeeded. The statement is bound in
+    /// place, so it is taken, not borrowed.
+    pub fn execute_update(&mut self, mut u: UpdateStmt) -> SqlResult<usize> {
         let info = self
             .schema
             .table(&u.table)
@@ -378,64 +363,66 @@ impl Database {
                     .ok_or_else(|| SqlError::NoSuchColumn(format!("{}.{}", info.name, c)))
             })
             .collect::<SqlResult<_>>()?;
-        let (rids, values) = self.dml_targets(info, u.where_clause.as_ref(), &u.assignments)?;
+        let (rids, values) = self.dml_targets(info, &mut u.where_clause, &mut u.assignments)?;
         if rids.is_empty() {
             return Ok(0);
         }
-        let table_key = info.name.to_lowercase();
-        let rows = &mut self
-            .data
-            .get_mut(&table_key)
-            .expect("data bucket exists for every schema table")
-            .rows;
-        let mut values = values.into_iter();
-        for &rid in &rids {
-            for (&(col, ty), v) in targets.iter().zip(values.by_ref()) {
-                rows[rid as usize][col] = apply_affinity(v, ty);
+        with_lowercase(&info.name, |table_key| {
+            let rows = &mut self
+                .data
+                .get_mut(table_key)
+                .expect("data bucket exists for every schema table")
+                .rows;
+            let mut values = values.into_iter();
+            for &rid in &rids {
+                for (&(col, ty), v) in targets.iter().zip(values.by_ref()) {
+                    rows[rid as usize][col] = apply_affinity(v, ty);
+                }
             }
-        }
-        // no rid moved: only an index on an assigned column is stale
-        if let Some(cache) = self.index_cache.get_mut().get_mut(&table_key) {
-            cache.retain(|c, _| {
-                !targets
-                    .iter()
-                    .any(|&(col, _)| with_lowercase(&info.columns[col].name, |k| k == c))
-            });
-        }
+            // no rid moved: only an index on an assigned column is stale
+            if let Some(cache) = self.index_cache.get_mut().get_mut(table_key) {
+                cache.retain(|c, _| {
+                    !targets
+                        .iter()
+                        .any(|&(col, _)| with_lowercase(&info.columns[col].name, |k| k == c))
+                });
+            }
+        });
         Ok(rids.len())
     }
 
     /// Execute one DELETE, returning the number of rows removed. A
-    /// statement that fails removes nothing.
-    pub fn execute_delete(&mut self, d: &DeleteStmt) -> SqlResult<usize> {
+    /// statement that fails removes nothing. Like an UPDATE, it is taken.
+    pub fn execute_delete(&mut self, mut d: DeleteStmt) -> SqlResult<usize> {
         let info = self
             .schema
             .table(&d.table)
             .ok_or_else(|| SqlError::NoSuchTable(d.table.clone()))?;
-        let (rids, _) = self.dml_targets(info, d.where_clause.as_ref(), &[])?;
+        let (rids, _) = self.dml_targets(info, &mut d.where_clause, &mut [])?;
         if rids.is_empty() {
             return Ok(0);
         }
-        let table_key = info.name.to_lowercase();
-        let rows = &mut self
-            .data
-            .get_mut(&table_key)
-            .expect("data bucket exists for every schema table")
-            .rows;
-        // the survivors keep their order (`dump_script` order) and close
-        // the gaps
-        remove_sorted(rows, &rids);
-        if let Some(cache) = self.index_cache.get_mut().get_mut(&table_key) {
-            cache.retain(|_, slot| match slot {
-                Some(ix) => {
-                    Arc::make_mut(ix).remove_rows(&rids);
-                    true
-                }
-                // the NaN that made it unusable may be gone: back to a
-                // declaration, rebuilt on the next lookup
-                None => false,
-            });
-        }
+        with_lowercase(&info.name, |table_key| {
+            let rows = &mut self
+                .data
+                .get_mut(table_key)
+                .expect("data bucket exists for every schema table")
+                .rows;
+            // the survivors keep their order (`dump_script` order) and close
+            // the gaps
+            remove_sorted(rows, &rids);
+            if let Some(cache) = self.index_cache.get_mut().get_mut(table_key) {
+                cache.retain(|_, slot| match slot {
+                    Some(ix) => {
+                        Arc::make_mut(ix).remove_rows(&rids);
+                        true
+                    }
+                    // the NaN that made it unusable may be gone: back to a
+                    // declaration, rebuilt on the next lookup
+                    None => false,
+                });
+            }
+        });
         Ok(rids.len())
     }
 
@@ -568,7 +555,7 @@ impl Database {
                                     let idx = info.column_index(name).ok_or_else(|| {
                                         SqlError::NoSuchColumn(format!("{}.{}", ins.table, name))
                                     })?;
-                                    row[idx] = crate::exec::eval_const(&expr)?;
+                                    row[idx] = const_value(expr)?;
                                 }
                             }
                             None => {
@@ -578,7 +565,7 @@ impl Database {
                                     ));
                                 }
                                 for (idx, expr) in row_exprs.into_iter().enumerate() {
-                                    row[idx] = crate::exec::eval_const(&expr)?;
+                                    row[idx] = const_value(expr)?;
                                 }
                             }
                         }
@@ -586,10 +573,10 @@ impl Database {
                     }
                 }
                 Stmt::Update(u) => {
-                    self.execute_update(&u)?;
+                    self.execute_update(u)?;
                 }
                 Stmt::Delete(d) => {
-                    self.execute_delete(&d)?;
+                    self.execute_delete(d)?;
                 }
                 Stmt::Select(s) => {
                     execute_select(self, &s)?;
@@ -597,6 +584,15 @@ impl Database {
             }
         }
         Ok(())
+    }
+}
+
+/// The value of an INSERT's expression: a literal is moved out, anything
+/// else evaluated with no row.
+fn const_value(e: Expr) -> SqlResult<Value> {
+    match e {
+        Expr::Literal(v) => Ok(v),
+        e => crate::exec::eval_const(&e),
     }
 }
 
@@ -702,7 +698,7 @@ mod tests {
         let mut db = db();
         let stmt = crate::parser::parse_statement("UPDATE person SET age = 1").unwrap();
         let Stmt::Update(u) = stmt else { panic!() };
-        let n = db.execute_update(&u).unwrap();
+        let n = db.execute_update(u).unwrap();
         assert_eq!(n, 3);
         let rs = db.query("SELECT DISTINCT age FROM person").unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(1)]]);
@@ -730,7 +726,7 @@ mod tests {
         let mut db = db();
         let stmt = crate::parser::parse_statement("DELETE FROM person WHERE age IS NULL").unwrap();
         let Stmt::Delete(d) = stmt else { panic!() };
-        assert_eq!(db.execute_delete(&d).unwrap(), 1);
+        assert_eq!(db.execute_delete(d).unwrap(), 1);
         assert_eq!(db.rows("person").unwrap().len(), 2);
         // delete everything
         db.execute_script("DELETE FROM person").unwrap();
@@ -898,9 +894,9 @@ mod tests {
     #[test]
     fn dml_row_search_is_planned() {
         let explain = |db: &Database, sql: &str| {
-            let Stmt::Update(u) = crate::parser::parse_statement(sql).unwrap() else { panic!() };
+            let Stmt::Update(mut u) = crate::parser::parse_statement(sql).unwrap() else { panic!() };
             let info = db.schema.table(&u.table).unwrap();
-            let (plan, _) = db.dml_plan(info, u.where_clause.as_ref(), &u.assignments);
+            let plan = db.dml_plan(info, &mut u.where_clause, &mut u.assignments);
             plan.render(&[Default::default(); 2])
         };
         // built with `create_table`, so the key has no index until declared

@@ -4,6 +4,11 @@
 //! cores with joins, subqueries (scalar / IN / EXISTS / FROM), compound
 //! selects, CASE, CAST, BETWEEN, LIKE, aggregate calls with DISTINCT,
 //! ORDER BY / LIMIT / OFFSET, plus CREATE TABLE and INSERT for loading.
+//!
+//! Statements descend by construct; an expression is one precedence-
+//! climbing loop ([`Parser::climb`]) over the binding powers of [`Prec`].
+//! The parser reads the tokens in place — they borrow the SQL text — and
+//! copies a name or a literal once, into the tree.
 
 use crate::ast::*;
 use crate::diag::Span;
@@ -35,7 +40,7 @@ pub(crate) const DEPTH_BUDGET: usize = 64;
 /// Parse a single statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> SqlResult<Stmt> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0, reached: 0 };
+    let mut p = Parser::new(&tokens);
     let stmt = p.statement()?;
     p.eat_punct(Punct::Semi);
     p.expect_eof()?;
@@ -53,7 +58,7 @@ pub fn parse_select(sql: &str) -> SqlResult<SelectStmt> {
 /// Parse a script of `;`-separated statements.
 pub fn parse_script(sql: &str) -> SqlResult<Vec<Stmt>> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0, reached: 0 };
+    let mut p = Parser::new(&tokens);
     let mut out = Vec::new();
     loop {
         while p.eat_punct(Punct::Semi) {}
@@ -65,8 +70,81 @@ pub fn parse_script(sql: &str) -> SqlResult<Vec<Stmt>> {
     Ok(out)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// How tightly an operator binds, loosest first. `Not` is the level of a
+/// prefix `NOT`, whose operand binds tighter than `AND`; the predicates
+/// (`LIKE`, `BETWEEN`, `IN`, `IS`) bind as `=` does, comparisons tighter,
+/// `||` tightest of the binary operators, and `Unary` — an operand under a
+/// sign — tighter than all of them. Every binary operator is
+/// left-associative: its right operand binds one level tighter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Prec {
+    Or,
+    And,
+    Not,
+    Predicate,
+    Comparison,
+    Additive,
+    Multiplicative,
+    Concat,
+    Unary,
+}
+
+impl Prec {
+    /// The level a right operand of an operator at this level is parsed at.
+    fn tighter(self) -> Prec {
+        match self {
+            Prec::Or => Prec::And,
+            Prec::And => Prec::Not,
+            Prec::Not | Prec::Predicate => Prec::Comparison,
+            Prec::Comparison => Prec::Additive,
+            Prec::Additive => Prec::Multiplicative,
+            Prec::Multiplicative => Prec::Concat,
+            Prec::Concat | Prec::Unary => Prec::Unary,
+        }
+    }
+}
+
+/// An infix operator: a binary operator, or a predicate whose right side
+/// is not one expression.
+#[derive(Debug, Clone, Copy)]
+enum Infix {
+    Binary(BinOp),
+    Like,
+    Between,
+    In,
+    Is,
+}
+
+/// The punctuation operators and their binding powers.
+const PUNCT_OPS: [(Punct, BinOp, Prec); 12] = [
+    (Punct::Eq, BinOp::Eq, Prec::Predicate),
+    (Punct::Ne, BinOp::Ne, Prec::Predicate),
+    (Punct::Lt, BinOp::Lt, Prec::Comparison),
+    (Punct::Le, BinOp::Le, Prec::Comparison),
+    (Punct::Gt, BinOp::Gt, Prec::Comparison),
+    (Punct::Ge, BinOp::Ge, Prec::Comparison),
+    (Punct::Plus, BinOp::Add, Prec::Additive),
+    (Punct::Minus, BinOp::Sub, Prec::Additive),
+    (Punct::Star, BinOp::Mul, Prec::Multiplicative),
+    (Punct::Slash, BinOp::Div, Prec::Multiplicative),
+    (Punct::Percent, BinOp::Mod, Prec::Multiplicative),
+    (Punct::Concat, BinOp::Concat, Prec::Concat),
+];
+
+/// The keyword operators and their binding powers; `LIKE`, `BETWEEN` and
+/// `IN` may follow a `NOT`.
+const WORD_OPS: [(&str, Infix, Prec); 6] = [
+    ("OR", Infix::Binary(BinOp::Or), Prec::Or),
+    ("AND", Infix::Binary(BinOp::And), Prec::And),
+    ("LIKE", Infix::Like, Prec::Predicate),
+    ("BETWEEN", Infix::Between, Prec::Predicate),
+    ("IN", Infix::In, Prec::Predicate),
+    ("IS", Infix::Is, Prec::Predicate),
+];
+
+struct Parser<'t, 'a> {
+    /// The statement's tokens, ending in `Eof`.
+    tokens: &'t [Token<'a>],
     pos: usize,
     /// How many levels below the statement's root the construct being
     /// parsed sits.
@@ -77,7 +155,11 @@ struct Parser {
     reached: usize,
 }
 
-impl Parser {
+impl<'t, 'a> Parser<'t, 'a> {
+    fn new(tokens: &'t [Token<'a>]) -> Self {
+        Parser { tokens, pos: 0, depth: 0, reached: 0 }
+    }
+
     /// The tree reaches `depth` levels down: past [`DEPTH_BUDGET`] that is
     /// a syntax error.
     fn reach(&mut self, depth: usize) -> SqlResult<()> {
@@ -103,7 +185,7 @@ impl Parser {
     /// had reached — for an operand, the chain left of the operator, which
     /// [`Parser::fold`] takes. (A call before and one after the operand,
     /// not a wrapper around its parse, so the recursion gains no stack
-    /// frame per precedence level.)
+    /// frame per operator.)
     fn mark(&mut self) -> usize {
         std::mem::replace(&mut self.reached, self.depth)
     }
@@ -115,8 +197,15 @@ impl Parser {
         self.reach(self.reached.max(mark) + 1)
     }
 
-    fn peek(&self) -> &TokenKind {
+    /// The current token. It borrows the token list, not the parser, so it
+    /// stays readable past [`Parser::bump`].
+    fn peek(&self) -> &'t TokenKind<'a> {
         &self.tokens[self.pos].kind
+    }
+
+    /// The token `ahead` places past the current one, if any.
+    fn peek_ahead(&self, ahead: usize) -> Option<&'t TokenKind<'a>> {
+        self.tokens.get(self.pos + ahead).map(|t| &t.kind)
     }
 
     fn peek_pos(&self) -> usize {
@@ -208,10 +297,10 @@ impl Parser {
     /// Any identifier (quoted or not); keywords are allowed as names when
     /// quoted.
     fn ident(&mut self) -> SqlResult<String> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Ident(s, _) => {
                 self.bump();
-                Ok(s)
+                Ok(s.to_string())
             }
             other => self.err(format!("expected identifier, found {other:?}")),
         }
@@ -354,17 +443,14 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // `alias.*`
-        if let TokenKind::Ident(name, _) = self.peek().clone() {
-            if matches!(self.tokens.get(self.pos + 1).map(|t| &t.kind), Some(TokenKind::Punct(Punct::Dot)))
-                && matches!(
-                    self.tokens.get(self.pos + 2).map(|t| &t.kind),
-                    Some(TokenKind::Punct(Punct::Star))
-                )
+        if let TokenKind::Ident(name, _) = self.peek() {
+            if matches!(self.peek_ahead(1), Some(TokenKind::Punct(Punct::Dot)))
+                && matches!(self.peek_ahead(2), Some(TokenKind::Punct(Punct::Star)))
             {
                 self.bump();
                 self.bump();
                 self.bump();
-                return Ok(SelectItem::TableWildcard(name));
+                return Ok(SelectItem::TableWildcard(name.to_string()));
             }
         }
         let expr = self.expr()?;
@@ -378,10 +464,10 @@ impl Parser {
         if self.eat_kw("AS") {
             return Ok(Some(self.ident()?));
         }
-        if let TokenKind::Ident(s, quoted) = self.peek().clone() {
-            if quoted || !is_clause_keyword(&s) {
+        if let TokenKind::Ident(s, quoted) = self.peek() {
+            if *quoted || !is_clause_keyword(s) {
                 self.bump();
-                return Ok(Some(s));
+                return Ok(Some(s.to_string()));
             }
         }
         Ok(None)
@@ -440,217 +526,131 @@ impl Parser {
     // ---------------- expressions ----------------
 
     fn expr(&mut self) -> SqlResult<Expr> {
-        self.nested(Self::or_expr)
+        self.nested(|p| p.climb(Prec::Or))
     }
 
-    fn or_expr(&mut self) -> SqlResult<Expr> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("OR") {
-            let mark = self.mark();
-            let right = self.and_expr()?;
-            self.fold(mark)?;
-            left = Expr::binary(left, BinOp::Or, right);
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> SqlResult<Expr> {
-        let mut left = self.not_expr()?;
-        while self.eat_kw("AND") {
-            let mark = self.mark();
-            let right = self.not_expr()?;
-            self.fold(mark)?;
-            left = Expr::binary(left, BinOp::And, right);
-        }
-        Ok(left)
-    }
-
-    fn not_expr(&mut self) -> SqlResult<Expr> {
-        if self.at_kw("NOT") && !self.next_is_kw("EXISTS") {
+    /// One expression whose operators bind at least as tightly as `min`:
+    /// its prefixes and primary, then infix operators at `min` or tighter,
+    /// each folding the chain left of it with a right operand that binds
+    /// one level tighter. The loop reads what the descent it replaced (one
+    /// function per level) read: once an operator is folded, only one that
+    /// binds no tighter continues the chain — a tighter one would have gone
+    /// into its right operand, and after a postfix predicate (`IS NULL`,
+    /// `IN (…)`) or a prefix `NOT` the grammar does not take one — and the
+    /// depth accounting is the same: a prefix nests its operand one level
+    /// down, and an operator marks before its right operand and folds
+    /// after it.
+    fn climb(&mut self, min: Prec) -> SqlResult<Expr> {
+        // the loosest operator folded so far bounds the next one
+        let mut cap = Prec::Unary;
+        let mut left = if min <= Prec::Not && self.at_kw("NOT") && !self.next_is_kw("EXISTS") {
             self.bump();
-            let inner = self.nested(Self::not_expr)?;
-            return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
+            let inner = self.nested(|p| p.climb(Prec::Not))?;
+            cap = Prec::And;
+            Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) }
+        } else if self.eat_punct(Punct::Minus) {
+            let inner = self.nested(|p| p.climb(Prec::Unary))?;
+            Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) }
+        } else if self.eat_punct(Punct::Plus) {
+            self.nested(|p| p.climb(Prec::Unary))?
+        } else {
+            self.primary()?
+        };
+        while let Some((op, prec, negated)) = self.infix().filter(|&(_, prec, _)| min <= prec && prec <= cap) {
+            cap = prec;
+            // `NOT`, then the operator
+            if negated {
+                self.bump();
+            }
+            self.bump();
+            // the operands right of the operator start over; the operator
+            // folds over them
+            let mark = self.mark();
+            let operand = Prec::tighter(prec);
+            left = match op {
+                Infix::Binary(op) => Expr::binary(left, op, self.climb(operand)?),
+                Infix::Like => {
+                    let pattern = self.climb(operand)?;
+                    Expr::Like { expr: Box::new(left), pattern: Box::new(pattern), negated }
+                }
+                Infix::Between => {
+                    let low = self.climb(operand)?;
+                    self.expect_kw("AND")?;
+                    // `high` is `low`'s sibling: it starts over too
+                    let low_reached = self.mark();
+                    let high = self.climb(operand)?;
+                    self.reached = self.reached.max(low_reached);
+                    Expr::Between { expr: Box::new(left), low: Box::new(low), high: Box::new(high), negated }
+                }
+                Infix::In => {
+                    self.expect_punct(Punct::LParen)?;
+                    if self.at_kw("SELECT") {
+                        let q = self.select_stmt()?;
+                        self.expect_punct(Punct::RParen)?;
+                        Expr::InSubquery { expr: Box::new(left), query: Box::new(q), negated }
+                    } else {
+                        let mut list = Vec::new();
+                        if !self.at_punct(Punct::RParen) {
+                            loop {
+                                list.push(self.expr()?);
+                                if !self.eat_punct(Punct::Comma) {
+                                    break;
+                                }
+                            }
+                        }
+                        self.expect_punct(Punct::RParen)?;
+                        Expr::InList { expr: Box::new(left), list, negated }
+                    }
+                }
+                Infix::Is => {
+                    let negated = self.eat_kw("NOT");
+                    self.expect_kw("NULL")?;
+                    Expr::IsNull { expr: Box::new(left), negated }
+                }
+            };
+            self.fold(mark)?;
         }
-        self.predicate()
+        Ok(left)
+    }
+
+    /// The infix operator at the current token, its binding power, and
+    /// whether it is a `NOT LIKE` / `NOT BETWEEN` / `NOT IN` (the current
+    /// token being that `NOT`).
+    fn infix(&self) -> Option<(Infix, Prec, bool)> {
+        let word = match self.peek() {
+            TokenKind::Punct(p) => {
+                let &(_, op, prec) = PUNCT_OPS.iter().find(|(q, ..)| q == p)?;
+                return Some((Infix::Binary(op), prec, false));
+            }
+            TokenKind::Ident(word, false) => word,
+            _ => return None,
+        };
+        let (word, negated) = match self.peek_ahead(1) {
+            Some(TokenKind::Ident(next, false)) if word.eq_ignore_ascii_case("NOT") => (next, true),
+            _ => (word, false),
+        };
+        let &(_, op, prec) = WORD_OPS.iter().find(|(kw, ..)| word.eq_ignore_ascii_case(kw))?;
+        let negatable = matches!(op, Infix::Like | Infix::Between | Infix::In);
+        (negatable || !negated).then_some((op, prec, negated))
     }
 
     fn next_is_kw(&self, kw: &str) -> bool {
-        matches!(
-            self.tokens.get(self.pos + 1).map(|t| &t.kind),
-            Some(TokenKind::Ident(s, false)) if s.eq_ignore_ascii_case(kw)
-        )
-    }
-
-    /// Equality-level operators plus LIKE / IN / BETWEEN / IS.
-    fn predicate(&mut self) -> SqlResult<Expr> {
-        let mut left = self.comparison()?;
-        loop {
-            let negated = if self.at_kw("NOT")
-                && (self.next_is_kw("LIKE") || self.next_is_kw("IN") || self.next_is_kw("BETWEEN"))
-            {
-                self.bump();
-                true
-            } else {
-                false
-            };
-            // the operands right of the operator start over; every arm
-            // that does not break folds the operator over them
-            let mark = self.mark();
-            if self.eat_kw("LIKE") {
-                let pattern = self.comparison()?;
-                left = Expr::Like { expr: Box::new(left), pattern: Box::new(pattern), negated };
-            } else if self.eat_kw("BETWEEN") {
-                let low = self.comparison()?;
-                self.expect_kw("AND")?;
-                // `high` is `low`'s sibling: it starts over too
-                let low_reached = self.mark();
-                let high = self.comparison()?;
-                self.reached = self.reached.max(low_reached);
-                left = Expr::Between {
-                    expr: Box::new(left),
-                    low: Box::new(low),
-                    high: Box::new(high),
-                    negated,
-                };
-            } else if self.eat_kw("IN") {
-                self.expect_punct(Punct::LParen)?;
-                if self.at_kw("SELECT") {
-                    let q = self.select_stmt()?;
-                    self.expect_punct(Punct::RParen)?;
-                    left = Expr::InSubquery { expr: Box::new(left), query: Box::new(q), negated };
-                } else {
-                    let mut list = Vec::new();
-                    if !self.at_punct(Punct::RParen) {
-                        loop {
-                            list.push(self.expr()?);
-                            if !self.eat_punct(Punct::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect_punct(Punct::RParen)?;
-                    left = Expr::InList { expr: Box::new(left), list, negated };
-                }
-            } else if negated {
-                return self.err("expected LIKE, IN or BETWEEN after NOT");
-            } else if self.eat_kw("IS") {
-                let negated = self.eat_kw("NOT");
-                self.expect_kw("NULL")?;
-                left = Expr::IsNull { expr: Box::new(left), negated };
-            } else if self.at_punct(Punct::Eq) || self.at_punct(Punct::Ne) {
-                let op = if self.eat_punct(Punct::Eq) {
-                    BinOp::Eq
-                } else {
-                    self.bump();
-                    BinOp::Ne
-                };
-                let right = self.comparison()?;
-                left = Expr::binary(left, op, right);
-            } else {
-                // no operator: nothing was parsed since the mark
-                self.reached = mark;
-                break;
-            }
-            self.fold(mark)?;
-        }
-        Ok(left)
-    }
-
-    fn comparison(&mut self) -> SqlResult<Expr> {
-        let mut left = self.additive()?;
-        loop {
-            let op = if self.eat_punct(Punct::Lt) {
-                BinOp::Lt
-            } else if self.eat_punct(Punct::Le) {
-                BinOp::Le
-            } else if self.eat_punct(Punct::Gt) {
-                BinOp::Gt
-            } else if self.eat_punct(Punct::Ge) {
-                BinOp::Ge
-            } else {
-                break;
-            };
-            let mark = self.mark();
-            let right = self.additive()?;
-            self.fold(mark)?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn additive(&mut self) -> SqlResult<Expr> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = if self.eat_punct(Punct::Plus) {
-                BinOp::Add
-            } else if self.eat_punct(Punct::Minus) {
-                BinOp::Sub
-            } else {
-                break;
-            };
-            let mark = self.mark();
-            let right = self.multiplicative()?;
-            self.fold(mark)?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn multiplicative(&mut self) -> SqlResult<Expr> {
-        let mut left = self.concat()?;
-        loop {
-            let op = if self.eat_punct(Punct::Star) {
-                BinOp::Mul
-            } else if self.eat_punct(Punct::Slash) {
-                BinOp::Div
-            } else if self.eat_punct(Punct::Percent) {
-                BinOp::Mod
-            } else {
-                break;
-            };
-            let mark = self.mark();
-            let right = self.concat()?;
-            self.fold(mark)?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn concat(&mut self) -> SqlResult<Expr> {
-        let mut left = self.unary()?;
-        while self.eat_punct(Punct::Concat) {
-            let mark = self.mark();
-            let right = self.unary()?;
-            self.fold(mark)?;
-            left = Expr::binary(left, BinOp::Concat, right);
-        }
-        Ok(left)
-    }
-
-    fn unary(&mut self) -> SqlResult<Expr> {
-        if self.eat_punct(Punct::Minus) {
-            let inner = self.nested(Self::unary)?;
-            return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
-        }
-        if self.eat_punct(Punct::Plus) {
-            return self.nested(Self::unary);
-        }
-        self.primary()
+        matches!(self.peek_ahead(1), Some(TokenKind::Ident(s, false)) if s.eq_ignore_ascii_case(kw))
     }
 
     fn primary(&mut self) -> SqlResult<Expr> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Int(v)))
+                Ok(Expr::Literal(Value::Int(*v)))
             }
             TokenKind::Real(v) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Real(v)))
+                Ok(Expr::Literal(Value::Real(*v)))
             }
             TokenKind::Str(s) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Text(s)))
+                Ok(Expr::Literal(Value::Text(s.to_string())))
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
@@ -664,7 +664,7 @@ impl Parser {
                     Ok(e)
                 }
             }
-            TokenKind::Ident(name, quoted) => {
+            &TokenKind::Ident(ref name, quoted) => {
                 if !quoted {
                     if name.eq_ignore_ascii_case("NULL") {
                         self.bump();
@@ -685,7 +685,7 @@ impl Parser {
                         return Ok(Expr::Exists { query: Box::new(q), negated });
                     }
                 }
-                if !quoted && is_clause_keyword(&name) {
+                if !quoted && is_clause_keyword(name) {
                     return self.err(format!("unexpected keyword {name}"));
                 }
                 let start = self.peek_pos();
@@ -699,15 +699,15 @@ impl Parser {
                 if self.eat_punct(Punct::Dot) {
                     let column = self.ident()?;
                     let span = self.span_from(start);
-                    return Ok(Expr::Column { table: Some(name), column, span });
+                    return Ok(Expr::Column { table: Some(name.to_string()), column, span });
                 }
-                Ok(Expr::Column { table: None, column: name, span: self.span_from(start) })
+                Ok(Expr::Column { table: None, column: name.to_string(), span: self.span_from(start) })
             }
             other => self.err(format!("unexpected token {other:?}")),
         }
     }
 
-    fn function_call(&mut self, name: String, span: Span) -> SqlResult<Expr> {
+    fn function_call(&mut self, name: &str, span: Span) -> SqlResult<Expr> {
         self.expect_punct(Punct::LParen)?;
         let mut args = Vec::new();
         let mut distinct = false;

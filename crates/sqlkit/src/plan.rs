@@ -45,6 +45,7 @@ use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::contains_aggregate;
 use crate::index::ColumnIndex;
+use crate::schema::TableInfo;
 use crate::scope::{self, ColBinding};
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -262,6 +263,23 @@ pub(crate) struct Stage {
 }
 
 impl Stage {
+    /// A stage reading `table`, not yet joined or filtered; `est_rows`
+    /// holds its row count until the cost pass scales it.
+    fn new(table: String, binding: String, col_offset: usize, width: usize, access: Access, est_rows: f64) -> Stage {
+        Stage {
+            table,
+            binding,
+            col_offset,
+            width,
+            access,
+            join: None,
+            kind: JoinKind::Inner,
+            filters: Vec::new(),
+            est_rows,
+            est_tuples: 0.0,
+        }
+    }
+
     /// Can running this stage fail on some tuple? Such a stage must see
     /// every tuple an interpreter would have shown it, so its plan is
     /// naive and the executor finishes the stage before starting the next.
@@ -536,18 +554,7 @@ fn push_stage(db: &Database, tref: &TableRef, plan: &mut PhysicalPlan) -> SqlRes
         }
     };
     let width = plan.layout.len() - col_offset;
-    plan.stages.push(Stage {
-        table,
-        binding,
-        col_offset,
-        width,
-        access,
-        join: None,
-        kind: JoinKind::Inner,
-        filters: Vec::new(),
-        est_rows,
-        est_tuples: 0.0,
-    });
+    plan.stages.push(Stage::new(table, binding, col_offset, width, access, est_rows));
     if width == 0 && matches!(tref, TableRef::Subquery { .. }) {
         return Err(SqlError::Other("FROM subquery has no columns".into()));
     }
@@ -560,14 +567,25 @@ pub(crate) fn lower(db: &Database, core: &SelectCore, pushdown: bool) -> Physica
     lower_core(db, core, pushdown, true)
 }
 
-/// Lower the row search of an UPDATE or DELETE — the one-table core
-/// `FROM t WHERE w`, bound — into the plan `pipelined::base_rids` runs.
-/// It is `lower` with pushdown on, except that DML has no aggregate
-/// context to misuse at plan time: an aggregate in its WHERE fails on the
-/// first row that reaches it, so such a WHERE takes the naive plan
-/// instead of [`PhysicalPlan::fail`].
-pub(crate) fn lower_dml(db: &Database, core: &SelectCore) -> PhysicalPlan {
-    lower_core(db, core, true, false)
+/// Lower the row search of an UPDATE or DELETE — `FROM table WHERE
+/// where_clause`, bound against `layout`, the table's slots the binder
+/// built ([`crate::prepare::bind_dml`]) — into the plan
+/// `pipelined::base_rids` runs. It is the plan `lower` gives that one-table
+/// core with pushdown on, except that DML has no aggregate context to
+/// misuse at plan time: an aggregate in its WHERE fails on the first row
+/// that reaches it, so such a WHERE takes the naive plan instead of
+/// [`PhysicalPlan::fail`].
+pub(crate) fn lower_dml(
+    db: &Database,
+    table: &TableInfo,
+    layout: Vec<ColBinding>,
+    where_clause: Option<&Expr>,
+) -> PhysicalPlan {
+    let est_rows = db.rows(&table.name).map_or(0, <[_]>::len) as f64;
+    let width = layout.len();
+    let base = Stage::new(table.name.clone(), table.name.clone(), 0, width, Access::FullScan, est_rows);
+    let plan = PhysicalPlan { stages: vec![base], residual: Vec::new(), layout, est_out: 1.0, fail: None };
+    lower_where(db, plan, where_clause, false, false)
 }
 
 fn lower_core(db: &Database, core: &SelectCore, pushdown: bool, select: bool) -> PhysicalPlan {
@@ -600,10 +618,22 @@ fn lower_core(db: &Database, core: &SelectCore, pushdown: bool, select: bool) ->
             });
         }
     }
-    let mut naive = !pushdown || plan.stages.iter().any(Stage::can_fail);
+    let naive = !pushdown || plan.stages.iter().any(Stage::can_fail);
+    lower_where(db, plan, core.where_clause.as_ref(), naive, select)
+}
 
+/// Finish a plan whose stages are laid out: classify the WHERE conjuncts
+/// into pushed sargs and the residual chain (all residual when `naive`),
+/// then choose access paths and join operators by cost.
+fn lower_where(
+    db: &Database,
+    mut plan: PhysicalPlan,
+    where_clause: Option<&Expr>,
+    mut naive: bool,
+    select: bool,
+) -> PhysicalPlan {
     // ---- WHERE classification ----
-    if let Some(w) = &core.where_clause {
+    if let Some(w) = where_clause {
         let aggregate = contains_aggregate(w);
         if aggregate && select {
             plan.fail = Some(SqlError::MisusedAggregate("aggregate in WHERE clause".into()));

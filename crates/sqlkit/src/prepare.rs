@@ -36,7 +36,7 @@ use crate::exec::{self, eval_const, ExecStats};
 use crate::functions::is_aggregate_name;
 use crate::parser::parse_select;
 use crate::plan::PhysicalPlan;
-use crate::schema::DbSchema;
+use crate::schema::{DbSchema, TableInfo};
 use crate::scope::{self, ColBinding};
 use crate::value::{ResultSet, Value};
 use std::collections::HashMap;
@@ -166,19 +166,24 @@ pub fn prepare_stmt(db: &Database, mut stmt: SelectStmt) -> Prepared {
     Prepared { stmt, fingerprint: plan_fingerprint(db), plans }
 }
 
-/// Bind the row search of an UPDATE or DELETE — `core`, the one-table
-/// core `FROM t WHERE w` — and the statement's SET expressions the way
-/// [`prepare_stmt`] binds a SELECT's WHERE: against the table's own
-/// columns, with no enclosing environment.
-pub(crate) fn bind_dml(db: &Database, core: &mut SelectCore, set: &mut [Expr]) {
+/// Bind the expressions of an UPDATE or DELETE over `table` — its WHERE
+/// and its SET expressions — the way [`prepare_stmt`] binds a SELECT's
+/// WHERE over `FROM table`: against the table's own columns, with no
+/// enclosing environment. Returns that layout, which the row search is
+/// lowered against ([`crate::plan::lower_dml`]).
+pub(crate) fn bind_dml<'e>(
+    db: &Database,
+    table: &TableInfo,
+    exprs: impl IntoIterator<Item = &'e mut Expr>,
+) -> Vec<ColBinding> {
     let binder = Binder { schema: &db.schema };
-    let Some(layout) = core.from.as_mut().and_then(|from| binder.layout_of_from(from, &[])) else {
-        return;
-    };
+    let mut layout = Vec::new();
+    scope::push_table(&mut layout, &db.schema, &table.name, None);
     let env = Env { layout: &layout, chain: &[] };
-    for e in core.where_clause.iter_mut().chain(set) {
+    for e in exprs {
         binder.bind_and_fold(e, &env);
     }
+    layout
 }
 
 /// Bind an expression evaluated with no row: in the empty scope, its
@@ -212,6 +217,20 @@ fn try_fold(e: &mut Expr) {
     if let Ok(v) = eval_const(e) {
         *e = Expr::Literal(v);
     }
+}
+
+/// The fold step of binding a composite: constant when every child is
+/// (`flags`), else each constant child folds.
+fn fold_constant_kids<'k>(kids: impl IntoIterator<Item = &'k mut Expr>, flags: &[bool]) -> bool {
+    if flags.iter().all(|f| *f) {
+        return true;
+    }
+    for (k, &is_const) in kids.into_iter().zip(flags) {
+        if is_const {
+            try_fold(k);
+        }
+    }
+    false
 }
 
 struct Env<'a> {
@@ -374,18 +393,17 @@ impl Binder<'_> {
 
     /// Bind children; when every child is constant the composite itself is
     /// constant (returned to the caller unfolded so folding happens at the
-    /// topmost constant boundary), otherwise fold each constant child.
-    fn bind_composite(&self, mut kids: Vec<&mut Expr>, env: &Env) -> bool {
+    /// topmost constant boundary), otherwise fold each constant child. A
+    /// node of fixed arity keeps its children on the stack.
+    fn bind_composite<const N: usize>(&self, mut kids: [&mut Expr; N], env: &Env) -> bool {
+        let flags = kids.each_mut().map(|k| self.bind_expr(k, env));
+        fold_constant_kids(kids, &flags)
+    }
+
+    /// [`Binder::bind_composite`] for a node with any number of children.
+    fn bind_variadic(&self, mut kids: Vec<&mut Expr>, env: &Env) -> bool {
         let flags: Vec<bool> = kids.iter_mut().map(|k| self.bind_expr(k, env)).collect();
-        if flags.iter().all(|f| *f) {
-            return true;
-        }
-        for (k, is_const) in kids.into_iter().zip(flags) {
-            if is_const {
-                try_fold(k);
-            }
-        }
-        false
+        fold_constant_kids(kids, &flags)
     }
 
     /// Bind an expression in place, returning whether the whole subtree is
@@ -408,21 +426,17 @@ impl Binder<'_> {
             | Expr::Unresolved(_)
             | Expr::Wildcard => false,
             Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-                self.bind_composite(vec![expr.as_mut()], env)
+                self.bind_composite([expr.as_mut()], env)
             }
-            Expr::Binary { left, right, .. } => {
-                self.bind_composite(vec![left.as_mut(), right.as_mut()], env)
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.bind_composite(vec![expr.as_mut(), pattern.as_mut()], env)
-            }
+            Expr::Binary { left, right, .. } => self.bind_composite([left.as_mut(), right.as_mut()], env),
+            Expr::Like { expr, pattern, .. } => self.bind_composite([expr.as_mut(), pattern.as_mut()], env),
             Expr::Between { expr, low, high, .. } => {
-                self.bind_composite(vec![expr.as_mut(), low.as_mut(), high.as_mut()], env)
+                self.bind_composite([expr.as_mut(), low.as_mut(), high.as_mut()], env)
             }
             Expr::InList { expr, list, .. } => {
                 let mut kids: Vec<&mut Expr> = vec![expr.as_mut()];
                 kids.extend(list.iter_mut());
-                self.bind_composite(kids, env)
+                self.bind_variadic(kids, env)
             }
             Expr::Case { operand, branches, else_expr } => {
                 let mut kids: Vec<&mut Expr> = Vec::new();
@@ -436,7 +450,7 @@ impl Binder<'_> {
                 if let Some(el) = else_expr {
                     kids.push(el.as_mut());
                 }
-                self.bind_composite(kids, env)
+                self.bind_variadic(kids, env)
             }
             Expr::Function { name, args, .. } if is_aggregate_name(name, args.len()) => {
                 // The first argument evaluates per row in the group;
@@ -449,7 +463,7 @@ impl Binder<'_> {
                 false
             }
             Expr::Function { args, .. } => {
-                self.bind_composite(args.iter_mut().collect(), env)
+                self.bind_variadic(args.iter_mut().collect(), env)
             }
             Expr::InSubquery { expr, query, .. } => {
                 if self.bind_expr(expr, env) {

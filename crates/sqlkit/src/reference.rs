@@ -1296,9 +1296,9 @@ mod dml_tests {
     /// differs for UPDATE and DELETE only).
     fn run(db: &mut Database, oracle: bool, sql: &str) -> Result<usize, String> {
         match (parse_statement(sql).unwrap_or_else(|e| panic!("{sql}: {e}")), oracle) {
-            (Stmt::Update(u), false) => db.execute_update(&u),
+            (Stmt::Update(u), false) => db.execute_update(u),
             (Stmt::Update(u), true) => execute_update(db, &u),
-            (Stmt::Delete(d), false) => db.execute_delete(&d),
+            (Stmt::Delete(d), false) => db.execute_delete(d),
             (Stmt::Delete(d), true) => execute_delete(db, &d),
             _ => db.execute_script(sql).map(|()| 0),
         }

@@ -3,26 +3,32 @@
 //! Accepts the identifier quoting styles seen in BIRD gold SQL:
 //! `` `backticks` ``, `"double quotes"`, `[brackets]`, plus single-quoted
 //! string literals with `''` escaping.
+//!
+//! Tokens borrow their text from the SQL: a name or a string is copied
+//! only where a doubled quote inside it has to be resolved, and otherwise
+//! once, by the parser, into the tree.
 
 use crate::error::{SqlError, SqlResult};
+use std::borrow::Cow;
 
 /// A lexical token with its byte position in the source.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// Kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset of the first character.
     pub pos: usize,
 }
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// Bare or quoted identifier (quotes stripped). The bool records
-    /// whether it was quoted (quoted identifiers are never keywords).
-    Ident(String, bool),
+pub enum TokenKind<'a> {
+    /// Bare or quoted identifier (quotes stripped, doubled quotes
+    /// resolved). The bool records whether it was quoted (quoted
+    /// identifiers are never keywords).
+    Ident(Cow<'a, str>, bool),
     /// Single-quoted string literal (escapes resolved).
-    Str(String),
+    Str(Cow<'a, str>),
     /// Integer literal.
     Int(i64),
     /// Float literal.
@@ -73,7 +79,7 @@ pub enum Punct {
 }
 
 /// Tokenize a SQL string.
-pub fn tokenize(sql: &str) -> SqlResult<Vec<Token>> {
+pub fn tokenize(sql: &str) -> SqlResult<Vec<Token<'_>>> {
     let bytes = sql.as_bytes();
     let mut out = Vec::with_capacity(sql.len() / 4 + 4);
     let mut i = 0usize;
@@ -106,17 +112,12 @@ pub fn tokenize(sql: &str) -> SqlResult<Vec<Token>> {
                 }
             }
             '\'' => {
-                let (s, next) = read_quoted(sql, i, '\'', true)?;
+                let (s, next) = read_quoted(sql, i)?;
                 out.push(Token { kind: TokenKind::Str(s), pos: i });
                 i = next;
             }
-            '`' => {
-                let (s, next) = read_quoted(sql, i, '`', false)?;
-                out.push(Token { kind: TokenKind::Ident(s, true), pos: i });
-                i = next;
-            }
-            '"' => {
-                let (s, next) = read_quoted(sql, i, '"', false)?;
+            '`' | '"' => {
+                let (s, next) = read_quoted(sql, i)?;
                 out.push(Token { kind: TokenKind::Ident(s, true), pos: i });
                 i = next;
             }
@@ -125,10 +126,7 @@ pub fn tokenize(sql: &str) -> SqlResult<Vec<Token>> {
                     .find(']')
                     .map(|k| i + 1 + k)
                     .ok_or_else(|| SqlError::Lex { pos: i, msg: "unterminated [identifier]".into() })?;
-                out.push(Token {
-                    kind: TokenKind::Ident(sql[i + 1..end].to_owned(), true),
-                    pos: i,
-                });
+                out.push(Token { kind: TokenKind::Ident(Cow::Borrowed(&sql[i + 1..end]), true), pos: i });
                 i = end + 1;
             }
             '0'..='9' => {
@@ -150,7 +148,7 @@ pub fn tokenize(sql: &str) -> SqlResult<Vec<Token>> {
                 let len = rest
                     .find(|ch: char| !(ch.is_alphanumeric() || ch == '_'))
                     .unwrap_or(rest.len());
-                out.push(Token { kind: TokenKind::Ident(rest[..len].to_owned(), false), pos: i });
+                out.push(Token { kind: TokenKind::Ident(Cow::Borrowed(&rest[..len]), false), pos: i });
                 i += len;
             }
             _ => {
@@ -204,29 +202,38 @@ fn read_punct(bytes: &[u8], i: usize) -> Option<(Punct, usize)> {
     Some((p, 1))
 }
 
-fn read_quoted(sql: &str, start: usize, quote: char, doubled_escape: bool) -> SqlResult<(String, usize)> {
-    let mut s = String::new();
-    let mut chars = sql[start + 1..].char_indices().peekable();
-    while let Some((off, c)) = chars.next() {
-        if c == quote {
-            if doubled_escape || quote != '\'' {
-                // `''` inside a string (or `""`/`` `` `` inside identifiers)
-                if let Some(&(_, next)) = chars.peek() {
-                    if next == quote {
-                        chars.next();
-                        s.push(quote);
-                        continue;
-                    }
-                }
-            }
-            return Ok((s, start + 1 + off + quote.len_utf8()));
+/// The text quoted by the ASCII quote at `start`, and the offset past its
+/// closing quote. A doubled quote inside (`''` in a string, `""` or
+/// `` `` `` in an identifier) stands for one; only such a text is copied.
+fn read_quoted(sql: &str, start: usize) -> SqlResult<(Cow<'_, str>, usize)> {
+    let bytes = sql.as_bytes();
+    let quote = bytes[start];
+    let body = start + 1;
+    let mut resolved: Option<String> = None;
+    // `at` and `copied` stay on character boundaries: a UTF-8 sequence
+    // holds no ASCII byte
+    let mut copied = body;
+    let mut from = body;
+    while let Some(at) = bytes[from..].iter().position(|&b| b == quote).map(|k| from + k) {
+        if bytes.get(at + 1) == Some(&quote) {
+            resolved.get_or_insert_with(String::new).push_str(&sql[copied..=at]);
+            copied = at + 2;
+            from = at + 2;
+            continue;
         }
-        s.push(c);
+        let text = match resolved {
+            None => Cow::Borrowed(&sql[body..at]),
+            Some(mut s) => {
+                s.push_str(&sql[copied..at]);
+                Cow::Owned(s)
+            }
+        };
+        return Ok((text, at + 1));
     }
-    Err(SqlError::Lex { pos: start, msg: format!("unterminated {quote} quote") })
+    Err(SqlError::Lex { pos: start, msg: format!("unterminated {} quote", quote as char) })
 }
 
-fn read_number(sql: &str, start: usize) -> SqlResult<(TokenKind, usize)> {
+fn read_number(sql: &str, start: usize) -> SqlResult<(TokenKind<'static>, usize)> {
     let bytes = sql.as_bytes();
     let mut i = start;
     let mut is_real = false;
@@ -268,7 +275,7 @@ fn read_number(sql: &str, start: usize) -> SqlResult<(TokenKind, usize)> {
 mod tests {
     use super::*;
 
-    fn kinds(sql: &str) -> Vec<TokenKind> {
+    fn kinds(sql: &str) -> Vec<TokenKind<'_>> {
         tokenize(sql).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -292,6 +299,28 @@ mod tests {
     fn string_escapes() {
         let k = kinds("'it''s'");
         assert_eq!(k[0], TokenKind::Str("it's".into()));
+    }
+
+    /// A name or a string borrows its text from the SQL unless a doubled
+    /// quote inside it had to be resolved, and prints as it always did:
+    /// error messages show a token's `Debug` text.
+    #[test]
+    fn text_is_borrowed_unless_a_doubled_quote_is_resolved() {
+        let sql = "SELECT `a b`, \"c\", [d e], 'f', 'it''s', \"x\"\"y\", `p``q`, ''''";
+        let borrowed: Vec<bool> = kinds(sql)
+            .iter()
+            .filter_map(|k| match k {
+                TokenKind::Ident(s, _) | TokenKind::Str(s) => Some(matches!(s, Cow::Borrowed(_))),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(borrowed, [true, true, true, true, true, false, false, false, false]);
+        let texts: Vec<String> = kinds(sql).iter().map(|k| format!("{k:?}")).collect();
+        assert_eq!(texts[0], r#"Ident("SELECT", false)"#);
+        assert_eq!(texts[9], r#"Str("it's")"#);
+        assert_eq!(texts[11], r#"Ident("x\"y", true)"#);
+        assert_eq!(texts[13], r#"Ident("p`q", true)"#);
+        assert_eq!(texts[15], r#"Str("'")"#);
     }
 
     #[test]
@@ -343,12 +372,15 @@ mod tests {
     /// is a loop that never returns and allocates as it spins, so a missed
     /// deadline takes the test process down instead of leaving that
     /// thread running behind a failed assertion.
-    fn tokenize_within_deadline(sql: &str) -> SqlResult<Vec<Token>> {
+    fn tokenize_within_deadline(sql: &str) -> SqlResult<Vec<Token<'_>>> {
         let (tx, rx) = std::sync::mpsc::channel();
         let owned = sql.to_owned();
-        std::thread::spawn(move || tx.send(tokenize(&owned)));
+        // the tokens borrow the thread's copy: it sends back whether it
+        // returned, and a run that returned once returns again here
+        std::thread::spawn(move || tx.send(tokenize(&owned).map(drop)));
         match rx.recv_timeout(std::time::Duration::from_secs(1)) {
-            Ok(result) => result,
+            Ok(Ok(())) => tokenize(sql),
+            Ok(Err(e)) => Err(e),
             Err(_) => {
                 // straight to stderr: the harness's capture dies with the process
                 use std::io::Write as _;
@@ -361,7 +393,7 @@ mod tests {
     /// Termination, and the shape of whatever comes back: at most one
     /// token per byte plus `Eof`, at increasing character boundaries — or
     /// a `Lex` error at one.
-    fn assert_bounded(sql: &str) -> SqlResult<Vec<Token>> {
+    fn assert_bounded(sql: &str) -> SqlResult<Vec<Token<'_>>> {
         let result = tokenize_within_deadline(sql);
         match &result {
             Ok(tokens) => {

@@ -112,7 +112,7 @@ impl<M: WalMedia> Store<M> {
         self.db
             .execute_script(sql)
             .map_err(|e| StoreError::corrupt(format!("execute: {e}")))?;
-        self.wal.append_stmt(sql)?;
+        self.wal.append_stmt(sql);
         Ok(())
     }
 

@@ -310,20 +310,26 @@ pub fn replay_into(
 }
 
 /// One committed transaction recovered by a structural scan: its commit
-/// sequence number and the statements it carried, in log order.
+/// sequence number and the statements it carried, in log order, borrowed
+/// from the scanned bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScannedTxn {
+pub struct ScannedTxn<'a> {
     /// The transaction's commit sequence number.
     pub seq: u64,
     /// The SQL statements committed, in append order.
-    pub stmts: Vec<String>,
+    pub stmts: Vec<&'a str>,
+    /// Where its statement records and commit record lie in the scanned
+    /// bytes, when nothing else lies among them: `None` when an fsync mark
+    /// does (a log whose writer appended a statement at a time), or for a
+    /// transaction that was not scanned.
+    pub records: Option<std::ops::Range<usize>>,
 }
 
 /// What [`scan_records`] recovered from a record region.
 #[derive(Debug, Default, Clone)]
-pub struct TxnScan {
+pub struct TxnScan<'a> {
     /// Fully committed transactions, in log order.
-    pub txns: Vec<ScannedTxn>,
+    pub txns: Vec<ScannedTxn<'a>>,
     /// Offset just past the last intact commit record — the prefix that
     /// is safe to ship or apply.
     pub committed_offset: u64,
@@ -337,24 +343,33 @@ pub struct TxnScan {
 /// Structurally scan the record region of a WAL-framed byte stream
 /// (bytes from `start` onward use the shared
 /// `[kind][len][payload][crc32]` framing) into committed transactions,
-/// without executing anything.
+/// without executing anything. Statements are borrowed from `buf`, and
+/// each transaction says where its records lie, so a shipper can copy
+/// them instead of encoding them again.
 ///
 /// This is the replication shipper's and follower's view of a log: only
 /// statements covered by an intact commit record are returned, scanning
 /// stops at the first torn or corrupt record, and trailing statements
 /// without a commit are reported as tail bytes — so a torn segment tail
 /// can never invent a transaction the writer did not finish.
-pub fn scan_records(buf: &[u8], start: usize) -> TxnScan {
+pub fn scan_records(buf: &[u8], start: usize) -> TxnScan<'_> {
     let mut scan = TxnScan { committed_offset: start.min(buf.len()) as u64, ..TxnScan::default() };
     let mut pos = start;
-    let mut pending: Vec<String> = Vec::new();
+    let mut pending: Vec<&str> = Vec::new();
+    // where the open transaction's first record starts, and whether an
+    // fsync mark has come after it
+    let mut first: Option<usize> = None;
+    let mut marked = false;
     loop {
         match parse_record(buf, pos) {
             Ok(None) => break,
             Ok(Some((rec, next))) => {
                 match rec {
                     Parsed::Stmt(sql) => match std::str::from_utf8(sql) {
-                        Ok(text) => pending.push(text.to_owned()),
+                        Ok(text) => {
+                            pending.push(text);
+                            first.get_or_insert(pos);
+                        }
                         Err(_) => {
                             scan.finding =
                                 Some(format!("non-UTF-8 statement at offset {pos}"));
@@ -362,10 +377,12 @@ pub fn scan_records(buf: &[u8], start: usize) -> TxnScan {
                         }
                     },
                     Parsed::Commit(seq) => {
-                        scan.txns.push(ScannedTxn { seq, stmts: std::mem::take(&mut pending) });
+                        let from = first.take().unwrap_or(pos);
+                        let records = (!std::mem::take(&mut marked)).then_some(from..next);
+                        scan.txns.push(ScannedTxn { seq, stmts: std::mem::take(&mut pending), records });
                         scan.committed_offset = next as u64;
                     }
-                    Parsed::Fsync => {}
+                    Parsed::Fsync => marked |= first.is_some(),
                 }
                 pos = next;
             }
@@ -529,12 +546,10 @@ impl<M: WalMedia> Wal<M> {
     /// Add one statement record to the open transaction. It is buffered,
     /// not written: it reaches the log with the transaction's commit
     /// record, in the one append of [`Wal::commit_deferred`] or
-    /// [`Wal::commit`], so this never touches the media and cannot fail
-    /// on it.
-    pub fn append_stmt(&mut self, sql: &str) -> std::io::Result<()> {
+    /// [`Wal::commit`], so this never touches the media and cannot fail.
+    pub fn append_stmt(&mut self, sql: &str) {
         encode_into(&mut self.txn, REC_STMT, sql.as_bytes());
         self.pending_stmts += 1;
-        Ok(())
     }
 
     /// Append the buffered statements and a commit record for the next
@@ -710,8 +725,8 @@ mod tests {
     fn commit_then_replay_restores_rows() {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (2, 'b')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (1, 'a')");
+        wal.append_stmt("INSERT INTO t VALUES (2, 'b')");
         assert_eq!(wal.pending_stmts(), 2);
         assert_eq!(wal.commit().unwrap(), 1);
         let media = wal.media.clone();
@@ -732,17 +747,17 @@ mod tests {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
         for i in 1..=50 {
-            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'v{i}')")).unwrap();
+            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'v{i}')"));
         }
         // 40 `=` and 39 `OR`
         let ors = (1..=40).map(|i| format!("id = {i}")).collect::<Vec<_>>().join(" OR ");
-        wal.append_stmt(&format!("DELETE FROM t WHERE {ors}")).unwrap();
+        wal.append_stmt(&format!("DELETE FROM t WHERE {ors}"));
         // 50 arms of two `=` and an `AND` each
         let arms = (1..=50)
             .map(|i| format!("WHEN id = {i} AND v = 'v{i}' THEN 'w{i}'"))
             .collect::<Vec<_>>()
             .join(" ");
-        wal.append_stmt(&format!("UPDATE t SET v = CASE {arms} END")).unwrap();
+        wal.append_stmt(&format!("UPDATE t SET v = CASE {arms} END"));
         wal.commit().unwrap();
 
         let mut fresh = base_db();
@@ -756,7 +771,7 @@ mod tests {
     fn uncommitted_tail_is_dropped_and_truncated() {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (1, 'a')");
         wal.commit().unwrap();
         // a commit whose write tore after its statement: the statement
         // is on the media, its commit record is not
@@ -782,7 +797,7 @@ mod tests {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
         wal.fsync_mark().unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (1, 'a')");
         wal.commit().unwrap();
         wal.fsync_mark().unwrap();
         let a = audit(&wal.media.buf);
@@ -800,10 +815,10 @@ mod tests {
     fn corrupt_record_stops_replay_at_committed_prefix() {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (1, 'a')");
         wal.commit().unwrap();
         let good_end = wal.end() as usize;
-        wal.append_stmt("INSERT INTO t VALUES (2, 'b')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (2, 'b')");
         wal.commit().unwrap();
         let mut media = wal.media.clone();
         media.buf[good_end + 2] ^= 0xFF; // corrupt txn 2's statement record
@@ -818,7 +833,7 @@ mod tests {
     fn reset_empties_the_log() {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (1, 'a')");
         wal.commit().unwrap();
         wal.reset().unwrap();
         assert_eq!(wal.end(), WAL_HEADER);
@@ -866,9 +881,9 @@ mod tests {
     fn replay_skips_commits_the_base_already_folded_in() {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (1, 'a')");
         wal.commit().unwrap(); // seq 1
-        wal.append_stmt("INSERT INTO t VALUES (2, 'b')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (2, 'b')");
         wal.commit().unwrap(); // seq 2
         // base snapshot folded in seq 1: replay must apply only seq 2
         let mut fresh = base_db();
@@ -910,7 +925,7 @@ mod tests {
         let mut db = base_db();
         let media = FlakyMedia::default();
         let (mut wal, _) = Wal::open(media, &mut db, 0).unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (1, 'a')");
         wal.media_mut().fail_append = true;
         assert!(wal.commit().is_err());
         assert_eq!(wal.seq(), 0, "failed append must not consume a sequence number");
@@ -933,10 +948,10 @@ mod tests {
         let (mut run, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
         for i in 1..=3u64 {
             let sql = format!("INSERT INTO t VALUES ({i}, 'x')");
-            each.append_stmt(&sql).unwrap();
+            each.append_stmt(&sql);
             assert_eq!(each.commit().unwrap(), i);
             assert_eq!(each.synced_seq(), i, "a commit is the run of one");
-            run.append_stmt(&sql).unwrap();
+            run.append_stmt(&sql);
             assert_eq!(run.commit_deferred().unwrap(), i);
             assert_eq!((run.seq(), run.synced_seq(), run.pending_stmts()), (i, 0, 0));
         }
@@ -958,7 +973,7 @@ mod tests {
         counts(&mut wal);
         // statements alone write nothing
         for i in 1..=5 {
-            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')")).unwrap();
+            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')"));
         }
         assert_eq!((counts(&mut wal), wal.end()), ((0, 0), WAL_HEADER));
         // N statements and their commit: one append, one sync
@@ -966,8 +981,8 @@ mod tests {
         assert_eq!(counts(&mut wal), (1, 1));
         // k deferred commits and the sync that ends the run: k appends, one sync
         for i in 6..=8 {
-            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')")).unwrap();
-            wal.append_stmt(&format!("UPDATE t SET v = 'y' WHERE id = {i}")).unwrap();
+            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')"));
+            wal.append_stmt(&format!("UPDATE t SET v = 'y' WHERE id = {i}"));
             wal.commit_deferred().unwrap();
         }
         assert_eq!(wal.sync_run().unwrap(), 4);
@@ -982,14 +997,14 @@ mod tests {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(FlakyMedia::default(), &mut db, 0).unwrap();
         for i in 1..=2 {
-            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')")).unwrap();
+            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')"));
             wal.commit_deferred().unwrap();
         }
         wal.media_mut().fail_sync = true;
         assert!(wal.sync_run().is_err());
         assert_eq!((wal.seq(), wal.synced_seq()), (2, 0), "the run is still only appended");
         // a commit that ends the run and fails takes back itself alone
-        wal.append_stmt("INSERT INTO t VALUES (3, 'x')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (3, 'x')");
         let end = wal.end();
         wal.media_mut().fail_sync = true;
         assert!(wal.commit().is_err());
@@ -1009,7 +1024,7 @@ mod tests {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
         for i in 1..=4 {
-            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')")).unwrap();
+            wal.append_stmt(&format!("INSERT INTO t VALUES ({i}, 'x')"));
             wal.commit().unwrap();
         }
         // base folded in seqs 1..=3: the report pins the exact range
@@ -1035,11 +1050,11 @@ mod tests {
     fn scan_records_recovers_txns_and_never_invents_a_tail() {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (2, 'b')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (1, 'a')");
+        wal.append_stmt("INSERT INTO t VALUES (2, 'b')");
         wal.commit().unwrap();
         wal.fsync_mark().unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (3, 'c')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (3, 'c')");
         wal.commit().unwrap();
         // a torn commit write: the statement reached the media, its
         // commit record did not
@@ -1049,7 +1064,27 @@ mod tests {
         assert_eq!(scan.txns[0].seq, 1);
         assert_eq!(scan.txns[0].stmts.len(), 2);
         assert_eq!(scan.txns[1].seq, 2);
-        assert_eq!(scan.txns[1].stmts, vec!["INSERT INTO t VALUES (3, 'c')".to_owned()]);
+        assert_eq!(scan.txns[1].stmts, ["INSERT INTO t VALUES (3, 'c')"]);
+        // each transaction's records lie together, the fsync mark between
+        // them outside both
+        let records: Vec<_> = scan.txns.iter().map(|t| t.records.clone().unwrap()).collect();
+        assert_eq!(records[0].start, WAL_HEADER as usize);
+        let mark = encode_record(REC_FSYNC, &1u64.to_le_bytes());
+        assert_eq!(records[1].start, records[0].end + mark.len());
+        let txn = |stmts: &[&str], seq: u64| {
+            let mut out: Vec<u8> = stmts.iter().flat_map(|s| encode_record(REC_STMT, s.as_bytes())).collect();
+            out.extend(encode_record(REC_COMMIT, &seq.to_le_bytes()));
+            out
+        };
+        assert_eq!(wal.media.buf[records[1].clone()], txn(&["INSERT INTO t VALUES (3, 'c')"], 2));
+        // a mark among a transaction's records (a log written a statement
+        // at a time) leaves it without a range
+        let mut interleaved = WAL_MAGIC.to_vec();
+        interleaved.extend(encode_record(REC_STMT, b"A"));
+        interleaved.extend(&mark);
+        interleaved.extend(txn(&["B"], 1));
+        let split = scan_records(&interleaved, WAL_HEADER as usize);
+        assert_eq!((split.txns[0].stmts.as_slice(), split.txns[0].records.clone()), (&["A", "B"][..], None));
         assert!(scan.tail_bytes > 0, "orphan statement is tail, not a transaction");
         assert!(scan.finding.is_none(), "clean tail is not a finding");
         // truncate mid-record at every byte: committed prefix only shrinks
@@ -1068,7 +1103,7 @@ mod tests {
     fn audit_flags_corruption_with_offset() {
         let mut db = base_db();
         let (mut wal, _) = Wal::open(MemMedia::default(), &mut db, 0).unwrap();
-        wal.append_stmt("INSERT INTO t VALUES (1, 'a')").unwrap();
+        wal.append_stmt("INSERT INTO t VALUES (1, 'a')");
         wal.commit().unwrap();
         let mut buf = wal.media.buf.clone();
         buf[WAL_HEADER as usize] = 99; // unknown record kind

@@ -70,13 +70,13 @@ fn wal_commit_seqs_gap_free_under_concurrent_committers() {
             let wal = wal.clone();
             thread::spawn(move || {
                 let mut w = wal.lock();
-                w.append_stmt("INSERT INTO t VALUES (2)").unwrap();
+                w.append_stmt("INSERT INTO t VALUES (2)");
                 w.commit().unwrap()
             })
         };
         let mine = {
             let mut w = wal.lock();
-            w.append_stmt("INSERT INTO t VALUES (1)").unwrap();
+            w.append_stmt("INSERT INTO t VALUES (1)");
             w.commit().unwrap()
         };
         let theirs = other.join().unwrap();
@@ -110,7 +110,7 @@ fn wal_deferred_run_and_commit_share_one_sequence_and_one_watermark() {
             let wal = wal.clone();
             thread::spawn(move || {
                 let mut w = wal.lock();
-                w.append_stmt("INSERT INTO t VALUES (3)").unwrap();
+                w.append_stmt("INSERT INTO t VALUES (3)");
                 let seq = w.commit().unwrap();
                 assert_eq!(w.synced_seq(), seq, "a commit's sync covers the run before it");
                 seq
@@ -119,7 +119,7 @@ fn wal_deferred_run_and_commit_share_one_sequence_and_one_watermark() {
         let mut mine = Vec::new();
         for i in 1..=2 {
             let mut w = wal.lock();
-            w.append_stmt(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+            w.append_stmt(&format!("INSERT INTO t VALUES ({i})"));
             mine.push(w.commit_deferred().unwrap());
             assert!(w.synced_seq() < w.seq(), "a deferred commit is not yet synced");
         }

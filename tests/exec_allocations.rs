@@ -1,4 +1,5 @@
-//! Allocation census of the SQL engine on the gold admission path.
+//! Allocation census of the SQL engine on the gold admission path and on
+//! the write path.
 //!
 //! A counting global allocator, counted per thread, attributes every heap
 //! allocation to the phase that made it: parsing a gold statement, binding
@@ -8,18 +9,31 @@
 //! statements that allocate most to run, and what `datagen::generate`
 //! allocates in total, then gates the run phase's mean.
 //!
+//! The write census counts what one INSERT, UPDATE by key and DELETE by key
+//! costs from text to applied row through `Database::execute_script` — the
+//! call a primary's `Store::execute`, a follower's apply and WAL replay make
+//! per statement — on a 1,000-row keyed table, split into parsing and
+//! applying, and gates each kind's mean.
+//!
 //! Run it with `cargo test -q --test exec_allocations -- --nocapture` to
-//! see the table.
+//! see the tables.
 
 use datagen::{generate, Profile};
 use sqlkit::ast::{SelectCore, SelectItem, SelectStmt};
 use sqlkit::Expr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Write as _;
 
 /// Mean allocations a gold statement may make to run. On 5665179, whose
 /// executor cloned every tuple it passed on, this census read 615.
 const RUN_BUDGET: f64 = 120.0;
+
+/// Mean allocations one write statement may make from text to applied
+/// row, by kind. On 0867837, whose tokens owned their text and whose
+/// UPDATE/DELETE cloned the statement and built the table's layout twice,
+/// this census read 18, 58 and 47.
+const WRITE_BUDGETS: [(&str, f64); 3] = [("INSERT", 10.0), ("UPDATE by key", 35.0), ("DELETE by key", 28.0)];
 
 struct Counting;
 
@@ -170,4 +184,56 @@ fn gold_statements_allocate_within_the_run_budget() {
         run <= RUN_BUDGET,
         "a gold statement allocates {run:.1} times to run, budget {RUN_BUDGET}"
     );
+}
+
+/// The write workload's table, seeded with `rows` rows.
+fn keyed_table(rows: u64) -> sqlkit::Database {
+    let mut db = sqlkit::Database::new("writes");
+    let mut script =
+        "CREATE TABLE bench_events (id INTEGER PRIMARY KEY, kind TEXT, amount REAL, note TEXT);".to_owned();
+    for id in 1..=rows {
+        let _ = write!(script, "INSERT INTO bench_events VALUES ({id}, 'kind{}', {}.25, 'note {id}');", id % 8, id % 997);
+    }
+    db.execute_script(&script).expect("the seed script runs");
+    db
+}
+
+#[test]
+fn write_statements_allocate_within_their_budgets() {
+    const ROWS: u64 = 1000;
+    const EACH: u64 = 200;
+    let mut db = keyed_table(ROWS);
+    // the key index is built on first use; the census counts the steady state
+    db.execute_script("UPDATE bench_events SET amount = 0.5 WHERE id = 1").unwrap();
+    assert!(db.index("bench_events", "id").is_some(), "the key is indexed");
+    let mut kinds = [Tally::default(); WRITE_BUDGETS.len()];
+    for i in 0..EACH {
+        let texts = [
+            format!("INSERT INTO bench_events VALUES ({}, 'kind{}', {}.75, 'note {i}')", ROWS + 1 + i, i % 8, i),
+            format!("UPDATE bench_events SET amount = {}.50, note = 'edit {i}' WHERE id = {}", i % 991, 1 + i * 7 % ROWS),
+            format!("DELETE FROM bench_events WHERE id = {}", 2 + i * 3),
+        ];
+        for (kind, sql) in texts.iter().enumerate() {
+            let (parse, stmts) = counted(|| sqlkit::parse_script(sql));
+            drop(stmts.expect("a write statement parses"));
+            let (total, applied) = counted(|| db.execute_script(sql));
+            applied.unwrap_or_else(|e| panic!("{sql}: {e}"));
+            kinds[kind].add(parse, 0, total - parse);
+        }
+    }
+    assert_eq!(
+        db.rows("bench_events").unwrap().len() as u64,
+        ROWS,
+        "every INSERT added a row and every DELETE removed one"
+    );
+    println!("allocations a write statement through Database::execute_script, {ROWS}-row keyed table");
+    println!("{:<14} {:>6} {:>9} {:>9} {:>9}", "kind", "stmts", "parse", "apply", "total");
+    for ((name, _), tally) in WRITE_BUDGETS.iter().zip(&kinds) {
+        let (parse, apply) = (tally.mean(tally.parse), tally.mean(tally.run));
+        println!("{name:<14} {:>6} {parse:>9.1} {apply:>9.1} {:>9.1}", tally.statements, parse + apply);
+    }
+    for ((name, budget), tally) in WRITE_BUDGETS.iter().zip(&kinds) {
+        let total = tally.mean(tally.parse + tally.run);
+        assert!(total <= *budget, "{name} allocates {total:.1} times from text to row, budget {budget}");
+    }
 }
