@@ -52,7 +52,10 @@ cargo test -q --test exec_allocations -- --nocapture # allocation gate: a gold s
                                  # keyed table make at most 10, 35 and 28 allocations from
                                  # text to applied row (18, 58 and 47 on 0867837, whose
                                  # tokens owned their text and whose DML cloned its
-                                 # statement), printed split into parse and apply
+                                 # statement), printed split into parse and apply. And the
+                                 # front end: binding a parsed gold statement's copy with
+                                 # its analysis and lowering it make at most 80 on average
+                                 # (106.4 on 3b37f3b, which analysed in a walk of its own)
 
 # One executor, structurally: the names of the deleted interpreter and of
 # the per-statement switch that chose it must not come back.
@@ -106,6 +109,11 @@ cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight,
 non_test_code() { # a source file up to its test module, comment lines dropped
     awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1" | grep -v '^[[:space:]]*//'
 }
+need() { # a guard over these files fails, not passes, when one is gone
+    for f in "$@"; do
+        [ -f "$f" ] || { echo "ci: $f, which a guard reads, is missing" >&2; exit 1; }
+    done
+}
 # One expression parser, structurally: tokens borrow the SQL and the parser
 # reads them in place (no `peek().clone()`), and an expression is one
 # precedence-climbing loop over a binding-power table, so the per-level
@@ -129,14 +137,18 @@ cargo test -q --test dml_index_upkeep # write-path gate: a seeded 120 x 32 INSER
                                  # DELETE plans an IxScan, and a reopen (WAL replay) and a
                                  # follower dump byte-identically to the primary
 # One front end per beam, structurally: outside tests, refinement.rs and
-# alignment.rs parse a text at one site and analyse it at one site, both in
-# the beam's entry (`Beam::front`; a parse failure is the E0001 analysis
-# through `Analysis::parse_error`), never through `analyze_sql`, which would
-# parse it again. Alignment, the gate, the plan cache's miss path and the
-# correction prompt read that entry, so the per-text parse probe and
-# alignment's own parse finding must not come back.
+# alignment.rs parse a text at one site and bind it at one site, both in
+# the beam's entry (`Beam::front`; `sqlkit::bind` binds a copy and returns
+# its analysis, a parse failure is the E0001 analysis through
+# `Analysis::parse_error`), never through `sqlkit::analyze`, which would
+# bind it a second time, or `analyze_sql`, which would parse it again.
+# Alignment, the gate, the plan cache's miss path (which only lowers the
+# entry's bound statement) and the correction prompt read that entry, so
+# the per-text parse probe and alignment's own parse finding must not come
+# back.
+need crates/core/src/refinement.rs crates/core/src/alignment.rs
 front_code="$(non_test_code crates/core/src/refinement.rs; non_test_code crates/core/src/alignment.rs)"
-for want in 'parse_select(:1' 'sqlkit::analyze(:1' 'analyze_sql(:0'; do
+for want in 'parse_select(:1' 'sqlkit::bind(:1' 'sqlkit::analyze(:0' 'analyze_sql(:0'; do
     sites="$(printf '%s\n' "$front_code" | grep -cF "${want%:*}" || true)"
     if [ "$sites" != "${want##*:}" ]; then
         echo "ci: ${want%:*} has $sites non-test sites in crates/core/src/{refinement,alignment}.rs, want ${want##*:}" >&2
@@ -177,8 +189,8 @@ if grep -rnE 'certain_error|certain_rejection|Stop::Hazard|without_analyze_gate|
     echo "ci: the analyzer's certainty replay, its knob or the lint registry is back under crates/" >&2
     exit 1
 fi
-# One scope resolver, structurally: the analyzer, the binder and the
-# executor build layouts, expand `*` and look columns up through
+# One scope resolver, structurally: the binder and the executor's plans
+# build layouts, expand `*` and look columns up through
 # crates/sqlkit/src/scope.rs, so the analyzer's own bindings and resolver,
 # the binder's static copy and the executor's private lookup must not come
 # back; one module (functions.rs, beside `call_scalar`) knows which
@@ -186,6 +198,16 @@ fi
 # findings from the beam's gate instead of analysing the answer again.
 if grep -rnE 'struct Binding\b|enum Res\b|fn resolve_in\b|fn static_resolve\b|fn resolve\(' crates/sqlkit/src; then
     echo "ci: a second column resolver is back in crates/sqlkit/src" >&2
+    exit 1
+fi
+# The binder is the analyzer, structurally: the binder files the findings
+# at the lookups and nodes of its one walk (prepare.rs), so outside tests
+# analyze.rs keeps no walk of scopes of its own — no `Checker`, no
+# `Scope`/`FromTable`, no call into scope.rs, no alias substitution.
+need crates/sqlkit/src/analyze.rs
+if non_test_code crates/sqlkit/src/analyze.rs \
+    | grep -nE '\bChecker\b|struct (Scope|FromTable)\b|scope::[a-z_]+\(|\b(push_table|push_labels|expand_items|lookup|substitute_aliases)\('; then
+    echo "ci: crates/sqlkit/src/analyze.rs walks the statement's scopes itself again" >&2
     exit 1
 fi
 for needle in 'fn scalar_arity\b' '(const|static) KNOWN_FUNCTIONS\b'; do
@@ -427,7 +449,9 @@ done
 #                         and the analyzer's cases ≡ the digest recorded on
 #                         a1271d1; their bound statements ≡ a second digest,
 #                         re-recorded when the binder took JOIN ON, unresolvable
-#                         names and separators (only such statements moved);
+#                         names and separators, and again when it began binding
+#                         cores behind an unknown FROM table (only such
+#                         statements moved);
 #                         every name error execution raises is an E0102 / E0103
 #                         with the same sentence
 #   trace_shape           trace-determinism gate: two identical runs render

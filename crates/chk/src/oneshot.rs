@@ -89,16 +89,4 @@ impl<T> Receiver<T> {
             }
         }
     }
-
-    /// Non-blocking probe: the value, if already delivered.
-    pub fn try_recv(&self) -> Option<T> {
-        let mut slot = self.shared.slot.lock();
-        match std::mem::replace(&mut *slot, Slot::Empty) {
-            Slot::Value(v) => Some(v),
-            other => {
-                *slot = other;
-                None
-            }
-        }
-    }
 }

@@ -25,9 +25,9 @@ use crate::retrieval::ValueHit;
 use llmsim::proto;
 use llmsim::{ChatRequest, LanguageModel};
 use osql_trace::{active, QueryTrace};
-use sqlkit::{parse_select, plan_cache, Analysis, ResultSet, SelectStmt, SqlError};
+use sqlkit::{parse_select, plan_cache, Analysis, Bound, ResultSet, SelectStmt, SqlError};
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -201,12 +201,14 @@ impl<T> Shared<T> {
 }
 
 /// What the front end made of one text: its statement, or why it did not
-/// parse, and its analysis against the beam's schema (a parse failure is
-/// the `E0001` analysis).
+/// parse, and the one bind of a copy against the beam's schema — the bound
+/// statement, until the gate hands it to the plan cache, and its analysis
+/// (a parse failure is the `E0001` analysis).
 struct Front {
     stmt: Result<SelectStmt, SqlError>,
+    bound: Cell<Option<Bound>>,
     analysis: Analysis,
-    /// What the parse and the analysis took, in ms.
+    /// What the parse and the bind took, in ms.
     ms: f64,
 }
 
@@ -339,7 +341,8 @@ impl<'a> Beam<'a> {
     }
 
     /// The front end's entry for `text`: looked up, else made now — the
-    /// beam's one parse of the text and its one analysis.
+    /// beam's one parse of the text and its one bind, which is its
+    /// analysis.
     fn front(&self, text: &str) -> Rc<Front> {
         let mut fronts = self.fronts.borrow_mut();
         if let Some(front) = fronts.get(text) {
@@ -347,11 +350,15 @@ impl<'a> Beam<'a> {
         }
         let t0 = Instant::now();
         let stmt = parse_select(text);
-        let analysis = match &stmt {
-            Ok(stmt) => sqlkit::analyze(&self.db.database.schema, stmt),
-            Err(e) => Analysis::parse_error(text, e),
+        let (bound, analysis) = match &stmt {
+            Ok(stmt) => {
+                let (bound, analysis) = sqlkit::bind(&self.db.database.schema, stmt);
+                (Some(bound), analysis)
+            }
+            Err(e) => (None, Analysis::parse_error(text, e)),
         };
-        let front = Front { stmt, analysis, ms: t0.elapsed().as_secs_f64() * 1e3 };
+        let bound = Cell::new(bound);
+        let front = Front { stmt, bound, analysis, ms: t0.elapsed().as_secs_f64() * 1e3 };
         Rc::clone(fronts.entry(text.to_owned()).or_insert(Rc::new(front)))
     }
 
@@ -423,8 +430,12 @@ impl<'a> Beam<'a> {
             );
             let codes = analysis.diagnostics.iter().map(|d| d.code.clone()).collect();
             let t0 = Instant::now();
+            // a text is gated once per beam, so a plan-cache miss finds
+            // the front's bound statement still there to lower
             let run = match &front.stmt {
-                Ok(stmt) => plan_cache().execute_with(&self.db.database, sql, || Ok(stmt.clone())),
+                Ok(_) => plan_cache().execute_with(&self.db.database, sql, || {
+                    Ok(front.bound.take().expect("a text is gated once per beam"))
+                }),
                 Err(e) => Err(e.clone()),
             };
             let (result, cost) = match run {

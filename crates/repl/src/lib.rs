@@ -50,7 +50,6 @@ pub use ship::{read_manifest, ship_store, ship_wal, ShipReport, BASE_NAME};
 pub use state::{DbReplStatus, ReplState};
 
 use osql_store::StoreError;
-use std::path::Path;
 
 /// Any failure in the replication layer.
 #[derive(Debug)]
@@ -124,33 +123,4 @@ impl From<StoreError> for ReplError {
     fn from(e: StoreError) -> Self {
         ReplError::Store(e)
     }
-}
-
-/// A store's durable replication position, read without loading any row
-/// data: the base snapshot's `base_seq` plus a structural scan of the
-/// sidecar WAL. `last_commit_seq` is the position operators compare
-/// between primary and follower.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Position {
-    /// Last WAL commit folded into the base file (TOC `base_seq`).
-    pub base_seq: u64,
-    /// Last durable commit overall: the WAL's last commit sequence, or
-    /// `base_seq` when the log holds none.
-    pub last_commit_seq: u64,
-    /// Bytes currently in the sidecar WAL (0 when absent).
-    pub wal_bytes: u64,
-}
-
-/// Read the durable [`Position`] of the store at `path` (base TOC +
-/// structural WAL scan; no statements are executed).
-pub fn store_position(path: &Path) -> Result<Position, ReplError> {
-    let toc = osql_store::read_toc(path)?;
-    let mut pos =
-        Position { base_seq: toc.base_seq, last_commit_seq: toc.base_seq, wal_bytes: 0 };
-    if let Ok(buf) = std::fs::read(osql_store::wal_path(path)) {
-        pos.wal_bytes = buf.len() as u64;
-        let audit = osql_store::audit(&buf);
-        pos.last_commit_seq = pos.last_commit_seq.max(audit.last_commit_seq);
-    }
-    Ok(pos)
 }

@@ -1,20 +1,30 @@
 //! Schema-aware semantic analysis of SELECT statements.
 //!
-//! [`analyze`] runs three passes over a parsed statement and returns an
-//! [`Analysis`]:
+//! The analyzer is the binder: [`bind`] binds a copy of a parsed statement
+//! ([`crate::prepare`]), and the binder files what it finds at the lookups
+//! it makes and the nodes it visits anyway, each node's findings before it
+//! binds or folds the node. This module says what a finding is and how it
+//! is worded ([`Findings`]); an [`Analysis`] holds, in discovery order:
 //!
-//! 1. **Name resolution** over the FROM layout, asking `crate::scope` —
-//!    the module the binder and the executor ask: `E0101` unknown table,
-//!    `E0102` unknown column, `E0103` ambiguous column (each worded as the
-//!    executor words its error), with did-you-mean help drawn from the
-//!    schema. Every failed resolution is also surfaced as a machine-readable
-//!    [`UnresolvedColumn`] so callers (the alignment agents) can remap
-//!    columns without re-walking the AST.
+//! 1. **Name resolution** over the FROM layout, asked of `crate::scope` —
+//!    the module the executor's plans are laid out by: `E0101` unknown
+//!    table, `E0102` unknown column, `E0103` ambiguous column (each worded
+//!    as the executor words its error), with did-you-mean help drawn from
+//!    the schema. Every failed resolution is also surfaced as a
+//!    machine-readable [`UnresolvedColumn`] so callers (the alignment
+//!    agents) can remap columns without re-walking the AST.
 //! 2. **Type/shape checks** (`E02xx`): aggregate misuse, incompatible
 //!    comparison operands, ORDER BY ordinals, set-operator arity, unknown
 //!    functions and arities.
-//! 3. **Lints** (`W03xx`): star in a scalar subquery, always-false literal
-//!    predicate, unused FROM table.
+//! 3. **Lints** (`W03xx`), after the binder's findings: star in a scalar
+//!    subquery and an always-false literal predicate, read off the
+//!    statement as written, then unused FROM tables, from the binder's
+//!    used-table bookkeeping.
+//!
+//! Per core the binder reports FROM and each ON, WHERE, the projection's
+//! expansion, GROUP BY, HAVING, the items, GROUP BY coverage and ORDER BY;
+//! then a compound statement's arms, their widths and its ORDER BY; then
+//! LIMIT and OFFSET.
 //!
 //! The analyzer *diagnoses*; it never predicts what execution will do. An
 //! error-severity finding can be data-dependent (a bad column in a per-row
@@ -22,19 +32,16 @@
 //! fails, and with which [`crate::error::SqlError`], is decided by running
 //! it.
 
-use crate::ast::{
-    BinOp, Expr, OrderItem, SelectCore, SelectItem, SelectStmt, TableRef, TypeName,
-};
+use crate::ast::{BinOp, Expr, OrderItem, SelectCore, SelectItem, SelectStmt, TableRef, TypeName};
 use crate::diag::{Diagnostic, Severity, Span};
 use crate::error::SqlError;
 use crate::exec::{contains_aggregate, eval_const};
-use crate::prepare::substitute_aliases;
 use crate::functions::{is_aggregate_name, scalar_arity, KNOWN_FUNCTIONS};
+use crate::prepare::{bind_select, Bound};
 use crate::printer::print_expr;
-use crate::schema::{DbSchema, TableInfo};
-use crate::scope::{self, ColBinding, Miss};
+use crate::schema::DbSchema;
+use crate::scope::{ColBinding, Miss};
 use crate::value::Value;
-use std::ops::Range;
 
 // ---------------- public API ----------------
 
@@ -95,16 +102,20 @@ pub struct UnresolvedColumn {
     pub suggestions: Vec<(Option<String>, String)>,
 }
 
-/// Analyze a parsed statement.
-pub fn analyze(schema: &DbSchema, stmt: &SelectStmt) -> Analysis {
-    let mut ck = Checker { schema, diags: Vec::new(), unresolved: Vec::new(), unused: Vec::new() };
-    let mut chain: Vec<Scope> = Vec::new();
-    ck.check_stmt(stmt, &mut chain);
-    let mut diagnostics = ck.diags;
+/// Bind a copy of a parsed statement against `schema`: the bound
+/// statement, ready to be lowered ([`Bound::lower`]), and its analysis.
+pub fn bind(schema: &DbSchema, stmt: &SelectStmt) -> (Bound, Analysis) {
+    let (bound, findings) = bind_select(schema, stmt.clone());
+    let Findings { mut diagnostics, unresolved, unused } = findings;
     lint_star_in_scalar_subquery(stmt, &mut diagnostics);
     lint_always_false_predicate(stmt, &mut diagnostics);
-    lint_unused_from_table(&ck.unused, &mut diagnostics);
-    Analysis { diagnostics, unresolved: ck.unresolved }
+    lint_unused_from_table(&unused, &mut diagnostics);
+    (bound, Analysis { diagnostics, unresolved })
+}
+
+/// Analyze a parsed statement: [`bind`] it and keep the analysis.
+pub fn analyze(schema: &DbSchema, stmt: &SelectStmt) -> Analysis {
+    bind(schema, stmt).1
 }
 
 /// Parse and analyze a SQL string. A parse failure becomes
@@ -116,51 +127,326 @@ pub fn analyze_sql(schema: &DbSchema, sql: &str) -> Analysis {
     }
 }
 
-// ---------------- scopes ----------------
+// ---------------- findings ----------------
 
-/// One core's FROM as the checker sees it: the layout every reader
-/// resolves against, and what the diagnostics need per table reference.
+/// What binding one statement found, in discovery order: the `E01xx` and
+/// `E02xx` diagnostics, the columns it could not resolve, and the FROM
+/// tables nothing read (`W0303`'s input). Filing nothing allocates nothing.
 #[derive(Default)]
-struct Scope<'a> {
-    layout: Vec<ColBinding>,
-    tables: Vec<FromTable<'a>>,
+pub(crate) struct Findings {
+    pub(crate) diagnostics: Vec<Diagnostic>,
+    pub(crate) unresolved: Vec<UnresolvedColumn>,
+    pub(crate) unused: Vec<(String, Span)>,
 }
 
-struct FromTable<'a> {
-    /// The name it is addressed by (alias, or the table name).
-    name: String,
-    /// The schema table behind it (None for FROM-subqueries).
-    info: Option<&'a TableInfo>,
-    /// Its slots in the layout.
-    slots: Range<usize>,
-    span: Span,
-    /// False when the table failed to resolve: it could hold any column,
-    /// so it poisons references instead of cascading.
-    known: bool,
-    used: bool,
-}
-
-impl Scope<'_> {
-    /// The index of the table `slot` belongs to.
-    fn owner(&self, slot: usize) -> Option<usize> {
-        self.tables.iter().position(|t| t.slots.contains(&slot))
+impl Findings {
+    fn error(&mut self, code: &str, span: Span, message: impl Into<String>) {
+        self.diagnostics.push(Diagnostic::error(code, span, message));
     }
 
-    /// Could an unknown table of this scope have held `table.column`?
-    fn poisons(&self, table: Option<&str>, column: &str) -> bool {
-        match table {
-            Some(t) => self.tables.iter().any(|b| !b.known && b.name.eq_ignore_ascii_case(t)),
+    /// `E0101`: `name` names no table of `schema`.
+    pub(crate) fn unknown_table(&mut self, schema: &DbSchema, name: &str, span: Span) {
+        let mut d = Diagnostic::error("E0101", span, format!("no such table: {name}"));
+        let tables = schema.tables.iter().map(|t| t.name.as_str());
+        if let Some(best) = closest(tables, name, 3) {
+            d = d.with_help(format!("did you mean {}?", tick(best)));
+        }
+        self.diagnostics.push(d);
+    }
+
+    /// `code` at the first aggregate call of `e`, if it holds one.
+    pub(crate) fn aggregate_in(&mut self, e: &Expr, code: &str, message: &str, help: Option<&str>) {
+        if contains_aggregate(e) {
+            let d = Diagnostic::error(code, first_aggregate_span(e), message);
+            self.diagnostics.push(match help {
+                Some(help) => d.with_help(help),
+                None => d,
+            });
+        }
+    }
+
+    /// `E0202`, `E0207`: an aggregate call inside the arguments of the
+    /// aggregate `in_agg`, or one with no argument.
+    pub(crate) fn aggregate_call(&mut self, name: &str, args: &[Expr], span: Span, in_agg: Option<&str>) {
+        if let Some(outer) = in_agg {
+            self.diagnostics.push(
+                Diagnostic::error("E0202", span, format!("nested aggregate in {outer}()"))
+                    .with_help("aggregate calls cannot contain other aggregates"),
+            );
+        }
+        let counts_rows = name == "count" && matches!(args.first(), None | Some(Expr::Wildcard));
+        if args.is_empty() && !counts_rows {
+            self.error("E0207", span, format!("{name}() needs an argument"));
+        }
+    }
+
+    /// `E0207`: no such scalar function, or not with `argc` arguments.
+    pub(crate) fn scalar_call(&mut self, name: &str, argc: usize, span: Span) {
+        match scalar_arity(name) {
             None => {
-                self.tables.iter().any(|b| !b.known)
-                    && !self.layout.iter().any(|s| s.column.eq_ignore_ascii_case(column))
+                let mut d = Diagnostic::error("E0207", span, format!("no such function: {name}"));
+                if let Some(best) = closest(KNOWN_FUNCTIONS.iter().copied(), name, 2) {
+                    d = d.with_help(format!("did you mean {}?", tick(best)));
+                }
+                self.diagnostics.push(d);
+            }
+            Some((lo, hi)) if argc < lo || argc > hi => {
+                // every bounded arity is one count or two adjacent ones
+                let want = if lo == hi { lo.to_string() } else { format!("{lo} or {hi}") };
+                self.error("E0207", span, format!("{name}() expects {want} argument(s), got {argc}"));
+            }
+            Some(_) => {}
+        }
+    }
+
+    /// `E0203`: a column of `ty` affinity compared with the literal `v`,
+    /// which under SQLite's strict dynamic typing never matches. Returns
+    /// whether it filed.
+    pub(crate) fn comparison(&mut self, ty: TypeName, span: Span, v: &Value) -> bool {
+        let mismatch = match ty {
+            TypeName::Integer | TypeName::Real => matches!(v, Value::Text(_)),
+            TypeName::Text => matches!(v, Value::Int(_) | Value::Real(_)),
+            TypeName::Blob => false,
+        };
+        if mismatch {
+            let (have, want) = match ty {
+                TypeName::Text => ("a numeric literal", "quoting the value"),
+                _ => ("a text literal", "removing the quotes"),
+            };
+            let message = format!(
+                "column of {} affinity compared with {have}; the comparison never matches",
+                ty.as_sql()
+            );
+            self.diagnostics.push(Diagnostic::error("E0203", span, message).with_help(format!("try {want}")));
+        }
+        mismatch
+    }
+
+    /// `E0204`: in a grouped query, a bare column of the projection item
+    /// `e` (as written) that is neither grouped on nor inside an aggregate
+    /// reads an arbitrary row.
+    pub(crate) fn group_coverage(&mut self, e: &Expr, group_by: &[Expr]) {
+        // Spans compare equal, so `==` here is structural modulo location.
+        if group_by.contains(e) {
+            return;
+        }
+        match e {
+            Expr::Function { name, args, .. } if is_aggregate_name(name, args.len()) => {}
+            Expr::Column { table, column, span } => {
+                let covered = group_by.iter().any(|g| match g {
+                    Expr::Column { table: gt, column: gc, .. } => {
+                        gc.eq_ignore_ascii_case(column)
+                            && match (table, gt) {
+                                (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
+                                _ => true, // same column name, qualifier elided
+                            }
+                    }
+                    _ => false,
+                });
+                if !covered {
+                    self.diagnostics.push(
+                        Diagnostic::error("E0204", *span, format!("column {} is not in GROUP BY", tick(column)))
+                            .with_help("SQLite picks an arbitrary row; group on it or wrap it in an aggregate"),
+                    );
+                }
+            }
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                self.group_coverage(expr, group_by);
+            }
+            Expr::Binary { left, right, .. } => {
+                self.group_coverage(left, group_by);
+                self.group_coverage(right, group_by);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                self.group_coverage(expr, group_by);
+                self.group_coverage(pattern, group_by);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                for k in [expr, low, high] {
+                    self.group_coverage(k, group_by);
+                }
+            }
+            Expr::InList { expr, list, .. } => {
+                self.group_coverage(expr, group_by);
+                for item in list {
+                    self.group_coverage(item, group_by);
+                }
+            }
+            Expr::Case { operand, branches, else_expr } => {
+                if let Some(o) = operand {
+                    self.group_coverage(o, group_by);
+                }
+                for (w, t) in branches {
+                    self.group_coverage(w, group_by);
+                    self.group_coverage(t, group_by);
+                }
+                if let Some(el) = else_expr {
+                    self.group_coverage(el, group_by);
+                }
+            }
+            Expr::Function { args, .. } => {
+                for a in args {
+                    self.group_coverage(a, group_by);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// `E0205`: ORDER BY position `k` outside the output columns, when
+    /// their number is known.
+    pub(crate) fn order_position(&mut self, k: i64, labels: Option<&[String]>) {
+        if let Some(labels) = labels {
+            if k < 1 || k as usize > labels.len() {
+                let message = format!("ORDER BY position {k} is out of range (1..={})", labels.len());
+                self.error("E0205", Span::empty(), message);
             }
         }
     }
+
+    /// `E0206`: a set-operator arm of another width than the first.
+    pub(crate) fn arm_width(&mut self, first: usize, arm: usize) {
+        if first != arm {
+            self.error("E0206", Span::empty(), format!("set-operator arms select {first} vs {arm} columns"));
+        }
+    }
+
+    /// The ORDER BY of a compound statement names output columns of the
+    /// first core (`labels`, when known): a position (`E0205`) or a label
+    /// (`E0102`), and nothing else (`E0205`).
+    pub(crate) fn compound_order(&mut self, order_by: &[OrderItem], labels: Option<&[String]>) {
+        for o in order_by {
+            match &o.expr {
+                Expr::Literal(Value::Int(k)) => self.order_position(*k, labels),
+                Expr::Column { table: None, column, span } => {
+                    if labels.is_some_and(|ls| !ls.iter().any(|l| l.eq_ignore_ascii_case(column))) {
+                        self.diagnostics.push(
+                            Diagnostic::error("E0102", *span, format!("no such column: {column}")).with_help(
+                                "a compound ORDER BY term must name an output label of the first SELECT",
+                            ),
+                        );
+                    }
+                }
+                other => self.error(
+                    "E0205",
+                    expr_span(other),
+                    "ORDER BY term of a compound SELECT must be a column label or position",
+                ),
+            }
+        }
+    }
+
+    /// `E0208`, `E0210`: LIMIT or OFFSET holding an aggregate, or a
+    /// literal that is no integer.
+    pub(crate) fn limit(&mut self, e: &Expr) {
+        let message = "aggregate used in LIMIT/OFFSET, outside of an aggregate context";
+        self.aggregate_in(e, "E0208", message, None);
+        if let Expr::Literal(v) = e {
+            if v.as_i64().is_none() {
+                self.error("E0210", Span::empty(), "LIMIT/OFFSET must be an integer");
+            }
+        }
+    }
+
+    /// `E0101`, `E0209`: a wildcard that reads no table, with the
+    /// executor's error `e`.
+    pub(crate) fn expansion(&mut self, e: SqlError) {
+        let code = match e {
+            SqlError::NoSuchTable(_) => "E0101",
+            _ => "E0209",
+        };
+        self.error(code, Span::empty(), e.to_string());
+    }
+
+    /// `E0102`, `E0103`: the reference `table.column` resolves nowhere, for
+    /// the reason `miss`; `suggestions` are its repair candidates (the
+    /// qualified names it is ambiguous between).
+    pub(crate) fn unresolved_column(
+        &mut self,
+        schema: &DbSchema,
+        miss: Miss,
+        table: Option<&str>,
+        column: &str,
+        span: Span,
+        suggestions: Vec<(Option<String>, String)>,
+    ) {
+        let message = miss.error(table, column).to_string();
+        let diagnostic = match miss {
+            Miss::Ambiguous => {
+                let help = suggestions
+                    .iter()
+                    .map(|(t, c)| tick(&format!("{}.{c}", t.as_deref().unwrap_or(""))))
+                    .collect::<Vec<_>>()
+                    .join(" or ");
+                Diagnostic::error("E0103", span, message).with_help(format!("qualify it: {help}"))
+            }
+            Miss::Missing => {
+                let d = Diagnostic::error("E0102", span, message);
+                let owner = || {
+                    schema.tables.iter().find(|t| t.columns.iter().any(|c| c.name.eq_ignore_ascii_case(column)))
+                };
+                if let Some((t, c)) = suggestions.first() {
+                    let full = match t {
+                        Some(t) => format!("{t}.{c}"),
+                        None => c.clone(),
+                    };
+                    d.with_help(format!("did you mean {}?", tick(&full)))
+                } else if let Some(owner) = owner() {
+                    d.with_help(format!(
+                        "column {} exists in table {}, which is not in FROM",
+                        tick(column),
+                        tick(&owner.name)
+                    ))
+                } else {
+                    d
+                }
+            }
+        };
+        self.diagnostics.push(diagnostic);
+        self.unresolved.push(UnresolvedColumn {
+            table: table.map(str::to_owned),
+            column: column.to_owned(),
+            span,
+            suggestions,
+        });
+    }
 }
 
-/// The layouts of `chain`, innermost first, as `scope::lookup` reads them.
-fn layouts<'c>(chain: &'c [Scope]) -> impl Iterator<Item = &'c [ColBinding]> {
-    chain.iter().rev().map(|s| s.layout.as_slice())
+/// Ranked repair candidates for a column that resolves nowhere in the
+/// scopes whose layouts are `layouts`, innermost first: columns within
+/// edit distance 2, the same qualifier preferred when one was written,
+/// from the innermost scope that has any.
+pub(crate) fn column_suggestions<'l>(
+    layouts: impl Iterator<Item = &'l [ColBinding]>,
+    table: Option<&str>,
+    column: &str,
+) -> Vec<(Option<String>, String)> {
+    let mut scored: Vec<(usize, Option<String>, String)> = Vec::new();
+    for layout in layouts {
+        for slot in layout {
+            let d = name_distance(&slot.column, column);
+            if d > 2 {
+                continue;
+            }
+            let qualifier_penalty = match table {
+                Some(t) if !slot.binding.eq_ignore_ascii_case(t) => 1,
+                _ => 0,
+            };
+            scored.push((d * 2 + qualifier_penalty, Some(slot.binding.clone()), slot.column.clone()));
+        }
+        if !scored.is_empty() {
+            break; // innermost scope with candidates wins
+        }
+    }
+    scored.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
+    scored.truncate(3);
+    scored.into_iter().map(|(_, t, c)| (t, c)).collect()
+}
+
+/// The first of `names` nearest to `name`, if within `max` edits.
+fn closest<'n>(names: impl Iterator<Item = &'n str>, name: &str, max: usize) -> Option<&'n str> {
+    let (best, d) = names.map(|n| (n, name_distance(n, name))).min_by_key(|(_, d)| *d)?;
+    (d <= max).then_some(best)
 }
 
 /// Case-insensitive Levenshtein distance, for did-you-mean ranking.
@@ -182,116 +468,6 @@ fn name_distance(a: &str, b: &str) -> usize {
 /// `name` rendered for help text.
 fn tick(name: &str) -> String {
     format!("`{name}`")
-}
-
-// ---------------- diagnostics pass ----------------
-
-struct Checker<'a> {
-    schema: &'a DbSchema,
-    diags: Vec<Diagnostic>,
-    unresolved: Vec<UnresolvedColumn>,
-    unused: Vec<(String, Span)>,
-}
-
-impl<'a> Checker<'a> {
-    /// Check one statement; returns the output labels of the first core
-    /// when statically known (None if a wildcard over an unknown table
-    /// makes the width unknowable).
-    fn check_stmt(&mut self, stmt: &SelectStmt, chain: &mut Vec<Scope<'a>>) -> Option<Vec<String>> {
-        let simple = stmt.compounds.is_empty();
-        let order: &[OrderItem] = if simple { &stmt.order_by } else { &[] };
-        let labels = self.check_core(&stmt.core, chain, order);
-        if !simple {
-            let w1 = labels.as_ref().map(Vec::len);
-            for (_, core) in &stmt.compounds {
-                let li = self.check_core(core, chain, &[]);
-                if let (Some(a), Some(b)) = (w1, li.as_ref().map(Vec::len)) {
-                    if a != b {
-                        self.diags.push(Diagnostic::error(
-                            "E0206",
-                            Span::empty(),
-                            format!("set-operator arms select {a} vs {b} columns"),
-                        ));
-                    }
-                }
-            }
-            self.check_compound_order(&stmt.order_by, labels.as_deref());
-        }
-        for e in stmt.limit.iter().chain(stmt.offset.iter()) {
-            self.check_limit_expr(e, chain);
-        }
-        labels
-    }
-
-    fn check_compound_order(&mut self, order_by: &[OrderItem], labels: Option<&[String]>) {
-        for o in order_by {
-            match &o.expr {
-                Expr::Literal(Value::Int(k)) => {
-                    if let Some(labels) = labels {
-                        if *k < 1 || *k as usize > labels.len() {
-                            self.diags.push(Diagnostic::error(
-                                "E0205",
-                                Span::empty(),
-                                format!(
-                                    "ORDER BY position {k} is out of range (1..={})",
-                                    labels.len()
-                                ),
-                            ));
-                        }
-                    }
-                }
-                Expr::Column { table: None, column, span } => {
-                    if let Some(labels) = labels {
-                        if !labels.iter().any(|l| l.eq_ignore_ascii_case(column)) {
-                            self.diags.push(
-                                Diagnostic::error(
-                                    "E0102",
-                                    *span,
-                                    format!("no such column: {column}"),
-                                )
-                                .with_help(
-                                    "a compound ORDER BY term must name an output label of \
-                                     the first SELECT",
-                                ),
-                            );
-                        }
-                    }
-                }
-                other => {
-                    let span = expr_span(other);
-                    self.diags.push(Diagnostic::error(
-                        "E0205",
-                        span,
-                        "ORDER BY term of a compound SELECT must be a column label or position",
-                    ));
-                }
-            }
-        }
-    }
-
-    fn check_limit_expr(&mut self, e: &Expr, chain: &mut Vec<Scope<'a>>) {
-        if contains_aggregate(e) {
-            let span = first_aggregate_span(e);
-            self.diags.push(Diagnostic::error(
-                "E0208",
-                span,
-                "aggregate used in LIMIT/OFFSET, outside of an aggregate context",
-            ));
-        }
-        if let Expr::Literal(v) = e {
-            if v.as_i64().is_none() {
-                self.diags.push(Diagnostic::error(
-                    "E0210",
-                    Span::empty(),
-                    "LIMIT/OFFSET must be an integer",
-                ));
-            }
-        }
-        // LIMIT evaluates against an empty layout: only enclosing rows.
-        chain.push(Scope::default());
-        self.check_expr(e, chain, None);
-        chain.pop();
-    }
 }
 
 /// Span of the first aggregate call inside `e`, for pointing diagnostics.
@@ -321,586 +497,6 @@ fn expr_span(e: &Expr) -> Span {
         }
     });
     span
-}
-
-impl<'a> Checker<'a> {
-    /// Check one SELECT core with its own scope pushed onto `chain`.
-    /// Returns the core's output labels when statically known.
-    fn check_core(
-        &mut self,
-        core: &SelectCore,
-        chain: &mut Vec<Scope<'a>>,
-        order_by: &[OrderItem],
-    ) -> Option<Vec<String>> {
-        chain.push(Scope::default());
-        if let Some(from) = &core.from {
-            let refs = std::iter::once(&from.base).chain(from.joins.iter().map(|j| &j.table));
-            for (i, tref) in refs.enumerate() {
-                self.push_from(tref, chain);
-                // the ON predicate sees the partial layout built so far,
-                // exactly as the executor evaluates it
-                if i > 0 {
-                    if let Some(on) = &from.joins[i - 1].on {
-                        if contains_aggregate(on) {
-                            self.diags.push(Diagnostic::error(
-                                "E0208",
-                                first_aggregate_span(on),
-                                "aggregate in JOIN ON clause",
-                            ));
-                        }
-                        self.check_expr(on, chain, None);
-                    }
-                }
-            }
-        }
-
-        if let Some(w) = &core.where_clause {
-            if contains_aggregate(w) {
-                self.diags.push(
-                    Diagnostic::error(
-                        "E0201",
-                        first_aggregate_span(w),
-                        "aggregate in WHERE clause",
-                    )
-                    .with_help("filter on aggregates with HAVING instead"),
-                );
-            }
-            self.check_expr(w, chain, None);
-        }
-
-        // Expand the projection for labels and the alias map.
-        let scope = chain.last_mut().expect("scope pushed above");
-        let (items, labels) = self.expand_for_check(core, scope);
-
-        // GROUP BY / HAVING with projection aliases substituted, as the
-        // executor evaluates them.
-        let group_by: Vec<Expr> =
-            core.group_by.iter().map(|g| substitute_aliases(g, &items)).collect();
-        for g in &group_by {
-            if contains_aggregate(g) {
-                self.diags.push(Diagnostic::error(
-                    "E0208",
-                    first_aggregate_span(g),
-                    "aggregate in GROUP BY",
-                ));
-            }
-            self.check_expr(g, chain, None);
-        }
-        if let Some(h) = &core.having {
-            let h = substitute_aliases(h, &items);
-            self.check_expr(&h, chain, None);
-        }
-
-        for item in &core.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                self.check_expr(expr, chain, None);
-            }
-        }
-        if !group_by.is_empty() {
-            for item in &core.items {
-                if let SelectItem::Expr { expr, .. } = item {
-                    self.check_group_coverage(expr, &group_by);
-                }
-            }
-        }
-
-        // ORDER BY of a simple statement: positions, aliases, then plain
-        // row/group expressions.
-        for o in order_by {
-            match &o.expr {
-                Expr::Literal(Value::Int(k)) => {
-                    if let Some(labels) = &labels {
-                        if *k < 1 || *k as usize > labels.len() {
-                            self.diags.push(Diagnostic::error(
-                                "E0205",
-                                Span::empty(),
-                                format!(
-                                    "ORDER BY position {k} is out of range (1..={})",
-                                    labels.len()
-                                ),
-                            ));
-                        }
-                    }
-                }
-                Expr::Column { table: None, column, .. }
-                    if labels
-                        .as_ref()
-                        .is_some_and(|ls| ls.iter().any(|l| l.eq_ignore_ascii_case(column))) =>
-                {
-                    // alias reference to a projected value
-                }
-                other => self.check_expr(other, chain, None),
-            }
-        }
-
-        let scope = chain.pop().expect("scope pushed above");
-        for t in scope.tables {
-            if t.known && !t.used {
-                self.unused.push((t.name, t.span));
-            }
-        }
-        labels
-    }
-
-    /// Append one FROM table reference to the innermost scope, diagnosing
-    /// an unknown table (`E0101`) with did-you-mean help.
-    fn push_from(&mut self, tref: &TableRef, chain: &mut Vec<Scope<'a>>) {
-        // A FROM-subquery sees only the *enclosing* rows, never its sibling
-        // tables, so the scope in progress is set aside while it is checked.
-        let mut scope = chain.pop().expect("scope pushed in check_core");
-        let start = scope.layout.len();
-        let (name, info, span, known) = match tref {
-            TableRef::Named { name, alias, span } => {
-                match scope::push_table(&mut scope.layout, self.schema, name, alias.as_deref()) {
-                    Some((info, binding)) => (binding, Some(info), *span, true),
-                    None => {
-                        self.unknown_table(name, *span);
-                        (alias.clone().unwrap_or_else(|| name.clone()), None, *span, false)
-                    }
-                }
-            }
-            TableRef::Subquery { query, alias } => {
-                let labels = self.check_stmt(query, chain).unwrap_or_default();
-                scope::push_labels(&mut scope.layout, alias, labels);
-                (alias.clone(), None, Span::empty(), true)
-            }
-        };
-        let slots = start..scope.layout.len();
-        // poisoned tables never lint as unused
-        scope.tables.push(FromTable { name, info, slots, span, known, used: !known });
-        chain.push(scope);
-    }
-
-    fn unknown_table(&mut self, name: &str, span: Span) {
-        let mut d = Diagnostic::error("E0101", span, format!("no such table: {name}"));
-        let mut cands: Vec<&str> = self.schema.tables.iter().map(|t| t.name.as_str()).collect();
-        cands.sort_by_key(|t| name_distance(t, name));
-        if let Some(best) = cands.first() {
-            if name_distance(best, name) <= 3 {
-                d = d.with_help(format!("did you mean {}?", tick(best)));
-            }
-        }
-        self.diags.push(d);
-    }
-
-    /// Expand the projection as the executor does, for labels and the
-    /// alias map. `*` and `t.*` use the tables they read; one that reads
-    /// no table is diagnosed with the executor's error (`E0209`, `E0101`),
-    /// and one over a table of unknowable width leaves the labels unknown.
-    fn expand_for_check(
-        &mut self,
-        core: &SelectCore,
-        scope: &mut Scope,
-    ) -> (Vec<(Expr, String)>, Option<Vec<String>>) {
-        let mut items: Vec<(Expr, String)> = Vec::new();
-        let mut width_known = true;
-        for item in &core.items {
-            let reads = |t: &FromTable| match item {
-                SelectItem::Wildcard => true,
-                SelectItem::TableWildcard(name) => t.name.eq_ignore_ascii_case(name),
-                SelectItem::Expr { .. } => false,
-            };
-            let mut read = false;
-            for t in scope.tables.iter_mut().filter(|t| reads(t)) {
-                (read, t.used) = (true, true);
-                width_known &= t.known;
-            }
-            match scope::expand_items(std::slice::from_ref(item), &scope.layout) {
-                Ok(expanded) => {
-                    items.extend(expanded.into_iter().map(|(e, l)| (e.into_owned(), l)))
-                }
-                Err(e) if !read => {
-                    let code = match e {
-                        SqlError::NoSuchTable(_) => "E0101",
-                        _ => "E0209",
-                    };
-                    self.diags.push(Diagnostic::error(code, Span::empty(), e.to_string()));
-                    width_known = false;
-                }
-                Err(_) => {}
-            }
-        }
-        let labels = width_known.then(|| items.iter().map(|(_, l)| l.clone()).collect());
-        (items, labels)
-    }
-}
-
-impl<'a> Checker<'a> {
-    /// Recursive expression check. `in_agg` carries the name of the
-    /// enclosing aggregate call, for nested-aggregate diagnostics.
-    fn check_expr(&mut self, e: &Expr, chain: &mut Vec<Scope<'a>>, in_agg: Option<&str>) {
-        match e {
-            Expr::Column { table, column, span } => {
-                self.resolve_use(chain, table.as_deref(), column, *span);
-            }
-            Expr::Function { name, args, span, .. } => {
-                if is_aggregate_name(name, args.len()) {
-                    if let Some(outer) = in_agg {
-                        self.diags.push(
-                            Diagnostic::error(
-                                "E0202",
-                                *span,
-                                format!("nested aggregate in {outer}()"),
-                            )
-                            .with_help("aggregate calls cannot contain other aggregates"),
-                        );
-                    }
-                    let counts_rows = name == "count"
-                        && (args.is_empty() || matches!(args.first(), Some(Expr::Wildcard)));
-                    if args.is_empty() && !counts_rows {
-                        self.diags.push(Diagnostic::error(
-                            "E0207",
-                            *span,
-                            format!("{name}() needs an argument"),
-                        ));
-                    }
-                    // trailing arguments (`group_concat`'s separator) are
-                    // evaluated with no row: they resolve in the empty scope
-                    for (i, a) in args.iter().enumerate() {
-                        match i {
-                            0 => self.check_expr(a, chain, Some(name)),
-                            _ => self.check_expr(a, &mut Vec::new(), Some(name)),
-                        }
-                    }
-                } else {
-                    match scalar_arity(name) {
-                        None => {
-                            let mut d = Diagnostic::error(
-                                "E0207",
-                                *span,
-                                format!("no such function: {name}"),
-                            );
-                            let mut cands: Vec<&str> = KNOWN_FUNCTIONS.to_vec();
-                            cands.sort_by_key(|c| name_distance(c, name));
-                            if let Some(best) = cands.first() {
-                                if name_distance(best, name) <= 2 {
-                                    d = d.with_help(format!("did you mean {}?", tick(best)));
-                                }
-                            }
-                            self.diags.push(d);
-                        }
-                        Some((lo, hi)) => {
-                            if args.len() < lo || args.len() > hi {
-                                // every bounded arity is one count or two adjacent ones
-                                let want = if lo == hi {
-                                    lo.to_string()
-                                } else {
-                                    format!("{lo} or {hi}")
-                                };
-                                self.diags.push(Diagnostic::error(
-                                    "E0207",
-                                    *span,
-                                    format!(
-                                        "{name}() expects {want} argument(s), got {}",
-                                        args.len()
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                    for a in args {
-                        self.check_expr(a, chain, in_agg);
-                    }
-                }
-            }
-            Expr::Binary { left, op, right } => {
-                if op.is_comparison() {
-                    self.check_comparison(left, right, chain);
-                }
-                self.check_expr(left, chain, in_agg);
-                self.check_expr(right, chain, in_agg);
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.check_expr(expr, chain, in_agg);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.check_expr(expr, chain, in_agg);
-                self.check_expr(pattern, chain, in_agg);
-            }
-            Expr::Between { expr, low, high, .. } => {
-                self.check_expr(expr, chain, in_agg);
-                self.check_expr(low, chain, in_agg);
-                self.check_expr(high, chain, in_agg);
-            }
-            Expr::InList { expr, list, .. } => {
-                self.check_expr(expr, chain, in_agg);
-                for item in list {
-                    self.check_expr(item, chain, in_agg);
-                }
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    self.check_expr(o, chain, in_agg);
-                }
-                for (w, t) in branches {
-                    self.check_expr(w, chain, in_agg);
-                    self.check_expr(t, chain, in_agg);
-                }
-                if let Some(el) = else_expr {
-                    self.check_expr(el, chain, in_agg);
-                }
-            }
-            Expr::Subquery(q) => {
-                self.check_stmt(q, chain);
-            }
-            Expr::InSubquery { expr, query, .. } => {
-                self.check_expr(expr, chain, in_agg);
-                self.check_stmt(query, chain);
-            }
-            Expr::Exists { query, .. } => {
-                self.check_stmt(query, chain);
-            }
-            Expr::Wildcard => {
-                // `COUNT(*)` counts rows of the whole join, so every
-                // table in the current scope is in use.
-                for t in chain.last_mut().into_iter().flat_map(|s| &mut s.tables) {
-                    t.used = true;
-                }
-            }
-            Expr::Literal(_)
-            | Expr::BoundColumn { .. }
-            | Expr::OuterColumn { .. }
-            | Expr::Unresolved(_) => {}
-        }
-    }
-
-    /// Resolve one column reference as the executor does. A miss is
-    /// diagnosed unless an unknown table could have held the column.
-    fn resolve_use(&mut self, chain: &mut [Scope], table: Option<&str>, column: &str, span: Span) {
-        let miss = match scope::lookup(layouts(chain), table, column) {
-            Ok((up, slot)) => {
-                let scope = &mut chain[chain.len() - 1 - up];
-                if let Some(t) = scope.owner(slot) {
-                    scope.tables[t].used = true;
-                }
-                return;
-            }
-            Err(miss) => miss,
-        };
-        // A failed resolution leaves us unsure which table was meant, so
-        // conservatively mark every visible table used — an E01xx finding
-        // must not cascade into W0303 noise.
-        for t in chain.iter_mut().flat_map(|s| &mut s.tables) {
-            t.used = true;
-        }
-        if chain.iter().any(|s| s.poisons(table, column)) {
-            return;
-        }
-        let message = miss.error(table, column).to_string();
-        let (diagnostic, suggestions) = match miss {
-            Miss::Ambiguous => {
-                let scope = chain.last().expect("ambiguity implies a scope");
-                let holds = |t: &&FromTable| {
-                    let slots = &scope.layout[t.slots.clone()];
-                    slots.iter().any(|s| s.column.eq_ignore_ascii_case(column))
-                };
-                let suggestions: Vec<(Option<String>, String)> = scope
-                    .tables
-                    .iter()
-                    .filter(holds)
-                    .map(|t| (Some(t.name.clone()), column.to_owned()))
-                    .collect();
-                let help = suggestions
-                    .iter()
-                    .map(|(t, c)| tick(&format!("{}.{c}", t.as_deref().unwrap_or(""))))
-                    .collect::<Vec<_>>()
-                    .join(" or ");
-                let d = Diagnostic::error("E0103", span, message)
-                    .with_help(format!("qualify it: {help}"));
-                (d, suggestions)
-            }
-            Miss::Missing => {
-                let suggestions = self.column_suggestions(chain, table, column);
-                let mut d = Diagnostic::error("E0102", span, message);
-                if let Some((t, c)) = suggestions.first() {
-                    let full = match t {
-                        Some(t) => format!("{t}.{c}"),
-                        None => c.clone(),
-                    };
-                    d = d.with_help(format!("did you mean {}?", tick(&full)));
-                } else if let Some(owner) = self.schema_owner_of(column) {
-                    d = d.with_help(format!(
-                        "column {} exists in table {}, which is not in FROM",
-                        tick(column),
-                        tick(&owner)
-                    ));
-                }
-                (d, suggestions)
-            }
-        };
-        self.diags.push(diagnostic);
-        self.unresolved.push(UnresolvedColumn {
-            table: table.map(str::to_owned),
-            column: column.to_owned(),
-            span,
-            suggestions,
-        });
-    }
-
-    /// Ranked repair candidates for a failed resolution: exact-name columns
-    /// under other qualifiers first, then fuzzy matches within scope.
-    fn column_suggestions(
-        &self,
-        chain: &[Scope],
-        table: Option<&str>,
-        column: &str,
-    ) -> Vec<(Option<String>, String)> {
-        let mut scored: Vec<(usize, Option<String>, String)> = Vec::new();
-        for scope in chain.iter().rev() {
-            for slot in &scope.layout {
-                let d = name_distance(&slot.column, column);
-                if d > 2 {
-                    continue;
-                }
-                // prefer same-qualifier fixes when one was written
-                let qualifier_penalty = match table {
-                    Some(t) if slot.binding.eq_ignore_ascii_case(t) => 0,
-                    Some(_) => 1,
-                    None => 0,
-                };
-                let repair = Some(slot.binding.clone());
-                scored.push((d * 2 + qualifier_penalty, repair, slot.column.clone()));
-            }
-            if !scored.is_empty() {
-                break; // innermost scope with candidates wins
-            }
-        }
-        scored.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
-        scored.truncate(3);
-        scored.into_iter().map(|(_, t, c)| (t, c)).collect()
-    }
-
-    /// Schema-wide owner of an exactly-named column outside the FROM scope.
-    fn schema_owner_of(&self, column: &str) -> Option<String> {
-        self.schema
-            .tables
-            .iter()
-            .find(|t| t.columns.iter().any(|c| c.name.eq_ignore_ascii_case(column)))
-            .map(|t| t.name.clone())
-    }
-
-    /// `E0203`: a typed column compared against a literal of the opposite
-    /// storage class never matches under SQLite's strict dynamic typing.
-    fn check_comparison(&mut self, left: &Expr, right: &Expr, chain: &[Scope]) {
-        let col = |e: &Expr| -> Option<(TypeName, Span)> {
-            let Expr::Column { table, column, span } = e else { return None };
-            let (up, slot) = scope::lookup(layouts(chain), table.as_deref(), column).ok()?;
-            let scope = &chain[chain.len() - 1 - up];
-            let owner = &scope.tables[scope.owner(slot)?];
-            owner.info?.column(column).map(|c| (c.ty, *span))
-        };
-        fn lit(e: &Expr) -> Option<&Value> {
-            match e {
-                Expr::Literal(v) if !v.is_null() => Some(v),
-                _ => None,
-            }
-        }
-        let pairs = [(left, right), (right, left)];
-        for (a, b) in pairs {
-            let (Some((ty, span)), Some(v)) = (col(a), lit(b)) else { continue };
-            let mismatch = match ty {
-                TypeName::Integer | TypeName::Real => matches!(v, Value::Text(_)),
-                TypeName::Text => matches!(v, Value::Int(_) | Value::Real(_)),
-                TypeName::Blob => false,
-            };
-            if mismatch {
-                let (have, want) = match ty {
-                    TypeName::Text => ("a numeric literal", "quoting the value"),
-                    _ => ("a text literal", "removing the quotes"),
-                };
-                self.diags.push(
-                    Diagnostic::error(
-                        "E0203",
-                        span,
-                        format!(
-                            "column of {} affinity compared with {have}; the comparison \
-                             never matches",
-                            ty.as_sql()
-                        ),
-                    )
-                    .with_help(format!("try {want}")),
-                );
-                return; // one finding per comparison
-            }
-        }
-    }
-
-    /// `E0204`: in a grouped query, a bare column in the projection that is
-    /// neither grouped on nor inside an aggregate reads an arbitrary row.
-    fn check_group_coverage(&mut self, e: &Expr, group_by: &[Expr]) {
-        // Spans compare equal, so `==` here is structural modulo location.
-        if group_by.contains(e) {
-            return;
-        }
-        match e {
-            Expr::Function { name, args, .. } if is_aggregate_name(name, args.len()) => {}
-            Expr::Column { table, column, span } => {
-                let covered = group_by.iter().any(|g| match g {
-                    Expr::Column { table: gt, column: gc, .. } => {
-                        gc.eq_ignore_ascii_case(column)
-                            && match (table, gt) {
-                                (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
-                                _ => true, // same column name, qualifier elided
-                            }
-                    }
-                    _ => false,
-                });
-                if !covered {
-                    self.diags.push(
-                        Diagnostic::error(
-                            "E0204",
-                            *span,
-                            format!("column {} is not in GROUP BY", tick(column)),
-                        )
-                        .with_help(
-                            "SQLite picks an arbitrary row; group on it or wrap it in an \
-                             aggregate",
-                        ),
-                    );
-                }
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.check_group_coverage(expr, group_by);
-            }
-            Expr::Binary { left, right, .. } => {
-                self.check_group_coverage(left, group_by);
-                self.check_group_coverage(right, group_by);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.check_group_coverage(expr, group_by);
-                self.check_group_coverage(pattern, group_by);
-            }
-            Expr::Between { expr, low, high, .. } => {
-                self.check_group_coverage(expr, group_by);
-                self.check_group_coverage(low, group_by);
-                self.check_group_coverage(high, group_by);
-            }
-            Expr::InList { expr, list, .. } => {
-                self.check_group_coverage(expr, group_by);
-                for item in list {
-                    self.check_group_coverage(item, group_by);
-                }
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    self.check_group_coverage(o, group_by);
-                }
-                for (w, t) in branches {
-                    self.check_group_coverage(w, group_by);
-                    self.check_group_coverage(t, group_by);
-                }
-                if let Some(el) = else_expr {
-                    self.check_group_coverage(el, group_by);
-                }
-            }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    self.check_group_coverage(a, group_by);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 // ---------------- lint rules ----------------
@@ -991,13 +587,13 @@ fn for_each_expr_deep(stmt: &SelectStmt, f: &mut dyn FnMut(&Expr)) {
     });
 }
 
-/// Split an expression into its top-level AND conjuncts.
-fn and_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+/// Visit the top-level AND conjuncts of an expression, left to right.
+fn for_each_conjunct(e: &Expr, f: &mut dyn FnMut(&Expr)) {
     if let Expr::Binary { left, op: BinOp::And, right } = e {
-        and_conjuncts(left, out);
-        and_conjuncts(right, out);
+        for_each_conjunct(left, f);
+        for_each_conjunct(right, f);
     } else {
-        out.push(e);
+        f(e);
     }
 }
 
@@ -1028,11 +624,9 @@ fn lint_star_in_scalar_subquery(stmt: &SelectStmt, out: &mut Vec<Diagnostic>) {
 /// generated candidate usually means a mistranscribed filter value.
 fn lint_always_false_predicate(stmt: &SelectStmt, out: &mut Vec<Diagnostic>) {
     let mut check_pred = |pred: &Expr, what: &str| {
-        let mut conjuncts = Vec::new();
-        and_conjuncts(pred, &mut conjuncts);
-        for c in conjuncts {
+        for_each_conjunct(pred, &mut |c| {
             if !is_const_foldable(c) {
-                continue;
+                return;
             }
             if let Ok(v) = eval_const(c) {
                 if v.truthiness() == Some(false) {
@@ -1046,7 +640,7 @@ fn lint_always_false_predicate(stmt: &SelectStmt, out: &mut Vec<Diagnostic>) {
                     ).with_help("a literal-only predicate that folds to false usually means a wrong constant"));
                 }
             }
-        }
+        });
     };
     for_each_core(stmt, &mut |core| {
         if let Some(w) = &core.where_clause {

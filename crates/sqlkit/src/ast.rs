@@ -108,11 +108,12 @@ pub enum TableRef {
         /// Source location of the table name (metadata; always `==`).
         span: Span,
     },
-    /// A parenthesised subquery with alias.
+    /// A parenthesised subquery, with an alias or none.
     Subquery {
         /// The inner select.
         query: Box<SelectStmt>,
-        /// Mandatory alias.
+        /// `AS alias`, or empty when there is none: its columns are then
+        /// read unqualified.
         alias: String,
     },
 }

@@ -55,7 +55,7 @@ mod scope;
 #[cfg(test)]
 mod reference;
 
-pub use analyze::{analyze, analyze_sql, Analysis, UnresolvedColumn};
+pub use analyze::{analyze, analyze_sql, bind, Analysis, UnresolvedColumn};
 pub use ast::{Expr, SelectStmt, Stmt};
 pub use diag::{render_all, Diagnostic, Severity, Span};
 pub use db::Database;
@@ -65,7 +65,7 @@ pub use index::{ColumnIndex, IndexDef};
 pub use parser::{parse_script, parse_select, parse_statement};
 pub use plan::explain;
 pub use prepare::{
-    plan_cache, plan_fingerprint, prepare, prepare_stmt, schema_fingerprint, PlanCache,
+    plan_cache, plan_fingerprint, prepare, prepare_stmt, schema_fingerprint, Bound, PlanCache,
     PlanCacheStats, Prepared,
 };
 pub use printer::{print_expr, print_select, print_stmt};

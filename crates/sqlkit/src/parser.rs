@@ -512,8 +512,9 @@ impl<'t, 'a> Parser<'t, 'a> {
         if self.eat_punct(Punct::LParen) {
             let query = self.select_stmt()?;
             self.expect_punct(Punct::RParen)?;
-            self.eat_kw("AS");
-            let alias = self.ident()?;
+            // as SQLite, a sub-select may go without an alias (its columns
+            // are then read unqualified), and a clause keyword is none
+            let alias = self.opt_alias()?.unwrap_or_default();
             return Ok(TableRef::Subquery { query: Box::new(query), alias });
         }
         let start = self.peek_pos();
@@ -1157,6 +1158,73 @@ mod tests {
         match &s.core.items[1] {
             SelectItem::Expr { expr: Expr::Function { distinct, .. }, .. } => assert!(distinct),
             _ => panic!(),
+        }
+    }
+
+    /// A FROM sub-select needs no alias, and no clause keyword after it is
+    /// taken for one. Followed by WHERE, GROUP BY, ORDER BY, JOIN, a comma,
+    /// LIMIT or the end of the statement, each answers the rows of its
+    /// aliased form, and the rows SQLite 3.51.2 answers (`sqlite3 -json`
+    /// over the same script), written out here.
+    #[test]
+    fn a_from_sub_select_needs_no_alias() {
+        use crate::value::Value::{Int, Text};
+        let mut db = crate::db::Database::new("subselects");
+        db.execute_script(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT, grp INTEGER);
+             INSERT INTO t VALUES (1, 'ann', 1), (2, 'bob', 1), (3, 'cal', 2);",
+        )
+        .unwrap();
+        let text = |s: &str| Text(s.into());
+        let cases: Vec<(&str, &str, Vec<Vec<Value>>)> = vec![
+            (
+                "SELECT x FROM (SELECT 1 AS x) WHERE x = 1",
+                "SELECT x FROM (SELECT 1 AS x) AS s WHERE x = 1",
+                vec![vec![Int(1)]],
+            ),
+            (
+                "SELECT x FROM (SELECT id AS x, grp FROM t) WHERE x > 1",
+                "SELECT x FROM (SELECT id AS x, grp FROM t) s WHERE x > 1",
+                vec![vec![Int(2)], vec![Int(3)]],
+            ),
+            (
+                "SELECT grp, COUNT(*) FROM (SELECT id, grp FROM t) GROUP BY grp",
+                "SELECT grp, COUNT(*) FROM (SELECT id, grp FROM t) AS s GROUP BY grp",
+                vec![vec![Int(1), Int(2)], vec![Int(2), Int(1)]],
+            ),
+            (
+                "SELECT name FROM (SELECT name, id FROM t) ORDER BY id DESC",
+                "SELECT name FROM (SELECT name, id FROM t) AS s ORDER BY id DESC",
+                vec![vec![text("cal")], vec![text("bob")], vec![text("ann")]],
+            ),
+            (
+                "SELECT n, t.name FROM (SELECT id AS k, name AS n FROM t WHERE id < 3) JOIN t ON t.id = k",
+                "SELECT n, t.name FROM (SELECT id AS k, name AS n FROM t WHERE id < 3) AS s JOIN t ON t.id = k",
+                vec![vec![text("ann"), text("ann")], vec![text("bob"), text("bob")]],
+            ),
+            (
+                "SELECT n, t.grp FROM (SELECT name AS n FROM t WHERE id = 2), t WHERE t.id = 3",
+                "SELECT n, t.grp FROM (SELECT name AS n FROM t WHERE id = 2) AS s, t WHERE t.id = 3",
+                vec![vec![text("bob"), Int(2)]],
+            ),
+            (
+                "SELECT id FROM (SELECT id FROM t) LIMIT 2",
+                "SELECT id FROM (SELECT id FROM t) AS s LIMIT 2",
+                vec![vec![Int(1)], vec![Int(2)]],
+            ),
+            (
+                "SELECT COUNT(*) FROM (SELECT id FROM t WHERE grp = 1)",
+                "SELECT COUNT(*) FROM (SELECT id FROM t WHERE grp = 1) AS s",
+                vec![vec![Int(2)]],
+            ),
+        ];
+        for (bare, aliased, sqlite) in cases {
+            let rows = db.query(bare).unwrap_or_else(|e| panic!("{bare}: {e}")).rows;
+            assert_eq!(rows, db.query(aliased).unwrap().rows, "{bare}");
+            assert_eq!(rows, sqlite, "{bare}");
+            // printed back, it is the statement it was
+            let stmt = parse_select(bare).unwrap();
+            assert_eq!(parse_select(&crate::printer::print_select(&stmt)).unwrap(), stmt, "{bare}");
         }
     }
 }

@@ -534,9 +534,9 @@ fn push_stage(db: &Database, tref: &TableRef, plan: &mut PhysicalPlan) -> SqlRes
     // `est_rows` holds the row count until the cost pass below scales it
     let (table, binding, access, est_rows) = match tref {
         TableRef::Named { name, alias, .. } => {
-            let (info, binding) =
-                scope::push_table(&mut plan.layout, &db.schema, name, alias.as_deref())
-                    .ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
+            let info = scope::push_table(&mut plan.layout, &db.schema, name, alias.as_deref())
+                .ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
+            let binding = alias.clone().unwrap_or_else(|| info.name.clone());
             let n = db.rows(&info.name)?.len();
             (info.name.clone(), binding, Access::FullScan, n as f64)
         }

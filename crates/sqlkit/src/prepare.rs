@@ -10,36 +10,56 @@
 //! when — and only if — execution reaches it, at the point a by-name
 //! interpreter would have raised it.
 //!
-//! What the binder does per SELECT core:
+//! The binding pass is also the analyzer: at the lookups it makes and the
+//! nodes it visits it files the findings of [`crate::analyze`] — each
+//! node's before it binds or folds the node — and keeps which FROM tables
+//! were read. [`crate::bind`] keeps them; [`prepare_stmt`], DML and
+//! constants run the same walk and drop them, and filing nothing
+//! allocates nothing. What the binder does per SELECT core, in the order
+//! the findings are filed:
 //!
-//! 1. resolves the FROM layout (recursing into FROM subqueries) and binds
-//!    each JOIN ON against the join prefix it is evaluated on,
-//! 2. freezes output labels (`AS` aliases are materialised, `*` and
-//!    `alias.*` are pre-expanded),
-//! 3. performs the GROUP BY / HAVING projection-alias substitution,
-//! 4. rewrites every column into [`Expr::BoundColumn`] (local slot),
-//!    [`Expr::OuterColumn`] (correlated environment slot) or
-//!    [`Expr::Unresolved`],
-//! 5. folds literal-only subtrees through [`eval_const`].
+//! 1. resolves the FROM layout (recursing into FROM subqueries; an unknown
+//!    table adds no slot and poisons the names it could have held) and
+//!    binds each JOIN ON against the join prefix it is evaluated on,
+//! 2. binds WHERE,
+//! 3. expands the projection as execution does (`*` and `alias.*` are
+//!    pre-expanded, `AS` aliases and default labels materialised) and
+//!    performs the GROUP BY / HAVING projection-alias substitution,
+//! 4. binds GROUP BY, HAVING and the items, then checks GROUP BY coverage
+//!    on the items as written, and binds ORDER BY.
+//!
+//! Binding rewrites every column into [`Expr::BoundColumn`] (local slot),
+//! [`Expr::OuterColumn`] (correlated environment slot) or
+//! [`Expr::Unresolved`], and folds literal-only subtrees through
+//! [`eval_const`].
 //!
 //! An aggregate's trailing arguments (`group_concat`'s separator) bind in
 //! the empty scope [`eval_const`] evaluates them in. A core whose FROM
-//! names an unknown table is left as written: execution fails opening
-//! that table, before any of the core's expressions run. ORDER BY terms
-//! that name a position or an output label stay as written too — they are
-//! output references, not names.
+//! names an unknown table binds too, to file its findings: execution fails
+//! opening that table, before any of the core's expressions run. ORDER BY
+//! terms that name a position or an output label stay as written — they
+//! are output references, not names.
+//!
+//! A plan-cache miss lowers a bound statement: the one the caller bound
+//! already ([`PlanCache::execute_with`], the refinement beam's gate, whose
+//! front end bound each distinct text once for its analysis), or one
+//! parsed and bound from the text.
 
+use crate::analyze::{column_suggestions, Findings};
 use crate::ast::*;
 use crate::db::{with_lowercase, Database};
+use crate::diag::Span;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{self, eval_const, ExecStats};
 use crate::functions::is_aggregate_name;
 use crate::parser::parse_select;
 use crate::plan::PhysicalPlan;
 use crate::schema::{DbSchema, TableInfo};
-use crate::scope::{self, ColBinding};
+use crate::scope::{self, ColBinding, Miss};
 use crate::value::{ResultSet, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use osql_chk::atomic::{AtomicU64, Ordering};
 use osql_chk::Mutex;
 use std::sync::{Arc, OnceLock};
@@ -152,18 +172,40 @@ pub fn prepare(db: &Database, sql: &str) -> SqlResult<Prepared> {
 }
 
 /// Bind an already-parsed SELECT statement against `db`'s schema, then
-/// lower each core to its physical plan. Only a single-core statement is
-/// allowed predicate pushdown and index operators; compound arms, like
-/// sub-selects, take the naive plan.
-pub fn prepare_stmt(db: &Database, mut stmt: SelectStmt) -> Prepared {
-    let binder = Binder { schema: &db.schema };
-    binder.bind_statement(&mut stmt, &[]);
-    let pushdown = stmt.compounds.is_empty();
-    let plans = std::iter::once(&stmt.core)
-        .chain(stmt.compounds.iter().map(|(_, core)| core))
-        .map(|core| crate::plan::lower(db, core, pushdown))
-        .collect();
-    Prepared { stmt, fingerprint: plan_fingerprint(db), plans }
+/// lower each core to its physical plan ([`Bound::lower`]).
+pub fn prepare_stmt(db: &Database, stmt: SelectStmt) -> Prepared {
+    bind_select(&db.schema, stmt).0.lower(db)
+}
+
+/// A SELECT statement the binding pass went through ([`crate::bind`]):
+/// every name it could resolve is a slot, ready to be lowered.
+#[derive(Debug)]
+pub struct Bound {
+    stmt: SelectStmt,
+}
+
+impl Bound {
+    /// Lower each core to its physical plan against `db`, whose schema the
+    /// statement was bound against. Only a single-core statement is
+    /// allowed predicate pushdown and index operators; compound arms, like
+    /// sub-selects, take the naive plan.
+    pub fn lower(self, db: &Database) -> Prepared {
+        let stmt = self.stmt;
+        let pushdown = stmt.compounds.is_empty();
+        let plans = std::iter::once(&stmt.core)
+            .chain(stmt.compounds.iter().map(|(_, core)| core))
+            .map(|core| crate::plan::lower(db, core, pushdown))
+            .collect();
+        Prepared { stmt, fingerprint: plan_fingerprint(db), plans }
+    }
+}
+
+/// Bind a parsed SELECT statement against `schema`, filing what the
+/// analyzer reports about it on the way.
+pub(crate) fn bind_select(schema: &DbSchema, mut stmt: SelectStmt) -> (Bound, Findings) {
+    let mut binder = Binder::new(schema);
+    binder.bind_statement(&mut stmt, None);
+    (Bound { stmt }, binder.findings)
 }
 
 /// Bind the expressions of an UPDATE or DELETE over `table` — its WHERE
@@ -176,10 +218,10 @@ pub(crate) fn bind_dml<'e>(
     table: &TableInfo,
     exprs: impl IntoIterator<Item = &'e mut Expr>,
 ) -> Vec<ColBinding> {
-    let binder = Binder { schema: &db.schema };
+    let mut binder = Binder::new(&db.schema);
     let mut layout = Vec::new();
     scope::push_table(&mut layout, &db.schema, &table.name, None);
-    let env = Env { layout: &layout, chain: &[] };
+    let env = Env { layout: &layout, ..Env::ROWLESS };
     for e in exprs {
         binder.bind_and_fold(e, &env);
     }
@@ -189,23 +231,24 @@ pub(crate) fn bind_dml<'e>(
 /// Bind an expression evaluated with no row: in the empty scope, its
 /// sub-selects against `schema`.
 pub(crate) fn bind_const(schema: &DbSchema, e: &mut Expr) {
-    Binder { schema }.bind_expr(e, &Env { layout: &[], chain: &[] });
+    Binder::new(schema).bind_expr(e, &Env::ROWLESS);
 }
 
 // ---------------- the binding pass ----------------
 
-/// Replace unqualified column references that match a projection alias with
-/// the aliased expression (GROUP BY / HAVING alias support).
-pub(crate) fn substitute_aliases(e: &Expr, items: &[(Expr, String)]) -> Expr {
-    let mut out = e.clone();
-    out.walk_mut(&mut |node| {
+/// Replace, in place, the unqualified column references of `e` that name a
+/// projection alias with the aliased expression (GROUP BY / HAVING alias
+/// support).
+fn substitute_aliases(e: &mut Expr, items: &[(Cow<'_, Expr>, String)]) {
+    e.walk_mut(&mut |node| {
         let Expr::Column { table: None, column, .. } = &*node else { return };
-        let aliased = items.iter().find(|(expr, label)| label.eq_ignore_ascii_case(column) && *expr != *node);
+        let aliased = items
+            .iter()
+            .find(|(expr, label)| label.eq_ignore_ascii_case(column) && **expr != *node);
         if let Some((expr, _)) = aliased {
-            *node = expr.clone();
+            *node = expr.as_ref().clone();
         }
     });
-    out
 }
 
 /// Fold a fully-constant expression into a literal. Failures are left
@@ -219,154 +262,277 @@ fn try_fold(e: &mut Expr) {
     }
 }
 
-/// The fold step of binding a composite: constant when every child is
-/// (`flags`), else each constant child folds.
-fn fold_constant_kids<'k>(kids: impl IntoIterator<Item = &'k mut Expr>, flags: &[bool]) -> bool {
-    if flags.iter().all(|f| *f) {
-        return true;
-    }
-    for (k, &is_const) in kids.into_iter().zip(flags) {
-        if is_const {
-            try_fold(k);
+/// The children of a node of any arity — a function call, an `IN` list
+/// or a CASE — in evaluation order.
+fn variadic_kids(e: &mut Expr) -> impl Iterator<Item = &mut Expr> {
+    let (head, list, pairs, tail): (Option<&mut Expr>, &mut [Expr], &mut [(Expr, Expr)], _) = match e {
+        Expr::InList { expr, list, .. } => (Some(expr.as_mut()), list, Default::default(), None),
+        Expr::Case { operand, branches, else_expr } => {
+            (operand.as_deref_mut(), Default::default(), branches, else_expr.as_deref_mut())
         }
+        Expr::Function { args, .. } => (None, args, Default::default(), None),
+        _ => (None, Default::default(), Default::default(), None),
+    };
+    head.into_iter()
+        .chain(list)
+        .chain(pairs.iter_mut().flat_map(|(when, then)| [when, then]))
+        .chain(tail)
+}
+
+/// One scope of the chain a name is looked up in: a core's layout (or the
+/// empty one of a LIMIT, an aggregate's trailing arguments or a
+/// constant), its FROM tables, and the scope enclosing it.
+#[derive(Clone, Copy)]
+struct Env<'e> {
+    layout: &'e [ColBinding],
+    /// This scope's FROM tables: a range of [`Binder::tables`].
+    tables: (usize, usize),
+    outer: Option<&'e Env<'e>>,
+    /// The aggregate call whose arguments are being bound, for `E0202`.
+    agg: Option<&'e str>,
+}
+
+impl Env<'static> {
+    /// A scope with no row, no table and nothing around it.
+    const ROWLESS: Env<'static> = Env { layout: &[], tables: (0, 0), outer: None, agg: None };
+}
+
+impl<'e> Env<'e> {
+    /// This scope, then each enclosing one.
+    fn chain(&self) -> impl Iterator<Item = &Env<'e>> {
+        std::iter::successors(Some(self), |env| env.outer)
     }
-    false
+
+    fn tables(&self) -> Range<usize> {
+        self.tables.0..self.tables.1
+    }
 }
 
-struct Env<'a> {
-    layout: &'a [ColBinding],
-    chain: &'a [Vec<ColBinding>],
+/// One FROM table reference of a scope being bound.
+struct FromTable<'s> {
+    /// The name it is addressed by, kept only when no slot carries it (an
+    /// unknown table, a FROM-subquery of no known labels).
+    name: Option<String>,
+    /// The schema table behind it (None for FROM-subqueries).
+    info: Option<&'s TableInfo>,
+    /// Its slots in the scope's layout.
+    slots: Range<usize>,
+    span: Span,
+    /// False when the table failed to resolve: it could hold any column,
+    /// so it poisons references instead of cascading.
+    known: bool,
+    used: bool,
 }
 
-struct CoreInfo {
-    layout: Option<Vec<ColBinding>>,
-    labels: Option<Vec<String>>,
+impl FromTable<'_> {
+    fn name<'a>(&'a self, layout: &'a [ColBinding]) -> &'a str {
+        self.name.as_deref().unwrap_or_else(|| &layout[self.slots.start].binding)
+    }
 }
 
-struct Binder<'a> {
-    schema: &'a DbSchema,
+struct Binder<'s> {
+    schema: &'s DbSchema,
+    /// The FROM tables of every scope being bound, outermost first.
+    tables: Vec<FromTable<'s>>,
+    findings: Findings,
 }
 
-impl Binder<'_> {
-    /// Bind a statement whose enclosing (correlated) environments have the
-    /// layouts in `chain`, innermost last. Returns the statement's output
-    /// labels when they are statically known.
-    fn bind_statement(&self, stmt: &mut SelectStmt, chain: &[Vec<ColBinding>]) -> Option<Vec<String>> {
-        let compound = !stmt.compounds.is_empty();
-        let first = self.bind_core(&mut stmt.core, chain);
-        for (_, core) in &mut stmt.compounds {
-            self.bind_core(core, chain);
-        }
-        if !compound {
-            // Single-core ORDER BY terms evaluate against the core's own
-            // layout; compound ORDER BY is resolved purely against output
-            // columns and must stay raw.
-            if let Some(layout) = &first.layout {
-                let env = Env { layout, chain };
-                let labels = first.labels.as_deref().unwrap_or_default();
-                for item in &mut stmt.order_by {
-                    self.bind_order_expr(&mut item.expr, labels, &env);
+impl<'s> Binder<'s> {
+    fn new(schema: &'s DbSchema) -> Self {
+        Binder { schema, tables: Vec::new(), findings: Findings::default() }
+    }
+
+    /// Bind a statement inside the scope `outer` (None at the top).
+    /// Returns the output labels of its first core when they are
+    /// statically known.
+    fn bind_statement(&mut self, stmt: &mut SelectStmt, outer: Option<&Env>) -> Option<Vec<String>> {
+        // Single-core ORDER BY terms evaluate against the core's own
+        // layout; compound ORDER BY names output columns and stays raw.
+        let simple = stmt.compounds.is_empty();
+        let order_by: &mut [OrderItem] = if simple { &mut stmt.order_by } else { &mut [] };
+        let labels = self.bind_core(&mut stmt.core, order_by, outer);
+        if !simple {
+            let width = labels.as_ref().map(Vec::len);
+            for (_, core) in &mut stmt.compounds {
+                let arm = self.bind_core(core, &mut [], outer);
+                if let (Some(first), Some(arm)) = (width, arm.map(|l| l.len())) {
+                    self.findings.arm_width(first, arm);
                 }
             }
+            self.findings.compound_order(&stmt.order_by, labels.as_deref());
         }
         // LIMIT/OFFSET evaluate with an empty local layout; correlated
-        // references still see the ambient chain.
-        let empty: Vec<ColBinding> = Vec::new();
-        let env = Env { layout: &empty, chain };
-        if let Some(l) = &mut stmt.limit {
-            self.bind_and_fold(l, &env);
-        }
-        if let Some(o) = &mut stmt.offset {
-            self.bind_and_fold(o, &env);
-        }
-        first.labels
-    }
-
-    fn bind_core(&self, core: &mut SelectCore, chain: &[Vec<ColBinding>]) -> CoreInfo {
-        let layout = match &mut core.from {
-            Some(from) => self.layout_of_from(from, chain),
-            None => Some(Vec::new()),
-        };
-        let Some(layout) = layout else {
-            // Some FROM reference is unresolvable: execution fails while
-            // opening the stages, before any of this core's expressions
-            // run, so leave them raw.
-            return CoreInfo { layout: None, labels: None };
-        };
-        // The raw (expr, label) pairs exactly as the tail expands them:
-        // wildcards become one qualified reference per layout slot, and
-        // default labels are frozen before binding mutates the expressions
-        // they would be printed from. When the expansion fails, so does
-        // every execution, right after WHERE: what else binds never runs.
-        let snapshot = scope::expand_items(&core.items, &layout).map(|items| {
-            items.into_iter().map(|(e, label)| (e.into_owned(), label)).collect::<Vec<_>>()
-        });
-        let labels = snapshot.ok().map(|snapshot| {
-            // GROUP BY / HAVING read projection aliases: substitute them
-            // once, here, before binding
-            core.group_by = core.group_by.iter().map(|g| substitute_aliases(g, &snapshot)).collect();
-            core.having = core.having.as_ref().map(|h| substitute_aliases(h, &snapshot));
-            let labels = snapshot.iter().map(|(_, l)| l.clone()).collect();
-            core.items = snapshot
-                .into_iter()
-                .map(|(expr, label)| SelectItem::Expr { expr, alias: Some(label) })
-                .collect();
-            labels
-        });
-        let env = Env { layout: &layout, chain };
-        let items = core.items.iter_mut().filter_map(|item| match item {
-            SelectItem::Expr { expr, .. } => Some(expr),
-            _ => None,
-        });
-        for e in core.where_clause.iter_mut().chain(items).chain(&mut core.group_by).chain(&mut core.having) {
+        // references still see the enclosing scopes.
+        let at = self.tables.len();
+        let env = Env { tables: (at, at), outer, ..Env::ROWLESS };
+        for e in stmt.limit.iter_mut().chain(&mut stmt.offset) {
+            self.findings.limit(e);
             self.bind_and_fold(e, &env);
         }
-        CoreInfo { layout: Some(layout), labels }
+        labels
     }
 
-    /// Resolve the FROM clause's combined layout, binding FROM subqueries
-    /// (which inherit the ambient chain unchanged) and each ON predicate
-    /// against the join prefix it is evaluated on: every table up to and
-    /// including the one it joins. An unknown prefix already failed before
-    /// the ON could run, so that ON stays as written.
-    fn layout_of_from(&self, from: &mut FromClause, chain: &[Vec<ColBinding>]) -> Option<Vec<ColBinding>> {
+    /// Bind one SELECT core, and `order_by` against it, in the order the
+    /// analyzer reports: FROM and each ON, WHERE, the projection's
+    /// expansion, GROUP BY, HAVING, the items, GROUP BY coverage, ORDER BY.
+    /// A core behind an unknown FROM table binds too, to file its findings:
+    /// execution fails opening that table, before any of its expressions
+    /// run.
+    fn bind_core(
+        &mut self,
+        core: &mut SelectCore,
+        order_by: &mut [OrderItem],
+        outer: Option<&Env>,
+    ) -> Option<Vec<String>> {
+        let start = self.tables.len();
         let mut layout = Vec::new();
-        let mut known = self.push_table(&mut from.base, chain, &mut layout);
-        for join in &mut from.joins {
-            known &= self.push_table(&mut join.table, chain, &mut layout);
-            if let (true, Some(on)) = (known, &mut join.on) {
-                self.bind_and_fold(on, &Env { layout: &layout, chain });
+        if let Some(from) = &mut core.from {
+            self.push_from(&mut from.base, outer, &mut layout);
+            // each ON is evaluated on the join prefix: every table up to
+            // and including the one it joins
+            for join in &mut from.joins {
+                self.push_from(&mut join.table, outer, &mut layout);
+                if let Some(on) = &mut join.on {
+                    self.findings.aggregate_in(on, "E0208", "aggregate in JOIN ON clause", None);
+                    let env = Env { layout: &layout, tables: (start, self.tables.len()), outer, agg: None };
+                    self.bind_and_fold(on, &env);
+                }
             }
         }
-        known.then_some(layout)
+        let env = Env { layout: &layout, tables: (start, self.tables.len()), outer, agg: None };
+        if let Some(w) = &mut core.where_clause {
+            let help = Some("filter on aggregates with HAVING instead");
+            self.findings.aggregate_in(w, "E0201", "aggregate in WHERE clause", help);
+            self.bind_and_fold(w, &env);
+        }
+        // GROUP BY and HAVING read projection aliases, and coverage
+        // compares the items as written with the substituted GROUP BY;
+        // then the items are replaced by their expansion, labels frozen
+        // before binding mutates the expressions they are printed from.
+        let (items, expanded, width_known) = self.expand(&core.items, &layout, env.tables());
+        for g in core.group_by.iter_mut().chain(&mut core.having) {
+            substitute_aliases(g, &items);
+        }
+        let mut coverage = Findings::default();
+        if !core.group_by.is_empty() {
+            for item in &core.items {
+                if let SelectItem::Expr { expr, .. } = item {
+                    coverage.group_coverage(expr, &core.group_by);
+                }
+            }
+        }
+        let labels = width_known.then(|| items.iter().map(|(_, l)| l.clone()).collect::<Vec<_>>());
+        if expanded {
+            core.items = items
+                .into_iter()
+                .map(|(expr, label)| SelectItem::Expr { expr: expr.into_owned(), alias: Some(label) })
+                .collect();
+        }
+        for g in &mut core.group_by {
+            self.findings.aggregate_in(g, "E0208", "aggregate in GROUP BY", None);
+            self.bind_and_fold(g, &env);
+        }
+        if let Some(h) = &mut core.having {
+            self.bind_and_fold(h, &env);
+        }
+        for item in &mut core.items {
+            if let SelectItem::Expr { expr, .. } = item {
+                self.bind_and_fold(expr, &env);
+            }
+        }
+        self.findings.diagnostics.append(&mut coverage.diagnostics);
+        let order_labels = labels.as_deref().unwrap_or_default();
+        for o in order_by {
+            if let Expr::Literal(Value::Int(k)) = o.expr {
+                self.findings.order_position(k, labels.as_deref());
+            }
+            self.bind_order_expr(&mut o.expr, order_labels, &env);
+        }
+        for t in self.tables.drain(start..) {
+            if t.known && !t.used {
+                self.findings.unused.push((t.name(&layout).to_owned(), t.span));
+            }
+        }
+        labels
     }
 
-    /// Append the slots of one FROM table reference, binding a
-    /// FROM-subquery on the way; false when its layout is unknowable.
-    fn push_table(
-        &self,
-        tref: &mut TableRef,
-        chain: &[Vec<ColBinding>],
-        layout: &mut Vec<ColBinding>,
-    ) -> bool {
-        match tref {
-            TableRef::Named { name, alias, .. } => {
-                scope::push_table(layout, self.schema, name, alias.as_deref()).is_some()
-            }
-            TableRef::Subquery { query, alias } => match self.bind_statement(query, chain) {
-                Some(labels) => {
-                    scope::push_labels(layout, alias, labels);
-                    true
+    /// Append the slots of one FROM table reference to `layout`, and the
+    /// reference to the scope's tables: a schema table's columns (`E0101`
+    /// when there is no such table, which adds no slot), or the labels of
+    /// a FROM-subquery bound on the way. A FROM-subquery sees only the
+    /// enclosing scopes, never its sibling tables.
+    fn push_from(&mut self, tref: &mut TableRef, outer: Option<&Env>, layout: &mut Vec<ColBinding>) {
+        let start = layout.len();
+        let (name, info, span, known) = match tref {
+            TableRef::Named { name, alias, span } => {
+                let info = scope::push_table(layout, self.schema, name, alias.as_deref());
+                if info.is_none() {
+                    self.findings.unknown_table(self.schema, name, *span);
                 }
-                None => false,
-            },
+                (alias.as_ref().unwrap_or(name), info, *span, info.is_some())
+            }
+            TableRef::Subquery { query, alias } => {
+                let labels = self.bind_statement(query, outer).unwrap_or_default();
+                scope::push_labels(layout, alias, labels);
+                (&*alias, None, Span::empty(), true)
+            }
+        };
+        let slots = start..layout.len();
+        let name = slots.is_empty().then(|| name.clone());
+        // poisoned tables never lint as unused
+        self.tables.push(FromTable { name, info, slots, span, known, used: !known });
+    }
+
+    /// Expand the projection as execution does. `*` and `t.*` mark the
+    /// tables they read used; one that reads no table files the executor's
+    /// error (`E0209`, `E0101`). Returns the `(expression, label)` pairs —
+    /// of every item when the whole list expands, else of the items that
+    /// do — whether the whole list expanded, and whether the width is
+    /// known: no wildcard failed or read a table of unknowable width.
+    fn expand<'c>(
+        &mut self,
+        items: &'c [SelectItem],
+        layout: &[ColBinding],
+        tables: Range<usize>,
+    ) -> (Vec<(Cow<'c, Expr>, String)>, bool, bool) {
+        let whole = scope::expand_items(items, layout);
+        let mut width_known = true;
+        let mut partial = Vec::new();
+        for item in items {
+            let mut read = false;
+            if !matches!(item, SelectItem::Expr { .. }) {
+                for t in &mut self.tables[tables.clone()] {
+                    let reads = match item {
+                        SelectItem::TableWildcard(name) => t.name(layout).eq_ignore_ascii_case(name),
+                        _ => true,
+                    };
+                    if reads {
+                        (read, t.used) = (true, true);
+                        width_known &= t.known;
+                    }
+                }
+            }
+            if whole.is_err() {
+                match scope::expand_items(std::slice::from_ref(item), layout) {
+                    Ok(expanded) => partial.extend(expanded),
+                    Err(e) if !read => {
+                        self.findings.expansion(e);
+                        width_known = false;
+                    }
+                    Err(_) => {}
+                }
+            }
+        }
+        match whole {
+            Ok(items) => (items, true, width_known),
+            Err(_) => (partial, false, width_known),
         }
     }
 
     /// ORDER BY terms the executor resolves as positions or output-label
     /// references must stay raw; everything else binds but never folds at
     /// the top (a folded integer literal would be re-read as a position).
-    fn bind_order_expr(&self, e: &mut Expr, labels: &[String], env: &Env) {
+    fn bind_order_expr(&mut self, e: &mut Expr, labels: &[String], env: &Env) {
         match e {
             Expr::Literal(Value::Int(k)) if *k >= 1 && (*k as usize) <= labels.len() => {}
             Expr::Column { table: None, column, .. }
@@ -377,15 +543,7 @@ impl Binder<'_> {
         }
     }
 
-    /// Bind a sub-select met inside an expression: the enclosing core's
-    /// layout becomes its innermost outer environment.
-    fn bind_nested(&self, query: &mut SelectStmt, env: &Env) {
-        let mut chain = env.chain.to_vec();
-        chain.push(env.layout.to_vec());
-        self.bind_statement(query, &chain);
-    }
-
-    fn bind_and_fold(&self, e: &mut Expr, env: &Env) {
+    fn bind_and_fold(&mut self, e: &mut Expr, env: &Env) {
         if self.bind_expr(e, env) {
             try_fold(e);
         }
@@ -395,86 +553,166 @@ impl Binder<'_> {
     /// constant (returned to the caller unfolded so folding happens at the
     /// topmost constant boundary), otherwise fold each constant child. A
     /// node of fixed arity keeps its children on the stack.
-    fn bind_composite<const N: usize>(&self, mut kids: [&mut Expr; N], env: &Env) -> bool {
-        let flags = kids.each_mut().map(|k| self.bind_expr(k, env));
-        fold_constant_kids(kids, &flags)
+    fn bind_composite<const N: usize>(&mut self, mut kids: [&mut Expr; N], env: &Env) -> bool {
+        let constant = kids.each_mut().map(|k| self.bind_expr(k, env));
+        if constant.iter().all(|c| *c) {
+            return true;
+        }
+        for (k, _) in kids.into_iter().zip(constant).filter(|(_, c)| *c) {
+            try_fold(k);
+        }
+        false
     }
 
-    /// [`Binder::bind_composite`] for a node with any number of children.
-    fn bind_variadic(&self, mut kids: Vec<&mut Expr>, env: &Env) -> bool {
-        let flags: Vec<bool> = kids.iter_mut().map(|k| self.bind_expr(k, env)).collect();
-        fold_constant_kids(kids, &flags)
+    /// [`Binder::bind_composite`] for a node with any number of children
+    /// ([`variadic_kids`]), in place: the constant children before the
+    /// first variable one fold once it is met, those after it as they bind.
+    fn bind_variadic(&mut self, e: &mut Expr, env: &Env) -> bool {
+        let mut first_variable = None;
+        for (i, kid) in variadic_kids(e).enumerate() {
+            match (self.bind_expr(kid, env), first_variable) {
+                (false, None) => first_variable = Some(i),
+                (true, Some(_)) => try_fold(kid),
+                _ => {}
+            }
+        }
+        let Some(n) = first_variable else { return true };
+        variadic_kids(e).take(n).for_each(try_fold);
+        false
     }
 
     /// Bind an expression in place, returning whether the whole subtree is
-    /// constant (no columns, wildcards, subqueries, or aggregates).
-    fn bind_expr(&self, e: &mut Expr, env: &Env) -> bool {
+    /// constant (no columns, wildcards, subqueries, or aggregates). Each
+    /// node's findings are filed before its children bind.
+    fn bind_expr(&mut self, e: &mut Expr, env: &Env) -> bool {
         match e {
             Expr::Literal(_) => true,
-            Expr::Column { table, column, .. } => {
-                let outer = env.chain.iter().rev().map(Vec::as_slice);
-                let layouts = std::iter::once(env.layout).chain(outer);
-                *e = match scope::lookup(layouts, table.as_deref(), column) {
+            Expr::Column { table, column, span } => {
+                let found = scope::lookup(env.chain().map(|s| s.layout), table.as_deref(), column);
+                match found {
+                    Ok((up, slot)) => {
+                        let scope = env.chain().nth(up).expect("lookup answers a scope of the chain");
+                        if let Some(t) = self.owner(scope, slot) {
+                            self.tables[t].used = true;
+                        }
+                    }
+                    Err(miss) => self.unresolved(env, miss, table.as_deref(), column, *span),
+                }
+                *e = match found {
                     Ok((0, index)) => Expr::BoundColumn { index },
                     Ok((up, index)) => Expr::OuterColumn { up: up - 1, index },
                     Err(miss) => Expr::Unresolved(miss.error(table.as_deref(), column)),
                 };
                 false
             }
-            Expr::BoundColumn { .. }
-            | Expr::OuterColumn { .. }
-            | Expr::Unresolved(_)
-            | Expr::Wildcard => false,
+            Expr::BoundColumn { .. } | Expr::OuterColumn { .. } | Expr::Unresolved(_) => false,
+            Expr::Wildcard => {
+                // `COUNT(*)` counts rows of the whole join, so every table
+                // of the scope is in use
+                for t in &mut self.tables[env.tables()] {
+                    t.used = true;
+                }
+                false
+            }
             Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
                 self.bind_composite([expr.as_mut()], env)
             }
-            Expr::Binary { left, right, .. } => self.bind_composite([left.as_mut(), right.as_mut()], env),
+            Expr::Binary { left, op, right } => {
+                if op.is_comparison() {
+                    self.check_comparison(left, right, env);
+                }
+                self.bind_composite([left.as_mut(), right.as_mut()], env)
+            }
             Expr::Like { expr, pattern, .. } => self.bind_composite([expr.as_mut(), pattern.as_mut()], env),
             Expr::Between { expr, low, high, .. } => {
                 self.bind_composite([expr.as_mut(), low.as_mut(), high.as_mut()], env)
             }
-            Expr::InList { expr, list, .. } => {
-                let mut kids: Vec<&mut Expr> = vec![expr.as_mut()];
-                kids.extend(list.iter_mut());
-                self.bind_variadic(kids, env)
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                let mut kids: Vec<&mut Expr> = Vec::new();
-                if let Some(op) = operand {
-                    kids.push(op.as_mut());
-                }
-                for (w, t) in branches {
-                    kids.push(w);
-                    kids.push(t);
-                }
-                if let Some(el) = else_expr {
-                    kids.push(el.as_mut());
-                }
-                self.bind_variadic(kids, env)
-            }
-            Expr::Function { name, args, .. } if is_aggregate_name(name, args.len()) => {
+            Expr::Function { name, args, span, .. } if is_aggregate_name(name, args.len()) => {
+                self.findings.aggregate_call(name, args, *span, env.agg);
                 // The first argument evaluates per row in the group;
                 // trailing arguments (group_concat's separator) evaluate
                 // through eval_const, with no row and no tables.
-                let empty = Env { layout: &[], chain: &[] };
+                let first = Env { agg: Some(name.as_str()), ..*env };
+                let trailing = Env { agg: Some(name.as_str()), ..Env::ROWLESS };
                 for (i, a) in args.iter_mut().enumerate() {
-                    self.bind_and_fold(a, if i == 0 { env } else { &empty });
+                    self.bind_and_fold(a, if i == 0 { &first } else { &trailing });
                 }
                 false
             }
-            Expr::Function { args, .. } => {
-                self.bind_variadic(args.iter_mut().collect(), env)
+            Expr::Function { name, args, span, .. } => {
+                self.findings.scalar_call(name, args.len(), *span);
+                self.bind_variadic(e, env)
             }
+            Expr::InList { .. } | Expr::Case { .. } => self.bind_variadic(e, env),
             Expr::InSubquery { expr, query, .. } => {
                 if self.bind_expr(expr, env) {
                     try_fold(expr);
                 }
-                self.bind_nested(query, env);
+                self.bind_statement(query, Some(env));
                 false
             }
             Expr::Subquery(query) | Expr::Exists { query, .. } => {
-                self.bind_nested(query, env);
+                self.bind_statement(query, Some(env));
                 false
+            }
+        }
+    }
+
+    /// The index in [`Binder::tables`] of the table of `scope` that holds
+    /// `slot` of its layout.
+    fn owner(&self, scope: &Env, slot: usize) -> Option<usize> {
+        scope.tables().find(|&t| self.tables[t].slots.contains(&slot))
+    }
+
+    /// File a reference that resolves nowhere (`E0102`, `E0103`), unless
+    /// an unknown table could have held it.
+    fn unresolved(&mut self, env: &Env, miss: Miss, table: Option<&str>, column: &str, span: Span) {
+        // Unsure which table was meant, count every visible one used: an
+        // E01xx finding must not cascade into W0303 noise.
+        for scope in env.chain() {
+            for t in &mut self.tables[scope.tables()] {
+                t.used = true;
+            }
+        }
+        if env.chain().any(|scope| self.poisons(scope, table, column)) {
+            return;
+        }
+        let suggestions = match miss {
+            // the innermost scope is the one that found it ambiguous
+            Miss::Ambiguous => self.tables[env.tables()]
+                .iter()
+                .filter(|t| env.layout[t.slots.clone()].iter().any(|s| s.column.eq_ignore_ascii_case(column)))
+                .map(|t| (Some(t.name(env.layout).to_owned()), column.to_owned()))
+                .collect(),
+            Miss::Missing => column_suggestions(env.chain().map(|s| s.layout), table, column),
+        };
+        self.findings.unresolved_column(self.schema, miss, table, column, span, suggestions);
+    }
+
+    /// Could an unknown table of `scope` have held `table.column`?
+    fn poisons(&self, scope: &Env, table: Option<&str>, column: &str) -> bool {
+        let mut unknown = self.tables[scope.tables()].iter().filter(|t| !t.known);
+        match table {
+            Some(t) => unknown.any(|b| b.name(scope.layout).eq_ignore_ascii_case(t)),
+            None => {
+                unknown.next().is_some()
+                    && !scope.layout.iter().any(|s| s.column.eq_ignore_ascii_case(column))
+            }
+        }
+    }
+
+    /// `E0203`: a column of a schema table compared with a literal of the
+    /// opposite storage class. Read before the comparison binds.
+    fn check_comparison(&mut self, left: &Expr, right: &Expr, env: &Env) {
+        for (a, b) in [(left, right), (right, left)] {
+            let (Expr::Column { table, column, span }, Expr::Literal(v)) = (a, b) else { continue };
+            let layouts = env.chain().map(|s| s.layout);
+            let Ok((up, slot)) = scope::lookup(layouts, table.as_deref(), column) else { continue };
+            let scope = env.chain().nth(up).expect("lookup answers a scope of the chain");
+            let owner = self.owner(scope, slot).and_then(|t| self.tables[t].info);
+            let Some(col) = owner.and_then(|info| info.column(column)) else { continue };
+            if !v.is_null() && self.findings.comparison(col.ty, *span, v) {
+                return; // one finding per comparison
             }
         }
     }
@@ -487,9 +725,11 @@ impl Binder<'_> {
 pub struct PlanCacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to parse + bind (including parse failures).
+    /// Lookups that had to prepare a plan (including parse failures).
     pub misses: u64,
-    /// Cumulative time spent parsing + binding, in microseconds.
+    /// Cumulative time spent preparing plans on misses, in microseconds:
+    /// parsing, binding and lowering a text, or only lowering the bound
+    /// statement a caller hands in ([`PlanCache::execute_with`]).
     pub prepare_us: u64,
     /// Cumulative time spent executing prepared plans, in microseconds.
     pub execute_us: u64,
@@ -533,9 +773,10 @@ impl CacheInner {
 }
 
 /// An LRU cache of [`Prepared`] plans keyed by (plan fingerprint, SQL),
-/// shared across threads. A hit skips parsing and binding; a miss binds
-/// the caller's parsed statement ([`PlanCache::execute_with`]) or parses
-/// `sql`. Hits are rare in serving: refinement runs each distinct text of
+/// shared across threads. A hit skips parsing, binding and lowering; a
+/// miss lowers the statement the caller already bound
+/// ([`PlanCache::execute_with`], the beam's gate) or parses and binds
+/// `sql` first. Hits are rare in serving: refinement runs each distinct text of
 /// a question once and the vote runs nothing, so only a text repeated
 /// across questions hits (0.16 % of lookups on `cold_full`). Eval's
 /// repeated gold-SQL executions are what the cache is for.
@@ -575,7 +816,7 @@ impl PlanCache {
     /// Parse errors are returned without being cached and count as misses.
     pub fn prepared(&self, db: &Database, sql: &str) -> SqlResult<Arc<Prepared>> {
         let fingerprint = plan_fingerprint(db);
-        let (plan, hit, prepare_us) = self.lookup(db, fingerprint, sql, || parse_select(sql));
+        let (plan, hit, prepare_us) = self.lookup(db, fingerprint, sql, || parse_and_bind(db, sql));
         // volatile: hit/miss depends on process-wide cache warmth, not on
         // the query being traced
         if osql_trace::active::is_active() {
@@ -594,14 +835,14 @@ impl PlanCache {
 
     /// The one cache lookup, with no trace event: returns the plan (or
     /// error), whether it was a hit, and the prepare cost in µs on a miss,
-    /// where `parse` supplies `sql`'s statement. `fingerprint` is `db`'s
-    /// [`plan_fingerprint`].
+    /// where `bind` supplies `sql`'s bound statement. `fingerprint` is
+    /// `db`'s [`plan_fingerprint`].
     fn lookup(
         &self,
         db: &Database,
         fingerprint: u64,
         sql: &str,
-        parse: impl FnOnce() -> SqlResult<SelectStmt>,
+        bind: impl FnOnce() -> SqlResult<Bound>,
     ) -> (SqlResult<Arc<Prepared>>, bool, u64) {
         let key = Self::key(fingerprint, sql);
         let cached = self.inner.lock().touch(key, fingerprint, sql);
@@ -611,7 +852,7 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let prepared = parse().map(|stmt| prepare_stmt(db, stmt));
+        let prepared = bind().map(|bound| bound.lower(db));
         let prepare_us = t0.elapsed().as_micros() as u64;
         self.prepare_us.fetch_add(prepare_us, Ordering::Relaxed);
         let plan = match prepared {
@@ -640,20 +881,21 @@ impl PlanCache {
     /// Prepare (through the cache) and execute in one call, timing the
     /// execute phase separately from the prepare phase.
     pub fn execute(&self, db: &Database, sql: &str) -> SqlResult<(ResultSet, ExecStats)> {
-        self.execute_with(db, sql, || parse_select(sql))
+        self.execute_with(db, sql, || parse_and_bind(db, sql))
     }
 
-    /// [`PlanCache::execute`], where a miss takes `sql`'s statement from
-    /// `parse`: a caller that already holds it parsed hands in a copy
-    /// instead of having `sql` parsed again.
+    /// [`PlanCache::execute`], where a miss takes `sql`'s statement, bound
+    /// against `db`'s schema, from `bind` and only lowers it: a caller that
+    /// already bound it ([`crate::bind`]) hands it in instead of having
+    /// `sql` parsed and bound again.
     pub fn execute_with(
         &self,
         db: &Database,
         sql: &str,
-        parse: impl FnOnce() -> SqlResult<SelectStmt>,
+        bind: impl FnOnce() -> SqlResult<Bound>,
     ) -> SqlResult<(ResultSet, ExecStats)> {
         let fingerprint = plan_fingerprint(db);
-        let (plan, hit, prepare_us) = self.lookup(db, fingerprint, sql, parse);
+        let (plan, hit, prepare_us) = self.lookup(db, fingerprint, sql, bind);
         let plan = plan?;
         let t0 = Instant::now();
         let (result, stats, ix_ops) = plan.run(db, fingerprint);
@@ -719,6 +961,11 @@ impl PlanCache {
         inner.map.clear();
         inner.len = 0;
     }
+}
+
+/// `sql` parsed and bound against `db`'s schema, its findings dropped.
+fn parse_and_bind(db: &Database, sql: &str) -> SqlResult<Bound> {
+    Ok(bind_select(&db.schema, parse_select(sql)?).0)
 }
 
 fn evict_oldest(inner: &mut CacheInner) {

@@ -141,7 +141,10 @@ fn write_table_ref(out: &mut String, t: &TableRef) {
             }
         }
         TableRef::Subquery { query, alias } => {
-            let _ = write!(out, "({}) AS {}", print_select(query), ident(alias));
+            let _ = write!(out, "({})", print_select(query));
+            if !alias.is_empty() {
+                let _ = write!(out, " AS {}", ident(alias));
+            }
         }
     }
 }

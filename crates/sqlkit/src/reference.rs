@@ -316,7 +316,7 @@ impl<'a> Eval<'a> {
         let mut layout = Vec::new();
         match tref {
             TableRef::Named { name, alias, .. } => {
-                let (info, _) = scope::push_table(&mut layout, &self.db.schema, name, alias.as_deref())
+                let info = scope::push_table(&mut layout, &self.db.schema, name, alias.as_deref())
                     .ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
                 Ok((layout, self.db.rows(&info.name)?.to_vec()))
             }

@@ -108,13 +108,6 @@ impl DbSchema {
         self.tables.iter().map(|t| t.columns.len()).sum()
     }
 
-    /// All `(table, column)` pairs.
-    pub fn all_columns(&self) -> impl Iterator<Item = (&str, &ColumnInfo)> {
-        self.tables
-            .iter()
-            .flat_map(|t| t.columns.iter().map(move |c| (t.name.as_str(), c)))
-    }
-
     /// Render the schema prompt block used by the pipeline, in the
     /// compact `table(column type -- description, ...)` style. When
     /// `only` is given, restrict to those `(table, column)` pairs while
@@ -199,16 +192,6 @@ impl DbSchema {
             }
         }
         None
-    }
-
-    /// Foreign keys touching the given table (either side).
-    pub fn fks_of(&self, table: &str) -> Vec<&ForeignKey> {
-        self.foreign_keys
-            .iter()
-            .filter(|fk| {
-                fk.table.eq_ignore_ascii_case(table) || fk.ref_table.eq_ignore_ascii_case(table)
-            })
-            .collect()
     }
 }
 

@@ -3,12 +3,13 @@
 //! Every name question the engine asks is answered here, for each of its
 //! readers, so they cannot disagree:
 //!
-//! - the analyzer (`analyze::Checker`) turns a failed lookup into E0102 /
-//!   E0103 with did-you-mean help;
 //! - the binder (`prepare::Binder`) turns a slot into a `BoundColumn` /
 //!   `OuterColumn`, and a failed lookup into an `Unresolved` carrying the
 //!   [`SqlError`] it names, which the executor raises if it gets there —
-//!   the executor itself reads slots and never asks;
+//!   the executor itself reads slots and never asks. Being the analyzer,
+//!   the binder also files a failed lookup as E0102 / E0103 with
+//!   did-you-mean help;
+//! - the planner (`plan`) lays out each core's stages by the same rules;
 //! - the test-only reference interpreter (`reference`) asks per row, over
 //!   a stack of `(layout, row)` environments.
 //!
@@ -38,19 +39,19 @@ impl ColBinding {
     }
 }
 
-/// Append the slots of the schema table `name`, read as `alias`. Returns
-/// the table and the name its slots are addressed by, or `None` (and
-/// appends nothing) when the schema has no such table.
+/// Append the slots of the schema table `name`, read as `alias` (or as the
+/// schema spells the name). Returns the table, or `None` (and appends
+/// nothing) when the schema has no such table.
 pub(crate) fn push_table<'s>(
     layout: &mut Vec<ColBinding>,
     schema: &'s DbSchema,
     name: &str,
     alias: Option<&str>,
-) -> Option<(&'s TableInfo, String)> {
+) -> Option<&'s TableInfo> {
     let info = schema.table(name)?;
-    let binding = alias.unwrap_or(&info.name).to_owned();
-    layout.extend(info.columns.iter().map(|c| ColBinding::new(&*binding, &*c.name)));
-    Some((info, binding))
+    let binding = alias.unwrap_or(&info.name);
+    layout.extend(info.columns.iter().map(|c| ColBinding::new(binding, &*c.name)));
+    Some(info)
 }
 
 /// Append the slots of a FROM-subquery read as `alias`: its output labels.
