@@ -100,12 +100,16 @@ cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight,
 # One refinement path, structurally: the beam is the unit, so alignment and
 # the beam's execution each have exactly one call site outside tests in
 # refinement.rs (the miss path of the beam's one table — `refine_candidate`
-# is the beam of one through it, not a second loop; `refinement::execute`,
-# eval's entry, is `plan_cache().execute`), and one thread answers one
-# question: no thread fan-out inside core (eval.rs spreads whole questions
-# over scorer threads, which is the caller's parallelism, not the
+# is the beam of one through it, not a second loop), and one thread answers
+# one question: no thread fan-out inside core (eval.rs spreads whole
+# questions over scorer threads, which is the caller's parallelism, not the
 # pipeline's), no thread-count knob beyond the one vestigial builder the
-# frozen benchmark harness calls, and no second, fallible way to call a model.
+# frozen benchmark harness calls, and no second, fallible way to call a
+# model. The gate runs the front's bound statement itself
+# (`bound.execute(`, `sqlkit::Bound::execute`): no plan-cache key, lookup,
+# lock or insert. The process-wide cache is named once outside tests, in
+# `refinement::execute` (eval's gold runs and `Pipeline::query`), and
+# `PlanCache::execute_with`, the gate's old way through it, is gone.
 non_test_code() { # a source file up to its test module, comment lines dropped
     awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1" | grep -v '^[[:space:]]*//'
 }
@@ -122,14 +126,24 @@ if non_test_code crates/sqlkit/src/parser.rs | grep -nE 'peek\(\)\.clone\(\)|fn 
     echo "ci: crates/sqlkit/src/parser.rs clones tokens or descends one function per precedence level again" >&2
     exit 1
 fi
+need crates/core/src/refinement.rs crates/sqlkit/src/prepare.rs
 refinement_code="$(non_test_code crates/core/src/refinement.rs)"
-for call in 'plan_cache().execute_with(' 'align_candidate('; do
+for call in 'bound.execute(&self.db.database)' 'align_candidate(' 'plan_cache()'; do
     sites="$(printf '%s\n' "$refinement_code" | grep -cF "$call" || true)"
     if [ "$sites" != 1 ]; then
         echo "ci: $call has $sites non-test call sites in crates/core/src/refinement.rs, want 1" >&2
         exit 1
     fi
 done
+if ! printf '%s\n' "$refinement_code" \
+    | awk '/^pub fn execute\(/,/^}/' | grep -qF 'sqlkit::plan_cache().execute('; then
+    echo "ci: the plan cache's one refinement.rs site is not in refinement::execute" >&2
+    exit 1
+fi
+if grep -rnw 'execute_with' crates src tests examples perfbench --include='*.rs'; then
+    echo "ci: PlanCache::execute_with is back; the gate runs its bound statement itself" >&2
+    exit 1
+fi
 cargo test -q --test dml_index_upkeep # write-path gate: a seeded 120 x 32 INSERT/UPDATE/
                                  # DELETE mix through Store on a CREATE TABLE … INTEGER
                                  # PRIMARY KEY table: after every statement the key index
@@ -142,10 +156,9 @@ cargo test -q --test dml_index_upkeep # write-path gate: a seeded 120 x 32 INSER
 # its analysis, a parse failure is the E0001 analysis through
 # `Analysis::parse_error`), never through `sqlkit::analyze`, which would
 # bind it a second time, or `analyze_sql`, which would parse it again.
-# Alignment, the gate, the plan cache's miss path (which only lowers the
-# entry's bound statement) and the correction prompt read that entry, so
-# the per-text parse probe and alignment's own parse finding must not come
-# back.
+# Alignment, the gate (which lowers and runs the entry's bound statement)
+# and the correction prompt read that entry, so the per-text parse probe
+# and alignment's own parse finding must not come back.
 need crates/core/src/refinement.rs crates/core/src/alignment.rs
 front_code="$(non_test_code crates/core/src/refinement.rs; non_test_code crates/core/src/alignment.rs)"
 for want in 'parse_select(:1' 'sqlkit::bind(:1' 'sqlkit::analyze(:0' 'analyze_sql(:0'; do

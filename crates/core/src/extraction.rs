@@ -51,7 +51,7 @@ pub fn run_extraction(
             proto::DB_PREFIX,
             db_id,
             proto::SCHEMA_HEADER,
-            db.database.schema.describe(None),
+            assets.schema_text,
             evidence_line(evidence),
             question
         );

@@ -16,12 +16,20 @@ pub struct DbAssets {
     pub values: ValueIndex,
     /// Column descriptor index.
     pub columns: ColumnIndex,
+    /// The full schema text (`describe(None)`), which every extraction
+    /// prompt carries.
+    pub schema_text: String,
 }
 
 impl DbAssets {
-    /// Index one database (the per-database half of preprocessing).
+    /// Index one database and describe its schema (the per-database half
+    /// of preprocessing).
     pub fn build(db: &datagen::BuiltDb) -> Self {
-        DbAssets { values: ValueIndex::build(db), columns: ColumnIndex::build(db) }
+        DbAssets {
+            values: ValueIndex::build(db),
+            columns: ColumnIndex::build(db),
+            schema_text: db.database.schema.describe(None),
+        }
     }
 }
 

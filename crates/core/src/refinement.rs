@@ -25,9 +25,9 @@ use crate::retrieval::ValueHit;
 use llmsim::proto;
 use llmsim::{ChatRequest, LanguageModel};
 use osql_trace::{active, QueryTrace};
-use sqlkit::{parse_select, plan_cache, Analysis, Bound, ResultSet, SelectStmt, SqlError};
+use sqlkit::{parse_select, Analysis, Bound, ResultSet, SelectStmt, SqlError};
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -150,14 +150,14 @@ pub fn vote_margin(candidates: &[RefinedCandidate], winner: usize) -> f64 {
 /// Execute a SQL string against a database, returning result + costs.
 ///
 /// Goes through the process-wide [`sqlkit::plan_cache`], which eval's
-/// repeated gold-SQL executions hit. The beam executes through the same
-/// cache, handing it the statement its front end already parsed; within
-/// one question it never runs a text twice and the vote runs nothing (see
-/// [`refine_beam`]), so a beam's lookups hit only on a text an earlier
-/// question ran. Plans run on `sqlkit`'s one pipelined executor — index
-/// scans and index joins on declared indexes where the planner could cost
-/// them, the naive plan (scans, hash / nested-loop joins, every conjunct
-/// residual) for everything else.
+/// repeated gold-SQL executions hit. The beam does not: within one
+/// question it never runs a text twice and the vote runs nothing (see
+/// [`refine_beam`]), so its gate runs the statement its front end bound
+/// ([`sqlkit::Bound::execute`]) with no lookup, and the cache's execution
+/// counters still count it. Plans run on `sqlkit`'s one pipelined
+/// executor — index scans and index joins on declared indexes where the
+/// planner could cost them, the naive plan (scans, hash / nested-loop
+/// joins, every conjunct residual) for everything else.
 pub fn execute(db: &sqlkit::Database, sql: &str) -> (Result<ResultSet, SqlError>, u64, f64) {
     let t0 = Instant::now();
     match sqlkit::plan_cache().execute(db, sql) {
@@ -202,7 +202,7 @@ impl<T> Shared<T> {
 
 /// What the front end made of one text: its statement, or why it did not
 /// parse, and the one bind of a copy against the beam's schema — the bound
-/// statement, until the gate hands it to the plan cache, and its analysis
+/// statement, until the gate lowers and runs it, and its analysis
 /// (a parse failure is the `E0001` analysis).
 struct Front {
     stmt: Result<SelectStmt, SqlError>,
@@ -322,6 +322,11 @@ struct Beam<'a> {
     db: &'a datagen::BuiltDb,
     assets: &'a DbAssets,
     fronts: RefCell<HashMap<String, Rc<Front>>>,
+    /// The correction prompt's constants, each made on first use: the
+    /// schema text of the extraction's subset, and the stored values
+    /// retrieved for each text literal.
+    schema_text: OnceCell<String>,
+    literal_hits: RefCell<HashMap<String, Vec<ValueHit>>>,
 }
 
 impl<'a> Beam<'a> {
@@ -336,8 +341,19 @@ impl<'a> Beam<'a> {
     ) -> Self {
         let db = pre.db(db_id).expect("refinement runs on known databases");
         let assets = pre.assets(db_id).expect("assets exist for known databases");
-        let fronts = RefCell::default();
-        Beam { llm, config, db_id, question, evidence, extraction, db, assets, fronts }
+        Beam {
+            llm,
+            config,
+            db_id,
+            question,
+            evidence,
+            extraction,
+            db,
+            assets,
+            fronts: RefCell::default(),
+            schema_text: OnceCell::new(),
+            literal_hits: RefCell::default(),
+        }
     }
 
     /// The front end's entry for `text`: looked up, else made now — the
@@ -409,7 +425,9 @@ impl<'a> Beam<'a> {
     /// diagnoses — its findings become the note the correction prompt
     /// carries — and the execution decides: the result, or the error a
     /// correction round is dispatched on, is always the engine's own (an
-    /// unparseable text's is its parse error, with no plan-cache lookup).
+    /// unparseable text's is its parse error, with nothing executed). The
+    /// front's bound statement is lowered and run directly, with no
+    /// plan-cache lookup: a beam never runs a text twice.
     /// The analysis is charged here, whenever the front end made it.
     fn gate(&self, sql: &str) -> Shared<GateOutcome> {
         let front = self.front(sql);
@@ -430,12 +448,13 @@ impl<'a> Beam<'a> {
             );
             let codes = analysis.diagnostics.iter().map(|d| d.code.clone()).collect();
             let t0 = Instant::now();
-            // a text is gated once per beam, so a plan-cache miss finds
-            // the front's bound statement still there to lower
+            // a text is gated once per beam, so the front's bound statement
+            // is still there to lower and run
             let run = match &front.stmt {
-                Ok(_) => plan_cache().execute_with(&self.db.database, sql, || {
-                    Ok(front.bound.take().expect("a text is gated once per beam"))
-                }),
+                Ok(_) => {
+                    let bound = front.bound.take().expect("a text is gated once per beam");
+                    bound.execute(&self.db.database)
+                }
                 Err(e) => Err(e.clone()),
             };
             let (result, cost) = match run {
@@ -611,23 +630,29 @@ impl<'a> Beam<'a> {
         kind: sqlkit::SqlErrorKind,
         note: &str,
     ) -> String {
-        let schema_text = self.db.database.schema.describe(self.extraction.subset.as_ref());
+        let schema_text = self
+            .schema_text
+            .get_or_init(|| self.db.database.schema.describe(self.extraction.subset.as_ref()));
 
         // value context: retrieval hits plus stored values near each text
         // literal of the broken SQL
         let mut hits: Vec<ValueHit> = self.extraction.value_hits.clone();
         if let Ok(stmt) = &self.front(broken_sql).stmt {
+            let mut literal_hits = self.literal_hits.borrow_mut();
             // the statement walk is the mutable one, so it walks a copy
             stmt.clone().walk_exprs_mut(&mut |e| {
                 let sqlkit::Expr::Literal(sqlkit::Value::Text(t)) = e else { return };
                 if !t.chars().any(|c| c.is_alphabetic()) {
                     return;
                 }
-                for hit in self.assets.values.retrieve(t, 3, 0.4) {
+                if !literal_hits.contains_key(t.as_str()) {
+                    literal_hits.insert(t.clone(), self.assets.values.retrieve(t, 3, 0.4));
+                }
+                for hit in &literal_hits[t.as_str()] {
                     if !hits.iter().any(|h| {
                         h.table == hit.table && h.column == hit.column && h.stored == hit.stored
                     }) {
-                        hits.push(hit);
+                        hits.push(hit.clone());
                     }
                 }
             });
@@ -1158,6 +1183,42 @@ mod beam_tests {
         assert_eq!(beam.ledger.get(Module::Analyze).calls, 3);
     }
 
+    /// The gate runs each distinct text once, outside the plan cache, and
+    /// the beam's trace holds one volatile `exec` event per run — failed
+    /// runs included — each carrying the rows it scanned (what the
+    /// runtime's flight record sums) and the lowering as `prepare_ms`.
+    #[test]
+    fn each_distinct_gated_text_records_one_exec_event_with_its_rows_scanned() {
+        let fx = fx();
+        let texts = [
+            "SELECT Name FROM Patient WHERE Age > 30",
+            "SELECT COUNT(*) FROM Patient",
+            "SELECT Name FROM Patient WHERE Age > 30",
+            "SELECT Name FROM Nopes",
+            "SELECT COUNT(*) FROM Patient",
+        ];
+        let mut case = Case::new(&fx, &fx.sim, &texts);
+        case.config.correction = false;
+        let (_, beam) = case.check();
+        for (c, text) in beam.candidates.iter().zip(texts) {
+            assert_eq!(c.sql, text, "gated as written");
+        }
+        let scanned: Vec<u64> = beam
+            .trace
+            .events_named("exec")
+            .map(|e| {
+                assert!(e.volatile && e.labels.is_empty(), "{e:?}");
+                assert!(e.timing("prepare_ms").is_some(), "lowered for this run: {e:?}");
+                e.timing("rows_scanned").expect("every run carries its rows") as u64
+            })
+            .collect();
+        // in gate order, each distinct text's cost as its candidates hold
+        // it; the failed run scans nothing
+        let costs = [0, 1, 3].map(|i| beam.candidates[i].exec_cost);
+        assert_eq!(scanned, costs);
+        assert!(scanned[0] > 0 && scanned[1] > 0 && scanned[2] == 0, "{scanned:?}");
+    }
+
     /// A correction whose output is a text the beam has already attempted
     /// reuses that attempt — another candidate's, or the candidate's own.
     #[test]
@@ -1175,7 +1236,9 @@ mod beam_tests {
         assert!(first.is_valid(), "{}", first.outcome_label());
         assert_eq!((corrected.sql.as_str(), corrected.correction_rounds), (good, 1));
         assert!(same_allocation(first, corrected), "the corrected text ran once, for candidate 0");
-        assert_eq!((oracle.events("exec"), beam.events("exec")), (2, 1));
+        // one `exec` event per execution, failed ones included: the beam
+        // ran each of its three texts once, one by one `good` ran twice
+        assert_eq!((oracle.events("exec"), beam.events("exec")), (4, 3));
         let reuse = beam.trace.events_named("attempt_shared").next().expect("a reuse");
         assert_eq!((reuse.label("align"), reuse.label("exec")), (Some("0"), Some("0")));
         // the model repeating a candidate's own failed SQL: every round is
@@ -1215,7 +1278,8 @@ mod beam_tests {
             assert_eq!((c.sql.as_str(), c.correction_rounds), (good, 1));
         }
         assert!(same_allocation(a, b), "the corrected text ran once, for candidate 0");
-        assert_eq!((oracle.events("exec"), beam.events("exec")), (2, 1));
+        // the two failing first attempts and `good`, once each
+        assert_eq!((oracle.events("exec"), beam.events("exec")), (4, 3));
         let reuses: Vec<_> = beam.trace.events_named("attempt_shared").collect();
         assert_eq!(reuses.len(), 1);
         assert_eq!((reuses[0].label("align"), reuses[0].label("exec")), (Some("0"), Some("0")));

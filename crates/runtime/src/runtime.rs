@@ -670,7 +670,8 @@ impl Runtime {
     /// current levels with `set`: asset builds, the demand-paging catalog
     /// (paged mode), the process-global store latency cells as cumulative
     /// `store_op_*{op}` counters, result-cache evictions, and the
-    /// process-wide sqlkit plan-cache counters.
+    /// process-wide sqlkit plan-cache counters (whose execution counters
+    /// also count the statements the beam runs without the cache).
     pub fn refreshed_metrics(&self) -> &MetricsRegistry {
         let metrics = &*self.shared.metrics;
         metrics.counter("asset_builds_total").raise_to(self.assets.misses());
@@ -1116,6 +1117,7 @@ mod tests {
         let (bench, assets) = world();
         let rt = Runtime::start(assets, RuntimeConfig::with_workers(2));
         let ex = &bench.dev[0];
+        let before = sqlkit::plan_cache().stats();
         let resp = rt
             .submit(QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence))
             .unwrap()
@@ -1141,9 +1143,19 @@ mod tests {
         ] {
             assert!(snapshot.contains(name), "missing {name}:\n{snapshot}");
         }
-        let hits = rt.metrics().counter("plan_cache_hits").get();
-        let misses = rt.metrics().counter("plan_cache_misses").get();
-        assert!(hits + misses > 0, "serving a request touches the plan cache");
+        // The beam runs its statements without the cache, and they are
+        // counted where a plan runs: the execution mirrors move (the
+        // counters only grow, so a parallel test cannot hide a still one).
+        let counter = |name| rt.metrics().counter(name).get();
+        assert!(counter("plan_rows_scanned_total") > before.rows_scanned, "{snapshot}");
+        assert!(
+            counter("plan_ix_scan_total") + counter("plan_fallback_scan_total")
+                > before.ix_scans + before.fallback_scans,
+            "{snapshot}"
+        );
+        // … and the request's flight record sums the beam's `exec` events
+        let record = rt.flight().lookup(&resp.trace_id).expect("the request's flight record");
+        assert!(record.rows_scanned > 0, "{record:?}");
     }
 
     /// A follower applying WAL in the background serves no cold request,

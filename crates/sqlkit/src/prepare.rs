@@ -40,10 +40,10 @@
 //! terms that name a position or an output label stay as written — they
 //! are output references, not names.
 //!
-//! A plan-cache miss lowers a bound statement: the one the caller bound
-//! already ([`PlanCache::execute_with`], the refinement beam's gate, whose
-//! front end bound each distinct text once for its analysis), or one
-//! parsed and bound from the text.
+//! A statement bound already is lowered and run without the cache
+//! ([`Bound::execute`]): the refinement beam's gate runs what its front
+//! end bound once for the text's analysis. A plan-cache miss parses,
+//! binds and lowers the text ([`prepare`]).
 
 use crate::analyze::{column_suggestions, Findings};
 use crate::ast::*;
@@ -197,6 +197,19 @@ impl Bound {
             .map(|core| crate::plan::lower(db, core, pushdown))
             .collect();
         Prepared { stmt, fingerprint: plan_fingerprint(db), plans }
+    }
+
+    /// Lower against `db` and run the plan once, with no plan cache in
+    /// between: no key, no lookup, no lock. The run is counted with the
+    /// process-wide [`plan_cache`]'s executions, so the execution fields of
+    /// its [`PlanCacheStats`] cover every statement run either way, and it
+    /// records the same volatile `exec` event a cached run does, with the
+    /// lowering as its `prepare_ms`.
+    pub fn execute(self, db: &Database) -> SqlResult<(ResultSet, ExecStats)> {
+        let t0 = Instant::now();
+        let plan = self.lower(db);
+        let prepare_us = t0.elapsed().as_micros() as u64;
+        plan_cache().runs.run(&plan, db, plan.fingerprint, Some(prepare_us))
     }
 }
 
@@ -727,9 +740,8 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that had to prepare a plan (including parse failures).
     pub misses: u64,
-    /// Cumulative time spent preparing plans on misses, in microseconds:
-    /// parsing, binding and lowering a text, or only lowering the bound
-    /// statement a caller hands in ([`PlanCache::execute_with`]).
+    /// Cumulative time spent preparing plans on misses (parsing, binding
+    /// and lowering a text), in microseconds.
     pub prepare_us: u64,
     /// Cumulative time spent executing prepared plans, in microseconds.
     pub execute_us: u64,
@@ -740,8 +752,65 @@ pub struct PlanCacheStats {
     /// operator ran: every access was a scan, every join a hash or a
     /// nested loop.
     pub fallback_scans: u64,
-    /// Cumulative `rows_scanned` across plan-cache executions.
+    /// Cumulative `rows_scanned` across successful executions.
     pub rows_scanned: u64,
+}
+
+/// What running plans costs, counted where a plan runs: the cache's own
+/// executions, and for the process-wide cache also every bound statement
+/// run without it ([`Bound::execute`]).
+#[derive(Default)]
+struct Runs {
+    execute_us: AtomicU64,
+    ix_scans: AtomicU64,
+    fallback_scans: AtomicU64,
+    rows_scanned: AtomicU64,
+}
+
+impl Runs {
+    /// Run `plan` against `db`, whose [`plan_fingerprint`] is
+    /// `fingerprint`, count the run and record its volatile `exec` event.
+    /// `prepare_us` is what preparing the plan for this run took, `None`
+    /// when it came from the cache.
+    fn run(
+        &self,
+        plan: &Prepared,
+        db: &Database,
+        fingerprint: u64,
+        prepare_us: Option<u64>,
+    ) -> SqlResult<(ResultSet, ExecStats)> {
+        let t0 = Instant::now();
+        let (result, stats, ix_ops) = plan.run(db, fingerprint);
+        if ix_ops > 0 {
+            self.ix_scans.fetch_add(ix_ops, Ordering::Relaxed);
+        } else {
+            self.fallback_scans.fetch_add(1, Ordering::Relaxed);
+        }
+        // only a successful execution reports a cost, as the vote charges
+        // a failed one none
+        let rows_scanned = if result.is_ok() { stats.rows_scanned } else { 0 };
+        self.rows_scanned.fetch_add(rows_scanned, Ordering::Relaxed);
+        let execute_us = t0.elapsed().as_micros() as u64;
+        self.execute_us.fetch_add(execute_us, Ordering::Relaxed);
+        // is_active guard so the untraced hot path skips event recording
+        // entirely (one thread-local read). The traced path stays
+        // allocation-minimal: one event per execution, failed ones
+        // included, with no labels and rows_scanned carried as a numeric
+        // timing instead of a formatted string. Measured by the
+        // `engine_trace` bench group.
+        if osql_trace::active::is_active() {
+            let execute = ("execute_ms", execute_us as f64 / 1e3);
+            let rows = ("rows_scanned", rows_scanned as f64);
+            match prepare_us {
+                None => osql_trace::active::event_volatile("exec", &[], &[execute, rows]),
+                Some(us) => {
+                    let prepare = ("prepare_ms", us as f64 / 1e3);
+                    osql_trace::active::event_volatile("exec", &[], &[execute, prepare, rows]);
+                }
+            }
+        }
+        result.map(|rs| (rs, stats))
+    }
 }
 
 struct Entry {
@@ -774,22 +843,18 @@ impl CacheInner {
 
 /// An LRU cache of [`Prepared`] plans keyed by (plan fingerprint, SQL),
 /// shared across threads. A hit skips parsing, binding and lowering; a
-/// miss lowers the statement the caller already bound
-/// ([`PlanCache::execute_with`], the beam's gate) or parses and binds
-/// `sql` first. Hits are rare in serving: refinement runs each distinct text of
-/// a question once and the vote runs nothing, so only a text repeated
-/// across questions hits (0.16 % of lookups on `cold_full`). Eval's
-/// repeated gold-SQL executions are what the cache is for.
+/// miss parses, binds and lowers `sql`. The refinement beam's gate does
+/// not use it: a beam runs each distinct text once, so only a text
+/// repeated across questions could hit, and the gate runs the statement
+/// its front end bound instead ([`Bound::execute`]). Eval's repeated
+/// gold-SQL executions are what the cache is for.
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<CacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
     prepare_us: AtomicU64,
-    execute_us: AtomicU64,
-    ix_scans: AtomicU64,
-    fallback_scans: AtomicU64,
-    rows_scanned: AtomicU64,
+    runs: Runs,
 }
 
 impl PlanCache {
@@ -801,10 +866,7 @@ impl PlanCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             prepare_us: AtomicU64::new(0),
-            execute_us: AtomicU64::new(0),
-            ix_scans: AtomicU64::new(0),
-            fallback_scans: AtomicU64::new(0),
-            rows_scanned: AtomicU64::new(0),
+            runs: Runs::default(),
         }
     }
 
@@ -815,8 +877,7 @@ impl PlanCache {
     /// Fetch (or parse + bind and insert) the plan for `sql` against `db`.
     /// Parse errors are returned without being cached and count as misses.
     pub fn prepared(&self, db: &Database, sql: &str) -> SqlResult<Arc<Prepared>> {
-        let fingerprint = plan_fingerprint(db);
-        let (plan, hit, prepare_us) = self.lookup(db, fingerprint, sql, || parse_and_bind(db, sql));
+        let (plan, hit, prepare_us) = self.lookup(db, plan_fingerprint(db), sql);
         // volatile: hit/miss depends on process-wide cache warmth, not on
         // the query being traced
         if osql_trace::active::is_active() {
@@ -834,16 +895,9 @@ impl PlanCache {
     }
 
     /// The one cache lookup, with no trace event: returns the plan (or
-    /// error), whether it was a hit, and the prepare cost in µs on a miss,
-    /// where `bind` supplies `sql`'s bound statement. `fingerprint` is
-    /// `db`'s [`plan_fingerprint`].
-    fn lookup(
-        &self,
-        db: &Database,
-        fingerprint: u64,
-        sql: &str,
-        bind: impl FnOnce() -> SqlResult<Bound>,
-    ) -> (SqlResult<Arc<Prepared>>, bool, u64) {
+    /// error), whether it was a hit, and the prepare cost in µs on a miss.
+    /// `fingerprint` is `db`'s [`plan_fingerprint`].
+    fn lookup(&self, db: &Database, fingerprint: u64, sql: &str) -> (SqlResult<Arc<Prepared>>, bool, u64) {
         let key = Self::key(fingerprint, sql);
         let cached = self.inner.lock().touch(key, fingerprint, sql);
         if let Some(plan) = cached {
@@ -852,7 +906,7 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let prepared = bind().map(|bound| bound.lower(db));
+        let prepared = prepare(db, sql);
         let prepare_us = t0.elapsed().as_micros() as u64;
         self.prepare_us.fetch_add(prepare_us, Ordering::Relaxed);
         let plan = match prepared {
@@ -881,67 +935,22 @@ impl PlanCache {
     /// Prepare (through the cache) and execute in one call, timing the
     /// execute phase separately from the prepare phase.
     pub fn execute(&self, db: &Database, sql: &str) -> SqlResult<(ResultSet, ExecStats)> {
-        self.execute_with(db, sql, || parse_and_bind(db, sql))
-    }
-
-    /// [`PlanCache::execute`], where a miss takes `sql`'s statement, bound
-    /// against `db`'s schema, from `bind` and only lowers it: a caller that
-    /// already bound it ([`crate::bind`]) hands it in instead of having
-    /// `sql` parsed and bound again.
-    pub fn execute_with(
-        &self,
-        db: &Database,
-        sql: &str,
-        bind: impl FnOnce() -> SqlResult<Bound>,
-    ) -> SqlResult<(ResultSet, ExecStats)> {
         let fingerprint = plan_fingerprint(db);
-        let (plan, hit, prepare_us) = self.lookup(db, fingerprint, sql, bind);
-        let plan = plan?;
-        let t0 = Instant::now();
-        let (result, stats, ix_ops) = plan.run(db, fingerprint);
-        if ix_ops > 0 {
-            self.ix_scans.fetch_add(ix_ops, Ordering::Relaxed);
-        } else {
-            self.fallback_scans.fetch_add(1, Ordering::Relaxed);
-        }
-        let result = result.map(|rs| {
-            self.rows_scanned.fetch_add(stats.rows_scanned, Ordering::Relaxed);
-            (rs, stats)
-        });
-        let execute_us = t0.elapsed().as_micros() as u64;
-        self.execute_us.fetch_add(execute_us, Ordering::Relaxed);
-        // is_active guard so the untraced hot path skips event recording
-        // entirely (one thread-local read). The traced warm path stays
-        // allocation-minimal: one event, empty labels (a plan-cache hit is
-        // the implicit default — only a miss gets a label), and
-        // rows_scanned carried as a numeric timing instead of a formatted
-        // string. Measured by the `engine_trace` bench group.
-        if osql_trace::active::is_active() {
-            if let Ok((_, stats)) = &result {
-                let execute = ("execute_ms", execute_us as f64 / 1e3);
-                let rows = ("rows_scanned", stats.rows_scanned as f64);
-                if hit {
-                    osql_trace::active::event_volatile("exec", &[], &[execute, rows]);
-                } else {
-                    let prepare = ("prepare_ms", prepare_us as f64 / 1e3);
-                    let miss = [("plan", "miss")];
-                    osql_trace::active::event_volatile("exec", &miss, &[execute, prepare, rows]);
-                }
-            }
-        }
-        result
+        let (plan, hit, prepare_us) = self.lookup(db, fingerprint, sql);
+        self.runs.run(&*plan?, db, fingerprint, (!hit).then_some(prepare_us))
     }
 
     /// Snapshot of the cache's cumulative counters.
     pub fn stats(&self) -> PlanCacheStats {
+        let runs = &self.runs;
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             prepare_us: self.prepare_us.load(Ordering::Relaxed),
-            execute_us: self.execute_us.load(Ordering::Relaxed),
-            ix_scans: self.ix_scans.load(Ordering::Relaxed),
-            fallback_scans: self.fallback_scans.load(Ordering::Relaxed),
-            rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
+            execute_us: runs.execute_us.load(Ordering::Relaxed),
+            ix_scans: runs.ix_scans.load(Ordering::Relaxed),
+            fallback_scans: runs.fallback_scans.load(Ordering::Relaxed),
+            rows_scanned: runs.rows_scanned.load(Ordering::Relaxed),
         }
     }
 
@@ -961,11 +970,6 @@ impl PlanCache {
         inner.map.clear();
         inner.len = 0;
     }
-}
-
-/// `sql` parsed and bound against `db`'s schema, its findings dropped.
-fn parse_and_bind(db: &Database, sql: &str) -> SqlResult<Bound> {
-    Ok(bind_select(&db.schema, parse_select(sql)?).0)
 }
 
 fn evict_oldest(inner: &mut CacheInner) {

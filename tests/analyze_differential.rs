@@ -144,9 +144,9 @@ impl LanguageModel for Parrot {
 
 /// A stuck candidate: every correction round returns the same broken
 /// statement. Each round is spent and charged; the statement itself is
-/// executed once — nothing else in this binary touches the process-wide
-/// plan cache, so its lookup count is this test's — and the candidate ends
-/// on the error that execution returned.
+/// executed once — the trace holds one `exec` event, which every
+/// execution records, failed ones included — and the candidate ends on
+/// the error that execution returned.
 #[test]
 fn a_stuck_candidate_executes_its_statement_once_and_keeps_the_executors_error() {
     let mut profile = Profile::tiny();
@@ -163,11 +163,7 @@ fn a_stuck_candidate_executes_its_statement_once_and_keeps_the_executors_error()
     let mut config = PipelineConfig::fast();
     config.alignments = false; // the statement reaches execution as written
 
-    let lookups = || {
-        let stats = sqlkit::plan_cache().stats();
-        stats.hits + stats.misses
-    };
-    let before = lookups();
+    osql_trace::active::push();
     let mut ledger = opensearch_sql::CostLedger::new();
     let refined = opensearch_sql::refinement::refine_candidate(
         &pre,
@@ -183,7 +179,9 @@ fn a_stuck_candidate_executes_its_statement_once_and_keeps_the_executors_error()
         &mut ledger,
     );
 
-    assert_eq!(lookups() - before, 1, "one execution for the one distinct text");
+    let trace = osql_trace::active::pop().expect("the test pushed a trace");
+    let execs = trace.events_named("exec").count();
+    assert_eq!(execs, 1, "one execution for the one distinct text");
     assert_eq!(refined.sql, broken);
     assert_eq!(refined.correction_rounds, config.max_correction_rounds);
     assert_eq!(refined.exec_cost, 0, "an erroring execution costs the vote nothing");
