@@ -79,7 +79,11 @@ fi
 # one place that writes a histogram's `_bucket` lines and spells `+Inf`
 # (the Prometheus writer in osql_runtime::metrics), one window ring (the
 # per-instrument rings and their private width knob must not come back),
-# and no second load harness beside perfbench/.
+# no second load harness beside perfbench/, and a served request recorded
+# once: in one flight-recorder ring, with no trace ring beside it (its
+# type, knob and one-event server traces), no JSONL trace export, no
+# hash-sharded recorder, no `store` pseudo-stage measuring other threads'
+# writes and no second counter for a stale read.
 escapers="$(grep -rlF 'u{:04x}' crates)"
 if [ "$escapers" != "crates/trace/src/json.rs" ]; then
     echo "ci: JSON string escaping outside crates/trace/src/json.rs:" $escapers >&2
@@ -90,11 +94,11 @@ if grep -rnE '_bucket\{|"_bucket"|\+Inf' crates --include='*.rs' \
     echo "ci: Prometheus histogram lines are being written outside crates/runtime/src/metrics.rs" >&2
     exit 1
 fi
-if grep -rnwE 'WindowedCounter|WindowedHistogram|SloTracker|window_ticks|serve_load|TrafficProfile' crates; then
+if grep -rnwE 'WindowedCounter|WindowedHistogram|SloTracker|window_ticks|serve_load|TrafficProfile|TraceCollector|trace_capacity|trace_event|to_jsonl|shard_for|store_us_total|repl_stale_reads_total' crates; then
     echo "ci: a deleted telemetry type, knob or harness is back under crates/" >&2
     exit 1
 fi
-cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight, trace and
+cargo test -q --test telemetry_golden # byte gate: registry, window/SLO, flight and
                                  # server JSON renderings equal the files recorded on
                                  # 84ce847, before the four consolidations
 # One refinement path, structurally: the beam is the unit, so alignment and

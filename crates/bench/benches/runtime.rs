@@ -66,7 +66,7 @@ fn bench_latency_bound(c: &mut Criterion) {
                 b.iter(|| {
                     let rt = Runtime::start(
                         assets.clone(),
-                        RuntimeConfig { workers, queue_capacity: 16, result_cache_capacity: 64, trace_capacity: 64, ..RuntimeConfig::default() },
+                        RuntimeConfig { workers, queue_capacity: 16, result_cache_capacity: 64, ..RuntimeConfig::default() },
                     );
                     std::hint::black_box(rt.run_batch(requests.clone()));
                 })

@@ -168,7 +168,6 @@ pub fn start_runtime(opts: &ServeOptions) -> (Arc<datagen::Benchmark>, Runtime) 
         workers: opts.workers,
         queue_capacity: opts.queue,
         result_cache_capacity: 1024,
-        trace_capacity: 64,
         flight: FlightConfig {
             slow_ms: opts.slow_ms,
             slow_log_path: opts.slow_log.clone().map(std::path::PathBuf::from),

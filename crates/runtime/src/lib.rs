@@ -19,9 +19,10 @@
 //! - **[`window`]** — one ring of per-tick slots over a logical clock;
 //!   the windowed exposition and the SLO burn-rate report are views of it.
 //!
-//! Each served query also records an [`osql_trace`] span tree; workers
-//! publish finished traces to a bounded drop-oldest
-//! [`osql_trace::TraceCollector`] reachable via `Runtime::traces`.
+//! Each served query also records an [`osql_trace`] span tree, handed
+//! back in its `PipelineRun::trace`. The one per-request store is the
+//! flight recorder (`Runtime::flight`): every request's record, with the
+//! span tree attached when the request was slow or failed.
 //!
 //! Determinism is preserved end to end: the model's latency is modelled,
 //! not slept, and caches only memoise — so EX scores computed through the

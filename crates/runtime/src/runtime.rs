@@ -21,7 +21,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::window::{LogicalClock, SloConfig, SloReport, WindowedMetrics};
 use opensearch_sql::{EvalReport, Module, PipelineRun};
 use osql_trace::flight::{fnv1a, FlightConfig, FlightRecorder, RequestIdGen, RequestOutcome, RequestRecord};
-use osql_trace::{active, QueryTrace, TraceCollector};
+use osql_trace::{active, QueryTrace};
 use osql_chk::atomic::{AtomicBool, AtomicU64, Ordering};
 use osql_chk::{oneshot, Mutex};
 use std::sync::Arc;
@@ -333,8 +333,6 @@ pub struct RuntimeConfig {
     pub queue_capacity: usize,
     /// LRU result-cache capacity.
     pub result_cache_capacity: usize,
-    /// How many finished query traces the runtime retains (drop-oldest).
-    pub trace_capacity: usize,
     /// Flight-recorder sizing and slow-query thresholds (capacity 0
     /// disables the recorder).
     pub flight: FlightConfig,
@@ -353,7 +351,6 @@ impl Default for RuntimeConfig {
             workers: 4,
             queue_capacity: 64,
             result_cache_capacity: 256,
-            trace_capacity: 64,
             flight: FlightConfig::default(),
             tick_interval_ms: 1000,
             slo: SloConfig::default(),
@@ -567,7 +564,6 @@ static RUNTIME_SEQ: AtomicU64 = AtomicU64::new(0);
 pub struct Runtime {
     shared: Arc<Shared>,
     assets: Arc<AssetCache>,
-    traces: Arc<TraceCollector>,
     workers: Vec<std::thread::JoinHandle<()>>,
     ticker: Option<std::thread::JoinHandle<()>>,
     ticker_stop: Arc<AtomicBool>,
@@ -582,14 +578,12 @@ impl Runtime {
             RUNTIME_SEQ.fetch_add(1, Ordering::Relaxed),
             config_fingerprint(assets.config()),
         ));
-        let traces = Arc::new(TraceCollector::new(config.trace_capacity));
         let worker_count = config.workers.max(1);
         let mut workers = Vec::with_capacity(worker_count);
         for _ in 0..worker_count {
             let shared = shared.clone();
             let assets = assets.clone();
-            let traces = traces.clone();
-            workers.push(std::thread::spawn(move || worker_loop(&shared, &assets, &traces)));
+            workers.push(std::thread::spawn(move || worker_loop(&shared, &assets)));
         }
         let ticker_stop = Arc::new(AtomicBool::new(false));
         let ticker = (config.tick_interval_ms > 0).then(|| {
@@ -614,7 +608,7 @@ impl Runtime {
                 })
                 .expect("spawn ticker thread")
         });
-        Runtime { shared, assets, traces, workers, ticker, ticker_stop, drain: DrainWindow::new() }
+        Runtime { shared, assets, workers, ticker, ticker_stop, drain: DrainWindow::new() }
     }
 
     /// Mint the next request ID without submitting anything — the server
@@ -711,11 +705,6 @@ impl Runtime {
         metrics.counter("plan_fallback_scan_total").raise_to(plans.fallback_scans);
         metrics.counter("plan_rows_scanned_total").raise_to(plans.rows_scanned);
         metrics
-    }
-
-    /// The ring of recently finished query traces.
-    pub fn traces(&self) -> &Arc<TraceCollector> {
-        &self.traces
     }
 
     /// The flight recorder of completed request records.
@@ -885,20 +874,7 @@ fn modelled_ms(run: &PipelineRun) -> f64 {
     MODELLED_MODULES.iter().map(|module| run.ledger.get(*module).time_ms).sum()
 }
 
-/// Cumulative store-path microseconds (WAL appends/syncs/commits plus
-/// checkpoints) across the process. Workers take a before/after delta of
-/// this around each pipeline run to surface per-request store time;
-/// under concurrent writers the delta can absorb a neighbour's I/O, so
-/// it is exact when serving serially and an upper bound otherwise.
-fn store_us_total() -> u64 {
-    let stats = osql_store::store_stats();
-    stats.wal_append.total_us()
-        + stats.wal_sync.total_us()
-        + stats.wal_commit.total_us()
-        + stats.checkpoint.total_us()
-}
-
-fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
+fn worker_loop(shared: &Shared, assets: &AssetCache) {
     let (metrics, flight, windowed) = (&*shared.metrics, &*shared.flight, &*shared.windowed);
     while let Some(job) = shared.queue.pop() {
         let Some(Miss { job: Job { req, key, reply, .. }, queue_wait_ms }) = shared.dequeued(job)
@@ -919,7 +895,6 @@ fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
         // the ID ⇒ trace link.
         active::push();
         active::event_volatile("queue_wait", &[], &[("ms", queue_wait_ms)]);
-        let store_us_before = store_us_total();
         let pipeline = match assets.pipeline_at(&req.db_id, req.seq) {
             Ok(p) => p,
             Err(miss) => {
@@ -950,7 +925,6 @@ fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
         let trace = Arc::new(active::pop().unwrap_or_else(QueryTrace::empty));
         run.trace = trace.clone();
         let run = Arc::new(run);
-        traces.publish(trace.clone());
         let pipeline_ms = started.elapsed().as_secs_f64() * 1e3;
         metrics.latency("pipeline_ms").record(pipeline_ms);
         for (module, stage) in &STAGES {
@@ -976,10 +950,6 @@ fn worker_loop(shared: &Shared, assets: &AssetCache, traces: &TraceCollector) {
         // sampled, and the recorder strips them for fast, healthy runs.
         record.total_ms = queue_wait_ms + pipeline_ms;
         record.rows_scanned = rows_scanned_in(&trace);
-        let store_us = store_us_total().saturating_sub(store_us_before);
-        if store_us > 0 {
-            record.stage_ms.push(("store", store_us as f64 / 1e3));
-        }
         let (slow_ms, slow_rows) = flight.thresholds();
         if flight.enabled()
             && (record.total_ms >= slow_ms || record.rows_scanned >= slow_rows)

@@ -223,8 +223,8 @@ impl SloReport {
         let window = |w: &SloWindow| {
             let mut obj = ObjectWriter::new();
             obj.u64_field("requests", w.requests)
-                .f64_field_with("bad_fraction", w.bad_fraction, Some(6))
-                .f64_field_with("burn_rate", w.burn_rate, Some(4));
+                .f64_field_with("bad_fraction", w.bad_fraction, 6)
+                .f64_field_with("burn_rate", w.burn_rate, 4);
             obj.finish()
         };
         let objective = |short: &SloWindow, long: &SloWindow, breach: bool| {
@@ -236,12 +236,12 @@ impl SloReport {
         };
         let mut obj = ObjectWriter::new();
         obj.u64_field("tick", self.tick)
-            .f64_field_with("availability_target", self.config.availability_target, Some(4))
-            .f64_field_with("latency_target_ms", self.config.latency_target_ms, Some(1))
-            .f64_field_with("latency_fraction", self.config.latency_fraction, Some(4))
+            .f64_field_with("availability_target", self.config.availability_target, 4)
+            .f64_field_with("latency_target_ms", self.config.latency_target_ms, 1)
+            .f64_field_with("latency_fraction", self.config.latency_fraction, 4)
             .u64_field("short_window_ticks", self.config.short_window)
             .u64_field("long_window_ticks", self.config.long_window)
-            .f64_field_with("alert_burn_rate", self.config.alert_burn_rate, Some(2))
+            .f64_field_with("alert_burn_rate", self.config.alert_burn_rate, 2)
             .raw_field(
                 "availability",
                 &objective(&self.availability_short, &self.availability_long, self.availability_breach),

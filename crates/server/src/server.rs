@@ -24,7 +24,6 @@ use osql_runtime::{
     normalize_question, retry_after_secs, CancelReason, QueryRequest, ResultKey, Runtime,
     ServeError, SubmitError,
 };
-use osql_trace::active;
 use osql_trace::{RequestOutcome, RequestRecord};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -457,16 +456,6 @@ fn catalog(shared: &Shared) -> Routed {
     Routed::json(200, obj.finish())
 }
 
-/// Publish a one-event volatile trace so coalesce/shed decisions are
-/// visible in the trace ring without a pipeline run to attach to.
-fn trace_event(shared: &Shared, name: &'static str, labels: &[(&'static str, &str)]) {
-    active::push();
-    active::event_volatile(name, labels, &[]);
-    if let Some(trace) = active::pop() {
-        shared.rt.traces().publish(Arc::new(trace));
-    }
-}
-
 fn shed_response(shared: &Shared, group: usize, trace_id: &str) -> Rendered {
     let retry = shared.rt.queue_stats().estimated_drain_secs();
     let mut obj = ObjectWriter::new();
@@ -585,8 +574,6 @@ fn query(shared: &Shared, req: &Request) -> Routed {
         let applied = applied_seq.unwrap_or(0);
         if applied < min {
             state.record_stale_rejection();
-            shared.rt.metrics().counter("repl_stale_reads_total").inc();
-            trace_event(shared, "http_stale_read", &[("db_id", db_id)]);
             shared.rt.flight().record(flight_note(
                 &trace_id,
                 db_id,
@@ -620,7 +607,6 @@ fn query(shared: &Shared, req: &Request) -> Routed {
     let rendered = match shared.coalescer.join(key) {
         Joined::Waiter(waiter) => {
             shared.rt.metrics().counter("coalesced_requests_total").inc();
-            trace_event(shared, "http_coalesce_join", &[("db_id", db_id)]);
             let rendered = waiter.wait();
             // the waiter's own record points at the flight it rode on —
             // `/debug/trace/<leader>` has the real timings
@@ -643,7 +629,6 @@ fn query(shared: &Shared, req: &Request) -> Routed {
                 .with_seq(seq);
             match shared.rt.try_submit(request) {
                 Err(SubmitError::QueueFull) => {
-                    trace_event(shared, "http_shed", &[("db_id", db_id)]);
                     shared.rt.flight().record(flight_note(
                         &trace_id,
                         db_id,

@@ -8,6 +8,7 @@ mod common;
 
 use common::{gated_runtime, one_shot, query_body, tiny_world, Conn};
 use osql_server::{Server, ServerConfig};
+use osql_trace::RequestOutcome;
 use std::time::{Duration, Instant};
 
 fn server_config() -> ServerConfig {
@@ -87,14 +88,12 @@ fn concurrent_identical_requests_run_one_pipeline_and_share_bytes() {
     assert_eq!(rt.metrics().counter("result_cache_misses").get(), 2);
     assert_eq!(rt.metrics().counter("coalesced_requests_total").get(), (CLIENTS as u64) - 1);
 
-    // the coalesce decisions are visible in the trace ring
-    let coalesce_events: usize = rt
-        .traces()
-        .recent()
-        .iter()
-        .map(|t| t.events_named("http_coalesce_join").count())
-        .sum();
-    assert!(coalesce_events > 0, "expected http_coalesce_join volatile events");
+    // every waiter's flight record names the flight it rode on
+    let coalesced = rt.flight().matching(CLIENTS, |r| r.coalesced_into.is_some());
+    assert_eq!(coalesced.len(), CLIENTS - 1, "one record per coalesced waiter");
+    let leader = coalesced[0].coalesced_into.clone().unwrap();
+    assert!(coalesced.iter().all(|r| r.coalesced_into.as_deref() == Some(leader.as_str())));
+    assert!(rt.flight().lookup(&leader).is_some(), "the leader's own record is kept");
 
     assert!(server.shutdown());
 }
@@ -153,9 +152,8 @@ fn saturated_queue_sheds_with_retry_after_and_server_survives() {
     for handle in inflight {
         assert_eq!(handle.join().unwrap().status, 200);
     }
-    // the shed decision left a volatile trace event behind
-    let shed_events: usize =
-        rt.traces().recent().iter().map(|t| t.events_named("http_shed").count()).sum();
-    assert!(shed_events > 0, "expected http_shed volatile events");
+    // the shed decision left a flight record behind
+    let shed = rt.flight().matching(8, |r| r.outcome == RequestOutcome::Shed);
+    assert_eq!(shed.len(), 1, "one record per shed request");
     assert!(server.shutdown());
 }

@@ -1,8 +1,7 @@
 //! Exporters over a finished [`QueryTrace`]: an indented text tree with
-//! timings, a timestamp-free *logical* rendering (what the determinism
-//! gate compares), and a JSONL dump (one object per span/event).
+//! timings and a timestamp-free *logical* rendering (what the determinism
+//! gate compares).
 
-use crate::json::ObjectWriter;
 use crate::model::{Event, QueryTrace, Span, SpanId};
 use std::fmt::Write as _;
 
@@ -66,60 +65,6 @@ impl QueryTrace {
                 }
             }
         }
-    }
-
-    /// Serialize to JSON Lines: every span then every event, one object
-    /// per line, in logical order; keys are stable and sorted by kind.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for span in &self.spans {
-            let mut obj = ObjectWriter::new();
-            obj.str_field("kind", "span")
-                .u64_field("id", span.id as u64)
-                .opt_u64_field("parent", span.parent.map(|p| p as u64))
-                .str_field("name", span.name)
-                .u64_field("seq", span.seq)
-                .u64_field("end_seq", span.end_seq)
-                .u64_field("start_ns", span.start_ns)
-                .u64_field("end_ns", span.end_ns);
-            labels_and_timings(&mut obj, &span.labels, &span.timings);
-            out.push_str(&obj.finish());
-            out.push('\n');
-        }
-        for event in &self.events {
-            let mut obj = ObjectWriter::new();
-            obj.str_field("kind", "event")
-                .opt_u64_field("span", event.span.map(|s| s as u64))
-                .str_field("name", event.name)
-                .u64_field("seq", event.seq)
-                .u64_field("at_ns", event.at_ns)
-                .bool_field("volatile", event.volatile);
-            labels_and_timings(&mut obj, &event.labels, &event.timings);
-            out.push_str(&obj.finish());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-fn labels_and_timings(
-    obj: &mut ObjectWriter,
-    labels: &[(&'static str, String)],
-    timings: &[(&'static str, f64)],
-) {
-    if !labels.is_empty() {
-        let mut inner = ObjectWriter::new();
-        for (k, v) in labels {
-            inner.str_field(k, v);
-        }
-        obj.raw_field("labels", &inner.finish());
-    }
-    if !timings.is_empty() {
-        let mut inner = ObjectWriter::new();
-        for (k, v) in timings {
-            inner.f64_field_with(k, *v, None);
-        }
-        obj.raw_field("timings", &inner.finish());
     }
 }
 
@@ -185,21 +130,5 @@ mod tests {
         assert!(!logical.contains("ms="), "{logical}");
         assert!(!logical.contains("plan"), "volatile excluded: {logical}");
         assert!(!logical.contains("·  "), "{logical}");
-    }
-
-    #[test]
-    fn jsonl_is_line_per_record_and_escaped() {
-        let q = sample();
-        let jsonl = q.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), q.spans.len() + q.events.len());
-        assert!(lines[0].contains("\"kind\":\"span\""), "{}", lines[0]);
-        assert!(lines[0].contains("\\\"A\\\""), "escaped quote: {}", lines[0]);
-        assert!(jsonl.contains("\"volatile\":true"), "{jsonl}");
-        assert!(jsonl.contains("\"timings\":{\"ms\":1.25}"), "{jsonl}");
-        // every line is minimally well-formed
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
     }
 }

@@ -1,28 +1,27 @@
-//! The flight recorder: a bounded, sharded ring of *completed request
-//! records* for post-hoc incident analysis.
+//! The flight recorder: a bounded ring of *completed request records*
+//! for post-hoc incident analysis — the one place a served request is
+//! kept.
 //!
-//! Traces ([`crate::collect::TraceCollector`]) answer "what did recent
-//! pipeline runs do"; the flight recorder answers "what happened to
-//! request `7f3a…-0042`" — including requests that never reached the
-//! pipeline (shed, quota-rejected, coalesced onto another flight). Every
-//! request produces one [`RequestRecord`] carrying its ID, database,
-//! question hash, stage timings, outcome, queue wait, and cache/coalesce
-//! flags.
+//! It answers "what happened to request `7f3a…-0042`" — including
+//! requests that never reached the pipeline (shed, quota-rejected,
+//! coalesced onto another flight). Every request produces one
+//! [`RequestRecord`] carrying its ID, database, question hash, stage
+//! timings, outcome, queue wait, and cache/coalesce flags.
 //!
 //! Two policies keep it cheap enough for the serve path:
 //!
-//! - **Bounded, sharded retention.** Records land in one of N shards
-//!   (chosen by hashing the request ID) and each shard keeps a
-//!   drop-oldest ring, so concurrent finishers contend only per-shard and
-//!   memory is capped. The ring only ever evicts *completed* records:
-//!   a writer registered via [`FlightRecorder::begin`] cannot have its
-//!   in-flight registration displaced, and its [`FlightRecorder::finish`]
-//!   always lands (the model suite in `tests/model.rs` explores this).
+//! - **Bounded retention.** Records land in one drop-oldest ring of
+//!   `capacity` records behind one lock, so the recorder keeps exactly
+//!   the last `capacity` records and memory is capped. The ring only
+//!   ever evicts *completed* records: a writer registered via
+//!   [`FlightRecorder::begin`] cannot have its in-flight registration
+//!   displaced, and its [`FlightRecorder::finish`] always lands (the
+//!   model suite in `tests/model.rs` explores this).
 //! - **Tail-sampling.** The full span tree and EXPLAIN text are retained
 //!   only for *interesting* requests — slow (over the configured latency
 //!   or rows-scanned threshold) or non-`Ok` outcomes. Everything else
 //!   keeps the compact record and drops the heavy payloads. The decision
-//!   is made exactly once, under the shard lock, from the record's own
+//!   is made exactly once, under the ring lock, from the record's own
 //!   totals — never from racy global state.
 //!
 //! Slow records are additionally appended to an optional JSONL sink
@@ -214,11 +213,9 @@ impl RequestRecord {
 /// Flight-recorder sizing and slow-query thresholds.
 #[derive(Debug, Clone)]
 pub struct FlightConfig {
-    /// Total records retained across all shards. `0` disables the
-    /// recorder entirely (every call becomes a no-op).
+    /// Records retained. `0` disables the recorder entirely (every call
+    /// becomes a no-op).
     pub capacity: usize,
-    /// Ring shards (requests hash to a shard by ID).
-    pub shards: usize,
     /// A request at or over this many end-to-end milliseconds is *slow*:
     /// its span tree and EXPLAIN are retained and it enters the slow log.
     pub slow_ms: f64,
@@ -233,7 +230,6 @@ impl Default for FlightConfig {
     fn default() -> Self {
         FlightConfig {
             capacity: 512,
-            shards: 8,
             slow_ms: 250.0,
             slow_rows: 100_000,
             slow_log_path: None,
@@ -242,19 +238,18 @@ impl Default for FlightConfig {
 }
 
 #[derive(Debug, Default)]
-struct ShardState {
+struct Ring {
     /// IDs registered via `begin` whose `finish` has not arrived yet.
     inflight: Vec<String>,
     /// Completed records, oldest first.
-    ring: VecDeque<RequestRecord>,
+    records: VecDeque<RequestRecord>,
 }
 
-/// The sharded, bounded ring of completed request records. See the
-/// module docs for the retention and tail-sampling policies.
+/// The bounded ring of completed request records. See the module docs
+/// for the retention and tail-sampling policies.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    shards: Vec<Mutex<ShardState>>,
-    per_shard: usize,
+    ring: Mutex<Ring>,
     config: FlightConfig,
     seq: AtomicU64,
     finished: AtomicU64,
@@ -268,12 +263,6 @@ impl FlightRecorder {
     /// Build a recorder; `config.capacity == 0` yields a disabled
     /// recorder whose every operation is a cheap no-op.
     pub fn new(config: FlightConfig) -> Self {
-        let shards = config.shards.max(1);
-        let per_shard = if config.capacity == 0 {
-            0
-        } else {
-            config.capacity.div_ceil(shards)
-        };
         let sink = if config.capacity == 0 {
             None
         } else {
@@ -282,8 +271,7 @@ impl FlightRecorder {
             })
         };
         FlightRecorder {
-            shards: (0..shards).map(|_| Mutex::new(ShardState::default())).collect(),
-            per_shard,
+            ring: Mutex::new(Ring::default()),
             config,
             seq: AtomicU64::new(0),
             finished: AtomicU64::new(0),
@@ -296,11 +284,7 @@ impl FlightRecorder {
 
     /// Whether the recorder retains anything at all.
     pub fn enabled(&self) -> bool {
-        self.per_shard > 0
-    }
-
-    fn shard_for(&self, id: &str) -> &Mutex<ShardState> {
-        &self.shards[(fnv1a(id.as_bytes()) as usize) % self.shards.len()]
+        self.config.capacity > 0
     }
 
     /// Register `id` as in flight. Until the matching [`Self::finish`] (or
@@ -311,24 +295,21 @@ impl FlightRecorder {
         if !self.enabled() {
             return;
         }
-        self.shard_for(id).lock().inflight.push(id.to_owned());
+        self.ring.lock().inflight.push(id.to_owned());
     }
 
     /// Drop an in-flight registration without recording anything (the
     /// request never actually started — e.g. its submit failed).
     pub fn abandon(&self, id: &str) {
-        if !self.enabled() {
-            return;
-        }
-        let mut shard = self.shard_for(id).lock();
-        if let Some(pos) = shard.inflight.iter().position(|x| x == id) {
-            shard.inflight.swap_remove(pos);
+        let mut ring = self.ring.lock();
+        if let Some(pos) = ring.inflight.iter().position(|x| x == id) {
+            ring.inflight.swap_remove(pos);
         }
     }
 
     /// Complete a request: stamp the record, make the tail-sampling
     /// decision, insert into the ring (evicting the oldest completed
-    /// record when the shard is full), and append to the slow log when
+    /// record when the ring is full), and append to the slow log when
     /// it crossed a threshold. Pairs with [`Self::begin`]; also accepts
     /// records that were never registered (one-shot [`Self::record`]).
     pub fn finish(&self, mut rec: RequestRecord) {
@@ -338,32 +319,31 @@ impl FlightRecorder {
         rec.slow = rec.total_ms >= self.config.slow_ms || rec.rows_scanned >= self.config.slow_rows;
         let slow = rec.slow;
         let interesting = rec.slow || rec.outcome != RequestOutcome::Ok;
-        let shard_mutex = self.shard_for(&rec.id);
         let sink_line = {
-            let mut shard = shard_mutex.lock();
-            // Stamped under the shard lock so a shard's ring order always
-            // agrees with the global sequence — drop-oldest can then never
-            // evict a record that completed *after* the one it keeps.
+            let mut ring = self.ring.lock();
+            // Stamped under the ring lock so ring order always agrees with
+            // the sequence — drop-oldest can then never evict a record
+            // that completed *after* the one it keeps.
             rec.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            if let Some(pos) = shard.inflight.iter().position(|x| x == &rec.id) {
-                shard.inflight.swap_remove(pos);
+            if let Some(pos) = ring.inflight.iter().position(|x| x == &rec.id) {
+                ring.inflight.swap_remove(pos);
             }
             // The tail-sampling decision happens here, once, under the
-            // shard lock, from this record's own totals: no later reader
+            // ring lock, from this record's own totals: no later reader
             // can observe a half-sampled record, and concurrent finishes
             // cannot influence each other's decision.
             if !interesting {
                 rec.trace = None;
                 rec.explain = None;
             }
-            if shard.ring.len() >= self.per_shard {
-                shard.ring.pop_front();
+            if ring.records.len() >= self.config.capacity {
+                ring.records.pop_front();
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
             // The slow-log line is rendered before the record moves into
             // the ring; the common fast path never clones the record.
             let line = (slow && self.sink.is_some()).then(|| rec.to_json(true));
-            shard.ring.push_back(rec);
+            ring.records.push_back(rec);
             line
         };
         self.finished.fetch_add(1, Ordering::Relaxed);
@@ -388,13 +368,7 @@ impl FlightRecorder {
     /// record (runtime shutdown: queued jobs were dropped unanswered).
     /// Returns how many registrations were swept.
     pub fn cancel_inflight(&self) -> usize {
-        if !self.enabled() {
-            return 0;
-        }
-        let mut ids = Vec::new();
-        for shard in &self.shards {
-            ids.append(&mut shard.lock().inflight);
-        }
+        let ids = std::mem::take(&mut self.ring.lock().inflight);
         let swept = ids.len();
         for id in ids {
             let mut rec = RequestRecord::new(id, "");
@@ -407,14 +381,10 @@ impl FlightRecorder {
 
     /// The record for `id`, newest match first.
     pub fn lookup(&self, id: &str) -> Option<RequestRecord> {
-        if !self.enabled() {
-            return None;
-        }
-        let shard = self.shard_for(id).lock();
-        shard.ring.iter().rev().find(|r| r.id == id).cloned()
+        self.ring.lock().records.iter().rev().find(|r| r.id == id).cloned()
     }
 
-    /// Up to `n` most recent records across all shards, newest first.
+    /// Up to `n` most recent records, newest first.
     pub fn recent(&self, n: usize) -> Vec<RequestRecord> {
         self.matching(n, |_| true)
     }
@@ -427,32 +397,22 @@ impl FlightRecorder {
     /// Up to `n` most recent records matching `pred`, newest first —
     /// post-hoc queries like "every shed request for db X".
     pub fn matching(&self, n: usize, pred: impl Fn(&RequestRecord) -> bool) -> Vec<RequestRecord> {
-        if !self.enabled() {
-            return Vec::new();
-        }
-        let mut all: Vec<RequestRecord> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            all.extend(shard.ring.iter().filter(|r| pred(r)).cloned());
-        }
-        all.sort_by_key(|r| std::cmp::Reverse(r.seq));
-        all.truncate(n);
-        all
+        self.ring.lock().records.iter().rev().filter(|r| pred(r)).take(n).cloned().collect()
     }
 
-    /// Records currently retained across all shards.
+    /// Records currently retained.
     pub fn depth(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().ring.len()).sum()
+        self.ring.lock().records.len()
     }
 
-    /// Maximum retained records (per-shard cap × shard count).
+    /// Maximum retained records.
     pub fn capacity(&self) -> usize {
-        self.per_shard * self.shards.len()
+        self.config.capacity
     }
 
     /// IDs registered via [`Self::begin`] that have not finished.
     pub fn inflight_len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().inflight.len()).sum()
+        self.ring.lock().inflight.len()
     }
 
     /// Records ever completed.
@@ -505,7 +465,7 @@ mod tests {
     }
 
     fn config(capacity: usize) -> FlightConfig {
-        FlightConfig { capacity, shards: 2, slow_ms: 100.0, slow_rows: 1000, slow_log_path: None }
+        FlightConfig { capacity, slow_ms: 100.0, slow_rows: 1000, slow_log_path: None }
     }
 
     #[test]
@@ -552,7 +512,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts_it() {
-        let fr = FlightRecorder::new(FlightConfig { shards: 1, ..config(2) });
+        let fr = FlightRecorder::new(config(2));
         for i in 0..5 {
             fr.finish(rec(&format!("r{i}"), 1.0));
         }
@@ -563,6 +523,30 @@ mod tests {
         let recent = fr.recent(10);
         assert_eq!(recent.len(), 2);
         assert!(recent[0].seq > recent[1].seq, "newest first");
+    }
+
+    #[test]
+    fn the_ring_keeps_the_last_capacity_records_whatever_their_ids() {
+        let fr = FlightRecorder::new(FlightConfig { capacity: 512, ..FlightConfig::default() });
+        // 65 IDs whose hashes share one residue mod 8: retention follows
+        // completion order alone, never where an ID happens to hash
+        let colliding: Vec<String> = (0..)
+            .map(|i| format!("r{i}"))
+            .filter(|id| fnv1a(id.as_bytes()).is_multiple_of(8))
+            .take(65)
+            .collect();
+        for id in &colliding {
+            fr.finish(rec(id, 1.0));
+        }
+        assert_eq!((fr.depth(), fr.dropped()), (65, 0));
+        assert!(colliding.iter().all(|id| fr.lookup(id).is_some()));
+        for i in 65..513 {
+            fr.finish(rec(&format!("fill{i}"), 1.0));
+        }
+        assert_eq!((fr.depth(), fr.dropped()), (512, 1));
+        assert!(fr.lookup(&colliding[0]).is_none(), "the lowest seq is the one dropped");
+        let seqs: Vec<u64> = fr.recent(513).iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (1..513).rev().collect::<Vec<u64>>());
     }
 
     #[test]

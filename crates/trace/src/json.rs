@@ -74,18 +74,17 @@ impl ObjectWriter {
 
     /// Add a float field with 2 decimal places (non-finite becomes null).
     pub fn f64_field(&mut self, key: &str, value: f64) -> &mut Self {
-        self.f64_field_with(key, value, Some(2))
+        self.f64_field_with(key, value, 2)
     }
 
-    /// Add a float field with `decimals` places, or — with `None` — in
-    /// the shortest form that reads back as the same `f64`. Non-finite
-    /// values become null: JSON has no spelling for them.
-    pub fn f64_field_with(&mut self, key: &str, value: f64, decimals: Option<usize>) -> &mut Self {
+    /// Add a float field with `decimals` places. Non-finite values
+    /// become null: JSON has no spelling for them.
+    pub fn f64_field_with(&mut self, key: &str, value: f64, decimals: usize) -> &mut Self {
         self.key(key);
-        let _ = match decimals {
-            _ if !value.is_finite() => write!(self.buf, "null"),
-            Some(decimals) => write!(self.buf, "{value:.decimals$}"),
-            None => write!(self.buf, "{value}"),
+        let _ = if value.is_finite() {
+            write!(self.buf, "{value:.decimals$}")
+        } else {
+            write!(self.buf, "null")
         };
         self
     }
@@ -150,14 +149,13 @@ mod tests {
             .u64_field("n", 3)
             .bool_field("ok", true)
             .f64_field("ms", 1.5)
-            .f64_field_with("burn", 2.0 / 3.0, Some(4))
-            .f64_field_with("raw", 0.1 + 0.2, None)
-            .f64_field_with("nan", f64::NAN, None)
+            .f64_field_with("burn", 2.0 / 3.0, 4)
+            .f64_field_with("nan", f64::NAN, 4)
             .raw_field("ids", &string_array(["a", "b\\"]))
             .raw_field("objs", &array(["{}", "1"]));
         assert_eq!(
             obj.finish(),
-            r#"{"q":"say \"hi\"\n\u0001","n":3,"ok":true,"ms":1.50,"burn":0.6667,"raw":0.30000000000000004,"nan":null,"ids":["a","b\\"],"objs":[{},1]}"#
+            r#"{"q":"say \"hi\"\n\u0001","n":3,"ok":true,"ms":1.50,"burn":0.6667,"nan":null,"ids":["a","b\\"],"objs":[{},1]}"#
         );
         assert_eq!(array(Vec::<String>::new()), "[]");
     }

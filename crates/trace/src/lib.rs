@@ -4,7 +4,7 @@
 //! layer of the workspace: `sqlkit` (plan-cache and execution events),
 //! `opensearch-sql` (stage spans, per-candidate refinement spans,
 //! alignment/correction/vote events), and `osql-runtime` (queue-wait
-//! events, trace retention).
+//! events, the flight recorder).
 //!
 //! Design points:
 //!
@@ -19,14 +19,15 @@
 //!   labels — [`QueryTrace::render_logical`]) is identical run-to-run and
 //!   at any worker count; timestamps ride along for profiling but never
 //!   participate in comparisons.
-//! - **Bounded retention.** Finished traces are published once into a
-//!   drop-oldest ring ([`TraceCollector`]); the serve path never blocks
-//!   on observability.
-//! - **Exporters.** A timed text tree ([`QueryTrace::render_tree`]), the
-//!   logical view, and JSONL ([`QueryTrace::to_jsonl`]).
+//! - **Bounded retention.** A served request is kept once, as a
+//!   [`RequestRecord`] in the [`FlightRecorder`]'s drop-oldest ring; its
+//!   span tree rides along only when the request was slow or failed.
+//!   The serve path never blocks on observability.
+//! - **Exporters.** A timed text tree ([`QueryTrace::render_tree`]) and
+//!   the logical view ([`QueryTrace::render_logical`]).
 //! - **The JSON writer.** [`json`] is the one JSON string escaper and
-//!   object/array writer of the workspace; the exporters here and every
-//!   crate above build their JSON with it.
+//!   object/array writer of the workspace; the flight records here and
+//!   every crate above build their JSON with it.
 //!
 //! ```
 //! use osql_trace::active;
@@ -44,13 +45,11 @@
 #![warn(clippy::all)]
 
 pub mod active;
-pub mod collect;
 pub mod export;
 pub mod flight;
 pub mod json;
 pub mod model;
 
-pub use collect::TraceCollector;
 pub use flight::{
     valid_trace_id, FlightConfig, FlightRecorder, RequestIdGen, RequestOutcome, RequestRecord,
 };

@@ -1,29 +1,28 @@
-//! Lock-order analysis over the trace collector: concurrent publishers
+//! Lock-order analysis over the flight recorder: concurrent finishers
 //! and readers, then assert the always-on analyzer saw an acyclic
 //! acquisition graph.
 #![cfg(all(debug_assertions, not(osql_model)))]
 
-use osql_trace::{Trace, TraceCollector};
+use osql_trace::{FlightConfig, FlightRecorder, RequestRecord};
 use std::sync::Arc;
 
 #[test]
-fn trace_collector_admits_a_global_lock_order() {
-    let c = Arc::new(TraceCollector::new(16));
+fn flight_recorder_admits_a_global_lock_order() {
+    let fr = Arc::new(FlightRecorder::new(FlightConfig { capacity: 16, ..FlightConfig::default() }));
     std::thread::scope(|s| {
-        for _ in 0..3 {
-            let c = c.clone();
+        for t in 0..3 {
+            let fr = fr.clone();
             s.spawn(move || {
-                for _ in 0..8 {
-                    let mut t = Trace::new();
-                    let span = t.start("q");
-                    t.end(span);
-                    c.publish(Arc::new(t.finish()));
-                    let _ = c.recent();
-                    let _ = c.len();
+                for i in 0..8 {
+                    let id = format!("t{t}-{i}");
+                    fr.finish(RequestRecord::new(&id, "db"));
+                    let _ = fr.matching(4, |r| r.db_id == "db");
+                    let _ = fr.lookup(&id);
+                    let _ = fr.depth();
                 }
             });
         }
     });
-    assert_eq!(c.published(), 24);
-    assert_eq!(osql_chk::lockorder::cycles_detected(), 0, "lock-order cycle in trace collector");
+    assert_eq!(fr.finished(), 24);
+    assert_eq!(osql_chk::lockorder::cycles_detected(), 0, "lock-order cycle in flight recorder");
 }

@@ -27,10 +27,9 @@ fn assert_pass(invariant: &str, outcome: Outcome) {
     }
 }
 
-fn recorder(capacity: usize, shards: usize) -> Arc<FlightRecorder> {
+fn recorder(capacity: usize) -> Arc<FlightRecorder> {
     Arc::new(FlightRecorder::new(FlightConfig {
         capacity,
-        shards,
         slow_ms: 100.0,
         slow_rows: 1_000,
         slow_log_path: None,
@@ -44,14 +43,14 @@ fn rec(id: &str, total_ms: f64) -> RequestRecord {
 }
 
 /// The ring never loses an in-flight writer's record: two writers that
-/// `begin` and `finish` concurrently (single shard, capacity 2) are both
+/// `begin` and `finish` concurrently (capacity 2) are both
 /// retrievable afterwards under every interleaving — eviction only ever
 /// displaces completed records, and a finish racing another finish still
 /// lands.
 #[test]
 fn flight_finish_never_loses_an_inflight_writers_record() {
     assert_pass("flight_finish_never_loses_an_inflight_writers_record", model::explore(cfg(), || {
-        let fr = recorder(2, 1);
+        let fr = recorder(2);
         let other = {
             let fr = fr.clone();
             thread::spawn(move || {
@@ -77,7 +76,7 @@ fn flight_finish_never_loses_an_inflight_writers_record() {
 #[test]
 fn flight_tail_sampling_decision_is_race_free() {
     assert_pass("flight_tail_sampling_decision_is_race_free", model::explore(cfg(), || {
-        let fr = recorder(8, 2);
+        let fr = recorder(8);
         let slow_writer = {
             let fr = fr.clone();
             thread::spawn(move || {
@@ -101,14 +100,14 @@ fn flight_tail_sampling_decision_is_race_free() {
     }));
 }
 
-/// Eviction under concurrent finishes is exact: with a single-shard ring
-/// of capacity 1 and two racing finishes, exactly one record survives,
+/// Eviction under concurrent finishes is exact: with a ring of
+/// capacity 1 and two racing finishes, exactly one record survives,
 /// exactly one eviction is counted, and the survivor is the one with the
 /// larger completion sequence number (drop-oldest, never drop-newest).
 #[test]
 fn flight_concurrent_eviction_keeps_the_newer_record() {
     assert_pass("flight_concurrent_eviction_keeps_the_newer_record", model::explore(cfg(), || {
-        let fr = recorder(1, 1);
+        let fr = recorder(1);
         let other = {
             let fr = fr.clone();
             thread::spawn(move || fr.finish(rec("a", 1.0)))
@@ -128,7 +127,7 @@ fn flight_concurrent_eviction_keeps_the_newer_record() {
 #[test]
 fn flight_error_records_survive_sampling_under_races() {
     assert_pass("flight_error_records_survive_sampling_under_races", model::explore(cfg(), || {
-        let fr = recorder(8, 2);
+        let fr = recorder(8);
         let errw = {
             let fr = fr.clone();
             thread::spawn(move || {

@@ -41,7 +41,7 @@ impl Fixture {
         ));
         Runtime::start(
             assets,
-            RuntimeConfig { workers, queue_capacity: 8, result_cache_capacity: 128, trace_capacity: 64, ..RuntimeConfig::default() },
+            RuntimeConfig { workers, queue_capacity: 8, result_cache_capacity: 128, ..RuntimeConfig::default() },
         )
     }
 }

@@ -1,6 +1,6 @@
 //! The frozen telemetry oracle: every byte the metrics registry, the
-//! windowed/SLO block, the flight recorder, the trace exporter and the
-//! server's JSON endpoints wrote on commit 84ce847 — the last one with
+//! windowed/SLO block, the flight recorder and the server's JSON
+//! endpoints wrote on commit 84ce847 — the last one with
 //! three bucket maths, four Prometheus writers and three JSON escapers —
 //! recorded under `tests/golden/telemetry/` and replayed here. The one
 //! telemetry core that replaced them must reproduce all of it exactly.
@@ -156,7 +156,7 @@ fn window_and_slo_views_match_the_recorded_bytes() {
     check(&window_goldens());
 }
 
-// ---- (c) flight records and trace export -------------------------------------
+// ---- (c) flight records --------------------------------------------------------
 
 fn hostile_trace() -> QueryTrace {
     let mut t = QueryTrace::empty();
@@ -243,13 +243,11 @@ fn flight_goldens() -> Vec<(&'static str, String)> {
             records.push('\n');
         }
     }
-    let mut trace = hostile_trace().to_jsonl();
-    trace.push_str(&QueryTrace::empty().to_jsonl());
-    vec![("flight.jsonl", records), ("trace.jsonl", trace)]
+    vec![("flight.jsonl", records)]
 }
 
 #[test]
-fn flight_records_and_trace_export_match_the_recorded_bytes() {
+fn flight_records_match_the_recorded_bytes() {
     check(&flight_goldens());
 }
 

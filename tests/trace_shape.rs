@@ -138,9 +138,10 @@ fn vote_event_carries_the_histogram_margin() {
         "histogram recorded {} for margin {histogram_margin}",
         hist.sum()
     );
-    // the served run carries the same complete trace the collector kept
+    // the served run carries its complete trace, and the request left
+    // exactly one flight record
     assert!(resp.run.trace.span_named("pipeline").is_some());
-    assert_eq!(rt.traces().len(), 1);
+    assert_eq!(rt.flight().finished(), 1);
 }
 
 /// N workers serving distinct questions produce N complete,
@@ -163,7 +164,7 @@ fn concurrent_workers_produce_disjoint_complete_traces() {
         .map(|ex| QueryRequest::new(&ex.db_id, &ex.question, &ex.evidence))
         .collect();
     let responses = rt.run_batch(reqs);
-    assert_eq!(rt.traces().published(), n as u64);
+    assert_eq!(rt.flight().finished(), n as u64);
     for resp in &responses {
         let run = &resp.as_ref().unwrap().run;
         let trace = &run.trace;
