@@ -1,6 +1,7 @@
 //! Workspace lint gate. Run from anywhere inside the repo (or pass the
 //! workspace root as the first argument); exits non-zero when any policy
-//! is violated. See `osql_chk::lint` for the policies.
+//! or structural rule is violated. See `osql_chk::lint` for both; the
+//! root `tests/structure.rs` runs the same check under `cargo test`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -39,8 +40,9 @@ fn main() -> ExitCode {
     } else {
         eprintln!(
             "workspace-lint: {files} files checked, {} violation(s). \
-             Use the osql_chk shims / lock_or_recover, or add a justified \
-             `chk:allow(<policy>): <reason>` pragma.",
+             For a policy, use the osql_chk shims / lock_or_recover, or add a \
+             justified `chk:allow(<policy>): <reason>` pragma; a rule is named \
+             by its row in osql_chk::lint::RULES.",
             violations.len()
         );
         ExitCode::FAILURE

@@ -11,10 +11,12 @@
 //! 2. **Lock-order analysis** ([`lockorder`]): debug/test builds record
 //!    the cross-thread lock acquisition-edge graph and panic with both
 //!    offending stacks the moment a cycle (potential deadlock) appears.
-//! 3. **The workspace lint gate** ([`lint`] + the `workspace-lint`
-//!    binary) enforcing the repo's concurrency hygiene policies: no raw
-//!    `std::sync` primitives in checked crates, no ad-hoc poison
-//!    handling, no unannotated wall-clock reads in logical-trace code.
+//! 3. **The workspace lint gate** ([`lint`], run by the root
+//!    `tests/structure.rs` and the `workspace-lint` binary) enforcing the
+//!    repo's concurrency hygiene policies — no raw `std::sync` primitives
+//!    in checked crates, no ad-hoc poison handling, no unannotated
+//!    wall-clock reads in logical-trace code — and the structural rules
+//!    of [`lint::RULES`].
 //!
 //! Model checking quickstart:
 //!

@@ -1,8 +1,9 @@
-//! Workspace-lint policy tests: fixtures that must trip each policy,
-//! pragma escapes, false-positive guards, and a live run over this
-//! workspace asserting the tree is clean.
+//! Workspace-lint tests: fixtures that must trip each policy, pragma
+//! escapes, false-positive guards, and the needle and glob semantics the
+//! structural rules read with. The live run over the tree, and each rule's
+//! planted violation, are the root `tests/structure.rs`.
 
-use osql_chk::lint::{lint_file, lint_workspace};
+use osql_chk::lint::{has_needle, lint_file, Find, Rule, Scope, Want};
 
 fn policies(path: &str, src: &str) -> Vec<String> {
     lint_file(path, src).into_iter().map(|v| v.policy.to_string()).collect()
@@ -108,13 +109,52 @@ fn comments_do_not_trip_policies() {
 }
 
 #[test]
-fn this_workspace_is_clean() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let (files, violations) = lint_workspace(std::path::Path::new(root));
-    assert!(files > 30, "expected to scan the whole workspace, saw {files} files");
-    assert!(
-        violations.is_empty(),
-        "workspace must be lint-clean:\n{}",
-        violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\n")
-    );
+fn needles_read_as_grep_reads_them() {
+    assert!(has_needle("let x = a.peek().clone();", "peek().clone()"));
+    assert!(has_needle("PlanCache::run_with(db)", r"\brun_with\b"), "`::` is no word character");
+    assert!(!has_needle("fn run_without()", r"\brun_with\b"));
+    assert!(has_needle("pub fn or_expr(", r"fn or_expr\b"));
+    assert!(!has_needle("fn or_exprs(", r"fn or_expr\b"));
+    assert!(has_needle("xfn or_expr(", r"fn or_expr\b"), "no boundary asked before `fn`");
+    assert!(has_needle("  lookup(name)", r"\blookup("));
+    assert!(!has_needle("scope_lookup(name)", r"\blookup("));
+    assert!(has_needle("é lookup(name) lookup(x)", r"\blookup("), "a later occurrence counts");
+}
+
+#[test]
+fn rules_select_by_glob_and_exclusion() {
+    let rule = Rule {
+        name: "fixture",
+        paths: &["crates/*/src/**/*.rs", "!crates/b/src/**"],
+        scope: Scope::NonTest,
+        find: Find::Needles(&["needle"]),
+        want: Want::Sites(1),
+        why: "fixture",
+        proved: "-",
+    };
+    let tree: Vec<String> = [
+        "crates/a/src/lib.rs",
+        "crates/a/src/deep/mod.rs",
+        "crates/a/src/notes.md",
+        "crates/a/tests/t.rs",
+        "crates/b/src/lib.rs",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let (selected, unmatched) = rule.select(&tree);
+    assert_eq!(selected, ["crates/a/src/lib.rs", "crates/a/src/deep/mod.rs"]);
+    assert!(unmatched.is_empty());
+    let (_, unmatched) = rule.select(&tree[..2]);
+    assert_eq!(unmatched.len(), 1, "an exclusion that matches nothing is stale: {unmatched:?}");
+
+    let site = "fn f() { needle(); }\n";
+    let tests = "#[cfg(test)]\nmod tests { fn g() { needle(); } }\n";
+    let comment = "// needle\n";
+    assert!(rule.check(&[("crates/a/src/lib.rs", site)]).is_empty(), "one site, want 1");
+    let hidden = format!("{comment}{tests}");
+    let v = rule.check(&[("crates/a/src/lib.rs", &hidden)]);
+    assert_eq!(v.len(), 1, "comments and tests are outside the non-test scope: {v:?}");
+    let twice = format!("{site}{site}");
+    assert_eq!(rule.check(&[("crates/a/src/lib.rs", &twice)]).len(), 1, "two sites, want 1");
 }

@@ -271,57 +271,25 @@ impl PipelineRun {
     /// Render a human-readable account of this run: the candidate beam,
     /// what alignment/correction changed, execution outcomes, and the
     /// vote. Useful for debugging pipelines and in the REPL's `\explain`.
-    ///
-    /// The beam section reads from the structured [`PipelineRun::trace`]
-    /// (the candidate spans are the source of truth); a run without a
-    /// trace falls back to the [`RefinedCandidate`]s directly and renders
-    /// the same bytes.
     pub fn explain(&self) -> String {
         use std::fmt::Write;
-        // (sql, raw-if-different, outcome, cost, rounds) per candidate —
-        // from candidate spans when traced, else from the beam itself.
-        let beam: Vec<(String, Option<String>, String, String, String)> = {
-            let spans: Vec<_> = self.trace.spans_named("candidate").collect();
-            if spans.is_empty() {
-                self.candidates
-                    .iter()
-                    .map(|c| {
-                        (
-                            c.sql.clone(),
-                            (c.sql != c.raw_sql).then(|| c.raw_sql.clone()),
-                            c.outcome_label(),
-                            c.exec_cost.to_string(),
-                            c.correction_rounds.to_string(),
-                        )
-                    })
-                    .collect()
-            } else {
-                spans
-                    .iter()
-                    .map(|s| {
-                        let get = |k: &str| s.label(k).unwrap_or("?").to_owned();
-                        (
-                            get("sql"),
-                            s.label("raw").map(str::to_owned),
-                            get("outcome"),
-                            get("cost"),
-                            get("rounds"),
-                        )
-                    })
-                    .collect()
-            }
-        };
         let mut out = String::with_capacity(512);
         let _ = writeln!(out, "question: {}", self.question);
         let _ = writeln!(out, "database: {}", self.db_id);
-        let _ = writeln!(out, "candidates: {}", beam.len());
-        for (i, (sql, raw, outcome, cost, rounds)) in beam.iter().enumerate() {
+        let _ = writeln!(out, "candidates: {}", self.candidates.len());
+        for (i, c) in self.candidates.iter().enumerate() {
             let marker = if i == self.winner { ">>" } else { "  " };
-            let _ = writeln!(out, "{marker} [{i}] {sql}");
-            if let Some(raw) = raw {
-                let _ = writeln!(out, "       raw: {raw}");
+            let _ = writeln!(out, "{marker} [{i}] {}", c.sql);
+            if c.sql != c.raw_sql {
+                let _ = writeln!(out, "       raw: {}", c.raw_sql);
             }
-            let _ = writeln!(out, "       -> {outcome} (cost {cost}, {rounds} correction round(s))");
+            let _ = writeln!(
+                out,
+                "       -> {} (cost {}, {} correction round(s))",
+                c.outcome_label(),
+                c.exec_cost,
+                c.correction_rounds
+            );
         }
         let _ = writeln!(out, "final: {}", self.final_sql);
         let gen = self.ledger.get(crate::cost::Module::Generation);

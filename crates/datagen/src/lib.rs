@@ -33,7 +33,7 @@ pub mod values;
 
 pub use bench::{generate, Benchmark, Example, Profile, Split};
 pub use export::{split_to_json, write_benchmark, BirdRecord};
-pub use store::{export_db_store, export_store, import_store, open_store_catalog, ImportedStore};
+pub use store::{export_db_store, export_store, import_store, ImportedStore};
 pub use build::{BuiltDb, ColMeta, RowScale, TableMeta};
 pub use spec::{AggFunc, CmpOp, Difficulty, FilterSpec, OrderSpec, QuerySpec, SelectSpec};
 pub use values::{ColKind, Quirk};

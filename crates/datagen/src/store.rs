@@ -7,12 +7,13 @@
 //! raw data — column kinds, quirks, nouns, the display↔stored
 //! dictionaries — rides along as a named blob encoded with the store's
 //! own checksummed binary codec. A directory of `<db_id>.store` files
-//! is exactly what [`open_store_catalog`] demand-pages at serve time.
+//! is exactly what the runtime's `open_paged_catalog` demand-pages at
+//! serve time.
 
 use crate::bench::Benchmark;
 use crate::build::{BuiltDb, ColMeta, TableMeta};
 use crate::values::{ColKind, Quirk};
-use osql_store::{Catalog, CodecError, Dec, Enc, StoreError};
+use osql_store::{CodecError, Dec, Enc, StoreError};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -225,29 +226,6 @@ pub fn import_store(path: &Path) -> Result<ImportedStore, StoreError> {
     Ok(ImportedStore { db, file_bytes: loaded.file_bytes, base_seq: loaded.base_seq })
 }
 
-/// Open a demand-paged catalog over a directory of `<db_id>.store`
-/// files. Each entry loads as a single-database [`Benchmark`] slice
-/// (empty splits) so `Preprocessed::for_db` works unchanged; `budget`
-/// bounds resident bytes (the just-loaded entry is never evicted).
-pub fn open_store_catalog(
-    dir: &Path,
-    budget: u64,
-    bench_name: &str,
-) -> std::io::Result<Catalog<Benchmark>> {
-    let name = bench_name.to_owned();
-    Catalog::open(dir, budget, move |path: &Path| {
-        let imported = import_store(path).map_err(std::io::Error::other)?;
-        let mini = Benchmark {
-            name: name.clone(),
-            dbs: vec![imported.db],
-            train: Vec::new(),
-            dev: Vec::new(),
-            test: Vec::new(),
-        };
-        Ok((mini, imported.file_bytes))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,25 +271,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn catalog_pages_benchmarks_lazily() {
-        let bench = generate(&Profile::tiny());
-        let dir = tmpdir("catalog");
-        export_store(&bench, &dir).unwrap();
-        let cat = open_store_catalog(&dir, u64::MAX, &bench.name).unwrap();
-        let ids = cat.available().unwrap();
-        assert_eq!(ids.len(), bench.dbs.len());
-        for id in &ids {
-            let mini = cat.get(id).unwrap();
-            assert_eq!(mini.name, bench.name);
-            assert_eq!(mini.dbs.len(), 1);
-            assert_eq!(&mini.dbs[0].id, id);
-            assert!(mini.train.is_empty() && mini.dev.is_empty() && mini.test.is_empty());
-        }
-        assert_eq!(cat.loads(), ids.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -514,10 +514,13 @@ impl AssetCache {
 }
 
 /// Open a demand-paged catalog over a directory of `<db_id>.store` files
-/// for serving: like [`datagen::open_store_catalog`], but the loader also
-/// replays any sidecar WAL (so a store that crashed mid-append serves
-/// exactly its committed prefix) and records a volatile `wal_replay`
-/// trace event when it did.
+/// for serving. Each entry loads (through [`datagen::import_store`]) as a
+/// single-database [`datagen::Benchmark`] slice with empty splits, so
+/// `Preprocessed::for_db` works unchanged; `budget` bounds resident bytes
+/// (the just-loaded entry is never evicted). The loader also replays any
+/// sidecar WAL (so a store that crashed mid-append serves exactly its
+/// committed prefix) and records a volatile `wal_replay` trace event when
+/// it did.
 pub fn open_paged_catalog(
     dir: &Path,
     budget: u64,
@@ -705,6 +708,28 @@ mod tests {
             // evicted dbs also lost their cached pipelines
             assert!(paged.len() <= catalog.resident().len() + 1);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn catalog_pages_benchmarks_lazily() {
+        let bench = generate(&Profile::tiny());
+        let dir =
+            std::env::temp_dir().join(format!("osql-lazy-catalog-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        datagen::export_store(&bench, &dir).unwrap();
+        let cat = open_paged_catalog(&dir, u64::MAX, &bench.name).unwrap();
+        let ids = cat.available().unwrap();
+        assert_eq!(ids.len(), bench.dbs.len());
+        assert_eq!(cat.loads(), 0, "opening loads nothing");
+        for id in &ids {
+            let mini = cat.get(id).unwrap();
+            assert_eq!(mini.name, bench.name);
+            assert_eq!(mini.dbs.len(), 1);
+            assert_eq!(&mini.dbs[0].id, id);
+            assert!(mini.train.is_empty() && mini.dev.is_empty() && mini.test.is_empty());
+        }
+        assert_eq!(cat.loads(), ids.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

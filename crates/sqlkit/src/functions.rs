@@ -26,7 +26,10 @@ pub(crate) fn scalar<V: Borrow<Value>>(name: &str, args: &[V]) -> SqlResult<Valu
             let [v] = one(name, args)?;
             Ok(match v {
                 Value::Null => Value::Null,
-                Value::Int(i) => Value::Int(i.wrapping_abs()),
+                Value::Int(i) => match i.checked_abs() {
+                    Some(a) => Value::Int(a),
+                    None => return Err(SqlError::Other("integer overflow".into())),
+                },
                 other => match other.as_f64() {
                     Some(f) => Value::Real(f.abs()),
                     None => Value::Real(0.0),
@@ -169,7 +172,7 @@ pub(crate) fn scalar_arity(name: &str) -> Option<(usize, usize)> {
 }
 
 /// Every function name the engine accepts, scalar and aggregate.
-pub(crate) const KNOWN_FUNCTIONS: &[&str] = &[
+pub const KNOWN_FUNCTIONS: &[&str] = &[
     "abs", "avg", "coalesce", "count", "date", "group_concat", "ifnull", "iif", "instr", "length",
     "lower", "ltrim", "max", "min", "nullif", "replace", "round", "rtrim", "strftime", "substr",
     "substring", "sum", "total", "trim", "typeof", "upper",
@@ -333,7 +336,7 @@ pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> SqlResult<Value> {
     match op {
         UnaryOp::Neg => Ok(match v {
             Value::Null => Value::Null,
-            Value::Int(i) => Value::Int(i.wrapping_neg()),
+            Value::Int(i) => i.checked_neg().map_or(Value::Real(-(*i as f64)), Value::Int),
             other => match other.as_f64_lossy() {
                 Some(f) => Value::Real(-f),
                 None => Value::Null,
@@ -410,7 +413,13 @@ pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> 
                 return Ok(Value::Null);
             }
             if let (Value::Int(a), Value::Int(b)) = (l, r) {
-                return Ok(if *b == 0 { Value::Null } else { Value::Int(a / b) });
+                if *b == 0 {
+                    return Ok(Value::Null);
+                }
+                // i64::MIN / -1 overflows, so SQLite answers it in REAL
+                if let Some(q) = a.checked_div(*b) {
+                    return Ok(Value::Int(q));
+                }
             }
             let (a, b) = (l.as_f64_lossy().unwrap_or(0.0), r.as_f64_lossy().unwrap_or(0.0));
             Ok(if b == 0.0 { Value::Null } else { Value::Real(a / b) })
@@ -419,9 +428,16 @@ pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> 
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
+            // SQLite takes a REAL operand's integer part (saturating) and
+            // answers in REAL; `wrapping_rem` is 0 for i64::MIN % -1
+            if matches!(l, Value::Real(_)) || matches!(r, Value::Real(_)) {
+                let (a, b) = (l.as_f64_lossy().unwrap_or(0.0), r.as_f64_lossy().unwrap_or(0.0));
+                let (a, b) = (a as i64, b as i64);
+                return Ok(if b == 0 { Value::Null } else { Value::Real(a.wrapping_rem(b) as f64) });
+            }
             match (l.as_i64(), r.as_i64()) {
                 (Some(a), Some(b)) => {
-                    Ok(if b == 0 { Value::Null } else { Value::Int(a % b) })
+                    Ok(if b == 0 { Value::Null } else { Value::Int(a.wrapping_rem(b)) })
                 }
                 _ => Ok(Value::Null),
             }
@@ -495,6 +511,23 @@ mod tests {
 
     fn call(name: &str, args: &[Value]) -> Value {
         call_scalar(name, args).unwrap()
+    }
+
+    /// Each expected value is what `sqlite3 -json` 3.51.2 answers.
+    #[test]
+    fn integer_edges_follow_sqlite() {
+        let db = crate::Database::new("edges");
+        let one = |sql: &str| db.query(sql).map(|rs| rs.rows[0][0].clone());
+        let min = "(-9223372036854775807 - 1)";
+        assert_eq!(one(&format!("SELECT {min} / -1")), Ok(Value::Real(9.223372036854776e18)));
+        assert_eq!(one(&format!("SELECT {min} % -1")), Ok(Value::Int(0)));
+        assert_eq!(one(&format!("SELECT -{min}")), Ok(Value::Real(9.223372036854776e18)));
+        assert_eq!(
+            one(&format!("SELECT ABS({min})")),
+            Err(SqlError::Other("integer overflow".into()))
+        );
+        assert_eq!(one("SELECT 5.5 % 2"), Ok(Value::Real(1.0)));
+        assert_eq!(one("SELECT 7 % 0.5"), Ok(Value::Null));
     }
 
     #[test]

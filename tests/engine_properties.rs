@@ -451,3 +451,63 @@ fn in_subquery_three_valued_logic() {
         .unwrap();
     assert_eq!(rs.rows[0][0], Value::Int(3));
 }
+
+/// No operator or function panics on an edge value: every binary operator,
+/// both unary operators and each one- or two-argument call of every known
+/// function name, over integer, float and text edges, answers a row or a
+/// typed `SqlError`. A panic would unwind the serving worker, and it is the
+/// one outcome correction cannot read as feedback.
+#[test]
+fn no_operator_panics_on_edge_values() {
+    const EDGES: &[&str] = &[
+        "NULL",
+        "0",
+        "1",
+        "-1",
+        "(-9223372036854775807 - 1)",
+        "9223372036854775807",
+        "9007199254740991",
+        "9007199254740993",
+        "-9007199254740991",
+        "-9007199254740993",
+        "-0.0",
+        "5.5",
+        "1e308",
+        "'12abc'",
+        "' 12'",
+        "'é'",
+    ];
+    const BINARY: &[&str] =
+        &["+", "-", "*", "/", "%", "||", "=", "!=", "<", "<=", ">", ">=", "AND", "OR"];
+    let mut exprs = Vec::new();
+    for a in EDGES {
+        exprs.push(format!("-{a}"));
+        exprs.push(format!("NOT {a}"));
+        for name in sqlkit::functions::KNOWN_FUNCTIONS {
+            exprs.push(format!("{name}({a})"));
+            for b in EDGES {
+                exprs.push(format!("{name}({a}, {b})"));
+            }
+        }
+        for op in BINARY {
+            for b in EDGES {
+                exprs.push(format!("{a} {op} {b}"));
+            }
+        }
+    }
+    let panicked = std::thread::spawn(move || {
+        let db = sqlkit::Database::new("edges");
+        let mut panicked = Vec::new();
+        for expr in &exprs {
+            let sql = format!("SELECT {expr}");
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| db.query(&sql)));
+            if run.is_err() {
+                panicked.push(sql);
+            }
+        }
+        panicked
+    })
+    .join()
+    .expect("the edge-value thread itself completes");
+    assert!(panicked.is_empty(), "{} statements panicked: {panicked:#?}", panicked.len());
+}

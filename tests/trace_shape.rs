@@ -9,7 +9,6 @@ use datagen::{generate, Profile};
 use llmsim::{ModelProfile, Oracle, SimLlm};
 use opensearch_sql::{vote_margin, Module, Pipeline, PipelineConfig, PipelineRun, Preprocessed};
 use osql_runtime::{AssetCache, QueryRequest, Runtime, RuntimeConfig};
-use osql_trace::QueryTrace;
 use std::sync::Arc;
 
 fn pipeline(config: PipelineConfig) -> Pipeline {
@@ -243,17 +242,3 @@ fn windowed_metrics_render_identically_across_worker_and_thread_counts() {
     assert!(a.contains("osql_slo_burn_rate"), "{a}");
 }
 
-/// `explain()` reads the candidate beam from the trace; a trace-less run
-/// renders the same bytes from the candidates directly.
-#[test]
-fn explain_from_trace_matches_explain_from_candidates() {
-    let p = pipeline(PipelineConfig::fast());
-    let run = answer_first(&p);
-    assert!(run.trace.spans_named("candidate").next().is_some());
-    let from_trace = run.explain();
-    let mut untraced = run.clone();
-    untraced.trace = Arc::new(QueryTrace::empty());
-    assert_eq!(from_trace, untraced.explain(), "one source of truth, same bytes");
-    assert!(from_trace.contains(">>"), "{from_trace}");
-    assert!(from_trace.contains("final: SELECT"), "{from_trace}");
-}
