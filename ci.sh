@@ -59,7 +59,19 @@ cargo test -q --test exec_allocations -- --nocapture # allocation gate: a gold s
                                  # statement), printed split into parse and apply. And the
                                  # front end: binding a parsed gold statement's copy with
                                  # its analysis and lowering it make at most 80 on average
-                                 # (106.4 on 3b37f3b, which analysed in a walk of its own)
+                                 # (106.4 on 3b37f3b, which analysed in a walk of its own),
+                                 # and a bind that files findings at most 84 (408.8 on
+                                 # 1863387, whose did-you-mean distance collected a Vec a
+                                 # row). And the answer census: Pipeline::answer over 100
+                                 # bird_mini_dev dev questions under a pushed trace makes at
+                                 # most 1,523 allocations of its own an answer (3,091 on
+                                 # 1863387) and active::pop at most 10 (441.8), printed
+                                 # beside the model's 3,298; a replay allocates nothing
+cargo test -q --test trace_digest # trace gate: every span and event of the traces of 100
+                                 # bird_mini_dev answers (name, parent, seq, volatility,
+                                 # labels in order, timing keys) and their logical
+                                 # rendering hash to what 1863387 recorded, before labels
+                                 # were written once into one text arena
 cargo test -q --test structure   # structure gate: the three source policies and every
                                  # rule of osql_chk::lint::RULES hold on this tree; each
                                  # rule fires on a violation planted into the real files

@@ -36,7 +36,6 @@ pub fn align_candidate(
     let stage_start = Instant::now();
     let mut stmt = stmt.clone();
     let mut changed = false;
-    let flag = |b: bool| if b { "true" } else { "false" };
 
     let t0 = Instant::now();
     let hop = agent_align(&mut stmt, unresolved, schema, values);
@@ -44,7 +43,7 @@ pub fn align_candidate(
     ledger.charge(Module::AgentAlign, agent_ms, 0);
     osql_trace::active::event_timed(
         "align_hop",
-        &[("hop", "agent"), ("changed", flag(hop))],
+        &[("hop", &"agent"), ("changed", &hop)],
         &[("ms", agent_ms)],
     );
     changed |= hop;
@@ -55,7 +54,7 @@ pub fn align_candidate(
     ledger.charge(Module::FunctionAlign, function_ms, 0);
     osql_trace::active::event_timed(
         "align_hop",
-        &[("hop", "function"), ("changed", flag(hop))],
+        &[("hop", &"function"), ("changed", &hop)],
         &[("ms", function_ms)],
     );
     changed |= hop;
@@ -66,7 +65,7 @@ pub fn align_candidate(
     ledger.charge(Module::StyleAlign, style_ms, 0);
     osql_trace::active::event_timed(
         "align_hop",
-        &[("hop", "style"), ("changed", flag(hop))],
+        &[("hop", &"style"), ("changed", &hop)],
         &[("ms", style_ms)],
     );
     changed |= hop;

@@ -87,12 +87,8 @@ impl Pipeline {
         // self-taught few-shot library); the per-query share is resolving
         // those assets for the target database.
         let stage = active::start("stage:preprocess");
-        active::label(stage, "db_known", if self.pre.db(db_id).is_some() { "true" } else { "false" });
-        active::label(
-            stage,
-            "assets_ready",
-            if self.pre.assets(db_id).is_some() { "true" } else { "false" },
-        );
+        active::label(stage, "db_known", self.pre.db(db_id).is_some());
+        active::label(stage, "assets_ready", self.pre.assets(db_id).is_some());
         active::end(stage);
 
         // Extraction (+ Info Alignment)
@@ -106,9 +102,9 @@ impl Pipeline {
             evidence,
             &mut ledger,
         );
-        active::label(stage, "value_hits", &extraction.value_hits.len().to_string());
+        active::label(stage, "value_hits", extraction.value_hits.len());
         if let Some(n) = extraction.expected_select {
-            active::label(stage, "expected_select", &n.to_string());
+            active::label(stage, "expected_select", n);
         }
         active::end(stage);
 
@@ -124,7 +120,7 @@ impl Pipeline {
             &extraction,
             &mut ledger,
         );
-        active::label(stage, "candidates", &generation.candidates.len().to_string());
+        active::label(stage, "candidates", generation.candidates.len());
         active::end(stage);
         let sql_g = generation.candidates.first().cloned().unwrap_or_default();
 
@@ -154,7 +150,7 @@ impl Pipeline {
             (0, 1.0)
         };
         ledger.charge(Module::Refinement, refinement_start.elapsed().as_secs_f64() * 1e3, 0);
-        active::label(stage, "winner", &winner.to_string());
+        active::label(stage, "winner", winner);
         active::end(stage);
 
         let final_sql = candidates

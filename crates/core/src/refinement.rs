@@ -24,11 +24,12 @@ use crate::preprocess::{DbAssets, Preprocessed};
 use crate::retrieval::ValueHit;
 use llmsim::proto;
 use llmsim::{ChatRequest, LanguageModel};
-use osql_trace::{active, QueryTrace};
+use osql_trace::{active, Captured};
 use sqlkit::{parse_select, Analysis, Bound, ResultSet, SelectStmt, SqlError};
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,11 +71,30 @@ impl RefinedCandidate {
     /// One-word-ish execution outcome: `empty`, `N row(s)`, or
     /// `error: …` — the vocabulary shared by trace labels and
     /// [`crate::PipelineRun::explain`].
-    pub fn outcome_label(&self) -> String {
-        match &self.result {
-            Ok(rs) if rs.is_effectively_empty() => "empty".to_owned(),
-            Ok(rs) => format!("{} row(s)", rs.rows.len()),
-            Err(e) => format!("error: {e}"),
+    pub fn outcome_label(&self) -> impl fmt::Display + '_ {
+        struct Outcome<'a>(&'a Result<Arc<ResultSet>, SqlError>);
+        impl fmt::Display for Outcome<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    Ok(rs) if rs.is_effectively_empty() => f.write_str("empty"),
+                    Ok(rs) => write!(f, "{} row(s)", rs.rows.len()),
+                    Err(e) => write!(f, "error: {e}"),
+                }
+            }
+        }
+        Outcome(&self.result)
+    }
+}
+
+/// Which candidate did a piece of shared work, or `-` when this attempt
+/// did it.
+struct Who(Option<usize>);
+
+impl fmt::Display for Who {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(idx) => write!(f, "{idx}"),
+            None => f.write_str("-"),
         }
     }
 }
@@ -171,18 +191,17 @@ pub fn execute(db: &sqlkit::Database, sql: &str) -> (Result<ResultSet, SqlError>
 /// the outcome records the work too.
 struct Shared<T> {
     outcome: T,
-    trace: QueryTrace,
+    events: Captured,
     ledger: CostLedger,
 }
 
 impl<T> Shared<T> {
-    /// Run `work` under a private trace and ledger; keep what it recorded.
+    /// Run `work` with a private ledger, its events captured once by the
+    /// active trace; keep what it recorded.
     fn capture(work: impl FnOnce(&mut CostLedger) -> T) -> Self {
-        active::push();
         let mut ledger = CostLedger::new();
-        let outcome = work(&mut ledger);
-        let trace = active::pop().expect("capture pushed a trace");
-        Shared { outcome, trace, ledger }
+        let (outcome, events) = active::capture(|| work(&mut ledger));
+        Shared { outcome, events, ledger }
     }
 
     /// Record the work onto the active trace and `ledger`. The candidate
@@ -191,7 +210,7 @@ impl<T> Shared<T> {
     /// zero time — so counts and the logical trace cannot tell the two
     /// apart, and wall-clock totals report work done.
     fn record(&self, ledger: &mut CostLedger, measured: bool) {
-        active::replay(&self.trace, measured);
+        active::replay(&self.events, measured);
         if measured {
             ledger.merge(&self.ledger);
         } else {
@@ -443,7 +462,7 @@ impl<'a> Beam<'a> {
             let verdict = if diags > 0 { "flagged" } else { "clean" };
             active::event_timed(
                 "analyze_gate",
-                &[("verdict", verdict), ("diags", &diags.to_string())],
+                &[("verdict", &verdict), ("diags", &diags)],
                 &[("analyze_ms", front.ms)],
             );
             let codes = analysis.diagnostics.iter().map(|d| d.code.clone()).collect();
@@ -488,10 +507,9 @@ impl<'a> Beam<'a> {
         gate.record(ledger, gate_from.is_none());
         if align_from.is_some() || gate_from.is_some() {
             // volatile: who did the work is bookkeeping, not an outcome
-            let who = |from: Option<usize>| from.map_or_else(|| "-".to_owned(), |c| c.to_string());
             active::event_volatile(
                 "attempt_shared",
-                &[("align", &who(align_from)), ("exec", &who(gate_from))],
+                &[("align", &Who(align_from)), ("exec", &Who(gate_from))],
                 &[],
             );
         }
@@ -552,12 +570,9 @@ impl<'a> Beam<'a> {
         ledger: &mut CostLedger,
     ) -> RefinedCandidate {
         let span = active::start("candidate");
-        active::label(span, "idx", &idx.to_string());
+        active::label(span, "idx", idx);
         if let Some((recovered, ms)) = input.fallback {
-            active::event(
-                "sqllike_fallback",
-                &[("recovered", if recovered { "true" } else { "false" })],
-            );
+            active::event("sqllike_fallback", &[("recovered", &recovered)]);
             ledger.charge(Module::StyleAlign, ms, 0);
         }
 
@@ -569,8 +584,8 @@ impl<'a> Beam<'a> {
                 let Some((error_text, kind)) = attempt.gate.outcome.failure() else { break };
                 rounds += 1;
                 let round_span = active::start("correction_round");
-                active::label(round_span, "attempt", &rounds.to_string());
-                active::label(round_span, "error_kind", &format!("{kind:?}"));
+                active::label(round_span, "attempt", rounds);
+                active::label(round_span, "error_kind", format_args!("{kind:?}"));
                 let notes = [&attempt.align_note, &attempt.gate.outcome.note];
                 let note = notes.into_iter().flatten().cloned().collect::<Vec<_>>().join("\n");
                 let prompt = self.correction_prompt(&attempt.sql, &error_text, kind, &note);
@@ -612,9 +627,9 @@ impl<'a> Beam<'a> {
         if refined.sql != refined.raw_sql {
             active::label(span, "raw", &refined.raw_sql);
         }
-        active::label(span, "outcome", &refined.outcome_label());
-        active::label(span, "cost", &refined.exec_cost.to_string());
-        active::label(span, "rounds", &refined.correction_rounds.to_string());
+        active::label(span, "outcome", refined.outcome_label());
+        active::label(span, "cost", refined.exec_cost);
+        active::label(span, "rounds", refined.correction_rounds);
         active::end(span);
         refined
     }
@@ -639,8 +654,7 @@ impl<'a> Beam<'a> {
         let mut hits: Vec<ValueHit> = self.extraction.value_hits.clone();
         if let Ok(stmt) = &self.front(broken_sql).stmt {
             let mut literal_hits = self.literal_hits.borrow_mut();
-            // the statement walk is the mutable one, so it walks a copy
-            stmt.clone().walk_exprs_mut(&mut |e| {
+            stmt.walk_exprs(&mut |e| {
                 let sqlkit::Expr::Literal(sqlkit::Value::Text(t)) = e else { return };
                 if !t.chars().any(|c| c.is_alphabetic()) {
                     return;
@@ -787,10 +801,10 @@ pub(crate) fn vote_with_margin(
     active::event(
         "vote",
         &[
-            ("candidates", &candidates.len().to_string()),
-            ("winner", &chosen.to_string()),
-            ("path", path),
-            ("margin", &format!("{margin:.4}")),
+            ("candidates", &candidates.len()),
+            ("winner", &chosen),
+            ("path", &path),
+            ("margin", &format_args!("{margin:.4}")),
         ],
     );
     (chosen, margin)
@@ -938,6 +952,7 @@ mod beam_tests {
     use super::*;
     use datagen::{generate, Profile};
     use llmsim::{ChatResponse, ModelProfile, Oracle, SimLlm};
+    use osql_trace::QueryTrace;
     use std::collections::HashSet;
 
     const DB: &str = "healthcare";
@@ -1207,7 +1222,7 @@ mod beam_tests {
             .trace
             .events_named("exec")
             .map(|e| {
-                assert!(e.volatile && e.labels.is_empty(), "{e:?}");
+                assert!(e.volatile && e.labels().next().is_none(), "{e:?}");
                 assert!(e.timing("prepare_ms").is_some(), "lowered for this run: {e:?}");
                 e.timing("rows_scanned").expect("every run carries its rows") as u64
             })
@@ -1246,7 +1261,7 @@ mod beam_tests {
         // behind it are done once
         let rounds = case.config.max_correction_rounds;
         assert_eq!(stuck.correction_rounds, rounds);
-        assert_eq!(stuck.outcome_label(), "error: no such table: Nopes");
+        assert_eq!(stuck.outcome_label().to_string(), "error: no such table: Nopes");
         let measured = beam
             .trace
             .events_named("analyze_gate")

@@ -454,7 +454,7 @@ impl AssetCache {
                         self.load_errors.fetch_add(1, Ordering::Relaxed);
                         active::event_volatile(
                             "db_load_error",
-                            &[("db", db_id), ("error", &reason)],
+                            &[("db", &db_id), ("error", &reason)],
                             &[],
                         );
                         return Err(AssetMiss::LoadFailed(reason));
@@ -473,7 +473,7 @@ impl AssetCache {
         let index = values.index();
         active::event_volatile(
             "asset_build",
-            &[("db", db_id), ("index", if index.is_exact() { "exact" } else { "graph" })],
+            &[("db", &db_id), ("index", &if index.is_exact() { "exact" } else { "graph" })],
             &[
                 ("us", build_started.elapsed().as_micros() as f64),
                 ("values", values.len() as f64),

@@ -850,7 +850,7 @@ static STAGES: [(Module, &str); 4] = [
 fn rows_scanned_in(trace: &QueryTrace) -> u64 {
     trace
         .events_named("exec")
-        .flat_map(|e| e.timings.iter())
+        .flat_map(|e| e.timings())
         .filter(|(name, _)| *name == "rows_scanned")
         .map(|(_, v)| v.max(0.0) as u64)
         .sum()

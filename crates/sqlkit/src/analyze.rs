@@ -449,8 +449,60 @@ fn closest<'n>(names: impl Iterator<Item = &'n str>, name: &str, max: usize) -> 
     (d <= max).then_some(best)
 }
 
-/// Case-insensitive Levenshtein distance, for did-you-mean ranking.
+/// Names shorter than this many bytes, when ASCII, are compared on the
+/// stack by [`name_distance`].
+const SHORT_NAME: usize = 64;
+
+/// Case-insensitive Levenshtein distance, for did-you-mean ranking. An
+/// ASCII `a` against a short ASCII `b` — every name a generated schema
+/// has — runs on two rows on the stack; otherwise both are lowercased
+/// char by char and the rows go on the heap.
 fn name_distance(a: &str, b: &str) -> usize {
+    if a.is_ascii() && b.is_ascii() && b.len() < SHORT_NAME {
+        let [mut prev, mut cur] = [[0; SHORT_NAME]; 2];
+        edit_distance(
+            a.bytes().map(|c| c.to_ascii_lowercase()),
+            b.bytes().map(|c| c.to_ascii_lowercase()),
+            &mut prev[..=b.len()],
+            &mut cur[..=b.len()],
+        )
+    } else {
+        let n = b.chars().flat_map(char::to_lowercase).count() + 1;
+        edit_distance(
+            a.chars().flat_map(char::to_lowercase),
+            b.chars().flat_map(char::to_lowercase),
+            &mut vec![0; n],
+            &mut vec![0; n],
+        )
+    }
+}
+
+/// Levenshtein distance of two sequences over two caller-provided rows,
+/// each one longer than `b`.
+fn edit_distance<'r, T: PartialEq>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T> + Clone,
+    mut prev: &'r mut [usize],
+    mut cur: &'r mut [usize],
+) -> usize {
+    for (j, cell) in prev.iter_mut().enumerate() {
+        *cell = j;
+    }
+    for (i, ca) in a.enumerate() {
+        cur[0] = i + 1;
+        for (j, cb) in b.clone().enumerate() {
+            let sub = prev[j] + usize::from(ca != cb);
+            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    prev[prev.len() - 1]
+}
+
+/// [`name_distance`] as it was first written — chars collected, a row
+/// allocated per char — which the property test holds it to.
+#[cfg(test)]
+fn name_distance_reference(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().flat_map(|c| c.to_lowercase()).collect();
     let b: Vec<char> = b.chars().flat_map(|c| c.to_lowercase()).collect();
     let mut prev: Vec<usize> = (0..=b.len()).collect();
@@ -1028,6 +1080,10 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Letters of names: ASCII first, then four that lowercase to
+        /// another char (`É`), to two (`İ`) or to themselves (`ß`, `é`).
+        const NAME_CHARS: &[char] = &['a', 'b', 'c', 'A', 'B', 'C', '_', '0', 'É', 'İ', 'ß', 'é'];
+
         /// Statement fragments, and letters of two, three and four bytes:
         /// those lex as identifiers, so they are what a syntax error's span
         /// can land on. (Non-ASCII punctuation never gets that far — it is
@@ -1051,6 +1107,26 @@ mod tests {
                 let a = analyze_sql(&db.schema, &sql);
                 let r = a.rendered(&sql);
                 prop_assert_eq!(r.is_empty(), a.is_clean(), "{:?}", sql);
+            }
+
+            /// The stack path and the heap path measure what the first
+            /// version measured: ASCII names of either case, short and
+            /// past [`SHORT_NAME`], and names with letters that lowercase
+            /// to one char, to two (`İ`) or to themselves (`ß`).
+            #[test]
+            fn name_distance_matches_the_reference(
+                a in prop::collection::vec(0usize..NAME_CHARS.len(), 0..70),
+                b in prop::collection::vec(0usize..NAME_CHARS.len(), 0..70),
+                ascii in 0usize..3,
+            ) {
+                // two draws in three stay ASCII, and only the rest reach
+                // the non-ASCII letters at the end of the alphabet
+                let letters = if ascii > 0 { NAME_CHARS.len() - 4 } else { NAME_CHARS.len() };
+                let name = |picks: &[usize]| -> String {
+                    picks.iter().map(|&k| NAME_CHARS[k % letters]).collect()
+                };
+                let (a, b) = (name(&a), name(&b));
+                prop_assert_eq!(name_distance(&a, &b), name_distance_reference(&a, &b));
             }
         }
     }

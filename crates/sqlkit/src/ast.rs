@@ -661,6 +661,64 @@ impl SelectStmt {
         }
     }
 
+    /// Immutable walk over every expression in the statement, in exactly
+    /// [`SelectStmt::walk_exprs_mut`]'s order: an expression's subqueries
+    /// first, then the expression itself.
+    pub fn walk_exprs(&self, f: &mut dyn FnMut(&Expr)) {
+        fn walk_core(core: &SelectCore, f: &mut dyn FnMut(&Expr)) {
+            for item in &core.items {
+                if let SelectItem::Expr { expr, .. } = item {
+                    walk_expr(expr, f);
+                }
+            }
+            if let Some(from) = &core.from {
+                walk_table_ref(&from.base, f);
+                for j in &from.joins {
+                    walk_table_ref(&j.table, f);
+                    if let Some(on) = &j.on {
+                        walk_expr(on, f);
+                    }
+                }
+            }
+            if let Some(w) = &core.where_clause {
+                walk_expr(w, f);
+            }
+            for g in &core.group_by {
+                walk_expr(g, f);
+            }
+            if let Some(h) = &core.having {
+                walk_expr(h, f);
+            }
+        }
+        fn walk_table_ref(t: &TableRef, f: &mut dyn FnMut(&Expr)) {
+            if let TableRef::Subquery { query, .. } = t {
+                query.walk_exprs(f);
+            }
+        }
+        fn walk_expr(e: &Expr, f: &mut dyn FnMut(&Expr)) {
+            e.walk(&mut |node| match node {
+                Expr::Subquery(q) => q.walk_exprs(f),
+                Expr::InSubquery { query, .. } => query.walk_exprs(f),
+                Expr::Exists { query, .. } => query.walk_exprs(f),
+                _ => {}
+            });
+            e.walk(f);
+        }
+        walk_core(&self.core, f);
+        for (_, c) in &self.compounds {
+            walk_core(c, f);
+        }
+        for o in &self.order_by {
+            walk_expr(&o.expr, f);
+        }
+        if let Some(l) = &self.limit {
+            walk_expr(l, f);
+        }
+        if let Some(o) = &self.offset {
+            walk_expr(o, f);
+        }
+    }
+
     /// Every table name mentioned in FROM clauses (including subqueries).
     pub fn referenced_tables(&self) -> Vec<String> {
         fn from_core(core: &SelectCore, out: &mut Vec<String>) {
@@ -752,5 +810,24 @@ mod tests {
             }
         });
         assert_eq!(literals, 1);
+    }
+
+    #[test]
+    fn both_statement_walks_visit_in_one_order() {
+        let sql = "SELECT 'a', (SELECT MAX(x) FROM u WHERE u.k = 'b') FROM (SELECT 'c' AS y FROM v) AS s \
+                   JOIN w ON w.k = 'd' AND EXISTS (SELECT 1 FROM u WHERE u.n = 'e') \
+                   WHERE s.y IN (SELECT 'f' FROM v) AND 'g' < (SELECT 'h') GROUP BY 'i' HAVING COUNT(*) > 'j' \
+                   UNION SELECT 'k' FROM t WHERE NOT EXISTS (SELECT 'l') ORDER BY 'm' LIMIT 2 OFFSET 3";
+        let mut stmt = crate::parse_select(sql).expect("the statement parses");
+        let mut seen = Vec::new();
+        stmt.walk_exprs(&mut |e| seen.push(format!("{e:?}")));
+        let mut seen_mut = Vec::new();
+        stmt.walk_exprs_mut(&mut |e| seen_mut.push(format!("{e:?}")));
+        assert_eq!(seen, seen_mut);
+        let texts: String = seen
+            .iter()
+            .filter_map(|e| e.strip_prefix("Literal(Text(\"")?.chars().next())
+            .collect();
+        assert_eq!(texts, "abcedfhgijklm", "subqueries first, then the expression");
     }
 }

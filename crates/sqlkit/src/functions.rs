@@ -428,6 +428,12 @@ pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> 
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
+            // a TEXT operand is first read as the number its prefix spells
+            let number = |v: &Value| match v {
+                Value::Text(t) => crate::value::text_as_number(t),
+                other => other.clone(),
+            };
+            let (l, r) = (&number(l), &number(r));
             // SQLite takes a REAL operand's integer part (saturating) and
             // answers in REAL; `wrapping_rem` is 0 for i64::MIN % -1
             if matches!(l, Value::Real(_)) || matches!(r, Value::Real(_)) {
@@ -528,6 +534,17 @@ mod tests {
         );
         assert_eq!(one("SELECT 5.5 % 2"), Ok(Value::Real(1.0)));
         assert_eq!(one("SELECT 7 % 0.5"), Ok(Value::Null));
+        // a TEXT operand of `%` is read by its numeric prefix
+        assert_eq!(one("SELECT '5.5' % 2"), Ok(Value::Real(1.0)));
+        assert_eq!(one("SELECT '12abc' % 5"), Ok(Value::Int(2)));
+        assert_eq!(one("SELECT 'abc' % 5"), Ok(Value::Int(0)));
+        assert_eq!(one("SELECT 7 % '2.5'"), Ok(Value::Real(1.0)));
+        assert_eq!(one("SELECT '1e1' % 3"), Ok(Value::Real(1.0)));
+        // the literal 2^63 is REAL, and so, still, is its negation (SQLite:
+        // INTEGER i64::MIN, and ABS of it `integer overflow`; ROADMAP "SQLite's
+        // value rules at the edges")
+        assert_eq!(one("SELECT 9223372036854775808"), Ok(Value::Real(9.223372036854776e18)));
+        assert_eq!(one("SELECT -9223372036854775808"), Ok(Value::Real(-9.223372036854776e18)));
     }
 
     #[test]

@@ -882,11 +882,11 @@ impl PlanCache {
         // the query being traced
         if osql_trace::active::is_active() {
             if hit {
-                osql_trace::active::event_volatile("plan", &[("outcome", "hit")], &[]);
+                osql_trace::active::event_volatile("plan", &[("outcome", &"hit")], &[]);
             } else {
                 osql_trace::active::event_volatile(
                     "plan",
-                    &[("outcome", "miss")],
+                    &[("outcome", &"miss")],
                     &[("prepare_ms", prepare_us as f64 / 1e3)],
                 );
             }

@@ -265,6 +265,24 @@ pub enum NormValue {
 /// Parse the leading numeric prefix of a string as SQLite coercion does.
 /// Returns `None` when the string has no numeric prefix at all.
 pub(crate) fn parse_numeric_prefix(s: &str) -> Option<f64> {
+    numeric_prefix(s)?.parse::<f64>().ok()
+}
+
+/// The number a TEXT operand of arithmetic stands for, as SQLite reads it:
+/// its numeric prefix as an INTEGER when that is a whole number that fits,
+/// as a REAL otherwise, and INTEGER 0 when there is no prefix.
+pub(crate) fn text_as_number(s: &str) -> Value {
+    match numeric_prefix(s) {
+        None => Value::Int(0),
+        Some(prefix) => match prefix.parse::<i64>() {
+            Ok(i) => Value::Int(i),
+            Err(_) => Value::Real(prefix.parse::<f64>().unwrap_or(0.0)),
+        },
+    }
+}
+
+/// The leading numeric prefix of a string, sign and exponent included.
+fn numeric_prefix(s: &str) -> Option<&str> {
     let t = s.trim_start();
     let bytes = t.as_bytes();
     let mut end = 0usize;
@@ -290,7 +308,7 @@ pub(crate) fn parse_numeric_prefix(s: &str) -> Option<f64> {
     while slice.ends_with(['e', 'E', '+', '-']) {
         slice = &slice[..slice.len() - 1];
     }
-    slice.parse::<f64>().ok()
+    Some(slice)
 }
 
 /// A row of values.
@@ -362,6 +380,11 @@ mod tests {
         assert_eq!(parse_numeric_prefix("1e"), Some(1.0));
         assert_eq!(parse_numeric_prefix("abc"), None);
         assert_eq!(parse_numeric_prefix(""), None);
+        assert_eq!(text_as_number(" 12abc"), Value::Int(12));
+        assert_eq!(text_as_number("5.5"), Value::Real(5.5));
+        assert_eq!(text_as_number("1e1"), Value::Real(10.0));
+        assert_eq!(text_as_number("abc"), Value::Int(0));
+        assert_eq!(text_as_number("9223372036854775808"), Value::Real(9.223372036854776e18));
     }
 
     #[test]

@@ -4,18 +4,19 @@
 //!
 //! Each thread holds a *stack* of traces. The outermost owner of a query
 //! ([`push`]) gets everything recorded on this thread until it [`pop`]s;
-//! a nested owner (refinement capturing one shared piece of work) pushes
-//! its own trace, records into it and pops it, to [`replay`] the finished
-//! sub-trace for every candidate that uses the work or hand it back for
-//! the parent to [`Trace::absorb`].
+//! a nested owner pushes its own trace, records into it and pops it, to
+//! hand it back for the parent to [`absorb`]. One shared piece of work
+//! (refinement's align or gate) is recorded once by [`capture`], out of
+//! the active trace, and [`replay`]ed for every candidate that uses it.
 //!
 //! Every free function here is a no-op when the stack is empty — one
 //! thread-local read and a branch — which is what keeps always-on
 //! instrumentation in the execution hot path effectively free when
 //! nothing is tracing (measured by the `engine_trace` bench group).
 
-use crate::model::{QueryTrace, SpanId, Trace, NO_SPAN};
+use crate::model::{Captured, Label, QueryTrace, SpanId, Trace, NO_SPAN};
 use std::cell::RefCell;
+use std::fmt::Display;
 
 thread_local! {
     static STACK: RefCell<Vec<Trace>> = const { RefCell::new(Vec::new()) };
@@ -67,8 +68,9 @@ pub fn end(id: SpanId) {
     with_top(|t| t.end(id));
 }
 
-/// Attach a deterministic label to a span.
-pub fn label(id: SpanId, key: &'static str, value: &str) {
+/// Attach a deterministic label to a span; `value` is written straight
+/// into the trace's text.
+pub fn label(id: SpanId, key: &'static str, value: impl Display) {
     with_top(|t| t.label(id, key, value));
 }
 
@@ -78,14 +80,14 @@ pub fn timing(id: SpanId, key: &'static str, ms: f64) {
 }
 
 /// Record an event on the active trace.
-pub fn event(name: &'static str, labels: &[(&'static str, &str)]) {
+pub fn event(name: &'static str, labels: &[Label]) {
     with_top(|t| t.event(name, labels));
 }
 
 /// Record an event carrying measured timings.
 pub fn event_timed(
     name: &'static str,
-    labels: &[(&'static str, &str)],
+    labels: &[Label],
     timings: &[(&'static str, f64)],
 ) {
     with_top(|t| t.event_timed(name, labels, timings));
@@ -94,7 +96,7 @@ pub fn event_timed(
 /// Record a volatile event (see [`Trace::event_volatile`]).
 pub fn event_volatile(
     name: &'static str,
-    labels: &[(&'static str, &str)],
+    labels: &[Label],
     timings: &[(&'static str, f64)],
 ) {
     with_top(|t| t.event_volatile(name, labels, timings));
@@ -105,10 +107,20 @@ pub fn absorb(child: QueryTrace) {
     with_top(|t| t.absorb(child));
 }
 
-/// Re-record a finished trace's events on the active trace, as measured
-/// or logical-only with zero timings (see [`Trace::replay`]).
-pub fn replay(src: &QueryTrace, measured: bool) {
-    with_top(|t| t.replay(src, measured));
+/// Run `work`, recording its events once, out of the active trace, for
+/// [`replay`] to re-record (see [`Trace::capture_start`]). Captures nothing
+/// when no trace is active.
+pub fn capture<T>(work: impl FnOnce() -> T) -> (T, Captured) {
+    let start = with_top(|t| t.capture_start());
+    let out = work();
+    let captured = start.and_then(|start| with_top(|t| t.capture_end(start)));
+    (out, captured.unwrap_or_default())
+}
+
+/// Re-record captured events on the active trace, as measured or
+/// logical-only with zero timings (see [`Trace::replay`]).
+pub fn replay(captured: &Captured, measured: bool) {
+    with_top(|t| t.replay(captured, measured));
 }
 
 #[cfg(test)]
@@ -129,12 +141,12 @@ mod tests {
         push();
         assert!(is_active());
         let s = start("work");
-        event("step", &[("k", "v")]);
+        event("step", &[("k", &"v")]);
         end(s);
         let q = pop().unwrap();
         assert!(!is_active());
-        assert_eq!(q.spans.len(), 1);
-        assert_eq!(q.events.len(), 1);
+        assert_eq!(q.spans().len(), 1);
+        assert_eq!(q.events().len(), 1);
     }
 
     #[test]
@@ -145,11 +157,11 @@ mod tests {
         let inner = start("inner");
         end(inner);
         let child = pop().unwrap();
-        assert_eq!(child.spans.len(), 1);
+        assert_eq!(child.spans().len(), 1);
         absorb(child);
         end(outer);
         let q = pop().unwrap();
-        assert_eq!(q.spans.len(), 2);
+        assert_eq!(q.spans().len(), 2);
         let inner = q.span_named("inner").unwrap();
         let outer = q.span_named("outer").unwrap();
         assert_eq!(inner.parent, Some(outer.id));
@@ -170,12 +182,33 @@ mod tests {
             assert!(!is_active(), "fresh thread has no trace");
             push();
             start("other-thread");
-            pop().unwrap().spans.len()
+            pop().unwrap().spans().len()
         });
         assert_eq!(handle.join().unwrap(), 1);
         event("main-thread", &[]);
         let q = pop().unwrap();
-        assert_eq!(q.events.len(), 1);
-        assert!(q.spans.is_empty());
+        assert_eq!(q.events().len(), 1);
+        assert_eq!(q.spans().len(), 0);
+    }
+
+    #[test]
+    fn captured_work_replays_onto_the_active_trace() {
+        let ((), idle) = capture(|| event("ghost", &[]));
+        push();
+        replay(&idle, true);
+        let s = start("candidate");
+        let (n, work) = capture(|| {
+            event("step", &[("n", &2)]);
+            2
+        });
+        assert_eq!(n, 2);
+        replay(&work, true);
+        replay(&work, false);
+        end(s);
+        let q = pop().unwrap();
+        let steps: Vec<_> = q.events_named("step").collect();
+        assert_eq!(steps.len(), 2);
+        assert!(steps.iter().all(|e| e.span == Some(s) && e.label("n") == Some("2")));
+        assert_eq!(q.events().len(), 2, "the idle capture recorded nothing");
     }
 }

@@ -30,17 +30,16 @@ impl QueryTrace {
     fn render_spans(&self, out: &mut String, parent: Option<SpanId>, depth: usize, timed: bool) {
         // Interleave child spans and direct events in logical order.
         enum Rec<'a> {
-            Span(&'a Span),
-            Event(&'a Event),
+            Span(Span<'a>),
+            Event(Event<'a>),
         }
         let mut records: Vec<(u64, Rec)> = self
-            .spans
-            .iter()
+            .spans()
             .filter(|s| s.parent == parent)
             .map(|s| (s.seq, Rec::Span(s)))
             .collect();
         records.extend(
-            self.events.iter().filter(|e| e.span == parent).map(|e| (e.seq, Rec::Event(e))),
+            self.events().filter(|e| e.span == parent).map(|e| (e.seq, Rec::Event(e))),
         );
         records.sort_by_key(|(seq, _)| *seq);
         for (_, rec) in records {
@@ -48,10 +47,10 @@ impl QueryTrace {
                 Rec::Span(span) => {
                     let indent = "  ".repeat(depth);
                     let _ = write!(out, "{indent}{}", span.name);
-                    render_labels(out, &span.labels);
+                    render_labels(out, span.labels());
                     if timed {
                         let _ = write!(out, " · {:.2}ms", span.duration_ms());
-                        for (k, v) in &span.timings {
+                        for (k, v) in span.timings() {
                             let _ = write!(out, " {k}={v:.2}");
                         }
                     }
@@ -60,7 +59,7 @@ impl QueryTrace {
                 }
                 Rec::Event(event) => {
                     if timed || !event.volatile {
-                        render_event(out, event, depth, timed);
+                        render_event(out, &event, depth, timed);
                     }
                 }
             }
@@ -71,27 +70,25 @@ impl QueryTrace {
 fn render_event(out: &mut String, event: &Event, depth: usize, timed: bool) {
     let indent = "  ".repeat(depth + 1);
     let _ = write!(out, "{indent}· {}", event.name);
-    render_labels(out, &event.labels);
+    render_labels(out, event.labels());
     if timed {
-        for (k, v) in &event.timings {
+        for (k, v) in event.timings() {
             let _ = write!(out, " {k}={v:.2}");
         }
     }
     out.push('\n');
 }
 
-fn render_labels(out: &mut String, labels: &[(&'static str, String)]) {
-    if labels.is_empty() {
-        return;
-    }
-    out.push_str(" [");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
+fn render_labels<'a>(out: &mut String, labels: impl Iterator<Item = (&'static str, &'a str)>) {
+    let mut any = false;
+    for (k, v) in labels {
+        out.push_str(if any { " " } else { " [" });
         let _ = write!(out, "{k}={v}");
+        any = true;
     }
-    out.push(']');
+    if any {
+        out.push(']');
+    }
 }
 
 #[cfg(test)]
@@ -104,9 +101,9 @@ mod tests {
         let root = t.start("pipeline");
         t.label(root, "db", "hospital \"A\"");
         let stage = t.start("stage:extraction");
-        t.event_timed("retrieve", &[("hits", "3")], &[("ms", 1.25)]);
+        t.event_timed("retrieve", &[("hits", &3)], &[("ms", 1.25)]);
         t.end(stage);
-        t.event_volatile("plan", &[("outcome", "hit")], &[]);
+        t.event_volatile("plan", &[("outcome", &"hit")], &[]);
         t.end(root);
         t.finish()
     }

@@ -13,6 +13,9 @@
 //!   through the thread-local [`active`] stack, so no signature in the
 //!   hot path grows a tracer argument, and every instrumentation point
 //!   costs one thread-local read when tracing is off.
+//! - **No copies.** A label value is written once, by its `Display`, into
+//!   the trace's one text arena; shared work is captured once and
+//!   replayed by reference; finishing a trace moves its arenas.
 //! - **Deterministic structure.** Every span and event carries a logical
 //!   sequence number next to its monotonic timestamp. One thread records
 //!   one query, so the *logical* trace (structure, names, deterministic
@@ -34,7 +37,7 @@
 //!
 //! active::push();
 //! let stage = active::start("stage:extraction");
-//! active::event("retrieve", &[("hits", "3")]);
+//! active::event("retrieve", &[("hits", &3)]);
 //! active::end(stage);
 //! let trace = active::pop().unwrap();
 //! assert_eq!(trace.span_named("stage:extraction").unwrap().seq, 1);
@@ -53,4 +56,7 @@ pub mod model;
 pub use flight::{
     valid_trace_id, FlightConfig, FlightRecorder, RequestIdGen, RequestOutcome, RequestRecord,
 };
-pub use model::{Event, QueryTrace, Span, SpanId, Trace, DEFAULT_CAPACITY, NO_SPAN};
+pub use model::{
+    Captured, Event, EventRecord, Label, QueryTrace, Span, SpanId, SpanRecord, Trace,
+    DEFAULT_CAPACITY, NO_SPAN,
+};

@@ -201,7 +201,7 @@ fn digest_line(run: &PipelineRun) -> String {
                 c.exec_cost,
                 c.correction_rounds,
                 c.analyze_skips,
-                fnv(&c.outcome_label()),
+                fnv(&c.outcome_label().to_string()),
             )
         })
         .collect();

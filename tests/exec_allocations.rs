@@ -19,10 +19,26 @@
 //! per statement — on a 1,000-row keyed table, split into parsing and
 //! applying, and gates each kind's mean.
 //!
+//! The answer census counts what `Pipeline::answer` allocates for each of
+//! the first 100 dev questions of `bird_mini_dev` (`PipelineConfig::full()`,
+//! gpt-4o at the benchmark's model seed, after one warm pass), under a
+//! trace the census pushes and pops the way the runtime's worker does. It
+//! splits the count three ways: inside the model's `complete` (through a
+//! counting [`LanguageModel`] wrapper), inside `active::pop`, and the rest
+//! of the pipeline's own work, and gates the pipeline's own mean and the
+//! pop's. Beside it, the front end's census of binds that file findings:
+//! every distinct candidate text of those answers that parses and binds
+//! with at least one diagnostic, bound again on its own.
+//!
 //! Run it with `cargo test -q --test exec_allocations -- --nocapture` to
 //! see the tables.
 
 use datagen::{generate, Profile};
+use llmsim::{ChatRequest, ChatResponse, LanguageModel, ModelProfile, Oracle, SimLlm};
+use opensearch_sql::{Pipeline, PipelineConfig, Preprocessed};
+use osql_trace::active;
+use std::collections::HashSet;
+use std::sync::Arc;
 use sqlkit::ast::{SelectCore, SelectItem, SelectStmt};
 use sqlkit::Expr;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,6 +70,8 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// What this thread allocated inside [`CountedModel::complete`].
+    static IN_MODEL: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for Counting {
@@ -265,4 +283,138 @@ fn write_statements_allocate_within_their_budgets() {
         let total = tally.mean(tally.parse + tally.run);
         assert!(total <= *budget, "{name} allocates {total:.1} times from text to row, budget {budget}");
     }
+}
+
+/// The model, with what its calls allocate set aside in [`IN_MODEL`].
+struct CountedModel(SimLlm);
+
+impl LanguageModel for CountedModel {
+    fn complete(&self, req: &ChatRequest) -> ChatResponse {
+        let (n, resp) = counted(|| self.0.complete(req));
+        IN_MODEL.with(|m| m.set(m.get() + n));
+        resp
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// The parent's readings of the answer census (1863387, release build):
+/// allocations an answer inside the model, inside `active::pop`, and the
+/// rest of the pipeline; and a bind that files findings. There, every
+/// label value was an owned `String`, each shared unit of refinement was
+/// recorded into a nested trace of its own and copied again into every
+/// candidate that reused it, `pop` copied every event's labels once more,
+/// and the did-you-mean distance collected a `Vec` per row.
+const PARENT_MODEL: f64 = 3298.1;
+const PARENT_POP: f64 = 441.8;
+const PARENT_REST: f64 = 2649.2;
+const PARENT_FINDINGS_BIND: f64 = 408.8;
+
+/// Mean allocations the pipeline's own work (all but the model's) may
+/// make an answer: 1,450.4 when labels were written once into one text
+/// arena, shared work replayed by reference, `pop` moved the arenas and
+/// the did-you-mean distance ran on the stack, plus 5 %.
+const OWN_BUDGET: f64 = 1523.0;
+/// Mean allocations `active::pop` may make an answer: it moves the trace.
+const POP_BUDGET: f64 = 10.0;
+/// Mean allocations a bind that files findings may make: 80.0, plus 5 %.
+const FINDINGS_BIND_BUDGET: f64 = 84.0;
+
+#[test]
+fn a_cold_answer_allocates_within_its_budget() {
+    const QUESTIONS: usize = 100;
+    let bench = Arc::new(generate(&Profile::bird_mini_dev()));
+    let oracle = Arc::new(Oracle::new(bench.clone()));
+    let llm = CountedModel(SimLlm::new(oracle, ModelProfile::gpt_4o(), 0xCAFE));
+    let pre = Arc::new(Preprocessed::run(bench.clone(), &llm));
+    let pipeline = Pipeline::new(pre.clone(), Arc::new(llm), PipelineConfig::full());
+    let questions = &bench.dev[..QUESTIONS];
+    let answer = |ex: &datagen::Example| {
+        active::push();
+        let (all, run) = counted(|| pipeline.answer(&ex.db_id, &ex.question, &ex.evidence));
+        let (pop, trace) = counted(active::pop);
+        assert!(trace.is_some_and(|t| !t.is_empty()), "the pushed trace holds the answer");
+        (all, pop, run)
+    };
+    // the warm pass: each question's misreading is drawn on first ask
+    for ex in questions {
+        answer(ex);
+    }
+    IN_MODEL.with(|m| m.set(0));
+    let (mut all, mut pop) = (0u64, 0u64);
+    let mut texts: Vec<(String, String)> = Vec::new();
+    let mut seen = HashSet::new();
+    for ex in questions {
+        let (n, p, run) = answer(ex);
+        all += n;
+        pop += p;
+        for c in &run.candidates {
+            for sql in [&c.raw_sql, &c.sql] {
+                if seen.insert((ex.db_id.clone(), sql.clone())) {
+                    texts.push((ex.db_id.clone(), sql.clone()));
+                }
+            }
+        }
+    }
+    let model = IN_MODEL.with(Cell::get);
+    let per = |n: u64| n as f64 / QUESTIONS as f64;
+    let (model, pop, rest) = (per(model), per(pop), per(all - model));
+    let own = pop + rest;
+
+    let mut binds = Tally::default();
+    for (db_id, sql) in &texts {
+        let Ok(stmt) = sqlkit::parse_select(sql) else { continue };
+        let schema = &pre.db(db_id).expect("a known database").database.schema;
+        let (n, (_, analysis)) = counted(|| sqlkit::bind(schema, &stmt));
+        if !analysis.diagnostics.is_empty() {
+            binds.add(0, 0, 0, n);
+        }
+    }
+    let findings_bind = binds.mean(binds.front);
+
+    println!("allocations an answer, {QUESTIONS} bird_mini_dev dev questions (parent 1863387 in brackets)");
+    println!("  inside the model        {model:>8.1}  ({PARENT_MODEL:.1})");
+    println!("  inside active::pop      {pop:>8.1}  ({PARENT_POP:.1})");
+    println!("  rest of the pipeline    {rest:>8.1}  ({PARENT_REST:.1})");
+    println!("  pipeline's own          {own:>8.1}  ({:.1})", PARENT_POP + PARENT_REST);
+    println!(
+        "allocations a front-end bind that files findings ({} distinct candidate texts): {findings_bind:.1}  ({PARENT_FINDINGS_BIND:.1})",
+        binds.statements
+    );
+    assert!(binds.statements > 0, "the answers' candidates include texts with findings");
+    assert!(own <= OWN_BUDGET, "the pipeline allocates {own:.1} times an answer, budget {OWN_BUDGET}");
+    assert!(pop <= POP_BUDGET, "active::pop allocates {pop:.1} times an answer, budget {POP_BUDGET}");
+    assert!(
+        findings_bind <= FINDINGS_BIND_BUDGET,
+        "a bind with findings allocates {findings_bind:.1} times, budget {FINDINGS_BIND_BUDGET}"
+    );
+}
+
+/// A captured unit of work is replayed by reference: the only allocations
+/// a thousand replays make are the trace's record vector doubling.
+#[test]
+fn a_replay_copies_nothing() {
+    const REPLAYS: u32 = 1000;
+    active::push();
+    let ((), work) = active::capture(|| {
+        active::event_timed("align_hop", &[("hop", &"agent"), ("changed", &true)], &[("ms", 0.5)]);
+        active::event_volatile("exec", &[], &[("execute_ms", 0.1), ("rows_scanned", 7.0)]);
+    });
+    let span = active::start("candidate");
+    let (allocations, ()) = counted(|| {
+        for i in 0..REPLAYS {
+            active::replay(&work, i % 2 == 0);
+        }
+    });
+    active::end(span);
+    let trace = active::pop().expect("the test pushed a trace");
+    assert_eq!(trace.events_named("align_hop").count(), REPLAYS as usize);
+    assert!(trace.events_named("align_hop").all(|e| e.label("hop") == Some("agent")));
+    let doublings = u64::from((REPLAYS * 2).ilog2() + 1);
+    assert!(
+        allocations <= doublings,
+        "{REPLAYS} replays allocated {allocations} times; the record vector doubles at most {doublings} times"
+    );
 }

@@ -12,7 +12,7 @@ mod recording;
 
 use osql_runtime::metrics::FRACTION_BOUNDS;
 use osql_runtime::{LogicalClock, MetricsRegistry, SloConfig, WindowedMetrics};
-use osql_trace::{Event, QueryTrace, RequestOutcome, RequestRecord, Span};
+use osql_trace::{QueryTrace, RequestOutcome, RequestRecord, Trace};
 use std::sync::Arc;
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -158,56 +158,33 @@ fn window_and_slo_views_match_the_recorded_bytes() {
 
 // ---- (c) flight records --------------------------------------------------------
 
+/// Two spans with hostile names, labels and timings, an event in each
+/// view, and two records dropped at capacity — built through the `Trace`
+/// API, with the clock readings given.
 fn hostile_trace() -> QueryTrace {
-    let mut t = QueryTrace::empty();
-    t.spans.push(Span {
-        id: 0,
-        parent: None,
-        name: "pipe\"line\"\n",
-        seq: 1,
-        end_seq: 6,
-        start_ns: 0,
-        end_ns: 2_500_000,
-        labels: vec![("db", HOSTILE.to_owned()), ("k\"ey", String::new())],
-        timings: vec![
-            ("ms", 1.25),
-            ("tiny", 1e-7),
-            ("huge", 1.5e15),
-            ("neg_zero", -0.0),
-            ("nan", f64::NAN),
-            ("inf", f64::INFINITY),
-        ],
-    });
-    t.spans.push(Span {
-        id: 1,
-        parent: Some(0),
-        name: "stage:extraction",
-        seq: 2,
-        end_seq: 4,
-        start_ns: 1_000,
-        end_ns: 1_501_000,
-        labels: Vec::new(),
-        timings: Vec::new(),
-    });
-    t.events.push(Event {
-        span: Some(1),
-        name: "retrieve",
-        seq: 3,
-        at_ns: 2_000,
-        labels: vec![("hits", "3".to_owned())],
-        timings: vec![("ms", 0.1 + 0.2)],
-        volatile: false,
-    });
-    t.events.push(Event {
-        span: None,
-        name: "queue\\wait",
-        seq: 5,
-        at_ns: 3_000,
-        labels: vec![("why", HOSTILE.to_owned())],
-        timings: Vec::new(),
-        volatile: true,
-    });
-    t.dropped = 2;
+    let mut t = Trace::with_capacity(4);
+    let root = t.start_at("pipe\"line\"\n", 0);
+    t.label(root, "db", HOSTILE);
+    t.label(root, "k\"ey", "");
+    for (key, ms) in [
+        ("ms", 1.25),
+        ("tiny", 1e-7),
+        ("huge", 1.5e15),
+        ("neg_zero", -0.0),
+        ("nan", f64::NAN),
+        ("inf", f64::INFINITY),
+    ] {
+        t.timing(root, key, ms);
+    }
+    let stage = t.start_at("stage:extraction", 1_000);
+    t.event_timed("retrieve", &[("hits", &3)], &[("ms", 0.1 + 0.2)]);
+    t.end_at(stage, 1_501_000);
+    t.end_at(root, 2_500_000);
+    t.event_volatile("queue\\wait", &[("why", &HOSTILE)], &[]);
+    t.event("over capacity", &[]);
+    t.event("over capacity", &[]);
+    let t = t.finish();
+    assert_eq!(t.dropped, 2);
     t
 }
 

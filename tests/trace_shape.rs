@@ -38,8 +38,7 @@ fn trace_has_all_four_stages_nested_under_the_root() {
     assert_eq!(trace.roots().count(), 1, "exactly one root");
 
     let stage_names: Vec<&str> = trace
-        .spans
-        .iter()
+        .spans()
         .filter(|s| s.name.starts_with("stage:"))
         .map(|s| s.name)
         .collect();
@@ -48,12 +47,12 @@ fn trace_has_all_four_stages_nested_under_the_root() {
         ["stage:preprocess", "stage:extraction", "stage:generation", "stage:refinement"],
         "four stages, pipeline order"
     );
-    for s in trace.spans.iter().filter(|s| s.name.starts_with("stage:")) {
+    for s in trace.spans().filter(|s| s.name.starts_with("stage:")) {
         assert_eq!(s.parent, Some(root.id), "{} sits under the root", s.name);
         assert!(s.end_seq > s.seq, "{} was closed", s.name);
     }
     // stages are sequential: each opens after the previous closed
-    let stages: Vec<_> = trace.spans.iter().filter(|s| s.name.starts_with("stage:")).collect();
+    let stages: Vec<_> = trace.spans().filter(|s| s.name.starts_with("stage:")).collect();
     for pair in stages.windows(2) {
         assert!(pair[1].seq > pair[0].end_seq, "{} overlaps {}", pair[1].name, pair[0].name);
     }
@@ -74,7 +73,7 @@ fn candidate_spans_match_the_beam_and_the_ledger() {
         assert_eq!(span.parent, Some(refinement.id), "candidates nest in refinement");
         assert_eq!(span.label("idx"), Some(i.to_string().as_str()), "index order preserved");
         assert_eq!(span.label("sql"), Some(cand.sql.as_str()));
-        assert_eq!(span.label("outcome"), Some(cand.outcome_label().as_str()));
+        assert_eq!(span.label("outcome"), Some(cand.outcome_label().to_string().as_str()));
         assert_eq!(span.label("rounds"), Some(cand.correction_rounds.to_string().as_str()));
         let rounds = trace
             .spans_named("correction_round")
