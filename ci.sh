@@ -109,19 +109,17 @@ cargo test -q -p datagen
 cargo test -q --test datagen_golden -- --include-ignored
 cargo test -q -p vecstore        # fast gate: the retrieval kernels, incl. the reference-
                                  # differential suite (sparse HNSW/flat ≡ the dense oracle;
-                                 # the serving index ≡ flat below its threshold, ≡ the
-                                 # same-seed graph ≡ the dense oracle from the crossing
-                                 # insert on — ids and score bits)
+                                 # the serving postings ≡ the flat scan at every size and
+                                 # density, search and similarity — ids and score bits)
 cargo test -q --test retrieval_golden # corpus gate: every retrieval result on the tiny
-                                 # profile, hashed per section. columns.retrieve, the
-                                 # per-column paths and fewshot.top_k still hash to what
-                                 # the all-HNSW c6d94f0 returned; values.retrieve was
-                                 # re-recorded when value corpora went to exact search,
-                                 # every moved list shown equal to brute-force top-k by
-                                 # the file's `census` (run by hand, --ignored)
-cargo test -q -p opensearch-sql served_corpora_land # placement gate: every value and
-                                 # column index of tiny and bird-mini-dev is an exact scan,
-                                 # the 1,500-entry few-shot library the graph
+                                 # profile, hashed per section, and bird_mini_dev's
+                                 # few-shot top-5. columns.retrieve, the per-column paths
+                                 # and tiny's fewshot.top_k still hash to what the
+                                 # all-HNSW c6d94f0 returned; values.retrieve and the
+                                 # bird_mini_dev few-shot section were re-recorded when
+                                 # those corpora went to exact search, every moved list
+                                 # shown equal to the exact top-k by the file's `census`
+                                 # (run by hand, --ignored)
 
 # Store gate: the crash-recovery fault matrix (every-byte truncation +
 # corruption of the WAL, ~3.3k injection points), then pack a benchmark

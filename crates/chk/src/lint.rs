@@ -705,7 +705,7 @@ pub const RULES: &[Rule] = &[
         scope: Scope::All,
         find: Find::Needles(&["Hnsw::new", "FlatIndex::new"]),
         want: Want::Absent,
-        why: "vecstore decides which backend serves a corpus; core constructs neither",
+        why: "core serves every corpus from vecstore's ServingIndex and constructs no other index",
         proved: "657367b",
     },
     // --- one checksum ---

@@ -10,7 +10,7 @@ use crate::config::FewshotMode;
 use llmsim::proto;
 use llmsim::{ChatRequest, LanguageModel};
 use sqlkit::SqlErrorKind;
-use vecstore::{mask_question, Embedder, ServingIndex, VectorIndex};
+use vecstore::{mask_question, Embedder, ServingIndex};
 
 /// One library entry.
 #[derive(Debug, Clone)]
@@ -37,8 +37,6 @@ impl FewshotLibrary {
     /// Build the library from train examples via self-taught CoT
     /// augmentation. Returns the library plus total LLM tokens spent.
     pub fn build(llm: &dyn LanguageModel, train: &[datagen::Example]) -> (Self, u64) {
-        let embedder = Embedder::new();
-        let mut index = ServingIndex::new(0xF5);
         let mut entries = Vec::with_capacity(train.len());
         let mut tokens = 0u64;
         for ex in train {
@@ -59,7 +57,6 @@ impl FewshotLibrary {
                 continue;
             }
             let masked = mask_question(&ex.question);
-            index.add(embedder.embed(&masked));
             entries.push(FewshotEntry {
                 question: ex.question.clone(),
                 masked,
@@ -67,6 +64,8 @@ impl FewshotLibrary {
                 sql: ex.gold_sql.clone(),
             });
         }
+        let embedder = Embedder::new();
+        let index = ServingIndex::build(entries.iter().map(|e| embedder.embed(&e.masked)));
         (FewshotLibrary { embedder, index, entries }, tokens)
     }
 
@@ -80,7 +79,7 @@ impl FewshotLibrary {
         self.entries.is_empty()
     }
 
-    /// The vector index over the masked questions: its regime and size.
+    /// The vector index over the masked questions.
     pub fn index(&self) -> &ServingIndex {
         &self.index
     }

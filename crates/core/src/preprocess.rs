@@ -136,44 +136,4 @@ mod tests {
         assert!(lazy.assets(&bench.dbs[1].id).is_none(), "only the one db is indexed");
         assert!(Preprocessed::for_db(bench, "ghost", eager.fewshot.clone(), 0).is_none());
     }
-
-    /// Where `vecstore::ServingIndex` puts each corpus we serve. Every
-    /// per-database index must be an exact scan — a graph there is ~9 ms of
-    /// construction on every page-in for an index searched a dozen times —
-    /// and the benchmark-sized few-shot library must be the graph, which
-    /// answers its denser vectors faster. An edit of
-    /// `vecstore::serving::GRAPH_FROM_NNZ` that flips either fails here.
-    #[test]
-    fn served_corpora_land_on_their_measured_side_of_the_index_crossover() {
-        for (profile, fewshot_is_exact) in [(Profile::tiny(), true), (Profile::bird_mini_dev(), false)] {
-            let bench = Arc::new(generate(&profile));
-            let oracle = Arc::new(Oracle::new(bench.clone()));
-            let llm = SimLlm::new(oracle, ModelProfile::gpt_4o(), 2);
-            let pre = Preprocessed::run(bench.clone(), &llm);
-            for db in &bench.dbs {
-                let assets = pre.assets(&db.id).unwrap();
-                let (values, columns) = (assets.values.index(), assets.columns.index());
-                assert!(
-                    values.is_exact() && columns.is_exact(),
-                    "{}/{}: {} values ({} non-zeros) exact: {}, column descriptors ({}) exact: {}",
-                    bench.name,
-                    db.id,
-                    assets.values.len(),
-                    values.nnz(),
-                    values.is_exact(),
-                    columns.nnz(),
-                    columns.is_exact(),
-                );
-            }
-            let library = pre.fewshot.index();
-            assert_eq!(
-                library.is_exact(),
-                fewshot_is_exact,
-                "{}: few-shot library of {} entries, {} non-zeros",
-                bench.name,
-                pre.fewshot.len(),
-                library.nnz(),
-            );
-        }
-    }
 }

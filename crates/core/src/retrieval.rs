@@ -6,7 +6,7 @@
 //! scan path that catches abbreviation/coding quirks embeddings miss.
 
 use sqlkit::Value;
-use vecstore::{Embedder, Neighbor, ServingIndex, VectorIndex};
+use vecstore::{Embedder, Neighbor, ServingIndex};
 
 /// One indexed stored value.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +49,6 @@ struct ColumnValues {
 impl ValueIndex {
     /// Index every distinct string value of every textual column.
     pub fn build(db: &datagen::BuiltDb) -> Self {
-        let embedder = Embedder::new();
-        let mut index = ServingIndex::new(0x71ED);
         let mut entries = Vec::new();
         let mut columns = Vec::new();
         for table in &db.tables {
@@ -60,7 +58,6 @@ impl ValueIndex {
                 }
                 let start = entries.len();
                 for stored in db.stored_values(&table.name, &col.name) {
-                    index.add(embedder.embed(&stored));
                     let normalized = normalize(&stored);
                     entries.push(ValueEntry { column: columns.len(), stored, normalized });
                 }
@@ -71,6 +68,8 @@ impl ValueIndex {
                 });
             }
         }
+        let embedder = Embedder::new();
+        let index = ServingIndex::build(entries.iter().map(|e| embedder.embed(&e.stored)));
         ValueIndex { embedder, index, entries, columns }
     }
 
@@ -84,7 +83,7 @@ impl ValueIndex {
         self.entries.is_empty()
     }
 
-    /// The vector index over the stored values: its regime and size.
+    /// The vector index over the stored values.
     pub fn index(&self) -> &ServingIndex {
         &self.index
     }
@@ -179,10 +178,10 @@ impl ValueIndex {
         if let Some(v) = self.exact_in_column(table, column, literal) {
             return Some(v);
         }
-        let q = self.embedder.embed(literal);
+        let range = self.column_range(table, column);
+        let scores = self.index.similarities(range.clone(), &self.embedder.embed(literal));
         let mut best: Option<(f32, usize)> = None;
-        for idx in self.column_range(table, column) {
-            let s = self.index.similarity(idx, &q);
+        for (idx, s) in range.zip(scores) {
             if s >= threshold && best.map(|(bs, _)| s > bs).unwrap_or(true) {
                 best = Some((s, idx));
             }
@@ -213,19 +212,16 @@ impl ColumnIndex {
     /// Index `table column description` descriptors.
     pub fn build(db: &datagen::BuiltDb) -> Self {
         let embedder = Embedder::new();
-        let mut index = ServingIndex::new(0xC01);
-        let mut entries = Vec::new();
-        for t in &db.database.schema.tables {
-            for c in &t.columns {
-                let descriptor = format!("{} {} {}", t.name, c.name, c.description);
-                index.add(embedder.embed(&descriptor));
-                entries.push((t.name.clone(), c.name.clone()));
-            }
-        }
+        let tables = &db.database.schema.tables;
+        let columns = || tables.iter().flat_map(|t| t.columns.iter().map(move |c| (t, c)));
+        let index = ServingIndex::build(columns().map(|(t, c)| {
+            embedder.embed(&format!("{} {} {}", t.name, c.name, c.description))
+        }));
+        let entries = columns().map(|(t, c)| (t.name.clone(), c.name.clone())).collect();
         ColumnIndex { embedder, index, entries }
     }
 
-    /// The vector index over the column descriptors: its regime and size.
+    /// The vector index over the column descriptors.
     pub fn index(&self) -> &ServingIndex {
         &self.index
     }

@@ -473,7 +473,7 @@ impl AssetCache {
         let index = values.index();
         active::event_volatile(
             "asset_build",
-            &[("db", &db_id), ("index", &if index.is_exact() { "exact" } else { "graph" })],
+            &[("db", &db_id)],
             &[
                 ("us", build_started.elapsed().as_micros() as f64),
                 ("values", values.len() as f64),
@@ -666,7 +666,7 @@ mod tests {
         assert_eq!(built.len(), 1);
         let values = opensearch_sql::ValueIndex::build(&bench.dbs[0]);
         assert!(built[0].volatile);
-        assert_eq!((built[0].label("db"), built[0].label("index")), (Some(db.as_str()), Some("exact")));
+        assert_eq!(built[0].label("db"), Some(db.as_str()));
         assert_eq!(built[0].timing("values"), Some(values.len() as f64));
         assert_eq!(built[0].timing("nnz"), Some(values.index().nnz() as f64));
         assert_eq!(built[0].timing("index_bytes"), Some(values.index().heap_bytes() as f64));

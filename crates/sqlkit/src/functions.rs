@@ -55,8 +55,9 @@ pub(crate) fn scalar<V: Borrow<Value>>(name: &str, args: &[V]) -> SqlResult<Valu
                 other => Value::Int(other.as_str().map_or(0, |s| s.chars().count()) as i64),
             })
         }
-        "upper" => map_text(name, args, |s| s.to_uppercase()),
-        "lower" => map_text(name, args, |s| s.to_lowercase()),
+        // SQLite's built-ins fold ASCII letters only
+        "upper" => map_text(name, args, str::to_ascii_uppercase),
+        "lower" => map_text(name, args, str::to_ascii_lowercase),
         "trim" => map_text(name, args, |s| s.trim().to_owned()),
         "ltrim" => map_text(name, args, |s| s.trim_start().to_owned()),
         "rtrim" => map_text(name, args, |s| s.trim_end().to_owned()),
@@ -214,29 +215,51 @@ fn map_text<V: Borrow<Value>>(
     })
 }
 
+/// SQLite's `substrFunc`, in characters: a NULL argument gives NULL, the
+/// start and length are read as integers (a REAL truncated, TEXT by its
+/// numeric prefix), start 0 uses up one unit of the length, a negative
+/// start counts from the end (before the first character it shortens the
+/// length), and a negative length takes the characters before the start.
 fn substr<V: Borrow<Value>>(name: &str, args: &[V]) -> SqlResult<Value> {
     if args.len() < 2 || args.len() > 3 {
         return Err(arity(name, "2 or 3", args.len()));
     }
-    let s = match args[0].borrow().as_str() {
-        Some(s) => s,
-        None => return Ok(Value::Null),
+    let integer = |v: &V| match cast_value(v.borrow(), TypeName::Integer) {
+        Value::Int(i) => Some(i),
+        _ => None,
     };
-    let n = s.chars().count() as i64;
-    let mut start = args[1].borrow().as_i64().unwrap_or(1);
-    // SQLite: 1-based, negative counts from the end
+    let length = match args.get(2) {
+        Some(v) => match integer(v) {
+            Some(l) => Some(l),
+            None => return Ok(Value::Null),
+        },
+        None => None,
+    };
+    let (Some(s), Some(mut start)) = (args[0].borrow().as_str(), integer(&args[1])) else {
+        return Ok(Value::Null);
+    };
+    let back = length.is_some_and(|l| l < 0);
+    let mut len = length.map_or(i64::MAX, i64::saturating_abs);
     if start < 0 {
-        start = (n + start).max(0) + 1;
-    } else if start == 0 {
-        start = 1;
+        start = start.saturating_add(s.chars().count() as i64);
+        if start < 0 {
+            len = (len + start).max(0);
+            start = 0;
+        }
+    } else if start > 0 {
+        start -= 1;
+    } else if len > 0 {
+        len -= 1;
     }
-    let len = match args.get(2) {
-        Some(v) => v.borrow().as_i64().unwrap_or(0).max(0),
-        None => n,
-    };
-    let begin = ((start - 1).max(0) as usize).min(n as usize);
-    let end = (begin + len as usize).min(n as usize);
-    Ok(Value::text(s.chars().skip(begin).take(end - begin).collect::<String>()))
+    if back {
+        start -= len;
+        if start < 0 {
+            len += start;
+            start = 0;
+        }
+    }
+    let count = |n: i64| usize::try_from(n).unwrap_or(usize::MAX);
+    Ok(Value::text(s.chars().skip(count(start)).take(count(len)).collect::<String>()))
 }
 
 /// Parse `YYYY-MM-DD[ HH:MM:SS]` text dates.
@@ -545,6 +568,41 @@ mod tests {
         // value rules at the edges")
         assert_eq!(one("SELECT 9223372036854775808"), Ok(Value::Real(9.223372036854776e18)));
         assert_eq!(one("SELECT -9223372036854775808"), Ok(Value::Real(-9.223372036854776e18)));
+    }
+
+    /// `SUBSTR`'s argument arithmetic and `UPPER` / `LOWER`'s ASCII-only
+    /// folding; each expected value is what `sqlite3 -json` 3.51.2 answers.
+    #[test]
+    fn text_edges_follow_sqlite() {
+        let db = crate::Database::new("edges");
+        let one = |sql: &str| db.query(&format!("SELECT {sql}")).unwrap().rows[0][0].clone();
+        for (sql, want) in [
+            ("SUBSTR('abc',0,2)", Value::text("a")),
+            ("SUBSTR('abc',2,-1)", Value::text("a")),
+            ("SUBSTR('abc',-5,3)", Value::text("a")),
+            ("SUBSTR('abc',3,-5)", Value::text("ab")),
+            ("SUBSTR('abc',NULL)", Value::Null),
+            ("SUBSTR('abc',2,NULL)", Value::Null),
+            ("SUBSTR('abc',2.9)", Value::text("bc")),
+            // these three agreed before the port
+            ("SUBSTR('abc',0)", Value::text("abc")),
+            ("SUBSTR('abc',-1)", Value::text("c")),
+            ("SUBSTR('abcdef',-2,5)", Value::text("ef")),
+            // the clamps at the ends of the integers
+            ("SUBSTR('abc',-10,3)", Value::text("")),
+            ("SUBSTR('abc',0,-5)", Value::text("")),
+            ("SUBSTR('abc',5,-3)", Value::text("bc")),
+            ("SUBSTR('abc',9223372036854775807)", Value::text("")),
+            ("SUBSTR('abc',1,-9223372036854775807 - 1)", Value::text("")),
+            ("SUBSTR('abc',2,1e30)", Value::text("bc")),
+            ("SUBSTR('abc','2x')", Value::text("bc")),
+            ("SUBSTR(12345,2,2)", Value::text("23")),
+            ("SUBSTR('héllo',2,2)", Value::text("él")),
+            ("UPPER('straße é')", Value::text("STRAßE é")),
+            ("LOWER('ÉCOLE')", Value::text("École")),
+        ] {
+            assert_eq!(one(sql), want, "{sql}");
+        }
     }
 
     #[test]

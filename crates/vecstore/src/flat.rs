@@ -1,9 +1,9 @@
-//! Exact brute-force vector index: what small corpora are served from
-//! (see [`serving`](crate::serving)) and the recall baseline HNSW is
-//! benchmarked against.
+//! Exact brute-force vector index: the recall baseline HNSW is
+//! benchmarked against, and the oracle the serving index's postings are
+//! held to (see [`serving`](crate::serving)).
 
 use crate::index::{Neighbor, VectorIndex};
-use crate::sparse::{rank_key, unrank, SparseVectors};
+use crate::sparse::{rank_key, top_k, SparseVectors};
 
 /// A flat (exact) cosine-similarity index.
 #[derive(Debug, Clone, Default)]
@@ -22,18 +22,6 @@ impl FlatIndex {
     pub fn similarity(&self, id: usize, query: &[f32]) -> f32 {
         self.vectors.dot(id, &self.vectors.cover(query))
     }
-
-    pub(crate) fn nnz(&self) -> usize {
-        self.vectors.nnz()
-    }
-
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.vectors.heap_bytes()
-    }
-
-    pub(crate) fn into_vectors(self) -> SparseVectors {
-        self.vectors
-    }
 }
 
 impl VectorIndex for FlatIndex {
@@ -43,17 +31,7 @@ impl VectorIndex for FlatIndex {
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         let query = self.vectors.cover(query);
-        let mut keys: Vec<u64> =
-            (0..self.vectors.len()).map(|id| rank_key(self.vectors.dot(id, &query), id)).collect();
-        // only the best `k` need ordering (score descending, id ascending)
-        if k < keys.len() {
-            if k > 0 {
-                keys.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
-            }
-            keys.truncate(k);
-        }
-        keys.sort_unstable_by(|a, b| b.cmp(a));
-        keys.into_iter().map(unrank).collect()
+        top_k((0..self.vectors.len()).map(|id| rank_key(self.vectors.dot(id, &query), id)).collect(), k)
     }
 
     fn len(&self) -> usize {

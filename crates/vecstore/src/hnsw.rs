@@ -90,40 +90,6 @@ impl Hnsw {
         self.vectors.dot(id, &self.vectors.cover(query))
     }
 
-    /// The graph over vectors already stored: each joins in insertion
-    /// order, exactly as if it had been [`add`](VectorIndex::add)ed to an
-    /// empty index — one level drawn per vector from the one seeded RNG,
-    /// and vector `i` linked among vectors `< i` only.
-    pub(crate) fn over(config: HnswConfig, vectors: SparseVectors) -> Self {
-        let mut index = Hnsw { vectors, ..Hnsw::new(config) };
-        for id in 0..index.vectors.len() {
-            let mut dense = vec![0.0; index.vectors.dim()];
-            index.vectors.scatter(id, &mut dense);
-            index.link(id, dense);
-        }
-        index
-    }
-
-    pub(crate) fn nnz(&self) -> usize {
-        self.vectors.nnz()
-    }
-
-    /// Heap bytes held: the arena, the adjacency lists and the insert
-    /// scratch (capacities, not lengths).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        let node = |levels: &Vec<Vec<u32>>| {
-            levels.capacity() * size_of::<Vec<u32>>()
-                + levels.iter().map(|l| l.capacity() * size_of::<u32>()).sum::<usize>()
-        };
-        let s = &self.scratch;
-        self.vectors.heap_bytes()
-            + self.neighbors.capacity() * size_of::<Vec<Vec<u32>>>()
-            + self.neighbors.iter().map(node).sum::<usize>()
-            + s.visited.capacity()
-            + (s.frontier.capacity() + s.results.capacity()) * size_of::<u64>()
-            + s.dense.capacity() * size_of::<f32>()
-    }
-
     /// Join stored vector `id`, given in dense form, to the graph: the
     /// insert proper. `id` must be the next unlinked vector of the arena.
     fn link(&mut self, id: usize, mut vector: Vec<f32>) {

@@ -5,10 +5,15 @@
 //!
 //! - [`embed::Embedder`] — character n-gram feature-hashing embeddings
 //!   (deterministic, typo/case robust);
-//! - [`hnsw::Hnsw`] — Hierarchical Navigable Small World ANN index;
-//! - [`flat::FlatIndex`] — exact scan;
-//! - [`serving::ServingIndex`] — the one retrieval is served from: the
-//!   exact scan while the corpus is small, the graph once it is not;
+//! - [`serving::ServingIndex`] — the one retrieval is served from: exact,
+//!   its vectors stored once as per-dimension postings, so a search walks
+//!   only the query's non-zero dimensions and scores bit for bit as the
+//!   flat scan does;
+//! - [`flat::FlatIndex`] — exact scan, the oracle the serving index is
+//!   held to;
+//! - [`hnsw::Hnsw`] — Hierarchical Navigable Small World ANN index, the
+//!   §4.6 microbench's subject beside the other two (no corpus served
+//!   here is large enough for a graph to pay for its construction);
 //! - [`mask::mask_question`] — masked-question skeletons for few-shot
 //!   retrieval (MQs).
 

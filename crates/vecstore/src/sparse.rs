@@ -1,4 +1,5 @@
-//! Sparse vector storage and the one dot kernel both indexes score with.
+//! Sparse vector storage and the one dot kernel the flat index and the
+//! graph score with.
 //!
 //! An [`Embedder`](crate::Embedder) vector has 10–14 non-zeros out of 256,
 //! so a stored vector keeps only those, as `(dimension, value)` pairs in
@@ -38,11 +39,6 @@ impl SparseVectors {
         self.entries.len()
     }
 
-    /// Heap bytes the arena holds (capacity, not length).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.ends.capacity() * size_of::<u32>() + self.entries.capacity() * size_of::<(u32, f32)>()
-    }
-
     /// Store a dense vector, returning its id (insertion order).
     pub(crate) fn push(&mut self, dense: &[f32]) -> usize {
         debug_assert_finite(dense);
@@ -58,7 +54,8 @@ impl SparseVectors {
         id
     }
 
-    fn row(&self, id: usize) -> &[(u32, f32)] {
+    /// Stored vector `id`'s non-zeros, in ascending dimension order.
+    pub(crate) fn row(&self, id: usize) -> &[(u32, f32)] {
         let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
         &self.entries[start..self.ends[id] as usize]
     }
@@ -101,7 +98,7 @@ impl SparseVectors {
     }
 }
 
-fn debug_assert_finite(v: &[f32]) {
+pub(crate) fn debug_assert_finite(v: &[f32]) {
     debug_assert!(v.iter().all(|x| x.is_finite()), "vecstore vectors must be finite");
 }
 
@@ -117,6 +114,18 @@ pub(crate) fn rank_key(score: f32, id: usize) -> u64 {
 /// The score half of a [`rank_key`]: orders as the scores do.
 pub(crate) fn key_score(key: u64) -> u32 {
     (key >> 32) as u32
+}
+
+/// The best `k` of `keys`, best first: only those need ordering.
+pub(crate) fn top_k(mut keys: Vec<u64>, k: usize) -> Vec<Neighbor> {
+    if k < keys.len() {
+        if k > 0 {
+            keys.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+        }
+        keys.truncate(k);
+    }
+    keys.sort_unstable_by(|a, b| b.cmp(a));
+    keys.into_iter().map(unrank).collect()
 }
 
 /// Unpack a [`rank_key`].

@@ -8,16 +8,15 @@
 //! per-insert clones): the oracle is the simplest code, production the
 //! only fast code. It is compiled for tests only.
 //!
-//! [`ServingIndex`] is held to the same standard in both of its regimes
-//! (second half of this file): below [`GRAPH_FROM_NNZ`] stored non-zeros
-//! it must be the [`FlatIndex`], from the insert that reaches it on the
-//! [`Hnsw`] of the same configuration — and so the dense reference.
+//! [`ServingIndex`] is held to the same standard (second half of this
+//! file): its postings must answer every search and every similarity
+//! exactly as the [`FlatIndex`] over the same vectors does, at every size
+//! and density — same ids, same score bits.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vecstore::embed::dot;
-use vecstore::serving::GRAPH_FROM_NNZ;
 use vecstore::{Embedder, FlatIndex, Hnsw, HnswConfig, Neighbor, ServingIndex, VectorIndex};
 
 mod reference {
@@ -396,178 +395,149 @@ proptest! {
     }
 }
 
-// ---- the serving index: both regimes and the crossing ------------------
+// ---- the serving index: postings answer as the flat scan does --------
 
 fn same_score(got: f32, want: f32) -> bool {
     got.to_bits() == want.to_bits() || got == want
 }
 
-/// What the arena stores of these vectors.
+/// What the postings store of these vectors.
 fn non_zeros(vectors: &[Vec<f32>]) -> usize {
     vectors.iter().flatten().filter(|x| **x != 0.0).count()
 }
 
-/// Feed `vectors` one by one to a [`ServingIndex`] and to its oracles — a
-/// [`FlatIndex`], an [`Hnsw`] of the same configuration and the dense
-/// reference — asserting after *every* add that its regime is the one the
-/// non-zeros stored so far dictate, and after the adds `check_after`
-/// selects (and the last) that every search and similarity is the regime's
-/// oracle's: ids and score bits. Returns how many result lists were
-/// compared in the exact regime and in the graph regime.
+/// Build a [`ServingIndex`] over each prefix of `vectors` that `sizes`
+/// names (ascending) and hold it to a [`FlatIndex`] over the same prefix:
+/// every search (ids and score bits), every similarity of the first,
+/// middle and last vector, and the similarities of whole, inner, last
+/// and empty id ranges. Returns how many result lists were compared.
 fn serving_differential(
-    seed: u64,
     vectors: &[Vec<f32>],
     queries: &[Vec<f32>],
-    check_after: impl Fn(usize) -> bool,
-) -> (usize, usize) {
-    let config = HnswConfig { seed, ..HnswConfig::default() };
-    let mut serving = ServingIndex::new(seed);
+    sizes: impl IntoIterator<Item = usize>,
+) -> usize {
     let mut flat = FlatIndex::new();
-    let mut graph = Hnsw::new(config);
-    let mut dense = reference::Hnsw::new(config);
-    // the graph oracles are only consulted by a corpus that crosses
-    let crosses = non_zeros(vectors) >= GRAPH_FROM_NNZ;
-    let (mut nnz, mut exact_lists, mut graph_lists) = (0, 0, 0);
-    for (i, v) in vectors.iter().enumerate() {
-        assert_eq!(serving.add(v.clone()), i);
-        flat.add(v.clone());
-        if crosses {
-            graph.add(v.clone());
-            dense.add(v.clone());
+    let mut lists = 0;
+    for n in sizes {
+        while flat.len() < n {
+            flat.add(vectors[flat.len()].clone());
         }
-        nnz += non_zeros(std::slice::from_ref(v));
-        assert_eq!((serving.len(), serving.nnz()), (i + 1, nnz));
-        assert_eq!(serving.is_exact(), nnz < GRAPH_FROM_NNZ, "regime at n={} nnz={nnz}", i + 1);
-        if !(check_after(i) || i + 1 == vectors.len()) {
-            continue;
-        }
+        let serving = ServingIndex::build(vectors[..n].iter().cloned());
+        assert_eq!((serving.len(), serving.nnz()), (n, non_zeros(&vectors[..n])));
         for (qi, q) in queries.iter().enumerate() {
-            for k in [0, 1, 5, 10, 100, i + 2] {
-                let context = format!("serving n={} nnz={nnz} query={qi} k={k}", i + 1);
-                let got = serving.search(q, k);
-                if serving.is_exact() {
-                    assert_same(&got, &flat.search(q, k), &context);
-                    exact_lists += 1;
-                } else {
-                    assert_same(&got, &graph.search(q, k), &context);
-                    assert_same(&got, &dense.search(q, k), &format!("{context} (dense)"));
-                    graph_lists += 1;
-                }
+            for k in [0, 1, 5, 10, 100, n + 1] {
+                let context = format!("serving n={n} query={qi} k={k}");
+                assert_same(&serving.search(q, k), &flat.search(q, k), &context);
+                lists += 1;
             }
-            for id in [0, i / 2, i] {
+            if n == 0 {
+                continue;
+            }
+            for id in [0, n / 2, n - 1] {
                 let got = serving.similarity(id, q);
-                let want = if serving.is_exact() { flat.similarity(id, q) } else { graph.similarity(id, q) };
+                let want = flat.similarity(id, q);
                 assert!(same_score(got, want) && same_score(got, dot(&vectors[id], q)), "similarity({id})");
+            }
+            for ids in [0..n, n / 3..n / 2 + 1, n - 1..n, n / 2..n / 2] {
+                let got = serving.similarities(ids.clone(), q);
+                assert_eq!(got.len(), ids.len());
+                for (id, s) in ids.clone().zip(got) {
+                    assert!(same_score(s, flat.similarity(id, q)), "similarities({ids:?})[{id}] n={n}");
+                }
             }
         }
     }
-    (exact_lists, graph_lists)
+    lists
 }
 
 /// Sentences of six corpus phrases: ~50 non-zeros a vector, the density of
-/// a masked question, so a few hundred of them reach the threshold.
+/// a masked question.
 fn sentences(n: usize, seed: u64) -> Vec<String> {
     corpus(n * 6, seed).chunks(6).map(|words| words.join(" ")).collect()
 }
 
 #[test]
-fn serving_index_is_the_flat_index_at_every_size_below_the_threshold() {
-    // value-corpus vectors (~10 non-zeros): 1,500 of them stay well below;
-    // checked after every add up to 500, after every 50th beyond
+fn serving_index_is_the_flat_index_at_every_size() {
+    // value-corpus vectors (~10 non-zeros): every size up to 500, every
+    // 50th beyond
     for n in [1, 2, 33, 500, 1500] {
         let texts = corpus(n, n as u64);
         let queries = corpus_queries(&texts);
-        let (exact, graph) = serving_differential(
-            0x71ED,
-            &embed_all(&texts),
-            &queries[..queries.len().min(8)],
-            |i| n <= 500 || i % 50 == 0,
-        );
-        let checked_adds = if n <= 500 { n } else { n / 50 };
-        assert!(graph == 0 && exact >= 42 * checked_adds, "n={n}: {exact} exact, {graph} graph lists");
+        let sizes = (0..=n).filter(|&i| n <= 500 || i % 50 == 0 || i == n);
+        let lists = serving_differential(&embed_all(&texts), &queries[..queries.len().min(8)], sizes);
+        let checked = if n <= 500 { n + 1 } else { n / 50 + 1 };
+        assert!(lists >= 36 * checked, "n={n}: {lists} lists");
     }
 }
 
 #[test]
-fn serving_index_is_the_graph_from_the_crossing_insert_on() {
-    let texts = sentences(1_000, 41);
+fn serving_index_is_the_flat_index_at_masked_question_density() {
+    let texts = sentences(1_500, 41);
     let vectors = embed_all(&texts);
-    let crossing =
-        (0..vectors.len()).find(|&i| non_zeros(&vectors[..=i]) >= GRAPH_FROM_NNZ).expect("corpus crosses");
-    assert!(crossing > 300 && crossing + 250 < vectors.len(), "crossing insert {crossing}");
-    // searches interleaved with adds straddling the crossing: every add
-    // from 20 before it to 20 past it, then every 100th, then the last
-    let (exact, graph) = serving_differential(0xF5, &vectors, &corpus_queries(&texts)[..6], |i| {
-        i + 20 >= crossing && (i <= crossing + 20 || i % 100 == 0)
-    });
-    assert!(exact >= 20 * 36 && graph > 21 * 36, "{exact} exact, {graph} graph lists");
+    assert!(non_zeros(&vectors) > 40 * vectors.len(), "dense like a masked question");
+    let sizes = (0..=vectors.len()).filter(|&i| i < 40 || i % 100 == 0 || i == vectors.len());
+    let lists = serving_differential(&vectors, &corpus_queries(&texts)[..6], sizes);
+    assert!(lists > 50 * 36, "{lists} lists");
 }
 
 #[test]
-fn dense_random_vectors_cross_the_threshold_and_match_the_reference() {
-    // 256 non-zeros a vector: the 128th insert is the crossing
+fn dense_random_vectors_serve_as_the_flat_index() {
+    // 256 non-zeros a vector, negative components: every dimension's
+    // postings hold every vector
     let mut rng = StdRng::seed_from_u64(17);
     let unit = |rng: &mut StdRng| -> Vec<f32> {
         let mut v: Vec<f32> = (0..256).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         vecstore::embed::l2_normalize(&mut v);
         v
     };
-    let vectors: Vec<Vec<f32>> = (0..GRAPH_FROM_NNZ / 256 + 200).map(|_| unit(&mut rng)).collect();
+    let vectors: Vec<Vec<f32>> = (0..330).map(|_| unit(&mut rng)).collect();
     let queries: Vec<Vec<f32>> = (0..6).map(|_| unit(&mut rng)).collect();
-    let (exact, graph) = serving_differential(9, &vectors, &queries, |i| i % 3 == 0 || i.abs_diff(127) < 3);
-    assert!(exact > 1_000 && graph > 1_000, "{exact} exact, {graph} graph lists");
+    let lists = serving_differential(&vectors, &queries, (0..=vectors.len()).filter(|i| i % 3 == 0));
+    assert!(lists > 3_000, "{lists} lists");
 }
 
 #[test]
 fn serving_index_degenerate_cases() {
-    let mut idx = ServingIndex::new(1);
-    assert!(idx.is_exact() && idx.is_empty() && idx.nnz() == 0);
-    assert!(idx.search(&[1.0, 0.0], 3).is_empty());
-    assert!(idx.search(&[], 0).is_empty());
-    assert_eq!(idx.add(vec![0.0, 0.6, 0.0, 0.8]), 0);
+    let empty = ServingIndex::build(Vec::<Vec<f32>>::new());
+    assert!(empty.is_empty() && empty.nnz() == 0);
+    assert!(empty.search(&[1.0, 0.0], 3).is_empty());
+    assert!(empty.search(&[], 0).is_empty());
+    assert!(empty.similarities(0..0, &[1.0]).is_empty());
+
+    let idx = ServingIndex::build([vec![0.0, 0.6, 0.0, 0.8], vec![], vec![0.5]]);
     assert!(idx.search(&[0.0, 1.0], 0).is_empty(), "k = 0");
     // k > len, and a query shorter than the stored dimension
     let hits = idx.search(&[0.0, 1.0], 10);
-    assert_eq!(hits, vec![Neighbor { id: 0, score: 0.6 }]);
+    let zero = |id| Neighbor { id, score: 0.0 };
+    assert_eq!(hits, vec![Neighbor { id: 0, score: 0.6 }, zero(1), zero(2)]);
+    // a query longer than every stored vector
+    assert_eq!(idx.search(&[1.0, 0.0, 0.0, 1.0, 9.0], 1), vec![Neighbor { id: 0, score: 0.8 }]);
     assert_eq!(idx.similarity(0, &[0.0, 1.0]), 0.6);
+    assert_eq!(idx.similarity(2, &[2.0]), 1.0);
     assert_eq!(idx.similarity(0, &[]), 0.0);
-    assert_eq!((idx.len(), idx.nnz()), (1, 2));
-    assert!(idx.heap_bytes() >= 2 * 8 + 4);
+    assert_eq!(idx.similarities(0..3, &[2.0, 1.0]), vec![0.6, 0.0, 1.0]);
+    assert_eq!((idx.len(), idx.nnz()), (3, 3));
+    assert!(idx.heap_bytes() >= 3 * 8 + 5 * 4);
+}
 
-    // the same cases once the graph serves (the short query included)
-    let mut rng = StdRng::seed_from_u64(2);
-    let mut graph = Hnsw::new(HnswConfig { seed: 1, ..HnswConfig::default() });
-    graph.add(vec![0.0, 0.6, 0.0, 0.8]);
-    let exact_bytes = idx.heap_bytes();
-    while idx.is_exact() {
-        let v: Vec<f32> = (0..512).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        graph.add(v.clone());
-        idx.add(v);
-    }
-    assert_eq!(idx.len(), 1 + GRAPH_FROM_NNZ.div_ceil(512));
-    assert!(idx.heap_bytes() > exact_bytes, "the graph holds its arena and its links");
-    for (q, k) in [(&[0.0f32, 1.0][..], 0), (&[0.0, 1.0], 1), (&[0.0, 1.0], 1_000), (&[], 3)] {
-        assert_same(&idx.search(q, k), &graph.search(q, k), &format!("graph regime {q:?} k={k}"));
-    }
-    assert_eq!(idx.similarity(0, &[0.0, 1.0]), 0.6);
+#[test]
+#[should_panic(expected = "no stored vector")]
+fn similarity_of_a_missing_vector_panics() {
+    ServingIndex::build([vec![1.0]]).similarity(1, &[1.0]);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any corpus size and density around the constant: the serving index
-    /// is the flat index if the corpus stays below it and the same-seed
-    /// graph if not, whenever it is searched on the way.
+    /// Any corpus size and density: the postings answer every search and
+    /// similarity as the flat index over the same vectors does.
     #[test]
-    fn serving_index_follows_the_stored_non_zeros(
+    fn serving_index_is_the_flat_index_at_any_size_and_density(
         seed in 0u64..1_000,
-        fill in 48usize..256,
-        // total non-zeros aimed at, in 1/16ths of the constant: 8/16 to 24/16
-        sixteenths in 8usize..25,
-        search_every in 7usize..40,
+        fill in 1usize..257,
+        n in 0usize..400,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = (GRAPH_FROM_NNZ * sixteenths / 16).div_ceil(fill);
         let vector = |rng: &mut StdRng| -> Vec<f32> {
             // `fill` non-zeros at the front of 256 dimensions, then rotated
             let mut v: Vec<f32> =
@@ -576,29 +546,35 @@ proptest! {
             vecstore::embed::l2_normalize(&mut v);
             v
         };
+        let vectors: Vec<Vec<f32>> = (0..n).map(|_| vector(&mut rng)).collect();
         let queries: Vec<Vec<f32>> = (0..3).map(|_| vector(&mut rng)).collect();
-        let config = HnswConfig { seed, ..HnswConfig::default() };
-        let (mut serving, mut flat, mut graph) =
-            (ServingIndex::new(seed), FlatIndex::new(), Hnsw::new(config));
-        let mut nnz = 0;
-        for i in 0..n {
-            let v = vector(&mut rng);
-            nnz += non_zeros(std::slice::from_ref(&v));
+        serving_differential(&vectors, &queries, [n]);
+    }
+
+    /// Arbitrary finite components, a third of them zero of either sign,
+    /// vectors and queries of any lengths: the same scores as the scan,
+    /// overflow to the same infinity or NaN included.
+    #[test]
+    fn serving_scores_equal_flat_scores_for_any_finite_vectors(
+        stored in prop::collection::vec(prop::collection::vec(0u32..u32::MAX, 0..24), 0..12),
+        query in prop::collection::vec(0u32..u32::MAX, 0..24),
+    ) {
+        let vectors: Vec<Vec<f32>> = stored.into_iter().map(finite).collect();
+        let query = finite(query);
+        let serving = ServingIndex::build(vectors.iter().cloned());
+        let mut flat = FlatIndex::new();
+        for v in &vectors {
             flat.add(v.clone());
-            graph.add(v.clone());
-            serving.add(v);
-            prop_assert_eq!(serving.is_exact(), nnz < GRAPH_FROM_NNZ);
-            if i % search_every != 0 && i + 1 != n {
-                continue;
-            }
-            for q in &queries {
-                for k in [1, 5, n + 1] {
-                    let want = if nnz < GRAPH_FROM_NNZ { flat.search(q, k) } else { graph.search(q, k) };
-                    assert_same(&serving.search(q, k), &want, &format!("n={} nnz={nnz} k={k}", i + 1));
-                }
-                let want = if nnz < GRAPH_FROM_NNZ { flat.similarity(i, q) } else { graph.similarity(i, q) };
-                prop_assert!(same_score(serving.similarity(i, q), want));
-            }
+        }
+        let same = |a: f32, b: f32| same_score(a, b) || (a.is_nan() && b.is_nan());
+        for id in 0..vectors.len() {
+            prop_assert!(same(serving.similarity(id, &query), flat.similarity(id, &query)));
+        }
+        let got = serving.search(&query, vectors.len());
+        let want = flat.search(&query, vectors.len());
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert!(g.id == w.id && same(g.score, w.score), "{:?} vs {:?}", got, want);
         }
     }
 }

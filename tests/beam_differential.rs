@@ -33,8 +33,16 @@
 //! logical-trace hash). Nothing else on the line moved —
 //! final SQL, winner, every candidate's SQL, cost, rounds, outcome and
 //! rows, and the ledger — and no other line did. `analyze_skips` stays in
-//! the digest as a column of zeros so the other 135 lines stay the bytes
+//! the digest as a column of zeros so the other lines stay the bytes
 //! a48904b wrote.
+//!
+//! Three more were re-recorded when the few-shot library came to be
+//! served from exact postings instead of an HNSW graph: `mini 16`, `18`
+//! and `41`, whose generation prompts now carry the exact top-5 examples
+//! the graph walk missed. Only their Generation ledger tokens moved
+//! (2781 → 2788, 2643 → 2655 and 5037 → 5126; still one call each): the
+//! simulator reads only the few-shot count and the CoT flag, so no SQL,
+//! candidate, winner or logical trace did, and no other line.
 
 mod golden;
 mod recording;

@@ -13,12 +13,17 @@
 //! graph walk over ~29 column descriptors and over tiny's 40 few-shot
 //! entries was already exhaustive. `census` below is the proof that every
 //! moved list moved *to the true top-k*.
+//!
+//! The `bird_mini_dev` few-shot constant is the one library large enough
+//! for its graph walk to miss: recorded on 098308f's graph, re-recorded
+//! when the library came to be served from exact postings (the five tiny
+//! constants did not move), and its moved lists are in `census` too.
 
 use datagen::{generate, Benchmark, BuiltDb, Profile};
 use llmsim::{ModelProfile, Oracle, SimLlm};
 use opensearch_sql::{ColumnIndex, FewshotLibrary, ValueIndex};
 use std::sync::Arc;
-use vecstore::{Embedder, Hnsw, HnswConfig, Neighbor, VectorIndex};
+use vecstore::{mask_question, Embedder, FlatIndex, Hnsw, HnswConfig, Neighbor, VectorIndex};
 
 /// Everything below, in call order (`0xab96_eeaf_3d5a_67a6` on c6d94f0).
 const GOLDEN: u64 = 0x4534_3034_4004_dd57;
@@ -31,6 +36,13 @@ const GOLDEN_COLUMNS_RETRIEVE: u64 = 0x9644_aa4e_b518_e9fc;
 const GOLDEN_PER_COLUMN: u64 = 0xecac_918d_ce7b_d183;
 /// `FewshotLibrary::top_k(q, 10)`.
 const GOLDEN_FEWSHOT_TOP_K: u64 = 0xca6d_56e4_8936_1291;
+
+/// `bird_mini_dev`'s few-shot library: ids and score bits of the
+/// `FewshotLibrary::top_k(q, 5)` search for every dev question
+/// (`0x4215_011d_dd0e_6303` on 098308f, where the 1,500 masked questions
+/// were an HNSW graph: 6 of 498 distinct questions moved, each to the
+/// exact top-5 — `census`).
+const GOLDEN_BIRD_FEWSHOT_TOP_5: u64 = 0x371f_780a_71ef_47fe;
 
 /// Phrases no generated database is built from: the embedding path has to
 /// rank on partial n-gram overlap, where ties and near-ties live.
@@ -193,6 +205,38 @@ fn retrieval_results_match_the_recorded_golden() {
         .map(|i| format!("{} hashed to {:#018x}, golden is {:#018x}", names[i], got[i], want[i]))
         .collect();
     assert!(moved.is_empty(), "retrieval output moved ({compared} results):\n  {}", moved.join("\n  "));
+}
+
+/// The one library large enough to tell an exact search from a graph
+/// walk: 1,500 masked questions, searched with every dev question.
+#[test]
+fn bird_mini_dev_fewshot_matches_the_recorded_golden() {
+    let (bench, fewshot) = bird_library();
+    let embedder = Embedder::new();
+    let mut h = Fnv::EMPTY;
+    for ex in &bench.dev {
+        let hits = fewshot.index().search(&embedder.embed(&mask_question(&ex.question)), 5);
+        let served: Vec<&str> = fewshot.top_k(&ex.question, 5).iter().map(|e| e.question.as_str()).collect();
+        let searched: Vec<&str> = hits.iter().map(|n| bench.train[n.id].question.as_str()).collect();
+        assert_eq!(served, searched, "top_k is the index's search over the masked question");
+        h.bytes(&(hits.len() as u64).to_le_bytes());
+        for n in hits {
+            h.bytes(&(n.id as u64).to_le_bytes());
+            h.bytes(&(n.score + 0.0).to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(h.0, GOLDEN_BIRD_FEWSHOT_TOP_5, "bird_mini_dev fewshot.top_k(q, 5) hashed to {:#018x}", h.0);
+}
+
+/// `bird_mini_dev` and its few-shot library, whose entries are the train
+/// examples in order (the simulator augments every one of them).
+fn bird_library() -> (Arc<Benchmark>, FewshotLibrary) {
+    let bench = Arc::new(generate(&Profile::bird_mini_dev()));
+    let oracle = Arc::new(Oracle::new(bench.clone()));
+    let llm = SimLlm::new(oracle, ModelProfile::gpt_4o(), 2);
+    let (fewshot, _) = FewshotLibrary::build(&llm, &bench.train);
+    assert_eq!(fewshot.len(), bench.train.len(), "every train example is an entry");
+    (bench, fewshot)
 }
 
 // ---- census: which `values.retrieve` lines moved, and where to --------
@@ -358,5 +402,44 @@ fn census() {
                 bench.name
             );
         }
+    }
+    fewshot_census();
+}
+
+/// The few-shot half of the census: `bird_mini_dev`'s library searched
+/// with every distinct dev question at k = 5 (the golden's) and k = 10.
+/// A served list that differs from what the parent's graph (`Hnsw`,
+/// seed `0xF5`, over the same masked questions in the same order)
+/// returned must be the exact top-k (`FlatIndex`), ids and score bits.
+fn fewshot_census() {
+    let (bench, fewshot) = bird_library();
+    let embedder = Embedder::new();
+    let mut graph = Hnsw::new(HnswConfig { seed: 0xF5, ..HnswConfig::default() });
+    let mut flat = FlatIndex::new();
+    for ex in &bench.train {
+        let v = embedder.embed(&mask_question(&ex.question));
+        graph.add(v.clone());
+        flat.add(v);
+    }
+    let mut questions: Vec<&str> = bench.dev.iter().map(|ex| ex.question.as_str()).collect();
+    questions.sort_unstable();
+    questions.dedup();
+    let bits = |hits: &[Neighbor]| hits.iter().map(|n| (n.id, (n.score + 0.0).to_bits())).collect::<Vec<_>>();
+    println!("library | k | questions | lists moved | entries gained");
+    for k in [5, 10] {
+        let (mut moved, mut gained) = (0, 0);
+        for q in &questions {
+            let v = embedder.embed(&mask_question(q));
+            let served = bits(&fewshot.index().search(&v, k));
+            let parent = bits(&graph.search(&v, k));
+            if served == parent {
+                continue;
+            }
+            let exact = bits(&flat.search(&v, k));
+            assert_eq!(served, exact, "{q:?} at k = {k} is neither the graph's list nor the true top-k");
+            moved += 1;
+            gained += served.iter().filter(|(id, _)| !parent.iter().any(|(p, _)| p == id)).count();
+        }
+        println!("{} few-shot | {k} | {} | {moved} | {gained}", bench.name, questions.len());
     }
 }

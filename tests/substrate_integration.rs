@@ -85,10 +85,11 @@ fn retrieval_finds_stored_forms_from_question_wording() {
     }
 }
 
-/// Recall of the HNSW graph where `vecstore::ServingIndex` actually serves
-/// from it: a hashed-embedding value corpus of 8,000 strings (~103 k
-/// stored non-zeros, three times `GRAPH_FROM_NNZ`; the corpus of
-/// `benches/retrieval.rs`), at the pipeline's own two settings. What is
+/// Recall of the HNSW graph on a corpus at the scale where a graph could
+/// earn its place in serving again (every corpus is served from exact
+/// postings today): a hashed-embedding value corpus of 8,000 strings
+/// (~103 k stored non-zeros; the corpus of `benches/retrieval.rs`), at
+/// the pipeline's own two settings. What is
 /// counted is what a caller loses: hits of the exact top-k that clear the
 /// threshold and that the graph's top-k has no equal of (compared by score,
 /// so a tie resolved differently is not a miss). Measured figures are in
