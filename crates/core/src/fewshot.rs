@@ -65,7 +65,7 @@ impl FewshotLibrary {
             });
         }
         let embedder = Embedder::new();
-        let index = ServingIndex::build(entries.iter().map(|e| embedder.embed(&e.masked)));
+        let index = ServingIndex::embed(&embedder, entries.iter().map(|e| &e.masked));
         (FewshotLibrary { embedder, index, entries }, tokens)
     }
 
@@ -88,7 +88,7 @@ impl FewshotLibrary {
     pub fn top_k(&self, question: &str, k: usize) -> Vec<&FewshotEntry> {
         let masked = mask_question(question);
         self.index
-            .search(&self.embedder.embed(&masked), k)
+            .search_sparse(&self.embedder.embed_sparse(&masked), k)
             .into_iter()
             .map(|n| &self.entries[n.id])
             .collect()

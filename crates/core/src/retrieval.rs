@@ -69,7 +69,7 @@ impl ValueIndex {
             }
         }
         let embedder = Embedder::new();
-        let index = ServingIndex::build(entries.iter().map(|e| embedder.embed(&e.stored)));
+        let index = ServingIndex::embed(&embedder, entries.iter().map(|e| &e.stored));
         ValueIndex { embedder, index, entries, columns }
     }
 
@@ -121,7 +121,7 @@ impl ValueIndex {
             queries.extend(entity.split_whitespace());
         }
         for q in queries {
-            for Neighbor { id, score } in self.index.search(&self.embedder.embed(q), top_k) {
+            for Neighbor { id, score } in self.index.search_sparse(&self.embedder.embed_sparse(q), top_k) {
                 if score >= threshold {
                     push(id, score, &mut hits);
                 }
@@ -179,7 +179,7 @@ impl ValueIndex {
             return Some(v);
         }
         let range = self.column_range(table, column);
-        let scores = self.index.similarities(range.clone(), &self.embedder.embed(literal));
+        let scores = self.index.similarities_sparse(range.clone(), &self.embedder.embed_sparse(literal));
         let mut best: Option<(f32, usize)> = None;
         for (idx, s) in range.zip(scores) {
             if s >= threshold && best.map(|(bs, _)| s > bs).unwrap_or(true) {
@@ -214,9 +214,10 @@ impl ColumnIndex {
         let embedder = Embedder::new();
         let tables = &db.database.schema.tables;
         let columns = || tables.iter().flat_map(|t| t.columns.iter().map(move |c| (t, c)));
-        let index = ServingIndex::build(columns().map(|(t, c)| {
-            embedder.embed(&format!("{} {} {}", t.name, c.name, c.description))
-        }));
+        let index = ServingIndex::embed(
+            &embedder,
+            columns().map(|(t, c)| format!("{} {} {}", t.name, c.name, c.description)),
+        );
         let entries = columns().map(|(t, c)| (t.name.clone(), c.name.clone())).collect();
         ColumnIndex { embedder, index, entries }
     }
@@ -229,7 +230,7 @@ impl ColumnIndex {
     /// Columns similar to an entity phrase, above threshold.
     pub fn retrieve(&self, entity: &str, top_k: usize, threshold: f32) -> Vec<(String, String)> {
         self.index
-            .search(&self.embedder.embed(entity), top_k)
+            .search_sparse(&self.embedder.embed_sparse(entity), top_k)
             .into_iter()
             .filter(|n| n.score >= threshold)
             .map(|n| self.entries[n.id].clone())

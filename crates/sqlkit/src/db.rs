@@ -928,6 +928,37 @@ mod tests {
         assert_eq!(rs.rows, vec![vec![Value::Int(40 % 7 + 1)]]);
     }
 
+    /// Integers past 2^53 that share an `f64` are different keys: a keyed
+    /// lookup finds one row, through the index as on a scan, as SQLite
+    /// 3.51.2 does.
+    #[test]
+    fn keys_that_share_an_f64_stay_apart_on_a_scan_and_an_index_scan() {
+        let mut db = Database::new("big");
+        db.execute_script(
+            "CREATE TABLE t (v INTEGER PRIMARY KEY, n TEXT); \
+             INSERT INTO t VALUES (9007199254740993, 'odd'); \
+             INSERT INTO t VALUES (9007199254740992, 'even')",
+        )
+        .unwrap();
+        // enough other keys that a seek is cheaper than the scan
+        for v in 0..64 {
+            db.execute_script(&format!("INSERT INTO t VALUES ({v}, 'small')")).unwrap();
+        }
+        let sql = "SELECT n FROM t WHERE v = 9007199254740992";
+        let want = vec![vec![Value::text("even")]];
+        let plan = crate::plan::explain(&db, sql).unwrap();
+        assert!(plan.contains("IxScan t"), "{sql} seeks the key:\n{plan}");
+        assert_eq!(db.query(sql).unwrap().rows, want);
+        // the same rows in a table built with `create_table`: no index
+        let mut scanned = Database::new("big");
+        scanned.create_table(db.schema.table("t").unwrap().clone()).unwrap();
+        for row in db.rows("t").unwrap() {
+            scanned.insert_row("t", row.clone()).unwrap();
+        }
+        assert!(!crate::plan::explain(&scanned, sql).unwrap().contains("IxScan"));
+        assert_eq!(scanned.query(sql).unwrap().rows, want);
+    }
+
     #[test]
     fn insert_with_column_list_fills_nulls() {
         let mut db = db();

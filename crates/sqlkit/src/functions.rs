@@ -9,7 +9,7 @@
 use crate::ast::{BinOp, TypeName, UnaryOp};
 use crate::error::{SqlError, SqlResult};
 use crate::value::Value;
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::fmt::Write as _;
 
@@ -412,6 +412,8 @@ pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> 
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
+            let (l, r) = (arithmetic_operand(l), arithmetic_operand(r));
+            let (l, r) = (l.as_ref(), r.as_ref());
             if let (Value::Int(a), Value::Int(b)) = (l, r) {
                 let res = match op {
                     BinOp::Add => a.checked_add(*b),
@@ -435,6 +437,8 @@ pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> 
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
+            let (l, r) = (arithmetic_operand(l), arithmetic_operand(r));
+            let (l, r) = (l.as_ref(), r.as_ref());
             if let (Value::Int(a), Value::Int(b)) = (l, r) {
                 if *b == 0 {
                     return Ok(Value::Null);
@@ -451,12 +455,8 @@ pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> 
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
-            // a TEXT operand is first read as the number its prefix spells
-            let number = |v: &Value| match v {
-                Value::Text(t) => crate::value::text_as_number(t),
-                other => other.clone(),
-            };
-            let (l, r) = (&number(l), &number(r));
+            let (l, r) = (arithmetic_operand(l), arithmetic_operand(r));
+            let (l, r) = (l.as_ref(), r.as_ref());
             // SQLite takes a REAL operand's integer part (saturating) and
             // answers in REAL; `wrapping_rem` is 0 for i64::MIN % -1
             if matches!(l, Value::Real(_)) || matches!(r, Value::Real(_)) {
@@ -471,6 +471,16 @@ pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> 
                 _ => Ok(Value::Null),
             }
         }
+    }
+}
+
+/// An operand of `+ - * / %`: a TEXT one is read as the number its
+/// numeric prefix spells (`'12abc'` is INTEGER 12, `'1.5x'` REAL 1.5), as
+/// SQLite reads it.
+fn arithmetic_operand(v: &Value) -> Cow<'_, Value> {
+    match v {
+        Value::Text(t) => Cow::Owned(crate::value::text_as_number(t)),
+        other => Cow::Borrowed(other),
     }
 }
 
@@ -563,6 +573,17 @@ mod tests {
         assert_eq!(one("SELECT 'abc' % 5"), Ok(Value::Int(0)));
         assert_eq!(one("SELECT 7 % '2.5'"), Ok(Value::Real(1.0)));
         assert_eq!(one("SELECT '1e1' % 3"), Ok(Value::Real(1.0)));
+        // and so is one of `+ - * /`
+        assert_eq!(one("SELECT '12abc' + 1"), Ok(Value::Int(13)));
+        assert_eq!(one("SELECT ' 12' + 1"), Ok(Value::Int(13)));
+        assert_eq!(one("SELECT '1.5x' * 2"), Ok(Value::Real(3.0)));
+        assert_eq!(one("SELECT '12' / 5"), Ok(Value::Int(2)));
+        assert_eq!(one("SELECT 'abc' - 2"), Ok(Value::Int(-2)));
+        // integers compare exactly, also past 2^53 where two share an f64
+        assert_eq!(one("SELECT 9007199254740993 = 9007199254740992"), Ok(Value::Int(0)));
+        assert_eq!(one("SELECT 9007199254740993 > 9007199254740992"), Ok(Value::Int(1)));
+        assert_eq!(one("SELECT 9007199254740993 = 9007199254740992.0"), Ok(Value::Int(0)));
+        assert_eq!(one("SELECT 9223372036854775807 > 9223372036854775806"), Ok(Value::Int(1)));
         // the literal 2^63 is REAL, and so, still, is its negation (SQLite:
         // INTEGER i64::MIN, and ABS of it `integer overflow`; ROADMAP "SQLite's
         // value rules at the edges")

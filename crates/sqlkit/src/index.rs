@@ -3,9 +3,10 @@
 //!
 //! An index is a flat `Vec<(Value, rid)>` sorted by `Value::sql_cmp` with
 //! the row id as tie-break. Because `sql_cmp` equality classes are wider
-//! than bit equality (`1 == 1.0`, and huge integers collapse through
-//! `f64`), an *equality run* located by binary search is exactly the set
-//! of rows the executor's `sql_eq` would accept — and because rid breaks
+//! than bit equality (`1 == 1.0`; integers compare exactly, so
+//! 9007199254740993 and 9007199254740992 stay apart although they share
+//! an `f64`), an *equality run* located by binary search is exactly the
+//! set of rows the executor's `sql_eq` would accept — and because rid breaks
 //! ties, every run is already in ascending row order, which is what lets
 //! index lookups reproduce a full scan's emission order byte for byte.
 //!

@@ -109,19 +109,23 @@ impl Value {
     }
 
     /// Total ordering following SQLite collation rules: NULLs first, then
-    /// numerics compared numerically, then text compared bytewise.
+    /// numerics compared by their exact values, then text compared
+    /// bytewise. Two INTEGERs compare as `i64`, and an INTEGER with a REAL
+    /// as SQLite's `sqlite3IntFloatCompare` does, so integers past 2^53
+    /// that share an `f64` stay apart. A `NaN` (which SQLite never
+    /// stores) compares equal to every number.
     pub fn sql_cmp(&self, other: &Value) -> Ordering {
         let (ra, rb) = (self.class_rank(), other.class_rank());
         if ra != rb {
             return ra.cmp(&rb);
         }
         match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Int(i), Value::Real(r)) => int_real_cmp(*i, *r),
+            (Value::Real(r), Value::Int(i)) => int_real_cmp(*i, *r).reverse(),
+            (Value::Real(x), Value::Real(y)) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
-            (a, b) => {
-                let (x, y) = (a.as_f64().unwrap_or(0.0), b.as_f64().unwrap_or(0.0));
-                x.partial_cmp(&y).unwrap_or(Ordering::Equal)
-            }
+            _ => Ordering::Equal,
         }
     }
 
@@ -268,6 +272,25 @@ pub(crate) fn parse_numeric_prefix(s: &str) -> Option<f64> {
     numeric_prefix(s)?.parse::<f64>().ok()
 }
 
+/// An INTEGER against a REAL, exactly: the REAL's integer part as an
+/// `i64` decides, and only when it equals the INTEGER do the two compare
+/// as `f64` (where the INTEGER is then exact), as SQLite's
+/// `sqlite3IntFloatCompare` does without long doubles.
+fn int_real_cmp(i: i64, r: f64) -> Ordering {
+    if r.is_nan() {
+        return Ordering::Equal;
+    }
+    // 2^63: every REAL from here up is above every INTEGER
+    let bound = -(i64::MIN as f64);
+    if r < -bound {
+        return Ordering::Greater;
+    }
+    if r >= bound {
+        return Ordering::Less;
+    }
+    i.cmp(&(r as i64)).then_with(|| (i as f64).partial_cmp(&r).unwrap_or(Ordering::Equal))
+}
+
 /// The number a TEXT operand of arithmetic stands for, as SQLite reads it:
 /// its numeric prefix as an INTEGER when that is a whole number that fits,
 /// as a REAL otherwise, and INTEGER 0 when there is no prefix.
@@ -362,6 +385,32 @@ mod tests {
         assert_eq!(Value::Int(5).sql_cmp(&Value::text("a")), Ordering::Less);
         assert_eq!(Value::Int(2).sql_cmp(&Value::Real(1.5)), Ordering::Greater);
         assert_eq!(Value::text("a").sql_cmp(&Value::text("b")), Ordering::Less);
+    }
+
+    /// Numbers compare by their exact values; each expectation is what
+    /// `sqlite3` 3.51.2 answers for the same comparison.
+    #[test]
+    fn numbers_compare_exactly() {
+        use Ordering::{Equal, Greater, Less};
+        let (int, real) = (Value::Int, Value::Real);
+        let two53 = 1i64 << 53;
+        for (a, b, want) in [
+            (int(two53 + 1), int(two53), Greater),
+            (int(i64::MAX), int(i64::MAX - 1), Greater),
+            (int(two53 + 1), real(two53 as f64), Greater),
+            (int(two53 + 1), real((two53 + 2) as f64), Less),
+            (int(i64::MAX), real(-(i64::MIN as f64)), Less),
+            (int(i64::MIN), real(i64::MIN as f64), Equal),
+            (int(i64::MAX), real(1e300), Less),
+            (int(i64::MIN), real(-1e300), Greater),
+            (int(3), real(3.5), Less),
+            (int(-3), real(-3.5), Greater),
+            (int(2), real(2.0), Equal),
+            (int(0), real(-0.0), Equal),
+        ] {
+            assert_eq!(a.sql_cmp(&b), want, "{a:?} vs {b:?}");
+            assert_eq!(b.sql_cmp(&a), want.reverse(), "{b:?} vs {a:?}");
+        }
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! for `bge-large-en-v1.5` + HNSW in the original system:
 //!
 //! - [`embed::Embedder`] — character n-gram feature-hashing embeddings
-//!   (deterministic, typo/case robust);
+//!   (deterministic, typo/case robust), emitted as the non-zeros of the
+//!   buckets their features hit;
 //! - [`serving::ServingIndex`] — the one retrieval is served from: exact,
-//!   its vectors stored once as per-dimension postings, so a search walks
-//!   only the query's non-zero dimensions and scores bit for bit as the
-//!   flat scan does;
+//!   its vectors stored once as per-dimension postings, built from and
+//!   searched with the embedder's non-zeros, so a search walks only the
+//!   query's non-zero dimensions and scores bit for bit as the flat scan
+//!   does;
 //! - [`flat::FlatIndex`] — exact scan, the oracle the serving index is
 //!   held to;
 //! - [`hnsw::Hnsw`] — Hierarchical Navigable Small World ANN index, the

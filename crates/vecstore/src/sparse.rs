@@ -1,9 +1,11 @@
-//! Sparse vector storage and the one dot kernel the flat index and the
-//! graph score with.
+//! Sparse vector storage: the row form every index stores, and the dot
+//! [`FlatIndex`](crate::FlatIndex) and [`Hnsw`](crate::Hnsw) score with.
 //!
 //! An [`Embedder`](crate::Embedder) vector has 10–14 non-zeros out of 256,
 //! so a stored vector keeps only those, as `(dimension, value)` pairs in
-//! ascending dimension order, and is scored against a *dense* operand.
+//! ascending dimension order: a dense vector's are found by a scan, an
+//! embedding's are written by the embedder itself. The dot scores a row
+//! against a *dense* operand.
 //! Skipping the zeros is exact: a skipped term would have added `±0.0` to
 //! the accumulator, which leaves every finite accumulator unchanged, and
 //! the surviving terms are added in the same order a dense dot adds them.
@@ -42,15 +44,18 @@ impl SparseVectors {
     /// Store a dense vector, returning its id (insertion order).
     pub(crate) fn push(&mut self, dense: &[f32]) -> usize {
         debug_assert_finite(dense);
-        let id = self.ends.len();
-        assert!(
-            id < u32::MAX as usize && dense.len() <= u32::MAX as usize,
-            "vecstore ids and dimensions are 32-bit"
-        );
         let nonzero = dense.iter().enumerate().filter(|(_, v)| **v != 0.0);
-        self.entries.extend(nonzero.map(|(i, v)| (i as u32, *v)));
+        self.push_with(dense.len(), |entries| entries.extend(nonzero.map(|(i, v)| (i as u32, *v))))
+    }
+
+    /// Store a vector of `dim` dimensions whose non-zeros `fill` appends,
+    /// in ascending dimension order, returning its id (insertion order).
+    pub(crate) fn push_with(&mut self, dim: usize, fill: impl FnOnce(&mut Vec<(u32, f32)>)) -> usize {
+        let id = self.ends.len();
+        assert!(id < u32::MAX as usize && dim <= u32::MAX as usize, "vecstore ids and dimensions are 32-bit");
+        fill(&mut self.entries);
         self.ends.push(u32::try_from(self.entries.len()).expect("arena offsets are 32-bit"));
-        self.dim = self.dim.max(dense.len());
+        self.dim = self.dim.max(dim);
         id
     }
 

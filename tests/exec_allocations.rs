@@ -30,6 +30,11 @@
 //! every distinct candidate text of those answers that parses and binds
 //! with at least one diagnostic, bound again on its own.
 //!
+//! The page-in census counts what `Preprocessed::for_db` allocates to
+//! page in each of the 12 `bird_mini_dev` databases — index its stored
+//! values and column descriptors and describe its schema — and gates the
+//! total, beside the parent's reading.
+//!
 //! Run it with `cargo test -q --test exec_allocations -- --nocapture` to
 //! see the tables.
 
@@ -416,5 +421,43 @@ fn a_replay_copies_nothing() {
     assert!(
         allocations <= doublings,
         "{REPLAYS} replays allocated {allocations} times; the record vector doubles at most {doublings} times"
+    );
+}
+
+/// The parent's reading of the page-in census (309ebb8): allocations
+/// `Preprocessed::for_db` made over the 12 `bird_mini_dev` databases,
+/// when every indexed value and column descriptor was embedded into a
+/// 256-float vector of its own before its non-zeros were copied out.
+const PARENT_PAGE_IN: u64 = 22_824;
+/// Allocations the 12 page-ins may make: 16,550 when the embedder wrote
+/// each text's non-zeros straight into the row arena the postings are
+/// counted from, plus 5 %.
+const PAGE_IN_BUDGET: u64 = 17_378;
+
+#[test]
+fn a_page_in_allocates_within_its_budget() {
+    let bench = Arc::new(generate(&Profile::bird_mini_dev()));
+    let oracle = Arc::new(Oracle::new(bench.clone()));
+    let llm = SimLlm::new(oracle, ModelProfile::gpt_4o(), 0xCAFE);
+    let (fewshot, tokens) = opensearch_sql::FewshotLibrary::build(&llm, &bench.train);
+    let fewshot = Arc::new(fewshot);
+    let (mut allocations, mut indexed) = (0u64, 0u64);
+    for db in &bench.dbs {
+        let (n, pre) = counted(|| Preprocessed::for_db(bench.clone(), &db.id, fewshot.clone(), tokens));
+        let assets = pre.as_ref().and_then(|p| p.assets(&db.id)).expect("a known database pages in");
+        allocations += n;
+        indexed += (assets.values.len() + assets.columns.index().len()) as u64;
+    }
+    println!(
+        "allocations of {} page-ins ({indexed} indexed values and column descriptors): {allocations}  (parent {PARENT_PAGE_IN})",
+        bench.dbs.len()
+    );
+    assert!(
+        allocations <= PAGE_IN_BUDGET,
+        "the page-ins allocate {allocations} times, budget {PAGE_IN_BUDGET}"
+    );
+    assert!(
+        allocations + indexed <= PARENT_PAGE_IN,
+        "the page-ins allocate {allocations} times: not one fewer an indexed text than the parent's {PARENT_PAGE_IN}"
     );
 }
